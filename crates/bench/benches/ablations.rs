@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rceda::EngineConfig;
 use rfid_baseline::{EcaEngine, EcaEvent, TemporalCheck};
-use rfid_bench::{engine_from_script, BenchWorkload};
+use rfid_bench::{engine_from_script, time_engine_pass, BenchWorkload};
 use rfid_events::{EventExpr, ParameterContext, PrimitivePattern, Span};
 use rfid_simulator::SimConfig;
 
@@ -38,13 +38,7 @@ fn merge_ablation(c: &mut Criterion) {
                             },
                         )
                     },
-                    |mut engine| {
-                        let mut count = 0u64;
-                        for &obs in &trace.observations {
-                            engine.process(obs, &mut |_, _| count += 1);
-                        }
-                        count
-                    },
+                    |mut engine| time_engine_pass(&mut engine, &trace.observations).1,
                 );
             },
         );
@@ -85,13 +79,7 @@ fn partition_ablation(c: &mut Criterion) {
                             },
                         )
                     },
-                    |mut engine| {
-                        let mut count = 0u64;
-                        for &obs in &trace.observations {
-                            engine.process(obs, &mut |_, _| count += 1);
-                        }
-                        count
-                    },
+                    |mut engine| time_engine_pass(&mut engine, &trace.observations).1,
                 );
             },
         );
@@ -126,14 +114,7 @@ fn engine_head_to_head(c: &mut Criterion) {
     group.bench_function("rceda", |b| {
         b.iter_with_setup(
             || engine_from_script(&workload, &rceda_script, EngineConfig::default()),
-            |mut engine| {
-                let mut count = 0u64;
-                for &obs in &trace.observations {
-                    engine.process(obs, &mut |_, _| count += 1);
-                }
-                engine.finish(&mut |_, _| count += 1);
-                count
-            },
+            |mut engine| time_engine_pass(&mut engine, &trace.observations).1,
         );
     });
     group.bench_function("eca_baseline", |b| {

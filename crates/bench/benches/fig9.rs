@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rceda::EngineConfig;
-use rfid_bench::{bare_engine, engine_from_script, BenchWorkload};
+use rfid_bench::{bare_engine, engine_from_script, time_engine_pass, BenchWorkload};
 
 fn fig9_events(c: &mut Criterion) {
     let workload = BenchWorkload::new();
@@ -17,14 +17,7 @@ fn fig9_events(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &trace, |b, trace| {
             b.iter_with_setup(
                 || bare_engine(&workload, EngineConfig::default()),
-                |mut engine| {
-                    let mut count = 0u64;
-                    for &obs in &trace.observations {
-                        engine.process(obs, &mut |_, _| count += 1);
-                    }
-                    engine.finish(&mut |_, _| count += 1);
-                    count
-                },
+                |mut engine| time_engine_pass(&mut engine, &trace.observations).1,
             );
         });
     }
@@ -42,14 +35,7 @@ fn fig9_rules(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &script, |b, script| {
             b.iter_with_setup(
                 || engine_from_script(&workload, script, EngineConfig::default()),
-                |mut engine| {
-                    let mut count = 0u64;
-                    for &obs in &trace.observations {
-                        engine.process(obs, &mut |_, _| count += 1);
-                    }
-                    engine.finish(&mut |_, _| count += 1);
-                    count
-                },
+                |mut engine| time_engine_pass(&mut engine, &trace.observations).1,
             );
         });
     }

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rceda::ShardConfig;
-use rfid_bench::{sharded_engine_from_script, BenchWorkload};
+use rfid_bench::{sharded_engine_from_script, time_sharded_pass, BenchWorkload};
 
 fn shard_sweep(c: &mut Criterion) {
     let workload = BenchWorkload::new();
@@ -28,14 +28,7 @@ fn shard_sweep(c: &mut Criterion) {
                         },
                     )
                 },
-                |mut engine| {
-                    let mut count = 0u64;
-                    for &obs in &trace.observations {
-                        engine.process(obs);
-                    }
-                    engine.finish(&mut |_, _| count += 1);
-                    count
-                },
+                |mut engine| time_sharded_pass(&mut engine, &trace.observations).1,
             );
         });
     }

@@ -1,5 +1,5 @@
 //! Observability overhead ablation: single-threaded events/s on the
-//! Fig. 9 hot-path workload at each `ObserveLevel`.
+//! paper-scale canonical workload at each `ObserveLevel`.
 //!
 //! The per-node metrics arena is updated on the hot path, so its cost is
 //! budgeted, not assumed: `Counters` must stay within 3% of `Off` (the
@@ -17,7 +17,7 @@
 //! spreads, and the median rejects the one-off stalls a shared box
 //! injects — unlike best-vs-best, which compares two independent minima
 //! of noisy distributions and swings by several points per campaign.
-//! Per-level min-of-N throughput is still reported, as in `fig9_hotpath`.
+//! Per-level min-of-N throughput is still reported.
 //!
 //! Firings must be identical at every level: observation is read-only
 //! with respect to detection.

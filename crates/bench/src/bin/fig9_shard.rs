@@ -13,15 +13,10 @@
 //!
 //! ```text
 //! fig9_shard [--shards 1,2,4,8] [--residual-workers 1,2]
-//!            [--events 150000] [--seed 42] [--partition cost|fanout]
+//!            [--events 150000] [--seed 42]
 //! ```
-//!
-//! `--partition` selects how residual rules are weighed when packed onto
-//! workers: `cost` (default) uses the solved static cost model, `fanout`
-//! the old dispatch fan-out heuristic kept as a comparison oracle.
-//! `bench_gate.sh` runs both and gates the cost-weighted ratio.
 
-use rceda::{EngineConfig, PartitionCost, ShardConfig};
+use rceda::{EngineConfig, ShardConfig};
 use rfid_bench::report::{self, JsonBuf};
 use rfid_bench::{
     bare_engine, sharded_engine_from_script, time_engine_pass, time_sharded_pass, BenchWorkload,
@@ -37,7 +32,6 @@ struct Args {
     residual_workers: Vec<usize>,
     events: usize,
     seed: Option<u64>,
-    partition: PartitionCost,
 }
 
 fn parse_args() -> Args {
@@ -46,7 +40,6 @@ fn parse_args() -> Args {
         residual_workers: DEFAULT_RESIDUAL.to_vec(),
         events: DEFAULT_EVENTS,
         seed: None,
-        partition: PartitionCost::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -63,17 +56,10 @@ fn parse_args() -> Args {
                 args.events = value("--events").parse().expect("--events takes a number");
             }
             "--seed" => args.seed = Some(value("--seed").parse().expect("--seed takes a number")),
-            "--partition" => {
-                args.partition = match value("--partition").as_str() {
-                    "cost" => PartitionCost::Solved,
-                    "fanout" => PartitionCost::FanOut,
-                    other => panic!("--partition takes `cost` or `fanout`, not `{other}`"),
-                };
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: fig9_shard [--shards LIST] [--residual-workers LIST] \
-                     [--events N] [--seed N] [--partition cost|fanout]"
+                     [--events N] [--seed N]"
                 );
                 std::process::exit(0);
             }
@@ -130,7 +116,6 @@ fn main() {
             let config = ShardConfig {
                 shards,
                 residual_workers,
-                partition_cost: args.partition,
                 ..ShardConfig::default()
             };
             let mut engine = sharded_engine_from_script(&workload, &script, config);
@@ -206,16 +191,11 @@ fn write_json(
     firings: u64,
     rows: &[SweepRow],
 ) {
-    let partition = match args.partition {
-        PartitionCost::Solved => "cost",
-        PartitionCost::FanOut => "fanout",
-    };
     let config = format!(
-        "events={events} shards={:?} residual_workers={:?} partition={partition}",
+        "events={events} shards={:?} residual_workers={:?}",
         args.shards, args.residual_workers
     );
     let mut json = JsonBuf::begin("fig9_shard", &config);
-    json.str_field("partition", partition);
     json.u64_field("cores", cores as u64);
     json.u64_field("events", events as u64);
     json.u64_field("firings", firings);

@@ -106,44 +106,25 @@ impl BenchWorkload {
 
 /// Times a full engine-only pass over a stream (detection cost without
 /// store actions — §5 excludes action cost, so the bare engine is the
-/// comparable number). Returns elapsed ms and firings.
+/// comparable number), fed in [`rceda::PROCESS_ALL_BATCH`]-observation
+/// chunks. Returns elapsed ms and firings.
 pub fn time_engine_pass(engine: &mut rceda::Engine, stream: &[Observation]) -> (f64, u64) {
     let mut firings = 0u64;
     let mut sink = |_rule: RuleId, _inst: &rfid_events::Instance| firings += 1;
     let start = Instant::now();
-    for &obs in stream {
-        engine.process(obs, &mut sink);
-    }
-    engine.finish(&mut sink);
-    (start.elapsed().as_secs_f64() * 1000.0, firings)
-}
-
-/// Times a full engine pass fed through the vectorized batch path in
-/// `batch`-sized chunks (plus a final partial chunk). Comparable with
-/// [`time_engine_pass`]: same stream, same sink, same `finish` drain —
-/// the only difference is `process_batch` vs per-observation `process`.
-/// Returns elapsed ms and firings.
-pub fn time_engine_batch_pass(
-    engine: &mut rceda::Engine,
-    stream: &[Observation],
-    batch: usize,
-) -> (f64, u64) {
-    assert!(batch > 0, "batch size must be positive (0 means scalar)");
-    let mut firings = 0u64;
-    let mut sink = |_rule: RuleId, _inst: &rfid_events::Instance| firings += 1;
-    let start = Instant::now();
-    for chunk in stream.chunks(batch) {
+    for chunk in stream.chunks(rceda::PROCESS_ALL_BATCH) {
         engine.process_batch(chunk, &mut sink);
     }
     engine.finish(&mut sink);
     (start.elapsed().as_secs_f64() * 1000.0, firings)
 }
 
-/// Times a full runtime pass (detection + conditions + actions).
+/// Times a full runtime pass (detection + conditions + actions), fed in
+/// the same chunks as [`time_engine_pass`].
 pub fn time_runtime_pass(rt: &mut RuleRuntime, stream: &[Observation]) -> f64 {
     let start = Instant::now();
-    for &obs in stream {
-        rt.process(obs);
+    for chunk in stream.chunks(rceda::PROCESS_ALL_BATCH) {
+        rt.process_batch(chunk);
     }
     rt.finish();
     start.elapsed().as_secs_f64() * 1000.0
@@ -291,23 +272,6 @@ mod tests {
             firings > 0,
             "the canonical rules fire on the canonical workload"
         );
-    }
-
-    #[test]
-    fn batch_pass_matches_scalar_pass() {
-        let w = BenchWorkload::with_config(SimConfig::default());
-        let trace = w.trace(2_000);
-        let mut scalar = bare_engine(&w, EngineConfig::default());
-        let (_, scalar_firings) = time_engine_pass(&mut scalar, &trace.observations);
-        for batch in [64, 1024] {
-            let mut batched = bare_engine(&w, EngineConfig::default());
-            let (_, batch_firings) =
-                time_engine_batch_pass(&mut batched, &trace.observations, batch);
-            assert_eq!(
-                batch_firings, scalar_firings,
-                "batch={batch} must fire identically to the scalar pass"
-            );
-        }
     }
 
     #[test]

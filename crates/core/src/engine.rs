@@ -53,10 +53,11 @@ pub struct RuleId(pub u32);
 /// Which executor drives detection.
 ///
 /// Both execute the *same* arrival handlers over the same runtime state —
-/// the difference is purely how an occurrence finds its rules, parents, and
-/// leaf candidates. The walker is retained as the differential-testing
-/// oracle and the `fig9_hotpath --graph` ablation baseline; [`ExecMode::Plan`]
-/// is the default and the one the throughput gate measures.
+/// the difference is how an occurrence finds its rules, parents, and leaf
+/// candidates, and which retention horizon buffers are pruned against.
+/// [`ExecMode::Plan`] is the production path; the walker is the reference
+/// the differential tests compare it to, so it shares neither the lowered
+/// plan nor the solved bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Execute the lowered [`CompiledPlan`]: flat arenas, per-reader
@@ -64,7 +65,8 @@ pub enum ExecMode {
     #[default]
     Plan,
     /// Walk the [`EventGraph`] directly: hash-map dispatch and rule lookup,
-    /// per-delivery side derivation.
+    /// per-delivery side derivation, conservative `horizon + max_lag`
+    /// retention.
     Graph,
 }
 
@@ -74,8 +76,6 @@ pub struct EngineConfig {
     /// Per-key buffer cap for join sides with an *unbounded* window (plain
     /// `SEQ` without `WITHIN`). Bounded windows prune by time instead.
     pub unbounded_cap: usize,
-    /// Run a global buffer sweep every this many observations.
-    pub sweep_every: u64,
     /// Merge common subgraphs across rules (ablation A1 turns this off).
     pub merge_subgraphs: bool,
     /// Partition join buffers by correlation key (ablation A2 turns this
@@ -83,13 +83,8 @@ pub struct EngineConfig {
     /// the scan instead).
     pub partition_buffers: bool,
     /// Executor selection: compiled plan (default) or the graph-walker
-    /// oracle.
+    /// reference.
     pub exec: ExecMode,
-    /// Evict buffered state against the solved per-node retention bounds
-    /// from the interval-constraint pass ([`crate::bounds`]) instead of the
-    /// conservative `max_lag`-padded horizons. Provably firing-preserving;
-    /// off is the ablation/differential-testing baseline.
-    pub enforce_bounds: bool,
     /// Observability level ([`crate::obs`]): `Off` (default) keeps the hot
     /// path unobserved, `Counters` maintains the per-node metrics arena
     /// (≤3% overhead, gated), `Full` adds latency/occupancy histograms and
@@ -107,11 +102,9 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             unbounded_cap: 1024,
-            sweep_every: 4096,
             merge_subgraphs: true,
             partition_buffers: true,
             exec: ExecMode::Plan,
-            enforce_bounds: true,
             observe: ObserveLevel::Off,
             flight_capacity: 64,
             flight_sample: 1,
@@ -123,8 +116,8 @@ impl Default for EngineConfig {
 /// detected instance.
 pub type Sink<'s> = dyn FnMut(RuleId, &Instance) + 's;
 
-/// Chunk size [`Engine::process_all`] feeds through the batch path; matches
-/// the shard pipeline's default flush size.
+/// Chunk size [`Engine::process_all`] cuts a stream into; matches the shard
+/// pipeline's default flush size.
 pub const PROCESS_ALL_BATCH: usize = 1024;
 
 /// The RFID complex event detection engine.
@@ -139,9 +132,9 @@ pub struct Engine {
     rule_roots: Vec<NodeId>,
     rule_enabled: Vec<bool>,
     rule_firings: Vec<u64>,
+    /// The reference walker's leaf index; empty under [`ExecMode::Plan`].
     dispatch: Dispatch,
-    /// The lowered execution plan; rebuilt together with `dispatch` when
-    /// the rule set changes.
+    /// The lowered execution plan, rebuilt when the rule set changes.
     plan: CompiledPlan,
     /// Solved retention bounds, refreshed with the plan on recompile.
     bounds: Bounds,
@@ -160,36 +153,34 @@ struct Runtime {
     clock: Timestamp,
     seq: u64,
     stats: EngineStats,
-    /// Reused candidate buffer for leaf dispatch.
-    scratch: Vec<NodeId>,
     /// Reused propagation queue: occurrences waiting to activate parents.
-    /// Fully drained by `run_work` before `process` returns, so its capacity
-    /// (not its contents) carries over between events.
+    /// Fully drained by `run_work` after every event, so its capacity (not
+    /// its contents) carries over between events.
     work: Vec<(NodeId, Arc<Instance>)>,
     /// Observability state ([`crate::obs`]): the cached observe level, the
     /// per-node metrics arena, histograms, and the flight recorder. Living
     /// here keeps every instrumentation site a plain field access — no
     /// extra parameters through the arrival handlers.
     obs: ObsState,
-    /// Watermark-amortized sweeping (DESIGN.md §16): per-node effective
-    /// retention spans, the next-expiry deadline heap, and the per-batch
-    /// touched bitmap the batch path arms deadlines from.
+    /// Watermark-amortized sweeping (DESIGN.md §16): per-node retention
+    /// spans, the next-expiry deadline heap, and the per-batch touched
+    /// bitmap deadlines are armed from.
     sweep: SweepQueue,
 }
 
-/// State of the deadline-driven sweep the batch path uses instead of the
-/// scalar fixed-cadence sweep. A node is *armed* when its earliest logged
-/// entry has a finite death time sitting in the heap; quiescent nodes are
-/// neither armed nor visited. Arming happens at batch boundaries from the
-/// `touched` bitmap (set at every state admission), and a deadline fires
-/// only when the batch watermark — the engine clock after the batch —
+/// State of the deadline-driven sweep. A node is *armed* when its earliest
+/// logged entry has a finite death time sitting in the heap; quiescent
+/// nodes are neither armed nor visited. Arming happens at batch boundaries
+/// from the `touched` bitmap (set at every state admission), and a deadline
+/// fires only when the batch watermark — the engine clock after the batch —
 /// passes it.
 #[derive(Debug, Default)]
 struct SweepQueue {
-    /// Per-node `[side0, side1]` effective sweep spans (solved retention
-    /// plus the `max_lag` pad when bounds enforcement is off), rebuilt on
-    /// recompile. Non-join stores use slot 0; `Span::MAX` marks a side the
-    /// sweep can never prune by time.
+    /// Per-node `[side0, side1]` retention spans — how long an entry of
+    /// that side's buffer stays matchable — chosen by
+    /// [`Engine::rebuild_sweep_spans`] on recompile and read by both the
+    /// probe-time dead scans and the sweep. Non-join stores use slot 0;
+    /// `Span::MAX` marks a side that is never pruned by time.
     spans: Vec<[Span; 2]>,
     /// Min-heap of `(deadline, node)` for armed nodes.
     heap: BinaryHeap<Reverse<(Timestamp, u32)>>,
@@ -205,8 +196,7 @@ struct SweepQueue {
 
 impl SweepQueue {
     /// Marks a node as having admitted state this batch. Called from the
-    /// arrival handlers on every admission (scalar path included, so mixed
-    /// scalar/batch usage arms deadlines correctly); two instructions.
+    /// arrival handlers on every admission; two instructions.
     #[inline]
     fn touch(&mut self, node: NodeId) {
         let i = node.idx();
@@ -239,6 +229,32 @@ struct Dispatch {
 }
 
 impl Dispatch {
+    fn build(graph: &EventGraph, catalog: &Catalog) -> Self {
+        let mut dispatch = Self::default();
+        for &leaf in graph.primitives() {
+            let NodeKind::Primitive(p) = &graph.node(leaf).kind else {
+                continue;
+            };
+            match &p.reader {
+                rfid_events::ReaderSel::Named(name) => {
+                    // A name missing from the catalog can never match.
+                    if let Some(id) = catalog.reader(name) {
+                        dispatch.by_reader.entry(id).or_default().push(leaf);
+                    }
+                }
+                rfid_events::ReaderSel::Group(g) => {
+                    dispatch
+                        .by_group
+                        .entry(g.to_string())
+                        .or_default()
+                        .push(leaf);
+                }
+                rfid_events::ReaderSel::Any => dispatch.any.push(leaf),
+            }
+        }
+        dispatch
+    }
+
     fn candidates(&self, catalog: &Catalog, obs: &Observation, out: &mut Vec<NodeId>) {
         if let Some(v) = self.by_reader.get(&obs.reader) {
             out.extend_from_slice(v);
@@ -271,7 +287,6 @@ impl Engine {
                 clock: Timestamp::ZERO,
                 seq: 0,
                 stats: EngineStats::default(),
-                scratch: Vec::new(),
                 work: Vec::new(),
                 obs: ObsState::new(config.observe, config.flight_capacity, config.flight_sample),
                 sweep: SweepQueue::default(),
@@ -340,91 +355,32 @@ impl Engine {
         }
     }
 
-    /// Feeds one observation. Observations must arrive in non-decreasing
-    /// timestamp order (the middleware's stream order); due pseudo events
-    /// are executed first.
+    /// Feeds one observation: a one-element [`Engine::process_batch`].
     pub fn process(&mut self, obs: Observation, sink: &mut Sink<'_>) {
-        debug_assert!(obs.at >= self.rt.clock, "observations must be time-ordered");
-        if self.dispatch_dirty {
-            self.recompile();
-        }
-        let obs_t0 = if self.rt.obs.level.full() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        while let Some(ev) = self.rt.pseudo.pop_due(obs.at) {
-            self.fire_pseudo(ev, sink);
-        }
-        self.rt.clock = self.rt.clock.max(obs.at);
-        self.rt.stats.events += 1;
-
-        match self.config.exec {
-            ExecMode::Plan => {
-                // One direct index into the reader's dispatch row; matched
-                // leaves collect in an inline fixed-capacity queue, so the
-                // common miss/single-hit cases never allocate.
-                let mut hits: InlineBuf<NodeId, LEAF_HITS_INLINE> = InlineBuf::default();
-                self.plan.leaf_hits(&self.catalog, &obs, &mut hits);
-                if !hits.is_empty() {
-                    self.rt.stats.matched_events += 1;
-                    let inst = Arc::new(Instance::observation(obs));
-                    self.rt
-                        .work
-                        .extend(hits.iter().map(|&leaf| (leaf, inst.clone())));
-                    self.run_work_plan(sink);
-                }
-            }
-            ExecMode::Graph => {
-                self.rt.scratch.clear();
-                self.dispatch
-                    .candidates(&self.catalog, &obs, &mut self.rt.scratch);
-                let (graph, catalog) = (&self.graph, &self.catalog);
-                self.rt
-                    .scratch
-                    .retain(|&leaf| match &graph.node(leaf).kind {
-                        NodeKind::Primitive(p) => p.matches(&obs, catalog),
-                        _ => false,
-                    });
-                if !self.rt.scratch.is_empty() {
-                    self.rt.stats.matched_events += 1;
-                    let inst = Arc::new(Instance::observation(obs));
-                    let Runtime { scratch, work, .. } = &mut self.rt;
-                    work.extend(scratch.iter().map(|&leaf| (leaf, inst.clone())));
-                    self.run_work_graph(sink);
-                }
-            }
-        }
-
-        if self.rt.stats.events.is_multiple_of(self.config.sweep_every) {
-            self.sweep();
-        }
-        if let Some(t0) = obs_t0 {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.rt.obs.latency_ns.record(ns);
-        }
+        self.process_batch(std::slice::from_ref(&obs), sink);
     }
 
-    /// Feeds a contiguous batch of observations through the vectorized
-    /// path (DESIGN.md §16). Semantically identical to calling
-    /// [`Engine::process`] per element — same firings, in the same order —
-    /// but the per-event overheads are amortized over the batch:
+    /// Feeds a contiguous batch of observations — the engine's one
+    /// observation loop (DESIGN.md §13). Observations must arrive in
+    /// non-decreasing timestamp order (the middleware's stream order), and
+    /// each is handled exactly as the paper prescribes: due pseudo events
+    /// first, then leaf activation and upward propagation. Firings and
+    /// their order do not depend on how a stream is cut into batches; the
+    /// per-event overheads are amortized over each one:
     ///
-    /// * the `dispatch_dirty` recompile check runs once, not per event;
+    /// * the `dispatch_dirty` recompile check runs once per batch;
     /// * leaf dispatch resolves the compiled reader row once per
-    ///   contiguous same-reader run of the batch;
+    ///   contiguous same-reader run;
     /// * the pseudo-event queue is peeked only when the cached earliest
     ///   execution time says something can actually be due;
-    /// * the fixed-cadence buffer sweep is replaced by next-expiry
-    ///   deadlines ([`SweepQueue`]) checked once at the batch boundary, so
-    ///   quiescent nodes are never visited.
+    /// * buffers are pruned by next-expiry deadlines ([`SweepQueue`])
+    ///   checked once at the batch boundary, so quiescent nodes are never
+    ///   visited.
     ///
-    /// Sweep *timing* therefore differs from the scalar path (counted in
-    /// `sweeps`/`sweeps_skipped` and the per-node prune counters), which is
-    /// firing-neutral: matching discards dead entries at probe time and
-    /// history queries are range-checked, so later pruning never changes
-    /// what fires. `sweep_every == u64::MAX` disables deadline sweeping
-    /// here exactly as it disables the scalar cadence sweep.
+    /// Batch size therefore moves sweep *timing* (`sweeps`/`sweeps_skipped`
+    /// and the per-node prune counters), which is firing-neutral: matching
+    /// discards dead entries at probe time and history queries are
+    /// range-checked, so later pruning never changes what fires.
     pub fn process_batch(&mut self, batch: &[Observation], sink: &mut Sink<'_>) {
         if batch.is_empty() {
             return;
@@ -433,17 +389,6 @@ impl Engine {
             self.recompile();
         }
         self.rt.stats.batches_processed += 1;
-        match self.config.exec {
-            ExecMode::Plan => self.process_batch_plan(batch, sink),
-            ExecMode::Graph => self.process_batch_graph(batch, sink),
-        }
-        self.batch_sweep();
-    }
-
-    /// The plan-mode batch loop: outer iteration over contiguous
-    /// same-reader runs (dispatch row resolved once per run), inner scalar
-    /// semantics per observation.
-    fn process_batch_plan(&mut self, batch: &[Observation], sink: &mut Sink<'_>) {
         let full = self.rt.obs.level.full();
         // Cached earliest pending pseudo execution time; refreshed after
         // anything that can schedule or consume pseudo events, so the
@@ -451,6 +396,8 @@ impl Engine {
         let mut next_pseudo = self.rt.pseudo.next_exec();
         let mut i = 0;
         while i < batch.len() {
+            // The compiled dispatch row depends only on the reader: resolve
+            // it once per contiguous same-reader run.
             let reader = batch[i].reader;
             let row = self.plan.reader_row(reader.0);
             let can_match = self.plan.row_can_match(row);
@@ -469,18 +416,35 @@ impl Engine {
                 }
                 self.rt.clock = self.rt.clock.max(obs.at);
                 self.rt.stats.events += 1;
-                if can_match {
-                    let mut hits: InlineBuf<NodeId, LEAF_HITS_INLINE> = InlineBuf::default();
-                    self.plan
-                        .leaf_hits_in_row(&self.catalog, &obs, row, &mut hits);
-                    if !hits.is_empty() {
-                        self.rt.stats.matched_events += 1;
-                        let inst = Arc::new(Instance::observation(obs));
-                        self.rt
-                            .work
-                            .extend(hits.iter().map(|&leaf| (leaf, inst.clone())));
-                        self.run_work_plan(sink);
-                        next_pseudo = self.rt.pseudo.next_exec();
+                match self.config.exec {
+                    ExecMode::Plan => {
+                        if can_match {
+                            // Matched leaves collect in an inline
+                            // fixed-capacity queue, so the common
+                            // miss/single-hit cases never allocate.
+                            let mut hits: InlineBuf<NodeId, LEAF_HITS_INLINE> =
+                                InlineBuf::default();
+                            self.plan
+                                .leaf_hits_in_row(&self.catalog, &obs, row, &mut hits);
+                            if !hits.is_empty() {
+                                self.rt.activate_leaves(obs, hits.iter().copied());
+                                self.run_work_plan(sink);
+                                next_pseudo = self.rt.pseudo.next_exec();
+                            }
+                        }
+                    }
+                    ExecMode::Graph => {
+                        let mut leaves = Vec::new();
+                        self.dispatch.candidates(&self.catalog, &obs, &mut leaves);
+                        leaves.retain(|&leaf| match &self.graph.node(leaf).kind {
+                            NodeKind::Primitive(p) => p.matches(&obs, &self.catalog),
+                            _ => false,
+                        });
+                        if !leaves.is_empty() {
+                            self.rt.activate_leaves(obs, leaves.into_iter());
+                            self.run_work_graph(sink);
+                            next_pseudo = self.rt.pseudo.next_exec();
+                        }
                     }
                 }
                 if let Some(t0) = obs_t0 {
@@ -490,68 +454,12 @@ impl Engine {
             }
             i = j;
         }
-    }
-
-    /// The graph-mode batch loop (differential oracle under batching): the
-    /// walker's candidate list is resolved once per contiguous same-reader
-    /// run — it depends only on the reader — and re-filtered per
-    /// observation, with the same cached-pseudo and boundary-sweep
-    /// amortizations as the plan loop.
-    fn process_batch_graph(&mut self, batch: &[Observation], sink: &mut Sink<'_>) {
-        let full = self.rt.obs.level.full();
-        let mut next_pseudo = self.rt.pseudo.next_exec();
-        let mut base: Vec<NodeId> = Vec::new();
-        let mut i = 0;
-        while i < batch.len() {
-            let reader = batch[i].reader;
-            base.clear();
-            self.dispatch
-                .candidates(&self.catalog, &batch[i], &mut base);
-            let mut j = i;
-            while j < batch.len() && batch[j].reader == reader {
-                let obs = batch[j];
-                j += 1;
-                debug_assert!(!self.dispatch_dirty, "rule set changed mid-batch");
-                debug_assert!(obs.at >= self.rt.clock, "observations must be time-ordered");
-                let obs_t0 = full.then(std::time::Instant::now);
-                if next_pseudo.is_some_and(|t| t < obs.at) {
-                    while let Some(ev) = self.rt.pseudo.pop_due(obs.at) {
-                        self.fire_pseudo(ev, sink);
-                    }
-                    next_pseudo = self.rt.pseudo.next_exec();
-                }
-                self.rt.clock = self.rt.clock.max(obs.at);
-                self.rt.stats.events += 1;
-                self.rt.scratch.clear();
-                self.rt.scratch.extend_from_slice(&base);
-                let (graph, catalog) = (&self.graph, &self.catalog);
-                self.rt
-                    .scratch
-                    .retain(|&leaf| match &graph.node(leaf).kind {
-                        NodeKind::Primitive(p) => p.matches(&obs, catalog),
-                        _ => false,
-                    });
-                if !self.rt.scratch.is_empty() {
-                    self.rt.stats.matched_events += 1;
-                    let inst = Arc::new(Instance::observation(obs));
-                    let Runtime { scratch, work, .. } = &mut self.rt;
-                    work.extend(scratch.iter().map(|&leaf| (leaf, inst.clone())));
-                    self.run_work_graph(sink);
-                    next_pseudo = self.rt.pseudo.next_exec();
-                }
-                if let Some(t0) = obs_t0 {
-                    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    self.rt.obs.latency_ns.record(ns);
-                }
-            }
-            i = j;
-        }
+        self.batch_sweep();
     }
 
     /// Feeds a whole stream, then drains remaining pseudo events so windows
-    /// extending past the last observation resolve. Streams are executed
-    /// through the batch path ([`Engine::process_batch`]) in
-    /// [`PROCESS_ALL_BATCH`]-observation chunks.
+    /// extending past the last observation resolve. The stream goes through
+    /// [`Engine::process_batch`] in [`PROCESS_ALL_BATCH`]-observation chunks.
     pub fn process_all<I>(&mut self, stream: I, sink: &mut Sink<'_>)
     where
         I: IntoIterator<Item = Observation>,
@@ -774,76 +682,49 @@ impl Engine {
         self.rt.clock
     }
 
-    /// Rebuilds the walker's dispatch index *and* lowers the graph into the
-    /// compiled plan. Runs once per rule-set change, never per event.
+    /// Solves the retention bounds and lowers the graph into the compiled
+    /// plan (plus the walker's dispatch index when the reference executor
+    /// is selected). Runs once per rule-set change, never per event.
     fn recompile(&mut self) {
-        self.rebuild_dispatch();
+        self.dispatch = match self.config.exec {
+            ExecMode::Plan => Dispatch::default(),
+            ExecMode::Graph => Dispatch::build(&self.graph, &self.catalog),
+        };
         self.bounds = Bounds::solve(&self.graph);
-        self.plan =
-            CompiledPlan::lower_with(&self.graph, &self.catalog, &self.rules_at, &self.bounds);
+        self.plan = CompiledPlan::lower(&self.graph, &self.catalog, &self.rules_at);
         // Size the metrics arena for every node either executor can touch.
         self.rt
             .obs
             .arena
             .ensure_len(self.graph.len().max(self.plan.node_count()));
         self.rebuild_sweep_spans();
+        self.dispatch_dirty = false;
     }
 
-    /// Exports the per-node effective sweep spans the deadline heap and
-    /// both sweep flavours prune against: the solved per-side retention
-    /// bounds when enforcement is on, else the conservative horizon plus
-    /// the graph-wide `max_lag` pad — exactly the horizons the cadence
-    /// sweep used to recompute per pass.
+    /// The one place a retention horizon is chosen. The plan executor
+    /// prunes at the solved per-side bounds ([`crate::bounds`]); the
+    /// reference walker at the conservative horizon plus the graph-wide
+    /// `max_lag` pad, so the oracle does not depend on the solver it
+    /// checks.
     fn rebuild_sweep_spans(&mut self) {
-        let enforce = self.config.enforce_bounds && self.bounds.len() == self.graph.len();
         let lag = self.graph.max_lag();
-        let len = self.graph.len();
-        self.rt.sweep.resize(len);
-        for idx in 0..len {
-            let id = NodeId(idx as u32);
-            let node = self.graph.node(id);
-            let (h0, h1, retention, pad) = if enforce {
-                let b = self.bounds.node(id);
-                (b.retain[0], b.retain[1], b.retention, Span::ZERO)
-            } else {
-                (node.horizon, node.horizon, node.retention, lag)
-            };
-            // Span addition saturates, so a `Span::MAX` horizon stays MAX
-            // ("never prune by time") through the pad.
-            self.rt.sweep.spans[idx] = match node.plan {
-                Plan::TwoSided => [h0 + pad, h1 + pad],
-                Plan::NegationRecorder | Plan::AperiodicRecorder => {
-                    [retention + pad, retention + pad]
+        self.rt.sweep.resize(self.graph.len());
+        for node in self.graph.nodes() {
+            let (sides, retention) = match self.config.exec {
+                ExecMode::Plan => {
+                    let b = self.bounds.node(node.id);
+                    (b.retain, b.retention)
                 }
+                // Span addition saturates, so a `Span::MAX` horizon stays
+                // MAX ("never prune by time") through the pad.
+                ExecMode::Graph => ([node.horizon + lag; 2], node.retention + lag),
+            };
+            self.rt.sweep.spans[node.id.idx()] = match node.plan {
+                Plan::TwoSided => sides,
+                Plan::NegationRecorder | Plan::AperiodicRecorder => [retention; 2],
                 _ => [Span::MAX; 2],
             };
         }
-    }
-
-    fn rebuild_dispatch(&mut self) {
-        self.dispatch = Dispatch::default();
-        for &leaf in self.graph.primitives() {
-            let NodeKind::Primitive(p) = &self.graph.node(leaf).kind else {
-                continue;
-            };
-            match &p.reader {
-                rfid_events::ReaderSel::Named(name) => {
-                    // A name missing from the catalog can never match.
-                    if let Some(id) = self.catalog.reader(name) {
-                        self.dispatch.by_reader.entry(id).or_default().push(leaf);
-                    }
-                }
-                rfid_events::ReaderSel::Group(g) => {
-                    self.dispatch
-                        .by_group
-                        .entry(g.to_string())
-                        .or_default()
-                        .push(leaf);
-                }
-                rfid_events::ReaderSel::Any => self.dispatch.any.push(leaf),
-            }
-        }
-        self.dispatch_dirty = false;
     }
 
     fn fire_pseudo(&mut self, ev: PseudoEvent, sink: &mut Sink<'_>) {
@@ -949,7 +830,6 @@ impl Engine {
             graph,
             rt,
             plan,
-            bounds,
             rule_enabled,
             rule_firings,
             config,
@@ -980,9 +860,9 @@ impl Engine {
             for edge in plan.edges_at(node_id) {
                 let pnode = graph.node(edge.parent());
                 match edge.op() {
-                    EdgeOp::SelfJoin => rt.self_join_arrival(graph, config, bounds, pnode, &inst),
-                    EdgeOp::Left => rt.arrival(graph, config, bounds, pnode, 0, &inst),
-                    EdgeOp::Right => rt.arrival(graph, config, bounds, pnode, 1, &inst),
+                    EdgeOp::SelfJoin => rt.self_join_arrival(config, pnode, &inst),
+                    EdgeOp::Left => rt.arrival(graph, config, pnode, 0, &inst),
+                    EdgeOp::Right => rt.arrival(graph, config, pnode, 1, &inst),
                     EdgeOp::RecordQuery { query } => {
                         rt.fused_negation(graph, pnode, graph.node(NodeId(query)), &inst, true);
                     }
@@ -994,8 +874,7 @@ impl Engine {
         }
     }
 
-    /// `run_work` over the event graph (the differential-testing oracle):
-    /// drains `rt.work`, propagating each occurrence to the node's rules
+    /// `run_work` over the event graph (the reference executor): drains `rt.work`, propagating each occurrence to the node's rules
     /// and parents. Arrival handlers push further occurrences onto the
     /// same queue.
     fn run_work_graph(&mut self, sink: &mut Sink<'_>) {
@@ -1003,7 +882,6 @@ impl Engine {
             graph,
             rt,
             rules_at,
-            bounds,
             rule_enabled,
             rule_firings,
             config,
@@ -1040,47 +918,28 @@ impl Engine {
                     // Self-join (e.g. Rule 1's duplicate filter): match as the
                     // terminator against strictly older initiators, then
                     // buffer as an initiator for future arrivals.
-                    rt.self_join_arrival(graph, config, bounds, pnode, &inst);
+                    rt.self_join_arrival(config, pnode, &inst);
                 } else if pnode.symmetric {
                     // Structurally identical children that did not merge
                     // (ablation A1): both deliver equivalent instances, so
                     // run the self-join protocol once, on the terminator
                     // side, and drop the initiator-side duplicate delivery.
                     if is_right {
-                        rt.self_join_arrival(graph, config, bounds, pnode, &inst);
+                        rt.self_join_arrival(config, pnode, &inst);
                     }
                 } else {
                     if is_left {
-                        rt.arrival(graph, config, bounds, pnode, 0, &inst);
+                        rt.arrival(graph, config, pnode, 0, &inst);
                     }
                     if is_right {
-                        rt.arrival(graph, config, bounds, pnode, 1, &inst);
+                        rt.arrival(graph, config, pnode, 1, &inst);
                     }
                 }
             }
         }
     }
 
-    /// Global buffer sweep (scalar cadence path): prune joins, histories,
-    /// and element stores. With bounds enforcement on, each store is pruned
-    /// against its solved per-node (and, for joins, per-side) retention
-    /// from [`crate::bounds`] — no graph-wide lag pad; otherwise the
-    /// conservative horizon + `max_lag` pruning applies. Both horizons are
-    /// precomputed into [`SweepQueue::spans`] at recompile.
-    fn sweep(&mut self) {
-        self.rt.stats.sweeps += 1;
-        debug_assert_eq!(
-            self.rt.sweep.spans.len(),
-            self.rt.states.len(),
-            "recompile sized the sweep spans"
-        );
-        for idx in 0..self.rt.states.len() {
-            self.prune_node(idx);
-        }
-    }
-
-    /// Prunes one node's stores against its effective sweep spans — the
-    /// unit of work shared by the cadence sweep and the deadline sweep.
+    /// Prunes one node's stores against its retention spans.
     fn prune_node(&mut self, idx: usize) {
         let clock = self.rt.clock;
         let [s0, s1] = self.rt.sweep.spans[idx];
@@ -1088,22 +947,22 @@ impl Engine {
         match &mut self.rt.states[idx] {
             NodeState::Join { left, right } => {
                 let before = left.len() + right.len();
-                left.prune(dead_before(clock, s0, Span::ZERO));
-                right.prune(dead_before(clock, s1, Span::ZERO));
+                left.prune(dead_before(clock, s0));
+                right.prune(dead_before(clock, s1));
                 if counters {
                     let dropped = before - (left.len() + right.len());
                     self.rt.obs.arena.pruned(idx, dropped as u64);
                 }
             }
             NodeState::Negation(neg) => {
-                let dropped = neg.prune(dead_before(clock, s0, Span::ZERO));
+                let dropped = neg.prune(dead_before(clock, s0));
                 if counters {
                     self.rt.obs.arena.pruned(idx, dropped as u64);
                 }
             }
             NodeState::Aperiodic(ap) => {
                 let before = ap.len();
-                ap.prune(dead_before(clock, s0, Span::ZERO));
+                ap.prune(dead_before(clock, s0));
                 if counters {
                     self.rt.obs.arena.pruned(idx, (before - ap.len()) as u64);
                 }
@@ -1146,11 +1005,6 @@ impl Engine {
     /// batch watermark passed. A batch that crosses no deadline prunes
     /// nothing and touches no node state at all (`sweeps_skipped`).
     fn batch_sweep(&mut self) {
-        // `sweep_every == u64::MAX` is the documented sweep-disable
-        // switch; the deadline sweep honors it like the cadence sweep.
-        if self.config.sweep_every == u64::MAX {
-            return;
-        }
         let watermark = self.rt.clock;
         for w in 0..self.rt.sweep.touched.len() {
             let mut bits = std::mem::take(&mut self.rt.sweep.touched[w]);
@@ -1211,18 +1065,18 @@ impl Engine {
 }
 
 impl Runtime {
+    /// Queues the primitive occurrence of `obs` at every leaf it matched.
+    fn activate_leaves(&mut self, obs: Observation, leaves: impl Iterator<Item = NodeId>) {
+        self.stats.matched_events += 1;
+        let inst = Arc::new(Instance::observation(obs));
+        self.work.extend(leaves.map(|leaf| (leaf, inst.clone())));
+    }
+
     /// Arrival at a binary node whose two children are the same node: the
     /// instance first tries to terminate an older initiator, then becomes an
     /// initiator itself. This yields the chained pairing Rule 1 needs
     /// ((e1,e2), (e2,e3), …) without ever pairing an instance with itself.
-    fn self_join_arrival(
-        &mut self,
-        graph: &EventGraph,
-        config: &EngineConfig,
-        bounds: &Bounds,
-        node: &Node,
-        inst: &Arc<Instance>,
-    ) {
+    fn self_join_arrival(&mut self, config: &EngineConfig, node: &Node, inst: &Arc<Instance>) {
         debug_assert_eq!(node.plan, Plan::TwoSided, "self-join is always two-sided");
         let join = &node.join;
         let key = if join.is_trivial() {
@@ -1233,11 +1087,7 @@ impl Runtime {
         let Some(key) = key else { return };
         let kind = &node.kind;
         let within = node.within;
-        let dead = if config.enforce_bounds {
-            dead_before(self.clock, bounds.node(node.id).retain[0], Span::ZERO)
-        } else {
-            dead_before(self.clock, node.horizon, graph.max_lag())
-        };
+        let dead = dead_before(self.clock, self.sweep.spans[node.id.idx()][0]);
         let cap = if node.horizon == Span::MAX {
             config.unbounded_cap
         } else {
@@ -1307,22 +1157,7 @@ impl Runtime {
         inst: &Arc<Instance>,
         record_first: bool,
     ) {
-        let (from, to, exclusive) = match query_node.kind {
-            NodeKind::Seq => {
-                let from = if query_node.within == Span::MAX {
-                    Timestamp::ZERO
-                } else {
-                    inst.t_end().saturating_sub(query_node.within)
-                };
-                (from, inst.t_begin(), true)
-            }
-            NodeKind::TSeq { min_dist, max_dist } => {
-                let from = inst.t_end().saturating_sub(max_dist);
-                let to = inst.t_end().saturating_sub(min_dist).min(inst.t_begin());
-                (from, to, false)
-            }
-            ref other => unreachable!("fused negation delivery on {other:?}"),
-        };
+        let (from, to, exclusive) = left_negation_window(query_node, inst);
         if !record_first {
             // The elided query twin would have been its own work-queue pop;
             // keep the occurrence count comparable across executors.
@@ -1388,7 +1223,6 @@ impl Runtime {
         &mut self,
         graph: &EventGraph,
         config: &EngineConfig,
-        bounds: &Bounds,
         node: &Node,
         side: u8,
         inst: &Arc<Instance>,
@@ -1418,12 +1252,8 @@ impl Runtime {
                 // The scan prunes the *other* side's buffer, so its solved
                 // retention governs (a side's entries outlive only what the
                 // opposite side can still pair with).
-                let dead = if config.enforce_bounds {
-                    let retain = bounds.node(parent).retain[1 - side as usize];
-                    dead_before(self.clock, retain, Span::ZERO)
-                } else {
-                    dead_before(self.clock, horizon, graph.max_lag())
-                };
+                let retain = self.sweep.spans[parent.idx()][1 - side as usize];
+                let dead = dead_before(self.clock, retain);
                 let cap = if horizon == Span::MAX {
                     config.unbounded_cap
                 } else {
@@ -1500,22 +1330,7 @@ impl Runtime {
             }
             Plan::LeftNegationQuery => {
                 debug_assert_eq!(side, 1, "negated initiator never delivers");
-                let (from, to, exclusive) = match node.kind {
-                    NodeKind::Seq => {
-                        let from = if node.within == Span::MAX {
-                            Timestamp::ZERO
-                        } else {
-                            inst.t_end().saturating_sub(node.within)
-                        };
-                        (from, inst.t_begin(), true)
-                    }
-                    NodeKind::TSeq { min_dist, max_dist } => {
-                        let from = inst.t_end().saturating_sub(max_dist);
-                        let to = inst.t_end().saturating_sub(min_dist).min(inst.t_begin());
-                        (from, to, false)
-                    }
-                    ref other => unreachable!("LeftNegationQuery on {other:?}"),
-                };
+                let (from, to, exclusive) = left_negation_window(node, inst);
                 let Some(key) = negation_query_key(node, 1, inst) else {
                     return;
                 };
@@ -1783,6 +1598,27 @@ impl Runtime {
                 anchor,
             },
         });
+    }
+}
+
+/// The window `(from, to, exclusive)` in which the negated initiator of a
+/// `SEQ`/`TSEQ` node must not have occurred for terminator `inst` to fire.
+fn left_negation_window(node: &Node, inst: &Instance) -> (Timestamp, Timestamp, bool) {
+    match node.kind {
+        NodeKind::Seq => {
+            let from = if node.within == Span::MAX {
+                Timestamp::ZERO
+            } else {
+                inst.t_end().saturating_sub(node.within)
+            };
+            (from, inst.t_begin(), true)
+        }
+        NodeKind::TSeq { min_dist, max_dist } => {
+            let from = inst.t_end().saturating_sub(max_dist);
+            let to = inst.t_end().saturating_sub(min_dist).min(inst.t_begin());
+            (from, to, false)
+        }
+        ref other => unreachable!("negated-initiator query on {other:?}"),
     }
 }
 

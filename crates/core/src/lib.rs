@@ -78,5 +78,5 @@ pub use obs::{
     FlightRecord, FlightRecorder, Histogram, MetricsArena, ObserveLevel, TelemetrySnapshot,
 };
 pub use plan::{CompiledPlan, EdgeOp, InlineBuf, OpTag};
-pub use shard::{PartitionCost, ShardConfig, Shardability, ShardedEngine};
+pub use shard::{ShardConfig, Shardability, ShardedEngine};
 pub use stats::EngineStats;

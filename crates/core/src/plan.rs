@@ -17,19 +17,18 @@
 //!   parent's child list on every delivery becomes a precomputed
 //!   [`EdgeOp`] per edge.
 //!
-//! The executor lives in [`crate::engine`]; the graph walker is retained as
-//! a runtime-selectable oracle ([`crate::engine::ExecMode::Graph`]) for
-//! differential tests and the `fig9_hotpath --graph` ablation. Lowering is
-//! deterministic and total: every well-formed graph lowers, and the plan
-//! encodes exactly the walker's candidate and delivery order.
+//! The executor lives in [`crate::engine`]; the graph walker
+//! ([`crate::engine::ExecMode::Graph`]) is the reference the differential
+//! tests compare it to. Lowering is deterministic and total: every
+//! well-formed graph lowers, and the plan encodes exactly the walker's
+//! candidate and delivery order.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use rfid_epc::Epc;
-use rfid_events::{Catalog, ObjectSel, Observation, ReaderSel, Span};
+use rfid_events::{Catalog, ObjectSel, Observation, ReaderSel};
 
-use crate::bounds::Bounds;
 use crate::engine::RuleId;
 use crate::graph::{EventGraph, NodeId, NodeKind, Plan};
 
@@ -311,10 +310,6 @@ pub struct CompiledPlan {
     /// added to `occurrences` on every pop so the counter stays comparable
     /// across executors.
     extra_pops: Vec<u32>,
-    /// Per-node solved join-buffer retention from the interval-constraint
-    /// pass ([`crate::bounds`]), `[left, right]`; [`Span::MAX`] =
-    /// unbounded. Introspection mirror of the bounds the engine enforces.
-    retain: Vec<[Span; 2]>,
 }
 
 impl CompiledPlan {
@@ -327,18 +322,6 @@ impl CompiledPlan {
         graph: &EventGraph,
         catalog: &Catalog,
         rules_at: &HashMap<NodeId, Vec<RuleId>>,
-    ) -> Self {
-        Self::lower_with(graph, catalog, rules_at, &Bounds::solve(graph))
-    }
-
-    /// [`CompiledPlan::lower`] with an already-solved bounds pass, so the
-    /// engine's recompile solves once and shares the result between the
-    /// plan arenas and its own eviction horizons.
-    pub fn lower_with(
-        graph: &EventGraph,
-        catalog: &Catalog,
-        rules_at: &HashMap<NodeId, Vec<RuleId>>,
-        bounds: &Bounds,
     ) -> Self {
         let n = graph.len();
         let mut plan = CompiledPlan {
@@ -472,11 +455,6 @@ impl CompiledPlan {
             plan.edge_ranges.push((edge_start, plan.edges.len() as u32));
         }
         plan.lower_dispatch(graph, catalog, &elided);
-        plan.retain = graph
-            .nodes()
-            .iter()
-            .map(|node| bounds.get(node.id).map_or([Span::MAX; 2], |b| b.retain))
-            .collect();
         plan
     }
 
@@ -545,21 +523,9 @@ impl CompiledPlan {
         }
     }
 
-    /// Appends the leaves activated by `obs` — the reader's row, then the
-    /// `Any` suffix — to `out`, in the walker's candidate order.
-    #[inline]
-    pub fn leaf_hits(
-        &self,
-        catalog: &Catalog,
-        obs: &Observation,
-        out: &mut InlineBuf<NodeId, LEAF_HITS_INLINE>,
-    ) {
-        self.leaf_hits_in_row(catalog, obs, self.reader_row(obs.reader.0), out);
-    }
-
     /// The reader's dispatch-row bounds in the leaf-check arena (`None`
-    /// for a reader the catalog never registered). Batch execution
-    /// resolves the row once per contiguous same-reader run and feeds it
+    /// for a reader the catalog never registered). The engine resolves the
+    /// row once per contiguous same-reader run of a batch and feeds it
     /// back through [`CompiledPlan::leaf_hits_in_row`] instead of
     /// re-indexing the row table per observation.
     #[inline]
@@ -568,15 +534,16 @@ impl CompiledPlan {
     }
 
     /// Whether a resolved dispatch row can activate any leaf at all. A
-    /// `false` answer lets the batch path skip hit collection entirely
-    /// for every observation of that reader's run.
+    /// `false` answer lets the engine skip hit collection entirely for
+    /// every observation of that reader's run.
     #[inline]
     pub fn row_can_match(&self, row: Option<(u32, u32)>) -> bool {
         row.is_some_and(|(start, end)| start != end) || !self.any_leaves.is_empty()
     }
 
-    /// [`CompiledPlan::leaf_hits`] with the dispatch row pre-resolved by
-    /// [`CompiledPlan::reader_row`].
+    /// Appends the leaves activated by `obs` — its reader's `row` (from
+    /// [`CompiledPlan::reader_row`]), then the `Any` suffix — to `out`, in
+    /// the walker's candidate order.
     #[inline]
     pub fn leaf_hits_in_row(
         &self,
@@ -659,17 +626,6 @@ impl CompiledPlan {
             + self.rules.len() * size_of::<RuleId>()
             + (self.leaf_checks.len() + self.any_leaves.len()) * size_of::<LeafCheck>()
             + self.extra_pops.len() * size_of::<u32>()
-            + self.retain.len() * size_of::<[Span; 2]>()
-    }
-
-    /// Solved per-side join-buffer retention of a node ([`Span::MAX`] =
-    /// unbounded); meaningful for two-sided joins only.
-    #[inline]
-    pub fn retain(&self, node: NodeId) -> [Span; 2] {
-        self.retain
-            .get(node.idx())
-            .copied()
-            .unwrap_or([Span::MAX; 2])
     }
 
     /// Walker work-queue pops this node absorbs beyond its own pop — zero

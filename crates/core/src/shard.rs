@@ -45,7 +45,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use rfid_events::{Catalog, EventExpr, Instance, Observation, ReaderSel, Timestamp};
+use rfid_events::{Catalog, EventExpr, Instance, Observation, Timestamp};
 
 use crate::bounds::Bounds;
 use crate::cost::Cost;
@@ -132,9 +132,6 @@ pub struct ShardConfig {
     /// barrier. Off, firings arrive grouped by shard (cheaper, still
     /// deterministic for a fixed shard count).
     pub ordered_output: bool,
-    /// Which static weight drives the residual rule partitioning (see
-    /// [`PartitionCost`]).
-    pub partition_cost: PartitionCost,
     /// Configuration for each worker's inner engine.
     pub engine: EngineConfig,
 }
@@ -150,38 +147,9 @@ impl Default for ShardConfig {
             batch_size: 1024,
             queue_depth: 4,
             ordered_output: true,
-            partition_cost: PartitionCost::default(),
             engine: EngineConfig::default(),
         }
     }
-}
-
-/// Which static weight [`partition_rules_with`] balances residual workers
-/// by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionCost {
-    /// Solved per-node CPU weights from the [`crate::cost`] model (the
-    /// default): each merge group is weighted by the summed
-    /// [`crate::cost::CostEstimate::cpu_weight`] of its distinct nodes, so
-    /// join probe work and buffer scans count, not just leaf dispatch.
-    #[default]
-    Solved,
-    /// The original leaf-dispatch fan-out heuristic, kept as a comparison
-    /// oracle: each merge group is weighted by the summed catalog fan-out
-    /// of its distinct leaves.
-    FanOut,
-}
-
-/// Merge-aware partition of a rule set into at most `max_parts` disjoint
-/// subsets for rule-partitioned broadcast execution, balanced by the
-/// default cost model ([`PartitionCost::Solved`]). Equivalent to
-/// [`partition_rules_with`] with `PartitionCost::default()`.
-pub fn partition_rules(
-    catalog: &Catalog,
-    events: &[&EventExpr],
-    max_parts: usize,
-) -> Result<Vec<Vec<usize>>, InvalidRule> {
-    partition_rules_with(catalog, events, max_parts, PartitionCost::default())
 }
 
 /// Merge-aware partition of a rule set into at most `max_parts` disjoint
@@ -198,20 +166,16 @@ pub fn partition_rules(
 ///   and redo its detection work, forfeiting exactly the merging §4.3
 ///   introduces.
 /// * **Balance by static cost.** A worker's per-observation broadcast cost
-///   is the work its detection trees cause. Under
-///   [`PartitionCost::Solved`] each merge group is weighted by the summed
-///   solved CPU weight of its distinct nodes ([`crate::cost`]): leaf
-///   dispatch *and* expected join probes against the solved retention
-///   windows. Under [`PartitionCost::FanOut`] only leaf dispatch counts: a
-///   leaf naming one reader costs when that reader speaks, a group leaf
-///   for every member, an `ANY` leaf for every observation. Either way,
-///   groups are placed longest-processing-time-first onto the lightest
-///   partition, rather than dealt round-robin.
-pub fn partition_rules_with(
+///   is the work its detection trees cause. Each merge group is weighted
+///   by the summed solved CPU weight of its distinct nodes
+///   ([`crate::cost::CostEstimate::cpu_weight`]): leaf dispatch *and*
+///   expected join probes against the solved retention windows. Groups
+///   are placed longest-processing-time-first onto the lightest partition,
+///   rather than dealt round-robin.
+pub fn partition_rules(
     catalog: &Catalog,
     events: &[&EventExpr],
     max_parts: usize,
-    cost_model: PartitionCost,
 ) -> Result<Vec<Vec<usize>>, InvalidRule> {
     if events.is_empty() {
         return Ok(Vec::new());
@@ -248,13 +212,7 @@ pub fn partition_rules_with(
         let rep = find(&mut uf, i);
         groups.entry(rep).or_default().1.push(i);
     }
-    let solved = match cost_model {
-        PartitionCost::Solved => {
-            let bounds = Bounds::solve(&scratch);
-            Some(Cost::solve(&scratch, &bounds, Some(catalog)))
-        }
-        PartitionCost::FanOut => None,
-    };
+    let cost = Cost::solve(&scratch, &Bounds::solve(&scratch), Some(catalog));
     for (weight, members) in groups.values_mut() {
         let mut nodes: Vec<NodeId> = members
             .iter()
@@ -262,23 +220,10 @@ pub fn partition_rules_with(
             .collect();
         nodes.sort_unstable_by_key(|n| n.0);
         nodes.dedup();
-        *weight = match &solved {
-            // Fixed-point scale so LPT compares solved weights with enough
-            // resolution; +1 keeps every group schedulable.
-            Some(cost) => {
-                let w: f64 = nodes.iter().map(|&n| cost.node(n).cpu_weight).sum();
-                (w * 1024.0).round() as u64 + 1
-            }
-            None => nodes
-                .iter()
-                .filter(|&&n| matches!(scratch.node(n).plan, Plan::Leaf))
-                .map(|&n| match &scratch.node(n).kind {
-                    NodeKind::Primitive(p) => leaf_weight(catalog, &p.reader),
-                    _ => 0,
-                })
-                .sum::<u64>()
-                .max(1),
-        };
+        // Fixed-point scale so LPT compares solved weights with enough
+        // resolution; +1 keeps every group schedulable.
+        let w: f64 = nodes.iter().map(|&n| cost.node(n).cpu_weight).sum();
+        *weight = (w * 1024.0).round() as u64 + 1;
     }
     // LPT bin-packing: heaviest group first, onto the lightest partition.
     let mut ordered: Vec<(u64, usize, Vec<usize>)> = groups
@@ -303,18 +248,6 @@ pub fn partition_rules_with(
         part.sort_unstable();
     }
     Ok(parts)
-}
-
-/// Expected dispatch candidates per observation contributed by one leaf,
-/// relative across selectors: named readers hit only their own traffic,
-/// groups hit every member's, `ANY` hits everything.
-fn leaf_weight(catalog: &Catalog, sel: &ReaderSel) -> u64 {
-    match sel {
-        // A name missing from the catalog can never match (dead leaf).
-        ReaderSel::Named(name) => u64::from(catalog.reader(name).is_some()),
-        ReaderSel::Group(g) => catalog.readers.members(g).len().max(1) as u64,
-        ReaderSel::Any => catalog.readers.len().max(1) as u64,
-    }
 }
 
 /// All nodes reachable from `root` through child edges.
@@ -763,16 +696,11 @@ impl ShardedEngine {
             return vec![indices.to_vec()];
         }
         let events: Vec<&EventExpr> = indices.iter().map(|&i| &self.rules[i].event).collect();
-        partition_rules_with(
-            &self.catalog,
-            &events,
-            max_parts,
-            self.config.partition_cost,
-        )
-        .expect("rules validated by add_rule")
-        .into_iter()
-        .map(|part| part.into_iter().map(|j| indices[j]).collect())
-        .collect()
+        partition_rules(&self.catalog, &events, max_parts)
+            .expect("rules validated by add_rule")
+            .into_iter()
+            .map(|part| part.into_iter().map(|j| indices[j]).collect())
+            .collect()
     }
 
     /// Builds one worker: an engine loaded with `rule_indices` (in global
@@ -1098,10 +1026,11 @@ mod tests {
 
     #[test]
     fn partitioner_weighs_by_dispatch_fanout() {
-        // One group-leaf rule (fan-out = all 6 conv readers) vs. three
-        // named-leaf rules (fan-out 2 each): with two partitions, LPT puts
-        // the heavy group rule alone and the three cheap rules together —
-        // round-robin would split 2/2.
+        // One group-leaf rule (its leaves see every conv and caser reader)
+        // vs. three named-leaf rules (one reader per leaf): the solved
+        // weight grows with a leaf's share of the stream, so with two
+        // partitions LPT puts the heavy group rule alone and the three
+        // cheap rules together — round-robin would split 2/2.
         let catalog = line_catalog(3);
         let heavy = EventExpr::observation_in_group("convs")
             .seq(EventExpr::observation_in_group("casers"))
@@ -1110,7 +1039,7 @@ mod tests {
             .map(|i| named_run(&format!("conv{i}"), &format!("caser{i}")))
             .collect();
         let refs: Vec<&EventExpr> = std::iter::once(&heavy).chain(cheap.iter()).collect();
-        let parts = partition_rules_with(&catalog, &refs, 2, PartitionCost::FanOut).unwrap();
+        let parts = partition_rules(&catalog, &refs, 2).unwrap();
         assert_eq!(parts.len(), 2);
         let heavy_part = parts
             .iter()
@@ -1119,7 +1048,7 @@ mod tests {
         assert_eq!(
             heavy_part,
             &vec![0],
-            "fan-out-weighted packing isolates the group-leaf rule: {parts:?}"
+            "cost-weighted packing isolates the group-leaf rule: {parts:?}"
         );
     }
 
@@ -1129,9 +1058,9 @@ mod tests {
         // never consumed, so every positive arrival rescans a minute of
         // buffered stream — enormous solved probe cost from just two named
         // leaves. Rules 1..=3 join the same-fan-out leaves over a 1 ms
-        // window: negligible probe cost. The fan-out oracle sees four
-        // equal-weight groups and splits them 2/2; solved weights isolate
-        // the negation rule.
+        // window: negligible probe cost. Counting leaves alone would see
+        // four equal groups and split them 2/2; solved weights isolate the
+        // negation rule, and the packing is deterministic.
         let catalog = line_catalog(4);
         let heavy = EventExpr::observation_at("conv0")
             .and(EventExpr::observation_at("caser0").not())
@@ -1144,11 +1073,8 @@ mod tests {
             })
             .collect();
         let refs: Vec<&EventExpr> = std::iter::once(&heavy).chain(blips.iter()).collect();
-        let fanout = partition_rules_with(&catalog, &refs, 2, PartitionCost::FanOut).unwrap();
-        let mut fanout_sizes: Vec<usize> = fanout.iter().map(Vec::len).collect();
-        fanout_sizes.sort_unstable();
-        assert_eq!(fanout_sizes, vec![2, 2], "fan-out oracle ties all groups");
-        let solved = partition_rules_with(&catalog, &refs, 2, PartitionCost::Solved).unwrap();
+        let solved = partition_rules(&catalog, &refs, 2).unwrap();
+        assert_eq!(solved, partition_rules(&catalog, &refs, 2).unwrap());
         let heavy_part = solved
             .iter()
             .find(|p| p.contains(&0))

@@ -938,13 +938,13 @@ impl NodeState {
     }
 }
 
-/// Retention helper: the earliest timestamp a node still needs, given the
-/// current clock, its horizon, and the graph-wide lag slack.
-pub fn dead_before(clock: Timestamp, horizon: Span, lag: Span) -> Timestamp {
-    if horizon == Span::MAX {
+/// Retention helper: the earliest timestamp a buffer still needs, given
+/// the current clock and its retention span.
+pub fn dead_before(clock: Timestamp, retention: Span) -> Timestamp {
+    if retention == Span::MAX {
         return Timestamp::ZERO;
     }
-    clock.saturating_sub(horizon + lag)
+    clock.saturating_sub(retention)
 }
 
 #[cfg(test)]
@@ -1234,19 +1234,15 @@ mod tests {
     #[test]
     fn dead_before_clamps() {
         assert_eq!(
-            dead_before(
-                Timestamp::from_secs(100),
-                Span::from_secs(10),
-                Span::from_secs(2)
-            ),
+            dead_before(Timestamp::from_secs(100), Span::from_secs(12)),
             Timestamp::from_secs(88)
         );
         assert_eq!(
-            dead_before(Timestamp::from_secs(5), Span::from_secs(10), Span::ZERO),
+            dead_before(Timestamp::from_secs(5), Span::from_secs(10)),
             Timestamp::ZERO
         );
         assert_eq!(
-            dead_before(Timestamp::from_secs(100), Span::MAX, Span::ZERO),
+            dead_before(Timestamp::from_secs(100), Span::MAX),
             Timestamp::ZERO
         );
     }

@@ -127,13 +127,11 @@ engine_stats! {
     /// spill; nonzero means `crate::state::RUN_INLINE` is undersized for
     /// the workload.
     run_spills: Counter,
-    /// Observation batches executed through the vectorized path
-    /// (`Engine::process_batch`); zero when every event went through the
-    /// scalar `Engine::process`.
+    /// Calls to `Engine::process_batch` with a non-empty batch; an
+    /// `Engine::process` call counts as a batch of one.
     batches_processed: Counter,
     /// Batch-boundary sweep checks that found no due expiry deadline and
-    /// therefore pruned nothing — the passes the watermark-amortized
-    /// sweeping saves over the fixed `sweep_every` cadence.
+    /// therefore pruned nothing and visited no node.
     sweeps_skipped: Counter,
 }
 

@@ -1,16 +1,16 @@
-//! Batch execution ≡ scalar execution: for any rule program drawn from
-//! the paper's rule shapes, feeding a simulator trace through
-//! `Engine::process_batch` (at any chunking) must emit exactly the same
-//! multiset of rule firings — and the same invariant counter totals — as
-//! feeding it one observation at a time through `Engine::process`. This
-//! is the differential harness behind the vectorized path (DESIGN.md
-//! §16): batching only amortizes dispatch, pseudo-queue peeks, and sweep
+//! Firings do not depend on how a stream is cut into batches: for any
+//! rule program drawn from the paper's rule shapes, feeding a simulator
+//! trace through `Engine::process_batch` at any chunking — or interleaving
+//! it with per-observation `Engine::process` calls on the same engine —
+//! must emit exactly the same multiset of rule firings, and the same
+//! detection counter totals, as feeding it one observation at a time. This
+//! is the differential harness behind the batch loop (DESIGN.md §13):
+//! batching only amortizes dispatch, pseudo-queue peeks, and sweep
 //! scheduling; it never changes what the engine detects.
 //!
-//! Counters that describe *sweep cadence* (`sweeps`, `sweeps_skipped`,
-//! `batches_processed`, the per-node prune counts, and the buffered-state
-//! gauges) legitimately diverge between the cadence sweep and the
-//! watermark-deadline sweep, so the comparison pins the detection
+//! Counters that describe *sweep timing* (`sweeps`, `sweeps_skipped`, the
+//! per-node prune counts, and the buffered-state gauges) legitimately move
+//! with the batch boundaries, so the comparison pins the detection
 //! counters only: events, matched events, occurrences, rule firings,
 //! pseudo events scheduled/fired, and capacity drops.
 
@@ -25,8 +25,7 @@ use std::sync::OnceLock;
 /// emission order: rule, instance window, and constituent observations.
 type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
 
-/// The same shape pool as `plan_equivalence`/`bounds_equivalence`: every
-/// plan variant the lowering distinguishes, so every arrival handler and
+/// The same shape pool as `plan_equivalence`: every plan variant the lowering distinguishes, so every arrival handler and
 /// every sweepable store sits under the batch loop.
 const SHAPES: usize = 8;
 const WINDOWS: [Span; 3] = [Span::from_secs(2), Span::from_secs(5), Span::from_secs(30)];
@@ -96,19 +95,28 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Runs one configuration; `batch == 0` is the scalar oracle, anything
-/// else chunks the stream through `process_batch`.
+/// How a run feeds the stream to the engine.
+#[derive(Debug, Clone, Copy)]
+enum Feed {
+    /// One `process` call per observation — the oracle.
+    Scalar,
+    /// `process_batch` over chunks of this size.
+    Chunks(usize),
+    /// Chunks of this size, alternately one `process_batch` call and one
+    /// `process` call per element, on the same engine.
+    Mixed(usize),
+}
+
+/// Runs one configuration; also returns how many batches the feed made.
 fn run(
     mode: ExecMode,
-    enforce: bool,
     observe: ObserveLevel,
-    batch: usize,
+    feed: Feed,
     program: &[(usize, usize)],
-) -> (Vec<Fingerprint>, EngineStats) {
+) -> (Vec<Fingerprint>, EngineStats, u64) {
     let fx = fixture();
     let config = EngineConfig {
         exec: mode,
-        enforce_bounds: enforce,
         observe,
         ..EngineConfig::default()
     };
@@ -123,22 +131,34 @@ fn run(
     let mut sink = |rule: RuleId, inst: &Instance| {
         out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
     };
-    if batch == 0 {
-        for &obs in &fx.stream {
-            engine.process(obs, &mut sink);
-        }
-    } else {
-        for chunk in fx.stream.chunks(batch) {
+    let size = match feed {
+        Feed::Scalar => 1,
+        Feed::Chunks(n) | Feed::Mixed(n) => n,
+    };
+    let mut batches = 0;
+    for (i, chunk) in fx.stream.chunks(size).enumerate() {
+        let per_observation = match feed {
+            Feed::Scalar => true,
+            Feed::Chunks(_) => false,
+            Feed::Mixed(_) => i % 2 == 1,
+        };
+        if per_observation {
+            for &obs in chunk {
+                engine.process(obs, &mut sink);
+            }
+            batches += chunk.len() as u64;
+        } else {
             engine.process_batch(chunk, &mut sink);
+            batches += 1;
         }
     }
     engine.finish(&mut sink);
     out.sort();
-    (out, engine.stats())
+    (out, engine.stats(), batches)
 }
 
 /// The counters batching must not change — everything that describes
-/// *detection* rather than sweep cadence.
+/// *detection* rather than sweep timing.
 fn detection_counters(s: &EngineStats) -> [u64; 7] {
     [
         s.events,
@@ -156,38 +176,41 @@ proptest! {
 
     /// Any program of up to four rules from the shape pool fires
     /// identically — with identical detection counters — whether the
-    /// stream is fed per observation or in batches, at every chunking,
-    /// under both executors and both bound-enforcement modes.
+    /// stream is fed per observation, in batches of any size, or both
+    /// interleaved, under both executors.
     #[test]
     fn batched_execution_preserves_firings_and_counters(
         program in proptest::collection::vec((0usize..SHAPES, 0usize..WINDOWS.len()), 1..=4),
-        batch in prop_oneof![Just(1usize), Just(7), Just(64), Just(256), Just(2_000)],
+        feed in prop_oneof![
+            Just(Feed::Chunks(7)),
+            Just(Feed::Chunks(64)),
+            Just(Feed::Chunks(256)),
+            Just(Feed::Chunks(2_000)),
+            Just(Feed::Mixed(7)),
+        ],
         observe in prop_oneof![Just(ObserveLevel::Off), Just(ObserveLevel::Counters)],
     ) {
         for mode in [ExecMode::Plan, ExecMode::Graph] {
-            for enforce in [true, false] {
-                let (scalar_firings, scalar_stats) =
-                    run(mode, enforce, observe, 0, &program);
-                let (batch_firings, batch_stats) =
-                    run(mode, enforce, observe, batch, &program);
-                prop_assert_eq!(
-                    &scalar_firings,
-                    &batch_firings,
-                    "firing multisets diverged under {:?} enforce={} batch={}",
-                    mode, enforce, batch
-                );
-                prop_assert_eq!(
-                    detection_counters(&scalar_stats),
-                    detection_counters(&batch_stats),
-                    "detection counters diverged under {:?} enforce={} batch={}",
-                    mode, enforce, batch
-                );
-                prop_assert_eq!(
-                    batch_stats.batches_processed,
-                    (fixture().stream.len() as u64).div_ceil(batch.max(1) as u64),
-                    "every chunk goes through the batch path"
-                );
-            }
+            let (scalar_firings, scalar_stats, _) = run(mode, observe, Feed::Scalar, &program);
+            let (batch_firings, batch_stats, batches) = run(mode, observe, feed, &program);
+            prop_assert_eq!(
+                &scalar_firings,
+                &batch_firings,
+                "firing multisets diverged under {:?} {:?}",
+                mode, feed
+            );
+            prop_assert_eq!(
+                detection_counters(&scalar_stats),
+                detection_counters(&batch_stats),
+                "detection counters diverged under {:?} {:?}",
+                mode, feed
+            );
+            prop_assert_eq!(
+                scalar_stats.batches_processed,
+                fixture().stream.len() as u64,
+                "a `process` call is a batch of one"
+            );
+            prop_assert_eq!(batch_stats.batches_processed, batches);
         }
     }
 }

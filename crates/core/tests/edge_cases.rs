@@ -177,14 +177,11 @@ fn unbounded_seq_is_capped() {
 }
 
 /// Sweeping prunes aged buffers; correctness after many windows' worth of
-/// traffic is unchanged.
+/// traffic is unchanged. Fed per observation, so every call is a batch
+/// boundary with its own deadline check.
 #[test]
 fn sweeping_does_not_disturb_detection() {
-    let config = EngineConfig {
-        sweep_every: 64,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(catalog(2), config);
+    let mut engine = Engine::new(catalog(2), EngineConfig::default());
     engine
         .add_rule("seq", at("r1").seq(at("r2")).within(Span::from_secs(2)))
         .unwrap();
@@ -195,8 +192,13 @@ fn sweeping_does_not_disturb_detection() {
         stream.push(obs(1, i, i * 10_000));
         stream.push(obs(2, i + 10_000, i * 10_000 + 1_000));
     }
-    let fired = collect(&mut engine, stream);
-    assert_eq!(fired.len(), 1000);
+    let mut fired = 0;
+    let mut sink = |_: RuleId, _: &Instance| fired += 1;
+    for obs in stream {
+        engine.process(obs, &mut sink);
+    }
+    engine.finish(&mut sink);
+    assert_eq!(fired, 1000);
     assert!(engine.stats().sweeps > 0);
 }
 
@@ -339,16 +341,12 @@ fn deeply_nested_rule() {
     assert_eq!(fired[0].1.observations().len(), 3);
 }
 
-/// The working set stays bounded under sustained traffic: sweeping plus
-/// time-based pruning keep buffered instances proportional to the window,
-/// not to the stream length.
+/// The working set stays bounded under sustained traffic: the deadline
+/// sweep at each per-observation batch boundary keeps buffered instances
+/// proportional to the window, not to the stream length.
 #[test]
 fn working_set_is_bounded_by_the_window() {
-    let config = EngineConfig {
-        sweep_every: 128,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(catalog(2), config);
+    let mut engine = Engine::new(catalog(2), EngineConfig::default());
     engine
         .add_rule("seq", at("r1").seq(at("r2")).within(Span::from_secs(2)))
         .unwrap();
@@ -362,9 +360,9 @@ fn working_set_is_bounded_by_the_window() {
             peak_after_warmup = peak_after_warmup.max(engine.buffered_instances());
         }
     }
-    // 2s window + lag slack at 10 obs/sec ≈ tens of entries, not thousands.
+    // 2s window at 10 obs/sec ≈ tens of entries, not thousands.
     assert!(
-        peak_after_warmup < 2_000,
+        peak_after_warmup < 100,
         "working set grew to {peak_after_warmup} — pruning is broken"
     );
 }

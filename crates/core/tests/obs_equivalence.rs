@@ -7,10 +7,10 @@
 //! keyed sharding partitions the stream by object, every shard compiles
 //! the identical plan, and each counter is incremented per (observation,
 //! node) independently of which engine holds the key — so the sums are
-//! exact, not approximate. Sweeps are suppressed (`sweep_every` maxed):
-//! shards cross their sweep thresholds at different stream positions, so
-//! prune counters are the one column the equivalence deliberately
-//! excludes (compared only under a no-sweep configuration here).
+//! exact, not approximate. Prune counters are the one column the
+//! equivalence excludes: each shard sweeps at its own batch boundaries,
+//! and an entry one engine prunes in a sweep another discards at probe
+//! time.
 
 use proptest::prelude::*;
 use rceda::{Engine, EngineConfig, ObserveLevel, RuleId, ShardConfig, ShardedEngine};
@@ -59,12 +59,10 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Engine config for both sides: counters on, sweeps suppressed so prune
-/// counts cannot diverge on shard-local sweep clocks.
+/// Engine config for both sides: counters on.
 fn engine_config() -> EngineConfig {
     EngineConfig {
         observe: ObserveLevel::Counters,
-        sweep_every: u64::MAX,
         ..EngineConfig::default()
     }
 }
@@ -150,9 +148,11 @@ proptest! {
         );
         prop_assert_eq!(single.nodes.len(), sharded.nodes.len());
         for node in 0..single.nodes.len() {
+            let (mut one, mut merged) = (single.nodes.node(node), sharded.nodes.node(node));
+            (one.prunes, merged.prunes) = (0, 0);
             prop_assert_eq!(
-                single.nodes.node(node),
-                sharded.nodes.node(node),
+                one,
+                merged,
                 "node {} ({}) counters diverged",
                 node,
                 single.ops.get(node).copied().unwrap_or("?")

@@ -1,11 +1,19 @@
 //! Compiled plan ≡ graph walker: for any rule program drawn from the
 //! paper's rule shapes and a realistic simulator trace, the plan executor
 //! ([`ExecMode::Plan`]) must emit exactly the same multiset of rule
-//! firings — and the same counters — as the graph-walker oracle
+//! firings — and the same counters — as the graph-walker reference
 //! ([`ExecMode::Graph`]). This is the differential harness the lowering's
 //! order-preservation argument (DESIGN.md §13) is checked against,
 //! including the in-field twin-leaf fusion, the NFA-encoded `TSEQ+` runs,
 //! and the negation-wait pseudo events.
+//!
+//! It is also the harness behind the bounds solver's soundness argument
+//! (DESIGN.md §14): the plan executor evicts at the solved per-node
+//! retention, the walker at the conservative `max_lag`-padded horizon, so
+//! equal firings mean the solved bounds only discard state no future
+//! arrival could pair with. The lag-inflator shape keeps the two policies
+//! far apart: with it in the program the walker retains everything for a
+//! day while the plan's other buffers still die at their own windows.
 
 use proptest::prelude::*;
 use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
@@ -20,7 +28,7 @@ type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
 /// The rule-shape pool: every plan variant the lowering distinguishes,
 /// parameterized by the detection window so different draws stress
 /// different buffer and pruning regimes.
-const SHAPES: usize = 8;
+const SHAPES: usize = 9;
 const WINDOWS: [Span; 3] = [Span::from_secs(2), Span::from_secs(5), Span::from_secs(30)];
 
 fn shape(idx: usize, window: Span) -> EventExpr {
@@ -70,6 +78,11 @@ fn shape(idx: usize, window: Span) -> EventExpr {
             .bind_object("o")
             .seq(EventExpr::observation_in_group("pos").bind_object("o"))
             .within(window),
+        // Lag inflator: a day-long `TSEQ+` gap (its own window, whatever
+        // the draw) poisons the graph-wide `max_lag` the walker pads with.
+        8 => EventExpr::observation_in_group("exits")
+            .tseq_plus(Span::ZERO, Span::from_secs(24 * 3_600))
+            .within(Span::from_secs(48 * 3_600)),
         _ => unreachable!("shape index out of pool"),
     }
 }

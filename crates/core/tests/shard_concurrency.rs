@@ -24,8 +24,6 @@ fn tight_config() -> ShardConfig {
         residual_workers: 2,
         batch_size: 4,
         queue_depth: 1,
-        ordered_output: true,
-        engine: EngineConfig::default(),
         ..ShardConfig::default()
     }
 }

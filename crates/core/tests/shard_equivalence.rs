@@ -98,8 +98,6 @@ fn sharded_with_residual(
         residual_workers,
         batch_size,
         queue_depth: 2,
-        ordered_output: true,
-        engine: EngineConfig::default(),
         ..ShardConfig::default()
     };
     let mut engine = ShardedEngine::new(sim.catalog.clone(), config);

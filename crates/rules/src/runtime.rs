@@ -294,24 +294,12 @@ impl RuleRuntime {
     /// Feeds one observation; any rule firings run their conditions and
     /// actions immediately.
     pub fn process(&mut self, obs: Observation) {
-        let Self {
-            engine,
-            catalog,
-            db,
-            procs,
-            rules,
-            errors,
-            ..
-        } = self;
-        engine.process(obs, &mut |rule, inst| {
-            fire(rules, rule, inst, catalog, db, procs, errors);
-        });
+        self.process_batch(std::slice::from_ref(&obs));
     }
 
-    /// Feeds a contiguous batch of observations through the engine's
-    /// vectorized path ([`rceda::Engine::process_batch`]); firings run
-    /// their conditions and actions exactly as [`RuleRuntime::process`]
-    /// would, in the same order.
+    /// Feeds a contiguous batch of observations
+    /// ([`rceda::Engine::process_batch`]); firings run their conditions and
+    /// actions immediately, in detection order.
     pub fn process_batch(&mut self, batch: &[Observation]) {
         let Self {
             engine,
@@ -327,8 +315,8 @@ impl RuleRuntime {
         });
     }
 
-    /// Feeds a whole stream and finishes it, chunked through the batch
-    /// path in [`rceda::PROCESS_ALL_BATCH`]-observation slices.
+    /// Feeds a whole stream and finishes it, in
+    /// [`rceda::PROCESS_ALL_BATCH`]-observation batches.
     pub fn process_all<I: IntoIterator<Item = Observation>>(&mut self, stream: I) {
         let mut buf: Vec<Observation> = Vec::with_capacity(rceda::PROCESS_ALL_BATCH);
         for obs in stream {

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# Throughput and memory regression gates: re-runs the single-threaded
-# hot-path benchmark, the shard sweep, the memory profile, and the
-# observability overhead ablation, and fails if events/s fell more than 15%
-# below — or the enforced-mode peak working set rose more than 15% above —
-# the committed references in results/BENCH_hotpath.json /
-# results/BENCH_shard.json / results/BENCH_mem.json, or if counters-level
-# observability costs more than ${OBS_OVERHEAD_MAX:-3}% vs observe-off
-# (results/BENCH_obs.json).
+# Regression gates for what `benchmark/run.sh` (the ledger) does not cover:
+# re-runs the shard sweep and the observability overhead ablation, and
+# fails if the best sweep events/s fell more than 15% below the committed
+# reference in results/BENCH_shard.json, or if counters-level observability
+# costs more than ${OBS_OVERHEAD_MAX:-3}% vs observe-off
+# (results/BENCH_obs.json). Single-thread detection throughput and the
+# working-set peak are the ledger's `detect` and `freshkeys` workloads.
 # Pass a different tolerance (percent) as $1.
 #
 # The shard gate compares best-vs-best across the sweep: the fastest
@@ -21,88 +20,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 tolerance="${1:-15}"
-
-# --- hot-path gate -----------------------------------------------------------
-
-reference=results/BENCH_hotpath.json
-
-if [[ ! -f "$reference" ]]; then
-    echo "bench_gate.sh: no committed $reference; run fig9_hotpath first" >&2
-    exit 1
-fi
-
-# First match only: the JSON leads with the headline (plan-mode) figure;
-# the per-mode ablation rows that follow repeat the field name.
-parse_eps() {
-    awk -F': ' '/"events_per_sec"/ { gsub(/,/, "", $2); print $2; exit }' "$1"
-}
-
-ref_eps=$(parse_eps "$reference")
-if [[ -z "$ref_eps" ]]; then
-    echo "bench_gate.sh: could not parse events_per_sec from $reference" >&2
-    exit 1
-fi
-
-saved=$(mktemp)
-cp "$reference" "$saved"
-trap 'rm -f "$saved"' EXIT
-
-echo "== bench gate: hot-path throughput (reference ${ref_eps} ev/s, -${tolerance}% floor) =="
-# min-of-N is the headline estimator; the gate samples more passes than an
-# interactive run so a contended box converges on the true floor instead of
-# failing spuriously.
-cargo run -q --release -p rfid-bench --bin fig9_hotpath -- --reps 15 >/dev/null
-
-new_eps=$(parse_eps "$reference")
-
-if ! awk -v ref="$ref_eps" -v new="$new_eps" -v tol="$tolerance" 'BEGIN {
-    floor = ref * (1 - tol / 100)
-    printf "  reference: %.0f ev/s | measured: %.0f ev/s | floor: %.0f ev/s\n", ref, new, floor
-    if (new < floor) {
-        printf "bench_gate.sh: FAIL — hot-path throughput regressed more than %s%%\n", tol
-        exit 1
-    }
-    printf "bench_gate.sh: OK (%.1f%% of reference)\n", 100 * new / ref
-}'; then
-    cp "$saved" "$reference"
-    exit 1
-fi
-
-# --- batch-path gate ---------------------------------------------------------
-
-# The vectorized batch path (`Engine::process_batch`) must not fall behind
-# the scalar driver it amortizes: the fresh hot-path run above measured
-# both in the same invocation (same box state, same trace), and the best
-# batch size's in-run speedup over scalar is gated against a floor. The
-# floor is a regression guard, not the headline target — batch-boundary
-# sweeping going quadratic or a per-batch cost creeping in shows up here
-# as a ratio well below 1.
-batch_min="${BATCH_SPEEDUP_MIN:-0.95}"
-
-# First match only: the headline ratio precedes the per-size ablation rows.
-parse_batch_speedup() {
-    awk -F': ' '/"batch_best_speedup_vs_scalar"/ { gsub(/,/, "", $2); print $2; exit }' "$1"
-}
-
-batch_speedup=$(parse_batch_speedup "$reference")
-if [[ -z "$batch_speedup" ]]; then
-    echo "bench_gate.sh: no batch ablation rows in $reference" >&2
-    cp "$saved" "$reference"
-    exit 1
-fi
-
-echo "== bench gate: batch path (best batch/scalar ${batch_speedup}x, floor ${batch_min}x) =="
-if ! awk -v s="$batch_speedup" -v min="$batch_min" 'BEGIN {
-    printf "  batch vs scalar (best in-run): %.2fx | floor: %.2fx\n", s, min
-    if (s < min) {
-        printf "bench_gate.sh: FAIL — batch path fell below %.2fx of scalar\n", min
-        exit 1
-    }
-    printf "bench_gate.sh: OK\n"
-}'; then
-    cp "$saved" "$reference"
-    exit 1
-fi
 
 # --- shard-pipeline gate -----------------------------------------------------
 
@@ -130,7 +47,7 @@ fi
 
 shard_saved=$(mktemp)
 cp "$shard_reference" "$shard_saved"
-trap 'rm -f "$saved" "$shard_saved"' EXIT
+trap 'rm -f "$shard_saved"' EXIT
 
 echo "== bench gate: shard pipeline (best reference ${shard_ref_eps} ev/s, -${tolerance}% floor) =="
 cargo run -q --release -p rfid-bench --bin fig9_shard >/dev/null 2>&1
@@ -150,54 +67,11 @@ if ! awk -v ref="$shard_ref_eps" -v new="$shard_new_eps" -v tol="$tolerance" 'BE
     exit 1
 fi
 
-# --- memory gate -------------------------------------------------------------
-
-mem_reference=results/BENCH_mem.json
-
-if [[ ! -f "$mem_reference" ]]; then
-    echo "bench_gate.sh: no committed $mem_reference; run mem_profile first" >&2
-    exit 1
-fi
-
-# First match only: the JSON leads with the enforced-mode peak of the
-# buffered_entries gauge (best = smallest, unlike the throughput gates).
-parse_mem_peak() {
-    awk -F': ' '/"peak_buffered_enforced"/ { gsub(/,/, "", $2); print $2; exit }' "$1"
-}
-
-mem_ref_peak=$(parse_mem_peak "$mem_reference")
-if [[ -z "$mem_ref_peak" ]]; then
-    echo "bench_gate.sh: could not parse peak_buffered_enforced from $mem_reference" >&2
-    exit 1
-fi
-
-mem_saved=$(mktemp)
-cp "$mem_reference" "$mem_saved"
-trap 'rm -f "$saved" "$shard_saved" "$mem_saved"' EXIT
-
-echo "== bench gate: memory (reference peak ${mem_ref_peak} buffered entries, +${tolerance}% ceiling) =="
-cargo run -q --release -p rfid-bench --bin mem_profile >/dev/null
-
-mem_new_peak=$(parse_mem_peak "$mem_reference")
-
-if ! awk -v ref="$mem_ref_peak" -v new="$mem_new_peak" -v tol="$tolerance" 'BEGIN {
-    ceiling = ref * (1 + tol / 100)
-    printf "  reference: %.0f entries | measured: %.0f entries | ceiling: %.0f entries\n", ref, new, ceiling
-    if (new > ceiling) {
-        printf "bench_gate.sh: FAIL — enforced-mode peak working set grew more than %s%%\n", tol
-        exit 1
-    }
-    printf "bench_gate.sh: OK (%.1f%% of reference)\n", 100 * new / ref
-}'; then
-    cp "$mem_saved" "$mem_reference"
-    exit 1
-fi
-
 # --- observability-overhead gate ---------------------------------------------
 
-# Unlike the gates above, this one is absolute, not relative to a reference:
+# Unlike the gate above, this one is absolute, not relative to a reference:
 # counters-level observability has a fixed budget (<= OBS_OVERHEAD_MAX % of
-# observe-off throughput on the hot-path workload), because the arena update
+# observe-off throughput on the canonical workload), because the arena update
 # is meant to stay on in production. Full level is recorded in the JSON but
 # not gated — it is a diagnosis mode.
 obs_reference=results/BENCH_obs.json
@@ -205,7 +79,7 @@ obs_max="${OBS_OVERHEAD_MAX:-3}"
 
 obs_saved=$(mktemp)
 [[ -f "$obs_reference" ]] && cp "$obs_reference" "$obs_saved"
-trap 'rm -f "$saved" "$shard_saved" "$mem_saved" "$obs_saved"' EXIT
+trap 'rm -f "$shard_saved" "$obs_saved"' EXIT
 
 # First match only: the JSON leads with the gated counters figure.
 parse_obs_overhead() {
@@ -234,53 +108,5 @@ if ! awk -v pct="$obs_pct" -v max="$obs_max" 'BEGIN {
     printf "bench_gate.sh: OK (%.2f%% of the %.0f%% budget)\n", pct, max
 }'; then
     [[ -s "$obs_saved" ]] && cp "$obs_saved" "$obs_reference"
-    exit 1
-fi
-
-# --- partitioner gate ---------------------------------------------------------
-
-# Cost-weighted residual partitioning (the default, `--partition cost`) must
-# not fall behind the retired dispatch fan-out heuristic it replaced: its
-# best sweep throughput has to reach PARTITION_RATIO_MIN (default 0.97) of
-# the heuristic's best. On the canonical workload the two packings are
-# near-identical (the 512 containment rules weigh the same under either
-# scheme), so a single run per scheme just measures box noise — the gate
-# interleaves PARTITION_REPS (default 3) runs of each and compares
-# best-of-N against best-of-N, the same max estimator the sweep itself
-# uses. The committed reference keeps the shard gate's cost-partitioned
-# numbers either way.
-part_min="${PARTITION_RATIO_MIN:-0.97}"
-part_reps="${PARTITION_REPS:-3}"
-
-part_saved=$(mktemp)
-cp "$shard_reference" "$part_saved"
-trap 'rm -f "$saved" "$shard_saved" "$mem_saved" "$obs_saved" "$part_saved"' EXIT
-
-echo "== bench gate: residual partitioner (cost >= ${part_min}x fan-out best, best of ${part_reps}) =="
-cost_eps="$shard_new_eps"
-fanout_eps=0
-for _ in $(seq "$part_reps"); do
-    cargo run -q --release -p rfid-bench --bin fig9_shard -- --partition fanout >/dev/null 2>&1
-    run_eps=$(parse_best_shard_eps "$shard_reference")
-    fanout_eps=$(awk -v a="$fanout_eps" -v b="${run_eps:-0}" 'BEGIN { print (b > a) ? b : a }')
-    cargo run -q --release -p rfid-bench --bin fig9_shard >/dev/null 2>&1
-    run_eps=$(parse_best_shard_eps "$shard_reference")
-    cost_eps=$(awk -v a="$cost_eps" -v b="${run_eps:-0}" 'BEGIN { print (b > a) ? b : a }')
-done
-cp "$part_saved" "$shard_reference"
-
-if ! awk -v cost="$cost_eps" -v fanout="$fanout_eps" -v min="$part_min" 'BEGIN {
-    if (fanout <= 0) {
-        printf "bench_gate.sh: could not parse fan-out sweep results\n"
-        exit 1
-    }
-    floor = fanout * min
-    printf "  cost-weighted: %.0f ev/s | fan-out: %.0f ev/s | floor: %.0f ev/s\n", cost, fanout, floor
-    if (cost < floor) {
-        printf "bench_gate.sh: FAIL — cost-weighted partitioning fell below %.2fx of fan-out\n", min
-        exit 1
-    }
-    printf "bench_gate.sh: OK (%.2fx of fan-out best)\n", cost / fanout
-}'; then
     exit 1
 fi

@@ -28,11 +28,9 @@ run context_compare    # Ablation A4: parameter contexts
 run ablation_merge     # Ablation A1: subgraph merging
 run ablation_partition # Ablation A2: keyed buffers
 run action_cost        # §5 methodology: detection vs detection+actions
-run mem_profile        # enforced retention bounds vs baseline eviction (also writes results/BENCH_mem.json)
 run fig9_shard         # shard sweep: throughput vs. keyed shards (also writes results/BENCH_shard.json)
-run fig9_hotpath       # single-threaded hot-path gate (also writes results/BENCH_hotpath.json)
 
-# Throughput regression gate against the reference just written.
+# Shard-throughput and obs-overhead gates against the reference just written.
 scripts/bench_gate.sh
 
 echo
