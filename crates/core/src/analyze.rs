@@ -26,6 +26,7 @@
 //! | W006 | warning  | rule provably subsumed by a wider rule (containment) |
 //! | N001 | note     | join buffer bounded at runtime by the solved retention |
 //! | N002 | note     | per-rule static cost ranking (top hotspots named) |
+//! | N003 | note     | window family: rules differing only in `WITHIN` share state |
 //!
 //! E004 and W002 are script-level passes: they live in the rule-language
 //! crate (`rfid-rules`), but their codes are defined here so the taxonomy
@@ -39,8 +40,9 @@ use rfid_events::{Catalog, EventExpr, ObjectSel, ReaderSel, Span};
 
 use crate::bounds::Bounds;
 use crate::cost::{self, Cost};
+use crate::engine::RuleId;
 use crate::graph::{EventGraph, NodeId, NodeKind, Plan};
-use crate::plan::CompiledPlan;
+use crate::plan::{CompiledPlan, Share};
 use crate::shard::{self, ResidualReason, Shardability};
 
 /// How bad a diagnostic is.
@@ -118,6 +120,11 @@ pub enum DiagCode {
     /// top-k hotspot rules by solved CPU weight, named so heavy rules are
     /// visible before any event arrives.
     CostReport,
+    /// Rules that differ only in their `WITHIN` and are served by one
+    /// state holder ([`crate::plan::CompiledPlan::families`]), or `NOT`
+    /// histories over one pattern kept once: what the plan shares, with
+    /// the cut-offs and the solved retention it shares them at.
+    WindowFamily,
 }
 
 impl DiagCode {
@@ -137,6 +144,7 @@ impl DiagCode {
             DiagCode::SubsumedRule => "W006",
             DiagCode::BoundedRetention => "N001",
             DiagCode::CostReport => "N002",
+            DiagCode::WindowFamily => "N003",
         }
     }
 
@@ -154,7 +162,9 @@ impl DiagCode {
             | DiagCode::ResidualRule
             | DiagCode::UnboundedBuffer
             | DiagCode::SubsumedRule => Severity::Warning,
-            DiagCode::BoundedRetention | DiagCode::CostReport => Severity::Note,
+            DiagCode::BoundedRetention | DiagCode::CostReport | DiagCode::WindowFamily => {
+                Severity::Note
+            }
         }
     }
 
@@ -174,6 +184,7 @@ impl DiagCode {
             DiagCode::SubsumedRule => "rule provably subsumed by a wider rule",
             DiagCode::BoundedRetention => "join buffer bounded at runtime by the solved retention",
             DiagCode::CostReport => "static per-rule cost ranking (top hotspots)",
+            DiagCode::WindowFamily => "rules differing only in WITHIN share one state holder",
         }
     }
 }
@@ -283,7 +294,10 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
     let solved = Bounds::solve(&scratch);
     // The dead-leaf pass (W003) reads reachability off the compiled plan's
     // dispatch rows — the same structure the executor dispatches through.
-    let deployment = catalog.map(|cat| (cat, CompiledPlan::lower(&scratch, cat, &HashMap::new())));
+    let deployment = catalog.map(|cat| {
+        let plan = CompiledPlan::lower(&scratch, cat, &HashMap::new(), Share::None);
+        (cat, plan)
+    });
     let mut diag = |code: DiagCode, node: NodeId, message: String, hint: &str| {
         out.push(Diagnostic {
             code,
@@ -482,6 +496,7 @@ pub fn analyze_program(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Di
     out.extend(analyze_shadowing(rules));
     out.extend(analyze_subsumption(rules, catalog));
     out.extend(analyze_cost(rules, catalog));
+    out.extend(analyze_families(rules, catalog));
     out
 }
 
@@ -655,6 +670,127 @@ pub fn analyze_cost(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Diagn
                run `rceda-lint cost` for the full table"
             .to_owned(),
     }]
+}
+
+/// The N003 pass: lowers the whole program the way the engine does and
+/// reports what the plan shares — one note per window family (holder node,
+/// member rules with their cut-offs, the retention the shared state is kept
+/// for) and one per shared `NOT` history no reported family reads.
+pub fn analyze_families(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Diagnostic> {
+    let mut merged = EventGraph::new();
+    let mut rules_at: HashMap<NodeId, Vec<RuleId>> = HashMap::new();
+    for (i, rule) in rules.iter().enumerate() {
+        // A rejected rule was already reported as E000 by the per-rule pass.
+        if let Ok(root) = merged.add_event(&rule.event) {
+            rules_at.entry(root).or_default().push(RuleId(i as u32));
+        }
+    }
+    let bounds = Bounds::solve(&merged);
+    let no_deployment = Catalog::new();
+    let plan = CompiledPlan::lower(
+        &merged,
+        catalog.unwrap_or(&no_deployment),
+        &rules_at,
+        Share::Keeping(&CompiledPlan::default()),
+    );
+    let histories = plan.shared_histories();
+    let history_retention = |holder: NodeId| {
+        let alone = [holder];
+        let served = histories.iter().find(|(h, _)| *h == holder);
+        let served = served.map_or(&alone[..], |(_, served)| served);
+        served.iter().map(|&n| bounds.node(n).retention).max()
+    };
+    // The rules that read a history: those at or above the nodes it serves.
+    let readers_of = |served: &[NodeId]| {
+        let mut readers = std::collections::BTreeSet::new();
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = served.to_vec();
+        while let Some(n) = stack.pop() {
+            if seen.insert(n) {
+                readers.extend(rules_at.get(&n).into_iter().flatten().map(|r| r.0 as usize));
+                stack.extend(&merged.node(n).parents);
+            }
+        }
+        readers
+    };
+    let note = |rule: usize, message: String, hint: &str| {
+        let rule = &rules[rule];
+        Diagnostic {
+            code: DiagCode::WindowFamily,
+            rule_id: rule.id.clone(),
+            rule_name: rule.name.clone(),
+            path: String::new(),
+            message,
+            hint: hint.to_owned(),
+        }
+    };
+
+    let mut out = Vec::new();
+    let mut read_by_family: Vec<NodeId> = Vec::new();
+    for (holder, members) in plan.families() {
+        let node = merged.node(holder);
+        let (state, retention) = if node.plan == Plan::LeftNegationQuery {
+            let history = plan.holder(node.children[0]);
+            read_by_family.push(history);
+            (
+                format!("one probe of the NOT history at node {}", history.0),
+                history_retention(history),
+            )
+        } else {
+            let retain = members.iter().map(|m| bounds.node(m.node).retain[0]);
+            ("one join buffer".to_owned(), retain.max())
+        };
+        let retention = retention.expect("a family has members");
+        let listed: Vec<String> = members
+            .iter()
+            .flat_map(|m| {
+                let at = rules_at.get(&m.node).map_or(&[][..], Vec::as_slice);
+                at.iter()
+                    .map(|r| format!("`{}` ({})", rules[r.0 as usize].id, m.cutoff))
+            })
+            .collect();
+        out.push(note(
+            rules_at[&holder][0].0 as usize,
+            format!(
+                "window family at {} node {}: {} rules that differ only in their window \
+                 share {state}, probed at the widest cut-off and kept for {retention} — \
+                 members by cut-off: {}",
+                node.kind.name(),
+                holder.0,
+                listed.len(),
+                listed.join(", ")
+            ),
+            "informational: one probe serves every member; an emission reaches the members \
+             whose own window covers it (DESIGN.md, Window families)",
+        ));
+    }
+    for (holder, served) in &histories {
+        if read_by_family.contains(holder) {
+            continue;
+        }
+        let readers = readers_of(served);
+        let listed: Vec<String> = readers
+            .iter()
+            .map(|&r| format!("`{}`", rules[r].id))
+            .collect();
+        let Some(&first) = readers.first() else {
+            continue; // no rule reads it
+        };
+        out.push(note(
+            first,
+            format!(
+                "shared NOT history at node {}: {} NOT nodes over one pattern record into \
+                 one history, kept for {} — read by {}",
+                holder.0,
+                served.len(),
+                history_retention(*holder).expect("a history serves itself"),
+                listed.join(", ")
+            ),
+            "informational: the negated pattern is recorded once; each rule keeps its own \
+             waits (DESIGN.md, Window families)",
+        ));
+    }
+    out
 }
 
 /// First path from the root to every reachable node, rendered as

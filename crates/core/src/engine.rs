@@ -38,7 +38,7 @@ use crate::error::InvalidRule;
 use crate::graph::{EventGraph, Node, NodeId, NodeKind, Plan};
 use crate::key::{extract_all, Key};
 use crate::obs::{FlightRecorder, Histogram, ObsState, ObserveLevel, TelemetrySnapshot};
-use crate::plan::{CompiledPlan, EdgeOp, InlineBuf, LEAF_HITS_INLINE};
+use crate::plan::{CompiledPlan, EdgeOp, InlineBuf, Member, Share, LEAF_HITS_INLINE};
 use crate::pseudo::{PseudoAction, PseudoEvent, PseudoQueue};
 use crate::state::{
     dead_before, AperiodicState, Entry, KeyedBuffer, NegationState, NodeState, TimedRunState,
@@ -686,18 +686,39 @@ impl Engine {
     /// plan (plus the walker's dispatch index when the reference executor
     /// is selected). Runs once per rule-set change, never per event.
     fn recompile(&mut self) {
-        self.dispatch = match self.config.exec {
-            ExecMode::Plan => Dispatch::default(),
-            ExecMode::Graph => Dispatch::build(&self.graph, &self.catalog),
+        let prior = std::mem::take(&mut self.plan);
+        let share = match self.config.exec {
+            ExecMode::Plan => {
+                self.dispatch = Dispatch::default();
+                Share::Keeping(&prior)
+            }
+            ExecMode::Graph => {
+                self.dispatch = Dispatch::build(&self.graph, &self.catalog);
+                Share::None
+            }
         };
         self.bounds = Bounds::solve(&self.graph);
-        self.plan = CompiledPlan::lower(&self.graph, &self.catalog, &self.rules_at);
+        self.plan = CompiledPlan::lower(&self.graph, &self.catalog, &self.rules_at, share);
         // Size the metrics arena for every node either executor can touch.
         self.rt
             .obs
             .arena
             .ensure_len(self.graph.len().max(self.plan.node_count()));
         self.rebuild_sweep_spans();
+        // State stays where it is: a holder is the first-registered node of
+        // its group, so rules added to a running engine only ever join it.
+        // The one move is a member that no longer fits its holder and now
+        // holds state itself; it carries on from a copy of what it shared
+        // (a superset of what it would have kept alone, and anything beyond
+        // its own window is invisible to its probes).
+        for idx in 0..prior.node_count() {
+            let node = NodeId(idx as u32);
+            let was = prior.holder(node);
+            if was != node && self.plan.holder(node) == node {
+                self.rt.states[idx] = self.rt.states[was.idx()].clone();
+                self.rt.sweep.touch(node);
+            }
+        }
         self.dispatch_dirty = false;
     }
 
@@ -705,7 +726,7 @@ impl Engine {
     /// prunes at the solved per-side bounds ([`crate::bounds`]); the
     /// reference walker at the conservative horizon plus the graph-wide
     /// `max_lag` pad, so the oracle does not depend on the solver it
-    /// checks.
+    /// checks. A holder keeps what its longest-reaching member needs.
     fn rebuild_sweep_spans(&mut self) {
         let lag = self.graph.max_lag();
         self.rt.sweep.resize(self.graph.len());
@@ -719,11 +740,19 @@ impl Engine {
                 // MAX ("never prune by time") through the pad.
                 ExecMode::Graph => ([node.horizon + lag; 2], node.retention + lag),
             };
-            self.rt.sweep.spans[node.id.idx()] = match node.plan {
+            let own = match node.plan {
                 Plan::TwoSided => sides,
                 Plan::NegationRecorder | Plan::AperiodicRecorder => [retention; 2],
                 _ => [Span::MAX; 2],
             };
+            // Ids are topological and a holder is the lowest id of its
+            // group, so its own spans are in place before any member's.
+            let holder = self.plan.holder(node.id);
+            let spans = &mut self.rt.sweep.spans;
+            spans[node.id.idx()] = own;
+            if holder != node.id {
+                spans[holder.idx()] = [0, 1].map(|side| spans[holder.idx()][side].max(own[side]));
+            }
         }
     }
 
@@ -784,7 +813,7 @@ impl Engine {
                     other => unreachable!("ResolveWait on plan {other:?}"),
                 };
                 let spec = n.hist_spec.expect("wait plan always has a history spec").0 as usize;
-                let not_child = n.children[not_side as usize];
+                let not_child = self.plan.holder(n.children[not_side as usize]);
                 let kind_name = n.kind.name();
                 if self.rt.obs.level.counters() {
                     // The deferred window-close check is this node's probe.
@@ -860,14 +889,16 @@ impl Engine {
             for edge in plan.edges_at(node_id) {
                 let pnode = graph.node(edge.parent());
                 match edge.op() {
-                    EdgeOp::SelfJoin => rt.self_join_arrival(config, pnode, &inst),
-                    EdgeOp::Left => rt.arrival(graph, config, pnode, 0, &inst),
-                    EdgeOp::Right => rt.arrival(graph, config, pnode, 1, &inst),
+                    EdgeOp::SelfJoin => rt.self_join_arrival(config, plan, pnode, &inst),
+                    EdgeOp::Left => rt.arrival(graph, config, plan, pnode, 0, &inst),
+                    EdgeOp::Right => rt.arrival(graph, config, plan, pnode, 1, &inst),
                     EdgeOp::RecordQuery { query } => {
-                        rt.fused_negation(graph, pnode, graph.node(NodeId(query)), &inst, true);
+                        let query = graph.node(NodeId(query));
+                        rt.fused_negation(graph, plan, pnode, query, &inst, true);
                     }
                     EdgeOp::QueryRecord { query } => {
-                        rt.fused_negation(graph, pnode, graph.node(NodeId(query)), &inst, false);
+                        let query = graph.node(NodeId(query));
+                        rt.fused_negation(graph, plan, pnode, query, &inst, false);
                     }
                 }
             }
@@ -878,9 +909,12 @@ impl Engine {
     /// and parents. Arrival handlers push further occurrences onto the
     /// same queue.
     fn run_work_graph(&mut self, sink: &mut Sink<'_>) {
+        // `plan` was lowered with `Share::None` here: every node is its own
+        // holder and a family of one, so the handlers run unshared.
         let Self {
             graph,
             rt,
+            plan,
             rules_at,
             rule_enabled,
             rule_firings,
@@ -918,21 +952,21 @@ impl Engine {
                     // Self-join (e.g. Rule 1's duplicate filter): match as the
                     // terminator against strictly older initiators, then
                     // buffer as an initiator for future arrivals.
-                    rt.self_join_arrival(config, pnode, &inst);
+                    rt.self_join_arrival(config, plan, pnode, &inst);
                 } else if pnode.symmetric {
                     // Structurally identical children that did not merge
                     // (ablation A1): both deliver equivalent instances, so
                     // run the self-join protocol once, on the terminator
                     // side, and drop the initiator-side duplicate delivery.
                     if is_right {
-                        rt.self_join_arrival(config, pnode, &inst);
+                        rt.self_join_arrival(config, plan, pnode, &inst);
                     }
                 } else {
                     if is_left {
-                        rt.arrival(graph, config, pnode, 0, &inst);
+                        rt.arrival(graph, config, plan, pnode, 0, &inst);
                     }
                     if is_right {
-                        rt.arrival(graph, config, pnode, 1, &inst);
+                        rt.arrival(graph, config, plan, pnode, 1, &inst);
                     }
                 }
             }
@@ -1076,7 +1110,19 @@ impl Runtime {
     /// instance first tries to terminate an older initiator, then becomes an
     /// initiator itself. This yields the chained pairing Rule 1 needs
     /// ((e1,e2), (e2,e3), …) without ever pairing an instance with itself.
-    fn self_join_arrival(&mut self, config: &EngineConfig, node: &Node, inst: &Arc<Instance>) {
+    ///
+    /// `node` holds the state of its whole window family: the probe runs
+    /// once, at the family's widest window, and the pair goes to every
+    /// member whose own window covers its interval — each at its own node,
+    /// so rules, `occurrences` and the per-node counters see exactly the
+    /// pops an unshared plan would have made.
+    fn self_join_arrival(
+        &mut self,
+        config: &EngineConfig,
+        plan: &CompiledPlan,
+        node: &Node,
+        inst: &Arc<Instance>,
+    ) {
         debug_assert_eq!(node.plan, Plan::TwoSided, "self-join is always two-sided");
         let join = &node.join;
         let key = if join.is_trivial() {
@@ -1086,7 +1132,8 @@ impl Runtime {
         };
         let Some(key) = key else { return };
         let kind = &node.kind;
-        let within = node.within;
+        let family = plan.family(node.id);
+        let within = family.last().expect("a holder is in its family").cutoff;
         let dead = dead_before(self.clock, self.sweep.spans[node.id.idx()][0]);
         let cap = if node.horizon == Span::MAX {
             config.unbounded_cap
@@ -1132,7 +1179,34 @@ impl Runtime {
         }
         if let Some(e) = matched {
             let out = Arc::new(Instance::pair(kind.name(), e.inst, inst.clone()));
-            self.work.push((node.id, out));
+            let reached = family.partition_point(|m| m.cutoff < out.interval());
+            let members = family[reached..].iter();
+            self.work.extend(members.map(|m| (m.node, out.clone())));
+        }
+    }
+
+    /// Answers a negated-initiator query for the whole family `query_node`
+    /// holds, from the one thing its history probe found: `last`, the
+    /// latest negated occurrence before the window's end `to`. A member's
+    /// window reaches back `cutoff` from the terminator's end, so its
+    /// negation held exactly when `last` lies before that start — with
+    /// members in ascending cut-off order, a prefix of the family. Each
+    /// gets its own `absence(from, to)` witness: the window is the one part
+    /// of the instance that differs by member.
+    fn emit_absent(
+        &mut self,
+        family: &[Member],
+        query_node: &Node,
+        inst: &Arc<Instance>,
+        last: Option<Timestamp>,
+        to: Timestamp,
+    ) {
+        let from = |m: &Member| inst.t_end().saturating_sub(m.cutoff);
+        let absent = last.map_or(family.len(), |l| family.partition_point(|m| from(m) > l));
+        for m in &family[..absent] {
+            let absence = Arc::new(Instance::absence(from(m), to));
+            let out = Instance::pair(query_node.kind.name(), absence, inst.clone());
+            self.work.push((m.node, Arc::new(out)));
         }
     }
 
@@ -1141,28 +1215,21 @@ impl Runtime {
     /// bucket access. The order mirrors the walker's for each lowered
     /// shape. `record_first` ([`EdgeOp::RecordQuery`], merged leaf): the
     /// record edge precedes the query edge within one work-queue pop.
-    /// Query-first ([`EdgeOp::QueryRecord`], unmerged twins): the elided
-    /// query twin is the later dispatch candidate, so it pops first off
-    /// the LIFO work stack, before the recorder twin's delivery — and
-    /// since that twin's pop is elided, its occurrence is counted here.
-    /// Lowering only emits these ops when the record key spec equals the
-    /// query key spec, so a single probe provably serves both deliveries
-    /// (in the twin shape, the downstream emission also cannot observe the
-    /// history: the `NOT` node's only parent is `query_node`).
+    /// Query-first ([`EdgeOp::QueryRecord`], unmerged twins): the query
+    /// twin is the later dispatch candidate, so it pops first off the LIFO
+    /// work stack, before the recorder twin's delivery. Lowering only emits
+    /// these ops when the record key spec equals the query key spec, so a
+    /// single probe provably serves both deliveries.
     fn fused_negation(
         &mut self,
         graph: &EventGraph,
+        plan: &CompiledPlan,
         not_node: &Node,
         query_node: &Node,
         inst: &Arc<Instance>,
         record_first: bool,
     ) {
-        let (from, to, exclusive) = left_negation_window(query_node, inst);
-        if !record_first {
-            // The elided query twin would have been its own work-queue pop;
-            // keep the occurrence count comparable across executors.
-            self.stats.occurrences += 1;
-        }
+        let (to, exclusive) = negation_query_end(query_node, inst);
         let spec_idx = query_node.hist_spec.expect("query plan has a spec").0 as usize;
         let specs = graph.hist_specs(not_node.id);
         self.sweep.touch(not_node.id);
@@ -1173,7 +1240,7 @@ impl Runtime {
             neg.spec_count() >= specs.len().max(1),
             "recompile sized the negation state"
         );
-        let mut occurred = None;
+        let mut probed = None;
         for (i, spec) in specs.iter().enumerate() {
             if let Some(key) = extract_all(&spec.extracts, inst) {
                 if self.obs.level.counters() {
@@ -1192,27 +1259,15 @@ impl Runtime {
                     if self.obs.level.counters() {
                         self.obs.arena.probed(query_node.id.idx());
                     }
-                    occurred = Some(neg.fused_probe(
-                        i,
-                        key,
-                        inst.t_end(),
-                        from,
-                        to,
-                        exclusive,
-                        record_first,
-                    ));
+                    probed =
+                        Some(neg.fused_last(i, key, inst.t_end(), to, exclusive, record_first));
                 } else {
                     neg.record(i, key, inst.t_end());
                 }
             }
         }
-        if occurred == Some(false) {
-            let absence = Arc::new(Instance::absence(from, to));
-            let out = Arc::new(Instance::composite(
-                query_node.kind.name(),
-                vec![absence, inst.clone()],
-            ));
-            self.work.push((query_node.id, out));
+        if let Some(last) = probed {
+            self.emit_absent(plan.family(query_node.id), query_node, inst, last, to);
         }
     }
 
@@ -1223,6 +1278,7 @@ impl Runtime {
         &mut self,
         graph: &EventGraph,
         config: &EngineConfig,
+        plan: &CompiledPlan,
         node: &Node,
         side: u8,
         inst: &Arc<Instance>,
@@ -1330,25 +1386,20 @@ impl Runtime {
             }
             Plan::LeftNegationQuery => {
                 debug_assert_eq!(side, 1, "negated initiator never delivers");
-                let (from, to, exclusive) = left_negation_window(node, inst);
+                let (to, exclusive) = negation_query_end(node, inst);
                 let Some(key) = negation_query_key(node, 1, inst) else {
                     return;
                 };
                 let spec = node.hist_spec.expect("query plan has a spec").0 as usize;
-                let not_child = node.children[0];
-                let kind_name = node.kind.name();
+                let not_child = plan.holder(node.children[0]);
                 if self.obs.level.counters() {
                     self.obs.arena.probed(parent.idx());
                 }
-                let occurred = match &self.states[not_child.idx()] {
-                    NodeState::Negation(neg) => neg.occurred(spec, &key, from, to, exclusive),
+                let last = match &self.states[not_child.idx()] {
+                    NodeState::Negation(neg) => neg.last_occurrence(spec, &key, to, exclusive),
                     other => unreachable!("negation child has state {other:?}"),
                 };
-                if !occurred {
-                    let absence = Arc::new(Instance::absence(from, to));
-                    let out = Arc::new(Instance::pair(kind_name, absence, inst.clone()));
-                    self.work.push((parent, out));
-                }
+                self.emit_absent(plan.family(parent), node, inst, last, to);
             }
             Plan::LeftAperiodicQuery => {
                 debug_assert_eq!(side, 1);
@@ -1404,13 +1455,13 @@ impl Runtime {
                     ),
                     ref other => unreachable!("RightNegationWait on {other:?}"),
                 };
-                self.wait_on_negation(node, 1, inst, from, to);
+                self.wait_on_negation(plan, node, 1, inst, from, to);
             }
             Plan::AndNegation { not_side } => {
                 debug_assert_eq!(side, 1 - not_side, "arrivals come from the push side");
                 let bound = node.within;
                 let (from, to) = (inst.t_end().saturating_sub(bound), inst.t_begin() + bound);
-                self.wait_on_negation(node, not_side, inst, from, to);
+                self.wait_on_negation(plan, node, not_side, inst, from, to);
             }
             Plan::NegationRecorder => {
                 let specs = graph.hist_specs(parent);
@@ -1535,6 +1586,7 @@ impl Runtime {
     /// anchor the instance and schedule a pseudo event at its close.
     fn wait_on_negation(
         &mut self,
+        plan: &CompiledPlan,
         node: &Node,
         not_side: u8,
         inst: &Arc<Instance>,
@@ -1545,7 +1597,7 @@ impl Runtime {
             return;
         };
         let spec = node.hist_spec.expect("wait plan has a spec").0 as usize;
-        let not_child = node.children[not_side as usize];
+        let not_child = plan.holder(node.children[not_side as usize]);
         let kind_name = node.kind.name();
 
         let past_end = self.clock.min(to);
@@ -1601,23 +1653,17 @@ impl Runtime {
     }
 }
 
-/// The window `(from, to, exclusive)` in which the negated initiator of a
-/// `SEQ`/`TSEQ` node must not have occurred for terminator `inst` to fire.
-fn left_negation_window(node: &Node, inst: &Instance) -> (Timestamp, Timestamp, bool) {
+/// Where the window of a negated-initiator `SEQ`/`TSEQ` query ends for
+/// terminator `inst`, and whether that end is exclusive. The window starts
+/// a [`Member::cutoff`] before the terminator's end: the `WITHIN` for
+/// `SEQ`, the maximum distance for `TSEQ`.
+fn negation_query_end(node: &Node, inst: &Instance) -> (Timestamp, bool) {
     match node.kind {
-        NodeKind::Seq => {
-            let from = if node.within == Span::MAX {
-                Timestamp::ZERO
-            } else {
-                inst.t_end().saturating_sub(node.within)
-            };
-            (from, inst.t_begin(), true)
-        }
-        NodeKind::TSeq { min_dist, max_dist } => {
-            let from = inst.t_end().saturating_sub(max_dist);
-            let to = inst.t_end().saturating_sub(min_dist).min(inst.t_begin());
-            (from, to, false)
-        }
+        NodeKind::Seq => (inst.t_begin(), true),
+        NodeKind::TSeq { min_dist, .. } => (
+            inst.t_end().saturating_sub(min_dist).min(inst.t_begin()),
+            false,
+        ),
         ref other => unreachable!("negated-initiator query on {other:?}"),
     }
 }

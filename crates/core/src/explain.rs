@@ -117,7 +117,9 @@ impl CompiledPlan {
     /// per-node [`crate::plan::OpTag`], dispatch reachability, attached
     /// rules, and the precomputed parent-activation edges — the flat view
     /// the executor actually runs, complementing [`EventGraph::describe`]'s
-    /// graph-level analysis table.
+    /// graph-level analysis table. What shares state is listed after the
+    /// summary: one line per window family (holder, then each member node
+    /// with its cut-off) and per shared `NOT` history.
     pub fn describe(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -170,6 +172,28 @@ impl CompiledPlan {
             self.dispatch_width(),
             self.arena_bytes(),
         );
+        for (holder, members) in self.families() {
+            let members: Vec<String> = members
+                .iter()
+                .map(|m| format!("{} ({})", m.node.0, fmt_span(m.cutoff)))
+                .collect();
+            let _ = writeln!(
+                out,
+                "family: {} node {} serves {}",
+                self.tag(holder).name(),
+                holder.0,
+                members.join(", ")
+            );
+        }
+        for (holder, served) in self.shared_histories() {
+            let served: Vec<String> = served.iter().map(|n| n.0.to_string()).collect();
+            let _ = writeln!(
+                out,
+                "history: neg-record node {} serves {}",
+                holder.0,
+                served.join(", ")
+            );
+        }
         out
     }
 }
@@ -325,7 +349,12 @@ mod tests {
         let infield = shelf.clone().not().seq(shelf).within(Span::from_secs(30));
         let mut g = EventGraph::new();
         g.add_event(&infield).unwrap();
-        let plan = CompiledPlan::lower(&g, &catalog, &std::collections::HashMap::new());
+        let plan = CompiledPlan::lower(
+            &g,
+            &catalog,
+            &std::collections::HashMap::new(),
+            crate::plan::Share::None,
+        );
         let text = plan.describe();
         assert_eq!(
             text.lines().count(),
@@ -340,6 +369,32 @@ mod tests {
         assert!(
             text.contains("dispatch width 1"),
             "one shelf candidate: {text}"
+        );
+    }
+
+    #[test]
+    fn plan_describe_lists_families_and_shared_histories() {
+        let mut catalog = rfid_events::Catalog::new();
+        catalog.readers.register("s1", "shelves", "aisle-1");
+        let shelf = || EventExpr::observation_in_group("shelves").bind_object("o");
+        let mut g = EventGraph::new();
+        let mut rules_at = std::collections::HashMap::new();
+        for (rule, secs) in [30, 10, 20].into_iter().enumerate() {
+            let infield = shelf().not().seq(shelf()).within(Span::from_secs(secs));
+            let root = g.add_event(&infield).unwrap();
+            rules_at.insert(root, vec![crate::engine::RuleId(rule as u32)]);
+        }
+        let prior = CompiledPlan::default();
+        let plan =
+            CompiledPlan::lower(&g, &catalog, &rules_at, crate::plan::Share::Keeping(&prior));
+        let text = plan.describe();
+        assert!(
+            text.contains("family: neg-query node 2 serves 5 (10sec), 8 (20sec), 2 (30sec)"),
+            "{text}"
+        );
+        assert!(
+            text.contains("history: neg-record node 1 serves 1, 4, 7"),
+            "{text}"
         );
     }
 

@@ -41,7 +41,7 @@ pub struct HistSpecId(pub u32);
 
 /// The constructor a node implements. `WITHIN` never appears: it is folded
 /// into [`Node::within`] during propagation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Leaf: a primitive observation pattern.
     Primitive(PrimitivePattern),
@@ -101,7 +101,7 @@ pub enum DetectionMode {
 /// How the runtime drives a composite node. Every variant is a couple of
 /// bytes, so the engine copies plans out of nodes (`Copy`) instead of
 /// borrowing them across state mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Plan {
     /// Leaf node; the engine's dispatch index feeds it.
     Leaf,

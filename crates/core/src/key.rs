@@ -42,7 +42,7 @@ pub enum Attr {
 }
 
 /// A path from a node's instance down to one observation attribute.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Extract {
     /// The instance is a primitive observation; read the attribute directly.
     Obs(Attr),
@@ -399,6 +399,33 @@ impl Hasher for KeyHasher {
 /// A hash map keyed by [`Key`], probing with the precomputed hash instead of
 /// re-hashing (SipHash) on every lookup.
 pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
+
+/// Hasher for maps keyed by an engine sequence number: one [`mix64`] round,
+/// no per-process seed. `std`'s default `RandomState` would make such a
+/// map's growth pattern — and with it the engine's allocation counts —
+/// differ between two runs over the same stream.
+#[derive(Debug, Default, Clone)]
+pub struct SeqHasher(u64);
+
+impl Hasher for SeqHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("SeqHasher only accepts u64 sequence numbers");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix64(v);
+    }
+}
+
+/// A hash map keyed by an engine sequence number, with the fixed
+/// [`SeqHasher`].
+pub type SeqMap<V> = HashMap<u64, V, BuildHasherDefault<SeqHasher>>;
 
 /// The variables a node's instances can provide, with how to extract each.
 pub type Exports = BTreeMap<Var, Extract>;

@@ -23,14 +23,15 @@
 //! well-formed graph lowers, and the plan encodes exactly the walker's
 //! candidate and delivery order.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use rfid_epc::Epc;
-use rfid_events::{Catalog, ObjectSel, Observation, ReaderSel};
+use rfid_events::{Catalog, ObjectSel, Observation, ReaderSel, Span};
 
 use crate::engine::RuleId;
-use crate::graph::{EventGraph, NodeId, NodeKind, Plan};
+use crate::graph::{EventGraph, HistSpecId, NodeId, NodeKind, Plan};
+use crate::key::Extract;
 
 /// Dense per-node constructor tag: [`Plan`] lowered to one byte, with the
 /// `AndNegation` side folded in so tag dispatch never chases the node.
@@ -81,7 +82,7 @@ impl OpTag {
 }
 
 /// How an occurrence at a child node is delivered to one of its parents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeOp {
     /// Both child slots are this node (or the parent is an unmerged
     /// symmetric pair, ablation A1): run the self-join protocol once.
@@ -106,15 +107,13 @@ pub enum EdgeOp {
     },
     /// Fused in-field delivery, twin-leaf shape. Without subgraph merging
     /// (ablation A1), the two copies of `A` compile into twin leaves with
-    /// identical patterns — so every observation hits both, and dispatch
-    /// can deliver once: this edge (on the recorder twin) answers the query
-    /// parent's window probe and then records, while the query twin is
-    /// elided from the dispatch rows. Query-before-record is the walker's
-    /// order — the query twin is the later candidate, and the work stack is
-    /// LIFO, so it pops first. Only emitted when the twins are provably
-    /// interchangeable: identical patterns, an exclusive single-parent
-    /// chain (leaf→`NOT`→query), and a record key spec syntactically equal
-    /// to the query key spec.
+    /// identical patterns, which leaf coalescing folds into one dispatched
+    /// leaf whose edge list holds the adjacent pair `[Right→query,
+    /// Left→NOT]`; this edge collapses the pair into one bucket access that
+    /// answers the query parent's window probe and then records.
+    /// Query-before-record is the walker's order — the query twin is the
+    /// later candidate, and the work stack is LIFO, so it pops first. Same
+    /// key-spec condition as [`EdgeOp::RecordQuery`].
     QueryRecord {
         /// The `LeftNegationQuery` parent whose window probe is folded in.
         query: u32,
@@ -179,7 +178,7 @@ struct LeafCheck {
 /// inline in the struct and only past-capacity pushes touch the heap.
 /// Spills and the depth high-water mark are counted so the plan-shape
 /// stats can report whether `N` was sized right for the workload.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct InlineBuf<T, const N: usize> {
     slots: [Option<T>; N],
     inline: usize,
@@ -272,6 +271,46 @@ impl<T, const N: usize> InlineBuf<T, N> {
     }
 }
 
+/// One member of a window family: a rule root served by the family
+/// holder's state (DESIGN.md "Window families"). A family lists its members
+/// in ascending cut-off order, so the members an emission reaches are one
+/// `partition_point` away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Member {
+    /// How far back the member's own window reaches: its `WITHIN` for a
+    /// self-join, the start of its negated window (before the terminator's
+    /// end) for a negated-initiator query.
+    pub cutoff: Span,
+    /// The member's own node: where its emissions are delivered, so rules,
+    /// `occurrences` and the per-node firing counters stay per member.
+    pub node: NodeId,
+}
+
+/// Whether lowering coalesces interior state across nodes.
+#[derive(Debug, Clone, Copy)]
+pub enum Share<'a> {
+    /// Every node holds its own state: what the reference walker runs on.
+    None,
+    /// Coalesce recorders and window families. State never moves: a node
+    /// that was its own holder under the given earlier plan stays one, and
+    /// a member keeps its holder for as long as it stays admissible.
+    Keeping(&'a CompiledPlan),
+}
+
+/// What makes two rule roots the same modulo `WITHIN`: everything the
+/// arrival handler reads except the window.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct FamilyKey {
+    plan: Plan,
+    kind: NodeKind,
+    left: Vec<Extract>,
+    right: Vec<Extract>,
+    /// Children after coalescing: a leaf by its pattern group, a `NOT` by
+    /// its history holder.
+    children: [u32; 2],
+    hist_spec: Option<HistSpecId>,
+}
+
 /// Inline capacity of the leaf-dispatch hit queue: candidate leaves per
 /// reader are bounded by the rule program, not the stream, and the paper's
 /// rule sets stay well under this.
@@ -310,6 +349,16 @@ pub struct CompiledPlan {
     /// added to `occurrences` on every pop so the counter stays comparable
     /// across executors.
     extra_pops: Vec<u32>,
+    /// Per-node state holder: the node whose runtime state serves this one
+    /// — itself, unless it is a coalesced `NOT` recorder or a window-family
+    /// member, which use the first-registered node of their group.
+    holders: Vec<u32>,
+    /// Per-node range into `members`: the family a holder serves, itself
+    /// included, in ascending cut-off order. Empty for a node another
+    /// holder serves.
+    family_ranges: Vec<(u32, u32)>,
+    /// Family-member arena.
+    members: Vec<Member>,
 }
 
 impl CompiledPlan {
@@ -322,6 +371,7 @@ impl CompiledPlan {
         graph: &EventGraph,
         catalog: &Catalog,
         rules_at: &HashMap<NodeId, Vec<RuleId>>,
+        share: Share<'_>,
     ) -> Self {
         let n = graph.len();
         let mut plan = CompiledPlan {
@@ -332,26 +382,7 @@ impl CompiledPlan {
             extra_pops: vec![0; n],
             ..CompiledPlan::default()
         };
-        // In-field twin-leaf fusion: adjacent primitive pairs that are
-        // interchangeable recorder/query twins collapse to one dispatched
-        // leaf carrying a fused [`EdgeOp::QueryRecord`] edge; the query
-        // twin is elided from the dispatch rows. Adjacency in the primitive
-        // list means adjacency in every dispatch row (identical patterns
-        // land in the same bucket in registration order), so eliding the
-        // later twin cannot reorder work relative to any other leaf.
-        let prims = graph.primitives();
-        let mut fused: HashMap<u32, Edge> = HashMap::new();
         let mut elided: Vec<bool> = vec![false; n];
-        for w in 0..prims.len().saturating_sub(1) {
-            let (lr, lq) = (prims[w], prims[w + 1]);
-            if elided[lr.idx()] {
-                continue;
-            }
-            if let Some(edge) = fusable_leaf_pair(graph, rules_at, lr, lq) {
-                fused.insert(lr.0, edge);
-                elided[lq.idx()] = true;
-            }
-        }
         // Leaf coalescing: leaves with *identical* primitive patterns that
         // stayed distinct graph nodes (hash-consing keys on the node's
         // temporal annotations, so e.g. Rule 1's 5 s shelf leaf and Rule
@@ -364,16 +395,19 @@ impl CompiledPlan {
         // other members are elided from the rows; each pop of the
         // representative counts their elided pops via `extra_pops`.
         let mut groups: HashMap<&rfid_events::PrimitivePattern, Vec<NodeId>> = HashMap::new();
-        for &leaf in prims {
-            if elided[leaf.idx()] {
-                continue;
-            }
+        for &leaf in graph.primitives() {
             if let NodeKind::Primitive(p) = &graph.node(leaf).kind {
                 groups.entry(p).or_default().push(leaf);
             }
         }
+        // Per leaf, the first-registered leaf of its pattern group: the
+        // name a leaf child goes by "after coalescing".
+        let mut leaf_group: Vec<u32> = vec![u32::MAX; n];
         let mut coalesced: HashMap<u32, Vec<NodeId>> = HashMap::new();
         for members in groups.into_values() {
+            for &m in &members {
+                leaf_group[m.idx()] = members[0].0;
+            }
             if members.len() < 2 {
                 continue;
             }
@@ -384,6 +418,8 @@ impl CompiledPlan {
             }
             coalesced.insert(rep.0, members);
         }
+        plan.assign_holders(graph, rules_at, &leaf_group, share);
+        let mut seen: HashSet<(EdgeOp, u32)> = HashSet::new();
         for idx in 0..n {
             let id = NodeId(idx as u32);
             let node = graph.node(id);
@@ -419,31 +455,41 @@ impl CompiledPlan {
 
             // Mirrors `run_work`'s parent loop exactly: one delivery per
             // parent, with the side (or self-join) decided at compile time
-            // instead of by re-reading the parent's child list. A fused
-            // recorder twin replaces its single `Left` delivery with the
-            // combined query-and-record edge; a coalesced representative
-            // walks every member's deliveries in reverse registration
-            // order. Over the combined list, adjacent `Left→NOT,
-            // Right→query` pairs collapse into the record-and-query edge
-            // (the fused op runs where the pair sat, so work order is
-            // exactly the walker's).
-            let edge_start = plan.edges.len() as u32;
+            // instead of by re-reading the parent's child list. A
+            // coalesced representative walks every member's deliveries in
+            // reverse registration order.
             let mut raw: Vec<Edge> = Vec::new();
             if let Some(members) = coalesced.get(&(idx as u32)) {
                 for &m in members.iter().rev() {
-                    raw_edges(graph, &fused, m, &mut raw);
+                    raw_edges(graph, m, &mut raw);
                 }
             } else if !elided[idx] {
-                // Elided leaves (fused query twins, coalesced members) are
-                // never dispatched, so their rows would be dead weight in
-                // the edge arena — their deliveries already ride the
-                // surviving leaf's list.
-                raw_edges(graph, &fused, id, &mut raw);
+                // Elided leaves (coalesced members) are never dispatched,
+                // so their rows would be dead weight in the edge arena —
+                // their deliveries already ride the representative's list.
+                raw_edges(graph, id, &mut raw);
             }
+            // Deliveries go to the state holder, once: the members of a
+            // recorder group or a window family all received this very
+            // instance, and the holder's single probe answers for them.
+            // The first occurrence keeps its place; nothing downstream can
+            // tell, because a shared history is order-insensitive to its
+            // same-instant record (see `shareable_recorder`) and a family
+            // member's emission only fires rules.
+            seen.clear();
+            raw.retain_mut(|e| {
+                e.parent = plan.holders[e.parent as usize];
+                seen.insert((e.op, e.parent))
+            });
+            // Over the combined list, an adjacent `NOT` record and window
+            // query of the same history collapse into one fused edge (the
+            // fused op runs where the pair sat, in the pair's order, so
+            // work order is exactly the walker's).
+            let edge_start = plan.edges.len() as u32;
             let mut i = 0;
             while i < raw.len() {
                 if i + 1 < raw.len() {
-                    if let Some(pair) = fuse_record_query(graph, raw[i], raw[i + 1]) {
+                    if let Some(pair) = plan.fuse_record_query(graph, raw[i], raw[i + 1]) {
                         plan.edges.push(pair);
                         i += 2;
                         continue;
@@ -458,12 +504,191 @@ impl CompiledPlan {
         plan
     }
 
+    /// Decides where every node's state lives and lists each holder's
+    /// family. Two groupings, both exact under chronicle consumption
+    /// (proofs in DESIGN.md "Window families"):
+    ///
+    /// * **Recorders.** `NOT` nodes fed by leaves of one pattern group
+    ///   record the same `(key, time)` pairs, so they keep one history, on
+    ///   the first-registered of them. A member's spec list must be a
+    ///   prefix of the holder's, so spec indices mean the same thing on
+    ///   both.
+    /// * **Window families.** Rule roots equal in everything but `WITHIN`
+    ///   ([`FamilyKey`]) are served by the first-registered of them.
+    ///
+    /// The first-registered node never changes as rules are added, so a
+    /// recompile on a running engine finds the state where it left it.
+    /// The one move is a node that stopped fitting its holder (a root
+    /// gained a parent, a `NOT` a new spec): it is regrouped, and if that
+    /// leaves it holding state of its own the engine seeds it with a copy
+    /// of the state it shared.
+    fn assign_holders(
+        &mut self,
+        graph: &EventGraph,
+        rules_at: &HashMap<NodeId, Vec<RuleId>>,
+        leaf_group: &[u32],
+        share: Share<'_>,
+    ) {
+        let n = graph.len();
+        self.holders = (0..n as u32).collect();
+        if let Share::Keeping(prior) = share {
+            // Node ids are topological, so a root's `NOT` child is settled
+            // before the root asks for its holder, and a holder (lowest id
+            // of its group) before any of its members.
+            let mut recorders: HashMap<u32, u32> = HashMap::new();
+            let mut roots: HashMap<FamilyKey, u32> = HashMap::new();
+            for node in graph.nodes() {
+                let (id, idx) = (node.id.0, node.id.idx());
+                // Candidates, in order: the holder under the earlier plan,
+                // then the group's current one. A node that held its own
+                // state stays its own holder.
+                let kept = prior.holders.get(idx).copied();
+                let pick = |holders: &[u32], group: Option<u32>, fits: &dyn Fn(u32) -> bool| {
+                    if kept == Some(id) {
+                        return None;
+                    }
+                    let mut candidates = [kept, group].into_iter().flatten();
+                    candidates.find(|&h| h != id && holders[h as usize] == h && fits(h))
+                };
+                if let Some(group) = shareable_recorder(graph, leaf_group, node.id) {
+                    let specs = graph.hist_specs(node.id);
+                    let fits = |h: u32| {
+                        shareable_recorder(graph, leaf_group, NodeId(h)) == Some(group)
+                            && graph.hist_specs(NodeId(h)).starts_with(specs)
+                    };
+                    match pick(&self.holders, recorders.get(&group).copied(), &fits) {
+                        Some(holder) => self.holders[idx] = holder,
+                        None => _ = recorders.entry(group).or_insert(id),
+                    }
+                } else if let Some(key) = self.family_key(graph, rules_at, leaf_group, node.id) {
+                    let fits = |h: u32| {
+                        let theirs = self.family_key(graph, rules_at, leaf_group, NodeId(h));
+                        theirs.as_ref() == Some(&key)
+                    };
+                    match pick(&self.holders, roots.get(&key).copied(), &fits) {
+                        Some(holder) => self.holders[idx] = holder,
+                        None => _ = roots.entry(key).or_insert(id),
+                    }
+                }
+            }
+        }
+        let mut families: Vec<Vec<Member>> = vec![Vec::new(); n];
+        for node in graph.nodes() {
+            let holder = self.holders[node.id.idx()] as usize;
+            // A coalesced recorder is served by its holder but emits
+            // nothing, so it is no family member.
+            if holder == node.id.idx() || node.plan != Plan::NegationRecorder {
+                families[holder].push(Member {
+                    cutoff: match (node.plan, &node.kind) {
+                        (Plan::LeftNegationQuery, NodeKind::TSeq { max_dist, .. }) => *max_dist,
+                        _ => node.within,
+                    },
+                    node: node.id,
+                });
+            }
+        }
+        for mut family in families {
+            family.sort_by_key(|m| m.cutoff);
+            let start = self.members.len() as u32;
+            self.members.extend(family);
+            self.family_ranges.push((start, self.members.len() as u32));
+        }
+    }
+
+    /// The family key of a rule root, or `None` for a node no family can
+    /// hold. Admissible shapes (DESIGN.md "Window families"):
+    ///
+    /// * the keyed or keyless `SEQ`/`AND` self-join over one leaf pattern
+    ///   group with a finite window — the partner of every arrival is the
+    ///   previous same-key arrival, whatever the window;
+    /// * the negated-initiator query (`SEQ`/`TSEQ` over `NOT`) with a leaf
+    ///   terminator — it only reads an append-only history.
+    ///
+    /// Only a root that fires rules and feeds no parent qualifies: its
+    /// emissions then only fire rules, so the order members are served in
+    /// cannot reach any other node's state.
+    fn family_key(
+        &self,
+        graph: &EventGraph,
+        rules_at: &HashMap<NodeId, Vec<RuleId>>,
+        leaf_group: &[u32],
+        id: NodeId,
+    ) -> Option<FamilyKey> {
+        let node = graph.node(id);
+        if !node.parents.is_empty() || rules_at.get(&id).is_none_or(Vec::is_empty) {
+            return None;
+        }
+        let &[a, b] = &node.children[..] else {
+            return None;
+        };
+        let children = match node.plan {
+            Plan::TwoSided => {
+                let same_leaf = leaf_group[a.idx()] != u32::MAX
+                    && leaf_group[a.idx()] == leaf_group[b.idx()]
+                    && (a == b || node.symmetric);
+                let monotone = matches!(node.kind, NodeKind::Seq | NodeKind::And);
+                if !same_leaf || !monotone || node.within == Span::MAX {
+                    return None;
+                }
+                [leaf_group[a.idx()]; 2]
+            }
+            Plan::LeftNegationQuery if leaf_group[b.idx()] != u32::MAX => {
+                [self.holders[a.idx()], leaf_group[b.idx()]]
+            }
+            _ => return None,
+        };
+        Some(FamilyKey {
+            plan: node.plan,
+            kind: node.kind.clone(),
+            left: node.join.left.clone(),
+            right: node.join.right.clone(),
+            children,
+            hist_spec: node.hist_spec,
+        })
+    }
+
+    /// Recognises an adjacent record/query pair on one history: one edge
+    /// delivers the child into a `NOT` node's history, the other delivers
+    /// the same instance to a [`Plan::LeftNegationQuery`] parent querying
+    /// *that* history under a key spec syntactically equal to the record
+    /// spec. The fused op then serves both from one bucket probe, in the
+    /// pair's order; any mismatch falls back to the two unfused deliveries.
+    fn fuse_record_query(&self, graph: &EventGraph, first: Edge, second: Edge) -> Option<Edge> {
+        let (rec, qry) = match (first.op, second.op) {
+            (EdgeOp::Left, EdgeOp::Right) => (first, second),
+            (EdgeOp::Right, EdgeOp::Left) => (second, first),
+            _ => return None,
+        };
+        let not_node = graph.node(rec.parent());
+        let query_node = graph.node(qry.parent());
+        if !matches!(not_node.plan, Plan::NegationRecorder)
+            || !matches!(query_node.plan, Plan::LeftNegationQuery)
+            || self.holders[query_node.children[0].idx()] != rec.parent
+        {
+            return None;
+        }
+        let spec = graph
+            .hist_specs(not_node.id)
+            .get(query_node.hist_spec?.0 as usize)?;
+        if spec.extracts != query_node.join.right {
+            return None;
+        }
+        Some(Edge {
+            parent: rec.parent,
+            op: if first.op == EdgeOp::Left {
+                EdgeOp::RecordQuery { query: qry.parent }
+            } else {
+                EdgeOp::QueryRecord { query: qry.parent }
+            },
+        })
+    }
+
     /// Builds the per-reader dispatch rows: the walker's `by_reader` /
     /// `by_group` buckets flattened so `reader_rows[r]` directly indexes
     /// the candidates of reader `r` — named leaves first, then the leaves
     /// of `r`'s group, each in primitive registration order. Leaves marked
-    /// `elided` (query twins served by a fused [`EdgeOp::QueryRecord`]
-    /// edge) keep their dispatchability flag but are left out of the rows.
+    /// `elided` (coalesced onto their group's representative) keep their
+    /// dispatchability flag but are left out of the rows.
     fn lower_dispatch(&mut self, graph: &EventGraph, catalog: &Catalog, elided: &[bool]) {
         let mut by_reader: HashMap<u32, Vec<LeafCheck>> = HashMap::new();
         let mut by_group: HashMap<Arc<str>, Vec<LeafCheck>> = HashMap::new();
@@ -625,7 +850,9 @@ impl CompiledPlan {
             + self.edges.len() * size_of::<Edge>()
             + self.rules.len() * size_of::<RuleId>()
             + (self.leaf_checks.len() + self.any_leaves.len()) * size_of::<LeafCheck>()
-            + self.extra_pops.len() * size_of::<u32>()
+            + (self.extra_pops.len() + self.holders.len()) * size_of::<u32>()
+            + self.family_ranges.len() * size_of::<(u32, u32)>()
+            + self.members.len() * size_of::<Member>()
     }
 
     /// Walker work-queue pops this node absorbs beyond its own pop — zero
@@ -633,6 +860,49 @@ impl CompiledPlan {
     #[inline]
     pub fn extra_pops(&self, node: NodeId) -> u32 {
         self.extra_pops[node.idx()]
+    }
+
+    /// The node whose runtime state serves `node`: itself, or the
+    /// first-registered node of its recorder group or window family.
+    #[inline]
+    pub fn holder(&self, node: NodeId) -> NodeId {
+        NodeId(self.holders[node.idx()])
+    }
+
+    /// The family `node` holds, itself included, in ascending cut-off
+    /// order — one member unless rule roots were coalesced onto it, empty
+    /// if another holder serves `node`. The last member's cut-off is the
+    /// window the holder's one probe runs at.
+    #[inline]
+    pub fn family(&self, node: NodeId) -> &[Member] {
+        let (start, end) = self.family_ranges[node.idx()];
+        &self.members[start as usize..end as usize]
+    }
+
+    /// Every window family of two or more members, by holder.
+    pub fn families(&self) -> impl Iterator<Item = (NodeId, &[Member])> {
+        (0..self.family_ranges.len() as u32)
+            .map(|i| (NodeId(i), self.family(NodeId(i))))
+            .filter(|(_, family)| family.len() > 1)
+    }
+
+    /// Every shared `NOT` history: the holder and the recorders it serves
+    /// (itself first), for groups of two or more.
+    pub fn shared_histories(&self) -> Vec<(NodeId, Vec<NodeId>)> {
+        let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+        let mut slot_of: HashMap<u32, usize> = HashMap::new();
+        for (i, &h) in self.holders.iter().enumerate() {
+            if self.tags[i] != OpTag::NegationRecorder {
+                continue;
+            }
+            let slot = *slot_of.entry(h).or_insert_with(|| {
+                groups.push((NodeId(h), Vec::new()));
+                groups.len() - 1
+            });
+            groups[slot].1.push(NodeId(i as u32));
+        }
+        groups.retain(|(_, served)| served.len() > 1);
+        groups
     }
 
     /// Whether a leaf lands in at least one dispatch row — the shared view
@@ -646,13 +916,8 @@ impl CompiledPlan {
 
 /// Collects `node`'s parent-activation edges in the walker's delivery
 /// order: one edge per parent, the side (or self-join) decided here at
-/// compile time. A recorder twin already fused by the twin-leaf pre-pass
-/// contributes its single combined edge instead of its `Left` delivery.
-fn raw_edges(graph: &EventGraph, fused: &HashMap<u32, Edge>, id: NodeId, out: &mut Vec<Edge>) {
-    if let Some(&edge) = fused.get(&id.0) {
-        out.push(edge);
-        return;
-    }
+/// compile time.
+fn raw_edges(graph: &EventGraph, id: NodeId, out: &mut Vec<Edge>) {
     let node = graph.node(id);
     for &p in &node.parents {
         let pnode = graph.node(p);
@@ -678,85 +943,28 @@ fn raw_edges(graph: &EventGraph, fused: &HashMap<u32, Edge>, id: NodeId, out: &m
     }
 }
 
-/// Recognises the fusable `recorder → query` edge pair of a merged leaf:
-/// `rec` delivers the child into a `NOT` node's history, `qry` immediately
-/// delivers the same instance to a [`Plan::LeftNegationQuery`] parent
-/// querying *that* history under a key spec syntactically equal to the
-/// record spec. The fused op then serves both from one bucket probe; any
-/// mismatch falls back to the two unfused deliveries.
-fn fuse_record_query(graph: &EventGraph, rec: Edge, qry: Edge) -> Option<Edge> {
-    if rec.op != EdgeOp::Left || qry.op != EdgeOp::Right {
+/// The leaf pattern group feeding a `NOT` node whose history may be shared
+/// with the other `NOT` nodes over that group, or `None`.
+///
+/// Sharing moves a recorder's same-instant record to wherever the group's
+/// first delivery sits, so every reader of the history must be blind to
+/// that: a `SEQ` negated-initiator query ends strictly before the
+/// terminator, a `TSEQ` one `min_dist` before it, a right-negation wait
+/// starts after its initiator, and an `AND` wait that misses the record on
+/// arrival meets it when the window closes. That leaves the `TSEQ` query
+/// with `min_dist = 0`, whose closed window ends *at* the terminator.
+fn shareable_recorder(graph: &EventGraph, leaf_group: &[u32], id: NodeId) -> Option<u32> {
+    let node = graph.node(id);
+    if node.plan != Plan::NegationRecorder {
         return None;
     }
-    let not_node = graph.node(rec.parent());
-    let query_node = graph.node(qry.parent());
-    if !matches!(not_node.plan, Plan::NegationRecorder)
-        || !matches!(query_node.plan, Plan::LeftNegationQuery)
-        || query_node.children[0] != not_node.id
-    {
-        return None;
-    }
-    let spec = graph
-        .hist_specs(not_node.id)
-        .get(query_node.hist_spec?.0 as usize)?;
-    if spec.extracts != query_node.join.right {
-        return None;
-    }
-    Some(Edge {
-        parent: rec.parent,
-        op: EdgeOp::RecordQuery { query: qry.parent },
-    })
-}
-
-/// Recognises interchangeable in-field twin leaves: `lr` is the recorder
-/// twin (sole child of a `NOT` node `N`), `lq` the query twin (terminator
-/// of a [`Plan::LeftNegationQuery`] node `P` with `children == [N, lq]`),
-/// both with identical primitive patterns — so every observation that hits
-/// one hits the other, with the same extracted bindings. Fusing is
-/// order-sound only when nothing else can observe `N`'s history between
-/// the query and the record, hence the exclusivity conditions: `N` is
-/// `P`'s private recorder (`N.parents == [P]`), neither leaf fires rules
-/// of its own, and the record key spec equals the query key spec so both
-/// probes provably hit the same history entry.
-fn fusable_leaf_pair(
-    graph: &EventGraph,
-    rules_at: &HashMap<NodeId, Vec<RuleId>>,
-    lr: NodeId,
-    lq: NodeId,
-) -> Option<Edge> {
-    let (lr_node, lq_node) = (graph.node(lr), graph.node(lq));
-    let (NodeKind::Primitive(pr), NodeKind::Primitive(pq)) = (&lr_node.kind, &lq_node.kind) else {
-        return None;
-    };
-    if pr != pq {
-        return None;
-    }
-    let no_rules = |id: &NodeId| rules_at.get(id).is_none_or(Vec::is_empty);
-    if !no_rules(&lr) || !no_rules(&lq) {
-        return None;
-    }
-    let &[n] = &lr_node.parents[..] else {
-        return None;
-    };
-    let &[p] = &lq_node.parents[..] else {
-        return None;
-    };
-    let (n_node, p_node) = (graph.node(n), graph.node(p));
-    if !matches!(n_node.plan, Plan::NegationRecorder)
-        || !matches!(p_node.plan, Plan::LeftNegationQuery)
-        || n_node.parents != [p]
-        || p_node.children != [n, lq]
-    {
-        return None;
-    }
-    let spec = graph.hist_specs(n).get(p_node.hist_spec?.0 as usize)?;
-    if spec.extracts != p_node.join.right {
-        return None;
-    }
-    Some(Edge {
-        parent: n.0,
-        op: EdgeOp::QueryRecord { query: p.0 },
-    })
+    let group = leaf_group[node.children[0].idx()];
+    let blind = node.parents.iter().all(|&p| {
+        let parent = graph.node(p);
+        !(parent.plan == Plan::LeftNegationQuery
+            && matches!(parent.kind, NodeKind::TSeq { min_dist, .. } if min_dist == Span::ZERO))
+    });
+    (group != u32::MAX && blind).then_some(group)
 }
 
 #[cfg(test)]
@@ -788,7 +996,7 @@ mod tests {
         let catalog = shelf_catalog();
         let mut graph = EventGraph::new();
         let root = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new());
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), Share::None);
 
         let &[leaf] = graph.primitives() else {
             panic!("merging folds the twin copies into one leaf");
@@ -804,22 +1012,23 @@ mod tests {
     }
 
     /// Without subgraph merging (ablation A1), the same shape compiles `A`
-    /// into twin leaves. Lowering must fuse them the other way round: the
-    /// recorder twin carries one `QueryRecord` edge and the query twin is
-    /// elided from dispatch, so each shelf observation still costs one
-    /// work item and one bucket probe.
+    /// into twin leaves with one pattern. Coalescing folds them onto the
+    /// later twin, whose edge list is the adjacent `Right→query, Left→NOT`
+    /// pair; lowering must fuse it the other way round, into one
+    /// `QueryRecord` edge, so each shelf observation still costs one work
+    /// item and one bucket probe.
     #[test]
     fn infield_shape_lowers_to_fused_query_record() {
         let catalog = shelf_catalog();
         let mut graph = EventGraph::without_merging();
         let root = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new());
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), Share::None);
 
         let &[recorder_twin, query_twin] = graph.primitives() else {
             panic!("in-field shape compiles exactly two primitive leaves");
         };
-        let edges = plan.edges_at(recorder_twin);
-        assert_eq!(edges.len(), 1, "recorder + query fused into one edge");
+        let edges = plan.edges_at(query_twin);
+        assert_eq!(edges.len(), 1, "query + recorder fused into one edge");
         let EdgeOp::QueryRecord { query } = edges[0].op() else {
             panic!("expected a fused QueryRecord edge, got {:?}", edges[0].op());
         };
@@ -829,11 +1038,13 @@ mod tests {
         assert_eq!(
             plan.dispatch_width(),
             1,
-            "the query twin is elided from the dispatch rows"
+            "the recorder twin is elided from the dispatch rows"
         );
+        assert_eq!(plan.extra_pops(query_twin), 1, "rep absorbs the twin's pop");
+        assert!(plan.edges_at(recorder_twin).is_empty());
         assert!(
-            plan.leaf_is_dispatchable(query_twin),
-            "elision must not mark the query twin as a dead leaf (W003)"
+            plan.leaf_is_dispatchable(recorder_twin),
+            "elision must not mark the recorder twin as a dead leaf (W003)"
         );
     }
 
@@ -858,7 +1069,7 @@ mod tests {
             )
             .expect("dup rule compiles");
         let infield = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new());
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), Share::None);
 
         let &[dup_leaf, infield_leaf] = graph.primitives() else {
             panic!("different windows keep the two shelf leaves distinct");

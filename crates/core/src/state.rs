@@ -7,12 +7,12 @@
 //! pseudo-event-resolved negations. Everything here is passive — the engine
 //! drives it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rfid_events::{Instance, Span, Timestamp};
 
-use crate::key::{Key, KeyMap};
+use crate::key::{Key, KeyMap, SeqMap};
 use crate::plan::InlineBuf;
 
 /// A buffered instance with its admission sequence number (FIFO tie-break
@@ -33,7 +33,7 @@ const INLINE_ENTRIES: usize = 2;
 /// FIFO with an inline fast path: queues up to [`INLINE_ENTRIES`] long live
 /// directly in the key map's entry (no second pointer chase per probe);
 /// longer queues are promoted to a heap deque and stay there.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum MicroDeque<T> {
     /// `buf[..len]` holds the queue, oldest first.
     Inline {
@@ -169,7 +169,7 @@ impl<'a, T> Iterator for MicroIter<'a, T> {
 /// The paper's chronicle context pairs "the oldest initiator with the oldest
 /// terminator"; partitioning by key keeps that property *per correlated
 /// group* while making lookup O(1) in the number of keys.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct KeyedBuffer {
     /// Key → slot id. The only place a [`Key`] is stored (once per live
     /// key); everything hot references slots by compact id.
@@ -197,7 +197,7 @@ pub struct KeyedBuffer {
 /// `None` marks a free slot (guards against double-free when stale expiry
 /// records name it) and `Some` holds the key needed to unlink the index
 /// when the queue drains.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Slot {
     key: Option<Key>,
     q: MicroDeque<Entry>,
@@ -411,7 +411,7 @@ const INLINE_TIMES: usize = 5;
 /// [`INLINE_TIMES`] records live directly in the map entry; only wider
 /// histories are promoted to a heap deque (and stay there — demotion would
 /// churn on the boundary).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Times {
     /// `buf[..len]` ascending.
     Inline {
@@ -489,6 +489,22 @@ impl Times {
         }
     }
 
+    /// The latest stored end-time `<= to` (`< to` when `exclusive`).
+    fn last_before(&self, to: Timestamp, exclusive: bool) -> Option<Timestamp> {
+        let within = |t: Timestamp| if exclusive { t < to } else { t <= to };
+        match self {
+            Times::Inline { len, buf } => buf[..usize::from(*len)]
+                .iter()
+                .rev()
+                .copied()
+                .find(|&t| within(t)),
+            Times::Heap(q) => {
+                let end = q.partition_point(|&t| within(t));
+                end.checked_sub(1).and_then(|i| q.get(i).copied())
+            }
+        }
+    }
+
     /// The earliest stored end-time `>= from`.
     fn first_at_or_after(&self, from: Timestamp) -> Option<Timestamp> {
         match self {
@@ -515,7 +531,7 @@ fn insert_sorted(q: &mut VecDeque<Timestamp>, t: Timestamp) {
 }
 
 /// Occurrence history for one correlation key of a negation node.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct KeyHist {
     /// First occurrence ever (survives pruning — answers unbounded
     /// "never occurred before t" queries).
@@ -562,7 +578,7 @@ impl KeyHist {
 /// One spec's keyed histories, slot-arena form: the [`Key`] is stored once
 /// per live key (in `index` plus the slot's occupancy field) and the expiry
 /// log names slots by compact id — no per-record key clones.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct HistTable {
     index: KeyMap<u32>,
     slots: Vec<HistSlot>,
@@ -574,7 +590,7 @@ struct HistTable {
 }
 
 /// A key's history slot; `key` is `None` while the slot is free.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct HistSlot {
     key: Option<Key>,
     hist: KeyHist,
@@ -602,7 +618,7 @@ impl HistTable {
 
 /// State of a `NOT` node: one keyed history per registered
 /// [`crate::graph::HistSpec`].
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct NegationState {
     tables: Vec<HistTable>,
     /// Earliest occurrence among fully dropped keys (evidence that the
@@ -634,36 +650,56 @@ impl NegationState {
         tb.slots[slot as usize].hist.insert(t);
     }
 
-    /// Answers a window query and records an occurrence ending at `t`
-    /// against the same history entry, in one bucket probe — the fused
-    /// in-field deliveries ([`crate::plan::EdgeOp::RecordQuery`] with
+    /// Finds the latest occurrence at or before `to` (strictly before when
+    /// `exclusive_end`) and records an occurrence ending at `t` against
+    /// the same history entry, in one bucket probe — the fused in-field
+    /// deliveries ([`crate::plan::EdgeOp::RecordQuery`] with
     /// `record_first`, [`crate::plan::EdgeOp::QueryRecord`] without).
     /// Equivalent to [`NegationState::record`] and
-    /// [`NegationState::occurred`] under the same key, in the order the
-    /// flag selects — each fused shape preserves its walker order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fused_probe(
+    /// [`NegationState::last_occurrence`] under the same key, in the order
+    /// the flag selects — each fused shape preserves its walker order.
+    pub fn fused_last(
         &mut self,
         spec: usize,
         key: Key,
         t: Timestamp,
-        from: Timestamp,
         to: Timestamp,
         exclusive_end: bool,
         record_first: bool,
-    ) -> bool {
+    ) -> Option<Timestamp> {
         let tb = &mut self.tables[spec];
         let slot = tb.slot_of(key);
         tb.log.push_back((t, slot));
         let hist = &mut tb.slots[slot as usize].hist;
         if record_first {
             hist.insert(t);
-            hist.any_in(from, to, exclusive_end)
+            hist.times.last_before(to, exclusive_end)
         } else {
-            let occurred = hist.any_in(from, to, exclusive_end);
+            let last = hist.times.last_before(to, exclusive_end);
             hist.insert(t);
-            occurred
+            last
         }
+    }
+
+    /// The latest retained occurrence under `key` at or before `to`
+    /// (strictly before when `exclusive_end`). One answer serves every
+    /// window that ends at `to`: a window reaching back to `from` holds an
+    /// occurrence exactly when this is `Some(t)` with `t >= from`. A key
+    /// the sweep dropped held nothing within the node's retention, which
+    /// covers every attached window, so `None` is exact for it too.
+    pub fn last_occurrence(
+        &self,
+        spec: usize,
+        key: &Key,
+        to: Timestamp,
+        exclusive_end: bool,
+    ) -> Option<Timestamp> {
+        let tb = self.tables.get(spec)?;
+        let slot = *tb.index.get(key)?;
+        tb.slots[slot as usize]
+            .hist
+            .times
+            .last_before(to, exclusive_end)
     }
 
     /// Whether any occurrence under `key` falls in `[from, to]`
@@ -797,7 +833,7 @@ impl NegationState {
 }
 
 /// State of a `SEQ+` node: the element history parents query.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct AperiodicState {
     /// (end-time, instance), ascending by end-time.
     hist: VecDeque<(Timestamp, Arc<Instance>)>,
@@ -868,7 +904,7 @@ pub const RUN_INLINE: usize = 12;
 /// pushed back at the recorded position — the exact `(exec, seq)` the
 /// per-arrival scheme would have used, so ordering is unchanged while the
 /// queue holds one entry per run instead of one per element.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct TimedRunState {
     /// Elements of the current open run, in arrival order.
     pub open: InlineBuf<Arc<Instance>, RUN_INLINE>,
@@ -886,7 +922,7 @@ pub struct TimedRunState {
 }
 
 /// A push-side instance waiting for a negation window to close.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WaitEntry {
     /// The waiting instance.
     pub inst: Arc<Instance>,
@@ -899,14 +935,14 @@ pub struct WaitEntry {
 }
 
 /// State of a node whose plan waits on negation windows.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct WaitState {
     /// Waiting entries by anchor (the admission sequence number).
-    pub waiting: HashMap<u64, WaitEntry>,
+    pub waiting: SeqMap<WaitEntry>,
 }
 
 /// The full runtime state of one node.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub enum NodeState {
     /// Leaves, `OR` forwarding, and pure query plans hold no state.
     #[default]

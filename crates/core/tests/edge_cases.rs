@@ -272,6 +272,124 @@ fn rule_enable_disable() {
     assert_eq!(fired.len(), 2);
 }
 
+/// The three window-family shapes over one object key, `ms` wide.
+fn family_shape(idx: usize, ms: u64) -> EventExpr {
+    let r1 = || at("r1").bind_object("o");
+    let window = Span::from_millis(ms);
+    match idx {
+        0 => r1().seq(r1()).within(window),
+        1 => r1().not().seq(r1()).within(window),
+        _ => r1().and(at("r2").bind_object("o").not()).within(window),
+    }
+}
+
+/// A keyed stream with repeats, bursts at one instant, and gaps on both
+/// sides of every window used below.
+fn family_stream(len: usize) -> Vec<Observation> {
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % bound
+    };
+    let mut ms = 0;
+    (0..len)
+        .map(|_| {
+            ms += [0, 0, 250, 500, 1_000, 2_500, 7_000][next(7) as usize];
+            obs(1 + next(2) as u32, next(3), ms)
+        })
+        .collect()
+}
+
+/// Rules added to (or disabled on) a running engine may widen, narrow or
+/// silence a window family, and may take a member out of it. None of that
+/// may change what the rules that were already there fire: the family's
+/// state stays at its first-registered member, the cut-offs and retention
+/// are recomputed, and a member that leaves carries on from a copy.
+#[test]
+fn family_changes_mid_stream_leave_existing_members_alone() {
+    let seed_rules = [
+        (0, 2_000),
+        (0, 5_000),
+        (1, 3_000),
+        (1, 6_000),
+        (2, 2_000),
+        (2, 4_000),
+    ];
+    let build = || {
+        let mut engine = Engine::new(catalog(2), EngineConfig::default());
+        for (pos, &(idx, ms)) in seed_rules.iter().enumerate() {
+            engine
+                .add_rule(&format!("seed{pos}"), family_shape(idx, ms))
+                .unwrap();
+        }
+        engine
+    };
+    let stream = family_stream(2_000);
+    let (head, tail) = stream.split_at(1_000);
+    let seeds = seed_rules.len() as u32;
+    let run = |engine: &mut Engine, part: &[Observation], out: &mut Vec<_>| {
+        engine.process_batch(part, &mut |r: RuleId, i: &Instance| {
+            if r.0 < seeds {
+                out.push((r.0, i.t_begin(), i.t_end(), i.observations()));
+            }
+        });
+    };
+
+    let mut untouched = build();
+    let mut expected = Vec::new();
+    run(&mut untouched, head, &mut expected);
+    run(&mut untouched, tail, &mut expected);
+    untouched.finish(&mut |r, i| expected.push((r.0, i.t_begin(), i.t_end(), i.observations())));
+    assert!(expected.len() > 500, "the stream exercises every seed rule");
+
+    let mut changed = build();
+    let mut got = Vec::new();
+    run(&mut changed, head, &mut got);
+    let root = |engine: &Engine, rule: u32| engine.rule_root(RuleId(rule));
+    let (dup2, dup5) = (root(&changed, 0), root(&changed, 1));
+    let (infield3, infield6) = (root(&changed, 2), root(&changed, 3));
+    assert_eq!(changed.compiled_plan().holder(dup5), dup2);
+    assert_eq!(changed.compiled_plan().holder(infield6), infield3);
+    // Wider and narrower members for every shape.
+    for (idx, ms) in [(0, 9_000), (0, 1_000), (1, 12_000), (1, 500), (2, 8_000)] {
+        changed.add_rule("late", family_shape(idx, ms)).unwrap();
+    }
+    // Two roots gain a parent: they hash-cons into these rules' initiators,
+    // stop being rule roots only, and leave their families. The 2 s
+    // duplicate root is its family's holder, so the family regroups under
+    // the 5 s one; the 6 s in-field root is a member and just leaves.
+    for (idx, ms) in [(0, 2_000), (1, 6_000)] {
+        let nested = family_shape(idx, ms).seq(at("r2").bind_object("p"));
+        changed.add_rule("nested", nested).unwrap();
+    }
+    // A late member disabled right away must stay silent and harmless.
+    let silenced = changed
+        .add_rule("silenced", family_shape(0, 20_000))
+        .unwrap();
+    changed.set_rule_enabled(silenced, false);
+    run(&mut changed, tail, &mut got);
+    let plan = changed.compiled_plan();
+    assert_eq!(plan.holder(dup2), dup2, "the old holder keeps its state");
+    assert_eq!(plan.family(dup2).len(), 1);
+    assert_eq!(plan.family(dup5).len(), 4, "5 s, 9 s, 1 s and the silenced");
+    assert_eq!(plan.holder(infield6), infield6, "left");
+    assert_eq!(plan.family(infield3).len(), 3, "3 s, 12 s, 0.5 s");
+    changed.finish(&mut |r, i| {
+        if r.0 < seeds {
+            got.push((r.0, i.t_begin(), i.t_end(), i.observations()));
+        }
+    });
+
+    assert_eq!(changed.firings_per_rule()[silenced.0 as usize], 0);
+    let late_fired: u64 = changed.firings_per_rule()[seeds as usize..].iter().sum();
+    assert!(late_fired > 0, "the added members detect too");
+    expected.sort();
+    got.sort();
+    assert_eq!(got, expected);
+}
+
 /// `reset()` restores a fresh engine without recompiling rules.
 #[test]
 fn reset_clears_state_keeps_rules() {

@@ -359,3 +359,49 @@ fn off_level_keeps_exports_cheap_but_stats_live() {
         "no telemetry when workers run with observe off"
     );
 }
+
+/// A window family's telemetry says who did what: the one probe per
+/// observation is the holder's, and every member's own node keeps the
+/// firings of its own rule — what `rceda-obs snapshot` prints per node.
+#[test]
+fn window_family_probes_land_on_the_holder_and_firings_on_the_members() {
+    let sim = SupplyChain::build(SimConfig::default());
+    let stream = sim.generate(3_000).observations;
+    let config = EngineConfig {
+        observe: ObserveLevel::Counters,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::new(sim.catalog.clone(), config);
+    let shelf = || {
+        EventExpr::observation_in_group("shelves")
+            .bind_reader("r")
+            .bind_object("o")
+    };
+    let roots: Vec<_> = [5, 40, 20]
+        .into_iter()
+        .map(|secs| {
+            let dup = shelf().seq(shelf()).within(Span::from_secs(secs));
+            let rule = engine.add_rule(&format!("dup{secs}"), dup).unwrap();
+            engine.rule_root(rule)
+        })
+        .collect();
+    run_stream(&mut engine, &stream);
+
+    let per_rule = engine.firings_per_rule().to_vec();
+    assert!(per_rule[0] > 0, "{per_rule:?}");
+    assert!(
+        per_rule[0] <= per_rule[2] && per_rule[2] < per_rule[1],
+        "{per_rule:?}"
+    );
+    let snap = engine.telemetry();
+    let node = |n: rceda::graph::NodeId| snap.nodes.node(n.0 as usize);
+    assert!(node(roots[0]).probes > 0, "the holder probes");
+    assert_eq!(node(roots[0]).probes, node(roots[0]).admissions);
+    for (rule, &root) in roots.iter().enumerate() {
+        assert_eq!(node(root).firings, per_rule[rule], "rule {rule}");
+        assert_eq!(node(root).arrivals, per_rule[rule], "rule {rule}");
+        if rule > 0 {
+            assert_eq!((node(root).probes, node(root).admissions), (0, 0));
+        }
+    }
+}

@@ -135,9 +135,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any program of up to five rules drawn from the shape pool fires
-    /// identically under both executors, and the shared counters agree
-    /// (the fused in-field delivery compensates for its elided work-queue
-    /// pop, so even `occurrences` must line up). Runs with subgraph
+    /// identically under both executors, and the shared counters agree —
+    /// `occurrences` included, under both kinds of sharing: a coalesced
+    /// leaf counts the pops it absorbs (`extra_pops`), and a window family
+    /// (two draws of shape 0 or 1 with different windows) delivers each
+    /// emission at every member's own node, one pop per member it reaches,
+    /// exactly the pops the unshared walker makes. Runs with subgraph
     /// merging both on (the engine default; exercises the merged-leaf
     /// `RecordQuery` fusion) and off (the A1 ablation; exercises the
     /// twin-leaf `QueryRecord` fusion).

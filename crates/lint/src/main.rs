@@ -29,8 +29,9 @@
 //! downstream consumers can detect format changes.
 //!
 //! Exit status: 0 clean, 1 findings at the failing level, 2 usage/IO/parse
-//! errors. Note-level findings (`N001`, `N002`) are informational — they
-//! report bounds and costs the analyzer *proved or estimated* — and never
+//! errors. Note-level findings (`N001`, `N002`, `N003`) are informational —
+//! they report bounds, costs and shared state the analyzer *proved or
+//! estimated* — and never
 //! affect the exit status, even under `--deny-warnings`.
 
 use std::fmt::Write as _;

@@ -4,14 +4,13 @@
 //! registry. `BULK INSERT` runs once per bulk binding row (the elements of
 //! an aperiodic sequence); everything else evaluates scalar bindings.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rfid_events::{Catalog, Instance};
 use rfid_store::{Cond, CondOp, Database, Filter, TableError, Value};
 
 use crate::ast::{ActionAst, CompareOp, ValueExpr, WhereCond};
-use crate::bind::Bindings;
+use crate::bind::{Bindings, Row};
 use crate::runtime::Procedures;
 
 /// Action execution errors.
@@ -47,7 +46,7 @@ impl From<TableError> for ActionError {
 /// Executes one action.
 pub fn execute(
     action: &ActionAst,
-    bindings: &Bindings,
+    bindings: &Bindings<'_>,
     inst: &Instance,
     catalog: &Catalog,
     db: &mut Database,
@@ -105,7 +104,7 @@ pub fn execute(
 /// bindings. Shared with `EXISTS(…)` condition evaluation.
 pub fn build_filter(
     wheres: &[WhereCond],
-    bindings: &Bindings,
+    bindings: &Bindings<'_>,
     inst: &Instance,
     catalog: &Catalog,
 ) -> Result<Filter, ActionError> {
@@ -128,8 +127,8 @@ pub fn build_filter(
 /// Evaluates a value expression under scalar + optional bulk-row bindings.
 pub fn eval(
     expr: &ValueExpr,
-    bindings: &Bindings,
-    row: Option<&HashMap<String, Value>>,
+    bindings: &Bindings<'_>,
+    row: Option<&Row<'_>>,
     inst: &Instance,
     catalog: &Catalog,
 ) -> Result<Value, ActionError> {
@@ -146,7 +145,7 @@ pub fn eval(
             let name = var_reader_name(v, bindings, row)?;
             let id = catalog
                 .readers
-                .id_of(&name)
+                .id_of(name)
                 .ok_or_else(|| ActionError::Unresolvable(format!("reader `{name}`")))?;
             let loc = catalog
                 .readers
@@ -158,7 +157,7 @@ pub fn eval(
             let name = var_reader_name(v, bindings, row)?;
             let id = catalog
                 .readers
-                .id_of(&name)
+                .id_of(name)
                 .ok_or_else(|| ActionError::Unresolvable(format!("reader `{name}`")))?;
             let group = catalog
                 .readers
@@ -182,16 +181,15 @@ pub fn eval(
     })
 }
 
-fn var_reader_name(
+fn var_reader_name<'a>(
     v: &str,
-    bindings: &Bindings,
-    row: Option<&HashMap<String, Value>>,
-) -> Result<String, ActionError> {
+    bindings: &'a Bindings<'_>,
+    row: Option<&'a Row<'_>>,
+) -> Result<&'a str, ActionError> {
     let value = bindings
         .get(v, row)
         .ok_or_else(|| ActionError::UnboundVar(v.to_owned()))?;
     value
         .as_str()
-        .map(str::to_owned)
         .ok_or_else(|| ActionError::Unresolvable(format!("`{v}` is not a reader name")))
 }

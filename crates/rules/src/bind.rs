@@ -10,6 +10,10 @@
 //! * variables under `SEQ+`/`TSEQ+` bind per element, forming the *bulk
 //!   rows* that `BULK INSERT` iterates;
 //! * negations bind nothing (their witness is an absence).
+//!
+//! A firing allocates for the maps and nothing else: variable names are
+//! borrowed from the rule's AST, which outlives every firing, and a reader
+//! variable's value shares the catalog entry's own name string.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -19,24 +23,23 @@ use rfid_store::Value;
 
 use crate::ast::{EventAst, Term};
 
+/// One set of bound variables, by the name the rule's event gives them.
+pub type Row<'ast> = HashMap<&'ast str, Value>;
+
 /// The values a firing bound.
 #[derive(Debug, Default, Clone, PartialEq)]
-pub struct Bindings {
+pub struct Bindings<'ast> {
     /// Once-per-firing variables.
-    pub scalar: HashMap<String, Value>,
+    pub scalar: Row<'ast>,
     /// Per-element rows from an aperiodic sequence (empty when the event has
     /// none).
-    pub bulk: Vec<HashMap<String, Value>>,
+    pub bulk: Vec<Row<'ast>>,
 }
 
-impl Bindings {
+impl Bindings<'_> {
     /// Looks up a variable: scalar first, then the given bulk row, then the
     /// first bulk row.
-    pub fn get<'a>(
-        &'a self,
-        var: &str,
-        row: Option<&'a HashMap<String, Value>>,
-    ) -> Option<&'a Value> {
+    pub fn get<'a>(&'a self, var: &str, row: Option<&'a Row<'_>>) -> Option<&'a Value> {
         if let Some(v) = self.scalar.get(var) {
             return Some(v);
         }
@@ -61,7 +64,11 @@ impl fmt::Display for BindError {
 impl std::error::Error for BindError {}
 
 /// Binds the variables of `ast` against the detected `inst`.
-pub fn bind(ast: &EventAst, inst: &Instance, catalog: &Catalog) -> Result<Bindings, BindError> {
+pub fn bind<'ast>(
+    ast: &'ast EventAst,
+    inst: &Instance,
+    catalog: &Catalog,
+) -> Result<Bindings<'ast>, BindError> {
     let mut out = Bindings::default();
     bind_into(
         ast,
@@ -75,12 +82,12 @@ pub fn bind(ast: &EventAst, inst: &Instance, catalog: &Catalog) -> Result<Bindin
 
 /// Recursive worker. `bulk` is `None` while inside an aperiodic element
 /// (nested aperiodics are not supported and error out).
-fn bind_into(
-    ast: &EventAst,
+fn bind_into<'ast>(
+    ast: &'ast EventAst,
     inst: &Instance,
     catalog: &Catalog,
-    scalar: &mut HashMap<String, Value>,
-    bulk: &mut Option<&mut Vec<HashMap<String, Value>>>,
+    scalar: &mut Row<'ast>,
+    bulk: &mut Option<&mut Vec<Row<'ast>>>,
 ) -> Result<(), BindError> {
     match ast {
         EventAst::Alias(name) => Err(BindError(format!("unresolved alias `{name}`"))),
@@ -96,18 +103,17 @@ fn bind_into(
                 )));
             };
             if let Term::Var(v) = reader {
-                let name = catalog
-                    .readers
-                    .def(obs.reader)
-                    .map(|d| d.name.to_string())
-                    .unwrap_or_else(|| obs.reader.to_string());
-                scalar.insert(v.clone(), Value::Str(name));
+                let name = match catalog.readers.def(obs.reader) {
+                    Some(def) => Value::Str(def.name.clone()),
+                    None => Value::str(obs.reader.to_string()),
+                };
+                scalar.insert(v, name);
             }
             if let Term::Var(v) = object {
-                scalar.insert(v.clone(), Value::Epc(obs.object));
+                scalar.insert(v, Value::Epc(obs.object));
             }
             if let Term::Var(v) = time {
-                scalar.insert(v.clone(), Value::Time(obs.at));
+                scalar.insert(v, Value::Time(obs.at));
             }
             Ok(())
         }
@@ -122,7 +128,7 @@ fn bind_into(
             // The instance shape tells us which branch matched; try left
             // first on a scratch map so a failed attempt leaves no bindings.
             let mut scratch = scalar.clone();
-            let mut scratch_bulk: Vec<HashMap<String, Value>> = Vec::new();
+            let mut scratch_bulk: Vec<Row<'ast>> = Vec::new();
             let mut scratch_opt = Some(&mut scratch_bulk);
             if bind_into(a, child, catalog, &mut scratch, &mut scratch_opt).is_ok() {
                 *scalar = scratch;
@@ -132,7 +138,7 @@ fn bind_into(
                 return Ok(());
             }
             let mut scratch = scalar.clone();
-            let mut scratch_bulk: Vec<HashMap<String, Value>> = Vec::new();
+            let mut scratch_bulk: Vec<Row<'ast>> = Vec::new();
             let mut scratch_opt = Some(&mut scratch_bulk);
             bind_into(b, child, catalog, &mut scratch, &mut scratch_opt)?;
             *scalar = scratch;
@@ -162,13 +168,13 @@ fn bind_into(
     }
 }
 
-fn bind_binary(
-    a: &EventAst,
-    b: &EventAst,
+fn bind_binary<'ast>(
+    a: &'ast EventAst,
+    b: &'ast EventAst,
     inst: &Instance,
     catalog: &Catalog,
-    scalar: &mut HashMap<String, Value>,
-    bulk: &mut Option<&mut Vec<HashMap<String, Value>>>,
+    scalar: &mut Row<'ast>,
+    bulk: &mut Option<&mut Vec<Row<'ast>>>,
 ) -> Result<(), BindError> {
     let InstanceKind::Composite { children, .. } = inst.kind() else {
         return Err(BindError(format!(

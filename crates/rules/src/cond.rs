@@ -15,7 +15,7 @@ use crate::bind::Bindings;
 /// Evaluates a condition for a firing. `db` backs `EXISTS(…)` queries.
 pub fn eval_cond(
     cond: &CondAst,
-    bindings: &Bindings,
+    bindings: &Bindings<'_>,
     inst: &Instance,
     catalog: &Catalog,
     db: &Database,
@@ -54,7 +54,7 @@ pub fn eval_cond(
 
 fn eval_term(
     term: &CondTerm,
-    bindings: &Bindings,
+    bindings: &Bindings<'_>,
     inst: &Instance,
     catalog: &Catalog,
 ) -> Option<Value> {
@@ -107,20 +107,20 @@ mod tests {
         script.rules[0].condition.clone()
     }
 
-    fn fixture() -> (Bindings, Instance, Catalog) {
+    fn fixture() -> (Bindings<'static>, Instance, Catalog) {
         let mut catalog = Catalog::new();
         let r1 = catalog.readers.register("r1", "dock-group", "dock");
         let laptop: Epc = Gid96::new(1, 10, 5).unwrap().into();
         catalog.types.map_class_of(laptop, "laptop");
         let inst = Instance::observation(Observation::new(r1, laptop, Timestamp::from_secs(3)));
         let mut b = Bindings::default();
-        b.scalar.insert("r".into(), Value::str("r1"));
-        b.scalar.insert("o".into(), Value::Epc(laptop));
-        b.scalar.insert("n".into(), Value::Int(7));
+        b.scalar.insert("r", Value::str("r1"));
+        b.scalar.insert("o", Value::Epc(laptop));
+        b.scalar.insert("n", Value::Int(7));
         (b, inst, catalog)
     }
 
-    fn ec(cond: &CondAst, b: &Bindings, i: &Instance, c: &Catalog) -> bool {
+    fn ec(cond: &CondAst, b: &Bindings<'_>, i: &Instance, c: &Catalog) -> bool {
         eval_cond(cond, b, i, c, &Database::rfid())
     }
 

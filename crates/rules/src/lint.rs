@@ -12,7 +12,8 @@
 //!   (non-`NOT`) leaf can bind, so every firing would fail;
 //! * the graph passes of [`rceda::analyze`] (E001–E003, W003–W005) per
 //!   rule, the merge-aware W001 shadowing pass across rules, the W006
-//!   subsumption prover, and the N002 static cost ranking.
+//!   subsumption prover, the N002 static cost ranking, and the N003
+//!   window-family report.
 //!
 //! [`cost_report`] exposes the full per-rule cost table behind N002 for
 //! the `rceda-lint cost` subcommand.
@@ -24,8 +25,8 @@
 use std::collections::BTreeSet;
 
 use rceda::analyze::{
-    analyze_cost, analyze_event, analyze_shadowing, analyze_subsumption, DiagCode, Diagnostic,
-    RuleEvent,
+    analyze_cost, analyze_event, analyze_families, analyze_shadowing, analyze_subsumption,
+    DiagCode, Diagnostic, RuleEvent,
 };
 use rceda::{Bounds, Cost, EventGraph};
 use rfid_events::Catalog;
@@ -186,10 +187,12 @@ pub fn lint_script(script: &str, catalog: Option<&Catalog>) -> Result<LintReport
     }
 
     // W001 across every rule that compiled, then the cost-model passes:
-    // W006 (provable subsumption) and N002 (hotspot ranking).
+    // W006 (provable subsumption) and N002 (hotspot ranking); last, what
+    // the lowered plan shares (N003).
     diagnostics.extend(analyze_shadowing(&compiled));
     diagnostics.extend(analyze_subsumption(&compiled, catalog));
     diagnostics.extend(analyze_cost(&compiled, catalog));
+    diagnostics.extend(analyze_families(&compiled, catalog));
 
     Ok(LintReport {
         diagnostics,

@@ -8,6 +8,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use rfid_epc::Epc;
 use rfid_events::Timestamp;
@@ -17,8 +18,10 @@ use rfid_events::Timestamp;
 pub enum Value {
     /// An EPC identity.
     Epc(Epc),
-    /// A string (location ids, type names, message text).
-    Str(String),
+    /// A string (location ids, type names, message text). Shared, so a
+    /// value that names a catalog entry — a reader, a location — is a
+    /// pointer copy of the catalog's own string, not a new allocation.
+    Str(Arc<str>),
     /// A signed integer.
     Int(i64),
     /// A point in time.
@@ -31,7 +34,7 @@ pub enum Value {
 
 impl Value {
     /// Builds a string value.
-    pub fn str(s: impl Into<String>) -> Self {
+    pub fn str(s: impl Into<Arc<str>>) -> Self {
         Value::Str(s.into())
     }
 
@@ -111,7 +114,7 @@ impl From<i64> for Value {
 
 impl From<&str> for Value {
     fn from(value: &str) -> Self {
-        Value::Str(value.to_owned())
+        Value::Str(value.into())
     }
 }
 

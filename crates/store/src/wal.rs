@@ -316,7 +316,7 @@ fn decode_value(s: &str) -> Result<Value, String> {
         .ok_or_else(|| format!("bad value `{s}`"))?;
     Ok(match tag {
         "E" => Value::Epc(Epc::from_hex(body).map_err(|e| e.to_string())?),
-        "S" => Value::Str(unesc(body)?),
+        "S" => Value::str(unesc(body)?),
         "I" => Value::Int(body.parse().map_err(|_| format!("bad int `{body}`"))?),
         "T" => Value::Time(Timestamp::from_millis(
             body.parse().map_err(|_| format!("bad time `{body}`"))?,
