@@ -42,7 +42,7 @@ use crate::bounds::Bounds;
 use crate::cost::{self, Cost};
 use crate::engine::RuleId;
 use crate::graph::{EventGraph, NodeId, NodeKind, Plan};
-use crate::plan::{CompiledPlan, Share};
+use crate::plan::CompiledPlan;
 use crate::shard::{self, ResidualReason, Shardability};
 
 /// How bad a diagnostic is.
@@ -295,7 +295,7 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
     // The dead-leaf pass (W003) reads reachability off the compiled plan's
     // dispatch rows — the same structure the executor dispatches through.
     let deployment = catalog.map(|cat| {
-        let plan = CompiledPlan::lower(&scratch, cat, &HashMap::new(), Share::None);
+        let plan = CompiledPlan::lower(&scratch, cat, &HashMap::new(), None);
         (cat, plan)
     });
     let mut diag = |code: DiagCode, node: NodeId, message: String, hint: &str| {
@@ -691,7 +691,7 @@ pub fn analyze_families(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<D
         &merged,
         catalog.unwrap_or(&no_deployment),
         &rules_at,
-        Share::Keeping(&CompiledPlan::default()),
+        Some(&CompiledPlan::default()),
     );
     let histories = plan.shared_histories();
     let history_retention = |holder: NodeId| {

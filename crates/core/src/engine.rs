@@ -38,7 +38,7 @@ use crate::error::InvalidRule;
 use crate::graph::{EventGraph, Node, NodeId, NodeKind, Plan};
 use crate::key::{extract_all, Key};
 use crate::obs::{FlightRecorder, Histogram, ObsState, ObserveLevel, TelemetrySnapshot};
-use crate::plan::{CompiledPlan, EdgeOp, InlineBuf, Member, Share, LEAF_HITS_INLINE};
+use crate::plan::{CompiledPlan, EdgeOp, InlineBuf, Member, LEAF_HITS_INLINE};
 use crate::pseudo::{PseudoAction, PseudoEvent, PseudoQueue};
 use crate::state::{
     dead_before, AperiodicState, Entry, KeyedBuffer, NegationState, NodeState, TimedRunState,
@@ -682,23 +682,31 @@ impl Engine {
         self.rt.clock
     }
 
+    /// The plan the arrival handlers may read holders and families from:
+    /// none under the reference walker, which runs unshared.
+    fn shared(&self) -> Option<&CompiledPlan> {
+        matches!(self.config.exec, ExecMode::Plan).then_some(&self.plan)
+    }
+
     /// Solves the retention bounds and lowers the graph into the compiled
     /// plan (plus the walker's dispatch index when the reference executor
     /// is selected). Runs once per rule-set change, never per event.
     fn recompile(&mut self) {
         let prior = std::mem::take(&mut self.plan);
-        let share = match self.config.exec {
+        // The plan executor coalesces interior state and keeps it where the
+        // earlier plan had it; the walker runs beside an unshared lowering.
+        let keep = match self.config.exec {
             ExecMode::Plan => {
                 self.dispatch = Dispatch::default();
-                Share::Keeping(&prior)
+                Some(&prior)
             }
             ExecMode::Graph => {
                 self.dispatch = Dispatch::build(&self.graph, &self.catalog);
-                Share::None
+                None
             }
         };
         self.bounds = Bounds::solve(&self.graph);
-        self.plan = CompiledPlan::lower(&self.graph, &self.catalog, &self.rules_at, share);
+        self.plan = CompiledPlan::lower(&self.graph, &self.catalog, &self.rules_at, keep);
         // Size the metrics arena for every node either executor can touch.
         self.rt
             .obs
@@ -710,12 +718,22 @@ impl Engine {
         // The one move is a member that no longer fits its holder and now
         // holds state itself; it carries on from a copy of what it shared
         // (a superset of what it would have kept alone, and anything beyond
-        // its own window is invisible to its probes).
+        // its own window is invisible to its probes). A `NOT` leaves because
+        // it gained a history spec its holder lacks: the copy keeps the
+        // histories of the specs the two still share and is sized for the
+        // node's own list, so the new spec starts empty, as it does on an
+        // unshared `NOT`.
         for idx in 0..prior.node_count() {
             let node = NodeId(idx as u32);
             let was = prior.holder(node);
             if was != node && self.plan.holder(node) == node {
                 self.rt.states[idx] = self.rt.states[was.idx()].clone();
+                if let NodeState::Negation(neg) = &mut self.rt.states[idx] {
+                    let (own, shared) = (self.graph.hist_specs(node), self.graph.hist_specs(was));
+                    let common = own.iter().zip(shared).take_while(|(a, b)| a == b).count();
+                    neg.truncate_specs(common);
+                    neg.ensure_specs(own.len().max(1));
+                }
                 self.rt.sweep.touch(node);
             }
         }
@@ -813,7 +831,7 @@ impl Engine {
                     other => unreachable!("ResolveWait on plan {other:?}"),
                 };
                 let spec = n.hist_spec.expect("wait plan always has a history spec").0 as usize;
-                let not_child = self.plan.holder(n.children[not_side as usize]);
+                let not_child = holder_of(self.shared(), n.children[not_side as usize]);
                 let kind_name = n.kind.name();
                 if self.rt.obs.level.counters() {
                     // The deferred window-close check is this node's probe.
@@ -889,9 +907,9 @@ impl Engine {
             for edge in plan.edges_at(node_id) {
                 let pnode = graph.node(edge.parent());
                 match edge.op() {
-                    EdgeOp::SelfJoin => rt.self_join_arrival(config, plan, pnode, &inst),
-                    EdgeOp::Left => rt.arrival(graph, config, plan, pnode, 0, &inst),
-                    EdgeOp::Right => rt.arrival(graph, config, plan, pnode, 1, &inst),
+                    EdgeOp::SelfJoin => rt.self_join_arrival(config, Some(plan), pnode, &inst),
+                    EdgeOp::Left => rt.arrival(graph, config, Some(plan), pnode, 0, &inst),
+                    EdgeOp::Right => rt.arrival(graph, config, Some(plan), pnode, 1, &inst),
                     EdgeOp::RecordQuery { query } => {
                         let query = graph.node(NodeId(query));
                         rt.fused_negation(graph, plan, pnode, query, &inst, true);
@@ -909,12 +927,9 @@ impl Engine {
     /// and parents. Arrival handlers push further occurrences onto the
     /// same queue.
     fn run_work_graph(&mut self, sink: &mut Sink<'_>) {
-        // `plan` was lowered with `Share::None` here: every node is its own
-        // holder and a family of one, so the handlers run unshared.
         let Self {
             graph,
             rt,
-            plan,
             rules_at,
             rule_enabled,
             rule_firings,
@@ -952,21 +967,21 @@ impl Engine {
                     // Self-join (e.g. Rule 1's duplicate filter): match as the
                     // terminator against strictly older initiators, then
                     // buffer as an initiator for future arrivals.
-                    rt.self_join_arrival(config, plan, pnode, &inst);
+                    rt.self_join_arrival(config, None, pnode, &inst);
                 } else if pnode.symmetric {
                     // Structurally identical children that did not merge
                     // (ablation A1): both deliver equivalent instances, so
                     // run the self-join protocol once, on the terminator
                     // side, and drop the initiator-side duplicate delivery.
                     if is_right {
-                        rt.self_join_arrival(config, plan, pnode, &inst);
+                        rt.self_join_arrival(config, None, pnode, &inst);
                     }
                 } else {
                     if is_left {
-                        rt.arrival(graph, config, plan, pnode, 0, &inst);
+                        rt.arrival(graph, config, None, pnode, 0, &inst);
                     }
                     if is_right {
-                        rt.arrival(graph, config, plan, pnode, 1, &inst);
+                        rt.arrival(graph, config, None, pnode, 1, &inst);
                     }
                 }
             }
@@ -1119,7 +1134,7 @@ impl Runtime {
     fn self_join_arrival(
         &mut self,
         config: &EngineConfig,
-        plan: &CompiledPlan,
+        shared: Option<&CompiledPlan>,
         node: &Node,
         inst: &Arc<Instance>,
     ) {
@@ -1132,7 +1147,8 @@ impl Runtime {
         };
         let Some(key) = key else { return };
         let kind = &node.kind;
-        let family = plan.family(node.id);
+        let mut alone = None;
+        let family = family_of(shared, node, &mut alone);
         let within = family.last().expect("a holder is in its family").cutoff;
         let dead = dead_before(self.clock, self.sweep.spans[node.id.idx()][0]);
         let cap = if node.horizon == Span::MAX {
@@ -1278,7 +1294,7 @@ impl Runtime {
         &mut self,
         graph: &EventGraph,
         config: &EngineConfig,
-        plan: &CompiledPlan,
+        shared: Option<&CompiledPlan>,
         node: &Node,
         side: u8,
         inst: &Arc<Instance>,
@@ -1391,7 +1407,7 @@ impl Runtime {
                     return;
                 };
                 let spec = node.hist_spec.expect("query plan has a spec").0 as usize;
-                let not_child = plan.holder(node.children[0]);
+                let not_child = holder_of(shared, node.children[0]);
                 if self.obs.level.counters() {
                     self.obs.arena.probed(parent.idx());
                 }
@@ -1399,7 +1415,9 @@ impl Runtime {
                     NodeState::Negation(neg) => neg.last_occurrence(spec, &key, to, exclusive),
                     other => unreachable!("negation child has state {other:?}"),
                 };
-                self.emit_absent(plan.family(parent), node, inst, last, to);
+                let mut alone = None;
+                let family = family_of(shared, node, &mut alone);
+                self.emit_absent(family, node, inst, last, to);
             }
             Plan::LeftAperiodicQuery => {
                 debug_assert_eq!(side, 1);
@@ -1455,13 +1473,13 @@ impl Runtime {
                     ),
                     ref other => unreachable!("RightNegationWait on {other:?}"),
                 };
-                self.wait_on_negation(plan, node, 1, inst, from, to);
+                self.wait_on_negation(shared, node, 1, inst, from, to);
             }
             Plan::AndNegation { not_side } => {
                 debug_assert_eq!(side, 1 - not_side, "arrivals come from the push side");
                 let bound = node.within;
                 let (from, to) = (inst.t_end().saturating_sub(bound), inst.t_begin() + bound);
-                self.wait_on_negation(plan, node, not_side, inst, from, to);
+                self.wait_on_negation(shared, node, not_side, inst, from, to);
             }
             Plan::NegationRecorder => {
                 let specs = graph.hist_specs(parent);
@@ -1586,7 +1604,7 @@ impl Runtime {
     /// anchor the instance and schedule a pseudo event at its close.
     fn wait_on_negation(
         &mut self,
-        plan: &CompiledPlan,
+        shared: Option<&CompiledPlan>,
         node: &Node,
         not_side: u8,
         inst: &Arc<Instance>,
@@ -1597,7 +1615,7 @@ impl Runtime {
             return;
         };
         let spec = node.hist_spec.expect("wait plan has a spec").0 as usize;
-        let not_child = plan.holder(node.children[not_side as usize]);
+        let not_child = holder_of(shared, node.children[not_side as usize]);
         let kind_name = node.kind.name();
 
         let past_end = self.clock.min(to);
@@ -1650,6 +1668,28 @@ impl Runtime {
                 anchor,
             },
         });
+    }
+}
+
+/// The node whose runtime state serves `node`. The arrival handlers take
+/// the lowered plan only from the plan executor; the reference walker
+/// passes `None` and shares nothing — every node holds its own state and
+/// is a family of one, read off the graph — so the oracle does not depend
+/// on the holder and family arenas it checks.
+fn holder_of(shared: Option<&CompiledPlan>, node: NodeId) -> NodeId {
+    shared.map_or(node, |plan| plan.holder(node))
+}
+
+/// The window family `node` holds state for, in ascending cut-off order;
+/// for the walker just the node itself, parked in `alone`.
+fn family_of<'a>(
+    shared: Option<&'a CompiledPlan>,
+    node: &Node,
+    alone: &'a mut Option<Member>,
+) -> &'a [Member] {
+    match shared {
+        Some(plan) => plan.family(node.id),
+        None => std::slice::from_ref(alone.insert(Member::alone(node))),
     }
 }
 

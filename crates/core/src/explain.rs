@@ -349,12 +349,7 @@ mod tests {
         let infield = shelf.clone().not().seq(shelf).within(Span::from_secs(30));
         let mut g = EventGraph::new();
         g.add_event(&infield).unwrap();
-        let plan = CompiledPlan::lower(
-            &g,
-            &catalog,
-            &std::collections::HashMap::new(),
-            crate::plan::Share::None,
-        );
+        let plan = CompiledPlan::lower(&g, &catalog, &std::collections::HashMap::new(), None);
         let text = plan.describe();
         assert_eq!(
             text.lines().count(),
@@ -385,8 +380,7 @@ mod tests {
             rules_at.insert(root, vec![crate::engine::RuleId(rule as u32)]);
         }
         let prior = CompiledPlan::default();
-        let plan =
-            CompiledPlan::lower(&g, &catalog, &rules_at, crate::plan::Share::Keeping(&prior));
+        let plan = CompiledPlan::lower(&g, &catalog, &rules_at, Some(&prior));
         let text = plan.describe();
         assert!(
             text.contains("family: neg-query node 2 serves 5 (10sec), 8 (20sec), 2 (30sec)"),

@@ -374,9 +374,9 @@ impl Default for KeyBuilder {
 }
 
 /// Pass-through hasher consuming [`Key`]'s precomputed hash: `finish()`
-/// returns exactly the `u64` written. Only valid for keys of this module
-/// (anything else would silently truncate), hence not exported as a general
-/// hasher.
+/// returns exactly the `u64` written. Only valid for keys of this module and
+/// for bare `u64`s ([`SeqMap`]) — anything else would silently truncate,
+/// hence not exported as a general hasher.
 #[derive(Debug, Default, Clone)]
 pub struct KeyHasher(u64);
 
@@ -387,7 +387,7 @@ impl Hasher for KeyHasher {
     }
 
     fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("KeyHasher only accepts precomputed u64 key hashes");
+        unreachable!("KeyHasher only accepts a single u64");
     }
 
     #[inline]
@@ -400,32 +400,12 @@ impl Hasher for KeyHasher {
 /// re-hashing (SipHash) on every lookup.
 pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
 
-/// Hasher for maps keyed by an engine sequence number: one [`mix64`] round,
-/// no per-process seed. `std`'s default `RandomState` would make such a
-/// map's growth pattern — and with it the engine's allocation counts —
-/// differ between two runs over the same stream.
-#[derive(Debug, Default, Clone)]
-pub struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("SeqHasher only accepts u64 sequence numbers");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = mix64(v);
-    }
-}
-
-/// A hash map keyed by an engine sequence number, with the fixed
-/// [`SeqHasher`].
-pub type SeqMap<V> = HashMap<u64, V, BuildHasherDefault<SeqHasher>>;
+/// A hash map keyed by an engine sequence number, on the same fixed
+/// pass-through hasher: sequence numbers are dense, so they index buckets
+/// as they are. `std`'s default `RandomState` would make such a map's
+/// growth pattern — and with it the engine's allocation counts — differ
+/// between two runs over the same stream.
+pub type SeqMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
 /// The variables a node's instances can provide, with how to extract each.
 pub type Exports = BTreeMap<Var, Extract>;

@@ -77,6 +77,6 @@ pub use graph::{DetectionMode, EventGraph, NodeId};
 pub use obs::{
     FlightRecord, FlightRecorder, Histogram, MetricsArena, ObserveLevel, TelemetrySnapshot,
 };
-pub use plan::{CompiledPlan, EdgeOp, InlineBuf, Member, OpTag, Share};
+pub use plan::{CompiledPlan, EdgeOp, InlineBuf, Member, OpTag};
 pub use shard::{ShardConfig, Shardability, ShardedEngine};
 pub use stats::EngineStats;

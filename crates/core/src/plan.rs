@@ -30,7 +30,7 @@ use rfid_epc::Epc;
 use rfid_events::{Catalog, ObjectSel, Observation, ReaderSel, Span};
 
 use crate::engine::RuleId;
-use crate::graph::{EventGraph, HistSpecId, NodeId, NodeKind, Plan};
+use crate::graph::{EventGraph, HistSpecId, Node, NodeId, NodeKind, Plan};
 use crate::key::Extract;
 
 /// Dense per-node constructor tag: [`Plan`] lowered to one byte, with the
@@ -286,15 +286,18 @@ pub struct Member {
     pub node: NodeId,
 }
 
-/// Whether lowering coalesces interior state across nodes.
-#[derive(Debug, Clone, Copy)]
-pub enum Share<'a> {
-    /// Every node holds its own state: what the reference walker runs on.
-    None,
-    /// Coalesce recorders and window families. State never moves: a node
-    /// that was its own holder under the given earlier plan stays one, and
-    /// a member keeps its holder for as long as it stays admissible.
-    Keeping(&'a CompiledPlan),
+impl Member {
+    /// The member a node is of its own family: all there is to an unshared
+    /// node's family.
+    pub fn alone(node: &Node) -> Self {
+        Member {
+            cutoff: match (node.plan, &node.kind) {
+                (Plan::LeftNegationQuery, NodeKind::TSeq { max_dist, .. }) => *max_dist,
+                _ => node.within,
+            },
+            node: node.id,
+        }
+    }
 }
 
 /// What makes two rule roots the same modulo `WITHIN`: everything the
@@ -367,11 +370,18 @@ impl CompiledPlan {
     /// Relies on — and in debug builds asserts — the `EventGraph` invariant
     /// that nodes are pushed children-first, i.e. node-id order is
     /// topological.
+    ///
+    /// `prior` decides whether interior state is coalesced. `Some(earlier)`
+    /// coalesces recorders and window families and keeps state where
+    /// `earlier` had it (an empty plan for a first lowering): a node that
+    /// was its own holder stays one, and a member keeps its holder for as
+    /// long as it stays admissible. `None` leaves every node holding its
+    /// own state — the unshared lowering the reference walker runs beside.
     pub fn lower(
         graph: &EventGraph,
         catalog: &Catalog,
         rules_at: &HashMap<NodeId, Vec<RuleId>>,
-        share: Share<'_>,
+        prior: Option<&CompiledPlan>,
     ) -> Self {
         let n = graph.len();
         let mut plan = CompiledPlan {
@@ -418,7 +428,7 @@ impl CompiledPlan {
             }
             coalesced.insert(rep.0, members);
         }
-        plan.assign_holders(graph, rules_at, &leaf_group, share);
+        plan.assign_holders(graph, rules_at, &leaf_group, prior);
         let mut seen: HashSet<(EdgeOp, u32)> = HashSet::new();
         for idx in 0..n {
             let id = NodeId(idx as u32);
@@ -527,11 +537,11 @@ impl CompiledPlan {
         graph: &EventGraph,
         rules_at: &HashMap<NodeId, Vec<RuleId>>,
         leaf_group: &[u32],
-        share: Share<'_>,
+        prior: Option<&CompiledPlan>,
     ) {
         let n = graph.len();
         self.holders = (0..n as u32).collect();
-        if let Share::Keeping(prior) = share {
+        if let Some(prior) = prior {
             // Node ids are topological, so a root's `NOT` child is settled
             // before the root asks for its holder, and a holder (lowest id
             // of its group) before any of its members.
@@ -578,13 +588,7 @@ impl CompiledPlan {
             // A coalesced recorder is served by its holder but emits
             // nothing, so it is no family member.
             if holder == node.id.idx() || node.plan != Plan::NegationRecorder {
-                families[holder].push(Member {
-                    cutoff: match (node.plan, &node.kind) {
-                        (Plan::LeftNegationQuery, NodeKind::TSeq { max_dist, .. }) => *max_dist,
-                        _ => node.within,
-                    },
-                    node: node.id,
-                });
+                families[holder].push(Member::alone(node));
             }
         }
         for mut family in families {
@@ -996,7 +1000,7 @@ mod tests {
         let catalog = shelf_catalog();
         let mut graph = EventGraph::new();
         let root = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), Share::None);
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), None);
 
         let &[leaf] = graph.primitives() else {
             panic!("merging folds the twin copies into one leaf");
@@ -1022,7 +1026,7 @@ mod tests {
         let catalog = shelf_catalog();
         let mut graph = EventGraph::without_merging();
         let root = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), Share::None);
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), None);
 
         let &[recorder_twin, query_twin] = graph.primitives() else {
             panic!("in-field shape compiles exactly two primitive leaves");
@@ -1069,7 +1073,7 @@ mod tests {
             )
             .expect("dup rule compiles");
         let infield = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), Share::None);
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), None);
 
         let &[dup_leaf, infield_leaf] = graph.primitives() else {
             panic!("different windows keep the two shelf leaves distinct");

@@ -636,6 +636,11 @@ impl NegationState {
         }
     }
 
+    /// Forgets the histories of every spec past the first `n`.
+    pub fn truncate_specs(&mut self, n: usize) {
+        self.tables.truncate(n);
+    }
+
     /// Number of history specs currently sized for.
     pub fn spec_count(&self) -> usize {
         self.tables.len()

@@ -364,6 +364,23 @@ fn family_changes_mid_stream_leave_existing_members_alone() {
         let nested = family_shape(idx, ms).seq(at("r2").bind_object("p"));
         changed.add_rule("nested", nested).unwrap();
     }
+    // A shared `NOT` gains a history spec: this rule's `NOT` hash-conses
+    // onto the 6 s one, and its unkeyed terminator registers an empty-key
+    // spec there that the 3 s holder lacks. The 6 s `NOT` leaves the shared
+    // history with a copy, sized for both specs before the next record.
+    let not6 = changed.graph().node(infield6).children[0];
+    assert_ne!(
+        changed.compiled_plan().holder(not6),
+        not6,
+        "shares a history"
+    );
+    let unkeyed = at("r1")
+        .bind_object("o")
+        .not()
+        .seq(at("r1"))
+        .within(Span::from_secs(6));
+    changed.add_rule("unkeyed", unkeyed).unwrap();
+    assert_eq!(changed.graph().hist_specs(not6).len(), 2);
     // A late member disabled right away must stay silent and harmless.
     let silenced = changed
         .add_rule("silenced", family_shape(0, 20_000))
@@ -375,6 +392,7 @@ fn family_changes_mid_stream_leave_existing_members_alone() {
     assert_eq!(plan.family(dup2).len(), 1);
     assert_eq!(plan.family(dup5).len(), 4, "5 s, 9 s, 1 s and the silenced");
     assert_eq!(plan.holder(infield6), infield6, "left");
+    assert_eq!(plan.holder(not6), not6, "left its shared history");
     assert_eq!(plan.family(infield3).len(), 3, "3 s, 12 s, 0.5 s");
     changed.finish(&mut |r, i| {
         if r.0 < seeds {
