@@ -180,9 +180,7 @@ fn print_sweep(rows: &[SweepRow]) {
 /// machine's core count. Each row carries the pipeline's batching counters
 /// so regressions in ingestion overhead (too many tiny batches, queue
 /// pile-ups) are visible without rerunning under a profiler. Sweep rows
-/// stay on one line: `bench_gate.sh` selects them by `"shards"` and reads
-/// `"events_per_sec"` from the same line (the baseline object carries no
-/// `"shards"`, so it is excluded).
+/// stay on one line each.
 fn write_json(
     args: &Args,
     cores: usize,

@@ -134,9 +134,7 @@ impl JsonBuf {
         self.close(']');
     }
 
-    /// One pre-rendered array element on its own single line — sweep rows
-    /// go through this so `bench_gate.sh`'s one-line-per-row `awk` parses
-    /// keep working.
+    /// One pre-rendered array element on its own single line (sweep rows).
     pub fn elem(&mut self, rendered: &str) {
         self.pre();
         self.out.push_str(rendered);

@@ -3,11 +3,12 @@
 //! The paper's §4 interval-constraint propagation is itself a static
 //! analysis — `WITHIN`/`TSEQ` bounds flow top-down through the event graph
 //! before any event arrives. This module reuses that machinery to *judge*
-//! rules instead of merely executing them: each rule's event compiles into a
-//! scratch [`EventGraph`] and a battery of passes walks the propagated
-//! constraints looking for the two classic CEP failure modes (unsatisfiable
-//! temporal predicates and unbounded partial-match state) plus operational
-//! hazards (dead leaves, shadowed rules, residual-path rules).
+//! rules instead of merely executing them: the per-rule passes read a
+//! one-rule [`Program`], the program-level passes the one [`Program`] the
+//! whole rule set compiles to — the same compile the engine runs — looking
+//! for the two classic CEP failure modes (unsatisfiable temporal predicates
+//! and unbounded partial-match state) plus operational hazards (dead
+//! leaves, shadowed rules, residual-path rules).
 //!
 //! Diagnostics carry **stable codes** (documented in `DESIGN.md` §12):
 //!
@@ -36,13 +37,11 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use rfid_events::{Catalog, EventExpr, ObjectSel, ReaderSel, Span};
+use rfid_events::{Catalog, ObjectSel, ReaderSel, Span};
 
-use crate::bounds::Bounds;
-use crate::cost::{self, Cost};
-use crate::engine::RuleId;
+use crate::cost;
 use crate::graph::{EventGraph, NodeId, NodeKind, Plan};
-use crate::plan::CompiledPlan;
+use crate::program::{Program, RuleEvent};
 use crate::shard::{self, ResidualReason, Shardability};
 
 /// How bad a diagnostic is.
@@ -244,38 +243,16 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// One rule handed to the analyzer: its identity and compiled event.
-#[derive(Debug, Clone)]
-pub struct RuleEvent {
-    /// Declared id.
-    pub id: String,
-    /// Declared name.
-    pub name: String,
-    /// The event expression, alias-free.
-    pub event: EventExpr,
-}
-
-impl RuleEvent {
-    /// Convenience constructor.
-    pub fn new(id: impl Into<String>, name: impl Into<String>, event: EventExpr) -> Self {
-        Self {
-            id: id.into(),
-            name: name.into(),
-            event,
-        }
-    }
-}
-
-/// Analyzes one rule's event in isolation: compiles it into a scratch graph
-/// and runs the per-rule passes (E001, E002, E003, W003, W004, W005). A
+/// Analyzes one rule's event in isolation: compiles it into a one-rule
+/// [`Program`] and runs the per-rule passes (E001, E002, E003, W003, W004, W005). A
 /// builder rejection becomes an `E000` diagnostic. Pass the deployment
 /// catalog to enable the dead-leaf pass (W003); without one, patterns
 /// cannot be checked against reality and the pass is skipped.
 pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut scratch = EventGraph::new();
-    let root = match scratch.add_event(&rule.event) {
-        Ok(root) => root,
+    let mut program = Program::new(true, true);
+    let root = match program.add_rule(rule.clone()) {
+        Ok(id) => program.roots()[id.0 as usize],
         Err(err) => {
             out.push(Diagnostic {
                 code: DiagCode::InvalidRule,
@@ -288,16 +265,12 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
             return out;
         }
     };
-    let paths = node_paths(&scratch, root);
-    let durations = min_durations(&scratch);
+    program.solve(catalog);
+    let graph = program.graph();
+    let paths = node_paths(graph, root);
+    let durations = min_durations(graph);
     // Solved retention bounds drive the W005/N001 split below.
-    let solved = Bounds::solve(&scratch);
-    // The dead-leaf pass (W003) reads reachability off the compiled plan's
-    // dispatch rows — the same structure the executor dispatches through.
-    let deployment = catalog.map(|cat| {
-        let plan = CompiledPlan::lower(&scratch, cat, &HashMap::new(), None);
-        (cat, plan)
-    });
+    let solved = program.bounds();
     let mut diag = |code: DiagCode, node: NodeId, message: String, hint: &str| {
         out.push(Diagnostic {
             code,
@@ -309,7 +282,7 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
         });
     };
 
-    for node in scratch.nodes() {
+    for node in graph.nodes() {
         // E002: the effective distance interval of a TSEQ is empty.
         if let NodeKind::TSeq { min_dist, max_dist } = node.kind {
             let effective_max = max_dist.min(node.within);
@@ -422,8 +395,8 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
         // the analyzer and the executor can never disagree about which
         // leaves are reachable. The object-type check stays separate: type
         // membership resolves at match time, not at lowering time.
-        if let (NodeKind::Primitive(p), Some((cat, plan))) = (&node.kind, &deployment) {
-            if !plan.leaf_is_dispatchable(node.id) {
+        if let (NodeKind::Primitive(p), Some(cat)) = (&node.kind, catalog) {
+            if !program.plan().leaf_is_dispatchable(node.id) {
                 match &p.reader {
                     ReaderSel::Named(name) => {
                         diag(
@@ -458,7 +431,7 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
     }
 
     // W004: the shardability report — why the rule needs the residual path.
-    if let Ok(Shardability::Residual(reason)) = shard::analyze(&rule.event) {
+    if let Shardability::Residual(reason) = shard::shardability(graph, root) {
         let (message, hint) = match reason {
             ResidualReason::GlobalRun => (
                 "contains SEQ+/TSEQ+: aperiodic runs span objects, so the rule runs on \
@@ -484,42 +457,46 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
     out
 }
 
-/// Analyzes a whole program: per-rule passes on every rule, then the
-/// merge-aware W001 pass — rules whose events hash-cons to the same node
-/// with the same effective window are duplicates; the later one is
-/// shadowed (it fires on exactly the instances the earlier one fires on).
+/// Analyzes a whole rule set: the per-rule passes on every rule, then the
+/// program-level passes ([`analyze_compiled`]) over the one [`Program`] the
+/// rules the builder accepts compile to.
 pub fn analyze_program(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for rule in rules {
         out.extend(analyze_event(rule, catalog));
     }
-    out.extend(analyze_shadowing(rules));
-    out.extend(analyze_subsumption(rules, catalog));
-    out.extend(analyze_cost(rules, catalog));
-    out.extend(analyze_families(rules, catalog));
+    let program = Program::compile(catalog, rules.iter().cloned());
+    out.extend(analyze_compiled(&program, catalog));
     out
 }
 
-/// The W001 pass alone: detects rules that merge into the same graph node.
-/// [`analyze_program`] runs it after the per-rule passes; script-level
-/// frontends call it directly so they can group diagnostics per rule.
-pub fn analyze_shadowing(rules: &[RuleEvent]) -> Vec<Diagnostic> {
+/// The program-level passes over a [`Program`] solved against `catalog`,
+/// in report order: W001 (shadowing), W006 (subsumption), N002 (cost
+/// ranking), N003 (what the plan shares). Script-level frontends run the
+/// per-rule passes themselves, grouped per rule, and call this once for the
+/// rest.
+pub fn analyze_compiled(program: &Program, catalog: Option<&Catalog>) -> Vec<Diagnostic> {
+    let mut out = analyze_shadowing(program);
+    out.extend(analyze_subsumption(program, catalog));
+    out.extend(analyze_cost(program));
+    out.extend(analyze_families(program));
+    out
+}
+
+/// The W001 pass: rules whose events hash-cons to the same node with the
+/// same effective window are duplicates; the later one is shadowed (it
+/// fires on exactly the instances the earlier one fires on).
+fn analyze_shadowing(program: &Program) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    // W001 via the production compilation path: one merged graph.
-    let mut merged = EventGraph::new();
-    let mut owner: HashMap<NodeId, usize> = HashMap::new();
-    for (i, rule) in rules.iter().enumerate() {
-        let Ok(root) = merged.add_event(&rule.event) else {
-            continue; // already reported as E000 by the per-rule pass
-        };
+    let mut owner: HashMap<NodeId, &RuleEvent> = HashMap::new();
+    for (rule, &root) in program.rules().iter().zip(program.roots()) {
         match owner.get(&root) {
-            Some(&first) => {
-                let prior = &rules[first];
+            Some(prior) => {
                 out.push(Diagnostic {
                     code: DiagCode::ShadowedRule,
                     rule_id: rule.id.clone(),
                     rule_name: rule.name.clone(),
-                    path: merged.node(root).kind.name().to_owned(),
+                    path: program.graph().node(root).kind.name().to_owned(),
                     message: format!(
                         "event is identical to rule `{}` ({}) after common-subgraph merging \
                          (same structure and effective window); both rules fire on exactly \
@@ -530,7 +507,7 @@ pub fn analyze_shadowing(rules: &[RuleEvent]) -> Vec<Diagnostic> {
                 });
             }
             None => {
-                owner.insert(root, i);
+                owner.insert(root, rule);
             }
         }
     }
@@ -544,23 +521,13 @@ pub fn analyze_shadowing(rules: &[RuleEvent]) -> Vec<Diagnostic> {
 /// coverage. Pairs that hash-cons to the *same* merged node are W001's
 /// domain and are skipped here; mutually-containing (equivalent but not
 /// merged-identical, e.g. α-renamed) pairs flag the later rule.
-pub fn analyze_subsumption(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Diagnostic> {
+fn analyze_subsumption(program: &Program, catalog: Option<&Catalog>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    // Roots in the production merged graph: merged-identical pairs are
-    // already reported as W001 and must not double-report.
-    let mut merged = EventGraph::new();
-    let roots: Vec<Option<NodeId>> = rules
-        .iter()
-        .map(|r| merged.add_event(&r.event).ok())
-        .collect();
+    let (rules, roots) = (program.rules(), program.roots());
     let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
     for (i, rule) in rules.iter().enumerate() {
-        if roots[i].is_some() {
-            buckets
-                .entry(cost::shape_signature(&rule.event))
-                .or_default()
-                .push(i);
-        }
+        let bucket = buckets.entry(cost::shape_signature(&rule.event));
+        bucket.or_default().push(i);
     }
     let mut flagged = vec![false; rules.len()];
     let mut bucket_keys: Vec<&String> = buckets.keys().collect();
@@ -618,28 +585,18 @@ pub fn analyze_subsumption(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Ve
 /// How many hotspot rules the N002 cost ranking names.
 const COST_REPORT_TOP_K: usize = 3;
 
-/// The N002 pass: compiles the whole program into one merged graph, solves
-/// the interval bounds and the static cost model over it, ranks rules by
-/// cumulative solved CPU weight, and reports the top-k hotspots in a
-/// single note-level diagnostic (attributed to the costliest rule).
-/// Emitted only for programs with at least two compiled rules — a ranking
-/// of one is noise.
-pub fn analyze_cost(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Diagnostic> {
-    let mut merged = EventGraph::new();
-    let compiled: Vec<(usize, NodeId)> = rules
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| merged.add_event(&r.event).ok().map(|root| (i, root)))
-        .collect();
-    if compiled.len() < 2 {
+/// The N002 pass: ranks rules by the cumulative solved CPU weight of their
+/// subgraphs in the program's cost model and reports the top-k hotspots in
+/// a single note-level diagnostic (attributed to the costliest rule).
+/// Emitted only for programs with at least two rules — a ranking of one is
+/// noise.
+fn analyze_cost(program: &Program) -> Vec<Diagnostic> {
+    let rules = program.rules();
+    if rules.len() < 2 {
         return Vec::new();
     }
-    let bounds = Bounds::solve(&merged);
-    let cost = Cost::solve(&merged, &bounds, catalog);
-    let mut ranked: Vec<(usize, f64)> = compiled
-        .iter()
-        .map(|&(i, root)| (i, cost.subgraph_weight(&merged, root)))
-        .collect();
+    let weigh = |&root| program.cost().subgraph_weight(program.graph(), root);
+    let mut ranked: Vec<(usize, f64)> = program.roots().iter().map(weigh).enumerate().collect();
     let total: f64 = ranked.iter().map(|&(_, w)| w).sum();
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     let top: Vec<String> = ranked
@@ -662,7 +619,7 @@ pub fn analyze_cost(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Diagn
         path: String::new(),
         message: format!(
             "static cost ranking over {} rules — top {}: {}",
-            compiled.len(),
+            rules.len(),
             top.len(),
             top.join(", ")
         ),
@@ -672,28 +629,14 @@ pub fn analyze_cost(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Diagn
     }]
 }
 
-/// The N003 pass: lowers the whole program the way the engine does and
-/// reports what the plan shares — one note per window family (holder node,
-/// member rules with their cut-offs, the retention the shared state is kept
-/// for) and one per shared `NOT` history no reported family reads.
-pub fn analyze_families(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Diagnostic> {
-    let mut merged = EventGraph::new();
-    let mut rules_at: HashMap<NodeId, Vec<RuleId>> = HashMap::new();
-    for (i, rule) in rules.iter().enumerate() {
-        // A rejected rule was already reported as E000 by the per-rule pass.
-        if let Ok(root) = merged.add_event(&rule.event) {
-            rules_at.entry(root).or_default().push(RuleId(i as u32));
-        }
-    }
-    let bounds = Bounds::solve(&merged);
-    let no_deployment = Catalog::new();
-    let plan = CompiledPlan::lower(
-        &merged,
-        catalog.unwrap_or(&no_deployment),
-        &rules_at,
-        Some(&CompiledPlan::default()),
-    );
-    let histories = plan.shared_histories();
+/// The N003 pass: reports what the program's plan — the engine's — shares:
+/// one note per window family (holder node, member rules with their
+/// cut-offs, the retention the shared state is kept for) and one per shared
+/// `NOT` history no reported family reads.
+fn analyze_families(program: &Program) -> Vec<Diagnostic> {
+    let (rules, merged) = (program.rules(), program.graph());
+    let (bounds, plan) = (program.bounds(), program.plan());
+    let histories = program.shared_histories();
     let history_retention = |holder: NodeId| {
         let alone = [holder];
         let served = histories.iter().find(|(h, _)| *h == holder);
@@ -707,7 +650,7 @@ pub fn analyze_families(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<D
         let mut stack = served.to_vec();
         while let Some(n) = stack.pop() {
             if seen.insert(n) {
-                readers.extend(rules_at.get(&n).into_iter().flatten().map(|r| r.0 as usize));
+                readers.extend(program.rules_at(n).iter().map(|r| r.0 as usize));
                 stack.extend(&merged.node(n).parents);
             }
         }
@@ -744,13 +687,12 @@ pub fn analyze_families(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<D
         let listed: Vec<String> = members
             .iter()
             .flat_map(|m| {
-                let at = rules_at.get(&m.node).map_or(&[][..], Vec::as_slice);
-                at.iter()
-                    .map(|r| format!("`{}` ({})", rules[r.0 as usize].id, m.cutoff))
+                let at = program.rules_at(m.node).iter();
+                at.map(|r| format!("`{}` ({})", rules[r.0 as usize].id, m.cutoff))
             })
             .collect();
         out.push(note(
-            rules_at[&holder][0].0 as usize,
+            program.rules_at(holder)[0].0 as usize,
             format!(
                 "window family at {} node {}: {} rules that differ only in their window \
                  share {state}, probed at the widest cut-off and kept for {retention} — \
@@ -836,6 +778,7 @@ fn min_durations(graph: &EventGraph) -> Vec<Span> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfid_events::EventExpr;
 
     fn obs(reader: &str) -> EventExpr {
         EventExpr::observation_at(reader).build()

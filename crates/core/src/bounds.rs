@@ -112,20 +112,6 @@ impl NodeBounds {
     }
 }
 
-/// Counts of bounded vs. unbounded state stores in a solved graph.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BoundsSummary {
-    /// Join-buffer sides with a finite retention bound.
-    pub join_sides_bounded: usize,
-    /// Join-buffer sides the solver proved nothing about (kept forever,
-    /// subject only to the capacity cap).
-    pub join_sides_unbounded: usize,
-    /// `NOT`/`SEQ+` history stores with a finite retention bound.
-    pub histories_bounded: usize,
-    /// History stores parents query without bound (epoch-anchored).
-    pub histories_unbounded: usize,
-}
-
 /// The solved bounds for every node of a merged [`EventGraph`].
 #[derive(Debug, Clone, Default)]
 pub struct Bounds {
@@ -189,57 +175,9 @@ impl Bounds {
         &self.nodes[id.idx()]
     }
 
-    /// Bounds of a node, or `None` when the solve predates the node.
-    pub fn get(&self, id: NodeId) -> Option<&NodeBounds> {
-        self.nodes.get(id.idx())
-    }
-
-    /// All solved bounds, indexed by node id.
-    pub fn nodes(&self) -> &[NodeBounds] {
-        &self.nodes
-    }
-
-    /// Number of solved nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether anything was solved.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Fixpoint rounds the solve took (diagnostics; 2 in practice).
     pub fn rounds(&self) -> u32 {
         self.rounds
-    }
-
-    /// Classifies every stateful node of `graph` as bounded or unbounded.
-    pub fn summary(&self, graph: &EventGraph) -> BoundsSummary {
-        let mut s = BoundsSummary::default();
-        for node in graph.nodes() {
-            let Some(b) = self.get(node.id) else { continue };
-            match node.plan {
-                Plan::TwoSided => {
-                    for side in 0..if node.symmetric { 1 } else { 2 } {
-                        if b.retain[side] == Span::MAX {
-                            s.join_sides_unbounded += 1;
-                        } else {
-                            s.join_sides_bounded += 1;
-                        }
-                    }
-                }
-                Plan::NegationRecorder | Plan::AperiodicRecorder => {
-                    if b.retention == Span::MAX {
-                        s.histories_unbounded += 1;
-                    } else {
-                        s.histories_bounded += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        s
     }
 }
 
@@ -471,12 +409,8 @@ mod tests {
 
     #[test]
     fn unconstrained_seq_left_side_stays_unbounded() {
-        let (g, b, root) = solve(p("a").seq(p("b")));
-        let nb = b.node(root);
-        assert_eq!(nb.retain, [Span::MAX, Span::ZERO]);
-        let s = b.summary(&g);
-        assert_eq!(s.join_sides_unbounded, 1);
-        assert_eq!(s.join_sides_bounded, 1);
+        let (_, b, root) = solve(p("a").seq(p("b")));
+        assert_eq!(b.node(root).retain, [Span::MAX, Span::ZERO]);
     }
 
     #[test]
@@ -512,9 +446,6 @@ mod tests {
         let (g, b, root) = solve(p("a").not().seq(p("b")).within(Span::from_secs(60)));
         let not_id = g.node(root).children[0];
         assert_eq!(b.node(not_id).retention, Span::from_secs(60));
-        let s = b.summary(&g);
-        assert_eq!(s.histories_bounded, 1);
-        assert_eq!(s.histories_unbounded, 0);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct CostEstimate {
 }
 
 /// Solved per-node cost estimates for a graph (indexed by [`NodeId`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cost {
     per_node: Vec<CostEstimate>,
 }

@@ -20,7 +20,7 @@
 //! oldest-compatible matching, and consumption on use.
 //!
 //! Internally the engine is split in two (DESIGN.md §10): the compiled
-//! [`EventGraph`] is immutable once rules are registered, while all mutable
+//! [`Program`] is immutable between rule-set changes, while all mutable
 //! detection state lives in [`Runtime`]. Propagation borrows nodes (plans,
 //! join specs, windows) straight out of the graph for the duration of an
 //! arrival while mutating runtime state — no per-arrival plan or kind
@@ -32,13 +32,13 @@ use std::sync::Arc;
 
 use rfid_events::{dist, interval2, Catalog, EventExpr, Instance, Observation, Span, Timestamp};
 
-use crate::bounds::Bounds;
 use crate::cost::Cost;
 use crate::error::InvalidRule;
 use crate::graph::{EventGraph, Node, NodeId, NodeKind, Plan};
 use crate::key::{extract_all, Key};
 use crate::obs::{FlightRecorder, Histogram, ObsState, ObserveLevel, TelemetrySnapshot};
 use crate::plan::{CompiledPlan, EdgeOp, InlineBuf, Member, LEAF_HITS_INLINE};
+use crate::program::{Program, RuleEvent};
 use crate::pseudo::{PseudoAction, PseudoEvent, PseudoQueue};
 use crate::state::{
     dead_before, AperiodicState, Entry, KeyedBuffer, NegationState, NodeState, TimedRunState,
@@ -93,9 +93,6 @@ pub struct EngineConfig {
     /// Flight-recorder ring capacity (records kept); 0 disables recording
     /// even at `Full`.
     pub flight_capacity: usize,
-    /// Flight-recorder sampling period: record every `n`-th firing
-    /// (1 = every firing; clamped to at least 1).
-    pub flight_sample: u64,
 }
 
 impl Default for EngineConfig {
@@ -107,7 +104,6 @@ impl Default for EngineConfig {
             exec: ExecMode::Plan,
             observe: ObserveLevel::Off,
             flight_capacity: 64,
-            flight_sample: 1,
         }
     }
 }
@@ -122,23 +118,17 @@ pub const PROCESS_ALL_BATCH: usize = 1024;
 
 /// The RFID complex event detection engine.
 pub struct Engine {
-    graph: EventGraph,
+    /// The rule set and what it compiles to. Read through
+    /// [`Engine::program`], which re-solves it after a rule-set change.
+    program: Program,
     catalog: Catalog,
     /// All mutable detection state; hot-path methods live here and borrow
     /// the graph immutably alongside.
     rt: Runtime,
-    rules_at: HashMap<NodeId, Vec<RuleId>>,
-    rule_names: Vec<String>,
-    rule_roots: Vec<NodeId>,
     rule_enabled: Vec<bool>,
     rule_firings: Vec<u64>,
     /// The reference walker's leaf index; empty under [`ExecMode::Plan`].
     dispatch: Dispatch,
-    /// The lowered execution plan, rebuilt when the rule set changes.
-    plan: CompiledPlan,
-    /// Solved retention bounds, refreshed with the plan on recompile.
-    bounds: Bounds,
-    dispatch_dirty: bool,
     config: EngineConfig,
 }
 
@@ -178,7 +168,7 @@ struct Runtime {
 struct SweepQueue {
     /// Per-node `[side0, side1]` retention spans — how long an entry of
     /// that side's buffer stays matchable — chosen by
-    /// [`Engine::rebuild_sweep_spans`] on recompile and read by both the
+    /// [`Engine::rebuild_sweep_spans`] on every re-solve and read by both the
     /// probe-time dead scans and the sweep. Non-join stores use slot 0;
     /// `Span::MAX` marks a side that is never pruned by time.
     spans: Vec<[Span; 2]>,
@@ -273,13 +263,11 @@ impl Engine {
     /// and object types in the catalog *before* building the engine — leaf
     /// dispatch resolves names against it.
     pub fn new(catalog: Catalog, config: EngineConfig) -> Self {
-        let graph = if config.merge_subgraphs {
-            EventGraph::new()
-        } else {
-            EventGraph::without_merging()
-        };
+        // The plan executor coalesces interior state; the reference walker
+        // runs beside an unshared lowering.
+        let share = config.exec == ExecMode::Plan;
         Self {
-            graph,
+            program: Program::new(config.merge_subgraphs, share),
             catalog,
             rt: Runtime {
                 states: Vec::new(),
@@ -288,18 +276,12 @@ impl Engine {
                 seq: 0,
                 stats: EngineStats::default(),
                 work: Vec::new(),
-                obs: ObsState::new(config.observe, config.flight_capacity, config.flight_sample),
+                obs: ObsState::new(config.observe, config.flight_capacity),
                 sweep: SweepQueue::default(),
             },
-            rules_at: HashMap::new(),
-            rule_names: Vec::new(),
-            rule_roots: Vec::new(),
             rule_enabled: Vec::new(),
             rule_firings: Vec::new(),
             dispatch: Dispatch::default(),
-            plan: CompiledPlan::default(),
-            bounds: Bounds::default(),
-            dispatch_dirty: true,
             config,
         }
     }
@@ -328,29 +310,25 @@ impl Engine {
     /// graph (merging common structure) and validated (§4.4). Returns the
     /// rule id used in sink callbacks.
     pub fn add_rule(&mut self, name: &str, event: EventExpr) -> Result<RuleId, InvalidRule> {
-        let root = self.graph.add_event(&event)?;
-        let rule = RuleId(self.rule_names.len() as u32);
-        self.rule_names.push(name.to_owned());
-        self.rule_roots.push(root);
+        let rule = self.program.add_rule(RuleEvent::new(name, name, event))?;
         self.rule_enabled.push(true);
         self.rule_firings.push(0);
-        self.rules_at.entry(root).or_default().push(rule);
-        self.sync_states();
-        self.dispatch_dirty = true;
         Ok(rule)
     }
 
-    /// Creates or refreshes runtime state for every graph node.
+    /// Creates or refreshes runtime state for every graph node — those a
+    /// rejected rule left behind included, since their leaves dispatch too.
     fn sync_states(&mut self) {
-        for idx in 0..self.graph.len() {
-            let id = NodeId(idx as u32);
+        let graph = self.program.graph();
+        for node in graph.nodes() {
+            let idx = node.id.idx();
             if idx >= self.rt.states.len() {
-                self.rt.states.push(initial_state(self.graph.node(id)));
+                self.rt.states.push(initial_state(node));
             }
             // A new rule may have registered additional keyed histories on an
             // existing negation node.
             if let NodeState::Negation(neg) = &mut self.rt.states[idx] {
-                neg.ensure_specs(self.graph.hist_specs(id).len().max(1));
+                neg.ensure_specs(graph.hist_specs(node.id).len().max(1));
             }
         }
     }
@@ -368,7 +346,8 @@ impl Engine {
     /// their order do not depend on how a stream is cut into batches; the
     /// per-event overheads are amortized over each one:
     ///
-    /// * the `dispatch_dirty` recompile check runs once per batch;
+    /// * the check for a changed rule set ([`Engine::program`]) runs once
+    ///   per batch;
     /// * leaf dispatch resolves the compiled reader row once per
     ///   contiguous same-reader run;
     /// * the pseudo-event queue is peeked only when the cached earliest
@@ -385,9 +364,7 @@ impl Engine {
         if batch.is_empty() {
             return;
         }
-        if self.dispatch_dirty {
-            self.recompile();
-        }
+        self.program();
         self.rt.stats.batches_processed += 1;
         let full = self.rt.obs.level.full();
         // Cached earliest pending pseudo execution time; refreshed after
@@ -399,13 +376,12 @@ impl Engine {
             // The compiled dispatch row depends only on the reader: resolve
             // it once per contiguous same-reader run.
             let reader = batch[i].reader;
-            let row = self.plan.reader_row(reader.0);
-            let can_match = self.plan.row_can_match(row);
+            let row = self.program.plan().reader_row(reader.0);
+            let can_match = self.program.plan().row_can_match(row);
             let mut j = i;
             while j < batch.len() && batch[j].reader == reader {
                 let obs = batch[j];
                 j += 1;
-                debug_assert!(!self.dispatch_dirty, "rule set changed mid-batch");
                 debug_assert!(obs.at >= self.rt.clock, "observations must be time-ordered");
                 let obs_t0 = full.then(std::time::Instant::now);
                 if next_pseudo.is_some_and(|t| t < obs.at) {
@@ -424,8 +400,8 @@ impl Engine {
                             // miss/single-hit cases never allocate.
                             let mut hits: InlineBuf<NodeId, LEAF_HITS_INLINE> =
                                 InlineBuf::default();
-                            self.plan
-                                .leaf_hits_in_row(&self.catalog, &obs, row, &mut hits);
+                            let plan = self.program.plan();
+                            plan.leaf_hits_in_row(&self.catalog, &obs, row, &mut hits);
                             if !hits.is_empty() {
                                 self.rt.activate_leaves(obs, hits.iter().copied());
                                 self.run_work_plan(sink);
@@ -435,8 +411,9 @@ impl Engine {
                     }
                     ExecMode::Graph => {
                         let mut leaves = Vec::new();
+                        let graph = self.program.graph();
                         self.dispatch.candidates(&self.catalog, &obs, &mut leaves);
-                        leaves.retain(|&leaf| match &self.graph.node(leaf).kind {
+                        leaves.retain(|&leaf| match &graph.node(leaf).kind {
                             NodeKind::Primitive(p) => p.matches(&obs, &self.catalog),
                             _ => false,
                         });
@@ -479,9 +456,7 @@ impl Engine {
     /// Drains every pending pseudo event (end of stream): negation windows
     /// and open `TSEQ+` runs resolve as if time advanced past them.
     pub fn finish(&mut self, sink: &mut Sink<'_>) {
-        if self.dispatch_dirty {
-            self.recompile();
-        }
+        self.program();
         while let Some(ev) = self.rt.pseudo.pop_any() {
             self.rt.clock = self.rt.clock.max(ev.exec);
             self.fire_pseudo(ev, sink);
@@ -491,9 +466,7 @@ impl Engine {
     /// Advances the clock to `now`, executing due pseudo events, without
     /// feeding an observation (heartbeat for quiet streams).
     pub fn advance_to(&mut self, now: Timestamp, sink: &mut Sink<'_>) {
-        if self.dispatch_dirty {
-            self.recompile();
-        }
+        self.program();
         while let Some(ev) = self.rt.pseudo.pop_due(now) {
             self.fire_pseudo(ev, sink);
         }
@@ -505,8 +478,9 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let mut s = self.rt.stats;
         s.pseudo_scheduled = self.rt.pseudo.scheduled;
-        s.plan_nodes = self.plan.node_count() as u64;
-        s.plan_arena_bytes = self.plan.arena_bytes() as u64;
+        // As of the last solve, like the state the other counters describe.
+        s.plan_nodes = self.program.plan().node_count() as u64;
+        s.plan_arena_bytes = self.program.plan().arena_bytes() as u64;
         s.buffered_entries = self.buffered_instances() as u64;
         for state in &self.rt.states {
             match state {
@@ -529,35 +503,37 @@ impl Engine {
 
     /// The compiled event graph (inspection, tests, benches).
     pub fn graph(&self) -> &EventGraph {
-        &self.graph
+        self.program.graph()
     }
 
-    /// The lowered execution plan, recompiling first if the rule set
-    /// changed since the last compile (inspection, explain, tests).
+    /// What the rule set compiles to, re-solved first if the rule set
+    /// changed since the last call — once per change, never per event. The
+    /// one place the engine's runtime state follows a recompile: node state
+    /// and the metrics arena are sized for the new nodes, the sweep spans
+    /// and the walker's leaf index are rebuilt, and state moves with its
+    /// holder.
+    pub fn program(&mut self) -> &Program {
+        if let Some(prior) = self.program.solve(Some(&self.catalog)) {
+            self.sync_states();
+            if self.config.exec == ExecMode::Graph {
+                self.dispatch = Dispatch::build(self.program.graph(), &self.catalog);
+            }
+            self.rt.obs.arena.ensure_len(self.program.graph().len());
+            self.rebuild_sweep_spans();
+            self.rehome_states(&prior);
+        }
+        &self.program
+    }
+
+    /// The lowered execution plan of the current rule set.
     pub fn compiled_plan(&mut self) -> &CompiledPlan {
-        if self.dispatch_dirty {
-            self.recompile();
-        }
-        &self.plan
+        self.program().plan()
     }
 
-    /// The solved retention bounds ([`crate::bounds`]), recompiling first
-    /// if the rule set changed since the last compile.
-    pub fn bounds(&mut self) -> &Bounds {
-        if self.dispatch_dirty {
-            self.recompile();
-        }
-        &self.bounds
-    }
-
-    /// The solved static cost model ([`crate::cost`]) for the current rule
-    /// set, recompiling first if it changed. Computed on demand — the
-    /// model is a compile-time artifact, not hot-path state.
-    pub fn cost(&mut self) -> Cost {
-        if self.dispatch_dirty {
-            self.recompile();
-        }
-        Cost::solve(&self.graph, &self.bounds, Some(&self.catalog))
+    /// The solved static cost model ([`crate::cost`]) of the current rule
+    /// set.
+    pub fn cost(&mut self) -> &Cost {
+        self.program().cost()
     }
 
     /// Total instances currently held in join buffers, negation histories,
@@ -585,17 +561,17 @@ impl Engine {
 
     /// Name of a rule.
     pub fn rule_name(&self, rule: RuleId) -> &str {
-        &self.rule_names[rule.0 as usize]
+        &self.program.rules()[rule.0 as usize].name
     }
 
     /// Root graph node of a rule.
     pub fn rule_root(&self, rule: RuleId) -> NodeId {
-        self.rule_roots[rule.0 as usize]
+        self.program.roots()[rule.0 as usize]
     }
 
     /// Number of registered rules.
     pub fn rule_count(&self) -> usize {
-        self.rule_names.len()
+        self.program.rules().len()
     }
 
     /// Enables or disables a rule. Disabled rules stop firing immediately;
@@ -616,10 +592,8 @@ impl Engine {
     /// rules. After `reset()` the engine behaves as if freshly built, so
     /// benchmark iterations and replays skip recompilation.
     pub fn reset(&mut self) {
-        for idx in 0..self.rt.states.len() {
-            self.rt.states[idx] = initial_state(self.graph.node(NodeId(idx as u32)));
-        }
-        self.sync_states(); // restore negation history spec slots
+        self.rt.states.clear();
+        self.sync_states();
         self.rt.pseudo = PseudoQueue::new();
         self.rt.clock = Timestamp::ZERO;
         self.rt.seq = 0;
@@ -644,26 +618,19 @@ impl Engine {
 
     /// An exportable point-in-time telemetry snapshot: stats totals, the
     /// per-node metrics arena labelled with compiled-plan op names, and the
-    /// latency/occupancy histograms. Recompiles first if the rule set
-    /// changed, so node ids line up with the current plan. The queue-depth
-    /// histogram is filled by the sharded pipeline
-    /// ([`crate::shard::ShardedEngine::telemetry`]); empty here.
+    /// latency/occupancy histograms, all node-aligned with the current
+    /// [`Engine::program`]. The queue-depth histogram is filled by the
+    /// sharded pipeline ([`crate::shard::ShardedEngine::telemetry`]); empty
+    /// here.
     pub fn telemetry(&mut self) -> TelemetrySnapshot {
-        if self.dispatch_dirty {
-            self.recompile();
-        }
-        self.rt
-            .obs
-            .arena
-            .ensure_len(self.graph.len().max(self.plan.node_count()));
-        let mut node_cost =
-            Cost::solve(&self.graph, &self.bounds, Some(&self.catalog)).cpu_weights();
-        node_cost.resize(self.rt.obs.arena.len(), 0.0);
+        let program = self.program();
+        let ops = program.graph().nodes().iter().map(|n| n.plan.name());
+        let (ops, node_cost) = (ops.collect(), program.cost().cpu_weights());
         TelemetrySnapshot {
             label: "engine".to_owned(),
             clock_ms: self.rt.clock.as_millis(),
             stats: self.stats(),
-            ops: self.plan.op_names(self.rt.obs.arena.len()),
+            ops,
             nodes: self.rt.obs.arena.clone(),
             node_cost,
             latency_ns: self.rt.obs.latency_ns,
@@ -685,51 +652,28 @@ impl Engine {
     /// The plan the arrival handlers may read holders and families from:
     /// none under the reference walker, which runs unshared.
     fn shared(&self) -> Option<&CompiledPlan> {
-        matches!(self.config.exec, ExecMode::Plan).then_some(&self.plan)
+        matches!(self.config.exec, ExecMode::Plan).then_some(self.program.plan())
     }
 
-    /// Solves the retention bounds and lowers the graph into the compiled
-    /// plan (plus the walker's dispatch index when the reference executor
-    /// is selected). Runs once per rule-set change, never per event.
-    fn recompile(&mut self) {
-        let prior = std::mem::take(&mut self.plan);
-        // The plan executor coalesces interior state and keeps it where the
-        // earlier plan had it; the walker runs beside an unshared lowering.
-        let keep = match self.config.exec {
-            ExecMode::Plan => {
-                self.dispatch = Dispatch::default();
-                Some(&prior)
-            }
-            ExecMode::Graph => {
-                self.dispatch = Dispatch::build(&self.graph, &self.catalog);
-                None
-            }
-        };
-        self.bounds = Bounds::solve(&self.graph);
-        self.plan = CompiledPlan::lower(&self.graph, &self.catalog, &self.rules_at, keep);
-        // Size the metrics arena for every node either executor can touch.
-        self.rt
-            .obs
-            .arena
-            .ensure_len(self.graph.len().max(self.plan.node_count()));
-        self.rebuild_sweep_spans();
-        // State stays where it is: a holder is the first-registered node of
-        // its group, so rules added to a running engine only ever join it.
-        // The one move is a member that no longer fits its holder and now
-        // holds state itself; it carries on from a copy of what it shared
-        // (a superset of what it would have kept alone, and anything beyond
-        // its own window is invisible to its probes). A `NOT` leaves because
-        // it gained a history spec its holder lacks: the copy keeps the
-        // histories of the specs the two still share and is sized for the
-        // node's own list, so the new spec starts empty, as it does on an
-        // unshared `NOT`.
+    /// Follows the holders from the plan `prior` to the current one. State
+    /// stays where it is: a holder is the first-registered node of its
+    /// group, so rules added to a running engine only ever join it. The one
+    /// move is a member that no longer fits its holder and now holds state
+    /// itself; it carries on from a copy of what it shared (a superset of
+    /// what it would have kept alone, and anything beyond its own window is
+    /// invisible to its probes). A `NOT` leaves because it gained a history
+    /// spec its holder lacks: the copy keeps the histories of the specs the
+    /// two still share and is sized for the node's own list, so the new
+    /// spec starts empty, as it does on an unshared `NOT`.
+    fn rehome_states(&mut self, prior: &CompiledPlan) {
+        let (graph, plan) = (self.program.graph(), self.program.plan());
         for idx in 0..prior.node_count() {
             let node = NodeId(idx as u32);
             let was = prior.holder(node);
-            if was != node && self.plan.holder(node) == node {
+            if was != node && plan.holder(node) == node {
                 self.rt.states[idx] = self.rt.states[was.idx()].clone();
                 if let NodeState::Negation(neg) = &mut self.rt.states[idx] {
-                    let (own, shared) = (self.graph.hist_specs(node), self.graph.hist_specs(was));
+                    let (own, shared) = (graph.hist_specs(node), graph.hist_specs(was));
                     let common = own.iter().zip(shared).take_while(|(a, b)| a == b).count();
                     neg.truncate_specs(common);
                     neg.ensure_specs(own.len().max(1));
@@ -737,7 +681,6 @@ impl Engine {
                 self.rt.sweep.touch(node);
             }
         }
-        self.dispatch_dirty = false;
     }
 
     /// The one place a retention horizon is chosen. The plan executor
@@ -746,12 +689,13 @@ impl Engine {
     /// `max_lag` pad, so the oracle does not depend on the solver it
     /// checks. A holder keeps what its longest-reaching member needs.
     fn rebuild_sweep_spans(&mut self) {
-        let lag = self.graph.max_lag();
-        self.rt.sweep.resize(self.graph.len());
-        for node in self.graph.nodes() {
+        let (graph, plan) = (self.program.graph(), self.program.plan());
+        let lag = graph.max_lag();
+        self.rt.sweep.resize(graph.len());
+        for node in graph.nodes() {
             let (sides, retention) = match self.config.exec {
                 ExecMode::Plan => {
-                    let b = self.bounds.node(node.id);
+                    let b = self.program.bounds().node(node.id);
                     (b.retain, b.retention)
                 }
                 // Span addition saturates, so a `Span::MAX` horizon stays
@@ -765,7 +709,7 @@ impl Engine {
             };
             // Ids are topological and a holder is the lowest id of its
             // group, so its own spans are in place before any member's.
-            let holder = self.plan.holder(node.id);
+            let holder = plan.holder(node.id);
             let spans = &mut self.rt.sweep.spans;
             spans[node.id.idx()] = own;
             if holder != node.id {
@@ -824,7 +768,7 @@ impl Engine {
                     _ => None,
                 };
                 let Some(entry) = entry else { return };
-                let n = self.graph.node(node);
+                let n = self.program.graph().node(node);
                 let not_side = match n.plan {
                     Plan::AndNegation { not_side } => not_side,
                     Plan::RightNegationWait => 1,
@@ -874,14 +818,14 @@ impl Engine {
     /// [`EdgeOp`] edges — no hash probes, no per-delivery side derivation.
     fn run_work_plan(&mut self, sink: &mut Sink<'_>) {
         let Self {
-            graph,
+            program,
             rt,
-            plan,
             rule_enabled,
             rule_firings,
             config,
             ..
         } = self;
+        let (graph, plan) = (program.graph(), program.plan());
         let observe = rt.obs.level;
         while let Some((node_id, inst)) = rt.work.pop() {
             // A coalesced leaf representative stands in for its whole
@@ -923,38 +867,37 @@ impl Engine {
         }
     }
 
-    /// `run_work` over the event graph (the reference executor): drains `rt.work`, propagating each occurrence to the node's rules
-    /// and parents. Arrival handlers push further occurrences onto the
-    /// same queue.
+    /// `run_work` over the event graph (the reference executor): drains
+    /// `rt.work`, propagating each occurrence to the node's rules and
+    /// parents. Arrival handlers push further occurrences onto the same
+    /// queue.
     fn run_work_graph(&mut self, sink: &mut Sink<'_>) {
         let Self {
-            graph,
+            program,
             rt,
-            rules_at,
             rule_enabled,
             rule_firings,
             config,
             ..
         } = self;
+        let graph = program.graph();
         let observe = rt.obs.level;
         while let Some((node_id, inst)) = rt.work.pop() {
             rt.stats.occurrences += 1;
             if observe.counters() {
                 rt.obs.arena.arrived(node_id.idx());
             }
-            if let Some(rules) = rules_at.get(&node_id) {
-                for &rule in rules {
-                    if !rule_enabled[rule.0 as usize] {
-                        continue;
-                    }
-                    rt.stats.rule_firings += 1;
-                    rule_firings[rule.0 as usize] += 1;
-                    sink(rule, &inst);
-                    if observe.counters() {
-                        rt.obs.arena.fired(node_id.idx());
-                        if observe.full() {
-                            rt.obs.flight.offer(rule, rt.clock, &inst);
-                        }
+            for &rule in program.rules_at(node_id) {
+                if !rule_enabled[rule.0 as usize] {
+                    continue;
+                }
+                rt.stats.rule_firings += 1;
+                rule_firings[rule.0 as usize] += 1;
+                sink(rule, &inst);
+                if observe.counters() {
+                    rt.obs.arena.fired(node_id.idx());
+                    if observe.full() {
+                        rt.obs.flight.offer(rule, rt.clock, &inst);
                     }
                 }
             }

@@ -1,39 +1,37 @@
-//! Graph inspection: human-readable and Graphviz renderings of a compiled
-//! event graph.
+//! Inspection: human-readable and Graphviz renderings of a compiled rule
+//! set.
 //!
 //! The paper's Figs. 5–7 draw event graphs with constructor labels and
 //! temporal annotations; [`EventGraph::to_dot`] reproduces that drawing for
-//! any compiled rule set, and [`EventGraph::describe`] prints the analysis
-//! table (mode, plan, window, horizon, solved retention) that §4.4's
-//! algorithms and the [`crate::bounds`] interval solver compute.
+//! any compiled rule set, [`Program::describe`] prints the analysis table
+//! (mode, plan, window, horizon, solved retention, cost) that §4.4's
+//! algorithms, the [`crate::bounds`] interval solver and the [`crate::cost`]
+//! model compute, and [`Program::describe_plan`] the lowered plan.
 
 use std::fmt::Write as _;
 
 use rfid_events::{Instance, InstanceKind, Span};
 
-use crate::bounds::Bounds;
-use crate::cost::Cost;
-use crate::graph::{DetectionMode, EventGraph, NodeId, NodeKind, Plan};
+use crate::graph::{DetectionMode, EventGraph, NodeKind, Plan};
 use crate::obs::FlightRecord;
-use crate::plan::{CompiledPlan, EdgeOp, OpTag};
+use crate::plan::EdgeOp;
+use crate::program::Program;
 
-impl EventGraph {
+impl Program {
     /// A text table of every node's static analysis, in id order. The
     /// `retain` column is the interval solver's per-side buffer bound
-    /// ([`crate::bounds::NodeBounds::retain`]) — what the engine actually
-    /// prunes against when bound enforcement is on. The `cost` column is
-    /// the [`crate::cost`] model's node-local CPU weight (catalog-free
-    /// fallback rates; rankings, not absolutes).
+    /// ([`crate::bounds::NodeBounds::retain`]) — what the engine prunes
+    /// against. The `cost` column is the [`crate::cost`] model's node-local
+    /// CPU weight (rankings, not absolutes).
     pub fn describe(&self) -> String {
-        let solved = Bounds::solve(self);
-        let cost = Cost::solve(self, &solved, None);
+        let (solved, cost) = (self.bounds(), self.cost());
         let mut out = String::new();
         let _ = writeln!(
             out,
             "{:>4} {:<14} {:<8} {:<20} {:>10} {:>10} {:<15} {:>9} {:<10} detail",
             "id", "kind", "mode", "plan", "within", "horizon", "retain", "cost", "children"
         );
-        for node in self.nodes() {
+        for node in self.graph().nodes() {
             let mode = match node.mode {
                 DetectionMode::Push => "push",
                 DetectionMode::Pull => "pull",
@@ -53,7 +51,7 @@ impl EventGraph {
                 node.id.0,
                 node.kind.name(),
                 mode,
-                plan_name(node.plan),
+                node.plan.name(),
                 fmt_span(node.within),
                 fmt_span(node.horizon),
                 format!("{}/{}", fmt_span(retain[0]), fmt_span(retain[1])),
@@ -65,6 +63,93 @@ impl EventGraph {
         out
     }
 
+    /// A text table of the lowered execution plan, in node order: the
+    /// per-node [`Plan`], dispatch reachability, attached rules, and the
+    /// precomputed parent-activation edges — the flat view the executor
+    /// runs, complementing [`Program::describe`]'s graph-level table. What
+    /// shares state is listed after the summary: one line per window family
+    /// (holder, then each member node with its cut-off) and per shared
+    /// `NOT` history.
+    pub fn describe_plan(&self) -> String {
+        let plan = self.plan();
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{:>4} {:<12} {:<6} {:<8} edges",
+            "id", "op", "disp", "rules"
+        );
+        for node in self.graph().nodes() {
+            let id = node.id;
+            let disp = match (node.plan, plan.leaf_is_dispatchable(id)) {
+                (Plan::Leaf, true) => "yes",
+                (Plan::Leaf, false) => "dead",
+                _ => "-",
+            };
+            let rules: Vec<String> = plan.rules_at(id).iter().map(|r| r.0.to_string()).collect();
+            let edges: Vec<String> = plan
+                .edges_at(id)
+                .iter()
+                .map(|e| {
+                    let parent = e.parent().0;
+                    match e.op() {
+                        EdgeOp::SelfJoin => format!("self-join→{parent}"),
+                        EdgeOp::Left => format!("left→{parent}"),
+                        EdgeOp::Right => format!("right→{parent}"),
+                        EdgeOp::RecordQuery { query } => {
+                            format!("record→{parent}+query{query}")
+                        }
+                        EdgeOp::QueryRecord { query } => {
+                            format!("query{query}+record→{parent}")
+                        }
+                    }
+                })
+                .collect();
+            let _ = writeln!(
+                out,
+                "{:>4} {:<12} {:<6} {:<8} {}",
+                id.0,
+                node.plan.name(),
+                disp,
+                rules.join(","),
+                edges.join(" "),
+            );
+        }
+        let _ = writeln!(
+            out,
+            "— {} nodes, {} edges, {} rule attachments, dispatch width {}, {} arena bytes",
+            plan.node_count(),
+            plan.edge_count(),
+            plan.rule_count(),
+            plan.dispatch_width(),
+            plan.arena_bytes(),
+        );
+        for (holder, members) in plan.families() {
+            let members: Vec<String> = members
+                .iter()
+                .map(|m| format!("{} ({})", m.node.0, fmt_span(m.cutoff)))
+                .collect();
+            let _ = writeln!(
+                out,
+                "family: {} node {} serves {}",
+                self.graph().node(holder).plan.name(),
+                holder.0,
+                members.join(", ")
+            );
+        }
+        for (holder, served) in self.shared_histories() {
+            let served: Vec<String> = served.iter().map(|n| n.0.to_string()).collect();
+            let _ = writeln!(
+                out,
+                "history: neg-record node {} serves {}",
+                holder.0,
+                served.join(", ")
+            );
+        }
+        out
+    }
+}
+
+impl EventGraph {
     /// A Graphviz `digraph` in the style of the paper's figures: constructor
     /// nodes with temporal annotations, edges from constituents to the
     /// events they construct, pull/mixed nodes visually distinguished.
@@ -108,92 +193,6 @@ impl EventGraph {
             }
         }
         out.push_str("}\n");
-        out
-    }
-}
-
-impl CompiledPlan {
-    /// A text table of the lowered execution plan, in node order: the
-    /// per-node [`crate::plan::OpTag`], dispatch reachability, attached
-    /// rules, and the precomputed parent-activation edges — the flat view
-    /// the executor actually runs, complementing [`EventGraph::describe`]'s
-    /// graph-level analysis table. What shares state is listed after the
-    /// summary: one line per window family (holder, then each member node
-    /// with its cut-off) and per shared `NOT` history.
-    pub fn describe(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>4} {:<12} {:<6} {:<8} edges",
-            "id", "op", "disp", "rules"
-        );
-        for idx in 0..self.node_count() {
-            let id = NodeId(idx as u32);
-            let disp = match (self.tag(id), self.leaf_is_dispatchable(id)) {
-                (OpTag::Leaf, true) => "yes",
-                (OpTag::Leaf, false) => "dead",
-                _ => "-",
-            };
-            let rules: Vec<String> = self.rules_at(id).iter().map(|r| r.0.to_string()).collect();
-            let edges: Vec<String> = self
-                .edges_at(id)
-                .iter()
-                .map(|e| {
-                    let parent = e.parent().0;
-                    match e.op() {
-                        EdgeOp::SelfJoin => format!("self-join→{parent}"),
-                        EdgeOp::Left => format!("left→{parent}"),
-                        EdgeOp::Right => format!("right→{parent}"),
-                        EdgeOp::RecordQuery { query } => {
-                            format!("record→{parent}+query{query}")
-                        }
-                        EdgeOp::QueryRecord { query } => {
-                            format!("query{query}+record→{parent}")
-                        }
-                    }
-                })
-                .collect();
-            let _ = writeln!(
-                out,
-                "{:>4} {:<12} {:<6} {:<8} {}",
-                idx,
-                self.tag(id).name(),
-                disp,
-                rules.join(","),
-                edges.join(" "),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "— {} nodes, {} edges, {} rule attachments, dispatch width {}, {} arena bytes",
-            self.node_count(),
-            self.edge_count(),
-            self.rule_count(),
-            self.dispatch_width(),
-            self.arena_bytes(),
-        );
-        for (holder, members) in self.families() {
-            let members: Vec<String> = members
-                .iter()
-                .map(|m| format!("{} ({})", m.node.0, fmt_span(m.cutoff)))
-                .collect();
-            let _ = writeln!(
-                out,
-                "family: {} node {} serves {}",
-                self.tag(holder).name(),
-                holder.0,
-                members.join(", ")
-            );
-        }
-        for (holder, served) in self.shared_histories() {
-            let served: Vec<String> = served.iter().map(|n| n.0.to_string()).collect();
-            let _ = writeln!(
-                out,
-                "history: neg-record node {} serves {}",
-                holder.0,
-                served.join(", ")
-            );
-        }
         out
     }
 }
@@ -271,21 +270,6 @@ fn render_node(inst: &Instance, prefix: &str, child_prefix: &str, out: &mut Stri
     }
 }
 
-fn plan_name(plan: Plan) -> &'static str {
-    match plan {
-        Plan::Leaf => "leaf",
-        Plan::Forward => "forward",
-        Plan::TwoSided => "two-sided",
-        Plan::LeftNegationQuery => "neg-query",
-        Plan::LeftAperiodicQuery => "aperiodic-query",
-        Plan::RightNegationWait => "neg-wait",
-        Plan::AndNegation { .. } => "and-negation",
-        Plan::NegationRecorder => "neg-recorder",
-        Plan::AperiodicRecorder => "aperiodic-rec",
-        Plan::TimedAperiodic => "timed-run",
-    }
-}
-
 fn fmt_span(s: Span) -> String {
     if s == Span::MAX {
         "∞".to_owned()
@@ -299,8 +283,18 @@ mod tests {
     use super::*;
     use rfid_events::EventExpr;
 
-    fn sample_graph() -> EventGraph {
-        let mut g = EventGraph::new();
+    /// A solved program over `events`, one rule each.
+    fn program(catalog: Option<rfid_events::Catalog>, events: Vec<EventExpr>) -> Program {
+        let mut p = Program::new(true, true);
+        for (i, event) in events.into_iter().enumerate() {
+            let rule = crate::RuleEvent::new(format!("r{i}"), "rule", event);
+            p.add_rule(rule).unwrap();
+        }
+        p.solve(catalog.as_ref());
+        p
+    }
+
+    fn sample_program() -> Program {
         let e = EventExpr::observation_at("r1")
             .tseq_plus(Span::from_millis(100), Span::from_secs(1))
             .tseq(
@@ -309,27 +303,31 @@ mod tests {
                 Span::from_secs(20),
             )
             .within(Span::from_mins(5));
-        g.add_event(&e).unwrap();
         let neg = EventExpr::observation_at("r1")
             .and(EventExpr::observation_at("r2").not())
             .within(Span::from_secs(5));
-        g.add_event(&neg).unwrap();
-        g
+        program(None, vec![e, neg])
+    }
+
+    fn shelf_catalog() -> rfid_events::Catalog {
+        let mut catalog = rfid_events::Catalog::new();
+        catalog.readers.register("s1", "shelves", "aisle-1");
+        catalog
     }
 
     #[test]
     fn describe_lists_every_node() {
-        let g = sample_graph();
-        let text = g.describe();
+        let p = sample_program();
+        let text = p.describe();
         assert_eq!(
             text.lines().count(),
-            g.len() + 1,
+            p.graph().len() + 1,
             "header + one line per node"
         );
         assert!(text.contains("TSEQ+"));
         assert!(text.contains("mixed"));
         assert!(text.contains("pull"));
-        assert!(text.contains("and-negation"));
+        assert!(text.contains("and-neg-r"));
         assert!(text.contains("gap ∈ [0.100sec, 1sec]"));
         assert!(
             text.lines().next().unwrap().contains("retain"),
@@ -343,20 +341,16 @@ mod tests {
 
     #[test]
     fn plan_describe_lists_every_node_and_the_fused_edge() {
-        let mut catalog = rfid_events::Catalog::new();
-        catalog.readers.register("s1", "shelves", "aisle-1");
         let shelf = EventExpr::observation_in_group("shelves");
         let infield = shelf.clone().not().seq(shelf).within(Span::from_secs(30));
-        let mut g = EventGraph::new();
-        g.add_event(&infield).unwrap();
-        let plan = CompiledPlan::lower(&g, &catalog, &std::collections::HashMap::new(), None);
-        let text = plan.describe();
+        let p = program(Some(shelf_catalog()), vec![infield]);
+        let text = p.describe_plan();
         assert_eq!(
             text.lines().count(),
-            plan.node_count() + 2,
+            p.plan().node_count() + 2,
             "header + one line per node + summary"
         );
-        assert!(text.contains("neg-record"), "tags rendered by name");
+        assert!(text.contains("neg-record"), "plans rendered by name");
         assert!(
             text.contains("record→1+query2"),
             "the fused in-field edge is visible: {text}"
@@ -369,19 +363,13 @@ mod tests {
 
     #[test]
     fn plan_describe_lists_families_and_shared_histories() {
-        let mut catalog = rfid_events::Catalog::new();
-        catalog.readers.register("s1", "shelves", "aisle-1");
         let shelf = || EventExpr::observation_in_group("shelves").bind_object("o");
-        let mut g = EventGraph::new();
-        let mut rules_at = std::collections::HashMap::new();
-        for (rule, secs) in [30, 10, 20].into_iter().enumerate() {
-            let infield = shelf().not().seq(shelf()).within(Span::from_secs(secs));
-            let root = g.add_event(&infield).unwrap();
-            rules_at.insert(root, vec![crate::engine::RuleId(rule as u32)]);
-        }
-        let prior = CompiledPlan::default();
-        let plan = CompiledPlan::lower(&g, &catalog, &rules_at, Some(&prior));
-        let text = plan.describe();
+        let infield = |secs| shelf().not().seq(shelf()).within(Span::from_secs(secs));
+        let p = program(
+            Some(shelf_catalog()),
+            [30, 10, 20].into_iter().map(infield).collect(),
+        );
+        let text = p.describe_plan();
         assert!(
             text.contains("family: neg-query node 2 serves 5 (10sec), 8 (20sec), 2 (30sec)"),
             "{text}"
@@ -394,7 +382,8 @@ mod tests {
 
     #[test]
     fn dot_is_structurally_complete() {
-        let g = sample_graph();
+        let p = sample_program();
+        let g = p.graph();
         let dot = g.to_dot();
         assert!(dot.starts_with("digraph event_graph {"));
         assert!(dot.trim_end().ends_with('}'));
@@ -409,7 +398,8 @@ mod tests {
 
     #[test]
     fn dot_edges_match_graph_edges() {
-        let g = sample_graph();
+        let p = sample_program();
+        let g = p.graph();
         let dot = g.to_dot();
         for node in g.nodes() {
             for child in &node.children {

@@ -135,6 +135,25 @@ pub enum Plan {
     TimedAperiodic,
 }
 
+impl Plan {
+    /// Short display name (explain tables, telemetry op labels).
+    pub fn name(self) -> &'static str {
+        match self {
+            Plan::Leaf => "leaf",
+            Plan::Forward => "forward",
+            Plan::TwoSided => "two-sided",
+            Plan::LeftNegationQuery => "neg-query",
+            Plan::LeftAperiodicQuery => "aper-query",
+            Plan::RightNegationWait => "neg-wait",
+            Plan::AndNegation { not_side: 0 } => "and-neg-l",
+            Plan::AndNegation { .. } => "and-neg-r",
+            Plan::NegationRecorder => "neg-record",
+            Plan::AperiodicRecorder => "aper-record",
+            Plan::TimedAperiodic => "timed-run",
+        }
+    }
+}
+
 /// One node of the shared event graph.
 #[derive(Debug, Clone)]
 pub struct Node {
@@ -276,6 +295,24 @@ impl EventGraph {
     /// How many compile requests were satisfied by an existing node.
     pub fn merged_hits(&self) -> u64 {
         self.merged_hits
+    }
+
+    /// Every node under `root`, itself last, each once: children first,
+    /// left to right — the order a graph holding only this event numbers
+    /// them in, however many other rules share the nodes.
+    pub fn reachable(&self, root: NodeId) -> Vec<NodeId> {
+        fn visit(graph: &EventGraph, id: NodeId, seen: &mut [bool], out: &mut Vec<NodeId>) {
+            if std::mem::replace(&mut seen[id.idx()], true) {
+                return;
+            }
+            for &child in &graph.node(id).children {
+                visit(graph, child, seen, out);
+            }
+            out.push(id);
+        }
+        let mut out = Vec::new();
+        visit(self, root, &mut vec![false; self.len()], &mut out);
+        out
     }
 
     /// Compiles `expr` under an inherited interval constraint. Returns the

@@ -7,12 +7,14 @@
 //!
 //! The pipeline:
 //!
-//! 1. [`graph`] compiles a set of [`rfid_events::EventExpr`] rule events into
-//!    one shared event graph — propagating `WITHIN` interval constraints
-//!    top-down, merging common subgraphs (hash-consing), deriving each
-//!    node's *detection mode* (push / pull / mixed), extracting correlation
-//!    join specs from shared variables, and rejecting *invalid rules* whose
-//!    root could never be detected;
+//! 1. [`program`] compiles a set of [`rfid_events::EventExpr`] rule events:
+//!    [`graph`] merges them into one shared event graph — propagating
+//!    `WITHIN` interval constraints top-down, merging common subgraphs
+//!    (hash-consing), deriving each node's *detection mode* (push / pull /
+//!    mixed), extracting correlation join specs from shared variables, and
+//!    rejecting *invalid rules* whose root could never be detected — then
+//!    [`bounds`] solves the retention intervals, [`plan`] lowers the graph
+//!    to flat arenas and [`cost`] estimates per-node work;
 //! 2. [`state`] holds the per-node runtime state: chronicle-context FIFO
 //!    buffers partitioned by correlation key, negation/aperiodic histories,
 //!    open `TSEQ+` runs, and anchored negation waits;
@@ -63,13 +65,14 @@ pub mod graph;
 pub mod key;
 pub mod obs;
 pub mod plan;
+pub mod program;
 pub mod pseudo;
 pub mod shard;
 pub mod state;
 pub mod stats;
 
-pub use analyze::{DiagCode, Diagnostic, RuleEvent, Severity};
-pub use bounds::{Bounds, BoundsSummary, NodeBounds};
+pub use analyze::{DiagCode, Diagnostic, Severity};
+pub use bounds::{Bounds, NodeBounds};
 pub use cost::{subsumes, Cost, CostEstimate, Subsumption};
 pub use engine::{Engine, EngineConfig, ExecMode, RuleId, PROCESS_ALL_BATCH};
 pub use error::InvalidRule;
@@ -77,6 +80,7 @@ pub use graph::{DetectionMode, EventGraph, NodeId};
 pub use obs::{
     FlightRecord, FlightRecorder, Histogram, MetricsArena, ObserveLevel, TelemetrySnapshot,
 };
-pub use plan::{CompiledPlan, EdgeOp, InlineBuf, Member, OpTag};
+pub use plan::{CompiledPlan, EdgeOp, InlineBuf, Member};
+pub use program::{Program, RuleEvent};
 pub use shard::{ShardConfig, Shardability, ShardedEngine};
 pub use stats::EngineStats;

@@ -12,7 +12,7 @@
 //!    [`crate::plan::CompiledPlan`] node id (arrivals, probes, admissions,
 //!    prunes, firings), in the style of the compiled plan's flat arenas.
 //!    Updated at `Counters` and above.
-//! 2. **[`FlightRecorder`]** — a bounded, sampled ring of
+//! 2. **[`FlightRecorder`]** — a bounded ring of
 //!    [`FlightRecord`]s that chain each recorded rule firing back through
 //!    its constituent instances to the raw reader observations. Rendered
 //!    by `rceda-obs explain` (via [`crate::explain::render_instance`]) as
@@ -372,8 +372,8 @@ impl MetricsArena {
 /// to the raw reader observations).
 #[derive(Debug, Clone)]
 pub struct FlightRecord {
-    /// Position in the engine's firing sequence (0-based, pre-sampling),
-    /// so a sampled ring still tells you *which* firing each record is.
+    /// Position in the engine's firing sequence (0-based), so a ring that
+    /// has wrapped still tells you *which* firing each record is.
     pub seq: u64,
     /// The rule that fired.
     pub rule: RuleId,
@@ -383,39 +383,37 @@ pub struct FlightRecord {
     pub inst: Arc<Instance>,
 }
 
-/// A bounded, sampled ring of [`FlightRecord`]s.
+/// A bounded ring of [`FlightRecord`]s.
 ///
-/// Keeps the most recent `capacity` records of every `sample`-th firing,
-/// so steady-state memory is fixed no matter how long the engine runs.
+/// Keeps the most recent `capacity` firings, so steady-state memory is
+/// fixed no matter how long the engine runs.
 /// Dumped on demand by `rceda-obs explain` and on panic by the CLI's
 /// unwind handler.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     ring: VecDeque<FlightRecord>,
     capacity: usize,
-    sample: u64,
     seen: u64,
 }
 
 impl FlightRecorder {
-    /// A recorder keeping `capacity` records of every `sample`-th firing.
-    /// `sample` is clamped to at least 1; `capacity` of 0 disables
+    /// A recorder keeping the last `capacity` firings; 0 disables
     /// recording entirely.
     #[must_use]
-    pub fn new(capacity: usize, sample: u64) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Self {
             ring: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
-            sample: sample.max(1),
             seen: 0,
         }
     }
 
-    /// Offers a firing; records it if it falls on the sampling lattice.
+    /// Offers a firing: counts it and records it, evicting the oldest
+    /// record from a full ring.
     pub fn offer(&mut self, rule: RuleId, at: Timestamp, inst: &Instance) {
         let seq = self.seen;
         self.seen += 1;
-        if self.capacity == 0 || !seq.is_multiple_of(self.sample) {
+        if self.capacity == 0 {
             return;
         }
         if self.ring.len() == self.capacity {
@@ -446,22 +444,10 @@ impl FlightRecorder {
         self.ring.is_empty()
     }
 
-    /// Total firings offered (recorded or skipped by sampling).
+    /// Total firings offered (recorded or since evicted).
     #[must_use]
     pub fn seen(&self) -> u64 {
         self.seen
-    }
-
-    /// Ring capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Sampling period (1 = every firing).
-    #[must_use]
-    pub fn sample(&self) -> u64 {
-        self.sample
     }
 
     /// Drops all records and resets the firing sequence.
@@ -488,7 +474,7 @@ pub(crate) struct ObsState {
     /// Cached copy of `EngineConfig::observe` — every hot-path site
     /// branches on this.
     pub(crate) level: ObserveLevel,
-    /// Per-node counters, sized by `Engine::recompile`.
+    /// Per-node counters, sized by `Engine::program`.
     pub(crate) arena: MetricsArena,
     full: Box<ObsFull>,
 }
@@ -520,14 +506,14 @@ impl std::ops::DerefMut for ObsState {
 }
 
 impl ObsState {
-    pub(crate) fn new(level: ObserveLevel, flight_capacity: usize, flight_sample: u64) -> Self {
+    pub(crate) fn new(level: ObserveLevel, flight_capacity: usize) -> Self {
         Self {
             level,
             arena: MetricsArena::default(),
             full: Box::new(ObsFull {
                 latency_ns: Histogram::default(),
                 occupancy: Histogram::default(),
-                flight: FlightRecorder::new(flight_capacity, flight_sample),
+                flight: FlightRecorder::new(flight_capacity),
             }),
         }
     }
@@ -915,15 +901,15 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_bounds_and_samples() {
-        let mut fr = FlightRecorder::new(4, 3);
+    fn flight_recorder_keeps_the_newest_records() {
+        let mut fr = FlightRecorder::new(4);
         for i in 0..30u64 {
             fr.offer(RuleId(0), Timestamp::from_millis(i), &inst(i));
         }
         assert_eq!(fr.seen(), 30);
         assert_eq!(fr.len(), 4, "ring stays at capacity");
         let seqs: Vec<u64> = fr.records().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![18, 21, 24, 27], "every 3rd firing, newest kept");
+        assert_eq!(seqs, vec![26, 27, 28, 29], "newest kept");
         fr.reset();
         assert!(fr.is_empty());
         assert_eq!(fr.seen(), 0);

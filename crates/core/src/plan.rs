@@ -4,9 +4,9 @@
 //! [`EventGraph`] pushes nodes children-first, so node-id order *is* a
 //! topological order of the DAG. Lowering exploits that: the plan keeps the
 //! graph's numbering and stores everything the hot path consults per
-//! occurrence — the constructor tag, the rules to fire, and the parent
-//! edges with their delivery side — in contiguous arenas indexed by node
-//! id. The per-event costs this removes from the graph walker:
+//! occurrence — the rules to fire and the parent edges with their delivery
+//! side — in contiguous arenas indexed by node id. The per-event costs this
+//! removes from the graph walker:
 //!
 //! * **leaf dispatch** — two hash-map probes, a group-string lookup, and a
 //!   per-candidate pattern re-check become one direct index into a
@@ -32,54 +32,6 @@ use rfid_events::{Catalog, ObjectSel, Observation, ReaderSel, Span};
 use crate::engine::RuleId;
 use crate::graph::{EventGraph, HistSpecId, Node, NodeId, NodeKind, Plan};
 use crate::key::Extract;
-
-/// Dense per-node constructor tag: [`Plan`] lowered to one byte, with the
-/// `AndNegation` side folded in so tag dispatch never chases the node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum OpTag {
-    /// Primitive leaf (entry point of dispatch rows).
-    Leaf,
-    /// Unary `OR` forwarding.
-    Forward,
-    /// Two-sided chronicle join (`AND`/`SEQ`/`TSEQ`, both sides push).
-    TwoSided,
-    /// `SEQ(¬A; B)` / `TSEQ(¬A; B)`: query the negation history on arrival.
-    LeftNegationQuery,
-    /// `SEQ(A+; B)` / `TSEQ(A+; B)`: drain the element history on arrival.
-    LeftAperiodicQuery,
-    /// `SEQ(A; ¬B)`: anchor the initiator, wait for the window to close.
-    RightNegationWait,
-    /// `AND(¬A, B)`: negation on the left child.
-    AndNegationNotLeft,
-    /// `AND(A, ¬B)`: negation on the right child.
-    AndNegationNotRight,
-    /// `NOT` child: record occurrences into the keyed history.
-    NegationRecorder,
-    /// `SEQ+` child: record occurrences into the element history.
-    AperiodicRecorder,
-    /// `TSEQ+`: extend/close the open timed run.
-    TimedAperiodic,
-}
-
-impl OpTag {
-    /// Short display name (explain tables).
-    pub fn name(self) -> &'static str {
-        match self {
-            OpTag::Leaf => "leaf",
-            OpTag::Forward => "forward",
-            OpTag::TwoSided => "two-sided",
-            OpTag::LeftNegationQuery => "neg-query",
-            OpTag::LeftAperiodicQuery => "aper-query",
-            OpTag::RightNegationWait => "neg-wait",
-            OpTag::AndNegationNotLeft => "and-neg-l",
-            OpTag::AndNegationNotRight => "and-neg-r",
-            OpTag::NegationRecorder => "neg-record",
-            OpTag::AperiodicRecorder => "aper-record",
-            OpTag::TimedAperiodic => "timed-run",
-        }
-    }
-}
 
 /// How an occurrence at a child node is delivered to one of its parents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -323,12 +275,10 @@ pub const LEAF_HITS_INLINE: usize = 8;
 ///
 /// All arenas are indexed by [`NodeId`] (graph numbering is topological, so
 /// the table is too); ranges are half-open `(start, end)` index pairs into
-/// the shared arenas. Build with [`CompiledPlan::lower`]; the engine
-/// rebuilds the plan whenever the rule set changes.
+/// the shared arenas. Built by [`crate::Program::solve`] whenever the rule
+/// set changes.
 #[derive(Debug, Default)]
 pub struct CompiledPlan {
-    /// Per-node constructor tag.
-    tags: Vec<OpTag>,
     /// Per-node range into `edges`.
     edge_ranges: Vec<(u32, u32)>,
     /// Parent-activation edge arena.
@@ -385,7 +335,6 @@ impl CompiledPlan {
     ) -> Self {
         let n = graph.len();
         let mut plan = CompiledPlan {
-            tags: Vec::with_capacity(n),
             edge_ranges: Vec::with_capacity(n),
             rule_ranges: Vec::with_capacity(n),
             dispatchable: vec![false; n],
@@ -437,20 +386,6 @@ impl CompiledPlan {
                 node.children.iter().all(|c| c.idx() < idx),
                 "event graph must be in topological (children-first) order"
             );
-            plan.tags.push(match node.plan {
-                Plan::Leaf => OpTag::Leaf,
-                Plan::Forward => OpTag::Forward,
-                Plan::TwoSided => OpTag::TwoSided,
-                Plan::LeftNegationQuery => OpTag::LeftNegationQuery,
-                Plan::LeftAperiodicQuery => OpTag::LeftAperiodicQuery,
-                Plan::RightNegationWait => OpTag::RightNegationWait,
-                Plan::AndNegation { not_side: 0 } => OpTag::AndNegationNotLeft,
-                Plan::AndNegation { .. } => OpTag::AndNegationNotRight,
-                Plan::NegationRecorder => OpTag::NegationRecorder,
-                Plan::AperiodicRecorder => OpTag::AperiodicRecorder,
-                Plan::TimedAperiodic => OpTag::TimedAperiodic,
-            });
-
             let rule_start = plan.rules.len() as u32;
             if let Some(members) = coalesced.get(&(idx as u32)) {
                 for m in members.iter().rev() {
@@ -810,23 +745,9 @@ impl CompiledPlan {
         &self.edges[start as usize..end as usize]
     }
 
-    /// The constructor tag of a node.
-    pub fn tag(&self, node: NodeId) -> OpTag {
-        self.tags[node.idx()]
-    }
-
     /// Number of compiled nodes (equals the graph's node count).
     pub fn node_count(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Op-tag name per node, padded with `"?"` up to `len` slots —
-    /// telemetry labels aligned with the per-node metrics arena
-    /// ([`crate::obs::MetricsArena`]), which may be sized past the plan.
-    pub fn op_names(&self, len: usize) -> Vec<&'static str> {
-        let mut ops: Vec<&'static str> = self.tags.iter().map(|t| t.name()).collect();
-        ops.resize(len.max(ops.len()), "?");
-        ops
+        self.edge_ranges.len()
     }
 
     /// Total edges in the parent-activation arena.
@@ -848,9 +769,8 @@ impl CompiledPlan {
     /// spare capacity and the strings shared with the graph).
     pub fn arena_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.tags.len() * size_of::<OpTag>()
-            + (self.edge_ranges.len() + self.rule_ranges.len() + self.reader_rows.len())
-                * size_of::<(u32, u32)>()
+        (self.edge_ranges.len() + self.rule_ranges.len() + self.reader_rows.len())
+            * size_of::<(u32, u32)>()
             + self.edges.len() * size_of::<Edge>()
             + self.rules.len() * size_of::<RuleId>()
             + (self.leaf_checks.len() + self.any_leaves.len()) * size_of::<LeafCheck>()
@@ -888,25 +808,6 @@ impl CompiledPlan {
         (0..self.family_ranges.len() as u32)
             .map(|i| (NodeId(i), self.family(NodeId(i))))
             .filter(|(_, family)| family.len() > 1)
-    }
-
-    /// Every shared `NOT` history: the holder and the recorders it serves
-    /// (itself first), for groups of two or more.
-    pub fn shared_histories(&self) -> Vec<(NodeId, Vec<NodeId>)> {
-        let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-        let mut slot_of: HashMap<u32, usize> = HashMap::new();
-        for (i, &h) in self.holders.iter().enumerate() {
-            if self.tags[i] != OpTag::NegationRecorder {
-                continue;
-            }
-            let slot = *slot_of.entry(h).or_insert_with(|| {
-                groups.push((NodeId(h), Vec::new()));
-                groups.len() - 1
-            });
-            groups[slot].1.push(NodeId(i as u32));
-        }
-        groups.retain(|(_, served)| served.len() > 1);
-        groups
     }
 
     /// Whether a leaf lands in at least one dispatch row — the shared view
@@ -1011,7 +912,7 @@ mod tests {
             panic!("expected a fused RecordQuery edge, got {:?}", edges[0].op());
         };
         assert_eq!(NodeId(query), root, "the fused probe answers the root");
-        assert_eq!(plan.tag(edges[0].parent()), OpTag::NegationRecorder);
+        assert_eq!(graph.node(edges[0].parent()).plan, Plan::NegationRecorder);
         assert_eq!(plan.dispatch_width(), 1);
     }
 
@@ -1037,7 +938,7 @@ mod tests {
             panic!("expected a fused QueryRecord edge, got {:?}", edges[0].op());
         };
         assert_eq!(NodeId(query), root, "the fused probe answers the root");
-        assert_eq!(plan.tag(edges[0].parent()), OpTag::NegationRecorder);
+        assert_eq!(graph.node(edges[0].parent()).plan, Plan::NegationRecorder);
 
         assert_eq!(
             plan.dispatch_width(),

@@ -1,0 +1,208 @@
+//! What a rule set compiles to (§4.3–§4.4), built in one place.
+//!
+//! A [`Program`] owns the whole compile pipeline and its results:
+//!
+//! 1. [`Program::add_rule`] merges a rule's event into the shared
+//!    [`EventGraph`] (construction, common-subgraph merging, `WITHIN`
+//!    propagation, mode assignment, invalid-rule rejection);
+//! 2. [`Program::solve`] runs, once per rule-set change and in this order,
+//!    the interval solver ([`Bounds`], reads the graph), the lowering
+//!    ([`CompiledPlan`], reads the graph, the deployment catalog, the rules
+//!    at each root and the plan it replaces) and the static cost model
+//!    ([`Cost`], reads the graph, the bounds and the catalog). The caller
+//!    lends the deployment catalog — its own on every call — or `None`
+//!    when there is no deployment to check against: named and grouped
+//!    leaves then lower as undispatchable and are costed at the model's
+//!    fallback rates.
+//!
+//! Everything else reads the result: the [`crate::Engine`] executes it, the
+//! shard coordinator partitions it, [`crate::analyze`] judges it and
+//! [`crate::explain`] prints it — so they all talk about the same plan.
+
+use std::collections::HashMap;
+
+use rfid_events::{Catalog, EventExpr};
+
+use crate::bounds::Bounds;
+use crate::cost::Cost;
+use crate::engine::RuleId;
+use crate::error::InvalidRule;
+use crate::graph::{EventGraph, NodeId, Plan};
+use crate::plan::CompiledPlan;
+
+/// One rule handed to the compiler: its identity and event.
+#[derive(Debug, Clone)]
+pub struct RuleEvent {
+    /// Declared id.
+    pub id: String,
+    /// Declared name.
+    pub name: String,
+    /// The event expression, alias-free.
+    pub event: EventExpr,
+}
+
+impl RuleEvent {
+    /// Convenience constructor.
+    pub fn new(id: impl Into<String>, name: impl Into<String>, event: EventExpr) -> Self {
+        Self {
+            id: id.into(),
+            name: name.into(),
+            event,
+        }
+    }
+}
+
+/// A rule set and what it compiles to; see the module docs.
+#[derive(Debug)]
+pub struct Program {
+    graph: EventGraph,
+    /// Whether lowering coalesces interior state ([`CompiledPlan::lower`]).
+    share: bool,
+    /// Accepted rules, indexed by [`RuleId`], and their roots.
+    rules: Vec<RuleEvent>,
+    roots: Vec<NodeId>,
+    /// Set by `add_rule`, cleared by `solve`; everything below is as of the
+    /// last `solve`.
+    dirty: bool,
+    rules_at: HashMap<NodeId, Vec<RuleId>>,
+    bounds: Bounds,
+    plan: CompiledPlan,
+    cost: Cost,
+}
+
+impl Program {
+    /// An empty program. `merge` turns common-subgraph merging on (off is
+    /// ablation A1). `share` lets the lowering coalesce interior state and
+    /// keep it where the plan it replaces had it; off gives the unshared
+    /// lowering the reference walker runs beside.
+    pub fn new(merge: bool, share: bool) -> Self {
+        Self {
+            graph: if merge {
+                EventGraph::new()
+            } else {
+                EventGraph::without_merging()
+            },
+            share,
+            rules: Vec::new(),
+            roots: Vec::new(),
+            dirty: true,
+            rules_at: HashMap::new(),
+            bounds: Bounds::default(),
+            plan: CompiledPlan::default(),
+            cost: Cost::default(),
+        }
+    }
+
+    /// The solved program of a whole rule set, merging and sharing on as in
+    /// the engine's default configuration. Rules the builder rejects are
+    /// left out (their partial nodes stay in the graph, as they do in an
+    /// engine that went on after the rejection).
+    pub fn compile(
+        deployment: Option<&Catalog>,
+        rules: impl IntoIterator<Item = RuleEvent>,
+    ) -> Self {
+        let mut program = Self::new(true, true);
+        for rule in rules {
+            let _ = program.add_rule(rule);
+        }
+        program.solve(deployment);
+        program
+    }
+
+    /// Merges a rule's event into the graph and validates it (§4.4). A
+    /// rejected rule is not registered and takes no id, but the nodes built
+    /// before the rejection stay in the graph, so the program is re-solved
+    /// either way.
+    pub fn add_rule(&mut self, rule: RuleEvent) -> Result<RuleId, InvalidRule> {
+        self.dirty = true;
+        let root = self.graph.add_event(&rule.event)?;
+        let id = RuleId(self.rules.len() as u32);
+        self.rules.push(rule);
+        self.roots.push(root);
+        Ok(id)
+    }
+
+    /// Brings the bounds, the plan and the cost model up to date with the
+    /// rule set, against `deployment`. Returns the plan this replaced, or
+    /// `None` when the rule set has not changed since the last call —
+    /// whoever keeps state by plan node reads from it which holders moved.
+    pub fn solve(&mut self, deployment: Option<&Catalog>) -> Option<CompiledPlan> {
+        if !self.dirty {
+            return None;
+        }
+        self.rules_at.clear();
+        for (i, &root) in self.roots.iter().enumerate() {
+            let rules = self.rules_at.entry(root).or_default();
+            rules.push(RuleId(i as u32));
+        }
+        self.bounds = Bounds::solve(&self.graph);
+        let prior = std::mem::take(&mut self.plan);
+        let no_deployment = Catalog::new();
+        self.plan = CompiledPlan::lower(
+            &self.graph,
+            deployment.unwrap_or(&no_deployment),
+            &self.rules_at,
+            self.share.then_some(&prior),
+        );
+        self.cost = Cost::solve(&self.graph, &self.bounds, deployment);
+        self.dirty = false;
+        Some(prior)
+    }
+
+    /// The merged event graph; current after every `add_rule`.
+    pub fn graph(&self) -> &EventGraph {
+        &self.graph
+    }
+
+    /// The accepted rules, indexed by [`RuleId`].
+    pub fn rules(&self) -> &[RuleEvent] {
+        &self.rules
+    }
+
+    /// Root graph node of each rule, indexed by [`RuleId`].
+    pub fn roots(&self) -> &[NodeId] {
+        &self.roots
+    }
+
+    /// Rules rooted at a node, in registration order (as of the last
+    /// [`Program::solve`]).
+    pub fn rules_at(&self, node: NodeId) -> &[RuleId] {
+        self.rules_at.get(&node).map_or(&[], Vec::as_slice)
+    }
+
+    /// The solved retention bounds (as of the last [`Program::solve`]).
+    pub fn bounds(&self) -> &Bounds {
+        &self.bounds
+    }
+
+    /// The lowered execution plan (as of the last [`Program::solve`]).
+    #[inline]
+    pub fn plan(&self) -> &CompiledPlan {
+        &self.plan
+    }
+
+    /// The static cost model (as of the last [`Program::solve`]).
+    pub fn cost(&self) -> &Cost {
+        &self.cost
+    }
+
+    /// Every shared `NOT` history of the plan: the holder and the recorders
+    /// it serves (itself first), for groups of two or more.
+    pub fn shared_histories(&self) -> Vec<(NodeId, Vec<NodeId>)> {
+        let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+        let mut slot_of: HashMap<NodeId, usize> = HashMap::new();
+        for node in self.graph.nodes() {
+            if node.plan != Plan::NegationRecorder {
+                continue;
+            }
+            let holder = self.plan().holder(node.id);
+            let slot = *slot_of.entry(holder).or_insert_with(|| {
+                groups.push((holder, Vec::new()));
+                groups.len() - 1
+            });
+            groups[slot].1.push(node.id);
+        }
+        groups.retain(|(_, served)| served.len() > 1);
+        groups
+    }
+}

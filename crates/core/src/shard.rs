@@ -11,8 +11,8 @@
 //!
 //! [`ShardedEngine`] implements this in three pieces:
 //!
-//! 1. **Compile-time shardability analysis** ([`analyze`]): a rule is
-//!    *object-shardable* iff its compiled graph contains no global-run
+//! 1. **Compile-time shardability analysis** ([`shardability`]): a rule is
+//!    *object-shardable* iff its compiled subgraph contains no global-run
 //!    constructor (`SEQ+`/`TSEQ+` runs span arbitrary objects) and every
 //!    stateful binary plan (chronicle join, negation query, negation wait)
 //!    carries the object EPC in its correlation key on both sides
@@ -33,11 +33,10 @@
 //!    keyed routing and broadcast preserve the stream's order.
 //! 3. **Barrier-based harvest**: firings accumulate inside workers and are
 //!    delivered to the caller's sink at [`ShardedEngine::advance_to`] /
-//!    [`ShardedEngine::finish`] barriers, merged across shards — in stable
-//!    `(t_end, shard, seq)` order when [`ShardConfig::ordered_output`] is
-//!    set — together with the merged [`EngineStats`]. `finish` drains every
-//!    worker's pseudo-event queue, so `NOT`/`TSEQ+` windows resolve exactly
-//!    as they do single-threaded.
+//!    [`ShardedEngine::finish`] barriers, merged across shards in stable
+//!    `(t_end, shard, seq)` order, together with the merged
+//!    [`EngineStats`]. `finish` drains every worker's pseudo-event queue,
+//!    so `NOT`/`TSEQ+` windows resolve exactly as they do single-threaded.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,13 +46,12 @@ use std::thread::JoinHandle;
 
 use rfid_events::{Catalog, EventExpr, Instance, Observation, Timestamp};
 
-use crate::bounds::Bounds;
-use crate::cost::Cost;
 use crate::engine::{Engine, EngineConfig, RuleId, Sink};
 use crate::error::InvalidRule;
 use crate::graph::{EventGraph, NodeId, NodeKind, Plan};
 use crate::key::{mix64, Attr};
 use crate::obs::{Histogram, TelemetrySnapshot};
+use crate::program::{Program, RuleEvent};
 use crate::stats::EngineStats;
 
 /// Why a rule must run on the residual (full-stream) shard.
@@ -86,15 +84,16 @@ impl Shardability {
     }
 }
 
-/// Analyzes one rule event for object-shardability by compiling it into a
-/// scratch graph and inspecting every node's plan. Errors are the same
-/// invalid-rule rejections [`Engine::add_rule`] would raise.
-pub fn analyze(event: &EventExpr) -> Result<Shardability, InvalidRule> {
-    let mut scratch = EventGraph::new();
-    scratch.add_event(event)?;
-    for node in scratch.nodes() {
+/// The object-shardability of the rule rooted at `root`, read off the plan
+/// of every node under it. The verdict is the rule's own however many
+/// other rules share those nodes: a node's plan and join are fixed when it
+/// is built, and [`EventGraph::reachable`] visits them in the order a graph
+/// of this rule alone would, so the first reason found is the same too.
+pub fn shardability(graph: &EventGraph, root: NodeId) -> Shardability {
+    for id in graph.reachable(root) {
+        let node = graph.node(id);
         if matches!(node.kind, NodeKind::SeqPlus | NodeKind::TSeqPlus { .. }) {
-            return Ok(Shardability::Residual(ResidualReason::GlobalRun));
+            return Shardability::Residual(ResidualReason::GlobalRun);
         }
         let stateful = matches!(
             node.plan,
@@ -105,10 +104,10 @@ pub fn analyze(event: &EventExpr) -> Result<Shardability, InvalidRule> {
                 | Plan::AndNegation { .. }
         );
         if stateful && !node.join.keys_on(Attr::Object) {
-            return Ok(Shardability::Residual(ResidualReason::KeylessJoin));
+            return Shardability::Residual(ResidualReason::KeylessJoin);
         }
     }
-    Ok(Shardability::Object)
+    Shardability::Object
 }
 
 /// Tuning knobs of the sharded pipeline.
@@ -128,10 +127,6 @@ pub struct ShardConfig {
     /// Bounded channel depth per shard, in batches; a full queue blocks the
     /// router (backpressure) instead of buffering without limit.
     pub queue_depth: usize,
-    /// Deliver merged firings in stable `(t_end, shard, seq)` order at each
-    /// barrier. Off, firings arrive grouped by shard (cheaper, still
-    /// deterministic for a fixed shard count).
-    pub ordered_output: bool,
     /// Configuration for each worker's inner engine.
     pub engine: EngineConfig,
 }
@@ -146,50 +141,42 @@ impl Default for ShardConfig {
             residual_workers: 1,
             batch_size: 1024,
             queue_depth: 4,
-            ordered_output: true,
             engine: EngineConfig::default(),
         }
     }
 }
 
-/// Merge-aware partition of a rule set into at most `max_parts` disjoint
-/// subsets for rule-partitioned broadcast execution. Returns the partitions
-/// as sorted index lists into `events`; deterministic for a fixed input.
+/// Merge-aware partition of `rules` — rules of the solved `program` — into
+/// at most `max_parts` disjoint subsets for rule-partitioned broadcast
+/// execution. Returns the partitions as sorted id lists; deterministic for
+/// a fixed input.
 ///
 /// Two concerns compete:
 ///
-/// * **Preserve common-subgraph merging.** All rules are compiled into one
-///   scratch [`EventGraph`] (hash-consing on); rules whose compiled forms
-///   share *any* node are grouped together and never split. Splitting them
-///   would be semantically sound — every rule is a deterministic function
-///   of the full stream — but each worker would rebuild the shared subtree
-///   and redo its detection work, forfeiting exactly the merging §4.3
-///   introduces.
+/// * **Preserve common-subgraph merging.** Rules whose subgraphs in the
+///   program's merged graph share *any* node are grouped together and never
+///   split. Splitting them would be semantically sound — every rule is a
+///   deterministic function of the full stream — but each worker would
+///   rebuild the shared subtree and redo its detection work, forfeiting
+///   exactly the merging §4.3 introduces.
 /// * **Balance by static cost.** A worker's per-observation broadcast cost
 ///   is the work its detection trees cause. Each merge group is weighted
 ///   by the summed solved CPU weight of its distinct nodes
-///   ([`crate::cost::CostEstimate::cpu_weight`]): leaf dispatch *and*
-///   expected join probes against the solved retention windows. Groups
-///   are placed longest-processing-time-first onto the lightest partition,
-///   rather than dealt round-robin.
-pub fn partition_rules(
-    catalog: &Catalog,
-    events: &[&EventExpr],
-    max_parts: usize,
-) -> Result<Vec<Vec<usize>>, InvalidRule> {
-    if events.is_empty() {
-        return Ok(Vec::new());
+///   ([`crate::cost::CostEstimate::cpu_weight`], from the program's cost
+///   model): leaf dispatch *and* expected join probes against the solved
+///   retention windows. Groups are placed longest-processing-time-first
+///   onto the lightest partition, rather than dealt round-robin.
+pub fn partition_rules(program: &Program, rules: &[RuleId], max_parts: usize) -> Vec<Vec<RuleId>> {
+    if rules.is_empty() {
+        return Vec::new();
     }
-    // Compile everything into one merging graph, tracking which rule first
-    // claimed each node; a later rule touching a claimed node unions the
-    // two rules' groups.
-    let mut scratch = EventGraph::new();
-    let mut uf: Vec<usize> = (0..events.len()).collect();
+    // Track which rule first claimed each node; a later rule touching a
+    // claimed node unions the two rules' groups.
+    let mut uf: Vec<usize> = (0..rules.len()).collect();
     let mut owner: HashMap<NodeId, usize> = HashMap::new();
-    let mut rule_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(events.len());
-    for (i, event) in events.iter().enumerate() {
-        let root = scratch.add_event(event)?;
-        let reachable = reachable_nodes(&scratch, root);
+    let mut rule_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(rules.len());
+    for (i, rule) in rules.iter().enumerate() {
+        let reachable = program.graph().reachable(program.roots()[rule.0 as usize]);
         for &node in &reachable {
             match owner.entry(node) {
                 std::collections::hash_map::Entry::Occupied(o) => {
@@ -208,11 +195,11 @@ pub fn partition_rules(
     // Collect merge groups and weigh each by its distinct nodes (a shared
     // node costs a worker once, so count it once).
     let mut groups: HashMap<usize, (u64, Vec<usize>)> = HashMap::new();
-    for i in 0..events.len() {
+    for i in 0..rules.len() {
         let rep = find(&mut uf, i);
         groups.entry(rep).or_default().1.push(i);
     }
-    let cost = Cost::solve(&scratch, &Bounds::solve(&scratch), Some(catalog));
+    let cost = program.cost();
     for (weight, members) in groups.values_mut() {
         let mut nodes: Vec<NodeId> = members
             .iter()
@@ -236,33 +223,18 @@ pub fn partition_rules(
     ordered.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     let parts_n = max_parts.max(1).min(ordered.len());
     let mut loads = vec![0u64; parts_n];
-    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); parts_n];
+    let mut parts: Vec<Vec<RuleId>> = vec![Vec::new(); parts_n];
     for (weight, _, members) in ordered {
         let lightest = (0..parts_n)
             .min_by_key(|&p| (loads[p], p))
             .expect("at least one partition");
         loads[lightest] += weight;
-        parts[lightest].extend(members);
+        parts[lightest].extend(members.into_iter().map(|i| rules[i]));
     }
     for part in &mut parts {
         part.sort_unstable();
     }
-    Ok(parts)
-}
-
-/// All nodes reachable from `root` through child edges.
-fn reachable_nodes(graph: &EventGraph, root: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![root];
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        for &child in &graph.node(id).children {
-            if !seen.contains(&child) {
-                seen.push(child);
-                stack.push(child);
-            }
-        }
-    }
-    seen
+    parts
 }
 
 /// Union-find `find` with path compression.
@@ -310,12 +282,6 @@ struct Worker {
     handle: Option<JoinHandle<()>>,
 }
 
-struct RuleDef {
-    name: String,
-    event: EventExpr,
-    shardability: Shardability,
-}
-
 struct Runtime {
     workers: Vec<Worker>,
     /// Per-worker batch under construction.
@@ -334,9 +300,14 @@ struct Runtime {
 /// [`ShardedEngine::finish`]), since they happen asynchronously inside
 /// workers. Rules must all be added before the first observation.
 pub struct ShardedEngine {
+    /// The coordinator's compile of the whole rule set: what shardability
+    /// and the residual partitions are read from. Workers compile their
+    /// own subsets.
+    program: Program,
     catalog: Catalog,
     config: ShardConfig,
-    rules: Vec<RuleDef>,
+    /// Per-rule verdict, indexed by [`RuleId`].
+    shardability: Vec<Shardability>,
     runtime: Option<Runtime>,
     finished: bool,
     /// Latest stats snapshot per worker (updated at barriers).
@@ -359,9 +330,10 @@ impl ShardedEngine {
     /// Creates a sharded engine over a deployment catalog.
     pub fn new(catalog: Catalog, config: ShardConfig) -> Self {
         Self {
+            program: Program::new(true, true),
             catalog,
             config,
-            rules: Vec::new(),
+            shardability: Vec::new(),
             runtime: None,
             finished: false,
             worker_stats: Vec::new(),
@@ -386,30 +358,27 @@ impl ShardedEngine {
             self.runtime.is_none(),
             "add rules before processing observations"
         );
-        let shardability = analyze(&event)?;
-        let id = RuleId(self.rules.len() as u32);
-        self.rules.push(RuleDef {
-            name: name.to_owned(),
-            event,
-            shardability,
-        });
+        let id = self.program.add_rule(RuleEvent::new(name, name, event))?;
+        let root = self.program.roots()[id.0 as usize];
+        self.shardability
+            .push(shardability(self.program.graph(), root));
         self.rule_firings.push(0);
         Ok(id)
     }
 
     /// The shardability verdict for a rule.
     pub fn shardability(&self, rule: RuleId) -> Shardability {
-        self.rules[rule.0 as usize].shardability
+        self.shardability[rule.0 as usize]
     }
 
     /// Name of a rule.
     pub fn rule_name(&self, rule: RuleId) -> &str {
-        &self.rules[rule.0 as usize].name
+        &self.program.rules()[rule.0 as usize].name
     }
 
     /// Number of registered rules.
     pub fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.shardability.len()
     }
 
     /// Firings so far per rule, as harvested at barriers.
@@ -424,7 +393,7 @@ impl ShardedEngine {
 
     /// Whether any rule requires a residual full-stream worker.
     pub fn has_residual(&self) -> bool {
-        self.rules.iter().any(|r| !r.shardability.is_object())
+        self.shardability.iter().any(|s| !s.is_object())
     }
 
     /// Number of broadcast (rule-partitioned residual) workers running.
@@ -554,23 +523,7 @@ impl ShardedEngine {
     /// delivers the firings accumulated since the previous barrier.
     pub fn advance_to(&mut self, now: Timestamp, sink: &mut Sink<'_>) {
         assert!(!self.finished, "stream already finished");
-        self.ensure_started();
-        let rt = self.runtime.as_mut().expect("started above");
-        for i in 0..rt.workers.len() {
-            flush(
-                rt,
-                i,
-                self.config.batch_size,
-                &mut self.batches,
-                &mut self.max_queue_depth,
-                &mut self.queue_hists[i],
-            );
-            rt.workers[i]
-                .cmd_tx
-                .send(Cmd::AdvanceTo(now))
-                .expect("worker alive");
-        }
-        self.harvest(sink);
+        self.barrier(|| Cmd::AdvanceTo(now), sink);
     }
 
     /// Final barrier: flushes everything, drains every worker's pseudo
@@ -581,6 +534,19 @@ impl ShardedEngine {
         if self.finished {
             return;
         }
+        self.barrier(|| Cmd::Finish, sink);
+        let mut rt = self.runtime.take().expect("started by the barrier");
+        for w in &mut rt.workers {
+            if let Some(handle) = w.handle.take() {
+                let _ = handle.join();
+            }
+        }
+        self.finished = true;
+    }
+
+    /// Flushes every worker's partial batch, sends each the barrier
+    /// command, and harvests the replies.
+    fn barrier(&mut self, cmd: impl Fn() -> Cmd, sink: &mut Sink<'_>) {
         self.ensure_started();
         let rt = self.runtime.as_mut().expect("started above");
         for i in 0..rt.workers.len() {
@@ -592,19 +558,9 @@ impl ShardedEngine {
                 &mut self.max_queue_depth,
                 &mut self.queue_hists[i],
             );
-            rt.workers[i]
-                .cmd_tx
-                .send(Cmd::Finish)
-                .expect("worker alive");
+            rt.workers[i].cmd_tx.send(cmd()).expect("worker alive");
         }
         self.harvest(sink);
-        let mut rt = self.runtime.take().expect("started above");
-        for w in &mut rt.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
-        }
-        self.finished = true;
     }
 
     /// Receives one reply per worker and emits the merged firings.
@@ -619,9 +575,7 @@ impl ShardedEngine {
             }
             merged.extend(reply.firings.into_iter().map(|f| (idx, f)));
         }
-        if self.config.ordered_output {
-            merged.sort_by_key(|(shard, f)| (f.t_end, *shard, f.seq));
-        }
+        merged.sort_by_key(|(shard, f)| (f.t_end, *shard, f.seq));
         for (_, f) in merged {
             self.rule_firings[f.rule.0 as usize] += 1;
             sink(f.rule, &f.inst);
@@ -633,16 +587,13 @@ impl ShardedEngine {
         if self.runtime.is_some() {
             return;
         }
-        let shardable: Vec<usize> = (0..self.rules.len())
-            .filter(|&i| self.rules[i].shardability.is_object())
-            .collect();
-        let residual_rules: Vec<usize> = (0..self.rules.len())
-            .filter(|&i| !self.rules[i].shardability.is_object())
-            .collect();
+        let all: Vec<RuleId> = (0..self.rule_count() as u32).map(RuleId).collect();
+        let (shardable, residual): (Vec<RuleId>, Vec<RuleId>) =
+            all.iter().partition(|r| self.shardability(**r).is_object());
         let max_parts = self.config.residual_workers.max(1);
 
         let keyed;
-        let broadcast_sets: Vec<Vec<usize>>;
+        let broadcast_sets: Vec<Vec<RuleId>>;
         if self.keyed_shards() == 1 && !shardable.is_empty() {
             // A single keyed shard receives the full stream anyway, so keyed
             // routing buys nothing over broadcast: fold the keyed rules into
@@ -651,15 +602,14 @@ impl ShardedEngine {
             // semantics, half the ingestion); with more, the keyed rules get
             // rule-partitioned along with the residual ones.
             keyed = 0;
-            let all: Vec<usize> = (0..self.rules.len()).collect();
-            broadcast_sets = self.partition_indices(&all, max_parts);
+            broadcast_sets = self.partition(&all, max_parts);
         } else {
             keyed = if shardable.is_empty() {
                 0
             } else {
                 self.keyed_shards()
             };
-            broadcast_sets = self.partition_indices(&residual_rules, max_parts);
+            broadcast_sets = self.partition(&residual, max_parts);
         }
         let mut workers = Vec::new();
         for shard in 0..keyed {
@@ -669,10 +619,7 @@ impl ShardedEngine {
         for (p, set) in broadcast_sets.iter().enumerate() {
             workers.push(self.spawn_worker(&format!("residual-{p}"), set));
         }
-        self.partitions = broadcast_sets
-            .iter()
-            .map(|set| set.iter().map(|&i| RuleId(i as u32)).collect())
-            .collect();
+        self.partitions = broadcast_sets;
         let pending = workers.iter().map(|_| Vec::new()).collect();
         self.worker_stats = vec![EngineStats::default(); workers.len()];
         self.worker_telemetry = vec![None; workers.len()];
@@ -685,36 +632,31 @@ impl ShardedEngine {
         });
     }
 
-    /// Partitions the rules at `indices` into at most `max_parts`
-    /// merge-aware groups (see [`partition_rules`]), mapping the returned
-    /// positions back to global rule indices.
-    fn partition_indices(&self, indices: &[usize], max_parts: usize) -> Vec<Vec<usize>> {
-        if indices.is_empty() {
+    /// Partitions `rules` into at most `max_parts` merge-aware groups (see
+    /// [`partition_rules`]); the coordinator program is solved only when
+    /// there is a split to weigh.
+    fn partition(&mut self, rules: &[RuleId], max_parts: usize) -> Vec<Vec<RuleId>> {
+        if rules.is_empty() {
             return Vec::new();
         }
-        if max_parts <= 1 || indices.len() == 1 {
-            return vec![indices.to_vec()];
+        if max_parts <= 1 || rules.len() == 1 {
+            return vec![rules.to_vec()];
         }
-        let events: Vec<&EventExpr> = indices.iter().map(|&i| &self.rules[i].event).collect();
-        partition_rules(&self.catalog, &events, max_parts)
-            .expect("rules validated by add_rule")
-            .into_iter()
-            .map(|part| part.into_iter().map(|j| indices[j]).collect())
-            .collect()
+        self.program.solve(Some(&self.catalog));
+        partition_rules(&self.program, rules, max_parts)
     }
 
-    /// Builds one worker: an engine loaded with `rule_indices` (in global
-    /// order, so worker-local ids map back positionally) on its own thread.
-    fn spawn_worker(&self, name: &str, rule_indices: &[usize]) -> Worker {
+    /// Builds one worker: an engine loaded with `rules` (in global order,
+    /// so worker-local ids map back positionally) on its own thread.
+    fn spawn_worker(&self, name: &str, rules: &[RuleId]) -> Worker {
+        let defs = rules.iter().map(|r| &self.program.rules()[r.0 as usize]);
         let engine = Engine::with_rules(
             self.catalog.clone(),
             self.config.engine.clone(),
-            rule_indices
-                .iter()
-                .map(|&i| (self.rules[i].name.as_str(), &self.rules[i].event)),
+            defs.map(|def| (def.name.as_str(), &def.event)),
         )
         .expect("rules validated by add_rule");
-        let map: Vec<RuleId> = rule_indices.iter().map(|&i| RuleId(i as u32)).collect();
+        let map = rules.to_vec();
         let (cmd_tx, cmd_rx) = mpsc::sync_channel(self.config.queue_depth.max(1));
         let (reply_tx, reply_rx) = mpsc::channel();
         let (recycle_tx, recycle_rx) = mpsc::channel();
@@ -841,45 +783,36 @@ fn worker_loop(
     let mut firings: Vec<Firing> = Vec::new();
     let mut seq = 0u64;
     while let Ok(cmd) = cmd_rx.recv() {
-        match cmd {
+        let mut sink = |rule: RuleId, inst: &Instance| {
+            push_firing(&map, &mut seq, &mut firings, rule, inst);
+        };
+        let last = match cmd {
             Cmd::Batch(mut batch) => {
-                let mut sink = |rule: RuleId, inst: &Instance| {
-                    push_firing(&map, &mut seq, &mut firings, rule, inst);
-                };
                 engine.process_batch(&batch, &mut sink);
                 batch.clear();
                 depth.fetch_sub(1, Ordering::AcqRel);
                 // Hand the emptied buffer back; if the router is gone the
                 // buffer just drops.
                 let _ = recycle_tx.send(batch);
+                continue;
             }
             Cmd::AdvanceTo(t) => {
-                let mut sink = |rule: RuleId, inst: &Instance| {
-                    push_firing(&map, &mut seq, &mut firings, rule, inst);
-                };
                 engine.advance_to(t, &mut sink);
-                let reply = Reply {
-                    firings: std::mem::take(&mut firings),
-                    stats: engine.stats(),
-                    telemetry: snapshot_telemetry(&mut engine),
-                };
-                if reply_tx.send(reply).is_err() {
-                    break; // coordinator gone
-                }
+                false
             }
             Cmd::Finish => {
-                let mut sink = |rule: RuleId, inst: &Instance| {
-                    push_firing(&map, &mut seq, &mut firings, rule, inst);
-                };
                 engine.finish(&mut sink);
-                let reply = Reply {
-                    firings: std::mem::take(&mut firings),
-                    stats: engine.stats(),
-                    telemetry: snapshot_telemetry(&mut engine),
-                };
-                let _ = reply_tx.send(reply);
-                break;
+                true
             }
+        };
+        // A barrier: reply with everything fired since the previous one.
+        let reply = Reply {
+            firings: std::mem::take(&mut firings),
+            stats: engine.stats(),
+            telemetry: snapshot_telemetry(&mut engine),
+        };
+        if reply_tx.send(reply).is_err() || last {
+            break; // coordinator gone, or end of stream
         }
     }
 }
@@ -891,6 +824,30 @@ mod tests {
 
     fn obs_any() -> rfid_events::expr::ObservationBuilder {
         EventExpr::observation()
+    }
+
+    /// The verdict for one rule alone, or the builder's rejection.
+    fn analyze(event: &EventExpr) -> Result<Shardability, InvalidRule> {
+        let mut program = Program::new(true, true);
+        let id = program.add_rule(RuleEvent::new("r", "rule", event.clone()))?;
+        Ok(shardability(
+            program.graph(),
+            program.roots()[id.0 as usize],
+        ))
+    }
+
+    /// Partitions the program of `events` (all of its rules), as positions
+    /// into `events`.
+    fn partition(catalog: &Catalog, events: &[&EventExpr], max_parts: usize) -> Vec<Vec<usize>> {
+        let rules = events
+            .iter()
+            .map(|&e| RuleEvent::new("r", "rule", e.clone()));
+        let program = Program::compile(Some(catalog), rules);
+        let all: Vec<RuleId> = (0..events.len() as u32).map(RuleId).collect();
+        partition_rules(&program, &all, max_parts)
+            .into_iter()
+            .map(|part| part.into_iter().map(|r| r.0 as usize).collect())
+            .collect()
     }
 
     #[test]
@@ -984,7 +941,7 @@ mod tests {
             .map(|i| named_run(&format!("conv{i}"), &format!("caser{i}")))
             .collect();
         let refs: Vec<&EventExpr> = events.iter().collect();
-        let parts = partition_rules(&catalog, &refs, 3).unwrap();
+        let parts = partition(&catalog, &refs, 3);
         assert_eq!(parts.len(), 3);
         let mut sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
         sizes.sort_unstable();
@@ -1011,7 +968,7 @@ mod tests {
                 Span::from_secs(5),
             )
             .within(Span::from_secs(60));
-        let parts = partition_rules(&catalog, &[&a, &b, &c], 3).unwrap();
+        let parts = partition(&catalog, &[&a, &b, &c], 3);
         assert_eq!(parts.len(), 2, "two merge groups, not three rules");
         let with_a = parts
             .iter()
@@ -1039,7 +996,7 @@ mod tests {
             .map(|i| named_run(&format!("conv{i}"), &format!("caser{i}")))
             .collect();
         let refs: Vec<&EventExpr> = std::iter::once(&heavy).chain(cheap.iter()).collect();
-        let parts = partition_rules(&catalog, &refs, 2).unwrap();
+        let parts = partition(&catalog, &refs, 2);
         assert_eq!(parts.len(), 2);
         let heavy_part = parts
             .iter()
@@ -1073,8 +1030,8 @@ mod tests {
             })
             .collect();
         let refs: Vec<&EventExpr> = std::iter::once(&heavy).chain(blips.iter()).collect();
-        let solved = partition_rules(&catalog, &refs, 2).unwrap();
-        assert_eq!(solved, partition_rules(&catalog, &refs, 2).unwrap());
+        let solved = partition(&catalog, &refs, 2);
+        assert_eq!(solved, partition(&catalog, &refs, 2));
         let heavy_part = solved
             .iter()
             .find(|p| p.contains(&0))
@@ -1091,9 +1048,9 @@ mod tests {
         let catalog = line_catalog(2);
         let a = named_run("conv0", "caser0");
         let b = named_run("conv1", "caser1");
-        let parts = partition_rules(&catalog, &[&a, &b], 16).unwrap();
+        let parts = partition(&catalog, &[&a, &b], 16);
         assert_eq!(parts.len(), 2, "never more partitions than merge groups");
-        assert!(partition_rules(&catalog, &[], 4).unwrap().is_empty());
+        assert!(partition(&catalog, &[], 4).is_empty());
     }
 
     #[test]

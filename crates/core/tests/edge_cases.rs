@@ -157,6 +157,32 @@ fn dynamic_rule_addition() {
     assert_eq!(fired, vec![rule], "only the post-registration event fired");
 }
 
+/// A rejected rule takes no id but leaves the nodes built before the
+/// rejection in the graph; their leaves dispatch, so they need state even
+/// when no later rule is added.
+#[test]
+fn rejected_rule_leaves_a_working_engine() {
+    let mut engine = Engine::new(catalog(2), EngineConfig::default());
+    let rejected = at("r1").seq(at("r2").build().not());
+    assert!(engine.add_rule("rejected", rejected).is_err());
+    assert_eq!(engine.rule_count(), 0);
+    let fired = collect(&mut engine, vec![obs(1, 1, 0), obs(2, 1, 1_000)]);
+    assert!(fired.is_empty());
+
+    // Rejected on a running engine too: the plan and the telemetry tables
+    // follow the graph.
+    let nodes = engine.graph().len();
+    let rejected = at("r2").seq(at("r1").build().not());
+    assert!(engine.add_rule("rejected-late", rejected).is_err());
+    assert!(engine.graph().len() > nodes, "the rejection left nodes");
+    let fired = collect(&mut engine, vec![obs(2, 2, 2_000), obs(1, 2, 3_000)]);
+    assert!(fired.is_empty());
+    let snap = engine.telemetry();
+    assert_eq!(snap.ops.len(), engine.graph().len());
+    assert_eq!(snap.nodes.len(), snap.ops.len());
+    assert_eq!(snap.node_cost.len(), snap.ops.len());
+}
+
 /// The unbounded-buffer cap evicts oldest initiators instead of growing
 /// without limit (plain SEQ with no WITHIN).
 #[test]

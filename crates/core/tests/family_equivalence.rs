@@ -232,7 +232,8 @@ fn self_join_family_collapses_to_one_holder() {
     for merge in [true, false] {
         let mut engine = engine(ExecMode::Plan, merge, &five(0));
         let roots: Vec<_> = (0..5).map(|r| engine.rule_root(RuleId(r))).collect();
-        let plan = engine.compiled_plan();
+        let program = engine.program();
+        let plan = program.plan();
         let families: Vec<_> = plan.families().collect();
         assert_eq!(families.len(), 1, "one family (merge={merge})");
         let (holder, members) = families[0];
@@ -247,7 +248,7 @@ fn self_join_family_collapses_to_one_holder() {
             expected.dedup();
         }
         assert_eq!(cuts, expected);
-        assert!(plan.shared_histories().is_empty());
+        assert!(program.shared_histories().is_empty());
     }
 }
 
@@ -262,12 +263,13 @@ fn negation_query_family_collapses_to_one_holder_and_one_history() {
                 .map(|&r| engine.graph().node(r).children[0])
                 .collect(),
         );
-        let plan = engine.compiled_plan();
+        let program = engine.program();
+        let plan = program.plan();
         let families: Vec<_> = plan.families().collect();
         assert_eq!(families.len(), 1, "one family (merge={merge})");
         assert_eq!(families[0].0, roots[0]);
         assert_eq!(families[0].1.len(), recorders.len());
-        let histories = plan.shared_histories();
+        let histories = program.shared_histories();
         assert_eq!(histories.len(), 1, "one history (merge={merge})");
         assert_eq!(histories[0], (recorders[0], recorders.clone()));
     }
@@ -284,11 +286,12 @@ fn and_not_shares_the_history_and_keeps_the_waits() {
                 .map(|&r| engine.graph().node(r).children[1])
                 .collect(),
         );
-        let plan = engine.compiled_plan();
+        let program = engine.program();
+        let plan = program.plan();
         assert_eq!(plan.families().count(), 0, "waits stay per rule");
         assert!(roots.iter().all(|&r| plan.holder(r) == r));
         assert_eq!(
-            plan.shared_histories(),
+            program.shared_histories(),
             vec![(recorders[0], recorders.clone())]
         );
     }
@@ -300,9 +303,10 @@ fn inadmissible_shapes_lower_unshared() {
         for merge in [true, false] {
             let mut engine = engine(ExecMode::Plan, merge, &five(idx));
             let nodes = engine.graph().len() as u32;
-            let plan = engine.compiled_plan();
+            let program = engine.program();
+            let plan = program.plan();
             assert_eq!(plan.families().count(), 0, "shape {idx} merge={merge}");
-            assert!(plan.shared_histories().is_empty());
+            assert!(program.shared_histories().is_empty());
             assert!((0..nodes).all(|n| {
                 let node = rceda::graph::NodeId(n);
                 plan.holder(node) == node

@@ -1,7 +1,8 @@
 //! Script-level linting: the rule-language frontend of `rceda-lint`.
 //!
 //! [`lint_script`] parses a script and runs every static-analysis pass over
-//! it without building a runtime:
+//! it without building a runtime (the rule set is compiled once, into the
+//! [`Program`] an engine loading the script would execute):
 //!
 //! * **W002** — duplicate `DEFINE` aliases (the later body silently shadows
 //!   the earlier one);
@@ -24,11 +25,8 @@
 
 use std::collections::BTreeSet;
 
-use rceda::analyze::{
-    analyze_cost, analyze_event, analyze_families, analyze_shadowing, analyze_subsumption,
-    DiagCode, Diagnostic, RuleEvent,
-};
-use rceda::{Bounds, Cost, EventGraph};
+use rceda::analyze::{analyze_compiled, analyze_event, DiagCode, Diagnostic};
+use rceda::{Program, RuleEvent};
 use rfid_events::Catalog;
 
 use crate::ast::{ActionAst, CondAst, CondTerm, EventAst, RuleDecl, Term, ValueExpr, WhereCond};
@@ -90,13 +88,27 @@ impl LintReport {
     }
 }
 
-/// Lints a script against an optional deployment catalog. Without a
-/// catalog the dead-leaf pass (W003) is skipped — patterns cannot be
-/// checked against a deployment that isn't given. Parse failures are the
-/// only hard error: past parsing, every problem becomes a diagnostic.
-pub fn lint_script(script: &str, catalog: Option<&Catalog>) -> Result<LintReport, ParseError> {
+/// The script → events front end [`lint_script`] and [`cost_report`] share:
+/// parses the script, resolves the `DEFINE`s front-to-back (later
+/// definitions shadowing earlier ones — mirroring `RuleRuntime::load`) and
+/// compiles every rule's event. Returns the number of declared rules and
+/// the rule events that compiled, in script order; everything else becomes
+/// a diagnostic, grouped per rule. `per_rule` supplies each compiled rule's
+/// own diagnostics.
+fn compile_script(
+    script: &str,
+    diagnostics: &mut Vec<Diagnostic>,
+    per_rule: impl Fn(&RuleEvent) -> Vec<Diagnostic>,
+) -> Result<(usize, Vec<RuleEvent>), ParseError> {
     let parsed = parse_script(script)?;
-    let mut diagnostics = Vec::new();
+    let invalid = |id: &str, name: &str, message: String, hint: &str| Diagnostic {
+        code: DiagCode::InvalidRule,
+        rule_id: id.to_owned(),
+        rule_name: name.to_owned(),
+        path: String::new(),
+        message,
+        hint: hint.to_owned(),
+    };
 
     // W002: duplicate DEFINE aliases within the script.
     let mut seen = BTreeSet::new();
@@ -117,22 +129,18 @@ pub fn lint_script(script: &str, catalog: Option<&Catalog>) -> Result<LintReport
         }
     }
 
-    // Defines resolve front-to-back, later definitions shadowing earlier
-    // ones — mirroring RuleRuntime::load.
     let mut defines = std::collections::HashMap::new();
     for d in &parsed.defines {
         match resolve_aliases(&d.event, &defines) {
             Ok(resolved) => {
                 defines.insert(d.name.clone(), resolved);
             }
-            Err(err) => diagnostics.push(Diagnostic {
-                code: DiagCode::InvalidRule,
-                rule_id: d.name.clone(),
-                rule_name: d.name.clone(),
-                path: String::new(),
-                message: err.to_string(),
-                hint: "fix the DEFINE body; rules using the alias cannot compile".to_owned(),
-            }),
+            Err(err) => diagnostics.push(invalid(
+                &d.name,
+                &d.name,
+                err.to_string(),
+                "fix the DEFINE body; rules using the alias cannot compile",
+            )),
         }
     }
 
@@ -141,27 +149,23 @@ pub fn lint_script(script: &str, catalog: Option<&Catalog>) -> Result<LintReport
     for rule in &parsed.rules {
         // E000: duplicate rule ids (§3 requires unique ids; load rejects).
         if !ids.insert(rule.id.as_str()) {
-            diagnostics.push(Diagnostic {
-                code: DiagCode::InvalidRule,
-                rule_id: rule.id.clone(),
-                rule_name: rule.name.clone(),
-                path: String::new(),
-                message: format!("duplicate rule id `{}`", rule.id),
-                hint: "rule ids must be unique across the program".to_owned(),
-            });
+            diagnostics.push(invalid(
+                &rule.id,
+                &rule.name,
+                format!("duplicate rule id `{}`", rule.id),
+                "rule ids must be unique across the program",
+            ));
         }
 
         let event = match resolve_aliases(&rule.event, &defines) {
             Ok(event) => event,
             Err(err) => {
-                diagnostics.push(Diagnostic {
-                    code: DiagCode::InvalidRule,
-                    rule_id: rule.id.clone(),
-                    rule_name: rule.name.clone(),
-                    path: String::new(),
-                    message: err.to_string(),
-                    hint: "DEFINE the alias before the rule that uses it".to_owned(),
-                });
+                diagnostics.push(invalid(
+                    &rule.id,
+                    &rule.name,
+                    err.to_string(),
+                    "DEFINE the alias before the rule that uses it",
+                ));
                 continue;
             }
         };
@@ -172,32 +176,33 @@ pub fn lint_script(script: &str, catalog: Option<&Catalog>) -> Result<LintReport
         match compile_event(&event) {
             Ok(expr) => {
                 let re = RuleEvent::new(rule.id.clone(), rule.name.clone(), expr);
-                diagnostics.extend(analyze_event(&re, catalog));
+                diagnostics.extend(per_rule(&re));
                 compiled.push(re);
             }
-            Err(err) => diagnostics.push(Diagnostic {
-                code: DiagCode::InvalidRule,
-                rule_id: rule.id.clone(),
-                rule_name: rule.name.clone(),
-                path: String::new(),
-                message: err.to_string(),
-                hint: "fix the pattern; see the rule-language grammar in DESIGN.md".to_owned(),
-            }),
+            Err(err) => diagnostics.push(invalid(
+                &rule.id,
+                &rule.name,
+                err.to_string(),
+                "fix the pattern; see the rule-language grammar in DESIGN.md",
+            )),
         }
     }
+    Ok((parsed.rules.len(), compiled))
+}
 
-    // W001 across every rule that compiled, then the cost-model passes:
-    // W006 (provable subsumption) and N002 (hotspot ranking); last, what
-    // the lowered plan shares (N003).
-    diagnostics.extend(analyze_shadowing(&compiled));
-    diagnostics.extend(analyze_subsumption(&compiled, catalog));
-    diagnostics.extend(analyze_cost(&compiled, catalog));
-    diagnostics.extend(analyze_families(&compiled, catalog));
-
-    Ok(LintReport {
-        diagnostics,
-        rules: parsed.rules.len(),
-    })
+/// Lints a script against an optional deployment catalog. Without a
+/// catalog the dead-leaf pass (W003) is skipped — patterns cannot be
+/// checked against a deployment that isn't given. Parse failures are the
+/// only hard error: past parsing, every problem becomes a diagnostic.
+pub fn lint_script(script: &str, catalog: Option<&Catalog>) -> Result<LintReport, ParseError> {
+    let mut diagnostics = Vec::new();
+    let per_rule = |rule: &RuleEvent| analyze_event(rule, catalog);
+    let (rules, compiled) = compile_script(script, &mut diagnostics, per_rule)?;
+    // The program-level passes (W001, W006, N002, N003) over the one
+    // program every rule that compiled builds.
+    let program = Program::compile(catalog, compiled);
+    diagnostics.extend(analyze_compiled(&program, catalog));
+    Ok(LintReport { diagnostics, rules })
 }
 
 /// One row of the static cost table: a rule ranked by the cumulative
@@ -219,44 +224,22 @@ pub struct CostRow {
     pub buffered: f64,
 }
 
-/// The full static cost table behind the N002 note: parses the script,
-/// compiles every rule into one merged [`EventGraph`], solves the interval
-/// bounds and the [`rceda::cost`] model over it, and returns one row per
-/// compilable rule sorted by weight descending (ties by script order).
-/// Rules that fail to resolve or compile are skipped — [`lint_script`]
-/// reports those.
+/// The full static cost table behind the N002 note: compiles the script
+/// into the [`Program`] [`lint_script`] judges and returns one row per
+/// compilable rule from its [`rceda::cost`] model, sorted by weight
+/// descending (ties by script order). Rules that fail to resolve or compile
+/// are skipped — [`lint_script`] reports those.
 pub fn cost_report(script: &str, catalog: Option<&Catalog>) -> Result<Vec<CostRow>, ParseError> {
-    let parsed = parse_script(script)?;
-    let mut defines = std::collections::HashMap::new();
-    for d in &parsed.defines {
-        if let Ok(resolved) = resolve_aliases(&d.event, &defines) {
-            defines.insert(d.name.clone(), resolved);
-        }
-    }
-    let mut merged = EventGraph::new();
-    let mut compiled = Vec::new();
-    for rule in &parsed.rules {
-        let Ok(event) = resolve_aliases(&rule.event, &defines) else {
-            continue;
-        };
-        let Ok(expr) = compile_event(&event) else {
-            continue;
-        };
-        let Ok(root) = merged.add_event(&expr) else {
-            continue;
-        };
-        compiled.push((rule, root));
-    }
-    let bounds = Bounds::solve(&merged);
-    let cost = Cost::solve(&merged, &bounds, catalog);
-    let mut rows: Vec<CostRow> = compiled
-        .into_iter()
-        .map(|(rule, root)| {
+    let (_, compiled) = compile_script(script, &mut Vec::new(), |_| Vec::new())?;
+    let program = Program::compile(catalog, compiled);
+    let cost = program.cost();
+    let mut rows: Vec<CostRow> = (program.rules().iter().zip(program.roots()))
+        .map(|(rule, &root)| {
             let est = cost.node(root);
             CostRow {
                 rule_id: rule.id.clone(),
                 rule_name: rule.name.clone(),
-                weight: cost.subgraph_weight(&merged, root),
+                weight: cost.subgraph_weight(program.graph(), root),
                 rate: est.rate,
                 probes_per_sec: est.probes_per_sec,
                 buffered: est.buffered,

@@ -301,6 +301,17 @@ impl RuleRuntime {
     /// ([`rceda::Engine::process_batch`]); firings run their conditions and
     /// actions immediately, in detection order.
     pub fn process_batch(&mut self, batch: &[Observation]) {
+        self.drive(|engine, sink| engine.process_batch(batch, sink));
+    }
+
+    /// Feeds a whole stream and finishes it ([`rceda::Engine::process_all`]).
+    pub fn process_all<I: IntoIterator<Item = Observation>>(&mut self, stream: I) {
+        self.drive(|engine, sink| engine.process_all(stream, sink));
+    }
+
+    /// Runs `feed` on the engine with the sink that fires a rule: binds its
+    /// variables, checks its condition and executes its actions.
+    fn drive(&mut self, feed: impl FnOnce(&mut Engine, &mut rceda::engine::Sink<'_>)) {
         let Self {
             engine,
             catalog,
@@ -310,24 +321,9 @@ impl RuleRuntime {
             errors,
             ..
         } = self;
-        engine.process_batch(batch, &mut |rule, inst| {
+        feed(engine, &mut |rule, inst| {
             fire(rules, rule, inst, catalog, db, procs, errors);
         });
-    }
-
-    /// Feeds a whole stream and finishes it, in
-    /// [`rceda::PROCESS_ALL_BATCH`]-observation batches.
-    pub fn process_all<I: IntoIterator<Item = Observation>>(&mut self, stream: I) {
-        let mut buf: Vec<Observation> = Vec::with_capacity(rceda::PROCESS_ALL_BATCH);
-        for obs in stream {
-            buf.push(obs);
-            if buf.len() == rceda::PROCESS_ALL_BATCH {
-                self.process_batch(&buf);
-                buf.clear();
-            }
-        }
-        self.process_batch(&buf);
-        self.finish();
     }
 
     /// Feeds a whole stream through the key-sharded parallel detection
@@ -355,8 +351,8 @@ impl RuleRuntime {
     }
 
     /// [`Runtime::process_all_sharded`] with full control over the pipeline
-    /// configuration (ingestion batch size, queue depth, output ordering,
-    /// and the number of rule-partitioned residual workers), for callers
+    /// configuration (ingestion batch size, queue depth, and the number of
+    /// rule-partitioned residual workers), for callers
     /// tuning the shard pipeline rather than taking defaults.
     pub fn process_all_sharded_config<I: IntoIterator<Item = Observation>>(
         &mut self,
@@ -369,54 +365,24 @@ impl RuleRuntime {
             let id = sharded.add_rule(&compiled.decl.name, expr)?;
             debug_assert_eq!(id.0 as usize, i, "sharded ids mirror runtime ids");
         }
-        let Self {
-            engine,
-            catalog,
-            db,
-            procs,
-            rules,
-            errors,
-            ..
-        } = self;
-        sharded.process_all(stream, &mut |rule, inst| {
-            if !engine.rule_enabled(rule) {
-                return;
-            }
-            fire(rules, rule, inst, catalog, db, procs, errors);
+        self.drive(|engine, sink| {
+            sharded.process_all(stream, &mut |rule, inst| {
+                if engine.rule_enabled(rule) {
+                    sink(rule, inst);
+                }
+            });
         });
         Ok(sharded.stats())
     }
 
     /// Resolves all pending windows (end of stream).
     pub fn finish(&mut self) {
-        let Self {
-            engine,
-            catalog,
-            db,
-            procs,
-            rules,
-            errors,
-            ..
-        } = self;
-        engine.finish(&mut |rule, inst| {
-            fire(rules, rule, inst, catalog, db, procs, errors);
-        });
+        self.drive(|engine, sink| engine.finish(sink));
     }
 
     /// Advances the clock without an observation (heartbeat).
     pub fn advance_to(&mut self, now: Timestamp) {
-        let Self {
-            engine,
-            catalog,
-            db,
-            procs,
-            rules,
-            errors,
-            ..
-        } = self;
-        engine.advance_to(now, &mut |rule, inst| {
-            fire(rules, rule, inst, catalog, db, procs, errors);
-        });
+        self.drive(|engine, sink| engine.advance_to(now, sink));
     }
 
     /// The data store.
@@ -448,7 +414,7 @@ impl RuleRuntime {
 
     /// The solved static cost model for the loaded rule set, node-aligned
     /// with [`Self::telemetry`]'s metrics arena.
-    pub fn cost(&mut self) -> rceda::Cost {
+    pub fn cost(&mut self) -> &rceda::Cost {
         self.engine.cost()
     }
 

@@ -68,7 +68,7 @@ fn static_cost_ranking_tracks_measured_probes() {
     let stream = sim.generate(60_000).observations;
     rt.process_all(stream);
 
-    let cost = rt.cost();
+    let cost = rt.cost().clone();
     let snap = rt.telemetry();
     assert!(
         !snap.node_cost.is_empty(),

@@ -65,17 +65,6 @@ impl ContainmentTree {
     }
 }
 
-/// A containment fact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContainmentFact {
-    /// The contained object.
-    pub object: Epc,
-    /// The container.
-    pub parent: Epc,
-    /// Validity.
-    pub period: Period,
-}
-
 impl Database {
     /// Rule 3: closes the object's current (`UC`) location at `t` and opens
     /// a new one at `location` starting at `t`.
@@ -312,23 +301,6 @@ impl Database {
             }
         }
         Ok(rfid_events::Span::from_millis(total_ms))
-    }
-
-    /// The containment history of `object`.
-    pub fn containment_history(&self, object: Epc) -> Result<Vec<ContainmentFact>, TableError> {
-        let rows = self
-            .require("OBJECTCONTAINMENT")?
-            .select(&Filter::on(Cond::eq("object_epc", object)))?;
-        Ok(rows
-            .into_iter()
-            .filter_map(|r| {
-                Some(ContainmentFact {
-                    object: r[0].as_epc()?,
-                    parent: r[1].as_epc()?,
-                    period: period_of(&r[2], &r[3])?,
-                })
-            })
-            .collect())
     }
 }
 

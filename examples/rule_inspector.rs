@@ -49,7 +49,7 @@ fn main() {
             engine.graph().len(),
             engine.graph().merged_hits(),
         );
-        print!("{}", engine.graph().describe());
+        print!("{}", engine.program().describe());
         println!("\n(pass --dot for a Graphviz rendering)");
     }
 }

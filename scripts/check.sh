@@ -11,6 +11,24 @@ cargo fmt --all -- --check
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one compile site (rceda::Program) =="
+# A rule set is merged, solved and lowered in crates/core/src/program.rs
+# only: elsewhere under crates/*/src (graph.rs aside), code before a file's
+# `#[cfg(test)]` module may not call the pipeline's stages; comments may.
+stray=$(find crates/*/src -name '*.rs' ! -path crates/core/src/graph.rs \
+    ! -path crates/core/src/program.rs -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /EventGraph::(new|without_merging)|\.add_event\(|Bounds::solve|Cost::solve|CompiledPlan::lower/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: compile the rule set through rceda::Program instead" >&2
+    exit 1
+fi
+
 echo "== tests (every crate, every suite) =="
 cargo test -q --workspace
 

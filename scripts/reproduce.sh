@@ -28,9 +28,9 @@ run context_compare    # Ablation A4: parameter contexts
 run ablation_merge     # Ablation A1: subgraph merging
 run ablation_partition # Ablation A2: keyed buffers
 run action_cost        # §5 methodology: detection vs detection+actions
-run fig9_shard         # shard sweep: throughput vs. keyed shards (also writes results/BENCH_shard.json)
+run fig9_shard         # shard sweep table: throughput vs. keyed shards × residual workers
 
-# Shard-throughput and obs-overhead gates against the reference just written.
+# Counters-level observability overhead gate (throughput is the ledger's: benchmark/run.sh).
 scripts/bench_gate.sh
 
 echo

@@ -203,7 +203,7 @@ fn inspect(args: &[String]) -> Result<(), String> {
             engine.graph().len(),
             engine.graph().merged_hits()
         );
-        print!("{}", engine.graph().describe());
+        print!("{}", engine.program().describe());
     }
     Ok(())
 }
