@@ -98,15 +98,10 @@ const INLINE_BYTES: usize = 24;
 /// Parts a key can describe inline (shape kind bits).
 const INLINE_PARTS: usize = 6;
 
-/// The splitmix64 finalizer: a fast, well-distributed 64-bit mixer. Also
-/// used by the shard router, so one multiply chain serves both key maps and
-/// shard routing.
-#[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+// The splitmix64 finalizer, shared with the edge filters' and the store's
+// maps over the same EPC bits; the shard router uses it too, so one
+// multiply chain serves key maps and shard routing.
+pub(crate) use rfid_epc::hash::mix64;
 
 /// Hashes a packed shape + payload words.
 #[inline]

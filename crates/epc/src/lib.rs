@@ -14,7 +14,9 @@
 //!   application-level object types ("laptop", "pallet", "case", …) either by
 //!   explicit enumeration or by class-level prefix rules;
 //! * the paper's `group(r)` function: a [`ReaderRegistry`] that organises
-//!   readers into named groups with symbolic locations.
+//!   readers into named groups with symbolic locations;
+//! * [`hash`]: the one fixed hasher ([`hash::MixMap`]) the layers above use
+//!   for maps keyed by these identities.
 //!
 //! Everything in the detection engine identifies objects and readers through
 //! this crate, so the synthetic workloads exercise the same identity code path
@@ -27,6 +29,7 @@ pub mod bits;
 pub mod epc;
 pub mod gid;
 pub mod grai;
+pub mod hash;
 pub mod partition;
 pub mod reader;
 pub mod sgtin;

@@ -6,6 +6,7 @@
 
 use std::fmt;
 
+use rfid_epc::ReaderDef;
 use rfid_events::{Catalog, Instance};
 use rfid_store::{Cond, CondOp, Database, Filter, TableError, Value};
 
@@ -52,22 +53,31 @@ pub fn execute(
     db: &mut Database,
     procs: &mut Procedures,
 ) -> Result<(), ActionError> {
+    let eval_all = |exprs: &[ValueExpr], row: Option<&Row<'_>>| {
+        let mut values = Vec::with_capacity(exprs.len());
+        for v in exprs {
+            values.push(eval(v, bindings, row, inst, catalog)?);
+        }
+        Ok::<_, ActionError>(values)
+    };
     match action {
         ActionAst::Insert { table, values } => {
-            let row = values
-                .iter()
-                .map(|v| eval(v, bindings, None, inst, catalog))
-                .collect::<Result<Vec<_>, _>>()?;
+            let row = eval_all(values, None)?;
             db.require_mut(table)?.insert(row)?;
             Ok(())
         }
         ActionAst::BulkInsert { table, values } => {
-            for row_bindings in &bindings.bulk {
-                let row = values
-                    .iter()
-                    .map(|v| eval(v, bindings, Some(row_bindings), inst, catalog))
-                    .collect::<Result<Vec<_>, _>>()?;
-                db.require_mut(table)?.insert(row)?;
+            // The table is looked up once, after the first row evaluates (a
+            // firing without bulk rows never names it).
+            let mut rows = bindings.bulk.iter();
+            let Some(first) = rows.next() else {
+                return Ok(());
+            };
+            let row = eval_all(values, Some(first))?;
+            let target = db.require_mut(table)?;
+            target.insert(row)?;
+            for row_bindings in rows {
+                target.insert(eval_all(values, Some(row_bindings))?)?;
             }
             Ok(())
         }
@@ -76,10 +86,10 @@ pub fn execute(
             sets,
             wheres,
         } => {
-            let assignments = sets
-                .iter()
-                .map(|(col, v)| Ok((col.clone(), eval(v, bindings, None, inst, catalog)?)))
-                .collect::<Result<Vec<_>, ActionError>>()?;
+            let mut assignments = Vec::with_capacity(sets.len());
+            for (col, v) in sets {
+                assignments.push((col.as_str(), eval(v, bindings, None, inst, catalog)?));
+            }
             let filter = build_filter(wheres, bindings, inst, catalog)?;
             db.require_mut(table)?.update(&filter, &assignments)?;
             Ok(())
@@ -90,11 +100,7 @@ pub fn execute(
             Ok(())
         }
         ActionAst::Call { name, args } => {
-            let values = args
-                .iter()
-                .map(|v| eval(v, bindings, None, inst, catalog))
-                .collect::<Result<Vec<_>, _>>()?;
-            procs.invoke(name, values);
+            procs.invoke(name, eval_all(args, None)?);
             Ok(())
         }
     }
@@ -108,7 +114,9 @@ pub fn build_filter(
     inst: &Instance,
     catalog: &Catalog,
 ) -> Result<Filter, ActionError> {
-    let mut filter = Filter::all();
+    let mut filter = Filter {
+        conds: Vec::with_capacity(wheres.len()),
+    };
     for w in wheres {
         let value = eval(&w.value, bindings, None, inst, catalog)?;
         let op = match w.op {
@@ -119,7 +127,11 @@ pub fn build_filter(
             CompareOp::Gt => CondOp::Gt,
             CompareOp::Ge => CondOp::Ge,
         };
-        filter = filter.and(Cond::new(&w.column, op, value));
+        filter.conds.push(Cond {
+            column: w.column.clone(),
+            op,
+            value,
+        });
     }
     Ok(filter)
 }
@@ -137,34 +149,14 @@ pub fn eval(
             .get(v, row)
             .cloned()
             .ok_or_else(|| ActionError::UnboundVar(v.clone()))?,
-        ValueExpr::Str(s) => Value::str(s.clone()),
+        ValueExpr::Str(s) => Value::str(s.as_str()),
         ValueExpr::Int(i) => Value::Int(*i),
         ValueExpr::Uc => Value::Uc,
         ValueExpr::Now => Value::Time(inst.t_end()),
         ValueExpr::LocationOf(v) => {
-            let name = var_reader_name(v, bindings, row)?;
-            let id = catalog
-                .readers
-                .id_of(name)
-                .ok_or_else(|| ActionError::Unresolvable(format!("reader `{name}`")))?;
-            let loc = catalog
-                .readers
-                .location_of(id)
-                .ok_or_else(|| ActionError::Unresolvable(format!("location of `{name}`")))?;
-            Value::str(loc)
+            Value::Str(reader_def(v, bindings, row, catalog)?.location.clone())
         }
-        ValueExpr::GroupOf(v) => {
-            let name = var_reader_name(v, bindings, row)?;
-            let id = catalog
-                .readers
-                .id_of(name)
-                .ok_or_else(|| ActionError::Unresolvable(format!("reader `{name}`")))?;
-            let group = catalog
-                .readers
-                .group_of(id)
-                .ok_or_else(|| ActionError::Unresolvable(format!("group of `{name}`")))?;
-            Value::str(group)
-        }
+        ValueExpr::GroupOf(v) => Value::Str(reader_def(v, bindings, row, catalog)?.group.clone()),
         ValueExpr::TypeOf(v) => {
             let value = bindings
                 .get(v, row)
@@ -181,15 +173,21 @@ pub fn eval(
     })
 }
 
-fn var_reader_name<'a>(
+/// The catalog record of the reader bound to `v`, for `location(v)` and
+/// `group(v)`: their values are the record's own strings.
+fn reader_def<'c>(
     v: &str,
-    bindings: &'a Bindings<'_>,
-    row: Option<&'a Row<'_>>,
-) -> Result<&'a str, ActionError> {
-    let value = bindings
-        .get(v, row)
+    bindings: &Bindings<'_>,
+    row: Option<&Row<'_>>,
+    catalog: &'c Catalog,
+) -> Result<&'c ReaderDef, ActionError> {
+    let var = bindings
+        .get_reader(v, row)
         .ok_or_else(|| ActionError::UnboundVar(v.to_owned()))?;
-    value
-        .as_str()
-        .ok_or_else(|| ActionError::Unresolvable(format!("`{v}` is not a reader name")))
+    var.def(catalog).ok_or_else(|| {
+        ActionError::Unresolvable(match var.value.as_str() {
+            Some(name) => format!("reader `{name}`"),
+            None => format!("`{v}` is not a reader name"),
+        })
+    })
 }

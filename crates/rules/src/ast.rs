@@ -1,6 +1,7 @@
 //! Abstract syntax of the rule language.
 
 use rfid_events::Span;
+use std::sync::Arc;
 
 /// A parsed script: alias definitions, rules, and drops, in source order.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -217,8 +218,8 @@ pub enum ValueExpr {
 /// One `WHERE` conjunct: `column op expr`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhereCond {
-    /// Column name.
-    pub column: String,
+    /// Column name, shared with every filter built from the conjunct.
+    pub column: Arc<str>,
     /// Operator.
     pub op: CompareOp,
     /// Right-hand expression.

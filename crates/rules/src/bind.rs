@@ -11,20 +11,159 @@
 //!   rows* that `BULK INSERT` iterates;
 //! * negations bind nothing (their witness is an absence).
 //!
-//! A firing allocates for the maps and nothing else: variable names are
-//! borrowed from the rule's AST, which outlives every firing, and a reader
-//! variable's value shares the catalog entry's own name string.
+//! A scalar firing allocates nothing here: variable names are borrowed from
+//! the rule's AST, which outlives every firing, a reader variable's value
+//! shares the catalog entry's own name string, and a [`Row`] keeps its first
+//! [`INLINE_VARS`] variables in place. A run of N elements allocates once,
+//! for the `Vec` of its N rows.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use rfid_epc::{ReaderDef, ReaderId};
 use rfid_events::{Catalog, Instance, InstanceKind};
 use rfid_store::Value;
 
 use crate::ast::{EventAst, Term};
 
-/// One set of bound variables, by the name the rule's event gives them.
-pub type Row<'ast> = HashMap<&'ast str, Value>;
+/// Variables a [`Row`] holds without touching the heap. The paper's rules
+/// bind two to four (`r, o, t1, t2`); a fifth spills to a `Vec`.
+pub const INLINE_VARS: usize = 4;
+
+/// One bound variable.
+#[derive(Debug, Clone)]
+struct Bound<'ast> {
+    name: &'ast str,
+    value: Value,
+}
+
+/// One set of bound variables, by the name the rule's event gives them: a
+/// small association list searched front to back. Binding a name again
+/// replaces its value, as in the map this stands in for.
+#[derive(Debug, Default, Clone)]
+pub struct Row<'ast> {
+    /// Filled from the front; the first `None` ends the list.
+    inline: [Option<Bound<'ast>>; INLINE_VARS],
+    /// Variables past the inline ones, in binding order.
+    spill: Vec<Bound<'ast>>,
+    /// The variable last bound to the name of a reader the catalog knows,
+    /// with that reader's id: `location(r)`/`group(r)` then read the
+    /// reader's record by id instead of looking its name up again.
+    reader: Option<(&'ast str, ReaderId)>,
+}
+
+impl<'ast> Row<'ast> {
+    /// Binds `var` to `value`, replacing an earlier binding of the name.
+    pub fn insert(&mut self, var: &'ast str, value: Value) {
+        if self.reader.is_some_and(|(name, _)| name == var) {
+            self.reader = None;
+        }
+        self.set(var, value);
+    }
+
+    /// Binds `var` to the name of a reader of the catalog.
+    fn insert_reader(&mut self, var: &'ast str, reader: &ReaderDef) {
+        self.set(var, Value::Str(reader.name.clone()));
+        self.reader = Some((var, reader.id));
+    }
+
+    fn set(&mut self, name: &'ast str, value: Value) {
+        let bound = Bound { name, value };
+        for slot in &mut self.inline {
+            match slot {
+                Some(earlier) if earlier.name != name => {}
+                _ => {
+                    *slot = Some(bound);
+                    return;
+                }
+            }
+        }
+        match self.spill.iter_mut().find(|b| b.name == name) {
+            Some(earlier) => *earlier = bound,
+            None => self.spill.push(bound),
+        }
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &Bound<'ast>> {
+        self.inline
+            .iter()
+            .map_while(Option::as_ref)
+            .chain(&self.spill)
+    }
+
+    /// The value bound to `var`.
+    pub fn get(&self, var: &str) -> Option<&Value> {
+        self.entries().find(|b| b.name == var).map(|b| &b.value)
+    }
+
+    /// Whether `var` is bound.
+    pub fn contains_key(&self, var: &str) -> bool {
+        self.get(var).is_some()
+    }
+
+    /// Number of bound variables.
+    pub fn len(&self) -> usize {
+        self.entries().count()
+    }
+
+    /// Whether nothing is bound.
+    pub fn is_empty(&self) -> bool {
+        self.inline[0].is_none()
+    }
+
+    /// The bound `(variable, value)` pairs, in first-binding order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'ast str, &Value)> {
+        self.entries().map(|b| (b.name, &b.value))
+    }
+
+    /// [`Row::get`], with the reader's id when the row remembers it.
+    fn get_reader(&self, var: &str) -> Option<ReaderVar<'_>> {
+        let value = self.get(var)?;
+        let id = self
+            .reader
+            .and_then(|(name, id)| (name == var).then_some(id));
+        Some(ReaderVar { value, id })
+    }
+}
+
+/// `row["o"]`: the value bound to `o`.
+///
+/// # Panics
+/// Panics when the variable is not bound.
+impl std::ops::Index<&str> for Row<'_> {
+    type Output = Value;
+
+    fn index(&self, var: &str) -> &Value {
+        self.get(var)
+            .unwrap_or_else(|| panic!("variable `{var}` is not bound"))
+    }
+}
+
+/// Rows are equal when they bind the same names to the same values, in
+/// whatever order.
+impl PartialEq for Row<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().all(|(var, v)| other.get(var) == Some(v))
+    }
+}
+
+/// A variable looked up as the argument of `location(…)`/`group(…)`.
+pub(crate) struct ReaderVar<'a> {
+    pub(crate) value: &'a Value,
+    id: Option<ReaderId>,
+}
+
+impl ReaderVar<'_> {
+    /// The catalog record of the reader the variable names: by the id the
+    /// binder kept, else by the bound name. `catalog` must be the one the
+    /// firing was bound against.
+    pub(crate) fn def<'c>(&self, catalog: &'c Catalog) -> Option<&'c ReaderDef> {
+        let id = match self.id {
+            Some(id) => id,
+            None => catalog.readers.id_of(self.value.as_str()?)?,
+        };
+        catalog.readers.def(id)
+    }
+}
 
 /// The values a firing bound.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -40,13 +179,27 @@ impl Bindings<'_> {
     /// Looks up a variable: scalar first, then the given bulk row, then the
     /// first bulk row.
     pub fn get<'a>(&'a self, var: &str, row: Option<&'a Row<'_>>) -> Option<&'a Value> {
-        if let Some(v) = self.scalar.get(var) {
-            return Some(v);
-        }
-        if let Some(v) = row.and_then(|r| r.get(var)) {
-            return Some(v);
-        }
-        self.bulk.first().and_then(|r| r.get(var))
+        self.find(row, |r| r.get(var))
+    }
+
+    /// [`Bindings::get`] for the argument of `location(…)`/`group(…)`.
+    pub(crate) fn get_reader<'a>(
+        &'a self,
+        var: &str,
+        row: Option<&'a Row<'_>>,
+    ) -> Option<ReaderVar<'a>> {
+        self.find(row, |r| r.get_reader(var))
+    }
+
+    /// The lookup order of every variable reference.
+    fn find<'a, T>(
+        &'a self,
+        row: Option<&'a Row<'_>>,
+        in_row: impl Fn(&'a Row<'a>) -> Option<T>,
+    ) -> Option<T> {
+        in_row(&self.scalar)
+            .or_else(|| row.and_then(&in_row))
+            .or_else(|| self.bulk.first().and_then(&in_row))
     }
 }
 
@@ -103,11 +256,10 @@ fn bind_into<'ast>(
                 )));
             };
             if let Term::Var(v) = reader {
-                let name = match catalog.readers.def(obs.reader) {
-                    Some(def) => Value::Str(def.name.clone()),
-                    None => Value::str(obs.reader.to_string()),
-                };
-                scalar.insert(v, name);
+                match catalog.readers.def(obs.reader) {
+                    Some(def) => scalar.insert_reader(v, def),
+                    None => scalar.insert(v, Value::str(obs.reader.to_string())),
+                }
             }
             if let Term::Var(v) = object {
                 scalar.insert(v, Value::Epc(obs.object));
@@ -158,10 +310,12 @@ fn bind_into<'ast>(
                     "aperiodic pattern expected a run, instance is {inst}"
                 )));
             };
+            bulk.reserve(children.len());
             for element in children {
-                let mut row = HashMap::new();
-                bind_into(inner, element, catalog, &mut row, &mut None)?;
-                bulk.push(row);
+                // Bound in place: a row is a few hundred bytes to move.
+                bulk.push(Row::default());
+                let row = bulk.last_mut().expect("just pushed");
+                bind_into(inner, element, catalog, row, &mut None)?;
             }
             Ok(())
         }

@@ -60,7 +60,7 @@ fn eval_term(
 ) -> Option<Value> {
     match term {
         CondTerm::Var(v) => bindings.get(v, None).cloned(),
-        CondTerm::Str(s) => Some(Value::str(s.clone())),
+        CondTerm::Str(s) => Some(Value::str(s.as_str())),
         CondTerm::Int(i) => Some(Value::Int(*i)),
         CondTerm::Duration(d) => Some(Value::Int(d.as_millis() as i64)),
         CondTerm::TypeOf(v) => {
@@ -68,9 +68,8 @@ fn eval_term(
             catalog.types.type_of(epc).map(|t| Value::str(t.name()))
         }
         CondTerm::GroupOf(v) => {
-            let name = bindings.get(v, None)?.as_str()?.to_owned();
-            let id = catalog.readers.id_of(&name)?;
-            catalog.readers.group_of(id).map(Value::str)
+            let def = bindings.get_reader(v, None)?.def(catalog)?;
+            Some(Value::Str(def.group.clone()))
         }
         CondTerm::Count => Some(Value::Int(inst.primitive_count() as i64)),
         CondTerm::Interval => Some(Value::Int(inst.interval().as_millis() as i64)),

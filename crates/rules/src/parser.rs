@@ -590,7 +590,11 @@ impl Parser {
                 let column = self.expect_ident()?;
                 let op = self.parse_compare_op()?;
                 let value = self.parse_value_expr()?;
-                wheres.push(WhereCond { column, op, value });
+                wheres.push(WhereCond {
+                    column: column.into(),
+                    op,
+                    value,
+                });
                 if !self.eat_kw("AND") {
                     break;
                 }

@@ -126,8 +126,11 @@ impl Procedures {
 
     /// Invokes a procedure: records the call, then runs the handler if any.
     pub fn invoke(&mut self, name: &str, args: Vec<Value>) {
-        if let Some(h) = self.handlers.get_mut(name) {
-            h(&args);
+        // Most programs register none: their calls are read from the log.
+        if !self.handlers.is_empty() {
+            if let Some(h) = self.handlers.get_mut(name) {
+                h(&args);
+            }
         }
         self.log.push((name.to_owned(), args));
     }
@@ -233,12 +236,15 @@ impl RuleRuntime {
     /// unique id … for a rule").
     pub fn load(&mut self, script: &str) -> Result<Vec<RuleId>, RuntimeError> {
         let parsed = parse_script(script)?;
-        for rule in &parsed.rules {
-            let clash = self.rules.iter().any(|r| r.decl.id == rule.id)
-                || parsed.rules.iter().filter(|r| r.id == rule.id).count() > 1;
-            if clash {
-                return Err(RuntimeError::DuplicateRuleId(rule.id.clone()));
-            }
+        // Nothing is loaded on a clash: the first rule of the batch whose id
+        // is taken, by a loaded rule or by another rule of the batch.
+        let mut declared: HashMap<&str, u32> = HashMap::new();
+        let loaded = self.rules.iter().map(|r| &r.decl.id);
+        for id in loaded.chain(parsed.rules.iter().map(|r| &r.id)) {
+            *declared.entry(id).or_default() += 1;
+        }
+        if let Some(clash) = parsed.rules.iter().find(|r| declared[r.id.as_str()] > 1) {
+            return Err(RuntimeError::DuplicateRuleId(clash.id.clone()));
         }
         // New defines extend (and may shadow) earlier ones.
         for d in &parsed.defines {

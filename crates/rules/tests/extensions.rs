@@ -145,6 +145,16 @@ fn duplicate_rule_ids_are_rejected() {
         before,
         "batch rejected before any rule loaded"
     );
+    // Several clashes: the error names the first rule of the script that
+    // has one, whichever rule repeats first.
+    let rule = |id: &str| format!("CREATE RULE {id}, n ON observation(r, o, t) IF true DO a() ");
+    let script: String = ["r7", "r8", "r8", "r7"].iter().map(|id| rule(id)).collect();
+    let err = rt.load(&script).unwrap_err();
+    assert!(err.to_string().contains("r7"), "{err}");
+    let script: String = ["r5", "r6", "r1", "r6"].iter().map(|id| rule(id)).collect();
+    let err = rt.load(&script).unwrap_err();
+    assert!(err.to_string().contains("r6"), "{err}");
+    assert_eq!(rt.engine().rule_count(), before);
 }
 
 #[test]

@@ -9,17 +9,18 @@
 //! * `OBJECTCONTAINMENT(object_epc, parent_epc, tstart, tend)` — containment
 //!   history (Rule 4).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use rfid_epc::hash::MixMap;
 
 use crate::table::{ColumnType, Schema, Table, TableError};
 
 /// A database: a set of named tables.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
-    tables: HashMap<String, Table>,
+    /// By name, which only the program's own scripts and set-up code choose.
+    tables: MixMap<String, Table>,
 }
 
 /// A database shared across threads (the engine thread writes, application

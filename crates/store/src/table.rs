@@ -6,8 +6,10 @@
 //! equality indexes so the location/containment tables stay fast as the
 //! simulator pushes hundreds of thousands of rows through them.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
+
+use rfid_epc::hash::MixMap;
 
 use crate::value::Value;
 
@@ -120,8 +122,9 @@ pub enum CondOp {
 /// One condition: `column op value`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cond {
-    /// Column name.
-    pub column: String,
+    /// Column name. Shared, so a statement evaluated once per firing names
+    /// its columns by a pointer copy of the rule's own strings.
+    pub column: Arc<str>,
     /// Operator.
     pub op: CondOp,
     /// Right-hand value.
@@ -132,7 +135,7 @@ impl Cond {
     /// Builds a condition.
     pub fn new(column: &str, op: CondOp, value: impl Into<Value>) -> Self {
         Self {
-            column: column.to_owned(),
+            column: column.into(),
             op,
             value: value.into(),
         }
@@ -206,6 +209,75 @@ impl fmt::Display for TableError {
 
 impl std::error::Error for TableError {}
 
+/// Row ids a list keeps without touching the heap. Most keys of the RFID
+/// tables are object EPCs with one to three rows (an item is packed once;
+/// an object passes a few docks), and most `WHERE` clauses of the paper's
+/// rules match one row (the object's open period).
+const INLINE_IDS: usize = 3;
+
+/// A list of row ids in the order they were added: the rows under one index
+/// key, or the rows a filter matched.
+#[derive(Debug, Clone)]
+enum RowIds {
+    Inline { len: u8, ids: [usize; INLINE_IDS] },
+    Heap(Vec<usize>),
+}
+
+impl Default for RowIds {
+    fn default() -> Self {
+        RowIds::Inline {
+            len: 0,
+            ids: [0; INLINE_IDS],
+        }
+    }
+}
+
+impl std::ops::Deref for RowIds {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        match self {
+            RowIds::Inline { len, ids } => &ids[..usize::from(*len)],
+            RowIds::Heap(ids) => ids,
+        }
+    }
+}
+
+impl RowIds {
+    fn push(&mut self, id: usize) {
+        match self {
+            RowIds::Inline { len, ids } if usize::from(*len) < INLINE_IDS => {
+                ids[usize::from(*len)] = id;
+                *len += 1;
+            }
+            RowIds::Inline { ids, .. } => {
+                let mut heap = Vec::with_capacity(2 * INLINE_IDS + 2);
+                heap.extend_from_slice(ids);
+                heap.push(id);
+                *self = RowIds::Heap(heap);
+            }
+            RowIds::Heap(ids) => ids.push(id),
+        }
+    }
+
+    fn remove(&mut self, id: usize) {
+        match self {
+            RowIds::Inline { len, ids } => {
+                let n = usize::from(*len);
+                if let Some(at) = ids[..n].iter().position(|&x| x == id) {
+                    ids.copy_within(at + 1..n, at);
+                    *len -= 1;
+                }
+            }
+            RowIds::Heap(ids) => ids.retain(|&x| x != id),
+        }
+    }
+}
+
+/// An equality index: value → the rows holding it. Keyed mostly by EPCs, so
+/// on the fixed hasher ([`rfid_epc::hash`]).
+type Index = MixMap<Value, RowIds>;
+
 /// A table: schema, row storage, and optional equality indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -214,8 +286,9 @@ pub struct Table {
     /// Live-row flags (deletes are tombstoned; compaction rebuilds indexes).
     live: Vec<bool>,
     live_count: usize,
-    /// column index → value → row ids.
-    indexes: HashMap<usize, HashMap<Value, Vec<usize>>>,
+    /// `(column, its index)`, in creation order. A table has a handful at
+    /// most, so finding one is a scan, not a hash.
+    indexes: Vec<(usize, Index)>,
 }
 
 impl Table {
@@ -226,7 +299,7 @@ impl Table {
             rows: Vec::new(),
             live: Vec::new(),
             live_count: 0,
-            indexes: HashMap::new(),
+            indexes: Vec::new(),
         }
     }
 
@@ -245,6 +318,12 @@ impl Table {
         self.live_count == 0
     }
 
+    fn index_on(&self, col: usize) -> Option<&Index> {
+        self.indexes
+            .iter()
+            .find_map(|(c, index)| (*c == col).then_some(index))
+    }
+
     /// Adds an equality index on a column. Indexing an unknown column is an
     /// error; indexing twice is a no-op.
     pub fn create_index(&mut self, column: &str) -> Result<(), TableError> {
@@ -252,16 +331,16 @@ impl Table {
             .schema
             .col(column)
             .ok_or_else(|| TableError::NoSuchColumn(column.to_owned()))?;
-        if self.indexes.contains_key(&col) {
+        if self.index_on(col).is_some() {
             return Ok(());
         }
-        let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
+        let mut index = Index::default();
         for (id, row) in self.rows.iter().enumerate() {
             if self.live[id] {
                 index.entry(row[col].clone()).or_default().push(id);
             }
         }
-        self.indexes.insert(col, index);
+        self.indexes.push((col, index));
         Ok(())
     }
 
@@ -269,8 +348,8 @@ impl Table {
     pub fn insert(&mut self, row: Row) -> Result<(), TableError> {
         self.schema.check_row(&row)?;
         let id = self.rows.len();
-        for (&col, index) in &mut self.indexes {
-            index.entry(row[col].clone()).or_default().push(id);
+        for (col, index) in &mut self.indexes {
+            index.entry(row[*col].clone()).or_default().push(id);
         }
         self.rows.push(row);
         self.live.push(true);
@@ -279,7 +358,7 @@ impl Table {
     }
 
     /// Row ids matching a filter, ascending (insertion order).
-    fn matching_ids(&self, filter: &Filter) -> Result<Vec<usize>, TableError> {
+    fn matching_ids(&self, filter: &Filter) -> Result<RowIds, TableError> {
         // Resolve columns once; prefer an indexed equality conjunct as the
         // driving access path.
         let mut resolved: Vec<(usize, CondOp, &Value)> = Vec::with_capacity(filter.conds.len());
@@ -287,25 +366,29 @@ impl Table {
             let col = self
                 .schema
                 .col(&cond.column)
-                .ok_or_else(|| TableError::NoSuchColumn(cond.column.clone()))?;
+                .ok_or_else(|| TableError::NoSuchColumn(cond.column.to_string()))?;
             resolved.push((col, cond.op, &cond.value));
         }
-        let driver = resolved
-            .iter()
-            .find(|(col, op, _)| *op == CondOp::Eq && self.indexes.contains_key(col));
+        let driver = resolved.iter().find_map(|(col, op, value)| {
+            let index = self.index_on(*col).filter(|_| *op == CondOp::Eq)?;
+            Some(index.get(*value).map_or(&[][..], |ids| &ids[..]))
+        });
         let check = |id: usize| -> bool {
             self.live[id]
                 && resolved
                     .iter()
                     .all(|(col, op, value)| cond_holds(&self.rows[id][*col], *op, value))
         };
-        let ids = match driver {
-            Some((col, _, value)) => {
-                let candidates = self.indexes[col].get(*value).map_or(&[][..], Vec::as_slice);
-                candidates.iter().copied().filter(|&id| check(id)).collect()
-            }
-            None => (0..self.rows.len()).filter(|&id| check(id)).collect(),
-        };
+        let mut ids = RowIds::default();
+        match driver {
+            Some(candidates) => candidates
+                .iter()
+                .filter(|&&id| check(id))
+                .for_each(|&id| ids.push(id)),
+            None => (0..self.rows.len())
+                .filter(|&id| check(id))
+                .for_each(|id| ids.push(id)),
+        }
         Ok(ids)
     }
 
@@ -313,8 +396,8 @@ impl Table {
     pub fn select(&self, filter: &Filter) -> Result<Vec<Row>, TableError> {
         Ok(self
             .matching_ids(filter)?
-            .into_iter()
-            .map(|id| self.rows[id].clone())
+            .iter()
+            .map(|&id| self.rows[id].clone())
             .collect())
     }
 
@@ -324,32 +407,33 @@ impl Table {
     }
 
     /// Applies `SET column = value` assignments to matching rows. Returns
-    /// the number of rows updated.
-    pub fn update(
+    /// the number of rows updated. Column names may be owned or borrowed.
+    pub fn update<S: AsRef<str>>(
         &mut self,
         filter: &Filter,
-        assignments: &[(String, Value)],
+        assignments: &[(S, Value)],
     ) -> Result<usize, TableError> {
         let mut sets: Vec<(usize, &Value)> = Vec::with_capacity(assignments.len());
         for (column, value) in assignments {
+            let column = column.as_ref();
             let col = self
                 .schema
                 .col(column)
-                .ok_or_else(|| TableError::NoSuchColumn(column.clone()))?;
+                .ok_or_else(|| TableError::NoSuchColumn(column.to_owned()))?;
             if !self.schema.columns[col].1.accepts(value) {
                 return Err(TableError::Type {
-                    column: column.clone(),
+                    column: column.to_owned(),
                     value: value.clone(),
                 });
             }
             sets.push((col, value));
         }
         let ids = self.matching_ids(filter)?;
-        for &id in &ids {
+        for &id in ids.iter() {
             for &(col, value) in &sets {
-                if let Some(index) = self.indexes.get_mut(&col) {
-                    if let Some(v) = index.get_mut(&self.rows[id][col]) {
-                        v.retain(|&x| x != id);
+                if let Some((_, index)) = self.indexes.iter_mut().find(|(c, _)| *c == col) {
+                    if let Some(postings) = index.get_mut(&self.rows[id][col]) {
+                        postings.remove(id);
                     }
                     index.entry(value.clone()).or_default().push(id);
                 }
@@ -362,7 +446,7 @@ impl Table {
     /// Deletes matching rows (tombstoning). Returns the number deleted.
     pub fn delete(&mut self, filter: &Filter) -> Result<usize, TableError> {
         let ids = self.matching_ids(filter)?;
-        for &id in &ids {
+        for &id in ids.iter() {
             self.live[id] = false;
             self.live_count -= 1;
         }

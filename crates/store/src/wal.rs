@@ -489,7 +489,7 @@ fn decode_filter<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Result<Filter
             decode_op(parts.next().ok_or_else(|| corrupt("missing cond op"))?).map_err(corrupt)?;
         let value = decode_value(parts.next().ok_or_else(|| corrupt("missing cond value"))?)
             .map_err(corrupt)?;
-        filter = filter.and(Cond { column, op, value });
+        filter = filter.and(Cond::new(&column, op, value));
     }
     Ok(filter)
 }

@@ -50,4 +50,29 @@ echo "== rceda-obs (telemetry snapshot + provenance trace) =="
 cargo run -q --release -p rceda-obs -- snapshot --events 5000 --format jsonl >/dev/null
 cargo run -q --release -p rceda-obs -- explain --events 5000 --last 1 >/dev/null
 
+echo "== ledger (allocation budgets of the edge filter and the firing path) =="
+# One traced pass per action workload at 1/10 size through the unedited
+# benchmark. Its allocation counts are exact (every map on the path hashes
+# with the fixed mixer), so the budgets sit just above what these streams
+# measure: 0.0004 and 1.98 on canonical, 2.0002 on rules500 (5.26 and 3.04
+# with SipHash maps, per-firing HashMap rows and a Vec per offer).
+ledger_budget() {
+    local workload="$1" firing_budget="$2" line metric value
+    line=$(benchmark/run.sh --workload "$workload" --seed 42 --seconds 2 --trace 1 --smoke | tail -n 1)
+    case "$line" in
+    '{"correct": true, '*) ;;
+    *) echo "check.sh: ledger $workload: result line lacks correct: true" >&2; exit 1 ;;
+    esac
+    for metric in edge.allocs_per_event:0.01 "rules.allocs_per_firing:$firing_budget"; do
+        value=$(sed -n "s/.*\"${metric%%:*}\": {\"value\": \([^,}]*\)[,}].*/\1/p" <<<"$line")
+        if ! awk -v v="$value" -v max="${metric##*:}" 'BEGIN { exit !(v != "" && v + 0 < max + 0) }'; then
+            echo "check.sh: ledger $workload: ${metric%%:*} = '$value', budget < ${metric##*:}" >&2
+            exit 1
+        fi
+        echo "   $workload ${metric%%:*} = $value (< ${metric##*:})"
+    done
+}
+ledger_budget canonical 2.5
+ledger_budget rules500 2.3
+
 echo "check.sh: all gates passed"
