@@ -4,8 +4,8 @@
 //! queue. Its processing loop is the paper's algorithm verbatim:
 //!
 //! * incoming observations and due pseudo events are consumed in global
-//!   timestamp order (pseudo events win ties, so a window that closes at the
-//!   instant an observation arrives is resolved first);
+//!   timestamp order (observations win ties: everything read at the instant
+//!   a window closes is seen before the window is resolved);
 //! * a primitive occurrence activates every matching leaf and propagates
 //!   upward (`ACTIVATE_PARENT_NODE`), with temporal constraints checked
 //!   *during* propagation;
@@ -17,7 +17,11 @@
 //!   into the caller's sink.
 //!
 //! Detection runs under the chronicle parameter context: FIFO buffers,
-//! oldest-compatible matching, and consumption on use.
+//! oldest-compatible matching, and consumption on use. What that must fire
+//! is written down in docs/SEMANTICS.md and checked from outside: the
+//! differential suites compare this engine — the only executor there is —
+//! to a naive interpreter of that document
+//! (`tests/support/reference.rs`), which shares none of the code below.
 //!
 //! Internally the engine is split in two (DESIGN.md §10): the compiled
 //! [`Program`] is immutable between rule-set changes, while all mutable
@@ -27,7 +31,7 @@
 //! clones — and the per-event work queue is a buffer reused across events.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rfid_events::{dist, interval2, Catalog, EventExpr, Instance, Observation, Span, Timestamp};
@@ -50,26 +54,6 @@ use crate::stats::EngineStats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleId(pub u32);
 
-/// Which executor drives detection.
-///
-/// Both execute the *same* arrival handlers over the same runtime state —
-/// the difference is how an occurrence finds its rules, parents, and leaf
-/// candidates, and which retention horizon buffers are pruned against.
-/// [`ExecMode::Plan`] is the production path; the walker is the reference
-/// the differential tests compare it to, so it shares neither the lowered
-/// plan nor the solved bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Execute the lowered [`CompiledPlan`]: flat arenas, per-reader
-    /// dispatch rows, precomputed delivery edges.
-    #[default]
-    Plan,
-    /// Walk the [`EventGraph`] directly: hash-map dispatch and rule lookup,
-    /// per-delivery side derivation, conservative `horizon + max_lag`
-    /// retention.
-    Graph,
-}
-
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -82,9 +66,6 @@ pub struct EngineConfig {
     /// off: everything lands in one FIFO and key equality is checked during
     /// the scan instead).
     pub partition_buffers: bool,
-    /// Executor selection: compiled plan (default) or the graph-walker
-    /// reference.
-    pub exec: ExecMode,
     /// Observability level ([`crate::obs`]): `Off` (default) keeps the hot
     /// path unobserved, `Counters` maintains the per-node metrics arena
     /// (≤3% overhead, gated), `Full` adds latency/occupancy histograms and
@@ -101,7 +82,6 @@ impl Default for EngineConfig {
             unbounded_cap: 1024,
             merge_subgraphs: true,
             partition_buffers: true,
-            exec: ExecMode::Plan,
             observe: ObserveLevel::Off,
             flight_capacity: 64,
         }
@@ -127,8 +107,6 @@ pub struct Engine {
     rt: Runtime,
     rule_enabled: Vec<bool>,
     rule_firings: Vec<u64>,
-    /// The reference walker's leaf index; empty under [`ExecMode::Plan`].
-    dispatch: Dispatch,
     config: EngineConfig,
 }
 
@@ -209,65 +187,13 @@ impl SweepQueue {
     }
 }
 
-/// Leaf dispatch index: maps an observation to candidate primitive nodes
-/// without scanning every leaf.
-#[derive(Debug, Default)]
-struct Dispatch {
-    by_reader: HashMap<rfid_epc::ReaderId, Vec<NodeId>>,
-    by_group: HashMap<String, Vec<NodeId>>,
-    any: Vec<NodeId>,
-}
-
-impl Dispatch {
-    fn build(graph: &EventGraph, catalog: &Catalog) -> Self {
-        let mut dispatch = Self::default();
-        for &leaf in graph.primitives() {
-            let NodeKind::Primitive(p) = &graph.node(leaf).kind else {
-                continue;
-            };
-            match &p.reader {
-                rfid_events::ReaderSel::Named(name) => {
-                    // A name missing from the catalog can never match.
-                    if let Some(id) = catalog.reader(name) {
-                        dispatch.by_reader.entry(id).or_default().push(leaf);
-                    }
-                }
-                rfid_events::ReaderSel::Group(g) => {
-                    dispatch
-                        .by_group
-                        .entry(g.to_string())
-                        .or_default()
-                        .push(leaf);
-                }
-                rfid_events::ReaderSel::Any => dispatch.any.push(leaf),
-            }
-        }
-        dispatch
-    }
-
-    fn candidates(&self, catalog: &Catalog, obs: &Observation, out: &mut Vec<NodeId>) {
-        if let Some(v) = self.by_reader.get(&obs.reader) {
-            out.extend_from_slice(v);
-        }
-        if let Some(group) = catalog.readers.group_of(obs.reader) {
-            if let Some(v) = self.by_group.get(group) {
-                out.extend_from_slice(v);
-            }
-        }
-        out.extend_from_slice(&self.any);
-    }
-}
-
 impl Engine {
     /// Creates an engine over a fixed deployment catalog. Register readers
     /// and object types in the catalog *before* building the engine — leaf
     /// dispatch resolves names against it.
     pub fn new(catalog: Catalog, config: EngineConfig) -> Self {
-        // The plan executor coalesces interior state; the reference walker
-        // runs beside an unshared lowering.
-        let share = config.exec == ExecMode::Plan;
         Self {
-            program: Program::new(config.merge_subgraphs, share),
+            program: Program::new(config.merge_subgraphs),
             catalog,
             rt: Runtime {
                 states: Vec::new(),
@@ -281,7 +207,6 @@ impl Engine {
             },
             rule_enabled: Vec::new(),
             rule_firings: Vec::new(),
-            dispatch: Dispatch::default(),
             config,
         }
     }
@@ -392,36 +317,17 @@ impl Engine {
                 }
                 self.rt.clock = self.rt.clock.max(obs.at);
                 self.rt.stats.events += 1;
-                match self.config.exec {
-                    ExecMode::Plan => {
-                        if can_match {
-                            // Matched leaves collect in an inline
-                            // fixed-capacity queue, so the common
-                            // miss/single-hit cases never allocate.
-                            let mut hits: InlineBuf<NodeId, LEAF_HITS_INLINE> =
-                                InlineBuf::default();
-                            let plan = self.program.plan();
-                            plan.leaf_hits_in_row(&self.catalog, &obs, row, &mut hits);
-                            if !hits.is_empty() {
-                                self.rt.activate_leaves(obs, hits.iter().copied());
-                                self.run_work_plan(sink);
-                                next_pseudo = self.rt.pseudo.next_exec();
-                            }
-                        }
-                    }
-                    ExecMode::Graph => {
-                        let mut leaves = Vec::new();
-                        let graph = self.program.graph();
-                        self.dispatch.candidates(&self.catalog, &obs, &mut leaves);
-                        leaves.retain(|&leaf| match &graph.node(leaf).kind {
-                            NodeKind::Primitive(p) => p.matches(&obs, &self.catalog),
-                            _ => false,
-                        });
-                        if !leaves.is_empty() {
-                            self.rt.activate_leaves(obs, leaves.into_iter());
-                            self.run_work_graph(sink);
-                            next_pseudo = self.rt.pseudo.next_exec();
-                        }
+                if can_match {
+                    // Matched leaves collect in an inline fixed-capacity
+                    // queue, so the common miss/single-hit cases never
+                    // allocate.
+                    let mut hits: InlineBuf<NodeId, LEAF_HITS_INLINE> = InlineBuf::default();
+                    let plan = self.program.plan();
+                    plan.leaf_hits_in_row(&self.catalog, &obs, row, &mut hits);
+                    if !hits.is_empty() {
+                        self.rt.activate_leaves(obs, hits.iter().copied());
+                        self.run_work(sink);
+                        next_pseudo = self.rt.pseudo.next_exec();
                     }
                 }
                 if let Some(t0) = obs_t0 {
@@ -510,14 +416,10 @@ impl Engine {
     /// changed since the last call — once per change, never per event. The
     /// one place the engine's runtime state follows a recompile: node state
     /// and the metrics arena are sized for the new nodes, the sweep spans
-    /// and the walker's leaf index are rebuilt, and state moves with its
-    /// holder.
+    /// are rebuilt, and state moves with its holder.
     pub fn program(&mut self) -> &Program {
         if let Some(prior) = self.program.solve(Some(&self.catalog)) {
             self.sync_states();
-            if self.config.exec == ExecMode::Graph {
-                self.dispatch = Dispatch::build(self.program.graph(), &self.catalog);
-            }
             self.rt.obs.arena.ensure_len(self.program.graph().len());
             self.rebuild_sweep_spans();
             self.rehome_states(&prior);
@@ -649,12 +551,6 @@ impl Engine {
         self.rt.clock
     }
 
-    /// The plan the arrival handlers may read holders and families from:
-    /// none under the reference walker, which runs unshared.
-    fn shared(&self) -> Option<&CompiledPlan> {
-        matches!(self.config.exec, ExecMode::Plan).then_some(self.program.plan())
-    }
-
     /// Follows the holders from the plan `prior` to the current one. State
     /// stays where it is: a holder is the first-registered node of its
     /// group, so rules added to a running engine only ever join it. The one
@@ -683,28 +579,17 @@ impl Engine {
         }
     }
 
-    /// The one place a retention horizon is chosen. The plan executor
-    /// prunes at the solved per-side bounds ([`crate::bounds`]); the
-    /// reference walker at the conservative horizon plus the graph-wide
-    /// `max_lag` pad, so the oracle does not depend on the solver it
-    /// checks. A holder keeps what its longest-reaching member needs.
+    /// The one place a retention horizon is chosen: the solved per-side
+    /// bounds ([`crate::bounds`]). A holder keeps what its longest-reaching
+    /// member needs.
     fn rebuild_sweep_spans(&mut self) {
         let (graph, plan) = (self.program.graph(), self.program.plan());
-        let lag = graph.max_lag();
         self.rt.sweep.resize(graph.len());
         for node in graph.nodes() {
-            let (sides, retention) = match self.config.exec {
-                ExecMode::Plan => {
-                    let b = self.program.bounds().node(node.id);
-                    (b.retain, b.retention)
-                }
-                // Span addition saturates, so a `Span::MAX` horizon stays
-                // MAX ("never prune by time") through the pad.
-                ExecMode::Graph => ([node.horizon + lag; 2], node.retention + lag),
-            };
+            let b = self.program.bounds().node(node.id);
             let own = match node.plan {
-                Plan::TwoSided => sides,
-                Plan::NegationRecorder | Plan::AperiodicRecorder => [retention; 2],
+                Plan::TwoSided => b.retain,
+                Plan::NegationRecorder | Plan::AperiodicRecorder => [b.retention; 2],
                 _ => [Span::MAX; 2],
             };
             // Ids are topological and a holder is the lowest id of its
@@ -775,7 +660,7 @@ impl Engine {
                     other => unreachable!("ResolveWait on plan {other:?}"),
                 };
                 let spec = n.hist_spec.expect("wait plan always has a history spec").0 as usize;
-                let not_child = holder_of(self.shared(), n.children[not_side as usize]);
+                let not_child = self.program.plan().holder(n.children[not_side as usize]);
                 let kind_name = n.kind.name();
                 if self.rt.obs.level.counters() {
                     // The deferred window-close check is this node's probe.
@@ -802,21 +687,13 @@ impl Engine {
         }
     }
 
-    /// The ACTIVATE_PARENT_NODE loop, dispatched to the configured
-    /// executor. Both executors drain the same queue through the same
-    /// arrival handlers; they differ only in how an occurrence finds its
-    /// rules and parent deliveries.
+    /// The ACTIVATE_PARENT_NODE loop over the compiled plan: drains
+    /// `rt.work`, propagating each occurrence to the node's rules and
+    /// parents (arrival handlers push further occurrences onto the same
+    /// queue). Rule fan-out is a range scan over the flat rule arena and
+    /// parent activation follows precomputed [`EdgeOp`] edges — no hash
+    /// probes, no per-delivery side derivation.
     fn run_work(&mut self, sink: &mut Sink<'_>) {
-        match self.config.exec {
-            ExecMode::Plan => self.run_work_plan(sink),
-            ExecMode::Graph => self.run_work_graph(sink),
-        }
-    }
-
-    /// `run_work` over the compiled plan: rule fan-out is a range scan
-    /// over the flat rule arena and parent activation follows precomputed
-    /// [`EdgeOp`] edges — no hash probes, no per-delivery side derivation.
-    fn run_work_plan(&mut self, sink: &mut Sink<'_>) {
         let Self {
             program,
             rt,
@@ -829,7 +706,7 @@ impl Engine {
         let observe = rt.obs.level;
         while let Some((node_id, inst)) = rt.work.pop() {
             // A coalesced leaf representative stands in for its whole
-            // pattern group; count the pops the walker would have made.
+            // pattern group; count the pops an unshared plan would make.
             rt.stats.occurrences += 1 + u64::from(plan.extra_pops(node_id));
             if observe.counters() {
                 rt.obs.arena.arrived(node_id.idx());
@@ -851,9 +728,9 @@ impl Engine {
             for edge in plan.edges_at(node_id) {
                 let pnode = graph.node(edge.parent());
                 match edge.op() {
-                    EdgeOp::SelfJoin => rt.self_join_arrival(config, Some(plan), pnode, &inst),
-                    EdgeOp::Left => rt.arrival(graph, config, Some(plan), pnode, 0, &inst),
-                    EdgeOp::Right => rt.arrival(graph, config, Some(plan), pnode, 1, &inst),
+                    EdgeOp::SelfJoin => rt.self_join_arrival(config, plan, pnode, &inst),
+                    EdgeOp::Left => rt.arrival(graph, config, plan, pnode, 0, &inst),
+                    EdgeOp::Right => rt.arrival(graph, config, plan, pnode, 1, &inst),
                     EdgeOp::RecordQuery { query } => {
                         let query = graph.node(NodeId(query));
                         rt.fused_negation(graph, plan, pnode, query, &inst, true);
@@ -861,70 +738,6 @@ impl Engine {
                     EdgeOp::QueryRecord { query } => {
                         let query = graph.node(NodeId(query));
                         rt.fused_negation(graph, plan, pnode, query, &inst, false);
-                    }
-                }
-            }
-        }
-    }
-
-    /// `run_work` over the event graph (the reference executor): drains
-    /// `rt.work`, propagating each occurrence to the node's rules and
-    /// parents. Arrival handlers push further occurrences onto the same
-    /// queue.
-    fn run_work_graph(&mut self, sink: &mut Sink<'_>) {
-        let Self {
-            program,
-            rt,
-            rule_enabled,
-            rule_firings,
-            config,
-            ..
-        } = self;
-        let graph = program.graph();
-        let observe = rt.obs.level;
-        while let Some((node_id, inst)) = rt.work.pop() {
-            rt.stats.occurrences += 1;
-            if observe.counters() {
-                rt.obs.arena.arrived(node_id.idx());
-            }
-            for &rule in program.rules_at(node_id) {
-                if !rule_enabled[rule.0 as usize] {
-                    continue;
-                }
-                rt.stats.rule_firings += 1;
-                rule_firings[rule.0 as usize] += 1;
-                sink(rule, &inst);
-                if observe.counters() {
-                    rt.obs.arena.fired(node_id.idx());
-                    if observe.full() {
-                        rt.obs.flight.offer(rule, rt.clock, &inst);
-                    }
-                }
-            }
-            for &parent in &graph.node(node_id).parents {
-                let pnode = graph.node(parent);
-                let children = &pnode.children;
-                let is_left = children[0] == node_id;
-                let is_right = children.len() > 1 && children[1] == node_id;
-                if is_left && is_right {
-                    // Self-join (e.g. Rule 1's duplicate filter): match as the
-                    // terminator against strictly older initiators, then
-                    // buffer as an initiator for future arrivals.
-                    rt.self_join_arrival(config, None, pnode, &inst);
-                } else if pnode.symmetric {
-                    // Structurally identical children that did not merge
-                    // (ablation A1): both deliver equivalent instances, so
-                    // run the self-join protocol once, on the terminator
-                    // side, and drop the initiator-side duplicate delivery.
-                    if is_right {
-                        rt.self_join_arrival(config, None, pnode, &inst);
-                    }
-                } else {
-                    if is_left {
-                        rt.arrival(graph, config, None, pnode, 0, &inst);
-                    }
-                    if is_right {
-                        rt.arrival(graph, config, None, pnode, 1, &inst);
                     }
                 }
             }
@@ -1077,7 +890,7 @@ impl Runtime {
     fn self_join_arrival(
         &mut self,
         config: &EngineConfig,
-        shared: Option<&CompiledPlan>,
+        plan: &CompiledPlan,
         node: &Node,
         inst: &Arc<Instance>,
     ) {
@@ -1090,8 +903,7 @@ impl Runtime {
         };
         let Some(key) = key else { return };
         let kind = &node.kind;
-        let mut alone = None;
-        let family = family_of(shared, node, &mut alone);
+        let family = plan.family(node.id);
         let within = family.last().expect("a holder is in its family").cutoff;
         let dead = dead_before(self.clock, self.sweep.spans[node.id.idx()][0]);
         let cap = if node.horizon == Span::MAX {
@@ -1171,8 +983,7 @@ impl Runtime {
 
     /// Fused in-field delivery: record the instance into `not_node`'s
     /// negation history and answer `query_node`'s window probe out of one
-    /// bucket access. The order mirrors the walker's for each lowered
-    /// shape. `record_first` ([`EdgeOp::RecordQuery`], merged leaf): the
+    /// bucket access, in graph order for each lowered shape. `record_first` ([`EdgeOp::RecordQuery`], merged leaf): the
     /// record edge precedes the query edge within one work-queue pop.
     /// Query-first ([`EdgeOp::QueryRecord`], unmerged twins): the query
     /// twin is the later dispatch candidate, so it pops first off the LIFO
@@ -1207,8 +1018,8 @@ impl Runtime {
                 }
                 // Lowering guarantees this spec's extracts equal the query
                 // node's right-side join key, so `key` doubles as the
-                // query key — and its absence as the walker's dropped
-                // delivery.
+                // query key — and its absence as the unfused query's
+                // dropped delivery.
                 if i == spec_idx {
                     debug_assert_eq!(
                         Some(&key),
@@ -1230,315 +1041,331 @@ impl Runtime {
         }
     }
 
-    /// Handles an instance arriving at `node` from its `side`-th child.
-    /// Emissions are pushed onto the reusable work queue.
-    #[allow(clippy::too_many_lines)]
+    /// Handles an instance arriving at `node` from its `side`-th child: one
+    /// handler per [`Plan`] kind. Emissions are pushed onto the reusable
+    /// work queue.
     fn arrival(
         &mut self,
         graph: &EventGraph,
         config: &EngineConfig,
-        shared: Option<&CompiledPlan>,
+        plan: &CompiledPlan,
         node: &Node,
         side: u8,
         inst: &Arc<Instance>,
     ) {
-        let parent = node.id;
         match node.plan {
             Plan::Leaf => unreachable!("leaves have no children"),
-            Plan::Forward => {
-                if inst.interval() <= node.within {
-                    let wrapped = Arc::new(Instance::wrap("OR", inst.clone()));
-                    self.work.push((parent, wrapped));
-                }
+            Plan::Forward if inst.interval() <= node.within => {
+                let wrapped = Arc::new(Instance::wrap("OR", inst.clone()));
+                self.work.push((node.id, wrapped));
             }
-            Plan::TwoSided => {
-                let join = &node.join;
-                let key = if join.is_trivial() {
-                    Some(Key::EMPTY)
-                } else if side == 0 {
-                    join.left_key(inst)
-                } else {
-                    join.right_key(inst)
-                };
-                let Some(key) = key else { return };
-                let kind = &node.kind;
-                let within = node.within;
-                let horizon = node.horizon;
-                // The scan prunes the *other* side's buffer, so its solved
-                // retention governs (a side's entries outlive only what the
-                // opposite side can still pair with).
-                let retain = self.sweep.spans[parent.idx()][1 - side as usize];
-                let dead = dead_before(self.clock, retain);
-                let cap = if horizon == Span::MAX {
-                    config.unbounded_cap
-                } else {
-                    usize::MAX
-                };
-                // Ablation A2: with partitioning off, everything shares one
-                // FIFO and key equality moves into the scan predicate.
-                let keyed = config.partition_buffers;
-                let bucket = if keyed { &key } else { &Key::EMPTY };
-                if self.obs.level.counters() {
-                    self.obs.arena.probed(parent.idx());
-                }
-                let (lbuf, rbuf) = self.states[parent.idx()].join_mut();
-                let (own, other) = if side == 0 {
-                    (lbuf, rbuf)
-                } else {
-                    (rbuf, lbuf)
-                };
-                let matched = other.take_oldest_match(bucket, dead, |e| {
-                    // One physical event can never be both constituents of
-                    // an occurrence (same-pattern children deliver the same
-                    // Arc to both sides).
-                    if Arc::ptr_eq(&e.inst, inst) {
-                        return false;
-                    }
-                    if !keyed && !join.is_trivial() {
-                        let other_key = if side == 0 {
-                            join.right_key(&e.inst)
-                        } else {
-                            join.left_key(&e.inst)
-                        };
-                        if other_key.as_ref() != Some(&key) {
-                            return false;
-                        }
-                    }
-                    if side == 0 {
-                        pair_ok(kind, within, inst, &e.inst)
-                    } else {
-                        pair_ok(kind, within, &e.inst, inst)
-                    }
-                });
-                match matched {
-                    Some(e) => {
-                        // Retire every buffered copy of both constituents:
-                        // with unmerged same-pattern children an instance
-                        // can sit in both side buffers.
-                        own.remove_ptr_eq(bucket, &e.inst);
-                        own.remove_ptr_eq(bucket, inst);
-                        other.remove_ptr_eq(bucket, inst);
-                        let children = if side == 0 {
-                            vec![inst.clone(), e.inst]
-                        } else {
-                            vec![e.inst, inst.clone()]
-                        };
-                        let out = Arc::new(Instance::composite(kind.name(), children));
-                        self.work.push((parent, out));
-                    }
-                    None => {
-                        self.seq += 1;
-                        let entry = Entry {
-                            inst: inst.clone(),
-                            seq: self.seq,
-                        };
-                        own.push(bucket.clone(), entry, cap);
-                        self.sweep.touch(parent);
-                        if self.obs.level.counters() {
-                            self.obs.arena.admitted(parent.idx());
-                            if self.obs.level.full() {
-                                self.obs.occupancy.record(own.len() as u64);
-                            }
-                        }
-                    }
-                }
-            }
+            Plan::Forward => {}
+            Plan::TwoSided => self.two_sided(config, node, side, inst),
             Plan::LeftNegationQuery => {
                 debug_assert_eq!(side, 1, "negated initiator never delivers");
-                let (to, exclusive) = negation_query_end(node, inst);
-                let Some(key) = negation_query_key(node, 1, inst) else {
-                    return;
-                };
-                let spec = node.hist_spec.expect("query plan has a spec").0 as usize;
-                let not_child = holder_of(shared, node.children[0]);
-                if self.obs.level.counters() {
-                    self.obs.arena.probed(parent.idx());
-                }
-                let last = match &self.states[not_child.idx()] {
-                    NodeState::Negation(neg) => neg.last_occurrence(spec, &key, to, exclusive),
-                    other => unreachable!("negation child has state {other:?}"),
-                };
-                let mut alone = None;
-                let family = family_of(shared, node, &mut alone);
-                self.emit_absent(family, node, inst, last, to);
+                self.left_negation_query(plan, node, inst);
             }
             Plan::LeftAperiodicQuery => {
-                debug_assert_eq!(side, 1);
-                let from = if node.within == Span::MAX {
-                    Timestamp::ZERO
-                } else {
-                    inst.t_end().saturating_sub(node.within)
-                };
-                let (last_min, last_max) = match node.kind {
-                    NodeKind::Seq => (Timestamp::ZERO, inst.t_begin()),
-                    NodeKind::TSeq { min_dist, max_dist } => (
-                        inst.t_end().saturating_sub(max_dist),
-                        inst.t_end().saturating_sub(min_dist).min(inst.t_begin()),
-                    ),
-                    ref other => unreachable!("LeftAperiodicQuery on {other:?}"),
-                };
-                let within = node.within;
-                let kind_name = node.kind.name();
-                let seqplus_child = node.children[0];
-                if self.obs.level.counters() {
-                    self.obs.arena.probed(parent.idx());
-                }
-                let NodeState::Aperiodic(ap) = &mut self.states[seqplus_child.idx()] else {
-                    unreachable!("aperiodic child state");
-                };
-                let elements = ap.take_window(from, last_max);
-                if elements.is_empty() {
-                    return;
-                }
-                let last_end = elements.last().expect("non-empty").t_end();
-                if last_end < last_min {
-                    // The run ended too long before this terminator and would
-                    // be pruned anyway.
-                    return;
-                }
-                let run = Arc::new(Instance::composite("SEQ+", elements));
-                let out = Arc::new(Instance::pair(kind_name, run, inst.clone()));
-                if out.interval() <= within {
-                    self.work.push((parent, out));
-                }
+                debug_assert_eq!(side, 1, "the run never delivers");
+                self.left_aperiodic_query(node, inst);
             }
             Plan::RightNegationWait => {
                 debug_assert_eq!(side, 0, "negated terminator never delivers");
-                // The negation window opens strictly after the initiator
-                // ends; otherwise an initiator whose pattern overlaps the
-                // negated pattern would block itself.
-                let epsilon = Span::from_millis(1);
-                let (from, to) = match node.kind {
-                    NodeKind::Seq => (inst.t_end() + epsilon, inst.t_begin() + node.within),
-                    NodeKind::TSeq { min_dist, max_dist } => (
-                        inst.t_end() + min_dist.max(epsilon),
-                        inst.t_end() + max_dist,
-                    ),
-                    ref other => unreachable!("RightNegationWait on {other:?}"),
-                };
-                self.wait_on_negation(shared, node, 1, inst, from, to);
+                self.right_negation_wait(plan, node, inst);
             }
             Plan::AndNegation { not_side } => {
                 debug_assert_eq!(side, 1 - not_side, "arrivals come from the push side");
-                let bound = node.within;
-                let (from, to) = (inst.t_end().saturating_sub(bound), inst.t_begin() + bound);
-                self.wait_on_negation(shared, node, not_side, inst, from, to);
+                let from = inst.t_end().saturating_sub(node.within);
+                let to = inst.t_begin() + node.within;
+                self.wait_on_negation(plan, node, not_side, inst, from, to);
             }
-            Plan::NegationRecorder => {
-                let specs = graph.hist_specs(parent);
-                self.sweep.touch(parent);
-                let NodeState::Negation(neg) = &mut self.states[parent.idx()] else {
-                    unreachable!("negation state");
+            Plan::NegationRecorder => self.record_negation(graph, node, inst),
+            Plan::AperiodicRecorder => self.record_aperiodic(node, inst),
+            Plan::TimedAperiodic => self.timed_aperiodic(node, inst),
+        }
+    }
+
+    /// [`Plan::TwoSided`]: pair with the oldest compatible instance of the
+    /// other side and consume both, or wait on this one.
+    fn two_sided(&mut self, config: &EngineConfig, node: &Node, side: u8, inst: &Arc<Instance>) {
+        let parent = node.id;
+        let join = &node.join;
+        let key = if join.is_trivial() {
+            Some(Key::EMPTY)
+        } else if side == 0 {
+            join.left_key(inst)
+        } else {
+            join.right_key(inst)
+        };
+        let Some(key) = key else { return };
+        let kind = &node.kind;
+        let within = node.within;
+        // The scan prunes the *other* side's buffer, so its solved
+        // retention governs (a side's entries outlive only what the
+        // opposite side can still pair with).
+        let retain = self.sweep.spans[parent.idx()][1 - side as usize];
+        let dead = dead_before(self.clock, retain);
+        let cap = if node.horizon == Span::MAX {
+            config.unbounded_cap
+        } else {
+            usize::MAX
+        };
+        // Ablation A2: with partitioning off, everything shares one FIFO
+        // and key equality moves into the scan predicate.
+        let keyed = config.partition_buffers;
+        let bucket = if keyed { &key } else { &Key::EMPTY };
+        if self.obs.level.counters() {
+            self.obs.arena.probed(parent.idx());
+        }
+        let (lbuf, rbuf) = self.states[parent.idx()].join_mut();
+        let (own, other) = if side == 0 {
+            (lbuf, rbuf)
+        } else {
+            (rbuf, lbuf)
+        };
+        let matched = other.take_oldest_match(bucket, dead, |e| {
+            // One physical event can never be both constituents of an
+            // occurrence (same-pattern children deliver the same Arc to
+            // both sides).
+            if Arc::ptr_eq(&e.inst, inst) {
+                return false;
+            }
+            if !keyed && !join.is_trivial() {
+                let other_key = if side == 0 {
+                    join.right_key(&e.inst)
+                } else {
+                    join.left_key(&e.inst)
                 };
-                neg.ensure_specs(specs.len().max(1));
-                if specs.is_empty() {
-                    // No parent correlates: record under the empty key.
-                    neg.record(0, Key::EMPTY, inst.t_end());
+                if other_key.as_ref() != Some(&key) {
+                    return false;
+                }
+            }
+            if side == 0 {
+                pair_ok(kind, within, inst, &e.inst)
+            } else {
+                pair_ok(kind, within, &e.inst, inst)
+            }
+        });
+        match matched {
+            Some(e) => {
+                // Retire every buffered copy of both constituents: with
+                // unmerged same-pattern children an instance can sit in
+                // both side buffers.
+                own.remove_ptr_eq(bucket, &e.inst);
+                own.remove_ptr_eq(bucket, inst);
+                other.remove_ptr_eq(bucket, inst);
+                let children = if side == 0 {
+                    vec![inst.clone(), e.inst]
+                } else {
+                    vec![e.inst, inst.clone()]
+                };
+                let out = Arc::new(Instance::composite(kind.name(), children));
+                self.work.push((parent, out));
+            }
+            None => {
+                self.seq += 1;
+                let entry = Entry {
+                    inst: inst.clone(),
+                    seq: self.seq,
+                };
+                own.push(bucket.clone(), entry, cap);
+                self.sweep.touch(parent);
+                if self.obs.level.counters() {
+                    self.obs.arena.admitted(parent.idx());
+                    if self.obs.level.full() {
+                        self.obs.occupancy.record(own.len() as u64);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`Plan::LeftNegationQuery`]: one probe of the negated child's
+    /// history answers the terminator for the whole family `node` holds.
+    fn left_negation_query(&mut self, plan: &CompiledPlan, node: &Node, inst: &Arc<Instance>) {
+        let (to, exclusive) = negation_query_end(node, inst);
+        let Some(key) = negation_query_key(node, 1, inst) else {
+            return;
+        };
+        let spec = node.hist_spec.expect("query plan has a spec").0 as usize;
+        let not_child = plan.holder(node.children[0]);
+        if self.obs.level.counters() {
+            self.obs.arena.probed(node.id.idx());
+        }
+        let last = match &self.states[not_child.idx()] {
+            NodeState::Negation(neg) => neg.last_occurrence(spec, &key, to, exclusive),
+            other => unreachable!("negation child has state {other:?}"),
+        };
+        self.emit_absent(plan.family(node.id), node, inst, last, to);
+    }
+
+    /// [`Plan::LeftAperiodicQuery`]: the terminator takes every recorded
+    /// `SEQ+` element in its window as one run, and consumes them.
+    fn left_aperiodic_query(&mut self, node: &Node, inst: &Arc<Instance>) {
+        let within = node.within;
+        // Saturates at the epoch: an unbounded window reaches all the way back.
+        let from = inst.t_end().saturating_sub(within);
+        let (last_min, last_max) = match node.kind {
+            NodeKind::Seq => (Timestamp::ZERO, inst.t_begin()),
+            NodeKind::TSeq { min_dist, max_dist } => (
+                inst.t_end().saturating_sub(max_dist),
+                inst.t_end().saturating_sub(min_dist).min(inst.t_begin()),
+            ),
+            ref other => unreachable!("LeftAperiodicQuery on {other:?}"),
+        };
+        if self.obs.level.counters() {
+            self.obs.arena.probed(node.id.idx());
+        }
+        let NodeState::Aperiodic(ap) = &mut self.states[node.children[0].idx()] else {
+            unreachable!("aperiodic child state");
+        };
+        let elements = ap.take_window(from, last_max);
+        // A run that ended too long before this terminator would be pruned
+        // anyway.
+        if elements.last().is_none_or(|last| last.t_end() < last_min) {
+            return;
+        }
+        let run = Arc::new(Instance::composite("SEQ+", elements));
+        let out = Arc::new(Instance::pair(node.kind.name(), run, inst.clone()));
+        if out.interval() <= within {
+            self.work.push((node.id, out));
+        }
+    }
+
+    /// [`Plan::RightNegationWait`]: the initiator waits out the window in
+    /// which the negated terminator must stay absent.
+    fn right_negation_wait(&mut self, plan: &CompiledPlan, node: &Node, inst: &Arc<Instance>) {
+        // The negation window opens strictly after the initiator ends;
+        // otherwise an initiator whose pattern overlaps the negated pattern
+        // would block itself.
+        let epsilon = Span::from_millis(1);
+        let (from, to) = match node.kind {
+            NodeKind::Seq => (inst.t_end() + epsilon, inst.t_begin() + node.within),
+            NodeKind::TSeq { min_dist, max_dist } => (
+                inst.t_end() + min_dist.max(epsilon),
+                inst.t_end() + max_dist,
+            ),
+            ref other => unreachable!("RightNegationWait on {other:?}"),
+        };
+        self.wait_on_negation(plan, node, 1, inst, from, to);
+    }
+
+    /// [`Plan::NegationRecorder`]: record the occurrence under the key of
+    /// every parent that correlates with it.
+    fn record_negation(&mut self, graph: &EventGraph, node: &Node, inst: &Arc<Instance>) {
+        let parent = node.id;
+        let specs = graph.hist_specs(parent);
+        self.sweep.touch(parent);
+        let NodeState::Negation(neg) = &mut self.states[parent.idx()] else {
+            unreachable!("negation state");
+        };
+        neg.ensure_specs(specs.len().max(1));
+        if specs.is_empty() {
+            // No parent correlates: record under the empty key.
+            neg.record(0, Key::EMPTY, inst.t_end());
+            if self.obs.level.counters() {
+                self.obs.arena.admitted(parent.idx());
+            }
+        } else {
+            for (i, spec) in specs.iter().enumerate() {
+                if let Some(key) = extract_all(&spec.extracts, inst) {
+                    neg.record(i, key, inst.t_end());
                     if self.obs.level.counters() {
                         self.obs.arena.admitted(parent.idx());
                     }
-                } else {
-                    for (i, spec) in specs.iter().enumerate() {
-                        if let Some(key) = extract_all(&spec.extracts, inst) {
-                            neg.record(i, key, inst.t_end());
-                            if self.obs.level.counters() {
-                                self.obs.arena.admitted(parent.idx());
-                            }
-                        }
-                    }
                 }
             }
-            Plan::AperiodicRecorder => {
-                self.sweep.touch(parent);
-                let NodeState::Aperiodic(ap) = &mut self.states[parent.idx()] else {
-                    unreachable!("aperiodic state");
-                };
-                ap.record(inst.clone());
-                if self.obs.level.counters() {
-                    self.obs.arena.admitted(parent.idx());
-                }
+        }
+    }
+
+    /// [`Plan::AperiodicRecorder`]: record the element for a terminator.
+    fn record_aperiodic(&mut self, node: &Node, inst: &Arc<Instance>) {
+        self.sweep.touch(node.id);
+        let NodeState::Aperiodic(ap) = &mut self.states[node.id.idx()] else {
+            unreachable!("aperiodic state");
+        };
+        ap.record(inst.clone());
+        if self.obs.level.counters() {
+            self.obs.arena.admitted(node.id.idx());
+        }
+    }
+
+    /// [`Plan::TimedAperiodic`]: extend, close or discard the open `TSEQ+`
+    /// run, and move its closing pseudo event.
+    fn timed_aperiodic(&mut self, node: &Node, inst: &Arc<Instance>) {
+        let parent = node.id;
+        let NodeKind::TSeqPlus { min_gap, max_gap } = node.kind else {
+            unreachable!("TimedAperiodic on non-TSEQ+ node");
+        };
+        let within = node.within;
+        // Claim this arrival's sequence number up front: it marks where
+        // the run's closure now belongs in pseudo-event order.
+        self.seq += 1;
+        let close_seq = self.seq;
+        let close_exec = inst.t_end() + max_gap;
+        let NodeState::TimedRun(run) = &mut self.states[parent.idx()] else {
+            unreachable!("timed-run state");
+        };
+        let mut closed: Option<Vec<Arc<Instance>>> = None;
+        if run.open.is_empty() {
+            run.open.push(inst.clone());
+        } else {
+            let gap = inst.t_end().signed_delta(run.last_end);
+            let first_begin = run
+                .open
+                .first()
+                .expect("non-empty run")
+                .t_begin()
+                .min(inst.t_begin());
+            let extended_interval = inst.t_end() - first_begin;
+            let gap_ok =
+                gap >= 0 && gap as u64 >= min_gap.as_millis() && gap as u64 <= max_gap.as_millis();
+            if gap_ok && extended_interval <= within {
+                run.open.push(inst.clone());
+            } else if gap >= 0 && gap as u64 > max_gap.as_millis() {
+                // Late closure (normally the pseudo event beats us).
+                closed = Some(run.open.take_all());
+                run.open.push(inst.clone());
+            } else {
+                // Sub-τl gap (or interval overflow): the run cannot be
+                // extended, and interleaved this tightly it is not a
+                // valid detection either — discard and restart.
+                run.open.clear();
+                run.open.push(inst.clone());
             }
-            Plan::TimedAperiodic => {
-                let NodeKind::TSeqPlus { min_gap, max_gap } = node.kind else {
-                    unreachable!("TimedAperiodic on non-TSEQ+ node");
-                };
-                let within = node.within;
-                // Claim this arrival's sequence number up front (nothing
-                // else allocates between here and the original allocation
-                // point, so the value is unchanged): it marks where the
-                // run's closure now belongs in pseudo-event order.
-                self.seq += 1;
-                let close_seq = self.seq;
-                let close_exec = inst.t_end() + max_gap;
-                let NodeState::TimedRun(run) = &mut self.states[parent.idx()] else {
-                    unreachable!("timed-run state");
-                };
-                let mut closed: Option<Vec<Arc<Instance>>> = None;
-                if run.open.is_empty() {
-                    run.open.push(inst.clone());
-                } else {
-                    let gap = inst.t_end().signed_delta(run.last_end);
-                    let first_begin = run
-                        .open
-                        .first()
-                        .expect("non-empty run")
-                        .t_begin()
-                        .min(inst.t_begin());
-                    let extended_interval = inst.t_end() - first_begin;
-                    let gap_ok = gap >= 0
-                        && gap as u64 >= min_gap.as_millis()
-                        && gap as u64 <= max_gap.as_millis();
-                    if gap_ok && extended_interval <= within {
-                        run.open.push(inst.clone());
-                    } else if gap >= 0 && gap as u64 > max_gap.as_millis() {
-                        // Late closure (normally the pseudo event beats us).
-                        closed = Some(run.open.take_all());
-                        run.open.push(inst.clone());
-                    } else {
-                        // Sub-τl gap (or interval overflow): the run cannot be
-                        // extended, and interleaved this tightly it is not a
-                        // valid detection either — discard and restart.
-                        run.open.clear();
-                        run.open.push(inst.clone());
-                    }
-                }
-                run.last_end = inst.t_end();
-                run.generation += 1;
-                let generation = run.generation;
-                // Re-arm instead of re-schedule: record where the closure
-                // belongs and keep at most one pseudo event per run in the
-                // queue (a popped stale one is pushed back at the recorded
-                // position by `fire_pseudo`).
-                run.close_exec = close_exec;
-                run.close_seq = close_seq;
-                let arm = !run.armed;
-                run.armed = true;
-                if arm {
-                    self.pseudo.schedule(PseudoEvent {
-                        exec: close_exec,
-                        seq: close_seq,
-                        action: PseudoAction::CloseRun {
-                            node: parent,
-                            generation,
-                        },
-                    });
-                }
-                if let Some(run) = closed {
-                    let out = Arc::new(Instance::composite("TSEQ+", run));
-                    self.work.push((parent, out));
-                }
-                if self.obs.level.counters() {
-                    // Every arrival is stored into the (possibly restarted)
-                    // open run.
-                    self.obs.arena.admitted(parent.idx());
-                    if self.obs.level.full() {
-                        let NodeState::TimedRun(run) = &self.states[parent.idx()] else {
-                            unreachable!("timed-run state");
-                        };
-                        self.obs.occupancy.record(run.open.len() as u64);
-                    }
-                }
-            }
+        }
+        run.last_end = inst.t_end();
+        run.generation += 1;
+        let generation = run.generation;
+        // Re-arm instead of re-schedule: record where the closure belongs
+        // and keep at most one pseudo event per run in the queue (a popped
+        // stale one is pushed back at the recorded position by
+        // `fire_pseudo`).
+        run.close_exec = close_exec;
+        run.close_seq = close_seq;
+        let arm = !run.armed;
+        run.armed = true;
+        if self.obs.level.full() {
+            self.obs.occupancy.record(run.open.len() as u64);
+        }
+        if arm {
+            self.pseudo.schedule(PseudoEvent {
+                exec: close_exec,
+                seq: close_seq,
+                action: PseudoAction::CloseRun {
+                    node: parent,
+                    generation,
+                },
+            });
+        }
+        if let Some(run) = closed {
+            let out = Arc::new(Instance::composite("TSEQ+", run));
+            self.work.push((parent, out));
+        }
+        if self.obs.level.counters() {
+            // Every arrival is stored into the (possibly restarted) open
+            // run.
+            self.obs.arena.admitted(parent.idx());
         }
     }
 
@@ -1547,7 +1374,7 @@ impl Runtime {
     /// anchor the instance and schedule a pseudo event at its close.
     fn wait_on_negation(
         &mut self,
-        shared: Option<&CompiledPlan>,
+        plan: &CompiledPlan,
         node: &Node,
         not_side: u8,
         inst: &Arc<Instance>,
@@ -1558,7 +1385,7 @@ impl Runtime {
             return;
         };
         let spec = node.hist_spec.expect("wait plan has a spec").0 as usize;
-        let not_child = holder_of(shared, node.children[not_side as usize]);
+        let not_child = plan.holder(node.children[not_side as usize]);
         let kind_name = node.kind.name();
 
         let past_end = self.clock.min(to);
@@ -1611,28 +1438,6 @@ impl Runtime {
                 anchor,
             },
         });
-    }
-}
-
-/// The node whose runtime state serves `node`. The arrival handlers take
-/// the lowered plan only from the plan executor; the reference walker
-/// passes `None` and shares nothing — every node holds its own state and
-/// is a family of one, read off the graph — so the oracle does not depend
-/// on the holder and family arenas it checks.
-fn holder_of(shared: Option<&CompiledPlan>, node: NodeId) -> NodeId {
-    shared.map_or(node, |plan| plan.holder(node))
-}
-
-/// The window family `node` holds state for, in ascending cut-off order;
-/// for the walker just the node itself, parked in `alone`.
-fn family_of<'a>(
-    shared: Option<&'a CompiledPlan>,
-    node: &Node,
-    alone: &'a mut Option<Member>,
-) -> &'a [Member] {
-    match shared {
-        Some(plan) => plan.family(node.id),
-        None => std::slice::from_ref(alone.insert(Member::alone(node))),
     }
 }
 

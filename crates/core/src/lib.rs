@@ -74,7 +74,7 @@ pub mod stats;
 pub use analyze::{DiagCode, Diagnostic, Severity};
 pub use bounds::{Bounds, NodeBounds};
 pub use cost::{subsumes, Cost, CostEstimate, Subsumption};
-pub use engine::{Engine, EngineConfig, ExecMode, RuleId, PROCESS_ALL_BATCH};
+pub use engine::{Engine, EngineConfig, RuleId, PROCESS_ALL_BATCH};
 pub use error::InvalidRule;
 pub use graph::{DetectionMode, EventGraph, NodeId};
 pub use obs::{

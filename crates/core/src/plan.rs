@@ -6,7 +6,7 @@
 //! graph's numbering and stores everything the hot path consults per
 //! occurrence — the rules to fire and the parent edges with their delivery
 //! side — in contiguous arenas indexed by node id. The per-event costs this
-//! removes from the graph walker:
+//! removes from a walk over the graph itself:
 //!
 //! * **leaf dispatch** — two hash-map probes, a group-string lookup, and a
 //!   per-candidate pattern re-check become one direct index into a
@@ -17,11 +17,12 @@
 //!   parent's child list on every delivery becomes a precomputed
 //!   [`EdgeOp`] per edge.
 //!
-//! The executor lives in [`crate::engine`]; the graph walker
-//! ([`crate::engine::ExecMode::Graph`]) is the reference the differential
-//! tests compare it to. Lowering is deterministic and total: every
-//! well-formed graph lowers, and the plan encodes exactly the walker's
-//! candidate and delivery order.
+//! The executor lives in [`crate::engine`]. Lowering is deterministic and
+//! total: every well-formed graph lowers, and the plan encodes exactly the
+//! candidate and delivery order of a plain walk over the graph — *graph
+//! order* below: leaf candidates by reader row, the work stack popped
+//! last-in first, each occurrence delivered to its parents in registration
+//! order.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -48,8 +49,8 @@ pub enum EdgeOp {
     /// copies of `A` into one leaf whose edge list is the adjacent pair
     /// `[Left→NOT, Right→query]`; this edge collapses the pair into one
     /// bucket access that records into the `NOT` parent's history and then
-    /// answers the query parent's window probe. Record-before-query is the
-    /// walker's order (edges run in parent-list order within one work-queue
+    /// answers the query parent's window probe. Record-before-query is
+    /// graph order (edges run in parent-list order within one work-queue
     /// pop). Only emitted when the record key spec and the query key spec
     /// are syntactically identical, so both probes provably hit the same
     /// history entry.
@@ -63,8 +64,8 @@ pub enum EdgeOp {
     /// leaf whose edge list holds the adjacent pair `[Right→query,
     /// Left→NOT]`; this edge collapses the pair into one bucket access that
     /// answers the query parent's window probe and then records.
-    /// Query-before-record is the walker's order — the query twin is the
-    /// later candidate, and the work stack is LIFO, so it pops first. Same
+    /// Query-before-record is graph order — the query twin is the later
+    /// candidate, and the work stack is LIFO, so it pops first. Same
     /// key-spec condition as [`EdgeOp::RecordQuery`].
     QueryRecord {
         /// The `LeftNegationQuery` parent whose window probe is folded in.
@@ -101,7 +102,7 @@ enum ObjCheck {
     /// Matches exactly one EPC.
     Exact(Epc),
     /// Matches objects of a named type (resolved through the catalog's
-    /// mapping at match time, exactly like the walker's pattern check).
+    /// mapping at match time, as `PrimitivePattern::matches` does).
     Type(Arc<str>),
 }
 
@@ -290,17 +291,17 @@ pub struct CompiledPlan {
     /// Per-reader (indexed by dense `ReaderId.0`) range into `leaf_checks`.
     reader_rows: Vec<(u32, u32)>,
     /// Dispatch-row arena: named-reader leaves, then group leaves, in
-    /// primitive registration order — the walker's candidate order.
+    /// primitive registration order (graph order).
     leaf_checks: Vec<LeafCheck>,
     /// Leaves with `ReaderSel::Any`: a shared suffix of every row.
     any_leaves: Vec<LeafCheck>,
     /// Per-node flag: leaf reachable from at least one dispatch row (the
     /// shared view `analyze`'s dead-leaf pass reads).
     dispatchable: Vec<bool>,
-    /// Per-node count of walker work-queue pops a coalesced leaf absorbs
-    /// beyond its own (see leaf coalescing in [`CompiledPlan::lower`]);
-    /// added to `occurrences` on every pop so the counter stays comparable
-    /// across executors.
+    /// Per-node count of work-queue pops a coalesced leaf absorbs beyond
+    /// its own (see leaf coalescing in [`CompiledPlan::lower`]); added to
+    /// `occurrences` on every pop so the counter reads what an unshared
+    /// plan would count.
     extra_pops: Vec<u32>,
     /// Per-node state holder: the node whose runtime state serves this one
     /// — itself, unless it is a coalesced `NOT` recorder or a window-family
@@ -321,17 +322,15 @@ impl CompiledPlan {
     /// that nodes are pushed children-first, i.e. node-id order is
     /// topological.
     ///
-    /// `prior` decides whether interior state is coalesced. `Some(earlier)`
-    /// coalesces recorders and window families and keeps state where
-    /// `earlier` had it (an empty plan for a first lowering): a node that
-    /// was its own holder stays one, and a member keeps its holder for as
-    /// long as it stays admissible. `None` leaves every node holding its
-    /// own state — the unshared lowering the reference walker runs beside.
+    /// Recorders and window families are coalesced, and their state stays
+    /// where `prior` — the plan this one replaces, an empty one for a first
+    /// lowering — had it: a node that was its own holder stays one, and a
+    /// member keeps its holder for as long as it stays admissible.
     pub fn lower(
         graph: &EventGraph,
         catalog: &Catalog,
         rules_at: &HashMap<NodeId, Vec<RuleId>>,
-        prior: Option<&CompiledPlan>,
+        prior: &CompiledPlan,
     ) -> Self {
         let n = graph.len();
         let mut plan = CompiledPlan {
@@ -350,7 +349,7 @@ impl CompiledPlan {
         // each pattern group onto its *last* member: that member is the
         // last row candidate, hence the first pop off the LIFO work stack,
         // so walking the group's edge lists in reverse registration order
-        // from that single pop reproduces the walker's delivery order. The
+        // from that single pop reproduces graph order. The
         // other members are elided from the rows; each pop of the
         // representative counts their elided pops via `extra_pops`.
         let mut groups: HashMap<&rfid_events::PrimitivePattern, Vec<NodeId>> = HashMap::new();
@@ -429,7 +428,7 @@ impl CompiledPlan {
             // Over the combined list, an adjacent `NOT` record and window
             // query of the same history collapse into one fused edge (the
             // fused op runs where the pair sat, in the pair's order, so
-            // work order is exactly the walker's).
+            // work order is unchanged).
             let edge_start = plan.edges.len() as u32;
             let mut i = 0;
             while i < raw.len() {
@@ -472,48 +471,46 @@ impl CompiledPlan {
         graph: &EventGraph,
         rules_at: &HashMap<NodeId, Vec<RuleId>>,
         leaf_group: &[u32],
-        prior: Option<&CompiledPlan>,
+        prior: &CompiledPlan,
     ) {
         let n = graph.len();
         self.holders = (0..n as u32).collect();
-        if let Some(prior) = prior {
-            // Node ids are topological, so a root's `NOT` child is settled
-            // before the root asks for its holder, and a holder (lowest id
-            // of its group) before any of its members.
-            let mut recorders: HashMap<u32, u32> = HashMap::new();
-            let mut roots: HashMap<FamilyKey, u32> = HashMap::new();
-            for node in graph.nodes() {
-                let (id, idx) = (node.id.0, node.id.idx());
-                // Candidates, in order: the holder under the earlier plan,
-                // then the group's current one. A node that held its own
-                // state stays its own holder.
-                let kept = prior.holders.get(idx).copied();
-                let pick = |holders: &[u32], group: Option<u32>, fits: &dyn Fn(u32) -> bool| {
-                    if kept == Some(id) {
-                        return None;
-                    }
-                    let mut candidates = [kept, group].into_iter().flatten();
-                    candidates.find(|&h| h != id && holders[h as usize] == h && fits(h))
+        // Node ids are topological, so a root's `NOT` child is settled
+        // before the root asks for its holder, and a holder (lowest id
+        // of its group) before any of its members.
+        let mut recorders: HashMap<u32, u32> = HashMap::new();
+        let mut roots: HashMap<FamilyKey, u32> = HashMap::new();
+        for node in graph.nodes() {
+            let (id, idx) = (node.id.0, node.id.idx());
+            // Candidates, in order: the holder under the earlier plan,
+            // then the group's current one. A node that held its own
+            // state stays its own holder.
+            let kept = prior.holders.get(idx).copied();
+            let pick = |holders: &[u32], group: Option<u32>, fits: &dyn Fn(u32) -> bool| {
+                if kept == Some(id) {
+                    return None;
+                }
+                let mut candidates = [kept, group].into_iter().flatten();
+                candidates.find(|&h| h != id && holders[h as usize] == h && fits(h))
+            };
+            if let Some(group) = shareable_recorder(graph, leaf_group, node.id) {
+                let specs = graph.hist_specs(node.id);
+                let fits = |h: u32| {
+                    shareable_recorder(graph, leaf_group, NodeId(h)) == Some(group)
+                        && graph.hist_specs(NodeId(h)).starts_with(specs)
                 };
-                if let Some(group) = shareable_recorder(graph, leaf_group, node.id) {
-                    let specs = graph.hist_specs(node.id);
-                    let fits = |h: u32| {
-                        shareable_recorder(graph, leaf_group, NodeId(h)) == Some(group)
-                            && graph.hist_specs(NodeId(h)).starts_with(specs)
-                    };
-                    match pick(&self.holders, recorders.get(&group).copied(), &fits) {
-                        Some(holder) => self.holders[idx] = holder,
-                        None => _ = recorders.entry(group).or_insert(id),
-                    }
-                } else if let Some(key) = self.family_key(graph, rules_at, leaf_group, node.id) {
-                    let fits = |h: u32| {
-                        let theirs = self.family_key(graph, rules_at, leaf_group, NodeId(h));
-                        theirs.as_ref() == Some(&key)
-                    };
-                    match pick(&self.holders, roots.get(&key).copied(), &fits) {
-                        Some(holder) => self.holders[idx] = holder,
-                        None => _ = roots.entry(key).or_insert(id),
-                    }
+                match pick(&self.holders, recorders.get(&group).copied(), &fits) {
+                    Some(holder) => self.holders[idx] = holder,
+                    None => _ = recorders.entry(group).or_insert(id),
+                }
+            } else if let Some(key) = self.family_key(graph, rules_at, leaf_group, node.id) {
+                let fits = |h: u32| {
+                    let theirs = self.family_key(graph, rules_at, leaf_group, NodeId(h));
+                    theirs.as_ref() == Some(&key)
+                };
+                match pick(&self.holders, roots.get(&key).copied(), &fits) {
+                    Some(holder) => self.holders[idx] = holder,
+                    None => _ = roots.entry(key).or_insert(id),
                 }
             }
         }
@@ -622,8 +619,8 @@ impl CompiledPlan {
         })
     }
 
-    /// Builds the per-reader dispatch rows: the walker's `by_reader` /
-    /// `by_group` buckets flattened so `reader_rows[r]` directly indexes
+    /// Builds the per-reader dispatch rows: by-reader and by-group buckets
+    /// flattened so `reader_rows[r]` directly indexes
     /// the candidates of reader `r` — named leaves first, then the leaves
     /// of `r`'s group, each in primitive registration order. Leaves marked
     /// `elided` (coalesced onto their group's representative) keep their
@@ -707,7 +704,7 @@ impl CompiledPlan {
 
     /// Appends the leaves activated by `obs` — its reader's `row` (from
     /// [`CompiledPlan::reader_row`]), then the `Any` suffix — to `out`, in
-    /// the walker's candidate order.
+    /// graph order.
     #[inline]
     pub fn leaf_hits_in_row(
         &self,
@@ -779,7 +776,7 @@ impl CompiledPlan {
             + self.members.len() * size_of::<Member>()
     }
 
-    /// Walker work-queue pops this node absorbs beyond its own pop — zero
+    /// Work-queue pops this node absorbs beyond its own pop — zero
     /// everywhere except coalesced leaf representatives.
     #[inline]
     pub fn extra_pops(&self, node: NodeId) -> u32 {
@@ -819,9 +816,8 @@ impl CompiledPlan {
     }
 }
 
-/// Collects `node`'s parent-activation edges in the walker's delivery
-/// order: one edge per parent, the side (or self-join) decided here at
-/// compile time.
+/// Collects `node`'s parent-activation edges in graph order: one edge per
+/// parent, the side (or self-join) decided here at compile time.
 fn raw_edges(graph: &EventGraph, id: NodeId, out: &mut Vec<Edge>) {
     let node = graph.node(id);
     for &p in &node.parents {
@@ -901,7 +897,7 @@ mod tests {
         let catalog = shelf_catalog();
         let mut graph = EventGraph::new();
         let root = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), None);
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
 
         let &[leaf] = graph.primitives() else {
             panic!("merging folds the twin copies into one leaf");
@@ -927,7 +923,7 @@ mod tests {
         let catalog = shelf_catalog();
         let mut graph = EventGraph::without_merging();
         let root = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), None);
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
 
         let &[recorder_twin, query_twin] = graph.primitives() else {
             panic!("in-field shape compiles exactly two primitive leaves");
@@ -959,7 +955,7 @@ mod tests {
     /// into one dispatch row: the representative (the later registration)
     /// carries both leaves' edge lists back-to-back and absorbs the elided
     /// leaf's work-queue pop via `extra_pops`, so one observation costs one
-    /// pop instead of two while the `occurrences` counter stays walker-equal.
+    /// pop instead of two while the `occurrences` counter still reads two.
     #[test]
     fn pattern_identical_leaves_coalesce_into_one_dispatch_row() {
         let catalog = shelf_catalog();
@@ -974,7 +970,7 @@ mod tests {
             )
             .expect("dup rule compiles");
         let infield = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), None);
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
 
         let &[dup_leaf, infield_leaf] = graph.primitives() else {
             panic!("different windows keep the two shelf leaves distinct");
@@ -992,7 +988,7 @@ mod tests {
         );
 
         // The representative is the *last* registration (first LIFO pop in
-        // the walker), and its edge list runs members in reverse
+        // graph order), and its edge list runs members in reverse
         // registration order: its own fused in-field edge, then the dup
         // rule's self-join.
         let edges = plan.edges_at(infield_leaf);

@@ -56,8 +56,6 @@ impl RuleEvent {
 #[derive(Debug)]
 pub struct Program {
     graph: EventGraph,
-    /// Whether lowering coalesces interior state ([`CompiledPlan::lower`]).
-    share: bool,
     /// Accepted rules, indexed by [`RuleId`], and their roots.
     rules: Vec<RuleEvent>,
     roots: Vec<NodeId>,
@@ -72,17 +70,14 @@ pub struct Program {
 
 impl Program {
     /// An empty program. `merge` turns common-subgraph merging on (off is
-    /// ablation A1). `share` lets the lowering coalesce interior state and
-    /// keep it where the plan it replaces had it; off gives the unshared
-    /// lowering the reference walker runs beside.
-    pub fn new(merge: bool, share: bool) -> Self {
+    /// ablation A1).
+    pub fn new(merge: bool) -> Self {
         Self {
             graph: if merge {
                 EventGraph::new()
             } else {
                 EventGraph::without_merging()
             },
-            share,
             rules: Vec::new(),
             roots: Vec::new(),
             dirty: true,
@@ -93,15 +88,15 @@ impl Program {
         }
     }
 
-    /// The solved program of a whole rule set, merging and sharing on as in
-    /// the engine's default configuration. Rules the builder rejects are
+    /// The solved program of a whole rule set, merging on as in the
+    /// engine's default configuration. Rules the builder rejects are
     /// left out (their partial nodes stay in the graph, as they do in an
     /// engine that went on after the rejection).
     pub fn compile(
         deployment: Option<&Catalog>,
         rules: impl IntoIterator<Item = RuleEvent>,
     ) -> Self {
-        let mut program = Self::new(true, true);
+        let mut program = Self::new(true);
         for rule in rules {
             let _ = program.add_rule(rule);
         }
@@ -142,7 +137,7 @@ impl Program {
             &self.graph,
             deployment.unwrap_or(&no_deployment),
             &self.rules_at,
-            self.share.then_some(&prior),
+            &prior,
         );
         self.cost = Cost::solve(&self.graph, &self.bounds, deployment);
         self.dirty = false;

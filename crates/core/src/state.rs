@@ -662,7 +662,7 @@ impl NegationState {
     /// `record_first`, [`crate::plan::EdgeOp::QueryRecord`] without).
     /// Equivalent to [`NegationState::record`] and
     /// [`NegationState::last_occurrence`] under the same key, in the order
-    /// the flag selects — each fused shape preserves its walker order.
+    /// the flag selects — each fused shape preserves its unfused order.
     pub fn fused_last(
         &mut self,
         spec: usize,

@@ -6,7 +6,10 @@
 //! detection counter totals, as feeding it one observation at a time. This
 //! is the differential harness behind the batch loop (DESIGN.md §13):
 //! batching only amortizes dispatch, pseudo-queue peeks, and sweep
-//! scheduling; it never changes what the engine detects.
+//! scheduling; it never changes what the engine detects. The batched
+//! firings are held to the reference interpreter (`support/reference.rs`)
+//! as well, so the property is "every chunking fires what
+//! docs/SEMANTICS.md says", not merely "every chunking agrees".
 //!
 //! Counters that describe *sweep timing* (`sweeps`, `sweeps_skipped`, the
 //! per-node prune counts, and the buffered-state gauges) legitimately move
@@ -14,16 +17,15 @@
 //! counters only: events, matched events, occurrences, rule firings,
 //! pseudo events scheduled/fired, and capacity drops.
 
+mod support;
+
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
+use rceda::engine::{Engine, EngineConfig, RuleId};
 use rceda::{EngineStats, ObserveLevel};
-use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
+use rfid_events::{EventExpr, Instance, Observation, Span};
 use rfid_simulator::{SimConfig, SupplyChain};
 use std::sync::OnceLock;
-
-/// A firing fingerprint that identifies an occurrence independently of
-/// emission order: rule, instance window, and constituent observations.
-type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
+use support::reference::{self, Fingerprint};
 
 /// The same shape pool as `plan_equivalence`: every plan variant the lowering distinguishes, so every arrival handler and
 /// every sweepable store sits under the batch loop.
@@ -98,7 +100,7 @@ fn fixture() -> &'static Fixture {
 /// How a run feeds the stream to the engine.
 #[derive(Debug, Clone, Copy)]
 enum Feed {
-    /// One `process` call per observation — the oracle.
+    /// One `process` call per observation — the counters' baseline.
     Scalar,
     /// `process_batch` over chunks of this size.
     Chunks(usize),
@@ -108,23 +110,25 @@ enum Feed {
 }
 
 /// Runs one configuration; also returns how many batches the feed made.
+fn rules(program: &[(usize, usize)]) -> Vec<EventExpr> {
+    let rule = |&(idx, w): &(usize, usize)| shape(idx, WINDOWS[w]);
+    program.iter().map(rule).collect()
+}
+
 fn run(
-    mode: ExecMode,
     observe: ObserveLevel,
     feed: Feed,
     program: &[(usize, usize)],
 ) -> (Vec<Fingerprint>, EngineStats, u64) {
     let fx = fixture();
     let config = EngineConfig {
-        exec: mode,
         observe,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(fx.sim.catalog.clone(), config);
-    for (pos, &(idx, w)) in program.iter().enumerate() {
-        let name = format!("r{pos}");
+    for (pos, rule) in rules(program).into_iter().enumerate() {
         engine
-            .add_rule(&name, shape(idx, WINDOWS[w]))
+            .add_rule(&format!("r{pos}"), rule)
             .expect("valid rule");
     }
     let mut out = Vec::new();
@@ -175,9 +179,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any program of up to four rules from the shape pool fires
-    /// identically — with identical detection counters — whether the
-    /// stream is fed per observation, in batches of any size, or both
-    /// interleaved, under both executors.
+    /// identically — what the reference fires, with identical detection
+    /// counters — whether the stream is fed per observation, in batches
+    /// of any size, or both interleaved.
     #[test]
     fn batched_execution_preserves_firings_and_counters(
         program in proptest::collection::vec((0usize..SHAPES, 0usize..WINDOWS.len()), 1..=4),
@@ -190,27 +194,29 @@ proptest! {
         ],
         observe in prop_oneof![Just(ObserveLevel::Off), Just(ObserveLevel::Counters)],
     ) {
-        for mode in [ExecMode::Plan, ExecMode::Graph] {
-            let (scalar_firings, scalar_stats, _) = run(mode, observe, Feed::Scalar, &program);
-            let (batch_firings, batch_stats, batches) = run(mode, observe, feed, &program);
-            prop_assert_eq!(
-                &scalar_firings,
-                &batch_firings,
-                "firing multisets diverged under {:?} {:?}",
-                mode, feed
-            );
-            prop_assert_eq!(
-                detection_counters(&scalar_stats),
-                detection_counters(&batch_stats),
-                "detection counters diverged under {:?} {:?}",
-                mode, feed
-            );
-            prop_assert_eq!(
-                scalar_stats.batches_processed,
-                fixture().stream.len() as u64,
-                "a `process` call is a batch of one"
-            );
-            prop_assert_eq!(batch_stats.batches_processed, batches);
-        }
+        let fx = fixture();
+        let expected = reference::fire(&fx.sim.catalog, &rules(&program), &fx.stream);
+        let (scalar_firings, scalar_stats, _) = run(observe, Feed::Scalar, &program);
+        let (batch_firings, batch_stats, batches) = run(observe, feed, &program);
+        prop_assert_eq!(
+            &batch_firings,
+            &expected,
+            "firing multiset diverged from the reference under {:?}",
+            feed
+        );
+        prop_assert_eq!(&scalar_firings, &expected, "scalar feed diverged from the reference");
+        prop_assert_eq!(
+            detection_counters(&scalar_stats),
+            detection_counters(&batch_stats),
+            "detection counters diverged under {:?}",
+            feed
+        );
+        prop_assert_eq!(batch_stats.capacity_drops, 0, "outside the reference's domain");
+        prop_assert_eq!(
+            scalar_stats.batches_processed,
+            fx.stream.len() as u64,
+            "a `process` call is a batch of one"
+        );
+        prop_assert_eq!(batch_stats.batches_processed, batches);
     }
 }

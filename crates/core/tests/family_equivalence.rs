@@ -2,28 +2,31 @@
 //! in their `WITHIN` must fire exactly as if every rule kept its own
 //! buffer and history.
 //!
-//! [`ExecMode::Plan`] coalesces such rules onto one state holder
-//! (DESIGN.md "Window families"); the graph walker ([`ExecMode::Graph`])
-//! never shares anything, so it is the oracle. The streams are keyed,
-//! bursty, and full of equal timestamps — the cases where "oldest
-//! compatible partner" and "window ends exclusively at the terminator"
-//! are decided by a single comparison.
+//! The plan coalesces such rules onto one state holder (DESIGN.md "Window
+//! families"); the reference interpreter (`support/reference.rs`) matches
+//! every rule on its own tree and shares nothing, so it is the oracle. The
+//! streams are keyed, bursty, and full of equal timestamps — the cases
+//! where "oldest compatible partner" and "window ends exclusively at the
+//! terminator" are decided by a single comparison.
 //!
 //! The second half pins the plan's shape: admissible families collapse to
 //! one holder, the `AND NOT` shape to one shared history with its per-rule
 //! waits kept, and the two inadmissible shapes stay exactly as they were.
 
-use std::collections::HashMap;
+mod support;
 
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
+use rceda::engine::{Engine, EngineConfig, RuleId};
 use rfid_epc::{Epc, Gid96, ReaderId};
 use rfid_events::{Catalog, EventExpr, Instance, Observation, Span, Timestamp};
+use support::reference::{self, Fingerprint};
 
-type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
-
-/// Shapes 0–2 are the admissible ones; 3 and 4 must lower unshared.
-const SHAPES: usize = 5;
+/// Shapes 0–2 are the admissible ones; 3, 4 and 6 must lower unshared, and
+/// 5 shares its `NOT` history the way 2 does. Shapes 5 and 6 put the two
+/// remaining boundary decisions on the lattice: whether an out-field
+/// initiator blocks itself, and whether a `TSEQ+` gap of exactly `τl` or
+/// `τu` extends the run.
+const SHAPES: usize = 7;
 
 fn shape(idx: usize, window: Span) -> EventExpr {
     let keyed = |group: &str| {
@@ -45,6 +48,12 @@ fn shape(idx: usize, window: Span) -> EventExpr {
         // one arrival can match a later one, so members diverge.
         4 => keyed("g1")
             .tseq(keyed("g1"), Span::from_millis(300), Span::from_secs(20))
+            .within(window),
+        // Out-field filter: the initiator matches the pattern it negates.
+        5 => keyed("g1").seq(keyed("g1").not()).within(window),
+        // Timed run whose gap bounds are one and two ticks.
+        6 => EventExpr::observation_in_group("g1")
+            .tseq_plus(Span::from_millis(TICK), Span::from_millis(2 * TICK))
             .within(window),
         _ => unreachable!("shape index out of pool"),
     }
@@ -97,28 +106,31 @@ fn stream(steps: &[(u32, u64, u64)]) -> Vec<Observation> {
         .collect()
 }
 
-fn engine(mode: ExecMode, merge: bool, program: &[(usize, u64)]) -> Engine {
+fn rules(program: &[(usize, u64)]) -> Vec<EventExpr> {
+    let rule = |&(idx, ms): &(usize, u64)| shape(idx, Span::from_millis(ms));
+    program.iter().map(rule).collect()
+}
+
+fn engine(merge: bool, program: &[(usize, u64)]) -> Engine {
     let config = EngineConfig {
-        exec: mode,
         merge_subgraphs: merge,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(catalog(), config);
-    for (pos, &(idx, ms)) in program.iter().enumerate() {
+    for (pos, rule) in rules(program).into_iter().enumerate() {
         engine
-            .add_rule(&format!("r{pos}"), shape(idx, Span::from_millis(ms)))
+            .add_rule(&format!("r{pos}"), rule)
             .expect("valid rule");
     }
     engine
 }
 
 fn run(
-    mode: ExecMode,
     merge: bool,
     program: &[(usize, u64)],
     stream: &[Observation],
 ) -> (Vec<Fingerprint>, Vec<u64>) {
-    let mut engine = engine(mode, merge, program);
+    let mut engine = engine(merge, program);
     let mut out = Vec::new();
     let mut sink = |rule: RuleId, inst: &Instance| {
         out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
@@ -128,48 +140,14 @@ fn run(
     (out, engine.firings_per_rule().to_vec())
 }
 
-/// What the two family shapes mean, written out directly: the walker runs
-/// the same arrival handlers as the plan (on families of one), so the cut
-/// an emission is fanned out by needs an oracle that shares no code with
-/// it. A duplicate rule fires when the previous read of the same
-/// `(reader, object)` lies within its window; an in-field rule when no
-/// earlier read of it lies in `[t - w, t)`. `None` for the other shapes.
-fn model_counts(program: &[(usize, u64)], stream: &[Observation]) -> Vec<Option<u64>> {
-    let g1 = |obs: &&Observation| obs.reader.0 < 2;
-    program
-        .iter()
-        .map(|&(idx, w)| {
-            let mut reads: HashMap<_, Vec<u64>> = HashMap::new();
-            let mut fired = 0;
-            for obs in stream.iter().filter(g1) {
-                let t = obs.at.as_millis();
-                let seen = reads.entry((obs.reader, obs.object)).or_default();
-                fired += u64::from(match idx {
-                    0 => seen.last().is_some_and(|&prev| t - prev <= w),
-                    1 => !seen.iter().any(|&r| r >= t.saturating_sub(w) && r < t),
-                    _ => return None,
-                });
-                seen.push(t);
-            }
-            Some(fired)
-        })
-        .collect()
-}
-
 fn assert_equivalent(program: &[(usize, u64)], stream: &[Observation]) {
-    let model = model_counts(program, stream);
+    let reference = reference::fire(&catalog(), &rules(program), stream);
+    let mut reference_counts = vec![0u64; program.len()];
+    for firing in &reference {
+        reference_counts[firing.0 as usize] += 1;
+    }
     for merge in [true, false] {
-        let (shared, shared_counts) = run(ExecMode::Plan, merge, program, stream);
-        let (reference, reference_counts) = run(ExecMode::Graph, merge, program, stream);
-        for (rule, expected) in model.iter().enumerate() {
-            if let Some(expected) = expected {
-                assert_eq!(
-                    shared_counts[rule], *expected,
-                    "rule {rule} {:?} diverged from the model (merge={merge})",
-                    program[rule]
-                );
-            }
-        }
+        let (shared, shared_counts) = run(merge, program, stream);
         assert_eq!(
             shared_counts, reference_counts,
             "per-rule firing counts diverged (merge={merge})"
@@ -184,7 +162,7 @@ fn assert_equivalent(program: &[(usize, u64)], stream: &[Observation]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One family of 2–40 members per case, any of the five shapes, windows
+    /// One family of 2–40 members per case, any of the seven shapes, windows
     /// drawn with repeats (equal cut-offs are members too).
     #[test]
     fn one_family_fires_like_unshared_rules(
@@ -230,7 +208,7 @@ fn distinct(nodes: Vec<rceda::graph::NodeId>) -> Vec<rceda::graph::NodeId> {
 #[test]
 fn self_join_family_collapses_to_one_holder() {
     for merge in [true, false] {
-        let mut engine = engine(ExecMode::Plan, merge, &five(0));
+        let mut engine = engine(merge, &five(0));
         let roots: Vec<_> = (0..5).map(|r| engine.rule_root(RuleId(r))).collect();
         let program = engine.program();
         let plan = program.plan();
@@ -255,7 +233,7 @@ fn self_join_family_collapses_to_one_holder() {
 #[test]
 fn negation_query_family_collapses_to_one_holder_and_one_history() {
     for merge in [true, false] {
-        let mut engine = engine(ExecMode::Plan, merge, &five(1));
+        let mut engine = engine(merge, &five(1));
         let roots: Vec<_> = (0..5).map(|r| engine.rule_root(RuleId(r))).collect();
         let recorders = distinct(
             roots
@@ -277,8 +255,8 @@ fn negation_query_family_collapses_to_one_holder_and_one_history() {
 
 #[test]
 fn and_not_shares_the_history_and_keeps_the_waits() {
-    for merge in [true, false] {
-        let mut engine = engine(ExecMode::Plan, merge, &five(2));
+    for (idx, merge) in [(2, true), (2, false), (5, true), (5, false)] {
+        let mut engine = engine(merge, &five(idx));
         let roots: Vec<_> = (0..5).map(|r| engine.rule_root(RuleId(r))).collect();
         let recorders = distinct(
             roots
@@ -299,9 +277,9 @@ fn and_not_shares_the_history_and_keeps_the_waits() {
 
 #[test]
 fn inadmissible_shapes_lower_unshared() {
-    for idx in [3, 4] {
+    for idx in [3, 4, 6] {
         for merge in [true, false] {
-            let mut engine = engine(ExecMode::Plan, merge, &five(idx));
+            let mut engine = engine(merge, &five(idx));
             let nodes = engine.graph().len() as u32;
             let program = engine.program();
             let plan = program.plan();
@@ -313,12 +291,4 @@ fn inadmissible_shapes_lower_unshared() {
             }));
         }
     }
-}
-
-/// The reference walker never shares, whatever the program.
-#[test]
-fn walker_plan_is_unshared() {
-    let mut engine = engine(ExecMode::Graph, true, &five(0));
-    let plan = engine.compiled_plan();
-    assert_eq!(plan.families().count(), 0);
 }

@@ -3,14 +3,18 @@
 //! (§4.3's merged graph shares structure, never state across roots), so
 //! **any** partition of a rule set — not just the merge-aware one the
 //! pipeline computes — run as one engine per part over the full stream,
-//! fires exactly the union of the single engine's firings.
+//! fires exactly the union of the rules' firings, each as the reference
+//! interpreter (`support/reference.rs`) matches it on its own.
+
+mod support;
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
-use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
+use rceda::engine::{Engine, EngineConfig, RuleId};
+use rfid_events::{EventExpr, Instance, Observation, Span};
 use rfid_simulator::{SimConfig, SupplyChain};
+use support::reference::{self, Fingerprint};
 
 /// Rule pool mixing every execution plan the partitions can cut across:
 /// self-joins, negation waits, keyless chronicle joins, and global runs.
@@ -48,8 +52,6 @@ fn rules() -> Vec<(&'static str, EventExpr)> {
     ]
 }
 
-type Fingerprint = (usize, Timestamp, Timestamp, Vec<Observation>);
-
 struct Fixture {
     sim: SupplyChain,
     stream: Vec<Observation>,
@@ -61,31 +63,8 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let sim = SupplyChain::build(SimConfig::default());
         let stream = sim.generate(1_500).observations;
-        // The reference runs the graph-walker oracle, so every partitioned
-        // engine below (compiled-plan executor by default) is also checked
-        // differentially against the independent execution path.
-        let config = EngineConfig {
-            exec: ExecMode::Graph,
-            ..EngineConfig::default()
-        };
-        let mut engine = Engine::new(sim.catalog.clone(), config);
-        for (name, event) in rules() {
-            engine.add_rule(name, event).expect("valid rule");
-        }
-        let mut reference = Vec::new();
-        let mut sink = |rule: RuleId, inst: &Instance| {
-            reference.push((
-                rule.0 as usize,
-                inst.t_begin(),
-                inst.t_end(),
-                inst.observations(),
-            ));
-        };
-        for &obs in &stream {
-            engine.process(obs, &mut sink);
-        }
-        engine.finish(&mut sink);
-        reference.sort();
+        let events: Vec<EventExpr> = rules().into_iter().map(|(_, event)| event).collect();
+        let reference = reference::fire(&sim.catalog, &events, &stream);
         assert!(!reference.is_empty(), "workload must fire rules");
         Fixture {
             sim,
@@ -120,7 +99,7 @@ proptest! {
             .expect("valid rules");
             let mut sink = |rule: RuleId, inst: &Instance| {
                 union.push((
-                    members[rule.0 as usize],
+                    members[rule.0 as usize] as u32,
                     inst.t_begin(),
                     inst.t_end(),
                     inst.observations(),

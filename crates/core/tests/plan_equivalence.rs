@@ -1,29 +1,31 @@
-//! Compiled plan ≡ graph walker: for any rule program drawn from the
-//! paper's rule shapes and a realistic simulator trace, the plan executor
-//! ([`ExecMode::Plan`]) must emit exactly the same multiset of rule
-//! firings — and the same counters — as the graph-walker reference
-//! ([`ExecMode::Graph`]). This is the differential harness the lowering's
-//! order-preservation argument (DESIGN.md §13) is checked against,
-//! including the in-field twin-leaf fusion, the NFA-encoded `TSEQ+` runs,
-//! and the negation-wait pseudo events.
+//! Engine ≡ docs/SEMANTICS.md: for any rule program drawn from the paper's
+//! rule shapes and a realistic simulator trace, the engine must emit
+//! exactly the multiset of rule firings the reference interpreter
+//! (`support/reference.rs`) computes rule by rule, straight off the
+//! expression trees. The two share no code below the event model, so this
+//! is the harness every layer of the engine answers to at once: the
+//! arrival handlers (oldest-compatible pairing, the half-open in-field
+//! window, the 1 ms out-field epsilon, `TSEQ+` closure), the lowering's
+//! order-preservation argument (DESIGN.md §13) including the in-field
+//! twin-leaf fusion and leaf coalescing, window families and shared `NOT`
+//! histories, and the bounds solver's soundness (DESIGN.md §14) — the
+//! engine evicts at the solved per-node retention while the reference
+//! keeps everything, so equal firings mean the solved bounds only discard
+//! state no future arrival could pair with. The lag-inflator shape keeps
+//! the two far apart: its day-long closure delay sits in the same program
+//! as buffers that die after two seconds.
 //!
-//! It is also the harness behind the bounds solver's soundness argument
-//! (DESIGN.md §14): the plan executor evicts at the solved per-node
-//! retention, the walker at the conservative `max_lag`-padded horizon, so
-//! equal firings mean the solved bounds only discard state no future
-//! arrival could pair with. The lag-inflator shape keeps the two policies
-//! far apart: with it in the program the walker retains everything for a
-//! day while the plan's other buffers still die at their own windows.
+//! The counters the reference cannot define are pinned instead, against
+//! values recorded from the parent commit (`counters_are_pinned`).
+
+mod support;
 
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
-use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
+use rceda::engine::{Engine, EngineConfig, RuleId};
+use rfid_events::{EventExpr, Instance, Observation, Span};
 use rfid_simulator::{SimConfig, SupplyChain};
 use std::sync::OnceLock;
-
-/// A firing fingerprint that identifies an occurrence independently of
-/// emission order: rule, instance window, and constituent observations.
-type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
+use support::reference::{self, Fingerprint};
 
 /// The rule-shape pool: every plan variant the lowering distinguishes,
 /// parameterized by the detection window so different draws stress
@@ -79,7 +81,8 @@ fn shape(idx: usize, window: Span) -> EventExpr {
             .seq(EventExpr::observation_in_group("pos").bind_object("o"))
             .within(window),
         // Lag inflator: a day-long `TSEQ+` gap (its own window, whatever
-        // the draw) poisons the graph-wide `max_lag` the walker pads with.
+        // the draw) delivers its runs a day late, so every bound above it
+        // must absorb that lag while the other shapes' stay at seconds.
         8 => EventExpr::observation_in_group("exits")
             .tseq_plus(Span::ZERO, Span::from_secs(24 * 3_600))
             .within(Span::from_secs(48 * 3_600)),
@@ -101,22 +104,21 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn run(
-    mode: ExecMode,
-    merge: bool,
-    program: &[(usize, usize)],
-) -> (Vec<Fingerprint>, rceda::EngineStats) {
+fn rules(program: &[(usize, usize)]) -> Vec<EventExpr> {
+    let rule = |&(idx, w): &(usize, usize)| shape(idx, WINDOWS[w]);
+    program.iter().map(rule).collect()
+}
+
+fn run(merge: bool, program: &[(usize, usize)]) -> (Vec<Fingerprint>, rceda::EngineStats) {
     let fx = fixture();
     let config = EngineConfig {
-        exec: mode,
         merge_subgraphs: merge,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(fx.sim.catalog.clone(), config);
-    for (pos, &(idx, w)) in program.iter().enumerate() {
-        let name = format!("r{pos}");
+    for (pos, rule) in rules(program).into_iter().enumerate() {
         engine
-            .add_rule(&name, shape(idx, WINDOWS[w]))
+            .add_rule(&format!("r{pos}"), rule)
             .expect("valid rule");
     }
     let mut out = Vec::new();
@@ -135,45 +137,132 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any program of up to five rules drawn from the shape pool fires
-    /// identically under both executors, and the shared counters agree —
-    /// `occurrences` included, under both kinds of sharing: a coalesced
-    /// leaf counts the pops it absorbs (`extra_pops`), and a window family
-    /// (two draws of shape 0 or 1 with different windows) delivers each
-    /// emission at every member's own node, one pop per member it reaches,
-    /// exactly the pops the unshared walker makes. Runs with subgraph
-    /// merging both on (the engine default; exercises the merged-leaf
-    /// `RecordQuery` fusion) and off (the A1 ablation; exercises the
-    /// twin-leaf `QueryRecord` fusion).
+    /// what the reference says its rules fire, each on its own — under
+    /// both kinds of plan-level sharing (a coalesced leaf, and a window
+    /// family: two draws of shape 0 or 1 with different windows), with
+    /// subgraph merging both on (the engine default; exercises the
+    /// merged-leaf `RecordQuery` fusion) and off (the A1 ablation;
+    /// exercises the twin-leaf `QueryRecord` fusion) — and the counters
+    /// the reference defines agree.
     #[test]
-    fn plan_and_graph_walker_fire_identically(
+    fn engine_fires_what_the_semantics_say(
         program in proptest::collection::vec((0usize..SHAPES, 0usize..WINDOWS.len()), 1..=5)
     ) {
+        let fx = fixture();
+        let rules = rules(&program);
+        let expected = reference::fire(&fx.sim.catalog, &rules, &fx.stream);
+        let matched = reference::matched_events(&fx.sim.catalog, &rules, &fx.stream);
         for merge in [true, false] {
-            let (plan_firings, plan_stats) = run(ExecMode::Plan, merge, &program);
-            let (graph_firings, graph_stats) = run(ExecMode::Graph, merge, &program);
+            let (firings, stats) = run(merge, &program);
             prop_assert_eq!(
-                plan_firings,
-                graph_firings,
-                "firing multisets diverged (merge={})",
+                &firings,
+                &expected,
+                "firing multiset diverged from the reference (merge={})",
                 merge
             );
-            for field in [
-                "events",
-                "matched_events",
-                "pseudo_scheduled",
-                "pseudo_fired",
-                "occurrences",
-                "rule_firings",
-                "capacity_drops",
-            ] {
-                prop_assert_eq!(
-                    plan_stats.get(field),
-                    graph_stats.get(field),
-                    "counter `{}` diverged between executors (merge={})",
-                    field,
-                    merge
-                );
-            }
+            prop_assert_eq!(stats.events, fx.stream.len() as u64);
+            prop_assert_eq!(stats.matched_events, matched, "merge={}", merge);
+            prop_assert_eq!(stats.rule_firings, expected.len() as u64);
+            prop_assert_eq!(stats.capacity_drops, 0, "a capped run is outside the reference's domain");
         }
     }
+}
+
+/// `[pseudo_scheduled, pseudo_fired, occurrences (merge on), occurrences
+/// (merge off)]` of one program over the fixture stream, as the parent
+/// commit (`741f74c`) counted them under both of its executors.
+type Pinned = [u64; 4];
+
+/// Each shape alone, by `[shape][window]`.
+const ALONE: [[Pinned; 3]; SHAPES] = [
+    [[0, 0, 1979, 3912], [0, 0, 1979, 3912], [0, 0, 2416, 4349]],
+    [[0, 0, 1250, 1898], [0, 0, 1250, 1898], [0, 0, 813, 1461]],
+    [[0, 0, 28, 28]; 3],
+    [[0, 0, 231, 231]; 3],
+    [[55, 55, 665, 665]; 3],
+    [[231, 231, 490, 490]; 3],
+    [[0, 0, 930, 930]; 3],
+    [[0, 0, 231, 231]; 3],
+    [[2, 2, 29, 29]; 3],
+];
+
+/// Three mixed programs: every shape once, the two family shapes at
+/// several windows, and the pseudo-event shapes interleaved.
+fn mixed() -> [(Vec<(usize, usize)>, Pinned); 3] {
+    [
+        (
+            (0..SHAPES).map(|idx| (idx, idx % 3)).collect(),
+            [288, 288, 5574, 8414],
+        ),
+        (
+            vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 1)],
+            [0, 0, 8465, 15560],
+        ),
+        (
+            vec![(4, 2), (8, 0), (6, 1), (5, 0), (5, 2), (3, 1), (7, 1)],
+            [519, 519, 2835, 3066],
+        ),
+    ]
+}
+
+/// `occurrences` and the pseudo-event counts describe how a program was
+/// merged and scheduled, which the reference — one tree per rule, one
+/// closure per run — has no notion of. They stay comparable across
+/// commits instead: a coalesced leaf counts the pops it absorbs
+/// (`extra_pops`) and a window family delivers each emission at every
+/// member it reaches, so sharing must not move them.
+#[test]
+fn counters_are_pinned() {
+    let alone = (0..SHAPES).flat_map(|idx| (0..3).map(move |w| (vec![(idx, w)], ALONE[idx][w])));
+    for (program, [scheduled, fired, merged, unmerged]) in alone.chain(mixed()) {
+        for (merge, occurrences) in [(true, merged), (false, unmerged)] {
+            let (_, stats) = run(merge, &program);
+            let counted = [
+                stats.pseudo_scheduled,
+                stats.pseudo_fired,
+                stats.occurrences,
+            ];
+            assert_eq!(
+                counted,
+                [scheduled, fired, occurrences],
+                "{program:?} merge={merge}"
+            );
+        }
+    }
+}
+
+/// Open disagreement, met while pointing the suites at the reference
+/// (ROADMAP item 4): SEMANTICS.md §4 delivers one observation to the
+/// leaves of a rule right to left — terminate, then initiate — and the
+/// engine does so for identical siblings and every shape in the pools.
+/// For *overlapping but different* sibling patterns it follows its
+/// dispatch rows instead (any-reader leaves pop before group leaves before
+/// named ones, whatever side they stand on). Here the left pattern is the
+/// less specific one, so the engine initiates before it terminates: the
+/// second read pairs as the left constituent, `[1 s, 0]`, where the
+/// semantics say `[0, 1 s]`.
+#[test]
+#[ignore = "engine delivers overlapping sibling leaves in dispatch-row order (ROADMAP item 4)"]
+fn overlapping_sibling_patterns_are_delivered_right_to_left() {
+    let fx = fixture();
+    let shelf = fx.stream.iter().find(|obs| {
+        let group = fx.sim.catalog.readers.group_of(obs.reader);
+        group == Some("shelves")
+    });
+    let first = *shelf.expect("the trace reads a shelf");
+    let mut second = first;
+    second.at = first.at + Span::from_secs(1);
+    let stream = [first, second];
+    let rule = EventExpr::observation()
+        .bind_object("o")
+        .and(EventExpr::observation_in_group("shelves").bind_object("o"))
+        .within(Span::from_secs(10));
+    let expected = reference::fire(&fx.sim.catalog, std::slice::from_ref(&rule), &stream);
+    let mut engine = Engine::new(fx.sim.catalog.clone(), EngineConfig::default());
+    engine.add_rule("overlap", rule).expect("valid rule");
+    let mut fired = Vec::new();
+    engine.process_all(stream, &mut |rule, inst: &Instance| {
+        fired.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
+    });
+    assert_eq!(fired, expected);
 }

@@ -1,11 +1,15 @@
-//! ShardedEngine ≡ Engine: the sharded pipeline must emit exactly the same
-//! multiset of rule firings as the single-threaded engine, for any shard
-//! count, on realistic simulator traces — including rules that fall back to
-//! the residual shard and rules that resolve through pseudo events.
+//! ShardedEngine ≡ docs/SEMANTICS.md: the sharded pipeline must emit
+//! exactly the multiset of rule firings the reference interpreter
+//! (`support/reference.rs`) computes — which `plan_equivalence` holds the
+//! single-threaded engine to as well — for any shard count, on realistic
+//! simulator traces, including rules that fall back to the residual shard
+//! and rules that resolve through pseudo events.
 
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
+mod support;
+
+use rceda::engine::{Engine, EngineConfig, RuleId};
 use rceda::shard::{ResidualReason, ShardConfig, Shardability, ShardedEngine};
-use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
+use rfid_events::{EventExpr, Instance, Observation, Span};
 use rfid_simulator::{SimConfig, SupplyChain};
 
 /// The mixed rule set: three object-shardable rules (one exercising
@@ -53,34 +57,15 @@ fn rules() -> Vec<(&'static str, EventExpr, Shardability)> {
     ]
 }
 
-/// A firing fingerprint that identifies an occurrence independently of
-/// emission order: rule, instance window, and constituent observations.
-type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
+use support::reference::{self, Fingerprint};
 
 fn fingerprint(rule: RuleId, inst: &Instance) -> Fingerprint {
     (rule.0, inst.t_begin(), inst.t_end(), inst.observations())
 }
 
 fn reference_firings(sim: &SupplyChain, stream: &[Observation]) -> Vec<Fingerprint> {
-    // The reference runs the graph-walker oracle, so the sharded pipeline
-    // (whose workers run the compiled-plan executor by default) is also
-    // checked differentially against the independent execution path.
-    let config = EngineConfig {
-        exec: ExecMode::Graph,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(sim.catalog.clone(), config);
-    for (name, event, _) in rules() {
-        engine.add_rule(name, event).expect("valid rule");
-    }
-    let mut out = Vec::new();
-    let mut sink = |rule: RuleId, inst: &Instance| out.push(fingerprint(rule, inst));
-    for &obs in stream {
-        engine.process(obs, &mut sink);
-    }
-    engine.finish(&mut sink);
-    out.sort();
-    out
+    let events: Vec<EventExpr> = rules().into_iter().map(|(_, event, _)| event).collect();
+    reference::fire(&sim.catalog, &events, stream)
 }
 
 fn sharded(sim: &SupplyChain, shards: usize, batch_size: usize) -> ShardedEngine {
@@ -271,13 +256,7 @@ fn all_rules_shardable_skips_residual() {
     engine.add_rule(name, event).expect("valid rule");
     assert!(!engine.has_residual());
 
-    let mut single = Engine::new(
-        sim.catalog.clone(),
-        EngineConfig {
-            exec: ExecMode::Graph,
-            ..EngineConfig::default()
-        },
-    );
+    let mut single = Engine::new(sim.catalog.clone(), EngineConfig::default());
     single
         .add_rule(name, rules().remove(0).1)
         .expect("valid rule");

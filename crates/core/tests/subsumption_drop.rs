@@ -15,14 +15,20 @@
 //! prover admits — wider WITHIN window, looser TSEQ max-distance with equal
 //! minimum, weaker leaf reader predicate (any ⊇ group) — then re-checked
 //! with the prover, so the test exercises exactly the relaxations W006 can
-//! emit. Both executors and both merge settings are covered.
+//! emit. Both merge settings are covered, and every run is first held to
+//! the reference interpreter (`support/reference.rs`) — constituents and
+//! all — so the rule pool of this suite (the one place a leaf pattern
+//! overlaps its sibling's: `docks ; any reader`) faces the oracle too.
+
+mod support;
 
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
+use rceda::engine::{Engine, EngineConfig, RuleId};
 use rceda::subsumes;
 use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
 use rfid_simulator::{SimConfig, SupplyChain};
 use std::sync::OnceLock;
+use support::reference;
 
 /// Firing fingerprint: rule slot and instance window. Constituents are
 /// deliberately excluded — chronicle consumption may witness a firing with
@@ -102,12 +108,13 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Runs a program and returns its sorted firing fingerprints. Rule slots
-/// are caller-assigned so the same rule keeps its id across variants.
-fn run(mode: ExecMode, merge: bool, rules: &[(u32, &EventExpr)]) -> Vec<Fingerprint> {
+/// Runs a program and returns its sorted firing fingerprints, after
+/// checking the full ones — constituents included — against the reference.
+/// Rule slots are caller-assigned so the same rule keeps its id across
+/// variants.
+fn run(merge: bool, rules: &[(u32, &EventExpr)]) -> Vec<Fingerprint> {
     let fx = fixture();
     let config = EngineConfig {
-        exec: mode,
         merge_subgraphs: merge,
         ..EngineConfig::default()
     };
@@ -118,14 +125,28 @@ fn run(mode: ExecMode, merge: bool, rules: &[(u32, &EventExpr)]) -> Vec<Fingerpr
         engine.add_rule(&name, expr.clone()).expect("valid rule");
         slots.push(slot);
     }
-    let mut out = Vec::new();
+    let mut full = Vec::new();
     let mut sink = |rule: RuleId, inst: &Instance| {
-        out.push((slots[rule.0 as usize], inst.t_begin(), inst.t_end()));
+        full.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
     };
     for &obs in &fx.stream {
         engine.process(obs, &mut sink);
     }
     engine.finish(&mut sink);
+    full.sort();
+    let events: Vec<EventExpr> = rules.iter().map(|&(_, e)| e.clone()).collect();
+    let expected = reference::fire(&fx.sim.catalog, &events, &fx.stream);
+    assert_eq!(
+        full, expected,
+        "diverged from the reference (merge={merge})"
+    );
+    assert_eq!(
+        engine.stats().capacity_drops,
+        0,
+        "outside the reference's domain"
+    );
+    let slot = |(rule, begin, end, _)| (slots[rule as usize], begin, end);
+    let mut out: Vec<Fingerprint> = full.into_iter().map(slot).collect();
     out.sort();
     out
 }
@@ -150,7 +171,7 @@ proptest! {
     /// For every constructed (wide, narrow) pair the prover certifies,
     /// dropping the narrow rule leaves the survivors' firings untouched,
     /// and the narrow rule's firing instants nest inside the wide rule's —
-    /// under both executors and both merge settings.
+    /// under both merge settings.
     #[test]
     fn dropping_a_subsumed_rule_preserves_the_firing_multiset(
         axis in 0usize..3,
@@ -165,27 +186,25 @@ proptest! {
             subsumes(&wide, &narrow, Some(&fx.sim.catalog)).is_some(),
             "constructed pair on axis {axis} must be provable"
         );
-        for mode in [ExecMode::Plan, ExecMode::Graph] {
-            for merge in [true, false] {
-                let full = run(mode, merge, &[(0, &wide), (1, &narrow), (2, &extra)]);
-                let dropped = run(mode, merge, &[(0, &wide), (2, &extra)]);
-                let survivors: Vec<Fingerprint> =
-                    full.iter().copied().filter(|f| f.0 != 1).collect();
-                prop_assert_eq!(
-                    &survivors, &dropped,
-                    "dropping the subsumed rule changed a survivor ({:?}, merge={})",
-                    mode, merge
-                );
-                let narrow_ends: Vec<Timestamp> =
-                    full.iter().filter(|f| f.0 == 1).map(|f| f.2).collect();
-                let wide_ends: Vec<Timestamp> =
-                    full.iter().filter(|f| f.0 == 0).map(|f| f.2).collect();
-                prop_assert!(
-                    contained(&narrow_ends, &wide_ends),
-                    "narrow firings escaped the subsumer ({:?}, merge={}): {} narrow vs {} wide",
-                    mode, merge, narrow_ends.len(), wide_ends.len()
-                );
-            }
+        for merge in [true, false] {
+            let full = run(merge, &[(0, &wide), (1, &narrow), (2, &extra)]);
+            let dropped = run(merge, &[(0, &wide), (2, &extra)]);
+            let survivors: Vec<Fingerprint> =
+                full.iter().copied().filter(|f| f.0 != 1).collect();
+            prop_assert_eq!(
+                &survivors, &dropped,
+                "dropping the subsumed rule changed a survivor (merge={})",
+                merge
+            );
+            let narrow_ends: Vec<Timestamp> =
+                full.iter().filter(|f| f.0 == 1).map(|f| f.2).collect();
+            let wide_ends: Vec<Timestamp> =
+                full.iter().filter(|f| f.0 == 0).map(|f| f.2).collect();
+            prop_assert!(
+                contained(&narrow_ends, &wide_ends),
+                "narrow firings escaped the subsumer (merge={}): {} narrow vs {} wide",
+                merge, narrow_ends.len(), wide_ends.len()
+            );
         }
     }
 }

@@ -29,6 +29,20 @@ if [[ -n "$stray" ]]; then
     exit 1
 fi
 
+echo "== one executor, an engine-free oracle =="
+# Production carries no second executor to compare itself with, and the
+# reference interpreter the differential suites compare it to
+# (crates/core/tests/support/) may not depend on the engine it checks.
+if grep -rnE 'ExecMode|run_work_graph|struct Dispatch' crates/*/src; then
+    echo "check.sh: a second executor is back under crates/*/src" >&2
+    exit 1
+fi
+if [[ ! -f crates/core/tests/support/reference.rs ]] ||
+    grep -rn 'rceda' crates/core/tests/support/; then
+    echo "check.sh: the reference interpreter must exist and not name the engine" >&2
+    exit 1
+fi
+
 echo "== tests (every crate, every suite) =="
 cargo test -q --workspace
 
