@@ -21,12 +21,15 @@
 //!   procedure calls);
 //! * [`compile`] — resolution of aliases and translation into
 //!   [`rfid_events::EventExpr`] for the RCEDA engine;
-//! * [`bind`] — at fire time, walks the detected instance alongside the
-//!   rule's event shape and binds every variable (`r`, `o1`, `t2`, …),
-//!   including the *per-element* bindings of aperiodic sequences that
-//!   `BULK INSERT` iterates;
-//! * [`cond`] / [`actions`] — condition evaluation and action execution
-//!   against [`rfid_store::Database`] and a procedure registry;
+//! * [`prepared`] — what a firing runs: each rule lowered once, at load,
+//!   into a bind plan (every variable `r`, `o1`, `t2`, … a slot, the
+//!   *per-element* variables of an aperiodic sequence that `BULK INSERT`
+//!   iterates in one buffer), a condition and a `DO` list of prepared
+//!   statements against [`rfid_store::Database`] and a procedure registry;
+//! * [`bind`] / [`cond`] / [`actions`] — the same firing interpreted by
+//!   name off the AST: the reference `prepared` is tested against, and
+//!   what the benchmark's traced pass still times. Nothing in this crate
+//!   calls them;
 //! * [`runtime`] — [`RuleRuntime`]: load a script, feed observations, and
 //!   the rules transform the stream into store rows and procedure calls.
 
@@ -41,6 +44,7 @@ pub mod cond;
 pub mod driver;
 pub mod lint;
 pub mod parser;
+pub mod prepared;
 pub mod runtime;
 pub mod stdlib;
 pub mod token;

@@ -13,12 +13,12 @@ use rceda::{Engine, EngineConfig, RuleId};
 use rfid_events::{Catalog, Observation, Timestamp};
 use rfid_store::{Database, Value};
 
-use crate::actions::{execute, ActionError};
-use crate::ast::{CondAst, EventAst, RuleDecl};
-use crate::bind::{bind, BindError};
+use crate::actions::ActionError;
+use crate::ast::{EventAst, RuleDecl};
+use crate::bind::BindError;
 use crate::compile::{build_defines, compile_event, resolve_aliases, CompileError};
-use crate::cond::eval_cond;
 use crate::parser::{parse_script, ParseError};
+use crate::prepared::{FiringError, PreparedRule, Scratch};
 
 /// Errors surfaced by the runtime.
 #[derive(Debug)]
@@ -84,6 +84,15 @@ impl From<ParseError> for RuntimeError {
 impl From<CompileError> for RuntimeError {
     fn from(value: CompileError) -> Self {
         Self::Compile(value)
+    }
+}
+
+impl From<FiringError> for RuntimeError {
+    fn from(value: FiringError) -> Self {
+        match value {
+            FiringError::Bind(e) => Self::Bind(e),
+            FiringError::Action(e) => Self::Action(e),
+        }
     }
 }
 
@@ -156,8 +165,31 @@ impl fmt::Debug for Procedures {
 /// One loaded rule with everything a firing needs.
 struct CompiledRule {
     decl: RuleDecl,
-    /// Alias-free event AST (for variable binding).
+    /// Alias-free event AST (what the sharded engine recompiles).
     event: EventAst,
+    /// Bind plan, condition and `DO` list, lowered at `load`.
+    prepared: PreparedRule,
+}
+
+/// Errors a runtime keeps from its firings; the rest are only counted.
+pub const ERRORS_KEPT: usize = 1024;
+
+/// The errors of a runtime's firings: the first [`ERRORS_KEPT`], and how
+/// many there were. A rule whose action fails on every firing would
+/// otherwise grow the list for the life of the runtime.
+#[derive(Default)]
+struct ErrorLog {
+    kept: Vec<RuntimeError>,
+    count: u64,
+}
+
+impl ErrorLog {
+    fn push(&mut self, error: RuntimeError) {
+        self.count += 1;
+        if self.kept.len() < ERRORS_KEPT {
+            self.kept.push(error);
+        }
+    }
 }
 
 /// The complete rule-processing runtime.
@@ -169,8 +201,10 @@ pub struct RuleRuntime {
     db: Database,
     procs: Procedures,
     rules: Vec<CompiledRule>,
+    /// Reused from firing to firing.
+    scratch: Scratch,
     defines: HashMap<String, EventAst>,
-    errors: Vec<RuntimeError>,
+    errors: ErrorLog,
 }
 
 impl RuleRuntime {
@@ -188,8 +222,9 @@ impl RuleRuntime {
             db,
             procs: Procedures::new(),
             rules: Vec::new(),
+            scratch: Scratch::default(),
             defines: HashMap::new(),
-            errors: Vec::new(),
+            errors: ErrorLog::default(),
         }
     }
 
@@ -259,7 +294,12 @@ impl RuleRuntime {
             let expr = compile_event(&event)?;
             let id = self.engine.add_rule(&rule.name, expr)?;
             debug_assert_eq!(id.0 as usize, self.rules.len());
-            self.rules.push(CompiledRule { decl: rule, event });
+            let prepared = PreparedRule::new(&rule, &event, &self.db);
+            self.rules.push(CompiledRule {
+                decl: rule,
+                event,
+                prepared,
+            });
             ids.push(id);
         }
         for dropped in &parsed.drops {
@@ -324,11 +364,18 @@ impl RuleRuntime {
             db,
             procs,
             rules,
+            scratch,
             errors,
             ..
         } = self;
         feed(engine, &mut |rule, inst| {
-            fire(rules, rule, inst, catalog, db, procs, errors);
+            let Some(compiled) = rules.get_mut(rule.0 as usize) else {
+                return;
+            };
+            let failed = |e: FiringError| errors.push(e.into());
+            compiled
+                .prepared
+                .fire(inst, catalog, db, procs, scratch, failed);
         });
     }
 
@@ -432,10 +479,17 @@ impl RuleRuntime {
         self.engine.stats()
     }
 
-    /// Errors collected from firings (bad bindings, failed actions). Rule
-    /// processing continues past them.
+    /// Errors collected from firings (bad bindings, failed actions), in
+    /// the order they happened. Rule processing continues past them. Only
+    /// the first [`ERRORS_KEPT`] are kept; [`Self::error_count`] counts all.
     pub fn errors(&self) -> &[RuntimeError] {
-        &self.errors
+        &self.errors.kept
+    }
+
+    /// How many firing errors there have been, kept by [`Self::errors`] or
+    /// not.
+    pub fn error_count(&self) -> u64 {
+        self.errors.count
     }
 
     /// Retrospective detection (§1's history-oriented tracking): asks *new*
@@ -505,34 +559,34 @@ impl RuleRuntime {
     }
 }
 
-/// One firing: bind → condition → actions.
-fn fire(
-    rules: &[CompiledRule],
-    rule: RuleId,
-    inst: &rfid_events::Instance,
-    catalog: &Catalog,
-    db: &mut Database,
-    procs: &mut Procedures,
-    errors: &mut Vec<RuntimeError>,
-) {
-    let Some(compiled) = rules.get(rule.0 as usize) else {
-        return;
-    };
-    let bindings = match bind(&compiled.event, inst, catalog) {
-        Ok(b) => b,
-        Err(e) => {
-            errors.push(RuntimeError::Bind(e));
-            return;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfid_epc::{Epc, Gid96};
+
+    /// A statement that can never succeed fails once per firing, for as long
+    /// as the runtime lives: the list of errors must not grow with it.
+    #[test]
+    fn a_doomed_statement_is_counted_not_kept() {
+        let mut catalog = Catalog::new();
+        let r1 = catalog.readers.register("r1", "docks", "dock");
+        let mut rt = RuleRuntime::new(catalog);
+        rt.load(
+            "CREATE RULE doomed, misspelt ON observation(r, o, t) IF true \
+             DO INSERT INTO OBSERVATIONS VALUES (r, o, t); note(o)",
+        )
+        .expect("loads");
+        for n in 0..10_000u64 {
+            let object: Epc = Gid96::new(1, 1, n).expect("small serial").into();
+            rt.process(Observation::new(r1, object, Timestamp::from_millis(n)));
         }
-    };
-    if compiled.decl.condition != CondAst::True
-        && !eval_cond(&compiled.decl.condition, &bindings, inst, catalog, db)
-    {
-        return;
-    }
-    for action in &compiled.decl.actions {
-        if let Err(e) = execute(action, &bindings, inst, catalog, db, procs) {
-            errors.push(RuntimeError::Action(e));
-        }
+        assert_eq!(rt.error_count(), 10_000);
+        assert_eq!(rt.errors().len(), ERRORS_KEPT);
+        assert_eq!(
+            rt.errors()[0].to_string(),
+            "store error: no column `table OBSERVATIONS`"
+        );
+        // The rest of each `DO` list still ran.
+        assert_eq!(rt.procedures().log.len(), 10_000);
     }
 }

@@ -17,7 +17,8 @@ use rfid_events::{Catalog, Instance, Observation, Span, Timestamp};
 use rfid_rules::actions::execute;
 use rfid_rules::ast::RuleDecl;
 use rfid_rules::bind::bind;
-use rfid_rules::{parse_script, Procedures};
+use rfid_rules::compile::{compile_event, resolve_aliases};
+use rfid_rules::{parse_script, Procedures, RuleRuntime};
 use rfid_store::Database;
 
 /// The system allocator, counting the calls each thread makes (tests run on
@@ -196,5 +197,170 @@ fn containment_firing_allocates_per_item_not_per_variable() {
             execute_full <= 16 + items + items / 4,
             "{execute_full} allocations for {items} items"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The path production runs: `RuleRuntime::process`, whose firings go
+// through `rfid_rules::prepared`. The engine allocates too (instances, its
+// own buffers), the same in a runtime as on its own: a budget here is what
+// a runtime asks of the allocator over a stream *minus* what a bare engine
+// with the same rules and a sink that does nothing asks over that stream.
+// Budgets are past warm-up and apart from the amortised growth of a
+// table's row store and indexes: each measured window sits between two
+// doublings (512 < rows ≤ 1024, or 1024 < calls ≤ 2048).
+// ---------------------------------------------------------------------
+
+fn bare_engine(catalog: &Catalog, script: &str) -> rceda::Engine {
+    let mut engine = rceda::Engine::new(catalog.clone(), rceda::EngineConfig::default());
+    for rule in parse_script(script).expect("the script parses").rules {
+        let event =
+            resolve_aliases(&rule.event, &std::collections::HashMap::new()).expect("no aliases");
+        let expr = compile_event(&event).expect("compiles");
+        engine.add_rule(&rule.name, expr).expect("a valid rule");
+    }
+    engine
+}
+
+/// Allocations of the firing path over `measured`, after `warm_up`, and the
+/// runtime as the stream left it.
+fn firing_path_allocs(
+    script: &str,
+    seed: impl FnOnce(&mut Database),
+    warm_up: &[Observation],
+    measured: &[Observation],
+) -> (u64, RuleRuntime) {
+    let catalog = catalog();
+    let mut engine = bare_engine(&catalog, script);
+    let mut fired = 0u64;
+    for obs in warm_up {
+        engine.process_batch(std::slice::from_ref(obs), &mut |_, _| fired += 1);
+    }
+    let (engine_allocs, ()) = allocs_in(|| {
+        for obs in measured {
+            engine.process_batch(std::slice::from_ref(obs), &mut |_, _| fired += 1);
+        }
+    });
+    assert!(fired > 0);
+
+    let mut rt = RuleRuntime::new(catalog);
+    rt.load(script).expect("loads");
+    seed(rt.db_mut());
+    for obs in warm_up {
+        rt.process(*obs);
+    }
+    let (runtime_allocs, ()) = allocs_in(|| {
+        for obs in measured {
+            rt.process(*obs);
+        }
+    });
+    assert_eq!(rt.error_count(), 0);
+    assert_eq!(rt.engine().firings_per_rule().iter().sum::<u64>(), fired);
+    (runtime_allocs - engine_allocs, rt)
+}
+
+/// Reads of objects `from..to` by reader 0, each object twice, a second
+/// apart from itself and ten from the next.
+fn double_reads(from: u64, to: u64) -> Vec<Observation> {
+    (from..to)
+        .flat_map(|n| [read(0, n, 10_000 * n), read(0, n, 10_000 * n + 1_000)])
+        .collect()
+}
+
+#[test]
+fn production_scalar_firing_with_one_call_allocates_twice() {
+    let script =
+        "CREATE RULE dup, duplicate ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5 sec) \
+         IF true DO send_duplicate_msg(r, o, t1)";
+    let (allocs, rt) = firing_path_allocs(
+        script,
+        |_| {},
+        &double_reads(0, 1_100),
+        &double_reads(1_100, 2_000),
+    );
+    assert_eq!(rt.procedures().log.len(), 2_000);
+    // The argument `Vec` and the logged procedure name.
+    assert_eq!(allocs, 2 * 900);
+}
+
+#[test]
+fn production_scalar_insert_allocates_the_stored_row() {
+    let script = "CREATE RULE obs, record ON observation(r, o, t) \
+                  IF true DO INSERT INTO OBSERVATION VALUES (r, o, t)";
+    let reads = |from: u64, to: u64| (from..to).map(|n| read(0, n, 10 * n)).collect::<Vec<_>>();
+    let (allocs, rt) = firing_path_allocs(script, |_| {}, &reads(0, 600), &reads(600, 1_000));
+    assert_eq!(
+        rt.db().table("OBSERVATION").expect("provisioned").len(),
+        1_000
+    );
+    assert_eq!(allocs, 400);
+}
+
+#[test]
+fn production_update_over_an_indexed_key_allocates_nothing() {
+    let script = "CREATE RULE loc, close ON observation(r, o, t) \
+                  IF true DO UPDATE OBJECTLOCATION SET tend = t WHERE object_epc = o AND tend = UC";
+    let open_periods = |db: &mut Database| {
+        let table = db.table_mut("OBJECTLOCATION").expect("provisioned");
+        for n in 0..500 {
+            let start = rfid_store::Value::Time(Timestamp::ZERO);
+            let row = vec![epc(n).into(), "dock".into(), start, rfid_store::Value::Uc];
+            table.insert(row).expect("fits");
+        }
+    };
+    let reads = |from: u64, to: u64| (from..to).map(|n| read(0, n, 10 * n)).collect::<Vec<_>>();
+    let (allocs, rt) = firing_path_allocs(script, open_periods, &reads(0, 100), &reads(100, 500));
+    let closed = rfid_store::Filter::on(rfid_store::Cond::new(
+        "tend",
+        rfid_store::CondOp::Ne,
+        rfid_store::Value::Uc,
+    ));
+    let table = rt.db().table("OBJECTLOCATION").expect("provisioned");
+    assert_eq!(table.count(&closed), Ok(500));
+    assert_eq!(allocs, 0);
+}
+
+#[test]
+fn production_containment_firing_allocates_the_frame_and_the_stored_rows() {
+    const DO: &str = "IF true DO BULK INSERT INTO OBJECTCONTAINMENT VALUES (o1, o2, t2, UC)";
+    let one_var = format!(
+        "CREATE RULE p, pack ON TSEQ(TSEQ+(observation('conv', o1, t1), 0 sec, 1 sec); \
+         observation('caser', o2, t2), 5 sec, 20 sec) {DO}"
+    );
+    let three_vars = format!(
+        "CREATE RULE p, pack ON TSEQ(TSEQ+(observation(r1, o1, t1), 0 sec, 1 sec); \
+         observation(r2, o2, t2), 5 sec, 20 sec) {DO}"
+    );
+    // `items` reads on the conveyor 100 ms apart, then the case 10 s later.
+    let packing = |first_item: u64, items: u64, from_ms: u64| {
+        let mut reads: Vec<_> = (0..items)
+            .map(|i| read(0, first_item + i, from_ms + 100 * i))
+            .collect();
+        reads.push(read(
+            1,
+            1_000_000 + first_item,
+            from_ms + 100 * items + 10_000,
+        ));
+        reads
+    };
+    for items in [1, 8, 64, 200] {
+        for script in [&one_var, &three_vars] {
+            // A first case of 600 items takes the table's indexes past their
+            // doubling at 512 rows and a second its row store past the 600
+            // the first reserved; the measured one stays short of 1024.
+            let mut warm_up = packing(0, 600, 0);
+            warm_up.extend(packing(5_000, 3, 500_000));
+            let measured = packing(10_000, items, 1_000_000);
+            let (allocs, rt) = firing_path_allocs(script, |_| {}, &warm_up, &measured);
+            let rows = rt
+                .db()
+                .table("OBJECTCONTAINMENT")
+                .expect("provisioned")
+                .len();
+            assert_eq!(rows as u64, 603 + items);
+            // One frame of `items` element rows, however many variables an
+            // element binds, and the stored rows.
+            assert_eq!(allocs, 1 + items, "{items} items");
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! builds on (Wang & Liu, VLDB 2005):
 //!
 //! * [`value`] / [`table`] — a small typed row store with schemas, filters,
-//!   and hash indexes;
+//!   and hash indexes, written by name or by resolved column position;
 //! * [`db`] — the database of named tables, pre-provisioned with the
 //!   paper's `OBSERVATION`, `OBJECTLOCATION`, and `OBJECTCONTAINMENT`
 //!   schemas;
@@ -23,12 +23,13 @@
 #![warn(missing_docs)]
 
 pub mod db;
+mod index;
 pub mod table;
 pub mod temporal;
 pub mod value;
 pub mod wal;
 
-pub use db::{Database, SharedDatabase};
-pub use table::{ColumnType, Cond, CondOp, Filter, Row, Schema, Table, TableError};
+pub use db::{Database, SharedDatabase, TableId};
+pub use table::{ColCond, ColumnType, Cond, CondOp, Filter, Row, Schema, Table, TableError};
 pub use value::Value;
 pub use wal::{DurableDatabase, WalError};

@@ -9,8 +9,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use rfid_epc::hash::MixMap;
-
+use crate::index::Index;
 use crate::value::Value;
 
 /// Declared type of a column.
@@ -172,6 +171,20 @@ impl Filter {
     }
 }
 
+/// One condition whose column is already resolved to its position in the
+/// schema ([`Schema::col`]): what a statement prepared once and run many
+/// times hands [`Table::update_where`], [`Table::delete_where`] and
+/// [`Table::count_where`] instead of a [`Filter`] of names.
+#[derive(Debug, Clone, Copy)]
+pub struct ColCond<'v> {
+    /// Column position.
+    pub col: usize,
+    /// Operator.
+    pub op: CondOp,
+    /// Right-hand value.
+    pub value: &'v Value,
+}
+
 /// Errors from table operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TableError {
@@ -191,6 +204,8 @@ pub enum TableError {
     },
     /// A filter references a column the schema does not have.
     NoSuchColumn(String),
+    /// The table holds as many rows as its indexes can number.
+    Full,
 }
 
 impl fmt::Display for TableError {
@@ -203,20 +218,18 @@ impl fmt::Display for TableError {
                 write!(f, "value {value} does not fit column `{column}`")
             }
             Self::NoSuchColumn(c) => write!(f, "no column `{c}`"),
+            Self::Full => f.write_str("the table is full"),
         }
     }
 }
 
 impl std::error::Error for TableError {}
 
-/// Row ids a list keeps without touching the heap. Most keys of the RFID
-/// tables are object EPCs with one to three rows (an item is packed once;
-/// an object passes a few docks), and most `WHERE` clauses of the paper's
-/// rules match one row (the object's open period).
+/// Row ids a list keeps without touching the heap: most `WHERE` clauses of
+/// the paper's rules match one row (the object's open period).
 const INLINE_IDS: usize = 3;
 
-/// A list of row ids in the order they were added: the rows under one index
-/// key, or the rows a filter matched.
+/// The rows a filter matched, ascending.
 #[derive(Debug, Clone)]
 enum RowIds {
     Inline { len: u8, ids: [usize; INLINE_IDS] },
@@ -243,6 +256,15 @@ impl std::ops::Deref for RowIds {
     }
 }
 
+impl std::ops::DerefMut for RowIds {
+    fn deref_mut(&mut self) -> &mut [usize] {
+        match self {
+            RowIds::Inline { len, ids } => &mut ids[..usize::from(*len)],
+            RowIds::Heap(ids) => ids,
+        }
+    }
+}
+
 impl RowIds {
     fn push(&mut self, id: usize) {
         match self {
@@ -259,31 +281,15 @@ impl RowIds {
             RowIds::Heap(ids) => ids.push(id),
         }
     }
-
-    fn remove(&mut self, id: usize) {
-        match self {
-            RowIds::Inline { len, ids } => {
-                let n = usize::from(*len);
-                if let Some(at) = ids[..n].iter().position(|&x| x == id) {
-                    ids.copy_within(at + 1..n, at);
-                    *len -= 1;
-                }
-            }
-            RowIds::Heap(ids) => ids.retain(|&x| x != id),
-        }
-    }
 }
-
-/// An equality index: value → the rows holding it. Keyed mostly by EPCs, so
-/// on the fixed hasher ([`rfid_epc::hash`]).
-type Index = MixMap<Value, RowIds>;
 
 /// A table: schema, row storage, and optional equality indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
-    /// Live-row flags (deletes are tombstoned; compaction rebuilds indexes).
+    /// Live-row flags: a deleted row keeps its slot (row ids are positions)
+    /// and leaves every index, which holds live rows only.
     live: Vec<bool>,
     live_count: usize,
     /// `(column, its index)`, in creation order. A table has a handful at
@@ -337,59 +343,116 @@ impl Table {
         let mut index = Index::default();
         for (id, row) in self.rows.iter().enumerate() {
             if self.live[id] {
-                index.entry(row[col].clone()).or_default().push(id);
+                index.add(&row[col], id);
             }
         }
         self.indexes.push((col, index));
         Ok(())
     }
 
-    /// Inserts a row.
-    pub fn insert(&mut self, row: Row) -> Result<(), TableError> {
-        self.schema.check_row(&row)?;
-        let id = self.rows.len();
-        for (col, index) in &mut self.indexes {
-            index.entry(row[*col].clone()).or_default().push(id);
+    /// Whether `row` may become the table's next row.
+    fn admit(&self, row: &Row) -> Result<(), TableError> {
+        self.schema.check_row(row)?;
+        if self.rows.len() < Index::MAX_ROWS {
+            Ok(())
+        } else {
+            Err(TableError::Full)
         }
-        self.rows.push(row);
-        self.live.push(true);
-        self.live_count += 1;
-        Ok(())
     }
 
-    /// Row ids matching a filter, ascending (insertion order).
-    fn matching_ids(&self, filter: &Filter) -> Result<RowIds, TableError> {
-        // Resolve columns once; prefer an indexed equality conjunct as the
-        // driving access path.
-        let mut resolved: Vec<(usize, CondOp, &Value)> = Vec::with_capacity(filter.conds.len());
-        for cond in &filter.conds {
-            let col = self
-                .schema
-                .col(&cond.column)
-                .ok_or_else(|| TableError::NoSuchColumn(cond.column.to_string()))?;
-            resolved.push((col, cond.op, &cond.value));
+    /// Inserts a row.
+    pub fn insert(&mut self, row: Row) -> Result<(), TableError> {
+        self.insert_all([Ok(row)]).map(|_| ())
+    }
+
+    /// Inserts rows as they are produced, stopping at the first that fails
+    /// to evaluate (`Err` from the iterator) or to fit the schema; the rows
+    /// before it stay. Storage is reserved once from the iterator's size
+    /// hint, and the indexes are brought up to date one after the other,
+    /// not row by row. Returns the number of rows inserted.
+    pub fn insert_all<E: From<TableError>>(
+        &mut self,
+        rows: impl IntoIterator<Item = Result<Row, E>>,
+    ) -> Result<usize, E> {
+        let rows = rows.into_iter();
+        let first = self.rows.len();
+        self.rows.reserve(rows.size_hint().0);
+        self.live.reserve(rows.size_hint().0);
+        let mut outcome = Ok(());
+        for row in rows {
+            let checked = row.and_then(|row| {
+                self.admit(&row)?;
+                Ok(row)
+            });
+            match checked {
+                Ok(row) => self.rows.push(row),
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
+            }
         }
-        let driver = resolved.iter().find_map(|(col, op, value)| {
-            let index = self.index_on(*col).filter(|_| *op == CondOp::Eq)?;
-            Some(index.get(*value).map_or(&[][..], |ids| &ids[..]))
+        let end = self.rows.len();
+        self.live.resize(end, true);
+        self.live_count += end - first;
+        for (col, index) in &mut self.indexes {
+            for id in first..end {
+                index.add(&self.rows[id][*col], id);
+            }
+        }
+        outcome.map(|()| end - first)
+    }
+
+    /// Row ids matching every condition, ascending (insertion order). An
+    /// indexed equality conjunct, if there is one, is the access path.
+    fn matching<'v>(&self, conds: impl Iterator<Item = ColCond<'v>> + Clone) -> RowIds {
+        let driver = conds.clone().find_map(|c| {
+            let index = self.index_on(c.col).filter(|_| c.op == CondOp::Eq)?;
+            Some(index.candidates(c.value))
         });
         let check = |id: usize| -> bool {
             self.live[id]
-                && resolved
-                    .iter()
-                    .all(|(col, op, value)| cond_holds(&self.rows[id][*col], *op, value))
+                && conds
+                    .clone()
+                    .all(|c| cond_holds(&self.rows[id][c.col], c.op, c.value))
         };
         let mut ids = RowIds::default();
         match driver {
-            Some(candidates) => candidates
-                .iter()
-                .filter(|&&id| check(id))
-                .for_each(|&id| ids.push(id)),
+            Some(newest_first) => {
+                newest_first
+                    .filter(|&id| check(id))
+                    .for_each(|id| ids.push(id));
+                ids.reverse();
+            }
             None => (0..self.rows.len())
                 .filter(|&id| check(id))
                 .for_each(|id| ids.push(id)),
         }
-        Ok(ids)
+        ids
+    }
+
+    /// The filter's conditions with their columns resolved.
+    fn resolve<'v>(&self, filter: &'v Filter) -> Result<Vec<ColCond<'v>>, TableError> {
+        filter
+            .conds
+            .iter()
+            .map(|cond| {
+                let col = self
+                    .schema
+                    .col(&cond.column)
+                    .ok_or_else(|| TableError::NoSuchColumn(cond.column.to_string()))?;
+                Ok(ColCond {
+                    col,
+                    op: cond.op,
+                    value: &cond.value,
+                })
+            })
+            .collect()
+    }
+
+    /// Row ids matching a filter, ascending (insertion order).
+    fn matching_ids(&self, filter: &Filter) -> Result<RowIds, TableError> {
+        Ok(self.matching(self.resolve(filter)?.iter().copied()))
     }
 
     /// Returns clones of the rows matching a filter.
@@ -406,6 +469,14 @@ impl Table {
         Ok(self.matching_ids(filter)?.len())
     }
 
+    /// [`Table::count`] over resolved conditions.
+    ///
+    /// # Panics
+    /// Panics when a condition's column is not one of the schema's.
+    pub fn count_where<'v>(&self, conds: impl Iterator<Item = ColCond<'v>> + Clone) -> usize {
+        self.matching(conds).len()
+    }
+
     /// Applies `SET column = value` assignments to matching rows. Returns
     /// the number of rows updated. Column names may be owned or borrowed.
     pub fn update<S: AsRef<str>>(
@@ -420,37 +491,86 @@ impl Table {
                 .schema
                 .col(column)
                 .ok_or_else(|| TableError::NoSuchColumn(column.to_owned()))?;
-            if !self.schema.columns[col].1.accepts(value) {
-                return Err(TableError::Type {
-                    column: column.to_owned(),
-                    value: value.clone(),
-                });
-            }
+            self.check_value(col, value)?;
             sets.push((col, value));
         }
-        let ids = self.matching_ids(filter)?;
+        let conds = self.resolve(filter)?;
+        Ok(self.set_where(sets.iter().copied(), conds.iter().copied()))
+    }
+
+    /// [`Table::update`] over resolved columns: `sets` pairs a column
+    /// position with its new value. Nothing is written unless every value
+    /// fits its column.
+    ///
+    /// # Panics
+    /// Panics when a column position is not one of the schema's.
+    pub fn update_where<'v>(
+        &mut self,
+        sets: impl Iterator<Item = (usize, &'v Value)> + Clone,
+        conds: impl Iterator<Item = ColCond<'v>> + Clone,
+    ) -> Result<usize, TableError> {
+        for (col, value) in sets.clone() {
+            self.check_value(col, value)?;
+        }
+        Ok(self.set_where(sets, conds))
+    }
+
+    /// Whether `value` fits the column at position `col`.
+    ///
+    /// # Panics
+    /// Panics when the position is not one of the schema's.
+    pub fn check_value(&self, col: usize, value: &Value) -> Result<(), TableError> {
+        let (name, ty) = &self.schema.columns[col];
+        if ty.accepts(value) {
+            Ok(())
+        } else {
+            Err(TableError::Type {
+                column: name.clone(),
+                value: value.clone(),
+            })
+        }
+    }
+
+    /// Writes checked assignments to the matching rows, moving each row's
+    /// posting when an indexed column changes.
+    fn set_where<'v>(
+        &mut self,
+        sets: impl Iterator<Item = (usize, &'v Value)> + Clone,
+        conds: impl Iterator<Item = ColCond<'v>> + Clone,
+    ) -> usize {
+        let ids = self.matching(conds);
         for &id in ids.iter() {
-            for &(col, value) in &sets {
+            for (col, value) in sets.clone() {
                 if let Some((_, index)) = self.indexes.iter_mut().find(|(c, _)| *c == col) {
-                    if let Some(postings) = index.get_mut(&self.rows[id][col]) {
-                        postings.remove(id);
-                    }
-                    index.entry(value.clone()).or_default().push(id);
+                    index.remove(&self.rows[id][col], id);
+                    index.add(value, id);
                 }
                 self.rows[id][col] = value.clone();
             }
         }
-        Ok(ids.len())
+        ids.len()
     }
 
-    /// Deletes matching rows (tombstoning). Returns the number deleted.
+    /// Deletes matching rows. Returns the number deleted.
     pub fn delete(&mut self, filter: &Filter) -> Result<usize, TableError> {
-        let ids = self.matching_ids(filter)?;
+        let conds = self.resolve(filter)?;
+        Ok(self.delete_where(conds.iter().copied()))
+    }
+
+    /// [`Table::delete`] over resolved conditions.
+    ///
+    /// # Panics
+    /// Panics when a condition's column is not one of the schema's.
+    pub fn delete_where<'v>(&mut self, conds: impl Iterator<Item = ColCond<'v>> + Clone) -> usize {
+        let ids = self.matching(conds);
         for &id in ids.iter() {
             self.live[id] = false;
             self.live_count -= 1;
+            for (col, index) in &mut self.indexes {
+                index.remove(&self.rows[id][*col], id);
+            }
         }
-        Ok(ids.len())
+        ids.len()
     }
 
     /// Iterates live rows in insertion order.
@@ -632,6 +752,196 @@ mod tests {
         }
         let f = Filter::on(Cond::eq("object_epc", epc(0)));
         assert_eq!(t.count(&f).unwrap(), t.select(&f).unwrap().len());
+    }
+
+    fn containment_table() -> Table {
+        let mut t = Table::new(Schema::new(&[
+            ("object_epc", ColumnType::Epc),
+            ("parent_epc", ColumnType::Epc),
+            ("tstart", ColumnType::Time),
+        ]));
+        t.create_index("object_epc").unwrap();
+        t.create_index("parent_epc").unwrap();
+        t
+    }
+
+    /// Each index holds exactly the distinct values of its column over the
+    /// live rows, each with exactly the rows holding it, newest first.
+    fn assert_indexes_are_exact(t: &Table) {
+        for (col, index) in &t.indexes {
+            let mut expected = std::collections::BTreeMap::<String, Vec<usize>>::new();
+            for (id, row) in t.rows.iter().enumerate() {
+                if t.live[id] {
+                    expected.entry(row[*col].to_string()).or_default().push(id);
+                }
+            }
+            // No two of these tests' keys share a hash, so a key per chain.
+            assert_eq!(index.keys(), expected.len(), "index on column {col}");
+            for row in t.iter() {
+                let mut held: Vec<usize> = index.candidates(&row[*col]).collect();
+                held.reverse();
+                assert_eq!(held, expected[&row[*col].to_string()], "{}", row[*col]);
+            }
+        }
+    }
+
+    /// What the index answers, a scan of the live rows answers too.
+    fn assert_select_is_a_scan(t: &Table, filter: &Filter) {
+        let conds = t.resolve(filter).unwrap();
+        let scanned: Vec<Row> = t
+            .iter()
+            .filter(|row| conds.iter().all(|c| cond_holds(&row[c.col], c.op, c.value)))
+            .cloned()
+            .collect();
+        assert_eq!(t.select(filter).unwrap(), scanned);
+        assert_eq!(t.count(filter).unwrap(), scanned.len());
+        assert_eq!(t.count_where(conds.iter().copied()), scanned.len());
+    }
+
+    #[test]
+    fn churn_leaves_each_index_with_exactly_the_live_keys() {
+        let mut t = containment_table();
+        let parent = |cycle: u64| Value::Epc(epc(1_000 + cycle % 7));
+        for cycle in 0..500u64 {
+            // insert → move to another parent (indexed) → delete an older row
+            t.insert(vec![
+                Value::Epc(epc(cycle)),
+                parent(cycle),
+                Value::Time(Timestamp::from_secs(cycle)),
+            ])
+            .unwrap();
+            let moved = t
+                .update(
+                    &Filter::on(Cond::eq("object_epc", epc(cycle))),
+                    &[("parent_epc", parent(cycle + 3))],
+                )
+                .unwrap();
+            assert_eq!(moved, 1);
+            if cycle % 4 != 0 {
+                let gone = t
+                    .delete(&Filter::on(Cond::eq("object_epc", epc(cycle))))
+                    .unwrap();
+                assert_eq!(gone, 1);
+            }
+            if cycle % 50 == 0 {
+                assert_indexes_are_exact(&t);
+            }
+        }
+        assert_eq!(t.len(), 125);
+        assert_indexes_are_exact(&t);
+        let object_keys = t.indexes[0].1.keys();
+        assert_eq!(object_keys, 125, "one key per live object, none per dead");
+        for p in 0..7 {
+            assert_select_is_a_scan(&t, &Filter::on(Cond::eq("parent_epc", epc(1_000 + p))));
+        }
+        assert_select_is_a_scan(&t, &Filter::on(Cond::eq("object_epc", epc(3))));
+        assert_select_is_a_scan(&t, &Filter::on(Cond::eq("object_epc", epc(4))));
+        // Everything deleted: the indexes are empty maps again.
+        assert_eq!(t.delete(&Filter::all()).unwrap(), 125);
+        assert!(t.indexes.iter().all(|(_, index)| index.keys() == 0));
+    }
+
+    #[test]
+    fn a_row_moved_to_an_older_key_is_selected_in_insertion_order() {
+        let mut t = containment_table();
+        for n in 0..3 {
+            let at = Value::Time(Timestamp::from_secs(n));
+            t.insert(vec![Value::Epc(epc(n)), Value::Epc(epc(100 + n)), at])
+                .unwrap();
+        }
+        // Row 0 joins row 2's parent: the posting list reads [0, 2].
+        t.update(
+            &Filter::on(Cond::eq("object_epc", epc(0))),
+            &[("parent_epc", Value::Epc(epc(102)))],
+        )
+        .unwrap();
+        assert_indexes_are_exact(&t);
+        assert_select_is_a_scan(&t, &Filter::on(Cond::eq("parent_epc", epc(102))));
+    }
+
+    #[test]
+    fn insert_all_keeps_the_rows_before_a_failing_one() {
+        let item = |n: u64, parent: u64| -> Result<Row, TableError> {
+            Ok(vec![
+                Value::Epc(epc(n)),
+                Value::Epc(epc(parent)),
+                Value::Time(Timestamp::from_secs(n)),
+            ])
+        };
+        let mut t = containment_table();
+        // Two runs of equal parents, then a distinct one.
+        let rows = [
+            item(1, 50),
+            item(2, 50),
+            item(3, 51),
+            item(4, 51),
+            item(5, 52),
+        ];
+        assert_eq!(t.insert_all(rows), Ok(5));
+        assert_indexes_are_exact(&t);
+        assert_select_is_a_scan(&t, &Filter::on(Cond::eq("parent_epc", epc(51))));
+
+        // Row 2 of the next batch does not fit; row 3 is never asked for.
+        let mut asked = 0;
+        let batch = (0..4).map(|k| {
+            asked += 1;
+            if k == 2 {
+                Ok(vec![Value::Int(1), Value::Epc(epc(60)), Value::Uc])
+            } else {
+                item(10 + k, 60)
+            }
+        });
+        assert!(matches!(t.insert_all(batch), Err(TableError::Type { .. })));
+        assert_eq!((asked, t.len()), (3, 7));
+        assert_indexes_are_exact(&t);
+        // The caller's own error passes through, rows before it kept.
+        let failing = [item(20, 61), Err(TableError::NoSuchColumn("caller".into()))];
+        assert_eq!(
+            t.insert_all(failing),
+            Err(TableError::NoSuchColumn("caller".into()))
+        );
+        assert_eq!(t.len(), 8);
+        assert_eq!(t.insert_all(Vec::<Result<Row, TableError>>::new()), Ok(0));
+        assert_indexes_are_exact(&t);
+    }
+
+    #[test]
+    fn resolved_writes_are_the_named_ones() {
+        let mut named = location_table();
+        for i in 0..12 {
+            named.insert(row(i % 4, "dock", i, None)).unwrap();
+        }
+        let mut resolved = named.clone();
+        let (object, tend) = (0, 3);
+        let closed = Value::Time(Timestamp::from_secs(99));
+        let open_rows_of = |n: u64| {
+            Filter::on(Cond::eq("object_epc", epc(n))).and(Cond::new("tend", CondOp::Eq, Value::Uc))
+        };
+
+        let filter = open_rows_of(2);
+        let conds = resolved.resolve(&filter).unwrap();
+        assert_eq!((conds[0].col, conds[1].col), (object, tend));
+        assert_eq!(
+            resolved.update_where([(tend, &closed)].into_iter(), conds.iter().copied()),
+            named.update(&filter, &[("tend", closed.clone())])
+        );
+        // A value that does not fit: the same error, nothing written.
+        let wrong = Value::Int(3);
+        assert_eq!(
+            resolved.update_where([(tend, &wrong)].into_iter(), conds.iter().copied()),
+            named.update(&filter, &[("tend", wrong.clone())])
+        );
+        let filter = open_rows_of(1);
+        let conds = resolved.resolve(&filter).unwrap();
+        assert_eq!(
+            resolved.delete_where(conds.iter().copied()),
+            named.delete(&filter).unwrap()
+        );
+        assert_eq!(resolved.rows, named.rows);
+        assert_eq!(resolved.live, named.live);
+        assert_eq!(resolved.len(), 9);
+        assert_indexes_are_exact(&resolved);
+        assert_indexes_are_exact(&named);
     }
 
     #[test]

@@ -43,6 +43,28 @@ if [[ ! -f crates/core/tests/support/reference.rs ]] ||
     exit 1
 fi
 
+echo "== one firing path (rfid_rules::prepared) =="
+# A firing is bound, tested and executed by crates/rules/src/prepared.rs.
+# The by-name interpreter (bind.rs, cond.rs, actions.rs) stays public for the
+# ledger's harness sink and as the reference of tests/prepared_equivalence.rs,
+# but code under crates/*/src outside those three files may not call it
+# before its `#[cfg(test)]` module; comments may name it.
+stray=$(find crates/*/src -name '*.rs' ! -path crates/rules/src/bind.rs \
+    ! -path crates/rules/src/cond.rs ! -path crates/rules/src/actions.rs -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /bind::(\{([^}]*[^_[:alnum:]])?)?bind[^_[:alnum:]]/ ||
+    /actions::(\{([^}]*[^_[:alnum:]])?)?(execute|eval|build_filter)[^_[:alnum:]]/ ||
+    /cond::(\{([^}]*[^_[:alnum:]])?)?eval_cond[^_[:alnum:]]/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: fire rules through rfid_rules::prepared, not the by-name interpreter" >&2
+    exit 1
+fi
+
 echo "== tests (every crate, every suite) =="
 cargo test -q --workspace
 
@@ -68,7 +90,7 @@ echo "== ledger (allocation budgets of the edge filter and the firing path) =="
 # One traced pass per action workload at 1/10 size through the unedited
 # benchmark. Its allocation counts are exact (every map on the path hashes
 # with the fixed mixer), so the budgets sit just above what these streams
-# measure: 0.0004 and 1.98 on canonical, 2.0002 on rules500 (5.26 and 3.04
+# measure: 0.0004 and 1.92 on canonical, 2.0002 on rules500 (5.26 and 3.04
 # with SipHash maps, per-firing HashMap rows and a Vec per offer).
 ledger_budget() {
     local workload="$1" firing_budget="$2" line metric value
