@@ -1,10 +1,10 @@
 //! # rfid-bench — shared benchmark machinery
 //!
-//! Workload construction and timing helpers used by both the
-//! table-printing harness binaries (`fig9_events`, `fig9_rules`,
-//! `fig4_demo`, `ablation_*`, `baseline_compare`, `context_compare`) and
-//! the criterion benches. Each binary regenerates one figure/ablation of
-//! DESIGN.md's experiment index; EXPERIMENTS.md records the outputs.
+//! Workload construction and timing helpers used by the table-printing
+//! harness binaries (`fig9_*`, `fig4_demo`, `action_cost`,
+//! `baseline_compare`, `context_compare`). Each binary regenerates one
+//! figure/ablation of DESIGN.md's experiment index; EXPERIMENTS.md records
+//! the outputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -88,18 +88,6 @@ impl BenchWorkload {
         );
         rt.load(&self.sim.rule_set())
             .expect("canonical rule set loads");
-        rt
-    }
-
-    /// Builds a rule runtime loaded with an `n`-rule family (Fig. 9b).
-    pub fn runtime_with_rules(&self, n: usize, config: EngineConfig) -> RuleRuntime {
-        let mut rt = RuleRuntime::with_parts(
-            self.sim.catalog.clone(),
-            rfid_store::Database::rfid(),
-            config,
-        );
-        rt.load(&self.sim.rule_family(n))
-            .expect("rule family loads");
         rt
     }
 }
@@ -272,12 +260,5 @@ mod tests {
             firings > 0,
             "the canonical rules fire on the canonical workload"
         );
-    }
-
-    #[test]
-    fn runtime_with_rule_family_loads() {
-        let w = BenchWorkload::with_config(SimConfig::default());
-        let rt = w.runtime_with_rules(40, EngineConfig::default());
-        assert_eq!(rt.engine().rule_count(), 40);
     }
 }

@@ -250,7 +250,7 @@ impl fmt::Display for Diagnostic {
 /// cannot be checked against reality and the pass is skipped.
 pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut program = Program::new(true);
+    let mut program = Program::new();
     let root = match program.add_rule(rule.clone()) {
         Ok(id) => program.roots()[id.0 as usize],
         Err(err) => {

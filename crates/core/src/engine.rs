@@ -60,12 +60,6 @@ pub struct EngineConfig {
     /// Per-key buffer cap for join sides with an *unbounded* window (plain
     /// `SEQ` without `WITHIN`). Bounded windows prune by time instead.
     pub unbounded_cap: usize,
-    /// Merge common subgraphs across rules (ablation A1 turns this off).
-    pub merge_subgraphs: bool,
-    /// Partition join buffers by correlation key (ablation A2 turns this
-    /// off: everything lands in one FIFO and key equality is checked during
-    /// the scan instead).
-    pub partition_buffers: bool,
     /// Observability level ([`crate::obs`]): `Off` (default) keeps the hot
     /// path unobserved, `Counters` maintains the per-node metrics arena
     /// (≤3% overhead, gated), `Full` adds latency/occupancy histograms and
@@ -80,8 +74,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             unbounded_cap: 1024,
-            merge_subgraphs: true,
-            partition_buffers: true,
             observe: ObserveLevel::Off,
             flight_capacity: 64,
         }
@@ -193,7 +185,7 @@ impl Engine {
     /// dispatch resolves names against it.
     pub fn new(catalog: Catalog, config: EngineConfig) -> Self {
         Self {
-            program: Program::new(config.merge_subgraphs),
+            program: Program::new(),
             catalog,
             rt: Runtime {
                 states: Vec::new(),
@@ -911,8 +903,6 @@ impl Runtime {
         } else {
             usize::MAX
         };
-        let keyed = config.partition_buffers;
-        let bucket = if keyed { &key } else { &Key::EMPTY };
 
         self.seq += 1;
         let seq = self.seq;
@@ -927,17 +917,9 @@ impl Runtime {
         // older initiator to terminate and is enqueued as an initiator
         // itself in the same map access.
         let matched = lbuf.take_match_and_push(
-            bucket.clone(),
+            key,
             dead,
-            |e| {
-                if Arc::ptr_eq(&e.inst, inst) {
-                    return false;
-                }
-                if !keyed && !join.is_trivial() && join.left_key(&e.inst).as_ref() != Some(&key) {
-                    return false;
-                }
-                pair_ok(kind, within, &e.inst, inst)
-            },
+            |e| !Arc::ptr_eq(&e.inst, inst) && pair_ok(kind, within, &e.inst, inst),
             Entry {
                 inst: inst.clone(),
                 seq,
@@ -983,11 +965,12 @@ impl Runtime {
 
     /// Fused in-field delivery: record the instance into `not_node`'s
     /// negation history and answer `query_node`'s window probe out of one
-    /// bucket access, in graph order for each lowered shape. `record_first` ([`EdgeOp::RecordQuery`], merged leaf): the
-    /// record edge precedes the query edge within one work-queue pop.
-    /// Query-first ([`EdgeOp::QueryRecord`], unmerged twins): the query
-    /// twin is the later dispatch candidate, so it pops first off the LIFO
-    /// work stack, before the recorder twin's delivery. Lowering only emits
+    /// bucket access, in graph order for each lowered shape. `record_first`
+    /// ([`EdgeOp::RecordQuery`], merged leaf): the record edge precedes the
+    /// query edge within one work-queue pop. Query-first
+    /// ([`EdgeOp::QueryRecord`], twin leaves): the query twin is the later
+    /// dispatch candidate, so it pops first off the LIFO work stack, before
+    /// the recorder twin's delivery. Lowering only emits
     /// these ops when the record key spec equals the query key spec, so a
     /// single probe provably serves both deliveries.
     fn fused_negation(
@@ -1110,10 +1093,6 @@ impl Runtime {
         } else {
             usize::MAX
         };
-        // Ablation A2: with partitioning off, everything shares one FIFO
-        // and key equality moves into the scan predicate.
-        let keyed = config.partition_buffers;
-        let bucket = if keyed { &key } else { &Key::EMPTY };
         if self.obs.level.counters() {
             self.obs.arena.probed(parent.idx());
         }
@@ -1123,22 +1102,12 @@ impl Runtime {
         } else {
             (rbuf, lbuf)
         };
-        let matched = other.take_oldest_match(bucket, dead, |e| {
+        let matched = other.take_oldest_match(&key, dead, |e| {
             // One physical event can never be both constituents of an
             // occurrence (same-pattern children deliver the same Arc to
             // both sides).
             if Arc::ptr_eq(&e.inst, inst) {
                 return false;
-            }
-            if !keyed && !join.is_trivial() {
-                let other_key = if side == 0 {
-                    join.right_key(&e.inst)
-                } else {
-                    join.left_key(&e.inst)
-                };
-                if other_key.as_ref() != Some(&key) {
-                    return false;
-                }
             }
             if side == 0 {
                 pair_ok(kind, within, inst, &e.inst)
@@ -1149,11 +1118,11 @@ impl Runtime {
         match matched {
             Some(e) => {
                 // Retire every buffered copy of both constituents: with
-                // unmerged same-pattern children an instance can sit in
-                // both side buffers.
-                own.remove_ptr_eq(bucket, &e.inst);
-                own.remove_ptr_eq(bucket, inst);
-                other.remove_ptr_eq(bucket, inst);
+                // same-pattern children under different windows an
+                // instance can sit in both side buffers.
+                own.remove_ptr_eq(&key, &e.inst);
+                own.remove_ptr_eq(&key, inst);
+                other.remove_ptr_eq(&key, inst);
                 let children = if side == 0 {
                     vec![inst.clone(), e.inst]
                 } else {
@@ -1168,7 +1137,7 @@ impl Runtime {
                     inst: inst.clone(),
                     seq: self.seq,
                 };
-                own.push(bucket.clone(), entry, cap);
+                own.push(key, entry, cap);
                 self.sweep.touch(parent);
                 if self.obs.level.counters() {
                     self.obs.arena.admitted(parent.idx());

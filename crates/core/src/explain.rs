@@ -285,7 +285,7 @@ mod tests {
 
     /// A solved program over `events`, one rule each.
     fn program(catalog: Option<rfid_events::Catalog>, events: Vec<EventExpr>) -> Program {
-        let mut p = Program::new(true);
+        let mut p = Program::new();
         for (i, event) in events.into_iter().enumerate() {
             let rule = crate::RuleEvent::new(format!("r{i}"), "rule", event);
             p.add_rule(rule).unwrap();

@@ -8,7 +8,7 @@
 //!   window is `min(own, parent)` (Fig. 7 of the paper);
 //! * **Common-subgraph merging** — nodes are hash-consed on their structure
 //!   *and* effective window, so identical sub-events across rules share one
-//!   detection node (Fig. 5's merging step; ablation A1 measures the win);
+//!   detection node (Fig. 5's merging step);
 //! * **Detection-mode assignment** — push / pull / mixed, bottom-up from the
 //!   constructor kinds (§4.4), rejecting *invalid rules* whose root is pull;
 //! * **Execution planning** — each composite node gets a [`Plan`] describing
@@ -175,11 +175,6 @@ pub struct Node {
     /// Correlation join between the two children (binary nodes; trivial
     /// otherwise).
     pub join: JoinSpec,
-    /// Whether this binary node's two children are structurally identical
-    /// (Rule 1's self-join shape). Such nodes run the self-join protocol:
-    /// an arrival may terminate an older occurrence and then initiate a new
-    /// one, even when merging is off and the children are distinct nodes.
-    pub symmetric: bool,
     /// For plans that query a negation/aperiodic child: which keyed history
     /// registration on that child to use.
     pub hist_spec: Option<HistSpecId>,
@@ -216,8 +211,6 @@ pub struct EventGraph {
     max_lag: Span,
     /// Structural sharing diagnostics: compile requests that hit the memo.
     merged_hits: u64,
-    /// When false, hash-consing is disabled (ablation A1).
-    merging_enabled: bool,
 }
 
 /// Variables mentioned anywhere below a node (not just exported), used to
@@ -225,20 +218,9 @@ pub struct EventGraph {
 type AllVars = std::collections::BTreeSet<rfid_events::Var>;
 
 impl EventGraph {
-    /// An empty graph with common-subgraph merging enabled.
+    /// An empty graph.
     pub fn new() -> Self {
-        Self {
-            merging_enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// An empty graph that never merges common subgraphs (ablation A1).
-    pub fn without_merging() -> Self {
-        Self {
-            merging_enabled: false,
-            ..Self::default()
-        }
+        Self::default()
     }
 
     /// Compiles a rule's event expression, returning its root node.
@@ -327,12 +309,10 @@ impl EventGraph {
             return self.compile(inner, (*window).min(inherited));
         }
 
-        if self.merging_enabled {
-            if let Some(&id) = self.memo.get(&(expr.clone(), inherited)) {
-                self.merged_hits += 1;
-                let node = self.node(id);
-                return Ok((id, node.exports.clone(), self.all_vars_of(id)));
-            }
+        if let Some(&id) = self.memo.get(&(expr.clone(), inherited)) {
+            self.merged_hits += 1;
+            let node = self.node(id);
+            return Ok((id, node.exports.clone(), self.all_vars_of(id)));
         }
 
         let (id, exports, vars) = match expr {
@@ -350,7 +330,6 @@ impl EventGraph {
                     mode: DetectionMode::Push,
                     plan: Plan::Leaf,
                     join: JoinSpec::default(),
-                    symmetric: false,
                     hist_spec: None,
                     exports: exports.clone(),
                     horizon: Span::ZERO,
@@ -379,7 +358,6 @@ impl EventGraph {
                     mode: DetectionMode::Push,
                     plan: Plan::Forward,
                     join: JoinSpec::default(),
-                    symmetric: false,
                     hist_spec: None,
                     exports: Exports::new(),
                     horizon: Span::ZERO,
@@ -405,7 +383,6 @@ impl EventGraph {
                     mode: DetectionMode::Pull,
                     plan: Plan::NegationRecorder,
                     join: JoinSpec::default(),
-                    symmetric: false,
                     hist_spec: None,
                     exports: Exports::new(),
                     horizon: Span::ZERO,
@@ -431,7 +408,6 @@ impl EventGraph {
                     mode: DetectionMode::Pull,
                     plan: Plan::AperiodicRecorder,
                     join: JoinSpec::default(),
-                    symmetric: false,
                     hist_spec: None,
                     exports: Exports::new(),
                     horizon: Span::ZERO,
@@ -464,7 +440,6 @@ impl EventGraph {
                     mode: DetectionMode::Mixed,
                     plan: Plan::TimedAperiodic,
                     join: JoinSpec::default(),
-                    symmetric: false,
                     hist_spec: None,
                     exports: Exports::new(),
                     horizon: Span::ZERO,
@@ -499,9 +474,7 @@ impl EventGraph {
             )?,
         };
 
-        if self.merging_enabled {
-            self.memo.insert((expr.clone(), inherited), id);
-        }
+        self.memo.insert((expr.clone(), inherited), id);
         Ok((id, exports, vars))
     }
 
@@ -639,7 +612,6 @@ impl EventGraph {
             mode,
             plan,
             join,
-            symmetric: a == b,
             hist_spec: None,
             exports: exports.clone(),
             horizon,
@@ -806,15 +778,6 @@ mod tests {
             .add_event(&p("r1").seq(p("r2")).within(Span::from_secs(9)))
             .unwrap();
         assert_ne!(a, b, "different effective windows must not merge");
-    }
-
-    #[test]
-    fn without_merging_duplicates() {
-        let mut g = EventGraph::without_merging();
-        let a = g.add_event(&p("r1").seq(p("r2"))).unwrap();
-        let b = g.add_event(&p("r1").seq(p("r2"))).unwrap();
-        assert_ne!(a, b);
-        assert_eq!(g.merged_hits(), 0);
     }
 
     #[test]

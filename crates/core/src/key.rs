@@ -5,7 +5,7 @@
 //! object. The graph builder turns shared variables into a [`JoinSpec`] per
 //! binary node; at runtime each side's buffer is partitioned by the
 //! [`Key`] the spec extracts, so matching is a hash lookup instead of a scan
-//! over every buffered instance (ablation A2 measures the difference).
+//! over every buffered instance.
 //!
 //! # Packed representation
 //!

@@ -37,36 +37,34 @@ use crate::key::Extract;
 /// How an occurrence at a child node is delivered to one of its parents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeOp {
-    /// Both child slots are this node (or the parent is an unmerged
-    /// symmetric pair, ablation A1): run the self-join protocol once.
+    /// Both child slots are this node: run the self-join protocol once.
     SelfJoin,
     /// Deliver as the left (initiator-side) constituent.
     Left,
     /// Deliver as the right (terminator-side) constituent.
     Right,
-    /// Fused in-field delivery, merged-leaf shape. With subgraph merging
-    /// on (the engine default), `WITHIN(NOT(A); A, w)` hash-conses both
-    /// copies of `A` into one leaf whose edge list is the adjacent pair
-    /// `[Left→NOT, Right→query]`; this edge collapses the pair into one
-    /// bucket access that records into the `NOT` parent's history and then
-    /// answers the query parent's window probe. Record-before-query is
-    /// graph order (edges run in parent-list order within one work-queue
-    /// pop). Only emitted when the record key spec and the query key spec
-    /// are syntactically identical, so both probes provably hit the same
-    /// history entry.
+    /// Fused in-field delivery, merged-leaf shape. `WITHIN(NOT(A); A, w)`
+    /// hash-conses both copies of `A` into one leaf whose edge list is the
+    /// adjacent pair `[Left→NOT, Right→query]`; this edge collapses the
+    /// pair into one bucket access that records into the `NOT` parent's
+    /// history and then answers the query parent's window probe.
+    /// Record-before-query is graph order (edges run in parent-list order
+    /// within one work-queue pop). Only emitted when the record key spec
+    /// and the query key spec are syntactically identical, so both probes
+    /// provably hit the same history entry.
     RecordQuery {
         /// The `LeftNegationQuery` parent whose window probe is folded in.
         query: u32,
     },
-    /// Fused in-field delivery, twin-leaf shape. Without subgraph merging
-    /// (ablation A1), the two copies of `A` compile into twin leaves with
-    /// identical patterns, which leaf coalescing folds into one dispatched
-    /// leaf whose edge list holds the adjacent pair `[Right→query,
-    /// Left→NOT]`; this edge collapses the pair into one bucket access that
-    /// answers the query parent's window probe and then records.
-    /// Query-before-record is graph order — the query twin is the later
-    /// candidate, and the work stack is LIFO, so it pops first. Same
-    /// key-spec condition as [`EdgeOp::RecordQuery`].
+    /// Fused in-field delivery, twin-leaf shape. In `WITHIN(NOT(WITHIN(A,
+    /// v)); A, w)` the two copies of `A` sit under different windows, so
+    /// they compile into twin leaves with identical patterns, which leaf
+    /// coalescing folds into one dispatched leaf whose edge list holds the
+    /// adjacent pair `[Right→query, Left→NOT]`; this edge collapses the pair
+    /// into one bucket access that answers the query parent's window probe
+    /// and then records. Query-before-record is graph order — the query
+    /// twin is the later candidate, and the work stack is LIFO, so it pops
+    /// first. Same key-spec condition as [`EdgeOp::RecordQuery`].
     QueryRecord {
         /// The `LeftNegationQuery` parent whose window probe is folded in.
         query: u32,
@@ -425,6 +423,20 @@ impl CompiledPlan {
                 e.parent = plan.holders[e.parent as usize];
                 seen.insert((e.op, e.parent))
             });
+            // An instance terminates what it can before it initiates
+            // (docs/SEMANTICS.md §4). Reverse registration order delivers a
+            // rule's right twin before its left one, unless an earlier rule
+            // already registered the right twin's leaf; put the two
+            // deliveries to such a parent back in that order.
+            for i in 0..raw.len() {
+                let Edge { parent, op } = raw[i];
+                let right = |e: &Edge| e.parent == parent && e.op == EdgeOp::Right;
+                if op == EdgeOp::Left {
+                    if let Some(j) = raw[i + 1..].iter().position(right) {
+                        raw.swap(i, i + 1 + j);
+                    }
+                }
+            }
             // Over the combined list, an adjacent `NOT` record and window
             // query of the same history collapse into one fused edge (the
             // fused op runs where the pair sat, in the pair's order, so
@@ -559,9 +571,7 @@ impl CompiledPlan {
         };
         let children = match node.plan {
             Plan::TwoSided => {
-                let same_leaf = leaf_group[a.idx()] != u32::MAX
-                    && leaf_group[a.idx()] == leaf_group[b.idx()]
-                    && (a == b || node.symmetric);
+                let same_leaf = a == b && leaf_group[a.idx()] != u32::MAX;
                 let monotone = matches!(node.kind, NodeKind::Seq | NodeKind::And);
                 if !same_leaf || !monotone || node.within == Span::MAX {
                     return None;
@@ -824,23 +834,13 @@ fn raw_edges(graph: &EventGraph, id: NodeId, out: &mut Vec<Edge>) {
         let pnode = graph.node(p);
         let is_left = pnode.children[0] == id;
         let is_right = pnode.children.len() > 1 && pnode.children[1] == id;
-        let op = if is_left && is_right {
-            Some(EdgeOp::SelfJoin)
-        } else if pnode.symmetric {
-            // Unmerged symmetric pair (ablation A1): only the
-            // terminator-side delivery runs the protocol; the
-            // initiator-side duplicate delivery is dropped.
-            is_right.then_some(EdgeOp::SelfJoin)
-        } else if is_left {
-            Some(EdgeOp::Left)
-        } else if is_right {
-            Some(EdgeOp::Right)
-        } else {
-            None
+        let op = match (is_left, is_right) {
+            (true, true) => EdgeOp::SelfJoin,
+            (true, false) => EdgeOp::Left,
+            (false, true) => EdgeOp::Right,
+            (false, false) => continue,
         };
-        if let Some(op) = op {
-            out.push(Edge { parent: p.0, op });
-        }
+        out.push(Edge { parent: p.0, op });
     }
 }
 
@@ -888,10 +888,10 @@ mod tests {
         catalog
     }
 
-    /// With subgraph merging on (the engine default), `WITHIN(NOT(A); A,
-    /// w)` hash-conses both copies of `A` into one leaf whose adjacent
-    /// `Left→NOT, Right→query` edges must collapse into one `RecordQuery`
-    /// edge: the recorder and the window query share a bucket probe.
+    /// `WITHIN(NOT(A); A, w)` hash-conses both copies of `A` into one leaf
+    /// whose adjacent `Left→NOT, Right→query` edges must collapse into one
+    /// `RecordQuery` edge: the recorder and the window query share a bucket
+    /// probe.
     #[test]
     fn merged_infield_shape_lowers_to_fused_record_query() {
         let catalog = shelf_catalog();
@@ -912,21 +912,29 @@ mod tests {
         assert_eq!(plan.dispatch_width(), 1);
     }
 
-    /// Without subgraph merging (ablation A1), the same shape compiles `A`
-    /// into twin leaves with one pattern. Coalescing folds them onto the
-    /// later twin, whose edge list is the adjacent `Right→query, Left→NOT`
-    /// pair; lowering must fuse it the other way round, into one
-    /// `QueryRecord` edge, so each shelf observation still costs one work
-    /// item and one bucket probe.
+    /// `WITHIN(NOT(WITHIN(A, 5s)); A, 30s)`: the inner window makes the
+    /// negated `A` a leaf of its own, so the shape compiles `A` into twin
+    /// leaves with one pattern. Coalescing folds them onto the later twin,
+    /// whose edge list is the adjacent `Right→query, Left→NOT` pair;
+    /// lowering must fuse it the other way round, into one `QueryRecord`
+    /// edge, so each shelf observation still costs one work item and one
+    /// bucket probe.
     #[test]
     fn infield_shape_lowers_to_fused_query_record() {
         let catalog = shelf_catalog();
-        let mut graph = EventGraph::without_merging();
-        let root = graph.add_event(&infield_rule()).expect("rule compiles");
+        let shelf = EventExpr::observation_in_group("shelves");
+        let rule = shelf
+            .clone()
+            .within(rfid_events::Span::from_secs(5))
+            .not()
+            .seq(shelf)
+            .within(rfid_events::Span::from_secs(30));
+        let mut graph = EventGraph::new();
+        let root = graph.add_event(&rule).expect("rule compiles");
         let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
 
         let &[recorder_twin, query_twin] = graph.primitives() else {
-            panic!("in-field shape compiles exactly two primitive leaves");
+            panic!("different windows keep the two shelf leaves distinct");
         };
         let edges = plan.edges_at(query_twin);
         assert_eq!(edges.len(), 1, "query + recorder fused into one edge");

@@ -53,15 +53,15 @@ impl RuleEvent {
 }
 
 /// A rule set and what it compiles to; see the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Program {
     graph: EventGraph,
     /// Accepted rules, indexed by [`RuleId`], and their roots.
     rules: Vec<RuleEvent>,
     roots: Vec<NodeId>,
-    /// Set by `add_rule`, cleared by `solve`; everything below is as of the
+    /// Cleared by `add_rule`, set by `solve`; everything below is as of the
     /// last `solve`.
-    dirty: bool,
+    solved: bool,
     rules_at: HashMap<NodeId, Vec<RuleId>>,
     bounds: Bounds,
     plan: CompiledPlan,
@@ -69,34 +69,19 @@ pub struct Program {
 }
 
 impl Program {
-    /// An empty program. `merge` turns common-subgraph merging on (off is
-    /// ablation A1).
-    pub fn new(merge: bool) -> Self {
-        Self {
-            graph: if merge {
-                EventGraph::new()
-            } else {
-                EventGraph::without_merging()
-            },
-            rules: Vec::new(),
-            roots: Vec::new(),
-            dirty: true,
-            rules_at: HashMap::new(),
-            bounds: Bounds::default(),
-            plan: CompiledPlan::default(),
-            cost: Cost::default(),
-        }
+    /// An empty program.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// The solved program of a whole rule set, merging on as in the
-    /// engine's default configuration. Rules the builder rejects are
+    /// The solved program of a whole rule set. Rules the builder rejects are
     /// left out (their partial nodes stay in the graph, as they do in an
     /// engine that went on after the rejection).
     pub fn compile(
         deployment: Option<&Catalog>,
         rules: impl IntoIterator<Item = RuleEvent>,
     ) -> Self {
-        let mut program = Self::new(true);
+        let mut program = Self::new();
         for rule in rules {
             let _ = program.add_rule(rule);
         }
@@ -109,7 +94,7 @@ impl Program {
     /// before the rejection stay in the graph, so the program is re-solved
     /// either way.
     pub fn add_rule(&mut self, rule: RuleEvent) -> Result<RuleId, InvalidRule> {
-        self.dirty = true;
+        self.solved = false;
         let root = self.graph.add_event(&rule.event)?;
         let id = RuleId(self.rules.len() as u32);
         self.rules.push(rule);
@@ -122,7 +107,7 @@ impl Program {
     /// `None` when the rule set has not changed since the last call —
     /// whoever keeps state by plan node reads from it which holders moved.
     pub fn solve(&mut self, deployment: Option<&Catalog>) -> Option<CompiledPlan> {
-        if !self.dirty {
+        if self.solved {
             return None;
         }
         self.rules_at.clear();
@@ -140,7 +125,7 @@ impl Program {
             &prior,
         );
         self.cost = Cost::solve(&self.graph, &self.bounds, deployment);
-        self.dirty = false;
+        self.solved = true;
         Some(prior)
     }
 

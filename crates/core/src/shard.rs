@@ -330,7 +330,7 @@ impl ShardedEngine {
     /// Creates a sharded engine over a deployment catalog.
     pub fn new(catalog: Catalog, config: ShardConfig) -> Self {
         Self {
-            program: Program::new(true),
+            program: Program::new(),
             catalog,
             config,
             shardability: Vec::new(),
@@ -828,7 +828,7 @@ mod tests {
 
     /// The verdict for one rule alone, or the builder's rejection.
     fn analyze(event: &EventExpr) -> Result<Shardability, InvalidRule> {
-        let mut program = Program::new(true);
+        let mut program = Program::new();
         let id = program.add_rule(RuleEvent::new("r", "rule", event.clone()))?;
         Ok(shardability(
             program.graph(),

@@ -318,9 +318,9 @@ impl KeyedBuffer {
     }
 
     /// Removes every entry under `key` holding exactly this instance
-    /// (pointer identity). Used when a pair is consumed: with unmerged
-    /// same-pattern children, one physical instance may sit in both side
-    /// buffers, and chronicle consumption must retire every copy.
+    /// (pointer identity). Used when a pair is consumed: with same-pattern
+    /// children under different windows, one physical instance may sit in
+    /// both side buffers, and chronicle consumption must retire every copy.
     pub fn remove_ptr_eq(&mut self, key: &Key, inst: &Arc<Instance>) {
         if let Some(&slot) = self.index.get(key) {
             let q = &mut self.slots[slot as usize].q;

@@ -25,8 +25,12 @@ use support::reference::{self, Fingerprint};
 /// 5 shares its `NOT` history the way 2 does. Shapes 5 and 6 put the two
 /// remaining boundary decisions on the lattice: whether an out-field
 /// initiator blocks itself, and whether a `TSEQ+` gap of exactly `τl` or
-/// `τu` extends the run.
-const SHAPES: usize = 7;
+/// `τu` extends the run. Shapes 7 and 8 are 0 and 1 over twin leaves — one
+/// pattern, two nodes, the initiator's under an inner `WITHIN` shorter than
+/// any drawn window: 7 is an ordinary two-sided join both of whose sides
+/// one read reaches, 8 a family like 1 whose members share the negated
+/// twin.
+const SHAPES: usize = 9;
 
 fn shape(idx: usize, window: Span) -> EventExpr {
     let keyed = |group: &str| {
@@ -55,6 +59,12 @@ fn shape(idx: usize, window: Span) -> EventExpr {
         6 => EventExpr::observation_in_group("g1")
             .tseq_plus(Span::from_millis(TICK), Span::from_millis(2 * TICK))
             .within(window),
+        7 => keyed("g1").within(INNER).seq(keyed("g1")).within(window),
+        8 => keyed("g1")
+            .within(INNER)
+            .not()
+            .seq(keyed("g1"))
+            .within(window),
         _ => unreachable!("shape index out of pool"),
     }
 }
@@ -72,6 +82,7 @@ fn catalog() -> Catalog {
 /// interval lands exactly on a member's cut-off in most cases — the
 /// comparison a family's fan-out turns on.
 const TICK: u64 = 500;
+const INNER: Span = Span::from_millis(TICK / 2);
 
 fn window() -> impl Strategy<Value = u64> {
     (1u64..=16).prop_map(|ticks| ticks * TICK)
@@ -111,12 +122,8 @@ fn rules(program: &[(usize, u64)]) -> Vec<EventExpr> {
     program.iter().map(rule).collect()
 }
 
-fn engine(merge: bool, program: &[(usize, u64)]) -> Engine {
-    let config = EngineConfig {
-        merge_subgraphs: merge,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(catalog(), config);
+fn engine(program: &[(usize, u64)]) -> Engine {
+    let mut engine = Engine::new(catalog(), EngineConfig::default());
     for (pos, rule) in rules(program).into_iter().enumerate() {
         engine
             .add_rule(&format!("r{pos}"), rule)
@@ -125,12 +132,8 @@ fn engine(merge: bool, program: &[(usize, u64)]) -> Engine {
     engine
 }
 
-fn run(
-    merge: bool,
-    program: &[(usize, u64)],
-    stream: &[Observation],
-) -> (Vec<Fingerprint>, Vec<u64>) {
-    let mut engine = engine(merge, program);
+fn run(program: &[(usize, u64)], stream: &[Observation]) -> (Vec<Fingerprint>, Vec<u64>) {
+    let mut engine = engine(program);
     let mut out = Vec::new();
     let mut sink = |rule: RuleId, inst: &Instance| {
         out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
@@ -146,23 +149,18 @@ fn assert_equivalent(program: &[(usize, u64)], stream: &[Observation]) {
     for firing in &reference {
         reference_counts[firing.0 as usize] += 1;
     }
-    for merge in [true, false] {
-        let (shared, shared_counts) = run(merge, program, stream);
-        assert_eq!(
-            shared_counts, reference_counts,
-            "per-rule firing counts diverged (merge={merge})"
-        );
-        assert_eq!(
-            shared, reference,
-            "firing multisets diverged (merge={merge})"
-        );
-    }
+    let (shared, shared_counts) = run(program, stream);
+    assert_eq!(
+        shared_counts, reference_counts,
+        "per-rule firing counts diverged"
+    );
+    assert_eq!(shared, reference, "firing multisets diverged");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One family of 2–40 members per case, any of the seven shapes, windows
+    /// One family of 2–40 members per case, any of the nine shapes, windows
     /// drawn with repeats (equal cut-offs are members too).
     #[test]
     fn one_family_fires_like_unshared_rules(
@@ -185,9 +183,9 @@ proptest! {
     }
 }
 
-/// Windows of a five-rule family, out of order and with one repeat. With
-/// merging on the repeat hash-conses onto the earlier rule's nodes, so the
-/// family has four member nodes; with merging off, five.
+/// Windows of a five-rule family, out of order and with one repeat, which
+/// hash-conses onto the earlier rule's nodes: the family has four member
+/// nodes.
 const FIVE: [u64; 5] = [4_000, 1_500, 9_000, 1_500, 6_000];
 
 fn five(idx: usize) -> Vec<(usize, u64)> {
@@ -207,33 +205,27 @@ fn distinct(nodes: Vec<rceda::graph::NodeId>) -> Vec<rceda::graph::NodeId> {
 
 #[test]
 fn self_join_family_collapses_to_one_holder() {
-    for merge in [true, false] {
-        let mut engine = engine(merge, &five(0));
-        let roots: Vec<_> = (0..5).map(|r| engine.rule_root(RuleId(r))).collect();
-        let program = engine.program();
-        let plan = program.plan();
-        let families: Vec<_> = plan.families().collect();
-        assert_eq!(families.len(), 1, "one family (merge={merge})");
-        let (holder, members) = families[0];
-        assert_eq!(
-            holder, roots[0],
-            "state stays at the first-registered member"
-        );
-        assert!(roots.iter().all(|&r| plan.holder(r) == holder));
-        let cuts: Vec<u64> = members.iter().map(|m| m.cutoff.as_millis()).collect();
-        let mut expected = vec![1_500, 1_500, 4_000, 6_000, 9_000];
-        if merge {
-            expected.dedup();
-        }
-        assert_eq!(cuts, expected);
-        assert!(program.shared_histories().is_empty());
-    }
+    let mut engine = engine(&five(0));
+    let roots: Vec<_> = (0..5).map(|r| engine.rule_root(RuleId(r))).collect();
+    let program = engine.program();
+    let plan = program.plan();
+    let families: Vec<_> = plan.families().collect();
+    assert_eq!(families.len(), 1, "one family");
+    let (holder, members) = families[0];
+    assert_eq!(
+        holder, roots[0],
+        "state stays at the first-registered member"
+    );
+    assert!(roots.iter().all(|&r| plan.holder(r) == holder));
+    let cuts: Vec<u64> = members.iter().map(|m| m.cutoff.as_millis()).collect();
+    assert_eq!(cuts, [1_500, 4_000, 6_000, 9_000]);
+    assert!(program.shared_histories().is_empty());
 }
 
 #[test]
 fn negation_query_family_collapses_to_one_holder_and_one_history() {
-    for merge in [true, false] {
-        let mut engine = engine(merge, &five(1));
+    for idx in [1, 8] {
+        let mut engine = engine(&five(idx));
         let roots: Vec<_> = (0..5).map(|r| engine.rule_root(RuleId(r))).collect();
         let recorders = distinct(
             roots
@@ -244,19 +236,19 @@ fn negation_query_family_collapses_to_one_holder_and_one_history() {
         let program = engine.program();
         let plan = program.plan();
         let families: Vec<_> = plan.families().collect();
-        assert_eq!(families.len(), 1, "one family (merge={merge})");
+        assert_eq!(families.len(), 1, "one family (shape {idx})");
         assert_eq!(families[0].0, roots[0]);
         assert_eq!(families[0].1.len(), recorders.len());
         let histories = program.shared_histories();
-        assert_eq!(histories.len(), 1, "one history (merge={merge})");
+        assert_eq!(histories.len(), 1, "one history (shape {idx})");
         assert_eq!(histories[0], (recorders[0], recorders.clone()));
     }
 }
 
 #[test]
 fn and_not_shares_the_history_and_keeps_the_waits() {
-    for (idx, merge) in [(2, true), (2, false), (5, true), (5, false)] {
-        let mut engine = engine(merge, &five(idx));
+    for idx in [2, 5] {
+        let mut engine = engine(&five(idx));
         let roots: Vec<_> = (0..5).map(|r| engine.rule_root(RuleId(r))).collect();
         let recorders = distinct(
             roots
@@ -277,18 +269,16 @@ fn and_not_shares_the_history_and_keeps_the_waits() {
 
 #[test]
 fn inadmissible_shapes_lower_unshared() {
-    for idx in [3, 4, 6] {
-        for merge in [true, false] {
-            let mut engine = engine(merge, &five(idx));
-            let nodes = engine.graph().len() as u32;
-            let program = engine.program();
-            let plan = program.plan();
-            assert_eq!(plan.families().count(), 0, "shape {idx} merge={merge}");
-            assert!(program.shared_histories().is_empty());
-            assert!((0..nodes).all(|n| {
-                let node = rceda::graph::NodeId(n);
-                plan.holder(node) == node
-            }));
-        }
+    for idx in [3, 4, 6, 7] {
+        let mut engine = engine(&five(idx));
+        let nodes = engine.graph().len() as u32;
+        let program = engine.program();
+        let plan = program.plan();
+        assert_eq!(plan.families().count(), 0, "shape {idx}");
+        assert!(program.shared_histories().is_empty());
+        assert!((0..nodes).all(|n| {
+            let node = rceda::graph::NodeId(n);
+            plan.holder(node) == node
+        }));
     }
 }

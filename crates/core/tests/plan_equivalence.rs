@@ -30,8 +30,12 @@ use support::reference::{self, Fingerprint};
 /// The rule-shape pool: every plan variant the lowering distinguishes,
 /// parameterized by the detection window so different draws stress
 /// different buffer and pruning regimes.
-const SHAPES: usize = 9;
+const SHAPES: usize = 11;
 const WINDOWS: [Span; 3] = [Span::from_secs(2), Span::from_secs(5), Span::from_secs(30)];
+/// Shorter than every draw of `WINDOWS`: a leaf wrapped in it is a node of
+/// its own, beside the unwrapped leaf of the same pattern (hash-consing
+/// keys on the effective window).
+const INNER: Span = Span::from_secs(1);
 
 fn shape(idx: usize, window: Span) -> EventExpr {
     let shelf = || EventExpr::observation_in_group("shelves").bind_object("o");
@@ -42,7 +46,7 @@ fn shape(idx: usize, window: Span) -> EventExpr {
             .bind_object("o")
             .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
             .within(window),
-        // In-field filtering: the twin-leaf `QueryRecord` fusion.
+        // In-field filtering: the merged-leaf `RecordQuery` fusion.
         1 => shelf().not().seq(shelf()).within(window),
         // AND with right-side negation (pseudo events on window close).
         2 => EventExpr::observation_in_group("pos")
@@ -86,6 +90,16 @@ fn shape(idx: usize, window: Span) -> EventExpr {
         8 => EventExpr::observation_in_group("exits")
             .tseq_plus(Span::ZERO, Span::from_secs(24 * 3_600))
             .within(Span::from_secs(48 * 3_600)),
+        // Shape 0 over twin leaves: one observation reaches both sides of
+        // a two-sided join as one instance.
+        9 => EventExpr::observation()
+            .bind_reader("r")
+            .bind_object("o")
+            .within(INNER)
+            .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
+            .within(window),
+        // Shape 1 over twin leaves: the `QueryRecord` fusion.
+        10 => shelf().within(INNER).not().seq(shelf()).within(window),
         _ => unreachable!("shape index out of pool"),
     }
 }
@@ -109,13 +123,9 @@ fn rules(program: &[(usize, usize)]) -> Vec<EventExpr> {
     program.iter().map(rule).collect()
 }
 
-fn run(merge: bool, program: &[(usize, usize)]) -> (Vec<Fingerprint>, rceda::EngineStats) {
+fn run(program: &[(usize, usize)]) -> (Vec<Fingerprint>, rceda::EngineStats) {
     let fx = fixture();
-    let config = EngineConfig {
-        merge_subgraphs: merge,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(fx.sim.catalog.clone(), config);
+    let mut engine = Engine::new(fx.sim.catalog.clone(), EngineConfig::default());
     for (pos, rule) in rules(program).into_iter().enumerate() {
         engine
             .add_rule(&format!("r{pos}"), rule)
@@ -139,11 +149,10 @@ proptest! {
     /// Any program of up to five rules drawn from the shape pool fires
     /// what the reference says its rules fire, each on its own — under
     /// both kinds of plan-level sharing (a coalesced leaf, and a window
-    /// family: two draws of shape 0 or 1 with different windows), with
-    /// subgraph merging both on (the engine default; exercises the
-    /// merged-leaf `RecordQuery` fusion) and off (the A1 ablation;
-    /// exercises the twin-leaf `QueryRecord` fusion) — and the counters
-    /// the reference defines agree.
+    /// family: two draws of shape 0 or 1 with different windows) and both
+    /// in-field fusions (shape 1 the merged-leaf `RecordQuery`, shape 10
+    /// the twin-leaf `QueryRecord`) — and the counters the reference
+    /// defines agree.
     #[test]
     fn engine_fires_what_the_semantics_say(
         program in proptest::collection::vec((0usize..SHAPES, 0usize..WINDOWS.len()), 1..=5)
@@ -152,55 +161,48 @@ proptest! {
         let rules = rules(&program);
         let expected = reference::fire(&fx.sim.catalog, &rules, &fx.stream);
         let matched = reference::matched_events(&fx.sim.catalog, &rules, &fx.stream);
-        for merge in [true, false] {
-            let (firings, stats) = run(merge, &program);
-            prop_assert_eq!(
-                &firings,
-                &expected,
-                "firing multiset diverged from the reference (merge={})",
-                merge
-            );
-            prop_assert_eq!(stats.events, fx.stream.len() as u64);
-            prop_assert_eq!(stats.matched_events, matched, "merge={}", merge);
-            prop_assert_eq!(stats.rule_firings, expected.len() as u64);
-            prop_assert_eq!(stats.capacity_drops, 0, "a capped run is outside the reference's domain");
-        }
+        let (firings, stats) = run(&program);
+        prop_assert_eq!(&firings, &expected, "firing multiset diverged from the reference");
+        prop_assert_eq!(stats.events, fx.stream.len() as u64);
+        prop_assert_eq!(stats.matched_events, matched);
+        prop_assert_eq!(stats.rule_firings, expected.len() as u64);
+        prop_assert_eq!(stats.capacity_drops, 0, "a capped run is outside the reference's domain");
     }
 }
 
-/// `[pseudo_scheduled, pseudo_fired, occurrences (merge on), occurrences
-/// (merge off)]` of one program over the fixture stream, as the parent
-/// commit (`741f74c`) counted them under both of its executors.
-type Pinned = [u64; 4];
+/// `[pseudo_scheduled, pseudo_fired, occurrences]` of one program over the
+/// fixture stream, as recorded from an earlier commit: shapes 0–8 and the
+/// mixed programs at `741f74c` (under both of its executors), the twin-leaf
+/// shapes 9 and 10 at `261f94b`.
+type Pinned = [u64; 3];
 
 /// Each shape alone, by `[shape][window]`.
 const ALONE: [[Pinned; 3]; SHAPES] = [
-    [[0, 0, 1979, 3912], [0, 0, 1979, 3912], [0, 0, 2416, 4349]],
-    [[0, 0, 1250, 1898], [0, 0, 1250, 1898], [0, 0, 813, 1461]],
-    [[0, 0, 28, 28]; 3],
-    [[0, 0, 231, 231]; 3],
-    [[55, 55, 665, 665]; 3],
-    [[231, 231, 490, 490]; 3],
-    [[0, 0, 930, 930]; 3],
-    [[0, 0, 231, 231]; 3],
-    [[2, 2, 29, 29]; 3],
+    [[0, 0, 1979], [0, 0, 1979], [0, 0, 2416]],
+    [[0, 0, 1250], [0, 0, 1250], [0, 0, 813]],
+    [[0, 0, 28]; 3],
+    [[0, 0, 231]; 3],
+    [[55, 55, 665]; 3],
+    [[231, 231, 490]; 3],
+    [[0, 0, 930]; 3],
+    [[0, 0, 231]; 3],
+    [[2, 2, 29]; 3],
+    [[0, 0, 3912], [0, 0, 3912], [0, 0, 4349]],
+    [[0, 0, 1898], [0, 0, 1898], [0, 0, 1461]],
 ];
 
-/// Three mixed programs: every shape once, the two family shapes at
-/// several windows, and the pseudo-event shapes interleaved.
+/// Three mixed programs: every shape of the first nine once, the two family
+/// shapes at several windows, and the pseudo-event shapes interleaved.
 fn mixed() -> [(Vec<(usize, usize)>, Pinned); 3] {
     [
-        (
-            (0..SHAPES).map(|idx| (idx, idx % 3)).collect(),
-            [288, 288, 5574, 8414],
-        ),
+        ((0..9).map(|idx| (idx, idx % 3)).collect(), [288, 288, 5574]),
         (
             vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 1)],
-            [0, 0, 8465, 15560],
+            [0, 0, 8465],
         ),
         (
             vec![(4, 2), (8, 0), (6, 1), (5, 0), (5, 2), (3, 1), (7, 1)],
-            [519, 519, 2835, 3066],
+            [519, 519, 2835],
         ),
     ]
 }
@@ -214,21 +216,29 @@ fn mixed() -> [(Vec<(usize, usize)>, Pinned); 3] {
 #[test]
 fn counters_are_pinned() {
     let alone = (0..SHAPES).flat_map(|idx| (0..3).map(move |w| (vec![(idx, w)], ALONE[idx][w])));
-    for (program, [scheduled, fired, merged, unmerged]) in alone.chain(mixed()) {
-        for (merge, occurrences) in [(true, merged), (false, unmerged)] {
-            let (_, stats) = run(merge, &program);
-            let counted = [
-                stats.pseudo_scheduled,
-                stats.pseudo_fired,
-                stats.occurrences,
-            ];
-            assert_eq!(
-                counted,
-                [scheduled, fired, occurrences],
-                "{program:?} merge={merge}"
-            );
-        }
+    for (program, pinned) in alone.chain(mixed()) {
+        let (_, stats) = run(&program);
+        let counted = [
+            stats.pseudo_scheduled,
+            stats.pseudo_fired,
+            stats.occurrences,
+        ];
+        assert_eq!(counted, pinned, "{program:?}");
     }
+}
+
+/// A twin's right leaf may be one an earlier rule already registered: the
+/// second rule's terminator-side `observation(r, o)` under 30 s is the
+/// first rule's leaf, its 1 s initiator-side twin is new. Reverse
+/// registration order alone would then initiate before it terminates and
+/// consume each read as a terminator only, breaking the chain
+/// `(e1, e2), (e2, e3), …` into `(e1, e2), (e3, e4), …`.
+#[test]
+fn a_twin_sharing_its_right_leaf_still_terminates_first() {
+    let fx = fixture();
+    let program = [(0, 2), (9, 2)];
+    let expected = reference::fire(&fx.sim.catalog, &rules(&program), &fx.stream);
+    assert_eq!(run(&program).0, expected);
 }
 
 /// Open disagreement, met while pointing the suites at the reference

@@ -15,10 +15,10 @@
 //! prover admits — wider WITHIN window, looser TSEQ max-distance with equal
 //! minimum, weaker leaf reader predicate (any ⊇ group) — then re-checked
 //! with the prover, so the test exercises exactly the relaxations W006 can
-//! emit. Both merge settings are covered, and every run is first held to
-//! the reference interpreter (`support/reference.rs`) — constituents and
-//! all — so the rule pool of this suite (the one place a leaf pattern
-//! overlaps its sibling's: `docks ; any reader`) faces the oracle too.
+//! emit. Every run is first held to the reference interpreter
+//! (`support/reference.rs`) — constituents and all — so the rule pool of
+//! this suite (the one place a leaf pattern overlaps its sibling's:
+//! `docks ; any reader`) faces the oracle too.
 
 mod support;
 
@@ -72,8 +72,14 @@ fn pair(axis: usize, w: usize) -> (EventExpr, EventExpr) {
 }
 
 /// Unrelated survivor rules, including shapes that hash-cons leaves with
-/// the pair above so merged state is genuinely shared.
+/// the pair above so merged state is genuinely shared, and two over twin
+/// leaves (one pattern under an inner `WITHIN` and bare: two nodes) that
+/// coalesce with the pair's `docks` and `pos` leaves.
+const CONTROLS: usize = 5;
+
 fn control(idx: usize) -> EventExpr {
+    let docks = || EventExpr::observation_in_group("docks").bind_object("o");
+    let pos = || EventExpr::observation_in_group("pos").bind_object("o");
     match idx {
         0 => EventExpr::observation_in_group("docks")
             .bind_object("o")
@@ -90,6 +96,15 @@ fn control(idx: usize) -> EventExpr {
         2 => EventExpr::observation_in_group("shelves")
             .tseq_plus(Span::ZERO, Span::from_millis(1_500))
             .within(Span::from_secs(30)),
+        3 => docks()
+            .within(Span::from_secs(1))
+            .seq(docks())
+            .within(Span::from_secs(5)),
+        4 => pos()
+            .within(Span::from_secs(1))
+            .not()
+            .seq(pos())
+            .within(Span::from_secs(5)),
         _ => unreachable!("control index out of pool"),
     }
 }
@@ -112,13 +127,9 @@ fn fixture() -> &'static Fixture {
 /// checking the full ones — constituents included — against the reference.
 /// Rule slots are caller-assigned so the same rule keeps its id across
 /// variants.
-fn run(merge: bool, rules: &[(u32, &EventExpr)]) -> Vec<Fingerprint> {
+fn run(rules: &[(u32, &EventExpr)]) -> Vec<Fingerprint> {
     let fx = fixture();
-    let config = EngineConfig {
-        merge_subgraphs: merge,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(fx.sim.catalog.clone(), config);
+    let mut engine = Engine::new(fx.sim.catalog.clone(), EngineConfig::default());
     let mut slots = Vec::new();
     for &(slot, expr) in rules {
         let name = format!("r{slot}");
@@ -136,10 +147,7 @@ fn run(merge: bool, rules: &[(u32, &EventExpr)]) -> Vec<Fingerprint> {
     full.sort();
     let events: Vec<EventExpr> = rules.iter().map(|&(_, e)| e.clone()).collect();
     let expected = reference::fire(&fx.sim.catalog, &events, &fx.stream);
-    assert_eq!(
-        full, expected,
-        "diverged from the reference (merge={merge})"
-    );
+    assert_eq!(full, expected, "diverged from the reference");
     assert_eq!(
         engine.stats().capacity_drops,
         0,
@@ -170,13 +178,12 @@ proptest! {
 
     /// For every constructed (wide, narrow) pair the prover certifies,
     /// dropping the narrow rule leaves the survivors' firings untouched,
-    /// and the narrow rule's firing instants nest inside the wide rule's —
-    /// under both merge settings.
+    /// and the narrow rule's firing instants nest inside the wide rule's.
     #[test]
     fn dropping_a_subsumed_rule_preserves_the_firing_multiset(
         axis in 0usize..3,
         w in 0usize..WINDOWS.len(),
-        ctrl in 0usize..3,
+        ctrl in 0usize..CONTROLS,
     ) {
         let fx = fixture();
         let (wide, narrow) = pair(axis, w);
@@ -186,25 +193,22 @@ proptest! {
             subsumes(&wide, &narrow, Some(&fx.sim.catalog)).is_some(),
             "constructed pair on axis {axis} must be provable"
         );
-        for merge in [true, false] {
-            let full = run(merge, &[(0, &wide), (1, &narrow), (2, &extra)]);
-            let dropped = run(merge, &[(0, &wide), (2, &extra)]);
-            let survivors: Vec<Fingerprint> =
-                full.iter().copied().filter(|f| f.0 != 1).collect();
-            prop_assert_eq!(
-                &survivors, &dropped,
-                "dropping the subsumed rule changed a survivor (merge={})",
-                merge
-            );
-            let narrow_ends: Vec<Timestamp> =
-                full.iter().filter(|f| f.0 == 1).map(|f| f.2).collect();
-            let wide_ends: Vec<Timestamp> =
-                full.iter().filter(|f| f.0 == 0).map(|f| f.2).collect();
-            prop_assert!(
-                contained(&narrow_ends, &wide_ends),
-                "narrow firings escaped the subsumer (merge={}): {} narrow vs {} wide",
-                merge, narrow_ends.len(), wide_ends.len()
-            );
-        }
+        let full = run(&[(0, &wide), (1, &narrow), (2, &extra)]);
+        let dropped = run(&[(0, &wide), (2, &extra)]);
+        let survivors: Vec<Fingerprint> =
+            full.iter().copied().filter(|f| f.0 != 1).collect();
+        prop_assert_eq!(
+            &survivors, &dropped,
+            "dropping the subsumed rule changed a survivor"
+        );
+        let narrow_ends: Vec<Timestamp> =
+            full.iter().filter(|f| f.0 == 1).map(|f| f.2).collect();
+        let wide_ends: Vec<Timestamp> =
+            full.iter().filter(|f| f.0 == 0).map(|f| f.2).collect();
+        prop_assert!(
+            contained(&narrow_ends, &wide_ends),
+            "narrow firings escaped the subsumer: {} narrow vs {} wide",
+            narrow_ends.len(), wide_ends.len()
+        );
     }
 }

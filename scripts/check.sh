@@ -20,7 +20,7 @@ stray=$(find crates/*/src -name '*.rs' ! -path crates/core/src/graph.rs \
     FNR == 1 { in_tests = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
-    /EventGraph::(new|without_merging)|\.add_event\(|Bounds::solve|Cost::solve|CompiledPlan::lower/ {
+    /EventGraph::new|\.add_event\(|Bounds::solve|Cost::solve|CompiledPlan::lower/ {
         print FILENAME ":" FNR ": " $0
     }')
 if [[ -n "$stray" ]]; then
@@ -40,6 +40,24 @@ fi
 if [[ ! -f crates/core/tests/support/reference.rs ]] ||
     grep -rn 'rceda' crates/core/tests/support/; then
     echo "check.sh: the reference interpreter must exist and not name the engine" >&2
+    exit 1
+fi
+
+echo "== one engine configuration =="
+# Common-subgraph merging and key-partitioned buffers are what the engine
+# is, not settings: no switch for either, and EngineConfig holds exactly
+# what a deployment sets (unbounded_cap, observe, flight_capacity).
+if grep -rnE 'merge_subgraphs|partition_buffers|without_merging|merging_enabled' \
+    crates/ src/ tests/ examples/; then
+    echo "check.sh: an ablation switch is back" >&2
+    exit 1
+fi
+fields=$(awk '/^pub struct EngineConfig/ { in_struct = 1; next }
+    in_struct && /^}/ { exit }
+    in_struct && /^[[:space:]]*pub [a-z_]+:/ { n++ }
+    END { print n + 0 }' crates/core/src/engine.rs)
+if [[ "$fields" != 3 ]]; then
+    echo "check.sh: EngineConfig declares $fields fields, not 3" >&2
     exit 1
 fi
 

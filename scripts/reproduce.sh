@@ -25,8 +25,6 @@ run fig9_rules         # Fig. 9 series 2: time vs. rules
 run fig4_demo          # §4.1 correctness story
 run baseline_compare   # Ablation A3: RCEDA vs type-level ECA
 run context_compare    # Ablation A4: parameter contexts
-run ablation_merge     # Ablation A1: subgraph merging
-run ablation_partition # Ablation A2: keyed buffers
 run action_cost        # §5 methodology: detection vs detection+actions
 run fig9_shard         # shard sweep table: throughput vs. keyed shards × residual workers
 
@@ -34,4 +32,4 @@ run fig9_shard         # shard sweep table: throughput vs. keyed shards × resid
 scripts/bench_gate.sh
 
 echo
-echo "All tables written to $out/. Criterion microbenchmarks: cargo bench --workspace"
+echo "All tables written to $out/."
