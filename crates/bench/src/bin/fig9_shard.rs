@@ -3,11 +3,15 @@
 //!
 //! The sharded pipeline has two parallelism axes: object-shardable rules
 //! fan out over *keyed shards* by `hash(object EPC)`, while the remaining
-//! rules (the 512 `TSEQ+` containment rules on the canonical set) are
-//! rule-partitioned across *residual workers* that each receive the full
-//! stream by broadcast. This sweep measures end-to-end events/s over the
-//! cross product of both axes against the single-threaded engine, and
-//! writes the machine-readable series to `results/BENCH_shard.json`.
+//! rules (the 512 `TSEQ+` containment rules on the canonical set) are cut
+//! into broadcast partitions — up to four per *residual worker*, each
+//! handed only the readers its rules name — that the pool's threads take
+//! as they become ready. This sweep measures end-to-end events/s over the
+//! cross product of both axes against the single-threaded engine, writes
+//! the machine-readable series to `results/BENCH_shard.json`, and prints
+//! how the ledger's layout (`shards: 1, residual_workers: 2`) spreads the
+//! work: per partition, the share of the static cost model's weight beside
+//! the share of the occurrences it actually produced.
 //!
 //! Usage (all flags optional):
 //!
@@ -16,7 +20,7 @@
 //!            [--events 150000] [--seed 42]
 //! ```
 
-use rceda::{EngineConfig, ShardConfig};
+use rceda::{EngineConfig, ObserveLevel, ShardConfig};
 use rfid_bench::report::{self, JsonBuf};
 use rfid_bench::{
     bare_engine, sharded_engine_from_script, time_engine_pass, time_sharded_pass, BenchWorkload,
@@ -150,6 +154,7 @@ fn main() {
         "cores available: {cores}; baseline (unsharded): {:.0} ev/s",
         report::eps(stream.len(), base_ms)
     );
+    print_balance(&workload, &script, stream);
 
     write_json(&args, cores, base_ms, stream.len(), base_firings, &rows);
 }
@@ -174,6 +179,66 @@ fn print_sweep(rows: &[SweepRow]) {
             m.firings,
         );
     }
+}
+
+/// Predicted vs. measured share of the work per partition, on the ledger's
+/// layout. Predicted is the partition's summed `cpu_weight` (what
+/// `partition_rules` packs by), measured its `occurrences`: a count, so the
+/// table repeats exactly. The pool schedules partitions as they become
+/// ready, which is why a prediction this far off costs no balance.
+fn print_balance(workload: &BenchWorkload, script: &str, stream: &[rfid_events::Observation]) {
+    let config = ShardConfig {
+        shards: 1,
+        residual_workers: 2,
+        engine: EngineConfig {
+            observe: ObserveLevel::Counters,
+            ..EngineConfig::default()
+        },
+        ..ShardConfig::default()
+    };
+    let mut engine = sharded_engine_from_script(workload, script, config);
+    time_sharded_pass(&mut engine, stream);
+    let predicted: Vec<f64> = engine
+        .worker_telemetry()
+        .iter()
+        .map(|snap| snap.as_ref().map_or(0.0, |s| s.node_cost.iter().sum()))
+        .collect();
+    let stats = engine.worker_stats();
+    let weight: f64 = predicted.iter().sum();
+    let occurrences: u64 = stats.iter().map(|s| s.occurrences).sum();
+    let delivered: u64 = stats.iter().map(|s| s.events).sum();
+    println!(
+        "\n=== Balance — 1 shard × 2 residual workers: {} partitions on {} threads ===",
+        stats.len(),
+        engine.residual_worker_count()
+    );
+    println!(
+        "{:>9} {:>6}  {:<24} {:>10} {:>10} {:>12} {:>10}",
+        "partition", "rules", "first rule", "predicted", "measured", "occurrences", "delivered"
+    );
+    let rows = engine
+        .residual_partitions()
+        .iter()
+        .zip(stats)
+        .zip(&predicted);
+    for (p, ((rules, stats), predicted)) in rows.enumerate() {
+        println!(
+            "{:>9} {:>6}  {:<24} {:>9.1}% {:>9.1}% {:>12} {:>10}",
+            p,
+            rules.len(),
+            rules.first().map_or("", |&r| engine.rule_name(r)),
+            100.0 * predicted / weight,
+            100.0 * stats.occurrences as f64 / occurrences as f64,
+            stats.occurrences,
+            stats.events,
+        );
+    }
+    println!(
+        "delivered per event: {:.2} ({} of {})",
+        delivered as f64 / stream.len() as f64,
+        delivered,
+        stream.len()
+    );
 }
 
 /// One object per sweep configuration, plus the unsharded baseline and the

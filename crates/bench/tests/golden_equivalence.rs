@@ -1,12 +1,13 @@
 //! Golden equivalence: the Fig. 9 workload's firing counts are pinned, and
-//! the refactored engine plus the sharded pipeline (1/2/8 shards) must all
-//! reproduce them exactly.
+//! the engine plus the sharded pipeline — on the full grid of keyed shards
+//! × residual pool threads — must all reproduce them exactly.
 //!
 //! The constants below were produced by the pre-refactor `Vec<KeyPart>`
 //! engine on this exact workload (paper-scale deployment, deterministic
 //! trace, 20 000 events). Any hot-path change that alters detection —
-//! packed-key collisions, plan-borrowing mistakes, shard routing drift —
-//! shows up here as a count mismatch, not as a silent perf-only diff.
+//! packed-key collisions, plan-borrowing mistakes, shard routing drift, a
+//! partition missing a reader it needed — shows up here as a count
+//! mismatch, not as a silent perf-only diff.
 
 use std::collections::BTreeMap;
 
@@ -99,46 +100,103 @@ fn assert_matches_golden(counts: &BTreeMap<String, u64>, label: &str) {
     assert_eq!(total, GOLDEN_TOTAL, "{label}: total firings diverged");
 }
 
+/// Keyed shards × residual pool threads: every differential case holds on
+/// the whole grid.
+const SHARDS: [usize; 3] = [1, 2, 3];
+const RESIDUAL: [usize; 3] = [1, 2, 4];
+
 #[test]
 fn fig9_workload_reproduces_golden_counts() {
+    // The 512 containment rules are cut into up to four broadcast
+    // partitions per residual thread, each reading only its own lines'
+    // readers, and every per-rule count must still match the
+    // single-threaded engine bit-for-bit at every grid point.
     let workload = BenchWorkload::with_config(SimConfig::paper_scale());
     let script = workload.sim.rule_set();
 
     let engine = engine_counts(&workload, &script);
     assert_matches_golden(&engine, "single-threaded engine");
 
-    for shards in [1usize, 2, 8] {
-        let sharded = sharded_counts(&workload, &script, shards, 1);
-        assert_matches_golden(&sharded, &format!("{shards}-shard pipeline"));
+    let grid = SHARDS
+        .into_iter()
+        .flat_map(|shards| RESIDUAL.map(|residual| (shards, residual)));
+    for (shards, residual_workers) in grid.chain([(8, 1)]) {
+        let label = format!("{shards} shards × {residual_workers} residual threads");
+        let sharded = sharded_counts(&workload, &script, shards, residual_workers);
+        assert_matches_golden(&sharded, &label);
         // Beyond the pinned aggregates: every individual rule (all 500+ of
         // them) must agree with the single-threaded engine exactly.
         assert_eq!(
             sharded, engine,
-            "per-rule firing counts diverged between engine and {shards}-shard pipeline"
+            "per-rule firing counts diverged between engine and {label}"
         );
     }
 }
 
 #[test]
-fn fig9_workload_reproduces_golden_counts_with_residual_partitioning() {
-    // The rule-partitioned residual grid: the 512 containment rules split
-    // across residual workers, and every per-rule count must still match
-    // the single-threaded engine bit-for-bit at every grid point.
+fn rule_family_fires_the_same_on_the_grid() {
+    // Fig. 9(b)'s family: 100 window-varied rules of four kinds. Rules of
+    // a kind share leaves, so its merge groups are fewer and heavier than
+    // the canonical set's 512 light ones.
     let workload = BenchWorkload::with_config(SimConfig::paper_scale());
-    let script = workload.sim.rule_set();
-
+    let script = workload.sim.rule_family(100);
     let engine = engine_counts(&workload, &script);
-    assert_matches_golden(&engine, "single-threaded engine");
-
-    for shards in [1usize, 2] {
-        for residual_workers in [2usize, 4] {
-            let label = format!("{shards} shards × {residual_workers} residual workers");
-            let sharded = sharded_counts(&workload, &script, shards, residual_workers);
-            assert_matches_golden(&sharded, &label);
+    assert!(engine.values().sum::<u64>() > 0, "the family must fire");
+    for shards in SHARDS {
+        for residual_workers in RESIDUAL {
             assert_eq!(
-                sharded, engine,
-                "per-rule firing counts diverged between engine and {label}"
+                sharded_counts(&workload, &script, shards, residual_workers),
+                engine,
+                "{shards} shards × {residual_workers} residual threads"
             );
         }
     }
+}
+
+#[test]
+fn no_partition_of_the_ledger_layout_does_half_the_work() {
+    // Balance, on counts rather than time: with the ledger's layout
+    // (`shards: 1, residual_workers: 2`) over a 60 s trace, no partition
+    // produces more than half of the summed `occurrences` — the heaviest
+    // merge group, `infield`, is about a third — so two threads taking
+    // partitions as they become ready can split the work evenly whatever
+    // the static weights (82% for `infield`) predicted.
+    let workload = BenchWorkload::with_config(SimConfig::paper_scale());
+    let script = workload.sim.rule_set();
+    let trace = workload
+        .sim
+        .generate_until(rfid_events::Timestamp::from_secs(60));
+    let config = ShardConfig {
+        shards: 1,
+        residual_workers: 2,
+        ..ShardConfig::default()
+    };
+    let mut engine = sharded_engine_from_script(&workload, &script, config);
+    for &obs in &trace.observations {
+        engine.process(obs);
+    }
+    engine.finish(&mut |_rule, _inst| {});
+
+    assert_eq!(engine.residual_worker_count(), 2, "two pool threads");
+    assert_eq!(
+        engine.residual_partitions().len(),
+        8,
+        "four partitions each"
+    );
+    let occurrences: Vec<u64> = engine
+        .worker_stats()
+        .iter()
+        .map(|s| s.occurrences)
+        .collect();
+    let total: u64 = occurrences.iter().sum();
+    let heaviest = occurrences.iter().copied().max().unwrap_or(0);
+    assert!(total > 0, "the trace must produce occurrences");
+    assert!(
+        2 * heaviest <= total,
+        "one partition produced {heaviest} of {total} occurrences: {occurrences:?}"
+    );
+    // Subscriptions: only the two shelf rules share readers, so the stream
+    // is delivered less than one and a half times, not once per partition.
+    let delivered = engine.stats().events as f64;
+    assert!(delivered < 1.5 * trace.observations.len() as f64);
 }

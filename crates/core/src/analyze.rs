@@ -178,7 +178,7 @@ impl DiagCode {
             DiagCode::ShadowedRule => "event merged into an identical earlier rule",
             DiagCode::DuplicateDefine => "DEFINE alias declared more than once",
             DiagCode::DeadLeaf => "pattern can never match the deployment catalog",
-            DiagCode::ResidualRule => "rule falls to the residual (full-stream) path",
+            DiagCode::ResidualRule => "rule falls to the residual (rule-partitioned) path",
             DiagCode::UnboundedBuffer => "join buffers bounded only by the capacity cap",
             DiagCode::SubsumedRule => "rule provably subsumed by a wider rule",
             DiagCode::BoundedRetention => "join buffer bounded at runtime by the solved retention",
@@ -435,8 +435,9 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
         let (message, hint) = match reason {
             ResidualReason::GlobalRun => (
                 "contains SEQ+/TSEQ+: aperiodic runs span objects, so the rule runs on \
-                 the residual full-stream path instead of keyed shards",
-                "expected for containment-style rules; raise `residual_workers` to scale them",
+                 the residual path (one engine for all of its readers) instead of keyed shards",
+                "expected for containment-style rules: they run on broadcast partitions that \
+                 read only the readers they name; raise `residual_workers` to add pool threads",
             ),
             ResidualReason::KeylessJoin => (
                 "a stateful join does not correlate on the object EPC, so detection \

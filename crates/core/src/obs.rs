@@ -19,8 +19,8 @@
 //!    the event-graph derivation. Recorded at `Full` only.
 //! 3. **[`TelemetrySnapshot`]** — an exportable point-in-time copy of
 //!    stats + arena + log2 histograms (process latency, buffer occupancy,
-//!    shard queue depth), mergeable across shard/residual workers and
-//!    serialized as JSONL or Prometheus text exposition.
+//!    shard queue depth), mergeable across the sharded pipeline's
+//!    partitions and serialized as JSONL or Prometheus text exposition.
 //!
 //! Merge semantics follow the [`crate::stats::StatKind`] table: histogram
 //! buckets are monotone populations, so [`StatKind::Histogram`] combines
@@ -532,14 +532,14 @@ impl ObsState {
 /// itself: stats totals, the per-node arena with op labels, and the
 /// latency / occupancy / queue-depth histograms.
 ///
-/// Snapshots from shard and residual workers merge via
+/// Snapshots from the sharded pipeline's partitions merge via
 /// [`TelemetrySnapshot::merge`]; the result serializes as a JSONL line
 /// ([`TelemetrySnapshot::to_jsonl`]) or Prometheus text exposition
 /// ([`TelemetrySnapshot::to_prometheus`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
-    /// Where this snapshot came from (`"engine"`, a worker thread name
-    /// like `"shard-0"` / `"residual-1"`, or `"sharded"` after merging).
+    /// Where this snapshot came from (`"engine"`, a partition name like
+    /// `"shard-0"` / `"residual-1"`, or `"sharded"` after merging).
     pub label: String,
     /// Engine clock at snapshot time, in milliseconds.
     pub clock_ms: u64,
@@ -558,8 +558,8 @@ pub struct TelemetrySnapshot {
     pub latency_ns: Histogram,
     /// Join-bucket occupancy at admission.
     pub occupancy: Histogram,
-    /// Per-shard ingestion queue depth, in batches, sampled at every
-    /// batch flush (not just at `finish`).
+    /// Per-partition inbox depth, in batches, sampled at every batch
+    /// flush (not just at `finish`).
     pub queue_depth: Histogram,
 }
 
@@ -583,7 +583,7 @@ impl TelemetrySnapshot {
     /// Merges another snapshot in: stats via the [`StatKind`] table,
     /// histograms bucket-wise, clock by max. Per-node tables merge
     /// element-wise when both sides describe the same plan shape (same op
-    /// labels); otherwise they are dropped — residual workers compile
+    /// labels); otherwise they are dropped — broadcast partitions compile
     /// different rule subsets, so their node ids do not align and a
     /// positional sum would charge one node with another's work.
     pub fn merge(&mut self, other: &TelemetrySnapshot) {

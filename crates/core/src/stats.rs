@@ -74,7 +74,9 @@ macro_rules! engine_stats {
 }
 
 engine_stats! {
-    /// Primitive observations processed.
+    /// Primitive observations processed. Summed over the partitions of the
+    /// sharded path this is observations *delivered*: one handed to two
+    /// partitions counts twice, one no partition subscribes to not at all.
     events: Counter,
     /// Primitive observations that matched at least one leaf pattern.
     matched_events: Counter,
@@ -90,11 +92,11 @@ engine_stats! {
     capacity_drops: Counter,
     /// Buffer sweep passes performed.
     sweeps: Counter,
-    /// Observation batches shipped to workers. Only the sharded path
+    /// Observation batches shipped to partitions. Only the sharded path
     /// ([`crate::shard::ShardedEngine`]) batches; zero single-threaded.
     batches: Counter,
-    /// Deepest per-shard ingestion queue observed, in batches. Zero
-    /// single-threaded.
+    /// Deepest partition inbox observed, in batches (at most
+    /// `ShardConfig::queue_depth`). Zero single-threaded.
     max_queue_depth: Gauge,
     /// Correlation keys currently retained in negation histories — the
     /// working set [`crate::state::NegationState::prune`] bounds. A gauge,
@@ -110,8 +112,9 @@ engine_stats! {
     /// Correlation keys currently indexed by join-side buffers (both sides
     /// of every two-sided node). Like `retained_keys`, but for joins.
     join_keys: Gauge,
-    /// Rule-partitioned residual workers in the sharded pipeline. A gauge
-    /// set by `ShardedEngine::stats`; zero single-threaded.
+    /// Pool threads serving the broadcast (rule-partitioned) partitions of
+    /// the sharded pipeline — threads, not partitions. A gauge set by
+    /// `ShardedEngine::stats`; zero single-threaded.
     residual_workers: Gauge,
     /// Nodes in the compiled execution plan (`crate::plan::CompiledPlan`),
     /// as of the last compile. Merging takes the maximum: the largest

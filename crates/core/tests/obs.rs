@@ -273,7 +273,7 @@ fn flight_recorder_pins_a_chronicle_derivation() {
     );
 }
 
-/// Sharded telemetry invariants on a deterministic run: workers report
+/// Sharded telemetry invariants on a deterministic run: partitions report
 /// labelled snapshots, the merged snapshot carries the coordinator's
 /// stats, and the queue-depth histogram records exactly one sample per
 /// flushed batch.
@@ -304,10 +304,10 @@ fn sharded_telemetry_merges_and_samples_queue_depth() {
     assert!(firings > 0);
 
     for snap in engine.worker_telemetry() {
-        let snap = snap.as_ref().expect("every worker observes");
+        let snap = snap.as_ref().expect("every partition observes");
         assert!(
             snap.label.starts_with("shard-") || snap.label.starts_with("residual-"),
-            "worker snapshots carry thread labels, got `{}`",
+            "partition snapshots carry partition labels, got `{}`",
             snap.label
         );
     }

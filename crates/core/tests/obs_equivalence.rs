@@ -131,8 +131,11 @@ proptest! {
 
         prop_assert_eq!(&single_firings, &sharded_firings, "firing multisets diverged");
 
-        // Counter stats sum exactly across the partitioned streams.
-        prop_assert_eq!(single.stats.events, sharded.stats.events);
+        // Counter stats sum exactly across the partitioned streams — all
+        // but `events`, which counts deliveries: a shard is not handed the
+        // observations of readers none of its rules names.
+        prop_assert!(sharded.stats.events <= single.stats.events);
+        prop_assert!(sharded.stats.events >= sharded.stats.matched_events);
         prop_assert_eq!(single.stats.matched_events, sharded.stats.matched_events);
         prop_assert_eq!(single.stats.occurrences, sharded.stats.occurrences);
         prop_assert_eq!(single.stats.rule_firings, sharded.stats.rule_firings);

@@ -382,13 +382,14 @@ impl RuleRuntime {
     /// Feeds a whole stream through the key-sharded parallel detection
     /// pipeline ([`rceda::ShardedEngine`]) instead of this runtime's
     /// single-threaded engine. The loaded rules are recompiled into the
-    /// sharded engine (object-shardable rules fan out over `shards` worker
-    /// threads; the rest run on residual full-stream workers — one by
-    /// default, rule-partitioned across
-    /// [`rceda::ShardConfig::residual_workers`] when configured via
-    /// [`RuleRuntime::process_all_sharded_config`]), and every firing runs
-    /// its condition and actions in the merged deterministic
-    /// `(t_end, shard, seq)` order at the end-of-stream barrier. Rules
+    /// sharded engine (object-shardable rules fan out over `shards` keyed
+    /// partitions; the rest are rule-partitioned into broadcast partitions
+    /// that read only the readers they name, served by one extra pool
+    /// thread by default and by [`rceda::ShardConfig::residual_workers`]
+    /// when configured via [`RuleRuntime::process_all_sharded_config`]),
+    /// and every firing runs its condition and actions in the merged
+    /// deterministic `(t_end, partition, seq)` order at the end-of-stream
+    /// barrier. Rules
     /// disabled via `DROP RULE` are detected but not fired. Returns the
     /// merged detection stats.
     pub fn process_all_sharded<I: IntoIterator<Item = Observation>>(
@@ -404,9 +405,9 @@ impl RuleRuntime {
     }
 
     /// [`Runtime::process_all_sharded`] with full control over the pipeline
-    /// configuration (ingestion batch size, queue depth, and the number of
-    /// rule-partitioned residual workers), for callers
-    /// tuning the shard pipeline rather than taking defaults.
+    /// configuration (ingestion batch size, inbox depth, and the number of
+    /// pool threads for the rule-partitioned rules), for callers tuning the
+    /// shard pipeline rather than taking defaults.
     pub fn process_all_sharded_config<I: IntoIterator<Item = Observation>>(
         &mut self,
         stream: I,

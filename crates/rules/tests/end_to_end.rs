@@ -413,9 +413,10 @@ fn sharded_runtime_matches_single_threaded() {
     );
     assert_eq!(rows_fp(&single), rows_fp(&shard));
 
-    // Rule-partitioned residual workers: same stream again through an
-    // explicit config splitting the rules across two full-stream workers
-    // must leave identical store rows and procedure log too.
+    // Rule-partitioned broadcast partitions: same stream again through an
+    // explicit config cutting the residual rules into partitions served by
+    // two extra pool threads must leave identical store rows and procedure
+    // log too.
     let mut parted = Deployment::new();
     load(&mut parted);
     let config = rceda::ShardConfig {
@@ -428,7 +429,10 @@ fn sharded_runtime_matches_single_threaded() {
         .process_all_sharded_config(stream, config)
         .unwrap();
     assert!(parted.rt.errors().is_empty(), "{:?}", parted.rt.errors());
-    assert!(stats.residual_workers <= 2);
+    assert!(
+        stats.residual_workers <= 2,
+        "pool threads for the broadcast partitions: at most the configured two"
+    );
     assert_eq!(log_fp(&single), log_fp(&parted));
     assert_eq!(rows_fp(&single), rows_fp(&parted));
 }

@@ -61,6 +61,25 @@ if [[ "$fields" != 3 ]]; then
     exit 1
 fi
 
+echo "== one worker kind (partitions on a pool) =="
+# The shard pipeline has one execution design: partitions — keyed or
+# broadcast — that any pool thread runs. No thread-per-worker loop with its
+# own channels beside it, no knob (ShardConfig keeps shards,
+# residual_workers, batch_size, queue_depth, engine) and no environment
+# switch selecting between designs.
+if grep -nE 'fn worker_loop|recycle_rx|std::env' crates/core/src/shard.rs; then
+    echo "check.sh: a second worker kind or an env switch is back in shard.rs" >&2
+    exit 1
+fi
+fields=$(awk '/^pub struct ShardConfig/ { in_struct = 1; next }
+    in_struct && /^}/ { exit }
+    in_struct && /^[[:space:]]*pub [a-z_]+:/ { n++ }
+    END { print n + 0 }' crates/core/src/shard.rs)
+if [[ "$fields" != 5 ]]; then
+    echo "check.sh: ShardConfig declares $fields fields, not 5" >&2
+    exit 1
+fi
+
 echo "== one firing path (rfid_rules::prepared) =="
 # A firing is bound, tested and executed by crates/rules/src/prepared.rs.
 # The by-name interpreter (bind.rs, cond.rs, actions.rs) stays public for the
