@@ -16,8 +16,9 @@
 //! `ReaderId` contributes 4 payload bytes, an `Epc` 12 (its 96-bit word) —
 //! together with a shape descriptor (part count + per-part kind bits) and a
 //! precomputed 64-bit hash. Construction, cloning, and equality are then
-//! allocation-free value operations, and the key maps ([`KeyMap`]) consume
-//! the precomputed hash through a pass-through hasher instead of re-hashing.
+//! allocation-free value operations, and the keyed state tables
+//! ([`crate::state::SlotTable`]) probe with the precomputed hash instead of
+//! re-hashing.
 //!
 //! Keys wider than 24 payload bytes (more than two object parts, or
 //! pathological many-variable joins) spill to a shared `Arc<[KeyPart]>`.
@@ -100,7 +101,7 @@ const INLINE_PARTS: usize = 6;
 
 // The splitmix64 finalizer, shared with the edge filters' and the store's
 // maps over the same EPC bits; the shard router uses it too, so one
-// multiply chain serves key maps and shard routing.
+// multiply chain serves the keyed tables and shard routing.
 pub(crate) use rfid_epc::hash::mix64;
 
 /// Hashes a packed shape + payload words.
@@ -147,8 +148,8 @@ enum Repr {
 /// means "uncorrelated" — every instance lands in one partition.
 #[derive(Debug, Clone)]
 pub struct Key {
-    /// Precomputed hash over the representation; [`KeyMap`] consumes it
-    /// directly through [`KeyHasher`].
+    /// Precomputed hash over the representation; what
+    /// [`crate::state::SlotTable`] probes with.
     hash: u64,
     repr: Repr,
 }
@@ -368,10 +369,10 @@ impl Default for KeyBuilder {
     }
 }
 
-/// Pass-through hasher consuming [`Key`]'s precomputed hash: `finish()`
-/// returns exactly the `u64` written. Only valid for keys of this module and
-/// for bare `u64`s ([`SeqMap`]) — anything else would silently truncate,
-/// hence not exported as a general hasher.
+/// Pass-through hasher: `finish()` returns exactly the `u64` written. Only
+/// valid for bare `u64`s ([`SeqMap`]) and types whose `Hash` writes one
+/// (a [`Key`] writes its precomputed hash) — anything else would silently
+/// truncate, hence not exported as a general hasher.
 #[derive(Debug, Default, Clone)]
 pub struct KeyHasher(u64);
 
@@ -391,11 +392,7 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// A hash map keyed by [`Key`], probing with the precomputed hash instead of
-/// re-hashing (SipHash) on every lookup.
-pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
-
-/// A hash map keyed by an engine sequence number, on the same fixed
+/// A hash map keyed by an engine sequence number, on a fixed
 /// pass-through hasher: sequence numbers are dense, so they index buckets
 /// as they are. `std`'s default `RandomState` would make such a map's
 /// growth pattern — and with it the engine's allocation counts — differ
@@ -721,17 +718,5 @@ mod tests {
         let r = Key::from_parts(&[KeyPart::Reader(ReaderId(42))]);
         let o = Key::from_parts(&[KeyPart::Object(Epc::from_raw(42))]);
         assert_ne!(r, o);
-    }
-
-    #[test]
-    fn key_map_uses_precomputed_hash() {
-        let mut map: KeyMap<u32> = KeyMap::default();
-        let k1 = Key::from_parts(&[KeyPart::Object(epc(1))]);
-        let k2 = Key::from_parts(&[KeyPart::Object(epc(2))]);
-        map.insert(k1.clone(), 10);
-        map.insert(Key::EMPTY, 20);
-        assert_eq!(map.get(&k1), Some(&10));
-        assert_eq!(map.get(&Key::EMPTY), Some(&20));
-        assert_eq!(map.get(&k2), None);
     }
 }

@@ -10,10 +10,182 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use rfid_epc::hash::TagTable;
 use rfid_events::{Instance, Span, Timestamp};
 
-use crate::key::{Key, KeyMap, SeqMap};
+use crate::key::{Key, SeqMap};
 use crate::plan::InlineBuf;
+
+/// Keyed state of a node: correlation key → a slot holding a `T`, plus the
+/// expiry log that says when to look at a slot again. Join buffers
+/// ([`KeyedBuffer`]) and negation histories ([`NegationState`]) are both
+/// this table; they differ in what a slot holds.
+///
+/// The [`Key`] is stored once, in its slot. The index in front of the arena
+/// is a [`TagTable`]: one eight-byte cell per live key — 32 bits of
+/// [`Key::precomputed_hash`] over `slot id + 1`. A probe reads cells on the
+/// key's home line until the tag matches, then compares the key in the slot
+/// the cell names — the line the caller is about to read anyway; cells that
+/// share a tag, or a whole hash, are told apart there. Releasing a key
+/// shifts its probe run back, so a stream of ever-fresh keys leaves no
+/// tombstones: cells and slots track the peak live population, not the
+/// number of keys seen.
+///
+/// Callers pass the hash a key is filed under beside the key — the same
+/// one every time, which is what lets a test force collisions. A table whose
+/// log is used files under `key.precomputed_hash()`, as
+/// [`SlotTable::expire`] and [`SlotTable::rebuild_log`] release under it.
+#[derive(Debug, Clone, Default)]
+pub struct SlotTable<T> {
+    index: TagTable,
+    /// Slot arena, recycled through `free`.
+    slots: Vec<Slot<T>>,
+    /// Freed slot ids available for reuse, last freed first.
+    free: Vec<u32>,
+    /// Expiry log: `(time, slot)` records in the order they were logged.
+    /// [`SlotTable::expire`] walks only the expired prefix, so a sweep costs
+    /// O(records that died) instead of a scan over every live key. A record
+    /// may outlive what it was logged for (the entry was consumed, the slot
+    /// freed and reused): it then only prompts a look at a slot whose dead
+    /// content, if any, is dead by time — harmless. Slot ids keep a record
+    /// at 16 bytes where a cloned [`Key`] was 40 and a hash.
+    log: VecDeque<(Timestamp, u32)>,
+}
+
+/// One key's slot. `key` doubles as the occupancy flag: `None` marks a free
+/// slot (stale log records naming it are skipped, a second release is a
+/// no-op). A freed slot keeps its `value` for the next key, so the holder
+/// frees a slot only when the value is as a fresh key should find it.
+#[derive(Debug, Clone, Default)]
+struct Slot<T> {
+    key: Option<Key>,
+    value: T,
+}
+
+impl<T: Default> SlotTable<T> {
+    /// Live keys.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether no key is live.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// The slot of `key`, if it is live.
+    #[inline]
+    pub fn find(&self, hash: u64, key: &Key) -> Option<u32> {
+        let slots = &self.slots;
+        self.index
+            .find(hash as u32, |v| {
+                slots[v as usize - 1].key.as_ref() == Some(key)
+            })
+            .map(|(_, v)| v - 1)
+    }
+
+    /// The slot of `key`, taking a free one (or growing the arena) on first
+    /// sight.
+    pub fn slot_of(&mut self, hash: u64, key: Key) -> u32 {
+        if let Some(slot) = self.find(hash, &key) {
+            return slot;
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(Slot::default());
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.slots[slot as usize].key = Some(key);
+        self.index.insert(hash as u32, slot + 1);
+        slot
+    }
+
+    /// What `slot` holds.
+    pub fn value(&self, slot: u32) -> &T {
+        &self.slots[slot as usize].value
+    }
+
+    /// What `slot` holds, mutably.
+    pub fn value_mut(&mut self, slot: u32) -> &mut T {
+        &mut self.slots[slot as usize].value
+    }
+
+    /// Unlinks the key of `slot`, filed under `hash`, and puts the slot on
+    /// the free list.
+    pub fn release(&mut self, hash: u64, slot: u32) {
+        if self.slots[slot as usize].key.take().is_some() {
+            let (at, _) = self
+                .index
+                .find(hash as u32, |v| v == slot + 1)
+                .expect("a live slot is indexed under its hash");
+            self.index.remove(at);
+            self.free.push(slot);
+        }
+    }
+
+    /// Appends a record: look at `slot` once `t` has expired.
+    pub fn log(&mut self, t: Timestamp, slot: u32) {
+        self.log.push_back((t, slot));
+    }
+
+    /// Records in the log, stale ones included.
+    pub fn log_len(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Time of the oldest record — a lower bound on when something held
+    /// here can next die. Stale records only make it early, never late.
+    pub fn oldest_logged(&self) -> Option<Timestamp> {
+        self.log.front().map(|&(t, _)| t)
+    }
+
+    /// Pops every record at the head of the log with a time before
+    /// `dead_before` and hands the value of the live slot it names to
+    /// `drain`, which drops what has died and says whether the slot is to
+    /// be released. Out-of-order records behind a live head wait for a
+    /// later call — expiry is garbage collection, laziness is harmless.
+    pub fn expire(&mut self, dead_before: Timestamp, mut drain: impl FnMut(&mut T) -> bool) {
+        while let Some(&(t, slot)) = self.log.front() {
+            if t >= dead_before {
+                break;
+            }
+            self.log.pop_front();
+            let s = &mut self.slots[slot as usize];
+            let Some(hash) = s.key.as_ref().map(Key::precomputed_hash) else {
+                continue;
+            };
+            if drain(&mut s.value) {
+                self.release(hash, slot);
+            }
+        }
+    }
+
+    /// Replaces the log by what the live slots hold, in time order:
+    /// `times` reports the time of each thing in a value that should have
+    /// a record. A slot that reports nothing is released.
+    pub fn rebuild_log(
+        &mut self,
+        capacity: usize,
+        mut times: impl FnMut(&T, &mut dyn FnMut(Timestamp)),
+    ) {
+        let mut live: Vec<(Timestamp, u32)> = Vec::with_capacity(capacity);
+        for slot in 0..self.slots.len() as u32 {
+            let s = &self.slots[slot as usize];
+            let Some(hash) = s.key.as_ref().map(Key::precomputed_hash) else {
+                continue;
+            };
+            let before = live.len();
+            times(&s.value, &mut |t| live.push((t, slot)));
+            if live.len() == before {
+                self.release(hash, slot);
+            }
+        }
+        live.sort_by_key(|&(t, _)| t);
+        self.log = live.into();
+    }
+}
 
 /// A buffered instance with its admission sequence number (FIFO tie-break
 /// and wait anchor).
@@ -31,7 +203,7 @@ pub struct Entry {
 const INLINE_ENTRIES: usize = 2;
 
 /// FIFO with an inline fast path: queues up to [`INLINE_ENTRIES`] long live
-/// directly in the key map's entry (no second pointer chase per probe);
+/// directly in the key's slot (no second pointer chase per probe);
 /// longer queues are promoted to a heap deque and stay there.
 #[derive(Debug, Clone)]
 enum MicroDeque<T> {
@@ -171,36 +343,27 @@ impl<'a, T> Iterator for MicroIter<'a, T> {
 /// group* while making lookup O(1) in the number of keys.
 #[derive(Debug, Default, Clone)]
 pub struct KeyedBuffer {
-    /// Key → slot id. The only place a [`Key`] is stored (once per live
-    /// key); everything hot references slots by compact id.
-    index: KeyMap<u32>,
-    /// Slot arena: per-key queues, slots recycled through `free`.
-    slots: Vec<Slot>,
-    /// Freed slot ids available for reuse.
-    free: Vec<u32>,
+    /// Per-key queues; one expiry-log record `(t_end, slot)` per admitted
+    /// entry, in admission order. Entries consumed by a chronicle take
+    /// leave their record stale in the log.
+    table: SlotTable<MicroDeque<Entry>>,
     len: usize,
-    /// Expiry log: one `(t_end, slot)` per admitted entry, in admission
-    /// order. [`KeyedBuffer::prune`] walks only the expired prefix of this
-    /// log, so a sweep costs O(entries that died) instead of a full scan
-    /// over every live key. Entries whose instance was consumed earlier
-    /// (chronicle take) go stale in the log and are skipped when their
-    /// timestamp expires; a record naming a freed-and-reused slot only ever
-    /// removes entries that are dead by time, so recycling is harmless.
-    /// Slot ids keep the log at 16 bytes per record where a cloned [`Key`]
-    /// was 40+ and a hash — the per-admission clone this replaces.
-    expiry: VecDeque<(Timestamp, u32)>,
     /// Instances evicted by the unbounded-buffer cap (reported in stats).
     pub dropped: u64,
 }
 
-/// One key's queue in the slot arena. `key` doubles as the occupancy flag:
-/// `None` marks a free slot (guards against double-free when stale expiry
-/// records name it) and `Some` holds the key needed to unlink the index
-/// when the queue drains.
-#[derive(Debug, Default, Clone)]
-struct Slot {
-    key: Option<Key>,
-    q: MicroDeque<Entry>,
+/// Drops the leading entries of `q` that ended before `dead_before` (they
+/// can never match again); returns how many.
+fn drop_dead_prefix(q: &mut MicroDeque<Entry>, dead_before: Timestamp) -> usize {
+    let mut dropped = 0;
+    while q
+        .front()
+        .is_some_and(|front| front.inst.t_end() < dead_before)
+    {
+        q.pop_front();
+        dropped += 1;
+    }
+    dropped
 }
 
 impl KeyedBuffer {
@@ -216,81 +379,63 @@ impl KeyedBuffer {
 
     /// Distinct correlation keys currently indexed (reported in stats).
     pub fn key_count(&self) -> usize {
-        self.index.len()
+        self.table.len()
     }
 
-    /// Slot id for `key`, allocating (and storing the key — the one clone
-    /// per live key) on first sight.
-    fn slot_of(&mut self, key: Key) -> u32 {
-        match self.index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let id = match self.free.pop() {
-                    Some(id) => id,
-                    None => {
-                        self.slots.push(Slot::default());
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                self.slots[id as usize].key = Some(v.key().clone());
-                v.insert(id);
-                id
-            }
+    /// Logs and appends `entry` to the queue of `slot`; evicts the oldest
+    /// entry of that key when `cap` is exceeded.
+    fn admit(&mut self, slot: u32, entry: Entry, cap: usize) {
+        self.table.log(entry.inst.t_end(), slot);
+        let q = self.table.value_mut(slot);
+        q.push_back(entry);
+        self.len += 1;
+        if q.len() > cap {
+            q.pop_front();
+            self.len -= 1;
+            self.dropped += 1;
         }
     }
 
     /// Appends an entry under a key; evicts the oldest entry of that key
     /// when `cap` is exceeded (only finite for unbounded-horizon nodes).
     pub fn push(&mut self, key: Key, entry: Entry, cap: usize) {
-        let slot = self.slot_of(key);
-        self.expiry.push_back((entry.inst.t_end(), slot));
-        let q = &mut self.slots[slot as usize].q;
-        q.push_back(entry);
-        self.len += 1;
-        if q.len() > cap {
-            q.pop_front();
-            self.len -= 1;
-            self.dropped += 1;
-        }
+        let slot = self.table.slot_of(key.precomputed_hash(), key);
+        self.admit(slot, entry, cap);
     }
 
-    /// Chronicle take-or-admit in a single map probe: discards the dead
+    /// Chronicle take-or-admit in a single probe: discards the dead
     /// prefix of `key`'s queue, removes and returns the oldest entry
     /// satisfying `pred`, then appends `entry` to the same queue. This is
-    /// the self-join arrival in one bucket access — the arriving instance
+    /// the self-join arrival in one slot access — the arriving instance
     /// always becomes an initiator, matched or not, so splitting the take
-    /// and the push would probe the same bucket twice.
+    /// and the push would probe for the same slot twice.
     pub fn take_match_and_push(
         &mut self,
         key: Key,
         dead_before: Timestamp,
-        mut pred: impl FnMut(&Entry) -> bool,
+        pred: impl FnMut(&Entry) -> bool,
         entry: Entry,
         cap: usize,
     ) -> Option<Entry> {
-        let slot = self.slot_of(key);
-        self.expiry.push_back((entry.inst.t_end(), slot));
-        let q = &mut self.slots[slot as usize].q;
-        while let Some(front) = q.front() {
-            if front.inst.t_end() < dead_before {
-                q.pop_front();
-                self.len -= 1;
-            } else {
-                break;
-            }
-        }
-        let taken = q.iter().position(&mut pred).map(|pos| {
-            self.len -= 1;
-            q.remove(pos).expect("position is in range")
-        });
-        q.push_back(entry);
-        self.len += 1;
-        if q.len() > cap {
-            q.pop_front();
-            self.len -= 1;
-            self.dropped += 1;
-        }
+        let slot = self.table.slot_of(key.precomputed_hash(), key);
+        let taken = self.take_from(slot, dead_before, pred);
+        self.admit(slot, entry, cap);
         taken
+    }
+
+    /// Removes and returns the oldest entry of `slot` satisfying `pred`,
+    /// first discarding its dead prefix.
+    fn take_from(
+        &mut self,
+        slot: u32,
+        dead_before: Timestamp,
+        pred: impl FnMut(&Entry) -> bool,
+    ) -> Option<Entry> {
+        let q = self.table.value_mut(slot);
+        self.len -= drop_dead_prefix(q, dead_before);
+        let pos = q.iter().position(pred)?;
+        self.len -= 1;
+        q.remove(pos)
     }
 
     /// Removes and returns the oldest entry under `key` satisfying `pred`,
@@ -300,21 +445,10 @@ impl KeyedBuffer {
         &mut self,
         key: &Key,
         dead_before: Timestamp,
-        mut pred: impl FnMut(&Entry) -> bool,
+        pred: impl FnMut(&Entry) -> bool,
     ) -> Option<Entry> {
-        let slot = *self.index.get(key)?;
-        let q = &mut self.slots[slot as usize].q;
-        while let Some(front) = q.front() {
-            if front.inst.t_end() < dead_before {
-                q.pop_front();
-                self.len -= 1;
-            } else {
-                break;
-            }
-        }
-        let pos = q.iter().position(&mut pred)?;
-        self.len -= 1;
-        q.remove(pos)
+        let slot = self.table.find(key.precomputed_hash(), key)?;
+        self.take_from(slot, dead_before, pred)
     }
 
     /// Removes every entry under `key` holding exactly this instance
@@ -322,8 +456,8 @@ impl KeyedBuffer {
     /// children under different windows, one physical instance may sit in
     /// both side buffers, and chronicle consumption must retire every copy.
     pub fn remove_ptr_eq(&mut self, key: &Key, inst: &Arc<Instance>) {
-        if let Some(&slot) = self.index.get(key) {
-            let q = &mut self.slots[slot as usize].q;
+        if let Some(slot) = self.table.find(key.precomputed_hash(), key) {
+            let q = self.table.value_mut(slot);
             let before = q.len();
             q.retain(|e| !Arc::ptr_eq(&e.inst, inst));
             self.len -= before - q.len();
@@ -331,65 +465,31 @@ impl KeyedBuffer {
     }
 
     /// Drops every entry (across keys) whose expiry-log record has
-    /// `t_end < dead_before`, visiting only those keys. Out-of-order
-    /// admissions (lagged composites) behind a live log head are collected
-    /// on a later sweep — pruning is garbage collection, so laziness is
-    /// harmless: per-key matching already discards dead heads itself.
+    /// `t_end < dead_before`, visiting only those keys, and releases the
+    /// keys whose queues drained. Per-key matching already discards dead
+    /// heads itself, so what the lazy log leaves behind is never matched.
     pub fn prune(&mut self, dead_before: Timestamp) {
-        while let Some(&(t, _)) = self.expiry.front() {
-            if t >= dead_before {
-                break;
-            }
-            let (_, slot) = self.expiry.pop_front().expect("checked front");
-            let s = &mut self.slots[slot as usize];
-            while let Some(front) = s.q.front() {
-                if front.inst.t_end() < dead_before {
-                    s.q.pop_front();
-                    self.len -= 1;
-                } else {
-                    break;
-                }
-            }
-            if s.q.is_empty() {
-                if let Some(key) = s.key.take() {
-                    self.index.remove(&key);
-                    self.free.push(slot);
-                }
-            }
-        }
+        let len = &mut self.len;
+        self.table.expire(dead_before, |q| {
+            *len -= drop_dead_prefix(q, dead_before);
+            q.is_empty()
+        });
         // Consumed entries leave stale log records behind; under an
-        // unbounded horizon (`dead_before` zero) the loop above never pops
-        // them, so compact once the log outgrows the live population. The
-        // threshold makes the rebuild amortized O(1) per admission.
-        if self.expiry.len() > self.len * 2 + 32 {
-            self.rebuild_expiry();
+        // unbounded horizon (`dead_before` zero) nothing above pops them,
+        // so compact once the log outgrows the live population (which also
+        // releases the keys a chronicle take emptied). The threshold makes
+        // the rebuild amortized O(1) per admission.
+        if self.table.log_len() > self.len * 2 + 32 {
+            self.table.rebuild_log(self.len, |q, record| {
+                q.iter().for_each(|e| record(e.inst.t_end()));
+            });
         }
-    }
-
-    /// Rebuilds the expiry log from the live slots (and frees slots a
-    /// chronicle take emptied).
-    fn rebuild_expiry(&mut self) {
-        let mut live: Vec<(Timestamp, u32)> = Vec::with_capacity(self.len);
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if s.key.is_none() {
-                continue;
-            }
-            if s.q.is_empty() {
-                let key = s.key.take().expect("occupied slot has a key");
-                self.index.remove(&key);
-                self.free.push(i as u32);
-            } else {
-                live.extend(s.q.iter().map(|e| (e.inst.t_end(), i as u32)));
-            }
-        }
-        live.sort_by_key(|&(t, _)| t);
-        self.expiry = live.into();
     }
 
     /// Expiry-log length (the compaction-threshold regression test).
     #[cfg(test)]
     fn expiry_log_len(&self) -> usize {
-        self.expiry.len()
+        self.table.log_len()
     }
 
     /// Timestamp of the oldest expiry-log record — a lower bound on when
@@ -398,17 +498,17 @@ impl KeyedBuffer {
     /// entry; a deadline armed from it fires at worst one sweep early,
     /// never late.
     pub fn oldest_logged(&self) -> Option<Timestamp> {
-        self.expiry.front().map(|&(t, _)| t)
+        self.table.oldest_logged()
     }
 }
 
 /// End-times a key history can hold without touching the heap. Shelf-style
 /// in-field rules keep one or two live records per `(reader, object)` key,
-/// so the whole history fits in the map entry's cache line.
+/// so the whole history sits beside its key in the slot.
 const INLINE_TIMES: usize = 5;
 
 /// Ascending end-time store with an inline fast path: histories up to
-/// [`INLINE_TIMES`] records live directly in the map entry; only wider
+/// [`INLINE_TIMES`] records live directly in the slot; only wider
 /// histories are promoted to a heap deque (and stay there — demotion would
 /// churn on the boundary).
 #[derive(Debug, Clone)]
@@ -575,44 +675,30 @@ impl KeyHist {
     }
 }
 
-/// One spec's keyed histories, slot-arena form: the [`Key`] is stored once
-/// per live key (in `index` plus the slot's occupancy field) and the expiry
-/// log names slots by compact id — no per-record key clones.
+/// One spec's keyed histories: one expiry-log record `(t, slot)` per
+/// recorded occurrence, so pruning visits only keys that hold expired
+/// records instead of scanning every live key each sweep.
 #[derive(Debug, Default, Clone)]
 struct HistTable {
-    index: KeyMap<u32>,
-    slots: Vec<HistSlot>,
-    free: Vec<u32>,
-    /// Expiry log mirroring [`KeyedBuffer`]'s: one `(t, slot)` per recorded
-    /// occurrence, so pruning visits only keys that actually hold expired
-    /// records instead of scanning every live key each sweep.
-    log: VecDeque<(Timestamp, u32)>,
-}
-
-/// A key's history slot; `key` is `None` while the slot is free.
-#[derive(Debug, Default, Clone)]
-struct HistSlot {
-    key: Option<Key>,
-    hist: KeyHist,
+    table: SlotTable<KeyHist>,
+    /// Occurrence records retained across keys (what walking every slot's
+    /// `times` would count).
+    recorded: usize,
 }
 
 impl HistTable {
-    fn slot_of(&mut self, key: Key) -> u32 {
-        match self.index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let id = match self.free.pop() {
-                    Some(id) => id,
-                    None => {
-                        self.slots.push(HistSlot::default());
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                self.slots[id as usize].key = Some(v.key().clone());
-                v.insert(id);
-                id
-            }
-        }
+    /// Logs an occurrence at `t` under `key` and returns the key's history
+    /// for the caller to insert `t` into.
+    fn record(&mut self, key: Key, t: Timestamp) -> &mut KeyHist {
+        let slot = self.table.slot_of(key.precomputed_hash(), key);
+        self.table.log(t, slot);
+        self.recorded += 1;
+        self.table.value_mut(slot)
+    }
+
+    fn hist(&self, key: &Key) -> Option<&KeyHist> {
+        let slot = self.table.find(key.precomputed_hash(), key)?;
+        Some(self.table.value(slot))
     }
 }
 
@@ -649,10 +735,7 @@ impl NegationState {
     /// Records an inner occurrence ending at `t` under `key` in history
     /// `spec`.
     pub fn record(&mut self, spec: usize, key: Key, t: Timestamp) {
-        let tb = &mut self.tables[spec];
-        let slot = tb.slot_of(key);
-        tb.log.push_back((t, slot));
-        tb.slots[slot as usize].hist.insert(t);
+        self.tables[spec].record(key, t).insert(t);
     }
 
     /// Finds the latest occurrence at or before `to` (strictly before when
@@ -672,10 +755,7 @@ impl NegationState {
         exclusive_end: bool,
         record_first: bool,
     ) -> Option<Timestamp> {
-        let tb = &mut self.tables[spec];
-        let slot = tb.slot_of(key);
-        tb.log.push_back((t, slot));
-        let hist = &mut tb.slots[slot as usize].hist;
+        let hist = self.tables[spec].record(key, t);
         if record_first {
             hist.insert(t);
             hist.times.last_before(to, exclusive_end)
@@ -699,10 +779,9 @@ impl NegationState {
         to: Timestamp,
         exclusive_end: bool,
     ) -> Option<Timestamp> {
-        let tb = self.tables.get(spec)?;
-        let slot = *tb.index.get(key)?;
-        tb.slots[slot as usize]
-            .hist
+        self.tables
+            .get(spec)?
+            .hist(key)?
             .times
             .last_before(to, exclusive_end)
     }
@@ -717,11 +796,7 @@ impl NegationState {
         to: Timestamp,
         exclusive_end: bool,
     ) -> bool {
-        let Some(hist) = self
-            .tables
-            .get(spec)
-            .and_then(|tb| tb.index.get(key).map(|&s| &tb.slots[s as usize].hist))
-        else {
+        let Some(hist) = self.tables.get(spec).and_then(|tb| tb.hist(key)) else {
             // A dropped key cannot be the subject of an epoch-anchored query:
             // those only arise under unbounded windows (retention = MAX, so
             // nothing is ever dropped) or before the clock passes the
@@ -751,9 +826,8 @@ impl NegationState {
     /// aggregate `dropped_earliest`/`dropped_keys` record what was removed
     /// so the invariant is checkable (`debug_assert` in
     /// [`NegationState::occurred`]).
-    /// Returns the number of occurrence records removed, so the caller's
-    /// prune accounting needs no before/after [`NegationState::recorded`]
-    /// walks (those are O(every slot of every table)).
+    /// Returns the number of occurrence records removed (the caller's
+    /// prune accounting).
     pub fn prune(&mut self, dead_before: Timestamp) -> usize {
         if dead_before == Timestamp::ZERO {
             return 0;
@@ -764,65 +838,43 @@ impl NegationState {
         for tb in &mut self.tables {
             // The expiry log names exactly the keys holding records that
             // just died, so the sweep is O(expired records) — not a retain
-            // over every live key. Out-of-order (lagged) records behind a
-            // live log head are collected on a later sweep, which is sound:
-            // `occurred` range-checks its answers, so a stale record is
-            // never *wrongly counted*, only kept a little longer. A log
-            // record naming a freed (or freed-and-reused) slot only ever
-            // removes records that are dead by time anyway.
-            while let Some(&(t, _)) = tb.log.front() {
-                if t >= dead_before {
-                    break;
-                }
-                let (_, slot) = tb.log.pop_front().expect("checked front");
-                let s = &mut tb.slots[slot as usize];
-                if s.key.is_none() {
-                    continue;
-                }
-                let hist = &mut s.hist;
-                while let Some(front) = hist.times.front() {
-                    if front < dead_before {
-                        hist.times.pop_front();
-                        removed += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if !hist.times.is_empty() {
-                    continue;
+            // over every live key. Lagged records behind a live log head
+            // are collected on a later sweep, which is sound: `occurred`
+            // range-checks its answers, so a stale record is never
+            // *wrongly counted*, only kept a little longer.
+            let before = removed;
+            tb.table.expire(dead_before, |hist| {
+                while hist.times.front().is_some_and(|t| t < dead_before) {
+                    hist.times.pop_front();
+                    removed += 1;
                 }
                 match hist.earliest {
-                    Some(e) if e < dead_before => {
+                    Some(e) if hist.times.is_empty() && e < dead_before => {
                         dropped_earliest = Some(dropped_earliest.map_or(e, |d| d.min(e)));
                         dropped_keys += 1;
-                        let key = s.key.take().expect("checked occupancy");
-                        s.hist = KeyHist::default();
-                        tb.index.remove(&key);
-                        tb.free.push(slot);
+                        *hist = KeyHist::default();
+                        true
                     }
-                    _ => {}
+                    _ => false,
                 }
-            }
+            });
+            tb.recorded -= removed - before;
         }
         self.dropped_earliest = dropped_earliest;
         self.dropped_keys = dropped_keys;
         removed
     }
 
-    /// Total retained occurrence records (diagnostics).
+    /// Total retained occurrence records (diagnostics): a running count,
+    /// so the engine's `stats()` can read it after every batch.
     pub fn recorded(&self) -> usize {
-        self.tables
-            .iter()
-            .flat_map(|tb| tb.slots.iter())
-            .filter(|s| s.key.is_some())
-            .map(|s| s.hist.times.len())
-            .sum()
+        self.tables.iter().map(|tb| tb.recorded).sum()
     }
 
     /// Distinct correlation keys currently held across all history specs
     /// (the quantity [`NegationState::prune`] bounds; reported in stats).
     pub fn key_count(&self) -> usize {
-        self.tables.iter().map(|tb| tb.index.len()).sum()
+        self.tables.iter().map(|tb| tb.table.len()).sum()
     }
 
     /// Oldest expiry-log timestamp across all history specs — the lower
@@ -832,7 +884,7 @@ impl NegationState {
     pub fn oldest_logged(&self) -> Option<Timestamp> {
         self.tables
             .iter()
-            .filter_map(|tb| tb.log.front().map(|&(t, _)| t))
+            .filter_map(|tb| tb.table.oldest_logged())
             .min()
     }
 }
@@ -1138,6 +1190,158 @@ mod tests {
         assert!(buf
             .take_oldest_match(&k2, Timestamp::ZERO, |_| true)
             .is_some());
+    }
+
+    fn reader_key(i: u32) -> Key {
+        Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i))])
+    }
+
+    /// The table against a `BTreeMap` (keyed by the key's number), driven
+    /// with forced hashes: 24 tags shared by 400 keys, each tag under two
+    /// full hashes, so cells share tags and keys share whole hashes; the
+    /// tags are the top of the tag space, so every probe run starts in the
+    /// last cells of the array — whatever its length — and wraps, and
+    /// releases land in the middle of runs of mixed homes. Every fifth key
+    /// is filed under its own hash instead.
+    #[test]
+    fn slot_table_is_a_map_under_forced_collisions() {
+        let keys: Vec<Key> = (0..400).map(reader_key).collect();
+        let hash_of = |k: usize| match k % 5 {
+            0 => keys[k].precomputed_hash(),
+            _ => ((k % 2) as u64) << 40 | (0xFFFF_FFE8 + (k % 24) as u64),
+        };
+        let mut table: SlotTable<u64> = SlotTable::default();
+        let mut model = std::collections::BTreeMap::<usize, u64>::new();
+        let mut state = 11u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut peak = 0;
+        for step in 1..=25_000u64 {
+            let k = next() % keys.len();
+            match next() % 4 {
+                0 | 1 => {
+                    let slot = table.slot_of(hash_of(k), keys[k].clone());
+                    // A fresh key finds the value its slot was freed with.
+                    assert_eq!(*table.value(slot), model.get(&k).copied().unwrap_or(0));
+                    *table.value_mut(slot) = step;
+                    model.insert(k, step);
+                }
+                2 => {
+                    let found = table.find(hash_of(k), &keys[k]);
+                    assert_eq!(found.map(|s| *table.value(s)), model.get(&k).copied());
+                }
+                _ => {
+                    if let Some(slot) = table.find(hash_of(k), &keys[k]) {
+                        *table.value_mut(slot) = 0;
+                        table.release(hash_of(k), slot);
+                        table.release(hash_of(k), slot); // a no-op on a free slot
+                    }
+                    assert!(table.find(hash_of(k), &keys[k]).is_none());
+                    model.remove(&k);
+                }
+            }
+            peak = peak.max(model.len());
+            assert_eq!(table.len(), model.len(), "step {step}");
+        }
+        assert!(peak > 200, "the table grew through several doublings");
+        assert!(table.slots.len() <= peak);
+        assert!(table.index.cells() <= 4 * peak);
+        for (k, key) in keys.iter().enumerate() {
+            let found = table.find(hash_of(k), key);
+            assert_eq!(found.map(|s| *table.value(s)), model.get(&k).copied());
+            if let Some(slot) = found {
+                table.release(hash_of(k), slot);
+            }
+        }
+        assert!(table.is_empty());
+        assert!(keys
+            .iter()
+            .enumerate()
+            .all(|(k, key)| table.find(hash_of(k), key).is_none()));
+    }
+
+    /// A million distinct keys, a few thousand live at once: the slot arena
+    /// and the index stay the size of the peak live population — released
+    /// keys leave no tombstones behind and nothing grows with the number of
+    /// keys seen.
+    #[test]
+    fn key_churn_grows_neither_the_arena_nor_the_index() {
+        let mut buf = KeyedBuffer::default();
+        let mut neg = NegationState::default();
+        neg.ensure_specs(1);
+        let mut peak = 0;
+        for i in 0..1_000_000u64 {
+            let key = Key::from_parts(&[crate::key::KeyPart::Object(
+                Gid96::new(1, 1, i).unwrap().into(),
+            )]);
+            buf.push(key.clone(), entry(i, i), usize::MAX);
+            neg.record(0, key, Timestamp::from_millis(i));
+            if i % 1000 == 999 {
+                assert_eq!(buf.key_count(), neg.key_count());
+                peak = peak.max(buf.key_count());
+                let horizon = Timestamp::from_millis(i.saturating_sub(4000));
+                buf.prune(horizon);
+                neg.prune(horizon);
+            }
+        }
+        assert!((4000..=8000).contains(&peak), "peak live keys: {peak}");
+        for table in [&buf.table.index, &neg.tables[0].table.index] {
+            assert!(table.cells() <= 4 * peak, "{} cells", table.cells());
+        }
+        for slots in [buf.table.slots.len(), neg.tables[0].table.slots.len()] {
+            assert!(slots <= peak, "{slots} slots for {peak} live keys");
+        }
+        assert_eq!(neg.recorded(), recorded_by_walk(&neg));
+    }
+
+    /// What [`NegationState::recorded`] counted before it kept a count.
+    fn recorded_by_walk(neg: &NegationState) -> usize {
+        neg.tables
+            .iter()
+            .flat_map(|tb| tb.table.slots.iter())
+            .filter(|s| s.key.is_some())
+            .map(|s| s.value.times.len())
+            .sum()
+    }
+
+    #[test]
+    fn negation_record_count_equals_the_walk() {
+        let mut neg = NegationState::default();
+        neg.ensure_specs(3);
+        let mut state = 5u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for step in 0..6_000u64 {
+            let spec = (next() % 3) as usize;
+            let key = reader_key((next() % 40) as u32);
+            // Mostly advancing, every few records lagged behind the clock:
+            // the out-of-order insert path, inline and promoted histories.
+            let t = Timestamp::from_millis((step * 10).saturating_sub(next() % 4 * 250));
+            match next() % 3 {
+                0 => neg.record(spec, key, t),
+                _ => {
+                    neg.fused_last(spec, key, t, t, next() % 2 == 0, next() % 2 == 0);
+                }
+            }
+            if step % 97 == 0 {
+                // Removes records and, with them, whole keys.
+                let removed = neg.prune(Timestamp::from_millis((step * 10).saturating_sub(900)));
+                assert!(step == 0 || removed > 0);
+            }
+            assert_eq!(neg.recorded(), recorded_by_walk(&neg), "step {step}");
+        }
+        assert!(neg.dropped_keys > 0, "some keys were dropped whole");
+        neg.truncate_specs(1);
+        assert_eq!(neg.recorded(), recorded_by_walk(&neg));
+        assert!(neg.recorded() > 0);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! words.
 
 use proptest::prelude::*;
-use rceda::key::{Key, KeyBuilder, KeyMap, KeyPart};
+use rceda::key::{Key, KeyBuilder, KeyPart};
+use rceda::state::SlotTable;
 use rfid_epc::{Epc, ReaderId};
 
 /// 96-bit EPC payload mask: `Epc::from_raw` rejects wider words.
@@ -74,21 +75,25 @@ proptest! {
         prop_assert_eq!(b.finish(), Key::from_parts(&parts));
     }
 
-    /// A `KeyMap` keyed by packed keys behaves like a map keyed by the old
-    /// vectors: inserting under the packed key of a vector finds exactly
-    /// the entries whose vectors were equal.
+    /// A `SlotTable` keyed by packed keys behaves like a map keyed by the
+    /// old vectors: what is stored under the packed key of a vector is found
+    /// by exactly the keys whose vectors were equal.
     #[test]
-    fn key_map_agrees_with_vector_map(seqs in prop::collection::vec(parts_strategy(), 0..12)) {
-        let mut packed: KeyMap<usize> = KeyMap::default();
+    fn slot_table_agrees_with_vector_map(seqs in prop::collection::vec(parts_strategy(), 0..12)) {
+        let mut packed: SlotTable<usize> = SlotTable::default();
         let mut by_vec: std::collections::HashMap<Vec<KeyPart>, usize> =
             std::collections::HashMap::new();
         for (i, parts) in seqs.iter().enumerate() {
-            packed.insert(Key::from_parts(parts), i);
+            let key = Key::from_parts(parts);
+            let slot = packed.slot_of(key.precomputed_hash(), key);
+            *packed.value_mut(slot) = i;
             by_vec.insert(parts.clone(), i);
         }
         prop_assert_eq!(packed.len(), by_vec.len());
         for (parts, i) in &by_vec {
-            prop_assert_eq!(packed.get(&Key::from_parts(parts)), Some(i));
+            let key = Key::from_parts(parts);
+            let slot = packed.find(key.precomputed_hash(), &key);
+            prop_assert_eq!(slot.map(|s| packed.value(s)), Some(i));
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The equality index of a table column: hash of a cell → the rows holding it.
 //!
 //! An index does not store its keys. A slot is eight bytes — 32 bits of the
-//! cell's hash and the newest row with that hash — and rows with equal
+//! cell's hash and the newest row with that hash, in the workspace's one
+//! open-addressing table ([`TagTable`]) — and rows with equal
 //! hashes are chained through one `u32` per row, newest first. What a
 //! lookup returns is therefore a *candidate* list: every row whose cell
 //! equals the probe is on it, and a row that merely shares the 32 bits may
@@ -13,26 +14,19 @@
 
 use std::hash::BuildHasher;
 
-use rfid_epc::hash::MixBuild;
+use rfid_epc::hash::{MixBuild, TagTable};
 
 use crate::value::Value;
 
 /// `row + 1`, so that zero is "none".
 type Link = u32;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    tag: u32,
-    /// The newest row of the chain; zero marks the slot free.
-    head: Link,
-}
-
 /// Hash multimap from a cell's value to row ids.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Index {
-    /// Open addressing, linear probing; a power of two long, or empty.
-    slots: Vec<Slot>,
-    used: usize,
+    /// By tag: the newest row of the chain. One cell per tag — rows whose
+    /// cells merely share the 32 bits share the chain.
+    heads: TagTable,
     /// By row: the next older row with the same tag.
     older: Vec<Link>,
 }
@@ -45,79 +39,52 @@ impl Index {
     /// Rows an index can number.
     pub(crate) const MAX_ROWS: usize = Link::MAX as usize;
 
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
-    }
-
-    /// The slot holding `tag`, or the free slot where it would go.
-    fn find(&self, tag: u32) -> usize {
-        let mut at = tag as usize & self.mask();
-        while self.slots[at].head != 0 && self.slots[at].tag != tag {
-            at = (at + 1) & self.mask();
-        }
-        at
-    }
-
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); len]);
-        for slot in old.into_iter().filter(|s| s.head != 0) {
-            let at = self.find(slot.tag);
-            self.slots[at] = slot;
-        }
-    }
-
     /// Number of distinct hashes held (distinct keys, but for collisions).
     #[cfg(test)]
     pub(crate) fn keys(&self) -> usize {
-        self.used
+        self.heads.len()
     }
 
     /// Adds `row` under `value`. Rows may come in any order; appending the
     /// table's newest row is the constant-time case.
     pub(crate) fn add(&mut self, value: &Value, row: usize) {
         debug_assert!(row < Self::MAX_ROWS);
-        // At most half full: probe sequences stay short without tombstones.
-        if (self.used + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
         if self.older.len() <= row {
             self.older.resize(row + 1, 0);
         }
         let tag = tag_of(value);
         let link = row as Link + 1;
-        let at = self.find(tag);
-        let slot = &mut self.slots[at];
-        if slot.head == 0 {
-            self.used += 1;
-            *slot = Slot { tag, head: link };
-            self.older[row] = 0;
-        } else if slot.head < link {
-            self.older[row] = slot.head;
-            slot.head = link;
-        } else {
-            // A row moved here by an update: keep the chain newest-first.
-            let mut newer = slot.head;
-            while self.older[newer as usize - 1] > link {
-                newer = self.older[newer as usize - 1];
+        match self.heads.find(tag, |_| true) {
+            None => {
+                self.heads.insert(tag, link);
+                self.older[row] = 0;
             }
-            self.older[row] = self.older[newer as usize - 1];
-            self.older[newer as usize - 1] = link;
+            Some((at, head)) if head < link => {
+                self.older[row] = head;
+                self.heads.set(at, link);
+            }
+            Some((_, head)) => {
+                // A row moved here by an update: keep the chain newest-first.
+                let mut newer = head;
+                while self.older[newer as usize - 1] > link {
+                    newer = self.older[newer as usize - 1];
+                }
+                self.older[row] = self.older[newer as usize - 1];
+                self.older[newer as usize - 1] = link;
+            }
         }
     }
 
-    /// Takes `row` out from under `value`; frees the slot with its last row.
+    /// Takes `row` out from under `value`; frees the cell with its last row.
     pub(crate) fn remove(&mut self, value: &Value, row: usize) {
-        if self.slots.is_empty() {
+        let Some((at, head)) = self.heads.find(tag_of(value), |_| true) else {
             return;
-        }
+        };
         let link = row as Link + 1;
-        let at = self.find(tag_of(value));
-        let head = self.slots[at].head;
         if head == link {
-            self.slots[at].head = self.older[row];
-            if self.slots[at].head == 0 {
-                self.free(at);
+            match self.older[row] {
+                0 => self.heads.remove(at),
+                older => self.heads.set(at, older),
             }
             return;
         }
@@ -132,32 +99,13 @@ impl Index {
         }
     }
 
-    /// Frees slot `at`, moving back whatever probed past it.
-    fn free(&mut self, mut at: usize) {
-        self.used -= 1;
-        let mask = self.mask();
-        let mut next = (at + 1) & mask;
-        while self.slots[next].head != 0 {
-            let home = self.slots[next].tag as usize & mask;
-            // `next` may move to `at` unless its home lies strictly after
-            // `at` on the way to `next`.
-            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(at) & mask) {
-                self.slots[at] = self.slots[next];
-                at = next;
-            }
-            next = (next + 1) & mask;
-        }
-        self.slots[at] = Slot::default();
-    }
-
     /// The rows that may hold `value`, newest first.
     pub(crate) fn candidates(&self, value: &Value) -> impl Iterator<Item = usize> + '_ {
-        let head = if self.slots.is_empty() {
-            0
-        } else {
-            self.slots[self.find(tag_of(value))].head
-        };
-        std::iter::successors((head != 0).then_some(head), |&link| {
+        let head = self
+            .heads
+            .find(tag_of(value), |_| true)
+            .map(|(_, head)| head);
+        std::iter::successors(head, |&link| {
             Some(self.older[link as usize - 1]).filter(|&older| older != 0)
         })
         .map(|link| link as usize - 1)

@@ -80,6 +80,21 @@ if [[ "$fields" != 5 ]]; then
     exit 1
 fi
 
+echo "== one keyed slot table (state::SlotTable) =="
+# Join buffers and negation histories are one table: a slot arena that holds
+# each key once behind a key-less index (rfid_epc::hash::TagTable). No hash
+# map keyed by `Key` beside it — its buckets would store every key a second
+# time — and one find-or-insert, not one per kind of state.
+if grep -rnE 'KeyMap|HashMap<Key' crates/core/src; then
+    echo "check.sh: a hash map keyed by Key is back under crates/core/src" >&2
+    exit 1
+fi
+slot_ofs=$(grep -rE 'fn slot_of' crates/core/src | wc -l)
+if [[ "$slot_ofs" != 1 ]]; then
+    echo "check.sh: $slot_ofs definitions of slot_of under crates/core/src, not 1" >&2
+    exit 1
+fi
+
 echo "== one firing path (rfid_rules::prepared) =="
 # A firing is bound, tested and executed by crates/rules/src/prepared.rs.
 # The by-name interpreter (bind.rs, cond.rs, actions.rs) stays public for the
@@ -123,20 +138,23 @@ echo "== rceda-obs (telemetry snapshot + provenance trace) =="
 cargo run -q --release -p rceda-obs -- snapshot --events 5000 --format jsonl >/dev/null
 cargo run -q --release -p rceda-obs -- explain --events 5000 --last 1 >/dev/null
 
-echo "== ledger (allocation budgets of the edge filter and the firing path) =="
-# One traced pass per action workload at 1/10 size through the unedited
-# benchmark. Its allocation counts are exact (every map on the path hashes
-# with the fixed mixer), so the budgets sit just above what these streams
-# measure: 0.0004 and 1.92 on canonical, 2.0002 on rules500 (5.26 and 3.04
-# with SipHash maps, per-firing HashMap rows and a Vec per offer).
+echo "== ledger (allocation budgets of the edge filter, the firing path and the engine) =="
+# One traced pass per workload at 1/10 size through the unedited benchmark.
+# Its allocation counts are exact (every map on the path hashes with the
+# fixed mixer), so the budgets sit just above what these streams measure:
+# 0.0004 and 1.92 on canonical, 2.0002 on rules500 (5.26 and 3.04 with
+# SipHash maps, per-firing HashMap rows and a Vec per offer); on detect the
+# engine allocates 363.4 bytes per event (475.9 with a `HashMap<Key, u32>`,
+# 48 bytes a bucket, in front of each slot arena).
 ledger_budget() {
-    local workload="$1" firing_budget="$2" line metric value
+    local workload="$1" line metric value
+    shift
     line=$(benchmark/run.sh --workload "$workload" --seed 42 --seconds 2 --trace 1 --smoke | tail -n 1)
     case "$line" in
     '{"correct": true, '*) ;;
     *) echo "check.sh: ledger $workload: result line lacks correct: true" >&2; exit 1 ;;
     esac
-    for metric in edge.allocs_per_event:0.01 "rules.allocs_per_firing:$firing_budget"; do
+    for metric in "$@"; do
         value=$(sed -n "s/.*\"${metric%%:*}\": {\"value\": \([^,}]*\)[,}].*/\1/p" <<<"$line")
         if ! awk -v v="$value" -v max="${metric##*:}" 'BEGIN { exit !(v != "" && v + 0 < max + 0) }'; then
             echo "check.sh: ledger $workload: ${metric%%:*} = '$value', budget < ${metric##*:}" >&2
@@ -145,7 +163,8 @@ ledger_budget() {
         echo "   $workload ${metric%%:*} = $value (< ${metric##*:})"
     done
 }
-ledger_budget canonical 2.5
-ledger_budget rules500 2.3
+ledger_budget canonical edge.allocs_per_event:0.01 rules.allocs_per_firing:2.5
+ledger_budget rules500 edge.allocs_per_event:0.01 rules.allocs_per_firing:2.3
+ledger_budget detect core.alloc_bytes_per_event:370
 
 echo "check.sh: all gates passed"
