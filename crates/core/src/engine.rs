@@ -599,10 +599,7 @@ impl Engine {
         self.rt.stats.pseudo_fired += 1;
         self.rt.clock = self.rt.clock.max(ev.exec);
         match ev.action {
-            PseudoAction::CloseRun {
-                node,
-                generation: _,
-            } => {
+            PseudoAction::CloseRun { node } => {
                 let mut rearm = None;
                 let run = match &mut self.rt.states[node.idx()] {
                     NodeState::TimedRun(run) if run.armed => {
@@ -619,10 +616,7 @@ impl Engine {
                             rearm = Some(PseudoEvent {
                                 exec: run.close_exec,
                                 seq: run.close_seq,
-                                action: PseudoAction::CloseRun {
-                                    node,
-                                    generation: run.generation,
-                                },
+                                action: PseudoAction::CloseRun { node },
                             });
                             Vec::new()
                         }
@@ -1121,7 +1115,7 @@ impl Runtime {
                 // same-pattern children under different windows an
                 // instance can sit in both side buffers.
                 own.remove_ptr_eq(&key, &e.inst);
-                own.remove_ptr_eq(&key, inst);
+                // `inst` is not in `own`: only `None` below admits it, once per side.
                 other.remove_ptr_eq(&key, inst);
                 let children = if side == 0 {
                     vec![inst.clone(), e.inst]
@@ -1304,8 +1298,6 @@ impl Runtime {
             }
         }
         run.last_end = inst.t_end();
-        run.generation += 1;
-        let generation = run.generation;
         // Re-arm instead of re-schedule: record where the closure belongs
         // and keep at most one pseudo event per run in the queue (a popped
         // stale one is pushed back at the recorded position by
@@ -1321,10 +1313,7 @@ impl Runtime {
             self.pseudo.schedule(PseudoEvent {
                 exec: close_exec,
                 seq: close_seq,
-                action: PseudoAction::CloseRun {
-                    node: parent,
-                    generation,
-                },
+                action: PseudoAction::CloseRun { node: parent },
             });
         }
         if let Some(run) = closed {

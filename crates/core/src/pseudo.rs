@@ -17,13 +17,12 @@ use crate::graph::NodeId;
 /// What a pseudo event does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PseudoAction {
-    /// Close the open `TSEQ+` run of `node`, if its generation still matches
-    /// (a newer element re-arms a later closure instead).
+    /// Close the open `TSEQ+` run of `node`, if the event's `(exec, seq)` is
+    /// still the run's recorded closure (a newer element re-arms a later
+    /// closure instead).
     CloseRun {
         /// The `TSEQ+` node.
         node: NodeId,
-        /// Run generation captured at scheduling time.
-        generation: u64,
     },
     /// Resolve a waiting negation anchor on `node`: query the negated child
     /// over the recorded window and emit or drop the waiting instance.
@@ -106,10 +105,7 @@ mod tests {
         PseudoEvent {
             exec: Timestamp::from_millis(exec_ms),
             seq,
-            action: PseudoAction::CloseRun {
-                node: NodeId(0),
-                generation: 0,
-            },
+            action: PseudoAction::CloseRun { node: NodeId(0) },
         }
     }
 

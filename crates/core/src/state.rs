@@ -967,9 +967,6 @@ pub struct TimedRunState {
     pub open: InlineBuf<Arc<Instance>, RUN_INLINE>,
     /// End-time of the last element.
     pub last_end: Timestamp,
-    /// Incremented whenever the run changes (diagnostics; closure validity
-    /// is decided by `close_exec`/`close_seq`).
-    pub generation: u64,
     /// Execution time the armed closure should fire at.
     pub close_exec: Timestamp,
     /// Sequence number the armed closure should fire with.

@@ -530,26 +530,25 @@ impl RuleRuntime {
         Ok((analysis, skipped))
     }
 
-    /// Persists the current store state to a durable snapshot at `path`
-    /// (see [`rfid_store::DurableDatabase`]). Restart with
+    /// Persists the current store state to a snapshot at `path` (see
+    /// [`Database::save_snapshot`]: atomic, so a failed call leaves the
+    /// previous snapshot in place). Restart with
     /// [`RuleRuntime::with_restored`] to continue over the same data.
-    pub fn persist(&self, path: impl Into<std::path::PathBuf>) -> Result<(), rfid_store::WalError> {
-        let durable = rfid_store::DurableDatabase::create(path, self.db.clone())?;
-        drop(durable); // create() syncs before returning
-        Ok(())
+    pub fn persist(
+        &self,
+        path: impl Into<std::path::PathBuf>,
+    ) -> Result<(), rfid_store::SnapshotError> {
+        self.db.save_snapshot(path.into())
     }
 
-    /// Builds a runtime over a store recovered from a durable snapshot/log.
+    /// Builds a runtime over a store read back from a [`Self::persist`]
+    /// snapshot.
     pub fn with_restored(
         catalog: Catalog,
         path: impl Into<std::path::PathBuf>,
-    ) -> Result<Self, rfid_store::WalError> {
-        let durable = rfid_store::DurableDatabase::open(path)?;
-        Ok(Self::with_parts(
-            catalog,
-            durable.db().clone(),
-            EngineConfig::default(),
-        ))
+    ) -> Result<Self, rfid_store::SnapshotError> {
+        let db = Database::load_snapshot(path.into())?;
+        Ok(Self::with_parts(catalog, db, EngineConfig::default()))
     }
 
     /// Declared id/name of a rule.
@@ -589,5 +588,28 @@ mod tests {
         );
         // The rest of each `DO` list still ran.
         assert_eq!(rt.procedures().log.len(), 10_000);
+    }
+
+    /// A `persist` that cannot write its `.tmp` sibling fails and leaves
+    /// the snapshot it would have replaced as it was.
+    #[test]
+    fn a_failed_persist_leaves_the_previous_snapshot() {
+        let path = std::env::temp_dir().join(format!("rfid-persist-{}", std::process::id()));
+        let tmp = std::path::PathBuf::from(format!("{}.tmp", path.display()));
+        let mut rt = RuleRuntime::new(Catalog::new());
+        rt.persist(&path).expect("first snapshot");
+        let before = std::fs::read(&path).unwrap();
+
+        let object: Epc = Gid96::new(1, 1, 1).expect("small serial").into();
+        rt.db_mut()
+            .record_location(object, "dock", Timestamp::from_secs(1))
+            .unwrap();
+        std::fs::create_dir(&tmp).unwrap();
+        let failed = rt.persist(&path);
+        let after = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_dir(&tmp);
+        let _ = std::fs::remove_file(&path);
+        assert!(failed.is_err(), "the .tmp sibling is a directory");
+        assert_eq!(after, before);
     }
 }

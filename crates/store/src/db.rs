@@ -30,8 +30,8 @@ static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 /// A database: a set of named tables.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
-    /// In creation order; a [`TableId`] is a position here.
-    tables: Vec<Table>,
+    /// Named tables in creation order; a [`TableId`] is a position here.
+    tables: Vec<(String, Table)>,
     /// By name, which only the program's own scripts and set-up code choose.
     ids: MixMap<String, TableId>,
     /// Redrawn whenever a table is created or replaced.
@@ -103,14 +103,14 @@ impl Database {
         self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
         let table = Table::new(schema);
         match self.ids.get(name) {
-            Some(&TableId(at)) => self.tables[at] = table,
+            Some(&TableId(at)) => self.tables[at].1 = table,
             None => {
                 self.ids.insert(name.to_owned(), TableId(self.tables.len()));
-                self.tables.push(table);
+                self.tables.push((name.to_owned(), table));
             }
         }
         let TableId(at) = self.ids[name];
-        &mut self.tables[at]
+        &mut self.tables[at].1
     }
 
     /// A number that changes whenever a table is created or replaced, here
@@ -131,12 +131,12 @@ impl Database {
     /// # Panics
     /// May panic (or name another table) when the id is from another version.
     pub fn by_id(&self, id: TableId) -> &Table {
-        &self.tables[id.0]
+        &self.tables[id.0].1
     }
 
     /// [`Database::by_id`], mutably.
     pub fn by_id_mut(&mut self, id: TableId) -> &mut Table {
-        &mut self.tables[id.0]
+        &mut self.tables[id.0].1
     }
 
     /// A table by name.
@@ -164,9 +164,9 @@ impl Database {
         TableError::NoSuchColumn(format!("table {name}"))
     }
 
-    /// Table names, unordered.
+    /// Table names in creation order (a name's position is its [`TableId`]).
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.ids.keys().map(String::as_str)
+        self.tables.iter().map(|(name, _)| name.as_str())
     }
 
     /// Wraps into a [`SharedDatabase`].

@@ -14,7 +14,10 @@
 //! * [`temporal`] — UC-aware operations: close-and-append location updates,
 //!   containment with period validity, snapshot queries ("where was object X
 //!   at time t", "what was in pallet P at time t", transitive closure), and
-//!   history queries.
+//!   history queries;
+//! * [`snapshot`] — persistence: the whole store saved to one file
+//!   atomically ([`Database::save_snapshot`]) and read back
+//!   ([`Database::load_snapshot`]).
 //!
 //! The rule-language crate executes its SQL-subset actions against this
 //! store; applications can also use it directly.
@@ -24,12 +27,12 @@
 
 pub mod db;
 mod index;
+pub mod snapshot;
 pub mod table;
 pub mod temporal;
 pub mod value;
-pub mod wal;
 
 pub use db::{Database, SharedDatabase, TableId};
+pub use snapshot::SnapshotError;
 pub use table::{ColCond, ColumnType, Cond, CondOp, Filter, Row, Schema, Table, TableError};
 pub use value::Value;
-pub use wal::{DurableDatabase, WalError};

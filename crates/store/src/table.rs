@@ -350,6 +350,11 @@ impl Table {
         Ok(())
     }
 
+    /// Positions of the indexed columns, in index creation order.
+    pub fn indexed_columns(&self) -> impl Iterator<Item = usize> + '_ {
+        self.indexes.iter().map(|(col, _)| *col)
+    }
+
     /// Whether `row` may become the table's next row.
     fn admit(&self, row: &Row) -> Result<(), TableError> {
         self.schema.check_row(row)?;

@@ -117,6 +117,21 @@ if [[ -n "$stray" ]]; then
     exit 1
 fi
 
+echo "== durable means a snapshot (rfid_store::snapshot) =="
+# The store persists one way: Database::save_snapshot writes the whole store
+# to a `.tmp` sibling, syncs it and renames it into place; load_snapshot only
+# reads. No write-ahead log beside it that nothing appends to.
+if grep -rnE 'DurableDatabase|WalError|mod wal' crates/ src/ tests/ examples/; then
+    echo "check.sh: a write-ahead log is back" >&2
+    exit 1
+fi
+for call in '\.sync_all\(' 'fs::rename\('; do
+    if ! grep -qE "$call" crates/store/src/snapshot.rs 2>/dev/null; then
+        echo "check.sh: crates/store/src/snapshot.rs lacks ${call//\\/}: not crash-safe" >&2
+        exit 1
+    fi
+done
+
 echo "== tests (every crate, every suite) =="
 cargo test -q --workspace
 
