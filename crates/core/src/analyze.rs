@@ -102,8 +102,9 @@ pub enum DiagCode {
     /// The rule is not object-shardable and runs on the residual broadcast
     /// path ([`crate::shard::Shardability::Residual`]).
     ResidualRule,
-    /// A join node with no finite window retains partial matches until the
-    /// capacity cap evicts them (`capacity_drops`).
+    /// A join side the interval solver cannot bound by time retains
+    /// partial matches until the capacity cap evicts them
+    /// (`capacity_drops`).
     UnboundedBuffer,
     /// The rule's firing set is provably contained in another rule's: a
     /// wider rule with the same shape (larger window, looser `TSEQ`
@@ -113,7 +114,7 @@ pub enum DiagCode {
     SubsumedRule,
     /// A join side that *looks* unbounded (infinite window) but that the
     /// interval solver ([`crate::bounds`]) proved finite through emission
-    /// lags: the engine prunes it eagerly at the solved horizon.
+    /// lags: the engine prunes it eagerly at the solved retention.
     BoundedRetention,
     /// Static per-rule cost ranking from the [`crate::cost`] model: the
     /// top-k hotspot rules by solved CPU weight, named so heavy rules are
@@ -268,8 +269,8 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
     program.solve(catalog);
     let graph = program.graph();
     let paths = node_paths(graph, root);
-    let durations = min_durations(graph);
-    // Solved retention bounds drive the W005/N001 split below.
+    // Every time bound below is the interval solver's — the numbers the
+    // engine prunes and caps at.
     let solved = program.bounds();
     let mut diag = |code: DiagCode, node: NodeId, message: String, hint: &str| {
         out.push(Diagnostic {
@@ -283,6 +284,7 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
     };
 
     for node in graph.nodes() {
+        let b = solved.node(node.id);
         // E002: the effective distance interval of a TSEQ is empty.
         if let NodeKind::TSeq { min_dist, max_dist } = node.kind {
             let effective_max = max_dist.min(node.within);
@@ -301,9 +303,15 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
             }
         }
 
-        // E001: the window cannot contain even the shortest instance.
-        let min_dur = durations[node.id.idx()];
-        if min_dur > node.within {
+        // E001: the window cannot contain even the shortest instance —
+        // judged where the arrival handler holds the emission to `within`
+        // (a negation wait's span is never checked against it).
+        let checks_within = matches!(
+            node.plan,
+            Plan::TwoSided | Plan::Forward | Plan::LeftAperiodicQuery | Plan::TimedAperiodic
+        );
+        let min_dur = b.dur_min;
+        if checks_within && min_dur > node.within {
             diag(
                 DiagCode::EmptyWindow,
                 node.id,
@@ -318,7 +326,7 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
 
         // E003: history/run state that nothing ever bounds.
         match node.kind {
-            NodeKind::Not | NodeKind::SeqPlus if node.retention == Span::MAX => {
+            NodeKind::Not | NodeKind::SeqPlus if b.retention == Span::MAX => {
                 diag(
                     DiagCode::UnboundedState,
                     node.id,
@@ -344,16 +352,20 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
             _ => {}
         }
 
-        // W005 / N001: a two-sided join with no finite window. The interval
-        // solver can still prove one side finite through emission lags (a
-        // SEQ right buffer only holds instances until the left side could
-        // no longer pair with them), so the hazard is per buffer side:
-        // solver-unbounded sides stay W005 (only the capacity cap evicts),
-        // solver-bounded sides become an informational N001 with the Δ the
-        // engine prunes them at.
-        if node.plan == Plan::TwoSided && node.horizon == Span::MAX {
-            let retain = solved.node(node.id).retain;
-            let unbounded: Vec<&str> = [("left", retain[0]), ("right", retain[1])]
+        // W005 / N001, per buffer side of a two-sided join: a side the
+        // solver leaves unbounded is one only the capacity cap evicts from
+        // (W005). Where the join's own admission test bounds nothing (no
+        // `WITHIN`, no finite TSEQ distance), a side the solver still
+        // proves finite through emission lags (a SEQ right buffer only
+        // holds instances until the left side could no longer pair with
+        // them) is an informational N001 with the Δ the engine prunes at.
+        if node.plan == Plan::TwoSided {
+            let sides = [("left", b.retain[0]), ("right", b.retain[1])];
+            let admits_any_span = match node.kind {
+                NodeKind::TSeq { max_dist, .. } => max_dist.min(node.within) == Span::MAX,
+                _ => node.within == Span::MAX,
+            };
+            let unbounded: Vec<&str> = sides
                 .into_iter()
                 .filter(|&(_, r)| r == Span::MAX)
                 .map(|(name, _)| name)
@@ -372,8 +384,8 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
                     "add a WITHIN constraint so partial matches expire deterministically",
                 );
             }
-            for (name, r) in [("left", retain[0]), ("right", retain[1])] {
-                if r < Span::MAX {
+            for (name, r) in sides {
+                if admits_any_span && r < Span::MAX {
                     diag(
                         DiagCode::BoundedRetention,
                         node.id,
@@ -752,28 +764,6 @@ fn node_paths(graph: &EventGraph, root: NodeId) -> HashMap<NodeId, String> {
         paths.insert(id, path);
     }
     paths
-}
-
-/// Minimum possible instance duration per node, bottom-up. `Span`'s
-/// addition saturates, so unbounded constituents stay at `Span::MAX`.
-fn min_durations(graph: &EventGraph) -> Vec<Span> {
-    let mut dur = vec![Span::ZERO; graph.len()];
-    // Nodes are pushed children-first, so index order is a topological order.
-    for node in graph.nodes() {
-        let child = |i: usize| dur[node.children[i].idx()];
-        dur[node.id.idx()] = match node.kind {
-            NodeKind::Primitive(_) => Span::ZERO,
-            // Negation asserts absence: it adds no duration of its own.
-            NodeKind::Not => Span::ZERO,
-            NodeKind::Or => child(0).min(child(1)),
-            NodeKind::And => Ord::max(child(0), child(1)),
-            NodeKind::Seq => child(0) + child(1),
-            NodeKind::TSeq { min_dist, .. } => child(0) + min_dist + child(1),
-            // A run of one element is a legal SEQ+/TSEQ+ instance.
-            NodeKind::SeqPlus | NodeKind::TSeqPlus { .. } => child(0),
-        };
-    }
-    dur
 }
 
 #[cfg(test)]

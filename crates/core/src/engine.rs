@@ -57,8 +57,9 @@ pub struct RuleId(pub u32);
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Per-key buffer cap for join sides with an *unbounded* window (plain
-    /// `SEQ` without `WITHIN`). Bounded windows prune by time instead.
+    /// Per-key buffer cap for join sides the bounds solver cannot bound by
+    /// time (the left side of a plain `SEQ` without `WITHIN`). Every other
+    /// side prunes at its solved retention instead.
     pub unbounded_cap: usize,
     /// Observability level ([`crate::obs`]): `Off` (default) keeps the hot
     /// path unobserved, `Counters` maintains the per-node metrics arena
@@ -571,9 +572,11 @@ impl Engine {
         }
     }
 
-    /// The one place a retention horizon is chosen: the solved per-side
-    /// bounds ([`crate::bounds`]). A holder keeps what its longest-reaching
-    /// member needs.
+    /// The one place a retention is chosen: the solved per-side bounds
+    /// ([`crate::bounds`]), which the sweep and the join scans prune at; a
+    /// join side left at [`Span::MAX`] is capped at
+    /// [`EngineConfig::unbounded_cap`] instead. A holder keeps what its
+    /// longest-reaching member needs.
     fn rebuild_sweep_spans(&mut self) {
         let (graph, plan) = (self.program.graph(), self.program.plan());
         self.rt.sweep.resize(graph.len());
@@ -812,8 +815,8 @@ impl Engine {
                         self.rt.sweep.heap.push(Reverse((d, idx as u32)));
                     }
                     None => {
-                        // No finite deadline, but an unbounded-horizon join
-                        // still relies on the sweep for expiry-log
+                        // No finite deadline, but a join with an unbounded
+                        // side still relies on the sweep for expiry-log
                         // compaction (consumed entries leave stale records
                         // a time-based prune never reaches). The prune
                         // itself drops nothing here.
@@ -891,12 +894,8 @@ impl Runtime {
         let kind = &node.kind;
         let family = plan.family(node.id);
         let within = family.last().expect("a holder is in its family").cutoff;
-        let dead = dead_before(self.clock, self.sweep.spans[node.id.idx()][0]);
-        let cap = if node.horizon == Span::MAX {
-            config.unbounded_cap
-        } else {
-            usize::MAX
-        };
+        let span = self.sweep.spans[node.id.idx()][0];
+        let (dead, cap) = (dead_before(self.clock, span), side_cap(config, span));
 
         self.seq += 1;
         let seq = self.seq;
@@ -1079,14 +1078,11 @@ impl Runtime {
         let within = node.within;
         // The scan prunes the *other* side's buffer, so its solved
         // retention governs (a side's entries outlive only what the
-        // opposite side can still pair with).
-        let retain = self.sweep.spans[parent.idx()][1 - side as usize];
-        let dead = dead_before(self.clock, retain);
-        let cap = if node.horizon == Span::MAX {
-            config.unbounded_cap
-        } else {
-            usize::MAX
-        };
+        // opposite side can still pair with); an admission is capped
+        // exactly when its own side's retention is unbounded.
+        let spans = self.sweep.spans[parent.idx()];
+        let dead = dead_before(self.clock, spans[1 - side as usize]);
+        let cap = side_cap(config, spans[side as usize]);
         if self.obs.level.counters() {
             self.obs.arena.probed(parent.idx());
         }
@@ -1424,6 +1420,16 @@ fn negation_query_key(node: &Node, push_side: u8, inst: &Instance) -> Option<Key
         node.join.left_key(inst)
     } else {
         node.join.right_key(inst)
+    }
+}
+
+/// The per-key FIFO cap of a join side retained for `span`: the capacity
+/// cap where the solver could not bound the side by time, none otherwise.
+fn side_cap(config: &EngineConfig, span: Span) -> usize {
+    if span == Span::MAX {
+        config.unbounded_cap
+    } else {
+        usize::MAX
     }
 }
 

@@ -4,7 +4,7 @@
 //! The paper's Figs. 5–7 draw event graphs with constructor labels and
 //! temporal annotations; [`EventGraph::to_dot`] reproduces that drawing for
 //! any compiled rule set, [`Program::describe`] prints the analysis table
-//! (mode, plan, window, horizon, solved retention, cost) that §4.4's
+//! (mode, plan, within, solved window and retention, cost) that §4.4's
 //! algorithms, the [`crate::bounds`] interval solver and the [`crate::cost`]
 //! model compute, and [`Program::describe_plan`] the lowered plan.
 
@@ -19,9 +19,10 @@ use crate::program::Program;
 
 impl Program {
     /// A text table of every node's static analysis, in id order. The
-    /// `retain` column is the interval solver's per-side buffer bound
-    /// ([`crate::bounds::NodeBounds::retain`]) — what the engine prunes
-    /// against. The `cost` column is the [`crate::cost`] model's node-local
+    /// `window` and `retain` columns are the interval solver's
+    /// ([`crate::bounds::NodeBounds`]): the longest instance the node can
+    /// emit, and the per-side buffer bound the engine prunes against. The
+    /// `cost` column is the [`crate::cost`] model's node-local
     /// CPU weight (rankings, not absolutes).
     pub fn describe(&self) -> String {
         let (solved, cost) = (self.bounds(), self.cost());
@@ -29,7 +30,7 @@ impl Program {
         let _ = writeln!(
             out,
             "{:>4} {:<14} {:<8} {:<20} {:>10} {:>10} {:<15} {:>9} {:<10} detail",
-            "id", "kind", "mode", "plan", "within", "horizon", "retain", "cost", "children"
+            "id", "kind", "mode", "plan", "within", "window", "retain", "cost", "children"
         );
         for node in self.graph().nodes() {
             let mode = match node.mode {
@@ -44,7 +45,7 @@ impl Program {
                 NodeKind::TSeqPlus { min_gap, max_gap } => format!("gap ∈ [{min_gap}, {max_gap}]"),
                 _ => String::new(),
             };
-            let retain = solved.node(node.id).retain;
+            let b = solved.node(node.id);
             let _ = writeln!(
                 out,
                 "{:>4} {:<14} {:<8} {:<20} {:>10} {:>10} {:<15} {:>9} {:<10} {}",
@@ -53,8 +54,8 @@ impl Program {
                 mode,
                 node.plan.name(),
                 fmt_span(node.within),
-                fmt_span(node.horizon),
-                format!("{}/{}", fmt_span(retain[0]), fmt_span(retain[1])),
+                fmt_span(b.window),
+                format!("{}/{}", fmt_span(b.retain[0]), fmt_span(b.retain[1])),
                 format!("{:.1}", cost.node(node.id).cpu_weight),
                 children.join(","),
                 detail,

@@ -180,12 +180,6 @@ pub struct Node {
     pub hist_spec: Option<HistSpecId>,
     /// Variables this node's instances export.
     pub exports: Exports,
-    /// How far back this node's own buffers must look (its window), before
-    /// adding the graph-wide lag slack. [`Span::MAX`] = unbounded.
-    pub horizon: Span,
-    /// For history nodes (`NOT`, `SEQ+`): how far back parents may query.
-    /// Recomputed as parents attach.
-    pub retention: Span,
 }
 
 /// A keyed-history registration on a `NOT` node: extraction paths (relative
@@ -206,9 +200,6 @@ pub struct EventGraph {
     hist_specs: HashMap<NodeId, Vec<HistSpec>>,
     /// All primitive (leaf) node ids, for the engine's dispatch index.
     primitives: Vec<NodeId>,
-    /// Upper bound on how late any node can emit an instance after the
-    /// instance's `t_end` (closure lag of `TSEQ+` runs, negation windows).
-    max_lag: Span,
     /// Structural sharing diagnostics: compile requests that hit the memo.
     merged_hits: u64,
 }
@@ -265,13 +256,6 @@ impl EventGraph {
     /// Keyed-history registrations of a negation/aperiodic node.
     pub fn hist_specs(&self, id: NodeId) -> &[HistSpec] {
         self.hist_specs.get(&id).map_or(&[], Vec::as_slice)
-    }
-
-    /// Graph-wide emission lag bound: how long after `t_end` an instance can
-    /// still be delivered (pseudo-event closures). Buffer pruning adds this
-    /// slack to every horizon.
-    pub fn max_lag(&self) -> Span {
-        self.max_lag
     }
 
     /// How many compile requests were satisfied by an existing node.
@@ -332,8 +316,6 @@ impl EventGraph {
                     join: JoinSpec::default(),
                     hist_spec: None,
                     exports: exports.clone(),
-                    horizon: Span::ZERO,
-                    retention: Span::ZERO,
                 });
                 self.primitives.push(id);
                 (id, exports, vars)
@@ -360,8 +342,6 @@ impl EventGraph {
                     join: JoinSpec::default(),
                     hist_spec: None,
                     exports: Exports::new(),
-                    horizon: Span::ZERO,
-                    retention: Span::ZERO,
                 });
                 self.link(id);
                 (id, Exports::new(), vars)
@@ -385,8 +365,6 @@ impl EventGraph {
                     join: JoinSpec::default(),
                     hist_spec: None,
                     exports: Exports::new(),
-                    horizon: Span::ZERO,
-                    retention: Span::ZERO,
                 });
                 self.link(id);
                 (id, Exports::new(), vars)
@@ -410,8 +388,6 @@ impl EventGraph {
                     join: JoinSpec::default(),
                     hist_spec: None,
                     exports: Exports::new(),
-                    horizon: Span::ZERO,
-                    retention: Span::ZERO,
                 });
                 self.link(id);
                 (id, Exports::new(), vars)
@@ -442,17 +418,8 @@ impl EventGraph {
                     join: JoinSpec::default(),
                     hist_spec: None,
                     exports: Exports::new(),
-                    horizon: Span::ZERO,
-                    retention: Span::ZERO,
                 });
                 self.link(id);
-                // Closed runs are delivered by a pseudo event up to max_gap
-                // after their last element.
-                self.max_lag = if self.max_lag >= *max_gap {
-                    self.max_lag
-                } else {
-                    *max_gap
-                };
                 (id, Exports::new(), vars)
             }
             EventExpr::And(a, b) => self.compile_binary(expr, NodeKind::And, a, b, inherited)?,
@@ -492,15 +459,11 @@ impl EventGraph {
         let ma = self.node(ca).mode;
         let mb = self.node(cb).mode;
         let is_and = matches!(kind, NodeKind::And);
-        let (min_dist, max_dist) = match kind {
-            NodeKind::TSeq { min_dist, max_dist } => (Some(min_dist), Some(max_dist)),
-            _ => (None, None),
-        };
 
         // The finite bound available to resolve a trailing negation.
-        let neg_bound = match max_dist {
-            Some(d) => d.min(inherited),
-            None => inherited,
+        let neg_bound = match kind {
+            NodeKind::TSeq { max_dist, .. } => max_dist.min(inherited),
+            _ => inherited,
         };
 
         // Joinable exports: a NOT side joins through its inner event.
@@ -591,12 +554,6 @@ impl EventGraph {
             _ => (Plan::TwoSided, DetectionMode::Mixed),
         };
 
-        // Buffer look-back for this node's own window.
-        let horizon = match (min_dist, max_dist) {
-            (Some(_), Some(d)) => d.min(inherited),
-            _ => inherited,
-        };
-
         let exports = {
             let child_exports = [&ea, &eb];
             exports_of(expr, &child_exports)
@@ -614,8 +571,6 @@ impl EventGraph {
             join,
             hist_spec: None,
             exports: exports.clone(),
-            horizon,
-            retention: Span::ZERO,
         };
 
         // Register the keyed history this node will query on its negation /
@@ -647,18 +602,6 @@ impl EventGraph {
 
         let id = self.push_node(node);
         self.link(id);
-
-        // The AND+NOT / SEQ+NOT plans emit up to `neg_bound` after the push
-        // side's instance; account for it in the lag slack.
-        if matches!(
-            self.node(id).plan,
-            Plan::AndNegation { .. } | Plan::RightNegationWait
-        ) && neg_bound != Span::MAX
-            && self.max_lag < neg_bound
-        {
-            self.max_lag = neg_bound;
-        }
-
         Ok((id, exports, vars))
     }
 
@@ -669,18 +612,12 @@ impl EventGraph {
         id
     }
 
-    /// Attaches `id` as parent of its children and refreshes the retention
-    /// horizon of any history child.
+    /// Attaches `id` as parent of its children.
     fn link(&mut self, id: NodeId) {
         let children = self.nodes[id.idx()].children.clone();
-        let parent_horizon = self.nodes[id.idx()].horizon;
         for c in children {
             if !self.nodes[c.idx()].parents.contains(&id) {
                 self.nodes[c.idx()].parents.push(id);
-            }
-            let child = &mut self.nodes[c.idx()];
-            if child.retention < parent_horizon {
-                child.retention = parent_horizon;
             }
         }
     }
@@ -923,26 +860,5 @@ mod tests {
         assert_eq!(g.hist_specs(not_id).len(), 1);
         assert_eq!(g.hist_specs(not_id)[0].extracts.len(), 2);
         assert_eq!(node.hist_spec, Some(HistSpecId(0)));
-    }
-
-    #[test]
-    fn retention_tracks_parent_horizons() {
-        let mut g = EventGraph::new();
-        let e = p("r1").seq(p("r2")).within(Span::from_secs(7));
-        let root = g.add_event(&e).unwrap();
-        let left = g.node(root).children[0];
-        assert_eq!(g.node(left).retention, Span::from_secs(7));
-    }
-
-    #[test]
-    fn max_lag_accounts_for_closure_delay() {
-        let mut g = EventGraph::new();
-        g.add_event(
-            &p("r1")
-                .tseq_plus(Span::ZERO, Span::from_secs(3))
-                .within(Span::from_secs(60)),
-        )
-        .unwrap();
-        assert_eq!(g.max_lag(), Span::from_secs(3));
     }
 }

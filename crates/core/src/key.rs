@@ -165,12 +165,6 @@ impl Key {
         },
     };
 
-    /// The empty key (`const`-friendly alias kept for call-site symmetry
-    /// with the old `Vec`-based `Key::new()`).
-    pub fn new() -> Self {
-        Key::EMPTY
-    }
-
     /// Builds a key from a part slice (tests, diagnostics; the hot path
     /// streams parts through [`KeyBuilder`] instead).
     pub fn from_parts(parts: &[KeyPart]) -> Self {

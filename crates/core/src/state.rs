@@ -397,7 +397,7 @@ impl KeyedBuffer {
     }
 
     /// Appends an entry under a key; evicts the oldest entry of that key
-    /// when `cap` is exceeded (only finite for unbounded-horizon nodes).
+    /// when `cap` is exceeded (only finite for sides with unbounded retention).
     pub fn push(&mut self, key: Key, entry: Entry, cap: usize) {
         let slot = self.table.slot_of(key.precomputed_hash(), key);
         self.admit(slot, entry, cap);

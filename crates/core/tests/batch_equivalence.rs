@@ -1,5 +1,7 @@
 //! Firings do not depend on how a stream is cut into batches: for any
-//! rule program drawn from the paper's rule shapes, feeding a simulator
+//! rule program drawn from the differential suites' shape pool
+//! (`support/shapes.rs`: every plan variant the lowering distinguishes, so
+//! every arrival handler and every sweepable store), feeding a simulator
 //! trace through `Engine::process_batch` at any chunking — or interleaving
 //! it with per-observation `Engine::process` calls on the same engine —
 //! must emit exactly the same multiset of rule firings, and the same
@@ -22,66 +24,11 @@ mod support;
 use proptest::prelude::*;
 use rceda::engine::{Engine, EngineConfig, RuleId};
 use rceda::{EngineStats, ObserveLevel};
-use rfid_events::{EventExpr, Instance, Observation, Span};
+use rfid_events::{EventExpr, Instance, Observation};
 use rfid_simulator::{SimConfig, SupplyChain};
 use std::sync::OnceLock;
 use support::reference::{self, Fingerprint};
-
-/// The same shape pool as `plan_equivalence`: every plan variant the lowering distinguishes, so every arrival handler and
-/// every sweepable store sits under the batch loop.
-const SHAPES: usize = 8;
-const WINDOWS: [Span; 3] = [Span::from_secs(2), Span::from_secs(5), Span::from_secs(30)];
-
-fn shape(idx: usize, window: Span) -> EventExpr {
-    let shelf = || EventExpr::observation_in_group("shelves").bind_object("o");
-    match idx {
-        // Self-join duplicate filter (SelfJoin edges).
-        0 => EventExpr::observation()
-            .bind_reader("r")
-            .bind_object("o")
-            .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
-            .within(window),
-        // In-field filtering: the twin-leaf `QueryRecord` fusion.
-        1 => shelf().not().seq(shelf()).within(window),
-        // AND with right-side negation (pseudo events on window close).
-        2 => EventExpr::observation_in_group("pos")
-            .bind_object("o")
-            .and(
-                EventExpr::observation_in_group("exits")
-                    .bind_object("o")
-                    .not(),
-            )
-            .within(window),
-        // Keyless chronicle join (TwoSided, trivial key).
-        3 => EventExpr::observation_in_group("docks")
-            .seq(EventExpr::observation_in_group("pos"))
-            .within(window),
-        // Global timed run (TimedAperiodic + CloseRun pseudo events).
-        4 => EventExpr::observation_in_group("shelves")
-            .tseq_plus(Span::ZERO, Span::from_millis(1_500))
-            .within(window),
-        // Right-side negation wait (anchor + window close).
-        5 => EventExpr::observation_in_group("docks")
-            .bind_object("o")
-            .seq(
-                EventExpr::observation_in_group("exits")
-                    .bind_object("o")
-                    .not(),
-            )
-            .within(window),
-        // Aperiodic drain (LeftAperiodicQuery / AperiodicRecorder).
-        6 => EventExpr::observation_in_group("shelves")
-            .seq_plus()
-            .seq(EventExpr::observation_in_group("docks"))
-            .within(window),
-        // Keyed two-sided join across groups (Left/Right edges).
-        7 => EventExpr::observation_in_group("docks")
-            .bind_object("o")
-            .seq(EventExpr::observation_in_group("pos").bind_object("o"))
-            .within(window),
-        _ => unreachable!("shape index out of pool"),
-    }
-}
+use support::shapes::{shape, SHAPES, WINDOWS};
 
 struct Fixture {
     sim: SupplyChain,

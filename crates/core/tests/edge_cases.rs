@@ -529,6 +529,34 @@ fn working_set_is_bounded_by_the_window() {
     );
 }
 
+/// A `TSEQ` whose terminator is a composite retires its initiators one
+/// maximum distance after they end: the distance runs end to end, so how
+/// long the terminator spans adds nothing to how long an initiator can
+/// wait. The left side is bounded by time, so the cap never applies.
+#[test]
+fn tseq_over_a_composite_terminator_keeps_one_distance_of_initiators() {
+    let mut engine = Engine::new(catalog(3), EngineConfig::default());
+    let terminator = at("r2").bind_object("o").seq(at("r3").bind_object("o"));
+    let rule = at("r1")
+        .bind_object("o")
+        .tseq(terminator, Span::ZERO, Span::from_secs(5));
+    engine.add_rule("nested", rule).unwrap();
+
+    let mut peak = 0usize;
+    let mut sink = |_: RuleId, _: &Instance| {};
+    // Unmatched initiators, a fresh object every 10 ms: 5 s is 501 reads,
+    // both ends included; without pruning this grows to 100_000.
+    for i in 0..100_000u64 {
+        engine.process(obs(1, i, i * 10), &mut sink);
+        peak = peak.max(engine.buffered_instances());
+    }
+    assert!(
+        peak <= 501,
+        "{peak} initiators buffered, over one τu of reads"
+    );
+    assert_eq!(engine.stats().capacity_drops, 0);
+}
+
 /// Stats display is stable and total counters are coherent.
 #[test]
 fn stats_are_coherent() {

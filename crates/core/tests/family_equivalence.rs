@@ -21,16 +21,18 @@ use rfid_epc::{Epc, Gid96, ReaderId};
 use rfid_events::{Catalog, EventExpr, Instance, Observation, Span, Timestamp};
 use support::reference::{self, Fingerprint};
 
-/// Shapes 0–2 are the admissible ones; 3, 4 and 6 must lower unshared, and
-/// 5 shares its `NOT` history the way 2 does. Shapes 5 and 6 put the two
+/// Shapes 0–2 are the admissible ones; 3, 4, 6 and 9 must lower unshared,
+/// and 5 shares its `NOT` history the way 2 does. Shapes 5 and 6 put the two
 /// remaining boundary decisions on the lattice: whether an out-field
 /// initiator blocks itself, and whether a `TSEQ+` gap of exactly `τl` or
 /// `τu` extends the run. Shapes 7 and 8 are 0 and 1 over twin leaves — one
 /// pattern, two nodes, the initiator's under an inner `WITHIN` shorter than
 /// any drawn window: 7 is an ordinary two-sided join both of whose sides
 /// one read reaches, 8 a family like 1 whose members share the negated
-/// twin.
-const SHAPES: usize = 9;
+/// twin. Shape 9 is a `TSEQ` whose terminator is a `SEQ`: its initiators
+/// retire one maximum distance after they end, which the lattice puts on
+/// both sides of the drawn windows.
+const SHAPES: usize = 10;
 
 fn shape(idx: usize, window: Span) -> EventExpr {
     let keyed = |group: &str| {
@@ -64,6 +66,13 @@ fn shape(idx: usize, window: Span) -> EventExpr {
             .within(INNER)
             .not()
             .seq(keyed("g1"))
+            .within(window),
+        9 => by_object("g1")
+            .tseq(
+                by_object("g1").seq(by_object("g2")),
+                Span::ZERO,
+                Span::from_millis(3 * TICK),
+            )
             .within(window),
         _ => unreachable!("shape index out of pool"),
     }
@@ -160,7 +169,7 @@ fn assert_equivalent(program: &[(usize, u64)], stream: &[Observation]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One family of 2–40 members per case, any of the nine shapes, windows
+    /// One family of 2–40 members per case, any of the ten shapes, windows
     /// drawn with repeats (equal cut-offs are members too).
     #[test]
     fn one_family_fires_like_unshared_rules(
@@ -269,7 +278,7 @@ fn and_not_shares_the_history_and_keeps_the_waits() {
 
 #[test]
 fn inadmissible_shapes_lower_unshared() {
-    for idx in [3, 4, 6, 7] {
+    for idx in [3, 4, 6, 7, 9] {
         let mut engine = engine(&five(idx));
         let nodes = engine.graph().len() as u32;
         let program = engine.program();

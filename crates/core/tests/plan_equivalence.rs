@@ -97,7 +97,8 @@ proptest! {
 /// `[pseudo_scheduled, pseudo_fired, occurrences]` of one program over the
 /// fixture stream, as recorded from an earlier commit: shapes 0–8 and the
 /// mixed programs at `741f74c` (under both of its executors), the twin-leaf
-/// shapes 9 and 10 at `261f94b`.
+/// shapes 9 and 10 at `261f94b`, the composite-terminator shapes 11 and 12
+/// at `b3cde7e` (before their initiators were retired at one distance).
 type Pinned = [u64; 3];
 
 /// Each shape alone, by `[shape][window]`.
@@ -113,6 +114,8 @@ const ALONE: [[Pinned; 3]; SHAPES] = [
     [[2, 2, 29]; 3],
     [[0, 0, 3912], [0, 0, 3912], [0, 0, 4349]],
     [[0, 0, 1898], [0, 0, 1898], [0, 0, 1461]],
+    [[0, 0, 740], [0, 0, 740], [0, 0, 1177]],
+    [[0, 0, 1177]; 3],
 ];
 
 /// Three mixed programs: every shape of the first nine once, the two family

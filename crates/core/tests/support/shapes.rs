@@ -7,12 +7,16 @@ use rfid_events::{EventExpr, Span};
 /// The rule-shape pool: every plan variant the lowering distinguishes,
 /// parameterized by the detection window so different draws stress
 /// different buffer and pruning regimes.
-pub const SHAPES: usize = 11;
+pub const SHAPES: usize = 13;
 pub const WINDOWS: [Span; 3] = [Span::from_secs(2), Span::from_secs(5), Span::from_secs(30)];
 /// Shorter than every draw of `WINDOWS`: a leaf wrapped in it is a node of
 /// its own, beside the unwrapped leaf of the same pattern (hash-consing
 /// keys on the effective window).
 const INNER: Span = Span::from_secs(1);
+/// The maximum distance of the composite-terminator `TSEQ` shapes: inside
+/// the middle draw of `WINDOWS`, so the distance, not the window, is what
+/// retires a waiting initiator under the wider draws.
+const DIST: Span = Span::from_secs(4);
 
 pub fn shape(idx: usize, window: Span) -> EventExpr {
     let shelf = || EventExpr::observation_in_group("shelves").bind_object("o");
@@ -77,6 +81,15 @@ pub fn shape(idx: usize, window: Span) -> EventExpr {
             .within(window),
         // Shape 1 over twin leaves: the `QueryRecord` fusion.
         10 => shelf().within(INNER).not().seq(shelf()).within(window),
+        // TSEQ whose terminator is itself a SEQ: the distance runs end to
+        // end, so an initiator waits one `DIST` for the terminator's end
+        // however long the terminator spans (the solved left retention).
+        11 => shelf()
+            .tseq(shelf().seq(shelf()), Span::ZERO, DIST)
+            .within(window),
+        // Shape 11 with no WITHIN (whatever the draw): the distance alone
+        // bounds the initiators; the inner SEQ's left side is capped.
+        12 => shelf().tseq(shelf().seq(shelf()), Span::ZERO, DIST),
         _ => unreachable!("shape index out of pool"),
     }
 }

@@ -382,33 +382,15 @@ impl RuleRuntime {
     /// Feeds a whole stream through the key-sharded parallel detection
     /// pipeline ([`rceda::ShardedEngine`]) instead of this runtime's
     /// single-threaded engine. The loaded rules are recompiled into the
-    /// sharded engine (object-shardable rules fan out over `shards` keyed
-    /// partitions; the rest are rule-partitioned into broadcast partitions
-    /// that read only the readers they name, served by one extra pool
-    /// thread by default and by [`rceda::ShardConfig::residual_workers`]
-    /// when configured via [`RuleRuntime::process_all_sharded_config`]),
-    /// and every firing runs its condition and actions in the merged
-    /// deterministic `(t_end, partition, seq)` order at the end-of-stream
-    /// barrier. Rules
-    /// disabled via `DROP RULE` are detected but not fired. Returns the
-    /// merged detection stats.
+    /// sharded engine (object-shardable rules fan out over
+    /// [`rceda::ShardConfig::shards`] keyed partitions; the rest are
+    /// rule-partitioned into broadcast partitions that read only the readers
+    /// they name, served by [`rceda::ShardConfig::residual_workers`] pool
+    /// threads), and every firing runs its condition and actions in the
+    /// merged deterministic `(t_end, partition, seq)` order at the
+    /// end-of-stream barrier. Rules disabled via `DROP RULE` are detected but
+    /// not fired. Returns the merged detection stats.
     pub fn process_all_sharded<I: IntoIterator<Item = Observation>>(
-        &mut self,
-        stream: I,
-        shards: usize,
-    ) -> Result<rceda::EngineStats, RuntimeError> {
-        let config = rceda::ShardConfig {
-            shards,
-            ..rceda::ShardConfig::default()
-        };
-        self.process_all_sharded_config(stream, config)
-    }
-
-    /// [`Runtime::process_all_sharded`] with full control over the pipeline
-    /// configuration (ingestion batch size, inbox depth, and the number of
-    /// pool threads for the rule-partitioned rules), for callers tuning the
-    /// shard pipeline rather than taking defaults.
-    pub fn process_all_sharded_config<I: IntoIterator<Item = Observation>>(
         &mut self,
         stream: I,
         config: rceda::ShardConfig,
@@ -475,7 +457,7 @@ impl RuleRuntime {
     /// Detection counters of the single-threaded engine, including the
     /// negation-history working set ([`rceda::EngineStats::retained_keys`]).
     /// Sharded passes report their own merged stats from
-    /// [`Runtime::process_all_sharded`] instead.
+    /// [`Self::process_all_sharded`] instead.
     pub fn stats(&self) -> rceda::EngineStats {
         self.engine.stats()
     }

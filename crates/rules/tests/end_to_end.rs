@@ -378,7 +378,14 @@ fn sharded_runtime_matches_single_threaded() {
             )
         })
         .collect();
-    let stats = shard.rt.process_all_sharded(stream.clone(), 3).unwrap();
+    let config = rceda::ShardConfig {
+        shards: 3,
+        ..rceda::ShardConfig::default()
+    };
+    let stats = shard
+        .rt
+        .process_all_sharded(stream.clone(), config)
+        .unwrap();
     assert!(stats.batches > 0, "sharded path batches its input");
     assert!(shard.rt.errors().is_empty(), "{:?}", shard.rt.errors());
 
@@ -424,10 +431,7 @@ fn sharded_runtime_matches_single_threaded() {
         residual_workers: 2,
         ..rceda::ShardConfig::default()
     };
-    let stats = parted
-        .rt
-        .process_all_sharded_config(stream, config)
-        .unwrap();
+    let stats = parted.rt.process_all_sharded(stream, config).unwrap();
     assert!(parted.rt.errors().is_empty(), "{:?}", parted.rt.errors());
     assert!(
         stats.residual_workers <= 2,

@@ -9,9 +9,17 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rfid_events::Catalog;
+use rfid_epc::{Epc, Gid96};
+use rfid_events::{Catalog, Observation, Timestamp};
 use rfid_rules::{lint_script, LintLevel, LintReport, RuleRuntime, RuntimeError};
 use rfid_simulator::{SimConfig, SupplyChain};
+use rfid_store::Value;
+
+/// The reference interpreter of docs/SEMANTICS.md the engine's
+/// differential suites use.
+#[allow(dead_code)]
+#[path = "../../core/tests/support/reference.rs"]
+mod reference;
 
 /// The deployment the corpus programs lint against: two shelf readers in
 /// one group. `w003_dead_reader.rule` names a reader that is *not* here.
@@ -118,9 +126,7 @@ fn deny_rejects_unsatisfiable_within_but_warn_still_builds() {
     );
 
     // The healthy rule in the same program detects as usual.
-    use rfid_epc::Gid96;
-    use rfid_events::{Observation, Timestamp};
-    let obj: rfid_epc::Epc = Gid96::new(1, 7, 9).unwrap().into();
+    let obj: Epc = Gid96::new(1, 7, 9).unwrap().into();
     rt.process_all([
         Observation::new(r2, obj, Timestamp::from_secs(1)),
         Observation::new(r2, obj, Timestamp::from_secs(2)),
@@ -130,6 +136,52 @@ fn deny_rejects_unsatisfiable_within_but_warn_still_builds() {
 
     let (_, none) = RuleRuntime::compile(fixture_catalog(), script, LintLevel::Allow).unwrap();
     assert!(none.is_empty(), "allow level skips analysis entirely");
+}
+
+/// Fig. 3's distance runs end to end, so in a `TSEQ` whose terminator is
+/// itself a `TSEQ` the terminator's span is part of the outer distance, not
+/// added to it: on r1@0, r2@0, r3@2s this rule fires over [0, 2s], inside
+/// its 3 s window. It must lint without E001 and load under `Deny`.
+#[test]
+fn nested_tseq_inside_its_window_is_not_an_empty_window() {
+    let event = "WITHIN(TSEQ(observation('r1', o, t1); \
+                 TSEQ(observation('r2', o, t2); observation('r3', o, t3), 2 sec, 3 sec), \
+                 2 sec, 3 sec), 3 sec)";
+    let script = format!("CREATE RULE nest, nested_tseq ON {event} IF true DO f(t1, t3)");
+    let mut catalog = fixture_catalog();
+    catalog.readers.register("r3", "g1", "dock-c");
+
+    let report = lint_script(&script, Some(&catalog)).unwrap();
+    assert!(
+        report.diagnostics.iter().all(|d| d.code.as_str() != "E001"),
+        "{}",
+        render(&report)
+    );
+    let (mut rt, _) = RuleRuntime::compile(catalog.clone(), &script, LintLevel::Deny)
+        .expect("deny level accepts a satisfiable rule");
+
+    let obj: Epc = Gid96::new(1, 7, 9).unwrap().into();
+    let read = |reader: &str, secs| {
+        let reader = catalog.reader(reader).unwrap();
+        Observation::new(reader, obj, Timestamp::from_secs(secs))
+    };
+    let stream = [read("r1", 0), read("r2", 0), read("r3", 2)];
+    rt.process_all(stream);
+    rt.finish();
+
+    let parsed = rfid_rules::parser::parse_event(event).unwrap();
+    let expr = rfid_rules::compile::compile_event(&parsed).unwrap();
+    let spans: Vec<(Timestamp, Timestamp)> = reference::fire(&catalog, &[expr], &stream)
+        .into_iter()
+        .map(|(_, begin, end, _)| (begin, end))
+        .collect();
+    assert_eq!(spans, [(Timestamp::ZERO, Timestamp::from_secs(2))]);
+    let fired: Vec<&[Value]> = rt.procedures().calls("f").collect();
+    assert_eq!(
+        fired,
+        [&[Value::Time(spans[0].0), Value::Time(spans[0].1)][..]],
+        "the runtime fires what the reference fires"
+    );
 }
 
 /// The canonical Rule 1–5 program and the paper-scale containment workload

@@ -95,6 +95,26 @@ if [[ "$slot_ofs" != 1 ]]; then
     exit 1
 fi
 
+echo "== one interval analysis (rceda::bounds) =="
+# Windows, minimum durations, emission lags and retentions are computed in
+# crates/core/src/bounds.rs only, in one bottom-up pass, and the sweep, the
+# unbounded-join cap and the lints all read that solve: no pre-solver
+# horizon or retention on graph nodes, no graph-wide lag pad, no fixpoint
+# cutoff with its widening fallback, no lint-private duration recurrence.
+if grep -rnE 'max_lag|MAX_ROUNDS|fn widened|fn min_durations' crates/core/src; then
+    echo "check.sh: a second interval analysis is back under crates/core/src" >&2
+    exit 1
+fi
+stray=$(awk '/^pub struct Node \{/ { in_struct = 1; next }
+    in_struct && /^}/ { exit }
+    in_struct && /^[[:space:]]*pub (horizon|retention):/ { print FILENAME ":" FNR ": " $0 }
+    ' crates/core/src/graph.rs)
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: graph nodes carry a pre-solver time bound; read Program::bounds()" >&2
+    exit 1
+fi
+
 echo "== one firing path (rfid_rules::prepared) =="
 # A firing is bound, tested and executed by crates/rules/src/prepared.rs.
 # The by-name interpreter (bind.rs, cond.rs, actions.rs) stays public for the
@@ -137,8 +157,10 @@ cargo test -q --workspace
 
 echo "== rceda-lint (canonical rule programs) =="
 # The Rule 1-5 program and the 512-rule containment workload must lint
-# free of error-level findings; rceda-lint exits 1 on any E-code.
+# free of error-level findings; rceda-lint exits 1 on any E-code. The JSON
+# run exercises the machine-readable path end to end.
 cargo run -q --release -p rceda-lint -- --sim default --sim paper-scale
+cargo run -q --release -p rceda-lint -- --json --sim default >/dev/null
 
 echo "== rceda-lint cost (static hotspot report) =="
 # The cost subcommand must rank the 512-rule paper-scale program; the JSON
