@@ -7,9 +7,8 @@
 //! into broadcast partitions — up to four per *residual worker*, each
 //! handed only the readers its rules name — that the pool's threads take
 //! as they become ready. This sweep measures end-to-end events/s over the
-//! cross product of both axes against the single-threaded engine, writes
-//! the machine-readable series to `results/BENCH_shard.json`, and prints
-//! how the ledger's layout (`shards: 1, residual_workers: 2`) spreads the
+//! cross product of both axes against the single-threaded engine, and
+//! prints how the ledger's layout (`shards: 1, residual_workers: 2`) spreads the
 //! work: per partition, the share of the static cost model's weight beside
 //! the share of the occurrences it actually produced.
 //!
@@ -21,7 +20,6 @@
 //! ```
 
 use rceda::{EngineConfig, ObserveLevel, ShardConfig};
-use rfid_bench::report::{self, JsonBuf};
 use rfid_bench::{
     bare_engine, sharded_engine_from_script, time_engine_pass, time_sharded_pass, BenchWorkload,
     Measurement,
@@ -90,7 +88,6 @@ fn parse_list(s: &str) -> Vec<usize> {
 
 /// One sweep point: a (keyed shards, residual workers) configuration.
 struct SweepRow {
-    residual_workers: usize,
     measurement: Measurement,
     stats: rceda::EngineStats,
 }
@@ -113,6 +110,14 @@ fn main() {
     let graph_nodes = baseline.graph().len();
     let (base_ms, base_firings) = time_engine_pass(&mut baseline, stream);
     eprintln!("  baseline (single-threaded): {base_ms:.1} ms, {base_firings} firings");
+    let measure = |x: usize, elapsed_ms: f64| Measurement {
+        x: x as u64,
+        events: stream.len(),
+        rules,
+        elapsed_ms,
+        firings: base_firings,
+        graph_nodes,
+    };
 
     let mut rows = Vec::new();
     for &shards in &args.shards {
@@ -135,15 +140,7 @@ fn main() {
                 stats.residual_workers, stats.batches, stats.max_queue_depth
             );
             rows.push(SweepRow {
-                residual_workers,
-                measurement: Measurement {
-                    x: shards as u64,
-                    events: stream.len(),
-                    rules,
-                    elapsed_ms,
-                    firings,
-                    graph_nodes,
-                },
+                measurement: measure(shards, elapsed_ms),
                 stats,
             });
         }
@@ -152,11 +149,9 @@ fn main() {
     print_sweep(&rows);
     println!(
         "cores available: {cores}; baseline (unsharded): {:.0} ev/s",
-        report::eps(stream.len(), base_ms)
+        measure(0, base_ms).throughput()
     );
     print_balance(&workload, &script, stream);
-
-    write_json(&args, cores, base_ms, stream.len(), base_firings, &rows);
 }
 
 fn print_sweep(rows: &[SweepRow]) {
@@ -239,50 +234,4 @@ fn print_balance(workload: &BenchWorkload, script: &str, stream: &[rfid_events::
         delivered,
         stream.len()
     );
-}
-
-/// One object per sweep configuration, plus the unsharded baseline and the
-/// machine's core count. Each row carries the pipeline's batching counters
-/// so regressions in ingestion overhead (too many tiny batches, queue
-/// pile-ups) are visible without rerunning under a profiler. Sweep rows
-/// stay on one line each.
-fn write_json(
-    args: &Args,
-    cores: usize,
-    base_ms: f64,
-    events: usize,
-    firings: u64,
-    rows: &[SweepRow],
-) {
-    let config = format!(
-        "events={events} shards={:?} residual_workers={:?}",
-        args.shards, args.residual_workers
-    );
-    let mut json = JsonBuf::begin("fig9_shard", &config);
-    json.u64_field("cores", cores as u64);
-    json.u64_field("events", events as u64);
-    json.u64_field("firings", firings);
-    json.raw_field(
-        "baseline",
-        &format!(
-            "{{ \"elapsed_ms\": {base_ms:.3}, \"events_per_sec\": {:.1} }}",
-            report::eps(events, base_ms)
-        ),
-    );
-    json.begin_arr("sweep");
-    for row in rows {
-        let m = &row.measurement;
-        json.elem(&format!(
-            "{{ \"shards\": {}, \"elapsed_ms\": {:.3}, \"events_per_sec\": {:.1}, \
-             \"batches\": {}, \"max_queue_depth\": {}, \"residual_workers\": {} }}",
-            m.x,
-            m.elapsed_ms,
-            m.throughput(),
-            row.stats.batches,
-            row.stats.max_queue_depth,
-            row.residual_workers,
-        ));
-    }
-    json.end_arr();
-    report::write_results("BENCH_shard.json", &json.finish());
 }

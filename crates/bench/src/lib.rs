@@ -2,14 +2,14 @@
 //!
 //! Workload construction and timing helpers used by the table-printing
 //! harness binaries (`fig9_*`, `fig4_demo`, `action_cost`,
-//! `baseline_compare`, `context_compare`). Each binary regenerates one
-//! figure/ablation of DESIGN.md's experiment index; EXPERIMENTS.md records
-//! the outputs.
+//! `baseline_compare`, `context_compare`). Each binary prints one
+//! figure/ablation of DESIGN.md's experiment index to stdout;
+//! `scripts/reproduce.sh` keeps each as `results/<binary>.txt` and
+//! EXPERIMENTS.md records them. End-to-end throughput is the ledger's
+//! (`benchmark/run.sh`), not these tables'.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod report;
 
 use std::time::Instant;
 
@@ -130,18 +130,9 @@ pub fn engine_from_script(
     script: &str,
     config: EngineConfig,
 ) -> rceda::Engine {
-    use rfid_rules::compile::{build_defines, compile_event, resolve_aliases};
-    use rfid_rules::parser::parse_script;
-
-    let parsed = parse_script(script).expect("script parses");
-    let defines = build_defines(&parsed.defines).expect("defines build");
-    let mut engine = rceda::Engine::new(workload.sim.catalog.clone(), config);
-    for rule in &parsed.rules {
-        let resolved = resolve_aliases(&rule.event, &defines).expect("aliases resolve");
-        let expr = compile_event(&resolved).expect("event compiles");
-        engine.add_rule(&rule.name, expr).expect("rule is valid");
-    }
-    engine
+    let rules = rfid_rules::rule_events(script).expect("script compiles");
+    let named = rules.iter().map(|r| (r.name.as_str(), &r.event));
+    rceda::Engine::with_rules(workload.sim.catalog.clone(), config, named).expect("rules are valid")
 }
 
 /// Builds a sharded engine from any rule script (no store, no actions —
@@ -151,16 +142,11 @@ pub fn sharded_engine_from_script(
     script: &str,
     config: rceda::ShardConfig,
 ) -> rceda::ShardedEngine {
-    use rfid_rules::compile::{build_defines, compile_event, resolve_aliases};
-    use rfid_rules::parser::parse_script;
-
-    let parsed = parse_script(script).expect("script parses");
-    let defines = build_defines(&parsed.defines).expect("defines build");
     let mut engine = rceda::ShardedEngine::new(workload.sim.catalog.clone(), config);
-    for rule in &parsed.rules {
-        let resolved = resolve_aliases(&rule.event, &defines).expect("aliases resolve");
-        let expr = compile_event(&resolved).expect("event compiles");
-        engine.add_rule(&rule.name, expr).expect("rule is valid");
+    for rule in rfid_rules::rule_events(script).expect("script compiles") {
+        engine
+            .add_rule(&rule.name, rule.event)
+            .expect("rule is valid");
     }
     engine
 }
@@ -176,6 +162,33 @@ pub fn time_sharded_pass(engine: &mut rceda::ShardedEngine, stream: &[Observatio
     }
     engine.finish(&mut |_rule: RuleId, _inst: &rfid_events::Instance| firings += 1);
     (start.elapsed().as_secs_f64() * 1000.0, firings)
+}
+
+/// The observability budget: the `Counters` level may cost at most this
+/// many percent of `Off` (`fig9_obs` exits non-zero above it).
+pub const COUNTERS_BUDGET_PCT: f64 = 3.0;
+
+/// How much slower `level_ms` passes are than `base_ms` passes, in percent:
+/// the median of the paired ratios `level_ms[i] / base_ms[i]`, minus one.
+/// Pass `i` of each side ran next to the other, so a slowdown both share
+/// cancels in their ratio, and the median ignores a one-off stall.
+pub fn paired_overhead_pct(level_ms: &[f64], base_ms: &[f64]) -> f64 {
+    assert_eq!(level_ms.len(), base_ms.len(), "passes come in pairs");
+    assert!(!base_ms.is_empty(), "at least one pair");
+    let mut ratios: Vec<f64> = level_ms.iter().zip(base_ms).map(|(l, b)| l / b).collect();
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    let median = if ratios.len().is_multiple_of(2) {
+        f64::midpoint(ratios[mid - 1], ratios[mid])
+    } else {
+        ratios[mid]
+    };
+    (median - 1.0) * 100.0
+}
+
+/// Whether a counters-level overhead fits [`COUNTERS_BUDGET_PCT`].
+pub fn within_counters_budget(overhead_pct: f64) -> bool {
+    overhead_pct <= COUNTERS_BUDGET_PCT
 }
 
 /// Least-squares linear fit `y ≈ a·x + b`; returns `(a, b, r²)`. Used to
@@ -247,6 +260,41 @@ mod tests {
         assert_eq!(linear_fit(&[]), (0.0, 0.0, 0.0));
         let (a, _, _) = linear_fit(&[(1.0, 5.0), (1.0, 7.0)]);
         assert_eq!(a, 0.0, "vertical data has no slope");
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() < 1e-9
+    }
+
+    #[test]
+    fn paired_overhead_is_the_median_ratio() {
+        // Odd: the middle ratio; the 1.50 stall does not move it.
+        let odd = paired_overhead_pct(&[101.0, 150.0, 102.0], &[100.0; 3]);
+        assert!(close(odd, 2.0), "{odd}");
+        // Even: halfway between the two middle ratios.
+        let even = paired_overhead_pct(&[101.0, 150.0, 102.0, 104.0], &[100.0; 4]);
+        assert!(close(even, 3.0), "{even}");
+        let single = paired_overhead_pct(&[95.0], &[100.0]);
+        assert!(close(single, -5.0), "{single}");
+    }
+
+    #[test]
+    fn a_slowdown_both_sides_share_cancels() {
+        // The box runs at another speed for every pair; both sides share it.
+        let drift = [1.0, 1.7, 0.6, 3.0, 1.25];
+        let off: Vec<f64> = drift.iter().map(|d| 100.0 * d).collect();
+        let counters: Vec<f64> = drift.iter().map(|d| 102.0 * d).collect();
+        let overhead = paired_overhead_pct(&counters, &off);
+        assert!(close(overhead, 2.0), "{overhead}");
+    }
+
+    #[test]
+    fn the_budget_is_three_percent_inclusive() {
+        let over = paired_overhead_pct(&[103.01], &[100.0]);
+        let under = paired_overhead_pct(&[102.99], &[100.0]);
+        assert!(!within_counters_budget(over), "{over}");
+        assert!(within_counters_budget(under), "{under}");
+        assert!(within_counters_budget(COUNTERS_BUDGET_PCT));
     }
 
     #[test]

@@ -39,8 +39,8 @@ use crate::stats::{EngineStats, StatKind};
 /// Selected once in [`crate::engine::EngineConfig::observe`]; every
 /// instrumentation site reduces to a byte compare against this level, so
 /// `Off` (the default) keeps the hot path within noise of an unobserved
-/// build and `Counters` is gated at ≤3% overhead by
-/// `scripts/bench_gate.sh` (see `results/BENCH_obs.json`).
+/// build and `Counters` is gated at ≤3% overhead by the `fig9_obs`
+/// benchmark, which exits non-zero above it (`results/fig9_obs.txt`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ObserveLevel {
     /// No per-node metrics; only the pre-existing [`EngineStats`] totals.

@@ -2,11 +2,14 @@
 //! deliveries, unbounded windows, dynamic rule addition, buffer hygiene,
 //! and composite negation.
 
+mod support;
+
 use std::sync::Arc;
 
 use rceda::{Engine, EngineConfig, RuleId};
 use rfid_epc::{Epc, Gid96, ReaderId};
 use rfid_events::{Catalog, EventExpr, Instance, Observation, Span, Timestamp};
+use support::reference::{self, Fingerprint};
 
 fn catalog(n: u32) -> Catalog {
     let mut c = Catalog::new();
@@ -555,6 +558,62 @@ fn tseq_over_a_composite_terminator_keeps_one_distance_of_initiators() {
         "{peak} initiators buffered, over one τu of reads"
     );
     assert_eq!(engine.stats().capacity_drops, 0);
+}
+
+/// What the engine fires, as the reference interpreter fingerprints it.
+fn fingerprints(
+    catalog: &Catalog,
+    rules: &[EventExpr],
+    stream: &[Observation],
+) -> Vec<Fingerprint> {
+    let named = rules.iter().map(|rule| ("rule", rule));
+    let mut engine = Engine::with_rules(catalog.clone(), EngineConfig::default(), named).unwrap();
+    let mut out = Vec::new();
+    engine.process_all(stream.iter().copied(), &mut |rule, inst| {
+        out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
+    });
+    out.sort();
+    out
+}
+
+/// An unbounded maximum gap — `Span::MAX`, what a script's oversized
+/// literal such as `99999999999999999999 sec` parses to — keeps a `TSEQ+`
+/// run open to the end of the stream: its closure lies in the far future,
+/// not wrapped into the past where every arrival would close the run.
+#[test]
+fn tseq_plus_with_an_unbounded_gap_runs_to_the_end_of_the_stream() {
+    let catalog = catalog(1);
+    let rule = at("r1")
+        .tseq_plus(Span::ZERO, Span::MAX)
+        .within(Span::from_secs(60));
+    let stream = [obs(1, 1, 1_000), obs(1, 2, 2_000), obs(1, 3, 3_000)];
+    let rules = [rule];
+    let expected = reference::fire(&catalog, &rules, &stream);
+    assert_eq!(fingerprints(&catalog, &rules, &stream), expected);
+    assert_eq!(expected.len(), 1, "one run");
+    assert_eq!(expected[0].3, stream, "of all three reads");
+}
+
+/// The same for the negation waits, whose window closes `τu` after the
+/// initiator: a bound unbounded waits are rejected for, but one just short
+/// of it — still past every timestamp a stream carries — waits to the end
+/// of the stream instead of closing before it opened.
+#[test]
+fn negation_waits_near_the_clock_limit_run_to_the_end_of_the_stream() {
+    let catalog = catalog(2);
+    let huge = Span::from_millis(u64::MAX - 1);
+    let rules = [
+        at("r1").tseq(at("r2").not(), Span::ZERO, huge),
+        at("r1").seq(at("r2").not()).within(huge),
+        at("r1").and(at("r2").not()).within(huge),
+    ];
+    let stream = [obs(1, 1, 1_000), obs(2, 2, 2_000), obs(1, 3, 3_000)];
+    let expected = reference::fire(&catalog, &rules, &stream);
+    assert_eq!(fingerprints(&catalog, &rules, &stream), expected);
+    // The r2 read blocks the first r1 read under every rule and the second
+    // under `AND` (it lies in the window's past half).
+    let rule_of = |f: &Fingerprint| f.0;
+    assert_eq!(expected.iter().map(rule_of).collect::<Vec<_>>(), [0, 1]);
 }
 
 /// Stats display is stable and total counters are coherent.

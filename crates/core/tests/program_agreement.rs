@@ -7,8 +7,7 @@ use rceda::analyze::DiagCode;
 use rceda::shard::{partition_rules, shardability, ResidualReason, Shardability};
 use rceda::{Engine, EngineConfig, Program, RuleEvent, RuleId};
 use rfid_events::{Catalog, EventExpr, Span};
-use rfid_rules::compile::{build_defines, compile_event, resolve_aliases};
-use rfid_rules::{lint_script, parse_script};
+use rfid_rules::{lint_script, rule_events};
 use rfid_simulator::{SimConfig, SupplyChain};
 
 /// The canonical 517-rule program, the Rule 1–5 program, and the lint
@@ -27,18 +26,6 @@ fn programs() -> Vec<(&'static str, String, Catalog)> {
     ]
 }
 
-/// A script's rules as the linter hands them to the compiler.
-fn rule_events(script: &str) -> Vec<RuleEvent> {
-    let parsed = parse_script(script).expect("script parses");
-    let defines = build_defines(&parsed.defines).expect("defines build");
-    let compile = |rule: &rfid_rules::ast::RuleDecl| {
-        let event = resolve_aliases(&rule.event, &defines).expect("aliases resolve");
-        let expr = compile_event(&event).expect("event compiles");
-        RuleEvent::new(rule.id.clone(), rule.name.clone(), expr)
-    };
-    parsed.rules.iter().map(compile).collect()
-}
-
 fn engine_of(rules: &[RuleEvent], catalog: &Catalog) -> Engine {
     let rules = rules.iter().map(|r| (r.name.as_str(), &r.event));
     Engine::with_rules(catalog.clone(), EngineConfig::default(), rules).unwrap()
@@ -49,7 +36,7 @@ fn engine_of(rules: &[RuleEvent], catalog: &Catalog) -> Engine {
 fn n003_reports_the_engines_plan() {
     let mut families_seen = 0;
     for (name, script, catalog) in programs() {
-        let rules = rule_events(&script);
+        let rules = rule_events(&script).expect("script compiles");
         let mut engine = engine_of(&rules, &catalog);
         let program = engine.program();
         let linted = Program::compile(Some(&catalog), rules.iter().cloned());
@@ -233,7 +220,7 @@ fn coordinator_partitions_match_the_per_subset_ones() {
 #[test]
 fn cost_is_solved_once_per_rule_set_change() {
     let (_, script, catalog) = programs().swap_remove(1);
-    let rules = rule_events(&script);
+    let rules = rule_events(&script).expect("script compiles");
     let mut engine = engine_of(&rules, &catalog);
     let first = engine.cost().clone();
     assert_eq!(first.len(), engine.graph().len());

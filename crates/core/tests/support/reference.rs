@@ -19,7 +19,9 @@
 //! stream length, `rule_firings` the multiset's size, [`matched_events`]);
 //! `occurrences` and the pseudo-event counts depend on how a program is
 //! merged and are pinned against recorded values instead
-//! (`plan_equivalence.rs`).
+//! (`plan_equivalence.rs`). Time arithmetic saturates by name
+//! (`saturating_add`, `millis`) instead of through the operators it
+//! checks, so an unbounded `τu` means "never" here whatever `+` does.
 
 use std::sync::Arc;
 
@@ -421,15 +423,21 @@ impl Matcher {
                 let tick = Span::from_millis(1);
                 let end = x.inst.t_end();
                 let (from, to) = match kind {
-                    Kind::Seq => (end + tick, x.inst.t_begin() + within),
-                    Kind::TSeq { min_dist, max_dist } => (end + min_dist.max(tick), end + max_dist),
+                    Kind::Seq => (
+                        end.saturating_add(tick),
+                        x.inst.t_begin().saturating_add(within),
+                    ),
+                    Kind::TSeq { min_dist, max_dist } => (
+                        end.saturating_add(min_dist.max(tick)),
+                        end.saturating_add(max_dist),
+                    ),
                     Kind::And => unreachable!("AND is two-sided"),
                 };
                 self.wait(node, x, from, to);
             }
             Op::AbsentAround(_) => {
                 let from = x.inst.t_end().saturating_sub(within);
-                let to = x.inst.t_begin() + within;
+                let to = x.inst.t_begin().saturating_add(within);
                 self.wait(node, x, from, to);
             }
         }
@@ -522,7 +530,7 @@ impl Matcher {
             let gap = x.inst.t_end().signed_delta(last.inst.t_end());
             let begin = first.inst.t_begin().min(x.inst.t_begin());
             let fits = x.inst.t_end() - begin <= within;
-            let (lo, hi) = (min_gap.as_millis() as i64, max_gap.as_millis() as i64);
+            let (lo, hi) = (millis(min_gap), millis(max_gap));
             if !(lo <= gap && gap <= hi && fits) {
                 // Above `τu` the run is complete and delivered; below `τl`
                 // (or out of `WITHIN`) it is no detection at all.
@@ -532,7 +540,7 @@ impl Matcher {
                 }
             }
         }
-        let close_at = x.inst.t_end() + max_gap;
+        let close_at = x.inst.t_end().saturating_add(max_gap);
         self.keep(node, 0, x);
         let closes = |p: &Pending| p.node == node && matches!(p.due, Due::Close);
         self.pending.retain(|p| !closes(p));
@@ -588,9 +596,13 @@ fn pair_ok(kind: Kind, within: Span, l: &Occ, r: &Occ) -> bool {
         Kind::Seq => l.t_end() <= r.t_begin(),
         Kind::TSeq { min_dist, max_dist } => {
             let d = dist(l, r);
-            l.t_end() <= r.t_begin()
-                && min_dist.as_millis() as i64 <= d
-                && d <= max_dist.as_millis() as i64
+            l.t_end() <= r.t_begin() && millis(min_dist) <= d && d <= millis(max_dist)
         }
     }
+}
+
+/// A bound in signed milliseconds, `Span::MAX` (an unbounded `τu`) as
+/// `i64::MAX` rather than wrapped to −1.
+fn millis(span: Span) -> i64 {
+    i64::try_from(span.as_millis()).unwrap_or(i64::MAX)
 }

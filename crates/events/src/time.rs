@@ -124,17 +124,20 @@ impl Sub for Timestamp {
     }
 }
 
+/// Saturates at [`Timestamp::MAX`], like `Span + Span`: a window closing
+/// `Span::MAX` after an instant (an unbounded `τu`) closes at the far
+/// future, never in the past.
 impl Add<Span> for Timestamp {
     type Output = Timestamp;
 
     fn add(self, rhs: Span) -> Timestamp {
-        Timestamp(self.0 + rhs.0)
+        self.saturating_add(rhs)
     }
 }
 
 impl AddAssign<Span> for Timestamp {
     fn add_assign(&mut self, rhs: Span) {
-        self.0 += rhs.0;
+        *self = self.saturating_add(rhs);
     }
 }
 
@@ -232,6 +235,18 @@ mod tests {
             Timestamp::MAX
         );
         assert_eq!(t.signed_delta(Timestamp::from_secs(12)), -2000);
+    }
+
+    #[test]
+    fn adding_a_span_saturates_at_the_far_future() {
+        assert_eq!(Timestamp::MAX + Span::from_millis(1), Timestamp::MAX);
+        assert_eq!(Timestamp::from_secs(3) + Span::MAX, Timestamp::MAX);
+        let mut t = Timestamp::MAX;
+        t += Span::MAX;
+        assert_eq!(t, Timestamp::MAX);
+        let mut t = Timestamp::from_millis(u64::MAX - 1);
+        t += Span::from_millis(1);
+        assert_eq!(t, Timestamp::MAX);
     }
 
     #[test]

@@ -140,24 +140,14 @@ fn sim_config(preset: &str) -> SimConfig {
 /// Builds an instrumented engine loaded with the workload's canonical rule
 /// set (the same script→engine path the benches use).
 fn build_engine(chain: &SupplyChain, level: ObserveLevel, flight_capacity: usize) -> Engine {
-    use rfid_rules::compile::{build_defines, compile_event, resolve_aliases};
-    use rfid_rules::parser::parse_script;
-
     let config = EngineConfig {
         observe: level,
         flight_capacity,
         ..EngineConfig::default()
     };
-    let script = chain.rule_set();
-    let parsed = parse_script(&script).expect("canonical rule set parses");
-    let defines = build_defines(&parsed.defines).expect("defines build");
-    let mut engine = Engine::new(chain.catalog.clone(), config);
-    for rule in &parsed.rules {
-        let resolved = resolve_aliases(&rule.event, &defines).expect("aliases resolve");
-        let expr = compile_event(&resolved).expect("event compiles");
-        engine.add_rule(&rule.name, expr).expect("rule is valid");
-    }
-    engine
+    let rules = rfid_rules::rule_events(&chain.rule_set()).expect("canonical rule set compiles");
+    let named = rules.iter().map(|r| (r.name.as_str(), &r.event));
+    Engine::with_rules(chain.catalog.clone(), config, named).expect("rules are valid")
 }
 
 /// Streams the trace through the engine. On panic the flight ring is

@@ -10,10 +10,13 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use rceda::RuleEvent;
 use rfid_epc::Epc;
 use rfid_events::{EventExpr, Var};
 
-use crate::ast::{Define, EventAst, PatternPred, Term};
+use crate::ast::{Define, EventAst, PatternPred, RuleDecl, Term};
+use crate::parser::parse_script;
+use crate::RuntimeError;
 
 /// Compilation errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,6 +135,21 @@ pub fn build_defines(defines: &[Define]) -> Result<HashMap<String, EventAst>, Co
         map.insert(d.name.clone(), resolved);
     }
     Ok(map)
+}
+
+/// A script's rules as the engine takes them, in script order: parsed,
+/// aliases resolved against the script's own `DEFINE`s, events compiled.
+/// Build an engine from them with [`rceda::Engine::with_rules`].
+/// [`crate::RuleRuntime::load`] keeps its own loop, because its defines
+/// accumulate across loads.
+pub fn rule_events(script: &str) -> Result<Vec<RuleEvent>, RuntimeError> {
+    let parsed = parse_script(script)?;
+    let defines = build_defines(&parsed.defines)?;
+    let compile = |rule: &RuleDecl| -> Result<RuleEvent, RuntimeError> {
+        let event = compile_event(&resolve_aliases(&rule.event, &defines)?)?;
+        Ok(RuleEvent::new(rule.id.clone(), rule.name.clone(), event))
+    };
+    parsed.rules.iter().map(compile).collect()
 }
 
 /// Compiles an alias-free event AST into the engine's algebra.

@@ -20,7 +20,8 @@
 //!   SQL-subset actions (`INSERT`, `BULK INSERT`, `UPDATE`, `DELETE`,
 //!   procedure calls);
 //! * [`compile`] — resolution of aliases and translation into
-//!   [`rfid_events::EventExpr`] for the RCEDA engine;
+//!   [`rfid_events::EventExpr`] for the RCEDA engine, and [`rule_events`],
+//!   a whole script's rules ready for [`rceda::Engine::with_rules`];
 //! * [`prepared`] — what a firing runs: each rule lowered once, at load,
 //!   into a bind plan (every variable `r`, `o1`, `t2`, … a slot, the
 //!   *per-element* variables of an aperiodic sequence that `BULK INSERT`
@@ -49,6 +50,7 @@ pub mod runtime;
 pub mod stdlib;
 pub mod token;
 
+pub use compile::rule_events;
 pub use driver::StreamHandle;
 pub use lint::{cost_report, lint_script, CostRow, LintLevel, LintReport};
 pub use parser::{parse_script, ParseError};

@@ -23,10 +23,9 @@ use rfid_rules::ast::{
     ActionAst, CompareOp, CondAst, CondTerm, EventAst, RuleDecl, Term, ValueExpr, WhereCond,
 };
 use rfid_rules::bind::bind;
-use rfid_rules::compile::{compile_event, resolve_aliases};
 use rfid_rules::cond::eval_cond;
 use rfid_rules::prepared::{FiringError, PreparedRule, Scratch};
-use rfid_rules::{parse_script, Procedures, RuleRuntime};
+use rfid_rules::{parse_script, rule_events, Procedures, RuleRuntime};
 use rfid_store::{ColumnType, Database, Row, Schema, TableError, Value};
 
 const NAMES: [&str; 7] = ["r", "o", "t", "a", "b", "c", "d"];
@@ -817,16 +816,17 @@ fn interpreted_stream(
     stream: &[Observation],
     mut between: impl FnMut(usize, &mut Database),
 ) -> Outcome {
+    let compiled = rule_events(script).expect("compiles");
+    let named = compiled.iter().map(|r| (r.name.as_str(), &r.event));
+    let config = rceda::EngineConfig::default();
+    let mut engine = rceda::Engine::with_rules(catalog.clone(), config, named).expect("valid");
+    // `interpret` binds off the declared event, so it must be alias-free.
     let parsed = parse_script(script).expect("parses");
-    let defines = rfid_rules::compile::build_defines(&parsed.defines).expect("defines build");
-    let mut engine = rceda::Engine::new(catalog.clone(), rceda::EngineConfig::default());
-    let mut rules = Vec::new();
-    for mut decl in parsed.rules {
-        decl.event = resolve_aliases(&decl.event, &defines).expect("aliases resolve");
-        let expr = compile_event(&decl.event).expect("compiles");
-        engine.add_rule(&decl.name, expr).expect("a valid rule");
-        rules.push(decl);
-    }
+    assert!(
+        parsed.defines.is_empty(),
+        "the interpreting sink takes no DEFINE"
+    );
+    let rules = parsed.rules;
     let mut procs = Procedures::new();
     let mut errors = Vec::new();
     for (i, obs) in stream.iter().enumerate() {

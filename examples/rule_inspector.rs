@@ -7,8 +7,8 @@
 //! cargo run --example rule_inspector -- --dot   # graphviz to stdout
 //! ```
 
-use rfid_cep::rules::compile::{build_defines, compile_event, resolve_aliases};
-use rfid_cep::rules::parse_script;
+use rfid_cep::engine::{Engine, EngineConfig};
+use rfid_cep::rules::rule_events;
 
 const SCRIPT: &str = "\
 DEFINE E1 = observation('r1', o1, t1) \
@@ -29,16 +29,10 @@ fn main() {
     for (name, group) in [("r1", "conv"), ("r2", "case"), ("r4", "exit")] {
         catalog.readers.register(name, group, name);
     }
+    let rules = rule_events(SCRIPT).expect("script compiles");
+    let named = rules.iter().map(|r| (r.name.as_str(), &r.event));
     let mut engine =
-        rfid_cep::engine::Engine::new(catalog, rfid_cep::engine::EngineConfig::default());
-
-    let parsed = parse_script(SCRIPT).expect("script parses");
-    let defines = build_defines(&parsed.defines).expect("defines build");
-    for rule in &parsed.rules {
-        let resolved = resolve_aliases(&rule.event, &defines).expect("aliases resolve");
-        let expr = compile_event(&resolved).expect("event compiles");
-        engine.add_rule(&rule.name, expr).expect("rule is valid");
-    }
+        Engine::with_rules(catalog, EngineConfig::default(), named).expect("rules are valid");
 
     if std::env::args().any(|a| a == "--dot") {
         print!("{}", engine.graph().to_dot());

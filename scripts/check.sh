@@ -152,6 +152,20 @@ for call in '\.sync_all\(' 'fs::rename\('; do
     fi
 done
 
+echo "== one benchmark harness (crates/bench prints tables) =="
+# Throughput is the ledger's (benchmark/); crates/bench prints the paper's
+# tables to stdout and fig9_obs gates the observability budget by its exit
+# status. No JSON report layer, gate script or checked-in result file beside them.
+stray=$({
+    ls scripts/bench_*.sh crates/bench/src/report.rs results/BENCH_*.json 2>/dev/null
+    grep -rnE '[[:alnum:]_*]\.json' crates/bench/src
+} || true)
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: a second benchmark harness is back beside the table printers" >&2
+    exit 1
+fi
+
 echo "== tests (every crate, every suite) =="
 cargo test -q --workspace
 

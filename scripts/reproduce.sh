@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every table of EXPERIMENTS.md, sequentially (benchmarks must
-# not compete for CPU). Writes each harness's output under results/.
+# not compete for CPU): each harness's stdout becomes results/<harness>.txt.
+# Fails if any harness does, fig9_obs's observability budget included.
+# End-to-end throughput is the ledger's (benchmark/run.sh), not these tables'.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,9 +29,7 @@ run baseline_compare   # Ablation A3: RCEDA vs type-level ECA
 run context_compare    # Ablation A4: parameter contexts
 run action_cost        # §5 methodology: detection vs detection+actions
 run fig9_shard         # shard sweep table: throughput vs. keyed shards × residual workers
-
-# Counters-level observability overhead gate (throughput is the ledger's: benchmark/run.sh).
-scripts/bench_gate.sh
+run fig9_obs           # observability overhead; exits non-zero above the 3% counters budget
 
 echo
 echo "All tables written to $out/."

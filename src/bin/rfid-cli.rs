@@ -18,11 +18,10 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use rfid_cep::engine::EngineConfig;
+use rfid_cep::engine::{Engine, EngineConfig};
 use rfid_cep::epc::Epc;
 use rfid_cep::events::{Catalog, Observation, Timestamp};
-use rfid_cep::rules::compile::{build_defines, compile_event, resolve_aliases};
-use rfid_cep::rules::{parse_script, RuleRuntime};
+use rfid_cep::rules::{rule_events, RuleRuntime};
 use rfid_cep::simulator::{SimConfig, SupplyChain};
 
 fn main() {
@@ -184,16 +183,10 @@ fn inspect(args: &[String]) -> Result<(), String> {
         std::fs::read_to_string(&script_path).map_err(|e| format!("{script_path}: {e}"))?;
     let catalog = load_catalog(args).unwrap_or_default();
 
-    let parsed = parse_script(&script).map_err(|e| e.to_string())?;
-    let defines = build_defines(&parsed.defines).map_err(|e| e.to_string())?;
-    let mut engine = rfid_cep::engine::Engine::new(catalog, EngineConfig::default());
-    for rule in &parsed.rules {
-        let resolved = resolve_aliases(&rule.event, &defines).map_err(|e| e.to_string())?;
-        let expr = compile_event(&resolved).map_err(|e| e.to_string())?;
-        engine
-            .add_rule(&rule.name, expr)
-            .map_err(|e| e.to_string())?;
-    }
+    let rules = rule_events(&script).map_err(|e| e.to_string())?;
+    let named = rules.iter().map(|r| (r.name.as_str(), &r.event));
+    let mut engine =
+        Engine::with_rules(catalog, EngineConfig::default(), named).map_err(|e| e.to_string())?;
     if flag(args, "--dot") {
         print!("{}", engine.graph().to_dot());
     } else {
