@@ -39,7 +39,7 @@ use rfid_events::{dist, interval2, Catalog, EventExpr, Instance, Observation, Sp
 use crate::cost::Cost;
 use crate::error::InvalidRule;
 use crate::graph::{EventGraph, Node, NodeId, NodeKind, Plan};
-use crate::key::{extract_all, Key};
+use crate::key::{extract_all, Key, KeySpecId};
 use crate::obs::{FlightRecorder, Histogram, ObsState, ObserveLevel, TelemetrySnapshot};
 use crate::plan::{CompiledPlan, EdgeOp, InlineBuf, Member, LEAF_HITS_INLINE};
 use crate::program::{Program, RuleEvent};
@@ -127,6 +127,56 @@ struct Runtime {
     /// spans, the next-expiry deadline heap, and the per-batch touched
     /// bitmap deadlines are armed from.
     sweep: SweepQueue,
+    /// The keys of the instance being propagated, one per interned spec.
+    keys: KeyMemo,
+}
+
+/// The correlation keys of the current work-queue pop, memoised per
+/// interned key spec ([`KeySpecId`]): every parent edge that reads the same
+/// extraction list off the same arrival shares one extraction, one pack and
+/// one hash. A slot is current when it carries the pop's generation.
+#[derive(Debug, Default)]
+struct KeyMemo {
+    /// Never wraps: one bump per pop.
+    generation: u64,
+    slots: Vec<(u64, Option<Key>)>,
+}
+
+/// What [`KeyMemo::key`] lends for the empty spec: the uncorrelated key,
+/// never extracted.
+static EMPTY_KEY: Key = Key::EMPTY;
+
+impl KeyMemo {
+    /// Sizes the memo for a graph's interned specs (after a re-solve).
+    fn resize(&mut self, specs: usize) {
+        self.slots.resize(specs, (0, None));
+    }
+
+    /// Invalidates every slot: a new instance is being propagated.
+    #[inline]
+    fn next_pop(&mut self) {
+        self.generation += 1;
+    }
+
+    /// The key `spec` extracts from `inst`, the current pop's instance —
+    /// `None` when a path does not resolve. The engine's one extraction
+    /// site: extracted on the first read per pop, borrowed after.
+    #[inline]
+    fn key(&mut self, graph: &EventGraph, spec: KeySpecId, inst: &Instance) -> Option<&Key> {
+        if spec == KeySpecId::EMPTY {
+            return Some(&EMPTY_KEY);
+        }
+        let slot = &mut self.slots[spec.idx()];
+        if slot.0 != self.generation {
+            *slot = (self.generation, extract_all(graph.key_spec(spec), inst));
+        }
+        debug_assert_eq!(
+            slot.1,
+            extract_all(graph.key_spec(spec), inst),
+            "the memoised key is the one a fresh extraction builds"
+        );
+        slot.1.as_ref()
+    }
 }
 
 /// State of the deadline-driven sweep. A node is *armed* when its earliest
@@ -197,6 +247,7 @@ impl Engine {
                 work: Vec::new(),
                 obs: ObsState::new(config.observe, config.flight_capacity),
                 sweep: SweepQueue::default(),
+                keys: KeyMemo::default(),
             },
             rule_enabled: Vec::new(),
             rule_firings: Vec::new(),
@@ -414,6 +465,7 @@ impl Engine {
         if let Some(prior) = self.program.solve(Some(&self.catalog)) {
             self.sync_states();
             self.rt.obs.arena.ensure_len(self.program.graph().len());
+            self.rt.keys.resize(self.program.graph().key_spec_count());
             self.rebuild_sweep_spans();
             self.rehome_states(&prior);
         }
@@ -694,6 +746,7 @@ impl Engine {
         let (graph, plan) = (program.graph(), program.plan());
         let observe = rt.obs.level;
         while let Some((node_id, inst)) = rt.work.pop() {
+            rt.keys.next_pop();
             // A coalesced leaf representative stands in for its whole
             // pattern group; count the pops an unshared plan would make.
             rt.stats.occurrences += 1 + u64::from(plan.extra_pops(node_id));
@@ -717,7 +770,7 @@ impl Engine {
             for edge in plan.edges_at(node_id) {
                 let pnode = graph.node(edge.parent());
                 match edge.op() {
-                    EdgeOp::SelfJoin => rt.self_join_arrival(config, plan, pnode, &inst),
+                    EdgeOp::SelfJoin => rt.self_join_arrival(graph, config, plan, pnode, &inst),
                     EdgeOp::Left => rt.arrival(graph, config, plan, pnode, 0, &inst),
                     EdgeOp::Right => rt.arrival(graph, config, plan, pnode, 1, &inst),
                     EdgeOp::RecordQuery { query } => {
@@ -878,19 +931,16 @@ impl Runtime {
     /// pops an unshared plan would have made.
     fn self_join_arrival(
         &mut self,
+        graph: &EventGraph,
         config: &EngineConfig,
         plan: &CompiledPlan,
         node: &Node,
         inst: &Arc<Instance>,
     ) {
         debug_assert_eq!(node.plan, Plan::TwoSided, "self-join is always two-sided");
-        let join = &node.join;
-        let key = if join.is_trivial() {
-            Some(Key::EMPTY)
-        } else {
-            join.right_key(inst)
+        let Some(key) = self.keys.key(graph, node.join.ids[1], inst) else {
+            return;
         };
-        let Some(key) = key else { return };
         let kind = &node.kind;
         let family = plan.family(node.id);
         let within = family.last().expect("a holder is in its family").cutoff;
@@ -988,20 +1038,16 @@ impl Runtime {
         );
         let mut probed = None;
         for (i, spec) in specs.iter().enumerate() {
-            if let Some(key) = extract_all(&spec.extracts, inst) {
+            if let Some(key) = self.keys.key(graph, spec.key, inst) {
                 if self.obs.level.counters() {
                     self.obs.arena.admitted(not_node.id.idx());
                 }
-                // Lowering guarantees this spec's extracts equal the query
-                // node's right-side join key, so `key` doubles as the
-                // query key — and its absence as the unfused query's
-                // dropped delivery.
+                // Lowering guarantees this spec is the query node's
+                // right-side join spec, so `key` doubles as the query key
+                // — and its absence as the unfused query's dropped
+                // delivery.
                 if i == spec_idx {
-                    debug_assert_eq!(
-                        Some(&key),
-                        negation_query_key(query_node, 1, inst).as_ref(),
-                        "fused key specs agree"
-                    );
+                    debug_assert_eq!(spec.key, query_node.join.ids[1], "fused key specs agree");
                     if self.obs.level.counters() {
                         self.obs.arena.probed(query_node.id.idx());
                     }
@@ -1036,10 +1082,10 @@ impl Runtime {
                 self.work.push((node.id, wrapped));
             }
             Plan::Forward => {}
-            Plan::TwoSided => self.two_sided(config, node, side, inst),
+            Plan::TwoSided => self.two_sided(graph, config, node, side, inst),
             Plan::LeftNegationQuery => {
                 debug_assert_eq!(side, 1, "negated initiator never delivers");
-                self.left_negation_query(plan, node, inst);
+                self.left_negation_query(graph, plan, node, inst);
             }
             Plan::LeftAperiodicQuery => {
                 debug_assert_eq!(side, 1, "the run never delivers");
@@ -1047,13 +1093,13 @@ impl Runtime {
             }
             Plan::RightNegationWait => {
                 debug_assert_eq!(side, 0, "negated terminator never delivers");
-                self.right_negation_wait(plan, node, inst);
+                self.right_negation_wait(graph, plan, node, inst);
             }
             Plan::AndNegation { not_side } => {
                 debug_assert_eq!(side, 1 - not_side, "arrivals come from the push side");
                 let from = inst.t_end().saturating_sub(node.within);
                 let to = inst.t_begin() + node.within;
-                self.wait_on_negation(plan, node, not_side, inst, from, to);
+                self.wait_on_negation(graph, plan, node, not_side, inst, from, to);
             }
             Plan::NegationRecorder => self.record_negation(graph, node, inst),
             Plan::AperiodicRecorder => self.record_aperiodic(node, inst),
@@ -1063,17 +1109,18 @@ impl Runtime {
 
     /// [`Plan::TwoSided`]: pair with the oldest compatible instance of the
     /// other side and consume both, or wait on this one.
-    fn two_sided(&mut self, config: &EngineConfig, node: &Node, side: u8, inst: &Arc<Instance>) {
+    fn two_sided(
+        &mut self,
+        graph: &EventGraph,
+        config: &EngineConfig,
+        node: &Node,
+        side: u8,
+        inst: &Arc<Instance>,
+    ) {
         let parent = node.id;
-        let join = &node.join;
-        let key = if join.is_trivial() {
-            Some(Key::EMPTY)
-        } else if side == 0 {
-            join.left_key(inst)
-        } else {
-            join.right_key(inst)
+        let Some(key) = self.keys.key(graph, node.join.ids[side as usize], inst) else {
+            return;
         };
-        let Some(key) = key else { return };
         let kind = &node.kind;
         let within = node.within;
         // The scan prunes the *other* side's buffer, so its solved
@@ -1092,7 +1139,7 @@ impl Runtime {
         } else {
             (rbuf, lbuf)
         };
-        let matched = other.take_oldest_match(&key, dead, |e| {
+        let matched = other.take_oldest_match(key, dead, |e| {
             // One physical event can never be both constituents of an
             // occurrence (same-pattern children deliver the same Arc to
             // both sides).
@@ -1110,9 +1157,9 @@ impl Runtime {
                 // Retire every buffered copy of both constituents: with
                 // same-pattern children under different windows an
                 // instance can sit in both side buffers.
-                own.remove_ptr_eq(&key, &e.inst);
+                own.remove_ptr_eq(key, &e.inst);
                 // `inst` is not in `own`: only `None` below admits it, once per side.
-                other.remove_ptr_eq(&key, inst);
+                other.remove_ptr_eq(key, inst);
                 let children = if side == 0 {
                     vec![inst.clone(), e.inst]
                 } else {
@@ -1141,9 +1188,15 @@ impl Runtime {
 
     /// [`Plan::LeftNegationQuery`]: one probe of the negated child's
     /// history answers the terminator for the whole family `node` holds.
-    fn left_negation_query(&mut self, plan: &CompiledPlan, node: &Node, inst: &Arc<Instance>) {
+    fn left_negation_query(
+        &mut self,
+        graph: &EventGraph,
+        plan: &CompiledPlan,
+        node: &Node,
+        inst: &Arc<Instance>,
+    ) {
         let (to, exclusive) = negation_query_end(node, inst);
-        let Some(key) = negation_query_key(node, 1, inst) else {
+        let Some(key) = self.keys.key(graph, node.join.ids[1], inst) else {
             return;
         };
         let spec = node.hist_spec.expect("query plan has a spec").0 as usize;
@@ -1152,7 +1205,7 @@ impl Runtime {
             self.obs.arena.probed(node.id.idx());
         }
         let last = match &self.states[not_child.idx()] {
-            NodeState::Negation(neg) => neg.last_occurrence(spec, &key, to, exclusive),
+            NodeState::Negation(neg) => neg.last_occurrence(spec, key, to, exclusive),
             other => unreachable!("negation child has state {other:?}"),
         };
         self.emit_absent(plan.family(node.id), node, inst, last, to);
@@ -1193,7 +1246,13 @@ impl Runtime {
 
     /// [`Plan::RightNegationWait`]: the initiator waits out the window in
     /// which the negated terminator must stay absent.
-    fn right_negation_wait(&mut self, plan: &CompiledPlan, node: &Node, inst: &Arc<Instance>) {
+    fn right_negation_wait(
+        &mut self,
+        graph: &EventGraph,
+        plan: &CompiledPlan,
+        node: &Node,
+        inst: &Arc<Instance>,
+    ) {
         // The negation window opens strictly after the initiator ends;
         // otherwise an initiator whose pattern overlaps the negated pattern
         // would block itself.
@@ -1206,7 +1265,7 @@ impl Runtime {
             ),
             ref other => unreachable!("RightNegationWait on {other:?}"),
         };
-        self.wait_on_negation(plan, node, 1, inst, from, to);
+        self.wait_on_negation(graph, plan, node, 1, inst, from, to);
     }
 
     /// [`Plan::NegationRecorder`]: record the occurrence under the key of
@@ -1221,13 +1280,13 @@ impl Runtime {
         neg.ensure_specs(specs.len().max(1));
         if specs.is_empty() {
             // No parent correlates: record under the empty key.
-            neg.record(0, Key::EMPTY, inst.t_end());
+            neg.record(0, &EMPTY_KEY, inst.t_end());
             if self.obs.level.counters() {
                 self.obs.arena.admitted(parent.idx());
             }
         } else {
             for (i, spec) in specs.iter().enumerate() {
-                if let Some(key) = extract_all(&spec.extracts, inst) {
+                if let Some(key) = self.keys.key(graph, spec.key, inst) {
                     neg.record(i, key, inst.t_end());
                     if self.obs.level.counters() {
                         self.obs.arena.admitted(parent.idx());
@@ -1326,8 +1385,10 @@ impl Runtime {
     /// Shared machinery of `AndNegation` and `RightNegationWait`: check the
     /// past part of the window now; if the window extends into the future,
     /// anchor the instance and schedule a pseudo event at its close.
+    #[allow(clippy::too_many_arguments)]
     fn wait_on_negation(
         &mut self,
+        graph: &EventGraph,
         plan: &CompiledPlan,
         node: &Node,
         not_side: u8,
@@ -1335,7 +1396,8 @@ impl Runtime {
         from: Timestamp,
         to: Timestamp,
     ) {
-        let Some(key) = negation_query_key(node, 1 - not_side, inst) else {
+        let push_side = usize::from(1 - not_side);
+        let Some(key) = self.keys.key(graph, node.join.ids[push_side], inst) else {
             return;
         };
         let spec = node.hist_spec.expect("wait plan has a spec").0 as usize;
@@ -1348,7 +1410,7 @@ impl Runtime {
                 self.obs.arena.probed(node.id.idx());
             }
             let occurred = match &self.states[not_child.idx()] {
-                NodeState::Negation(neg) => neg.occurred(spec, &key, from, past_end, false),
+                NodeState::Negation(neg) => neg.occurred(spec, key, from, past_end, false),
                 other => unreachable!("negation child has state {other:?}"),
             };
             if occurred {
@@ -1376,7 +1438,7 @@ impl Runtime {
             anchor,
             WaitEntry {
                 inst: inst.clone(),
-                key,
+                key: key.clone(),
                 from,
                 to,
             },
@@ -1407,19 +1469,6 @@ fn negation_query_end(node: &Node, inst: &Instance) -> (Timestamp, bool) {
             false,
         ),
         ref other => unreachable!("negated-initiator query on {other:?}"),
-    }
-}
-
-/// The key the negation must be queried under, extracted from the push-side
-/// instance via the node's join spec.
-fn negation_query_key(node: &Node, push_side: u8, inst: &Instance) -> Option<Key> {
-    if node.join.is_trivial() {
-        return Some(Key::EMPTY);
-    }
-    if push_side == 0 {
-        node.join.left_key(inst)
-    } else {
-        node.join.right_key(inst)
     }
 }
 

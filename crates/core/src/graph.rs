@@ -16,14 +16,15 @@
 //!   negation query, pseudo-event-resolved negation wait, …);
 //! * **Correlation extraction** — shared variables become [`JoinSpec`]s, and
 //!   negation nodes get keyed-history registrations for each parent that
-//!   correlates with them.
+//!   correlates with them. Every extraction list is interned once as a
+//!   [`KeySpecId`], so the engine builds each distinct key once per arrival.
 
 use std::collections::HashMap;
 
 use rfid_events::{EventExpr, PrimitivePattern, Span};
 
 use crate::error::InvalidRule;
-use crate::key::{exports_of, Exports, Extract, JoinSpec};
+use crate::key::{exports_of, Exports, Extract, JoinSpec, KeySpecId};
 
 /// Index of a node in the event graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -182,22 +183,28 @@ pub struct Node {
     pub exports: Exports,
 }
 
-/// A keyed-history registration on a `NOT` node: extraction paths (relative
-/// to the *inner* instance) that one parent's join requires.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A keyed-history registration on a `NOT` node: the interned extraction
+/// paths (relative to the *inner* instance) that one parent's join requires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSpec {
-    /// Extraction paths defining the key.
-    pub extracts: Vec<Extract>,
+    /// The key the history is partitioned by ([`EventGraph::key_spec`]).
+    pub key: KeySpecId,
 }
 
 /// The shared event graph for every rule added to an engine.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EventGraph {
     nodes: Vec<Node>,
     /// Hash-consing table: (canonical expression, effective window) → node.
     memo: HashMap<(EventExpr, Span), NodeId>,
-    /// Keyed-history registrations per negation node.
-    hist_specs: HashMap<NodeId, Vec<HistSpec>>,
+    /// Keyed-history registrations, indexed by node id (empty for every
+    /// node no parent queries).
+    hist_specs: Vec<Vec<HistSpec>>,
+    /// Interned extraction lists, indexed by [`KeySpecId`]; the empty list
+    /// is id 0.
+    key_specs: Vec<Vec<Extract>>,
+    /// Interning table over `key_specs` (build time only).
+    key_spec_ids: HashMap<Vec<Extract>, KeySpecId>,
     /// All primitive (leaf) node ids, for the engine's dispatch index.
     primitives: Vec<NodeId>,
     /// Structural sharing diagnostics: compile requests that hit the memo.
@@ -207,6 +214,20 @@ pub struct EventGraph {
 /// Variables mentioned anywhere below a node (not just exported), used to
 /// reject correlations the engine cannot enforce.
 type AllVars = std::collections::BTreeSet<rfid_events::Var>;
+
+impl Default for EventGraph {
+    fn default() -> Self {
+        Self {
+            nodes: Vec::new(),
+            memo: HashMap::new(),
+            hist_specs: Vec::new(),
+            key_specs: vec![Vec::new()],
+            key_spec_ids: HashMap::from([(Vec::new(), KeySpecId::EMPTY)]),
+            primitives: Vec::new(),
+            merged_hits: 0,
+        }
+    }
+}
 
 impl EventGraph {
     /// An empty graph.
@@ -255,7 +276,29 @@ impl EventGraph {
 
     /// Keyed-history registrations of a negation/aperiodic node.
     pub fn hist_specs(&self, id: NodeId) -> &[HistSpec] {
-        self.hist_specs.get(&id).map_or(&[], Vec::as_slice)
+        self.hist_specs.get(id.idx()).map_or(&[], Vec::as_slice)
+    }
+
+    /// The extraction list an interned key spec stands for.
+    pub fn key_spec(&self, id: KeySpecId) -> &[Extract] {
+        &self.key_specs[id.idx()]
+    }
+
+    /// Number of interned key specs (the empty one included); ids are
+    /// dense below it.
+    pub fn key_spec_count(&self) -> usize {
+        self.key_specs.len()
+    }
+
+    /// The id of an extraction list, interning it on first sight.
+    fn intern(&mut self, extracts: &[Extract]) -> KeySpecId {
+        if let Some(&id) = self.key_spec_ids.get(extracts) {
+            return id;
+        }
+        let id = KeySpecId(self.key_specs.len() as u32);
+        self.key_specs.push(extracts.to_vec());
+        self.key_spec_ids.insert(extracts.to_vec(), id);
+        id
     }
 
     /// How many compile requests were satisfied by an existing node.
@@ -478,7 +521,8 @@ impl EventGraph {
         };
         let ja = joinable(self, ca, &ea);
         let jb = joinable(self, cb, &eb);
-        let join = JoinSpec::between(&ja, &jb);
+        let mut join = JoinSpec::between(&ja, &jb);
+        join.ids = [self.intern(&join.left), self.intern(&join.right)];
 
         // Every variable shared across the two subtrees must be enforceable
         // through the join, otherwise the rule would silently under-constrain.
@@ -583,13 +627,13 @@ impl EventGraph {
         };
         if let Some(side) = query_side {
             let child = node.children[side as usize];
-            let extracts = if side == 0 {
-                node.join.left.clone()
-            } else {
-                node.join.right.clone()
+            let spec = HistSpec {
+                key: node.join.ids[side as usize],
             };
-            let spec = HistSpec { extracts };
-            let specs = self.hist_specs.entry(child).or_default();
+            if self.hist_specs.len() <= child.idx() {
+                self.hist_specs.resize_with(child.idx() + 1, Vec::new);
+            }
+            let specs = &mut self.hist_specs[child.idx()];
             let spec_id = match specs.iter().position(|s| *s == spec) {
                 Some(i) => HistSpecId(i as u32),
                 None => {
@@ -644,6 +688,7 @@ impl EventGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::Attr;
 
     fn p(reader: &str) -> EventExpr {
         EventExpr::observation_at(reader).build()
@@ -858,7 +903,50 @@ mod tests {
         let not_id = node.children[0];
         assert_eq!(g.node(not_id).kind, NodeKind::Not);
         assert_eq!(g.hist_specs(not_id).len(), 1);
-        assert_eq!(g.hist_specs(not_id)[0].extracts.len(), 2);
+        assert_eq!(g.key_spec(g.hist_specs(not_id)[0].key).len(), 2);
         assert_eq!(node.hist_spec, Some(HistSpecId(0)));
+    }
+
+    #[test]
+    fn equal_extraction_lists_share_one_key_spec() {
+        let ro = || {
+            EventExpr::observation()
+                .bind_reader("r")
+                .bind_object("o")
+                .build()
+        };
+        let o_at = |reader: &str| EventExpr::observation_at(reader).bind_object("o").build();
+        let mut g = EventGraph::new();
+        // Rule 1's shape: both sides key on (o, r) read off an observation.
+        let dup = g
+            .add_event(&ro().seq(ro()).within(Span::from_secs(5)))
+            .unwrap();
+        // The same lists on another node, under another window.
+        let dup9 = g
+            .add_event(&ro().and(ro()).within(Span::from_secs(9)))
+            .unwrap();
+        // A composite child read through its left, then its right child.
+        let pair = o_at("r1").seq(o_at("r2"));
+        let deep = g
+            .add_event(&pair.clone().seq(o_at("r3")).within(Span::from_secs(5)))
+            .unwrap();
+        let (dup, dup9, deep) = (g.node(dup), g.node(dup9), g.node(deep));
+
+        assert_ne!(dup.id, dup9.id);
+        assert_eq!(dup.join.ids, dup9.join.ids, "equal lists, one id");
+        assert_eq!(dup.join.ids[0], dup.join.ids[1], "both sides read (o, r)");
+        assert_eq!(deep.join.ids[1], KeySpecId(2), "a bare (o) is new");
+        assert_ne!(deep.join.ids[0], deep.join.ids[1], "Child(0, o) ≠ Obs(o)");
+        assert_eq!(
+            g.key_spec(deep.join.ids[0]),
+            &[Extract::Obs(Attr::Object).under(0)]
+        );
+        for id in [dup.join.ids[0], deep.join.ids[0], deep.join.ids[1]] {
+            assert_ne!(id, KeySpecId::EMPTY);
+        }
+        assert_eq!(g.key_spec_count(), 4, "empty, (o, r), (o), Child(0, o)");
+        let trivial = g.add_event(&p("r1").seq(p("r2"))).unwrap();
+        assert_eq!(g.node(trivial).join.ids, [KeySpecId::EMPTY; 2]);
+        assert!(g.key_spec(KeySpecId::EMPTY).is_empty());
     }
 }

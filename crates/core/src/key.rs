@@ -9,16 +9,19 @@
 //!
 //! # Packed representation
 //!
-//! A key is extracted once per event per stateful node, so its construction
-//! is on the engine's hot path. Rather than a `Vec<KeyPart>` (one heap
-//! allocation per extraction, another per clone, and a SipHash walk per map
-//! probe), [`Key`] packs its parts into three inline `u64` words — a
+//! The graph interns every distinct extraction list once, as a
+//! [`KeySpecId`], and the engine builds a key once per arrival per interned
+//! spec: every parent edge that reads the same spec off the same arrival
+//! borrows that one key. Rather than a `Vec<KeyPart>` (one heap allocation
+//! per extraction, another per clone, and a SipHash walk per map probe),
+//! [`Key`] packs its parts straight into three inline `u64` words — a
 //! `ReaderId` contributes 4 payload bytes, an `Epc` 12 (its 96-bit word) —
 //! together with a shape descriptor (part count + per-part kind bits) and a
-//! precomputed 64-bit hash. Construction, cloning, and equality are then
-//! allocation-free value operations, and the keyed state tables
-//! ([`crate::state::SlotTable`]) probe with the precomputed hash instead of
-//! re-hashing.
+//! precomputed 64-bit hash over the shape and only the words the parts
+//! occupy (two mixing rounds for a one-EPC key). Construction, cloning, and
+//! equality are then allocation-free value operations, and the keyed state
+//! tables ([`crate::state::SlotTable`]) probe with the precomputed hash
+//! instead of re-hashing.
 //!
 //! Keys wider than 24 payload bytes (more than two object parts, or
 //! pathological many-variable joins) spill to a shared `Arc<[KeyPart]>`.
@@ -69,6 +72,7 @@ impl Extract {
     /// Evaluates the path against an instance. `None` when the instance's
     /// shape does not match (e.g. an absence witness), which callers treat as
     /// "no key" — the instance then never joins.
+    #[inline]
     pub fn eval(&self, inst: &Instance) -> Option<KeyPart> {
         match self {
             Extract::Obs(attr) => match inst.kind() {
@@ -104,12 +108,19 @@ const INLINE_PARTS: usize = 6;
 // multiply chain serves the keyed tables and shard routing.
 pub(crate) use rfid_epc::hash::mix64;
 
-/// Hashes a packed shape + payload words.
+/// Hashes a packed shape + the payload words `used` bytes occupy. The
+/// shape is mixed into the first word, so one round covers a key of up to
+/// 8 bytes; words past the payload are zero and skipped — the shape's part
+/// count already tells keys with trailing zero words apart.
 #[inline]
-fn hash_inline(shape: u16, words: &[u64; 3]) -> u64 {
-    let mut h = mix64(u64::from(shape) ^ 0x9E37_79B9_7F4A_7C15);
-    for &w in words {
-        h = mix64(h ^ w);
+fn hash_inline(shape: u16, words: &[u64; 3], used: usize) -> u64 {
+    let seed = u64::from(shape).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD6E8_FEB8_6659_FD93;
+    let mut h = mix64(words[0] ^ seed);
+    if used > 8 {
+        h = mix64(h ^ words[1]);
+    }
+    if used > 16 {
+        h = mix64(h ^ words[2]);
     }
     h
 }
@@ -157,8 +168,8 @@ pub struct Key {
 impl Key {
     /// The empty (uncorrelated) key.
     pub const EMPTY: Key = Key {
-        // hash_inline(0, &[0; 3]) precomputed; asserted in tests.
-        hash: 0x1957_a760_4e21_5178,
+        // hash_inline(0, &[0; 3], 0) precomputed; asserted in tests.
+        hash: 0xb55a_8fa0_6753_7a73,
         repr: Repr::Inline {
             shape: 0,
             words: [0; 3],
@@ -259,107 +270,108 @@ impl FromIterator<KeyPart> for Key {
     }
 }
 
+/// The inline half of key construction: parts packed straight into three
+/// payload words, with the shape (part count + kind bits) alongside. `Copy`
+/// and drop-free, so an extraction keeps it in registers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Packer {
+    /// Payload, little-endian in part order, written in place.
+    words: [u64; 3],
+    /// Payload bytes written.
+    used: usize,
+    /// The part count in bits 8..=11, part `i`'s kind in bit `i`.
+    shape: u16,
+}
+
+impl Packer {
+    /// Packs one more part; `false` (and nothing written) when it does not
+    /// fit inline.
+    #[inline]
+    fn push(&mut self, part: KeyPart) -> bool {
+        let count = usize::from(self.shape >> 8);
+        let need = match part {
+            KeyPart::Reader(_) => 4,
+            KeyPart::Object(_) => 12,
+        };
+        if count == INLINE_PARTS || self.used + need > INLINE_BYTES {
+            return false;
+        }
+        // Parts are 4 or 12 bytes, so one starts at bit 0 or 32 of a word:
+        // a reader fits that word, an EPC's 96 bits run into the next.
+        let (word, high) = (self.used / 8, !self.used.is_multiple_of(8));
+        match part {
+            KeyPart::Reader(r) => self.words[word] |= u64::from(r.0) << if high { 32 } else { 0 },
+            KeyPart::Object(o) => {
+                let (lo, hi) = (o.raw() as u64, (o.raw() >> 64) as u64);
+                if high {
+                    self.words[word] |= lo << 32;
+                    self.words[word + 1] |= (lo >> 32) | (hi << 32);
+                } else {
+                    self.words[word] |= lo;
+                    self.words[word + 1] |= hi;
+                }
+                self.shape |= 1 << count;
+            }
+        }
+        self.used += need;
+        self.shape += 1 << 8;
+        true
+    }
+
+    #[inline]
+    fn finish(self) -> Key {
+        Key {
+            hash: hash_inline(self.shape, &self.words, self.used),
+            repr: Repr::Inline {
+                shape: self.shape,
+                words: self.words,
+            },
+        }
+    }
+}
+
 /// Streaming key constructor: push parts, then [`KeyBuilder::finish`].
 /// Allocation-free while the key fits inline.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct KeyBuilder {
-    bytes: [u8; INLINE_BYTES],
-    used: usize,
-    shape: u16,
-    count: usize,
+    packer: Packer,
+    /// Every part, once the key no longer fits inline.
     spill: Option<Vec<KeyPart>>,
 }
 
 impl KeyBuilder {
     /// An empty builder.
     pub fn new() -> Self {
-        Self {
-            bytes: [0; INLINE_BYTES],
-            used: 0,
-            shape: 0,
-            count: 0,
-            spill: None,
-        }
+        Self::default()
     }
 
     /// Appends one part.
+    #[inline]
     pub fn push(&mut self, part: KeyPart) {
-        if let Some(spill) = &mut self.spill {
-            spill.push(part);
-            return;
+        if self.spill.is_some() || !self.packer.push(part) {
+            self.push_spilled(part);
         }
-        let need = match part {
-            KeyPart::Reader(_) => 4,
-            KeyPart::Object(_) => 12,
-        };
-        if self.count == INLINE_PARTS || self.used + need > INLINE_BYTES {
-            // Re-materialize what is already packed and spill from here on.
-            let mut parts = self.drain_inline();
-            parts.push(part);
-            self.spill = Some(parts);
-            return;
-        }
-        match part {
-            KeyPart::Reader(r) => {
-                self.bytes[self.used..self.used + 4].copy_from_slice(&r.0.to_le_bytes());
-            }
-            KeyPart::Object(o) => {
-                self.bytes[self.used..self.used + 12].copy_from_slice(&o.raw().to_le_bytes()[..12]);
-                self.shape |= 1 << self.count;
-            }
-        }
-        self.used += need;
-        self.count += 1;
     }
 
-    fn drain_inline(&mut self) -> Vec<KeyPart> {
-        let snapshot = Key {
-            hash: 0,
-            repr: Repr::Inline {
-                shape: self.packed_shape(),
-                words: self.words(),
-            },
-        };
-        snapshot.parts()
-    }
-
-    fn packed_shape(&self) -> u16 {
-        self.shape | ((self.count as u16) << 8)
-    }
-
-    fn words(&self) -> [u64; 3] {
-        let mut words = [0u64; 3];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = u64::from_le_bytes(self.bytes[i * 8..(i + 1) * 8].try_into().unwrap());
-        }
-        words
+    /// Re-materializes what is already packed and spills from here on.
+    #[cold]
+    fn push_spilled(&mut self, part: KeyPart) {
+        let packer = self.packer;
+        self.spill
+            .get_or_insert_with(|| packer.finish().parts())
+            .push(part);
     }
 
     /// Finalizes the key, computing its hash.
+    #[inline]
     pub fn finish(self) -> Key {
         match self.spill {
-            Some(parts) => {
-                let hash = hash_spilled(&parts);
-                Key {
-                    hash,
-                    repr: Repr::Spilled(parts.into()),
-                }
-            }
-            None => {
-                let shape = self.packed_shape();
-                let words = self.words();
-                Key {
-                    hash: hash_inline(shape, &words),
-                    repr: Repr::Inline { shape, words },
-                }
-            }
+            Some(parts) => Key {
+                hash: hash_spilled(&parts),
+                repr: Repr::Spilled(parts.into()),
+            },
+            None => self.packer.finish(),
         }
-    }
-}
-
-impl Default for KeyBuilder {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -396,6 +408,23 @@ pub type SeqMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 /// The variables a node's instances can provide, with how to extract each.
 pub type Exports = BTreeMap<Var, Extract>;
 
+/// Dense id of an interned extraction list
+/// ([`crate::graph::EventGraph::key_spec`]): equal lists share one id, so
+/// the engine builds the key of an id once per arrival, whichever parent
+/// edges read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct KeySpecId(pub u32);
+
+impl KeySpecId {
+    /// The empty list — the uncorrelated key — which every graph interns
+    /// first.
+    pub const EMPTY: KeySpecId = KeySpecId(0);
+
+    pub(crate) fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Equality-join specification for a binary node: aligned extraction paths
 /// for the variables both sides share, sorted by variable name.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -406,6 +435,10 @@ pub struct JoinSpec {
     pub right: Vec<Extract>,
     /// The shared variable names (diagnostics only).
     pub vars: Vec<Var>,
+    /// `[left, right]` as interned by the graph the node belongs to — what
+    /// the engine extracts keys by. [`KeySpecId::EMPTY`] until then, which
+    /// is already right for a trivial spec.
+    pub ids: [KeySpecId; 2],
 }
 
 impl JoinSpec {
@@ -428,11 +461,13 @@ impl JoinSpec {
     }
 
     /// Extracts the left-side key. `None` if any path fails to resolve.
+    #[cfg(test)]
     pub fn left_key(&self, inst: &Instance) -> Option<Key> {
         extract_all(&self.left, inst)
     }
 
     /// Extracts the right-side key. `None` if any path fails to resolve.
+    #[cfg(test)]
     pub fn right_key(&self, inst: &Instance) -> Option<Key> {
         extract_all(&self.right, inst)
     }
@@ -450,8 +485,22 @@ impl JoinSpec {
     }
 }
 
-/// Packs every extraction into a key without intermediate collection.
+/// Packs every extraction into a key without intermediate collection. The
+/// engine calls it from one place, its per-arrival key memo.
+#[inline]
 pub(crate) fn extract_all(paths: &[Extract], inst: &Instance) -> Option<Key> {
+    let mut packer = Packer::default();
+    for p in paths {
+        if !packer.push(p.eval(inst)?) {
+            return extract_spilled(paths, inst);
+        }
+    }
+    Some(packer.finish())
+}
+
+/// [`extract_all`] for a key too wide to pack inline.
+#[cold]
+fn extract_spilled(paths: &[Extract], inst: &Instance) -> Option<Key> {
     let mut b = KeyBuilder::new();
     for p in paths {
         b.push(p.eval(inst)?);

@@ -32,7 +32,7 @@ use rfid_events::{Catalog, ObjectSel, Observation, ReaderSel, Span};
 
 use crate::engine::RuleId;
 use crate::graph::{EventGraph, HistSpecId, Node, NodeId, NodeKind, Plan};
-use crate::key::Extract;
+use crate::key::KeySpecId;
 
 /// How an occurrence at a child node is delivered to one of its parents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -257,8 +257,8 @@ impl Member {
 struct FamilyKey {
     plan: Plan,
     kind: NodeKind,
-    left: Vec<Extract>,
-    right: Vec<Extract>,
+    /// The join's interned `[left, right]` key specs.
+    keys: [KeySpecId; 2],
     /// Children after coalescing: a leaf by its pattern group, a `NOT` by
     /// its history holder.
     children: [u32; 2],
@@ -586,8 +586,7 @@ impl CompiledPlan {
         Some(FamilyKey {
             plan: node.plan,
             kind: node.kind.clone(),
-            left: node.join.left.clone(),
-            right: node.join.right.clone(),
+            keys: node.join.ids,
             children,
             hist_spec: node.hist_spec,
         })
@@ -596,7 +595,7 @@ impl CompiledPlan {
     /// Recognises an adjacent record/query pair on one history: one edge
     /// delivers the child into a `NOT` node's history, the other delivers
     /// the same instance to a [`Plan::LeftNegationQuery`] parent querying
-    /// *that* history under a key spec syntactically equal to the record
+    /// *that* history under the same interned key spec as the record
     /// spec. The fused op then serves both from one bucket probe, in the
     /// pair's order; any mismatch falls back to the two unfused deliveries.
     fn fuse_record_query(&self, graph: &EventGraph, first: Edge, second: Edge) -> Option<Edge> {
@@ -616,7 +615,7 @@ impl CompiledPlan {
         let spec = graph
             .hist_specs(not_node.id)
             .get(query_node.hist_spec?.0 as usize)?;
-        if spec.extracts != query_node.join.right {
+        if spec.key != query_node.join.ids[1] {
             return None;
         }
         Some(Edge {

@@ -85,9 +85,9 @@ impl<T: Default> SlotTable<T> {
     }
 
     /// The slot of `key`, taking a free one (or growing the arena) on first
-    /// sight.
-    pub fn slot_of(&mut self, hash: u64, key: Key) -> u32 {
-        if let Some(slot) = self.find(hash, &key) {
+    /// sight — the one place a probe's borrowed key is cloned, into the slot.
+    pub fn slot_of(&mut self, hash: u64, key: &Key) -> u32 {
+        if let Some(slot) = self.find(hash, key) {
             return slot;
         }
         let slot = match self.free.pop() {
@@ -97,7 +97,7 @@ impl<T: Default> SlotTable<T> {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.slots[slot as usize].key = Some(key);
+        self.slots[slot as usize].key = Some(key.clone());
         self.index.insert(hash as u32, slot + 1);
         slot
     }
@@ -398,7 +398,7 @@ impl KeyedBuffer {
 
     /// Appends an entry under a key; evicts the oldest entry of that key
     /// when `cap` is exceeded (only finite for sides with unbounded retention).
-    pub fn push(&mut self, key: Key, entry: Entry, cap: usize) {
+    pub fn push(&mut self, key: &Key, entry: Entry, cap: usize) {
         let slot = self.table.slot_of(key.precomputed_hash(), key);
         self.admit(slot, entry, cap);
     }
@@ -411,7 +411,7 @@ impl KeyedBuffer {
     /// and the push would probe for the same slot twice.
     pub fn take_match_and_push(
         &mut self,
-        key: Key,
+        key: &Key,
         dead_before: Timestamp,
         pred: impl FnMut(&Entry) -> bool,
         entry: Entry,
@@ -689,7 +689,7 @@ struct HistTable {
 impl HistTable {
     /// Logs an occurrence at `t` under `key` and returns the key's history
     /// for the caller to insert `t` into.
-    fn record(&mut self, key: Key, t: Timestamp) -> &mut KeyHist {
+    fn record(&mut self, key: &Key, t: Timestamp) -> &mut KeyHist {
         let slot = self.table.slot_of(key.precomputed_hash(), key);
         self.table.log(t, slot);
         self.recorded += 1;
@@ -734,7 +734,7 @@ impl NegationState {
 
     /// Records an inner occurrence ending at `t` under `key` in history
     /// `spec`.
-    pub fn record(&mut self, spec: usize, key: Key, t: Timestamp) {
+    pub fn record(&mut self, spec: usize, key: &Key, t: Timestamp) {
         self.tables[spec].record(key, t).insert(t);
     }
 
@@ -749,7 +749,7 @@ impl NegationState {
     pub fn fused_last(
         &mut self,
         spec: usize,
-        key: Key,
+        key: &Key,
         t: Timestamp,
         to: Timestamp,
         exclusive_end: bool,
@@ -1062,9 +1062,9 @@ mod tests {
     fn keyed_buffer_fifo_and_match() {
         let mut buf = KeyedBuffer::default();
         let key = Key::EMPTY;
-        buf.push(key.clone(), entry(100, 1), usize::MAX);
-        buf.push(key.clone(), entry(200, 2), usize::MAX);
-        buf.push(key.clone(), entry(300, 3), usize::MAX);
+        buf.push(&key, entry(100, 1), usize::MAX);
+        buf.push(&key, entry(200, 2), usize::MAX);
+        buf.push(&key, entry(300, 3), usize::MAX);
         assert_eq!(buf.len(), 3);
 
         // Oldest matching wins (chronicle).
@@ -1087,7 +1087,7 @@ mod tests {
         let mut buf = KeyedBuffer::default();
         let key = Key::EMPTY;
         for i in 0..5 {
-            buf.push(key.clone(), entry(i * 100, i), 3);
+            buf.push(&key, entry(i * 100, i), 3);
         }
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.dropped, 2);
@@ -1100,9 +1100,9 @@ mod tests {
     #[test]
     fn keyed_buffer_prune_across_keys() {
         let mut buf = KeyedBuffer::default();
-        buf.push(Key::EMPTY, entry(100, 1), usize::MAX);
+        buf.push(&Key::EMPTY, entry(100, 1), usize::MAX);
         let other_key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(7))]);
-        buf.push(other_key, entry(900, 2), usize::MAX);
+        buf.push(&other_key, entry(900, 2), usize::MAX);
         buf.prune(Timestamp::from_millis(500));
         assert_eq!(buf.len(), 1);
     }
@@ -1117,7 +1117,7 @@ mod tests {
         // stale while `len` drops to zero.
         for i in 0..33u64 {
             let key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i as u32))]);
-            buf.push(key.clone(), entry(100 + i, i), usize::MAX);
+            buf.push(&key, entry(100 + i, i), usize::MAX);
             let taken = buf.take_oldest_match(&key, Timestamp::ZERO, |_| true);
             assert!(taken.is_some());
         }
@@ -1132,7 +1132,7 @@ mod tests {
         let mut at_threshold = KeyedBuffer::default();
         for i in 0..32u64 {
             let key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i as u32))]);
-            at_threshold.push(key.clone(), entry(100 + i, i), usize::MAX);
+            at_threshold.push(&key, entry(100 + i, i), usize::MAX);
             at_threshold.take_oldest_match(&key, Timestamp::ZERO, |_| true);
         }
         at_threshold.prune(Timestamp::ZERO);
@@ -1150,7 +1150,7 @@ mod tests {
         // Live entries are preserved (and re-sorted) by compaction.
         let key = Key::EMPTY;
         for i in 0..40u64 {
-            buf.push(key.clone(), entry(1000 + i, i), usize::MAX);
+            buf.push(&key, entry(1000 + i, i), usize::MAX);
         }
         for _ in 0..30 {
             buf.take_oldest_match(&key, Timestamp::ZERO, |_| true);
@@ -1175,11 +1175,11 @@ mod tests {
         let mut buf = KeyedBuffer::default();
         let k1 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(1))]);
         let k2 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(2))]);
-        buf.push(k1.clone(), entry(100, 1), usize::MAX);
+        buf.push(&k1, entry(100, 1), usize::MAX);
         buf.prune(Timestamp::from_millis(500));
         assert_eq!((buf.len(), buf.key_count()), (0, 0));
         // k2 reuses k1's slot; matching under k1 must not see k2's entry.
-        buf.push(k2.clone(), entry(900, 2), usize::MAX);
+        buf.push(&k2, entry(900, 2), usize::MAX);
         assert_eq!(buf.key_count(), 1);
         assert!(buf
             .take_oldest_match(&k1, Timestamp::ZERO, |_| true)
@@ -1221,7 +1221,7 @@ mod tests {
             let k = next() % keys.len();
             match next() % 4 {
                 0 | 1 => {
-                    let slot = table.slot_of(hash_of(k), keys[k].clone());
+                    let slot = table.slot_of(hash_of(k), &keys[k]);
                     // A fresh key finds the value its slot was freed with.
                     assert_eq!(*table.value(slot), model.get(&k).copied().unwrap_or(0));
                     *table.value_mut(slot) = step;
@@ -1275,8 +1275,8 @@ mod tests {
             let key = Key::from_parts(&[crate::key::KeyPart::Object(
                 Gid96::new(1, 1, i).unwrap().into(),
             )]);
-            buf.push(key.clone(), entry(i, i), usize::MAX);
-            neg.record(0, key, Timestamp::from_millis(i));
+            buf.push(&key, entry(i, i), usize::MAX);
+            neg.record(0, &key, Timestamp::from_millis(i));
             if i % 1000 == 999 {
                 assert_eq!(buf.key_count(), neg.key_count());
                 peak = peak.max(buf.key_count());
@@ -1323,9 +1323,9 @@ mod tests {
             // the out-of-order insert path, inline and promoted histories.
             let t = Timestamp::from_millis((step * 10).saturating_sub(next() % 4 * 250));
             match next() % 3 {
-                0 => neg.record(spec, key, t),
+                0 => neg.record(spec, &key, t),
                 _ => {
-                    neg.fused_last(spec, key, t, t, next() % 2 == 0, next() % 2 == 0);
+                    neg.fused_last(spec, &key, t, t, next() % 2 == 0, next() % 2 == 0);
                 }
             }
             if step % 97 == 0 {
@@ -1345,8 +1345,8 @@ mod tests {
     fn negation_history_windows() {
         let mut neg = NegationState::default();
         neg.ensure_specs(1);
-        neg.record(0, Key::EMPTY, Timestamp::from_secs(2));
-        neg.record(0, Key::EMPTY, Timestamp::from_secs(8));
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(2));
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(8));
 
         let occ = |from: u64, to: u64, excl: bool| {
             neg.occurred(
@@ -1369,8 +1369,8 @@ mod tests {
     fn negation_earliest_survives_pruning() {
         let mut neg = NegationState::default();
         neg.ensure_specs(1);
-        neg.record(0, Key::EMPTY, Timestamp::from_secs(1));
-        neg.record(0, Key::EMPTY, Timestamp::from_secs(100));
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(1));
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(100));
         assert_eq!(neg.prune(Timestamp::from_secs(50)), 1, "one record removed");
         assert_eq!(neg.recorded(), 1);
         assert_eq!(neg.key_count(), 1, "key still holds a live record");
@@ -1400,7 +1400,7 @@ mod tests {
             .map(|i| Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i))]))
             .collect();
         for (i, k) in keys.iter().enumerate() {
-            neg.record(0, k.clone(), Timestamp::from_secs(i as u64));
+            neg.record(0, k, Timestamp::from_secs(i as u64));
         }
         assert_eq!(neg.key_count(), 4);
 
@@ -1440,7 +1440,7 @@ mod tests {
         neg.ensure_specs(1);
         let k1 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(1))]);
         let k2 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(2))]);
-        neg.record(0, k1.clone(), Timestamp::from_secs(5));
+        neg.record(0, &k1, Timestamp::from_secs(5));
         assert!(neg.occurred(0, &k1, Timestamp::ZERO, Timestamp::from_secs(10), false));
         assert!(!neg.occurred(0, &k2, Timestamp::ZERO, Timestamp::from_secs(10), false));
     }
@@ -1449,8 +1449,8 @@ mod tests {
     fn negation_out_of_order_record_stays_sorted() {
         let mut neg = NegationState::default();
         neg.ensure_specs(1);
-        neg.record(0, Key::EMPTY, Timestamp::from_secs(10));
-        neg.record(0, Key::EMPTY, Timestamp::from_secs(4)); // lagged delivery
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(10));
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(4)); // lagged delivery
         assert!(neg.occurred(
             0,
             &Key::EMPTY,

@@ -616,6 +616,66 @@ fn negation_waits_near_the_clock_limit_run_to_the_end_of_the_stream() {
     assert_eq!(expected.iter().map(rule_of).collect::<Vec<_>>(), [0, 1]);
 }
 
+/// Keys are built once per arrival per interned key spec, so parents that
+/// read one composite child under different paths must each get their
+/// own key: `a` is `Child(0, Obs(Object))` of the shared `SEQ`, `b` is
+/// `Child(1, Obs(Object))` — same attribute, different child. The third
+/// rule reads the same list as the first on another parent and shares its
+/// key.
+#[test]
+fn parents_reading_one_child_under_different_paths_keep_their_keys() {
+    let catalog = catalog(3);
+    let pair = || {
+        at("r1")
+            .bind_object("a")
+            .seq(at("r2").bind_object("b"))
+            .within(Span::from_secs(5))
+    };
+    let rules = [
+        pair()
+            .seq(at("r3").bind_object("a"))
+            .within(Span::from_secs(10)),
+        pair()
+            .seq(at("r3").bind_object("b"))
+            .within(Span::from_secs(10)),
+        pair()
+            .and(at("r3").bind_object("a"))
+            .within(Span::from_secs(10)),
+    ];
+    let stream = [
+        obs(1, 1, 0),
+        obs(2, 2, 1_000), // pair(a = 1, b = 2)
+        obs(3, 2, 2_000), // matches b only
+        obs(3, 1, 3_000), // matches a only
+        obs(1, 3, 4_000),
+        obs(2, 3, 5_000), // pair(a = 3, b = 3)
+        obs(3, 3, 6_000), // matches both
+    ];
+    let named = rules.iter().map(|rule| ("rule", rule));
+    let engine = Engine::with_rules(catalog.clone(), EngineConfig::default(), named).unwrap();
+    let root = |rule: u32| engine.graph().node(engine.rule_root(RuleId(rule)));
+    assert_eq!(
+        root(0).children[0],
+        root(1).children[0],
+        "one shared pair node"
+    );
+    assert_ne!(
+        root(0).join.ids[0],
+        root(1).join.ids[0],
+        "a and b are two specs"
+    );
+    assert_eq!(
+        root(0).join.ids[0],
+        root(2).join.ids[0],
+        "equal lists, one spec"
+    );
+
+    let expected = reference::fire(&catalog, &rules, &stream);
+    assert_eq!(fingerprints(&catalog, &rules, &stream), expected);
+    let per_rule = |r: u32| expected.iter().filter(|f| f.0 == r).count();
+    assert_eq!([0, 1, 2].map(per_rule), [2, 2, 2]);
+}
+
 /// Stats display is stable and total counters are coherent.
 #[test]
 fn stats_are_coherent() {

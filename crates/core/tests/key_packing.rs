@@ -85,7 +85,7 @@ proptest! {
             std::collections::HashMap::new();
         for (i, parts) in seqs.iter().enumerate() {
             let key = Key::from_parts(parts);
-            let slot = packed.slot_of(key.precomputed_hash(), key);
+            let slot = packed.slot_of(key.precomputed_hash(), &key);
             *packed.value_mut(slot) = i;
             by_vec.insert(parts.clone(), i);
         }
@@ -122,4 +122,25 @@ fn packing_separates_adversarial_shapes() {
         Key::from_parts(&[r(1), o(2)]),
         Key::from_parts(&[o(2), r(1)])
     );
+}
+
+/// Hashing covers only the words a key's payload occupies, so keys whose
+/// payloads are all zero differ in their shape alone: the empty key, one
+/// and two zero readers, and one zero object must stay pairwise unequal
+/// and hash apart.
+#[test]
+fn trailing_zero_keys_stay_distinct() {
+    let zero_reader = KeyPart::Reader(ReaderId(0));
+    let keys = [
+        Key::EMPTY,
+        Key::from_parts(&[zero_reader]),
+        Key::from_parts(&[zero_reader, zero_reader]),
+        Key::from_parts(&[KeyPart::Object(Epc::from_raw(0))]),
+    ];
+    for (i, a) in keys.iter().enumerate() {
+        for b in &keys[i + 1..] {
+            assert_ne!(a, b);
+            assert_ne!(a.precomputed_hash(), b.precomputed_hash(), "{a:?} vs {b:?}");
+        }
+    }
 }

@@ -95,6 +95,27 @@ if [[ "$slot_ofs" != 1 ]]; then
     exit 1
 fi
 
+echo "== one key extraction site (engine.rs KeyMemo::key) =="
+# The graph interns every extraction list as a KeySpecId and the engine
+# builds each (spec, arrival) key once, in its per-arrival memo. Outside
+# key.rs, code before a file's `#[cfg(test)]` module may extract a key only
+# inside engine.rs's `fn key`; comments may name the extractors.
+stray=$(find crates/core/src -name '*.rs' ! -path crates/core/src/key.rs -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0; fn_name = "" }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_0-9]+/) { fn_name = substr($0, RSTART + 3, RLENGTH - 3) }
+    /extract_all\(|\.left_key\(|\.right_key\(/ {
+        if (FILENAME != "crates/core/src/engine.rs" || fn_name != "key") {
+            print FILENAME ":" FNR ": " $0
+        }
+    }')
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: extract keys through the engine's per-arrival memo (KeyMemo::key)" >&2
+    exit 1
+fi
+
 echo "== one interval analysis (rceda::bounds) =="
 # Windows, minimum durations, emission lags and retentions are computed in
 # crates/core/src/bounds.rs only, in one bottom-up pass, and the sweep, the
