@@ -8,9 +8,9 @@
 //! handed only the readers its rules name — that the pool's threads take
 //! as they become ready. This sweep measures end-to-end events/s over the
 //! cross product of both axes against the single-threaded engine, and
-//! prints how the ledger's layout (`shards: 1, residual_workers: 2`) spreads the
-//! work: per partition, the share of the static cost model's weight beside
-//! the share of the occurrences it actually produced.
+//! prints how the ledger's layout (`shards: 1, residual_workers: 2`) spreads
+//! the work: per partition, its share of the occurrences and the reads
+//! delivered to it.
 //!
 //! Usage (all flags optional):
 //!
@@ -19,7 +19,7 @@
 //!            [--events 150000] [--seed 42]
 //! ```
 
-use rceda::{EngineConfig, ObserveLevel, ShardConfig};
+use rceda::{EngineConfig, ShardConfig};
 use rfid_bench::{
     bare_engine, sharded_engine_from_script, time_engine_pass, time_sharded_pass, BenchWorkload,
     Measurement,
@@ -176,30 +176,19 @@ fn print_sweep(rows: &[SweepRow]) {
     }
 }
 
-/// Predicted vs. measured share of the work per partition, on the ledger's
-/// layout. Predicted is the partition's summed `cpu_weight` (what
-/// `partition_rules` packs by), measured its `occurrences`: a count, so the
-/// table repeats exactly. The pool schedules partitions as they become
-/// ready, which is why a prediction this far off costs no balance.
+/// Measured share of the work per partition, on the ledger's layout: its
+/// `occurrences` and the observations delivered to it, counts, so the table
+/// repeats exactly. `partition_rules` places merge groups by reader fan-out
+/// and the pool schedules partitions as they become ready.
 fn print_balance(workload: &BenchWorkload, script: &str, stream: &[rfid_events::Observation]) {
     let config = ShardConfig {
         shards: 1,
         residual_workers: 2,
-        engine: EngineConfig {
-            observe: ObserveLevel::Counters,
-            ..EngineConfig::default()
-        },
         ..ShardConfig::default()
     };
     let mut engine = sharded_engine_from_script(workload, script, config);
     time_sharded_pass(&mut engine, stream);
-    let predicted: Vec<f64> = engine
-        .worker_telemetry()
-        .iter()
-        .map(|snap| snap.as_ref().map_or(0.0, |s| s.node_cost.iter().sum()))
-        .collect();
     let stats = engine.worker_stats();
-    let weight: f64 = predicted.iter().sum();
     let occurrences: u64 = stats.iter().map(|s| s.occurrences).sum();
     let delivered: u64 = stats.iter().map(|s| s.events).sum();
     println!(
@@ -208,21 +197,16 @@ fn print_balance(workload: &BenchWorkload, script: &str, stream: &[rfid_events::
         engine.residual_worker_count()
     );
     println!(
-        "{:>9} {:>6}  {:<24} {:>10} {:>10} {:>12} {:>10}",
-        "partition", "rules", "first rule", "predicted", "measured", "occurrences", "delivered"
+        "{:>9} {:>6}  {:<24} {:>10} {:>12} {:>10}",
+        "partition", "rules", "first rule", "measured", "occurrences", "delivered"
     );
-    let rows = engine
-        .residual_partitions()
-        .iter()
-        .zip(stats)
-        .zip(&predicted);
-    for (p, ((rules, stats), predicted)) in rows.enumerate() {
+    let rows = engine.residual_partitions().iter().zip(stats);
+    for (p, (rules, stats)) in rows.enumerate() {
         println!(
-            "{:>9} {:>6}  {:<24} {:>9.1}% {:>9.1}% {:>12} {:>10}",
+            "{:>9} {:>6}  {:<24} {:>9.1}% {:>12} {:>10}",
             p,
             rules.len(),
             rules.first().map_or("", |&r| engine.rule_name(r)),
-            100.0 * predicted / weight,
             100.0 * stats.occurrences as f64 / occurrences as f64,
             stats.occurrences,
             stats.events,

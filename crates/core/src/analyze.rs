@@ -26,7 +26,6 @@
 //! | W005 | warning  | unbounded chronicle buffer on a join node |
 //! | W006 | warning  | rule provably subsumed by a wider rule (containment) |
 //! | N001 | note     | join buffer bounded at runtime by the solved retention |
-//! | N002 | note     | per-rule static cost ranking (top hotspots named) |
 //! | N003 | note     | window family: rules differing only in `WITHIN` share state |
 //!
 //! E004 and W002 are script-level passes: they live in the rule-language
@@ -39,10 +38,10 @@ use std::fmt;
 
 use rfid_events::{Catalog, ObjectSel, ReaderSel, Span};
 
-use crate::cost;
 use crate::graph::{EventGraph, NodeId, NodeKind, Plan};
 use crate::program::{Program, RuleEvent};
 use crate::shard::{self, ResidualReason, Shardability};
+use crate::subsume;
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -116,10 +115,6 @@ pub enum DiagCode {
     /// interval solver ([`crate::bounds`]) proved finite through emission
     /// lags: the engine prunes it eagerly at the solved retention.
     BoundedRetention,
-    /// Static per-rule cost ranking from the [`crate::cost`] model: the
-    /// top-k hotspot rules by solved CPU weight, named so heavy rules are
-    /// visible before any event arrives.
-    CostReport,
     /// Rules that differ only in their `WITHIN` and are served by one
     /// state holder ([`crate::plan::CompiledPlan::families`]), or `NOT`
     /// histories over one pattern kept once: what the plan shares, with
@@ -143,7 +138,6 @@ impl DiagCode {
             DiagCode::UnboundedBuffer => "W005",
             DiagCode::SubsumedRule => "W006",
             DiagCode::BoundedRetention => "N001",
-            DiagCode::CostReport => "N002",
             DiagCode::WindowFamily => "N003",
         }
     }
@@ -162,9 +156,7 @@ impl DiagCode {
             | DiagCode::ResidualRule
             | DiagCode::UnboundedBuffer
             | DiagCode::SubsumedRule => Severity::Warning,
-            DiagCode::BoundedRetention | DiagCode::CostReport | DiagCode::WindowFamily => {
-                Severity::Note
-            }
+            DiagCode::BoundedRetention | DiagCode::WindowFamily => Severity::Note,
         }
     }
 
@@ -183,7 +175,6 @@ impl DiagCode {
             DiagCode::UnboundedBuffer => "join buffers bounded only by the capacity cap",
             DiagCode::SubsumedRule => "rule provably subsumed by a wider rule",
             DiagCode::BoundedRetention => "join buffer bounded at runtime by the solved retention",
-            DiagCode::CostReport => "static per-rule cost ranking (top hotspots)",
             DiagCode::WindowFamily => "rules differing only in WITHIN share one state holder",
         }
     }
@@ -484,14 +475,12 @@ pub fn analyze_program(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Di
 }
 
 /// The program-level passes over a [`Program`] solved against `catalog`,
-/// in report order: W001 (shadowing), W006 (subsumption), N002 (cost
-/// ranking), N003 (what the plan shares). Script-level frontends run the
-/// per-rule passes themselves, grouped per rule, and call this once for the
-/// rest.
+/// in report order: W001 (shadowing), W006 (subsumption), N003 (what the
+/// plan shares). Script-level frontends run the per-rule passes themselves,
+/// grouped per rule, and call this once for the rest.
 pub fn analyze_compiled(program: &Program, catalog: Option<&Catalog>) -> Vec<Diagnostic> {
     let mut out = analyze_shadowing(program);
     out.extend(analyze_subsumption(program, catalog));
-    out.extend(analyze_cost(program));
     out.extend(analyze_families(program));
     out
 }
@@ -528,10 +517,10 @@ fn analyze_shadowing(program: &Program) -> Vec<Diagnostic> {
 }
 
 /// The W006 pass: pairwise containment over rules with matching
-/// constructor skeletons ([`cost::shape_signature`]), via the conservative
-/// prover ([`cost::subsumes`]) — a subsumed rule's every firing instant is
-/// provably matched by the wider rule, so it is redundant for detection
-/// coverage. Pairs that hash-cons to the *same* merged node are W001's
+/// constructor skeletons ([`subsume::shape_signature`]), via the
+/// conservative prover ([`subsume::subsumes`]) — a subsumed rule's every
+/// firing instant is provably matched by the wider rule, so it is redundant
+/// for detection coverage. Pairs that hash-cons to the *same* merged node are W001's
 /// domain and are skipped here; mutually-containing (equivalent but not
 /// merged-identical, e.g. α-renamed) pairs flag the later rule.
 fn analyze_subsumption(program: &Program, catalog: Option<&Catalog>) -> Vec<Diagnostic> {
@@ -539,7 +528,7 @@ fn analyze_subsumption(program: &Program, catalog: Option<&Catalog>) -> Vec<Diag
     let (rules, roots) = (program.rules(), program.roots());
     let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
     for (i, rule) in rules.iter().enumerate() {
-        let bucket = buckets.entry(cost::shape_signature(&rule.event));
+        let bucket = buckets.entry(subsume::shape_signature(&rule.event));
         bucket.or_default().push(i);
     }
     let mut flagged = vec![false; rules.len()];
@@ -560,7 +549,7 @@ fn analyze_subsumption(program: &Program, catalog: Option<&Catalog>) -> Vec<Diag
                         continue;
                     }
                     let Some(proof) =
-                        cost::subsumes(&rules[wide].event, &rules[narrow].event, catalog)
+                        subsume::subsumes(&rules[wide].event, &rules[narrow].event, catalog)
                     else {
                         continue;
                     };
@@ -593,53 +582,6 @@ fn analyze_subsumption(program: &Program, catalog: Option<&Catalog>) -> Vec<Diag
             .unwrap_or(usize::MAX)
     });
     out
-}
-
-/// How many hotspot rules the N002 cost ranking names.
-const COST_REPORT_TOP_K: usize = 3;
-
-/// The N002 pass: ranks rules by the cumulative solved CPU weight of their
-/// subgraphs in the program's cost model and reports the top-k hotspots in
-/// a single note-level diagnostic (attributed to the costliest rule).
-/// Emitted only for programs with at least two rules — a ranking of one is
-/// noise.
-fn analyze_cost(program: &Program) -> Vec<Diagnostic> {
-    let rules = program.rules();
-    if rules.len() < 2 {
-        return Vec::new();
-    }
-    let weigh = |&root| program.cost().subgraph_weight(program.graph(), root);
-    let mut ranked: Vec<(usize, f64)> = program.roots().iter().map(weigh).enumerate().collect();
-    let total: f64 = ranked.iter().map(|&(_, w)| w).sum();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let top: Vec<String> = ranked
-        .iter()
-        .take(COST_REPORT_TOP_K)
-        .map(|&(i, w)| {
-            format!(
-                "`{}` ({:.1}, {:.0}% of total)",
-                rules[i].id,
-                w,
-                if total > 0.0 { 100.0 * w / total } else { 0.0 }
-            )
-        })
-        .collect();
-    let hottest = &rules[ranked[0].0];
-    vec![Diagnostic {
-        code: DiagCode::CostReport,
-        rule_id: hottest.id.clone(),
-        rule_name: hottest.name.clone(),
-        path: String::new(),
-        message: format!(
-            "static cost ranking over {} rules — top {}: {}",
-            rules.len(),
-            top.len(),
-            top.join(", ")
-        ),
-        hint: "informational: solved CPU weights from the rceda::cost model; \
-               run `rceda-lint cost` for the full table"
-            .to_owned(),
-    }]
 }
 
 /// The N003 pass: reports what the program's plan — the engine's — shares:

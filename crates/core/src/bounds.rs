@@ -1,8 +1,8 @@
 //! Interval-constraint propagation over the merged event graph: the one
 //! place a window, a minimum duration, an emission lag or a retention is
-//! computed. The sweep, the unbounded-join cap, the cost model and every
-//! lint that talks about time (E001, E003, W005, N001) read these numbers
-//! through [`crate::Program::bounds`].
+//! computed. The sweep, the unbounded-join cap and every lint that talks
+//! about time (E001, E003, W005, N001) read these numbers through
+//! [`crate::Program::bounds`].
 //!
 //! Graph compilation ([`crate::graph`]) folds `WITHIN` constraints top-down
 //! (parent → child narrowing, Fig. 7 of the paper) into each node's

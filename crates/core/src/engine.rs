@@ -36,7 +36,6 @@ use std::sync::Arc;
 
 use rfid_events::{dist, interval2, Catalog, EventExpr, Instance, Observation, Span, Timestamp};
 
-use crate::cost::Cost;
 use crate::error::InvalidRule;
 use crate::graph::{EventGraph, Node, NodeId, NodeKind, Plan};
 use crate::key::{extract_all, Key, KeySpecId};
@@ -477,12 +476,6 @@ impl Engine {
         self.program().plan()
     }
 
-    /// The solved static cost model ([`crate::cost`]) of the current rule
-    /// set.
-    pub fn cost(&mut self) -> &Cost {
-        self.program().cost()
-    }
-
     /// Total instances currently held in join buffers, negation histories,
     /// aperiodic stores, open runs, and waits — the engine's working-set
     /// gauge (memory diagnostics; sweeping should keep it bounded).
@@ -572,14 +565,13 @@ impl Engine {
     pub fn telemetry(&mut self) -> TelemetrySnapshot {
         let program = self.program();
         let ops = program.graph().nodes().iter().map(|n| n.plan.name());
-        let (ops, node_cost) = (ops.collect(), program.cost().cpu_weights());
+        let ops = ops.collect();
         TelemetrySnapshot {
             label: "engine".to_owned(),
             clock_ms: self.rt.clock.as_millis(),
             stats: self.stats(),
             ops,
             nodes: self.rt.obs.arena.clone(),
-            node_cost,
             latency_ns: self.rt.obs.latency_ns,
             occupancy: self.rt.obs.occupancy,
             queue_depth: Histogram::default(),

@@ -4,9 +4,9 @@
 //! The paper's Figs. 5–7 draw event graphs with constructor labels and
 //! temporal annotations; [`EventGraph::to_dot`] reproduces that drawing for
 //! any compiled rule set, [`Program::describe`] prints the analysis table
-//! (mode, plan, within, solved window and retention, cost) that §4.4's
-//! algorithms, the [`crate::bounds`] interval solver and the [`crate::cost`]
-//! model compute, and [`Program::describe_plan`] the lowered plan.
+//! (mode, plan, within, solved window and retention) that §4.4's algorithms
+//! and the [`crate::bounds`] interval solver compute, and
+//! [`Program::describe_plan`] the lowered plan.
 
 use std::fmt::Write as _;
 
@@ -21,16 +21,14 @@ impl Program {
     /// A text table of every node's static analysis, in id order. The
     /// `window` and `retain` columns are the interval solver's
     /// ([`crate::bounds::NodeBounds`]): the longest instance the node can
-    /// emit, and the per-side buffer bound the engine prunes against. The
-    /// `cost` column is the [`crate::cost`] model's node-local
-    /// CPU weight (rankings, not absolutes).
+    /// emit, and the per-side buffer bound the engine prunes against.
     pub fn describe(&self) -> String {
-        let (solved, cost) = (self.bounds(), self.cost());
+        let solved = self.bounds();
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>4} {:<14} {:<8} {:<20} {:>10} {:>10} {:<15} {:>9} {:<10} detail",
-            "id", "kind", "mode", "plan", "within", "window", "retain", "cost", "children"
+            "{:>4} {:<14} {:<8} {:<20} {:>10} {:>10} {:<15} {:<10} detail",
+            "id", "kind", "mode", "plan", "within", "window", "retain", "children"
         );
         for node in self.graph().nodes() {
             let mode = match node.mode {
@@ -48,7 +46,7 @@ impl Program {
             let b = solved.node(node.id);
             let _ = writeln!(
                 out,
-                "{:>4} {:<14} {:<8} {:<20} {:>10} {:>10} {:<15} {:>9} {:<10} {}",
+                "{:>4} {:<14} {:<8} {:<20} {:>10} {:>10} {:<15} {:<10} {}",
                 node.id.0,
                 node.kind.name(),
                 mode,
@@ -56,7 +54,6 @@ impl Program {
                 fmt_span(node.within),
                 fmt_span(b.window),
                 format!("{}/{}", fmt_span(b.retain[0]), fmt_span(b.retain[1])),
-                format!("{:.1}", cost.node(node.id).cpu_weight),
                 children.join(","),
                 detail,
             );

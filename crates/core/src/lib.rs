@@ -13,8 +13,8 @@
 //!    (hash-consing), deriving each node's *detection mode* (push / pull /
 //!    mixed), extracting correlation join specs from shared variables, and
 //!    rejecting *invalid rules* whose root could never be detected — then
-//!    [`bounds`] solves the retention intervals, [`plan`] lowers the graph
-//!    to flat arenas and [`cost`] estimates per-node work;
+//!    [`bounds`] solves the retention intervals and [`plan`] lowers the
+//!    graph to flat arenas;
 //! 2. [`state`] holds the per-node runtime state: chronicle-context FIFO
 //!    buffers partitioned by correlation key, negation/aperiodic histories,
 //!    open `TSEQ+` runs, and anchored negation waits;
@@ -57,7 +57,6 @@
 
 pub mod analyze;
 pub mod bounds;
-pub mod cost;
 pub mod engine;
 pub mod error;
 pub mod explain;
@@ -70,10 +69,10 @@ pub mod pseudo;
 pub mod shard;
 pub mod state;
 pub mod stats;
+pub mod subsume;
 
 pub use analyze::{DiagCode, Diagnostic, Severity};
 pub use bounds::{Bounds, NodeBounds};
-pub use cost::{subsumes, Cost, CostEstimate, Subsumption};
 pub use engine::{Engine, EngineConfig, RuleId, PROCESS_ALL_BATCH};
 pub use error::InvalidRule;
 pub use graph::{DetectionMode, EventGraph, NodeId};
@@ -84,3 +83,4 @@ pub use plan::{CompiledPlan, EdgeOp, InlineBuf, Member};
 pub use program::{Program, RuleEvent};
 pub use shard::{ShardConfig, Shardability, ShardedEngine};
 pub use stats::EngineStats;
+pub use subsume::{subsumes, Subsumption};

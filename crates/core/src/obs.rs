@@ -549,11 +549,6 @@ pub struct TelemetrySnapshot {
     pub ops: Vec<&'static str>,
     /// Per-node counters.
     pub nodes: MetricsArena,
-    /// Static CPU weight per plan node from the [`crate::cost`] model,
-    /// aligned with `nodes` — lets a dashboard plot predicted vs measured
-    /// load side by side. Empty when the plan shape is unknown (mismatched
-    /// merge) or the producer predates the cost model.
-    pub node_cost: Vec<f64>,
     /// `Engine::process` latency, nanoseconds.
     pub latency_ns: Histogram,
     /// Join-bucket occupancy at admission.
@@ -573,7 +568,6 @@ impl TelemetrySnapshot {
             stats: EngineStats::default(),
             ops: Vec::new(),
             nodes: MetricsArena::default(),
-            node_cost: Vec::new(),
             latency_ns: Histogram::default(),
             occupancy: Histogram::default(),
             queue_depth: Histogram::default(),
@@ -595,14 +589,11 @@ impl TelemetrySnapshot {
         if self.ops.is_empty() && self.nodes.is_empty() {
             self.ops.clone_from(&other.ops);
             self.nodes.clone_from(&other.nodes);
-            self.node_cost.clone_from(&other.node_cost);
         } else if self.ops == other.ops && self.nodes.len() == other.nodes.len() {
             self.nodes.merge_from(&other.nodes);
-            // Same plan shape ⇒ same static costs; keep ours.
         } else if !other.ops.is_empty() || !other.nodes.is_empty() {
             self.ops.clear();
             self.nodes = MetricsArena::default();
-            self.node_cost.clear();
         }
     }
 
@@ -641,13 +632,9 @@ impl TelemetrySnapshot {
             let _ = write!(
                 out,
                 "{{\"node\":{idx},\"op\":\"{op}\",\"arrivals\":{},\"probes\":{},\
-                 \"admissions\":{},\"prunes\":{},\"firings\":{}",
+                 \"admissions\":{},\"prunes\":{},\"firings\":{}}}",
                 c.arrivals, c.probes, c.admissions, c.prunes, c.firings
             );
-            if let Some(&w) = self.node_cost.get(idx) {
-                let _ = write!(out, ",\"static_cost\":{w:.3}");
-            }
-            out.push('}');
         }
         out.push_str("],");
         for (i, (name, hist)) in self.histograms().iter().enumerate() {
@@ -772,19 +759,15 @@ impl TelemetrySnapshot {
         if !hot.is_empty() {
             let _ = writeln!(
                 out,
-                "  {:>5}  {:<10} {:>10} {:>10} {:>10} {:>10} {:>9} {:>9}",
-                "node", "op", "arrivals", "probes", "admitted", "pruned", "firings", "est_cost"
+                "  {:>5}  {:<10} {:>10} {:>10} {:>10} {:>10} {:>9}",
+                "node", "op", "arrivals", "probes", "admitted", "pruned", "firings"
             );
             for &i in hot.iter().take(16) {
                 let c = self.nodes.node(i);
-                let est = self
-                    .node_cost
-                    .get(i)
-                    .map_or_else(|| "-".to_owned(), |w| format!("{w:.1}"));
                 let _ = writeln!(
                     out,
-                    "  {:>5}  {:<10} {:>10} {:>10} {:>10} {:>10} {:>9} {:>9}",
-                    i, self.ops[i], c.arrivals, c.probes, c.admissions, c.prunes, c.firings, est
+                    "  {:>5}  {:<10} {:>10} {:>10} {:>10} {:>10} {:>9}",
+                    i, self.ops[i], c.arrivals, c.probes, c.admissions, c.prunes, c.firings
                 );
             }
             if hot.len() > 16 {

@@ -8,12 +8,10 @@
 //! 2. [`Program::solve`] runs, once per rule-set change and in this order,
 //!    the interval solver ([`Bounds`], reads the graph), the lowering
 //!    ([`CompiledPlan`], reads the graph, the deployment catalog, the rules
-//!    at each root and the plan it replaces) and the static cost model
-//!    ([`Cost`], reads the graph, the bounds and the catalog). The caller
-//!    lends the deployment catalog — its own on every call — or `None`
-//!    when there is no deployment to check against: named and grouped
-//!    leaves then lower as undispatchable and are costed at the model's
-//!    fallback rates.
+//!    at each root and the plan it replaces). The caller lends the
+//!    deployment catalog — its own on every call — or `None` when there is
+//!    no deployment to check against: named and grouped leaves then lower
+//!    as undispatchable.
 //!
 //! Everything else reads the result: the [`crate::Engine`] executes it, the
 //! shard coordinator partitions it, [`crate::analyze`] judges it and
@@ -24,7 +22,6 @@ use std::collections::HashMap;
 use rfid_events::{Catalog, EventExpr};
 
 use crate::bounds::Bounds;
-use crate::cost::Cost;
 use crate::engine::RuleId;
 use crate::error::InvalidRule;
 use crate::graph::{EventGraph, NodeId, Plan};
@@ -65,7 +62,6 @@ pub struct Program {
     rules_at: HashMap<NodeId, Vec<RuleId>>,
     bounds: Bounds,
     plan: CompiledPlan,
-    cost: Cost,
 }
 
 impl Program {
@@ -102,10 +98,10 @@ impl Program {
         Ok(id)
     }
 
-    /// Brings the bounds, the plan and the cost model up to date with the
-    /// rule set, against `deployment`. Returns the plan this replaced, or
-    /// `None` when the rule set has not changed since the last call —
-    /// whoever keeps state by plan node reads from it which holders moved.
+    /// Brings the bounds and the plan up to date with the rule set, against
+    /// `deployment`. Returns the plan this replaced, or `None` when the rule
+    /// set has not changed since the last call — whoever keeps state by
+    /// plan node reads from it which holders moved.
     pub fn solve(&mut self, deployment: Option<&Catalog>) -> Option<CompiledPlan> {
         if self.solved {
             return None;
@@ -124,7 +120,6 @@ impl Program {
             &self.rules_at,
             &prior,
         );
-        self.cost = Cost::solve(&self.graph, &self.bounds, deployment);
         self.solved = true;
         Some(prior)
     }
@@ -159,11 +154,6 @@ impl Program {
     #[inline]
     pub fn plan(&self) -> &CompiledPlan {
         &self.plan
-    }
-
-    /// The static cost model (as of the last [`Program::solve`]).
-    pub fn cost(&self) -> &Cost {
-        &self.cost
     }
 
     /// Every shared `NOT` history of the plan: the holder and the recorders

@@ -25,10 +25,9 @@
 //!    the sharded engine never rejects a rule — are cut by
 //!    [`partition_rules`] into *broadcast* partitions: merge groups are
 //!    never split (common-subgraph merging survives inside a partition) and
-//!    are placed by solved cost, into `PARTITIONS_PER_THREAD` times as many
-//!    partitions as [`ShardConfig::residual_workers`], because the static
-//!    weights are a poor predictor of measured cost and many small
-//!    partitions scheduled at run time do not need a good one.
+//!    are placed by reader fan-out, into `PARTITIONS_PER_THREAD` times as
+//!    many partitions as [`ShardConfig::residual_workers`]: many small
+//!    partitions scheduled at run time need only a rough weight.
 //! 2. **Subscriptions.** Each partition's per-reader subscription is read
 //!    off its own compiled dispatch rows: it receives an observation only
 //!    if some leaf of its engine could match that reader (a leaf over any
@@ -63,7 +62,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use rfid_events::{Catalog, EventExpr, Instance, Observation, Timestamp};
+use rfid_events::{Catalog, EventExpr, Instance, Observation, ReaderSel, Timestamp};
 
 use crate::engine::{Engine, EngineConfig, RuleId, Sink};
 use crate::error::InvalidRule;
@@ -131,7 +130,7 @@ pub fn shardability(graph: &EventGraph, root: NodeId) -> Shardability {
 }
 
 /// Broadcast partitions cut per residual pool thread. Over-decomposition is
-/// what makes the pool's balance independent of the static cost model: a
+/// what keeps the pool balanced under a rough weight (reader fan-out): a
 /// thread that finishes a light partition takes the next ready one instead
 /// of idling behind a mis-weighted peer. Four keeps a partition's batches
 /// large enough that a hand-off stays rare (a constant, not a knob: it was
@@ -176,8 +175,9 @@ impl Default for ShardConfig {
     }
 }
 
-/// Merge-aware partition of `rules` — rules of the solved `program` — into
-/// at most `max_parts` disjoint subsets, the broadcast partitions. Returns the partitions as sorted id lists; deterministic for
+/// Merge-aware partition of `rules` — rules of `program`, deployed over
+/// `catalog` — into at most `max_parts` disjoint subsets, the broadcast
+/// partitions. Returns the partitions as sorted id lists; deterministic for
 /// a fixed input.
 ///
 /// Two concerns compete:
@@ -188,14 +188,19 @@ impl Default for ShardConfig {
 ///   deterministic function of the full stream — but each partition would
 ///   rebuild the shared subtree and redo its detection work, forfeiting
 ///   exactly the merging §4.3 introduces.
-/// * **Balance by static cost.** A partition's cost is the work its
-///   detection trees cause. Each merge group is weighted
-///   by the summed solved CPU weight of its distinct nodes
-///   ([`crate::cost::CostEstimate::cpu_weight`], from the program's cost
-///   model): leaf dispatch *and* expected join probes against the solved
-///   retention windows. Groups are placed longest-processing-time-first
-///   onto the lightest partition, rather than dealt round-robin.
-pub fn partition_rules(program: &Program, rules: &[RuleId], max_parts: usize) -> Vec<Vec<RuleId>> {
+/// * **Balance by reader fan-out.** A partition receives the reads of every
+///   reader one of its leaves can match, and each such read is work. A
+///   merge group weighs `1 +` the readers its distinct leaves can match: a
+///   named reader counts 1 (0 if the catalog does not register it), a group
+///   its members, any reader all of them. Groups are placed
+///   longest-processing-time-first onto the lightest partition, rather than
+///   dealt round-robin.
+pub fn partition_rules(
+    program: &Program,
+    catalog: &Catalog,
+    rules: &[RuleId],
+    max_parts: usize,
+) -> Vec<Vec<RuleId>> {
     if rules.is_empty() {
         return Vec::new();
     }
@@ -221,14 +226,18 @@ pub fn partition_rules(program: &Program, rules: &[RuleId], max_parts: usize) ->
         }
         rule_nodes.push(reachable);
     }
-    // Collect merge groups and weigh each by its distinct nodes (a shared
-    // node costs a partition once, so count it once).
+    // Collect merge groups and weigh each by its distinct leaves (a shared
+    // leaf is delivered to a partition once, so count it once).
     let mut groups: HashMap<usize, (u64, Vec<usize>)> = HashMap::new();
     for i in 0..rules.len() {
         let rep = find(&mut uf, i);
         groups.entry(rep).or_default().1.push(i);
     }
-    let cost = program.cost();
+    let fanout = |sel: &ReaderSel| match sel {
+        ReaderSel::Named(name) => u64::from(catalog.reader(name).is_some()),
+        ReaderSel::Group(g) => catalog.readers.members(g).len() as u64,
+        ReaderSel::Any => catalog.readers.len() as u64,
+    };
     for (weight, members) in groups.values_mut() {
         let mut nodes: Vec<NodeId> = members
             .iter()
@@ -236,10 +245,14 @@ pub fn partition_rules(program: &Program, rules: &[RuleId], max_parts: usize) ->
             .collect();
         nodes.sort_unstable_by_key(|n| n.0);
         nodes.dedup();
-        // Fixed-point scale so LPT compares solved weights with enough
-        // resolution; +1 keeps every group schedulable.
-        let w: f64 = nodes.iter().map(|&n| cost.node(n).cpu_weight).sum();
-        *weight = (w * 1024.0).round() as u64 + 1;
+        let leaves = nodes
+            .iter()
+            .filter_map(|&n| match &program.graph().node(n).kind {
+                NodeKind::Primitive(p) => Some(fanout(&p.reader)),
+                _ => None,
+            });
+        // +1 keeps every group schedulable.
+        *weight = 1 + leaves.sum::<u64>();
     }
     // LPT bin-packing: heaviest group first, onto the lightest partition.
     let mut ordered: Vec<(u64, usize, Vec<usize>)> = groups
@@ -895,7 +908,9 @@ impl ShardedEngine {
         } else {
             self.keyed_shards()
         };
-        let broadcast_sets = self.partition(if fold { &all } else { &residual });
+        let broadcast = if fold { &all } else { &residual };
+        let parts = PARTITIONS_PER_THREAD * self.config.residual_workers.max(1);
+        let broadcast_sets = partition_rules(&self.program, &self.catalog, broadcast, parts);
         let mut built = Vec::new();
         for shard in 0..keyed {
             built.push(self.build_partition(format!("shard-{shard}"), &shardable));
@@ -938,21 +953,6 @@ impl ShardedEngine {
             readers,
             subscribed,
         });
-    }
-
-    /// Cuts `rules` into merge-aware broadcast partitions (see
-    /// [`partition_rules`]), `PARTITIONS_PER_THREAD` for each residual pool
-    /// thread, solving the coordinator program for its weights.
-    fn partition(&mut self, rules: &[RuleId]) -> Vec<Vec<RuleId>> {
-        match rules.len() {
-            0 => Vec::new(),
-            1 => vec![rules.to_vec()],
-            _ => {
-                self.program.solve(Some(&self.catalog));
-                let parts = PARTITIONS_PER_THREAD * self.config.residual_workers.max(1);
-                partition_rules(&self.program, rules, parts)
-            }
-        }
     }
 
     /// Builds one partition — an engine loaded with `rules` (in global
@@ -1037,7 +1037,7 @@ mod tests {
             .map(|&e| RuleEvent::new("r", "rule", e.clone()));
         let program = Program::compile(Some(catalog), rules);
         let all: Vec<RuleId> = (0..events.len() as u32).map(RuleId).collect();
-        partition_rules(&program, &all, max_parts)
+        partition_rules(&program, catalog, &all, max_parts)
             .into_iter()
             .map(|part| part.into_iter().map(|r| r.0 as usize).collect())
             .collect()
@@ -1199,40 +1199,6 @@ mod tests {
             heavy_part,
             &vec![0],
             "cost-weighted packing isolates the group-leaf rule: {parts:?}"
-        );
-    }
-
-    #[test]
-    fn partitioner_solved_cost_sees_join_weight() {
-        // Rule 0 is a negation over a one-minute window: its history is
-        // never consumed, so every positive arrival rescans a minute of
-        // buffered stream — enormous solved probe cost from just two named
-        // leaves. Rules 1..=3 join the same-fan-out leaves over a 1 ms
-        // window: negligible probe cost. Counting leaves alone would see
-        // four equal groups and split them 2/2; solved weights isolate the
-        // negation rule, and the packing is deterministic.
-        let catalog = line_catalog(4);
-        let heavy = EventExpr::observation_at("conv0")
-            .and(EventExpr::observation_at("caser0").not())
-            .within(Span::from_secs(60));
-        let blips: Vec<EventExpr> = (1..=3)
-            .map(|i| {
-                EventExpr::observation_at(&format!("conv{i}"))
-                    .seq(EventExpr::observation_at(&format!("caser{i}")))
-                    .within(Span::from_millis(1))
-            })
-            .collect();
-        let refs: Vec<&EventExpr> = std::iter::once(&heavy).chain(blips.iter()).collect();
-        let solved = partition(&catalog, &refs, 2);
-        assert_eq!(solved, partition(&catalog, &refs, 2));
-        let heavy_part = solved
-            .iter()
-            .find(|p| p.contains(&0))
-            .expect("negation rule is somewhere");
-        assert_eq!(
-            heavy_part,
-            &vec![0],
-            "solved weights isolate the negation scan: {solved:?}"
         );
     }
 

@@ -183,7 +183,6 @@ fn rejected_rule_leaves_a_working_engine() {
     let snap = engine.telemetry();
     assert_eq!(snap.ops.len(), engine.graph().len());
     assert_eq!(snap.nodes.len(), snap.ops.len());
-    assert_eq!(snap.node_cost.len(), snap.ops.len());
 }
 
 /// The unbounded-buffer cap evicts oldest initiators instead of growing

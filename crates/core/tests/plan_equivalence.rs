@@ -169,9 +169,10 @@ fn a_twin_sharing_its_right_leaf_still_terminates_first() {
 }
 
 /// Open disagreement, met while pointing the suites at the reference
-/// (ROADMAP item 4): SEMANTICS.md §4 delivers one observation to the
-/// leaves of a rule right to left — terminate, then initiate — and the
-/// engine does so for identical siblings and every shape in the pools.
+/// (ROADMAP, "The oracle's one open disagreement"): SEMANTICS.md §4
+/// delivers one observation to the leaves of a rule right to left —
+/// terminate, then initiate — and the engine does so for identical siblings
+/// and every shape in the pools.
 /// For *overlapping but different* sibling patterns it follows its
 /// dispatch rows instead (any-reader leaves pop before group leaves before
 /// named ones, whatever side they stand on). Here the left pattern is the
@@ -179,7 +180,7 @@ fn a_twin_sharing_its_right_leaf_still_terminates_first() {
 /// second read pairs as the left constituent, `[1 s, 0]`, where the
 /// semantics say `[0, 1 s]`.
 #[test]
-#[ignore = "engine delivers overlapping sibling leaves in dispatch-row order (ROADMAP item 4)"]
+#[ignore = "engine delivers overlapping sibling leaves in dispatch-row order (ROADMAP: the oracle's one open disagreement)"]
 fn overlapping_sibling_patterns_are_delivered_right_to_left() {
     let fx = fixture();
     let shelf = fx.stream.iter().find(|obs| {

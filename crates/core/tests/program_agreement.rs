@@ -1,7 +1,6 @@
 //! The consumers of a compiled [`Program`] agree: what lint note N003
-//! reports is what the engine executes, the shard coordinator's verdicts
-//! and partitions over the merged program are the per-rule ones, and the
-//! cost model is solved once per rule-set change.
+//! reports is what the engine executes, and the shard coordinator's
+//! verdicts and partitions over the merged program are the per-rule ones.
 
 use rceda::analyze::DiagCode;
 use rceda::shard::{partition_rules, shardability, ResidualReason, Shardability};
@@ -161,8 +160,11 @@ fn merged_shardability_is_the_per_rule_verdict() {
 }
 
 /// (c) Partitioning the coordinator program returns what partitioning a
-/// graph of just those rules returned (recorded from the parent commit for
-/// the `partition_equivalence` rule pool over the default deployment).
+/// graph of just those rules returns, for the `partition_equivalence` rule
+/// pool over the default deployment (32 readers: 8 shelves, 4 docks, 2 POS
+/// registers, 2 exits). Weighed by reader fan-out, rule 0's any-reader leaf
+/// makes it 33, rules 1 and 4 one shelf leaf each 9, rule 3 (docks, POS) 7
+/// and rule 2 (POS, exits) 5.
 #[test]
 fn coordinator_partitions_match_the_per_subset_ones() {
     let shelf = || EventExpr::observation_in_group("shelves");
@@ -198,45 +200,46 @@ fn coordinator_partitions_match_the_per_subset_ones() {
     let program = Program::compile(Some(&catalog), rules);
     let partition = |rules: &[u32], max_parts| -> Vec<Vec<u32>> {
         let rules: Vec<RuleId> = rules.iter().copied().map(RuleId).collect();
-        let parts = partition_rules(&program, &rules, max_parts);
+        let parts = partition_rules(&program, &catalog, &rules, max_parts);
         let ids = |part: Vec<RuleId>| part.into_iter().map(|r| r.0).collect();
         parts.into_iter().map(ids).collect()
     };
     let all = [0, 1, 2, 3, 4];
     assert_eq!(partition(&all, 1), [vec![0, 1, 2, 3, 4]]);
-    assert_eq!(partition(&all, 2), [vec![1], vec![0, 2, 3, 4]]);
-    assert_eq!(partition(&all, 3), [vec![1], vec![0], vec![2, 3, 4]]);
-    assert_eq!(partition(&all, 4), [vec![1], vec![0], vec![2], vec![3, 4]]);
-    let singletons = [vec![1], vec![0], vec![2], vec![3], vec![4]];
+    assert_eq!(partition(&all, 2), [vec![0], vec![1, 2, 3, 4]]);
+    assert_eq!(partition(&all, 3), [vec![0], vec![1, 3], vec![2, 4]]);
+    assert_eq!(partition(&all, 4), [vec![0], vec![1], vec![4], vec![2, 3]]);
+    let singletons = [vec![0], vec![1], vec![4], vec![3], vec![2]];
     assert_eq!(partition(&all, 5), singletons);
-    // The residual rules alone, weighed by the whole program's cost model.
+    // The residual rules alone, read off the whole program.
     assert_eq!(partition(&[3, 4], 1), [vec![3, 4]]);
-    assert_eq!(partition(&[3, 4], 2), [vec![3], vec![4]]);
-    assert_eq!(partition(&[3, 4], 3), [vec![3], vec![4]]);
+    assert_eq!(partition(&[3, 4], 2), [vec![4], vec![3]]);
+    assert_eq!(partition(&[3, 4], 3), [vec![4], vec![3]]);
 }
 
-/// (d) The cost model is solved with the program, not per call, and covers
-/// a rule added later.
+/// (d) On the canonical 517-rule program cut into the ledger's eight
+/// broadcast partitions, the two shelf rules — each reading all eight
+/// shelves, where a containment rule reads two named readers — are each
+/// placed alone.
 #[test]
-fn cost_is_solved_once_per_rule_set_change() {
-    let (_, script, catalog) = programs().swap_remove(1);
-    let rules = rule_events(&script).expect("script compiles");
-    let mut engine = engine_of(&rules, &catalog);
-    let first = engine.cost().clone();
-    assert_eq!(first.len(), engine.graph().len());
-    assert_eq!(&first, engine.cost(), "no rule change, same estimates");
-
-    let late = EventExpr::observation_in_group("shelves")
-        .tseq_plus(Span::ZERO, Span::from_secs(7))
-        .within(Span::from_secs(90));
-    let rule = engine.add_rule("late", late).unwrap();
-    let root = engine.rule_root(rule);
-    assert!(root.0 as usize >= first.len(), "the rule added nodes");
-    let cost = engine.cost();
-    assert_eq!(cost.len(), root.0 as usize + 1);
-    assert!(cost.node(root).cpu_weight > 0.0);
-    assert!((0..first.len() as u32).all(|n| {
-        let n = rceda::NodeId(n);
-        cost.node(n) == first.node(n)
-    }));
+fn shelf_rules_each_get_a_partition_of_their_own() {
+    let (_, script, catalog) = programs().swap_remove(0);
+    let program = Program::compile(
+        Some(&catalog),
+        rule_events(&script).expect("script compiles"),
+    );
+    let all: Vec<RuleId> = (0..program.rules().len() as u32).map(RuleId).collect();
+    let parts = partition_rules(&program, &catalog, &all, 8);
+    assert_eq!(parts.len(), 8);
+    for name in ["infield_filtering", "duplicate_detection"] {
+        let alone = parts.iter().any(|part| {
+            let names: Vec<&str> = part
+                .iter()
+                .map(|r| program.rules()[r.0 as usize].name.as_str())
+                .collect();
+            names == [name]
+        });
+        let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+        assert!(alone, "`{name}` shares its partition; sizes {sizes:?}");
+    }
 }

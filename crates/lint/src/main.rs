@@ -8,7 +8,6 @@
 //!
 //! ```text
 //! rceda-lint [--json] [--deny-warnings] [--sim PRESET]... [FILE]...
-//! rceda-lint cost [--json] [--top N] [--sim PRESET]... [FILE]...
 //!
 //!   FILE            a rule-language script to lint (no deployment catalog:
 //!                   the dead-leaf pass W003 is skipped)
@@ -16,30 +15,22 @@
 //!                   PRESET is default, benchmark, or paper-scale
 //!   --json          machine-readable output
 //!   --deny-warnings exit nonzero on warnings too, not just errors
-//!   --top N         (cost) rows per target in the human table (default 20;
-//!                   JSON output is always complete)
 //! ```
-//!
-//! The `cost` subcommand prints the full static cost table behind the
-//! `N002` note: every rule ranked by the cumulative solved CPU weight of
-//! its compiled subgraph (see `rceda::cost`), with the root-node rate,
-//! probe, and buffer estimates.
 //!
 //! JSON output carries a `"schema"` stamp (currently `rceda-lint/v1`) so
 //! downstream consumers can detect format changes.
 //!
 //! Exit status: 0 clean, 1 findings at the failing level, 2 usage/IO/parse
-//! errors. Note-level findings (`N001`, `N002`, `N003`) are informational —
-//! they report bounds, costs and shared state the analyzer *proved or
-//! estimated* — and never
-//! affect the exit status, even under `--deny-warnings`.
+//! errors. Note-level findings (`N001`, `N003`) are informational — they
+//! report bounds and shared state the analyzer *proved* — and never affect
+//! the exit status, even under `--deny-warnings`.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use rceda::analyze::{DiagCode, Diagnostic};
 use rfid_events::Catalog;
-use rfid_rules::lint::{cost_report, lint_script, CostRow, LintReport};
+use rfid_rules::lint::{lint_script, LintReport};
 use rfid_simulator::{SimConfig, SupplyChain};
 
 /// Version stamp on every JSON document this binary emits. Bump when the
@@ -55,40 +46,24 @@ struct Target {
 struct Options {
     json: bool,
     deny_warnings: bool,
-    cost: bool,
-    top: usize,
     targets: Vec<Target>,
 }
 
 fn usage() -> &'static str {
-    "usage: rceda-lint [--json] [--deny-warnings] [--sim default|benchmark|paper-scale]... [FILE]...\n\
-     \x20      rceda-lint cost [--json] [--top N] [--sim PRESET]... [FILE]..."
+    "usage: rceda-lint [--json] [--deny-warnings] [--sim default|benchmark|paper-scale]... [FILE]..."
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         json: false,
         deny_warnings: false,
-        cost: false,
-        top: 20,
         targets: Vec::new(),
     };
     let mut iter = args.iter();
-    let mut first = true;
     while let Some(arg) = iter.next() {
-        let lead = std::mem::take(&mut first);
         match arg.as_str() {
-            "cost" if lead => opts.cost = true,
             "--json" => opts.json = true,
             "--deny-warnings" => opts.deny_warnings = true,
-            "--top" => {
-                let n = iter
-                    .next()
-                    .ok_or_else(|| format!("--top needs a count\n{}", usage()))?;
-                opts.top = n
-                    .parse()
-                    .map_err(|_| format!("--top needs a number, got `{n}`\n{}", usage()))?;
-            }
             "--sim" => {
                 let preset = iter
                     .next()
@@ -204,70 +179,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Human-readable static cost table for one target: rules ranked by
-/// cumulative solved CPU weight, `top` rows shown.
-fn render_cost_human(label: &str, rows: &[CostRow], top: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{label}: static cost ranking, {} rules", rows.len());
-    let _ = writeln!(
-        out,
-        "  {:>4} {:>12} {:>10} {:>12} {:>12} rule",
-        "rank", "weight", "rate/s", "probes/s", "buffered"
-    );
-    for (i, row) in rows.iter().take(top).enumerate() {
-        let _ = writeln!(
-            out,
-            "  {:>4} {:>12.1} {:>10.3} {:>12.1} {:>12.1} {} ({})",
-            i + 1,
-            row.weight,
-            row.rate,
-            row.probes_per_sec,
-            row.buffered,
-            row.rule_id,
-            row.rule_name
-        );
-    }
-    if rows.len() > top {
-        let _ = writeln!(out, "  … and {} more (use --top)", rows.len() - top);
-    }
-    out
-}
-
-/// Machine-readable cost tables; always complete, regardless of `--top`.
-fn render_cost_json(targets: &[(String, Vec<CostRow>)]) -> String {
-    let mut out = format!("{{\"schema\":\"{SCHEMA}\",\"command\":\"cost\",\"targets\":[");
-    for (i, (label, rows)) in targets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"rules\":{},\"rows\":[",
-            json_escape(label),
-            rows.len()
-        );
-        for (j, row) in rows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule_id\":\"{}\",\"rule_name\":\"{}\",\"weight\":{:.3},\"rate\":{:.6},\
-                 \"probes_per_sec\":{:.3},\"buffered\":{:.3}}}",
-                json_escape(&row.rule_id),
-                json_escape(&row.rule_name),
-                row.weight,
-                row.rate,
-                row.probes_per_sec,
-                row.buffered
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
 fn render_json(targets: &[(String, LintReport)]) -> String {
     let mut out = format!("{{\"schema\":\"{SCHEMA}\",\"command\":\"lint\",\"targets\":[");
     for (i, (label, report)) in targets.iter().enumerate() {
@@ -317,27 +228,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.cost {
-        let mut tables = Vec::new();
-        for target in &opts.targets {
-            match cost_report(&target.script, target.catalog.as_ref()) {
-                Ok(rows) => tables.push((target.label.clone(), rows)),
-                Err(err) => {
-                    eprintln!("{}: parse error: {err}", target.label);
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        if opts.json {
-            println!("{}", render_cost_json(&tables));
-        } else {
-            for (label, rows) in &tables {
-                print!("{}", render_cost_human(label, rows, opts.top));
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
     let mut reports = Vec::new();
     for target in &opts.targets {
         match lint_script(&target.script, target.catalog.as_ref()) {
@@ -384,43 +274,5 @@ mod tests {
              {\"name\":\"t\",\"rules\":1,\"errors\":0,\"warnings\":0,\"notes\":0,\
              \"diagnostics\":[]}]}",
         );
-    }
-
-    #[test]
-    fn cost_json_carries_schema_stamp() {
-        let rows = cost_report(SCRIPT, None).unwrap();
-        let json = render_cost_json(&[("t".to_owned(), rows)]);
-        assert!(
-            json.starts_with("{\"schema\":\"rceda-lint/v1\",\"command\":\"cost\",\"targets\":["),
-            "{json}"
-        );
-        assert!(json.contains("\"rule_id\":\"dup\""), "{json}");
-        for field in [
-            "\"weight\":",
-            "\"rate\":",
-            "\"probes_per_sec\":",
-            "\"buffered\":",
-        ] {
-            assert!(json.contains(field), "{json}");
-        }
-    }
-
-    #[test]
-    fn cost_subcommand_parses() {
-        let args: Vec<String> = ["cost", "--json", "--top", "5", "--sim", "default"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let opts = parse_args(&args).unwrap();
-        assert!(opts.cost && opts.json);
-        assert_eq!(opts.top, 5);
-        assert_eq!(opts.targets.len(), 1);
-        // `cost` is only a subcommand in leading position: elsewhere it is
-        // a file path.
-        let err = match parse_args(&["--json".to_owned(), "cost".to_owned()]) {
-            Err(err) => err,
-            Ok(_) => panic!("`cost` after a flag must be treated as a file path"),
-        };
-        assert!(err.contains("cannot read"), "{err}");
     }
 }

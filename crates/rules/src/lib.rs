@@ -52,6 +52,6 @@ pub mod token;
 
 pub use compile::rule_events;
 pub use driver::StreamHandle;
-pub use lint::{cost_report, lint_script, CostRow, LintLevel, LintReport};
+pub use lint::{lint_script, LintLevel, LintReport};
 pub use parser::{parse_script, ParseError};
 pub use runtime::{Procedures, RuleRuntime, RuntimeError};

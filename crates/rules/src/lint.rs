@@ -13,11 +13,7 @@
 //!   (non-`NOT`) leaf can bind, so every firing would fail;
 //! * the graph passes of [`rceda::analyze`] (E001–E003, W003–W005) per
 //!   rule, the merge-aware W001 shadowing pass across rules, the W006
-//!   subsumption prover, the N002 static cost ranking, and the N003
-//!   window-family report.
-//!
-//! [`cost_report`] exposes the full per-rule cost table behind N002 for
-//! the `rceda-lint cost` subcommand.
+//!   subsumption prover, and the N003 window-family report.
 //!
 //! [`crate::RuleRuntime::compile`] wraps this with a [`LintLevel`] policy:
 //! `deny` refuses to build a runtime from a program with error-level
@@ -88,17 +84,16 @@ impl LintReport {
     }
 }
 
-/// The script → events front end [`lint_script`] and [`cost_report`] share:
-/// parses the script, resolves the `DEFINE`s front-to-back (later
-/// definitions shadowing earlier ones — mirroring `RuleRuntime::load`) and
-/// compiles every rule's event. Returns the number of declared rules and
-/// the rule events that compiled, in script order; everything else becomes
-/// a diagnostic, grouped per rule. `per_rule` supplies each compiled rule's
-/// own diagnostics.
+/// The script → events front end of [`lint_script`]: parses the script,
+/// resolves the `DEFINE`s front-to-back (later definitions shadowing earlier
+/// ones — mirroring `RuleRuntime::load`) and compiles every rule's event.
+/// Returns the number of declared rules and the rule events that compiled,
+/// in script order; everything else becomes a diagnostic, grouped per rule
+/// with each compiled rule's own per-rule passes.
 fn compile_script(
     script: &str,
+    catalog: Option<&Catalog>,
     diagnostics: &mut Vec<Diagnostic>,
-    per_rule: impl Fn(&RuleEvent) -> Vec<Diagnostic>,
 ) -> Result<(usize, Vec<RuleEvent>), ParseError> {
     let parsed = parse_script(script)?;
     let invalid = |id: &str, name: &str, message: String, hint: &str| Diagnostic {
@@ -176,7 +171,7 @@ fn compile_script(
         match compile_event(&event) {
             Ok(expr) => {
                 let re = RuleEvent::new(rule.id.clone(), rule.name.clone(), expr);
-                diagnostics.extend(per_rule(&re));
+                diagnostics.extend(analyze_event(&re, catalog));
                 compiled.push(re);
             }
             Err(err) => diagnostics.push(invalid(
@@ -196,62 +191,12 @@ fn compile_script(
 /// only hard error: past parsing, every problem becomes a diagnostic.
 pub fn lint_script(script: &str, catalog: Option<&Catalog>) -> Result<LintReport, ParseError> {
     let mut diagnostics = Vec::new();
-    let per_rule = |rule: &RuleEvent| analyze_event(rule, catalog);
-    let (rules, compiled) = compile_script(script, &mut diagnostics, per_rule)?;
-    // The program-level passes (W001, W006, N002, N003) over the one
+    let (rules, compiled) = compile_script(script, catalog, &mut diagnostics)?;
+    // The program-level passes (W001, W006, N003) over the one
     // program every rule that compiled builds.
     let program = Program::compile(catalog, compiled);
     diagnostics.extend(analyze_compiled(&program, catalog));
     Ok(LintReport { diagnostics, rules })
-}
-
-/// One row of the static cost table: a rule ranked by the cumulative
-/// solved CPU weight of its compiled subgraph in the merged event graph
-/// (shared nodes count toward every rule that reaches them).
-#[derive(Debug, Clone)]
-pub struct CostRow {
-    /// Declared rule id.
-    pub rule_id: String,
-    /// Declared rule name.
-    pub rule_name: String,
-    /// Cumulative solved CPU weight of the rule's subgraph.
-    pub weight: f64,
-    /// Expected occurrence rate at the rule root (occurrences/sec).
-    pub rate: f64,
-    /// Expected join probes/sec at the rule root.
-    pub probes_per_sec: f64,
-    /// Expected buffered entries held live at the rule root.
-    pub buffered: f64,
-}
-
-/// The full static cost table behind the N002 note: compiles the script
-/// into the [`Program`] [`lint_script`] judges and returns one row per
-/// compilable rule from its [`rceda::cost`] model, sorted by weight
-/// descending (ties by script order). Rules that fail to resolve or compile
-/// are skipped — [`lint_script`] reports those.
-pub fn cost_report(script: &str, catalog: Option<&Catalog>) -> Result<Vec<CostRow>, ParseError> {
-    let (_, compiled) = compile_script(script, &mut Vec::new(), |_| Vec::new())?;
-    let program = Program::compile(catalog, compiled);
-    let cost = program.cost();
-    let mut rows: Vec<CostRow> = (program.rules().iter().zip(program.roots()))
-        .map(|(rule, &root)| {
-            let est = cost.node(root);
-            CostRow {
-                rule_id: rule.id.clone(),
-                rule_name: rule.name.clone(),
-                weight: cost.subgraph_weight(program.graph(), root),
-                rate: est.rate,
-                probes_per_sec: est.probes_per_sec,
-                buffered: est.buffered,
-            }
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.weight
-            .partial_cmp(&a.weight)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    Ok(rows)
 }
 
 /// E004: every variable the condition and actions reference must be

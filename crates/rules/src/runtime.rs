@@ -442,16 +442,9 @@ impl RuleRuntime {
     }
 
     /// Telemetry snapshot of the single-threaded engine: per-node metrics
-    /// arena plus the aligned static cost weights (see
-    /// [`rceda::TelemetrySnapshot`]).
+    /// arena and histograms (see [`rceda::TelemetrySnapshot`]).
     pub fn telemetry(&mut self) -> rceda::TelemetrySnapshot {
         self.engine.telemetry()
-    }
-
-    /// The solved static cost model for the loaded rule set, node-aligned
-    /// with [`Self::telemetry`]'s metrics arena.
-    pub fn cost(&mut self) -> &rceda::Cost {
-        self.engine.cost()
     }
 
     /// Detection counters of the single-threaded engine, including the

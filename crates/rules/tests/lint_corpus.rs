@@ -1,7 +1,8 @@
 //! Snapshot corpus for the rule-program linter.
 //!
 //! Every `tests/lint_corpus/NAME.rule` is a small bad program whose file
-//! name starts with the diagnostic code it must trigger (`e002_…` → E002).
+//! name starts with the diagnostic code it must trigger (`e002_…` → E002) —
+//! or, for a near miss (`w006_near_miss_…`), the code it must not trigger.
 //! The full rendered report is snapshot-asserted against the sibling
 //! `NAME.expected` file; regenerate snapshots with
 //! `UPDATE_EXPECT=1 cargo test -p rfid-rules --test lint_corpus`.
@@ -65,12 +66,12 @@ fn corpus_programs_trigger_their_codes() {
         let report = lint_script(&script, Some(&catalog))
             .unwrap_or_else(|e| panic!("{stem}: parse error: {e}"));
 
+        let near_miss = stem.contains("_near_miss_");
+        let fired = (report.diagnostics.iter()).any(|d| d.code.as_str() == expected_code);
         assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.code.as_str() == expected_code),
-            "{stem}: expected a {expected_code} diagnostic, got: {:?}",
+            fired != near_miss,
+            "{stem}: expected {} {expected_code} diagnostic, got: {:?}",
+            if near_miss { "no" } else { "a" },
             report
                 .diagnostics
                 .iter()

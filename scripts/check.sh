@@ -20,12 +20,21 @@ stray=$(find crates/*/src -name '*.rs' ! -path crates/core/src/graph.rs \
     FNR == 1 { in_tests = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
-    /EventGraph::new|\.add_event\(|Bounds::solve|Cost::solve|CompiledPlan::lower/ {
+    /EventGraph::new|\.add_event\(|Bounds::solve|CompiledPlan::lower/ {
         print FILENAME ":" FNR ": " $0
     }')
 if [[ -n "$stray" ]]; then
     echo "$stray"
     echo "check.sh: compile the rule set through rceda::Program instead" >&2
+    exit 1
+fi
+
+echo "== one partition weighting, no static cost model =="
+# shard::partition_rules weighs a merge group by the readers its leaves can
+# match, read off the catalog. No catalog-only cost estimator beside it —
+# no per-node CPU weights, no cost solve, no cost column in telemetry.
+if grep -rnE 'cpu_weight|CostEstimate|Cost::solve|node_cost|fn cost\(' crates/*/src src examples; then
+    echo "check.sh: a static cost model is back; weigh partitions by reader fan-out" >&2
     exit 1
 fi
 
@@ -196,12 +205,6 @@ echo "== rceda-lint (canonical rule programs) =="
 # run exercises the machine-readable path end to end.
 cargo run -q --release -p rceda-lint -- --sim default --sim paper-scale
 cargo run -q --release -p rceda-lint -- --json --sim default >/dev/null
-
-echo "== rceda-lint cost (static hotspot report) =="
-# The cost subcommand must rank the 512-rule paper-scale program; the JSON
-# run exercises the machine-readable path and the schema stamp.
-cargo run -q --release -p rceda-lint -- cost --sim paper-scale --top 5
-cargo run -q --release -p rceda-lint -- cost --json --sim default >/dev/null
 
 echo "== rceda-obs (telemetry snapshot + provenance trace) =="
 # The observability layer must drive end to end on the Rule 1-5 program:
