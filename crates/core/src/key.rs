@@ -29,10 +29,10 @@
 //! inline is a function of its shape alone, so equal part sequences always
 //! take the same representation. See `DESIGN.md` §10.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use rfid_epc::hash::MixMap;
 use rfid_epc::{Epc, ReaderId};
 use rfid_events::{EventExpr, Instance, InstanceKind, Var};
 
@@ -255,7 +255,7 @@ impl Eq for Key {}
 
 impl std::hash::Hash for Key {
     #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
     }
 }
@@ -375,35 +375,11 @@ impl KeyBuilder {
     }
 }
 
-/// Pass-through hasher: `finish()` returns exactly the `u64` written. Only
-/// valid for bare `u64`s ([`SeqMap`]) and types whose `Hash` writes one
-/// (a [`Key`] writes its precomputed hash) — anything else would silently
-/// truncate, hence not exported as a general hasher.
-#[derive(Debug, Default, Clone)]
-pub struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("KeyHasher only accepts a single u64");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-/// A hash map keyed by an engine sequence number, on a fixed
-/// pass-through hasher: sequence numbers are dense, so they index buckets
-/// as they are. `std`'s default `RandomState` would make such a map's
-/// growth pattern — and with it the engine's allocation counts — differ
-/// between two runs over the same stream.
-pub type SeqMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
+/// A hash map keyed by an engine sequence number, on the fixed identity
+/// hasher ([`rfid_epc::hash::MixMap`]): `std`'s default `RandomState` would
+/// make such a map's growth pattern — and with it the engine's allocation
+/// counts — differ between two runs over the same stream.
+pub type SeqMap<V> = MixMap<u64, V>;
 
 /// The variables a node's instances can provide, with how to extract each.
 pub type Exports = BTreeMap<Var, Extract>;

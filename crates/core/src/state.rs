@@ -707,9 +707,6 @@ impl HistTable {
 #[derive(Debug, Default, Clone)]
 pub struct NegationState {
     tables: Vec<HistTable>,
-    /// Earliest occurrence among fully dropped keys (evidence that the
-    /// retention invariant holds; never consulted to answer queries).
-    dropped_earliest: Option<Timestamp>,
     /// Keys removed from the histories by [`NegationState::prune`].
     dropped_keys: u64,
 }
@@ -822,10 +819,9 @@ impl NegationState {
     /// `dead_before` zero here; and a window that merely *saturates* at the
     /// epoch early in the stream implies the clock has not yet passed the
     /// retention horizon, so no drop has happened yet (the clock is
-    /// monotone, so drops strictly follow all saturated queries). The
-    /// aggregate `dropped_earliest`/`dropped_keys` record what was removed
-    /// so the invariant is checkable (`debug_assert` in
-    /// [`NegationState::occurred`]).
+    /// monotone, so drops strictly follow all saturated queries). The count
+    /// `dropped_keys` records that keys were removed so the invariant is
+    /// checkable (`debug_assert` in [`NegationState::occurred`]).
     /// Returns the number of occurrence records removed (the caller's
     /// prune accounting).
     pub fn prune(&mut self, dead_before: Timestamp) -> usize {
@@ -833,7 +829,6 @@ impl NegationState {
             return 0;
         }
         let mut removed = 0;
-        let mut dropped_earliest = self.dropped_earliest;
         let mut dropped_keys = self.dropped_keys;
         for tb in &mut self.tables {
             // The expiry log names exactly the keys holding records that
@@ -850,7 +845,6 @@ impl NegationState {
                 }
                 match hist.earliest {
                     Some(e) if hist.times.is_empty() && e < dead_before => {
-                        dropped_earliest = Some(dropped_earliest.map_or(e, |d| d.min(e)));
                         dropped_keys += 1;
                         *hist = KeyHist::default();
                         true
@@ -860,7 +854,6 @@ impl NegationState {
             });
             tb.recorded -= removed - before;
         }
-        self.dropped_earliest = dropped_earliest;
         self.dropped_keys = dropped_keys;
         removed
     }

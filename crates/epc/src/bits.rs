@@ -5,31 +5,10 @@
 //! `u128`; bit index 0 is the most significant bit of the encoding (the first
 //! bit of the header), matching how the Tag Data Standard tables are written.
 
+use crate::epc::EpcError;
+
 /// Total width of the encodings handled by this crate.
 pub const EPC_BITS: u32 = 96;
-
-/// Error raised when a field does not fit its declared width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FieldOverflow {
-    /// Name of the offending field (static, from the codec).
-    pub field: &'static str,
-    /// Declared width in bits.
-    pub width: u32,
-    /// Value that did not fit.
-    pub value: u64,
-}
-
-impl std::fmt::Display for FieldOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "value {} does not fit in {}-bit field `{}`",
-            self.value, self.width, self.field
-        )
-    }
-}
-
-impl std::error::Error for FieldOverflow {}
 
 /// Writes fields MSB-first into a 96-bit word.
 #[derive(Debug, Default, Clone)]
@@ -46,15 +25,10 @@ impl BitWriter {
 
     /// Appends `width` bits of `value`. Fails if `value >= 2^width` or the
     /// word would exceed 96 bits.
-    pub fn put(
-        &mut self,
-        field: &'static str,
-        value: u64,
-        width: u32,
-    ) -> Result<(), FieldOverflow> {
+    pub fn put(&mut self, field: &'static str, value: u64, width: u32) -> Result<(), EpcError> {
         debug_assert!(width <= 64, "field wider than 64 bits");
         if width < 64 && value >= (1u64 << width) {
-            return Err(FieldOverflow {
+            return Err(EpcError::Overflow {
                 field,
                 width,
                 value,
@@ -114,14 +88,26 @@ pub fn to_hex(word: u128) -> String {
     format!("{word:024X}")
 }
 
-/// Parses a 24-hex-digit string into a 96-bit word.
+/// Parses a 24-hex-digit string into a 96-bit word. Only hex digits: the
+/// integer parser alone would take a leading `+`.
 pub fn from_hex(s: &str) -> Option<u128> {
-    if s.len() != 24 {
+    if s.len() != 24 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
-    u128::from_str_radix(s, 16)
-        .ok()
-        .filter(|w| w >> EPC_BITS == 0)
+    u128::from_str_radix(s, 16).ok()
+}
+
+/// Parses a decimal URI field: ASCII digits only (the integer parser alone
+/// would take a leading `+`), at most `u64::MAX`.
+pub(crate) fn decimal(field: &'static str, text: &str) -> Result<u64, EpcError> {
+    let step = |n: u64, b: u8| match b {
+        b'0'..=b'9' => n.checked_mul(10)?.checked_add(u64::from(b - b'0')),
+        _ => None,
+    };
+    match text.bytes().try_fold(0, step) {
+        Some(n) if !text.is_empty() => Ok(n),
+        _ => Err(EpcError::Malformed(field)),
+    }
 }
 
 #[cfg(test)]
@@ -152,9 +138,14 @@ mod tests {
     fn overflow_detected() {
         let mut w = BitWriter::new();
         let err = w.put("filter", 8, 3).unwrap_err();
-        assert_eq!(err.field, "filter");
-        assert_eq!(err.width, 3);
-        assert_eq!(err.value, 8);
+        assert_eq!(
+            err,
+            EpcError::Overflow {
+                field: "filter",
+                width: 3,
+                value: 8
+            }
+        );
     }
 
     #[test]

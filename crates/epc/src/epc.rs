@@ -12,9 +12,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::bits;
 use crate::gid::{self, Gid96};
-use crate::grai::{self, Grai96};
-use crate::sgtin::{self, Sgtin96};
-use crate::sscc::{self, Sscc96};
+use crate::gs1::{self, GRAI, SGTIN, SSCC};
+use crate::{Grai96, Sgtin96, Sscc96};
 
 /// A 96-bit Electronic Product Code in canonical binary form.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -34,6 +33,54 @@ pub enum EpcClass {
     /// Unknown header; carried opaquely.
     Unknown(u8),
 }
+
+/// Errors constructing, decoding or parsing one scheme's identifier.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EpcError {
+    /// Company prefix digit count has no partition row (must be 6–12).
+    BadCompanyDigits(u32),
+    /// A field exceeded its decimal capacity (`width` in digits) or its
+    /// binary one (`width` in bits).
+    Overflow {
+        /// The field's name.
+        field: &'static str,
+        /// Its width.
+        width: u32,
+        /// The value that did not fit.
+        value: u64,
+    },
+    /// The 96-bit word does not carry the header of the named scheme.
+    WrongHeader(u64, &'static str),
+    /// The stored partition value is not in the table.
+    BadPartition(u8),
+    /// The trailing reserved bits (SSCC-96) were not zero.
+    ReservedNonZero(u64),
+    /// A URI field is missing, is not all decimal digits, or is not as many
+    /// digits as its partition row gives it.
+    Malformed(&'static str),
+}
+
+impl fmt::Display for EpcError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::BadCompanyDigits(d) => write!(f, "company prefix of {d} digits not encodable"),
+            Self::Overflow {
+                field,
+                width,
+                value,
+            } => write!(
+                f,
+                "value {value} does not fit in {width}-bit field `{field}`"
+            ),
+            Self::WrongHeader(h, scheme) => write!(f, "header {h:#04x} is not {scheme}"),
+            Self::BadPartition(p) => write!(f, "partition value {p} invalid"),
+            Self::ReservedNonZero(v) => write!(f, "reserved bits hold {v}, expected 0"),
+            Self::Malformed(field) => write!(f, "field `{field}` is missing or malformed"),
+        }
+    }
+}
+
+impl std::error::Error for EpcError {}
 
 /// Error parsing an EPC from its URI or hex form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,10 +121,10 @@ impl Epc {
     /// The scheme, from the 8-bit header.
     pub fn class(self) -> EpcClass {
         match (self.0 >> 88) as u8 {
-            h if h as u64 == sgtin::HEADER => EpcClass::Sgtin96,
-            h if h as u64 == sscc::HEADER => EpcClass::Sscc96,
-            h if h as u64 == grai::HEADER => EpcClass::Grai96,
-            h if h as u64 == gid::HEADER => EpcClass::Gid96,
+            h if h == SGTIN.header => EpcClass::Sgtin96,
+            h if h == SSCC.header => EpcClass::Sscc96,
+            h if h == GRAI.header => EpcClass::Grai96,
+            h if u64::from(h) == gid::HEADER => EpcClass::Gid96,
             h => EpcClass::Unknown(h),
         }
     }
@@ -117,16 +164,15 @@ impl Epc {
     /// The pure-identity URI (`urn:epc:id:<scheme>:<body>`), or the raw form
     /// (`urn:epc:raw:96.x<hex>`) for unknown headers.
     pub fn to_uri(self) -> String {
-        if let Some(v) = self.as_sgtin() {
-            format!("urn:epc:id:sgtin:{}", v.uri_body())
-        } else if let Some(v) = self.as_sscc() {
-            format!("urn:epc:id:sscc:{}", v.uri_body())
-        } else if let Some(v) = self.as_grai() {
-            format!("urn:epc:id:grai:{}", v.uri_body())
-        } else if let Some(v) = self.as_gid() {
-            format!("urn:epc:id:gid:{}", v.uri_body())
-        } else {
-            format!("urn:epc:raw:96.x{}", self.to_hex())
+        let id = match gs1::scheme(self.class()) {
+            Some(scheme) => scheme
+                .decode(self.0)
+                .map(|v| (scheme.uri, scheme.uri_body(&v))),
+            None => Gid96::decode(self.0).map(|v| ("gid", v.uri_body())),
+        };
+        match id {
+            Ok((scheme, body)) => format!("urn:epc:id:{scheme}:{body}"),
+            Err(_) => format!("urn:epc:raw:96.x{}", self.to_hex()),
         }
     }
 
@@ -138,43 +184,18 @@ impl Epc {
         let body = uri
             .strip_prefix("urn:epc:id:")
             .ok_or_else(|| EpcParseError::new(uri, "missing `urn:epc:id:` prefix"))?;
-        let (scheme, rest) = body
+        let (name, rest) = body
             .split_once(':')
             .ok_or_else(|| EpcParseError::new(uri, "missing scheme separator"))?;
-        let word = match scheme {
-            "sgtin" => Sgtin96::parse_uri_body(rest)
-                .map(|v| v.encode())
-                .map_err(|e| EpcParseError::new(uri, e.to_string()))?,
-            "sscc" => Sscc96::parse_uri_body(rest)
-                .map(|v| v.encode())
-                .map_err(|e| EpcParseError::new(uri, e.to_string()))?,
-            "grai" => Grai96::parse_uri_body(rest)
-                .map(|v| v.encode())
-                .map_err(|e| EpcParseError::new(uri, e.to_string()))?,
-            "gid" => Gid96::parse_uri_body(rest)
-                .map(|v| v.encode())
-                .map_err(|e| EpcParseError::new(uri, e.to_string()))?,
-            other => return Err(EpcParseError::new(uri, format!("unknown scheme `{other}`"))),
+        let word = if name == "gid" {
+            Gid96::parse_uri_body(rest).map(|v| v.encode())
+        } else if let Some(s) = gs1::SCHEMES.iter().find(|s| s.uri == name) {
+            s.parse_uri_body(rest).map(|v| s.encode(&v))
+        } else {
+            return Err(EpcParseError::new(uri, format!("unknown scheme `{name}`")));
         };
-        Ok(Self(word))
-    }
-}
-
-impl From<Sgtin96> for Epc {
-    fn from(value: Sgtin96) -> Self {
-        Self(value.encode())
-    }
-}
-
-impl From<Sscc96> for Epc {
-    fn from(value: Sscc96) -> Self {
-        Self(value.encode())
-    }
-}
-
-impl From<Grai96> for Epc {
-    fn from(value: Grai96) -> Self {
-        Self(value.encode())
+        word.map(Self)
+            .map_err(|e| EpcParseError::new(uri, e.to_string()))
     }
 }
 

@@ -5,7 +5,8 @@
 //! badges in deployments without a GS1 prefix). Layout: header `0x35` (8) ·
 //! general manager number (28) · object class (24) · serial (36).
 
-use crate::bits::{BitReader, BitWriter, FieldOverflow};
+use crate::bits::{self, BitReader, BitWriter};
+use crate::epc::EpcError;
 
 /// Binary header value identifying GID-96.
 pub const HEADER: u64 = 0x35;
@@ -21,46 +22,20 @@ pub struct Gid96 {
     pub serial: u64,
 }
 
-/// Errors constructing or decoding a GID-96.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GidError {
-    /// A field exceeded its binary capacity.
-    Overflow(FieldOverflow),
-    /// The 96-bit word does not carry the GID-96 header.
-    WrongHeader(u64),
-}
-
-impl std::fmt::Display for GidError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Overflow(o) => write!(f, "{o}"),
-            Self::WrongHeader(h) => write!(f, "header {h:#04x} is not GID-96"),
-        }
-    }
-}
-
-impl std::error::Error for GidError {}
-
-impl From<FieldOverflow> for GidError {
-    fn from(value: FieldOverflow) -> Self {
-        Self::Overflow(value)
-    }
-}
-
 impl Gid96 {
     /// Builds a GID-96, validating field widths.
-    pub fn new(manager: u64, class: u64, serial: u64) -> Result<Self, GidError> {
+    pub fn new(manager: u64, class: u64, serial: u64) -> Result<Self, EpcError> {
         for (field, value, width) in [
             ("manager", manager, 28u32),
             ("class", class, 24),
             ("serial", serial, 36),
         ] {
             if value >= (1u64 << width) {
-                return Err(GidError::Overflow(FieldOverflow {
+                return Err(EpcError::Overflow {
                     field,
                     width,
                     value,
-                }));
+                });
             }
         }
         Ok(Self {
@@ -81,11 +56,11 @@ impl Gid96 {
     }
 
     /// Decodes from the 96-bit binary form.
-    pub fn decode(word: u128) -> Result<Self, GidError> {
+    pub fn decode(word: u128) -> Result<Self, EpcError> {
         let mut r = BitReader::new(word);
         let header = r.take(8);
         if header != HEADER {
-            return Err(GidError::WrongHeader(header));
+            return Err(EpcError::WrongHeader(header, "GID-96"));
         }
         Ok(Self {
             manager: r.take(28),
@@ -100,32 +75,10 @@ impl Gid96 {
     }
 
     /// Parses the URI body produced by [`Self::uri_body`].
-    pub fn parse_uri_body(body: &str) -> Result<Self, GidError> {
+    pub fn parse_uri_body(body: &str) -> Result<Self, EpcError> {
         let mut parts = body.splitn(3, '.');
-        let (m, c, s) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(m), Some(c), Some(s)) => (m, c, s),
-            _ => {
-                return Err(GidError::Overflow(FieldOverflow {
-                    field: "uri",
-                    width: 0,
-                    value: 0,
-                }))
-            }
-        };
-        let parse = |field: &'static str, text: &str| {
-            text.parse::<u64>().map_err(|_| {
-                GidError::Overflow(FieldOverflow {
-                    field,
-                    width: 0,
-                    value: 0,
-                })
-            })
-        };
-        Self::new(
-            parse("manager", m)?,
-            parse("class", c)?,
-            parse("serial", s)?,
-        )
+        let mut next = |field| bits::decimal(field, parts.next().unwrap_or_default());
+        Self::new(next("manager")?, next("class")?, next("serial")?)
     }
 }
 

@@ -3,13 +3,8 @@
 //! Identifies returnable/trackable assets — the laptops and badges of the
 //! paper's asset-monitoring example are naturally GRAI-tagged. Layout:
 //! header `0x33` (8) · filter (3) · partition (3) · company prefix (20–40) ·
-//! asset type (24–4) · serial (38).
-
-use crate::bits::{BitReader, BitWriter, FieldOverflow};
-use crate::partition::{self, PartitionRow};
-
-/// Binary header value identifying GRAI-96.
-pub const HEADER: u64 = 0x33;
+//! asset type (24–4) · serial (38). Partition 0 gives the asset type no
+//! digits: an empty URI field. A URI gives filter 0.
 
 /// A decoded GRAI-96 identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -26,181 +21,7 @@ pub struct Grai96 {
     pub serial: u64,
 }
 
-/// Errors constructing or decoding a GRAI-96.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraiError {
-    /// Company prefix digit count has no partition row (must be 6–12).
-    BadCompanyDigits(u32),
-    /// A field exceeded its decimal or binary capacity.
-    Overflow(FieldOverflow),
-    /// The 96-bit word does not carry the GRAI-96 header.
-    WrongHeader(u64),
-    /// The stored partition value is not in the table.
-    BadPartition(u8),
-}
-
-impl std::fmt::Display for GraiError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::BadCompanyDigits(d) => write!(f, "company prefix of {d} digits not encodable"),
-            Self::Overflow(o) => write!(f, "{o}"),
-            Self::WrongHeader(h) => write!(f, "header {h:#04x} is not GRAI-96"),
-            Self::BadPartition(p) => write!(f, "partition value {p} invalid"),
-        }
-    }
-}
-
-impl std::error::Error for GraiError {}
-
-impl From<FieldOverflow> for GraiError {
-    fn from(value: FieldOverflow) -> Self {
-        Self::Overflow(value)
-    }
-}
-
-impl Grai96 {
-    /// Builds a GRAI-96, validating decimal capacities.
-    pub fn new(
-        filter: u8,
-        company_prefix: u64,
-        company_digits: u32,
-        asset_type: u64,
-        serial: u64,
-    ) -> Result<Self, GraiError> {
-        let row = Self::row_for(company_digits)?;
-        if company_prefix > partition::max_decimal(row.company_digits) {
-            return Err(GraiError::Overflow(FieldOverflow {
-                field: "company_prefix",
-                width: row.company_digits,
-                value: company_prefix,
-            }));
-        }
-        if asset_type > partition::max_decimal(row.other_digits) {
-            return Err(GraiError::Overflow(FieldOverflow {
-                field: "asset_type",
-                width: row.other_digits,
-                value: asset_type,
-            }));
-        }
-        if serial >= (1u64 << 38) {
-            return Err(GraiError::Overflow(FieldOverflow {
-                field: "serial",
-                width: 38,
-                value: serial,
-            }));
-        }
-        if filter >= 8 {
-            return Err(GraiError::Overflow(FieldOverflow {
-                field: "filter",
-                width: 3,
-                value: filter as u64,
-            }));
-        }
-        Ok(Self {
-            filter,
-            company_prefix,
-            company_digits,
-            asset_type,
-            serial,
-        })
-    }
-
-    fn row_for(company_digits: u32) -> Result<&'static PartitionRow, GraiError> {
-        partition::by_company_digits(&partition::GRAI, company_digits)
-            .ok_or(GraiError::BadCompanyDigits(company_digits))
-    }
-
-    /// Encodes into the 96-bit binary form.
-    pub fn encode(&self) -> u128 {
-        let row = Self::row_for(self.company_digits).expect("validated at construction");
-        let mut w = BitWriter::new();
-        w.put("header", HEADER, 8).expect("constant fits");
-        w.put("filter", self.filter as u64, 3).expect("validated");
-        w.put("partition", row.partition as u64, 3)
-            .expect("table value fits");
-        w.put("company_prefix", self.company_prefix, row.company_bits)
-            .expect("validated");
-        w.put("asset_type", self.asset_type, row.other_bits)
-            .expect("validated");
-        w.put("serial", self.serial, 38).expect("validated");
-        w.finish()
-    }
-
-    /// Decodes from the 96-bit binary form.
-    pub fn decode(word: u128) -> Result<Self, GraiError> {
-        let mut r = BitReader::new(word);
-        let header = r.take(8);
-        if header != HEADER {
-            return Err(GraiError::WrongHeader(header));
-        }
-        let filter = r.take(3) as u8;
-        let p = r.take(3) as u8;
-        let row = partition::by_value(&partition::GRAI, p).ok_or(GraiError::BadPartition(p))?;
-        let company_prefix = r.take(row.company_bits);
-        let asset_type = r.take(row.other_bits);
-        let serial = r.take(38);
-        Self::new(
-            filter,
-            company_prefix,
-            row.company_digits,
-            asset_type,
-            serial,
-        )
-    }
-
-    /// Pure-identity URI body: `CompanyPrefix.AssetType.Serial`.
-    pub fn uri_body(&self) -> String {
-        let row = Self::row_for(self.company_digits).expect("validated at construction");
-        // Partition 0 allocates zero digits to the asset type, which renders
-        // as an empty field between the dots.
-        let asset = if row.other_digits == 0 {
-            String::new()
-        } else {
-            format!("{:0aw$}", self.asset_type, aw = row.other_digits as usize)
-        };
-        format!(
-            "{:0cw$}.{asset}.{}",
-            self.company_prefix,
-            self.serial,
-            cw = row.company_digits as usize,
-        )
-    }
-
-    /// Parses the URI body produced by [`Self::uri_body`].
-    pub fn parse_uri_body(body: &str) -> Result<Self, GraiError> {
-        let mut parts = body.splitn(3, '.');
-        let (c, a, s) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(c), Some(a), Some(s)) => (c, a, s),
-            _ => return Err(GraiError::BadCompanyDigits(0)),
-        };
-        let company_digits = c.len() as u32;
-        let company = c
-            .parse()
-            .map_err(|_| GraiError::BadCompanyDigits(company_digits))?;
-        let row = Self::row_for(company_digits)?;
-        let asset_type = if row.other_digits == 0 && a.is_empty() {
-            0
-        } else {
-            if a.len() as u32 != row.other_digits {
-                return Err(GraiError::Overflow(FieldOverflow {
-                    field: "asset_type",
-                    width: row.other_bits,
-                    value: 0,
-                }));
-            }
-            a.parse()
-                .map_err(|_| GraiError::BadPartition(row.partition))?
-        };
-        let serial = s.parse().map_err(|_| {
-            GraiError::Overflow(FieldOverflow {
-                field: "serial",
-                width: 38,
-                value: 0,
-            })
-        })?;
-        Self::new(0, company, company_digits, asset_type, serial)
-    }
-}
+crate::gs1::identifier!(Grai96, GRAI, asset_type, serial);
 
 #[cfg(test)]
 mod tests {

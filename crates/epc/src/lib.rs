@@ -6,10 +6,15 @@
 //!
 //! * 96-bit binary codecs for the common EPC schemes — [`Sgtin96`] (trade
 //!   items), [`Sscc96`] (logistic units such as cases and pallets),
-//!   [`Grai96`] (returnable assets), and [`Gid96`] (general identifiers) —
-//!   faithful to the EPCglobal Tag Data Standard partition tables;
+//!   [`Grai96`] (returnable assets), and [`Gid96`] (general identifiers).
+//!   The three GS1 schemes share one codec: a private module validates,
+//!   encodes, decodes, prints and parses `header · filter · partition ·
+//!   company prefix · reference · tail` from each scheme's descriptor (its
+//!   header, Tag Data Standard partition table, reference field, tail and
+//!   URI filter); GID keeps its own fixed layout. One [`EpcError`] serves all;
 //! * a unified [`Epc`] value with pure-identity URI parsing/formatting
-//!   (`urn:epc:id:sgtin:0614141.112345.400`) and raw hex round-tripping;
+//!   (`urn:epc:id:sgtin:0614141.112345.400`) and raw hex round-tripping,
+//!   whose numeric fields are ASCII digits only;
 //! * the paper's `type(o)` function: a [`TypeRegistry`] mapping EPCs to
 //!   application-level object types ("laptop", "pallet", "case", …) either by
 //!   explicit enumeration or by class-level prefix rules;
@@ -29,14 +34,14 @@ pub mod bits;
 pub mod epc;
 pub mod gid;
 pub mod grai;
+mod gs1;
 pub mod hash;
-pub mod partition;
 pub mod reader;
 pub mod sgtin;
 pub mod sscc;
 pub mod types;
 
-pub use crate::epc::{Epc, EpcClass, EpcParseError};
+pub use crate::epc::{Epc, EpcClass, EpcError, EpcParseError};
 pub use crate::gid::Gid96;
 pub use crate::grai::Grai96;
 pub use crate::reader::{ReaderDef, ReaderId, ReaderRegistry};

@@ -3,13 +3,8 @@
 //! The workhorse EPC scheme for individual trade items (the "laptop" tags of
 //! the paper's asset-monitoring example, the items on the packing conveyor of
 //! Example 1). Layout: header `0x30` (8) · filter (3) · partition (3) ·
-//! company prefix (20–40) · item reference (24–4) · serial (38).
-
-use crate::bits::{BitReader, BitWriter, FieldOverflow};
-use crate::partition::{self, PartitionRow};
-
-/// Binary header value identifying SGTIN-96.
-pub const HEADER: u64 = 0x30;
+//! company prefix (20–40) · item reference (24–4) · serial (38). A URI gives
+//! filter 1 (point-of-sale item).
 
 /// A decoded SGTIN-96 identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,179 +22,13 @@ pub struct Sgtin96 {
     pub serial: u64,
 }
 
-/// Errors constructing or decoding an SGTIN-96.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SgtinError {
-    /// Company prefix digit count has no partition row (must be 6–12).
-    BadCompanyDigits(u32),
-    /// A field exceeded its decimal or binary capacity.
-    Overflow(FieldOverflow),
-    /// The 96-bit word does not carry the SGTIN-96 header.
-    WrongHeader(u64),
-    /// The stored partition value is not in the table.
-    BadPartition(u8),
-}
-
-impl std::fmt::Display for SgtinError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::BadCompanyDigits(d) => write!(f, "company prefix of {d} digits not encodable"),
-            Self::Overflow(o) => write!(f, "{o}"),
-            Self::WrongHeader(h) => write!(f, "header {h:#04x} is not SGTIN-96"),
-            Self::BadPartition(p) => write!(f, "partition value {p} invalid"),
-        }
-    }
-}
-
-impl std::error::Error for SgtinError {}
-
-impl From<FieldOverflow> for SgtinError {
-    fn from(value: FieldOverflow) -> Self {
-        Self::Overflow(value)
-    }
-}
-
-impl Sgtin96 {
-    /// Builds an SGTIN-96, validating decimal capacities against the
-    /// partition table.
-    pub fn new(
-        filter: u8,
-        company_prefix: u64,
-        company_digits: u32,
-        item_reference: u64,
-        serial: u64,
-    ) -> Result<Self, SgtinError> {
-        let row = Self::row_for(company_digits)?;
-        check_decimal("company_prefix", company_prefix, row.company_digits)?;
-        check_decimal("item_reference", item_reference, row.other_digits)?;
-        if serial >= (1u64 << 38) {
-            return Err(SgtinError::Overflow(FieldOverflow {
-                field: "serial",
-                width: 38,
-                value: serial,
-            }));
-        }
-        if filter >= 8 {
-            return Err(SgtinError::Overflow(FieldOverflow {
-                field: "filter",
-                width: 3,
-                value: filter as u64,
-            }));
-        }
-        Ok(Self {
-            filter,
-            company_prefix,
-            company_digits,
-            item_reference,
-            serial,
-        })
-    }
-
-    fn row_for(company_digits: u32) -> Result<&'static PartitionRow, SgtinError> {
-        partition::by_company_digits(&partition::SGTIN, company_digits)
-            .ok_or(SgtinError::BadCompanyDigits(company_digits))
-    }
-
-    /// Encodes into the 96-bit binary form.
-    pub fn encode(&self) -> u128 {
-        let row = Self::row_for(self.company_digits).expect("validated at construction");
-        let mut w = BitWriter::new();
-        w.put("header", HEADER, 8).expect("constant fits");
-        w.put("filter", self.filter as u64, 3).expect("validated");
-        w.put("partition", row.partition as u64, 3)
-            .expect("table value fits");
-        w.put("company_prefix", self.company_prefix, row.company_bits)
-            .expect("validated");
-        w.put("item_reference", self.item_reference, row.other_bits)
-            .expect("validated");
-        w.put("serial", self.serial, 38).expect("validated");
-        w.finish()
-    }
-
-    /// Decodes from the 96-bit binary form.
-    pub fn decode(word: u128) -> Result<Self, SgtinError> {
-        let mut r = BitReader::new(word);
-        let header = r.take(8);
-        if header != HEADER {
-            return Err(SgtinError::WrongHeader(header));
-        }
-        let filter = r.take(3) as u8;
-        let p = r.take(3) as u8;
-        let row = partition::by_value(&partition::SGTIN, p).ok_or(SgtinError::BadPartition(p))?;
-        let company_prefix = r.take(row.company_bits);
-        let item_reference = r.take(row.other_bits);
-        let serial = r.take(38);
-        Self::new(
-            filter,
-            company_prefix,
-            row.company_digits,
-            item_reference,
-            serial,
-        )
-    }
-
-    /// Pure-identity URI body: `CompanyPrefix.ItemReference.Serial`, with the
-    /// decimal fields zero-padded to their partition widths.
-    pub fn uri_body(&self) -> String {
-        let row = Self::row_for(self.company_digits).expect("validated at construction");
-        format!(
-            "{:0cw$}.{:0iw$}.{}",
-            self.company_prefix,
-            self.item_reference,
-            self.serial,
-            cw = row.company_digits as usize,
-            iw = row.other_digits as usize,
-        )
-    }
-
-    /// Parses the URI body produced by [`Self::uri_body`].
-    pub fn parse_uri_body(body: &str) -> Result<Self, SgtinError> {
-        let mut parts = body.splitn(3, '.');
-        let (c, i, s) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(c), Some(i), Some(s)) => (c, i, s),
-            _ => return Err(SgtinError::BadCompanyDigits(0)),
-        };
-        let company_digits = c.len() as u32;
-        let company = c
-            .parse()
-            .map_err(|_| SgtinError::BadCompanyDigits(company_digits))?;
-        let row = Self::row_for(company_digits)?;
-        if i.len() as u32 != row.other_digits {
-            return Err(SgtinError::Overflow(FieldOverflow {
-                field: "item_reference",
-                width: row.other_bits,
-                value: 0,
-            }));
-        }
-        let item = i
-            .parse()
-            .map_err(|_| SgtinError::BadPartition(row.partition))?;
-        let serial = s.parse().map_err(|_| {
-            SgtinError::Overflow(FieldOverflow {
-                field: "serial",
-                width: 38,
-                value: 0,
-            })
-        })?;
-        // URI carries no filter; default to 1 (point-of-sale item).
-        Self::new(1, company, company_digits, item, serial)
-    }
-}
-
-fn check_decimal(field: &'static str, value: u64, digits: u32) -> Result<(), SgtinError> {
-    if value > partition::max_decimal(digits) {
-        return Err(SgtinError::Overflow(FieldOverflow {
-            field,
-            width: digits,
-            value,
-        }));
-    }
-    Ok(())
-}
+crate::gs1::identifier!(Sgtin96, SGTIN, item_reference, serial);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gs1::SGTIN;
+    use crate::EpcError;
 
     fn sample() -> Sgtin96 {
         Sgtin96::new(3, 614_141, 7, 812_345, 6789).unwrap()
@@ -228,7 +57,7 @@ mod tests {
     fn rejects_bad_company_digits() {
         assert!(matches!(
             Sgtin96::new(1, 1, 5, 1, 1),
-            Err(SgtinError::BadCompanyDigits(5))
+            Err(EpcError::BadCompanyDigits(5))
         ));
     }
 
@@ -237,12 +66,12 @@ mod tests {
         // 7-digit company prefix cannot hold 10^7.
         assert!(matches!(
             Sgtin96::new(1, 10_000_000, 7, 1, 1),
-            Err(SgtinError::Overflow(_))
+            Err(EpcError::Overflow { .. })
         ));
         // item reference for partition 5 has 6 digits.
         assert!(matches!(
             Sgtin96::new(1, 614_141, 7, 1_000_000, 1),
-            Err(SgtinError::Overflow(_))
+            Err(EpcError::Overflow { .. })
         ));
     }
 
@@ -261,7 +90,7 @@ mod tests {
         let word = sample().encode() & !(0xFFu128 << 88) | (0x31u128 << 88);
         assert!(matches!(
             Sgtin96::decode(word),
-            Err(SgtinError::WrongHeader(0x31))
+            Err(EpcError::WrongHeader(0x31, "SGTIN-96"))
         ));
     }
 
@@ -269,14 +98,14 @@ mod tests {
     fn decode_rejects_bad_partition() {
         // Craft header ok but partition=7.
         let mut w = crate::bits::BitWriter::new();
-        w.put("h", HEADER, 8).unwrap();
+        w.put("h", SGTIN.header.into(), 8).unwrap();
         w.put("f", 0, 3).unwrap();
         w.put("p", 7, 3).unwrap();
         w.put("rest", 0, 44).unwrap();
         w.put("serial", 0, 38).unwrap();
         assert!(matches!(
             Sgtin96::decode(w.finish()),
-            Err(SgtinError::BadPartition(7))
+            Err(EpcError::BadPartition(7))
         ));
     }
 

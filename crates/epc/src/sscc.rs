@@ -3,13 +3,8 @@
 //! Identifies logistic units — the cases and pallets that items get packed
 //! into in the paper's containment-aggregation example. Layout: header `0x31`
 //! (8) · filter (3) · partition (3) · company prefix (20–40) · serial
-//! reference (38–18) · reserved (24, must be zero).
-
-use crate::bits::{BitReader, BitWriter, FieldOverflow};
-use crate::partition::{self, PartitionRow};
-
-/// Binary header value identifying SSCC-96.
-pub const HEADER: u64 = 0x31;
+//! reference (38–18) · reserved (24, must be zero). A URI gives filter 2
+//! (full case).
 
 /// A decoded SSCC-96 identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,156 +19,12 @@ pub struct Sscc96 {
     pub serial_reference: u64,
 }
 
-/// Errors constructing or decoding an SSCC-96.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SsccError {
-    /// Company prefix digit count has no partition row (must be 6–12).
-    BadCompanyDigits(u32),
-    /// A field exceeded its decimal or binary capacity.
-    Overflow(FieldOverflow),
-    /// The 96-bit word does not carry the SSCC-96 header.
-    WrongHeader(u64),
-    /// The stored partition value is not in the table.
-    BadPartition(u8),
-    /// The trailing reserved bits were not zero.
-    ReservedNonZero(u64),
-}
-
-impl std::fmt::Display for SsccError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::BadCompanyDigits(d) => write!(f, "company prefix of {d} digits not encodable"),
-            Self::Overflow(o) => write!(f, "{o}"),
-            Self::WrongHeader(h) => write!(f, "header {h:#04x} is not SSCC-96"),
-            Self::BadPartition(p) => write!(f, "partition value {p} invalid"),
-            Self::ReservedNonZero(v) => write!(f, "reserved bits hold {v}, expected 0"),
-        }
-    }
-}
-
-impl std::error::Error for SsccError {}
-
-impl From<FieldOverflow> for SsccError {
-    fn from(value: FieldOverflow) -> Self {
-        Self::Overflow(value)
-    }
-}
-
-impl Sscc96 {
-    /// Builds an SSCC-96, validating decimal capacities.
-    pub fn new(
-        filter: u8,
-        company_prefix: u64,
-        company_digits: u32,
-        serial_reference: u64,
-    ) -> Result<Self, SsccError> {
-        let row = Self::row_for(company_digits)?;
-        if company_prefix > partition::max_decimal(row.company_digits) {
-            return Err(SsccError::Overflow(FieldOverflow {
-                field: "company_prefix",
-                width: row.company_digits,
-                value: company_prefix,
-            }));
-        }
-        if serial_reference > partition::max_decimal(row.other_digits) {
-            return Err(SsccError::Overflow(FieldOverflow {
-                field: "serial_reference",
-                width: row.other_digits,
-                value: serial_reference,
-            }));
-        }
-        if filter >= 8 {
-            return Err(SsccError::Overflow(FieldOverflow {
-                field: "filter",
-                width: 3,
-                value: filter as u64,
-            }));
-        }
-        Ok(Self {
-            filter,
-            company_prefix,
-            company_digits,
-            serial_reference,
-        })
-    }
-
-    fn row_for(company_digits: u32) -> Result<&'static PartitionRow, SsccError> {
-        partition::by_company_digits(&partition::SSCC, company_digits)
-            .ok_or(SsccError::BadCompanyDigits(company_digits))
-    }
-
-    /// Encodes into the 96-bit binary form.
-    pub fn encode(&self) -> u128 {
-        let row = Self::row_for(self.company_digits).expect("validated at construction");
-        let mut w = BitWriter::new();
-        w.put("header", HEADER, 8).expect("constant fits");
-        w.put("filter", self.filter as u64, 3).expect("validated");
-        w.put("partition", row.partition as u64, 3)
-            .expect("table value fits");
-        w.put("company_prefix", self.company_prefix, row.company_bits)
-            .expect("validated");
-        w.put("serial_reference", self.serial_reference, row.other_bits)
-            .expect("validated");
-        w.put("reserved", 0, 24).expect("zero fits");
-        w.finish()
-    }
-
-    /// Decodes from the 96-bit binary form.
-    pub fn decode(word: u128) -> Result<Self, SsccError> {
-        let mut r = BitReader::new(word);
-        let header = r.take(8);
-        if header != HEADER {
-            return Err(SsccError::WrongHeader(header));
-        }
-        let filter = r.take(3) as u8;
-        let p = r.take(3) as u8;
-        let row = partition::by_value(&partition::SSCC, p).ok_or(SsccError::BadPartition(p))?;
-        let company_prefix = r.take(row.company_bits);
-        let serial_reference = r.take(row.other_bits);
-        let reserved = r.take(24);
-        if reserved != 0 {
-            return Err(SsccError::ReservedNonZero(reserved));
-        }
-        Self::new(filter, company_prefix, row.company_digits, serial_reference)
-    }
-
-    /// Pure-identity URI body: `CompanyPrefix.SerialReference`.
-    pub fn uri_body(&self) -> String {
-        let row = Self::row_for(self.company_digits).expect("validated at construction");
-        format!(
-            "{:0cw$}.{:0sw$}",
-            self.company_prefix,
-            self.serial_reference,
-            cw = row.company_digits as usize,
-            sw = row.other_digits as usize,
-        )
-    }
-
-    /// Parses the URI body produced by [`Self::uri_body`].
-    pub fn parse_uri_body(body: &str) -> Result<Self, SsccError> {
-        let (c, s) = body.split_once('.').ok_or(SsccError::BadCompanyDigits(0))?;
-        let company_digits = c.len() as u32;
-        let company = c
-            .parse()
-            .map_err(|_| SsccError::BadCompanyDigits(company_digits))?;
-        let row = Self::row_for(company_digits)?;
-        if s.len() as u32 != row.other_digits {
-            return Err(SsccError::Overflow(FieldOverflow {
-                field: "serial_reference",
-                width: row.other_bits,
-                value: 0,
-            }));
-        }
-        let serial = s
-            .parse()
-            .map_err(|_| SsccError::BadPartition(row.partition))?;
-        Self::new(2, company, company_digits, serial)
-    }
-}
+crate::gs1::identifier!(Sscc96, SSCC, serial_reference);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EpcError;
 
     fn sample() -> Sscc96 {
         Sscc96::new(2, 614_141, 7, 1_234_567_890).unwrap()
@@ -203,7 +54,7 @@ mod tests {
         let word = sample().encode() | 1;
         assert!(matches!(
             Sscc96::decode(word),
-            Err(SsccError::ReservedNonZero(1))
+            Err(EpcError::ReservedNonZero(1))
         ));
     }
 
@@ -218,7 +69,7 @@ mod tests {
         let word = (0x30u128) << 88;
         assert!(matches!(
             Sscc96::decode(word),
-            Err(SsccError::WrongHeader(0x30))
+            Err(EpcError::WrongHeader(0x30, "SSCC-96"))
         ));
     }
 }

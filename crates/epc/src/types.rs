@@ -6,10 +6,11 @@
 //! decoded EPC class fields (the extraction path) and per-EPC overrides (the
 //! mapping path), with overrides winning.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::epc::{Epc, EpcClass};
+use crate::gs1;
+use crate::hash::MixMap;
 
 /// An interned application-level object type such as `"laptop"` or `"case"`.
 ///
@@ -81,32 +82,35 @@ pub enum ClassKey {
 impl ClassKey {
     /// Derives the class key of an EPC, if its scheme is known.
     pub fn of(epc: Epc) -> Option<Self> {
-        match epc.class() {
-            EpcClass::Sgtin96 => epc.as_sgtin().map(|v| ClassKey::Sgtin {
-                company: v.company_prefix,
-                item_reference: v.item_reference,
-            }),
-            EpcClass::Sscc96 => epc.as_sscc().map(|v| ClassKey::Sscc {
-                company: v.company_prefix,
-            }),
-            EpcClass::Grai96 => epc.as_grai().map(|v| ClassKey::Grai {
-                company: v.company_prefix,
-                asset_type: v.asset_type,
-            }),
-            EpcClass::Gid96 => epc.as_gid().map(|v| ClassKey::Gid {
+        let class = epc.class();
+        let Some(scheme) = gs1::scheme(class) else {
+            let v = epc.as_gid()?;
+            return Some(ClassKey::Gid {
                 manager: v.manager,
                 class: v.class,
-            }),
-            EpcClass::Unknown(_) => None,
-        }
+            });
+        };
+        let v = scheme.decode(epc.raw()).ok()?;
+        let company = v.company_prefix;
+        Some(match class {
+            EpcClass::Sgtin96 => ClassKey::Sgtin {
+                company,
+                item_reference: v.reference,
+            },
+            EpcClass::Sscc96 => ClassKey::Sscc { company },
+            _ => ClassKey::Grai {
+                company,
+                asset_type: v.reference,
+            },
+        })
     }
 }
 
 /// Registry implementing `type(o)`.
 #[derive(Debug, Default, Clone)]
 pub struct TypeRegistry {
-    by_epc: HashMap<Epc, ObjectType>,
-    by_class: HashMap<ClassKey, ObjectType>,
+    by_epc: MixMap<Epc, ObjectType>,
+    by_class: MixMap<ClassKey, ObjectType>,
     fallback: Option<ObjectType>,
 }
 

@@ -196,6 +196,29 @@ if [[ -n "$stray" ]]; then
     exit 1
 fi
 
+echo "== one GS1 codec (rfid_epc gs1.rs) =="
+# SGTIN-96, SSCC-96 and GRAI-96 share one partitioned layout, coded in
+# crates/epc/src/gs1.rs from each scheme's descriptor, and every codec error
+# is an EpcError. No scheme error enum beside it; and elsewhere under
+# crates/epc/src, code before a file's `#[cfg(test)]` module may not look up
+# a partition row or write a partition field; comments may name them.
+if grep -rnE 'enum [A-Za-z]*Error\b' crates/epc/src | grep -vE 'enum EpcError\b'; then
+    echo "check.sh: a scheme error enum is back beside rfid_epc::EpcError" >&2
+    exit 1
+fi
+stray=$(find crates/epc/src -name '*.rs' ! -path crates/epc/src/gs1.rs -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /partition::|by_value\(|by_company_digits\(|PartitionRow|"partition"/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: code the GS1 layout through crates/epc/src/gs1.rs" >&2
+    exit 1
+fi
+
 echo "== tests (every crate, every suite) =="
 cargo test -q --workspace
 
