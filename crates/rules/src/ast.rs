@@ -156,7 +156,7 @@ pub enum CondAst {
 }
 
 /// Comparison operators in conditions and `WHERE` clauses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     /// `=`
     Eq,

@@ -7,10 +7,16 @@
 //!   child position and copies reader ids, EPCs and times into a [`Frame`]:
 //!   scalar slots once, the slots of a `SEQ+`/`TSEQ+` run once per element
 //!   in one buffer. No name is compared and no row is built;
-//! * the condition and the `DO` list with every operand resolved to a slot,
-//!   a constant (one shared string per literal), or a function of a slot;
+//! * the condition and the `DO` list with every operand resolved to a slot
+//!   source ([`Slot`]), a constant (one shared string per literal), or a
+//!   function of a slot;
 //! * each statement's table id and column positions, looked up in the
 //!   [`Database`] once and again only after its [`Database::version`] moved.
+//!
+//! What a rule lowers to holds no rule name, id or window, so rules whose
+//! bodies agree lower to equal [`PreparedRule`]s (`Eq + Hash`, variable and
+//! table names included: they are in the error texts). `RuleRuntime` keeps
+//! one program per distinct body and fires it for every rule that has it.
 //!
 //! The observable behaviour — store contents, procedure log, error values
 //! and their order — is that of [`crate::bind::bind`] →
@@ -78,30 +84,47 @@ impl Frame {
         }
     }
 
-    /// Gives the run buffer back: a firing over a long run should not pin
-    /// its size for the life of the runtime.
+    /// Ends a firing. The run buffer keeps its capacity for the next one up
+    /// to [`KEPT_RUN_BYTES`]; a firing over a longer run gives it back, so
+    /// it does not pin its size for the life of the runtime.
     fn release(&mut self) {
-        self.elems = Vec::new();
+        if self.elems.capacity() * std::mem::size_of::<Cell>() > KEPT_RUN_BYTES {
+            self.elems = Vec::new();
+        }
     }
 
-    /// A variable's cell: scalar first, then element row `row`, then the
-    /// first element row — the order of [`crate::bind::Bindings::get`].
-    fn get(&self, var: &VarRef, row: Option<usize>) -> Cell {
-        let bound = |cell: Cell| (cell != Cell::Unbound).then_some(cell);
-        let in_row = |row: usize| {
-            let slot = var.elem?;
-            bound(self.elems[row * self.width + slot])
-        };
-        var.scalar
-            .and_then(|slot| bound(self.scalar[slot]))
-            .or_else(|| row.and_then(in_row))
-            .or_else(|| (self.rows > 0).then_some(0).and_then(in_row))
-            .unwrap_or(Cell::Unbound)
+    /// A variable's cell. Where both sides bind it: scalar first, then
+    /// element row `row`, then the first element row — the order of
+    /// [`crate::bind::Bindings::get`].
+    fn get(&self, slot: Slot, row: Option<usize>) -> Cell {
+        match slot {
+            Slot::Never => Cell::Unbound,
+            Slot::Scalar(at) => self.scalar[at],
+            Slot::Elem(at) => self.elem(at, row),
+            Slot::Both { scalar, elem } => match self.scalar[scalar] {
+                Cell::Unbound => self.elem(elem, row),
+                cell => cell,
+            },
+        }
+    }
+
+    /// Element slot `slot` of row `row`, else of the first row.
+    fn elem(&self, slot: usize, row: Option<usize>) -> Cell {
+        let at = |row: usize| self.elems[row * self.width + slot];
+        match row.map(at) {
+            Some(cell) if cell != Cell::Unbound => cell,
+            _ if self.rows > 0 => at(0),
+            _ => Cell::Unbound,
+        }
     }
 }
 
+/// The run buffer a [`Frame`] keeps between firings: 2,048 cells, a run of
+/// 682 elements binding three variables each.
+const KEPT_RUN_BYTES: usize = 64 << 10;
+
 /// One step of a bind plan. A node's first child is the next op.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum BindOp {
     /// An observation pattern: the slots its variable terms fill.
     Leaf {
@@ -146,12 +169,61 @@ enum Level {
 }
 
 /// A rule's `ON` event, lowered for binding.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 struct BindPlan {
     ops: Vec<BindOp>,
     /// Names with a scalar slot / an element slot; a slot is a position.
     scalars: Vec<Box<str>>,
     elems: Vec<Box<str>>,
+    /// Where `ops` has no run and no `OR`: its leaves, which binding reads
+    /// down their paths instead of walking `ops`.
+    leaves: Option<Vec<LeafAt>>,
+}
+
+/// An observation pattern of a plan with neither runs nor `OR`s: the way
+/// down to it and the scalar slots it fills.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct LeafAt {
+    /// Bit `d`: the child taken at depth `d` (each a pair of constituents).
+    path: u32,
+    depth: u32,
+    reader: Option<usize>,
+    object: Option<usize>,
+    time: Option<usize>,
+}
+
+impl LeafAt {
+    /// Writes the leaf's cells; false where `inst` is not of the shape the
+    /// path expects.
+    fn bind(&self, inst: &Instance, cells: &mut [Cell]) -> bool {
+        let mut node = inst;
+        for depth in 0..self.depth {
+            let InstanceKind::Composite { children, .. } = node.kind() else {
+                return false;
+            };
+            let [first, second] = &children[..] else {
+                return false;
+            };
+            node = if self.path >> depth & 1 == 0 {
+                first
+            } else {
+                second
+            };
+        }
+        let InstanceKind::Observation(obs) = node.kind() else {
+            return false;
+        };
+        if let Some(slot) = self.reader {
+            cells[slot] = Cell::Reader(obs.reader);
+        }
+        if let Some(slot) = self.object {
+            cells[slot] = Cell::Object(obs.object);
+        }
+        if let Some(slot) = self.time {
+            cells[slot] = Cell::Time(obs.at);
+        }
+        true
+    }
 }
 
 fn slot_of(names: &mut Vec<Box<str>>, name: &str) -> usize {
@@ -165,7 +237,39 @@ impl BindPlan {
     fn lower(event: &EventAst) -> Self {
         let mut plan = Self::default();
         plan.push(event, Level::Scalar);
+        let mut leaves = Vec::new();
+        plan.leaves = plan.flatten(0, 0, 0, &mut leaves).map(|()| leaves);
         plan
+    }
+
+    /// Appends the leaves under `pc`, reached by `path` at `depth`, in
+    /// pre-order; `None` under a run or an `OR`, or a pair with no leaf
+    /// below it (whose shape only the walk checks).
+    fn flatten(&self, pc: usize, path: u32, depth: u32, out: &mut Vec<LeafAt>) -> Option<()> {
+        match self.ops[pc] {
+            BindOp::Leaf {
+                reader,
+                object,
+                time,
+            } => out.push(LeafAt {
+                path,
+                depth,
+                reader,
+                object,
+                time,
+            }),
+            BindOp::Skip => {}
+            BindOp::Pair { second } if depth < u32::BITS => {
+                let before = out.len();
+                self.flatten(pc + 1, path, depth + 1, out)?;
+                self.flatten(second, path | 1 << depth, depth + 1, out)?;
+                if out.len() == before {
+                    return None;
+                }
+            }
+            _ => return None,
+        }
+        Some(())
     }
 
     fn push(&mut self, ast: &EventAst, level: Level) {
@@ -237,6 +341,14 @@ impl BindPlan {
     /// meaningless and the firing is over.
     fn bind(&self, inst: &Instance, frame: &mut Frame) -> Result<(), BindError> {
         frame.reset(self.scalars.len(), self.elems.len());
+        if let Some(leaves) = &self.leaves {
+            // Each pair and leaf the walk would check is on some leaf's
+            // path, so a shape only fails here when it fails there: the walk
+            // then words the error.
+            if leaves.iter().all(|leaf| leaf.bind(inst, &mut frame.scalar)) {
+                return Ok(());
+            }
+        }
         self.exec(0, inst, frame, None, true)
     }
 
@@ -338,49 +450,44 @@ impl BindPlan {
     }
 
     fn var(&self, name: &str) -> VarRef {
-        let slot = |names: &[Box<str>]| names.iter().position(|n| **n == *name);
+        let position = |names: &[Box<str>]| names.iter().position(|n| **n == *name);
+        let slot = match (position(&self.scalars), position(&self.elems)) {
+            (None, None) => Slot::Never,
+            (Some(at), None) => Slot::Scalar(at),
+            (None, Some(at)) => Slot::Elem(at),
+            (Some(scalar), Some(elem)) => Slot::Both { scalar, elem },
+        };
         VarRef {
             name: name.into(),
-            scalar: slot(&self.scalars),
-            elem: slot(&self.elems),
+            slot,
         }
     }
 }
 
-/// A variable reference of a condition or an action, resolved: where a
-/// firing finds its value. Both slots `None`: the event never binds it.
-#[derive(Debug)]
+/// Where a firing finds a variable's cell, decided at lowering by which
+/// side of the event's runs binds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot {
+    /// The event never binds it.
+    Never,
+    /// Bound outside every run only.
+    Scalar(usize),
+    /// Bound inside a run only.
+    Elem(usize),
+    /// Bound on both sides.
+    Both { scalar: usize, elem: usize },
+}
+
+/// A variable reference of a condition or an action, resolved.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct VarRef {
     /// For error messages.
     name: Box<str>,
-    scalar: Option<usize>,
-    elem: Option<usize>,
-}
-
-/// Why an operand has no value; worded, when an action needs the words, by
-/// [`Miss::error`]. A condition reads any of them as unknown.
-enum Miss {
-    Unbound,
-    NotAReader,
-    UnknownReader(ReaderId),
-    NotAnEpc,
-    Untyped(Epc),
-}
-
-impl Miss {
-    fn error(self, var: &str) -> ActionError {
-        match self {
-            Miss::Unbound => ActionError::UnboundVar(var.to_owned()),
-            Miss::NotAReader => ActionError::Unresolvable(format!("`{var}` is not a reader name")),
-            Miss::UnknownReader(id) => ActionError::Unresolvable(format!("reader `{id}`")),
-            Miss::NotAnEpc => ActionError::Unresolvable(format!("`{var}` is not an EPC")),
-            Miss::Untyped(epc) => ActionError::Unresolvable(format!("type of {epc}")),
-        }
-    }
+    slot: Slot,
 }
 
 /// An operand of a condition or an action, resolved at load.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Operand {
     Var(VarRef),
     /// A literal, `UC`, a duration in milliseconds: one value, cloned.
@@ -405,22 +512,22 @@ impl Ctx<'_> {
     /// The record of the reader a variable names. An observation by a
     /// reader the catalog lacks binds the name `reader#N`, which is looked
     /// up like any other name.
-    fn reader(&self, var: &VarRef, row: Option<usize>) -> Result<&ReaderDef, Miss> {
+    fn reader(&self, var: &VarRef, row: Option<usize>) -> Option<&ReaderDef> {
+        let Cell::Reader(id) = self.frame.get(var.slot, row) else {
+            return None;
+        };
         let readers = &self.catalog.readers;
-        match self.frame.get(var, row) {
-            Cell::Unbound => Err(Miss::Unbound),
-            Cell::Reader(id) => readers
-                .def(id)
-                .or_else(|| readers.def(readers.id_of(&id.to_string())?))
-                .ok_or(Miss::UnknownReader(id)),
-            Cell::Object(_) | Cell::Time(_) => Err(Miss::NotAReader),
-        }
+        readers
+            .def(id)
+            .or_else(|| readers.def(readers.id_of(&id.to_string())?))
     }
 
-    fn value(&self, operand: &Operand, row: Option<usize>) -> Result<Value, Miss> {
-        Ok(match operand {
-            Operand::Var(var) => match self.frame.get(var, row) {
-                Cell::Unbound => return Err(Miss::Unbound),
+    /// An operand's value; `None` where it has none, which a condition
+    /// reads as unknown and an action asks [`Ctx::miss`] about.
+    fn value(&self, operand: &Operand, row: Option<usize>) -> Option<Value> {
+        Some(match operand {
+            Operand::Var(var) => match self.frame.get(var.slot, row) {
+                Cell::Unbound => return None,
                 Cell::Reader(id) => match self.catalog.readers.def(id) {
                     Some(def) => Value::Str(def.name.clone()),
                     None => Value::str(id.to_string()),
@@ -432,41 +539,59 @@ impl Ctx<'_> {
             Operand::Now => Value::Time(self.inst.t_end()),
             Operand::LocationOf(var) => Value::Str(self.reader(var, row)?.location.clone()),
             Operand::GroupOf(var) => Value::Str(self.reader(var, row)?.group.clone()),
-            Operand::TypeOf(var) => match self.frame.get(var, row) {
-                Cell::Unbound => return Err(Miss::Unbound),
-                Cell::Object(epc) => {
-                    let ty = self.catalog.types.type_of(epc).ok_or(Miss::Untyped(epc))?;
-                    Value::str(ty.name())
-                }
-                Cell::Reader(_) | Cell::Time(_) => return Err(Miss::NotAnEpc),
+            Operand::TypeOf(var) => match self.frame.get(var.slot, row) {
+                Cell::Object(epc) => Value::str(self.catalog.types.type_of(epc)?.name()),
+                _ => return None,
             },
             Operand::Count => Value::Int(self.inst.primitive_count() as i64),
             Operand::Interval => Value::Int(self.inst.interval().as_millis() as i64),
         })
     }
 
+    /// Why `operand` has no [`Ctx::value`], worded as an action reports
+    /// it. Only a miss pays for the words.
+    #[cold]
+    #[inline(never)]
+    fn miss(&self, operand: &Operand, row: Option<usize>) -> ActionError {
+        let (Operand::Var(var)
+        | Operand::LocationOf(var)
+        | Operand::GroupOf(var)
+        | Operand::TypeOf(var)) = operand
+        else {
+            unreachable!("only an operand over a variable can miss")
+        };
+        let name = &var.name;
+        match (operand, self.frame.get(var.slot, row)) {
+            (_, Cell::Unbound) => ActionError::UnboundVar(name.to_string()),
+            (Operand::TypeOf(_), Cell::Object(epc)) => {
+                ActionError::Unresolvable(format!("type of {epc}"))
+            }
+            (Operand::TypeOf(_), _) => ActionError::Unresolvable(format!("`{name}` is not an EPC")),
+            (_, Cell::Reader(id)) => ActionError::Unresolvable(format!("reader `{id}`")),
+            _ => ActionError::Unresolvable(format!("`{name}` is not a reader name")),
+        }
+    }
+
     fn eval(&self, operand: &Operand, row: Option<usize>) -> Result<Value, ActionError> {
-        self.value(operand, row).map_err(|miss| match operand {
-            Operand::Var(var)
-            | Operand::LocationOf(var)
-            | Operand::GroupOf(var)
-            | Operand::TypeOf(var) => miss.error(&var.name),
-            _ => unreachable!("only an operand over a variable can miss"),
-        })
+        self.value(operand, row)
+            .ok_or_else(|| self.miss(operand, row))
     }
 
     /// One row of values: the stored row, or a call's arguments.
     fn row(&self, operands: &[Operand], row: Option<usize>) -> Result<Row, ActionError> {
         let mut values = Vec::with_capacity(operands.len());
         for operand in operands {
-            values.push(self.eval(operand, row)?);
+            match self.value(operand, row) {
+                Some(value) => values.push(value),
+                None => return Err(self.miss(operand, row)),
+            }
         }
         Ok(values)
     }
 }
 
 /// `column op operand`, or `SET column = operand` (`op` unused).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ColumnOperand {
     column: Arc<str>,
     /// The column's position in the target's schema; `None` when the
@@ -479,7 +604,7 @@ struct ColumnOperand {
 /// The table a statement names with its `SET` and `WHERE` lists: resolved
 /// by [`Target::resolve`], whose result holds while the database's version
 /// does.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Target {
     table: String,
     id: Option<TableId>,
@@ -593,7 +718,7 @@ fn conds_of<'v>(
 }
 
 /// One statement of a `DO` list, prepared.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Stmt {
     Insert {
         target: Target,
@@ -710,7 +835,7 @@ impl Stmt {
 }
 
 /// A rule's `IF`, prepared. Unknown is false, as in [`crate::cond`].
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Cond {
     False,
     And(Box<Cond>, Box<Cond>),
@@ -765,7 +890,7 @@ impl Cond {
             Cond::Or(a, b) => a.holds(ctx, db, values) || b.holds(ctx, db, values),
             Cond::Not(x) => !x.holds(ctx, db, values),
             Cond::Compare { lhs, op, rhs } => {
-                let (Ok(l), Ok(r)) = (ctx.value(lhs, None), ctx.value(rhs, None)) else {
+                let (Some(l), Some(r)) = (ctx.value(lhs, None), ctx.value(rhs, None)) else {
                     return false;
                 };
                 compare(&l, *op, &r)
@@ -774,8 +899,8 @@ impl Cond {
                 values.clear();
                 for c in &target.wheres {
                     match ctx.value(&c.operand, None) {
-                        Ok(value) => values.push(value),
-                        Err(_) => return false,
+                        Some(value) => values.push(value),
+                        None => return false,
                     }
                 }
                 match target.id {
@@ -832,8 +957,10 @@ pub enum FiringError {
     Action(ActionError),
 }
 
-/// One rule, lowered: bind plan, condition, `DO` list.
-#[derive(Debug)]
+/// One rule body, lowered: bind plan, condition, `DO` list. Equal for two
+/// rules whose bodies lower alike, as long as neither is resolved or both
+/// are, against the same tables.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PreparedRule {
     bind: BindPlan,
     condition: Option<Cond>,
@@ -846,19 +973,24 @@ impl PreparedRule {
     /// Lowers a rule over its alias-free event ([`crate::compile::resolve_aliases`])
     /// and resolves its statements against `db`.
     pub fn new(decl: &RuleDecl, event: &EventAst, db: &Database) -> Self {
-        let bind = BindPlan::lower(event);
-        let mut rule = Self {
-            condition: Cond::lower(&decl.condition, &bind),
-            stmts: decl.actions.iter().map(|a| Stmt::lower(a, &bind)).collect(),
-            bind,
-            resolved_for: 0,
-        };
+        let mut rule = Self::lower(decl, event);
         rule.resolve(db);
         rule
     }
 
+    /// Lowers a rule, its statements not yet resolved.
+    pub(crate) fn lower(decl: &RuleDecl, event: &EventAst) -> Self {
+        let bind = BindPlan::lower(event);
+        Self {
+            condition: Cond::lower(&decl.condition, &bind),
+            stmts: decl.actions.iter().map(|a| Stmt::lower(a, &bind)).collect(),
+            bind,
+            resolved_for: 0,
+        }
+    }
+
     /// Looks the statements' tables and columns up in `db`.
-    fn resolve(&mut self, db: &Database) {
+    pub(crate) fn resolve(&mut self, db: &Database) {
         if let Some(condition) = &mut self.condition {
             condition.resolve(db);
         }

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use rceda::{Engine, EngineConfig, RuleId};
+use rceda::{Engine, EngineConfig, Program, RuleEvent, RuleId};
 use rfid_events::{Catalog, Observation, Timestamp};
 use rfid_store::{Database, Value};
 
@@ -162,13 +162,42 @@ impl fmt::Debug for Procedures {
     }
 }
 
-/// One loaded rule with everything a firing needs.
+/// One loaded rule as declared.
 struct CompiledRule {
     decl: RuleDecl,
     /// Alias-free event AST (what the sharded engine recompiles).
     event: EventAst,
-    /// Bind plan, condition and `DO` list, lowered at `load`.
-    prepared: PreparedRule,
+}
+
+/// The firing programs of the loaded rules: one per distinct rule body.
+#[derive(Default)]
+struct Programs {
+    /// Bind plan, condition and `DO` list, lowered and resolved.
+    programs: Vec<PreparedRule>,
+    /// By rule id: the index of the rule's program.
+    of_rule: Vec<u32>,
+    /// Each program's body as lowered, before it was resolved: what a
+    /// rule loaded later is looked up by.
+    interned: HashMap<PreparedRule, u32>,
+}
+
+impl Programs {
+    /// Gives the next rule the program of its body, lowering one if no
+    /// loaded rule has that body.
+    fn push(&mut self, decl: &RuleDecl, event: &EventAst, db: &Database) {
+        let fresh = self.programs.len() as u32;
+        let programs = &mut self.programs;
+        let program = *self
+            .interned
+            .entry(PreparedRule::lower(decl, event))
+            .or_insert_with_key(|body| {
+                let mut program = body.clone();
+                program.resolve(db);
+                programs.push(program);
+                fresh
+            });
+        self.of_rule.push(program);
+    }
 }
 
 /// Errors a runtime keeps from its firings; the rest are only counted.
@@ -201,6 +230,7 @@ pub struct RuleRuntime {
     db: Database,
     procs: Procedures,
     rules: Vec<CompiledRule>,
+    programs: Programs,
     /// Reused from firing to firing.
     scratch: Scratch,
     defines: HashMap<String, EventAst>,
@@ -222,6 +252,7 @@ impl RuleRuntime {
             db,
             procs: Procedures::new(),
             rules: Vec::new(),
+            programs: Programs::default(),
             scratch: Scratch::default(),
             defines: HashMap::new(),
             errors: ErrorLog::default(),
@@ -268,11 +299,12 @@ impl RuleRuntime {
     /// Parses and loads a script (any number of `DEFINE`s and rules).
     /// Returns the ids of the newly created rules, in script order.
     /// Rule ids must be unique across everything loaded so far (§3: "the
-    /// unique id … for a rule").
+    /// unique id … for a rule"). A script that fails loads nothing: no
+    /// define, rule or drop of it takes effect.
     pub fn load(&mut self, script: &str) -> Result<Vec<RuleId>, RuntimeError> {
         let parsed = parse_script(script)?;
-        // Nothing is loaded on a clash: the first rule of the batch whose id
-        // is taken, by a loaded rule or by another rule of the batch.
+        // The first rule of the batch whose id is taken, by a loaded rule or
+        // by another rule of the batch.
         let mut declared: HashMap<&str, u32> = HashMap::new();
         let loaded = self.rules.iter().map(|r| &r.decl.id);
         for id in loaded.chain(parsed.rules.iter().map(|r| &r.id)) {
@@ -282,33 +314,45 @@ impl RuleRuntime {
             return Err(RuntimeError::DuplicateRuleId(clash.id.clone()));
         }
         // New defines extend (and may shadow) earlier ones.
+        let mut defines = self.defines.clone();
         for d in &parsed.defines {
-            let resolved = resolve_aliases(&d.event, &self.defines)?;
-            self.defines.insert(d.name.clone(), resolved);
+            let resolved = resolve_aliases(&d.event, &defines)?;
+            defines.insert(d.name.clone(), resolved);
         }
         // Validate the batch's internal defines too.
         let _ = build_defines(&parsed.defines)?;
-        let mut ids = Vec::new();
+        // Every rule is valid on its own (§4.4), checked on a graph of its
+        // own, and every drop names a rule, before the engine changes.
+        let mut batch = Vec::with_capacity(parsed.rules.len());
         for rule in parsed.rules {
-            let event = resolve_aliases(&rule.event, &self.defines)?;
+            let event = resolve_aliases(&rule.event, &defines)?;
             let expr = compile_event(&event)?;
+            Program::new().add_rule(RuleEvent::new(&rule.name, &rule.name, expr.clone()))?;
+            batch.push((rule, event, expr));
+        }
+        let by_rule_id: Vec<&String> = (self.rules.iter().map(|r| &r.decl.id))
+            .chain(batch.iter().map(|(rule, ..)| &rule.id))
+            .collect();
+        let drops = parsed
+            .drops
+            .iter()
+            .map(|dropped| {
+                let rule = by_rule_id.iter().position(|id| *id == dropped);
+                rule.ok_or_else(|| RuntimeError::UnknownRuleId(dropped.clone()))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+
+        self.defines = defines;
+        let mut ids = Vec::with_capacity(batch.len());
+        for (rule, event, expr) in batch {
             let id = self.engine.add_rule(&rule.name, expr)?;
             debug_assert_eq!(id.0 as usize, self.rules.len());
-            let prepared = PreparedRule::new(&rule, &event, &self.db);
-            self.rules.push(CompiledRule {
-                decl: rule,
-                event,
-                prepared,
-            });
+            self.programs.push(&rule, &event, &self.db);
+            self.rules.push(CompiledRule { decl: rule, event });
             ids.push(id);
         }
-        for dropped in &parsed.drops {
-            let idx = self
-                .rules
-                .iter()
-                .position(|r| &r.decl.id == dropped)
-                .ok_or_else(|| RuntimeError::UnknownRuleId(dropped.clone()))?;
-            self.engine.set_rule_enabled(RuleId(idx as u32), false);
+        for rule in drops {
+            self.engine.set_rule_enabled(RuleId(rule as u32), false);
         }
         Ok(ids)
     }
@@ -363,19 +407,19 @@ impl RuleRuntime {
             catalog,
             db,
             procs,
-            rules,
+            programs: Programs {
+                programs, of_rule, ..
+            },
             scratch,
             errors,
             ..
         } = self;
         feed(engine, &mut |rule, inst| {
-            let Some(compiled) = rules.get_mut(rule.0 as usize) else {
+            let Some(&program) = of_rule.get(rule.0 as usize) else {
                 return;
             };
             let failed = |e: FiringError| errors.push(e.into());
-            compiled
-                .prepared
-                .fire(inst, catalog, db, procs, scratch, failed);
+            programs[program as usize].fire(inst, catalog, db, procs, scratch, failed);
         });
     }
 
@@ -563,6 +607,109 @@ mod tests {
         );
         // The rest of each `DO` list still ran.
         assert_eq!(rt.procedures().log.len(), 10_000);
+    }
+
+    fn programs_of(script: &str) -> (usize, Vec<u32>) {
+        let mut catalog = Catalog::new();
+        for name in ["r1", "r2"] {
+            catalog.readers.register(name, "docks", name);
+        }
+        let mut rt = RuleRuntime::new(catalog);
+        rt.load(script).expect("loads");
+        (rt.programs.programs.len(), rt.programs.of_rule.clone())
+    }
+
+    #[test]
+    fn rule_programs_count_distinct_bodies() {
+        let sim = rfid_simulator::SupplyChain::build(rfid_simulator::SimConfig::default());
+        for (script, programs) in [(sim.rule_set(), 6), (sim.rule_family(500), 4)] {
+            let mut rt = RuleRuntime::new(sim.catalog.clone());
+            rt.load(&script).expect("loads");
+            assert_eq!(rt.programs.programs.len(), programs);
+            assert_eq!(rt.programs.of_rule.len(), rt.rules.len());
+        }
+    }
+
+    #[test]
+    fn rules_share_a_program_when_only_name_id_window_or_reader_literal_differ() {
+        let rule =
+            |id: &str, on: &str| format!("CREATE RULE {id}, n{id} ON {on} IF true DO f(o, t2) ");
+        let seq = |reader: &str, secs: u32| {
+            format!(
+                "WITHIN(observation({reader}, o, t1); observation({reader}, o, t2), {secs} sec)"
+            )
+        };
+        let script = [
+            rule("a", &seq("'r1'", 5)),
+            rule("b", &seq("'r1'", 9)),
+            rule("c", &seq("'r2'", 5)),
+            rule("d", "observation('r1', o, t2)"),
+        ]
+        .concat();
+        assert_eq!(programs_of(&script), (2, vec![0, 0, 0, 1]));
+    }
+
+    #[test]
+    fn rules_do_not_share_a_program_when_their_bodies_differ() {
+        let two = "WITHIN(observation(r, o, t1); observation(r, o, t2), 5 sec)";
+        let swapped = "WITHIN(observation(r, o, t2); observation(r, o, t1), 5 sec)";
+        let renamed = "WITHIN(observation(x, o, t1); observation(x, o, t2), 5 sec)";
+        let script = [
+            format!("CREATE RULE a, a ON {two} IF true DO f(r, t1) "),
+            // Another argument.
+            format!("CREATE RULE b, b ON {two} IF true DO f(r, t2) "),
+            // Another procedure.
+            format!("CREATE RULE c, c ON {two} IF true DO g(r, t1) "),
+            // A condition.
+            format!("CREATE RULE d, d ON {two} IF t2 != t1 DO f(r, t1) "),
+            // The same names in other slots.
+            format!("CREATE RULE e, e ON {swapped} IF true DO f(r, t1) "),
+            // Another variable name, in the same slot: its errors name it.
+            format!("CREATE RULE f, f ON {renamed} IF true DO f(x, t1) "),
+            // And `a` again.
+            format!("CREATE RULE g, g ON {two} IF true DO f(r, t1) "),
+        ]
+        .concat();
+        assert_eq!(programs_of(&script), (6, vec![0, 1, 2, 3, 4, 5, 0]));
+    }
+
+    /// Two rules share a program: a table created after `load` is written
+    /// by both, and dropping one leaves the other firing.
+    #[test]
+    fn rules_sharing_a_program_fire_apart() {
+        let mut catalog = Catalog::new();
+        let r1 = catalog.readers.register("r1", "docks", "dock");
+        let mut rt = RuleRuntime::new(catalog);
+        let rule = |id: &str, secs: u32| {
+            format!(
+                "CREATE RULE {id}, {id} ON WITHIN(observation(r, o, t1); observation(r, o, t2), \
+                 {secs} sec) IF true DO INSERT INTO LATE VALUES (o, t2); seen(o) "
+            )
+        };
+        rt.load(&(rule("near", 5) + &rule("far", 50)))
+            .expect("loads");
+        assert_eq!(rt.programs.of_rule, [0, 0]);
+        let object: Epc = Gid96::new(1, 1, 1).expect("small serial").into();
+        let read = |ms: u64| Observation::new(r1, object, Timestamp::from_millis(ms));
+
+        let schema = rfid_store::Schema::new(&[
+            ("object_epc", rfid_store::ColumnType::Epc),
+            ("at", rfid_store::ColumnType::Time),
+        ]);
+        rt.db_mut().create_table("LATE", schema);
+        rt.process(read(0));
+        rt.process(read(1_000));
+        assert_eq!(rt.procedures().log.len(), 2, "both rules fired");
+        assert_eq!(rt.db().table("LATE").expect("created").len(), 2);
+
+        rt.load("DROP RULE near").expect("drops");
+        rt.process(read(2_000));
+        rt.process(read(3_000));
+        rt.finish();
+        // Only `far` fired again, once a read.
+        assert_eq!(rt.procedures().log.len(), 4);
+        assert_eq!(rt.db().table("LATE").expect("created").len(), 4);
+        assert_eq!(rt.error_count(), 0);
     }
 
     /// A `persist` that cannot write its `.tmp` sibling fails and leaves

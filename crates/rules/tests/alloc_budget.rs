@@ -321,7 +321,7 @@ fn production_update_over_an_indexed_key_allocates_nothing() {
 }
 
 #[test]
-fn production_containment_firing_allocates_the_frame_and_the_stored_rows() {
+fn production_containment_firing_allocates_the_stored_rows() {
     const DO: &str = "IF true DO BULK INSERT INTO OBJECTCONTAINMENT VALUES (o1, o2, t2, UC)";
     let one_var = format!(
         "CREATE RULE p, pack ON TSEQ(TSEQ+(observation('conv', o1, t1), 0 sec, 1 sec); \
@@ -347,7 +347,8 @@ fn production_containment_firing_allocates_the_frame_and_the_stored_rows() {
         for script in [&one_var, &three_vars] {
             // A first case of 600 items takes the table's indexes past their
             // doubling at 512 rows and a second its row store past the 600
-            // the first reserved; the measured one stays short of 1024.
+            // the first reserved; the measured one stays short of 1024. The
+            // first also leaves the frame a run buffer of 600 elements.
             let mut warm_up = packing(0, 600, 0);
             warm_up.extend(packing(5_000, 3, 500_000));
             let measured = packing(10_000, items, 1_000_000);
@@ -358,9 +359,47 @@ fn production_containment_firing_allocates_the_frame_and_the_stored_rows() {
                 .expect("provisioned")
                 .len();
             assert_eq!(rows as u64, 603 + items);
-            // One frame of `items` element rows, however many variables an
-            // element binds, and the stored rows.
-            assert_eq!(allocs, 1 + items, "{items} items");
+            // The stored rows; the frame's run buffer is the last firing's.
+            assert_eq!(allocs, items, "{items} items");
         }
+    }
+}
+
+/// `(allocations, calls)` of one packing firing of `items` reads after one
+/// of `before` reads, the action a call (two allocations).
+fn containment_call_after(before: u64, items: u64) -> (u64, usize) {
+    let script = "CREATE RULE p, pack ON TSEQ(TSEQ+(observation('conv', o1, t1), 0 sec, 1 sec); \
+                  observation('caser', o2, t2), 5 sec, 20 sec) \
+                  IF true DO send_containment_msg(o2, t2)";
+    let packing = |first_item: u64, items: u64, from_ms: u64| {
+        let mut reads: Vec<_> = (0..items)
+            .map(|i| read(0, first_item + i, from_ms + 100 * i))
+            .collect();
+        reads.push(read(
+            1,
+            9_000_000 + first_item,
+            from_ms + 100 * items + 10_000,
+        ));
+        reads
+    };
+    // The log's first four entries are one allocation: the measured call
+    // is the fourth.
+    let mut warm_up = packing(0, 2, 0);
+    warm_up.extend(packing(10, 2, 100_000));
+    warm_up.extend(packing(1_000_000, before, 1_000_000));
+    let measured = packing(5_000_000, items, 1_000_000 + 100 * before + 100_000);
+    let (allocs, rt) = firing_path_allocs(script, |_| {}, &warm_up, &measured);
+    (allocs, rt.procedures().log.len())
+}
+
+#[test]
+fn production_frame_keeps_its_run_buffer_up_to_a_bound() {
+    // Two cells (`o1`, `t1`) of 32 bytes per element: a 64 KiB buffer holds
+    // 1024 elements. Below that, the next firing reuses it; above it, the
+    // buffer went back with its firing and the next one allocates anew.
+    for (before, fresh) in [(8, 0), (1_000, 0), (1_100, 1), (5_000, 1)] {
+        let (allocs, calls) = containment_call_after(before, 8);
+        assert_eq!(calls, 4);
+        assert_eq!(allocs, 2 + fresh, "after a run of {before}");
     }
 }

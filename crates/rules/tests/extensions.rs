@@ -205,3 +205,45 @@ fn exists_on_missing_table_is_false_not_an_error() {
         "unknown table in EXISTS is just false"
     );
 }
+
+/// A script that fails loads nothing: not its rules before the failing
+/// statement, not its defines, not its drops.
+#[test]
+fn a_failed_load_loads_nothing() {
+    let mut rt = RuleRuntime::new(catalog());
+    let watcher = "CREATE RULE a, watcher ON observation(r, o, t) IF true DO seen(o)";
+    // A drop of an id nothing has.
+    let err = rt.load(&format!("{watcher} DROP RULE ghost")).unwrap_err();
+    assert!(
+        matches!(&err, rfid_rules::RuntimeError::UnknownRuleId(id) if id == "ghost"),
+        "{err}"
+    );
+    assert_eq!(rt.engine().rule_count(), 0);
+    // So the same rule loads on a retry, under the same id.
+    assert_eq!(rt.load(watcher).unwrap().len(), 1);
+    assert_eq!(rt.engine().rule_count(), 1);
+
+    // A batch whose second rule is invalid (§4.4: a negation with no
+    // finite window), with a define before it.
+    let mut rt = RuleRuntime::new(catalog());
+    let err = rt
+        .load(&format!(
+            "DEFINE SEEN = observation(r, o, t) {watcher} \
+             CREATE RULE b, never ON NOT observation(r, o, t) IF true DO f()"
+        ))
+        .unwrap_err();
+    assert!(matches!(err, rfid_rules::RuntimeError::Invalid(_)), "{err}");
+    assert_eq!(rt.engine().rule_count(), 0);
+    let err = rt
+        .load("CREATE RULE c, aliased ON SEEN IF true DO g()")
+        .unwrap_err();
+    assert!(err.to_string().contains("SEEN"), "{err}");
+    let r1 = rt.engine().catalog().reader("r1").unwrap();
+    rt.process(Observation::new(r1, epc(1, 1), Timestamp::from_secs(1)));
+    rt.finish();
+    assert!(
+        rt.procedures().log.is_empty(),
+        "no rule of the batch is live"
+    );
+    assert_eq!(rt.load(watcher).unwrap().len(), 1);
+}

@@ -614,6 +614,37 @@ proptest! {
     }
 }
 
+/// A pair of absences binds nothing, yet its shape is checked: an instance
+/// with an observation where the pair should be is a bind error on both
+/// sides, although every pattern that binds a variable fits.
+#[test]
+fn a_pair_of_absences_is_shape_checked() {
+    let script = "CREATE RULE n, n \
+                  ON (NOT observation(r, a, t1) ; NOT observation(r, b, t2)) AND observation(r, o, t) \
+                  IF true DO f(o)";
+    let rule = parse_script(script).expect("parses").rules.remove(0);
+    let read = Arc::new(Instance::observation(Observation::new(
+        ReaderId(0),
+        epc(1, 1),
+        Timestamp::from_millis(10),
+    )));
+    let fits = Instance::pair(
+        "AND",
+        Arc::new(Instance::pair("SEQ", Arc::clone(&read), Arc::clone(&read))),
+        Arc::clone(&read),
+    );
+    let misfit = Instance::pair("AND", Arc::clone(&read), read);
+    let case = Case {
+        rule,
+        firings: vec![Arc::new(fits), Arc::new(misfit)],
+        late_before: usize::MAX,
+    };
+    let (prepared, interpreted) = run(&case);
+    assert_eq!(prepared, interpreted);
+    assert_eq!(prepared.calls.len(), 1);
+    assert!(matches!(prepared.errors[..], [FiringError::Bind(_)]));
+}
+
 /// What the generated cases must reach for the property above to mean
 /// something: every statement kind succeeding and failing in every way,
 /// every binder error, and the store states the statements depend on.
@@ -867,7 +898,6 @@ fn runtime_outcome(rt: RuleRuntime, reference: &mut Outcome) -> Outcome {
 #[test]
 fn runtime_over_a_supply_chain_trace_matches_the_interpreting_sink() {
     let sim = rfid_simulator::SupplyChain::build(rfid_simulator::SimConfig::default());
-    let trace = sim.generate(6_000);
     let script = format!(
         "{} \
          CREATE RULE audit, audit ON observation(r, o, t), group(r) = 'docks' \
@@ -880,27 +910,60 @@ fn runtime_over_a_supply_chain_trace_matches_the_interpreting_sink() {
             notify(location(r), type(o), missing)",
         sim.rule_set()
     );
+    let outcome = runtime_against_the_interpreting_sink(&sim, &script, 6_000);
+    assert!(outcome
+        .tables
+        .iter()
+        .all(|(n, rows)| rows.is_some() == (*n != "MISSING" && *n != "LATE")));
+    assert!(outcome.calls.len() > 10 && outcome.errors.len() > 100);
+}
+
+/// The Fig. 9(b) family at 500 rules, whose 500 rules share 4 firing
+/// programs, over a short trace: `RuleRuntime` ends where the interpreting
+/// sink ends.
+#[test]
+fn runtime_over_the_500_rule_family_matches_the_interpreting_sink() {
+    let sim = rfid_simulator::SupplyChain::build(rfid_simulator::SimConfig::default());
+    let outcome = runtime_against_the_interpreting_sink(&sim, &sim.rule_family(500), 2_000);
+    let called = |name: &str| outcome.calls.iter().any(|(n, _)| n == name);
+    let kinds = [
+        "send_duplicate_msg",
+        "send_infield_msg",
+        "send_containment_msg",
+    ];
+    assert!(
+        kinds.iter().all(|name| called(name)),
+        "{} calls",
+        outcome.calls.len()
+    );
+}
+
+/// `RuleRuntime` and the interpreting sink over about `events` simulated
+/// observations: what the runtime was left with, which must be what the
+/// sink was left with.
+fn runtime_against_the_interpreting_sink(
+    sim: &rfid_simulator::SupplyChain,
+    script: &str,
+    events: usize,
+) -> Outcome {
+    let trace = sim.generate(events);
     let mut rt = RuleRuntime::with_parts(
         sim.catalog.clone(),
         database(),
         rceda::EngineConfig::default(),
     );
-    rt.load(&script).expect("loads");
+    rt.load(script).expect("loads");
     rt.process_all(trace.observations.iter().copied());
     let mut reference = interpreted_stream(
         &sim.catalog,
-        &script,
+        script,
         database(),
         &trace.observations,
         |_, _| {},
     );
     let outcome = runtime_outcome(rt, &mut reference);
-    assert!(outcome
-        .tables
-        .iter()
-        .all(|(n, rows)| rows.is_some() == (*n != "MISSING" && *n != "LATE")));
     assert_same(&outcome, &reference);
-    assert!(outcome.calls.len() > 10 && outcome.errors.len() > 100);
+    outcome
 }
 
 /// A table created, and one replaced, through `db_mut()` after `load`: the

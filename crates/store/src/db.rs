@@ -20,7 +20,7 @@ use crate::table::{ColumnType, Schema, Table, TableError};
 /// Position of a table in its database: what a statement prepared once
 /// keeps instead of the table's name. Good for as long as
 /// [`Database::version`] reads what it read when the id was looked up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TableId(usize);
 
 /// Source of [`Database::version`] numbers, shared by every database of the

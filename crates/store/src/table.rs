@@ -102,7 +102,7 @@ impl Schema {
 pub type Row = Vec<Value>;
 
 /// Comparison operator of a filter condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CondOp {
     /// Equal.
     Eq,
