@@ -31,7 +31,7 @@
 //! E004 and W002 are script-level passes: they live in the rule-language
 //! crate (`rfid-rules`), but their codes are defined here so the taxonomy
 //! has one home. Everything else runs on the compiled event graph via
-//! [`analyze_event`] / [`analyze_program`].
+//! [`analyze_event`] (per rule) and [`analyze_compiled`] (per program).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -458,19 +458,6 @@ pub fn analyze_event(rule: &RuleEvent, catalog: Option<&Catalog>) -> Vec<Diagnos
         });
     }
 
-    out
-}
-
-/// Analyzes a whole rule set: the per-rule passes on every rule, then the
-/// program-level passes ([`analyze_compiled`]) over the one [`Program`] the
-/// rules the builder accepts compile to.
-pub fn analyze_program(rules: &[RuleEvent], catalog: Option<&Catalog>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for rule in rules {
-        out.extend(analyze_event(rule, catalog));
-    }
-    let program = Program::compile(catalog, rules.iter().cloned());
-    out.extend(analyze_compiled(&program, catalog));
     out
 }
 
@@ -908,7 +895,10 @@ mod tests {
                 .seq(obs_keyed("r2"))
                 .within(Span::from_secs(9)),
         );
-        let diags = analyze_program(&[a, b, c], None);
+        let rules = [a, b, c];
+        let mut diags: Vec<_> = rules.iter().flat_map(|r| analyze_event(r, None)).collect();
+        let program = Program::compile(None, rules.iter().cloned());
+        diags.extend(analyze_compiled(&program, None));
         let shadowed: Vec<_> = diags
             .iter()
             .filter(|d| d.code == DiagCode::ShadowedRule)

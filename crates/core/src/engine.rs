@@ -1,7 +1,7 @@
 //! The RCEDA driver (§4.5–§4.6).
 //!
-//! [`Engine`] owns the event graph, per-node state, and the pseudo-event
-//! queue. Its processing loop is the paper's algorithm verbatim:
+//! [`Engine`] owns the event graph, per-node state, and the timeline of
+//! pseudo events. Its processing loop is the paper's algorithm verbatim:
 //!
 //! * incoming observations and due pseudo events are consumed in global
 //!   timestamp order (observations win ties: everything read at the instant
@@ -30,8 +30,6 @@
 //! arrival while mutating runtime state — no per-arrival plan or kind
 //! clones — and the per-event work queue is a buffer reused across events.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rfid_events::{dist, interval2, Catalog, EventExpr, Instance, Observation, Span, Timestamp};
@@ -42,12 +40,12 @@ use crate::key::{extract_all, Key, KeySpecId};
 use crate::obs::{FlightRecorder, Histogram, ObsState, ObserveLevel, TelemetrySnapshot};
 use crate::plan::{CompiledPlan, EdgeOp, InlineBuf, Member, LEAF_HITS_INLINE};
 use crate::program::{Program, RuleEvent};
-use crate::pseudo::{PseudoAction, PseudoEvent, PseudoQueue};
 use crate::state::{
-    dead_before, AperiodicState, Entry, KeyedBuffer, NegationState, NodeState, TimedRunState,
-    WaitEntry, WaitState,
+    dead_before, AperiodicState, KeyedBuffer, NegationState, NodeState, TimedRunState, WaitEntry,
+    WaitState,
 };
 use crate::stats::EngineStats;
+use crate::timeline::{Deadline, Due, Timeline};
 
 /// Identifier of a registered rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -102,16 +100,14 @@ pub struct Engine {
     config: EngineConfig,
 }
 
-/// The mutable half of the engine: per-node state, the pseudo-event queue,
-/// the clock, and reusable hot-path buffers. Methods that run once per
-/// arrival take `&EventGraph` explicitly, so the borrow checker sees graph
-/// reads and state writes as disjoint — the reason `arrival` can match on a
-/// node's plan by reference instead of cloning it.
+/// The mutable half of the engine: per-node state, the timeline (clock,
+/// sequence and deadlines), and reusable hot-path buffers. Methods that run
+/// once per arrival take `&EventGraph` explicitly, so the borrow checker
+/// sees graph reads and state writes as disjoint — the reason `arrival` can
+/// match on a node's plan by reference instead of cloning it.
 struct Runtime {
     states: Vec<NodeState>,
-    pseudo: PseudoQueue,
-    clock: Timestamp,
-    seq: u64,
+    timeline: Timeline,
     stats: EngineStats,
     /// Reused propagation queue: occurrences waiting to activate parents.
     /// Fully drained by `run_work` after every event, so its capacity (not
@@ -123,9 +119,9 @@ struct Runtime {
     /// extra parameters through the arrival handlers.
     obs: ObsState,
     /// Watermark-amortized sweeping (DESIGN.md §16): per-node retention
-    /// spans, the next-expiry deadline heap, and the per-batch touched
-    /// bitmap deadlines are armed from.
-    sweep: SweepQueue,
+    /// spans, which nodes have a prune deadline on the timeline, and the
+    /// per-batch touched bitmap deadlines are armed from.
+    sweep: Sweep,
     /// The keys of the instance being propagated, one per interned spec.
     keys: KeyMemo,
 }
@@ -179,32 +175,26 @@ impl KeyMemo {
 }
 
 /// State of the deadline-driven sweep. A node is *armed* when its earliest
-/// logged entry has a finite death time sitting in the heap; quiescent
-/// nodes are neither armed nor visited. Arming happens at batch boundaries
-/// from the `touched` bitmap (set at every state admission), and a deadline
+/// logged entry has a finite death time on the timeline; quiescent nodes
+/// are neither armed nor visited. Arming happens at batch boundaries from
+/// the `touched` bitmap (set at every state admission), and a deadline
 /// fires only when the batch watermark — the engine clock after the batch —
 /// passes it.
 #[derive(Debug, Default)]
-struct SweepQueue {
+struct Sweep {
     /// Per-node `[side0, side1]` retention spans — how long an entry of
     /// that side's buffer stays matchable — chosen by
     /// [`Engine::rebuild_sweep_spans`] on every re-solve and read by both the
     /// probe-time dead scans and the sweep. Non-join stores use slot 0;
     /// `Span::MAX` marks a side that is never pruned by time.
     spans: Vec<[Span; 2]>,
-    /// Min-heap of `(deadline, node)` for armed nodes.
-    heap: BinaryHeap<Reverse<(Timestamp, u32)>>,
-    /// Whether the node currently has a deadline in the heap.
+    /// Whether the node currently has a prune deadline on the timeline.
     armed: Vec<bool>,
     /// Bitmap of nodes that admitted state since the last batch boundary.
     touched: Vec<u64>,
-    /// Scratch for the nodes drained as due in one batch sweep. Draining
-    /// before pruning guarantees each due node is visited exactly once per
-    /// batch even when its re-armed deadline lands at the watermark again.
-    due: Vec<u32>,
 }
 
-impl SweepQueue {
+impl Sweep {
     /// Marks a node as having admitted state this batch. Called from the
     /// arrival handlers on every admission; two instructions.
     #[inline]
@@ -220,12 +210,10 @@ impl SweepQueue {
         self.touched.resize(len.div_ceil(64), 0);
     }
 
-    /// Drops all armed deadlines and touched bits (engine reset).
+    /// Disarms every node and clears the touched bits (engine reset).
     fn clear_runtime(&mut self) {
-        self.heap.clear();
         self.armed.iter_mut().for_each(|a| *a = false);
         self.touched.iter_mut().for_each(|w| *w = 0);
-        self.due.clear();
     }
 }
 
@@ -239,13 +227,11 @@ impl Engine {
             catalog,
             rt: Runtime {
                 states: Vec::new(),
-                pseudo: PseudoQueue::new(),
-                clock: Timestamp::ZERO,
-                seq: 0,
+                timeline: Timeline::default(),
                 stats: EngineStats::default(),
                 work: Vec::new(),
                 obs: ObsState::new(config.observe, config.flight_capacity),
-                sweep: SweepQueue::default(),
+                sweep: Sweep::default(),
                 keys: KeyMemo::default(),
             },
             rule_enabled: Vec::new(),
@@ -310,7 +296,9 @@ impl Engine {
     /// observation loop (DESIGN.md §13). Observations must arrive in
     /// non-decreasing timestamp order (the middleware's stream order), and
     /// each is handled exactly as the paper prescribes: due pseudo events
-    /// first, then leaf activation and upward propagation. Firings and
+    /// first, then leaf activation and upward propagation. A read behind
+    /// the clock is not matched: it is counted in
+    /// [`EngineStats::late_rejected`] instead of `events`. Firings and
     /// their order do not depend on how a stream is cut into batches; the
     /// per-event overheads are amortized over each one:
     ///
@@ -318,11 +306,11 @@ impl Engine {
     ///   per batch;
     /// * leaf dispatch resolves the compiled reader row once per
     ///   contiguous same-reader run;
-    /// * the pseudo-event queue is peeked only when the cached earliest
-    ///   execution time says something can actually be due;
-    /// * buffers are pruned by next-expiry deadlines ([`SweepQueue`])
-    ///   checked once at the batch boundary, so quiescent nodes are never
-    ///   visited.
+    /// * whether anything is due before an observation is one comparison
+    ///   against the timeline's cached head;
+    /// * prune deadlines share that timeline but are deferred to the batch
+    ///   boundary, where only the nodes whose deadline the watermark passed
+    ///   are pruned; quiescent nodes are never visited.
     ///
     /// Batch size therefore moves sweep *timing* (`sweeps`/`sweeps_skipped`
     /// and the per-node prune counters), which is firing-neutral: matching
@@ -335,10 +323,6 @@ impl Engine {
         self.program();
         self.rt.stats.batches_processed += 1;
         let full = self.rt.obs.level.full();
-        // Cached earliest pending pseudo execution time; refreshed after
-        // anything that can schedule or consume pseudo events, so the
-        // per-event cost is one comparison instead of a heap peek.
-        let mut next_pseudo = self.rt.pseudo.next_exec();
         let mut i = 0;
         while i < batch.len() {
             // The compiled dispatch row depends only on the reader: resolve
@@ -350,15 +334,13 @@ impl Engine {
             while j < batch.len() && batch[j].reader == reader {
                 let obs = batch[j];
                 j += 1;
-                debug_assert!(obs.at >= self.rt.clock, "observations must be time-ordered");
-                let obs_t0 = full.then(std::time::Instant::now);
-                if next_pseudo.is_some_and(|t| t < obs.at) {
-                    while let Some(ev) = self.rt.pseudo.pop_due(obs.at) {
-                        self.fire_pseudo(ev, sink);
-                    }
-                    next_pseudo = self.rt.pseudo.next_exec();
+                if self.rt.timeline.is_late(obs.at) {
+                    self.rt.stats.late_rejected += 1;
+                    continue;
                 }
-                self.rt.clock = self.rt.clock.max(obs.at);
+                let obs_t0 = full.then(std::time::Instant::now);
+                self.fire_due(Some(obs.at), sink);
+                self.rt.timeline.advance(obs.at);
                 self.rt.stats.events += 1;
                 if can_match {
                     // Matched leaves collect in an inline fixed-capacity
@@ -370,7 +352,6 @@ impl Engine {
                     if !hits.is_empty() {
                         self.rt.activate_leaves(obs, hits.iter().copied());
                         self.run_work(sink);
-                        next_pseudo = self.rt.pseudo.next_exec();
                     }
                 }
                 if let Some(t0) = obs_t0 {
@@ -406,27 +387,32 @@ impl Engine {
     /// and open `TSEQ+` runs resolve as if time advanced past them.
     pub fn finish(&mut self, sink: &mut Sink<'_>) {
         self.program();
-        while let Some(ev) = self.rt.pseudo.pop_any() {
-            self.rt.clock = self.rt.clock.max(ev.exec);
-            self.fire_pseudo(ev, sink);
-        }
+        self.fire_due(None, sink);
     }
 
     /// Advances the clock to `now`, executing due pseudo events, without
     /// feeding an observation (heartbeat for quiet streams).
     pub fn advance_to(&mut self, now: Timestamp, sink: &mut Sink<'_>) {
         self.program();
-        while let Some(ev) = self.rt.pseudo.pop_due(now) {
-            self.fire_pseudo(ev, sink);
+        self.fire_due(Some(now), sink);
+        self.rt.timeline.advance(now);
+    }
+
+    /// Fires every pseudo event due strictly before `before`, or every one
+    /// at all when it is `None` (end of stream), in `(at, seq)` order — the
+    /// one loop behind the observation, heartbeat and end-of-stream paths.
+    #[inline]
+    fn fire_due(&mut self, before: Option<Timestamp>, sink: &mut Sink<'_>) {
+        while let Some(deadline) = self.rt.timeline.pop_due(before) {
+            self.fire_pseudo(deadline, sink);
         }
-        self.rt.clock = self.rt.clock.max(now);
     }
 
     /// Counters, including buffered-capacity drops and the negation-history
     /// key gauge.
     pub fn stats(&self) -> EngineStats {
         let mut s = self.rt.stats;
-        s.pseudo_scheduled = self.rt.pseudo.scheduled;
+        s.pseudo_scheduled = self.rt.timeline.scheduled();
         // As of the last solve, like the state the other counters describe.
         s.plan_nodes = self.program.plan().node_count() as u64;
         s.plan_arena_bytes = self.program.plan().arena_bytes() as u64;
@@ -534,9 +520,7 @@ impl Engine {
     pub fn reset(&mut self) {
         self.rt.states.clear();
         self.sync_states();
-        self.rt.pseudo = PseudoQueue::new();
-        self.rt.clock = Timestamp::ZERO;
-        self.rt.seq = 0;
+        self.rt.timeline = Timeline::default();
         self.rt.stats = EngineStats::default();
         self.rt.obs.reset();
         self.rt.sweep.clear_runtime();
@@ -568,7 +552,7 @@ impl Engine {
         let ops = ops.collect();
         TelemetrySnapshot {
             label: "engine".to_owned(),
-            clock_ms: self.rt.clock.as_millis(),
+            clock_ms: self.rt.timeline.clock().as_millis(),
             stats: self.stats(),
             ops,
             nodes: self.rt.obs.arena.clone(),
@@ -585,7 +569,7 @@ impl Engine {
 
     /// The engine clock (timestamp of the last consumed event).
     pub fn clock(&self) -> Timestamp {
-        self.rt.clock
+        self.rt.timeline.clock()
     }
 
     /// Follows the holders from the plan `prior` to the current one. State
@@ -642,36 +626,31 @@ impl Engine {
         }
     }
 
-    fn fire_pseudo(&mut self, ev: PseudoEvent, sink: &mut Sink<'_>) {
+    fn fire_pseudo(&mut self, deadline: Deadline, sink: &mut Sink<'_>) {
         self.rt.stats.pseudo_fired += 1;
-        self.rt.clock = self.rt.clock.max(ev.exec);
-        match ev.action {
-            PseudoAction::CloseRun { node } => {
+        match deadline.due {
+            Due::CloseRun { node } => {
                 let mut rearm = None;
                 let run = match &mut self.rt.states[node.idx()] {
                     NodeState::TimedRun(run) if run.armed => {
-                        if ev.exec == run.close_exec && ev.seq == run.close_seq {
+                        if deadline.at == run.close_exec && deadline.seq == run.close_seq {
                             run.armed = false;
                             run.open.take_all()
                         } else {
                             // Stale: the run advanced after this closure was
                             // armed. Push it back at the recorded position —
-                            // the exact `(exec, seq)` a per-element schedule
+                            // the exact `(at, seq)` a per-element schedule
                             // would have used, so ordering is unchanged while
                             // the queue holds one entry per run instead of
                             // one per element.
-                            rearm = Some(PseudoEvent {
-                                exec: run.close_exec,
-                                seq: run.close_seq,
-                                action: PseudoAction::CloseRun { node },
-                            });
+                            rearm = Some((run.close_exec, run.close_seq));
                             Vec::new()
                         }
                     }
                     _ => return,
                 };
-                if let Some(rearmed) = rearm {
-                    self.rt.pseudo.schedule(rearmed);
+                if let Some((at, seq)) = rearm {
+                    self.rt.timeline.schedule(at, seq, Due::CloseRun { node });
                     return;
                 }
                 if !run.is_empty() {
@@ -680,9 +659,9 @@ impl Engine {
                     self.run_work(sink);
                 }
             }
-            PseudoAction::ResolveWait { node, anchor } => {
+            Due::ResolveWait { node } => {
                 let entry = match &mut self.rt.states[node.idx()] {
-                    NodeState::Wait(w) => w.waiting.remove(&anchor),
+                    NodeState::Wait(w) => w.waiting.remove(&deadline.seq),
                     _ => None,
                 };
                 let Some(entry) = entry else { return };
@@ -717,6 +696,7 @@ impl Engine {
                     self.run_work(sink);
                 }
             }
+            Due::Prune { .. } => unreachable!("prune deadlines wait for the batch boundary"),
         }
     }
 
@@ -755,7 +735,7 @@ impl Engine {
                 if observe.counters() {
                     rt.obs.arena.fired(node_id.idx());
                     if observe.full() {
-                        rt.obs.flight.offer(rule, rt.clock, &inst);
+                        rt.obs.flight.offer(rule, rt.timeline.clock(), &inst);
                     }
                 }
             }
@@ -780,7 +760,7 @@ impl Engine {
 
     /// Prunes one node's stores against its retention spans.
     fn prune_node(&mut self, idx: usize) {
-        let clock = self.rt.clock;
+        let clock = self.rt.timeline.clock();
         let [s0, s1] = self.rt.sweep.spans[idx];
         let counters = self.rt.obs.level.counters();
         match &mut self.rt.states[idx] {
@@ -841,10 +821,11 @@ impl Engine {
 
     /// Batch-boundary sweep: arm a deadline for every node that admitted
     /// state this batch, then prune exactly the nodes whose deadline the
-    /// batch watermark passed. A batch that crosses no deadline prunes
-    /// nothing and touches no node state at all (`sweeps_skipped`).
+    /// batch watermark passed — those the batch's observations popped off
+    /// the timeline, and those armed already behind the watermark. A batch
+    /// that crosses no deadline prunes nothing and touches no node state
+    /// at all (`sweeps_skipped`).
     fn batch_sweep(&mut self) {
-        let watermark = self.rt.clock;
         for w in 0..self.rt.sweep.touched.len() {
             let mut bits = std::mem::take(&mut self.rt.sweep.touched[w]);
             while bits != 0 {
@@ -857,7 +838,7 @@ impl Engine {
                 match self.node_deadline(idx) {
                     Some(d) => {
                         self.rt.sweep.armed[idx] = true;
-                        self.rt.sweep.heap.push(Reverse((d, idx as u32)));
+                        self.rt.timeline.arm_prune(d, NodeId(idx as u32));
                     }
                     None => {
                         // No finite deadline, but a join with an unbounded
@@ -872,34 +853,23 @@ impl Engine {
                 }
             }
         }
-        // Collect everything due before pruning: pruning re-arms nodes,
-        // and a re-armed deadline can land at the watermark again (equal
-        // timestamps); draining first visits each node once per batch.
-        let mut due = std::mem::take(&mut self.rt.sweep.due);
-        while let Some(&Reverse((d, idx))) = self.rt.sweep.heap.peek() {
-            // Strictly before: at `d == watermark` nothing is dead yet
-            // (`dead_before` is exclusive), so the deadline keeps waiting.
-            if d >= watermark {
-                break;
-            }
-            self.rt.sweep.heap.pop();
-            due.push(idx);
-        }
+        // A node re-armed below waits for a later boundary even when its
+        // new deadline is already behind the watermark (`end_sweep` keeps
+        // it deferred), so each node is visited at most once per batch.
+        let due = self.rt.timeline.begin_sweep();
         if due.is_empty() {
             self.rt.stats.sweeps_skipped += 1;
         } else {
             self.rt.stats.sweeps += 1;
-            for &n in &due {
-                let idx = n as usize;
-                self.prune_node(idx);
-                match self.node_deadline(idx) {
-                    Some(d) => self.rt.sweep.heap.push(Reverse((d, n))),
-                    None => self.rt.sweep.armed[idx] = false,
+            for &(_, node) in &due {
+                self.prune_node(node.idx());
+                match self.node_deadline(node.idx()) {
+                    Some(d) => self.rt.timeline.arm_prune(d, node),
+                    None => self.rt.sweep.armed[node.idx()] = false,
                 }
             }
-            due.clear();
         }
-        self.rt.sweep.due = due;
+        self.rt.timeline.end_sweep(due);
     }
 }
 
@@ -937,10 +907,11 @@ impl Runtime {
         let family = plan.family(node.id);
         let within = family.last().expect("a holder is in its family").cutoff;
         let span = self.sweep.spans[node.id.idx()][0];
-        let (dead, cap) = (dead_before(self.clock, span), side_cap(config, span));
+        let (dead, cap) = (
+            dead_before(self.timeline.clock(), span),
+            side_cap(config, span),
+        );
 
-        self.seq += 1;
-        let seq = self.seq;
         self.sweep.touch(node.id);
         if self.obs.level.counters() {
             // One bucket access both probes for a partner and admits the
@@ -954,11 +925,8 @@ impl Runtime {
         let matched = lbuf.take_match_and_push(
             key,
             dead,
-            |e| !Arc::ptr_eq(&e.inst, inst) && pair_ok(kind, within, &e.inst, inst),
-            Entry {
-                inst: inst.clone(),
-                seq,
-            },
+            |e| !Arc::ptr_eq(e, inst) && pair_ok(kind, within, e, inst),
+            inst.clone(),
             cap,
         );
         if self.obs.level.full() {
@@ -966,7 +934,7 @@ impl Runtime {
             self.obs.occupancy.record(occ);
         }
         if let Some(e) = matched {
-            let out = Arc::new(Instance::pair(kind.name(), e.inst, inst.clone()));
+            let out = Arc::new(Instance::pair(kind.name(), e, inst.clone()));
             let reached = family.partition_point(|m| m.cutoff < out.interval());
             let members = family[reached..].iter();
             self.work.extend(members.map(|m| (m.node, out.clone())));
@@ -1120,7 +1088,7 @@ impl Runtime {
         // opposite side can still pair with); an admission is capped
         // exactly when its own side's retention is unbounded.
         let spans = self.sweep.spans[parent.idx()];
-        let dead = dead_before(self.clock, spans[1 - side as usize]);
+        let dead = dead_before(self.timeline.clock(), spans[1 - side as usize]);
         let cap = side_cap(config, spans[side as usize]);
         if self.obs.level.counters() {
             self.obs.arena.probed(parent.idx());
@@ -1135,13 +1103,13 @@ impl Runtime {
             // One physical event can never be both constituents of an
             // occurrence (same-pattern children deliver the same Arc to
             // both sides).
-            if Arc::ptr_eq(&e.inst, inst) {
+            if Arc::ptr_eq(e, inst) {
                 return false;
             }
             if side == 0 {
-                pair_ok(kind, within, inst, &e.inst)
+                pair_ok(kind, within, inst, e)
             } else {
-                pair_ok(kind, within, &e.inst, inst)
+                pair_ok(kind, within, e, inst)
             }
         });
         match matched {
@@ -1149,24 +1117,19 @@ impl Runtime {
                 // Retire every buffered copy of both constituents: with
                 // same-pattern children under different windows an
                 // instance can sit in both side buffers.
-                own.remove_ptr_eq(key, &e.inst);
+                own.remove_ptr_eq(key, &e);
                 // `inst` is not in `own`: only `None` below admits it, once per side.
                 other.remove_ptr_eq(key, inst);
                 let children = if side == 0 {
-                    vec![inst.clone(), e.inst]
+                    vec![inst.clone(), e]
                 } else {
-                    vec![e.inst, inst.clone()]
+                    vec![e, inst.clone()]
                 };
                 let out = Arc::new(Instance::composite(kind.name(), children));
                 self.work.push((parent, out));
             }
             None => {
-                self.seq += 1;
-                let entry = Entry {
-                    inst: inst.clone(),
-                    seq: self.seq,
-                };
-                own.push(key, entry, cap);
+                own.push(key, inst.clone(), cap);
                 self.sweep.touch(parent);
                 if self.obs.level.counters() {
                     self.obs.arena.admitted(parent.idx());
@@ -1310,8 +1273,7 @@ impl Runtime {
         let within = node.within;
         // Claim this arrival's sequence number up front: it marks where
         // the run's closure now belongs in pseudo-event order.
-        self.seq += 1;
-        let close_seq = self.seq;
+        let close_seq = self.timeline.next_seq();
         let close_exec = inst.t_end() + max_gap;
         let NodeState::TimedRun(run) = &mut self.states[parent.idx()] else {
             unreachable!("timed-run state");
@@ -1357,11 +1319,8 @@ impl Runtime {
             self.obs.occupancy.record(run.open.len() as u64);
         }
         if arm {
-            self.pseudo.schedule(PseudoEvent {
-                exec: close_exec,
-                seq: close_seq,
-                action: PseudoAction::CloseRun { node: parent },
-            });
+            let due = Due::CloseRun { node: parent };
+            self.timeline.schedule(close_exec, close_seq, due);
         }
         if let Some(run) = closed {
             let out = Arc::new(Instance::composite("TSEQ+", run));
@@ -1396,7 +1355,8 @@ impl Runtime {
         let not_child = plan.holder(node.children[not_side as usize]);
         let kind_name = node.kind.name();
 
-        let past_end = self.clock.min(to);
+        let clock = self.timeline.clock();
+        let past_end = clock.min(to);
         if from <= past_end {
             if self.obs.level.counters() {
                 self.obs.arena.probed(node.id.idx());
@@ -1409,7 +1369,7 @@ impl Runtime {
                 return;
             }
         }
-        if to <= self.clock {
+        if to <= clock {
             // Whole window already elapsed (lagged push-side delivery).
             let absence = Arc::new(Instance::absence(from, to));
             let children = if not_side == 0 {
@@ -1421,8 +1381,7 @@ impl Runtime {
                 .push((node.id, Arc::new(Instance::composite(kind_name, children))));
             return;
         }
-        self.seq += 1;
-        let anchor = self.seq;
+        let anchor = self.timeline.next_seq();
         let NodeState::Wait(w) = &mut self.states[node.id.idx()] else {
             unreachable!("wait state");
         };
@@ -1438,14 +1397,8 @@ impl Runtime {
         if self.obs.level.counters() {
             self.obs.arena.admitted(node.id.idx());
         }
-        self.pseudo.schedule(PseudoEvent {
-            exec: to,
-            seq: anchor,
-            action: PseudoAction::ResolveWait {
-                node: node.id,
-                anchor,
-            },
-        });
+        let due = Due::ResolveWait { node: node.id };
+        self.timeline.schedule(to, anchor, due);
     }
 }
 

@@ -7,20 +7,22 @@
 //!
 //! The pipeline:
 //!
-//! 1. [`program`] compiles a set of [`rfid_events::EventExpr`] rule events:
-//!    [`graph`] merges them into one shared event graph — propagating
+//! 1. `program` compiles a set of [`rfid_events::EventExpr`] rule events:
+//!    `graph` merges them into one shared event graph — propagating
 //!    `WITHIN` interval constraints top-down, merging common subgraphs
 //!    (hash-consing), deriving each node's *detection mode* (push / pull /
 //!    mixed), extracting correlation join specs from shared variables, and
 //!    rejecting *invalid rules* whose root could never be detected — then
-//!    [`bounds`] solves the retention intervals and [`plan`] lowers the
+//!    `bounds` solves the retention intervals and `plan` lowers the
 //!    graph to flat arenas;
-//! 2. [`state`] holds the per-node runtime state: chronicle-context FIFO
+//! 2. `state` holds the per-node runtime state: chronicle-context FIFO
 //!    buffers partitioned by correlation key, negation/aperiodic histories,
 //!    open `TSEQ+` runs, and anchored negation waits;
-//! 3. [`pseudo`] is the sorted pseudo-event queue; the [`engine`] driver
-//!    always consumes the earlier of (incoming observation, due pseudo
-//!    event), exactly as §4.5 prescribes;
+//! 3. `timeline` holds the clock, the sequence counter and one queue of
+//!    every deadline — pseudo events and the sweep's prune deadlines; the
+//!    [`engine`] driver always consumes the earlier of (incoming
+//!    observation, due pseudo event), exactly as §4.5 prescribes, and
+//!    rejects a read behind the clock;
 //! 4. [`engine`] wires it together and reports occurrences to a sink.
 //!
 //! ```
@@ -56,20 +58,20 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod bounds;
+mod bounds;
 pub mod engine;
-pub mod error;
+mod error;
 pub mod explain;
-pub mod graph;
-pub mod key;
-pub mod obs;
-pub mod plan;
-pub mod program;
-pub mod pseudo;
-pub mod shard;
-pub mod state;
-pub mod stats;
-pub mod subsume;
+mod graph;
+mod key;
+mod obs;
+mod plan;
+mod program;
+mod shard;
+mod state;
+mod stats;
+mod subsume;
+mod timeline;
 
 pub use analyze::{DiagCode, Diagnostic, Severity};
 pub use bounds::{Bounds, NodeBounds};
@@ -81,6 +83,6 @@ pub use obs::{
 };
 pub use plan::{CompiledPlan, EdgeOp, InlineBuf, Member};
 pub use program::{Program, RuleEvent};
-pub use shard::{ShardConfig, Shardability, ShardedEngine};
+pub use shard::{ResidualReason, ShardConfig, Shardability, ShardedEngine};
 pub use stats::EngineStats;
 pub use subsume::{subsumes, Subsumption};

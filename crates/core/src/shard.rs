@@ -48,7 +48,7 @@
 //!    [`ShardedEngine::finish`] barriers, merged in stable `(t_end,
 //!    partition, seq)` order, together with the merged [`EngineStats`]. A
 //!    barrier reaches every partition, subscribed to the recent stream or
-//!    not, and `finish` drains every pseudo-event queue, so `NOT`/`TSEQ+`
+//!    not, and `finish` drains every partition's timeline, so `NOT`/`TSEQ+`
 //!    windows resolve exactly as they do single-threaded.
 //!
 //! A panic inside a partition's engine is caught on its pool thread and
@@ -1212,6 +1212,45 @@ mod tests {
         assert!(partition(&catalog, &[], 4).is_empty());
     }
 
+    /// A partition's panic on a pool thread comes back on the coordinator
+    /// with its own message, and the engine still drops cleanly: every pool
+    /// thread is joined. The panic is planted by emptying one partition's
+    /// rule map, so its first firing indexes out of bounds.
+    #[test]
+    fn a_partition_panic_resurfaces_on_the_coordinator() {
+        let mut catalog = Catalog::new();
+        catalog.readers.register("r1", "g", "dock");
+        let reader = catalog.reader("r1").expect("registered");
+        let config = ShardConfig {
+            shards: 1,
+            residual_workers: 1,
+            ..ShardConfig::default()
+        };
+        let mut engine = ShardedEngine::new(catalog, config);
+        let rule = EventExpr::observation_at("r1").within(Span::from_secs(1));
+        engine.add_rule("every read", rule).unwrap();
+        engine.ensure_started();
+        let pool = &engine.runtime.as_ref().expect("started").pool;
+        lock(&pool.parts[0].work)
+            .as_mut()
+            .expect("running")
+            .map
+            .clear();
+        let raised = catch_unwind(AssertUnwindSafe(|| {
+            let epc = rfid_epc::Gid96::new(1, 1, 1).unwrap().into();
+            engine.process(Observation::new(reader, epc, Timestamp::ZERO));
+            engine.finish(&mut |_, _| {});
+        }));
+        let payload = raised.expect_err("the partition's firing must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .expect("the panic carries a message");
+        assert!(message.contains("index out of bounds"), "got `{message}`");
+        drop(engine);
+    }
+
     #[test]
     fn routing_is_total_and_stable() {
         use rfid_epc::Gid96;
@@ -1223,5 +1262,135 @@ mod tests {
                 assert_eq!(s, shard_of(&epc, n), "stable per object");
             }
         }
+    }
+
+    /// The shapes of `analysis_classifies_canonical_shapes`, plus one whose
+    /// verdict depends on node numbering.
+    fn canonical_shapes() -> Vec<(EventExpr, Shardability)> {
+        let any = EventExpr::observation;
+        let at = EventExpr::observation_at;
+        let keyless = Shardability::Residual(ResidualReason::KeylessJoin);
+        vec![
+            (
+                any()
+                    .bind_reader("r")
+                    .bind_object("o")
+                    .seq(any().bind_reader("r").bind_object("o"))
+                    .within(Span::from_secs(5)),
+                Shardability::Object,
+            ),
+            (
+                any()
+                    .bind_object("o")
+                    .not()
+                    .seq(any().bind_object("o"))
+                    .within(Span::from_secs(30)),
+                Shardability::Object,
+            ),
+            (at("r0").seq(at("r1")).within(Span::from_secs(10)), keyless),
+            (
+                any()
+                    .bind_reader("r")
+                    .seq(any().bind_reader("r"))
+                    .within(Span::from_secs(10)),
+                keyless,
+            ),
+            (
+                at("r0")
+                    .tseq_plus(Span::ZERO, Span::from_secs(1))
+                    .within(Span::from_secs(60)),
+                Shardability::Residual(ResidualReason::GlobalRun),
+            ),
+            (
+                at("r0").or(at("r1")).within(Span::from_secs(5)),
+                Shardability::Object,
+            ),
+            // A keyless join numbered before a run in its own graph but after
+            // it in a graph that already holds the run: the first reason found
+            // must not depend on who else is in the program.
+            (
+                at("r0")
+                    .seq(at("r1"))
+                    .seq(at("r0").tseq_plus(Span::ZERO, Span::from_secs(1)))
+                    .within(Span::from_secs(60)),
+                keyless,
+            ),
+        ]
+    }
+
+    /// Shardability read off the merged coordinator program is the verdict
+    /// each rule gets alone.
+    #[test]
+    fn merged_shardability_is_the_per_rule_verdict() {
+        let shapes = canonical_shapes();
+        let rule = |e: &EventExpr| RuleEvent::new("r", "rule", e.clone());
+        let merged = Program::compile(None, shapes.iter().map(|(e, _)| rule(e)));
+        assert_eq!(merged.rules().len(), shapes.len(), "every shape is valid");
+        for (i, (event, expected)) in shapes.iter().enumerate() {
+            let alone = Program::compile(None, [rule(event)]);
+            let verdict = shardability(alone.graph(), alone.roots()[0]);
+            assert_eq!(verdict, *expected, "shape {i} alone");
+            let verdict = shardability(merged.graph(), merged.roots()[i]);
+            assert_eq!(verdict, *expected, "shape {i} in the merged program");
+        }
+    }
+
+    /// Partitioning the coordinator program returns what partitioning a
+    /// graph of just those rules returns, for the `partition_equivalence` rule
+    /// pool over the default deployment (32 readers: 8 shelves, 4 docks, 2 POS
+    /// registers, 2 exits). Weighed by reader fan-out, rule 0's any-reader leaf
+    /// makes it 33, rules 1 and 4 one shelf leaf each 9, rule 3 (docks, POS) 7
+    /// and rule 2 (POS, exits) 5.
+    #[test]
+    fn coordinator_partitions_match_the_per_subset_ones() {
+        use rfid_simulator::{SimConfig, SupplyChain};
+        let shelf = || EventExpr::observation_in_group("shelves");
+        let pos = || EventExpr::observation_in_group("pos");
+        let pool = [
+            EventExpr::observation()
+                .bind_reader("r")
+                .bind_object("o")
+                .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
+                .within(Span::from_secs(5)),
+            shelf()
+                .bind_object("o")
+                .not()
+                .seq(shelf().bind_object("o"))
+                .within(Span::from_secs(2)),
+            pos()
+                .bind_object("o")
+                .and(
+                    EventExpr::observation_in_group("exits")
+                        .bind_object("o")
+                        .not(),
+                )
+                .within(Span::from_secs(3)),
+            EventExpr::observation_in_group("docks")
+                .seq(pos())
+                .within(Span::from_secs(10)),
+            shelf()
+                .tseq_plus(Span::ZERO, Span::from_millis(1_500))
+                .within(Span::from_secs(30)),
+        ];
+        let catalog = SupplyChain::build(SimConfig::default()).catalog;
+        let rules = pool.iter().map(|e| RuleEvent::new("r", "rule", e.clone()));
+        let program = Program::compile(Some(&catalog), rules);
+        let partition = |rules: &[u32], max_parts| -> Vec<Vec<u32>> {
+            let rules: Vec<RuleId> = rules.iter().copied().map(RuleId).collect();
+            let parts = partition_rules(&program, &catalog, &rules, max_parts);
+            let ids = |part: Vec<RuleId>| part.into_iter().map(|r| r.0).collect();
+            parts.into_iter().map(ids).collect()
+        };
+        let all = [0, 1, 2, 3, 4];
+        assert_eq!(partition(&all, 1), [vec![0, 1, 2, 3, 4]]);
+        assert_eq!(partition(&all, 2), [vec![0], vec![1, 2, 3, 4]]);
+        assert_eq!(partition(&all, 3), [vec![0], vec![1, 3], vec![2, 4]]);
+        assert_eq!(partition(&all, 4), [vec![0], vec![1], vec![4], vec![2, 3]]);
+        let singletons = [vec![0], vec![1], vec![4], vec![3], vec![2]];
+        assert_eq!(partition(&all, 5), singletons);
+        // The residual rules alone, read off the whole program.
+        assert_eq!(partition(&[3, 4], 1), [vec![3, 4]]);
+        assert_eq!(partition(&[3, 4], 2), [vec![4], vec![3]]);
+        assert_eq!(partition(&[3, 4], 3), [vec![4], vec![3]]);
     }
 }

@@ -68,11 +68,6 @@ impl<T: Default> SlotTable<T> {
         self.index.len()
     }
 
-    /// Whether no key is live.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// The slot of `key`, if it is live.
     #[inline]
     pub fn find(&self, hash: u64, key: &Key) -> Option<u32> {
@@ -185,16 +180,6 @@ impl<T: Default> SlotTable<T> {
         live.sort_by_key(|&(t, _)| t);
         self.log = live.into();
     }
-}
-
-/// A buffered instance with its admission sequence number (FIFO tie-break
-/// and wait anchor).
-#[derive(Debug, Clone)]
-pub struct Entry {
-    /// The buffered instance.
-    pub inst: Arc<Instance>,
-    /// Global admission counter value.
-    pub seq: u64,
 }
 
 /// Entries a per-key join queue holds without touching the heap. Chronicle
@@ -346,7 +331,7 @@ pub struct KeyedBuffer {
     /// Per-key queues; one expiry-log record `(t_end, slot)` per admitted
     /// entry, in admission order. Entries consumed by a chronicle take
     /// leave their record stale in the log.
-    table: SlotTable<MicroDeque<Entry>>,
+    table: SlotTable<MicroDeque<Arc<Instance>>>,
     len: usize,
     /// Instances evicted by the unbounded-buffer cap (reported in stats).
     pub dropped: u64,
@@ -354,12 +339,9 @@ pub struct KeyedBuffer {
 
 /// Drops the leading entries of `q` that ended before `dead_before` (they
 /// can never match again); returns how many.
-fn drop_dead_prefix(q: &mut MicroDeque<Entry>, dead_before: Timestamp) -> usize {
+fn drop_dead_prefix(q: &mut MicroDeque<Arc<Instance>>, dead_before: Timestamp) -> usize {
     let mut dropped = 0;
-    while q
-        .front()
-        .is_some_and(|front| front.inst.t_end() < dead_before)
-    {
+    while q.front().is_some_and(|front| front.t_end() < dead_before) {
         q.pop_front();
         dropped += 1;
     }
@@ -372,11 +354,6 @@ impl KeyedBuffer {
         self.len
     }
 
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Distinct correlation keys currently indexed (reported in stats).
     pub fn key_count(&self) -> usize {
         self.table.len()
@@ -384,8 +361,8 @@ impl KeyedBuffer {
 
     /// Logs and appends `entry` to the queue of `slot`; evicts the oldest
     /// entry of that key when `cap` is exceeded.
-    fn admit(&mut self, slot: u32, entry: Entry, cap: usize) {
-        self.table.log(entry.inst.t_end(), slot);
+    fn admit(&mut self, slot: u32, entry: Arc<Instance>, cap: usize) {
+        self.table.log(entry.t_end(), slot);
         let q = self.table.value_mut(slot);
         q.push_back(entry);
         self.len += 1;
@@ -398,7 +375,7 @@ impl KeyedBuffer {
 
     /// Appends an entry under a key; evicts the oldest entry of that key
     /// when `cap` is exceeded (only finite for sides with unbounded retention).
-    pub fn push(&mut self, key: &Key, entry: Entry, cap: usize) {
+    pub fn push(&mut self, key: &Key, entry: Arc<Instance>, cap: usize) {
         let slot = self.table.slot_of(key.precomputed_hash(), key);
         self.admit(slot, entry, cap);
     }
@@ -413,10 +390,10 @@ impl KeyedBuffer {
         &mut self,
         key: &Key,
         dead_before: Timestamp,
-        pred: impl FnMut(&Entry) -> bool,
-        entry: Entry,
+        pred: impl FnMut(&Arc<Instance>) -> bool,
+        entry: Arc<Instance>,
         cap: usize,
-    ) -> Option<Entry> {
+    ) -> Option<Arc<Instance>> {
         let slot = self.table.slot_of(key.precomputed_hash(), key);
         let taken = self.take_from(slot, dead_before, pred);
         self.admit(slot, entry, cap);
@@ -429,8 +406,8 @@ impl KeyedBuffer {
         &mut self,
         slot: u32,
         dead_before: Timestamp,
-        pred: impl FnMut(&Entry) -> bool,
-    ) -> Option<Entry> {
+        pred: impl FnMut(&Arc<Instance>) -> bool,
+    ) -> Option<Arc<Instance>> {
         let q = self.table.value_mut(slot);
         self.len -= drop_dead_prefix(q, dead_before);
         let pos = q.iter().position(pred)?;
@@ -445,8 +422,8 @@ impl KeyedBuffer {
         &mut self,
         key: &Key,
         dead_before: Timestamp,
-        pred: impl FnMut(&Entry) -> bool,
-    ) -> Option<Entry> {
+        pred: impl FnMut(&Arc<Instance>) -> bool,
+    ) -> Option<Arc<Instance>> {
         let slot = self.table.find(key.precomputed_hash(), key)?;
         self.take_from(slot, dead_before, pred)
     }
@@ -459,7 +436,7 @@ impl KeyedBuffer {
         if let Some(slot) = self.table.find(key.precomputed_hash(), key) {
             let q = self.table.value_mut(slot);
             let before = q.len();
-            q.retain(|e| !Arc::ptr_eq(&e.inst, inst));
+            q.retain(|e| !Arc::ptr_eq(e, inst));
             self.len -= before - q.len();
         }
     }
@@ -481,7 +458,7 @@ impl KeyedBuffer {
         // the rebuild amortized O(1) per admission.
         if self.table.log_len() > self.len * 2 + 32 {
             self.table.rebuild_log(self.len, |q, record| {
-                q.iter().for_each(|e| record(e.inst.t_end()));
+                q.iter().for_each(|e| record(e.t_end()));
             });
         }
     }
@@ -926,11 +903,6 @@ impl AperiodicState {
         self.hist.len()
     }
 
-    /// Whether the history is empty.
-    pub fn is_empty(&self) -> bool {
-        self.hist.is_empty()
-    }
-
     /// End-time of the oldest retained occurrence (the history is exact,
     /// so unlike the keyed logs this is never stale).
     pub fn oldest_logged(&self) -> Option<Timestamp> {
@@ -950,8 +922,8 @@ pub const RUN_INLINE: usize = 12;
 /// Closure scheduling is re-armed rather than re-scheduled: at most one
 /// pseudo event per node sits in the queue, and `close_exec`/`close_seq`
 /// record where the closure *currently* belongs. A popped closure whose
-/// `(exec, seq)` no longer matches is stale (the run was extended) and is
-/// pushed back at the recorded position — the exact `(exec, seq)` the
+/// `(at, seq)` no longer matches is stale (the run was extended) and is
+/// pushed back at the recorded position — the exact `(at, seq)` the
 /// per-arrival scheme would have used, so ordering is unchanged while the
 /// queue holds one entry per run instead of one per element.
 #[derive(Debug, Default, Clone)]
@@ -1044,34 +1016,29 @@ mod tests {
         )))
     }
 
-    fn entry(ms: u64, seq: u64) -> Entry {
-        Entry {
-            inst: inst(ms),
-            seq,
-        }
+    fn ms(t: u64) -> Timestamp {
+        Timestamp::from_millis(t)
     }
 
     #[test]
     fn keyed_buffer_fifo_and_match() {
         let mut buf = KeyedBuffer::default();
         let key = Key::EMPTY;
-        buf.push(&key, entry(100, 1), usize::MAX);
-        buf.push(&key, entry(200, 2), usize::MAX);
-        buf.push(&key, entry(300, 3), usize::MAX);
+        buf.push(&key, inst(100), usize::MAX);
+        buf.push(&key, inst(200), usize::MAX);
+        buf.push(&key, inst(300), usize::MAX);
         assert_eq!(buf.len(), 3);
 
         // Oldest matching wins (chronicle).
         let got = buf
-            .take_oldest_match(&key, Timestamp::ZERO, |e| e.seq >= 2)
+            .take_oldest_match(&key, Timestamp::ZERO, |e| e.t_end() >= ms(200))
             .unwrap();
-        assert_eq!(got.seq, 2);
+        assert_eq!(got.t_end(), ms(200));
         assert_eq!(buf.len(), 2);
 
         // Dead-before discards the stale head before matching.
-        let got = buf
-            .take_oldest_match(&key, Timestamp::from_millis(250), |_| true)
-            .unwrap();
-        assert_eq!(got.seq, 3);
+        let got = buf.take_oldest_match(&key, ms(250), |_| true).unwrap();
+        assert_eq!(got.t_end(), ms(300));
         assert_eq!(buf.len(), 0, "stale head was discarded");
     }
 
@@ -1080,22 +1047,22 @@ mod tests {
         let mut buf = KeyedBuffer::default();
         let key = Key::EMPTY;
         for i in 0..5 {
-            buf.push(&key, entry(i * 100, i), 3);
+            buf.push(&key, inst(i * 100), 3);
         }
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.dropped, 2);
         let got = buf
             .take_oldest_match(&key, Timestamp::ZERO, |_| true)
             .unwrap();
-        assert_eq!(got.seq, 2, "entries 0 and 1 were evicted");
+        assert_eq!(got.t_end(), ms(200), "entries 0 and 1 were evicted");
     }
 
     #[test]
     fn keyed_buffer_prune_across_keys() {
         let mut buf = KeyedBuffer::default();
-        buf.push(&Key::EMPTY, entry(100, 1), usize::MAX);
+        buf.push(&Key::EMPTY, inst(100), usize::MAX);
         let other_key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(7))]);
-        buf.push(&other_key, entry(900, 2), usize::MAX);
+        buf.push(&other_key, inst(900), usize::MAX);
         buf.prune(Timestamp::from_millis(500));
         assert_eq!(buf.len(), 1);
     }
@@ -1110,7 +1077,7 @@ mod tests {
         // stale while `len` drops to zero.
         for i in 0..33u64 {
             let key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i as u32))]);
-            buf.push(&key, entry(100 + i, i), usize::MAX);
+            buf.push(&key, inst(100 + i), usize::MAX);
             let taken = buf.take_oldest_match(&key, Timestamp::ZERO, |_| true);
             assert!(taken.is_some());
         }
@@ -1125,7 +1092,7 @@ mod tests {
         let mut at_threshold = KeyedBuffer::default();
         for i in 0..32u64 {
             let key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i as u32))]);
-            at_threshold.push(&key, entry(100 + i, i), usize::MAX);
+            at_threshold.push(&key, inst(100 + i), usize::MAX);
             at_threshold.take_oldest_match(&key, Timestamp::ZERO, |_| true);
         }
         at_threshold.prune(Timestamp::ZERO);
@@ -1143,7 +1110,7 @@ mod tests {
         // Live entries are preserved (and re-sorted) by compaction.
         let key = Key::EMPTY;
         for i in 0..40u64 {
-            buf.push(&key, entry(1000 + i, i), usize::MAX);
+            buf.push(&key, inst(1000 + i), usize::MAX);
         }
         for _ in 0..30 {
             buf.take_oldest_match(&key, Timestamp::ZERO, |_| true);
@@ -1168,11 +1135,11 @@ mod tests {
         let mut buf = KeyedBuffer::default();
         let k1 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(1))]);
         let k2 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(2))]);
-        buf.push(&k1, entry(100, 1), usize::MAX);
+        buf.push(&k1, inst(100), usize::MAX);
         buf.prune(Timestamp::from_millis(500));
         assert_eq!((buf.len(), buf.key_count()), (0, 0));
         // k2 reuses k1's slot; matching under k1 must not see k2's entry.
-        buf.push(&k2, entry(900, 2), usize::MAX);
+        buf.push(&k2, inst(900), usize::MAX);
         assert_eq!(buf.key_count(), 1);
         assert!(buf
             .take_oldest_match(&k1, Timestamp::ZERO, |_| true)
@@ -1247,7 +1214,7 @@ mod tests {
                 table.release(hash_of(k), slot);
             }
         }
-        assert!(table.is_empty());
+        assert_eq!(table.len(), 0);
         assert!(keys
             .iter()
             .enumerate()
@@ -1268,7 +1235,7 @@ mod tests {
             let key = Key::from_parts(&[crate::key::KeyPart::Object(
                 Gid96::new(1, 1, i).unwrap().into(),
             )]);
-            buf.push(&key, entry(i, i), usize::MAX);
+            buf.push(&key, inst(i), usize::MAX);
             neg.record(0, &key, Timestamp::from_millis(i));
             if i % 1000 == 999 {
                 assert_eq!(buf.key_count(), neg.key_count());

@@ -136,6 +136,9 @@ engine_stats! {
     /// Batch-boundary sweep checks that found no due expiry deadline and
     /// therefore pruned nothing and visited no node.
     sweeps_skipped: Counter,
+    /// Observations behind the engine clock, rejected unmatched and not
+    /// counted in `events`.
+    late_rejected: Counter,
 }
 
 impl std::fmt::Display for EngineStats {
@@ -144,7 +147,7 @@ impl std::fmt::Display for EngineStats {
             f,
             "events={} matched={} pseudo={}/{} occurrences={} firings={} drops={} sweeps={} \
              batches={} qdepth={} negkeys={} buffered={} joinkeys={} rworkers={} plan={}n/{}B \
-             rundepth={} spills={} pbatches={} sweepskip={}",
+             rundepth={} spills={} pbatches={} sweepskip={} late={}",
             self.events,
             self.matched_events,
             self.pseudo_fired,
@@ -165,6 +168,7 @@ impl std::fmt::Display for EngineStats {
             self.run_spills,
             self.batches_processed,
             self.sweeps_skipped,
+            self.late_rejected,
         )
     }
 }
@@ -196,6 +200,7 @@ mod tests {
             run_spills: seed + 10,
             batches_processed: seed + 11,
             sweeps_skipped: seed + 12,
+            late_rejected: seed + 13,
         }
     }
 
@@ -299,6 +304,6 @@ mod tests {
             "re-classifying a field is a semantic change: update this test \
              and the EXPERIMENTS.md tables together"
         );
-        assert_eq!(EngineStats::FIELDS.len(), 20);
+        assert_eq!(EngineStats::FIELDS.len(), 21);
     }
 }

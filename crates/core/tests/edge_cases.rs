@@ -252,6 +252,46 @@ fn advance_to_resolves_windows() {
     assert_eq!(fired.get(), 1, "heartbeat resolved the negation");
 }
 
+/// A read behind the engine clock is rejected, not matched: a stream with
+/// one late read fires exactly what it fires without that read, and counts
+/// it in `late_rejected` instead of `events`. A read at exactly the clock
+/// is on time.
+#[test]
+fn a_late_read_is_rejected_and_a_same_instant_read_fires() {
+    let run = |stream: Vec<Observation>| {
+        let mut engine = Engine::new(catalog(2), EngineConfig::default());
+        let event = at("r1")
+            .bind_object("o")
+            .seq(at("r2").bind_object("o"))
+            .within(Span::from_secs(5));
+        engine.add_rule("moved", event).unwrap();
+        let fired = collect(&mut engine, stream);
+        let fired: Vec<(u64, u64)> = fired
+            .iter()
+            .map(|(_, i)| (i.t_begin().as_millis(), i.t_end().as_millis()))
+            .collect();
+        (fired, engine.stats())
+    };
+    let on_time = vec![
+        obs(1, 1, 1_000),
+        obs(1, 3, 2_000),
+        obs(2, 2, 3_000),
+        // At the clock: pairs with the r1 read of object 3.
+        obs(2, 3, 3_000),
+    ];
+    let mut with_late = on_time.clone();
+    // Behind the clock (3 s): matched, it would pair with object 1's read.
+    with_late.insert(3, obs(2, 1, 2_500));
+
+    let (expected, clean) = run(on_time);
+    assert_eq!(expected, [(2_000, 3_000)], "the same-instant read fires");
+    assert_eq!(clean.late_rejected, 0);
+    let (fired, stats) = run(with_late);
+    assert_eq!(fired, expected, "the late read was matched");
+    assert_eq!(stats.late_rejected, 1);
+    assert_eq!(stats.events, clean.events);
+}
+
 /// OR forwards occurrences of either branch and both firings carry the OR
 /// wrapper (stable child indexing for bindings).
 #[test]

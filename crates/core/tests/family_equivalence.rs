@@ -202,7 +202,7 @@ fn five(idx: usize) -> Vec<(usize, u64)> {
 }
 
 /// `nodes` without repeats, first occurrences kept in order.
-fn distinct(nodes: Vec<rceda::graph::NodeId>) -> Vec<rceda::graph::NodeId> {
+fn distinct(nodes: Vec<rceda::NodeId>) -> Vec<rceda::NodeId> {
     let mut out = Vec::new();
     for n in nodes {
         if !out.contains(&n) {
@@ -286,7 +286,7 @@ fn inadmissible_shapes_lower_unshared() {
         assert_eq!(plan.families().count(), 0, "shape {idx}");
         assert!(program.shared_histories().is_empty());
         assert!((0..nodes).all(|n| {
-            let node = rceda::graph::NodeId(n);
+            let node = rceda::NodeId(n);
             plan.holder(node) == node
         }));
     }

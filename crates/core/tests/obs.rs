@@ -394,7 +394,7 @@ fn window_family_probes_land_on_the_holder_and_firings_on_the_members() {
         "{per_rule:?}"
     );
     let snap = engine.telemetry();
-    let node = |n: rceda::graph::NodeId| snap.nodes.node(n.0 as usize);
+    let node = |n: rceda::NodeId| snap.nodes.node(n.0 as usize);
     assert!(node(roots[0]).probes > 0, "the holder probes");
     assert_eq!(node(roots[0]).probes, node(roots[0]).admissions);
     for (rule, &root) in roots.iter().enumerate() {

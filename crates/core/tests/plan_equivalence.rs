@@ -94,42 +94,87 @@ proptest! {
     }
 }
 
-/// `[pseudo_scheduled, pseudo_fired, occurrences]` of one program over the
-/// fixture stream, as recorded from an earlier commit: shapes 0–8 and the
-/// mixed programs at `741f74c` (under both of its executors), the twin-leaf
-/// shapes 9 and 10 at `261f94b`, the composite-terminator shapes 11 and 12
-/// at `b3cde7e` (before their initiators were retired at one distance).
-type Pinned = [u64; 3];
+/// `[pseudo_scheduled, pseudo_fired, occurrences, sweeps, sweeps_skipped]`
+/// of one program over the fixture stream, as recorded from an earlier
+/// commit: the first three of shapes 0–8 and the mixed programs at
+/// `741f74c` (under both of its executors), of the twin-leaf shapes 9 and
+/// 10 at `261f94b`, of the composite-terminator shapes 11 and 12 at
+/// `b3cde7e` (before their initiators were retired at one distance); the
+/// sweep counts at `423a540`, the last commit with a separate sweep heap.
+type Pinned = [u64; 5];
 
 /// Each shape alone, by `[shape][window]`.
 const ALONE: [[Pinned; 3]; SHAPES] = [
-    [[0, 0, 1979], [0, 0, 1979], [0, 0, 2416]],
-    [[0, 0, 1250], [0, 0, 1250], [0, 0, 813]],
-    [[0, 0, 28]; 3],
-    [[0, 0, 231]; 3],
-    [[55, 55, 665]; 3],
-    [[231, 231, 490]; 3],
-    [[0, 0, 930]; 3],
-    [[0, 0, 231]; 3],
-    [[2, 2, 29]; 3],
-    [[0, 0, 3912], [0, 0, 3912], [0, 0, 4349]],
-    [[0, 0, 1898], [0, 0, 1898], [0, 0, 1461]],
-    [[0, 0, 740], [0, 0, 740], [0, 0, 1177]],
-    [[0, 0, 1177]; 3],
+    [
+        [0, 0, 1979, 663, 1270],
+        [0, 0, 1979, 649, 1284],
+        [0, 0, 2416, 532, 1401],
+    ],
+    [
+        [0, 0, 1250, 72, 1861],
+        [0, 0, 1250, 69, 1864],
+        [0, 0, 813, 50, 1883],
+    ],
+    [
+        [0, 0, 28, 27, 1906],
+        [0, 0, 28, 23, 1910],
+        [0, 0, 28, 12, 1921],
+    ],
+    [
+        [0, 0, 231, 198, 1735],
+        [0, 0, 231, 194, 1739],
+        [0, 0, 231, 153, 1780],
+    ],
+    [[55, 55, 665, 0, 1933]; 3],
+    [
+        [231, 231, 490, 27, 1906],
+        [231, 231, 490, 27, 1906],
+        [231, 231, 490, 18, 1915],
+    ],
+    [
+        [0, 0, 930, 27, 1906],
+        [0, 0, 930, 15, 1918],
+        [0, 0, 930, 3, 1930],
+    ],
+    [
+        [0, 0, 231, 198, 1735],
+        [0, 0, 231, 194, 1739],
+        [0, 0, 231, 153, 1780],
+    ],
+    [[2, 2, 29, 0, 1933]; 3],
+    [
+        [0, 0, 3912, 1306, 627],
+        [0, 0, 3912, 1263, 670],
+        [0, 0, 4349, 990, 943],
+    ],
+    [
+        [0, 0, 1898, 72, 1861],
+        [0, 0, 1898, 69, 1864],
+        [0, 0, 1461, 50, 1883],
+    ],
+    [
+        [0, 0, 740, 72, 1861],
+        [0, 0, 740, 129, 1804],
+        [0, 0, 1177, 113, 1820],
+    ],
+    [[0, 0, 1177, 74, 1859]; 3],
 ];
 
 /// Three mixed programs: every shape of the first nine once, the two family
 /// shapes at several windows, and the pseudo-event shapes interleaved.
 fn mixed() -> [(Vec<(usize, usize)>, Pinned); 3] {
     [
-        ((0..9).map(|idx| (idx, idx % 3)).collect(), [288, 288, 5574]),
+        (
+            (0..9).map(|idx| (idx, idx % 3)).collect(),
+            [288, 288, 5574, 733, 1200],
+        ),
         (
             vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 1)],
-            [0, 0, 8465],
+            [0, 0, 8465, 538, 1395],
         ),
         (
             vec![(4, 2), (8, 0), (6, 1), (5, 0), (5, 2), (3, 1), (7, 1)],
-            [519, 519, 2835],
+            [519, 519, 2835, 220, 1713],
         ),
     ]
 }
@@ -139,7 +184,9 @@ fn mixed() -> [(Vec<(usize, usize)>, Pinned); 3] {
 /// closure per run — has no notion of. They stay comparable across
 /// commits instead: a coalesced leaf counts the pops it absorbs
 /// (`extra_pops`) and a window family delivers each emission at every
-/// member it reaches, so sharing must not move them.
+/// member it reaches, so sharing must not move them. The sweep counts
+/// follow the batch boundaries (one observation each here), which the
+/// reference has no notion of either.
 #[test]
 fn counters_are_pinned() {
     let alone = (0..SHAPES).flat_map(|idx| (0..3).map(move |w| (vec![(idx, w)], ALONE[idx][w])));
@@ -149,6 +196,8 @@ fn counters_are_pinned() {
             stats.pseudo_scheduled,
             stats.pseudo_fired,
             stats.occurrences,
+            stats.sweeps,
+            stats.sweeps_skipped,
         ];
         assert_eq!(counted, pinned, "{program:?}");
     }

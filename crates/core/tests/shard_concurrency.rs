@@ -15,7 +15,7 @@
 //! dependencies (no loom).
 
 use rceda::engine::{Engine, EngineConfig, RuleId};
-use rceda::shard::{ShardConfig, ShardedEngine};
+use rceda::{ShardConfig, ShardedEngine};
 use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
 use rfid_simulator::{SimConfig, SupplyChain};
 
@@ -255,29 +255,30 @@ fn finish_is_idempotent_and_stats_survive_join() {
     assert_eq!(crowded.residual_partitions().len(), 4, "four partitions");
 }
 
-/// An engine's panic on a pool thread comes back on the coordinator, with
-/// the engine's own message: a read behind the clock trips
-/// `Engine::process_batch`'s time-order `debug_assert!`. Afterwards the
-/// engine still drops cleanly — every pool thread is joined.
-#[cfg(debug_assertions)]
+/// Reads behind a partition's clock are rejected there, not matched: run
+/// backwards, the stream reaches each partition as often as it does
+/// forwards, and each delivery is either one of the partition's `events`
+/// or one of its `late_rejected`, which sum across partitions alike. (That
+/// a partition's panic comes back on the coordinator is unit-tested in
+/// `shard.rs`.)
 #[test]
-fn an_engine_panic_resurfaces_on_the_coordinator() {
+fn late_reads_are_rejected_on_every_partition() {
     let (sim, stream) = trace(120);
     for config in configs() {
-        let mut engine = sharded(&sim, config);
-        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for &obs in stream.iter().rev() {
-                engine.process(obs);
-            }
+        let delivered = |stream: &mut dyn Iterator<Item = Observation>| {
+            let mut engine = sharded(&sim, config.clone());
+            stream.for_each(|obs| engine.process(obs));
             engine.finish(&mut |_, _| {});
-        }));
-        let payload = raised.expect_err("a decreasing timestamp must panic");
-        let message = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .expect("the engine panics with a message");
-        assert!(message.contains("time-ordered"), "got `{message}`");
-        drop(engine);
+            let per_partition = engine.worker_stats();
+            let late: u64 = per_partition.iter().map(|s| s.late_rejected).sum();
+            let stats = engine.stats();
+            assert_eq!(stats.late_rejected, late);
+            (stats.events, stats.late_rejected)
+        };
+        let (forwards, on_time) = delivered(&mut stream.iter().copied());
+        assert_eq!(on_time, 0);
+        let (events, late) = delivered(&mut stream.iter().rev().copied());
+        assert!(late > 0, "the reversed stream has late reads");
+        assert_eq!(events + late, forwards);
     }
 }

@@ -13,7 +13,7 @@ mod support;
 
 use proptest::prelude::*;
 use rceda::engine::{Engine, EngineConfig, RuleId};
-use rceda::shard::{ResidualReason, ShardConfig, Shardability, ShardedEngine};
+use rceda::{ResidualReason, ShardConfig, Shardability, ShardedEngine};
 use rfid_epc::ReaderId;
 use rfid_events::{Catalog, EventExpr, Instance, Observation, Span, Timestamp};
 use rfid_simulator::{SimConfig, SupplyChain};

@@ -145,6 +145,23 @@ if [[ -n "$stray" ]]; then
     exit 1
 fi
 
+echo "== one timeline (rceda timeline.rs) =="
+# The clock, the sequence counter and every deadline — pseudo events and the
+# sweep's prune deadlines — live in crates/core/src/timeline.rs: one
+# min-queue, and no clock write anywhere else. No second heap beside it, no
+# `clock.max(` or clock-field assignment outside it, no pseudo-event module.
+stray=$({
+    ls crates/core/src/pseudo.rs 2>/dev/null
+    grep -rn 'BinaryHeap' crates/core/src --exclude=timeline.rs
+    grep -rnE 'clock\.max\(|\.clock[[:space:]]*=[^=]' crates/core/src --exclude=timeline.rs
+} || true)
+heaps=$(grep -c 'BinaryHeap<' crates/core/src/timeline.rs 2>/dev/null || true)
+if [[ -n "$stray" || "${heaps:-0}" -gt 1 ]]; then
+    echo "$stray"
+    echo "check.sh: time and deadlines go through one queue in crates/core/src/timeline.rs" >&2
+    exit 1
+fi
+
 echo "== one firing path (rfid_rules::prepared) =="
 # A firing is bound, tested and executed by crates/rules/src/prepared.rs.
 # The by-name interpreter (bind.rs, cond.rs, actions.rs) stays public for the
