@@ -6,11 +6,13 @@
 //!
 //! Its second table is the firing path itself, on the Fig. 9(b) family at
 //! 500 rules (every action a procedure call): bare detection; the floor —
-//! detection plus a sink that only appends each call's name and an
-//! argument `Vec` of its arity to a `Procedures` log; and `RuleRuntime`.
-//! `RuleRuntime`/floor is what binding, conditions and operand evaluation
-//! cost beyond writing the log entries the runtime writes too.
+//! detection plus a sink that only writes each call, by its interned id
+//! and with as many arguments as it has, into a `Procedures` call log as
+//! `RuleRuntime` does; and `RuleRuntime`. `RuleRuntime`/floor is what
+//! binding, conditions and operand evaluation cost beyond writing the log
+//! the runtime writes too.
 
+use std::convert::Infallible;
 use std::time::Instant;
 
 use rceda::{EngineConfig, RuleId};
@@ -19,7 +21,7 @@ use rfid_bench::{
 };
 use rfid_events::{Instance, Observation, Timestamp};
 use rfid_rules::ast::ActionAst;
-use rfid_rules::{parse_script, Procedures, RuleRuntime};
+use rfid_rules::{parse_script, ProcId, Procedures, RuleRuntime};
 use rfid_simulator::SimConfig;
 use rfid_store::{Database, Value};
 
@@ -130,17 +132,25 @@ fn calls_by_rule(script: &str) -> Vec<Vec<(String, usize)>> {
 }
 
 /// Detection with a sink that logs each firing's calls as `RuleRuntime`
-/// logs them (the name and an argument `Vec`), without binding or
-/// evaluating anything. Elapsed ms.
+/// logs them (an id interned before the stream, the arguments written into
+/// the call log), without binding or evaluating anything. Elapsed ms.
 fn time_floor_pass(
     engine: &mut rceda::Engine,
     stream: &[Observation],
     calls: &[Vec<(String, usize)>],
 ) -> f64 {
     let mut procs = Procedures::new();
+    let calls: Vec<Vec<(ProcId, usize)>> = calls
+        .iter()
+        .map(|rule| {
+            let intern = |(name, arity): &(String, usize)| (procs.intern(name), *arity);
+            rule.iter().map(intern).collect()
+        })
+        .collect();
     let mut sink = |rule: RuleId, _: &Instance| {
-        for (name, arity) in &calls[rule.0 as usize] {
-            procs.invoke(name, vec![Value::Null; *arity]);
+        for &(id, arity) in &calls[rule.0 as usize] {
+            let args = (0..arity).map(|_| Ok::<_, Infallible>(Value::Null));
+            let Ok(()) = procs.call(id, args);
         }
     };
     let start = Instant::now();

@@ -100,8 +100,9 @@ pub fn execute(
             Ok(())
         }
         ActionAst::Call { name, args } => {
-            procs.invoke(name, eval_all(args, None)?);
-            Ok(())
+            let id = procs.intern(name);
+            let args = args.iter().map(|v| eval(v, bindings, None, inst, catalog));
+            procs.call(id, args)
         }
     }
 }

@@ -54,4 +54,4 @@ pub use compile::rule_events;
 pub use driver::StreamHandle;
 pub use lint::{lint_script, LintLevel, LintReport};
 pub use parser::{parse_script, ParseError};
-pub use runtime::{Procedures, RuleRuntime, RuntimeError};
+pub use runtime::{CallLog, ProcId, Procedures, RuleRuntime, RuntimeError};

@@ -11,7 +11,9 @@
 //!   source ([`Slot`]), a constant (one shared string per literal), or a
 //!   function of a slot;
 //! * each statement's table id and column positions, looked up in the
-//!   [`Database`] once and again only after its [`Database::version`] moved.
+//!   [`Database`] once and again only after its [`Database::version`] moved;
+//!   each call's [`ProcId`], interned in the [`Procedures`] registry, whose
+//!   [`crate::CallLog`] a firing evaluates the call's operands straight into.
 //!
 //! What a rule lowers to holds no rule name, id or window, so rules whose
 //! bodies agree lower to equal [`PreparedRule`]s (`Eq + Hash`, variable and
@@ -35,7 +37,7 @@ use crate::ast::{
 };
 use crate::bind::BindError;
 use crate::cond::compare;
-use crate::runtime::Procedures;
+use crate::runtime::{ProcId, Procedures};
 
 /// What a variable site copied out of the match.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -577,7 +579,7 @@ impl Ctx<'_> {
             .ok_or_else(|| self.miss(operand, row))
     }
 
-    /// One row of values: the stored row, or a call's arguments.
+    /// One row of values, to be stored.
     fn row(&self, operands: &[Operand], row: Option<usize>) -> Result<Row, ActionError> {
         let mut values = Vec::with_capacity(operands.len());
         for operand in operands {
@@ -730,8 +732,10 @@ enum Stmt {
     },
     Update(Target),
     Delete(Target),
+    /// A procedure call; its id is the registry's, set by `resolve`.
     Call {
         name: String,
+        id: Option<ProcId>,
         args: Vec<Operand>,
     },
 }
@@ -763,16 +767,17 @@ impl Stmt {
             }
             ActionAst::Call { name, args } => Stmt::Call {
                 name: name.clone(),
+                id: None,
                 args: operands(args),
             },
         }
     }
 
-    fn target_mut(&mut self) -> Option<&mut Target> {
+    fn resolve(&mut self, db: &Database, procs: &mut Procedures) {
         match self {
-            Stmt::Insert { target, .. } | Stmt::BulkInsert { target, .. } => Some(target),
-            Stmt::Update(target) | Stmt::Delete(target) => Some(target),
-            Stmt::Call { .. } => None,
+            Stmt::Insert { target, .. } | Stmt::BulkInsert { target, .. } => target.resolve(db),
+            Stmt::Update(target) | Stmt::Delete(target) => target.resolve(db),
+            Stmt::Call { name, id, .. } => *id = Some(procs.intern(name)),
         }
     }
 
@@ -828,7 +833,15 @@ impl Stmt {
                 }
                 table.delete_where(conds_of(&target.wheres, values));
             }
-            Stmt::Call { name, args } => procs.invoke(name, ctx.row(args, None)?),
+            Stmt::Call { name, id, args } => {
+                // Fired into a registry other than the one `resolve` interned
+                // the call in, the call is looked up by name there.
+                let id = match *id {
+                    Some(id) if procs.log.is(id, name) => id,
+                    _ => procs.intern(name),
+                };
+                procs.call(id, args.iter().map(|arg| ctx.eval(arg, None)))?;
+            }
         }
         Ok(())
     }
@@ -971,10 +984,12 @@ pub struct PreparedRule {
 
 impl PreparedRule {
     /// Lowers a rule over its alias-free event ([`crate::compile::resolve_aliases`])
-    /// and resolves its statements against `db`.
-    pub fn new(decl: &RuleDecl, event: &EventAst, db: &Database) -> Self {
+    /// and resolves its statements against `db` and its calls against
+    /// `procs`, the registry it is meant to be fired into (another one works,
+    /// calling by name).
+    pub fn new(decl: &RuleDecl, event: &EventAst, db: &Database, procs: &mut Procedures) -> Self {
         let mut rule = Self::lower(decl, event);
-        rule.resolve(db);
+        rule.resolve(db, procs);
         rule
     }
 
@@ -989,20 +1004,22 @@ impl PreparedRule {
         }
     }
 
-    /// Looks the statements' tables and columns up in `db`.
-    pub(crate) fn resolve(&mut self, db: &Database) {
+    /// Looks the statements' tables and columns up in `db`, and interns
+    /// the procedures they call in `procs`.
+    pub(crate) fn resolve(&mut self, db: &Database, procs: &mut Procedures) {
         if let Some(condition) = &mut self.condition {
             condition.resolve(db);
         }
-        for target in self.stmts.iter_mut().filter_map(Stmt::target_mut) {
-            target.resolve(db);
+        for stmt in &mut self.stmts {
+            stmt.resolve(db, procs);
         }
         self.resolved_for = db.version();
     }
 
     /// One firing: bind → condition → actions, against the catalog the
-    /// engine matched with. A bind error ends the firing; a failed action is
-    /// handed to `failed` and the rest of the list still runs.
+    /// engine matched with.
+    /// A bind error ends the firing; a failed action is handed to `failed`
+    /// and the rest of the list still runs.
     pub fn fire(
         &mut self,
         inst: &Instance,
@@ -1015,7 +1032,7 @@ impl PreparedRule {
         // A table was created or replaced (or `db` is another database):
         // table ids and column positions are looked up again.
         if self.resolved_for != db.version() {
-            self.resolve(db);
+            self.resolve(db, procs);
         }
         let Scratch { frame, values } = scratch;
         if let Err(e) = self.bind.bind(inst, frame) {

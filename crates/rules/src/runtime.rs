@@ -6,10 +6,13 @@
 //! embedded [`Database`] and the [`Procedures`] registry. This is the
 //! complete loop of Fig. 2: observations in, semantic data and messages out.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 
 use rceda::{Engine, EngineConfig, Program, RuleEvent, RuleId};
+use rfid_epc::hash::MixMap;
 use rfid_events::{Catalog, Observation, Timestamp};
 use rfid_store::{Database, Value};
 
@@ -105,16 +108,250 @@ impl From<rceda::InvalidRule> for RuntimeError {
 /// Boxed procedure handler.
 pub type ProcHandler = Box<dyn FnMut(&[Value]) + Send>;
 
+/// A procedure name's index in a [`CallLog`]'s name table: interned once,
+/// by [`Procedures::register`], by `load` for each call a rule makes, or on
+/// the first call by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ProcId(u32);
+
+/// Call records a block holds: 8 bytes each, 12 KiB.
+const CALLS_PER_BLOCK: usize = 1536;
+
+/// Argument values a block holds: 32 bytes each, 96 KiB. Its calls and its
+/// arguments each stay under glibc's 128 KiB `mmap` threshold, so a block
+/// comes from the heap, not from a mapping whose pages are faulted in anew.
+const ARGS_PER_BLOCK: usize = 3072;
+const _: () = assert!(ARGS_PER_BLOCK * std::mem::size_of::<Value>() <= 96 << 10);
+
+/// Spare blocks a thread keeps: 32 MiB of them, the most glibc keeps of
+/// one freed mapping (the ceiling of its dynamic `mmap` threshold).
+const SPARE_BLOCKS: usize = (32 << 20)
+    / (CALLS_PER_BLOCK * std::mem::size_of::<(ProcId, u32)>()
+        + ARGS_PER_BLOCK * std::mem::size_of::<Value>());
+
+thread_local! {
+    /// Emptied blocks of the logs this thread dropped, filled by its next
+    /// logs before they ask the allocator. A runtime built and dropped
+    /// again and again (a benchmark pass, a test suite) so writes into
+    /// pages it already faulted in: freed, the blocks would be trimmed off
+    /// the top of the heap and faulted in anew by the next log.
+    static SPARE: RefCell<Vec<Block>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A fixed-capacity run of the log: its calls and their arguments, one
+/// after another.
+#[derive(Clone)]
+struct Block {
+    /// Per call: its procedure, and the end of its arguments in `args` (the
+    /// start is the call before's end).
+    calls: Vec<(ProcId, u32)>,
+    args: Vec<Value>,
+}
+
+impl Block {
+    /// An empty block for a call of `arity` arguments: a spare one if the
+    /// call fits a standard block and the thread has one, else a fresh one.
+    fn open(arity: usize) -> Block {
+        let spare = if arity <= ARGS_PER_BLOCK {
+            SPARE
+                .try_with(|spare| spare.borrow_mut().pop())
+                .ok()
+                .flatten()
+        } else {
+            None
+        };
+        spare.unwrap_or_else(|| Block {
+            calls: Vec::with_capacity(CALLS_PER_BLOCK),
+            args: Vec::with_capacity(ARGS_PER_BLOCK.max(arity)),
+        })
+    }
+
+    /// Sized as [`Block::open`] sizes a block for a call that fits: not a
+    /// long call's block, nor a clone's, which holds only what it copied.
+    fn is_standard(&self) -> bool {
+        self.calls.capacity() == CALLS_PER_BLOCK && self.args.capacity() == ARGS_PER_BLOCK
+    }
+}
+
+/// Every procedure call a registry saw, in order: `(procedure, arguments)`.
+///
+/// A call is a [`ProcId`] and its arguments written in place into the last
+/// of a list of fixed-capacity blocks; a full block is left as it is and a
+/// new one opened, so the log grows without copying and, past the names
+/// and the list's own doubling, allocates twice per block it opens — not
+/// per call. A dropped log leaves its blocks, emptied, to the next logs
+/// of its thread (up to 32 MiB of them), which open those first and
+/// allocate nothing for them. A call whose argument fails to evaluate is
+/// cut back to where it started: it leaves no record and no argument.
+/// Iteration yields each call's name and argument slice; two logs are
+/// equal when their calls are, however their blocks and ids fall.
+#[derive(Clone, Default)]
+pub struct CallLog {
+    /// By id: the procedure's name.
+    names: Vec<String>,
+    ids: MixMap<String, ProcId>,
+    blocks: Vec<Block>,
+}
+
+impl Drop for CallLog {
+    fn drop(&mut self) {
+        let blocks = self.blocks.drain(..).filter(Block::is_standard);
+        // A thread tearing its locals down frees the blocks instead.
+        let _ = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let room = SPARE_BLOCKS.saturating_sub(spare.len());
+            spare.extend(blocks.take(room).map(|mut block| {
+                block.calls.clear();
+                block.args.clear();
+                block
+            }));
+        });
+    }
+}
+
+impl CallLog {
+    /// The id of a procedure name, interned on first sight.
+    fn intern(&mut self, name: &str) -> ProcId {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = ProcId(u32::try_from(self.names.len()).expect("fewer than 2^32 procedures"));
+        self.names.push(name.to_owned());
+        self.ids.insert(name.to_owned(), id);
+        id
+    }
+
+    /// The id of a procedure name, if it is interned.
+    pub(crate) fn id(&self, name: &str) -> Option<ProcId> {
+        self.ids.get(name).copied()
+    }
+
+    /// Whether `id` is the id of `name` in this log's table.
+    pub(crate) fn is(&self, id: ProcId, name: &str) -> bool {
+        self.names.get(id.0 as usize).is_some_and(|n| n == name)
+    }
+
+    /// The name of an interned procedure.
+    pub(crate) fn name(&self, id: ProcId) -> &str {
+        &self.names[id.0 as usize]
+    }
+
+    /// How many calls are logged.
+    pub fn len(&self) -> usize {
+        self.blocks.iter().map(|b| b.calls.len()).sum()
+    }
+
+    /// No call is logged.
+    pub fn is_empty(&self) -> bool {
+        self.blocks.iter().all(|b| b.calls.is_empty())
+    }
+
+    /// How many blocks the log has opened.
+    pub fn blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// How many argument values the blocks hold: the logged calls'
+    /// arguments, no more.
+    pub fn arguments(&self) -> usize {
+        self.blocks.iter().map(|b| b.args.len()).sum()
+    }
+
+    /// The calls in order: each procedure's name and arguments.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            log: self,
+            block: 0,
+            call: 0,
+        }
+    }
+
+    /// The block a call of `arity` arguments is written into: the last one
+    /// if both the call and its arguments fit, else one opened.
+    fn block_for(&mut self, arity: usize) -> &mut Block {
+        let fits = self.blocks.last().is_some_and(|b| {
+            b.calls.len() < CALLS_PER_BLOCK && b.args.len() + arity <= ARGS_PER_BLOCK
+        });
+        if !fits {
+            self.blocks.push(Block::open(arity));
+        }
+        self.blocks.last_mut().expect("a block was just ensured")
+    }
+}
+
+impl PartialEq for CallLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for CallLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A [`CallLog`]'s calls in order: `(procedure, arguments)`.
+pub struct Iter<'a> {
+    log: &'a CallLog,
+    /// The next call: its block, and its index there.
+    block: usize,
+    call: usize,
+}
+
+impl<'a> Iter<'a> {
+    /// The next call, by id.
+    fn next_call(&mut self) -> Option<(ProcId, &'a [Value])> {
+        loop {
+            let block = self.log.blocks.get(self.block)?;
+            if let Some(&(id, end)) = block.calls.get(self.call) {
+                let start = match self.call {
+                    0 => 0,
+                    call => block.calls[call - 1].1,
+                };
+                self.call += 1;
+                return Some((id, &block.args[start as usize..end as usize]));
+            }
+            self.block += 1;
+            self.call = 0;
+        }
+    }
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a String, &'a [Value]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (id, args) = self.next_call()?;
+        Some((&self.log.names[id.0 as usize], args))
+    }
+}
+
+impl<'a> IntoIterator for &'a CallLog {
+    type Item = (&'a String, &'a [Value]);
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
 /// Registry of user procedures (`send_alarm`, `send_duplicate_msg`, …).
 ///
-/// Every invocation is recorded in [`Procedures::log`] regardless of whether
-/// a handler is installed, so tests and examples can assert on calls without
-/// wiring callbacks.
+/// Every call is recorded in [`Procedures::log`] whether or not a handler
+/// is installed, so tests and examples can assert on calls without wiring
+/// callbacks. Names are interned into the log's one table, which
+/// [`Procedures::register`] and [`RuleRuntime::load`] share: a handler
+/// registered after its rules were loaded still receives their calls,
+/// reading the arguments where the log holds them.
 #[derive(Default)]
 pub struct Procedures {
-    handlers: HashMap<String, ProcHandler>,
-    /// Chronological record of every call: `(procedure, args)`.
-    pub log: Vec<(String, Vec<Value>)>,
+    /// By procedure id: its handler, if one is registered.
+    handlers: Vec<Option<ProcHandler>>,
+    /// Chronological record of every call. Its name table holds the ids
+    /// the handlers are kept under: replace it only in a registry without
+    /// handlers.
+    pub log: CallLog,
 }
 
 impl Procedures {
@@ -123,40 +360,78 @@ impl Procedures {
         Self::default()
     }
 
+    /// The id of a procedure name, interned on first sight.
+    pub fn intern(&mut self, name: &str) -> ProcId {
+        self.log.intern(name)
+    }
+
     /// Installs a handler for a procedure name.
     pub fn register(
         &mut self,
         name: &str,
         handler: impl FnMut(&[Value]) + Send + 'static,
     ) -> &mut Self {
-        self.handlers.insert(name.to_owned(), Box::new(handler));
+        let id = self.intern(name).0 as usize;
+        if self.handlers.len() <= id {
+            self.handlers.resize_with(id + 1, || None);
+        }
+        self.handlers[id] = Some(Box::new(handler));
         self
     }
 
-    /// Invokes a procedure: records the call, then runs the handler if any.
-    pub fn invoke(&mut self, name: &str, args: Vec<Value>) {
-        // Most programs register none: their calls are read from the log.
-        if !self.handlers.is_empty() {
-            if let Some(h) = self.handlers.get_mut(name) {
-                h(&args);
+    /// Invokes a procedure by name with a copy of `args`: records the
+    /// call, then runs the handler if any.
+    pub fn invoke(&mut self, name: &str, args: &[Value]) {
+        let id = self.intern(name);
+        let Ok(()) = self.call(id, args.iter().cloned().map(Ok::<_, Infallible>));
+    }
+
+    /// Invokes procedure `id`, evaluating each argument straight into the
+    /// log. The first `Err` ends the call: what it wrote is cut back, no
+    /// call is recorded, no handler runs, and the error is returned.
+    /// Otherwise the call is recorded and the handler, if any, runs on the
+    /// arguments as the log holds them.
+    pub fn call<E>(
+        &mut self,
+        id: ProcId,
+        args: impl ExactSizeIterator<Item = Result<Value, E>>,
+    ) -> Result<(), E> {
+        let block = self.log.block_for(args.len());
+        let start = block.args.len();
+        for arg in args {
+            match arg {
+                Ok(value) => block.args.push(value),
+                Err(e) => {
+                    block.args.truncate(start);
+                    return Err(e);
+                }
             }
         }
-        self.log.push((name.to_owned(), args));
+        let end = u32::try_from(block.args.len()).expect("a block holds < 2^32 arguments");
+        block.calls.push((id, end));
+        if let Some(Some(handler)) = self.handlers.get_mut(id.0 as usize) {
+            handler(&block.args[start..]);
+        }
+        Ok(())
     }
 
     /// Calls logged for one procedure name.
-    pub fn calls<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a [Value]> + 'a {
-        self.log
-            .iter()
-            .filter(move |(n, _)| n == name)
-            .map(|(_, a)| a.as_slice())
+    pub fn calls<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a [Value]> + 'a {
+        let wanted = self.log.id(name);
+        let mut calls = self.log.iter();
+        std::iter::from_fn(move || calls.next_call())
+            .filter(move |&(id, _)| Some(id) == wanted)
+            .map(|(_, args)| args)
     }
 }
 
 impl fmt::Debug for Procedures {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let registered = (self.handlers.iter().enumerate())
+            .filter(|(_, h)| h.is_some())
+            .map(|(id, _)| self.log.name(ProcId(id as u32)));
         f.debug_struct("Procedures")
-            .field("handlers", &self.handlers.keys().collect::<Vec<_>>())
+            .field("handlers", &registered.collect::<Vec<_>>())
             .field("log_len", &self.log.len())
             .finish()
     }
@@ -184,7 +459,7 @@ struct Programs {
 impl Programs {
     /// Gives the next rule the program of its body, lowering one if no
     /// loaded rule has that body.
-    fn push(&mut self, decl: &RuleDecl, event: &EventAst, db: &Database) {
+    fn push(&mut self, decl: &RuleDecl, event: &EventAst, db: &Database, procs: &mut Procedures) {
         let fresh = self.programs.len() as u32;
         let programs = &mut self.programs;
         let program = *self
@@ -192,7 +467,7 @@ impl Programs {
             .entry(PreparedRule::lower(decl, event))
             .or_insert_with_key(|body| {
                 let mut program = body.clone();
-                program.resolve(db);
+                program.resolve(db, procs);
                 programs.push(program);
                 fresh
             });
@@ -347,7 +622,7 @@ impl RuleRuntime {
         for (rule, event, expr) in batch {
             let id = self.engine.add_rule(&rule.name, expr)?;
             debug_assert_eq!(id.0 as usize, self.rules.len());
-            self.programs.push(&rule, &event, &self.db);
+            self.programs.push(&rule, &event, &self.db, &mut self.procs);
             self.rules.push(CompiledRule { decl: rule, event });
             ids.push(id);
         }
@@ -475,7 +750,7 @@ impl RuleRuntime {
         &mut self.db
     }
 
-    /// The procedure registry (inspect `log` in tests).
+    /// The procedure registry (inspect its [`CallLog`] in tests).
     pub fn procedures(&self) -> &Procedures {
         &self.procs
     }
@@ -607,6 +882,102 @@ mod tests {
         );
         // The rest of each `DO` list still ran.
         assert_eq!(rt.procedures().log.len(), 10_000);
+    }
+
+    /// Calls of three procedures and of every arity, some failing at their
+    /// second argument, over blocks that fill by arguments, then by calls,
+    /// and one block of a call too long for any: the log reads back the
+    /// calls that succeeded, in order, holds no argument of one that
+    /// failed, and a handler sees what the log holds.
+    #[test]
+    fn the_call_log_reads_back_in_order_across_blocks() {
+        let mut procs = Procedures::new();
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let handled = std::sync::Arc::clone(&seen);
+        procs.register("b", move |args| handled.lock().unwrap().push(args.to_vec()));
+        let mut expected = Vec::new();
+        for n in 0..8_000usize {
+            let name = ["a", "b", "c"][n % 3];
+            let arity = match n {
+                // Three arguments a call: blocks fill by arguments.
+                ..3_000 => 3,
+                5_000 => ARGS_PER_BLOCK + 1,
+                // 1.5 a call: blocks fill by calls.
+                _ => n % 4,
+            };
+            let args: Vec<Value> = (0..arity)
+                .map(|k| Value::Int((n * 10 + k) as i64))
+                .collect();
+            if n % 7 == 3 && arity >= 2 {
+                // The second argument misses.
+                let evaluated = args.iter().enumerate().map(|(k, value)| match k {
+                    1 => Err(n),
+                    _ => Ok(value.clone()),
+                });
+                let id = procs.intern(name);
+                assert_eq!(procs.call(id, evaluated), Err(n));
+            } else {
+                procs.invoke(name, &args);
+                expected.push((name.to_owned(), args));
+            }
+        }
+        let log = &procs.log;
+        assert!(log.blocks() > 5, "{} blocks", log.blocks());
+        assert_eq!(log.len(), expected.len());
+        let read: Vec<_> = log.iter().map(|(n, a)| (n.clone(), a.to_vec())).collect();
+        assert_eq!(read, expected);
+        let held: usize = expected.iter().map(|(_, args)| args.len()).sum();
+        assert_eq!(log.arguments(), held);
+        let b_calls: Vec<_> = procs.calls("b").map(<[Value]>::to_vec).collect();
+        assert_eq!(*seen.lock().unwrap(), b_calls);
+        assert_eq!(
+            b_calls.len(),
+            expected.iter().filter(|(n, _)| n == "b").count()
+        );
+    }
+
+    /// A dropped log's standard blocks, emptied, are the next log's on the
+    /// same thread — the very allocations, holding none of the old calls —
+    /// and the thread keeps no more than `SPARE_BLOCKS` of them.
+    #[test]
+    fn a_dropped_log_leaves_its_blocks_to_the_next() {
+        let spare = || SPARE.with(|spare| spare.borrow().len());
+        let calls = |procs: &mut Procedures, n: usize, arity: usize, from: i64| {
+            for k in 0..n {
+                procs.invoke("a", &vec![Value::Int(from + k as i64); arity]);
+            }
+        };
+        let addresses = |log: &CallLog| -> Vec<usize> {
+            log.blocks
+                .iter()
+                .map(|b| b.args.as_ptr() as usize)
+                .collect()
+        };
+        assert_eq!(spare(), 0);
+        let mut first = Procedures::new();
+        // Three full blocks of three-argument calls, and one overlong call.
+        calls(&mut first, 3 * 1024, 3, 0);
+        first.invoke("long", &vec![Value::Null; ARGS_PER_BLOCK + 1]);
+        let kept = addresses(&first.log)[..3].to_vec();
+        drop(first);
+        assert_eq!(spare(), 3);
+
+        let mut second = Procedures::new();
+        calls(&mut second, 1025, 3, 10_000);
+        assert_eq!(spare(), 1);
+        assert!(addresses(&second.log).iter().all(|a| kept.contains(a)));
+        let expected: Vec<_> = (0..1025).map(|k| vec![Value::Int(10_000 + k); 3]).collect();
+        assert_eq!(
+            second.calls("a").map(<[Value]>::to_vec).collect::<Vec<_>>(),
+            expected
+        );
+        assert_eq!(second.log.arguments(), 3 * 1025);
+
+        let mut many = Procedures::new();
+        calls(&mut many, (SPARE_BLOCKS + 2) * CALLS_PER_BLOCK, 0, 0);
+        drop(many);
+        drop(second);
+        assert_eq!(spare(), SPARE_BLOCKS);
     }
 
     fn programs_of(script: &str) -> (usize, Vec<u32>) {

@@ -120,7 +120,7 @@ fn edge_offer_allocates_nothing_past_warm_up() {
 }
 
 #[test]
-fn scalar_firing_with_one_call_allocates_twice() {
+fn scalar_firing_with_one_call_allocates_only_log_blocks() {
     let catalog = catalog();
     let rule = one_rule(
         "CREATE RULE dup, duplicate ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5 sec) \
@@ -131,21 +131,50 @@ fn scalar_firing_with_one_call_allocates_twice() {
     let inst = Instance::pair("SEQ", first, second);
     let mut db = Database::rfid();
     let mut procs = Procedures::new();
-    const FIRINGS: u64 = 1_000;
-    procs.log.reserve(FIRINGS as usize);
-
+    let mut fire = |procs: &mut Procedures| {
+        let bound = bind(&rule.event, &inst, &catalog).expect("binds");
+        for action in &rule.actions {
+            execute(action, &bound, &inst, &catalog, &mut db, procs).expect("runs");
+        }
+    };
+    // The first call interns the name and opens the first block.
+    fire(&mut procs);
+    const FIRINGS: u64 = 3_000;
+    let before = procs.log.blocks();
     let (allocs, ()) = allocs_in(|| {
         for _ in 0..FIRINGS {
-            let bound = bind(&rule.event, &inst, &catalog).expect("binds");
-            for action in &rule.actions {
-                execute(action, &bound, &inst, &catalog, &mut db, &mut procs).expect("runs");
-            }
+            fire(&mut procs);
         }
     });
-    assert_eq!(procs.log.len() as u64, FIRINGS);
-    // The argument `Vec` and the logged procedure name; binding three
-    // variables (four sites) costs nothing.
-    assert_eq!(allocs, 2 * FIRINGS);
+    assert_eq!(procs.log.len() as u64, 1 + FIRINGS);
+    // Three arguments a call: a block of 3,072 holds 1,024 calls.
+    let opened = (procs.log.blocks() - before) as u64;
+    assert_eq!(opened, 2);
+    // Each block opened is two allocations, its calls and its arguments
+    // (the list of blocks, room for four, does not grow); binding three
+    // variables (four sites) and each call cost nothing.
+    assert_eq!(allocs, 2 * opened);
+}
+
+#[test]
+fn a_log_after_a_dropped_one_reuses_its_blocks() {
+    let args = [1, 2, 3].map(rfid_store::Value::Int);
+    let mut first = Procedures::new();
+    for _ in 0..3 * 1_024 {
+        first.invoke("a", &args);
+    }
+    assert_eq!(first.log.blocks(), 3);
+    drop(first);
+    let mut second = Procedures::new();
+    second.intern("a");
+    let (allocs, ()) = allocs_in(|| {
+        for _ in 0..2 * 1_024 {
+            second.invoke("a", &args);
+        }
+    });
+    assert_eq!(second.log.blocks(), 2);
+    // The list of blocks' first buffer; both blocks are the first log's.
+    assert_eq!(allocs, 1);
 }
 
 /// Allocations of one Rule-4-shaped firing over `items` packed items, binder
@@ -208,7 +237,10 @@ fn containment_firing_allocates_per_item_not_per_variable() {
 // with the same rules and a sink that does nothing asks over that stream.
 // Budgets are past warm-up and apart from the amortised growth of a
 // table's row store and indexes: each measured window sits between two
-// doublings (512 < rows ≤ 1024, or 1024 < calls ≤ 2048).
+// doublings (512 < rows ≤ 1024). A call allocates only when it opens a
+// block of the call log (two allocations, none for a block a log dropped
+// earlier on the thread left spare; the list of blocks doubles past four),
+// counted off the log.
 // ---------------------------------------------------------------------
 
 fn bare_engine(catalog: &Catalog, script: &str) -> rceda::Engine {
@@ -222,14 +254,15 @@ fn bare_engine(catalog: &Catalog, script: &str) -> rceda::Engine {
     engine
 }
 
-/// Allocations of the firing path over `measured`, after `warm_up`, and the
-/// runtime as the stream left it.
+/// Allocations of the firing path over `measured`, after `warm_up`, the
+/// call log blocks opened over `measured`, and the runtime as the stream
+/// left it.
 fn firing_path_allocs(
     script: &str,
     seed: impl FnOnce(&mut Database),
     warm_up: &[Observation],
     measured: &[Observation],
-) -> (u64, RuleRuntime) {
+) -> (u64, u64, RuleRuntime) {
     let catalog = catalog();
     let mut engine = bare_engine(&catalog, script);
     let mut fired = 0u64;
@@ -249,6 +282,7 @@ fn firing_path_allocs(
     for obs in warm_up {
         rt.process(*obs);
     }
+    let blocks = rt.procedures().log.blocks();
     let (runtime_allocs, ()) = allocs_in(|| {
         for obs in measured {
             rt.process(*obs);
@@ -256,7 +290,8 @@ fn firing_path_allocs(
     });
     assert_eq!(rt.error_count(), 0);
     assert_eq!(rt.engine().firings_per_rule().iter().sum::<u64>(), fired);
-    (runtime_allocs - engine_allocs, rt)
+    let opened = (rt.procedures().log.blocks() - blocks) as u64;
+    (runtime_allocs - engine_allocs, opened, rt)
 }
 
 /// Reads of objects `from..to` by reader 0, each object twice, a second
@@ -268,19 +303,22 @@ fn double_reads(from: u64, to: u64) -> Vec<Observation> {
 }
 
 #[test]
-fn production_scalar_firing_with_one_call_allocates_twice() {
+fn production_scalar_firing_with_one_call_allocates_only_log_blocks() {
     let script =
         "CREATE RULE dup, duplicate ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5 sec) \
          IF true DO send_duplicate_msg(r, o, t1)";
-    let (allocs, rt) = firing_path_allocs(
+    let (allocs, opened, rt) = firing_path_allocs(
         script,
         |_| {},
-        &double_reads(0, 1_100),
-        &double_reads(1_100, 2_000),
+        &double_reads(0, 1_000),
+        &double_reads(1_000, 2_000),
     );
     assert_eq!(rt.procedures().log.len(), 2_000);
-    // The argument `Vec` and the logged procedure name.
-    assert_eq!(allocs, 2 * 900);
+    // A block holds 1,024 three-argument calls: the 1,025th opens one.
+    assert_eq!(opened, 1);
+    // Its calls and its arguments (the list of blocks, room for four, does
+    // not grow); the 1,000 calls themselves, nothing.
+    assert_eq!(allocs, 2 * opened);
 }
 
 #[test]
@@ -288,7 +326,7 @@ fn production_scalar_insert_allocates_the_stored_row() {
     let script = "CREATE RULE obs, record ON observation(r, o, t) \
                   IF true DO INSERT INTO OBSERVATION VALUES (r, o, t)";
     let reads = |from: u64, to: u64| (from..to).map(|n| read(0, n, 10 * n)).collect::<Vec<_>>();
-    let (allocs, rt) = firing_path_allocs(script, |_| {}, &reads(0, 600), &reads(600, 1_000));
+    let (allocs, _, rt) = firing_path_allocs(script, |_| {}, &reads(0, 600), &reads(600, 1_000));
     assert_eq!(
         rt.db().table("OBSERVATION").expect("provisioned").len(),
         1_000
@@ -309,7 +347,8 @@ fn production_update_over_an_indexed_key_allocates_nothing() {
         }
     };
     let reads = |from: u64, to: u64| (from..to).map(|n| read(0, n, 10 * n)).collect::<Vec<_>>();
-    let (allocs, rt) = firing_path_allocs(script, open_periods, &reads(0, 100), &reads(100, 500));
+    let (allocs, _, rt) =
+        firing_path_allocs(script, open_periods, &reads(0, 100), &reads(100, 500));
     let closed = rfid_store::Filter::on(rfid_store::Cond::new(
         "tend",
         rfid_store::CondOp::Ne,
@@ -352,7 +391,7 @@ fn production_containment_firing_allocates_the_stored_rows() {
             let mut warm_up = packing(0, 600, 0);
             warm_up.extend(packing(5_000, 3, 500_000));
             let measured = packing(10_000, items, 1_000_000);
-            let (allocs, rt) = firing_path_allocs(script, |_| {}, &warm_up, &measured);
+            let (allocs, _, rt) = firing_path_allocs(script, |_| {}, &warm_up, &measured);
             let rows = rt
                 .db()
                 .table("OBJECTCONTAINMENT")
@@ -366,7 +405,8 @@ fn production_containment_firing_allocates_the_stored_rows() {
 }
 
 /// `(allocations, calls)` of one packing firing of `items` reads after one
-/// of `before` reads, the action a call (two allocations).
+/// of `before` reads, the action a call (no allocation: the call log's
+/// block was opened by the first call).
 fn containment_call_after(before: u64, items: u64) -> (u64, usize) {
     let script = "CREATE RULE p, pack ON TSEQ(TSEQ+(observation('conv', o1, t1), 0 sec, 1 sec); \
                   observation('caser', o2, t2), 5 sec, 20 sec) \
@@ -382,13 +422,13 @@ fn containment_call_after(before: u64, items: u64) -> (u64, usize) {
         ));
         reads
     };
-    // The log's first four entries are one allocation: the measured call
-    // is the fourth.
+    // The measured call is the fourth, in the block the first opened.
     let mut warm_up = packing(0, 2, 0);
     warm_up.extend(packing(10, 2, 100_000));
     warm_up.extend(packing(1_000_000, before, 1_000_000));
     let measured = packing(5_000_000, items, 1_000_000 + 100 * before + 100_000);
-    let (allocs, rt) = firing_path_allocs(script, |_| {}, &warm_up, &measured);
+    let (allocs, opened, rt) = firing_path_allocs(script, |_| {}, &warm_up, &measured);
+    assert_eq!(opened, 0);
     (allocs, rt.procedures().log.len())
 }
 
@@ -400,6 +440,6 @@ fn production_frame_keeps_its_run_buffer_up_to_a_bound() {
     for (before, fresh) in [(8, 0), (1_000, 0), (1_100, 1), (5_000, 1)] {
         let (allocs, calls) = containment_call_after(before, 8);
         assert_eq!(calls, 4);
-        assert_eq!(allocs, 2 + fresh, "after a run of {before}");
+        assert_eq!(allocs, fresh, "after a run of {before}");
     }
 }

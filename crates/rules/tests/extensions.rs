@@ -247,3 +247,42 @@ fn a_failed_load_loads_nothing() {
     );
     assert_eq!(rt.load(watcher).unwrap().len(), 1);
 }
+
+/// Procedure names are interned in one table that `load` and
+/// `register_procedure` share: a handler installed after the rules that
+/// call it were loaded receives every call, with the arguments the log
+/// holds, and no call of another procedure.
+#[test]
+fn a_handler_registered_after_load_sees_every_call() {
+    use std::sync::{Arc, Mutex};
+
+    let mut rt = RuleRuntime::new(catalog());
+    rt.load(
+        "CREATE RULE a, noted ON observation('r1', o, t) IF true DO note(o); send_alarm(o, t) \
+         CREATE RULE b, alarmed ON observation('r2', o, t) IF true DO send_alarm(t, o)",
+    )
+    .unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let handled = Arc::clone(&seen);
+    rt.register_procedure("send_alarm", move |args| {
+        handled.lock().unwrap().push(args.to_vec());
+    });
+
+    let r1 = rt.engine().catalog().reader("r1").unwrap();
+    let r2 = rt.engine().catalog().reader("r2").unwrap();
+    for n in 0..5u64 {
+        let reader = if n % 2 == 0 { r1 } else { r2 };
+        rt.process(Observation::new(reader, epc(1, n), Timestamp::from_secs(n)));
+    }
+    rt.finish();
+
+    let logged: Vec<Vec<Value>> = rt
+        .procedures()
+        .calls("send_alarm")
+        .map(<[Value]>::to_vec)
+        .collect();
+    assert_eq!(logged.len(), 5);
+    assert_eq!(*seen.lock().unwrap(), logged);
+    assert_eq!(rt.procedures().calls("note").count(), 3);
+    assert_eq!(rt.procedures().log.len(), 8);
+}

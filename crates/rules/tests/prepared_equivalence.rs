@@ -10,10 +10,12 @@
 //! event. Each side fires them in turn into its own store and procedure
 //! registry, a table appearing between two firings. Table contents (row
 //! order included), the procedure log and the errors, in order, must be
-//! equal. Two more tests drive `RuleRuntime` itself next to a bare engine
-//! whose sink is the reference.
+//! equal, and each side's log must hold every logged call's arguments and
+//! nothing else: a call that fails part-way leaves none behind. Two more
+//! tests drive `RuleRuntime` itself next to a bare engine whose sink is the
+//! reference.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rfid_epc::{Epc, Gid96, ReaderId};
@@ -25,7 +27,7 @@ use rfid_rules::ast::{
 use rfid_rules::bind::bind;
 use rfid_rules::cond::eval_cond;
 use rfid_rules::prepared::{FiringError, PreparedRule, Scratch};
-use rfid_rules::{parse_script, rule_events, Procedures, RuleRuntime};
+use rfid_rules::{parse_script, rule_events, CallLog, Procedures, RuleRuntime};
 use rfid_store::{ColumnType, Database, Row, Schema, TableError, Value};
 
 const NAMES: [&str; 7] = ["r", "o", "t", "a", "b", "c", "d"];
@@ -389,10 +391,15 @@ impl Picks<'_> {
                 wheres: self.wheres(&table, fitting, roles),
                 table,
             },
-            _ => ActionAst::Call {
-                name: self.of(&["notify", "alarm"]).to_owned(),
-                args: self.values(3),
-            },
+            _ => {
+                // The name says how many arguments the call has.
+                let name = self.of(&["notify", "alarm"]);
+                let args = self.values(3);
+                ActionAst::Call {
+                    name: format!("{name}{}", args.len()),
+                    args,
+                }
+            }
         }
     }
 
@@ -487,7 +494,7 @@ impl Case {
 #[derive(Debug, PartialEq)]
 struct Outcome {
     tables: Vec<(&'static str, Option<Vec<Row>>)>,
-    calls: Vec<(String, Vec<Value>)>,
+    calls: CallLog,
     errors: Vec<FiringError>,
 }
 
@@ -522,11 +529,9 @@ fn assert_same(ours: &Outcome, reference: &Outcome) {
         .calls
         .iter()
         .zip(&reference.calls)
-        .position(|(x, y)| x != y);
-    assert_eq!(
-        differ.map(|at| (at, &ours.calls[at], &reference.calls[at])),
-        None
-    );
+        .enumerate()
+        .find(|(_, (x, y))| x != y);
+    assert_eq!(differ, None);
     assert_eq!(ours.calls.len(), reference.calls.len(), "calls");
     let differ = ours
         .errors
@@ -566,6 +571,28 @@ fn interpret(
     }
 }
 
+/// What a failed call must not leave behind: every logged call has as many
+/// arguments as its statement, and the log holds no other values. Each
+/// procedure a rule calls has one arity (the generator names calls by it).
+fn assert_calls_whole(rule: &RuleDecl, log: &CallLog) {
+    let arity = |called: &str| {
+        rule.actions.iter().find_map(|action| match action {
+            ActionAst::Call { name, args } if name == called => Some(args.len()),
+            _ => None,
+        })
+    };
+    let mut held = 0;
+    for (name, args) in log {
+        assert_eq!(
+            Some(args.len()),
+            arity(name),
+            "arguments of a `{name}` call"
+        );
+        held += args.len();
+    }
+    assert_eq!(log.arguments(), held, "argument values the log holds");
+}
+
 /// Runs a case on both sides: `(prepared, interpreted)`.
 fn run(case: &Case) -> (Outcome, Outcome) {
     let catalog = catalog();
@@ -573,7 +600,7 @@ fn run(case: &Case) -> (Outcome, Outcome) {
     let (mut procs_p, mut procs_i) = (Procedures::new(), Procedures::new());
     let (mut errors_p, mut errors_i) = (Vec::new(), Vec::new());
     // Lowered once, against the store as it is at `load`.
-    let mut prepared = PreparedRule::new(&case.rule, &case.rule.event, &db_p);
+    let mut prepared = PreparedRule::new(&case.rule, &case.rule.event, &db_p, &mut procs_p);
     let mut scratch = Scratch::default();
     for (i, inst) in case.firings.iter().enumerate() {
         if i == case.late_before {
@@ -594,6 +621,8 @@ fn run(case: &Case) -> (Outcome, Outcome) {
             &mut errors_i,
         );
     }
+    assert_calls_whole(&case.rule, &procs_p.log);
+    assert_calls_whole(&case.rule, &procs_i.log);
     (
         Outcome::of(&db_p, procs_p, errors_p),
         Outcome::of(&db_i, procs_i, errors_i),
@@ -645,6 +674,93 @@ fn a_pair_of_absences_is_shape_checked() {
     assert!(matches!(prepared.errors[..], [FiringError::Bind(_)]));
 }
 
+/// A call whose second argument misses leaves no record and no argument on
+/// either side; the statement after it, and the call on the next firing,
+/// log exactly their own arguments.
+#[test]
+fn a_call_that_misses_mid_row_leaves_nothing() {
+    let script = "CREATE RULE m, m ON observation(r, o, t) IF true \
+                  DO notify2(t, type(o)); alarm1(o)";
+    let rule = parse_script(script).expect("parses").rules.remove(0);
+    let read = |object| {
+        let at = Timestamp::from_millis(10);
+        Arc::new(Instance::observation(Observation::new(
+            ReaderId(0),
+            object,
+            at,
+        )))
+    };
+    // Class 2 is untyped: `type(o)` misses after `t` was written.
+    let case = Case {
+        rule,
+        firings: vec![read(epc(2, 1)), read(epc(1, 2))],
+        late_before: usize::MAX,
+    };
+    let (prepared, interpreted) = run(&case);
+    assert_eq!(prepared, interpreted);
+    let at = Value::Time(Timestamp::from_millis(10));
+    let calls: Vec<_> = (prepared.calls.iter())
+        .map(|(name, args)| (name.as_str(), args.to_vec()))
+        .collect();
+    assert_eq!(
+        calls,
+        [
+            ("alarm1", vec![Value::Epc(epc(2, 1))]),
+            ("notify2", vec![at, Value::str("laptop")]),
+            ("alarm1", vec![Value::Epc(epc(1, 2))]),
+        ]
+    );
+    assert_eq!(prepared.calls.arguments(), 4);
+    assert!(matches!(
+        prepared.errors[..],
+        [FiringError::Action(ActionError::Unresolvable(_))]
+    ));
+}
+
+/// A rule resolved against one registry and fired into another logs its
+/// calls there under their own names: the second registry interned another
+/// name first, so the ids the rule was resolved to mean other procedures
+/// in it.
+#[test]
+fn a_rule_fired_into_another_registry_calls_by_name_there() {
+    let script = "CREATE RULE m, m ON observation(r, o, t) IF true DO notify1(o); alarm1(o)";
+    let rule = parse_script(script).expect("parses").rules.remove(0);
+    let catalog = catalog();
+    let mut db = database();
+    let mut resolved_in = Procedures::new();
+    let mut prepared = PreparedRule::new(&rule, &rule.event, &db, &mut resolved_in);
+    let mut other = Procedures::new();
+    let alarms = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&alarms);
+    other.register("alarm1", move |args| {
+        seen.lock().unwrap().push(args.to_vec());
+    });
+    let read = Instance::observation(Observation::new(
+        ReaderId(0),
+        epc(1, 2),
+        Timestamp::from_millis(10),
+    ));
+    let mut scratch = Scratch::default();
+    let mut fire = |procs: &mut Procedures| {
+        prepared.fire(&read, &catalog, &mut db, procs, &mut scratch, |e| {
+            panic!("{e:?}")
+        });
+    };
+    fire(&mut resolved_in);
+    fire(&mut other);
+    fire(&mut resolved_in);
+    let o = || vec![Value::Epc(epc(1, 2))];
+    let calls = |procs: &Procedures| -> Vec<(String, Vec<Value>)> {
+        (procs.log.iter())
+            .map(|(name, args)| (name.clone(), args.to_vec()))
+            .collect()
+    };
+    let once = [("notify1".to_owned(), o()), ("alarm1".to_owned(), o())];
+    assert_eq!(calls(&other), once);
+    assert_eq!(*alarms.lock().unwrap(), [o()]);
+    assert_eq!(calls(&resolved_in), [once.clone(), once].concat());
+}
+
 /// What the generated cases must reach for the property above to mean
 /// something: every statement kind succeeding and failing in every way,
 /// every binder error, and the store states the statements depend on.
@@ -659,6 +775,7 @@ struct Coverage {
     updates_unindexed: usize,
     deletes: usize,
     calls: usize,
+    call_missed_mid_row: usize,
     late_table_written: usize,
     condition_false: usize,
     exists_true: usize,
@@ -717,7 +834,16 @@ impl Coverage {
                 self.updates_unindexed += usize::from(changed && !driven);
             }
             Some(ActionAst::Delete { .. }) => self.deletes += usize::from(after < before),
-            Some(ActionAst::Call { .. }) => self.calls += outcome.calls.len(),
+            Some(ActionAst::Call { args, .. }) => {
+                self.calls += outcome.calls.len();
+                // An argument after the first missed on some firing.
+                let first_holds = matches!(
+                    args.first(),
+                    Some(ValueExpr::Str(_) | ValueExpr::Int(_) | ValueExpr::Uc | ValueExpr::Now)
+                );
+                let missed = (outcome.errors.iter()).any(|e| matches!(e, FiringError::Action(_)));
+                self.call_missed_mid_row += usize::from(first_holds && missed);
+            }
             None => {}
         }
         let late = &outcome.tables[4].1;
@@ -784,6 +910,7 @@ fn generated_cases_cover_every_statement_kind_and_error() {
         updates_unindexed,
         deletes,
         calls,
+        call_missed_mid_row,
         late_table_written,
         condition_false,
         exists_true,
@@ -812,6 +939,7 @@ fn generated_cases_cover_every_statement_kind_and_error() {
         ("updates_unindexed", updates_unindexed, 50),
         ("deletes", deletes, 50),
         ("calls", calls, 50),
+        ("call_missed_mid_row", call_missed_mid_row, 20),
         ("late_table_written", late_table_written, 5),
         ("condition_false", condition_false, 50),
         ("exists_true", exists_true, 3),
