@@ -30,6 +30,7 @@
 //! arrival while mutating runtime state — no per-arrival plan or kind
 //! clones — and the per-event work queue is a buffer reused across events.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rfid_events::{dist, interval2, Catalog, EventExpr, Instance, Observation, Span, Timestamp};
@@ -109,10 +110,10 @@ struct Runtime {
     states: Vec<NodeState>,
     timeline: Timeline,
     stats: EngineStats,
-    /// Reused propagation queue: occurrences waiting to activate parents.
-    /// Fully drained by `run_work` after every event, so its capacity (not
-    /// its contents) carries over between events.
-    work: Vec<(NodeId, Arc<Instance>)>,
+    /// Reused propagation queue: occurrences waiting to fire rules and
+    /// activate parents. Fully drained by `run_work` after every event, so
+    /// its capacity (not its contents) carries over between events.
+    work: Vec<Work>,
     /// Observability state ([`crate::obs`]): the cached observe level, the
     /// per-node metrics arena, histograms, and the flight recorder. Living
     /// here keeps every instrumentation site a plain field access — no
@@ -124,6 +125,29 @@ struct Runtime {
     sweep: Sweep,
     /// The keys of the instance being propagated, one per interned spec.
     keys: KeyMemo,
+}
+
+/// One entry of the propagation queue.
+enum Work {
+    /// An occurrence at a node: fires the node's rules, then activates its
+    /// parents.
+    At(NodeId, Arc<Instance>),
+    /// One emission of a window family.
+    Family(Emission),
+}
+
+/// One emission of a window family (DESIGN.md "Window families"): the
+/// `members` of the family `holder` holds, fired widest first, each with
+/// its own occurrence built when the entry pops. `inst` is the self-join's
+/// pair, which every member fires as it is, or — with `absent_to` set —
+/// the negated-initiator query's terminator, which each member pairs with
+/// the absence witness of its own window.
+struct Emission {
+    holder: NodeId,
+    /// A range of [`CompiledPlan::family`], whose bounds are `u32`.
+    members: Range<u32>,
+    inst: Arc<Instance>,
+    absent_to: Option<Timestamp>,
 }
 
 /// The correlation keys of the current work-queue pop, memoised per
@@ -655,7 +679,7 @@ impl Engine {
                 }
                 if !run.is_empty() {
                     let inst = Arc::new(Instance::composite("TSEQ+", run));
-                    self.rt.work.push((node, inst));
+                    self.rt.work.push(Work::At(node, inst));
                     self.run_work(sink);
                 }
             }
@@ -686,13 +710,12 @@ impl Engine {
                 };
                 if !occurred {
                     let absence = Arc::new(Instance::absence(entry.from, entry.to));
-                    let children = if not_side == 0 {
-                        vec![absence, entry.inst]
+                    let inst = if not_side == 0 {
+                        Instance::pair(kind_name, absence, entry.inst)
                     } else {
-                        vec![entry.inst, absence]
+                        Instance::pair(kind_name, entry.inst, absence)
                     };
-                    let inst = Arc::new(Instance::composite(kind_name, children));
-                    self.rt.work.push((node, inst));
+                    self.rt.work.push(Work::At(node, Arc::new(inst)));
                     self.run_work(sink);
                 }
             }
@@ -716,29 +739,16 @@ impl Engine {
             ..
         } = self;
         let (graph, plan) = (program.graph(), program.plan());
-        let observe = rt.obs.level;
-        while let Some((node_id, inst)) = rt.work.pop() {
-            rt.keys.next_pop();
-            // A coalesced leaf representative stands in for its whole
-            // pattern group; count the pops an unshared plan would make.
-            rt.stats.occurrences += 1 + u64::from(plan.extra_pops(node_id));
-            if observe.counters() {
-                rt.obs.arena.arrived(node_id.idx());
-            }
-            for &rule in plan.rules_at(node_id) {
-                if !rule_enabled[rule.0 as usize] {
+        while let Some(work) = rt.work.pop() {
+            let (node_id, inst) = match work {
+                Work::At(node_id, inst) => (node_id, inst),
+                Work::Family(emission) => {
+                    rt.fire_family(graph, plan, rule_enabled, rule_firings, sink, emission);
                     continue;
                 }
-                rt.stats.rule_firings += 1;
-                rule_firings[rule.0 as usize] += 1;
-                sink(rule, &inst);
-                if observe.counters() {
-                    rt.obs.arena.fired(node_id.idx());
-                    if observe.full() {
-                        rt.obs.flight.offer(rule, rt.timeline.clock(), &inst);
-                    }
-                }
-            }
+            };
+            rt.keys.next_pop();
+            rt.fire_rules(plan, rule_enabled, rule_firings, sink, node_id, &inst);
             for edge in plan.edges_at(node_id) {
                 let pnode = graph.node(edge.parent());
                 match edge.op() {
@@ -878,7 +888,128 @@ impl Runtime {
     fn activate_leaves(&mut self, obs: Observation, leaves: impl Iterator<Item = NodeId>) {
         self.stats.matched_events += 1;
         let inst = Arc::new(Instance::observation(obs));
-        self.work.extend(leaves.map(|leaf| (leaf, inst.clone())));
+        self.work
+            .extend(leaves.map(|leaf| Work::At(leaf, inst.clone())));
+    }
+
+    /// One work-queue pop of `inst` at `node`, short of activating its
+    /// parents: counts the occurrence and fires the node's enabled rules
+    /// into the sink and the flight recorder. An ordinary pop and every
+    /// member of a family emission come here. Under a plain `#[inline]`
+    /// the release build keeps it out of line, a call on every ordinary
+    /// pop.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn fire_rules(
+        &mut self,
+        plan: &CompiledPlan,
+        rule_enabled: &[bool],
+        rule_firings: &mut [u64],
+        sink: &mut Sink<'_>,
+        node: NodeId,
+        inst: &Instance,
+    ) {
+        // A coalesced leaf representative stands in for its whole
+        // pattern group; count the pops an unshared plan would make.
+        self.stats.occurrences += 1 + u64::from(plan.extra_pops(node));
+        let observe = self.obs.level;
+        if observe.counters() {
+            self.obs.arena.arrived(node.idx());
+        }
+        for &rule in plan.rules_at(node) {
+            if !rule_enabled[rule.0 as usize] {
+                continue;
+            }
+            self.stats.rule_firings += 1;
+            rule_firings[rule.0 as usize] += 1;
+            sink(rule, inst);
+            if observe.counters() {
+                self.obs.arena.fired(node.idx());
+                if observe.full() {
+                    self.obs.flight.offer(rule, self.timeline.clock(), inst);
+                }
+            }
+        }
+    }
+
+    /// Fires a family emission's members where their own pops would have
+    /// come: members feed no parent (`CompiledPlan::family_key`), so
+    /// serving them all at once keeps that order. Kept out of `run_work`'s
+    /// loop, which every ordinary pop runs.
+    #[inline(never)]
+    fn fire_family(
+        &mut self,
+        graph: &EventGraph,
+        plan: &CompiledPlan,
+        rule_enabled: &[bool],
+        rule_firings: &mut [u64],
+        sink: &mut Sink<'_>,
+        emission: Emission,
+    ) {
+        let Emission {
+            holder,
+            members,
+            inst,
+            absent_to,
+        } = emission;
+        let family = &plan.family(holder)[members.start as usize..members.end as usize];
+        let Some(to) = absent_to else {
+            for m in family.iter().rev() {
+                self.fire_rules(plan, rule_enabled, rule_firings, sink, m.node, &inst);
+            }
+            return;
+        };
+        let name = graph.node(holder).kind.name();
+        let (narrowest, wider) = family.split_first().expect("an emission reaches a member");
+        // One witness per entry, re-armed in place; the narrowest member,
+        // fired last, takes the witness and the terminator themselves.
+        let mut spare = None;
+        for m in wider.iter().rev() {
+            let absence = rearm(spare.take(), absent_witness(m.cutoff, &inst, to));
+            let out = Instance::pair(name, absence.clone(), inst.clone());
+            self.fire_rules(plan, rule_enabled, rule_firings, sink, m.node, &out);
+            spare = Some(absence);
+        }
+        let absence = rearm(spare, absent_witness(narrowest.cutoff, &inst, to));
+        let out = Instance::pair(name, absence, inst);
+        self.fire_rules(plan, rule_enabled, rule_firings, sink, narrowest.node, &out);
+    }
+
+    /// Queues one emission of the family `holder` holds to its `members`
+    /// (a non-empty range of [`CompiledPlan::family`]): one entry, expanded
+    /// member by member when it pops. A holder that feeds parents is the
+    /// sole member of its own family, and its parents buffer what it
+    /// emits, so its occurrence is built on the heap and queued as an
+    /// ordinary one.
+    fn emit_family(
+        &mut self,
+        plan: &CompiledPlan,
+        holder: &Node,
+        members: Range<usize>,
+        inst: Arc<Instance>,
+        absent_to: Option<Timestamp>,
+    ) {
+        debug_assert!(!members.is_empty(), "an emission reaches a member");
+        if plan.edges_at(holder.id).is_empty() {
+            self.work.push(Work::Family(Emission {
+                holder: holder.id,
+                members: members.start as u32..members.end as u32,
+                inst,
+                absent_to,
+            }));
+            return;
+        }
+        let [sole] = plan.family(holder.id) else {
+            unreachable!("a family member feeds no parent");
+        };
+        let out = match absent_to {
+            None => inst,
+            Some(to) => {
+                let witness = Arc::new(absent_witness(sole.cutoff, &inst, to));
+                Arc::new(Instance::pair(holder.kind.name(), witness, inst))
+            }
+        };
+        self.work.push(Work::At(holder.id, out));
     }
 
     /// Arrival at a binary node whose two children are the same node: the
@@ -935,9 +1066,10 @@ impl Runtime {
         }
         if let Some(e) = matched {
             let out = Arc::new(Instance::pair(kind.name(), e, inst.clone()));
+            // The probe ran at the widest cut-off, so the widest member is
+            // always reached.
             let reached = family.partition_point(|m| m.cutoff < out.interval());
-            let members = family[reached..].iter();
-            self.work.extend(members.map(|m| (m.node, out.clone())));
+            self.emit_family(plan, node, reached..family.len(), out, None);
         }
     }
 
@@ -947,22 +1079,21 @@ impl Runtime {
     /// window reaches back `cutoff` from the terminator's end, so its
     /// negation held exactly when `last` lies before that start — with
     /// members in ascending cut-off order, a prefix of the family. Each
-    /// gets its own `absence(from, to)` witness: the window is the one part
-    /// of the instance that differs by member.
+    /// gets its own witness ([`absent_witness`]): the window is the one
+    /// part of the occurrence that differs by member.
     fn emit_absent(
         &mut self,
-        family: &[Member],
+        plan: &CompiledPlan,
         query_node: &Node,
         inst: &Arc<Instance>,
         last: Option<Timestamp>,
         to: Timestamp,
     ) {
+        let family = plan.family(query_node.id);
         let from = |m: &Member| inst.t_end().saturating_sub(m.cutoff);
         let absent = last.map_or(family.len(), |l| family.partition_point(|m| from(m) > l));
-        for m in &family[..absent] {
-            let absence = Arc::new(Instance::absence(from(m), to));
-            let out = Instance::pair(query_node.kind.name(), absence, inst.clone());
-            self.work.push((m.node, Arc::new(out)));
+        if absent > 0 {
+            self.emit_family(plan, query_node, 0..absent, inst.clone(), Some(to));
         }
     }
 
@@ -1019,7 +1150,7 @@ impl Runtime {
             }
         }
         if let Some(last) = probed {
-            self.emit_absent(plan.family(query_node.id), query_node, inst, last, to);
+            self.emit_absent(plan, query_node, inst, last, to);
         }
     }
 
@@ -1039,7 +1170,7 @@ impl Runtime {
             Plan::Leaf => unreachable!("leaves have no children"),
             Plan::Forward if inst.interval() <= node.within => {
                 let wrapped = Arc::new(Instance::wrap("OR", inst.clone()));
-                self.work.push((node.id, wrapped));
+                self.work.push(Work::At(node.id, wrapped));
             }
             Plan::Forward => {}
             Plan::TwoSided => self.two_sided(graph, config, node, side, inst),
@@ -1120,13 +1251,12 @@ impl Runtime {
                 own.remove_ptr_eq(key, &e);
                 // `inst` is not in `own`: only `None` below admits it, once per side.
                 other.remove_ptr_eq(key, inst);
-                let children = if side == 0 {
-                    vec![inst.clone(), e]
+                let out = if side == 0 {
+                    Instance::pair(kind.name(), inst.clone(), e)
                 } else {
-                    vec![e, inst.clone()]
+                    Instance::pair(kind.name(), e, inst.clone())
                 };
-                let out = Arc::new(Instance::composite(kind.name(), children));
-                self.work.push((parent, out));
+                self.work.push(Work::At(parent, Arc::new(out)));
             }
             None => {
                 own.push(key, inst.clone(), cap);
@@ -1163,7 +1293,7 @@ impl Runtime {
             NodeState::Negation(neg) => neg.last_occurrence(spec, key, to, exclusive),
             other => unreachable!("negation child has state {other:?}"),
         };
-        self.emit_absent(plan.family(node.id), node, inst, last, to);
+        self.emit_absent(plan, node, inst, last, to);
     }
 
     /// [`Plan::LeftAperiodicQuery`]: the terminator takes every recorded
@@ -1195,7 +1325,7 @@ impl Runtime {
         let run = Arc::new(Instance::composite("SEQ+", elements));
         let out = Arc::new(Instance::pair(node.kind.name(), run, inst.clone()));
         if out.interval() <= within {
-            self.work.push((node.id, out));
+            self.work.push(Work::At(node.id, out));
         }
     }
 
@@ -1324,7 +1454,7 @@ impl Runtime {
         }
         if let Some(run) = closed {
             let out = Arc::new(Instance::composite("TSEQ+", run));
-            self.work.push((parent, out));
+            self.work.push(Work::At(parent, out));
         }
         if self.obs.level.counters() {
             // Every arrival is stored into the (possibly restarted) open
@@ -1372,13 +1502,12 @@ impl Runtime {
         if to <= clock {
             // Whole window already elapsed (lagged push-side delivery).
             let absence = Arc::new(Instance::absence(from, to));
-            let children = if not_side == 0 {
-                vec![absence, inst.clone()]
+            let out = if not_side == 0 {
+                Instance::pair(kind_name, absence, inst.clone())
             } else {
-                vec![inst.clone(), absence]
+                Instance::pair(kind_name, inst.clone(), absence)
             };
-            self.work
-                .push((node.id, Arc::new(Instance::composite(kind_name, children))));
+            self.work.push(Work::At(node.id, Arc::new(out)));
             return;
         }
         let anchor = self.timeline.next_seq();
@@ -1414,6 +1543,32 @@ fn negation_query_end(node: &Node, inst: &Instance) -> (Timestamp, bool) {
             false,
         ),
         ref other => unreachable!("negated-initiator query on {other:?}"),
+    }
+}
+
+/// The witness that a negated initiator stayed absent over the window of
+/// a member with `cutoff`: from `cutoff` before the terminator's end to
+/// `to`. A window that closes before it opens — a composite terminator that
+/// began more than `cutoff` before it ended — holds no initiator, so the
+/// negation holds over it, witnessed at `[to, to]` (docs/SEMANTICS.md §3).
+fn absent_witness(cutoff: Span, terminator: &Instance, to: Timestamp) -> Instance {
+    let from = terminator.t_end().saturating_sub(cutoff);
+    Instance::absence(from.min(to), to)
+}
+
+/// `witness` in `spare`'s allocation when nothing else holds it — a sink
+/// or the flight recorder may have kept the previous witness — else in a
+/// fresh one.
+fn rearm(spare: Option<Arc<Instance>>, witness: Instance) -> Arc<Instance> {
+    match spare {
+        Some(mut arc) => match Arc::get_mut(&mut arc) {
+            Some(slot) => {
+                *slot = witness;
+                arc
+            }
+            None => Arc::new(witness),
+        },
+        None => Arc::new(witness),
     }
 }
 

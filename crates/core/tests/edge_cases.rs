@@ -615,6 +615,100 @@ fn fingerprints(
     out
 }
 
+/// Every firing as the full instance, absence witnesses included: by rule,
+/// each rule's in the order it fired — the order of
+/// `reference::fire_instances`.
+fn instances(
+    catalog: &Catalog,
+    rules: &[EventExpr],
+    stream: &[Observation],
+) -> Vec<(u32, Instance)> {
+    let named = rules.iter().map(|rule| ("rule", rule));
+    let mut engine = Engine::with_rules(catalog.clone(), EngineConfig::default(), named).unwrap();
+    let mut out = Vec::new();
+    engine.process_all(stream.iter().copied(), &mut |rule, inst| {
+        out.push((rule.0, inst.clone()));
+    });
+    out.sort_by_key(|&(rule, _)| rule);
+    out
+}
+
+/// A negated initiator's window `[t_end − τu, min(t_end − τl, t_begin)]`
+/// is empty once a composite terminator spans more than `τu`: no initiator
+/// can stand at that distance, so the negation holds and the rule fires,
+/// its witness clamped to `[to, to]` — here the terminator's begin. The
+/// `r1` read inside the terminator's span blocks nothing.
+#[test]
+fn an_empty_negated_window_fires_with_its_witness_clamped() {
+    let catalog = catalog(3);
+    let read = |reader: &str| at(reader).bind_object("o");
+    let terminator = read("r2").seq(read("r3"));
+    let rule = read("r1")
+        .not()
+        .tseq(terminator, Span::from_secs(1), Span::from_secs(2));
+    let stream = [obs(2, 1, 0), obs(1, 1, 5_000), obs(3, 1, 10_000)];
+    let rules = [rule];
+    let fired = instances(&catalog, &rules, &stream);
+    assert_eq!(fired, reference::fire_instances(&catalog, &rules, &stream));
+
+    let read = |o: Observation| Arc::new(Instance::observation(o));
+    let terminator = Instance::pair("SEQ", read(stream[0]), read(stream[2]));
+    let witness = Instance::absence(Timestamp::ZERO, Timestamp::ZERO);
+    let expected = Instance::pair("TSEQ", Arc::new(witness), Arc::new(terminator));
+    assert_eq!(fired, [(0, expected)]);
+}
+
+/// One negated-initiator rule under four maximum distances, over a
+/// terminator that spans 5 s and one that spans 1 s. Over the long one the
+/// 1 s and 3 s windows are empty and fire, the 6 s window opens before the
+/// terminator and fires, and the 12 s window holds the `r1` read at 1 s.
+/// Over the short one only the 1 s window misses the `r1` read at 19.5 s.
+/// A composite terminator keeps these rules out of one window family, so
+/// each is a family of one; the last two rules nest the 3 s and 6 s roots
+/// under a parent, so those roots are sole members that feed one.
+#[test]
+fn negated_windows_empty_for_some_distances_fire_like_the_reference() {
+    let catalog = catalog(4);
+    let read = |reader: &str| at(reader).bind_object("o");
+    let rule = |max_s: u64| {
+        let terminator = read("r2").seq(read("r3")).within(Span::from_secs(5));
+        read("r1")
+            .not()
+            .tseq(terminator, Span::ZERO, Span::from_secs(max_s))
+    };
+    let then_r4 = |max_s: u64| rule(max_s).seq(read("r4")).within(Span::from_secs(20));
+    let rules = [rule(1), rule(3), rule(6), rule(12), then_r4(3), then_r4(6)];
+    let stream = [
+        obs(1, 1, 1_000),
+        obs(2, 1, 4_000),
+        obs(3, 1, 9_000),
+        obs(4, 1, 10_000),
+        obs(1, 2, 19_500),
+        obs(2, 2, 20_000),
+        obs(3, 2, 21_000),
+        obs(4, 2, 22_000),
+    ];
+    let fired = instances(&catalog, &rules, &stream);
+    assert_eq!(fired, reference::fire_instances(&catalog, &rules, &stream));
+    let per_rule = |r: u32| fired.iter().filter(|f| f.0 == r).count();
+    assert_eq!([0, 1, 2, 3, 4, 5].map(per_rule), [2, 1, 1, 0, 1, 1]);
+    let witness = |f: &(u32, Instance)| {
+        let w = &f.1.children()[0];
+        (w.t_begin().as_millis(), w.t_end().as_millis())
+    };
+    let long = Timestamp::from_secs(9);
+    let over_long = |r: u32| fired.iter().find(|f| f.0 == r && f.1.t_end() == long);
+    let windows = [0, 1, 2].map(|r| over_long(r).map(witness));
+    assert_eq!(
+        windows,
+        [
+            Some((4_000, 4_000)),
+            Some((4_000, 4_000)),
+            Some((3_000, 4_000))
+        ]
+    );
+}
+
 /// An unbounded maximum gap — `Span::MAX`, what a script's oversized
 /// literal such as `99999999999999999999 sec` parses to — keeps a `TSEQ+`
 /// run open to the end of the stream: its closure lies in the far future,

@@ -15,8 +15,11 @@
 
 mod support;
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rceda::engine::{Engine, EngineConfig, RuleId};
+use rceda::ObserveLevel;
 use rfid_epc::{Epc, Gid96, ReaderId};
 use rfid_events::{Catalog, EventExpr, Instance, Observation, Span, Timestamp};
 use support::reference::{self, Fingerprint};
@@ -210,6 +213,87 @@ fn distinct(nodes: Vec<rceda::NodeId>) -> Vec<rceda::NodeId> {
         }
     }
     out
+}
+
+/// What one emission delivers: every reached member fires, widest first,
+/// each with its own occurrence — an in-field member with the absence
+/// witness of its own window, a self-join member the one pair — under
+/// every observe level, and each flight record keeps what its firing
+/// delivered. In the third program the in-field root also feeds a parent:
+/// the one member whose occurrence a family emission builds on the heap.
+#[test]
+fn a_family_emission_fires_each_member_with_its_own_occurrence() {
+    let read = |reader: u32, ms: u64| {
+        let epc: Epc = Gid96::new(7, 1, 0).expect("valid gid").into();
+        Observation::new(ReaderId(reader), epc, Timestamp::from_millis(ms))
+    };
+    let (first, second, gate) = (read(0, 20_000), read(0, 22_000), read(2, 22_000));
+    let leaf = |o: Observation| Arc::new(Instance::observation(o));
+    let absent = |window: u64| {
+        let witness = Instance::absence(Timestamp::from_millis(20_000 - window), first.at);
+        Instance::pair("SEQ", Arc::new(witness), leaf(first))
+    };
+    let pair = Instance::pair("SEQ", leaf(first), leaf(second));
+    let fed = shape(1, Span::from_millis(4_000))
+        .seq(EventExpr::observation_in_group("g2").bind_object("o"))
+        .within(Span::from_millis(10_000));
+    // Rules 1 and 3 of `five` share the 1.5 s node.
+    let programs = [
+        (
+            rules(&five(1)),
+            vec![first],
+            vec![
+                (2, absent(9_000)),
+                (4, absent(6_000)),
+                (0, absent(4_000)),
+                (1, absent(1_500)),
+                (3, absent(1_500)),
+            ],
+        ),
+        (
+            rules(&five(0)),
+            vec![first, second],
+            vec![(2, pair.clone()), (4, pair.clone()), (0, pair)],
+        ),
+        (
+            vec![shape(1, Span::from_millis(4_000)), fed],
+            vec![first, gate],
+            vec![
+                (0, absent(4_000)),
+                (
+                    1,
+                    Instance::pair("SEQ", Arc::new(absent(4_000)), leaf(gate)),
+                ),
+            ],
+        ),
+    ];
+    for (rules, stream, expected) in programs {
+        for observe in [
+            ObserveLevel::Off,
+            ObserveLevel::Counters,
+            ObserveLevel::Full,
+        ] {
+            let config = EngineConfig {
+                observe,
+                ..EngineConfig::default()
+            };
+            let named = rules.iter().map(|rule| ("rule", rule));
+            let mut engine = Engine::with_rules(catalog(), config, named).expect("valid rules");
+            let mut fired = Vec::new();
+            engine.process_all(stream.iter().copied(), &mut |rule, inst| {
+                fired.push((rule.0, inst.clone()));
+            });
+            assert_eq!(fired, expected, "under {observe:?}");
+            let record = |r: &rceda::FlightRecord| (r.rule.0, Instance::clone(&r.inst));
+            let flight: Vec<_> = engine.flight().records().map(record).collect();
+            let kept = if observe == ObserveLevel::Full {
+                expected.clone()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(flight, kept, "flight under {observe:?}");
+        }
+    }
 }
 
 #[test]

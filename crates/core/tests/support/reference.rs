@@ -39,6 +39,20 @@ pub type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
 /// `stream`, windows still open at the end of the stream included (§4's
 /// `finish()`).
 pub fn fire(catalog: &Catalog, rules: &[EventExpr], stream: &[Observation]) -> Vec<Fingerprint> {
+    let fired = fire_instances(catalog, rules, stream);
+    let fingerprint = |(rule, i): (u32, Instance)| (rule, i.t_begin(), i.t_end(), i.observations());
+    let mut out: Vec<_> = fired.into_iter().map(fingerprint).collect();
+    out.sort();
+    out
+}
+
+/// Every firing of `rules` over `stream` as the full instance, absence
+/// witnesses included: by rule index, each rule's in the order it fired.
+pub fn fire_instances(
+    catalog: &Catalog,
+    rules: &[EventExpr],
+    stream: &[Observation],
+) -> Vec<(u32, Instance)> {
     let mut out = Vec::new();
     for (rule, event) in rules.iter().enumerate() {
         let mut matcher = Matcher::default();
@@ -48,9 +62,8 @@ pub fn fire(catalog: &Catalog, rules: &[EventExpr], stream: &[Observation]) -> V
         }
         matcher.advance(None);
         let fired = matcher.fired.iter();
-        out.extend(fired.map(|i| (rule as u32, i.t_begin(), i.t_end(), i.observations())));
+        out.extend(fired.map(|i| (rule as u32, Instance::clone(i))));
     }
-    out.sort();
     out
 }
 
@@ -411,8 +424,10 @@ impl Matcher {
                     let t = k.occ.inst.t_end();
                     from <= t && (t < to || (t == to && !half_open)) && correlated(&k.occ, &x)
                 });
+                // A window that closes before it opens holds no initiator:
+                // the negation holds, witnessed at `[to, to]`.
                 if !blocked {
-                    self.emit_absence(node, x, from, to);
+                    self.emit_absence(node, x, from.min(to), to);
                 }
             }
             Op::RunBefore(kind) => self.run_before(node, kind, x),

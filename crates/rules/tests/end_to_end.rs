@@ -160,6 +160,32 @@ fn rule4_bulk_containment() {
     assert!(d.rt.errors().is_empty());
 }
 
+/// A negated initiator whose window the terminator outlasts: no `r1` read
+/// can stand in `[10 s − 2 s, min(10 s − 1 s, 0 s)]`, so the script loads
+/// and the rule fires once, the `r1` read inside the terminator's span
+/// blocking nothing.
+#[test]
+fn a_negated_window_the_terminator_outlasts_fires() {
+    let mut d = Deployment::new();
+    d.rt.load(
+        "CREATE RULE e1, empty \
+         ON TSEQ(NOT observation('r1', o, t1); \
+                 (observation('r2', o, t2); observation('r3', o, t3)), 1 sec, 2 sec) \
+         IF true DO note(o)",
+    )
+    .unwrap();
+
+    d.feed(&[
+        (2, epc(30, 1), 0.0),
+        (1, epc(30, 1), 5.0),
+        (3, epc(30, 1), 10.0),
+    ]);
+
+    assert!(d.rt.errors().is_empty());
+    let notes: Vec<&[Value]> = d.rt.procedures().calls("note").collect();
+    assert_eq!(notes, [[Value::Epc(epc(30, 1))]]);
+}
+
 #[test]
 fn rule5_alarm_only_without_badge() {
     let mut d = Deployment::new();
