@@ -19,93 +19,27 @@
 //! counters only: events, matched events, occurrences, rule firings,
 //! pseudo events scheduled/fired, and capacity drops.
 
+mod differential;
 mod support;
 
+use differential::{trace, Feed};
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, RuleId};
 use rceda::{EngineStats, ObserveLevel};
-use rfid_events::{EventExpr, Instance, Observation};
-use rfid_simulator::{SimConfig, SupplyChain};
-use std::sync::OnceLock;
-use support::reference::{self, Fingerprint};
-use support::shapes::{shape, SHAPES, WINDOWS};
+use support::shapes::{self, SHAPES, WINDOWS};
 
-struct Fixture {
-    sim: SupplyChain,
-    stream: Vec<Observation>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let sim = SupplyChain::build(SimConfig::default());
-        let stream = sim.generate(2_000).observations;
-        Fixture { sim, stream }
-    })
-}
-
-/// How a run feeds the stream to the engine.
-#[derive(Debug, Clone, Copy)]
-enum Feed {
-    /// One `process` call per observation — the counters' baseline.
-    Scalar,
-    /// `process_batch` over chunks of this size.
-    Chunks(usize),
-    /// Chunks of this size, alternately one `process_batch` call and one
-    /// `process` call per element, on the same engine.
-    Mixed(usize),
-}
-
-/// Runs one configuration; also returns how many batches the feed made.
-fn rules(program: &[(usize, usize)]) -> Vec<EventExpr> {
-    let rule = |&(idx, w): &(usize, usize)| shape(idx, WINDOWS[w]);
-    program.iter().map(rule).collect()
-}
-
-fn run(
-    observe: ObserveLevel,
-    feed: Feed,
-    program: &[(usize, usize)],
-) -> (Vec<Fingerprint>, EngineStats, u64) {
-    let fx = fixture();
-    let config = EngineConfig {
-        observe,
-        ..EngineConfig::default()
+/// How many batches the engine counts when `feed` cuts `len` observations
+/// into chunks: a `process` call is a batch of one.
+fn batches(feed: Feed, len: usize) -> u64 {
+    let starts = |n: usize| (0..len).step_by(n).enumerate();
+    let sum = match feed {
+        Feed::Scalar => len,
+        Feed::Chunks(n) => len.div_ceil(n),
+        // Even chunks are one batch, odd ones one per observation.
+        Feed::Mixed(n) => starts(n)
+            .map(|(i, at)| if i % 2 == 1 { n.min(len - at) } else { 1 })
+            .sum(),
     };
-    let mut engine = Engine::new(fx.sim.catalog.clone(), config);
-    for (pos, rule) in rules(program).into_iter().enumerate() {
-        engine
-            .add_rule(&format!("r{pos}"), rule)
-            .expect("valid rule");
-    }
-    let mut out = Vec::new();
-    let mut sink = |rule: RuleId, inst: &Instance| {
-        out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
-    };
-    let size = match feed {
-        Feed::Scalar => 1,
-        Feed::Chunks(n) | Feed::Mixed(n) => n,
-    };
-    let mut batches = 0;
-    for (i, chunk) in fx.stream.chunks(size).enumerate() {
-        let per_observation = match feed {
-            Feed::Scalar => true,
-            Feed::Chunks(_) => false,
-            Feed::Mixed(_) => i % 2 == 1,
-        };
-        if per_observation {
-            for &obs in chunk {
-                engine.process(obs, &mut sink);
-            }
-            batches += chunk.len() as u64;
-        } else {
-            engine.process_batch(chunk, &mut sink);
-            batches += 1;
-        }
-    }
-    engine.finish(&mut sink);
-    out.sort();
-    (out, engine.stats(), batches)
+    sum as u64
 }
 
 /// The counters batching must not change — everything that describes
@@ -141,29 +75,23 @@ proptest! {
         ],
         observe in prop_oneof![Just(ObserveLevel::Off), Just(ObserveLevel::Counters)],
     ) {
-        let fx = fixture();
-        let expected = reference::fire(&fx.sim.catalog, &rules(&program), &fx.stream);
-        let (scalar_firings, scalar_stats, _) = run(observe, Feed::Scalar, &program);
-        let (batch_firings, batch_stats, batches) = run(observe, feed, &program);
-        prop_assert_eq!(
-            &batch_firings,
-            &expected,
-            "firing multiset diverged from the reference under {:?}",
-            feed
-        );
-        prop_assert_eq!(&scalar_firings, &expected, "scalar feed diverged from the reference");
+        let case = trace(2_000).case(shapes::program(&program));
+        let (scalar, scalar_engine) = case.run(Feed::Scalar, observe);
+        let (batched, batch_engine) = case.run(feed, observe);
+        case.check(&scalar);
+        case.check(&batched);
+        let (scalar_stats, batch_stats) = (scalar_engine.stats(), batch_engine.stats());
         prop_assert_eq!(
             detection_counters(&scalar_stats),
             detection_counters(&batch_stats),
             "detection counters diverged under {:?}",
             feed
         );
-        prop_assert_eq!(batch_stats.capacity_drops, 0, "outside the reference's domain");
         prop_assert_eq!(
             scalar_stats.batches_processed,
-            fx.stream.len() as u64,
+            case.stream.len() as u64,
             "a `process` call is a batch of one"
         );
-        prop_assert_eq!(batch_stats.batches_processed, batches);
+        prop_assert_eq!(batch_stats.batches_processed, batches(feed, case.stream.len()));
     }
 }

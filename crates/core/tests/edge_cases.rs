@@ -2,14 +2,16 @@
 //! deliveries, unbounded windows, dynamic rule addition, buffer hygiene,
 //! and composite negation.
 
+mod differential;
 mod support;
 
 use std::sync::Arc;
 
-use rceda::{Engine, EngineConfig, RuleId};
+use differential::{fingerprint, fingerprints, Case, Feed, Firing};
+use rceda::engine::PROCESS_ALL_BATCH;
+use rceda::{Engine, EngineConfig, ObserveLevel, RuleId};
 use rfid_epc::{Epc, Gid96, ReaderId};
 use rfid_events::{Catalog, EventExpr, Instance, Observation, Span, Timestamp};
-use support::reference::{self, Fingerprint};
 
 fn catalog(n: u32) -> Catalog {
     let mut c = Catalog::new();
@@ -400,7 +402,7 @@ fn family_changes_mid_stream_leave_existing_members_alone() {
     let run = |engine: &mut Engine, part: &[Observation], out: &mut Vec<_>| {
         engine.process_batch(part, &mut |r: RuleId, i: &Instance| {
             if r.0 < seeds {
-                out.push((r.0, i.t_begin(), i.t_end(), i.observations()));
+                out.push(fingerprint(r, i));
             }
         });
     };
@@ -409,7 +411,7 @@ fn family_changes_mid_stream_leave_existing_members_alone() {
     let mut expected = Vec::new();
     run(&mut untouched, head, &mut expected);
     run(&mut untouched, tail, &mut expected);
-    untouched.finish(&mut |r, i| expected.push((r.0, i.t_begin(), i.t_end(), i.observations())));
+    untouched.finish(&mut |r, i| expected.push(fingerprint(r, i)));
     assert!(expected.len() > 500, "the stream exercises every seed rule");
 
     let mut changed = build();
@@ -464,7 +466,7 @@ fn family_changes_mid_stream_leave_existing_members_alone() {
     assert_eq!(plan.family(infield3).len(), 3, "3 s, 12 s, 0.5 s");
     changed.finish(&mut |r, i| {
         if r.0 < seeds {
-            got.push((r.0, i.t_begin(), i.t_end(), i.observations()));
+            got.push(fingerprint(r, i));
         }
     });
 
@@ -599,38 +601,13 @@ fn tseq_over_a_composite_terminator_keeps_one_distance_of_initiators() {
     assert_eq!(engine.stats().capacity_drops, 0);
 }
 
-/// What the engine fires, as the reference interpreter fingerprints it.
-fn fingerprints(
-    catalog: &Catalog,
-    rules: &[EventExpr],
-    stream: &[Observation],
-) -> Vec<Fingerprint> {
-    let named = rules.iter().map(|rule| ("rule", rule));
-    let mut engine = Engine::with_rules(catalog.clone(), EngineConfig::default(), named).unwrap();
-    let mut out = Vec::new();
-    engine.process_all(stream.iter().copied(), &mut |rule, inst| {
-        out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
-    });
-    out.sort();
-    out
-}
-
-/// Every firing as the full instance, absence witnesses included: by rule,
-/// each rule's in the order it fired — the order of
-/// `reference::fire_instances`.
-fn instances(
-    catalog: &Catalog,
-    rules: &[EventExpr],
-    stream: &[Observation],
-) -> Vec<(u32, Instance)> {
-    let named = rules.iter().map(|rule| ("rule", rule));
-    let mut engine = Engine::with_rules(catalog.clone(), EngineConfig::default(), named).unwrap();
-    let mut out = Vec::new();
-    engine.process_all(stream.iter().copied(), &mut |rule, inst| {
-        out.push((rule.0, inst.clone()));
-    });
-    out.sort_by_key(|&(rule, _)| rule);
-    out
+/// What the engine fires over `stream`, in delivery order, held to the
+/// reference as full instances.
+fn fire_checked(catalog: &Catalog, rules: &[EventExpr], stream: &[Observation]) -> Vec<Firing> {
+    let case = Case::new(catalog, rules.to_vec(), stream);
+    let (fired, _) = case.run(Feed::Chunks(PROCESS_ALL_BATCH), ObserveLevel::Off);
+    case.check(&fired);
+    fired
 }
 
 /// A negated initiator's window `[t_end − τu, min(t_end − τl, t_begin)]`
@@ -647,9 +624,7 @@ fn an_empty_negated_window_fires_with_its_witness_clamped() {
         .not()
         .tseq(terminator, Span::from_secs(1), Span::from_secs(2));
     let stream = [obs(2, 1, 0), obs(1, 1, 5_000), obs(3, 1, 10_000)];
-    let rules = [rule];
-    let fired = instances(&catalog, &rules, &stream);
-    assert_eq!(fired, reference::fire_instances(&catalog, &rules, &stream));
+    let fired = fire_checked(&catalog, &[rule], &stream);
 
     let read = |o: Observation| Arc::new(Instance::observation(o));
     let terminator = Instance::pair("SEQ", read(stream[0]), read(stream[2]));
@@ -688,11 +663,10 @@ fn negated_windows_empty_for_some_distances_fire_like_the_reference() {
         obs(3, 2, 21_000),
         obs(4, 2, 22_000),
     ];
-    let fired = instances(&catalog, &rules, &stream);
-    assert_eq!(fired, reference::fire_instances(&catalog, &rules, &stream));
+    let fired = fire_checked(&catalog, &rules, &stream);
     let per_rule = |r: u32| fired.iter().filter(|f| f.0 == r).count();
     assert_eq!([0, 1, 2, 3, 4, 5].map(per_rule), [2, 1, 1, 0, 1, 1]);
-    let witness = |f: &(u32, Instance)| {
+    let witness = |f: &Firing| {
         let w = &f.1.children()[0];
         (w.t_begin().as_millis(), w.t_end().as_millis())
     };
@@ -720,11 +694,9 @@ fn tseq_plus_with_an_unbounded_gap_runs_to_the_end_of_the_stream() {
         .tseq_plus(Span::ZERO, Span::MAX)
         .within(Span::from_secs(60));
     let stream = [obs(1, 1, 1_000), obs(1, 2, 2_000), obs(1, 3, 3_000)];
-    let rules = [rule];
-    let expected = reference::fire(&catalog, &rules, &stream);
-    assert_eq!(fingerprints(&catalog, &rules, &stream), expected);
-    assert_eq!(expected.len(), 1, "one run");
-    assert_eq!(expected[0].3, stream, "of all three reads");
+    let fired = fire_checked(&catalog, &[rule], &stream);
+    assert_eq!(fired.len(), 1, "one run");
+    assert_eq!(fired[0].1.observations(), stream, "of all three reads");
 }
 
 /// The same for the negation waits, whose window closes `τu` after the
@@ -741,12 +713,10 @@ fn negation_waits_near_the_clock_limit_run_to_the_end_of_the_stream() {
         at("r1").and(at("r2").not()).within(huge),
     ];
     let stream = [obs(1, 1, 1_000), obs(2, 2, 2_000), obs(1, 3, 3_000)];
-    let expected = reference::fire(&catalog, &rules, &stream);
-    assert_eq!(fingerprints(&catalog, &rules, &stream), expected);
+    let fired = fingerprints(&fire_checked(&catalog, &rules, &stream));
     // The r2 read blocks the first r1 read under every rule and the second
     // under `AND` (it lies in the window's past half).
-    let rule_of = |f: &Fingerprint| f.0;
-    assert_eq!(expected.iter().map(rule_of).collect::<Vec<_>>(), [0, 1]);
+    assert_eq!(fired.iter().map(|f| f.0).collect::<Vec<_>>(), [0, 1]);
 }
 
 /// Keys are built once per arrival per interned key spec, so parents that
@@ -803,9 +773,8 @@ fn parents_reading_one_child_under_different_paths_keep_their_keys() {
         "equal lists, one spec"
     );
 
-    let expected = reference::fire(&catalog, &rules, &stream);
-    assert_eq!(fingerprints(&catalog, &rules, &stream), expected);
-    let per_rule = |r: u32| expected.iter().filter(|f| f.0 == r).count();
+    let fired = fire_checked(&catalog, &rules, &stream);
+    let per_rule = |r: u32| fired.iter().filter(|f| f.0 == r).count();
     assert_eq!([0, 1, 2].map(per_rule), [2, 2, 2]);
 }
 

@@ -13,16 +13,17 @@
 //! one holder, the `AND NOT` shape to one shared history with its per-rule
 //! waits kept, and the two inadmissible shapes stay exactly as they were.
 
+mod differential;
 mod support;
 
 use std::sync::Arc;
 
+use differential::{Case, Feed};
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, RuleId};
+use rceda::engine::{Engine, EngineConfig, RuleId, PROCESS_ALL_BATCH};
 use rceda::ObserveLevel;
 use rfid_epc::{Epc, Gid96, ReaderId};
 use rfid_events::{Catalog, EventExpr, Instance, Observation, Span, Timestamp};
-use support::reference::{self, Fingerprint};
 
 /// Shapes 0–2 are the admissible ones; 3, 4, 6 and 9 must lower unshared,
 /// and 5 shares its `NOT` history the way 2 does. Shapes 5 and 6 put the two
@@ -135,38 +136,25 @@ fn rules(program: &[(usize, u64)]) -> Vec<EventExpr> {
 }
 
 fn engine(program: &[(usize, u64)]) -> Engine {
-    let mut engine = Engine::new(catalog(), EngineConfig::default());
-    for (pos, rule) in rules(program).into_iter().enumerate() {
-        engine
-            .add_rule(&format!("r{pos}"), rule)
-            .expect("valid rule");
-    }
-    engine
-}
-
-fn run(program: &[(usize, u64)], stream: &[Observation]) -> (Vec<Fingerprint>, Vec<u64>) {
-    let mut engine = engine(program);
-    let mut out = Vec::new();
-    let mut sink = |rule: RuleId, inst: &Instance| {
-        out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
-    };
-    engine.process_all(stream.iter().copied(), &mut sink);
-    out.sort();
-    (out, engine.firings_per_rule().to_vec())
+    let named = rules(program);
+    let named = named.iter().map(|rule| ("rule", rule));
+    Engine::with_rules(catalog(), EngineConfig::default(), named).expect("valid rules")
 }
 
 fn assert_equivalent(program: &[(usize, u64)], stream: &[Observation]) {
-    let reference = reference::fire(&catalog(), &rules(program), stream);
-    let mut reference_counts = vec![0u64; program.len()];
-    for firing in &reference {
-        reference_counts[firing.0 as usize] += 1;
+    let catalog = catalog();
+    let case = Case::new(&catalog, rules(program), stream);
+    let (fired, engine) = case.run(Feed::Chunks(PROCESS_ALL_BATCH), ObserveLevel::Off);
+    let mut counts = vec![0u64; program.len()];
+    for &(rule, _) in &fired {
+        counts[rule as usize] += 1;
     }
-    let (shared, shared_counts) = run(program, stream);
     assert_eq!(
-        shared_counts, reference_counts,
+        engine.firings_per_rule(),
+        counts,
         "per-rule firing counts diverged"
     );
-    assert_eq!(shared, reference, "firing multisets diverged");
+    case.check(&fired);
 }
 
 proptest! {
@@ -267,23 +255,17 @@ fn a_family_emission_fires_each_member_with_its_own_occurrence() {
             ],
         ),
     ];
+    let catalog = catalog();
     for (rules, stream, expected) in programs {
+        let case = Case::new(&catalog, rules, &stream);
         for observe in [
             ObserveLevel::Off,
             ObserveLevel::Counters,
             ObserveLevel::Full,
         ] {
-            let config = EngineConfig {
-                observe,
-                ..EngineConfig::default()
-            };
-            let named = rules.iter().map(|rule| ("rule", rule));
-            let mut engine = Engine::with_rules(catalog(), config, named).expect("valid rules");
-            let mut fired = Vec::new();
-            engine.process_all(stream.iter().copied(), &mut |rule, inst| {
-                fired.push((rule.0, inst.clone()));
-            });
+            let (fired, engine) = case.run(Feed::Chunks(PROCESS_ALL_BATCH), observe);
             assert_eq!(fired, expected, "under {observe:?}");
+            case.check(&fired);
             let record = |r: &rceda::FlightRecord| (r.rule.0, Instance::clone(&r.inst));
             let flight: Vec<_> = engine.flight().records().map(record).collect();
             let kept = if observe == ObserveLevel::Full {

@@ -7,6 +7,10 @@
 //! state (arena, histograms, flight recorder) to a fresh engine's, not
 //! just the stats block.
 
+mod differential;
+mod support;
+
+use differential::{fingerprint, Fingerprint};
 use rceda::explain::{render_firing, render_instance};
 use rceda::{
     Engine, EngineConfig, ObserveLevel, RuleId, ShardConfig, ShardedEngine, TelemetrySnapshot,
@@ -14,9 +18,6 @@ use rceda::{
 use rfid_epc::{Epc, Gid96};
 use rfid_events::{Catalog, EventExpr, Instance, Observation, Span, Timestamp};
 use rfid_simulator::{SimConfig, SupplyChain};
-
-/// Order-independent firing fingerprint.
-type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
 
 fn sim_rules() -> Vec<(&'static str, EventExpr)> {
     let keyed = |group: &str| EventExpr::observation_in_group(group).bind_object("o");
@@ -62,9 +63,7 @@ fn engine_with(level: ObserveLevel, sim: &SupplyChain) -> Engine {
 
 fn run_stream(engine: &mut Engine, stream: &[Observation]) -> Vec<Fingerprint> {
     let mut out = Vec::new();
-    let mut sink = |rule: RuleId, inst: &Instance| {
-        out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
-    };
+    let mut sink = |rule: RuleId, inst: &Instance| out.push(fingerprint(rule, inst));
     for &obs in stream {
         engine.process(obs, &mut sink);
     }

@@ -12,109 +12,20 @@
 //! and an entry one engine prunes in a sweep another discards at probe
 //! time.
 
+mod differential;
+mod support;
+
+use differential::{trace, Feed};
 use proptest::prelude::*;
-use rceda::{Engine, EngineConfig, ObserveLevel, RuleId, ShardConfig, ShardedEngine};
-use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
-use rfid_simulator::{SimConfig, SupplyChain};
-use std::sync::OnceLock;
+use rceda::{EngineConfig, ObserveLevel, ShardConfig};
+use support::shapes::{self, WINDOWS};
 
-type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
-
-/// Object-shardable shapes only: every rule keys on the object EPC, so
-/// the keyed-shard pipeline runs with no residual broadcast workers and
-/// the per-shard streams partition the input exactly.
-const SHAPES: usize = 4;
-const WINDOWS: [Span; 3] = [Span::from_secs(2), Span::from_secs(5), Span::from_secs(30)];
-
-fn shape(idx: usize, window: Span) -> EventExpr {
-    let keyed = |group: &str| EventExpr::observation_in_group(group).bind_object("o");
-    match idx {
-        // Self-join duplicate filter.
-        0 => EventExpr::observation()
-            .bind_reader("r")
-            .bind_object("o")
-            .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
-            .within(window),
-        // AND with negated side (pseudo events on window close).
-        1 => keyed("pos").and(keyed("exits").not()).within(window),
-        // Right-side negation wait.
-        2 => keyed("docks").seq(keyed("exits").not()).within(window),
-        // Keyed two-sided join across groups.
-        3 => keyed("docks").seq(keyed("pos")).within(window),
-        _ => unreachable!("shape index out of pool"),
-    }
-}
-
-struct Fixture {
-    sim: SupplyChain,
-    stream: Vec<Observation>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let sim = SupplyChain::build(SimConfig::default());
-        let stream = sim.generate(1_500).observations;
-        Fixture { sim, stream }
-    })
-}
-
-/// Engine config for both sides: counters on.
-fn engine_config() -> EngineConfig {
-    EngineConfig {
-        observe: ObserveLevel::Counters,
-        ..EngineConfig::default()
-    }
-}
-
-fn single_pass(program: &[(usize, usize)]) -> (Vec<Fingerprint>, rceda::TelemetrySnapshot) {
-    let fx = fixture();
-    let mut engine = Engine::new(fx.sim.catalog.clone(), engine_config());
-    for (pos, &(idx, w)) in program.iter().enumerate() {
-        engine
-            .add_rule(&format!("r{pos}"), shape(idx, WINDOWS[w]))
-            .expect("valid rule");
-    }
-    let mut out = Vec::new();
-    let mut sink = |rule: RuleId, inst: &Instance| {
-        out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
-    };
-    for &obs in &fx.stream {
-        engine.process(obs, &mut sink);
-    }
-    engine.finish(&mut sink);
-    out.sort();
-    (out, engine.telemetry())
-}
-
-fn sharded_pass(program: &[(usize, usize)]) -> (Vec<Fingerprint>, rceda::TelemetrySnapshot) {
-    let fx = fixture();
-    let config = ShardConfig {
-        shards: 2,
-        residual_workers: 1,
-        batch_size: 32,
-        engine: engine_config(),
-        ..ShardConfig::default()
-    };
-    let mut engine = ShardedEngine::new(fx.sim.catalog.clone(), config);
-    for (pos, &(idx, w)) in program.iter().enumerate() {
-        engine
-            .add_rule(&format!("r{pos}"), shape(idx, WINDOWS[w]))
-            .expect("valid rule");
-    }
-    let mut out = Vec::new();
-    for &obs in &fx.stream {
-        engine.process(obs);
-    }
-    engine.finish(&mut |rule: RuleId, inst: &Instance| {
-        out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
-    });
-    out.sort();
-    let snap = engine
-        .telemetry()
-        .expect("counters level reports telemetry");
-    (out, snap)
-}
+/// The object-shardable shapes of the pool: the duplicate filter, the
+/// `AND NOT` and right-negation waits, and the keyed two-sided join. Every
+/// rule keys on the object EPC, so the keyed-shard pipeline runs with no
+/// residual broadcast workers and the per-shard streams partition the
+/// input exactly.
+const KEYED: [usize; 4] = [0, 2, 5, 7];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -124,12 +35,26 @@ proptest! {
     /// counter stats equal the single-engine run on the same stream.
     #[test]
     fn shard_merged_telemetry_equals_single_engine(
-        program in proptest::collection::vec((0usize..SHAPES, 0usize..WINDOWS.len()), 1..=4)
+        program in proptest::collection::vec((0usize..KEYED.len(), 0usize..WINDOWS.len()), 1..=4)
     ) {
-        let (single_firings, single) = single_pass(&program);
-        let (sharded_firings, sharded) = sharded_pass(&program);
-
-        prop_assert_eq!(&single_firings, &sharded_firings, "firing multisets diverged");
+        let draws: Vec<_> = program.iter().map(|&(idx, w)| (KEYED[idx], w)).collect();
+        let case = trace(1_500).case(shapes::program(&draws));
+        let (single_firings, mut single) = case.run(Feed::Scalar, ObserveLevel::Counters);
+        let config = ShardConfig {
+            shards: 2,
+            residual_workers: 1,
+            batch_size: 32,
+            engine: EngineConfig {
+                observe: ObserveLevel::Counters,
+                ..EngineConfig::default()
+            },
+            ..ShardConfig::default()
+        };
+        let (sharded_firings, sharded) = case.run_sharded(config);
+        // Both fire what the reference fires, so they fire alike.
+        case.check(&single_firings);
+        case.check(&sharded_firings);
+        let (single, sharded) = (single.telemetry(), sharded.telemetry().expect("counters level"));
 
         // Counter stats sum exactly across the partitioned streams — all
         // but `events`, which counts deliveries: a shard is not handed the

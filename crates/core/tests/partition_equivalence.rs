@@ -6,111 +6,36 @@
 //! fires exactly the union of the rules' firings, each as the reference
 //! interpreter (`support/reference.rs`) matches it on its own.
 
+mod differential;
 mod support;
 
-use std::sync::OnceLock;
-
+use differential::{trace, Case, Feed};
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, RuleId};
-use rfid_events::{EventExpr, Instance, Observation, Span};
-use rfid_simulator::{SimConfig, SupplyChain};
-use support::reference::{self, Fingerprint};
-
-/// Rule pool mixing every execution plan the partitions can cut across:
-/// self-joins, negation waits, keyless chronicle joins, and global runs.
-fn rules() -> Vec<(&'static str, EventExpr)> {
-    let dup = EventExpr::observation()
-        .bind_reader("r")
-        .bind_object("o")
-        .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
-        .within(Span::from_secs(5));
-    let missing = EventExpr::observation_in_group("shelves")
-        .bind_object("o")
-        .not()
-        .seq(EventExpr::observation_in_group("shelves").bind_object("o"))
-        .within(Span::from_secs(2));
-    let and_neg = EventExpr::observation_in_group("pos")
-        .bind_object("o")
-        .and(
-            EventExpr::observation_in_group("exits")
-                .bind_object("o")
-                .not(),
-        )
-        .within(Span::from_secs(3));
-    let keyless = EventExpr::observation_in_group("docks")
-        .seq(EventExpr::observation_in_group("pos"))
-        .within(Span::from_secs(10));
-    let run = EventExpr::observation_in_group("shelves")
-        .tseq_plus(Span::ZERO, Span::from_millis(1_500))
-        .within(Span::from_secs(30));
-    vec![
-        ("dup", dup),
-        ("missing", missing),
-        ("and-neg", and_neg),
-        ("keyless", keyless),
-        ("run", run),
-    ]
-}
-
-struct Fixture {
-    sim: SupplyChain,
-    stream: Vec<Observation>,
-    reference: Vec<Fingerprint>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let sim = SupplyChain::build(SimConfig::default());
-        let stream = sim.generate(1_500).observations;
-        let events: Vec<EventExpr> = rules().into_iter().map(|(_, event)| event).collect();
-        let reference = reference::fire(&sim.catalog, &events, &stream);
-        assert!(!reference.is_empty(), "workload must fire rules");
-        Fixture {
-            sim,
-            stream,
-            reference,
-        }
-    })
-}
+use rceda::ObserveLevel;
+use support::shapes;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    /// The mixed rule set (`support/shapes.rs`) mixes every execution plan
+    /// the partitions can cut across: self-joins, negation waits, keyless
+    /// chronicle joins, and global runs.
     #[test]
     fn any_partition_preserves_the_union_of_firings(
-        assignment in proptest::collection::vec(0usize..4, rules().len())
+        assignment in proptest::collection::vec(0usize..4, shapes::mixed().len())
     ) {
-        let fx = fixture();
-        let pool = rules();
-        let mut union: Vec<Fingerprint> = Vec::new();
+        let case = trace(1_500).case(shapes::mixed());
+        let mut union = Vec::new();
         for part in 0..4usize {
-            let members: Vec<usize> = (0..pool.len())
+            let members: Vec<usize> = (0..case.rules.len())
                 .filter(|&i| assignment[i] == part)
                 .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let mut engine = Engine::with_rules(
-                fx.sim.catalog.clone(),
-                EngineConfig::default(),
-                members.iter().map(|&i| (pool[i].0, &pool[i].1)),
-            )
-            .expect("valid rules");
-            let mut sink = |rule: RuleId, inst: &Instance| {
-                union.push((
-                    members[rule.0 as usize] as u32,
-                    inst.t_begin(),
-                    inst.t_end(),
-                    inst.observations(),
-                ));
-            };
-            for &obs in &fx.stream {
-                engine.process(obs, &mut sink);
-            }
-            engine.finish(&mut sink);
+            let rules = members.iter().map(|&i| case.rules[i].clone()).collect();
+            let part = Case::new(case.catalog, rules, case.stream);
+            let (fired, _) = part.run(Feed::Scalar, ObserveLevel::Off);
+            union.extend(fired.into_iter().map(|(rule, inst)| (members[rule as usize] as u32, inst)));
         }
-        union.sort();
-        prop_assert_eq!(&union, &fx.reference);
+        assert!(!union.is_empty(), "the workload must fire rules");
+        case.check(&union);
     }
 }

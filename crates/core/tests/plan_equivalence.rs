@@ -18,53 +18,19 @@
 //! The counters the reference cannot define are pinned instead, against
 //! values recorded from the parent commit (`counters_are_pinned`).
 
+mod differential;
 mod support;
 
+use differential::{trace, Case, Feed};
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, RuleId};
-use rfid_events::{EventExpr, Instance, Observation, Span};
-use rfid_simulator::{SimConfig, SupplyChain};
-use std::sync::OnceLock;
-use support::reference::{self, Fingerprint};
-use support::shapes::{shape, SHAPES, WINDOWS};
+use rceda::ObserveLevel;
+use rfid_events::{EventExpr, Span};
+use support::reference;
+use support::shapes::{self, SHAPES, WINDOWS};
 
-struct Fixture {
-    sim: SupplyChain,
-    stream: Vec<Observation>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let sim = SupplyChain::build(SimConfig::default());
-        let stream = sim.generate(2_000).observations;
-        Fixture { sim, stream }
-    })
-}
-
-fn rules(program: &[(usize, usize)]) -> Vec<EventExpr> {
-    let rule = |&(idx, w): &(usize, usize)| shape(idx, WINDOWS[w]);
-    program.iter().map(rule).collect()
-}
-
-fn run(program: &[(usize, usize)]) -> (Vec<Fingerprint>, rceda::EngineStats) {
-    let fx = fixture();
-    let mut engine = Engine::new(fx.sim.catalog.clone(), EngineConfig::default());
-    for (pos, rule) in rules(program).into_iter().enumerate() {
-        engine
-            .add_rule(&format!("r{pos}"), rule)
-            .expect("valid rule");
-    }
-    let mut out = Vec::new();
-    let mut sink = |rule: RuleId, inst: &Instance| {
-        out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
-    };
-    for &obs in &fx.stream {
-        engine.process(obs, &mut sink);
-    }
-    engine.finish(&mut sink);
-    out.sort();
-    (out, engine.stats())
+fn run(draws: &[(usize, usize)]) -> rceda::EngineStats {
+    let case = trace(2_000).case(shapes::program(draws));
+    case.run(Feed::Scalar, ObserveLevel::Off).1.stats()
 }
 
 proptest! {
@@ -81,21 +47,19 @@ proptest! {
     fn engine_fires_what_the_semantics_say(
         program in proptest::collection::vec((0usize..SHAPES, 0usize..WINDOWS.len()), 1..=5)
     ) {
-        let fx = fixture();
-        let rules = rules(&program);
-        let expected = reference::fire(&fx.sim.catalog, &rules, &fx.stream);
-        let matched = reference::matched_events(&fx.sim.catalog, &rules, &fx.stream);
-        let (firings, stats) = run(&program);
-        prop_assert_eq!(&firings, &expected, "firing multiset diverged from the reference");
-        prop_assert_eq!(stats.events, fx.stream.len() as u64);
+        let case = trace(2_000).case(shapes::program(&program));
+        let (fired, engine) = case.run(Feed::Scalar, ObserveLevel::Off);
+        case.check(&fired);
+        let stats = engine.stats();
+        let matched = reference::matched_events(case.catalog, &case.rules, case.stream);
+        prop_assert_eq!(stats.events, case.stream.len() as u64);
         prop_assert_eq!(stats.matched_events, matched);
-        prop_assert_eq!(stats.rule_firings, expected.len() as u64);
-        prop_assert_eq!(stats.capacity_drops, 0, "a capped run is outside the reference's domain");
+        prop_assert_eq!(stats.rule_firings, fired.len() as u64);
     }
 }
 
 /// `[pseudo_scheduled, pseudo_fired, occurrences, sweeps, sweeps_skipped]`
-/// of one program over the fixture stream, as recorded from an earlier
+/// of one program over the 2,000-event trace, as recorded from an earlier
 /// commit: the first three of shapes 0–8 and the mixed programs at
 /// `741f74c` (under both of its executors), of the twin-leaf shapes 9 and
 /// 10 at `261f94b`, of the composite-terminator shapes 11 and 12 at
@@ -191,7 +155,7 @@ fn mixed() -> [(Vec<(usize, usize)>, Pinned); 3] {
 fn counters_are_pinned() {
     let alone = (0..SHAPES).flat_map(|idx| (0..3).map(move |w| (vec![(idx, w)], ALONE[idx][w])));
     for (program, pinned) in alone.chain(mixed()) {
-        let (_, stats) = run(&program);
+        let stats = run(&program);
         let counted = [
             stats.pseudo_scheduled,
             stats.pseudo_fired,
@@ -211,10 +175,8 @@ fn counters_are_pinned() {
 /// `(e1, e2), (e2, e3), …` into `(e1, e2), (e3, e4), …`.
 #[test]
 fn a_twin_sharing_its_right_leaf_still_terminates_first() {
-    let fx = fixture();
-    let program = [(0, 2), (9, 2)];
-    let expected = reference::fire(&fx.sim.catalog, &rules(&program), &fx.stream);
-    assert_eq!(run(&program).0, expected);
+    let case = trace(2_000).case(shapes::program(&[(0, 2), (9, 2)]));
+    case.check(&case.run(Feed::Scalar, ObserveLevel::Off).0);
 }
 
 /// Open disagreement, met while pointing the suites at the reference
@@ -231,25 +193,19 @@ fn a_twin_sharing_its_right_leaf_still_terminates_first() {
 #[test]
 #[ignore = "engine delivers overlapping sibling leaves in dispatch-row order (ROADMAP: the oracle's one open disagreement)"]
 fn overlapping_sibling_patterns_are_delivered_right_to_left() {
-    let fx = fixture();
-    let shelf = fx.stream.iter().find(|obs| {
-        let group = fx.sim.catalog.readers.group_of(obs.reader);
+    let sim = &trace(2_000).sim;
+    let shelf = trace(2_000).stream.iter().find(|obs| {
+        let group = sim.catalog.readers.group_of(obs.reader);
         group == Some("shelves")
     });
     let first = *shelf.expect("the trace reads a shelf");
     let mut second = first;
     second.at = first.at + Span::from_secs(1);
-    let stream = [first, second];
     let rule = EventExpr::observation()
         .bind_object("o")
         .and(EventExpr::observation_in_group("shelves").bind_object("o"))
         .within(Span::from_secs(10));
-    let expected = reference::fire(&fx.sim.catalog, std::slice::from_ref(&rule), &stream);
-    let mut engine = Engine::new(fx.sim.catalog.clone(), EngineConfig::default());
-    engine.add_rule("overlap", rule).expect("valid rule");
-    let mut fired = Vec::new();
-    engine.process_all(stream, &mut |rule, inst: &Instance| {
-        fired.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
-    });
-    assert_eq!(fired, expected);
+    let stream = [first, second];
+    let case = Case::new(&sim.catalog, vec![rule], &stream);
+    case.check(&case.run(Feed::Scalar, ObserveLevel::Off).0);
 }

@@ -50,13 +50,19 @@ fn check(cases: Vec<Case>) {
         };
         let stream: Vec<Observation> = case.reads.iter().map(read).collect();
         assert!(stream.is_sorted_by_key(|o| o.at), "{}", case.sentence);
-        let fired: Vec<(u64, u64, Vec<u64>)> = reference::fire(&catalog(), &[case.rule], &stream)
-            .into_iter()
-            .map(|(_, begin, end, reads)| {
-                let reads = reads.iter().map(|o| o.at.as_millis()).collect();
-                (begin.as_millis(), end.as_millis(), reads)
-            })
-            .collect();
+        let mut fired: Vec<(u64, u64, Vec<u64>)> =
+            reference::fire(&catalog(), &[case.rule], &stream)
+                .into_iter()
+                .map(|(_, inst)| {
+                    let reads = inst
+                        .observations()
+                        .iter()
+                        .map(|o| o.at.as_millis())
+                        .collect();
+                    (inst.t_begin().as_millis(), inst.t_end().as_millis(), reads)
+                })
+                .collect();
+        fired.sort();
         let expected: Vec<(u64, u64, Vec<u64>)> = case
             .fires
             .iter()

@@ -14,10 +14,14 @@
 //! atomic protocol, and the workspace builds offline against shimmed
 //! dependencies (no loom).
 
-use rceda::engine::{Engine, EngineConfig, RuleId};
+mod differential;
+mod support;
+
+use differential::{trace, Case, Firing};
+use rceda::engine::RuleId;
 use rceda::{ShardConfig, ShardedEngine};
-use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
-use rfid_simulator::{SimConfig, SupplyChain};
+use rfid_events::{EventExpr, Instance, Observation};
+use support::shapes;
 
 /// Small but adversarial config: 3 keyed partitions + 2 broadcast ones on
 /// 5 pool threads, 4-observation batches, inboxes of one batch (every
@@ -49,87 +53,27 @@ fn configs() -> [ShardConfig; 2] {
     [tight_config(), crowded_config()]
 }
 
-/// One keyed rule (duplicate detection), one negation rule (exercises the
-/// pseudo-event clock at barriers), one residual global run.
-fn rules() -> Vec<(&'static str, EventExpr)> {
-    let dup = EventExpr::observation()
-        .bind_reader("r")
-        .bind_object("o")
-        .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
-        .within(Span::from_secs(5));
-    let missing = EventExpr::observation_in_group("shelves")
-        .bind_object("o")
-        .not()
-        .seq(EventExpr::observation_in_group("shelves").bind_object("o"))
-        .within(Span::from_secs(2));
-    let run = EventExpr::observation_in_group("shelves")
-        .tseq_plus(Span::ZERO, Span::from_millis(1_500))
-        .within(Span::from_secs(30));
-    // A second residual rule in its own merge group, so `tight_config` has
-    // two broadcast partitions for its two residual threads.
-    let keyless = EventExpr::observation_in_group("docks")
-        .seq(EventExpr::observation_in_group("pos"))
-        .within(Span::from_secs(10));
-    vec![
-        ("dup", dup),
-        ("missing", missing),
-        ("run", run),
-        ("keyless", keyless),
-    ]
-}
-
-type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
-
-fn fingerprint(rule: RuleId, inst: &Instance) -> Fingerprint {
-    (rule.0, inst.t_begin(), inst.t_end(), inst.observations())
-}
-
-fn trace(n: usize) -> (SupplyChain, Vec<Observation>) {
-    let sim = SupplyChain::build(SimConfig::default());
-    let stream = sim.generate(n).observations;
-    (sim, stream)
-}
-
-fn reference(sim: &SupplyChain, stream: &[Observation]) -> Vec<Fingerprint> {
-    let mut engine = Engine::new(sim.catalog.clone(), EngineConfig::default());
-    for (name, event) in rules() {
-        engine.add_rule(name, event).expect("valid rule");
-    }
-    let mut out = Vec::new();
-    let mut sink = |rule: RuleId, inst: &Instance| out.push(fingerprint(rule, inst));
-    for &obs in stream {
-        engine.process(obs, &mut sink);
-    }
-    engine.finish(&mut sink);
-    out.sort();
-    out
-}
-
-fn sharded(sim: &SupplyChain, config: ShardConfig) -> ShardedEngine {
-    let mut engine = ShardedEngine::new(sim.catalog.clone(), config);
-    for (name, event) in rules() {
-        engine.add_rule(name, event).expect("valid rule");
-    }
-    engine
+/// Of `shapes::mixed()`: one keyed rule (duplicate detection), one
+/// negation rule (exercises the pseudo-event clock at barriers), one
+/// residual global run, and a second residual rule in its own merge group,
+/// so `tight_config` has two broadcast partitions for its two residual
+/// threads.
+fn rules() -> Vec<EventExpr> {
+    let mixed = shapes::mixed();
+    [0, 1, 4, 3].map(|i| mixed[i].clone()).into()
 }
 
 /// The inbox/backpressure handshake delivers every observation exactly
-/// once: the sharded firing multiset equals the single-threaded one, and
-/// no inbox ever held more than its bound.
+/// once: the sharded firing multiset is the reference's, and no inbox ever
+/// held more than its bound.
 #[test]
 fn tight_queues_preserve_the_firing_multiset() {
-    let (sim, stream) = trace(240);
-    let expected = reference(&sim, &stream);
-    assert!(!expected.is_empty(), "workload must fire rules");
+    let case = trace(240).case(rules());
+    assert!(!case.expected().is_empty(), "workload must fire rules");
 
     for config in configs() {
-        let mut engine = sharded(&sim, config);
-        let mut got = Vec::new();
-        engine.process_all(stream.iter().copied(), &mut |rule, inst: &Instance| {
-            got.push(fingerprint(rule, inst));
-        });
-        got.sort();
-        assert_eq!(got, expected);
+        let (fired, engine) = case.run_sharded(config);
+        case.check(&fired);
         assert_eq!(engine.stats().max_queue_depth, 1, "an inbox at capacity");
     }
 }
@@ -140,29 +84,26 @@ fn tight_queues_preserve_the_firing_multiset() {
 /// barriers must never deadlock against the bounded inboxes.
 #[test]
 fn repeated_epoch_barriers_harvest_everything_once() {
-    let (sim, stream) = trace(240);
-    let expected = reference(&sim, &stream);
-
+    let case = trace(240).case(rules());
     for config in configs() {
-        let mut engine = sharded(&sim, config);
-        let mut got = Vec::new();
-        let mut epochs = 0usize;
-        for chunk in stream.chunks(30) {
-            for &obs in chunk {
-                engine.process(obs);
-            }
-            let now = chunk.last().expect("nonempty chunk").at;
-            engine.advance_to(now, &mut |rule, inst: &Instance| {
-                got.push(fingerprint(rule, inst));
-            });
-            epochs += 1;
-        }
-        engine.finish(&mut |rule, inst: &Instance| {
-            got.push(fingerprint(rule, inst));
-        });
-        got.sort();
-        assert_eq!(got, expected, "after {epochs} mid-stream barriers");
+        case.check(&with_barriers(&case, config, 30).0);
     }
+}
+
+/// Runs `case` on the pipeline with an epoch barrier after every `every`
+/// observations, at the last one's timestamp.
+fn with_barriers(case: &Case, config: ShardConfig, every: usize) -> (Vec<Firing>, ShardedEngine) {
+    let mut engine = case.sharded(config);
+    let mut got = Vec::new();
+    let mut sink = |rule: RuleId, inst: &Instance| got.push((rule.0, inst.clone()));
+    for chunk in case.stream.chunks(every) {
+        for &obs in chunk {
+            engine.process(obs);
+        }
+        engine.advance_to(chunk.last().expect("nonempty chunk").at, &mut sink);
+    }
+    engine.finish(&mut sink);
+    (got, engine)
 }
 
 /// A barrier reaches a partition that was never handed an observation: the
@@ -171,31 +112,17 @@ fn repeated_epoch_barriers_harvest_everything_once() {
 /// barrier's clock is the only one it ever sees.
 #[test]
 fn barriers_reach_an_empty_partition() {
-    let (sim, stream) = trace(240);
-    let heard = |obs: &Observation| {
-        let group = sim.catalog.readers.group_of(obs.reader);
+    let trace = trace(240);
+    let heard = |obs: &&Observation| {
+        let group = trace.sim.catalog.readers.group_of(obs.reader);
         group != Some("docks") && group != Some("pos")
     };
-    let stream: Vec<Observation> = stream.into_iter().filter(heard).collect();
-    let expected = reference(&sim, &stream);
+    let stream: Vec<Observation> = trace.stream.iter().filter(heard).copied().collect();
+    let case = Case::new(&trace.sim.catalog, rules(), &stream);
 
     for config in configs() {
-        let mut engine = sharded(&sim, config);
-        let mut got = Vec::new();
-        for chunk in stream.chunks(40) {
-            for &obs in chunk {
-                engine.process(obs);
-            }
-            let now = chunk.last().expect("nonempty chunk").at;
-            engine.advance_to(now, &mut |rule, inst: &Instance| {
-                got.push(fingerprint(rule, inst));
-            });
-        }
-        engine.finish(&mut |rule, inst: &Instance| {
-            got.push(fingerprint(rule, inst));
-        });
-        got.sort();
-        assert_eq!(got, expected);
+        let (got, engine) = with_barriers(&case, config, 40);
+        case.check(&got);
 
         let keyed = engine.worker_stats().len() - engine.residual_partitions().len();
         let idle = engine
@@ -213,10 +140,10 @@ fn barriers_reach_an_empty_partition() {
 /// leaked threads as errors).
 #[test]
 fn drop_mid_stream_joins_the_pool() {
-    let (sim, stream) = trace(120);
+    let case = trace(120).case(rules());
     for config in configs() {
-        let mut engine = sharded(&sim, config);
-        for &obs in stream.iter().take(90) {
+        let mut engine = case.sharded(config);
+        for &obs in case.stream.iter().take(90) {
             engine.process(obs);
         }
         drop(engine);
@@ -227,8 +154,9 @@ fn drop_mid_stream_joins_the_pool() {
 /// per-partition stats remain readable after the threads have been joined.
 #[test]
 fn finish_is_idempotent_and_stats_survive_join() {
-    let (sim, stream) = trace(120);
-    let mut engine = sharded(&sim, tight_config());
+    let case = trace(120).case(rules());
+    let stream = case.stream;
+    let mut engine = case.sharded(tight_config());
     let mut count = 0usize;
     engine.process_all(stream.iter().copied(), &mut |_, _| count += 1);
     engine.finish(&mut |_, _| panic!("second finish must not deliver"));
@@ -249,7 +177,7 @@ fn finish_is_idempotent_and_stats_survive_join() {
     assert_eq!(engine.residual_partitions().len(), 2);
     assert_eq!(per_partition.len(), 5, "3 keyed + 2 broadcast partitions");
 
-    let mut crowded = sharded(&sim, crowded_config());
+    let mut crowded = case.sharded(crowded_config());
     crowded.process_all(stream.iter().copied(), &mut |_, _| {});
     assert_eq!(crowded.stats().residual_workers, 1, "one thread");
     assert_eq!(crowded.residual_partitions().len(), 4, "four partitions");
@@ -263,10 +191,11 @@ fn finish_is_idempotent_and_stats_survive_join() {
 /// `shard.rs`.)
 #[test]
 fn late_reads_are_rejected_on_every_partition() {
-    let (sim, stream) = trace(120);
+    let case = trace(120).case(rules());
+    let stream = case.stream;
     for config in configs() {
         let delivered = |stream: &mut dyn Iterator<Item = Observation>| {
-            let mut engine = sharded(&sim, config.clone());
+            let mut engine = case.sharded(config.clone());
             stream.for_each(|obs| engine.process(obs));
             engine.finish(&mut |_, _| {});
             let per_partition = engine.worker_stats();

@@ -9,16 +9,16 @@
 //! that could show: a leaf over any reader, a reader outside the catalog,
 //! readers that fall silent while windows are open.
 
+mod differential;
 mod support;
 
+use differential::{trace, Case, Firing};
 use proptest::prelude::*;
 use rceda::engine::{Engine, EngineConfig, RuleId};
 use rceda::{ResidualReason, ShardConfig, Shardability, ShardedEngine};
 use rfid_epc::ReaderId;
-use rfid_events::{Catalog, EventExpr, Instance, Observation, Span, Timestamp};
-use rfid_simulator::{SimConfig, SupplyChain};
-use support::reference::{self, Fingerprint};
-use support::shapes::{shape, SHAPES, WINDOWS};
+use rfid_events::{Instance, Observation, Span, Timestamp};
+use support::shapes::{self, SHAPES, WINDOWS};
 
 /// The grid every differential case holds over: keyed shards × residual
 /// pool threads (the broadcast rules are cut into up to four partitions per
@@ -27,108 +27,47 @@ use support::shapes::{shape, SHAPES, WINDOWS};
 const SHARDS: [usize; 3] = [1, 2, 3];
 const RESIDUAL: [usize; 3] = [1, 2, 4];
 
-/// The mixed rule set: three object-shardable rules (one exercising
-/// negation waits and pseudo events) and two residual rules (a keyless
-/// chronicle join and a global TSEQ+ run).
-fn rules() -> Vec<(&'static str, EventExpr, Shardability)> {
-    let dup = EventExpr::observation()
-        .bind_reader("r")
-        .bind_object("o")
-        .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
-        .within(Span::from_secs(5));
-    let missing = EventExpr::observation_in_group("shelves")
-        .bind_object("o")
-        .not()
-        .seq(EventExpr::observation_in_group("shelves").bind_object("o"))
-        .within(Span::from_secs(2));
-    let and_neg = EventExpr::observation_in_group("pos")
-        .bind_object("o")
-        .and(
-            EventExpr::observation_in_group("exits")
-                .bind_object("o")
-                .not(),
-        )
-        .within(Span::from_secs(3));
-    let keyless = EventExpr::observation_in_group("docks")
-        .seq(EventExpr::observation_in_group("pos"))
-        .within(Span::from_secs(10));
-    let run = EventExpr::observation_in_group("shelves")
-        .tseq_plus(Span::ZERO, Span::from_millis(1_500))
-        .within(Span::from_secs(30));
-    vec![
-        ("dup", dup, Shardability::Object),
-        ("missing", missing, Shardability::Object),
-        ("and-neg", and_neg, Shardability::Object),
-        (
-            "keyless",
-            keyless,
-            Shardability::Residual(ResidualReason::KeylessJoin),
-        ),
-        (
-            "run",
-            run,
-            Shardability::Residual(ResidualReason::GlobalRun),
-        ),
-    ]
-}
+/// How each rule of `shapes::mixed()` shards: the three keyed rules on the
+/// object, the keyless join and the global run as residual rules.
+const SHARDABILITY: [Shardability; 5] = [
+    Shardability::Object,
+    Shardability::Object,
+    Shardability::Object,
+    Shardability::Residual(ResidualReason::KeylessJoin),
+    Shardability::Residual(ResidualReason::GlobalRun),
+];
 
-fn events() -> Vec<EventExpr> {
-    rules().into_iter().map(|(_, event, _)| event).collect()
-}
-
-fn fingerprint(rule: RuleId, inst: &Instance) -> Fingerprint {
-    (rule.0, inst.t_begin(), inst.t_end(), inst.observations())
-}
-
-fn reference_firings(sim: &SupplyChain, stream: &[Observation]) -> Vec<Fingerprint> {
-    reference::fire(&sim.catalog, &events(), stream)
-}
-
-/// The sorted firings of one engine over `stream`.
-fn single_firings(
-    catalog: &Catalog,
-    events: &[EventExpr],
-    stream: &[Observation],
-) -> Vec<Fingerprint> {
-    let mut engine = Engine::new(catalog.clone(), EngineConfig::default());
-    for (pos, event) in events.iter().enumerate() {
-        engine
-            .add_rule(&format!("r{pos}"), event.clone())
-            .expect("valid rule");
+/// A grid point for the mixed rule set: inboxes of two batches.
+fn grid(shards: usize, residual_workers: usize, batch_size: usize) -> ShardConfig {
+    ShardConfig {
+        shards,
+        residual_workers,
+        batch_size,
+        queue_depth: 2,
+        ..ShardConfig::default()
     }
-    let mut out = Vec::new();
-    let mut sink = |rule: RuleId, inst: &Instance| out.push(fingerprint(rule, inst));
-    for &obs in stream {
-        engine.process(obs, &mut sink);
-    }
-    engine.finish(&mut sink);
-    out.sort();
-    out
 }
 
-/// A sharded engine over `events`, rule ids in slice order.
-fn sharded_over(catalog: &Catalog, events: &[EventExpr], config: ShardConfig) -> ShardedEngine {
-    let mut engine = ShardedEngine::new(catalog.clone(), config);
-    for (pos, event) in events.iter().enumerate() {
-        engine
-            .add_rule(&format!("r{pos}"), event.clone())
-            .expect("valid rule");
-    }
+/// The mixed rule set on the pipeline, each rule sharding as it should.
+fn sharded(case: &Case, config: ShardConfig) -> ShardedEngine {
+    let engine = case.sharded(config);
+    assert_shardability(&engine);
     engine
 }
 
-/// Feeds `stream` and finishes; the firings in delivery order, which must
-/// be the documented one: by `t_end` across partitions.
-fn drive(engine: &mut ShardedEngine, stream: &[Observation]) -> Vec<Fingerprint> {
-    let mut got = Vec::new();
-    engine.process_all(stream.iter().copied(), &mut |rule, inst: &Instance| {
-        got.push(fingerprint(rule, inst));
-    });
-    assert!(
-        got.windows(2).all(|w| w[0].2 <= w[1].2),
-        "a barrier delivers in t_end order"
-    );
-    got
+fn assert_shardability(engine: &ShardedEngine) {
+    for (rule, expected) in SHARDABILITY.into_iter().enumerate() {
+        let got = engine.shardability(RuleId(rule as u32));
+        assert_eq!(got, expected, "rule {rule}");
+    }
+}
+
+/// Runs the mixed rule set and holds it to the reference.
+fn run(case: &Case, config: ShardConfig) -> (Vec<Firing>, ShardedEngine) {
+    let (fired, engine) = case.run_sharded(config);
+    assert_shardability(&engine);
+    case.check(&fired);
+    (fired, engine)
 }
 
 /// Observations delivered to the broadcast partition that runs `rule`.
@@ -142,49 +81,14 @@ fn delivered_to(engine: &ShardedEngine, rule: u32) -> u64 {
     engine.worker_stats()[keyed + p].events
 }
 
-fn sharded(sim: &SupplyChain, shards: usize, batch_size: usize) -> ShardedEngine {
-    sharded_with_residual(sim, shards, 1, batch_size)
-}
-
-fn sharded_with_residual(
-    sim: &SupplyChain,
-    shards: usize,
-    residual_workers: usize,
-    batch_size: usize,
-) -> ShardedEngine {
-    let config = ShardConfig {
-        shards,
-        residual_workers,
-        batch_size,
-        queue_depth: 2,
-        ..ShardConfig::default()
-    };
-    let mut engine = ShardedEngine::new(sim.catalog.clone(), config);
-    for (name, event, expected) in rules() {
-        let id = engine.add_rule(name, event).expect("valid rule");
-        assert_eq!(engine.shardability(id), expected, "rule {name}");
-    }
-    engine
-}
-
-fn trace(n: usize) -> (SupplyChain, Vec<Observation>) {
-    let sim = SupplyChain::build(SimConfig::default());
-    let stream = sim.generate(n).observations;
-    (sim, stream)
-}
-
 #[test]
 fn sharded_matches_single_threaded_for_all_shard_counts() {
-    let (sim, stream) = trace(4_000);
-    let expected = reference_firings(&sim, &stream);
+    let case = trace(4_000).case(shapes::mixed());
+    let expected = case.expected();
     assert!(!expected.is_empty(), "workload must actually fire rules");
 
     for shards in [1usize, 2, 8] {
-        let mut engine = sharded(&sim, shards, 64);
-        let mut got = drive(&mut engine, &stream);
-        got.sort();
-        assert_eq!(got, expected, "firing multiset diverged at {shards} shards");
-
+        let (_, engine) = run(&case, grid(shards, 1, 64));
         let stats = engine.stats();
         assert!(stats.batches > 0, "sharded path must batch");
         assert!(
@@ -201,29 +105,25 @@ fn the_grid_matches_single_threaded() {
     // Keyed shards × residual pool threads, with per-rule firing counts
     // pinned against the reference — not just the total — and the
     // accessors saying what they mean now that threads are not partitions.
-    let (sim, stream) = trace(4_000);
-    let expected = reference_firings(&sim, &stream);
-    let per_rule = |fps: &[Fingerprint]| {
+    let case = trace(4_000).case(shapes::mixed());
+    let per_rule = |fired: &[Firing]| {
         let mut counts = [0u64; 5];
-        for f in fps {
+        for f in fired {
             counts[f.0 as usize] += 1;
         }
         counts
     };
-    let expected_per_rule = per_rule(&expected);
+    let expected_per_rule = per_rule(case.expected());
 
     for shards in SHARDS {
         for residual_workers in RESIDUAL {
-            let mut engine = sharded_with_residual(&sim, shards, residual_workers, 64);
-            let mut got = drive(&mut engine, &stream);
+            let (got, engine) = run(&case, grid(shards, residual_workers, 64));
             let label = format!("{shards} shards × {residual_workers} residual threads");
             assert_eq!(
                 per_rule(&got),
                 expected_per_rule,
                 "per-rule counts, {label}"
             );
-            got.sort();
-            assert_eq!(got, expected, "firing multiset diverged, {label}");
 
             // Threads: never more than configured, never more than there
             // are partitions to run.
@@ -270,19 +170,14 @@ proptest! {
         shards in 0usize..SHARDS.len(),
         residual in 0usize..RESIDUAL.len(),
     ) {
-        let (sim, stream) = pool_fixture();
-        let events: Vec<EventExpr> = program.iter().map(|&(idx, w)| shape(idx, WINDOWS[w])).collect();
-        let expected = reference::fire(&sim.catalog, &events, stream);
+        let case = trace(2_000).case(shapes::program(&program));
         let config = ShardConfig {
             shards: SHARDS[shards],
             residual_workers: RESIDUAL[residual],
             batch_size: 32,
             ..ShardConfig::default()
         };
-        let mut engine = sharded_over(&sim.catalog, &events, config);
-        let mut got = drive(&mut engine, stream);
-        got.sort();
-        prop_assert_eq!(got, expected);
+        case.check(&case.run_sharded(config).0);
     }
 
     /// Partition P is subscribed to reader R iff some observation of R
@@ -294,41 +189,35 @@ proptest! {
         program in proptest::collection::vec((0usize..SHAPES, 0usize..WINDOWS.len()), 1..=5),
         shards in 1usize..=2,
     ) {
-        let (sim, stream) = pool_fixture();
-        let events: Vec<EventExpr> = program.iter().map(|&(idx, w)| shape(idx, WINDOWS[w])).collect();
+        let case = trace(2_000).case(shapes::program(&program));
         let config = ShardConfig { shards, residual_workers: 2, ..ShardConfig::default() };
-        let mut engine = sharded_over(&sim.catalog, &events, config);
+        let mut engine = case.sharded(config);
         let mut sink = |_: RuleId, _: &Instance| {};
         engine.advance_to(Timestamp::ZERO, &mut sink);
 
         // What each partition runs: the keyed shards all of the shardable
         // rules, a broadcast partition its own set.
         let keyed = engine.worker_stats().len() - engine.residual_partitions().len();
-        let shardable: Vec<RuleId> = (0..events.len() as u32)
+        let shardable: Vec<RuleId> = (0..case.rules.len() as u32)
             .map(RuleId)
             .filter(|&r| engine.shardability(r).is_object())
             .collect();
         let mut sets = vec![shardable; keyed.min(1)];
         sets.extend(engine.residual_partitions().iter().cloned());
         let mut models: Vec<Engine> = sets.iter().map(|set| {
-            let mut model = Engine::new(sim.catalog.clone(), EngineConfig::default());
-            for rule in set {
-                model
-                    .add_rule(&format!("r{}", rule.0), events[rule.0 as usize].clone())
-                    .expect("valid rule");
-            }
-            model
+            let rules = set.iter().map(|rule| case.rules[rule.0 as usize].clone()).collect();
+            Case::new(case.catalog, rules, case.stream).engine(EngineConfig::default())
         }).collect();
 
         // A burst per reader — every registered one and an id the catalog
         // never saw — over the objects of the trace, on a moving clock.
-        let outside = ReaderId(sim.catalog.readers.len() as u32 + 3);
-        let readers = sim.catalog.readers.iter().map(|def| def.id).chain([outside]);
+        let outside = ReaderId(case.catalog.readers.len() as u32 + 3);
+        let readers = case.catalog.readers.iter().map(|def| def.id).chain([outside]);
         let mut now = Timestamp::ZERO;
         for reader in readers {
             let before: Vec<u64> = engine.worker_stats().iter().map(|s| s.events).collect();
             let matched: Vec<u64> = models.iter().map(|m| m.stats().matched_events).collect();
-            for seed in stream.iter().take(6) {
+            for seed in case.stream.iter().take(6) {
                 now += Span::from_millis(10);
                 let obs = Observation::new(reader, seed.object, now);
                 engine.process(obs);
@@ -354,49 +243,41 @@ proptest! {
     }
 }
 
-/// The fixture of `plan_equivalence`: the default deployment, 2,000 events.
-fn pool_fixture() -> &'static (SupplyChain, Vec<Observation>) {
-    static FIXTURE: std::sync::OnceLock<(SupplyChain, Vec<Observation>)> =
-        std::sync::OnceLock::new();
-    FIXTURE.get_or_init(|| trace(2_000))
-}
-
 #[test]
 fn residual_rules_fire_despite_sharding() {
     // The keyless join and the TSEQ+ run detect *cross-object* patterns; if
     // the residual shard were missing or keyed, these firings would vanish.
-    let (sim, stream) = trace(4_000);
-    let expected = reference_firings(&sim, &stream);
-    let keyless_expected = expected.iter().filter(|f| f.0 == 3).count();
-    let run_expected = expected.iter().filter(|f| f.0 == 4).count();
-    assert!(keyless_expected > 0, "trace must exercise the keyless rule");
-    assert!(run_expected > 0, "trace must exercise the TSEQ+ rule");
-
-    let mut engine = sharded(&sim, 4, 128);
+    let case = trace(4_000).case(shapes::mixed());
+    let expected = case.expected();
+    assert!(
+        expected.iter().any(|f| f.0 == 3),
+        "trace must exercise the keyless rule"
+    );
+    assert!(
+        expected.iter().any(|f| f.0 == 4),
+        "trace must exercise the TSEQ+ rule"
+    );
+    let (_, engine) = run(&case, grid(4, 1, 128));
     assert!(engine.has_residual());
-    let got = drive(&mut engine, &stream);
-    assert_eq!(got.iter().filter(|f| f.0 == 3).count(), keyless_expected);
-    assert_eq!(got.iter().filter(|f| f.0 == 4).count(), run_expected);
 }
 
 #[test]
 fn ordered_output_is_deterministic_and_barriers_preserve_semantics() {
-    let (sim, stream) = trace(2_000);
-    let expected = reference_firings(&sim, &stream);
-    let mid = stream.len() / 2;
-    let t_mid = stream[mid].at;
+    let case = trace(2_000).case(shapes::mixed());
+    let mid = case.stream.len() / 2;
+    let t_mid = case.stream[mid].at;
 
     let run_once = || {
-        let mut engine = sharded_with_residual(&sim, 2, 2, 32);
+        let mut engine = sharded(&case, grid(2, 2, 32));
         let mut got = Vec::new();
-        let mut sink = |rule: RuleId, inst: &Instance| got.push(fingerprint(rule, inst));
-        for &obs in &stream[..mid] {
+        let mut sink = |rule: RuleId, inst: &Instance| got.push((rule.0, inst.clone()));
+        for &obs in &case.stream[..mid] {
             engine.process(obs);
         }
         // Mid-stream epoch barrier: due pseudo events resolve, accumulated
         // firings are delivered; detection continues afterwards.
         engine.advance_to(t_mid, &mut sink);
-        for &obs in &stream[mid..] {
+        for &obs in &case.stream[mid..] {
             engine.process(obs);
         }
         engine.finish(&mut sink);
@@ -404,36 +285,26 @@ fn ordered_output_is_deterministic_and_barriers_preserve_semantics() {
     };
 
     let a = run_once();
-    let b = run_once();
     assert_eq!(
-        a, b,
+        a,
+        run_once(),
         "ordered output must be reproducible run-to-run, whichever thread ran which partition"
     );
-
-    let mut sorted = a;
-    sorted.sort();
-    assert_eq!(
-        sorted, expected,
-        "barriers must not change the firing multiset"
-    );
+    // Barriers must not change the firing multiset.
+    case.check(&a);
 }
 
 #[test]
 fn all_rules_shardable_skips_residual() {
-    let (sim, stream) = trace(1_000);
-    let (_, event, _) = rules().remove(0);
+    let case = trace(1_000).case(vec![shapes::mixed().remove(0)]);
     let config = ShardConfig {
         shards: 3,
         batch_size: 16,
         ..ShardConfig::default()
     };
-    let mut engine = sharded_over(&sim.catalog, std::slice::from_ref(&event), config);
+    let (fired, engine) = case.run_sharded(config);
+    case.check(&fired);
     assert!(!engine.has_residual());
-
-    let expected = single_firings(&sim.catalog, &[event], &stream);
-    let mut got = drive(&mut engine, &stream);
-    got.sort();
-    assert_eq!(got, expected);
     assert_eq!(engine.residual_worker_count(), 0);
     assert!(engine.residual_partitions().is_empty());
     assert_eq!(engine.worker_stats().len(), 3, "three keyed partitions");
@@ -445,24 +316,17 @@ fn single_shard_folds_the_keyed_rules_into_the_broadcast_partitions() {
     // anyway, so there is none: all five rules are rule-partitioned, each
     // merge group a partition of its own (four per thread allow it), and
     // each partition is handed the readers of its rule only.
-    let (sim, stream) = trace(2_000);
-    let expected = reference_firings(&sim, &stream);
-
-    let mut engine = sharded_with_residual(&sim, 1, 2, 64);
+    let case = trace(2_000).case(shapes::mixed());
+    let (_, engine) = run(&case, grid(1, 2, 64));
     assert!(engine.has_residual(), "mixed rule set needs a residual");
-    let mut got = drive(&mut engine, &stream);
-    got.sort();
-    assert_eq!(got, expected, "folded single shard diverged");
 
     let partitions = engine.residual_partitions();
     assert_eq!(partitions.len(), 5);
     assert_eq!(engine.worker_stats().len(), 5, "no keyed partition");
-    let group_of = |obs: &Observation| sim.catalog.readers.group_of(obs.reader).unwrap_or("");
+    let group_of = |obs: &Observation| case.catalog.readers.group_of(obs.reader).unwrap_or("");
     let reads = |groups: &[&str]| {
-        stream
-            .iter()
-            .filter(|obs| groups.contains(&group_of(obs)))
-            .count() as u64
+        let stream = case.stream.iter();
+        stream.filter(|obs| groups.contains(&group_of(obs))).count() as u64
     };
     for (rules, stats) in partitions.iter().zip(engine.worker_stats()) {
         let [rule] = rules[..] else {
@@ -471,7 +335,7 @@ fn single_shard_folds_the_keyed_rules_into_the_broadcast_partitions() {
         // `events` counts deliveries, and a delivery is never a miss.
         assert_eq!(stats.events, stats.matched_events, "rule {rule:?}");
         let wanted = match rule.0 {
-            0 => stream.len() as u64, // `dup`: a leaf over any reader
+            0 => case.stream.len() as u64, // `dup`: a leaf over any reader
             1 | 4 => reads(&["shelves"]),
             2 => reads(&["pos", "exits"]),
             3 => reads(&["docks", "pos"]),
@@ -488,27 +352,23 @@ fn a_reader_outside_the_catalog_reaches_the_any_reader_partitions_only() {
     // `ReaderRegistry` ids are dense; an id past them has no dispatch row,
     // so only a leaf over any reader can match it — in one engine and in
     // every partition alike.
-    let (sim, mut stream) = trace(1_500);
+    let sim = &trace(1_500).sim;
     let outside = ReaderId(sim.catalog.readers.len() as u32 + 7);
     let shelf = sim.catalog.readers.members("shelves")[0];
+    let mut stream = trace(1_500).stream.clone();
     for obs in stream.iter_mut().filter(|obs| obs.reader == shelf) {
         obs.reader = outside;
     }
+    let case = Case::new(&sim.catalog, shapes::mixed(), &stream);
     let strangers = stream.iter().filter(|obs| obs.reader == outside).count() as u64;
-    let expected = single_firings(&sim.catalog, &events(), &stream);
+    let by_strangers = |f: &Firing| f.1.observations().iter().all(|obs| obs.reader == outside);
     assert!(
-        expected
-            .iter()
-            .any(|f| f.0 == 0 && f.3.iter().all(|obs| obs.reader == outside)),
+        case.expected().iter().any(|f| f.0 == 0 && by_strangers(f)),
         "`dup` must pair reads of the unknown reader"
     );
 
     for shards in [1usize, 2] {
-        let mut engine = sharded_with_residual(&sim, shards, 2, 64);
-        let mut got = drive(&mut engine, &stream);
-        got.sort();
-        assert_eq!(got, expected, "{shards} shards");
-
+        let (_, engine) = run(&case, grid(shards, 2, 64));
         let known = |groups: &[&str]| {
             stream
                 .iter()
@@ -545,7 +405,7 @@ fn windows_of_a_partition_whose_readers_fall_silent_still_resolve() {
     // `TSEQ+` windows are closed by the barrier alone — with the `t_end`
     // the single engine, whose clock the dock reads keep moving, gives
     // them.
-    let (sim, full) = trace(3_000);
+    let (sim, full) = (&trace(3_000).sim, &trace(3_000).stream);
     let mid = full.len() / 2;
     let silent = ["shelves", "exits", "pos"];
     let stream: Vec<Observation> = full
@@ -561,30 +421,26 @@ fn windows_of_a_partition_whose_readers_fall_silent_still_resolve() {
         .iter()
         .position(|obs| obs.at >= full[mid].at)
         .expect("a second half");
-    let expected = reference_firings(&sim, &stream);
+    let case = Case::new(&sim.catalog, shapes::mixed(), &stream);
     // The run the last shelf read belongs to was open when the shelves
     // stopped: what closes it comes after.
     let shelf = |obs: &&Observation| sim.catalog.readers.group_of(obs.reader) == Some("shelves");
     let last_shelf_read = stream[..cut].iter().rfind(shelf).expect("shelf reads");
+    let closes_it = |f: &Firing| f.0 == 4 && f.1.observations().last() == Some(last_shelf_read);
     assert!(
-        expected
-            .iter()
-            .any(|f| f.0 == 4 && f.3.last() == Some(last_shelf_read)),
+        case.expected().iter().any(closes_it),
         "the open run must fire"
     );
 
     for (shards, residual_workers) in [(1, 1), (1, 2), (2, 2), (3, 4)] {
         let label = format!("{shards} shards × {residual_workers} residual threads");
         // Closed by `finish`.
-        let mut engine = sharded_with_residual(&sim, shards, residual_workers, 64);
-        let mut got = drive(&mut engine, &stream);
-        got.sort();
-        assert_eq!(got, expected, "finish, {label}");
+        run(&case, grid(shards, residual_workers, 64));
 
         // Closed by `advance_to`: a barrier long after the silence began
         // delivers every firing whose window has closed by then, and
         // `finish` adds only the rest.
-        let mut engine = sharded_with_residual(&sim, shards, residual_workers, 64);
+        let mut engine = sharded(&case, grid(shards, residual_workers, 64));
         let mut got = Vec::new();
         for &obs in &stream[..cut] {
             engine.process(obs);
@@ -594,17 +450,14 @@ fn windows_of_a_partition_whose_readers_fall_silent_still_resolve() {
         for &obs in &stream[cut..later] {
             engine.process(obs);
         }
-        engine.advance_to(horizon, &mut |rule, inst: &Instance| {
-            got.push(fingerprint(rule, inst));
-        });
-        let by_horizon = got.len();
+        let mut sink = |rule: RuleId, inst: &Instance| got.push((rule.0, inst.clone()));
+        engine.advance_to(horizon, &mut sink);
         for &obs in &stream[later..] {
             engine.process(obs);
         }
-        engine.finish(&mut |rule, inst: &Instance| {
-            got.push(fingerprint(rule, inst));
-        });
-        let silenced_after: Vec<&Fingerprint> = got[by_horizon..]
+        let by_horizon = got.len();
+        engine.finish(&mut |rule, inst: &Instance| got.push((rule.0, inst.clone())));
+        let silenced_after: Vec<&Firing> = got[by_horizon..]
             .iter()
             .filter(|f| [1, 2, 4].contains(&f.0))
             .collect();
@@ -612,30 +465,19 @@ fn windows_of_a_partition_whose_readers_fall_silent_still_resolve() {
             silenced_after.is_empty(),
             "windows of ≤30 s closed at the barrier, {label}: {silenced_after:?}"
         );
-        got.sort();
-        assert_eq!(got, expected, "advance_to, {label}");
+        case.check(&got);
     }
 }
 
 #[test]
 fn an_inbox_of_one_batch_changes_nothing() {
-    let (sim, stream) = trace(2_000);
-    let expected = reference_firings(&sim, &stream);
+    let case = trace(2_000).case(shapes::mixed());
     for (shards, residual_workers) in [(1, 1), (2, 2), (3, 4)] {
         let config = ShardConfig {
-            shards,
-            residual_workers,
-            batch_size: 8,
             queue_depth: 1,
-            ..ShardConfig::default()
+            ..grid(shards, residual_workers, 8)
         };
-        let mut engine = sharded_over(&sim.catalog, &events(), config);
-        let mut got = drive(&mut engine, &stream);
-        got.sort();
-        assert_eq!(
-            got, expected,
-            "{shards} shards × {residual_workers} threads"
-        );
+        let (_, engine) = run(&case, config);
         assert_eq!(engine.stats().max_queue_depth, 1, "the bound is the bound");
     }
 }

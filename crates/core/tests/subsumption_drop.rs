@@ -20,15 +20,13 @@
 //! this suite (the one place a leaf pattern overlaps its sibling's:
 //! `docks ; any reader`) faces the oracle too.
 
+mod differential;
 mod support;
 
+use differential::{trace, Feed, Firing};
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, RuleId};
-use rceda::subsumes;
-use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
-use rfid_simulator::{SimConfig, SupplyChain};
-use std::sync::OnceLock;
-use support::reference;
+use rceda::{subsumes, ObserveLevel};
+use rfid_events::{EventExpr, Span, Timestamp};
 
 /// Firing fingerprint: rule slot and instance window. Constituents are
 /// deliberately excluded — chronicle consumption may witness a firing with
@@ -109,52 +107,16 @@ fn control(idx: usize) -> EventExpr {
     }
 }
 
-struct Fixture {
-    sim: SupplyChain,
-    stream: Vec<Observation>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let sim = SupplyChain::build(SimConfig::default());
-        let stream = sim.generate(2_000).observations;
-        Fixture { sim, stream }
-    })
-}
-
 /// Runs a program and returns its sorted firing fingerprints, after
-/// checking the full ones — constituents included — against the reference.
-/// Rule slots are caller-assigned so the same rule keeps its id across
-/// variants.
+/// checking the full firings — constituents included — against the
+/// reference. Rule slots are caller-assigned so the same rule keeps its id
+/// across variants.
 fn run(rules: &[(u32, &EventExpr)]) -> Vec<Fingerprint> {
-    let fx = fixture();
-    let mut engine = Engine::new(fx.sim.catalog.clone(), EngineConfig::default());
-    let mut slots = Vec::new();
-    for &(slot, expr) in rules {
-        let name = format!("r{slot}");
-        engine.add_rule(&name, expr.clone()).expect("valid rule");
-        slots.push(slot);
-    }
-    let mut full = Vec::new();
-    let mut sink = |rule: RuleId, inst: &Instance| {
-        full.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
-    };
-    for &obs in &fx.stream {
-        engine.process(obs, &mut sink);
-    }
-    engine.finish(&mut sink);
-    full.sort();
-    let events: Vec<EventExpr> = rules.iter().map(|&(_, e)| e.clone()).collect();
-    let expected = reference::fire(&fx.sim.catalog, &events, &fx.stream);
-    assert_eq!(full, expected, "diverged from the reference");
-    assert_eq!(
-        engine.stats().capacity_drops,
-        0,
-        "outside the reference's domain"
-    );
-    let slot = |(rule, begin, end, _)| (slots[rule as usize], begin, end);
-    let mut out: Vec<Fingerprint> = full.into_iter().map(slot).collect();
+    let case = trace(2_000).case(rules.iter().map(|&(_, e)| e.clone()).collect());
+    let (fired, _) = case.run(Feed::Scalar, ObserveLevel::Off);
+    case.check(&fired);
+    let slot = |(rule, inst): &Firing| (rules[*rule as usize].0, inst.t_begin(), inst.t_end());
+    let mut out: Vec<Fingerprint> = fired.iter().map(slot).collect();
     out.sort();
     out
 }
@@ -185,12 +147,11 @@ proptest! {
         w in 0usize..WINDOWS.len(),
         ctrl in 0usize..CONTROLS,
     ) {
-        let fx = fixture();
         let (wide, narrow) = pair(axis, w);
         let extra = control(ctrl);
         // The pair must be exactly what W006 would flag.
         prop_assert!(
-            subsumes(&wide, &narrow, Some(&fx.sim.catalog)).is_some(),
+            subsumes(&wide, &narrow, Some(&trace(2_000).sim.catalog)).is_some(),
             "constructed pair on axis {axis} must be provable"
         );
         let full = run(&[(0, &wide), (1, &narrow), (2, &extra)]);

@@ -31,24 +31,11 @@ use rfid_events::{
     Var,
 };
 
-/// A firing, identified independently of emission order: rule index,
-/// instance window, constituent observations.
-pub type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
-
-/// The sorted firing multiset of `rules` — each matched on its own — over
-/// `stream`, windows still open at the end of the stream included (§4's
-/// `finish()`).
-pub fn fire(catalog: &Catalog, rules: &[EventExpr], stream: &[Observation]) -> Vec<Fingerprint> {
-    let fired = fire_instances(catalog, rules, stream);
-    let fingerprint = |(rule, i): (u32, Instance)| (rule, i.t_begin(), i.t_end(), i.observations());
-    let mut out: Vec<_> = fired.into_iter().map(fingerprint).collect();
-    out.sort();
-    out
-}
-
-/// Every firing of `rules` over `stream` as the full instance, absence
-/// witnesses included: by rule index, each rule's in the order it fired.
-pub fn fire_instances(
+/// Every firing of `rules` — each matched on its own — over `stream`,
+/// windows still open at the end of the stream included (§4's `finish()`),
+/// as the full instance, absence witnesses included: by rule index, each
+/// rule's in the order it fired.
+pub fn fire(
     catalog: &Catalog,
     rules: &[EventExpr],
     stream: &[Observation],

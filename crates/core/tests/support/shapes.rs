@@ -1,6 +1,8 @@
-//! The rule-shape pool of the differential suites (`plan_equivalence`
-//! draws programs from it for one engine, `shard_equivalence` for the
-//! sharded pipeline).
+//! The rule-shape pool of the differential suites: every differential
+//! suite draws its programs from it — random `(shape, window)` draws, or
+//! the fixed [`mixed`] rule set — except two whose pools are their
+//! subject: `family_equivalence`'s tick-lattice window families and
+//! `subsumption_drop`'s constructed subsumption pairs.
 
 use rfid_events::{EventExpr, Span};
 
@@ -92,4 +94,21 @@ pub fn shape(idx: usize, window: Span) -> EventExpr {
         12 => shelf().tseq(shelf().seq(shelf()), Span::ZERO, DIST),
         _ => unreachable!("shape index out of pool"),
     }
+}
+
+/// A program of `(shape, window index)` draws.
+pub fn program(draws: &[(usize, usize)]) -> Vec<EventExpr> {
+    draws
+        .iter()
+        .map(|&(idx, w)| shape(idx, WINDOWS[w]))
+        .collect()
+}
+
+/// The mixed rule set: three object-shardable rules — a duplicate filter,
+/// an in-field filter and an `AND NOT` wait, the last two resolved by
+/// pseudo events — and two residual ones, a keyless chronicle join and a
+/// global `TSEQ+` run: shapes 0–4 at 5, 2, 3, 10 and 30 s.
+pub fn mixed() -> Vec<EventExpr> {
+    let at = |(idx, secs)| shape(idx, Span::from_secs(secs));
+    [(0, 5), (1, 2), (2, 3), (3, 10), (4, 30)].map(at).into()
 }

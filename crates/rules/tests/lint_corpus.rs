@@ -174,7 +174,7 @@ fn nested_tseq_inside_its_window_is_not_an_empty_window() {
     let expr = rfid_rules::compile::compile_event(&parsed).unwrap();
     let spans: Vec<(Timestamp, Timestamp)> = reference::fire(&catalog, &[expr], &stream)
         .into_iter()
-        .map(|(_, begin, end, _)| (begin, end))
+        .map(|(_, inst)| (inst.t_begin(), inst.t_end()))
         .collect();
     assert_eq!(spans, [(Timestamp::ZERO, Timestamp::from_secs(2))]);
     let fired: Vec<&[Value]> = rt.procedures().calls("f").collect();

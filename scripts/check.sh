@@ -52,6 +52,34 @@ if [[ ! -f crates/core/tests/support/reference.rs ]] ||
     exit 1
 fi
 
+echo "== one differential driver (crates/core/tests/differential) =="
+# The suites that hold the engine to the reference run it through one
+# driver: a Case, one run loop and one check of full instances. Under
+# crates/core/tests the firing fingerprint is built in differential/mod.rs
+# only, and no suite keeps a fixture of its own.
+stray=$({
+    ls crates/core/tests/differential/mod.rs >/dev/null
+    grep -rnE 't_begin\(\), *[[:alnum:]_]+\.t_end\(\), *[[:alnum:]_]+\.observations\(\)' \
+        crates/core/tests | grep -v '^crates/core/tests/differential/mod\.rs:'
+    grep -rn 'OnceLock<Fixture>' crates/core/tests
+} 2>&1 || true)
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: fingerprint, run and fixture go through crates/core/tests/differential/" >&2
+    exit 1
+fi
+
+echo "== docs describe the system as it is (size caps) =="
+# DESIGN.md and EXPERIMENTS.md say what holds now; history lives in
+# CHANGES.md and git. Each stays under 35,000 bytes.
+for doc in DESIGN.md EXPERIMENTS.md; do
+    size=$(wc -c <"$doc")
+    if ((size > 35000)); then
+        echo "check.sh: $doc is $size B, over its 35,000 B cap" >&2
+        exit 1
+    fi
+done
+
 echo "== one engine configuration =="
 # Common-subgraph merging and key-partitioned buffers are what the engine
 # is, not settings: no switch for either, and EngineConfig holds exactly
