@@ -755,13 +755,9 @@ impl Engine {
                     EdgeOp::SelfJoin => rt.self_join_arrival(graph, config, plan, pnode, &inst),
                     EdgeOp::Left => rt.arrival(graph, config, plan, pnode, 0, &inst),
                     EdgeOp::Right => rt.arrival(graph, config, plan, pnode, 1, &inst),
-                    EdgeOp::RecordQuery { query } => {
-                        let query = graph.node(NodeId(query));
-                        rt.fused_negation(graph, plan, pnode, query, &inst, true);
-                    }
                     EdgeOp::QueryRecord { query } => {
                         let query = graph.node(NodeId(query));
-                        rt.fused_negation(graph, plan, pnode, query, &inst, false);
+                        rt.fused_negation(graph, plan, pnode, query, &inst);
                     }
                 }
             }
@@ -909,9 +905,7 @@ impl Runtime {
         node: NodeId,
         inst: &Instance,
     ) {
-        // A coalesced leaf representative stands in for its whole
-        // pattern group; count the pops an unshared plan would make.
-        self.stats.occurrences += 1 + u64::from(plan.extra_pops(node));
+        self.stats.occurrences += 1;
         let observe = self.obs.level;
         if observe.counters() {
             self.obs.arena.arrived(node.idx());
@@ -1097,16 +1091,12 @@ impl Runtime {
         }
     }
 
-    /// Fused in-field delivery: record the instance into `not_node`'s
-    /// negation history and answer `query_node`'s window probe out of one
-    /// bucket access, in graph order for each lowered shape. `record_first`
-    /// ([`EdgeOp::RecordQuery`], merged leaf): the record edge precedes the
-    /// query edge within one work-queue pop. Query-first
-    /// ([`EdgeOp::QueryRecord`], twin leaves): the query twin is the later
-    /// dispatch candidate, so it pops first off the LIFO work stack, before
-    /// the recorder twin's delivery. Lowering only emits
-    /// these ops when the record key spec equals the query key spec, so a
-    /// single probe provably serves both deliveries.
+    /// Fused in-field delivery ([`EdgeOp::QueryRecord`]): answer
+    /// `query_node`'s window probe, then record the instance into
+    /// `not_node`'s negation history, out of one bucket access — graph
+    /// order, the terminator before the initiator. Lowering only emits the
+    /// op when the record key spec equals the query key spec, so a single
+    /// probe provably serves both deliveries.
     fn fused_negation(
         &mut self,
         graph: &EventGraph,
@@ -1114,7 +1104,6 @@ impl Runtime {
         not_node: &Node,
         query_node: &Node,
         inst: &Arc<Instance>,
-        record_first: bool,
     ) {
         let (to, exclusive) = negation_query_end(query_node, inst);
         let spec_idx = query_node.hist_spec.expect("query plan has a spec").0 as usize;
@@ -1142,8 +1131,7 @@ impl Runtime {
                     if self.obs.level.counters() {
                         self.obs.arena.probed(query_node.id.idx());
                     }
-                    probed =
-                        Some(neg.fused_last(i, key, inst.t_end(), to, exclusive, record_first));
+                    probed = Some(neg.fused_last(i, key, inst.t_end(), to, exclusive));
                 } else {
                     neg.record(i, key, inst.t_end());
                 }

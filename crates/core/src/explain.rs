@@ -93,9 +93,6 @@ impl Program {
                         EdgeOp::SelfJoin => format!("self-join→{parent}"),
                         EdgeOp::Left => format!("left→{parent}"),
                         EdgeOp::Right => format!("right→{parent}"),
-                        EdgeOp::RecordQuery { query } => {
-                            format!("record→{parent}+query{query}")
-                        }
                         EdgeOp::QueryRecord { query } => {
                             format!("query{query}+record→{parent}")
                         }
@@ -350,7 +347,7 @@ mod tests {
         );
         assert!(text.contains("neg-record"), "plans rendered by name");
         assert!(
-            text.contains("record→1+query2"),
+            text.contains("query2+record→1"),
             "the fused in-field edge is visible: {text}"
         );
         assert!(
@@ -369,11 +366,11 @@ mod tests {
         );
         let text = p.describe_plan();
         assert!(
-            text.contains("family: neg-query node 2 serves 5 (10sec), 8 (20sec), 2 (30sec)"),
+            text.contains("family: neg-query node 2 serves 4 (10sec), 6 (20sec), 2 (30sec)"),
             "{text}"
         );
         assert!(
-            text.contains("history: neg-record node 1 serves 1, 4, 7"),
+            text.contains("history: neg-record node 1 serves 1, 3, 5"),
             "{text}"
         );
     }

@@ -6,9 +6,10 @@
 //! * **Interval-constraint propagation** — `WITHIN(E, τ)` is not a node but a
 //!   constraint; it propagates top-down so every descendant's effective
 //!   window is `min(own, parent)` (Fig. 7 of the paper);
-//! * **Common-subgraph merging** — nodes are hash-consed on their structure
-//!   *and* effective window, so identical sub-events across rules share one
-//!   detection node (Fig. 5's merging step);
+//! * **Common-subgraph merging** — composite nodes are hash-consed on their
+//!   structure *and* effective window, leaves on their pattern alone, so
+//!   identical sub-events across rules share one detection node (Fig. 5's
+//!   merging step);
 //! * **Detection-mode assignment** — push / pull / mixed, bottom-up from the
 //!   constructor kinds (§4.4), rejecting *invalid rules* whose root is pull;
 //! * **Execution planning** — each composite node gets a [`Plan`] describing
@@ -167,7 +168,7 @@ pub struct Node {
     /// Parents (any number; shared nodes have several).
     pub parents: Vec<NodeId>,
     /// Effective interval constraint after top-down propagation;
-    /// [`Span::MAX`] when unconstrained.
+    /// [`Span::MAX`] when unconstrained, and on every leaf.
     pub within: Span,
     /// Detection mode (§4.4).
     pub mode: DetectionMode,
@@ -195,7 +196,8 @@ pub struct HistSpec {
 #[derive(Debug)]
 pub struct EventGraph {
     nodes: Vec<Node>,
-    /// Hash-consing table: (canonical expression, effective window) → node.
+    /// Hash-consing table: (canonical expression, effective window) → node;
+    /// a leaf's window is always [`Span::MAX`].
     memo: HashMap<(EventExpr, Span), NodeId>,
     /// Keyed-history registrations, indexed by node id (empty for every
     /// node no parent queries).
@@ -336,7 +338,13 @@ impl EventGraph {
             return self.compile(inner, (*window).min(inherited));
         }
 
-        if let Some(&id) = self.memo.get(&(expr.clone(), inherited)) {
+        // A leaf is its pattern: an observation is instantaneous, so every
+        // window admits it, and one leaf serves every rule that names it.
+        let within = match expr {
+            EventExpr::Primitive(_) => Span::MAX,
+            _ => inherited,
+        };
+        if let Some(&id) = self.memo.get(&(expr.clone(), within)) {
             self.merged_hits += 1;
             let node = self.node(id);
             return Ok((id, node.exports.clone(), self.all_vars_of(id)));
@@ -353,7 +361,7 @@ impl EventGraph {
                     kind: NodeKind::Primitive(p.clone()),
                     children: vec![],
                     parents: vec![],
-                    within: inherited,
+                    within,
                     mode: DetectionMode::Push,
                     plan: Plan::Leaf,
                     join: JoinSpec::default(),
@@ -484,7 +492,7 @@ impl EventGraph {
             )?,
         };
 
-        self.memo.insert((expr.clone(), inherited), id);
+        self.memo.insert((expr.clone(), within), id);
         Ok((id, exports, vars))
     }
 
@@ -715,7 +723,11 @@ mod tests {
             .within(Span::from_mins(10));
         let root = g.add_event(&e).unwrap();
         for node in g.nodes() {
-            assert_eq!(node.within, Span::from_mins(10), "{:?}", node.kind);
+            let within = match node.plan {
+                Plan::Leaf => Span::MAX,
+                _ => Span::from_mins(10),
+            };
+            assert_eq!(node.within, within, "{:?}", node.kind);
         }
         assert_eq!(g.node(root).kind, NodeKind::Seq);
     }
@@ -724,8 +736,9 @@ mod tests {
     fn inner_within_keeps_minimum() {
         let mut g = EventGraph::new();
         let e = p("r1")
+            .seq(p("r2"))
             .within(Span::from_secs(5))
-            .and(p("r2"))
+            .and(p("r3").seq(p("r4")))
             .within(Span::from_secs(30));
         let root = g.add_event(&e).unwrap();
         let and = g.node(root);
@@ -734,6 +747,29 @@ mod tests {
         assert_eq!(left.within, Span::from_secs(5), "min(5s, 30s)");
         let right = g.node(and.children[1]);
         assert_eq!(right.within, Span::from_secs(30));
+    }
+
+    #[test]
+    fn a_leaf_is_its_pattern() {
+        let mut g = EventGraph::new();
+        let plain = g.add_event(&p("r1")).unwrap();
+        let windowed = g.add_event(&p("r1").within(Span::from_secs(5))).unwrap();
+        assert_eq!(plain, windowed, "every window admits an observation");
+        let join = g
+            .add_event(
+                &p("r1")
+                    .within(Span::from_secs(1))
+                    .seq(p("r1"))
+                    .within(Span::from_secs(5)),
+            )
+            .unwrap();
+        assert_eq!(
+            g.node(join).children,
+            [plain, plain],
+            "one leaf, both sides"
+        );
+        assert_eq!(g.primitives(), &[plain]);
+        assert_eq!(g.node(plain).within, Span::MAX);
     }
 
     #[test]

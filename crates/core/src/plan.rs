@@ -21,8 +21,9 @@
 //! total: every well-formed graph lowers, and the plan encodes exactly the
 //! candidate and delivery order of a plain walk over the graph — *graph
 //! order* below: leaf candidates by reader row, the work stack popped
-//! last-in first, each occurrence delivered to its parents in registration
-//! order.
+//! last-in first, each occurrence delivered to its parents in reverse
+//! registration order (within a rule right to left, so an instance
+//! terminates before it initiates, docs/SEMANTICS.md §4).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -43,28 +44,14 @@ pub enum EdgeOp {
     Left,
     /// Deliver as the right (terminator-side) constituent.
     Right,
-    /// Fused in-field delivery, merged-leaf shape. `WITHIN(NOT(A); A, w)`
-    /// hash-conses both copies of `A` into one leaf whose edge list is the
-    /// adjacent pair `[Left→NOT, Right→query]`; this edge collapses the
-    /// pair into one bucket access that records into the `NOT` parent's
-    /// history and then answers the query parent's window probe.
-    /// Record-before-query is graph order (edges run in parent-list order
-    /// within one work-queue pop). Only emitted when the record key spec
-    /// and the query key spec are syntactically identical, so both probes
-    /// provably hit the same history entry.
-    RecordQuery {
-        /// The `LeftNegationQuery` parent whose window probe is folded in.
-        query: u32,
-    },
-    /// Fused in-field delivery, twin-leaf shape. In `WITHIN(NOT(WITHIN(A,
-    /// v)); A, w)` the two copies of `A` sit under different windows, so
-    /// they compile into twin leaves with identical patterns, which leaf
-    /// coalescing folds into one dispatched leaf whose edge list holds the
-    /// adjacent pair `[Right→query, Left→NOT]`; this edge collapses the pair
-    /// into one bucket access that answers the query parent's window probe
-    /// and then records. Query-before-record is graph order — the query
-    /// twin is the later candidate, and the work stack is LIFO, so it pops
-    /// first. Same key-spec condition as [`EdgeOp::RecordQuery`].
+    /// Fused in-field delivery. `WITHIN(NOT(A); A, w)` has one leaf for
+    /// both copies of `A`, whose edge list is the adjacent pair
+    /// `[Right→query, Left→NOT]`; this edge collapses the pair into one
+    /// bucket access that answers the query parent's window probe and then
+    /// records into the `NOT` parent's history — the pair's own order. Only
+    /// emitted when the record key spec and the query key spec are
+    /// syntactically identical, so both probes provably hit the same
+    /// history entry.
     QueryRecord {
         /// The `LeftNegationQuery` parent whose window probe is folded in.
         query: u32,
@@ -259,8 +246,7 @@ struct FamilyKey {
     kind: NodeKind,
     /// The join's interned `[left, right]` key specs.
     keys: [KeySpecId; 2],
-    /// Children after coalescing: a leaf by its pattern group, a `NOT` by
-    /// its history holder.
+    /// Children: a leaf itself, a `NOT` by its history holder.
     children: [u32; 2],
     hist_spec: Option<HistSpecId>,
 }
@@ -296,11 +282,6 @@ pub struct CompiledPlan {
     /// Per-node flag: leaf reachable from at least one dispatch row (the
     /// shared view `analyze`'s dead-leaf pass reads).
     dispatchable: Vec<bool>,
-    /// Per-node count of work-queue pops a coalesced leaf absorbs beyond
-    /// its own (see leaf coalescing in [`CompiledPlan::lower`]); added to
-    /// `occurrences` on every pop so the counter reads what an unshared
-    /// plan would count.
-    extra_pops: Vec<u32>,
     /// Per-node state holder: the node whose runtime state serves this one
     /// — itself, unless it is a coalesced `NOT` recorder or a window-family
     /// member, which use the first-registered node of their group.
@@ -335,47 +316,11 @@ impl CompiledPlan {
             edge_ranges: Vec::with_capacity(n),
             rule_ranges: Vec::with_capacity(n),
             dispatchable: vec![false; n],
-            extra_pops: vec![0; n],
             ..CompiledPlan::default()
         };
-        let mut elided: Vec<bool> = vec![false; n];
-        // Leaf coalescing: leaves with *identical* primitive patterns that
-        // stayed distinct graph nodes (hash-consing keys on the node's
-        // temporal annotations, so e.g. Rule 1's 5 s shelf leaf and Rule
-        // 2's period-window shelf leaf never merge) always occupy the same
-        // dispatch rows and match exactly the same observations. Collapse
-        // each pattern group onto its *last* member: that member is the
-        // last row candidate, hence the first pop off the LIFO work stack,
-        // so walking the group's edge lists in reverse registration order
-        // from that single pop reproduces graph order. The
-        // other members are elided from the rows; each pop of the
-        // representative counts their elided pops via `extra_pops`.
-        let mut groups: HashMap<&rfid_events::PrimitivePattern, Vec<NodeId>> = HashMap::new();
-        for &leaf in graph.primitives() {
-            if let NodeKind::Primitive(p) = &graph.node(leaf).kind {
-                groups.entry(p).or_default().push(leaf);
-            }
-        }
-        // Per leaf, the first-registered leaf of its pattern group: the
-        // name a leaf child goes by "after coalescing".
-        let mut leaf_group: Vec<u32> = vec![u32::MAX; n];
-        let mut coalesced: HashMap<u32, Vec<NodeId>> = HashMap::new();
-        for members in groups.into_values() {
-            for &m in &members {
-                leaf_group[m.idx()] = members[0].0;
-            }
-            if members.len() < 2 {
-                continue;
-            }
-            let rep = *members.last().expect("group is non-empty");
-            plan.extra_pops[rep.idx()] = (members.len() - 1) as u32;
-            for &m in &members[..members.len() - 1] {
-                elided[m.idx()] = true;
-            }
-            coalesced.insert(rep.0, members);
-        }
-        plan.assign_holders(graph, rules_at, &leaf_group, prior);
+        plan.assign_holders(graph, rules_at, prior);
         let mut seen: HashSet<(EdgeOp, u32)> = HashSet::new();
+        let mut raw: Vec<Edge> = Vec::new();
         for idx in 0..n {
             let id = NodeId(idx as u32);
             let node = graph.node(id);
@@ -384,33 +329,16 @@ impl CompiledPlan {
                 "event graph must be in topological (children-first) order"
             );
             let rule_start = plan.rules.len() as u32;
-            if let Some(members) = coalesced.get(&(idx as u32)) {
-                for m in members.iter().rev() {
-                    if let Some(rules) = rules_at.get(m) {
-                        plan.rules.extend_from_slice(rules);
-                    }
-                }
-            } else if let Some(rules) = rules_at.get(&id) {
+            if let Some(rules) = rules_at.get(&id) {
                 plan.rules.extend_from_slice(rules);
             }
             plan.rule_ranges.push((rule_start, plan.rules.len() as u32));
 
             // Mirrors `run_work`'s parent loop exactly: one delivery per
             // parent, with the side (or self-join) decided at compile time
-            // instead of by re-reading the parent's child list. A
-            // coalesced representative walks every member's deliveries in
-            // reverse registration order.
-            let mut raw: Vec<Edge> = Vec::new();
-            if let Some(members) = coalesced.get(&(idx as u32)) {
-                for &m in members.iter().rev() {
-                    raw_edges(graph, m, &mut raw);
-                }
-            } else if !elided[idx] {
-                // Elided leaves (coalesced members) are never dispatched,
-                // so their rows would be dead weight in the edge arena —
-                // their deliveries already ride the representative's list.
-                raw_edges(graph, id, &mut raw);
-            }
+            // instead of by re-reading the parent's child list.
+            raw.clear();
+            raw_edges(graph, id, &mut raw);
             // Deliveries go to the state holder, once: the members of a
             // recorder group or a window family all received this very
             // instance, and the holder's single probe answers for them.
@@ -423,29 +351,14 @@ impl CompiledPlan {
                 e.parent = plan.holders[e.parent as usize];
                 seen.insert((e.op, e.parent))
             });
-            // An instance terminates what it can before it initiates
-            // (docs/SEMANTICS.md §4). Reverse registration order delivers a
-            // rule's right twin before its left one, unless an earlier rule
-            // already registered the right twin's leaf; put the two
-            // deliveries to such a parent back in that order.
-            for i in 0..raw.len() {
-                let Edge { parent, op } = raw[i];
-                let right = |e: &Edge| e.parent == parent && e.op == EdgeOp::Right;
-                if op == EdgeOp::Left {
-                    if let Some(j) = raw[i + 1..].iter().position(right) {
-                        raw.swap(i, i + 1 + j);
-                    }
-                }
-            }
-            // Over the combined list, an adjacent `NOT` record and window
-            // query of the same history collapse into one fused edge (the
-            // fused op runs where the pair sat, in the pair's order, so
-            // work order is unchanged).
+            // An adjacent window query and `NOT` record of the same history
+            // collapse into one fused edge (the fused op runs where the pair
+            // sat, in the pair's order, so work order is unchanged).
             let edge_start = plan.edges.len() as u32;
             let mut i = 0;
             while i < raw.len() {
                 if i + 1 < raw.len() {
-                    if let Some(pair) = plan.fuse_record_query(graph, raw[i], raw[i + 1]) {
+                    if let Some(pair) = plan.fuse_query_record(graph, raw[i], raw[i + 1]) {
                         plan.edges.push(pair);
                         i += 2;
                         continue;
@@ -456,7 +369,7 @@ impl CompiledPlan {
             }
             plan.edge_ranges.push((edge_start, plan.edges.len() as u32));
         }
-        plan.lower_dispatch(graph, catalog, &elided);
+        plan.lower_dispatch(graph, catalog);
         plan
     }
 
@@ -464,11 +377,10 @@ impl CompiledPlan {
     /// family. Two groupings, both exact under chronicle consumption
     /// (proofs in DESIGN.md "Window families"):
     ///
-    /// * **Recorders.** `NOT` nodes fed by leaves of one pattern group
-    ///   record the same `(key, time)` pairs, so they keep one history, on
-    ///   the first-registered of them. A member's spec list must be a
-    ///   prefix of the holder's, so spec indices mean the same thing on
-    ///   both.
+    /// * **Recorders.** `NOT` nodes fed by one leaf record the same
+    ///   `(key, time)` pairs, so they keep one history, on the
+    ///   first-registered of them. A member's spec list must be a prefix of
+    ///   the holder's, so spec indices mean the same thing on both.
     /// * **Window families.** Rule roots equal in everything but `WITHIN`
     ///   ([`FamilyKey`]) are served by the first-registered of them.
     ///
@@ -482,7 +394,6 @@ impl CompiledPlan {
         &mut self,
         graph: &EventGraph,
         rules_at: &HashMap<NodeId, Vec<RuleId>>,
-        leaf_group: &[u32],
         prior: &CompiledPlan,
     ) {
         let n = graph.len();
@@ -505,19 +416,19 @@ impl CompiledPlan {
                 let mut candidates = [kept, group].into_iter().flatten();
                 candidates.find(|&h| h != id && holders[h as usize] == h && fits(h))
             };
-            if let Some(group) = shareable_recorder(graph, leaf_group, node.id) {
+            if let Some(leaf) = shareable_recorder(graph, node.id) {
                 let specs = graph.hist_specs(node.id);
                 let fits = |h: u32| {
-                    shareable_recorder(graph, leaf_group, NodeId(h)) == Some(group)
+                    shareable_recorder(graph, NodeId(h)) == Some(leaf)
                         && graph.hist_specs(NodeId(h)).starts_with(specs)
                 };
-                match pick(&self.holders, recorders.get(&group).copied(), &fits) {
+                match pick(&self.holders, recorders.get(&leaf).copied(), &fits) {
                     Some(holder) => self.holders[idx] = holder,
-                    None => _ = recorders.entry(group).or_insert(id),
+                    None => _ = recorders.entry(leaf).or_insert(id),
                 }
-            } else if let Some(key) = self.family_key(graph, rules_at, leaf_group, node.id) {
+            } else if let Some(key) = self.family_key(graph, rules_at, node.id) {
                 let fits = |h: u32| {
-                    let theirs = self.family_key(graph, rules_at, leaf_group, NodeId(h));
+                    let theirs = self.family_key(graph, rules_at, NodeId(h));
                     theirs.as_ref() == Some(&key)
                 };
                 match pick(&self.holders, roots.get(&key).copied(), &fits) {
@@ -546,9 +457,9 @@ impl CompiledPlan {
     /// The family key of a rule root, or `None` for a node no family can
     /// hold. Admissible shapes (DESIGN.md "Window families"):
     ///
-    /// * the keyed or keyless `SEQ`/`AND` self-join over one leaf pattern
-    ///   group with a finite window — the partner of every arrival is the
-    ///   previous same-key arrival, whatever the window;
+    /// * the keyed or keyless `SEQ`/`AND` self-join over one leaf with a
+    ///   finite window — the partner of every arrival is the previous
+    ///   same-key arrival, whatever the window;
     /// * the negated-initiator query (`SEQ`/`TSEQ` over `NOT`) with a leaf
     ///   terminator — it only reads an append-only history.
     ///
@@ -559,7 +470,6 @@ impl CompiledPlan {
         &self,
         graph: &EventGraph,
         rules_at: &HashMap<NodeId, Vec<RuleId>>,
-        leaf_group: &[u32],
         id: NodeId,
     ) -> Option<FamilyKey> {
         let node = graph.node(id);
@@ -569,18 +479,16 @@ impl CompiledPlan {
         let &[a, b] = &node.children[..] else {
             return None;
         };
+        let leaf = |id: NodeId| graph.node(id).plan == Plan::Leaf;
         let children = match node.plan {
             Plan::TwoSided => {
-                let same_leaf = a == b && leaf_group[a.idx()] != u32::MAX;
                 let monotone = matches!(node.kind, NodeKind::Seq | NodeKind::And);
-                if !same_leaf || !monotone || node.within == Span::MAX {
+                if a != b || !leaf(a) || !monotone || node.within == Span::MAX {
                     return None;
                 }
-                [leaf_group[a.idx()]; 2]
+                [a.0; 2]
             }
-            Plan::LeftNegationQuery if leaf_group[b.idx()] != u32::MAX => {
-                [self.holders[a.idx()], leaf_group[b.idx()]]
-            }
+            Plan::LeftNegationQuery if leaf(b) => [self.holders[a.idx()], b.0],
             _ => return None,
         };
         Some(FamilyKey {
@@ -592,18 +500,16 @@ impl CompiledPlan {
         })
     }
 
-    /// Recognises an adjacent record/query pair on one history: one edge
-    /// delivers the child into a `NOT` node's history, the other delivers
-    /// the same instance to a [`Plan::LeftNegationQuery`] parent querying
-    /// *that* history under the same interned key spec as the record
-    /// spec. The fused op then serves both from one bucket probe, in the
-    /// pair's order; any mismatch falls back to the two unfused deliveries.
-    fn fuse_record_query(&self, graph: &EventGraph, first: Edge, second: Edge) -> Option<Edge> {
-        let (rec, qry) = match (first.op, second.op) {
-            (EdgeOp::Left, EdgeOp::Right) => (first, second),
-            (EdgeOp::Right, EdgeOp::Left) => (second, first),
-            _ => return None,
-        };
+    /// Recognises an adjacent query/record pair on one history: the first
+    /// edge delivers the child to a [`Plan::LeftNegationQuery`] parent, the
+    /// second delivers the same instance into the `NOT` node's history that
+    /// parent queries, under the same interned key spec as the record spec.
+    /// The fused op then serves both from one bucket probe, in the pair's
+    /// order; any mismatch falls back to the two unfused deliveries.
+    fn fuse_query_record(&self, graph: &EventGraph, qry: Edge, rec: Edge) -> Option<Edge> {
+        if (qry.op, rec.op) != (EdgeOp::Right, EdgeOp::Left) {
+            return None;
+        }
         let not_node = graph.node(rec.parent());
         let query_node = graph.node(qry.parent());
         if !matches!(not_node.plan, Plan::NegationRecorder)
@@ -620,21 +526,15 @@ impl CompiledPlan {
         }
         Some(Edge {
             parent: rec.parent,
-            op: if first.op == EdgeOp::Left {
-                EdgeOp::RecordQuery { query: qry.parent }
-            } else {
-                EdgeOp::QueryRecord { query: qry.parent }
-            },
+            op: EdgeOp::QueryRecord { query: qry.parent },
         })
     }
 
     /// Builds the per-reader dispatch rows: by-reader and by-group buckets
     /// flattened so `reader_rows[r]` directly indexes
     /// the candidates of reader `r` — named leaves first, then the leaves
-    /// of `r`'s group, each in primitive registration order. Leaves marked
-    /// `elided` (coalesced onto their group's representative) keep their
-    /// dispatchability flag but are left out of the rows.
-    fn lower_dispatch(&mut self, graph: &EventGraph, catalog: &Catalog, elided: &[bool]) {
+    /// of `r`'s group, each in primitive registration order.
+    fn lower_dispatch(&mut self, graph: &EventGraph, catalog: &Catalog) {
         let mut by_reader: HashMap<u32, Vec<LeafCheck>> = HashMap::new();
         let mut by_group: HashMap<Arc<str>, Vec<LeafCheck>> = HashMap::new();
         for &leaf in graph.primitives() {
@@ -654,24 +554,18 @@ impl CompiledPlan {
                     // A name missing from the catalog can never match.
                     if let Some(id) = catalog.reader(name) {
                         self.dispatchable[leaf.idx()] = true;
-                        if !elided[leaf.idx()] {
-                            by_reader.entry(id.0).or_default().push(check);
-                        }
+                        by_reader.entry(id.0).or_default().push(check);
                     }
                 }
                 ReaderSel::Group(group) => {
                     if !catalog.readers.members(group).is_empty() {
                         self.dispatchable[leaf.idx()] = true;
                     }
-                    if !elided[leaf.idx()] {
-                        by_group.entry(group.clone()).or_default().push(check);
-                    }
+                    by_group.entry(group.clone()).or_default().push(check);
                 }
                 ReaderSel::Any => {
                     self.dispatchable[leaf.idx()] = true;
-                    if !elided[leaf.idx()] {
-                        self.any_leaves.push(check);
-                    }
+                    self.any_leaves.push(check);
                 }
             }
         }
@@ -780,16 +674,9 @@ impl CompiledPlan {
             + self.edges.len() * size_of::<Edge>()
             + self.rules.len() * size_of::<RuleId>()
             + (self.leaf_checks.len() + self.any_leaves.len()) * size_of::<LeafCheck>()
-            + (self.extra_pops.len() + self.holders.len()) * size_of::<u32>()
+            + self.holders.len() * size_of::<u32>()
             + self.family_ranges.len() * size_of::<(u32, u32)>()
             + self.members.len() * size_of::<Member>()
-    }
-
-    /// Work-queue pops this node absorbs beyond its own pop — zero
-    /// everywhere except coalesced leaf representatives.
-    #[inline]
-    pub fn extra_pops(&self, node: NodeId) -> u32 {
-        self.extra_pops[node.idx()]
     }
 
     /// The node whose runtime state serves `node`: itself, or the
@@ -829,7 +716,7 @@ impl CompiledPlan {
 /// parent, the side (or self-join) decided here at compile time.
 fn raw_edges(graph: &EventGraph, id: NodeId, out: &mut Vec<Edge>) {
     let node = graph.node(id);
-    for &p in &node.parents {
+    for &p in node.parents.iter().rev() {
         let pnode = graph.node(p);
         let is_left = pnode.children[0] == id;
         let is_right = pnode.children.len() > 1 && pnode.children[1] == id;
@@ -843,28 +730,28 @@ fn raw_edges(graph: &EventGraph, id: NodeId, out: &mut Vec<Edge>) {
     }
 }
 
-/// The leaf pattern group feeding a `NOT` node whose history may be shared
-/// with the other `NOT` nodes over that group, or `None`.
+/// The leaf feeding a `NOT` node whose history may be shared with the
+/// other `NOT` nodes over that leaf, or `None`.
 ///
-/// Sharing moves a recorder's same-instant record to wherever the group's
-/// first delivery sits, so every reader of the history must be blind to
-/// that: a `SEQ` negated-initiator query ends strictly before the
+/// Sharing moves a recorder's same-instant record to wherever the leaf's
+/// first delivery to the holder sits, so every reader of the history must
+/// be blind to that: a `SEQ` negated-initiator query ends strictly before the
 /// terminator, a `TSEQ` one `min_dist` before it, a right-negation wait
 /// starts after its initiator, and an `AND` wait that misses the record on
 /// arrival meets it when the window closes. That leaves the `TSEQ` query
 /// with `min_dist = 0`, whose closed window ends *at* the terminator.
-fn shareable_recorder(graph: &EventGraph, leaf_group: &[u32], id: NodeId) -> Option<u32> {
+fn shareable_recorder(graph: &EventGraph, id: NodeId) -> Option<u32> {
     let node = graph.node(id);
     if node.plan != Plan::NegationRecorder {
         return None;
     }
-    let group = leaf_group[node.children[0].idx()];
+    let leaf = node.children[0];
     let blind = node.parents.iter().all(|&p| {
         let parent = graph.node(p);
         !(parent.plan == Plan::LeftNegationQuery
             && matches!(parent.kind, NodeKind::TSeq { min_dist, .. } if min_dist == Span::ZERO))
     });
-    (group != u32::MAX && blind).then_some(group)
+    (graph.node(leaf).plan == Plan::Leaf && blind).then_some(leaf.0)
 }
 
 #[cfg(test)]
@@ -888,83 +775,74 @@ mod tests {
     }
 
     /// `WITHIN(NOT(A); A, w)` hash-conses both copies of `A` into one leaf
-    /// whose adjacent `Left→NOT, Right→query` edges must collapse into one
-    /// `RecordQuery` edge: the recorder and the window query share a bucket
-    /// probe.
+    /// whose parents, in reverse registration order, are the query root
+    /// and the `NOT`: the adjacent `Right→query, Left→NOT` edges collapse
+    /// into one `QueryRecord` edge, so the window probe and the record
+    /// share a bucket access, the terminator first.
     #[test]
-    fn merged_infield_shape_lowers_to_fused_record_query() {
+    fn infield_shape_lowers_to_fused_query_record() {
         let catalog = shelf_catalog();
         let mut graph = EventGraph::new();
         let root = graph.add_event(&infield_rule()).expect("rule compiles");
         let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
 
         let &[leaf] = graph.primitives() else {
-            panic!("merging folds the twin copies into one leaf");
+            panic!("merging folds both copies into one leaf");
         };
         let edges = plan.edges_at(leaf);
-        assert_eq!(edges.len(), 1, "recorder + query fused into one edge");
-        let EdgeOp::RecordQuery { query } = edges[0].op() else {
-            panic!("expected a fused RecordQuery edge, got {:?}", edges[0].op());
-        };
-        assert_eq!(NodeId(query), root, "the fused probe answers the root");
-        assert_eq!(graph.node(edges[0].parent()).plan, Plan::NegationRecorder);
-        assert_eq!(plan.dispatch_width(), 1);
-    }
-
-    /// `WITHIN(NOT(WITHIN(A, 5s)); A, 30s)`: the inner window makes the
-    /// negated `A` a leaf of its own, so the shape compiles `A` into twin
-    /// leaves with one pattern. Coalescing folds them onto the later twin,
-    /// whose edge list is the adjacent `Right→query, Left→NOT` pair;
-    /// lowering must fuse it the other way round, into one `QueryRecord`
-    /// edge, so each shelf observation still costs one work item and one
-    /// bucket probe.
-    #[test]
-    fn infield_shape_lowers_to_fused_query_record() {
-        let catalog = shelf_catalog();
-        let shelf = EventExpr::observation_in_group("shelves");
-        let rule = shelf
-            .clone()
-            .within(rfid_events::Span::from_secs(5))
-            .not()
-            .seq(shelf)
-            .within(rfid_events::Span::from_secs(30));
-        let mut graph = EventGraph::new();
-        let root = graph.add_event(&rule).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
-
-        let &[recorder_twin, query_twin] = graph.primitives() else {
-            panic!("different windows keep the two shelf leaves distinct");
-        };
-        let edges = plan.edges_at(query_twin);
         assert_eq!(edges.len(), 1, "query + recorder fused into one edge");
         let EdgeOp::QueryRecord { query } = edges[0].op() else {
             panic!("expected a fused QueryRecord edge, got {:?}", edges[0].op());
         };
         assert_eq!(NodeId(query), root, "the fused probe answers the root");
         assert_eq!(graph.node(edges[0].parent()).plan, Plan::NegationRecorder);
-
-        assert_eq!(
-            plan.dispatch_width(),
-            1,
-            "the recorder twin is elided from the dispatch rows"
-        );
-        assert_eq!(plan.extra_pops(query_twin), 1, "rep absorbs the twin's pop");
-        assert!(plan.edges_at(recorder_twin).is_empty());
-        assert!(
-            plan.leaf_is_dispatchable(recorder_twin),
-            "elision must not mark the recorder twin as a dead leaf (W003)"
-        );
+        assert_eq!(plan.dispatch_width(), 1);
     }
 
-    /// Two rules over the same reader group but different `WITHIN` windows
-    /// hash-cons into *distinct* leaves (the window is part of the node
-    /// identity) with identical primitive patterns. Lowering coalesces them
-    /// into one dispatch row: the representative (the later registration)
-    /// carries both leaves' edge lists back-to-back and absorbs the elided
-    /// leaf's work-queue pop via `extra_pops`, so one observation costs one
-    /// pop instead of two while the `occurrences` counter still reads two.
+    /// `WITHIN(NOT(WITHIN(A, 5s)); A, 30s)`: the inner window admits every
+    /// observation, so the negated copy is the same leaf and the rule
+    /// lowers to exactly the graph and edges of the unwrapped spelling.
     #[test]
-    fn pattern_identical_leaves_coalesce_into_one_dispatch_row() {
+    fn an_inner_window_on_a_leaf_lowers_like_none() {
+        let catalog = shelf_catalog();
+        let shelf = EventExpr::observation_in_group("shelves");
+        let twin = shelf
+            .clone()
+            .within(rfid_events::Span::from_secs(5))
+            .not()
+            .seq(shelf)
+            .within(rfid_events::Span::from_secs(30));
+        let lowered = |rule: &EventExpr| {
+            let mut graph = EventGraph::new();
+            let root = graph.add_event(rule).expect("rule compiles");
+            let plan =
+                CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
+            let edges: Vec<_> = (0..graph.len() as u32)
+                .map(|n| {
+                    plan.edges_at(NodeId(n))
+                        .iter()
+                        .map(|e| (e.parent(), e.op()))
+                        .collect()
+                })
+                .collect::<Vec<Vec<_>>>();
+            let kinds: Vec<_> = graph
+                .nodes()
+                .iter()
+                .map(|n| (n.kind.clone(), n.within))
+                .collect();
+            (root, kinds, edges, plan.dispatch_width())
+        };
+        assert_eq!(lowered(&twin), lowered(&infield_rule()));
+    }
+
+    /// Two rules over the same reader group under different `WITHIN`
+    /// windows share one leaf. It delivers to its parents in reverse
+    /// registration order — the later rule first, each rule right to left
+    /// — so the in-field rule's fused edge comes before the duplicate
+    /// filter's self-join, and one observation costs one dispatch
+    /// candidate and one pop.
+    #[test]
+    fn one_pattern_is_one_leaf_across_rules() {
         let catalog = shelf_catalog();
         let mut graph = EventGraph::new();
         let shelf = EventExpr::observation_in_group("shelves");
@@ -979,34 +857,18 @@ mod tests {
         let infield = graph.add_event(&infield_rule()).expect("rule compiles");
         let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
 
-        let &[dup_leaf, infield_leaf] = graph.primitives() else {
-            panic!("different windows keep the two shelf leaves distinct");
+        let &[leaf] = graph.primitives() else {
+            panic!("one pattern, one leaf");
         };
-        assert_eq!(
-            plan.dispatch_width(),
-            1,
-            "coalescing leaves one dispatch row for both leaves"
-        );
-        assert_eq!(plan.extra_pops(infield_leaf), 1, "rep absorbs one pop");
-        assert_eq!(plan.extra_pops(dup_leaf), 0);
-        assert!(
-            plan.leaf_is_dispatchable(dup_leaf),
-            "elision must not mark the coalesced member as a dead leaf (W003)"
-        );
-
-        // The representative is the *last* registration (first LIFO pop in
-        // graph order), and its edge list runs members in reverse
-        // registration order: its own fused in-field edge, then the dup
-        // rule's self-join.
-        let edges = plan.edges_at(infield_leaf);
-        assert_eq!(edges.len(), 2, "both leaves' edges ride one row");
-        let EdgeOp::RecordQuery { query } = edges[0].op() else {
-            panic!("expected the rep's own fused edge first");
+        assert_eq!(plan.dispatch_width(), 1);
+        let edges = plan.edges_at(leaf);
+        assert_eq!(edges.len(), 2);
+        let EdgeOp::QueryRecord { query } = edges[0].op() else {
+            panic!("expected the in-field rule's fused edge first");
         };
         assert_eq!(NodeId(query), infield);
         assert_eq!(edges[1].op(), EdgeOp::SelfJoin);
         assert_eq!(edges[1].parent(), dup);
-        assert!(plan.edges_at(dup_leaf).is_empty(), "member row is elided");
     }
 
     #[test]

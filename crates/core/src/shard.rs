@@ -183,11 +183,12 @@ impl Default for ShardConfig {
 /// Two concerns compete:
 ///
 /// * **Preserve common-subgraph merging.** Rules whose subgraphs in the
-///   program's merged graph share *any* node are grouped together and never
-///   split. Splitting them would be semantically sound — every rule is a
-///   deterministic function of the full stream — but each partition would
-///   rebuild the shared subtree and redo its detection work, forfeiting
-///   exactly the merging §4.3 introduces.
+///   program's merged graph share an interior node are grouped together and
+///   never split. Splitting them would be semantically sound — every rule
+///   is a deterministic function of the full stream — but each partition
+///   would rebuild the shared subtree and redo its detection work,
+///   forfeiting exactly the merging §4.3 introduces. A shared leaf holds
+///   no state and does no work but dispatch, so it glues nothing.
 /// * **Balance by reader fan-out.** A partition receives the reads of every
 ///   reader one of its leaves can match, and each such read is work. A
 ///   merge group weighs `1 +` the readers its distinct leaves can match: a
@@ -212,6 +213,9 @@ pub fn partition_rules(
     for (i, rule) in rules.iter().enumerate() {
         let reachable = program.graph().reachable(program.roots()[rule.0 as usize]);
         for &node in &reachable {
+            if program.graph().node(node).plan == Plan::Leaf {
+                continue;
+            }
             match owner.entry(node) {
                 std::collections::hash_map::Entry::Occupied(o) => {
                     let (a, b) = (find(&mut uf, i), find(&mut uf, *o.get()));

@@ -713,13 +713,11 @@ impl NegationState {
     }
 
     /// Finds the latest occurrence at or before `to` (strictly before when
-    /// `exclusive_end`) and records an occurrence ending at `t` against
+    /// `exclusive_end`), then records an occurrence ending at `t` against
     /// the same history entry, in one bucket probe — the fused in-field
-    /// deliveries ([`crate::plan::EdgeOp::RecordQuery`] with
-    /// `record_first`, [`crate::plan::EdgeOp::QueryRecord`] without).
-    /// Equivalent to [`NegationState::record`] and
-    /// [`NegationState::last_occurrence`] under the same key, in the order
-    /// the flag selects — each fused shape preserves its unfused order.
+    /// delivery ([`crate::plan::EdgeOp::QueryRecord`]). Equivalent to
+    /// [`NegationState::last_occurrence`] and then
+    /// [`NegationState::record`] under the same key.
     pub fn fused_last(
         &mut self,
         spec: usize,
@@ -727,17 +725,11 @@ impl NegationState {
         t: Timestamp,
         to: Timestamp,
         exclusive_end: bool,
-        record_first: bool,
     ) -> Option<Timestamp> {
         let hist = self.tables[spec].record(key, t);
-        if record_first {
-            hist.insert(t);
-            hist.times.last_before(to, exclusive_end)
-        } else {
-            let last = hist.times.last_before(to, exclusive_end);
-            hist.insert(t);
-            last
-        }
+        let last = hist.times.last_before(to, exclusive_end);
+        hist.insert(t);
+        last
     }
 
     /// The latest retained occurrence under `key` at or before `to`
@@ -1285,7 +1277,7 @@ mod tests {
             match next() % 3 {
                 0 => neg.record(spec, &key, t),
                 _ => {
-                    neg.fused_last(spec, &key, t, t, next() % 2 == 0, next() % 2 == 0);
+                    neg.fused_last(spec, &key, t, t, next() % 2 == 0);
                 }
             }
             if step % 97 == 0 {

@@ -84,7 +84,8 @@ engine_stats! {
     pseudo_scheduled: Counter,
     /// Pseudo events executed.
     pseudo_fired: Counter,
-    /// Complex event occurrences emitted (all nodes, pre-rule fan-out).
+    /// Work-queue pops: one per leaf an observation matches and one per
+    /// emission, each window-family member counted (pre-rule fan-out).
     occurrences: Counter,
     /// Rule firings delivered to the sink.
     rule_firings: Counter,

@@ -778,6 +778,43 @@ fn parents_reading_one_child_under_different_paths_keep_their_keys() {
     assert_eq!([0, 1, 2].map(per_rule), [2, 2, 2]);
 }
 
+/// A negated initiator over its own terminator's pattern with `τl = 0`:
+/// the window `[t_end − τu, t_end]` is closed, so it would hold the
+/// terminating read itself if that read were recorded first. An instance
+/// terminates before it initiates (docs/SEMANTICS.md §4), so the read is
+/// queried, then recorded, and the rule fires at 0, 5 and 20 s — the read
+/// at 6 s has the one at 5 s in its window. Spelled with one leaf and with
+/// the negated copy under an inner `WITHIN`, it fires the same.
+#[test]
+fn a_negated_initiator_does_not_block_its_own_terminator() {
+    let catalog = catalog(1);
+    let read = || at("r1").bind_object("o");
+    let rules = [
+        read().not().tseq(read(), Span::ZERO, Span::from_secs(2)),
+        read()
+            .within(Span::from_secs(1))
+            .not()
+            .tseq(read(), Span::ZERO, Span::from_secs(2)),
+    ];
+    let stream = [
+        obs(1, 1, 0),
+        obs(1, 1, 5_000),
+        obs(1, 1, 6_000),
+        obs(1, 1, 20_000),
+    ];
+    for rule in rules {
+        let fired = fire_checked(&catalog, &[rule], &stream);
+        let witnesses: Vec<_> = fired
+            .iter()
+            .map(|f| {
+                let w = &f.1.children()[0];
+                (w.t_begin().as_millis(), w.t_end().as_millis())
+            })
+            .collect();
+        assert_eq!(witnesses, [(0, 0), (3_000, 5_000), (18_000, 20_000)]);
+    }
+}
+
 /// Stats display is stable and total counters are coherent.
 #[test]
 fn stats_are_coherent() {

@@ -2,11 +2,15 @@
 //! reports is what the engine executes, and the shard coordinator places
 //! the canonical program's wide rules by their reader fan-out. (That its
 //! verdicts and partitions over the merged program are the per-rule ones
-//! is unit-tested in `shard.rs`.)
+//! is unit-tested in `shard.rs`.) And what the compiled graph of the
+//! ledger's programs is made of: one leaf per pattern, and no rule whose
+//! sibling patterns overlap without being equal.
+
+use std::collections::HashMap;
 
 use rceda::analyze::DiagCode;
 use rceda::{Engine, EngineConfig, Program, RuleEvent, ShardConfig, ShardedEngine};
-use rfid_events::Catalog;
+use rfid_events::{Catalog, EventExpr, ObjectSel, PrimitivePattern, ReaderSel};
 use rfid_rules::{lint_script, rule_events};
 use rfid_simulator::{SimConfig, SupplyChain};
 
@@ -15,15 +19,20 @@ use rfid_simulator::{SimConfig, SupplyChain};
 fn programs() -> Vec<(&'static str, String, Catalog)> {
     let canonical = SupplyChain::build(SimConfig::paper_scale());
     let rules_1_5 = SupplyChain::build(SimConfig::default());
-    let mut corpus = Catalog::new();
-    corpus.readers.register("r1", "g1", "dock-a");
-    corpus.readers.register("r2", "g1", "dock-b");
     let families = include_str!("../../rules/tests/lint_corpus/n003_window_family.rule");
     vec![
         ("canonical", canonical.rule_set(), canonical.catalog),
         ("rules-1-5", rules_1_5.rule_set(), rules_1_5.catalog),
-        ("n003_window_family", families.to_owned(), corpus),
+        ("n003_window_family", families.to_owned(), corpus_catalog()),
     ]
+}
+
+/// The lint corpus' deployment: two readers in one group.
+fn corpus_catalog() -> Catalog {
+    let mut corpus = Catalog::new();
+    corpus.readers.register("r1", "g1", "dock-a");
+    corpus.readers.register("r2", "g1", "dock-b");
+    corpus
 }
 
 fn engine_of(rules: &[RuleEvent], catalog: &Catalog) -> Engine {
@@ -118,4 +127,136 @@ fn shelf_rules_each_get_a_partition_of_their_own() {
         let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
         assert!(alone, "`{name}` shares its partition; sizes {sizes:?}");
     }
+}
+
+/// The ledger's two rule programs over their deployment: the canonical
+/// 517 rules and the 500-rule window-varied family.
+fn ledger_programs() -> (Vec<(&'static str, String)>, Catalog) {
+    let sim = SupplyChain::build(SimConfig::paper_scale());
+    let programs = vec![
+        ("rule_set", sim.rule_set()),
+        ("rule_family(500)", sim.rule_family(500)),
+    ];
+    (programs, sim.catalog)
+}
+
+/// (c) A leaf is its pattern: no two leaves of a compiled graph share a
+/// `PrimitivePattern`, over the ledger's programs and every program of
+/// the lint corpus (rejected rules' partial nodes included).
+#[test]
+fn no_two_leaves_share_a_pattern() {
+    let (ledger, catalog) = ledger_programs();
+    let mut programs: Vec<_> = ledger
+        .into_iter()
+        .map(|(name, script)| (name.to_owned(), script, catalog.clone()))
+        .collect();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../rules/tests/lint_corpus");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("lint corpus")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "rule"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 10, "the corpus has its programs");
+    for path in paths {
+        let script = std::fs::read_to_string(&path).expect("corpus program");
+        programs.push((path.display().to_string(), script, corpus_catalog()));
+    }
+    for (name, script, catalog) in programs {
+        let rules = rule_events(&script).expect("script compiles");
+        let program = Program::compile(Some(&catalog), rules);
+        let graph = program.graph();
+        let mut seen = HashMap::new();
+        for &leaf in graph.primitives() {
+            if let Some(twin) = seen.insert(&graph.node(leaf).kind, leaf) {
+                panic!("{name}: leaves {twin:?} and {leaf:?} share a pattern");
+            }
+        }
+    }
+}
+
+/// (d) The scope of the oracle's one open disagreement (ROADMAP): one read
+/// matching two leaves of a rule on either side of a binary node, whose
+/// patterns overlap without being equal — the engine delivers those in
+/// dispatch-row order, not right to left. Neither ledger program has such a
+/// pair; the disagreement's own rule has one.
+#[test]
+fn no_ledger_rule_has_overlapping_sibling_patterns() {
+    let (programs, catalog) = ledger_programs();
+    let overlapping = |event: &EventExpr| {
+        let mut pairs = Vec::new();
+        leaves(event, &mut |l, r| {
+            if l != r && overlap(&catalog, l, r) {
+                pairs.push((l.clone(), r.clone()));
+            }
+        });
+        pairs
+    };
+    for (name, script) in programs {
+        for rule in rule_events(&script).expect("script compiles") {
+            let pairs = overlapping(&rule.event);
+            assert!(pairs.is_empty(), "{name}: rule `{}`: {pairs:?}", rule.id);
+        }
+    }
+    let disagreement = EventExpr::observation()
+        .bind_object("o")
+        .and(EventExpr::observation_in_group("shelves").bind_object("o"));
+    assert_eq!(overlapping(&disagreement).len(), 1);
+}
+
+/// The leaves under `expr`, left to right; at every binary node, `visit`
+/// sees each pair of a leaf on its left and one on its right.
+fn leaves<'e>(
+    expr: &'e EventExpr,
+    visit: &mut impl FnMut(&PrimitivePattern, &PrimitivePattern),
+) -> Vec<&'e PrimitivePattern> {
+    match expr {
+        EventExpr::Primitive(p) => vec![p],
+        EventExpr::Not(x)
+        | EventExpr::SeqPlus(x)
+        | EventExpr::TSeqPlus { inner: x, .. }
+        | EventExpr::Within { inner: x, .. } => leaves(x, visit),
+        EventExpr::Or(a, b)
+        | EventExpr::And(a, b)
+        | EventExpr::Seq(a, b)
+        | EventExpr::TSeq {
+            first: a,
+            second: b,
+            ..
+        } => {
+            let (left, right) = (leaves(a, visit), leaves(b, visit));
+            for l in &left {
+                for r in &right {
+                    visit(l, r);
+                }
+            }
+            left.into_iter().chain(right).collect()
+        }
+    }
+}
+
+/// Whether one observation can match both patterns over `catalog`
+/// (variables bind across reads; they filter no single read).
+fn overlap(catalog: &Catalog, a: &PrimitivePattern, b: &PrimitivePattern) -> bool {
+    let named_in = |name: &str, group: &str| {
+        let id = catalog.reader(name);
+        id.and_then(|id| catalog.readers.group_of(id)) == Some(group)
+    };
+    let readers =
+        match (&a.reader, &b.reader) {
+            (ReaderSel::Any, _) | (_, ReaderSel::Any) => true,
+            (ReaderSel::Named(x), ReaderSel::Named(y))
+            | (ReaderSel::Group(x), ReaderSel::Group(y)) => x == y,
+            (ReaderSel::Named(n), ReaderSel::Group(g))
+            | (ReaderSel::Group(g), ReaderSel::Named(n)) => named_in(n, g),
+        };
+    let objects = match (&a.object, &b.object) {
+        (ObjectSel::Any, _) | (_, ObjectSel::Any) => true,
+        (ObjectSel::Exact(x), ObjectSel::Exact(y)) => x == y,
+        (ObjectSel::Type(x), ObjectSel::Type(y)) => x == y,
+        (ObjectSel::Exact(e), ObjectSel::Type(t)) | (ObjectSel::Type(t), ObjectSel::Exact(e)) => {
+            catalog.types.is_type(*e, t)
+        }
+    };
+    readers && objects
 }

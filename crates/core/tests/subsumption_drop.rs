@@ -70,9 +70,9 @@ fn pair(axis: usize, w: usize) -> (EventExpr, EventExpr) {
 }
 
 /// Unrelated survivor rules, including shapes that hash-cons leaves with
-/// the pair above so merged state is genuinely shared, and two over twin
-/// leaves (one pattern under an inner `WITHIN` and bare: two nodes) that
-/// coalesce with the pair's `docks` and `pos` leaves.
+/// the pair above so merged state is genuinely shared, and two that spell
+/// one copy of a pattern under an inner `WITHIN` — still the pair's `docks`
+/// and `pos` leaves.
 const CONTROLS: usize = 5;
 
 fn control(idx: usize) -> EventExpr {

@@ -11,9 +11,9 @@ use rfid_events::{EventExpr, Span};
 /// different buffer and pruning regimes.
 pub const SHAPES: usize = 13;
 pub const WINDOWS: [Span; 3] = [Span::from_secs(2), Span::from_secs(5), Span::from_secs(30)];
-/// Shorter than every draw of `WINDOWS`: a leaf wrapped in it is a node of
-/// its own, beside the unwrapped leaf of the same pattern (hash-consing
-/// keys on the effective window).
+/// Shorter than every draw of `WINDOWS`. A leaf wrapped in it is still the
+/// unwrapped leaf of the same pattern: every window admits an observation,
+/// and a leaf is hash-consed on its pattern alone.
 const INNER: Span = Span::from_secs(1);
 /// The maximum distance of the composite-terminator `TSEQ` shapes: inside
 /// the middle draw of `WINDOWS`, so the distance, not the window, is what
@@ -29,7 +29,7 @@ pub fn shape(idx: usize, window: Span) -> EventExpr {
             .bind_object("o")
             .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
             .within(window),
-        // In-field filtering: the merged-leaf `RecordQuery` fusion.
+        // In-field filtering: one leaf, the fused `QueryRecord` delivery.
         1 => shelf().not().seq(shelf()).within(window),
         // AND with right-side negation (pseudo events on window close).
         2 => EventExpr::observation_in_group("pos")
@@ -73,15 +73,16 @@ pub fn shape(idx: usize, window: Span) -> EventExpr {
         8 => EventExpr::observation_in_group("exits")
             .tseq_plus(Span::ZERO, Span::from_secs(24 * 3_600))
             .within(Span::from_secs(48 * 3_600)),
-        // Shape 0 over twin leaves: one observation reaches both sides of
-        // a two-sided join as one instance.
+        // Shape 0 spelled with an inner `WITHIN` on the initiator: the same
+        // one-leaf self-join.
         9 => EventExpr::observation()
             .bind_reader("r")
             .bind_object("o")
             .within(INNER)
             .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
             .within(window),
-        // Shape 1 over twin leaves: the `QueryRecord` fusion.
+        // Shape 1 spelled with an inner `WITHIN` on the negated copy: the
+        // same one-leaf `QueryRecord` delivery.
         10 => shelf().within(INNER).not().seq(shelf()).within(window),
         // TSEQ whose terminator is itself a SEQ: the distance runs end to
         // end, so an initiator waits one `DIST` for the terminator's end

@@ -190,6 +190,24 @@ if [[ -n "$stray" || "${heaps:-0}" -gt 1 ]]; then
     exit 1
 fi
 
+echo "== a leaf is its pattern (rceda graph.rs) =="
+# The graph hash-conses a leaf on its PrimitivePattern alone, so one
+# observation pattern is one leaf and the plan lowers leaves as they are:
+# no pattern groups, no pops counted for leaves folded away, and one fused
+# negation op. Under crates/core/src, code and comments before a file's
+# `#[cfg(test)]` module may not name the machinery that undid twin leaves.
+stray=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /extra_pops|elided|leaf_group|RecordQuery/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: leaves are hash-consed on their pattern; no plan-level leaf coalescing" >&2
+    exit 1
+fi
+
 echo "== one firing path (rfid_rules::prepared) =="
 # A firing is bound, tested and executed by crates/rules/src/prepared.rs.
 # The by-name interpreter (bind.rs, cond.rs, actions.rs) stays public for the
