@@ -116,9 +116,9 @@ pub enum DiagCode {
     /// lags: the engine prunes it eagerly at the solved retention.
     BoundedRetention,
     /// Rules that differ only in their `WITHIN` and are served by one
-    /// state holder ([`crate::plan::CompiledPlan::families`]), or `NOT`
-    /// histories over one pattern kept once: what the plan shares, with
-    /// the cut-offs and the solved retention it shares them at.
+    /// state holder ([`crate::plan::CompiledPlan::families`]): what the
+    /// plan shares, with the cut-offs and the solved retention it shares
+    /// them at.
     WindowFamily,
 }
 
@@ -472,9 +472,9 @@ pub fn analyze_compiled(program: &Program, catalog: Option<&Catalog>) -> Vec<Dia
     out
 }
 
-/// The W001 pass: rules whose events hash-cons to the same node with the
-/// same effective window are duplicates; the later one is shadowed (it
-/// fires on exactly the instances the earlier one fires on).
+/// The W001 pass: rules whose events hash-cons to the same node are
+/// duplicates; the later one is shadowed (it fires on exactly the
+/// instances the earlier one fires on).
 fn analyze_shadowing(program: &Program) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut owner: HashMap<NodeId, &RuleEvent> = HashMap::new();
@@ -487,9 +487,8 @@ fn analyze_shadowing(program: &Program) -> Vec<Diagnostic> {
                     rule_name: rule.name.clone(),
                     path: program.graph().node(root).kind.name().to_owned(),
                     message: format!(
-                        "event is identical to rule `{}` ({}) after common-subgraph merging \
-                         (same structure and effective window); both rules fire on exactly \
-                         the same instances",
+                        "event compiles to the same graph node as rule `{}` ({}); both rules \
+                         fire on exactly the same instances",
                         prior.id, prior.name
                     ),
                     hint: "drop one rule, or merge their actions into a single rule".to_owned(),
@@ -573,59 +572,26 @@ fn analyze_subsumption(program: &Program, catalog: Option<&Catalog>) -> Vec<Diag
 
 /// The N003 pass: reports what the program's plan — the engine's — shares:
 /// one note per window family (holder node, member rules with their
-/// cut-offs, the retention the shared state is kept for) and one per shared
-/// `NOT` history no reported family reads.
+/// cut-offs, the retention the shared state is kept for). What the graph
+/// merged into one node — a leaf, a `NOT`, a subgraph — is ordinary
+/// hash-consing and goes unreported.
 fn analyze_families(program: &Program) -> Vec<Diagnostic> {
     let (rules, merged) = (program.rules(), program.graph());
     let (bounds, plan) = (program.bounds(), program.plan());
-    let histories = program.shared_histories();
-    let history_retention = |holder: NodeId| {
-        let alone = [holder];
-        let served = histories.iter().find(|(h, _)| *h == holder);
-        let served = served.map_or(&alone[..], |(_, served)| served);
-        served.iter().map(|&n| bounds.node(n).retention).max()
-    };
-    // The rules that read a history: those at or above the nodes it serves.
-    let readers_of = |served: &[NodeId]| {
-        let mut readers = std::collections::BTreeSet::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = served.to_vec();
-        while let Some(n) = stack.pop() {
-            if seen.insert(n) {
-                readers.extend(program.rules_at(n).iter().map(|r| r.0 as usize));
-                stack.extend(&merged.node(n).parents);
-            }
-        }
-        readers
-    };
-    let note = |rule: usize, message: String, hint: &str| {
-        let rule = &rules[rule];
-        Diagnostic {
-            code: DiagCode::WindowFamily,
-            rule_id: rule.id.clone(),
-            rule_name: rule.name.clone(),
-            path: String::new(),
-            message,
-            hint: hint.to_owned(),
-        }
-    };
-
     let mut out = Vec::new();
-    let mut read_by_family: Vec<NodeId> = Vec::new();
     for (holder, members) in plan.families() {
         let node = merged.node(holder);
         let (state, retention) = if node.plan == Plan::LeftNegationQuery {
-            let history = plan.holder(node.children[0]);
-            read_by_family.push(history);
+            let history = node.children[0];
             (
                 format!("one probe of the NOT history at node {}", history.0),
-                history_retention(history),
+                bounds.node(history).retention,
             )
         } else {
             let retain = members.iter().map(|m| bounds.node(m.node).retain[0]);
-            ("one join buffer".to_owned(), retain.max())
+            let retain = retain.max().expect("a family has members");
+            ("one join buffer".to_owned(), retain)
         };
-        let retention = retention.expect("a family has members");
         let listed: Vec<String> = members
             .iter()
             .flat_map(|m| {
@@ -633,9 +599,13 @@ fn analyze_families(program: &Program) -> Vec<Diagnostic> {
                 at.map(|r| format!("`{}` ({})", rules[r.0 as usize].id, m.cutoff))
             })
             .collect();
-        out.push(note(
-            program.rules_at(holder)[0].0 as usize,
-            format!(
+        let rule = &rules[program.rules_at(holder)[0].0 as usize];
+        out.push(Diagnostic {
+            code: DiagCode::WindowFamily,
+            rule_id: rule.id.clone(),
+            rule_name: rule.name.clone(),
+            path: String::new(),
+            message: format!(
                 "window family at {} node {}: {} rules that differ only in their window \
                  share {state}, probed at the widest cut-off and kept for {retention} — \
                  members by cut-off: {}",
@@ -644,35 +614,10 @@ fn analyze_families(program: &Program) -> Vec<Diagnostic> {
                 listed.len(),
                 listed.join(", ")
             ),
-            "informational: one probe serves every member; an emission reaches the members \
-             whose own window covers it (DESIGN.md, Window families)",
-        ));
-    }
-    for (holder, served) in &histories {
-        if read_by_family.contains(holder) {
-            continue;
-        }
-        let readers = readers_of(served);
-        let listed: Vec<String> = readers
-            .iter()
-            .map(|&r| format!("`{}`", rules[r].id))
-            .collect();
-        let Some(&first) = readers.first() else {
-            continue; // no rule reads it
-        };
-        out.push(note(
-            first,
-            format!(
-                "shared NOT history at node {}: {} NOT nodes over one pattern record into \
-                 one history, kept for {} — read by {}",
-                holder.0,
-                served.len(),
-                history_retention(*holder).expect("a history serves itself"),
-                listed.join(", ")
-            ),
-            "informational: the negated pattern is recorded once; each rule keeps its own \
-             waits (DESIGN.md, Window families)",
-        ));
+            hint: "informational: one probe serves every member; an emission reaches the \
+                   members whose own window covers it (DESIGN.md, Window families)"
+                .to_owned(),
+        });
     }
     out
 }

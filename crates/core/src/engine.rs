@@ -598,27 +598,18 @@ impl Engine {
 
     /// Follows the holders from the plan `prior` to the current one. State
     /// stays where it is: a holder is the first-registered node of its
-    /// group, so rules added to a running engine only ever join it. The one
-    /// move is a member that no longer fits its holder and now holds state
-    /// itself; it carries on from a copy of what it shared (a superset of
-    /// what it would have kept alone, and anything beyond its own window is
-    /// invisible to its probes). A `NOT` leaves because it gained a history
-    /// spec its holder lacks: the copy keeps the histories of the specs the
-    /// two still share and is sized for the node's own list, so the new
-    /// spec starts empty, as it does on an unshared `NOT`.
+    /// family, so rules added to a running engine only ever join it. The
+    /// one move is a member that no longer fits its holder and now holds
+    /// state itself; it carries on from a copy of what it shared (a
+    /// superset of what it would have kept alone, and anything beyond its
+    /// own window is invisible to its probes).
     fn rehome_states(&mut self, prior: &CompiledPlan) {
-        let (graph, plan) = (self.program.graph(), self.program.plan());
+        let plan = self.program.plan();
         for idx in 0..prior.node_count() {
             let node = NodeId(idx as u32);
             let was = prior.holder(node);
             if was != node && plan.holder(node) == node {
                 self.rt.states[idx] = self.rt.states[was.idx()].clone();
-                if let NodeState::Negation(neg) = &mut self.rt.states[idx] {
-                    let (own, shared) = (graph.hist_specs(node), graph.hist_specs(was));
-                    let common = own.iter().zip(shared).take_while(|(a, b)| a == b).count();
-                    neg.truncate_specs(common);
-                    neg.ensure_specs(own.len().max(1));
-                }
                 self.rt.sweep.touch(node);
             }
         }
@@ -696,7 +687,7 @@ impl Engine {
                     other => unreachable!("ResolveWait on plan {other:?}"),
                 };
                 let spec = n.hist_spec.expect("wait plan always has a history spec").0 as usize;
-                let not_child = self.program.plan().holder(n.children[not_side as usize]);
+                let not_child = n.children[not_side as usize];
                 let kind_name = n.kind.name();
                 if self.rt.obs.level.counters() {
                     // The deferred window-close check is this node's probe.
@@ -1172,13 +1163,13 @@ impl Runtime {
             }
             Plan::RightNegationWait => {
                 debug_assert_eq!(side, 0, "negated terminator never delivers");
-                self.right_negation_wait(graph, plan, node, inst);
+                self.right_negation_wait(graph, node, inst);
             }
             Plan::AndNegation { not_side } => {
                 debug_assert_eq!(side, 1 - not_side, "arrivals come from the push side");
                 let from = inst.t_end().saturating_sub(node.within);
                 let to = inst.t_begin() + node.within;
-                self.wait_on_negation(graph, plan, node, not_side, inst, from, to);
+                self.wait_on_negation(graph, node, not_side, inst, from, to);
             }
             Plan::NegationRecorder => self.record_negation(graph, node, inst),
             Plan::AperiodicRecorder => self.record_aperiodic(node, inst),
@@ -1273,7 +1264,7 @@ impl Runtime {
             return;
         };
         let spec = node.hist_spec.expect("query plan has a spec").0 as usize;
-        let not_child = plan.holder(node.children[0]);
+        let not_child = node.children[0];
         if self.obs.level.counters() {
             self.obs.arena.probed(node.id.idx());
         }
@@ -1319,13 +1310,7 @@ impl Runtime {
 
     /// [`Plan::RightNegationWait`]: the initiator waits out the window in
     /// which the negated terminator must stay absent.
-    fn right_negation_wait(
-        &mut self,
-        graph: &EventGraph,
-        plan: &CompiledPlan,
-        node: &Node,
-        inst: &Arc<Instance>,
-    ) {
+    fn right_negation_wait(&mut self, graph: &EventGraph, node: &Node, inst: &Arc<Instance>) {
         // The negation window opens strictly after the initiator ends;
         // otherwise an initiator whose pattern overlaps the negated pattern
         // would block itself.
@@ -1338,7 +1323,7 @@ impl Runtime {
             ),
             ref other => unreachable!("RightNegationWait on {other:?}"),
         };
-        self.wait_on_negation(graph, plan, node, 1, inst, from, to);
+        self.wait_on_negation(graph, node, 1, inst, from, to);
     }
 
     /// [`Plan::NegationRecorder`]: record the occurrence under the key of
@@ -1454,11 +1439,9 @@ impl Runtime {
     /// Shared machinery of `AndNegation` and `RightNegationWait`: check the
     /// past part of the window now; if the window extends into the future,
     /// anchor the instance and schedule a pseudo event at its close.
-    #[allow(clippy::too_many_arguments)]
     fn wait_on_negation(
         &mut self,
         graph: &EventGraph,
-        plan: &CompiledPlan,
         node: &Node,
         not_side: u8,
         inst: &Arc<Instance>,
@@ -1470,7 +1453,7 @@ impl Runtime {
             return;
         };
         let spec = node.hist_spec.expect("wait plan has a spec").0 as usize;
-        let not_child = plan.holder(node.children[not_side as usize]);
+        let not_child = node.children[not_side as usize];
         let kind_name = node.kind.name();
 
         let clock = self.timeline.clock();

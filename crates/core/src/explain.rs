@@ -66,8 +66,7 @@ impl Program {
     /// precomputed parent-activation edges — the flat view the executor
     /// runs, complementing [`Program::describe`]'s graph-level table. What
     /// shares state is listed after the summary: one line per window family
-    /// (holder, then each member node with its cut-off) and per shared
-    /// `NOT` history.
+    /// (holder, then each member node with its cut-off).
     pub fn describe_plan(&self) -> String {
         let plan = self.plan();
         let mut out = String::new();
@@ -129,15 +128,6 @@ impl Program {
                 self.graph().node(holder).plan.name(),
                 holder.0,
                 members.join(", ")
-            );
-        }
-        for (holder, served) in self.shared_histories() {
-            let served: Vec<String> = served.iter().map(|n| n.0.to_string()).collect();
-            let _ = writeln!(
-                out,
-                "history: neg-record node {} serves {}",
-                holder.0,
-                served.join(", ")
             );
         }
         out
@@ -276,6 +266,7 @@ fn fmt_span(s: Span) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeId;
     use rfid_events::EventExpr;
 
     /// A solved program over `events`, one rule each.
@@ -357,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_describe_lists_families_and_shared_histories() {
+    fn plan_describe_lists_families() {
         let shelf = || EventExpr::observation_in_group("shelves").bind_object("o");
         let infield = |secs| shelf().not().seq(shelf()).within(Span::from_secs(secs));
         let p = program(
@@ -366,13 +357,12 @@ mod tests {
         );
         let text = p.describe_plan();
         assert!(
-            text.contains("family: neg-query node 2 serves 4 (10sec), 6 (20sec), 2 (30sec)"),
+            text.contains("family: neg-query node 2 serves 3 (10sec), 4 (20sec), 2 (30sec)"),
             "{text}"
         );
-        assert!(
-            text.contains("history: neg-record node 1 serves 1, 3, 5"),
-            "{text}"
-        );
+        let negated = |r: &NodeId| p.graph().node(*r).children[0] == NodeId(1);
+        assert!(p.roots().iter().all(negated), "one NOT node: {text}");
+        assert_eq!(text.matches("neg-record").count(), 1, "{text}");
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! * **Interval-constraint propagation** — `WITHIN(E, τ)` is not a node but a
 //!   constraint; it propagates top-down so every descendant's effective
 //!   window is `min(own, parent)` (Fig. 7 of the paper);
-//! * **Common-subgraph merging** — composite nodes are hash-consed on their
-//!   structure *and* effective window, leaves on their pattern alone, so
-//!   identical sub-events across rules share one detection node (Fig. 5's
-//!   merging step);
+//! * **Common-subgraph merging** — a node is hash-consed on its parts: its
+//!   constructor, its compiled children and its effective window (none for
+//!   a leaf or a `NOT`), so identical sub-events across rules share one
+//!   detection node (Fig. 5's merging step). A `SEQ+` store, which the
+//!   node querying it consumes, is the one part never shared between two
+//!   querying parents;
 //! * **Detection-mode assignment** — push / pull / mixed, bottom-up from the
 //!   constructor kinds (§4.4), rejecting *invalid rules* whose root is pull;
 //! * **Execution planning** — each composite node gets a [`Plan`] describing
@@ -168,7 +170,8 @@ pub struct Node {
     /// Parents (any number; shared nodes have several).
     pub parents: Vec<NodeId>,
     /// Effective interval constraint after top-down propagation;
-    /// [`Span::MAX`] when unconstrained, and on every leaf.
+    /// [`Span::MAX`] when unconstrained, and on every leaf and `NOT` (a
+    /// `NOT`'s window is its child's).
     pub within: Span,
     /// Detection mode (§4.4).
     pub mode: DetectionMode,
@@ -196,9 +199,8 @@ pub struct HistSpec {
 #[derive(Debug)]
 pub struct EventGraph {
     nodes: Vec<Node>,
-    /// Hash-consing table: (canonical expression, effective window) → node;
-    /// a leaf's window is always [`Span::MAX`].
-    memo: HashMap<(EventExpr, Span), NodeId>,
+    /// Hash-consing table: a node's parts → the node.
+    memo: HashMap<NodeKey, NodeId>,
     /// Keyed-history registrations, indexed by node id (empty for every
     /// node no parent queries).
     hist_specs: Vec<Vec<HistSpec>>,
@@ -216,6 +218,10 @@ pub struct EventGraph {
 /// Variables mentioned anywhere below a node (not just exported), used to
 /// reject correlations the engine cannot enforce.
 type AllVars = std::collections::BTreeSet<rfid_events::Var>;
+
+/// What a node is made of: its constructor, its children and its effective
+/// window ([`Span::MAX`] on a leaf and a `NOT`).
+type NodeKey = (NodeKind, Vec<NodeId>, Span);
 
 impl Default for EventGraph {
     fn default() -> Self {
@@ -303,7 +309,8 @@ impl EventGraph {
         id
     }
 
-    /// How many compile requests were satisfied by an existing node.
+    /// How many compiled sub-events were interned onto an existing node
+    /// (a shared composite counts its shared descendants too).
     pub fn merged_hits(&self) -> u64 {
         self.merged_hits
     }
@@ -328,6 +335,10 @@ impl EventGraph {
 
     /// Compiles `expr` under an inherited interval constraint. Returns the
     /// node, its exports snapshot, and the set of all variables below it.
+    ///
+    /// A node is its parts: it is hash-consed on its constructor, its
+    /// compiled children and its window, so whatever spells the same node
+    /// — a no-op inner `WITHIN` included — compiles to it once.
     fn compile(
         &mut self,
         expr: &EventExpr,
@@ -337,182 +348,123 @@ impl EventGraph {
         if let EventExpr::Within { inner, window } = expr {
             return self.compile(inner, (*window).min(inherited));
         }
-
-        // A leaf is its pattern: an observation is instantaneous, so every
-        // window admits it, and one leaf serves every rule that names it.
-        let within = match expr {
-            EventExpr::Primitive(_) => Span::MAX,
-            _ => inherited,
-        };
-        if let Some(&id) = self.memo.get(&(expr.clone(), within)) {
-            self.merged_hits += 1;
-            let node = self.node(id);
-            return Ok((id, node.exports.clone(), self.all_vars_of(id)));
-        }
-
-        let (id, exports, vars) = match expr {
+        let (kind, subs): (NodeKind, Vec<&EventExpr>) = match expr {
             EventExpr::Within { .. } => unreachable!("folded above"),
-            EventExpr::Primitive(p) => {
-                let exports = exports_of(expr, &[]);
-                let mut vars = AllVars::new();
-                vars.extend(exports.keys().cloned());
-                let id = self.push_node(Node {
-                    id: NodeId(0),
-                    kind: NodeKind::Primitive(p.clone()),
-                    children: vec![],
-                    parents: vec![],
-                    within,
-                    mode: DetectionMode::Push,
-                    plan: Plan::Leaf,
-                    join: JoinSpec::default(),
-                    hist_spec: None,
-                    exports: exports.clone(),
-                });
-                self.primitives.push(id);
-                (id, exports, vars)
-            }
-            EventExpr::Or(a, b) => {
-                let (ca, _, va) = self.compile(a, inherited)?;
-                let (cb, _, vb) = self.compile(b, inherited)?;
-                for c in [ca, cb] {
-                    if self.node(c).mode != DetectionMode::Push {
-                        return Err(InvalidRule::NonPushOrBranch {
-                            event: expr.to_string(),
-                        });
-                    }
-                }
-                let vars: AllVars = va.union(&vb).cloned().collect();
-                let id = self.push_node(Node {
-                    id: NodeId(0),
-                    kind: NodeKind::Or,
-                    children: vec![ca, cb],
-                    parents: vec![],
-                    within: inherited,
-                    mode: DetectionMode::Push,
-                    plan: Plan::Forward,
-                    join: JoinSpec::default(),
-                    hist_spec: None,
-                    exports: Exports::new(),
-                });
-                self.link(id);
-                (id, Exports::new(), vars)
-            }
-            EventExpr::Not(x) => {
-                let (cx, _, vars) = self.compile(x, inherited)?;
-                if self.node(cx).mode == DetectionMode::Pull {
-                    return Err(InvalidRule::NonSpontaneousOverNonPush {
-                        constructor: "NOT",
-                        inner: x.to_string(),
-                    });
-                }
-                let id = self.push_node(Node {
-                    id: NodeId(0),
-                    kind: NodeKind::Not,
-                    children: vec![cx],
-                    parents: vec![],
-                    within: inherited,
-                    mode: DetectionMode::Pull,
-                    plan: Plan::NegationRecorder,
-                    join: JoinSpec::default(),
-                    hist_spec: None,
-                    exports: Exports::new(),
-                });
-                self.link(id);
-                (id, Exports::new(), vars)
-            }
-            EventExpr::SeqPlus(x) => {
-                let (cx, _, vars) = self.compile(x, inherited)?;
-                if self.node(cx).mode == DetectionMode::Pull {
-                    return Err(InvalidRule::NonSpontaneousOverNonPush {
-                        constructor: "SEQ+",
-                        inner: x.to_string(),
-                    });
-                }
-                let id = self.push_node(Node {
-                    id: NodeId(0),
-                    kind: NodeKind::SeqPlus,
-                    children: vec![cx],
-                    parents: vec![],
-                    within: inherited,
-                    mode: DetectionMode::Pull,
-                    plan: Plan::AperiodicRecorder,
-                    join: JoinSpec::default(),
-                    hist_spec: None,
-                    exports: Exports::new(),
-                });
-                self.link(id);
-                (id, Exports::new(), vars)
-            }
-            EventExpr::TSeqPlus {
-                inner,
-                min_gap,
-                max_gap,
-            } => {
-                let (cx, _, vars) = self.compile(inner, inherited)?;
-                if self.node(cx).mode == DetectionMode::Pull {
-                    return Err(InvalidRule::NonSpontaneousOverNonPush {
-                        constructor: "TSEQ+",
-                        inner: inner.to_string(),
-                    });
-                }
-                let id = self.push_node(Node {
-                    id: NodeId(0),
-                    kind: NodeKind::TSeqPlus {
-                        min_gap: *min_gap,
-                        max_gap: *max_gap,
-                    },
-                    children: vec![cx],
-                    parents: vec![],
-                    within: inherited,
-                    mode: DetectionMode::Mixed,
-                    plan: Plan::TimedAperiodic,
-                    join: JoinSpec::default(),
-                    hist_spec: None,
-                    exports: Exports::new(),
-                });
-                self.link(id);
-                (id, Exports::new(), vars)
-            }
-            EventExpr::And(a, b) => self.compile_binary(expr, NodeKind::And, a, b, inherited)?,
-            EventExpr::Seq(a, b) => self.compile_binary(expr, NodeKind::Seq, a, b, inherited)?,
+            EventExpr::Primitive(p) => (NodeKind::Primitive(p.clone()), vec![]),
+            EventExpr::Or(a, b) => (NodeKind::Or, vec![a, b]),
+            EventExpr::And(a, b) => (NodeKind::And, vec![a, b]),
+            EventExpr::Seq(a, b) => (NodeKind::Seq, vec![a, b]),
             EventExpr::TSeq {
                 first,
                 second,
                 min_dist,
                 max_dist,
-            } => self.compile_binary(
-                expr,
+            } => (
                 NodeKind::TSeq {
                     min_dist: *min_dist,
                     max_dist: *max_dist,
                 },
-                first,
-                second,
-                inherited,
-            )?,
+                vec![first, second],
+            ),
+            EventExpr::Not(x) => (NodeKind::Not, vec![x]),
+            EventExpr::SeqPlus(x) => (NodeKind::SeqPlus, vec![x]),
+            EventExpr::TSeqPlus {
+                inner,
+                min_gap,
+                max_gap,
+            } => (
+                NodeKind::TSeqPlus {
+                    min_gap: *min_gap,
+                    max_gap: *max_gap,
+                },
+                vec![inner],
+            ),
         };
+        let mut parts = Vec::with_capacity(subs.len());
+        for sub in &subs {
+            parts.push(self.compile(sub, inherited)?);
+        }
+        // An observation is instantaneous, so every window admits it, and a
+        // `NOT`'s window is its child's: neither has one of its own.
+        let within = match kind {
+            NodeKind::Primitive(_) | NodeKind::Not => Span::MAX,
+            _ => inherited,
+        };
+        let key = (kind, parts.iter().map(|p| p.0).collect(), within);
+        let mut vars: AllVars = parts.iter().flat_map(|p| p.2.iter().cloned()).collect();
+        if let Some(&id) = self.memo.get(&key) {
+            self.merged_hits += 1;
+            let exports = self.node(id).exports.clone();
+            vars.extend(exports.keys().cloned());
+            return Ok((id, exports, vars));
+        }
 
-        self.memo.insert((expr.clone(), within), id);
+        let mut node = Node {
+            id: NodeId(0),
+            kind: key.0.clone(),
+            children: key.1.clone(),
+            parents: vec![],
+            within,
+            mode: DetectionMode::Push,
+            plan: Plan::Leaf,
+            join: JoinSpec::default(),
+            hist_spec: None,
+            exports: Exports::new(),
+        };
+        let child_mode = |g: &EventGraph, i: usize| g.node(node.children[i]).mode;
+        match node.kind {
+            NodeKind::Primitive(_) => {
+                node.exports = exports_of(expr, &[]);
+                vars.extend(node.exports.keys().cloned());
+            }
+            NodeKind::Or => {
+                if (0..2).any(|i| child_mode(self, i) != DetectionMode::Push) {
+                    return Err(InvalidRule::NonPushOrBranch {
+                        event: expr.to_string(),
+                    });
+                }
+                node.plan = Plan::Forward;
+            }
+            NodeKind::Not | NodeKind::SeqPlus | NodeKind::TSeqPlus { .. } => {
+                if child_mode(self, 0) == DetectionMode::Pull {
+                    return Err(InvalidRule::NonSpontaneousOverNonPush {
+                        constructor: node.kind.name(),
+                        inner: subs[0].to_string(),
+                    });
+                }
+                (node.plan, node.mode) = match node.kind {
+                    NodeKind::Not => (Plan::NegationRecorder, DetectionMode::Pull),
+                    NodeKind::SeqPlus => (Plan::AperiodicRecorder, DetectionMode::Pull),
+                    _ => (Plan::TimedAperiodic, DetectionMode::Mixed),
+                };
+            }
+            NodeKind::And | NodeKind::Seq | NodeKind::TSeq { .. } => {
+                self.plan_binary(expr, &mut node, [&parts[0], &parts[1]], inherited)?;
+            }
+        }
+        let exports = node.exports.clone();
+        let id = self.push_node(node);
+        self.memo.insert(key, id);
         Ok((id, exports, vars))
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn compile_binary(
+    /// Plans a binary node whose children are compiled: its correlation
+    /// join, its execution plan and mode, and the keyed history it queries
+    /// on a negation/aperiodic child.
+    fn plan_binary(
         &mut self,
         expr: &EventExpr,
-        kind: NodeKind,
-        a: &EventExpr,
-        b: &EventExpr,
+        node: &mut Node,
+        [(ca, ea, va), (cb, eb, vb)]: [&(NodeId, Exports, AllVars); 2],
         inherited: Span,
-    ) -> Result<(NodeId, Exports, AllVars), InvalidRule> {
-        let (ca, ea, va) = self.compile(a, inherited)?;
-        let (cb, eb, vb) = self.compile(b, inherited)?;
+    ) -> Result<(), InvalidRule> {
+        let (ca, cb) = (*ca, *cb);
         let ma = self.node(ca).mode;
         let mb = self.node(cb).mode;
-        let is_and = matches!(kind, NodeKind::And);
+        let is_and = matches!(node.kind, NodeKind::And);
 
         // The finite bound available to resolve a trailing negation.
-        let neg_bound = match kind {
+        let neg_bound = match node.kind {
             NodeKind::TSeq { max_dist, .. } => max_dist.min(inherited),
             _ => inherited,
         };
@@ -527,14 +479,14 @@ impl EventGraph {
                 own.clone()
             }
         };
-        let ja = joinable(self, ca, &ea);
-        let jb = joinable(self, cb, &eb);
+        let ja = joinable(self, ca, ea);
+        let jb = joinable(self, cb, eb);
         let mut join = JoinSpec::between(&ja, &jb);
         join.ids = [self.intern(&join.left), self.intern(&join.right)];
 
         // Every variable shared across the two subtrees must be enforceable
         // through the join, otherwise the rule would silently under-constrain.
-        for var in va.intersection(&vb) {
+        for var in va.intersection(vb) {
             if !join.vars.contains(var) {
                 return Err(InvalidRule::UnsupportedCorrelation {
                     var: var.name().to_owned(),
@@ -542,7 +494,6 @@ impl EventGraph {
                 });
             }
         }
-
         let not_a = self.node(ca).kind == NodeKind::Not;
         let not_b = self.node(cb).kind == NodeKind::Not;
         let seqplus_a = self.node(ca).kind == NodeKind::SeqPlus;
@@ -606,31 +557,24 @@ impl EventGraph {
             _ => (Plan::TwoSided, DetectionMode::Mixed),
         };
 
-        let exports = {
-            let child_exports = [&ea, &eb];
-            exports_of(expr, &child_exports)
-        };
-        let vars: AllVars = va.union(&vb).cloned().collect();
+        node.exports = exports_of(expr, &[ea, eb]);
+        node.join = join;
+        (node.plan, node.mode) = (plan, mode);
 
-        let mut node = Node {
-            id: NodeId(0),
-            kind,
-            children: vec![ca, cb],
-            parents: vec![],
-            within: inherited,
-            mode,
-            plan,
-            join,
-            hist_spec: None,
-            exports: exports.clone(),
-        };
+        // A `SEQ+` store is consumed by the node that queries it, so a
+        // second querying parent gets a store of its own.
+        if plan == Plan::LeftAperiodicQuery && !self.node(ca).parents.is_empty() {
+            let mut own = self.node(ca).clone();
+            own.parents.clear();
+            node.children[0] = self.push_node(own);
+        }
 
         // Register the keyed history this node will query on its negation /
         // aperiodic child, and remember which registration to use.
-        let query_side = match &node.plan {
+        let query_side = match node.plan {
             Plan::LeftNegationQuery | Plan::LeftAperiodicQuery => Some(0u8),
             Plan::RightNegationWait => Some(1),
-            Plan::AndNegation { not_side } => Some(*not_side),
+            Plan::AndNegation { not_side } => Some(not_side),
             _ => None,
         };
         if let Some(side) = query_side {
@@ -651,45 +595,24 @@ impl EventGraph {
             };
             node.hist_spec = Some(spec_id);
         }
-
-        let id = self.push_node(node);
-        self.link(id);
-        Ok((id, exports, vars))
+        Ok(())
     }
 
+    /// Appends a node and attaches it as parent of its children.
     fn push_node(&mut self, mut node: Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         node.id = id;
+        for &c in &node.children {
+            let parents = &mut self.nodes[c.idx()].parents;
+            if !parents.contains(&id) {
+                parents.push(id);
+            }
+        }
+        if node.plan == Plan::Leaf {
+            self.primitives.push(id);
+        }
         self.nodes.push(node);
         id
-    }
-
-    /// Attaches `id` as parent of its children.
-    fn link(&mut self, id: NodeId) {
-        let children = self.nodes[id.idx()].children.clone();
-        for c in children {
-            if !self.nodes[c.idx()].parents.contains(&id) {
-                self.nodes[c.idx()].parents.push(id);
-            }
-        }
-    }
-
-    fn all_vars_of(&self, id: NodeId) -> AllVars {
-        let mut vars = AllVars::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            let node = self.node(n);
-            if let NodeKind::Primitive(p) = &node.kind {
-                if let Some(v) = &p.reader_var {
-                    vars.insert(v.clone());
-                }
-                if let Some(v) = &p.object_var {
-                    vars.insert(v.clone());
-                }
-            }
-            stack.extend(node.children.iter().copied());
-        }
-        vars
     }
 }
 

@@ -17,6 +17,12 @@
 //!   parent's child list on every delivery becomes a precomputed
 //!   [`EdgeOp`] per edge.
 //!
+//! What runs once for several rules is the graph's to decide: it
+//! hash-conses every node on its parts, so a shared leaf, `NOT` or subgraph
+//! reaches the plan as one node. The plan's one sharing of its own is the
+//! window family — rule roots equal in everything but `WITHIN`, served by
+//! one state holder ([`CompiledPlan::family`]).
+//!
 //! The executor lives in [`crate::engine`]. Lowering is deterministic and
 //! total: every well-formed graph lowers, and the plan encodes exactly the
 //! candidate and delivery order of a plain walk over the graph — *graph
@@ -25,7 +31,7 @@
 //! registration order (within a rule right to left, so an instance
 //! terminates before it initiates, docs/SEMANTICS.md §4).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rfid_epc::Epc;
@@ -246,8 +252,7 @@ struct FamilyKey {
     kind: NodeKind,
     /// The join's interned `[left, right]` key specs.
     keys: [KeySpecId; 2],
-    /// Children: a leaf itself, a `NOT` by its history holder.
-    children: [u32; 2],
+    children: [NodeId; 2],
     hist_spec: Option<HistSpecId>,
 }
 
@@ -283,8 +288,8 @@ pub struct CompiledPlan {
     /// shared view `analyze`'s dead-leaf pass reads).
     dispatchable: Vec<bool>,
     /// Per-node state holder: the node whose runtime state serves this one
-    /// — itself, unless it is a coalesced `NOT` recorder or a window-family
-    /// member, which use the first-registered node of their group.
+    /// — itself, unless it is a window-family member, which uses the
+    /// first-registered node of its family.
     holders: Vec<u32>,
     /// Per-node range into `members`: the family a holder serves, itself
     /// included, in ascending cut-off order. Empty for a node another
@@ -301,10 +306,10 @@ impl CompiledPlan {
     /// that nodes are pushed children-first, i.e. node-id order is
     /// topological.
     ///
-    /// Recorders and window families are coalesced, and their state stays
-    /// where `prior` — the plan this one replaces, an empty one for a first
-    /// lowering — had it: a node that was its own holder stays one, and a
-    /// member keeps its holder for as long as it stays admissible.
+    /// Window families are coalesced, and their state stays where `prior`
+    /// — the plan this one replaces, an empty one for a first lowering —
+    /// had it: a node that was its own holder stays one, and a member keeps
+    /// its holder for as long as it stays admissible.
     pub fn lower(
         graph: &EventGraph,
         catalog: &Catalog,
@@ -319,7 +324,6 @@ impl CompiledPlan {
             ..CompiledPlan::default()
         };
         plan.assign_holders(graph, rules_at, prior);
-        let mut seen: HashSet<(EdgeOp, u32)> = HashSet::new();
         let mut raw: Vec<Edge> = Vec::new();
         for idx in 0..n {
             let id = NodeId(idx as u32);
@@ -339,18 +343,10 @@ impl CompiledPlan {
             // instead of by re-reading the parent's child list.
             raw.clear();
             raw_edges(graph, id, &mut raw);
-            // Deliveries go to the state holder, once: the members of a
-            // recorder group or a window family all received this very
-            // instance, and the holder's single probe answers for them.
-            // The first occurrence keeps its place; nothing downstream can
-            // tell, because a shared history is order-insensitive to its
-            // same-instant record (see `shareable_recorder`) and a family
-            // member's emission only fires rules.
-            seen.clear();
-            raw.retain_mut(|e| {
-                e.parent = plan.holders[e.parent as usize];
-                seen.insert((e.op, e.parent))
-            });
+            // A window family is delivered once, at its holder's own edge:
+            // its members all received this very instance, and the
+            // holder's single probe answers for them.
+            raw.retain(|e| plan.holders[e.parent as usize] == e.parent);
             // An adjacent window query and `NOT` record of the same history
             // collapse into one fused edge (the fused op runs where the pair
             // sat, in the pair's order, so work order is unchanged).
@@ -358,7 +354,7 @@ impl CompiledPlan {
             let mut i = 0;
             while i < raw.len() {
                 if i + 1 < raw.len() {
-                    if let Some(pair) = plan.fuse_query_record(graph, raw[i], raw[i + 1]) {
+                    if let Some(pair) = Self::fuse_query_record(graph, raw[i], raw[i + 1]) {
                         plan.edges.push(pair);
                         i += 2;
                         continue;
@@ -374,22 +370,16 @@ impl CompiledPlan {
     }
 
     /// Decides where every node's state lives and lists each holder's
-    /// family. Two groupings, both exact under chronicle consumption
-    /// (proofs in DESIGN.md "Window families"):
-    ///
-    /// * **Recorders.** `NOT` nodes fed by one leaf record the same
-    ///   `(key, time)` pairs, so they keep one history, on the
-    ///   first-registered of them. A member's spec list must be a prefix of
-    ///   the holder's, so spec indices mean the same thing on both.
-    /// * **Window families.** Rule roots equal in everything but `WITHIN`
-    ///   ([`FamilyKey`]) are served by the first-registered of them.
+    /// family: rule roots equal in everything but `WITHIN` ([`FamilyKey`])
+    /// are served by the first-registered of them, which is exact under
+    /// chronicle consumption (proof in DESIGN.md "Window families"). What
+    /// else is shared, the graph already merged into one node.
     ///
     /// The first-registered node never changes as rules are added, so a
     /// recompile on a running engine finds the state where it left it.
-    /// The one move is a node that stopped fitting its holder (a root
-    /// gained a parent, a `NOT` a new spec): it is regrouped, and if that
-    /// leaves it holding state of its own the engine seeds it with a copy
-    /// of the state it shared.
+    /// The one move is a root that stopped fitting its holder (it gained a
+    /// parent): it is regrouped, and if that leaves it holding state of its
+    /// own the engine seeds it with a copy of the state it shared.
     fn assign_holders(
         &mut self,
         graph: &EventGraph,
@@ -398,53 +388,33 @@ impl CompiledPlan {
     ) {
         let n = graph.len();
         self.holders = (0..n as u32).collect();
-        // Node ids are topological, so a root's `NOT` child is settled
-        // before the root asks for its holder, and a holder (lowest id
-        // of its group) before any of its members.
-        let mut recorders: HashMap<u32, u32> = HashMap::new();
+        // Node ids are topological, so a holder (lowest id of its family)
+        // is settled before any of its members.
         let mut roots: HashMap<FamilyKey, u32> = HashMap::new();
         for node in graph.nodes() {
             let (id, idx) = (node.id.0, node.id.idx());
+            let Some(key) = Self::family_key(graph, rules_at, node.id) else {
+                continue;
+            };
             // Candidates, in order: the holder under the earlier plan,
-            // then the group's current one. A node that held its own
+            // then the family's current one. A node that held its own
             // state stays its own holder.
             let kept = prior.holders.get(idx).copied();
-            let pick = |holders: &[u32], group: Option<u32>, fits: &dyn Fn(u32) -> bool| {
-                if kept == Some(id) {
-                    return None;
-                }
-                let mut candidates = [kept, group].into_iter().flatten();
-                candidates.find(|&h| h != id && holders[h as usize] == h && fits(h))
+            let fits = |h: u32| {
+                kept != Some(id)
+                    && h != id
+                    && self.holders[h as usize] == h
+                    && Self::family_key(graph, rules_at, NodeId(h)).as_ref() == Some(&key)
             };
-            if let Some(leaf) = shareable_recorder(graph, node.id) {
-                let specs = graph.hist_specs(node.id);
-                let fits = |h: u32| {
-                    shareable_recorder(graph, NodeId(h)) == Some(leaf)
-                        && graph.hist_specs(NodeId(h)).starts_with(specs)
-                };
-                match pick(&self.holders, recorders.get(&leaf).copied(), &fits) {
-                    Some(holder) => self.holders[idx] = holder,
-                    None => _ = recorders.entry(leaf).or_insert(id),
-                }
-            } else if let Some(key) = self.family_key(graph, rules_at, node.id) {
-                let fits = |h: u32| {
-                    let theirs = self.family_key(graph, rules_at, NodeId(h));
-                    theirs.as_ref() == Some(&key)
-                };
-                match pick(&self.holders, roots.get(&key).copied(), &fits) {
-                    Some(holder) => self.holders[idx] = holder,
-                    None => _ = roots.entry(key).or_insert(id),
-                }
+            let mut candidates = [kept, roots.get(&key).copied()].into_iter().flatten();
+            match candidates.find(|&h| fits(h)) {
+                Some(holder) => self.holders[idx] = holder,
+                None => _ = roots.entry(key).or_insert(id),
             }
         }
         let mut families: Vec<Vec<Member>> = vec![Vec::new(); n];
         for node in graph.nodes() {
-            let holder = self.holders[node.id.idx()] as usize;
-            // A coalesced recorder is served by its holder but emits
-            // nothing, so it is no family member.
-            if holder == node.id.idx() || node.plan != Plan::NegationRecorder {
-                families[holder].push(Member::alone(node));
-            }
+            families[self.holders[node.id.idx()] as usize].push(Member::alone(node));
         }
         for mut family in families {
             family.sort_by_key(|m| m.cutoff);
@@ -467,7 +437,6 @@ impl CompiledPlan {
     /// emissions then only fire rules, so the order members are served in
     /// cannot reach any other node's state.
     fn family_key(
-        &self,
         graph: &EventGraph,
         rules_at: &HashMap<NodeId, Vec<RuleId>>,
         id: NodeId,
@@ -486,9 +455,9 @@ impl CompiledPlan {
                 if a != b || !leaf(a) || !monotone || node.within == Span::MAX {
                     return None;
                 }
-                [a.0; 2]
+                [a; 2]
             }
-            Plan::LeftNegationQuery if leaf(b) => [self.holders[a.idx()], b.0],
+            Plan::LeftNegationQuery if leaf(b) => [a, b],
             _ => return None,
         };
         Some(FamilyKey {
@@ -506,7 +475,7 @@ impl CompiledPlan {
     /// parent queries, under the same interned key spec as the record spec.
     /// The fused op then serves both from one bucket probe, in the pair's
     /// order; any mismatch falls back to the two unfused deliveries.
-    fn fuse_query_record(&self, graph: &EventGraph, qry: Edge, rec: Edge) -> Option<Edge> {
+    fn fuse_query_record(graph: &EventGraph, qry: Edge, rec: Edge) -> Option<Edge> {
         if (qry.op, rec.op) != (EdgeOp::Right, EdgeOp::Left) {
             return None;
         }
@@ -514,7 +483,7 @@ impl CompiledPlan {
         let query_node = graph.node(qry.parent());
         if !matches!(not_node.plan, Plan::NegationRecorder)
             || !matches!(query_node.plan, Plan::LeftNegationQuery)
-            || self.holders[query_node.children[0].idx()] != rec.parent
+            || query_node.children[0] != rec.parent()
         {
             return None;
         }
@@ -680,7 +649,7 @@ impl CompiledPlan {
     }
 
     /// The node whose runtime state serves `node`: itself, or the
-    /// first-registered node of its recorder group or window family.
+    /// first-registered node of its window family.
     #[inline]
     pub fn holder(&self, node: NodeId) -> NodeId {
         NodeId(self.holders[node.idx()])
@@ -728,30 +697,6 @@ fn raw_edges(graph: &EventGraph, id: NodeId, out: &mut Vec<Edge>) {
         };
         out.push(Edge { parent: p.0, op });
     }
-}
-
-/// The leaf feeding a `NOT` node whose history may be shared with the
-/// other `NOT` nodes over that leaf, or `None`.
-///
-/// Sharing moves a recorder's same-instant record to wherever the leaf's
-/// first delivery to the holder sits, so every reader of the history must
-/// be blind to that: a `SEQ` negated-initiator query ends strictly before the
-/// terminator, a `TSEQ` one `min_dist` before it, a right-negation wait
-/// starts after its initiator, and an `AND` wait that misses the record on
-/// arrival meets it when the window closes. That leaves the `TSEQ` query
-/// with `min_dist = 0`, whose closed window ends *at* the terminator.
-fn shareable_recorder(graph: &EventGraph, id: NodeId) -> Option<u32> {
-    let node = graph.node(id);
-    if node.plan != Plan::NegationRecorder {
-        return None;
-    }
-    let leaf = node.children[0];
-    let blind = node.parents.iter().all(|&p| {
-        let parent = graph.node(p);
-        !(parent.plan == Plan::LeftNegationQuery
-            && matches!(parent.kind, NodeKind::TSeq { min_dist, .. } if min_dist == Span::ZERO))
-    });
-    (graph.node(leaf).plan == Plan::Leaf && blind).then_some(leaf.0)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use rfid_events::{Catalog, EventExpr};
 use crate::bounds::Bounds;
 use crate::engine::RuleId;
 use crate::error::InvalidRule;
-use crate::graph::{EventGraph, NodeId, Plan};
+use crate::graph::{EventGraph, NodeId};
 use crate::plan::CompiledPlan;
 
 /// One rule handed to the compiler: its identity and event.
@@ -154,25 +154,5 @@ impl Program {
     #[inline]
     pub fn plan(&self) -> &CompiledPlan {
         &self.plan
-    }
-
-    /// Every shared `NOT` history of the plan: the holder and the recorders
-    /// it serves (itself first), for groups of two or more.
-    pub fn shared_histories(&self) -> Vec<(NodeId, Vec<NodeId>)> {
-        let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-        let mut slot_of: HashMap<NodeId, usize> = HashMap::new();
-        for node in self.graph.nodes() {
-            if node.plan != Plan::NegationRecorder {
-                continue;
-            }
-            let holder = self.plan().holder(node.id);
-            let slot = *slot_of.entry(holder).or_insert_with(|| {
-                groups.push((holder, Vec::new()));
-                groups.len() - 1
-            });
-            groups[slot].1.push(node.id);
-        }
-        groups.retain(|(_, served)| served.len() > 1);
-        groups
     }
 }

@@ -188,7 +188,9 @@ impl Default for ShardConfig {
 ///   is a deterministic function of the full stream — but each partition
 ///   would rebuild the shared subtree and redo its detection work,
 ///   forfeiting exactly the merging §4.3 introduces. A shared leaf holds
-///   no state and does no work but dispatch, so it glues nothing.
+///   no state and does no work but dispatch, so it glues nothing; nor does
+///   a shared `NOT` over a leaf, whose one record per read each partition
+///   can keep for itself.
 /// * **Balance by reader fan-out.** A partition receives the reads of every
 ///   reader one of its leaves can match, and each such read is work. A
 ///   merge group weighs `1 +` the readers its distinct leaves can match: a
@@ -213,7 +215,9 @@ pub fn partition_rules(
     for (i, rule) in rules.iter().enumerate() {
         let reachable = program.graph().reachable(program.roots()[rule.0 as usize]);
         for &node in &reachable {
-            if program.graph().node(node).plan == Plan::Leaf {
+            let leaf = |id: NodeId| program.graph().node(id).plan == Plan::Leaf;
+            let n = program.graph().node(node);
+            if leaf(node) || (n.kind == NodeKind::Not && leaf(n.children[0])) {
                 continue;
             }
             match owner.entry(node) {

@@ -696,11 +696,6 @@ impl NegationState {
         }
     }
 
-    /// Forgets the histories of every spec past the first `n`.
-    pub fn truncate_specs(&mut self, n: usize) {
-        self.tables.truncate(n);
-    }
-
     /// Number of history specs currently sized for.
     pub fn spec_count(&self) -> usize {
         self.tables.len()
@@ -1288,8 +1283,6 @@ mod tests {
             assert_eq!(neg.recorded(), recorded_by_walk(&neg), "step {step}");
         }
         assert!(neg.dropped_keys > 0, "some keys were dropped whole");
-        neg.truncate_specs(1);
-        assert_eq!(neg.recorded(), recorded_by_walk(&neg));
         assert!(neg.recorded() > 0);
     }
 

@@ -434,23 +434,21 @@ fn family_changes_mid_stream_leave_existing_members_alone() {
         let nested = family_shape(idx, ms).seq(at("r2").bind_object("p"));
         changed.add_rule("nested", nested).unwrap();
     }
-    // A shared `NOT` gains a history spec: this rule's `NOT` hash-conses
-    // onto the 6 s one, and its unkeyed terminator registers an empty-key
-    // spec there that the 3 s holder lacks. The 6 s `NOT` leaves the shared
-    // history with a copy, sized for both specs before the next record.
-    let not6 = changed.graph().node(infield6).children[0];
-    assert_ne!(
-        changed.compiled_plan().holder(not6),
-        not6,
-        "shares a history"
-    );
+    // One `NOT` serves every in-field root, and gains a history spec: this
+    // rule's `NOT` is the same node, and its unkeyed terminator registers
+    // an empty-key spec there, which starts empty before the next record.
+    let not = changed.graph().node(infield6).children[0];
+    let not3 = changed.graph().node(infield3).children[0];
+    assert_eq!(not3, not, "one NOT node");
     let unkeyed = at("r1")
         .bind_object("o")
         .not()
         .seq(at("r1"))
         .within(Span::from_secs(6));
     changed.add_rule("unkeyed", unkeyed).unwrap();
-    assert_eq!(changed.graph().hist_specs(not6).len(), 2);
+    let unkeyed_root = changed.rule_root(RuleId(seeds + 7));
+    assert_eq!(changed.graph().node(unkeyed_root).children[0], not);
+    assert_eq!(changed.graph().hist_specs(not).len(), 2);
     // A late member disabled right away must stay silent and harmless.
     let silenced = changed
         .add_rule("silenced", family_shape(0, 20_000))
@@ -462,7 +460,6 @@ fn family_changes_mid_stream_leave_existing_members_alone() {
     assert_eq!(plan.family(dup2).len(), 1);
     assert_eq!(plan.family(dup5).len(), 4, "5 s, 9 s, 1 s and the silenced");
     assert_eq!(plan.holder(infield6), infield6, "left");
-    assert_eq!(plan.holder(not6), not6, "left its shared history");
     assert_eq!(plan.family(infield3).len(), 3, "3 s, 12 s, 0.5 s");
     changed.finish(&mut |r, i| {
         if r.0 < seeds {
@@ -813,6 +810,87 @@ fn a_negated_initiator_does_not_block_its_own_terminator() {
             .collect();
         assert_eq!(witnesses, [(0, 0), (3_000, 5_000), (18_000, 20_000)]);
     }
+}
+
+/// A `SEQ+` store is consumed by the node that queries it, so two rules
+/// over one run each keep a store of their own and each take the run
+/// (docs/SEMANTICS.md §6: sharing never couples rules' consumption). Two
+/// textually identical rules still compile to one root and fire alike.
+#[test]
+fn two_rules_over_one_seq_plus_each_take_the_run() {
+    let catalog = catalog(3);
+    let rule = |terminator: &str| {
+        at("r1")
+            .seq_plus()
+            .seq(at(terminator))
+            .within(Span::from_secs(10))
+    };
+    let stream = [
+        obs(1, 1, 0),
+        obs(1, 1, 1_000),
+        obs(2, 1, 2_000),
+        obs(3, 1, 3_000),
+    ];
+    let fired = fire_checked(&catalog, &[rule("r2"), rule("r3")], &stream);
+    let rules: Vec<u32> = fired.iter().map(|f| f.0).collect();
+    assert_eq!(rules, [0, 1], "each rule takes the run");
+
+    let twice = [rule("r2"), rule("r2"), rule("r3"), rule("r3")];
+    let fired = fire_checked(&catalog, &twice, &stream);
+    let mut rules: Vec<u32> = fired.iter().map(|f| f.0).collect();
+    rules.sort_unstable();
+    assert_eq!(rules, [0, 1, 2, 3]);
+    let events = twice.iter().map(|e| ("rule", e));
+    let engine = Engine::with_rules(catalog, EngineConfig::default(), events).unwrap();
+    let root = |r: u32| engine.rule_root(RuleId(r));
+    assert_eq!(root(0), root(1), "identical rules share one root");
+    assert_eq!(root(2), root(3), "identical rules share one root");
+    let run = |r: u32| engine.graph().node(root(r)).children[0];
+    assert_ne!(run(0), run(2), "each querying parent has its own store");
+}
+
+/// A `NOT` is its child: a negated-initiator `TSEQ` with `τl = 0` under two
+/// windows and an `AND NOT` over the same pattern read one `NOT` node, and
+/// every query still runs before the read is recorded, so each fires what
+/// the reference fires.
+#[test]
+fn one_not_serves_every_reader_of_its_child() {
+    let catalog = catalog(2);
+    let read = |reader: &str| at(reader).bind_object("o");
+    let infield = |secs| {
+        read("r1")
+            .not()
+            .tseq(read("r1"), Span::ZERO, Span::from_secs(2))
+            .within(Span::from_secs(secs))
+    };
+    let rules = [
+        infield(3),
+        infield(10),
+        read("r2").and(read("r1").not()).within(Span::from_secs(3)),
+    ];
+    let stream = [
+        obs(1, 1, 0),
+        obs(2, 1, 1_000),
+        obs(1, 1, 5_000),
+        obs(1, 1, 6_000),
+        obs(2, 1, 12_000),
+        obs(1, 1, 20_000),
+    ];
+    let fired = fire_checked(&catalog, &rules, &stream);
+    for rule in 0..3 {
+        assert!(fired.iter().any(|f| f.0 == rule), "rule {rule} fires");
+    }
+    let events = rules.iter().map(|e| ("rule", e));
+    let engine = Engine::with_rules(catalog, EngineConfig::default(), events).unwrap();
+    let child = |rule: u32, side: usize| {
+        let root = engine.rule_root(RuleId(rule));
+        engine.graph().node(root).children[side]
+    };
+    let not = child(0, 0);
+    assert_eq!((child(1, 0), child(2, 1)), (not, not), "one NOT node");
+    let graph = engine.graph();
+    let nots = graph.nodes().iter().filter(|n| n.kind.name() == "NOT");
+    assert_eq!(nots.count(), 1);
 }
 
 /// Stats display is stable and total counters are coherent.

@@ -10,7 +10,7 @@
 //! terminator" are decided by a single comparison.
 //!
 //! The second half pins the plan's shape: admissible families collapse to
-//! one holder, the `AND NOT` shape to one shared history with its per-rule
+//! one holder, the `AND NOT` shape to one `NOT` node with its per-rule
 //! waits kept, and the inadmissible shapes stay exactly as they were.
 
 mod differential;
@@ -26,7 +26,7 @@ use rfid_epc::{Epc, Gid96, ReaderId};
 use rfid_events::{Catalog, EventExpr, Instance, Observation, Span, Timestamp};
 
 /// Shapes 0–2 are the admissible ones; 3, 4, 6 and 9 must lower unshared,
-/// and 5 shares its `NOT` history the way 2 does. Shapes 5 and 6 put the two
+/// and 5 shares its `NOT` node the way 2 does. Shapes 5 and 6 put the two
 /// remaining boundary decisions on the lattice: whether an out-field
 /// initiator blocks itself, and whether a `TSEQ+` gap of exactly `τl` or
 /// `τu` extends the run. Shapes 7 and 8 are 0 and 1 spelled with the
@@ -293,7 +293,6 @@ fn self_join_family_collapses_to_one_holder() {
     assert!(roots.iter().all(|&r| plan.holder(r) == holder));
     let cuts: Vec<u64> = members.iter().map(|m| m.cutoff.as_millis()).collect();
     assert_eq!(cuts, [1_500, 4_000, 6_000, 9_000]);
-    assert!(program.shared_histories().is_empty());
 }
 
 #[test]
@@ -307,15 +306,13 @@ fn negation_query_family_collapses_to_one_holder_and_one_history() {
                 .map(|&r| engine.graph().node(r).children[0])
                 .collect(),
         );
+        assert_eq!(recorders.len(), 1, "one NOT node (shape {idx})");
         let program = engine.program();
         let plan = program.plan();
         let families: Vec<_> = plan.families().collect();
         assert_eq!(families.len(), 1, "one family (shape {idx})");
         assert_eq!(families[0].0, roots[0]);
-        assert_eq!(families[0].1.len(), recorders.len());
-        let histories = program.shared_histories();
-        assert_eq!(histories.len(), 1, "one history (shape {idx})");
-        assert_eq!(histories[0], (recorders[0], recorders.clone()));
+        assert_eq!(families[0].1.len(), distinct(roots).len());
     }
 }
 
@@ -330,14 +327,10 @@ fn and_not_shares_the_history_and_keeps_the_waits() {
                 .map(|&r| engine.graph().node(r).children[1])
                 .collect(),
         );
-        let program = engine.program();
-        let plan = program.plan();
+        assert_eq!(recorders.len(), 1, "one NOT node (shape {idx})");
+        let plan = engine.program().plan();
         assert_eq!(plan.families().count(), 0, "waits stay per rule");
         assert!(roots.iter().all(|&r| plan.holder(r) == r));
-        assert_eq!(
-            program.shared_histories(),
-            vec![(recorders[0], recorders.clone())]
-        );
     }
 }
 
@@ -349,7 +342,6 @@ fn inadmissible_shapes_lower_unshared() {
         let program = engine.program();
         let plan = program.plan();
         assert_eq!(plan.families().count(), 0, "shape {idx}");
-        assert!(program.shared_histories().is_empty());
         assert!((0..nodes).all(|n| {
             let node = rceda::NodeId(n);
             plan.holder(node) == node

@@ -3,8 +3,10 @@
 //! the canonical program's wide rules by their reader fan-out. (That its
 //! verdicts and partitions over the merged program are the per-rule ones
 //! is unit-tested in `shard.rs`.) And what the compiled graph of the
-//! ledger's programs is made of: one leaf per pattern, and no rule whose
-//! sibling patterns overlap without being equal.
+//! ledger's programs is made of: one node per set of parts, and no rule
+//! whose sibling patterns overlap without being equal.
+
+mod support;
 
 use std::collections::HashMap;
 
@@ -13,6 +15,7 @@ use rceda::{Engine, EngineConfig, Program, RuleEvent, ShardConfig, ShardedEngine
 use rfid_events::{Catalog, EventExpr, ObjectSel, PrimitivePattern, ReaderSel};
 use rfid_rules::{lint_script, rule_events};
 use rfid_simulator::{SimConfig, SupplyChain};
+use support::shapes;
 
 /// The canonical 517-rule program, the Rule 1–5 program, and the lint
 /// corpus' window-family program (over the corpus' two-reader deployment).
@@ -40,7 +43,7 @@ fn engine_of(rules: &[RuleEvent], catalog: &Catalog) -> Engine {
     Engine::with_rules(catalog.clone(), EngineConfig::default(), rules).unwrap()
 }
 
-/// (a) The families and shared histories N003 reports are the engine's.
+/// (a) The families N003 reports are the engine's.
 #[test]
 fn n003_reports_the_engines_plan() {
     let mut families_seen = 0;
@@ -60,17 +63,14 @@ fn n003_reports_the_engines_plan() {
             .filter(|d| d.code == DiagCode::WindowFamily)
             .map(|d| d.message.as_str())
             .collect();
-        let (family_notes, history_notes): (Vec<&str>, Vec<&str>) =
-            notes.iter().partition(|m| m.starts_with("window family"));
 
         let plan = program.plan();
         let families: Vec<_> = plan.families().collect();
-        assert_eq!(family_notes.len(), families.len(), "{name}: {notes:?}");
-        let mut read_by_family = Vec::new();
+        assert_eq!(notes.len(), families.len(), "{name}: {notes:?}");
         for (holder, members) in families {
             let node = program.graph().node(holder);
-            let at = format!(" at {} node {}: ", node.kind.name(), holder.0);
-            let note = family_notes.iter().find(|m| m.contains(&at));
+            let at = format!("window family at {} node {}: ", node.kind.name(), holder.0);
+            let note = notes.iter().find(|m| m.starts_with(&at));
             let note = note.unwrap_or_else(|| panic!("{name}: no note{at}in {notes:?}"));
             for m in members {
                 for r in program.rules_at(m.node) {
@@ -78,22 +78,7 @@ fn n003_reports_the_engines_plan() {
                     assert!(note.contains(&listed), "{name}: {listed} not in {note}");
                 }
             }
-            read_by_family.push(plan.holder(node.children[0]));
             families_seen += 1;
-        }
-        // A history a reported family reads is described by that family's
-        // note; every other one gets its own.
-        let histories = program.shared_histories();
-        let unread = |(h, _): &&(_, _)| !read_by_family.contains(h);
-        let unread: Vec<_> = histories.iter().filter(unread).collect();
-        assert_eq!(history_notes.len(), unread.len(), "{name}: {notes:?}");
-        for (holder, served) in unread {
-            let at = format!(
-                "shared NOT history at node {}: {} NOT nodes",
-                holder.0,
-                served.len()
-            );
-            assert!(history_notes.iter().any(|m| m.starts_with(&at)), "{name}");
         }
     }
     assert!(families_seen > 0, "the corpus program has a family");
@@ -140,11 +125,14 @@ fn ledger_programs() -> (Vec<(&'static str, String)>, Catalog) {
     (programs, sim.catalog)
 }
 
-/// (c) A leaf is its pattern: no two leaves of a compiled graph share a
-/// `PrimitivePattern`, over the ledger's programs and every program of
-/// the lint corpus (rejected rules' partial nodes included).
+/// (c) A node is its parts: over the ledger's programs, every program of
+/// the lint corpus (rejected rules' partial nodes included) and the
+/// differential suites' shape pool under every window, no two nodes have
+/// equal constructor, children and window, and no two `NOT`s negate one
+/// child. A `SEQ+` store is the exception: its querying parent consumes
+/// it, so it is never shared — no `SEQ+` has two parents.
 #[test]
-fn no_two_leaves_share_a_pattern() {
+fn no_two_nodes_share_their_parts() {
     let (ledger, catalog) = ledger_programs();
     let mut programs: Vec<_> = ledger
         .into_iter()
@@ -162,14 +150,35 @@ fn no_two_leaves_share_a_pattern() {
         let script = std::fs::read_to_string(&path).expect("corpus program");
         programs.push((path.display().to_string(), script, corpus_catalog()));
     }
-    for (name, script, catalog) in programs {
-        let rules = rule_events(&script).expect("script compiles");
-        let program = Program::compile(Some(&catalog), rules);
-        let graph = program.graph();
-        let mut seen = HashMap::new();
-        for &leaf in graph.primitives() {
-            if let Some(twin) = seen.insert(&graph.node(leaf).kind, leaf) {
-                panic!("{name}: leaves {twin:?} and {leaf:?} share a pattern");
+    let mut compiled: Vec<_> = programs
+        .into_iter()
+        .map(|(name, script, catalog)| {
+            let rules = rule_events(&script).expect("script compiles");
+            (name, Program::compile(Some(&catalog), rules))
+        })
+        .collect();
+    let pool = (0..shapes::SHAPES).flat_map(|idx| {
+        let shape = move |window| shapes::shape(idx, window);
+        shapes::WINDOWS.into_iter().map(shape)
+    });
+    let pool = pool.map(|event| RuleEvent::new("shape", "shape", event));
+    compiled.push(("shape pool".to_owned(), Program::compile(None, pool)));
+    for (name, program) in compiled {
+        let mut parts = HashMap::new();
+        let mut negated = HashMap::new();
+        for node in program.graph().nodes() {
+            if node.kind.name() == "SEQ+" {
+                let (id, parents) = (node.id, &node.parents);
+                assert!(parents.len() <= 1, "{name}: SEQ+ {id:?} under {parents:?}");
+                continue;
+            }
+            if let Some(twin) = parts.insert((&node.kind, &node.children, node.within), node.id) {
+                panic!("{name}: nodes {twin:?} and {:?} share their parts", node.id);
+            }
+            if node.kind.name() == "NOT" {
+                if let Some(twin) = negated.insert(node.children[0], node.id) {
+                    panic!("{name}: NOTs {twin:?} and {:?} share a child", node.id);
+                }
             }
         }
     }

@@ -18,7 +18,7 @@ echo "== one compile site (rceda::Program) =="
 stray=$(find crates/*/src -name '*.rs' ! -path crates/core/src/graph.rs \
     ! -path crates/core/src/program.rs -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     /EventGraph::new|\.add_event\(|Bounds::solve|CompiledPlan::lower/ {
         print FILENAME ":" FNR ": " $0
@@ -139,7 +139,7 @@ echo "== one key extraction site (engine.rs KeyMemo::key) =="
 # inside engine.rs's `fn key`; comments may name the extractors.
 stray=$(find crates/core/src -name '*.rs' ! -path crates/core/src/key.rs -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0; fn_name = "" }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     match($0, /fn [a-z_0-9]+/) { fn_name = substr($0, RSTART + 3, RLENGTH - 3) }
     /extract_all\(|\.left_key\(|\.right_key\(/ {
@@ -198,13 +198,31 @@ echo "== a leaf is its pattern (rceda graph.rs) =="
 # `#[cfg(test)]` module may not name the machinery that undid twin leaves.
 stray=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests && /extra_pops|elided|leaf_group|RecordQuery/ {
         print FILENAME ":" FNR ": " $0
     }')
 if [[ -n "$stray" ]]; then
     echo "$stray"
     echo "check.sh: leaves are hash-consed on their pattern; no plan-level leaf coalescing" >&2
+    exit 1
+fi
+
+echo "== a NOT is its child (rceda graph.rs) =="
+# The graph hash-conses every node on its parts: constructor, compiled
+# children and window (none on a leaf or a NOT). One negated event is one
+# NOT with one history, so the plan shares no recorders of its own. Under
+# crates/core/src, code and comments before a file's `#[cfg(test)]` module
+# may not name the recorder coalescing or a memo keyed on expressions.
+stray=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /shareable_recorder|shared_histories|truncate_specs|HashMap<\(EventExpr/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: nodes are hash-consed on their parts; no plan-level recorder coalescing" >&2
     exit 1
 fi
 
@@ -217,7 +235,7 @@ echo "== one firing path (rfid_rules::prepared) =="
 stray=$(find crates/*/src -name '*.rs' ! -path crates/rules/src/bind.rs \
     ! -path crates/rules/src/cond.rs ! -path crates/rules/src/actions.rs -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     /bind::(\{([^}]*[^_[:alnum:]])?)?bind[^_[:alnum:]]/ ||
     /actions::(\{([^}]*[^_[:alnum:]])?)?(execute|eval|build_filter)[^_[:alnum:]]/ ||
@@ -281,7 +299,7 @@ if grep -rnE 'enum [A-Za-z]*Error\b' crates/epc/src | grep -vE 'enum EpcError\b'
 fi
 stray=$(find crates/epc/src -name '*.rs' ! -path crates/epc/src/gs1.rs -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     /partition::|by_value\(|by_company_digits\(|PartitionRow|"partition"/ {
         print FILENAME ":" FNR ": " $0
