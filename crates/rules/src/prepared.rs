@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use rfid_epc::{Epc, ReaderDef, ReaderId};
 use rfid_events::{Catalog, Instance, InstanceKind, Timestamp};
-use rfid_store::{ColCond, CondOp, Database, Row, Table, TableError, TableId, Value};
+use rfid_store::{ColCond, CondOp, Database, Table, TableError, TableId, Value};
 
 use crate::actions::ActionError;
 use crate::ast::{
@@ -579,16 +579,18 @@ impl Ctx<'_> {
             .ok_or_else(|| self.miss(operand, row))
     }
 
-    /// One row of values, to be stored.
-    fn row(&self, operands: &[Operand], row: Option<usize>) -> Result<Row, ActionError> {
-        let mut values = Vec::with_capacity(operands.len());
+    /// One row of values, to be stored, into `values`.
+    fn row_into(
+        &self,
+        operands: &[Operand],
+        row: Option<usize>,
+        values: &mut Vec<Value>,
+    ) -> Result<(), ActionError> {
+        values.clear();
         for operand in operands {
-            match self.value(operand, row) {
-                Some(value) => values.push(value),
-                None => return Err(self.miss(operand, row)),
-            }
+            values.push(self.eval(operand, row)?);
         }
-        Ok(values)
+        Ok(())
     }
 }
 
@@ -796,8 +798,8 @@ impl Stmt {
                 target,
                 values: operands,
             } => {
-                let row = ctx.row(operands, None)?;
-                target.table_mut(db)?.insert(row)?;
+                ctx.row_into(operands, None, values)?;
+                target.table_mut(db)?.insert_cells(values)?;
             }
             Stmt::BulkInsert {
                 target,
@@ -807,11 +809,15 @@ impl Stmt {
                 if ctx.frame.rows == 0 {
                     return Ok(());
                 }
-                let first = ctx.row(operands, Some(0))?;
-                let rest = (1..ctx.frame.rows).map(|row| ctx.row(operands, Some(row)));
-                target
-                    .table_mut(db)?
-                    .insert_all(std::iter::once(Ok(first)).chain(rest))?;
+                // Rows are evaluated and stored one at a time: a row that
+                // fails stops the statement, the rows before it stay.
+                ctx.row_into(operands, Some(0), values)?;
+                let table = target.table_mut(db)?;
+                table.insert_cells(values)?;
+                for row in 1..ctx.frame.rows {
+                    ctx.row_into(operands, Some(row), values)?;
+                    table.insert_cells(values)?;
+                }
             }
             Stmt::Update(target) => {
                 target.eval_into(ctx, values)?;

@@ -801,7 +801,7 @@ impl RuleRuntime {
         let rows = self
             .db
             .table("OBSERVATION")
-            .map(|t| t.iter().cloned().collect::<Vec<_>>())
+            .map(|t| t.iter().collect::<Vec<_>>())
             .unwrap_or_default();
         let mut stream = Vec::with_capacity(rows.len());
         let mut skipped = 0usize;

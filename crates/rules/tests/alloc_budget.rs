@@ -219,8 +219,9 @@ fn containment_firing_allocates_per_item_not_per_variable() {
         // One `Vec` of `items` rows, however many variables a row binds.
         assert_eq!((bind_lean, bind_full), (1, 1), "{items} items");
         assert_eq!(execute_lean, execute_full, "{items} items");
-        // Per item: the stored row. The rest is growth of the table's and
-        // its two indexes' storage, which doubles: a constant and a small
+        // Per item: the row the interpreter builds. The rest is the first
+        // segment of each cell arena and index link arena, and the
+        // doubling of the indexes' slot tables: a constant and a small
         // share per item.
         assert!(
             execute_full <= 16 + items + items / 4,
@@ -235,9 +236,10 @@ fn containment_firing_allocates_per_item_not_per_variable() {
 // own buffers), the same in a runtime as on its own: a budget here is what
 // a runtime asks of the allocator over a stream *minus* what a bare engine
 // with the same rules and a sink that does nothing asks over that stream.
-// Budgets are past warm-up and apart from the amortised growth of a
-// table's row store and indexes: each measured window sits between two
-// doublings (512 < rows ≤ 1024). A call allocates only when it opens a
+// Budgets are past warm-up and apart from the growth of a table's cell
+// arenas and indexes: each measured window stays inside the arenas' first
+// segment (4,096 rows) and between two doublings of the indexes' slot
+// tables (512 < rows ≤ 1024). A call allocates only when it opens a
 // block of the call log (two allocations, none for a block a log dropped
 // earlier on the thread left spare; the list of blocks doubles past four),
 // counted off the log.
@@ -322,7 +324,7 @@ fn production_scalar_firing_with_one_call_allocates_only_log_blocks() {
 }
 
 #[test]
-fn production_scalar_insert_allocates_the_stored_row() {
+fn production_scalar_insert_allocates_nothing_per_row_in_a_segment() {
     let script = "CREATE RULE obs, record ON observation(r, o, t) \
                   IF true DO INSERT INTO OBSERVATION VALUES (r, o, t)";
     let reads = |from: u64, to: u64| (from..to).map(|n| read(0, n, 10 * n)).collect::<Vec<_>>();
@@ -331,7 +333,9 @@ fn production_scalar_insert_allocates_the_stored_row() {
         rt.db().table("OBSERVATION").expect("provisioned").len(),
         1_000
     );
-    assert_eq!(allocs, 400);
+    // The 400 rows are written cell by cell into the segment the first
+    // row opened; the reader's name is the catalog's own `Arc<str>`.
+    assert_eq!(allocs, 0);
 }
 
 #[test]
@@ -360,7 +364,7 @@ fn production_update_over_an_indexed_key_allocates_nothing() {
 }
 
 #[test]
-fn production_containment_firing_allocates_the_stored_rows() {
+fn production_containment_firing_allocates_nothing_per_row_in_a_segment() {
     const DO: &str = "IF true DO BULK INSERT INTO OBJECTCONTAINMENT VALUES (o1, o2, t2, UC)";
     let one_var = format!(
         "CREATE RULE p, pack ON TSEQ(TSEQ+(observation('conv', o1, t1), 0 sec, 1 sec); \
@@ -385,9 +389,9 @@ fn production_containment_firing_allocates_the_stored_rows() {
     for items in [1, 8, 64, 200] {
         for script in [&one_var, &three_vars] {
             // A first case of 600 items takes the table's indexes past their
-            // doubling at 512 rows and a second its row store past the 600
-            // the first reserved; the measured one stays short of 1024. The
-            // first also leaves the frame a run buffer of 600 elements.
+            // doubling at 512 rows; the measured one stays short of 1024,
+            // inside the arenas' first segment. The first also leaves the
+            // frame a run buffer of 600 elements.
             let mut warm_up = packing(0, 600, 0);
             warm_up.extend(packing(5_000, 3, 500_000));
             let measured = packing(10_000, items, 1_000_000);
@@ -398,8 +402,9 @@ fn production_containment_firing_allocates_the_stored_rows() {
                 .expect("provisioned")
                 .len();
             assert_eq!(rows as u64, 603 + items);
-            // The stored rows; the frame's run buffer is the last firing's.
-            assert_eq!(allocs, items, "{items} items");
+            // Rows go into the segment, the frame's run buffer is the last
+            // firing's.
+            assert_eq!(allocs, 0, "{items} items");
         }
     }
 }

@@ -500,7 +500,7 @@ struct Outcome {
 
 impl Outcome {
     fn of(db: &Database, procs: Procedures, errors: Vec<FiringError>) -> Self {
-        let rows = |name| db.table(name).map(|t| t.iter().cloned().collect());
+        let rows = |name| db.table(name).map(|t| t.iter().collect());
         Self {
             tables: TABLES.iter().map(|&name| (name, rows(name))).collect(),
             calls: procs.log,

@@ -16,19 +16,29 @@ use std::hash::BuildHasher;
 
 use rfid_epc::hash::{MixBuild, TagTable};
 
+use crate::arena::Arena;
 use crate::value::Value;
 
 /// `row + 1`, so that zero is "none".
 type Link = u32;
 
 /// Hash multimap from a cell's value to row ids.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct Index {
     /// By tag: the newest row of the chain. One cell per tag — rows whose
     /// cells merely share the 32 bits share the chain.
     heads: TagTable,
     /// By row: the next older row with the same tag.
-    older: Vec<Link>,
+    older: Arena<Link>,
+}
+
+impl Default for Index {
+    fn default() -> Self {
+        Self {
+            heads: TagTable::default(),
+            older: Arena::new(1),
+        }
+    }
 }
 
 fn tag_of(value: &Value) -> u32 {
@@ -49,30 +59,36 @@ impl Index {
     /// table's newest row is the constant-time case.
     pub(crate) fn add(&mut self, value: &Value, row: usize) {
         debug_assert!(row < Self::MAX_ROWS);
-        if self.older.len() <= row {
-            self.older.resize(row + 1, 0);
-        }
+        self.older.grow_to(row + 1);
         let tag = tag_of(value);
         let link = row as Link + 1;
         match self.heads.find(tag, |_| true) {
             None => {
                 self.heads.insert(tag, link);
-                self.older[row] = 0;
+                *self.older_mut(row) = 0;
             }
             Some((at, head)) if head < link => {
-                self.older[row] = head;
+                *self.older_mut(row) = head;
                 self.heads.set(at, link);
             }
             Some((_, head)) => {
                 // A row moved here by an update: keep the chain newest-first.
                 let mut newer = head;
-                while self.older[newer as usize - 1] > link {
-                    newer = self.older[newer as usize - 1];
+                while self.older(newer as usize - 1) > link {
+                    newer = self.older(newer as usize - 1);
                 }
-                self.older[row] = self.older[newer as usize - 1];
-                self.older[newer as usize - 1] = link;
+                *self.older_mut(row) = self.older(newer as usize - 1);
+                *self.older_mut(newer as usize - 1) = link;
             }
         }
+    }
+
+    fn older(&self, row: usize) -> Link {
+        *self.older.get(row, 0)
+    }
+
+    fn older_mut(&mut self, row: usize) -> &mut Link {
+        self.older.get_mut(row, 0)
     }
 
     /// Takes `row` out from under `value`; frees the cell with its last row.
@@ -82,7 +98,7 @@ impl Index {
         };
         let link = row as Link + 1;
         if head == link {
-            match self.older[row] {
+            match self.older(row) {
                 0 => self.heads.remove(at),
                 older => self.heads.set(at, older),
             }
@@ -90,9 +106,9 @@ impl Index {
         }
         let mut newer = head;
         while newer != 0 {
-            let next = self.older[newer as usize - 1];
+            let next = self.older(newer as usize - 1);
             if next == link {
-                self.older[newer as usize - 1] = self.older[row];
+                *self.older_mut(newer as usize - 1) = self.older(row);
                 return;
             }
             newer = next;
@@ -106,7 +122,7 @@ impl Index {
             .find(tag_of(value), |_| true)
             .map(|(_, head)| head);
         std::iter::successors(head, |&link| {
-            Some(self.older[link as usize - 1]).filter(|&older| older != 0)
+            Some(self.older(link as usize - 1)).filter(|&older| older != 0)
         })
         .map(|link| link as usize - 1)
     }

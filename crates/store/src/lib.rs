@@ -6,7 +6,7 @@
 //! embedded, in-memory implementation of the temporal data model the paper
 //! builds on (Wang & Liu, VLDB 2005):
 //!
-//! * [`value`] / [`table`] — a small typed row store with schemas, filters,
+//! * [`value`] / [`table`] — a small typed store of cells with schemas, filters,
 //!   and hash indexes, written by name or by resolved column position;
 //! * [`db`] — the database of named tables, pre-provisioned with the
 //!   paper's `OBSERVATION`, `OBJECTLOCATION`, and `OBJECTCONTAINMENT`
@@ -25,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arena;
 pub mod db;
 mod index;
 pub mod snapshot;

@@ -108,10 +108,10 @@ impl Database {
                 let column = schema.names().nth(col).expect("own column");
                 writeln!(w, "X|{}|{}", Esc(name), Esc(column))?;
             }
-            for row in table.iter() {
+            for id in table.live_ids() {
                 write!(w, "I|{}", Esc(name))?;
-                for value in row {
-                    write!(w, "|{}", Encoded(value))?;
+                for col in 0..schema.arity() {
+                    write!(w, "|{}", Encoded(&table.cell(id, col)))?;
                 }
                 writeln!(w)?;
             }

@@ -5,10 +5,28 @@
 //! `SELECT`-style scans for conditions) — but with real schema checking and
 //! equality indexes so the location/containment tables stay fast as the
 //! simulator pushes hundreds of thousands of rows through them.
+//!
+//! A row is its cells. A table keeps one arena per column type — EPCs,
+//! strings (`Option<Arc<str>>`), integers, times — holding a row's cells of
+//! that type side by side, plus one tag byte per cell (a value, `NULL` or
+//! `UC`) and a live flag per row. Every per-row array, the indexes' links
+//! included, grows in segments of 4,096 rows that are never reallocated
+//! (`store/src/arena.rs`): a row id is a position in each of them. So a
+//! table's first row costs a whole segment — 245 KiB for `OBJECTCONTAINMENT`
+//! with its two indexes (`tests/footprint.rs`) — the price of never copying
+//! a row as the table grows; an empty table's arenas hold nothing. Rows come
+//! in as cells ([`Table::insert_cells`], which every insert takes) and go
+//! out as copies ([`Table::select`], [`Table::iter`]). A deleted row keeps
+//! its slot until the deleted outnumber the live by a segment; then the
+//! table is compacted, live rows kept in insertion order.
 
 use std::fmt;
 use std::sync::Arc;
 
+use rfid_epc::Epc;
+use rfid_events::Timestamp;
+
+use crate::arena::{Arena, SEGMENT_ROWS};
 use crate::index::Index;
 use crate::value::Value;
 
@@ -79,7 +97,7 @@ impl Schema {
         self.columns.get(idx).map(|(_, t)| *t)
     }
 
-    fn check_row(&self, row: &Row) -> Result<(), TableError> {
+    fn check_row(&self, row: &[Value]) -> Result<(), TableError> {
         if row.len() != self.arity() {
             return Err(TableError::Arity {
                 expected: self.arity(),
@@ -283,14 +301,56 @@ impl RowIds {
     }
 }
 
-/// A table: schema, row storage, and optional equality indexes.
+/// Calls one [`Arena`] method on each of a table's arenas, row ids being
+/// positions in all of them alike.
+macro_rules! each_arena {
+    ($table:expr, $($call:tt)+) => {{
+        let table = &mut *$table;
+        table.epcs.$($call)+;
+        table.strs.$($call)+;
+        table.ints.$($call)+;
+        table.times.$($call)+;
+        table.tags.$($call)+;
+        table.live.$($call)+;
+    }};
+}
+
+/// What a cell's slot in its type's arena means.
+const VALUE: u8 = 0;
+/// The cell is `NULL`; its slot holds nothing.
+const NULL: u8 = 1;
+/// The cell is `UC`; its slot holds nothing.
+const UC: u8 = 2;
+
+/// The tag of a cell holding `value`.
+fn cell_tag(value: &Value) -> u8 {
+    match value {
+        Value::Uc => UC,
+        Value::Null => NULL,
+        _ => VALUE,
+    }
+}
+
+/// A table: schema, cells in typed arenas, and optional equality indexes.
+///
+/// A row id is a position in every arena. A row's cells of one type sit
+/// side by side in that type's arena, `places[col]` apart from the row's
+/// first; every cell also has a tag byte saying whether it is a value,
+/// `NULL` or `UC`.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
-    rows: Vec<Row>,
-    /// Live-row flags: a deleted row keeps its slot (row ids are positions)
-    /// and leaves every index, which holds live rows only.
-    live: Vec<bool>,
+    /// By column: its position in a row of its type's arena.
+    places: Vec<usize>,
+    epcs: Arena<u128>,
+    strs: Arena<Option<Arc<str>>>,
+    ints: Arena<i64>,
+    times: Arena<u64>,
+    /// One per cell, by column: [`VALUE`], [`NULL`] or [`UC`].
+    tags: Arena<u8>,
+    /// Live-row flags: a deleted row keeps its slot until the table is
+    /// compacted, and leaves every index, which holds live rows only.
+    live: Arena<bool>,
     live_count: usize,
     /// `(column, its index)`, in creation order. A table has a handful at
     /// most, so finding one is a scan, not a hash.
@@ -300,10 +360,26 @@ pub struct Table {
 impl Table {
     /// Creates an empty table.
     pub fn new(schema: Schema) -> Self {
+        let mut widths = [0; 4];
+        let places = schema
+            .columns
+            .iter()
+            .map(|&(_, ty)| {
+                let width = &mut widths[ty as usize];
+                *width += 1;
+                *width - 1
+            })
+            .collect();
+        let [epcs, strs, ints, times] = widths;
         Self {
+            tags: Arena::new(schema.arity()),
             schema,
-            rows: Vec::new(),
-            live: Vec::new(),
+            places,
+            epcs: Arena::new(epcs),
+            strs: Arena::new(strs),
+            ints: Arena::new(ints),
+            times: Arena::new(times),
+            live: Arena::new(1),
             live_count: 0,
             indexes: Vec::new(),
         }
@@ -324,6 +400,80 @@ impl Table {
         self.live_count == 0
     }
 
+    /// Row slots, live or deleted.
+    fn slots(&self) -> usize {
+        self.live.rows()
+    }
+
+    fn is_live(&self, id: usize) -> bool {
+        *self.live.get(id, 0)
+    }
+
+    /// The cell at row `id`, column `col`: a copy that allocates nothing
+    /// (a string's is its `Arc`).
+    pub(crate) fn cell(&self, id: usize, col: usize) -> Value {
+        let k = self.places[col];
+        match (*self.tags.get(id, col), self.schema.columns[col].1) {
+            (NULL, _) => Value::Null,
+            (UC, _) => Value::Uc,
+            (_, ColumnType::Epc) => Value::Epc(Epc::from_raw(*self.epcs.get(id, k))),
+            (_, ColumnType::Str) => Value::Str(self.strs.get(id, k).clone().expect("a string")),
+            (_, ColumnType::Int) => Value::Int(*self.ints.get(id, k)),
+            (_, ColumnType::Time) => Value::Time(Timestamp::from_millis(*self.times.get(id, k))),
+        }
+    }
+
+    /// The row at `id`.
+    fn row(&self, id: usize) -> Row {
+        (0..self.schema.arity())
+            .map(|col| self.cell(id, col))
+            .collect()
+    }
+
+    /// Writes a value that fits column `col` into row `id`'s cell.
+    fn write(&mut self, id: usize, col: usize, value: &Value) {
+        let k = self.places[col];
+        *self.tags.get_mut(id, col) = cell_tag(value);
+        match value {
+            Value::Epc(e) => *self.epcs.get_mut(id, k) = e.raw(),
+            Value::Str(s) => *self.strs.get_mut(id, k) = Some(s.clone()),
+            Value::Int(i) => *self.ints.get_mut(id, k) = *i,
+            Value::Time(t) => *self.times.get_mut(id, k) = t.as_millis(),
+            // A string column's `NULL` lets go of the string it held.
+            Value::Null if self.schema.columns[col].1 == ColumnType::Str => {
+                *self.strs.get_mut(id, k) = None;
+            }
+            Value::Uc | Value::Null => {}
+        }
+    }
+
+    /// Moves the live rows down over the deleted ones, in insertion order,
+    /// frees the segments left empty and rebuilds the indexes.
+    fn compact(&mut self) {
+        let mut to = 0;
+        for from in 0..self.slots() {
+            if self.is_live(from) {
+                if from != to {
+                    each_arena!(self, move_row(from, to));
+                }
+                to += 1;
+            }
+        }
+        each_arena!(self, truncate(to));
+        for at in 0..self.indexes.len() {
+            self.indexes[at].1 = self.index_of(self.indexes[at].0);
+        }
+    }
+
+    /// An index of the live rows on column `col`.
+    fn index_of(&self, col: usize) -> Index {
+        let mut index = Index::default();
+        for id in (0..self.slots()).filter(|&id| self.is_live(id)) {
+            index.add(&self.cell(id, col), id);
+        }
+        index
+    }
+
     fn index_on(&self, col: usize) -> Option<&Index> {
         self.indexes
             .iter()
@@ -337,16 +487,9 @@ impl Table {
             .schema
             .col(column)
             .ok_or_else(|| TableError::NoSuchColumn(column.to_owned()))?;
-        if self.index_on(col).is_some() {
-            return Ok(());
+        if self.index_on(col).is_none() {
+            self.indexes.push((col, self.index_of(col)));
         }
-        let mut index = Index::default();
-        for (id, row) in self.rows.iter().enumerate() {
-            if self.live[id] {
-                index.add(&row[col], id);
-            }
-        }
-        self.indexes.push((col, index));
         Ok(())
     }
 
@@ -355,57 +498,55 @@ impl Table {
         self.indexes.iter().map(|(col, _)| *col)
     }
 
-    /// Whether `row` may become the table's next row.
-    fn admit(&self, row: &Row) -> Result<(), TableError> {
-        self.schema.check_row(row)?;
-        if self.rows.len() < Index::MAX_ROWS {
-            Ok(())
-        } else {
-            Err(TableError::Full)
+    /// Appends a row, one cell per schema column, moving the cells out of
+    /// `cells` (left empty, its buffer kept for the caller's next row):
+    /// the path every insert takes. Nothing is written unless every cell
+    /// fits its column.
+    pub fn insert_cells(&mut self, cells: &mut Vec<Value>) -> Result<(), TableError> {
+        self.schema.check_row(cells)?;
+        let id = self.slots();
+        if id >= Index::MAX_ROWS {
+            return Err(TableError::Full);
         }
+        for (col, index) in &mut self.indexes {
+            index.add(&cells[*col], id);
+        }
+        let (epcs, strs) = (self.epcs.push_row(), self.strs.push_row());
+        let (ints, times) = (self.ints.push_row(), self.times.push_row());
+        let tags = self.tags.push_row();
+        for ((col, value), &k) in cells.drain(..).enumerate().zip(&self.places) {
+            tags[col] = cell_tag(&value);
+            match value {
+                Value::Epc(e) => epcs[k] = e.raw(),
+                Value::Str(s) => strs[k] = Some(s),
+                Value::Int(i) => ints[k] = i,
+                Value::Time(t) => times[k] = t.as_millis(),
+                Value::Uc | Value::Null => {}
+            }
+        }
+        self.live.push_row()[0] = true;
+        self.live_count += 1;
+        Ok(())
     }
 
     /// Inserts a row.
-    pub fn insert(&mut self, row: Row) -> Result<(), TableError> {
-        self.insert_all([Ok(row)]).map(|_| ())
+    pub fn insert(&mut self, mut row: Row) -> Result<(), TableError> {
+        self.insert_cells(&mut row)
     }
 
     /// Inserts rows as they are produced, stopping at the first that fails
     /// to evaluate (`Err` from the iterator) or to fit the schema; the rows
-    /// before it stay. Storage is reserved once from the iterator's size
-    /// hint, and the indexes are brought up to date one after the other,
-    /// not row by row. Returns the number of rows inserted.
+    /// before it stay. Returns the number of rows inserted.
     pub fn insert_all<E: From<TableError>>(
         &mut self,
         rows: impl IntoIterator<Item = Result<Row, E>>,
     ) -> Result<usize, E> {
-        let rows = rows.into_iter();
-        let first = self.rows.len();
-        self.rows.reserve(rows.size_hint().0);
-        self.live.reserve(rows.size_hint().0);
-        let mut outcome = Ok(());
+        let mut inserted = 0;
         for row in rows {
-            let checked = row.and_then(|row| {
-                self.admit(&row)?;
-                Ok(row)
-            });
-            match checked {
-                Ok(row) => self.rows.push(row),
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
+            self.insert_cells(&mut row?)?;
+            inserted += 1;
         }
-        let end = self.rows.len();
-        self.live.resize(end, true);
-        self.live_count += end - first;
-        for (col, index) in &mut self.indexes {
-            for id in first..end {
-                index.add(&self.rows[id][*col], id);
-            }
-        }
-        outcome.map(|()| end - first)
+        Ok(inserted)
     }
 
     /// Row ids matching every condition, ascending (insertion order). An
@@ -416,10 +557,10 @@ impl Table {
             Some(index.candidates(c.value))
         });
         let check = |id: usize| -> bool {
-            self.live[id]
+            self.is_live(id)
                 && conds
                     .clone()
-                    .all(|c| cond_holds(&self.rows[id][c.col], c.op, c.value))
+                    .all(|c| cond_holds(&self.cell(id, c.col), c.op, c.value))
         };
         let mut ids = RowIds::default();
         match driver {
@@ -429,7 +570,7 @@ impl Table {
                     .for_each(|id| ids.push(id));
                 ids.reverse();
             }
-            None => (0..self.rows.len())
+            None => (0..self.slots())
                 .filter(|&id| check(id))
                 .for_each(|id| ids.push(id)),
         }
@@ -460,12 +601,12 @@ impl Table {
         Ok(self.matching(self.resolve(filter)?.iter().copied()))
     }
 
-    /// Returns clones of the rows matching a filter.
+    /// Returns copies of the rows matching a filter.
     pub fn select(&self, filter: &Filter) -> Result<Vec<Row>, TableError> {
         Ok(self
             .matching_ids(filter)?
             .iter()
-            .map(|&id| self.rows[id].clone())
+            .map(|&id| self.row(id))
             .collect())
     }
 
@@ -546,11 +687,13 @@ impl Table {
         let ids = self.matching(conds);
         for &id in ids.iter() {
             for (col, value) in sets.clone() {
-                if let Some((_, index)) = self.indexes.iter_mut().find(|(c, _)| *c == col) {
-                    index.remove(&self.rows[id][col], id);
+                if let Some(at) = self.indexes.iter().position(|(c, _)| *c == col) {
+                    let old = self.cell(id, col);
+                    let index = &mut self.indexes[at].1;
+                    index.remove(&old, id);
                     index.add(value, id);
                 }
-                self.rows[id][col] = value.clone();
+                self.write(id, col, value);
             }
         }
         ids.len()
@@ -562,29 +705,35 @@ impl Table {
         Ok(self.delete_where(conds.iter().copied()))
     }
 
-    /// [`Table::delete`] over resolved conditions.
+    /// [`Table::delete`] over resolved conditions. Once the deleted rows
+    /// outnumber the live ones by a segment, the table is compacted.
     ///
     /// # Panics
     /// Panics when a condition's column is not one of the schema's.
     pub fn delete_where<'v>(&mut self, conds: impl Iterator<Item = ColCond<'v>> + Clone) -> usize {
         let ids = self.matching(conds);
         for &id in ids.iter() {
-            self.live[id] = false;
+            *self.live.get_mut(id, 0) = false;
             self.live_count -= 1;
-            for (col, index) in &mut self.indexes {
-                index.remove(&self.rows[id][*col], id);
+            for at in 0..self.indexes.len() {
+                let old = self.cell(id, self.indexes[at].0);
+                self.indexes[at].1.remove(&old, id);
             }
+        }
+        if self.slots() - self.live_count > self.live_count + SEGMENT_ROWS {
+            self.compact();
         }
         ids.len()
     }
 
     /// Iterates live rows in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        self.rows
-            .iter()
-            .zip(&self.live)
-            .filter(|(_, &l)| l)
-            .map(|(r, _)| r)
+    pub fn iter(&self) -> impl Iterator<Item = Row> + '_ {
+        self.live_ids().map(|id| self.row(id))
+    }
+
+    /// Live row ids in insertion order.
+    pub(crate) fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slots()).filter(|&id| self.is_live(id))
     }
 }
 
@@ -773,19 +922,22 @@ mod tests {
     /// Each index holds exactly the distinct values of its column over the
     /// live rows, each with exactly the rows holding it, newest first.
     fn assert_indexes_are_exact(t: &Table) {
+        let live: Vec<usize> = (0..t.slots()).filter(|&id| t.is_live(id)).collect();
         for (col, index) in &t.indexes {
             let mut expected = std::collections::BTreeMap::<String, Vec<usize>>::new();
-            for (id, row) in t.rows.iter().enumerate() {
-                if t.live[id] {
-                    expected.entry(row[*col].to_string()).or_default().push(id);
-                }
+            for &id in &live {
+                expected
+                    .entry(t.cell(id, *col).to_string())
+                    .or_default()
+                    .push(id);
             }
             // No two of these tests' keys share a hash, so a key per chain.
             assert_eq!(index.keys(), expected.len(), "index on column {col}");
-            for row in t.iter() {
-                let mut held: Vec<usize> = index.candidates(&row[*col]).collect();
+            for &id in &live {
+                let cell = t.cell(id, *col);
+                let mut held: Vec<usize> = index.candidates(&cell).collect();
                 held.reverse();
-                assert_eq!(held, expected[&row[*col].to_string()], "{}", row[*col]);
+                assert_eq!(held, expected[&cell.to_string()], "{cell}");
             }
         }
     }
@@ -796,7 +948,6 @@ mod tests {
         let scanned: Vec<Row> = t
             .iter()
             .filter(|row| conds.iter().all(|c| cond_holds(&row[c.col], c.op, c.value)))
-            .cloned()
             .collect();
         assert_eq!(t.select(filter).unwrap(), scanned);
         assert_eq!(t.count(filter).unwrap(), scanned.len());
@@ -844,6 +995,36 @@ mod tests {
         // Everything deleted: the indexes are empty maps again.
         assert_eq!(t.delete(&Filter::all()).unwrap(), 125);
         assert!(t.indexes.iter().all(|(_, index)| index.keys() == 0));
+    }
+
+    #[test]
+    fn deleted_rows_are_reclaimed_under_churn() {
+        let mut t = containment_table();
+        let lag = 100;
+        for n in 0..1_000_000u64 {
+            let at = Value::Time(Timestamp::from_millis(n));
+            t.insert(vec![Value::Epc(epc(n)), Value::Epc(epc(n % 7)), at])
+                .unwrap();
+            if n >= lag {
+                let gone = Value::Epc(epc(n - lag));
+                let cond = ColCond {
+                    col: 0,
+                    op: CondOp::Eq,
+                    value: &gone,
+                };
+                assert_eq!(t.delete_where(std::iter::once(cond)), 1);
+            }
+            assert!(t.slots() <= 2 * t.len() + SEGMENT_ROWS, "at insert {n}");
+        }
+        assert_eq!(t.len(), lag as usize);
+        let times: Vec<Value> = t.iter().map(|row| row[2].clone()).collect();
+        let expected = (1_000_000 - lag..1_000_000).map(|n| Value::Time(Timestamp::from_millis(n)));
+        assert!(times.into_iter().eq(expected), "insertion order");
+        assert_indexes_are_exact(&t);
+        for p in 0..7 {
+            assert_select_is_a_scan(&t, &Filter::on(Cond::eq("parent_epc", epc(p))));
+        }
+        assert_select_is_a_scan(&t, &Filter::on(Cond::eq("object_epc", epc(999_950))));
     }
 
     #[test]
@@ -942,8 +1123,8 @@ mod tests {
             resolved.delete_where(conds.iter().copied()),
             named.delete(&filter).unwrap()
         );
-        assert_eq!(resolved.rows, named.rows);
-        assert_eq!(resolved.live, named.live);
+        assert!(resolved.iter().eq(named.iter()));
+        assert_eq!(resolved.slots(), named.slots());
         assert_eq!(resolved.len(), 9);
         assert_indexes_are_exact(&resolved);
         assert_indexes_are_exact(&named);

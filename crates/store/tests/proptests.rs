@@ -1,13 +1,16 @@
-//! Property tests over the temporal store: UC invariants must survive any
-//! interleaving of location updates, packings, sales, and queries, and a
-//! snapshot must give back exactly the store it saved, or nothing.
+//! Property tests over the temporal store: a table behaves as a list of
+//! rows, UC invariants must survive any interleaving of location updates,
+//! packings, sales, and queries, and a snapshot must give back exactly the
+//! store it saved, or nothing.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 use rfid_epc::{Epc, Gid96};
 use rfid_events::Timestamp;
-use rfid_store::{ColumnType, Cond, CondOp, Database, Filter, Schema, Value};
+use rfid_store::{
+    ColCond, ColumnType, Cond, CondOp, Database, Filter, Row, Schema, Table, TableError, Value,
+};
 
 fn epc(n: u64) -> Epc {
     Gid96::new(1, 1, n).unwrap().into()
@@ -121,6 +124,341 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
         ],
         0..60,
     )
+}
+
+/// One step of [`a_table_is_a_list_of_rows`]. Cells are made values of
+/// their column's type; a `(type, cell)` pair is made a value of that type,
+/// whatever the column's.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Insert(Vec<Cell>),
+    /// Rows inserted through `insert_all`; the one at `fail` does not
+    /// fit (odd) or is the caller's error (even).
+    InsertAll {
+        rows: Vec<Vec<Cell>>,
+        fail: Option<(usize, u8)>,
+    },
+    /// `SET col = value WHERE …`, by name (`by_name`) or resolved.
+    Update {
+        col: usize,
+        value: (u8, Cell),
+        conds: Vec<CondSpec>,
+        by_name: bool,
+    },
+    Delete {
+        conds: Vec<CondSpec>,
+        by_name: bool,
+    },
+    CreateIndex(usize),
+    Select(Vec<CondSpec>),
+    /// More rows than a segment, then a copy of every live row, and the
+    /// flood deleted again: the table compacts, moving the copies down.
+    Churn(Vec<Cell>),
+}
+
+/// `column op value`: the column, the operator, and a value of any type.
+type CondSpec = (usize, u8, (u8, Cell));
+
+const OPS: [CondOp; 6] = [
+    CondOp::Eq,
+    CondOp::Ne,
+    CondOp::Lt,
+    CondOp::Le,
+    CondOp::Gt,
+    CondOp::Ge,
+];
+
+fn small_cell() -> impl Strategy<Value = Cell> {
+    (0u8..4, 0u64..4, "[ab]{0,2}")
+}
+
+fn table_op() -> impl Strategy<Value = TableOp> {
+    let row = || prop::collection::vec(small_cell(), 5);
+    let typed = || (0u8..4, small_cell());
+    let conds = move || prop::collection::vec((0usize..5, 0u8..6, typed()), 0..3);
+    prop_oneof![
+        row().prop_map(TableOp::Insert),
+        (prop::collection::vec(row(), 0..5), 0usize..8, any::<u8>()).prop_map(|(rows, at, how)| {
+            let fail = (at < rows.len()).then_some((at, how));
+            TableOp::InsertAll { rows, fail }
+        }),
+        (0usize..5, typed(), conds(), any::<bool>()).prop_map(|(col, value, conds, by_name)| {
+            TableOp::Update {
+                col,
+                value,
+                conds,
+                by_name,
+            }
+        }),
+        (0usize..5, typed(), conds(), any::<bool>()).prop_map(|(col, value, conds, by_name)| {
+            TableOp::Update {
+                col,
+                value,
+                conds,
+                by_name,
+            }
+        }),
+        (conds(), any::<bool>()).prop_map(|(conds, by_name)| TableOp::Delete { conds, by_name }),
+        (0usize..5).prop_map(TableOp::CreateIndex),
+        conds().prop_map(TableOp::Select),
+        conds().prop_map(TableOp::Select),
+        // A churn now and then (some 0.4 a case), else one more insert.
+        (0u8..12, row()).prop_map(|(k, cells)| {
+            if k == 0 {
+                TableOp::Churn(cells)
+            } else {
+                TableOp::Insert(cells)
+            }
+        }),
+    ]
+}
+
+/// What a condition means: SQL's, with `NULL` and cross-type comparisons
+/// unknown (false), but for `<>` between two different non-null types.
+fn model_holds(cell: &Value, op: CondOp, value: &Value) -> bool {
+    use std::cmp::Ordering::*;
+    match (op, cell.compare(value)) {
+        (_, None) => op == CondOp::Ne && *cell != Value::Null && *value != Value::Null,
+        (CondOp::Eq, Some(o)) => o == Equal,
+        (CondOp::Ne, Some(o)) => o != Equal,
+        (CondOp::Lt, Some(o)) => o == Less,
+        (CondOp::Le, Some(o)) => o != Greater,
+        (CondOp::Gt, Some(o)) => o == Greater,
+        (CondOp::Ge, Some(o)) => o != Less,
+    }
+}
+
+/// A table of `types` and the list of rows it should be, deleted rows
+/// `None`, driven one [`TableOp`] at a time.
+struct Model {
+    types: Vec<ColumnType>,
+    names: Vec<String>,
+    rows: Vec<Option<Row>>,
+}
+
+impl Model {
+    fn row(&self, cells: &[Cell]) -> Row {
+        self.types
+            .iter()
+            .zip(cells)
+            .map(|(&ty, c)| cell_value(ty, c))
+            .collect()
+    }
+
+    /// The conditions on this schema's columns, with their values.
+    fn conds(&self, specs: &[CondSpec]) -> Vec<(usize, CondOp, Value)> {
+        specs
+            .iter()
+            .map(|(col, op, (ty, cell))| {
+                (
+                    col % self.types.len(),
+                    OPS[usize::from(*op)],
+                    cell_value(TYPES[usize::from(*ty)], cell),
+                )
+            })
+            .collect()
+    }
+
+    fn filter(&self, conds: &[(usize, CondOp, Value)]) -> Filter {
+        let conds = conds
+            .iter()
+            .map(|(col, op, value)| Cond::new(&self.names[*col], *op, value.clone()));
+        Filter {
+            conds: conds.collect(),
+        }
+    }
+
+    /// Positions of the live rows meeting every condition.
+    fn matching(&self, conds: &[(usize, CondOp, Value)]) -> Vec<usize> {
+        (0..self.rows.len())
+            .filter(|&at| {
+                self.rows[at].as_ref().is_some_and(|row| {
+                    conds
+                        .iter()
+                        .all(|(col, op, value)| model_holds(&row[*col], *op, value))
+                })
+            })
+            .collect()
+    }
+
+    fn live(&self) -> Vec<Row> {
+        self.rows.iter().flatten().cloned().collect()
+    }
+
+    /// Runs `op` on the table and the model, checking what the table
+    /// answers against the model.
+    fn step(&mut self, table: &mut Table, op: &TableOp) {
+        match op {
+            TableOp::Insert(cells) => {
+                let row = self.row(cells);
+                table.insert(row.clone()).unwrap();
+                self.rows.push(Some(row));
+            }
+            TableOp::InsertAll { rows, fail } => {
+                let mut batch: Vec<Result<Row, TableError>> =
+                    rows.iter().map(|cells| Ok(self.row(cells))).collect();
+                let fail = *fail;
+                if let Some((at, how)) = fail {
+                    batch[at] = if how % 2 == 1 {
+                        Ok(vec![Value::Null; self.types.len() + 1])
+                    } else {
+                        Err(TableError::NoSuchColumn("caller".into()))
+                    };
+                }
+                let kept = fail.map_or(batch.len(), |(at, _)| at);
+                let inserted = table.insert_all(batch.clone());
+                prop_assert_eq!(inserted.is_err(), fail.is_some());
+                if fail.is_none() {
+                    prop_assert_eq!(inserted, Ok(kept));
+                }
+                self.rows
+                    .extend(batch.into_iter().take(kept).map(Result::ok));
+            }
+            TableOp::Update {
+                col,
+                value: (ty, cell),
+                conds,
+                by_name,
+            } => {
+                let col = col % self.types.len();
+                let value = cell_value(TYPES[usize::from(*ty)], cell);
+                let conds = self.conds(conds);
+                let fits = table.check_value(col, &value).is_ok();
+                let updated = if *by_name {
+                    table.update(
+                        &self.filter(&conds),
+                        &[(self.names[col].as_str(), value.clone())],
+                    )
+                } else {
+                    let cols = conds.iter().map(|(c, op, v)| ColCond {
+                        col: *c,
+                        op: *op,
+                        value: v,
+                    });
+                    table.update_where(std::iter::once((col, &value)), cols)
+                };
+                let matching = self.matching(&conds);
+                if fits {
+                    prop_assert_eq!(updated, Ok(matching.len()));
+                    for at in matching {
+                        self.rows[at].as_mut().unwrap()[col] = value.clone();
+                    }
+                } else {
+                    prop_assert!(matches!(updated, Err(TableError::Type { .. })));
+                }
+            }
+            TableOp::Delete { conds, by_name } => {
+                let conds = self.conds(conds);
+                let deleted = if *by_name {
+                    table.delete(&self.filter(&conds)).unwrap()
+                } else {
+                    let cols = conds.iter().map(|(c, op, v)| ColCond {
+                        col: *c,
+                        op: *op,
+                        value: v,
+                    });
+                    table.delete_where(cols)
+                };
+                let matching = self.matching(&conds);
+                prop_assert_eq!(deleted, matching.len());
+                for at in matching {
+                    self.rows[at] = None;
+                }
+            }
+            TableOp::CreateIndex(col) => {
+                table
+                    .create_index(&self.names[col % self.types.len()])
+                    .unwrap();
+            }
+            TableOp::Select(conds) => {
+                let conds = self.conds(conds);
+                let expected: Vec<Row> = self
+                    .matching(&conds)
+                    .into_iter()
+                    .map(|at| self.rows[at].clone().unwrap())
+                    .collect();
+                let filter = self.filter(&conds);
+                prop_assert_eq!(table.select(&filter).unwrap(), expected.clone());
+                prop_assert_eq!(table.count(&filter).unwrap(), expected.len());
+                let cols = conds.iter().map(|(c, op, v)| ColCond {
+                    col: *c,
+                    op: *op,
+                    value: v,
+                });
+                prop_assert_eq!(table.count_where(cols), expected.len());
+            }
+            TableOp::Churn(cells) => {
+                let row = self.row(cells);
+                let flood = 4_200;
+                let copies = self.live();
+                for row in std::iter::repeat_n(&row, flood).chain(&copies) {
+                    table.insert(row.clone()).unwrap();
+                    self.rows.push(Some(row.clone()));
+                }
+                let conds: Vec<(usize, CondOp, Value)> = (0..self.types.len())
+                    .filter(|&col| row[col] != Value::Null)
+                    .map(|col| (col, CondOp::Eq, row[col].clone()))
+                    .collect();
+                let deleted = table.delete(&self.filter(&conds)).unwrap();
+                let matching = self.matching(&conds);
+                prop_assert_eq!(deleted, matching.len());
+                prop_assert!(deleted >= flood);
+                for at in matching {
+                    self.rows[at] = None;
+                }
+                // Every index, rebuilt, answers as a scan does.
+                for row in self.live() {
+                    for (col, value) in row.iter().enumerate() {
+                        let eq = [(col, CondOp::Eq, value.clone())];
+                        let expected = self.matching(&eq).len();
+                        prop_assert_eq!(table.count(&self.filter(&eq)).unwrap(), expected);
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(table.len(), self.rows.iter().flatten().count());
+        prop_assert_eq!(table.iter().collect::<Vec<_>>(), self.live());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Any sequence of inserts, batches cut by a failing row, updates to
+    /// and from `NULL` and `UC` on indexed and unindexed columns, deletes
+    /// (enough of them, once in a while, to compact the table), late
+    /// indexes and queries with every operator leaves the table what a
+    /// list of rows would be, and a snapshot gives that list back.
+    #[test]
+    fn a_table_is_a_list_of_rows(
+        types in prop::collection::vec(0u8..4, 1..5),
+        indexed in prop::collection::vec(0usize..5, 0..3),
+        ops in prop::collection::vec(table_op(), 0..40),
+    ) {
+        let types: Vec<ColumnType> = types.iter().map(|&t| TYPES[usize::from(t)]).collect();
+        let names: Vec<String> = (0..types.len()).map(|c| format!("c{c}")).collect();
+        let cols: Vec<(&str, ColumnType)> =
+            names.iter().map(String::as_str).zip(types.iter().copied()).collect();
+        let mut db = Database::new();
+        let table = db.create_table("T", Schema::new(&cols));
+        for col in indexed {
+            table.create_index(&names[col % types.len()]).unwrap();
+        }
+        let mut model = Model { types, names, rows: Vec::new() };
+        for op in &ops {
+            model.step(table, op);
+        }
+        let path = scratch("list");
+        db.save_snapshot(&path).unwrap();
+        let loaded = Database::load_snapshot(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let back = loaded.table("T").unwrap();
+        prop_assert_eq!(back.iter().collect::<Vec<_>>(), model.live());
+        prop_assert_eq!(
+            back.indexed_columns().collect::<Vec<_>>(),
+            db.table("T").unwrap().indexed_columns().collect::<Vec<_>>()
+        );
+    }
 }
 
 proptest! {

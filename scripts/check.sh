@@ -226,6 +226,22 @@ if [[ -n "$stray" ]]; then
     exit 1
 fi
 
+echo "== a row is its cells (rfid-store table.rs) =="
+# A table keeps its rows as cells in typed arenas of fixed-size segments, so
+# a stored row is not a heap `Vec` of its own inside a doubling `Vec`.
+# Before table.rs's `#[cfg(test)]` module, no line may name `Vec<Row>` or
+# `Vec<Vec<Value>>` other than as a function's return type (`select` hands
+# back copies of the rows it matched).
+stray=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /Vec<Row>|Vec<Vec<Value>>/ && !/->/ { print FILENAME ":" FNR ": " $0 }
+' crates/store/src/table.rs)
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: a row is its cells; no per-row Vec in the store" >&2
+    exit 1
+fi
+
 echo "== one firing path (rfid_rules::prepared) =="
 # A firing is bound, tested and executed by crates/rules/src/prepared.rs.
 # The by-name interpreter (bind.rs, cond.rs, actions.rs) stays public for the
