@@ -294,21 +294,23 @@ impl Engine {
         Ok(rule)
     }
 
-    /// Creates or refreshes runtime state for every graph node — those a
-    /// rejected rule left behind included, since their leaves dispatch too.
-    fn sync_states(&mut self) {
-        let graph = self.program.graph();
-        for node in graph.nodes() {
-            let idx = node.id.idx();
-            if idx >= self.rt.states.len() {
-                self.rt.states.push(initial_state(node));
-            }
-            // A new rule may have registered additional keyed histories on an
-            // existing negation node.
-            if let NodeState::Negation(neg) = &mut self.rt.states[idx] {
-                neg.ensure_specs(graph.hist_specs(node.id).len().max(1));
-            }
-        }
+    /// Builds the state of every node past the seal, a rejected rule's
+    /// included (its leaves dispatch too): none has seen the stream, so a
+    /// rebuild loses nothing and sizes it for the parents registered since.
+    fn rebuild_states(&mut self) {
+        let (graph, sealed) = (self.program.graph(), self.program.graph().sealed());
+        self.rt.states.truncate(sealed);
+        let fresh = graph.nodes()[sealed..]
+            .iter()
+            .map(|node| initial_state(graph, node));
+        self.rt.states.extend(fresh);
+    }
+
+    /// Brings the program up to date and seals its graph: a rule loaded
+    /// from here on shares no state with it (docs/SEMANTICS.md §6).
+    fn seal(&mut self) {
+        self.program();
+        self.program.seal();
     }
 
     /// Feeds one observation: a one-element [`Engine::process_batch`].
@@ -344,7 +346,7 @@ impl Engine {
         if batch.is_empty() {
             return;
         }
-        self.program();
+        self.seal();
         self.rt.stats.batches_processed += 1;
         let full = self.rt.obs.level.full();
         let mut i = 0;
@@ -410,14 +412,14 @@ impl Engine {
     /// Drains every pending pseudo event (end of stream): negation windows
     /// and open `TSEQ+` runs resolve as if time advanced past them.
     pub fn finish(&mut self, sink: &mut Sink<'_>) {
-        self.program();
+        self.seal();
         self.fire_due(None, sink);
     }
 
     /// Advances the clock to `now`, executing due pseudo events, without
     /// feeding an observation (heartbeat for quiet streams).
     pub fn advance_to(&mut self, now: Timestamp, sink: &mut Sink<'_>) {
-        self.program();
+        self.seal();
         self.fire_due(Some(now), sink);
         self.rt.timeline.advance(now);
     }
@@ -467,16 +469,16 @@ impl Engine {
 
     /// What the rule set compiles to, re-solved first if the rule set
     /// changed since the last call — once per change, never per event. The
-    /// one place the engine's runtime state follows a recompile: node state
-    /// and the metrics arena are sized for the new nodes, the sweep spans
-    /// are rebuilt, and state moves with its holder.
+    /// one place the engine's runtime state follows a recompile: the nodes
+    /// past the seal get fresh state, the metrics arena is sized for them
+    /// and the sweep spans are rebuilt. State below the seal stays where it
+    /// is: no holder of a sealed node moves.
     pub fn program(&mut self) -> &Program {
-        if let Some(prior) = self.program.solve(Some(&self.catalog)) {
-            self.sync_states();
+        if self.program.solve(Some(&self.catalog)) {
+            self.rebuild_states();
             self.rt.obs.arena.ensure_len(self.program.graph().len());
             self.rt.keys.resize(self.program.graph().key_spec_count());
             self.rebuild_sweep_spans();
-            self.rehome_states(&prior);
         }
         &self.program
     }
@@ -525,8 +527,9 @@ impl Engine {
     }
 
     /// Enables or disables a rule. Disabled rules stop firing immediately;
-    /// the shared graph keeps detecting for other rules on the same nodes.
-    /// Returns the previous state.
+    /// the graph keeps detecting on its nodes, which other rules of its
+    /// load may share, and re-enabling resumes from that state. Returns the
+    /// previous state.
     pub fn set_rule_enabled(&mut self, rule: RuleId, enabled: bool) -> bool {
         let slot = &mut self.rule_enabled[rule.0 as usize];
         std::mem::replace(slot, enabled)
@@ -540,10 +543,11 @@ impl Engine {
     /// Clears all runtime state — buffers, histories, open runs, waits,
     /// pending pseudo events, clock, counters — while keeping the compiled
     /// rules. After `reset()` the engine behaves as if freshly built, so
-    /// benchmark iterations and replays skip recompilation.
+    /// benchmark iterations and replays skip recompilation. The seal is
+    /// cleared: no node has seen the stream.
     pub fn reset(&mut self) {
-        self.rt.states.clear();
-        self.sync_states();
+        self.program.unseal();
+        self.rebuild_states();
         self.rt.timeline = Timeline::default();
         self.rt.stats = EngineStats::default();
         self.rt.obs.reset();
@@ -594,25 +598,6 @@ impl Engine {
     /// The engine clock (timestamp of the last consumed event).
     pub fn clock(&self) -> Timestamp {
         self.rt.timeline.clock()
-    }
-
-    /// Follows the holders from the plan `prior` to the current one. State
-    /// stays where it is: a holder is the first-registered node of its
-    /// family, so rules added to a running engine only ever join it. The
-    /// one move is a member that no longer fits its holder and now holds
-    /// state itself; it carries on from a copy of what it shared (a
-    /// superset of what it would have kept alone, and anything beyond its
-    /// own window is invisible to its probes).
-    fn rehome_states(&mut self, prior: &CompiledPlan) {
-        let plan = self.program.plan();
-        for idx in 0..prior.node_count() {
-            let node = NodeId(idx as u32);
-            let was = prior.holder(node);
-            if was != node && plan.holder(node) == node {
-                self.rt.states[idx] = self.rt.states[was.idx()].clone();
-                self.rt.sweep.touch(node);
-            }
-        }
     }
 
     /// The one place a retention is chosen: the solved per-side bounds
@@ -1103,10 +1088,6 @@ impl Runtime {
         let NodeState::Negation(neg) = &mut self.states[not_node.id.idx()] else {
             unreachable!("negation state");
         };
-        debug_assert!(
-            neg.spec_count() >= specs.len().max(1),
-            "recompile sized the negation state"
-        );
         let mut probed = None;
         for (i, spec) in specs.iter().enumerate() {
             if let Some(key) = self.keys.key(graph, spec.key, inst) {
@@ -1327,7 +1308,8 @@ impl Runtime {
     }
 
     /// [`Plan::NegationRecorder`]: record the occurrence under the key of
-    /// every parent that correlates with it.
+    /// every parent that reads the history; a `NOT` left by a rejected rule
+    /// has none and records nothing.
     fn record_negation(&mut self, graph: &EventGraph, node: &Node, inst: &Arc<Instance>) {
         let parent = node.id;
         let specs = graph.hist_specs(parent);
@@ -1335,20 +1317,11 @@ impl Runtime {
         let NodeState::Negation(neg) = &mut self.states[parent.idx()] else {
             unreachable!("negation state");
         };
-        neg.ensure_specs(specs.len().max(1));
-        if specs.is_empty() {
-            // No parent correlates: record under the empty key.
-            neg.record(0, &EMPTY_KEY, inst.t_end());
-            if self.obs.level.counters() {
-                self.obs.arena.admitted(parent.idx());
-            }
-        } else {
-            for (i, spec) in specs.iter().enumerate() {
-                if let Some(key) = self.keys.key(graph, spec.key, inst) {
-                    neg.record(i, key, inst.t_end());
-                    if self.obs.level.counters() {
-                        self.obs.arena.admitted(parent.idx());
-                    }
+        for (i, spec) in specs.iter().enumerate() {
+            if let Some(key) = self.keys.key(graph, spec.key, inst) {
+                neg.record(i, key, inst.t_end());
+                if self.obs.level.counters() {
+                    self.obs.arena.admitted(parent.idx());
                 }
             }
         }
@@ -1573,8 +1546,10 @@ fn pair_ok(kind: &NodeKind, within: Span, l: &Instance, r: &Instance) -> bool {
     }
 }
 
-fn initial_state(node: &Node) -> NodeState {
-    match &node.plan {
+/// A node's state before it has seen the stream; a `NOT`'s histories are
+/// sized for the parents registered on it, which a sealed `NOT` never gains.
+fn initial_state(graph: &EventGraph, node: &Node) -> NodeState {
+    let state = match &node.plan {
         Plan::Leaf | Plan::Forward | Plan::LeftNegationQuery | Plan::LeftAperiodicQuery => {
             NodeState::Stateless
         }
@@ -1583,8 +1558,15 @@ fn initial_state(node: &Node) -> NodeState {
             right: KeyedBuffer::default(),
         },
         Plan::RightNegationWait | Plan::AndNegation { .. } => NodeState::Wait(WaitState::default()),
-        Plan::NegationRecorder => NodeState::Negation(NegationState::default()),
+        Plan::NegationRecorder => {
+            NodeState::Negation(NegationState::new(graph.hist_specs(node.id).len()))
+        }
         Plan::AperiodicRecorder => NodeState::Aperiodic(AperiodicState::default()),
         Plan::TimedAperiodic => NodeState::TimedRun(TimedRunState::default()),
-    }
+    };
+    debug_assert_eq!(
+        node.plan.holds_state(),
+        !matches!(state, NodeState::Stateless)
+    );
+    state
 }

@@ -11,7 +11,8 @@
 //!   a leaf or a `NOT`), so identical sub-events across rules share one
 //!   detection node (Fig. 5's merging step). A `SEQ+` store, which the
 //!   node querying it consumes, is the one part never shared between two
-//!   querying parents;
+//!   querying parents, and a node that holds state is never shared across
+//!   a seal ([`EventGraph::seal`]): a rule sees the stream from its load;
 //! * **Detection-mode assignment** — push / pull / mixed, bottom-up from the
 //!   constructor kinds (§4.4), rejecting *invalid rules* whose root is pull;
 //! * **Execution planning** — each composite node gets a [`Plan`] describing
@@ -140,6 +141,14 @@ pub enum Plan {
 }
 
 impl Plan {
+    /// Whether a node of this plan keeps state (the engine's `initial_state`).
+    pub fn holds_state(self) -> bool {
+        !matches!(
+            self,
+            Plan::Leaf | Plan::Forward | Plan::LeftNegationQuery | Plan::LeftAperiodicQuery
+        )
+    }
+
     /// Short display name (explain tables, telemetry op labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -185,6 +194,8 @@ pub struct Node {
     pub hist_spec: Option<HistSpecId>,
     /// Variables this node's instances export.
     pub exports: Exports,
+    /// The seal watermark the node was built under, shared by its load.
+    pub load: u32,
 }
 
 /// A keyed-history registration on a `NOT` node: the interned extraction
@@ -213,6 +224,8 @@ pub struct EventGraph {
     primitives: Vec<NodeId>,
     /// Structural sharing diagnostics: compile requests that hit the memo.
     merged_hits: u64,
+    /// Every node below this id has seen the stream ([`EventGraph::seal`]).
+    sealed: u32,
 }
 
 /// Variables mentioned anywhere below a node (not just exported), used to
@@ -233,6 +246,7 @@ impl Default for EventGraph {
             key_spec_ids: HashMap::from([(Vec::new(), KeySpecId::EMPTY)]),
             primitives: Vec::new(),
             merged_hits: 0,
+            sealed: 0,
         }
     }
 }
@@ -315,6 +329,22 @@ impl EventGraph {
         self.merged_hits
     }
 
+    /// Marks every node built so far as having seen the stream
+    /// ([`crate::Program::seal`]).
+    pub(crate) fn seal(&mut self) {
+        self.sealed = self.nodes.len() as u32;
+    }
+
+    /// Clears the seal: no node has seen the stream (an engine reset).
+    pub(crate) fn unseal(&mut self) {
+        self.sealed = 0;
+    }
+
+    /// The seal watermark: the nodes below it have seen the stream.
+    pub fn sealed(&self) -> usize {
+        self.sealed as usize
+    }
+
     /// Every node under `root`, itself last, each once: children first,
     /// left to right — the order a graph holding only this event numbers
     /// them in, however many other rules share the nodes.
@@ -338,7 +368,8 @@ impl EventGraph {
     ///
     /// A node is its parts: it is hash-consed on its constructor, its
     /// compiled children and its window, so whatever spells the same node
-    /// — a no-op inner `WITHIN` included — compiles to it once.
+    /// — a no-op inner `WITHIN` included — compiles to it once, unless it
+    /// holds state and is sealed ([`EventGraph::seal`]).
     fn compile(
         &mut self,
         expr: &EventExpr,
@@ -392,7 +423,11 @@ impl EventGraph {
         };
         let key = (kind, parts.iter().map(|p| p.0).collect(), within);
         let mut vars: AllVars = parts.iter().flat_map(|p| p.2.iter().cloned()).collect();
-        if let Some(&id) = self.memo.get(&key) {
+        // A sealed node that holds state has seen the stream: it is a miss,
+        // and the fresh node built below takes its place in the memo.
+        let hit = self.memo.get(&key).copied();
+        let seen = hit.is_some_and(|id| id.0 < self.sealed && self.node(id).plan.holds_state());
+        if let Some(id) = hit.filter(|_| !seen) {
             self.merged_hits += 1;
             let exports = self.node(id).exports.clone();
             vars.extend(exports.keys().cloned());
@@ -410,6 +445,7 @@ impl EventGraph {
             join: JoinSpec::default(),
             hist_spec: None,
             exports: Exports::new(),
+            load: 0,
         };
         let child_mode = |g: &EventGraph, i: usize| g.node(node.children[i]).mode;
         match node.kind {
@@ -602,6 +638,7 @@ impl EventGraph {
     fn push_node(&mut self, mut node: Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         node.id = id;
+        node.load = self.sealed;
         for &c in &node.children {
             let parents = &mut self.nodes[c.idx()].parents;
             if !parents.contains(&id) {

@@ -245,9 +245,11 @@ impl Member {
 }
 
 /// What makes two rule roots the same modulo `WITHIN`: everything the
-/// arrival handler reads except the window.
+/// arrival handler reads except the window, and the load, so a family
+/// never spans a seal ([`EventGraph::seal`]).
 #[derive(Debug, PartialEq, Eq, Hash)]
 struct FamilyKey {
+    load: u32,
     plan: Plan,
     kind: NodeKind,
     /// The join's interned `[left, right]` key specs.
@@ -306,15 +308,12 @@ impl CompiledPlan {
     /// that nodes are pushed children-first, i.e. node-id order is
     /// topological.
     ///
-    /// Window families are coalesced, and their state stays where `prior`
-    /// — the plan this one replaces, an empty one for a first lowering —
-    /// had it: a node that was its own holder stays one, and a member keeps
-    /// its holder for as long as it stays admissible.
+    /// Window families are coalesced within each load: a holder and its
+    /// members were built between the same two seals.
     pub fn lower(
         graph: &EventGraph,
         catalog: &Catalog,
         rules_at: &HashMap<NodeId, Vec<RuleId>>,
-        prior: &CompiledPlan,
     ) -> Self {
         let n = graph.len();
         let mut plan = CompiledPlan {
@@ -323,7 +322,7 @@ impl CompiledPlan {
             dispatchable: vec![false; n],
             ..CompiledPlan::default()
         };
-        plan.assign_holders(graph, rules_at, prior);
+        plan.assign_holders(graph, rules_at);
         let mut raw: Vec<Edge> = Vec::new();
         for idx in 0..n {
             let id = NodeId(idx as u32);
@@ -375,41 +374,18 @@ impl CompiledPlan {
     /// chronicle consumption (proof in DESIGN.md "Window families"). What
     /// else is shared, the graph already merged into one node.
     ///
-    /// The first-registered node never changes as rules are added, so a
-    /// recompile on a running engine finds the state where it left it.
-    /// The one move is a root that stopped fitting its holder (it gained a
-    /// parent): it is regrouped, and if that leaves it holding state of its
-    /// own the engine seeds it with a copy of the state it shared.
-    fn assign_holders(
-        &mut self,
-        graph: &EventGraph,
-        rules_at: &HashMap<NodeId, Vec<RuleId>>,
-        prior: &CompiledPlan,
-    ) {
+    /// A family never spans a load, and a sealed root gains no parent (a
+    /// later rule copies it instead), so the families of sealed nodes are
+    /// the same under every later lowering: state never moves.
+    fn assign_holders(&mut self, graph: &EventGraph, rules_at: &HashMap<NodeId, Vec<RuleId>>) {
         let n = graph.len();
         self.holders = (0..n as u32).collect();
         // Node ids are topological, so a holder (lowest id of its family)
         // is settled before any of its members.
         let mut roots: HashMap<FamilyKey, u32> = HashMap::new();
         for node in graph.nodes() {
-            let (id, idx) = (node.id.0, node.id.idx());
-            let Some(key) = Self::family_key(graph, rules_at, node.id) else {
-                continue;
-            };
-            // Candidates, in order: the holder under the earlier plan,
-            // then the family's current one. A node that held its own
-            // state stays its own holder.
-            let kept = prior.holders.get(idx).copied();
-            let fits = |h: u32| {
-                kept != Some(id)
-                    && h != id
-                    && self.holders[h as usize] == h
-                    && Self::family_key(graph, rules_at, NodeId(h)).as_ref() == Some(&key)
-            };
-            let mut candidates = [kept, roots.get(&key).copied()].into_iter().flatten();
-            match candidates.find(|&h| fits(h)) {
-                Some(holder) => self.holders[idx] = holder,
-                None => _ = roots.entry(key).or_insert(id),
+            if let Some(key) = Self::family_key(graph, rules_at, node.id) {
+                self.holders[node.id.idx()] = *roots.entry(key).or_insert(node.id.0);
             }
         }
         let mut families: Vec<Vec<Member>> = vec![Vec::new(); n];
@@ -461,6 +437,7 @@ impl CompiledPlan {
             _ => return None,
         };
         Some(FamilyKey {
+            load: node.load,
             plan: node.plan,
             kind: node.kind.clone(),
             keys: node.join.ids,
@@ -729,7 +706,7 @@ mod tests {
         let catalog = shelf_catalog();
         let mut graph = EventGraph::new();
         let root = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new());
 
         let &[leaf] = graph.primitives() else {
             panic!("merging folds both copies into one leaf");
@@ -760,8 +737,7 @@ mod tests {
         let lowered = |rule: &EventExpr| {
             let mut graph = EventGraph::new();
             let root = graph.add_event(rule).expect("rule compiles");
-            let plan =
-                CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
+            let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new());
             let edges: Vec<_> = (0..graph.len() as u32)
                 .map(|n| {
                     plan.edges_at(NodeId(n))
@@ -800,7 +776,7 @@ mod tests {
             )
             .expect("dup rule compiles");
         let infield = graph.add_event(&infield_rule()).expect("rule compiles");
-        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new(), &CompiledPlan::default());
+        let plan = CompiledPlan::lower(&graph, &catalog, &HashMap::new());
 
         let &[leaf] = graph.primitives() else {
             panic!("one pattern, one leaf");

@@ -7,11 +7,10 @@
 //!    propagation, mode assignment, invalid-rule rejection);
 //! 2. [`Program::solve`] runs, once per rule-set change and in this order,
 //!    the interval solver ([`Bounds`], reads the graph), the lowering
-//!    ([`CompiledPlan`], reads the graph, the deployment catalog, the rules
-//!    at each root and the plan it replaces). The caller lends the
-//!    deployment catalog — its own on every call — or `None` when there is
-//!    no deployment to check against: named and grouped leaves then lower
-//!    as undispatchable.
+//!    ([`CompiledPlan`], reads the graph, the deployment catalog and the
+//!    rules at each root). The caller lends the deployment catalog — its
+//!    own on every call — or `None` when there is no deployment to check
+//!    against: named and grouped leaves then lower as undispatchable.
 //!
 //! Everything else reads the result: the [`crate::Engine`] executes it, the
 //! shard coordinator partitions it, [`crate::analyze`] judges it and
@@ -99,12 +98,11 @@ impl Program {
     }
 
     /// Brings the bounds and the plan up to date with the rule set, against
-    /// `deployment`. Returns the plan this replaced, or `None` when the rule
-    /// set has not changed since the last call — whoever keeps state by
-    /// plan node reads from it which holders moved.
-    pub fn solve(&mut self, deployment: Option<&Catalog>) -> Option<CompiledPlan> {
+    /// `deployment`. Returns whether it re-solved: `false` when the rule set
+    /// has not changed since the last call.
+    pub fn solve(&mut self, deployment: Option<&Catalog>) -> bool {
         if self.solved {
-            return None;
+            return false;
         }
         self.rules_at.clear();
         for (i, &root) in self.roots.iter().enumerate() {
@@ -112,16 +110,23 @@ impl Program {
             rules.push(RuleId(i as u32));
         }
         self.bounds = Bounds::solve(&self.graph);
-        let prior = std::mem::take(&mut self.plan);
         let no_deployment = Catalog::new();
-        self.plan = CompiledPlan::lower(
-            &self.graph,
-            deployment.unwrap_or(&no_deployment),
-            &self.rules_at,
-            &prior,
-        );
+        let deployment = deployment.unwrap_or(&no_deployment);
+        self.plan = CompiledPlan::lower(&self.graph, deployment, &self.rules_at);
         self.solved = true;
-        Some(prior)
+        true
+    }
+
+    /// Marks every node built so far as having seen the stream: a rule
+    /// added later gets a fresh copy of each that holds state, which the
+    /// rules loaded with it share (docs/SEMANTICS.md §6).
+    pub fn seal(&mut self) {
+        self.graph.seal();
+    }
+
+    /// Clears the seal: no node has seen the stream (an engine reset).
+    pub(crate) fn unseal(&mut self) {
+        self.graph.unseal();
     }
 
     /// The merged event graph; current after every `add_rule`.

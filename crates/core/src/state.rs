@@ -681,7 +681,7 @@ impl HistTable {
 
 /// State of a `NOT` node: one keyed history per registered
 /// [`crate::graph::HistSpec`].
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct NegationState {
     tables: Vec<HistTable>,
     /// Keys removed from the histories by [`NegationState::prune`].
@@ -689,16 +689,12 @@ pub struct NegationState {
 }
 
 impl NegationState {
-    /// Makes room for `n` registered history specs.
-    pub fn ensure_specs(&mut self, n: usize) {
-        while self.tables.len() < n {
-            self.tables.push(HistTable::default());
+    /// Empty histories for `specs` registered history specs.
+    pub fn new(specs: usize) -> Self {
+        Self {
+            tables: (0..specs).map(|_| HistTable::default()).collect(),
+            dropped_keys: 0,
         }
-    }
-
-    /// Number of history specs currently sized for.
-    pub fn spec_count(&self) -> usize {
-        self.tables.len()
     }
 
     /// Records an inner occurrence ending at `t` under `key` in history
@@ -1215,8 +1211,7 @@ mod tests {
     #[test]
     fn key_churn_grows_neither_the_arena_nor_the_index() {
         let mut buf = KeyedBuffer::default();
-        let mut neg = NegationState::default();
-        neg.ensure_specs(1);
+        let mut neg = NegationState::new(1);
         let mut peak = 0;
         for i in 0..1_000_000u64 {
             let key = Key::from_parts(&[crate::key::KeyPart::Object(
@@ -1254,8 +1249,7 @@ mod tests {
 
     #[test]
     fn negation_record_count_equals_the_walk() {
-        let mut neg = NegationState::default();
-        neg.ensure_specs(3);
+        let mut neg = NegationState::new(3);
         let mut state = 5u64;
         let mut next = move || {
             state = state
@@ -1288,8 +1282,7 @@ mod tests {
 
     #[test]
     fn negation_history_windows() {
-        let mut neg = NegationState::default();
-        neg.ensure_specs(1);
+        let mut neg = NegationState::new(1);
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(2));
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(8));
 
@@ -1312,8 +1305,7 @@ mod tests {
 
     #[test]
     fn negation_earliest_survives_pruning() {
-        let mut neg = NegationState::default();
-        neg.ensure_specs(1);
+        let mut neg = NegationState::new(1);
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(1));
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(100));
         assert_eq!(neg.prune(Timestamp::from_secs(50)), 1, "one record removed");
@@ -1338,8 +1330,7 @@ mod tests {
 
     #[test]
     fn negation_prune_drops_drained_keys() {
-        let mut neg = NegationState::default();
-        neg.ensure_specs(1);
+        let mut neg = NegationState::new(1);
         // A million-distinct-EPC stream in miniature: each key occurs once.
         let keys: Vec<Key> = (0..4)
             .map(|i| Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i))]))
@@ -1381,8 +1372,7 @@ mod tests {
 
     #[test]
     fn negation_keys_are_independent() {
-        let mut neg = NegationState::default();
-        neg.ensure_specs(1);
+        let mut neg = NegationState::new(1);
         let k1 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(1))]);
         let k2 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(2))]);
         neg.record(0, &k1, Timestamp::from_secs(5));
@@ -1392,8 +1382,7 @@ mod tests {
 
     #[test]
     fn negation_out_of_order_record_stays_sorted() {
-        let mut neg = NegationState::default();
-        neg.ensure_specs(1);
+        let mut neg = NegationState::new(1);
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(10));
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(4)); // lagged delivery
         assert!(neg.occurred(

@@ -95,3 +95,35 @@ proptest! {
         prop_assert_eq!(batch_stats.batches_processed, batches(feed, case.stream.len()));
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A rule sees the stream from its load (docs/SEMANTICS.md §6): in a
+    /// program of up to four rules from the shape pool whose odd-indexed
+    /// rules are loaded at one drawn batch boundary, each rule fires what
+    /// the reference fires for it over the stream from its load, whatever
+    /// it spells of the rules loaded before it. A `twin` draw gives an
+    /// odd-indexed rule the shape of the rule before it, so a late rule
+    /// often spells an earlier rule's nodes.
+    #[test]
+    fn a_rule_loaded_mid_stream_fires_from_its_load(
+        draws in proptest::collection::vec(
+            (0usize..SHAPES, 0usize..WINDOWS.len(), any::<bool>()),
+            1..=4,
+        ),
+        at in 1usize..2_000,
+        feed in prop_oneof![Just(Feed::Scalar), Just(Feed::Chunks(64)), Just(Feed::Mixed(7))],
+    ) {
+        let mut program: Vec<(usize, usize)> = Vec::new();
+        for (pos, &(shape, window, twin)) in draws.iter().enumerate() {
+            let shape = if pos % 2 == 1 && twin { program[pos - 1].0 } else { shape };
+            program.push((shape, window));
+        }
+        let loads = (0..program.len()).map(|pos| if pos % 2 == 1 { at } else { 0 });
+        let case = trace(2_000).case(shapes::program(&program)).loaded_at(loads.collect());
+        let (fired, engine) = case.run(feed, ObserveLevel::Off);
+        case.check(&fired);
+        prop_assert_eq!(engine.stats().events, case.stream.len() as u64);
+    }
+}

@@ -1,11 +1,12 @@
 //! The differential driver: one [`Case`] — a catalog, a rule program and a
 //! stream — run through the engine along an axis (how the stream is fed,
-//! the observe level, a point of the shard grid) and held by [`Case::check`]
-//! to the reference interpreter of docs/SEMANTICS.md
-//! (`support/reference.rs`) as a multiset of full instances, absence
-//! witnesses included. Every differential suite is a case source, its axes
-//! and its pins over this module. It names the engine, so it lives beside
-//! `support/`, whose engine-free gate (`scripts/check.sh`) it would fail.
+//! when each rule is loaded, the observe level, a point of the shard grid)
+//! and held by [`Case::check`] to the reference interpreter of
+//! docs/SEMANTICS.md (`support/reference.rs`) as a multiset of full
+//! instances, absence witnesses included. Every differential suite is a
+//! case source, its axes and its pins over this module. It names the
+//! engine, so it lives beside `support/`, whose engine-free gate
+//! (`scripts/check.sh`) it would fail.
 
 // Each suite uses its own part of the module.
 #![allow(dead_code)]
@@ -50,8 +51,9 @@ pub struct Trace {
 /// The traces built so far in this test binary.
 static TRACES: Mutex<Vec<&'static Trace>> = Mutex::new(Vec::new());
 
-/// What the reference fires for one rule over the trace of one length.
-type Memo = (usize, EventExpr, Arc<[Instance]>);
+/// What the reference fires for one rule over the trace of one length,
+/// from one position on.
+type Memo = (usize, usize, EventExpr, Arc<[Instance]>);
 static FIRED: Mutex<Vec<Memo>> = Mutex::new(Vec::new());
 
 /// The trace of `len` observations, built once per test binary.
@@ -93,6 +95,9 @@ pub struct Case<'a> {
     pub catalog: &'a Catalog,
     pub rules: Vec<EventExpr>,
     pub stream: &'a [Observation],
+    /// Rule `i` is loaded at the batch boundary before `stream[loads[i]]`;
+    /// a rule past the end of the list, before the stream.
+    loads: Vec<usize>,
     /// The length of the [`trace`] the case runs on, if it does.
     on_trace: Option<usize>,
     expected: OnceLock<Vec<Firing>>,
@@ -104,21 +109,48 @@ impl<'a> Case<'a> {
             catalog,
             rules,
             stream,
+            loads: Vec::new(),
             on_trace: None,
             expected: OnceLock::new(),
         }
     }
 
+    /// The case with rule `i` loaded before `stream[loads[i]]`, at a batch
+    /// boundary: it is held to what the reference fires from there on.
+    pub fn loaded_at(self, loads: Vec<usize>) -> Self {
+        assert!(loads.iter().all(|&at| at <= self.stream.len()));
+        Case { loads, ..self }
+    }
+
+    /// Where rule `pos` is loaded.
+    fn load(&self, pos: usize) -> usize {
+        self.loads.get(pos).copied().unwrap_or(0)
+    }
+
+    /// Adds the rules loaded at `at` to `engine`, recording each one's
+    /// index in `ids`, by [`RuleId`].
+    fn load_rules(&self, at: usize, engine: &mut Engine, ids: &mut Vec<u32>) {
+        for (pos, rule) in self.rules.iter().enumerate() {
+            if self.load(pos) == at {
+                let name = format!("r{pos}");
+                let id = engine.add_rule(&name, rule.clone()).expect("valid rule");
+                assert_eq!(id.0 as usize, ids.len());
+                ids.push(pos as u32);
+            }
+        }
+    }
+
+    /// An engine with the rules loaded before the stream.
     pub fn engine(&self, config: EngineConfig) -> Engine {
         let mut engine = Engine::new(self.catalog.clone(), config);
-        for (pos, rule) in self.rules.iter().enumerate() {
-            let name = format!("r{pos}");
-            engine.add_rule(&name, rule.clone()).expect("valid rule");
-        }
+        self.load_rules(0, &mut engine, &mut Vec::new());
         engine
     }
 
+    /// The sharded pipeline takes rules only before its first observation,
+    /// so a case with a load schedule has no sharded run.
     pub fn sharded(&self, config: ShardConfig) -> ShardedEngine {
+        assert!(self.loads.iter().all(|&at| at == 0), "no load schedule");
         let mut engine = ShardedEngine::new(self.catalog.clone(), config);
         for (pos, rule) in self.rules.iter().enumerate() {
             let name = format!("r{pos}");
@@ -128,35 +160,48 @@ impl<'a> Case<'a> {
     }
 
     /// Feeds the whole stream and finishes: the firings in delivery order,
-    /// and the engine for its counters. A capped run is outside the
+    /// and the engine for its counters. Each rule is loaded at its batch
+    /// boundary, which also cuts the chunks. A capped run is outside the
     /// reference's domain, so none may cap.
     pub fn run(&self, feed: Feed, observe: ObserveLevel) -> (Vec<Firing>, Engine) {
         let config = EngineConfig {
             observe,
             ..EngineConfig::default()
         };
-        let mut engine = self.engine(config);
+        let mut engine = Engine::new(self.catalog.clone(), config);
+        let mut ids = Vec::new();
         let mut fired = Vec::new();
-        let mut sink = |rule: RuleId, inst: &Instance| fired.push((rule.0, inst.clone()));
         let size = match feed {
             Feed::Scalar => 1,
             Feed::Chunks(n) | Feed::Mixed(n) => n,
         };
-        for (i, chunk) in self.stream.chunks(size).enumerate() {
-            let per_observation = match feed {
-                Feed::Scalar => true,
-                Feed::Chunks(_) => false,
-                Feed::Mixed(_) => i % 2 == 1,
+        let mut bounds = [vec![0, self.stream.len()], self.loads.clone()].concat();
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut chunks = 0;
+        for part in bounds.windows(2) {
+            self.load_rules(part[0], &mut engine, &mut ids);
+            let mut sink = |rule: RuleId, inst: &Instance| {
+                fired.push((ids[rule.0 as usize], inst.clone()));
             };
-            if per_observation {
-                for &obs in chunk {
-                    engine.process(obs, &mut sink);
+            for chunk in self.stream[part[0]..part[1]].chunks(size) {
+                let per_observation = match feed {
+                    Feed::Scalar => true,
+                    Feed::Chunks(_) => false,
+                    Feed::Mixed(_) => chunks % 2 == 1,
+                };
+                chunks += 1;
+                if per_observation {
+                    for &obs in chunk {
+                        engine.process(obs, &mut sink);
+                    }
+                } else {
+                    engine.process_batch(chunk, &mut sink);
                 }
-            } else {
-                engine.process_batch(chunk, &mut sink);
             }
         }
-        engine.finish(&mut sink);
+        self.load_rules(self.stream.len(), &mut engine, &mut ids);
+        engine.finish(&mut |rule, inst| fired.push((ids[rule.0 as usize], inst.clone())));
         let drops = engine.stats().capacity_drops;
         assert_eq!(drops, 0, "a capped run is outside the reference's domain");
         (fired, engine)
@@ -176,36 +221,39 @@ impl<'a> Case<'a> {
     }
 
     /// What the reference fires, by rule index, each rule's in the order it
-    /// fired: computed once per case, and on a [`trace`] once per rule, as
-    /// each rule is matched on its own.
+    /// fired over the stream from its load: computed once per case, and on
+    /// a [`trace`] once per rule and load, as each rule is matched on its
+    /// own.
     pub fn expected(&self) -> &[Firing] {
         self.expected.get_or_init(|| {
-            let Some(len) = self.on_trace else {
-                return reference::fire(self.catalog, &self.rules, self.stream);
-            };
             let mut out = Vec::new();
             for (pos, rule) in self.rules.iter().enumerate() {
-                let fired = self.fired_on_trace(len, rule);
+                let fired = self.fired_from(self.load(pos), rule);
                 out.extend(fired.iter().map(|inst| (pos as u32, inst.clone())));
             }
             out
         })
     }
 
-    fn fired_on_trace(&self, len: usize, rule: &EventExpr) -> Arc<[Instance]> {
+    fn fired_from(&self, at: usize, rule: &EventExpr) -> Arc<[Instance]> {
+        let fire = || {
+            let rules = std::slice::from_ref(rule);
+            let fired = reference::fire(self.catalog, rules, &self.stream[at..]);
+            fired.into_iter().map(|(_, inst)| inst).collect()
+        };
+        let Some(len) = self.on_trace else {
+            return fire();
+        };
         let memo = FIRED
             .lock()
             .unwrap()
             .iter()
-            .find(|(n, r, _)| *n == len && r == rule)
-            .map(|m| Arc::clone(&m.2));
+            .find(|(n, from, r, _)| (*n, *from) == (len, at) && r == rule)
+            .map(|m| Arc::clone(&m.3));
         memo.unwrap_or_else(|| {
-            let fired = reference::fire(self.catalog, std::slice::from_ref(rule), self.stream);
-            let fired: Arc<[Instance]> = fired.into_iter().map(|(_, inst)| inst).collect();
-            FIRED
-                .lock()
-                .unwrap()
-                .push((len, rule.clone(), Arc::clone(&fired)));
+            let fired: Arc<[Instance]> = fire();
+            let memo = (len, at, rule.clone(), Arc::clone(&fired));
+            FIRED.lock().unwrap().push(memo);
             fired
         })
     }

@@ -7,7 +7,7 @@ mod support;
 
 use std::sync::Arc;
 
-use differential::{fingerprint, fingerprints, Case, Feed, Firing};
+use differential::{fingerprints, Case, Feed, Firing};
 use rceda::engine::PROCESS_ALL_BATCH;
 use rceda::{Engine, EngineConfig, ObserveLevel, RuleId};
 use rfid_epc::{Epc, Gid96, ReaderId};
@@ -372,11 +372,13 @@ fn family_stream(len: usize) -> Vec<Observation> {
         .collect()
 }
 
-/// Rules added to (or disabled on) a running engine may widen, narrow or
-/// silence a window family, and may take a member out of it. None of that
-/// may change what the rules that were already there fire: the family's
-/// state stays at its first-registered member, the cut-offs and retention
-/// are recomputed, and a member that leaves carries on from a copy.
+/// Rules added to (or disabled on) a running engine never reach the state
+/// of the rules already there. The late rules are wider and narrower
+/// siblings of every family shape, rules nesting a seed root, an unkeyed
+/// reader of the seed `NOT` and a rule disabled right away. The seed rules
+/// fire exactly what they fire on an untouched engine and keep their
+/// families. The late rules form families of their own, read a `NOT` of
+/// their own and fire what the reference fires from their load.
 #[test]
 fn family_changes_mid_stream_leave_existing_members_alone() {
     let seed_rules = [
@@ -399,89 +401,134 @@ fn family_changes_mid_stream_leave_existing_members_alone() {
     let stream = family_stream(2_000);
     let (head, tail) = stream.split_at(1_000);
     let seeds = seed_rules.len() as u32;
-    let run = |engine: &mut Engine, part: &[Observation], out: &mut Vec<_>| {
-        engine.process_batch(part, &mut |r: RuleId, i: &Instance| {
-            if r.0 < seeds {
-                out.push(fingerprint(r, i));
-            }
-        });
+    let run = |engine: &mut Engine, part: &[Observation], out: &mut Vec<Firing>| {
+        engine.process_batch(part, &mut |r, i| out.push((r.0, i.clone())));
     };
 
     let mut untouched = build();
     let mut expected = Vec::new();
     run(&mut untouched, head, &mut expected);
     run(&mut untouched, tail, &mut expected);
-    untouched.finish(&mut |r, i| expected.push(fingerprint(r, i)));
+    untouched.finish(&mut |r, i| expected.push((r.0, i.clone())));
     assert!(expected.len() > 500, "the stream exercises every seed rule");
 
     let mut changed = build();
     let mut got = Vec::new();
     run(&mut changed, head, &mut got);
-    let root = |engine: &Engine, rule: u32| engine.rule_root(RuleId(rule));
-    let (dup2, dup5) = (root(&changed, 0), root(&changed, 1));
-    let (infield3, infield6) = (root(&changed, 2), root(&changed, 3));
-    assert_eq!(changed.compiled_plan().holder(dup5), dup2);
-    assert_eq!(changed.compiled_plan().holder(infield6), infield3);
-    // Wider and narrower members for every shape.
-    for (idx, ms) in [(0, 9_000), (0, 1_000), (1, 12_000), (1, 500), (2, 8_000)] {
-        changed.add_rule("late", family_shape(idx, ms)).unwrap();
-    }
-    // Two roots gain a parent: they hash-cons into these rules' initiators,
-    // stop being rule roots only, and leave their families. The 2 s
-    // duplicate root is its family's holder, so the family regroups under
-    // the 5 s one; the 6 s in-field root is a member and just leaves.
+    // Wider and narrower siblings of every shape; then two rules nesting
+    // a seed root, and one reading the seed `NOT` under the empty key.
+    let mut late: Vec<EventExpr> = [(0, 9_000), (0, 1_000), (1, 12_000), (1, 500), (2, 8_000)]
+        .into_iter()
+        .map(|(idx, ms)| family_shape(idx, ms))
+        .collect();
     for (idx, ms) in [(0, 2_000), (1, 6_000)] {
-        let nested = family_shape(idx, ms).seq(at("r2").bind_object("p"));
-        changed.add_rule("nested", nested).unwrap();
+        late.push(family_shape(idx, ms).seq(at("r2").bind_object("p")));
     }
-    // One `NOT` serves every in-field root, and gains a history spec: this
-    // rule's `NOT` is the same node, and its unkeyed terminator registers
-    // an empty-key spec there, which starts empty before the next record.
-    let not = changed.graph().node(infield6).children[0];
-    let not3 = changed.graph().node(infield3).children[0];
-    assert_eq!(not3, not, "one NOT node");
-    let unkeyed = at("r1")
-        .bind_object("o")
-        .not()
-        .seq(at("r1"))
-        .within(Span::from_secs(6));
-    changed.add_rule("unkeyed", unkeyed).unwrap();
-    let unkeyed_root = changed.rule_root(RuleId(seeds + 7));
-    assert_eq!(changed.graph().node(unkeyed_root).children[0], not);
-    assert_eq!(changed.graph().hist_specs(not).len(), 2);
+    let unkeyed = at("r1").bind_object("o").not().seq(at("r1"));
+    late.push(unkeyed.within(Span::from_secs(6)));
+    for event in &late {
+        changed.add_rule("late", event.clone()).unwrap();
+    }
     // A late member disabled right away must stay silent and harmless.
     let silenced = changed
         .add_rule("silenced", family_shape(0, 20_000))
         .unwrap();
     changed.set_rule_enabled(silenced, false);
     run(&mut changed, tail, &mut got);
+    changed.finish(&mut |r, i| got.push((r.0, i.clone())));
+
+    let roots: Vec<_> = (0..changed.rule_count() as u32)
+        .map(|rule| changed.rule_root(RuleId(rule)))
+        .collect();
+    let root = |rule: u32| roots[rule as usize];
+    let (dup2, dup5, infield3, infield6) = (root(0), root(1), root(2), root(3));
+    let not = |rule: u32| changed.graph().node(root(rule)).children[0];
+    let late_not = not(seeds + 2);
+    assert_ne!(late_not, not(2), "the late rules read a NOT of their own");
+    for rule in [seeds + 3, seeds + 7] {
+        assert_eq!(not(rule), late_not, "one NOT per load");
+    }
+    assert_eq!(changed.graph().hist_specs(not(2)).len(), 1);
+    assert_eq!(changed.graph().hist_specs(late_not).len(), 2);
     let plan = changed.compiled_plan();
-    assert_eq!(plan.holder(dup2), dup2, "the old holder keeps its state");
-    assert_eq!(plan.family(dup2).len(), 1);
-    assert_eq!(plan.family(dup5).len(), 4, "5 s, 9 s, 1 s and the silenced");
-    assert_eq!(plan.holder(infield6), infield6, "left");
-    assert_eq!(plan.family(infield3).len(), 3, "3 s, 12 s, 0.5 s");
-    changed.finish(&mut |r, i| {
-        if r.0 < seeds {
-            got.push(fingerprint(r, i));
-        }
-    });
+    assert_eq!(
+        plan.holder(dup5),
+        dup2,
+        "the seed families stay as they were"
+    );
+    assert_eq!(plan.holder(infield6), infield3);
+    assert_eq!(plan.family(dup2).len(), 2);
+    assert_eq!(plan.family(infield3).len(), 2);
+    let holders = [seeds, seeds + 1, silenced.0].map(|r| plan.holder(root(r)));
+    assert_eq!(holders, [root(seeds); 3], "9 s, 1 s and the silenced");
+    assert_eq!(
+        plan.holder(root(seeds + 3)),
+        root(seeds + 2),
+        "12 s and 0.5 s"
+    );
+    assert_eq!(plan.family(root(seeds)).len(), 3);
+    assert_eq!(plan.family(root(seeds + 2)).len(), 2);
 
     assert_eq!(changed.firings_per_rule()[silenced.0 as usize], 0);
-    let late_fired: u64 = changed.firings_per_rule()[seeds as usize..].iter().sum();
-    assert!(late_fired > 0, "the added members detect too");
-    expected.sort();
-    got.sort();
-    assert_eq!(got, expected);
+    let (seeded, added): (Vec<_>, Vec<_>) = got.into_iter().partition(|f| f.0 < seeds);
+    assert_eq!(fingerprints(&seeded), fingerprints(&expected));
+    let added: Vec<Firing> = added.into_iter().map(|(r, i)| (r - seeds, i)).collect();
+    Case::new(&catalog(2), late, tail).check(&added);
 }
 
-/// `reset()` restores a fresh engine without recompiling rules.
+/// A rule sees the stream from its load (docs/SEMANTICS.md §6). A rule
+/// loaded after 1,000 reads fires what the reference fires for it alone
+/// over the other 1,000, whether or not an earlier rule spells one of its
+/// stateful nodes: a window sibling's join buffer or `NOT` history, or an
+/// interior `SEQ`. Each count is the one the rule fires with no earlier
+/// rule at all.
+#[test]
+fn a_rule_sees_the_stream_from_its_load() {
+    let read = |reader: &str| at(reader).bind_object("o");
+    let minute = Span::from_secs(60);
+    let interior = || read("r1").seq(read("r2")).within(minute);
+    let rows = [
+        (family_shape(0, 9_000), family_shape(0, 3_000), 289),
+        (family_shape(1, 9_000), family_shape(1, 3_000), 186),
+        (family_shape(2, 9_000), family_shape(2, 3_000), 62),
+        (interior().seq(read("r1")).within(minute), interior(), 327),
+    ];
+    let catalog = catalog(2);
+    let stream = family_stream(2_000);
+    let (head, tail) = stream.split_at(1_000);
+    for (late, earlier, alone) in rows {
+        let case = Case::new(&catalog, vec![late.clone()], tail);
+        for earlier in [None, Some(earlier)] {
+            let mut engine = Engine::new(catalog.clone(), EngineConfig::default());
+            let shared = earlier.is_some();
+            if let Some(event) = earlier {
+                engine.add_rule("earlier", event).unwrap();
+            }
+            let mut fired = Vec::new();
+            let mut sink = |r: RuleId, i: &Instance| fired.push((r, i.clone()));
+            engine.process_batch(head, &mut sink);
+            let rule = engine.add_rule("late", late.clone()).unwrap();
+            engine.process_batch(tail, &mut sink);
+            engine.finish(&mut sink);
+            let fired: Vec<Firing> = fired
+                .into_iter()
+                .filter(|f| f.0 == rule)
+                .map(|(_, inst)| (0, inst))
+                .collect();
+            assert_eq!(fired.len(), alone, "{late} (earlier rule: {shared})");
+            case.check(&fired);
+        }
+    }
+}
+
+/// `reset()` restores a fresh engine without recompiling rules, and
+/// clears the seal: a rule added mid-stream gets a copy of the node it
+/// spells, one added after the reset shares the latest copy.
 #[test]
 fn reset_clears_state_keeps_rules() {
     let mut engine = Engine::new(catalog(2), EngineConfig::default());
-    engine
-        .add_rule("seq", at("r1").seq(at("r2")).within(Span::from_secs(5)))
-        .unwrap();
+    let seq = || at("r1").seq(at("r2")).within(Span::from_secs(5));
+    engine.add_rule("seq", seq()).unwrap();
 
     let mut fired = 0u32;
     engine.process_all(
@@ -490,11 +537,17 @@ fn reset_clears_state_keeps_rules() {
     );
     assert_eq!(fired, 1);
     assert_eq!(engine.firings_per_rule(), &[1]);
+    let copy = engine.add_rule("copy", seq()).unwrap();
+    assert_ne!(engine.rule_root(copy), engine.rule_root(RuleId(0)));
+    engine.set_rule_enabled(copy, false);
 
     engine.reset();
     assert_eq!(engine.stats().events, 0);
-    assert_eq!(engine.firings_per_rule(), &[0]);
+    assert_eq!(engine.firings_per_rule(), &[0, 0]);
     assert_eq!(engine.buffered_instances(), 0);
+    let twin = engine.add_rule("twin", seq()).unwrap();
+    assert_eq!(engine.rule_root(twin), engine.rule_root(copy));
+    engine.set_rule_enabled(twin, false);
 
     // A second pass starting at t=0 again (which would violate monotonic
     // time without the reset) detects identically.
@@ -504,7 +557,7 @@ fn reset_clears_state_keeps_rules() {
         &mut |_, _: &Instance| fired += 1,
     );
     assert_eq!(fired, 1);
-    assert_eq!(engine.firings_per_rule(), &[1]);
+    assert_eq!(engine.firings_per_rule(), &[1, 0, 0]);
 }
 
 /// A pattern naming a reader absent from the catalog never matches and

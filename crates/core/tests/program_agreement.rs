@@ -125,12 +125,14 @@ fn ledger_programs() -> (Vec<(&'static str, String)>, Catalog) {
     (programs, sim.catalog)
 }
 
-/// (c) A node is its parts: over the ledger's programs, every program of
-/// the lint corpus (rejected rules' partial nodes included) and the
-/// differential suites' shape pool under every window, no two nodes have
-/// equal constructor, children and window, and no two `NOT`s negate one
-/// child. A `SEQ+` store is the exception: its querying parent consumes
-/// it, so it is never shared — no `SEQ+` has two parents.
+/// (c) A node is its parts, per load: over the ledger's programs, every
+/// program of the lint corpus (rejected rules' partial nodes included) and
+/// the differential suites' shape pool under every window — loaded once,
+/// and loaded twice across a seal — no two nodes of one load have equal
+/// constructor, children and window, and no two `NOT`s of one load negate
+/// one child. A `SEQ+` store is the exception: its querying parent
+/// consumes it, so it is never shared — no `SEQ+` has two parents. Across
+/// loads, a node that holds state has parents of its own load only.
 #[test]
 fn no_two_nodes_share_their_parts() {
     let (ledger, catalog) = ledger_programs();
@@ -161,22 +163,53 @@ fn no_two_nodes_share_their_parts() {
         let shape = move |window| shapes::shape(idx, window);
         shapes::WINDOWS.into_iter().map(shape)
     });
-    let pool = pool.map(|event| RuleEvent::new("shape", "shape", event));
-    compiled.push(("shape pool".to_owned(), Program::compile(None, pool)));
+    let pool: Vec<_> = pool
+        .map(|event| RuleEvent::new("shape", "shape", event))
+        .collect();
+    compiled.push((
+        "shape pool".to_owned(),
+        Program::compile(None, pool.clone()),
+    ));
+    let mut twice = Program::new();
+    for rule in pool.iter().chain(&pool) {
+        twice.add_rule(rule.clone()).expect("pool shapes are valid");
+        if twice.rules().len() == pool.len() {
+            twice.seal();
+        }
+    }
+    twice.solve(None);
+    let late_roots = &twice.roots()[pool.len()..];
+    let sealed = twice.graph().sealed();
+    assert!(
+        late_roots.iter().all(|root| root.0 as usize >= sealed),
+        "a late rule's root is its own"
+    );
+    compiled.push(("shape pool, loaded twice".to_owned(), twice));
     for (name, program) in compiled {
         let mut parts = HashMap::new();
         let mut negated = HashMap::new();
-        for node in program.graph().nodes() {
+        let graph = program.graph();
+        for node in graph.nodes() {
+            for &parent in &node.parents {
+                let load = graph.node(parent).load;
+                let (id, plan) = (node.id, node.plan);
+                let shared = plan.holds_state() && load != node.load;
+                assert!(
+                    !shared,
+                    "{name}: {id:?} ({plan:?}) under {parent:?} of a later load"
+                );
+            }
             if node.kind.name() == "SEQ+" {
                 let (id, parents) = (node.id, &node.parents);
                 assert!(parents.len() <= 1, "{name}: SEQ+ {id:?} under {parents:?}");
                 continue;
             }
-            if let Some(twin) = parts.insert((&node.kind, &node.children, node.within), node.id) {
+            let key = (node.load, &node.kind, &node.children, node.within);
+            if let Some(twin) = parts.insert(key, node.id) {
                 panic!("{name}: nodes {twin:?} and {:?} share their parts", node.id);
             }
             if node.kind.name() == "NOT" {
-                if let Some(twin) = negated.insert(node.children[0], node.id) {
+                if let Some(twin) = negated.insert((node.load, node.children[0]), node.id) {
                     panic!("{name}: NOTs {twin:?} and {:?} share a child", node.id);
                 }
             }

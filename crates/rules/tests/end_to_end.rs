@@ -466,3 +466,38 @@ fn sharded_runtime_matches_single_threaded() {
     assert_eq!(log_fp(&single), log_fp(&parted));
     assert_eq!(rows_fp(&single), rows_fp(&parted));
 }
+
+/// A rule sees the stream from its load (docs/SEMANTICS.md §6), through
+/// the rules layer. A second script loaded after 3,000 observations spells
+/// nodes of the running one: window siblings of its duplicate, in-field
+/// and asset rules, and the `TSEQ+` run inside its containment rules. Its
+/// rules fire exactly what they fire in a runtime that loaded it alone and
+/// saw only the rest of the stream.
+#[test]
+fn a_script_loaded_mid_stream_fires_what_it_fires_alone() {
+    let sim = rfid_simulator::SupplyChain::build(rfid_simulator::SimConfig::default());
+    let stream = sim.generate(6_000).observations;
+    let (head, tail) = stream.split_at(3_000);
+    let late = sim.rule_family(12);
+    let feed = |rt: &mut RuleRuntime, part: &[Observation]| {
+        for batch in part.chunks(256) {
+            rt.process_batch(batch);
+        }
+    };
+
+    let mut running = RuleRuntime::new(sim.catalog.clone());
+    running.load(&sim.rule_set()).unwrap();
+    feed(&mut running, head);
+    let ids = running.load(&late).unwrap();
+    feed(&mut running, tail);
+    running.finish();
+
+    let mut alone = RuleRuntime::new(sim.catalog.clone());
+    alone.load(&late).unwrap();
+    feed(&mut alone, tail);
+    alone.finish();
+
+    let fired = &running.engine().firings_per_rule()[ids[0].0 as usize..];
+    assert_eq!(fired, alone.engine().firings_per_rule());
+    assert!(fired.iter().filter(|&&n| n > 0).count() >= 9, "{fired:?}");
+}

@@ -226,6 +226,25 @@ if [[ -n "$stray" ]]; then
     exit 1
 fi
 
+echo "== a rule sees the stream from its load (EventGraph::seal) =="
+# A node that holds state is shared only among the rules loaded before it
+# has seen the stream; a rule loaded later gets a fresh copy of it
+# (EventGraph::seal), and a window family never spans a load. So no state is
+# re-homed, no holder is kept across a recompile and no NOT history grows.
+# Under crates/core/src, code and comments before a file's `#[cfg(test)]`
+# module may not name the grafting of a rule onto live state.
+stray=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /rehome_states|prior: &CompiledPlan|ensure_specs|(^|[^_[:alnum:]])spec_count/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: a rule sees the stream from its load; no state re-homing or growable histories" >&2
+    exit 1
+fi
+
 echo "== a row is its cells (rfid-store table.rs) =="
 # A table keeps its rows as cells in typed arenas of fixed-size segments, so
 # a stored row is not a heap `Vec` of its own inside a doubling `Vec`.
