@@ -1,6 +1,6 @@
 //! Interval-constraint propagation over the merged event graph: the one
 //! place a window, a minimum duration, an emission lag or a retention is
-//! computed. The sweep, the unbounded-join cap and every lint that talks
+//! computed. Store expiry, the unbounded-join cap and every lint that talks
 //! about time (E001, E003, W005, N001) read these numbers through
 //! [`crate::Program::bounds`].
 //!
@@ -34,7 +34,7 @@
 //!   negation waits);
 //! * per-side join **retention bounds** `retain[side]`: the oldest `t_end`
 //!   a buffered entry on that side can have and still pair with a future
-//!   arrival — what the engine's sweep and join scans prune at, and where
+//!   arrival — what the engine's admissions and join scans prune at, and where
 //!   they cannot (`Span::MAX`), the capacity cap applies;
 //! * a **history retention** for `NOT`/`SEQ+` recorders: the furthest back
 //!   any parent's query can reach, per the querying plans actually

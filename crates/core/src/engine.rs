@@ -119,10 +119,13 @@ struct Runtime {
     /// here keeps every instrumentation site a plain field access — no
     /// extra parameters through the arrival handlers.
     obs: ObsState,
-    /// Watermark-amortized sweeping (DESIGN.md §16): per-node retention
-    /// spans, which nodes have a prune deadline on the timeline, and the
-    /// per-batch touched bitmap deadlines are armed from.
-    sweep: Sweep,
+    /// Per-node `[side0, side1]` retention spans — how long an entry of
+    /// that side's store stays matchable — chosen by
+    /// [`Engine::rebuild_spans`] on every re-solve and read by the probes'
+    /// dead scans and by every admission's expiry (DESIGN.md §16).
+    /// Non-join stores use slot 0; `Span::MAX` marks a side that never
+    /// expires by time.
+    spans: Vec<[Span; 2]>,
     /// The keys of the instance being propagated, one per interned spec.
     keys: KeyMemo,
 }
@@ -198,49 +201,6 @@ impl KeyMemo {
     }
 }
 
-/// State of the deadline-driven sweep. A node is *armed* when its earliest
-/// logged entry has a finite death time on the timeline; quiescent nodes
-/// are neither armed nor visited. Arming happens at batch boundaries from
-/// the `touched` bitmap (set at every state admission), and a deadline
-/// fires only when the batch watermark — the engine clock after the batch —
-/// passes it.
-#[derive(Debug, Default)]
-struct Sweep {
-    /// Per-node `[side0, side1]` retention spans — how long an entry of
-    /// that side's buffer stays matchable — chosen by
-    /// [`Engine::rebuild_sweep_spans`] on every re-solve and read by both the
-    /// probe-time dead scans and the sweep. Non-join stores use slot 0;
-    /// `Span::MAX` marks a side that is never pruned by time.
-    spans: Vec<[Span; 2]>,
-    /// Whether the node currently has a prune deadline on the timeline.
-    armed: Vec<bool>,
-    /// Bitmap of nodes that admitted state since the last batch boundary.
-    touched: Vec<u64>,
-}
-
-impl Sweep {
-    /// Marks a node as having admitted state this batch. Called from the
-    /// arrival handlers on every admission; two instructions.
-    #[inline]
-    fn touch(&mut self, node: NodeId) {
-        let i = node.idx();
-        self.touched[i >> 6] |= 1 << (i & 63);
-    }
-
-    /// Sizes the tables for `len` nodes, keeping existing armed state.
-    fn resize(&mut self, len: usize) {
-        self.spans.resize(len, [Span::MAX; 2]);
-        self.armed.resize(len, false);
-        self.touched.resize(len.div_ceil(64), 0);
-    }
-
-    /// Disarms every node and clears the touched bits (engine reset).
-    fn clear_runtime(&mut self) {
-        self.armed.iter_mut().for_each(|a| *a = false);
-        self.touched.iter_mut().for_each(|w| *w = 0);
-    }
-}
-
 impl Engine {
     /// Creates an engine over a fixed deployment catalog. Register readers
     /// and object types in the catalog *before* building the engine — leaf
@@ -255,7 +215,7 @@ impl Engine {
                 stats: EngineStats::default(),
                 work: Vec::new(),
                 obs: ObsState::new(config.observe, config.flight_capacity),
-                sweep: Sweep::default(),
+                spans: Vec::new(),
                 keys: KeyMemo::default(),
             },
             rule_enabled: Vec::new(),
@@ -333,15 +293,11 @@ impl Engine {
     /// * leaf dispatch resolves the compiled reader row once per
     ///   contiguous same-reader run;
     /// * whether anything is due before an observation is one comparison
-    ///   against the timeline's cached head;
-    /// * prune deadlines share that timeline but are deferred to the batch
-    ///   boundary, where only the nodes whose deadline the watermark passed
-    ///   are pruned; quiescent nodes are never visited.
+    ///   against the timeline's cached head.
     ///
-    /// Batch size therefore moves sweep *timing* (`sweeps`/`sweeps_skipped`
-    /// and the per-node prune counters), which is firing-neutral: matching
-    /// discards dead entries at probe time and history queries are
-    /// range-checked, so later pruning never changes what fires.
+    /// Nothing runs at a batch boundary: a store drops its dead entries as
+    /// it admits, at the clock of that admission, so expiry and every
+    /// counter follow the stream alone, not where it is cut.
     pub fn process_batch(&mut self, batch: &[Observation], sink: &mut Sink<'_>) {
         if batch.is_empty() {
             return;
@@ -387,7 +343,6 @@ impl Engine {
             }
             i = j;
         }
-        self.batch_sweep();
     }
 
     /// Feeds a whole stream, then drains remaining pseudo events so windows
@@ -471,14 +426,14 @@ impl Engine {
     /// changed since the last call — once per change, never per event. The
     /// one place the engine's runtime state follows a recompile: the nodes
     /// past the seal get fresh state, the metrics arena is sized for them
-    /// and the sweep spans are rebuilt. State below the seal stays where it
-    /// is: no holder of a sealed node moves.
+    /// and the retention spans are rebuilt. State below the seal stays
+    /// where it is: no holder of a sealed node moves.
     pub fn program(&mut self) -> &Program {
         if self.program.solve(Some(&self.catalog)) {
             self.rebuild_states();
             self.rt.obs.arena.ensure_len(self.program.graph().len());
             self.rt.keys.resize(self.program.graph().key_spec_count());
-            self.rebuild_sweep_spans();
+            self.rebuild_spans();
         }
         &self.program
     }
@@ -490,7 +445,7 @@ impl Engine {
 
     /// Total instances currently held in join buffers, negation histories,
     /// aperiodic stores, open runs, and waits — the engine's working-set
-    /// gauge (memory diagnostics; sweeping should keep it bounded).
+    /// gauge (memory diagnostics; expiry keeps it bounded).
     pub fn buffered_instances(&self) -> usize {
         self.rt
             .states
@@ -551,7 +506,6 @@ impl Engine {
         self.rt.timeline = Timeline::default();
         self.rt.stats = EngineStats::default();
         self.rt.obs.reset();
-        self.rt.sweep.clear_runtime();
         for f in &mut self.rule_firings {
             *f = 0;
         }
@@ -601,13 +555,13 @@ impl Engine {
     }
 
     /// The one place a retention is chosen: the solved per-side bounds
-    /// ([`crate::bounds`]), which the sweep and the join scans prune at; a
-    /// join side left at [`Span::MAX`] is capped at
+    /// ([`crate::bounds`]), which admissions expire and the join scans
+    /// prune at; a join side left at [`Span::MAX`] is capped at
     /// [`EngineConfig::unbounded_cap`] instead. A holder keeps what its
     /// longest-reaching member needs.
-    fn rebuild_sweep_spans(&mut self) {
+    fn rebuild_spans(&mut self) {
         let (graph, plan) = (self.program.graph(), self.program.plan());
-        self.rt.sweep.resize(graph.len());
+        self.rt.spans.resize(graph.len(), [Span::MAX; 2]);
         for node in graph.nodes() {
             let b = self.program.bounds().node(node.id);
             let own = match node.plan {
@@ -618,7 +572,7 @@ impl Engine {
             // Ids are topological and a holder is the lowest id of its
             // group, so its own spans are in place before any member's.
             let holder = plan.holder(node.id);
-            let spans = &mut self.rt.sweep.spans;
+            let spans = &mut self.rt.spans;
             spans[node.id.idx()] = own;
             if holder != node.id {
                 spans[holder.idx()] = [0, 1].map(|side| spans[holder.idx()][side].max(own[side]));
@@ -695,7 +649,6 @@ impl Engine {
                     self.run_work(sink);
                 }
             }
-            Due::Prune { .. } => unreachable!("prune deadlines wait for the batch boundary"),
         }
     }
 
@@ -738,120 +691,6 @@ impl Engine {
                 }
             }
         }
-    }
-
-    /// Prunes one node's stores against its retention spans.
-    fn prune_node(&mut self, idx: usize) {
-        let clock = self.rt.timeline.clock();
-        let [s0, s1] = self.rt.sweep.spans[idx];
-        let counters = self.rt.obs.level.counters();
-        match &mut self.rt.states[idx] {
-            NodeState::Join { left, right } => {
-                let before = left.len() + right.len();
-                left.prune(dead_before(clock, s0));
-                right.prune(dead_before(clock, s1));
-                if counters {
-                    let dropped = before - (left.len() + right.len());
-                    self.rt.obs.arena.pruned(idx, dropped as u64);
-                }
-            }
-            NodeState::Negation(neg) => {
-                let dropped = neg.prune(dead_before(clock, s0));
-                if counters {
-                    self.rt.obs.arena.pruned(idx, dropped as u64);
-                }
-            }
-            NodeState::Aperiodic(ap) => {
-                let before = ap.len();
-                ap.prune(dead_before(clock, s0));
-                if counters {
-                    self.rt.obs.arena.pruned(idx, (before - ap.len()) as u64);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// The earliest instant at which something buffered on this node can
-    /// die, from the oldest expiry-log record of each store plus the
-    /// node's sweep span — `None` when nothing is buffered or the spans
-    /// are unbounded. Stale log heads (consumed entries) only make the
-    /// deadline early, never late, so arming from logs is conservative.
-    fn node_deadline(&self, idx: usize) -> Option<Timestamp> {
-        let [s0, s1] = self.rt.sweep.spans[idx];
-        let side = |oldest: Option<Timestamp>, span: Span| {
-            if span == Span::MAX {
-                None
-            } else {
-                oldest.map(|t| t.saturating_add(span))
-            }
-        };
-        match &self.rt.states[idx] {
-            NodeState::Join { left, right } => {
-                let d0 = side(left.oldest_logged(), s0);
-                let d1 = side(right.oldest_logged(), s1);
-                match (d0, d1) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (d, None) | (None, d) => d,
-                }
-            }
-            NodeState::Negation(neg) => side(neg.oldest_logged(), s0),
-            NodeState::Aperiodic(ap) => side(ap.oldest_logged(), s0),
-            _ => None,
-        }
-    }
-
-    /// Batch-boundary sweep: arm a deadline for every node that admitted
-    /// state this batch, then prune exactly the nodes whose deadline the
-    /// batch watermark passed — those the batch's observations popped off
-    /// the timeline, and those armed already behind the watermark. A batch
-    /// that crosses no deadline prunes nothing and touches no node state
-    /// at all (`sweeps_skipped`).
-    fn batch_sweep(&mut self) {
-        for w in 0..self.rt.sweep.touched.len() {
-            let mut bits = std::mem::take(&mut self.rt.sweep.touched[w]);
-            while bits != 0 {
-                #[allow(clippy::cast_possible_truncation)]
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.rt.sweep.armed[idx] {
-                    continue;
-                }
-                match self.node_deadline(idx) {
-                    Some(d) => {
-                        self.rt.sweep.armed[idx] = true;
-                        self.rt.timeline.arm_prune(d, NodeId(idx as u32));
-                    }
-                    None => {
-                        // No finite deadline, but a join with an unbounded
-                        // side still relies on the sweep for expiry-log
-                        // compaction (consumed entries leave stale records
-                        // a time-based prune never reaches). The prune
-                        // itself drops nothing here.
-                        if matches!(self.rt.states[idx], NodeState::Join { .. }) {
-                            self.prune_node(idx);
-                        }
-                    }
-                }
-            }
-        }
-        // A node re-armed below waits for a later boundary even when its
-        // new deadline is already behind the watermark (`end_sweep` keeps
-        // it deferred), so each node is visited at most once per batch.
-        let due = self.rt.timeline.begin_sweep();
-        if due.is_empty() {
-            self.rt.stats.sweeps_skipped += 1;
-        } else {
-            self.rt.stats.sweeps += 1;
-            for &(_, node) in &due {
-                self.prune_node(node.idx());
-                match self.node_deadline(node.idx()) {
-                    Some(d) => self.rt.timeline.arm_prune(d, node),
-                    None => self.rt.sweep.armed[node.idx()] = false,
-                }
-            }
-        }
-        self.rt.timeline.end_sweep(due);
     }
 }
 
@@ -1007,13 +846,12 @@ impl Runtime {
         let kind = &node.kind;
         let family = plan.family(node.id);
         let within = family.last().expect("a holder is in its family").cutoff;
-        let span = self.sweep.spans[node.id.idx()][0];
+        let span = self.spans[node.id.idx()][0];
         let (dead, cap) = (
             dead_before(self.timeline.clock(), span),
             side_cap(config, span),
         );
 
-        self.sweep.touch(node.id);
         if self.obs.level.counters() {
             // One bucket access both probes for a partner and admits the
             // instance as a future initiator.
@@ -1023,7 +861,7 @@ impl Runtime {
         // Take-and-admit in one bucket probe: the instance scans for an
         // older initiator to terminate and is enqueued as an initiator
         // itself in the same map access.
-        let matched = lbuf.take_match_and_push(
+        let (matched, dropped) = lbuf.take_match_and_push(
             key,
             dead,
             |e| !Arc::ptr_eq(e, inst) && pair_ok(kind, within, e, inst),
@@ -1034,6 +872,7 @@ impl Runtime {
             let occ = lbuf.len() as u64;
             self.obs.occupancy.record(occ);
         }
+        count_expiry(&mut self.stats, &mut self.obs, node.id, span, dropped);
         if let Some(e) = matched {
             let out = Arc::new(Instance::pair(kind.name(), e, inst.clone()));
             // The probe ran at the widest cut-off, so the widest member is
@@ -1084,7 +923,8 @@ impl Runtime {
         let (to, exclusive) = negation_query_end(query_node, inst);
         let spec_idx = query_node.hist_spec.expect("query plan has a spec").0 as usize;
         let specs = graph.hist_specs(not_node.id);
-        self.sweep.touch(not_node.id);
+        let span = self.spans[not_node.id.idx()][0];
+        let (t, dead) = (inst.t_end(), dead_before(self.timeline.clock(), span));
         let NodeState::Negation(neg) = &mut self.states[not_node.id.idx()] else {
             unreachable!("negation state");
         };
@@ -1103,9 +943,12 @@ impl Runtime {
                     if self.obs.level.counters() {
                         self.obs.arena.probed(query_node.id.idx());
                     }
-                    probed = Some(neg.fused_last(i, key, inst.t_end(), to, exclusive));
+                    let (last, dropped) = neg.fused_last(i, key, t, to, exclusive, dead);
+                    count_expiry(&mut self.stats, &mut self.obs, not_node.id, span, dropped);
+                    probed = Some(last);
                 } else {
-                    neg.record(i, key, inst.t_end());
+                    let dropped = neg.record(i, key, t, dead);
+                    count_expiry(&mut self.stats, &mut self.obs, not_node.id, span, dropped);
                 }
             }
         }
@@ -1176,11 +1019,12 @@ impl Runtime {
         let within = node.within;
         // The scan prunes the *other* side's buffer, so its solved
         // retention governs (a side's entries outlive only what the
-        // opposite side can still pair with); an admission is capped
-        // exactly when its own side's retention is unbounded.
-        let spans = self.sweep.spans[parent.idx()];
-        let dead = dead_before(self.timeline.clock(), spans[1 - side as usize]);
-        let cap = side_cap(config, spans[side as usize]);
+        // opposite side can still pair with); an admission expires its
+        // own side's store at its own retention, and is capped exactly
+        // when that retention is unbounded.
+        let (clock, spans) = (self.timeline.clock(), self.spans[parent.idx()]);
+        let (own_span, other_span) = (spans[side as usize], spans[1 - side as usize]);
+        let cap = side_cap(config, own_span);
         if self.obs.level.counters() {
             self.obs.arena.probed(parent.idx());
         }
@@ -1190,7 +1034,7 @@ impl Runtime {
         } else {
             (rbuf, lbuf)
         };
-        let matched = other.take_oldest_match(key, dead, |e| {
+        let matched = other.take_oldest_match(key, dead_before(clock, other_span), |e| {
             // One physical event can never be both constituents of an
             // occurrence (same-pattern children deliver the same Arc to
             // both sides).
@@ -1219,12 +1063,13 @@ impl Runtime {
                 self.work.push(Work::At(parent, Arc::new(out)));
             }
             None => {
-                own.push(key, inst.clone(), cap);
-                self.sweep.touch(parent);
+                let dropped = own.push(key, inst.clone(), cap, dead_before(clock, own_span));
+                let occ = own.len() as u64;
+                count_expiry(&mut self.stats, &mut self.obs, parent, own_span, dropped);
                 if self.obs.level.counters() {
                     self.obs.arena.admitted(parent.idx());
                     if self.obs.level.full() {
-                        self.obs.occupancy.record(own.len() as u64);
+                        self.obs.occupancy.record(occ);
                     }
                 }
             }
@@ -1313,13 +1158,15 @@ impl Runtime {
     fn record_negation(&mut self, graph: &EventGraph, node: &Node, inst: &Arc<Instance>) {
         let parent = node.id;
         let specs = graph.hist_specs(parent);
-        self.sweep.touch(parent);
+        let span = self.spans[parent.idx()][0];
+        let dead = dead_before(self.timeline.clock(), span);
         let NodeState::Negation(neg) = &mut self.states[parent.idx()] else {
             unreachable!("negation state");
         };
         for (i, spec) in specs.iter().enumerate() {
             if let Some(key) = self.keys.key(graph, spec.key, inst) {
-                neg.record(i, key, inst.t_end());
+                let dropped = neg.record(i, key, inst.t_end(), dead);
+                count_expiry(&mut self.stats, &mut self.obs, parent, span, dropped);
                 if self.obs.level.counters() {
                     self.obs.arena.admitted(parent.idx());
                 }
@@ -1329,11 +1176,13 @@ impl Runtime {
 
     /// [`Plan::AperiodicRecorder`]: record the element for a terminator.
     fn record_aperiodic(&mut self, node: &Node, inst: &Arc<Instance>) {
-        self.sweep.touch(node.id);
+        let span = self.spans[node.id.idx()][0];
+        let dead = dead_before(self.timeline.clock(), span);
         let NodeState::Aperiodic(ap) = &mut self.states[node.id.idx()] else {
             unreachable!("aperiodic state");
         };
-        ap.record(inst.clone());
+        let dropped = ap.record(inst.clone(), dead);
+        count_expiry(&mut self.stats, &mut self.obs, node.id, span, dropped);
         if self.obs.level.counters() {
             self.obs.arena.admitted(node.id.idx());
         }
@@ -1513,6 +1362,27 @@ fn rearm(spare: Option<Arc<Instance>>, witness: Instance) -> Arc<Instance> {
             None => Arc::new(witness),
         },
         None => Arc::new(witness),
+    }
+}
+
+/// Accounts one admission's expiry at `node`, whose store is retained for
+/// `span`: `dropped` entries died as it admitted (`sweeps` and the node's
+/// prunes), or none did in a store that expires by time (`sweeps_skipped`).
+#[inline]
+fn count_expiry(
+    stats: &mut EngineStats,
+    obs: &mut ObsState,
+    node: NodeId,
+    span: Span,
+    dropped: usize,
+) {
+    if dropped > 0 {
+        stats.sweeps += 1;
+        if obs.level.counters() {
+            obs.arena.pruned(node.idx(), dropped as u64);
+        }
+    } else if span != Span::MAX {
+        stats.sweeps_skipped += 1;
     }
 }
 

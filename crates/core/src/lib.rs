@@ -19,7 +19,7 @@
 //!    buffers partitioned by correlation key, negation/aperiodic histories,
 //!    open `TSEQ+` runs, and anchored negation waits;
 //! 3. `timeline` holds the clock, the sequence counter and one queue of
-//!    every deadline — pseudo events and the sweep's prune deadlines; the
+//!    the pseudo events that close `NOT` and `TSEQ+` windows; the
 //!    [`engine`] driver always consumes the earlier of (incoming
 //!    observation, due pseudo event), exactly as §4.5 prescribes, and
 //!    rejects a read behind the clock;

@@ -199,7 +199,8 @@ pub struct NodeCounters {
     /// Instances admitted into this node's buffers, histories, runs, or
     /// waits.
     pub admissions: u64,
-    /// Entries discarded by sweep pruning at the solved retention bounds.
+    /// Entries a store dropped as it admitted, dead under the solved
+    /// retention bounds. Dead entries a probe skips are not counted.
     pub prunes: u64,
     /// Rule firings emitted at this node.
     pub firings: u64,
@@ -227,7 +228,7 @@ struct HotRow {
 /// counters of the *same* node back to back (probe + admit, arrive +
 /// fire). Each node splits into a narrow [`HotRow`] of `u32` deltas
 /// (bumped on the hot path, sized to keep the array in L1) and a `u64`
-/// totals row that absorbs `u32` wraps and the sweep-time prune counts;
+/// totals row that absorbs `u32` wraps and the admission-time prune counts;
 /// a node's true count is always `totals + hot` ([`MetricsArena::node`]).
 #[derive(Debug, Default, Clone)]
 pub struct MetricsArena {
@@ -314,11 +315,12 @@ impl MetricsArena {
         bump!(self, node, admissions);
     }
 
-    /// Records `n` entries pruned from `node`'s state by a sweep.
+    /// Records `n` entries pruned from `node`'s state by an admission's
+    /// expiry.
     ///
-    /// Prunes go straight to the `u64` totals: they are batched per node
-    /// per sweep (not per entry), so they are off the increment hot path
-    /// and their `n` can exceed a delta's range.
+    /// Prunes go straight to the `u64` totals: they are batched per
+    /// admission (not per entry) and only when something died, so they are
+    /// off the increment hot path and their `n` can exceed a delta's range.
     #[inline]
     pub fn pruned(&mut self, node: usize, n: u64) {
         self.totals[node].prunes += n;
@@ -696,7 +698,7 @@ impl TelemetrySnapshot {
             ("arrivals", "work-queue deliveries"),
             ("probes", "partner-buffer probes"),
             ("admissions", "state admissions"),
-            ("prunes", "sweep-pruned entries"),
+            ("prunes", "entries expired at admission"),
             ("firings", "rule firings emitted"),
         ] {
             let _ = writeln!(out, "# HELP rceda_node_{col}_total per-node {help}");

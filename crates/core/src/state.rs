@@ -43,12 +43,12 @@ pub struct SlotTable<T> {
     /// Freed slot ids available for reuse, last freed first.
     free: Vec<u32>,
     /// Expiry log: `(time, slot)` records in the order they were logged.
-    /// [`SlotTable::expire`] walks only the expired prefix, so a sweep costs
-    /// O(records that died) instead of a scan over every live key. A record
-    /// may outlive what it was logged for (the entry was consumed, the slot
-    /// freed and reused): it then only prompts a look at a slot whose dead
-    /// content, if any, is dead by time — harmless. Slot ids keep a record
-    /// at 16 bytes where a cloned [`Key`] was 40 and a hash.
+    /// [`SlotTable::expire`] walks only the expired prefix, so an expiry
+    /// costs O(records that died) instead of a scan over every live key. A
+    /// record may outlive what it was logged for (the entry was consumed,
+    /// the slot freed and reused): it then only prompts a look at a slot
+    /// whose dead content, if any, is dead by time — harmless. Slot ids keep
+    /// a record at 16 bytes where a cloned [`Key`] was 40 and a hash.
     log: VecDeque<(Timestamp, u32)>,
 }
 
@@ -128,12 +128,6 @@ impl<T: Default> SlotTable<T> {
     /// Records in the log, stale ones included.
     pub fn log_len(&self) -> usize {
         self.log.len()
-    }
-
-    /// Time of the oldest record — a lower bound on when something held
-    /// here can next die. Stale records only make it early, never late.
-    pub fn oldest_logged(&self) -> Option<Timestamp> {
-        self.log.front().map(|&(t, _)| t)
     }
 
     /// Pops every record at the head of the log with a time before
@@ -373,19 +367,30 @@ impl KeyedBuffer {
         }
     }
 
-    /// Appends an entry under a key; evicts the oldest entry of that key
-    /// when `cap` is exceeded (only finite for sides with unbounded retention).
-    pub fn push(&mut self, key: &Key, entry: Arc<Instance>, cap: usize) {
+    /// Drops what died before `dead_before` ([`KeyedBuffer::prune`]), then
+    /// appends an entry under a key; evicts the oldest entry of that key
+    /// when `cap` is exceeded (only finite for sides with unbounded
+    /// retention). Returns how many entries the expiry dropped.
+    pub fn push(
+        &mut self,
+        key: &Key,
+        entry: Arc<Instance>,
+        cap: usize,
+        dead_before: Timestamp,
+    ) -> usize {
+        let dropped = self.prune(dead_before);
         let slot = self.table.slot_of(key.precomputed_hash(), key);
         self.admit(slot, entry, cap);
+        dropped
     }
 
-    /// Chronicle take-or-admit in a single probe: discards the dead
-    /// prefix of `key`'s queue, removes and returns the oldest entry
-    /// satisfying `pred`, then appends `entry` to the same queue. This is
-    /// the self-join arrival in one slot access — the arriving instance
-    /// always becomes an initiator, matched or not, so splitting the take
-    /// and the push would probe for the same slot twice.
+    /// Chronicle take-or-admit in a single probe: drops what died before
+    /// `dead_before` across keys, removes and returns the oldest entry of
+    /// `key`'s queue satisfying `pred`, then appends `entry` to the same
+    /// queue. This is the self-join arrival in one slot access — the
+    /// arriving instance always becomes an initiator, matched or not, so
+    /// splitting the take and the push would probe for the same slot
+    /// twice. Also returns how many entries the expiry dropped.
     pub fn take_match_and_push(
         &mut self,
         key: &Key,
@@ -393,11 +398,12 @@ impl KeyedBuffer {
         pred: impl FnMut(&Arc<Instance>) -> bool,
         entry: Arc<Instance>,
         cap: usize,
-    ) -> Option<Arc<Instance>> {
+    ) -> (Option<Arc<Instance>>, usize) {
+        let dropped = self.prune(dead_before);
         let slot = self.table.slot_of(key.precomputed_hash(), key);
         let taken = self.take_from(slot, dead_before, pred);
         self.admit(slot, entry, cap);
-        taken
+        (taken, dropped)
     }
 
     /// Removes and returns the oldest entry of `slot` satisfying `pred`,
@@ -443,9 +449,11 @@ impl KeyedBuffer {
 
     /// Drops every entry (across keys) whose expiry-log record has
     /// `t_end < dead_before`, visiting only those keys, and releases the
-    /// keys whose queues drained. Per-key matching already discards dead
-    /// heads itself, so what the lazy log leaves behind is never matched.
-    pub fn prune(&mut self, dead_before: Timestamp) {
+    /// keys whose queues drained; returns how many entries it dropped.
+    /// Per-key matching already discards dead heads itself, so what the
+    /// lazy log leaves behind is never matched.
+    fn prune(&mut self, dead_before: Timestamp) -> usize {
+        let before = self.len;
         let len = &mut self.len;
         self.table.expire(dead_before, |q| {
             *len -= drop_dead_prefix(q, dead_before);
@@ -461,21 +469,13 @@ impl KeyedBuffer {
                 q.iter().for_each(|e| record(e.t_end()));
             });
         }
+        before - self.len
     }
 
     /// Expiry-log length (the compaction-threshold regression test).
     #[cfg(test)]
     fn expiry_log_len(&self) -> usize {
         self.table.log_len()
-    }
-
-    /// Timestamp of the oldest expiry-log record — a lower bound on when
-    /// the next buffered entry can die. Consumed entries leave stale
-    /// records behind, so this may be earlier than the oldest *live*
-    /// entry; a deadline armed from it fires at worst one sweep early,
-    /// never late.
-    pub fn oldest_logged(&self) -> Option<Timestamp> {
-        self.table.oldest_logged()
     }
 }
 
@@ -654,7 +654,7 @@ impl KeyHist {
 
 /// One spec's keyed histories: one expiry-log record `(t, slot)` per
 /// recorded occurrence, so pruning visits only keys that hold expired
-/// records instead of scanning every live key each sweep.
+/// records instead of scanning every live key at each admission.
 #[derive(Debug, Default, Clone)]
 struct HistTable {
     table: SlotTable<KeyHist>,
@@ -697,18 +697,30 @@ impl NegationState {
         }
     }
 
-    /// Records an inner occurrence ending at `t` under `key` in history
-    /// `spec`.
-    pub fn record(&mut self, spec: usize, key: &Key, t: Timestamp) {
+    /// Drops what history `spec` holds from before `dead_before`
+    /// ([`NegationState::prune`]), then records an inner occurrence ending
+    /// at `t` under `key` in it. Returns how many records the expiry
+    /// dropped.
+    pub fn record(
+        &mut self,
+        spec: usize,
+        key: &Key,
+        t: Timestamp,
+        dead_before: Timestamp,
+    ) -> usize {
+        let dropped = self.prune(spec, dead_before);
         self.tables[spec].record(key, t).insert(t);
+        dropped
     }
 
-    /// Finds the latest occurrence at or before `to` (strictly before when
+    /// Drops what history `spec` holds from before `dead_before`, finds
+    /// the latest occurrence at or before `to` (strictly before when
     /// `exclusive_end`), then records an occurrence ending at `t` against
     /// the same history entry, in one bucket probe — the fused in-field
     /// delivery ([`crate::plan::EdgeOp::QueryRecord`]). Equivalent to
     /// [`NegationState::last_occurrence`] and then
-    /// [`NegationState::record`] under the same key.
+    /// [`NegationState::record`] under the same key; also returns how
+    /// many records the expiry dropped.
     pub fn fused_last(
         &mut self,
         spec: usize,
@@ -716,18 +728,20 @@ impl NegationState {
         t: Timestamp,
         to: Timestamp,
         exclusive_end: bool,
-    ) -> Option<Timestamp> {
+        dead_before: Timestamp,
+    ) -> (Option<Timestamp>, usize) {
+        let dropped = self.prune(spec, dead_before);
         let hist = self.tables[spec].record(key, t);
         let last = hist.times.last_before(to, exclusive_end);
         hist.insert(t);
-        last
+        (last, dropped)
     }
 
     /// The latest retained occurrence under `key` at or before `to`
     /// (strictly before when `exclusive_end`). One answer serves every
     /// window that ends at `to`: a window reaching back to `from` holds an
     /// occurrence exactly when this is `Some(t)` with `t >= from`. A key
-    /// the sweep dropped held nothing within the node's retention, which
+    /// the expiry dropped held nothing within the node's retention, which
     /// covers every attached window, so `None` is exact for it too.
     pub fn last_occurrence(
         &self,
@@ -767,11 +781,11 @@ impl NegationState {
         hist.any_in(from, to, exclusive_end)
     }
 
-    /// Drops recorded occurrences older than `dead_before`, and removes
-    /// whole key entries once they hold nothing a future query can reach:
-    /// an empty deque with `earliest < dead_before`. Without the removal a
-    /// stream over millions of distinct EPCs grows the histories map
-    /// forever.
+    /// Drops history `spec`'s occurrences older than `dead_before`, and
+    /// removes whole key entries once they hold nothing a future query can
+    /// reach: an empty deque with `earliest < dead_before`. Without the
+    /// removal a stream over millions of distinct EPCs grows the histories
+    /// map forever. Returns the number of occurrence records removed.
     ///
     /// Removing keys is exact for epoch-anchored ("never occurred") queries
     /// because those only exist where nothing is ever dropped: an unbounded
@@ -782,39 +796,34 @@ impl NegationState {
     /// monotone, so drops strictly follow all saturated queries). The count
     /// `dropped_keys` records that keys were removed so the invariant is
     /// checkable (`debug_assert` in [`NegationState::occurred`]).
-    /// Returns the number of occurrence records removed (the caller's
-    /// prune accounting).
-    pub fn prune(&mut self, dead_before: Timestamp) -> usize {
+    fn prune(&mut self, spec: usize, dead_before: Timestamp) -> usize {
         if dead_before == Timestamp::ZERO {
             return 0;
         }
         let mut removed = 0;
-        let mut dropped_keys = self.dropped_keys;
-        for tb in &mut self.tables {
-            // The expiry log names exactly the keys holding records that
-            // just died, so the sweep is O(expired records) — not a retain
-            // over every live key. Lagged records behind a live log head
-            // are collected on a later sweep, which is sound: `occurred`
-            // range-checks its answers, so a stale record is never
-            // *wrongly counted*, only kept a little longer.
-            let before = removed;
-            tb.table.expire(dead_before, |hist| {
-                while hist.times.front().is_some_and(|t| t < dead_before) {
-                    hist.times.pop_front();
-                    removed += 1;
+        let dropped_keys = &mut self.dropped_keys;
+        let tb = &mut self.tables[spec];
+        // The expiry log names exactly the keys holding records that just
+        // died, so this is O(expired records) — not a retain over every
+        // live key. Lagged records behind a live log head are collected
+        // later, which is sound: `occurred` range-checks its answers, so a
+        // stale record is never *wrongly counted*, only kept a little
+        // longer.
+        tb.table.expire(dead_before, |hist| {
+            while hist.times.front().is_some_and(|t| t < dead_before) {
+                hist.times.pop_front();
+                removed += 1;
+            }
+            match hist.earliest {
+                Some(e) if hist.times.is_empty() && e < dead_before => {
+                    *dropped_keys += 1;
+                    *hist = KeyHist::default();
+                    true
                 }
-                match hist.earliest {
-                    Some(e) if hist.times.is_empty() && e < dead_before => {
-                        dropped_keys += 1;
-                        *hist = KeyHist::default();
-                        true
-                    }
-                    _ => false,
-                }
-            });
-            tb.recorded -= removed - before;
-        }
-        self.dropped_keys = dropped_keys;
+                _ => false,
+            }
+        });
+        tb.recorded -= removed;
         removed
     }
 
@@ -829,17 +838,6 @@ impl NegationState {
     pub fn key_count(&self) -> usize {
         self.tables.iter().map(|tb| tb.table.len()).sum()
     }
-
-    /// Oldest expiry-log timestamp across all history specs — the lower
-    /// bound expiry deadlines are armed from. Like
-    /// [`KeyedBuffer::oldest_logged`], stale log heads only make it
-    /// conservative (early), never late.
-    pub fn oldest_logged(&self) -> Option<Timestamp> {
-        self.tables
-            .iter()
-            .filter_map(|tb| tb.table.oldest_logged())
-            .min()
-    }
 }
 
 /// State of a `SEQ+` node: the element history parents query.
@@ -850,8 +848,10 @@ pub struct AperiodicState {
 }
 
 impl AperiodicState {
-    /// Records an inner occurrence.
-    pub fn record(&mut self, inst: Arc<Instance>) {
+    /// Drops the occurrences older than `dead_before`, then records an
+    /// inner occurrence. Returns how many occurrences it dropped.
+    pub fn record(&mut self, inst: Arc<Instance>, dead_before: Timestamp) -> usize {
+        let dropped = self.prune(dead_before);
         let t = inst.t_end();
         match self.hist.back() {
             Some(&(back, _)) if back > t => {
@@ -860,6 +860,7 @@ impl AperiodicState {
             }
             _ => self.hist.push_back((t, inst)),
         }
+        dropped
     }
 
     /// Removes and returns all occurrences with end-time in `[from, to]`,
@@ -870,26 +871,18 @@ impl AperiodicState {
         self.hist.drain(start..end).map(|(_, i)| i).collect()
     }
 
-    /// Drops occurrences older than `dead_before`.
-    pub fn prune(&mut self, dead_before: Timestamp) {
-        while let Some(&(front, _)) = self.hist.front() {
-            if front < dead_before {
-                self.hist.pop_front();
-            } else {
-                break;
-            }
+    /// Drops occurrences older than `dead_before`; returns how many.
+    fn prune(&mut self, dead_before: Timestamp) -> usize {
+        let before = self.hist.len();
+        while self.hist.front().is_some_and(|&(t, _)| t < dead_before) {
+            self.hist.pop_front();
         }
+        before - self.hist.len()
     }
 
     /// Retained element count (diagnostics).
     pub fn len(&self) -> usize {
         self.hist.len()
-    }
-
-    /// End-time of the oldest retained occurrence (the history is exact,
-    /// so unlike the keyed logs this is never stale).
-    pub fn oldest_logged(&self) -> Option<Timestamp> {
-        self.hist.front().map(|&(t, _)| t)
     }
 }
 
@@ -1007,9 +1000,9 @@ mod tests {
     fn keyed_buffer_fifo_and_match() {
         let mut buf = KeyedBuffer::default();
         let key = Key::EMPTY;
-        buf.push(&key, inst(100), usize::MAX);
-        buf.push(&key, inst(200), usize::MAX);
-        buf.push(&key, inst(300), usize::MAX);
+        buf.push(&key, inst(100), usize::MAX, Timestamp::ZERO);
+        buf.push(&key, inst(200), usize::MAX, Timestamp::ZERO);
+        buf.push(&key, inst(300), usize::MAX, Timestamp::ZERO);
         assert_eq!(buf.len(), 3);
 
         // Oldest matching wins (chronicle).
@@ -1030,7 +1023,7 @@ mod tests {
         let mut buf = KeyedBuffer::default();
         let key = Key::EMPTY;
         for i in 0..5 {
-            buf.push(&key, inst(i * 100), 3);
+            buf.push(&key, inst(i * 100), 3, Timestamp::ZERO);
         }
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.dropped, 2);
@@ -1040,14 +1033,14 @@ mod tests {
         assert_eq!(got.t_end(), ms(200), "entries 0 and 1 were evicted");
     }
 
+    /// An admission expires what died under any key, not just its own.
     #[test]
     fn keyed_buffer_prune_across_keys() {
         let mut buf = KeyedBuffer::default();
-        buf.push(&Key::EMPTY, inst(100), usize::MAX);
+        buf.push(&Key::EMPTY, inst(100), usize::MAX, Timestamp::ZERO);
         let other_key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(7))]);
-        buf.push(&other_key, inst(900), usize::MAX);
-        buf.prune(Timestamp::from_millis(500));
-        assert_eq!(buf.len(), 1);
+        let dropped = buf.push(&other_key, inst(900), usize::MAX, ms(500));
+        assert_eq!((dropped, buf.len(), buf.key_count()), (1, 1, 1));
     }
 
     /// Pins the `rebuild_expiry` compaction threshold: stale log records
@@ -1060,7 +1053,7 @@ mod tests {
         // stale while `len` drops to zero.
         for i in 0..33u64 {
             let key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i as u32))]);
-            buf.push(&key, inst(100 + i), usize::MAX);
+            buf.push(&key, inst(100 + i), usize::MAX, Timestamp::ZERO);
             let taken = buf.take_oldest_match(&key, Timestamp::ZERO, |_| true);
             assert!(taken.is_some());
         }
@@ -1075,7 +1068,7 @@ mod tests {
         let mut at_threshold = KeyedBuffer::default();
         for i in 0..32u64 {
             let key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i as u32))]);
-            at_threshold.push(&key, inst(100 + i), usize::MAX);
+            at_threshold.push(&key, inst(100 + i), usize::MAX, Timestamp::ZERO);
             at_threshold.take_oldest_match(&key, Timestamp::ZERO, |_| true);
         }
         at_threshold.prune(Timestamp::ZERO);
@@ -1093,7 +1086,7 @@ mod tests {
         // Live entries are preserved (and re-sorted) by compaction.
         let key = Key::EMPTY;
         for i in 0..40u64 {
-            buf.push(&key, inst(1000 + i), usize::MAX);
+            buf.push(&key, inst(1000 + i), usize::MAX, Timestamp::ZERO);
         }
         for _ in 0..30 {
             buf.take_oldest_match(&key, Timestamp::ZERO, |_| true);
@@ -1118,11 +1111,11 @@ mod tests {
         let mut buf = KeyedBuffer::default();
         let k1 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(1))]);
         let k2 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(2))]);
-        buf.push(&k1, inst(100), usize::MAX);
+        buf.push(&k1, inst(100), usize::MAX, Timestamp::ZERO);
         buf.prune(Timestamp::from_millis(500));
         assert_eq!((buf.len(), buf.key_count()), (0, 0));
         // k2 reuses k1's slot; matching under k1 must not see k2's entry.
-        buf.push(&k2, inst(900), usize::MAX);
+        buf.push(&k2, inst(900), usize::MAX, Timestamp::ZERO);
         assert_eq!(buf.key_count(), 1);
         assert!(buf
             .take_oldest_match(&k1, Timestamp::ZERO, |_| true)
@@ -1217,14 +1210,14 @@ mod tests {
             let key = Key::from_parts(&[crate::key::KeyPart::Object(
                 Gid96::new(1, 1, i).unwrap().into(),
             )]);
-            buf.push(&key, inst(i), usize::MAX);
-            neg.record(0, &key, Timestamp::from_millis(i));
+            // Each admission expires what its key's predecessors left
+            // 4 s behind.
+            let horizon = Timestamp::from_millis(i.saturating_sub(4000));
+            buf.push(&key, inst(i), usize::MAX, horizon);
+            neg.record(0, &key, Timestamp::from_millis(i), horizon);
             if i % 1000 == 999 {
                 assert_eq!(buf.key_count(), neg.key_count());
                 peak = peak.max(buf.key_count());
-                let horizon = Timestamp::from_millis(i.saturating_sub(4000));
-                buf.prune(horizon);
-                neg.prune(horizon);
             }
         }
         assert!((4000..=8000).contains(&peak), "peak live keys: {peak}");
@@ -1264,14 +1257,17 @@ mod tests {
             // the out-of-order insert path, inline and promoted histories.
             let t = Timestamp::from_millis((step * 10).saturating_sub(next() % 4 * 250));
             match next() % 3 {
-                0 => neg.record(spec, &key, t),
+                0 => {
+                    neg.record(spec, &key, t, Timestamp::ZERO);
+                }
                 _ => {
-                    neg.fused_last(spec, &key, t, t, next() % 2 == 0);
+                    neg.fused_last(spec, &key, t, t, next() % 2 == 0, Timestamp::ZERO);
                 }
             }
             if step % 97 == 0 {
                 // Removes records and, with them, whole keys.
-                let removed = neg.prune(Timestamp::from_millis((step * 10).saturating_sub(900)));
+                let horizon = Timestamp::from_millis((step * 10).saturating_sub(900));
+                let removed: usize = (0..3).map(|spec| neg.prune(spec, horizon)).sum();
                 assert!(step == 0 || removed > 0);
             }
             assert_eq!(neg.recorded(), recorded_by_walk(&neg), "step {step}");
@@ -1283,8 +1279,8 @@ mod tests {
     #[test]
     fn negation_history_windows() {
         let mut neg = NegationState::new(1);
-        neg.record(0, &Key::EMPTY, Timestamp::from_secs(2));
-        neg.record(0, &Key::EMPTY, Timestamp::from_secs(8));
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(2), Timestamp::ZERO);
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(8), Timestamp::ZERO);
 
         let occ = |from: u64, to: u64, excl: bool| {
             neg.occurred(
@@ -1306,9 +1302,13 @@ mod tests {
     #[test]
     fn negation_earliest_survives_pruning() {
         let mut neg = NegationState::new(1);
-        neg.record(0, &Key::EMPTY, Timestamp::from_secs(1));
-        neg.record(0, &Key::EMPTY, Timestamp::from_secs(100));
-        assert_eq!(neg.prune(Timestamp::from_secs(50)), 1, "one record removed");
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(1), Timestamp::ZERO);
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(100), Timestamp::ZERO);
+        assert_eq!(
+            neg.prune(0, Timestamp::from_secs(50)),
+            1,
+            "one record removed"
+        );
         assert_eq!(neg.recorded(), 1);
         assert_eq!(neg.key_count(), 1, "key still holds a live record");
         // "Did it ever occur before t=10?" still answerable exactly.
@@ -1336,13 +1336,17 @@ mod tests {
             .map(|i| Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i))]))
             .collect();
         for (i, k) in keys.iter().enumerate() {
-            neg.record(0, k, Timestamp::from_secs(i as u64));
+            neg.record(0, k, Timestamp::from_secs(i as u64), Timestamp::ZERO);
         }
         assert_eq!(neg.key_count(), 4);
 
         // Keys 0 and 1 are fully behind the horizon: entry and `earliest`
         // both stale, so the whole entry goes.
-        assert_eq!(neg.prune(Timestamp::from_secs(2)), 2, "two records removed");
+        assert_eq!(
+            neg.prune(0, Timestamp::from_secs(2)),
+            2,
+            "two records removed"
+        );
         assert_eq!(neg.key_count(), 2, "drained keys are dropped");
         assert_eq!(neg.recorded(), 2);
 
@@ -1366,7 +1370,7 @@ mod tests {
 
         // A zero horizon is a no-op, not a mass drop.
         let before = neg.key_count();
-        assert_eq!(neg.prune(Timestamp::ZERO), 0);
+        assert_eq!(neg.prune(0, Timestamp::ZERO), 0);
         assert_eq!(neg.key_count(), before);
     }
 
@@ -1375,7 +1379,7 @@ mod tests {
         let mut neg = NegationState::new(1);
         let k1 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(1))]);
         let k2 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(2))]);
-        neg.record(0, &k1, Timestamp::from_secs(5));
+        neg.record(0, &k1, Timestamp::from_secs(5), Timestamp::ZERO);
         assert!(neg.occurred(0, &k1, Timestamp::ZERO, Timestamp::from_secs(10), false));
         assert!(!neg.occurred(0, &k2, Timestamp::ZERO, Timestamp::from_secs(10), false));
     }
@@ -1383,8 +1387,8 @@ mod tests {
     #[test]
     fn negation_out_of_order_record_stays_sorted() {
         let mut neg = NegationState::new(1);
-        neg.record(0, &Key::EMPTY, Timestamp::from_secs(10));
-        neg.record(0, &Key::EMPTY, Timestamp::from_secs(4)); // lagged delivery
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(10), Timestamp::ZERO);
+        neg.record(0, &Key::EMPTY, Timestamp::from_secs(4), Timestamp::ZERO); // lagged delivery
         assert!(neg.occurred(
             0,
             &Key::EMPTY,
@@ -1398,7 +1402,7 @@ mod tests {
     fn aperiodic_take_window_consumes() {
         let mut ap = AperiodicState::default();
         for ms in [100u64, 200, 300, 400] {
-            ap.record(inst(ms));
+            ap.record(inst(ms), Timestamp::ZERO);
         }
         let got = ap.take_window(Timestamp::from_millis(150), Timestamp::from_millis(400));
         assert_eq!(got.len(), 3, "window is inclusive at both ends");

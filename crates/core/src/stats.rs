@@ -91,7 +91,8 @@ engine_stats! {
     rule_firings: Counter,
     /// Instances evicted by the unbounded-buffer cap.
     capacity_drops: Counter,
-    /// Buffer sweep passes performed.
+    /// State admissions whose expiry dropped at least one dead entry: a
+    /// store drops what died under its solved retention as it admits.
     sweeps: Counter,
     /// Observation batches shipped to partitions. Only the sharded path
     /// ([`crate::shard::ShardedEngine`]) batches; zero single-threaded.
@@ -134,8 +135,8 @@ engine_stats! {
     /// Calls to `Engine::process_batch` with a non-empty batch; an
     /// `Engine::process` call counts as a batch of one.
     batches_processed: Counter,
-    /// Batch-boundary sweep checks that found no due expiry deadline and
-    /// therefore pruned nothing and visited no node.
+    /// Admissions into a store retained for a finite span whose expiry
+    /// dropped nothing.
     sweeps_skipped: Counter,
     /// Observations behind the engine clock, rejected unmatched and not
     /// counted in `events`.

@@ -1,30 +1,31 @@
 //! Firings do not depend on how a stream is cut into batches: for any
 //! rule program drawn from the differential suites' shape pool
 //! (`support/shapes.rs`: every plan variant the lowering distinguishes, so
-//! every arrival handler and every sweepable store), feeding a simulator
+//! every arrival handler and every expiring store), feeding a simulator
 //! trace through `Engine::process_batch` at any chunking — or interleaving
 //! it with per-observation `Engine::process` calls on the same engine —
 //! must emit exactly the same multiset of rule firings, and the same
-//! detection counter totals, as feeding it one observation at a time. This
-//! is the differential harness behind the batch loop (DESIGN.md §13):
-//! batching only amortizes dispatch, pseudo-queue peeks, and sweep
-//! scheduling; it never changes what the engine detects. The batched
-//! firings are held to the reference interpreter (`support/reference.rs`)
-//! as well, so the property is "every chunking fires what
-//! docs/SEMANTICS.md says", not merely "every chunking agrees".
+//! counter totals, as feeding it one observation at a time. This is the
+//! differential harness behind the batch loop (DESIGN.md §13): batching
+//! only amortizes dispatch and pseudo-queue peeks; it never changes what
+//! the engine detects. The batched firings are held to the reference
+//! interpreter (`support/reference.rs`) as well, so the property is "every
+//! chunking fires what docs/SEMANTICS.md says", not merely "every chunking
+//! agrees".
 //!
-//! Counters that describe *sweep timing* (`sweeps`, `sweeps_skipped`, the
-//! per-node prune counts, and the buffered-state gauges) legitimately move
-//! with the batch boundaries, so the comparison pins the detection
-//! counters only: events, matched events, occurrences, rule firings,
-//! pseudo events scheduled/fired, and capacity drops.
+//! Expiry is pinned too: a store drops its dead entries when it admits,
+//! at that admission's clock, so nothing waits for a batch boundary. The
+//! expiry counts (`sweeps`, `sweeps_skipped`, every node's prunes), the
+//! state gauges (buffered entries, retained and join keys) and the
+//! detection counters are the same under every chunking; only the batch
+//! count differs.
 
 mod differential;
 mod support;
 
 use differential::{trace, Feed};
 use proptest::prelude::*;
-use rceda::{EngineStats, ObserveLevel};
+use rceda::{Engine, EngineStats, ObserveLevel};
 use support::shapes::{self, SHAPES, WINDOWS};
 
 /// How many batches the engine counts when `feed` cuts `len` observations
@@ -42,9 +43,9 @@ fn batches(feed: Feed, len: usize) -> u64 {
     sum as u64
 }
 
-/// The counters batching must not change — everything that describes
-/// *detection* rather than sweep timing.
-fn detection_counters(s: &EngineStats) -> [u64; 7] {
+/// The counters batching must not change: detection, expiry and the
+/// state gauges.
+fn stream_counters(s: &EngineStats) -> [u64; 12] {
     [
         s.events,
         s.matched_events,
@@ -53,7 +54,18 @@ fn detection_counters(s: &EngineStats) -> [u64; 7] {
         s.pseudo_scheduled,
         s.pseudo_fired,
         s.capacity_drops,
+        s.sweeps,
+        s.sweeps_skipped,
+        s.buffered_entries,
+        s.retained_keys,
+        s.join_keys,
     ]
+}
+
+/// Every node's prune count (all zero below `ObserveLevel::Counters`).
+fn prunes(engine: &mut Engine) -> Vec<u64> {
+    let nodes = engine.telemetry().nodes;
+    (0..nodes.len()).map(|idx| nodes.node(idx).prunes).collect()
 }
 
 proptest! {
@@ -61,8 +73,8 @@ proptest! {
 
     /// Any program of up to four rules from the shape pool fires
     /// identically — what the reference fires, with identical detection
-    /// counters — whether the stream is fed per observation, in batches
-    /// of any size, or both interleaved.
+    /// and expiry counters — whether the stream is fed per observation, in
+    /// batches of any size, or both interleaved.
     #[test]
     fn batched_execution_preserves_firings_and_counters(
         program in proptest::collection::vec((0usize..SHAPES, 0usize..WINDOWS.len()), 1..=4),
@@ -76,15 +88,21 @@ proptest! {
         observe in prop_oneof![Just(ObserveLevel::Off), Just(ObserveLevel::Counters)],
     ) {
         let case = trace(2_000).case(shapes::program(&program));
-        let (scalar, scalar_engine) = case.run(Feed::Scalar, observe);
-        let (batched, batch_engine) = case.run(feed, observe);
+        let (scalar, mut scalar_engine) = case.run(Feed::Scalar, observe);
+        let (batched, mut batch_engine) = case.run(feed, observe);
         case.check(&scalar);
         case.check(&batched);
         let (scalar_stats, batch_stats) = (scalar_engine.stats(), batch_engine.stats());
         prop_assert_eq!(
-            detection_counters(&scalar_stats),
-            detection_counters(&batch_stats),
-            "detection counters diverged under {:?}",
+            stream_counters(&scalar_stats),
+            stream_counters(&batch_stats),
+            "counters diverged under {:?}",
+            feed
+        );
+        prop_assert_eq!(
+            prunes(&mut scalar_engine),
+            prunes(&mut batch_engine),
+            "prunes diverged under {:?}",
             feed
         );
         prop_assert_eq!(

@@ -206,30 +206,79 @@ fn unbounded_seq_is_capped() {
     assert_eq!(stats.capacity_drops, 100 - 16, "oldest 84 evicted");
 }
 
-/// Sweeping prunes aged buffers; correctness after many windows' worth of
-/// traffic is unchanged. Fed per observation, so every call is a batch
-/// boundary with its own deadline check.
+/// Expiry drops aged entries without changing what fires: every other
+/// initiator goes unmatched and dies 2 s after it was read, and the next
+/// initiator's admission drops it. Fed per observation or in one batch,
+/// the engine fires the same 500 pairs and counts the same expiries.
 #[test]
 fn sweeping_does_not_disturb_detection() {
-    let mut engine = Engine::new(catalog(2), EngineConfig::default());
-    engine
-        .add_rule("seq", at("r1").seq(at("r2")).within(Span::from_secs(2)))
-        .unwrap();
-
-    // 1000 pairs, each well separated; every pair must fire despite sweeps.
     let mut stream = Vec::new();
     for i in 0..1000u64 {
         stream.push(obs(1, i, i * 10_000));
-        stream.push(obs(2, i + 10_000, i * 10_000 + 1_000));
+        if i % 2 == 0 {
+            stream.push(obs(2, i + 10_000, i * 10_000 + 1_000));
+        }
     }
-    let mut fired = 0;
-    let mut sink = |_: RuleId, _: &Instance| fired += 1;
-    for obs in stream {
-        engine.process(obs, &mut sink);
+    let run = |batch: usize| {
+        let mut engine = Engine::new(catalog(2), EngineConfig::default());
+        engine
+            .add_rule("seq", at("r1").seq(at("r2")).within(Span::from_secs(2)))
+            .unwrap();
+        let mut fired = 0;
+        let mut sink = |_: RuleId, _: &Instance| fired += 1;
+        for chunk in stream.chunks(batch) {
+            engine.process_batch(chunk, &mut sink);
+        }
+        engine.finish(&mut sink);
+        let stats = engine.stats();
+        let counts = [stats.sweeps, stats.sweeps_skipped, stats.buffered_entries];
+        (fired, counts)
+    };
+    let (fired, counts) = run(1);
+    assert_eq!(fired, 500);
+    // Initiators 1, 3, …, 997 die at the next one's admission; the last
+    // outlives the stream. The other 501 admissions drop nothing.
+    assert_eq!(counts, [499, 501, 1]);
+    assert_eq!(
+        run(stream.len()),
+        (fired, counts),
+        "one batch expires alike"
+    );
+}
+
+/// A store that stops admitting holds what it held at its last admission —
+/// expiry runs when a store admits, not when the clock moves — and its next
+/// admission leaves only what its span keeps. The rule is keyed on the
+/// object, so the `r2` reads probe the initiators' side under other keys
+/// and drop nothing there; each is admitted on its own side, whose span
+/// keeps only the latest instant's reads.
+#[test]
+fn a_quiet_store_holds_what_it_held_until_it_admits() {
+    let mut engine = Engine::new(catalog(2), EngineConfig::default());
+    let read = |reader: &str| at(reader).bind_object("o");
+    let rule = read("r1").seq(read("r2")).within(Span::from_secs(2));
+    engine.add_rule("keyed", rule).unwrap();
+    let mut sink = |_: RuleId, _: &Instance| {};
+    // 10 s of unmatched initiators, a fresh object every 100 ms: the last
+    // admission keeps the 2 s span's 21 reads.
+    for i in 0..100u64 {
+        engine.process(obs(1, i, i * 100), &mut sink);
     }
-    engine.finish(&mut sink);
-    assert_eq!(fired, 1000);
-    assert!(engine.stats().sweeps > 0);
+    let held = engine.buffered_instances();
+    assert_eq!(held, 21);
+    // 10 s more of unmatched `r2` reads: the initiators' side admits
+    // nothing, so it keeps all 21, dead for up to 10 s.
+    for i in 0..100u64 {
+        engine.process(obs(2, 1_000 + i, 10_000 + i * 100), &mut sink);
+        assert_eq!(engine.buffered_instances(), held + 1, "r2 read {i}");
+    }
+    // The next initiator's admission expires them all.
+    engine.process(obs(1, 2_000, 20_000), &mut sink);
+    assert_eq!(
+        engine.buffered_instances(),
+        2,
+        "the new initiator and the last r2 read"
+    );
 }
 
 /// `advance_to` resolves windows without observations (quiet-stream
@@ -597,9 +646,9 @@ fn deeply_nested_rule() {
     assert_eq!(fired[0].1.observations().len(), 3);
 }
 
-/// The working set stays bounded under sustained traffic: the deadline
-/// sweep at each per-observation batch boundary keeps buffered instances
-/// proportional to the window, not to the stream length.
+/// The working set stays bounded under sustained traffic: each admission's
+/// expiry keeps buffered instances proportional to the window, not to the
+/// stream length.
 #[test]
 fn working_set_is_bounded_by_the_window() {
     let mut engine = Engine::new(catalog(2), EngineConfig::default());

@@ -8,9 +8,10 @@
 //! the identical plan, and each counter is incremented per (observation,
 //! node) independently of which engine holds the key — so the sums are
 //! exact, not approximate. Prune counters are the one column the
-//! equivalence excludes: each shard sweeps at its own batch boundaries,
-//! and an entry one engine prunes in a sweep another discards at probe
-//! time.
+//! equivalence excludes: a store expires at its own admissions, against
+//! its own engine's clock, and a shard's clock follows only the reads it
+//! is handed — so an entry one engine prunes as it admits another discards
+//! at probe time, or still holds.
 
 mod differential;
 mod support;

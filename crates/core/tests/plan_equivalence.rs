@@ -60,9 +60,11 @@ proptest! {
 /// of one program over the 2,000-event trace, as recorded from an earlier
 /// commit: the first three of shapes 0–8 at `741f74c` (under both of its
 /// executors), of the composite-terminator shapes 11 and 12 at `b3cde7e`
-/// (before their initiators were retired at one distance); the sweep counts
-/// at `423a540`, the last commit with a separate sweep heap; the mixed
-/// programs' `occurrences` at the commit that made each pattern one leaf.
+/// (before their initiators were retired at one distance); the mixed
+/// programs' `occurrences` at the commit that made each pattern one leaf;
+/// the sweep counts since a store expires as it admits: `sweeps` counts
+/// admissions that dropped a dead entry, `sweeps_skipped` admissions into
+/// a time-bounded store that dropped none.
 type Pinned = [u64; 5];
 
 /// Each shape alone, by `[window]`: shapes 0–8, 11 and 12. Shapes 9 and 10
@@ -72,46 +74,38 @@ const ALONE: [[Pinned; 3]; SHAPES - SPELLINGS.len()] = [
     [
         [0, 0, 1979, 663, 1270],
         [0, 0, 1979, 649, 1284],
-        [0, 0, 2416, 532, 1401],
+        [0, 0, 2416, 516, 1417],
     ],
     [
-        [0, 0, 1250, 72, 1861],
-        [0, 0, 1250, 69, 1864],
-        [0, 0, 813, 50, 1883],
+        [0, 0, 1250, 28, 620],
+        [0, 0, 1250, 24, 624],
+        [0, 0, 813, 32, 616],
     ],
+    [[0, 0, 28, 9, 19], [0, 0, 28, 8, 20], [0, 0, 28, 3, 25]],
     [
-        [0, 0, 28, 27, 1906],
-        [0, 0, 28, 23, 1910],
-        [0, 0, 28, 12, 1921],
+        [0, 0, 231, 135, 96],
+        [0, 0, 231, 125, 106],
+        [0, 0, 231, 95, 136],
     ],
+    [[55, 55, 665, 0, 0]; 3],
     [
-        [0, 0, 231, 198, 1735],
-        [0, 0, 231, 194, 1739],
-        [0, 0, 231, 153, 1780],
+        [231, 231, 490, 11, 17],
+        [231, 231, 490, 7, 21],
+        [231, 231, 490, 7, 21],
     ],
-    [[55, 55, 665, 0, 1933]; 3],
+    [[0, 0, 930, 0, 648]; 3],
     [
-        [231, 231, 490, 27, 1906],
-        [231, 231, 490, 27, 1906],
-        [231, 231, 490, 18, 1915],
+        [0, 0, 231, 135, 96],
+        [0, 0, 231, 125, 106],
+        [0, 0, 231, 95, 136],
     ],
+    [[2, 2, 29, 0, 0]; 3],
     [
-        [0, 0, 930, 27, 1906],
-        [0, 0, 930, 15, 1918],
-        [0, 0, 930, 3, 1930],
+        [0, 0, 740, 56, 1240],
+        [0, 0, 740, 49, 1247],
+        [0, 0, 1177, 49, 1684],
     ],
-    [
-        [0, 0, 231, 198, 1735],
-        [0, 0, 231, 194, 1739],
-        [0, 0, 231, 153, 1780],
-    ],
-    [[2, 2, 29, 0, 1933]; 3],
-    [
-        [0, 0, 740, 72, 1861],
-        [0, 0, 740, 129, 1804],
-        [0, 0, 1177, 113, 1820],
-    ],
-    [[0, 0, 1177, 74, 1859]; 3],
+    [[0, 0, 1177, 46, 1039]; 3],
 ];
 
 /// `(shape, the shape it spells another way)`.
@@ -123,15 +117,15 @@ fn mixed() -> [(Vec<(usize, usize)>, Pinned); 3] {
     [
         (
             (0..9).map(|idx| (idx, idx % 3)).collect(),
-            [288, 288, 4695, 733, 1200],
+            [288, 288, 4695, 950, 2769],
         ),
         (
             vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 1)],
-            [0, 0, 3951, 538, 1395],
+            [0, 0, 3951, 556, 2053],
         ),
         (
             vec![(4, 2), (8, 0), (6, 1), (5, 0), (5, 2), (3, 1), (7, 1)],
-            [519, 519, 1697, 220, 1713],
+            [519, 519, 1697, 257, 881],
         ),
     ]
 }
@@ -142,8 +136,8 @@ fn mixed() -> [(Vec<(usize, usize)>, Pinned); 3] {
 /// commits instead: `occurrences` counts work-queue pops, one per leaf a
 /// read matches and one per emission, and a window family delivers each
 /// emission at every member it reaches, so a family must not move it. The
-/// sweep counts follow the batch boundaries (one observation each here),
-/// which the reference has no notion of either.
+/// sweep counts follow each store's admissions, which the reference — it
+/// keeps everything — has no notion of either.
 #[test]
 fn counters_are_pinned() {
     let counted = |program: &[(usize, usize)]| {

@@ -35,5 +35,5 @@ pub use context::ParameterContext;
 pub use expr::{EventExpr, ObjectSel, PrimitivePattern, ReaderSel, Var};
 pub use instance::{dist, interval2, Instance, InstanceKind};
 pub use observation::Observation;
-pub use stream::{merge_sorted, Reorderer};
+pub use stream::Reorderer;
 pub use time::{Span, Timestamp};

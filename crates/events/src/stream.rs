@@ -1,48 +1,18 @@
-//! Stream assembly: merging per-reader feeds and repairing bounded
-//! disorder.
+//! Stream assembly: repairing bounded disorder.
 //!
 //! The detection engine consumes one globally time-ordered stream, but a
 //! deployment has many readers, each delivering its own feed with its own
-//! latency. This module provides the two pieces middleware needs in front
-//! of the engine:
-//!
-//! * [`merge_sorted`] — a k-way merge of individually ordered feeds;
-//! * [`Reorderer`] — a slack buffer that repairs *bounded* disorder: an
-//!   observation may arrive up to `slack` later than a younger observation
-//!   and still be emitted in correct order. Anything later than that is
-//!   reported as a late arrival instead of silently corrupting engine
-//!   state.
+//! latency. [`Reorderer`] is the piece middleware needs in front of the
+//! engine: a slack buffer that repairs *bounded* disorder. An observation
+//! may arrive up to `slack` later than a younger observation and still be
+//! emitted in correct order. Anything later than that is reported as a
+//! late arrival instead of silently corrupting engine state.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::observation::Observation;
 use crate::time::{Span, Timestamp};
-
-/// Merges individually time-ordered feeds into one ordered stream.
-///
-/// Ties (same millisecond) resolve by reader then object — the canonical
-/// order of [`Observation`]'s `Ord` — so merging is deterministic.
-pub fn merge_sorted(feeds: Vec<Vec<Observation>>) -> Vec<Observation> {
-    let mut heap: BinaryHeap<Reverse<(Observation, usize, usize)>> = BinaryHeap::new();
-    for (feed_idx, feed) in feeds.iter().enumerate() {
-        debug_assert!(
-            feed.windows(2).all(|w| w[0] <= w[1]),
-            "feed {feed_idx} unsorted"
-        );
-        if let Some(&first) = feed.first() {
-            heap.push(Reverse((first, feed_idx, 0)));
-        }
-    }
-    let mut out = Vec::with_capacity(feeds.iter().map(Vec::len).sum());
-    while let Some(Reverse((obs, feed_idx, pos))) = heap.pop() {
-        out.push(obs);
-        if let Some(&next) = feeds[feed_idx].get(pos + 1) {
-            heap.push(Reverse((next, feed_idx, pos + 1)));
-        }
-    }
-    out
-}
 
 /// Repairs bounded disorder with a time-slack buffer.
 ///
@@ -139,25 +109,6 @@ mod tests {
             Gid96::new(1, 1, ms).unwrap().into(),
             Timestamp::from_millis(ms),
         )
-    }
-
-    #[test]
-    fn merge_interleaves_feeds() {
-        let merged = merge_sorted(vec![
-            vec![obs(0, 10), obs(0, 30), obs(0, 50)],
-            vec![obs(1, 20), obs(1, 40)],
-            vec![],
-        ]);
-        let times: Vec<u64> = merged.iter().map(|o| o.at.as_millis()).collect();
-        assert_eq!(times, vec![10, 20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn merge_ties_are_deterministic() {
-        let a = merge_sorted(vec![vec![obs(1, 10)], vec![obs(0, 10)]]);
-        let b = merge_sorted(vec![vec![obs(0, 10)], vec![obs(1, 10)]]);
-        assert_eq!(a, b);
-        assert_eq!(a[0].reader, ReaderId(0), "reader tie-break");
     }
 
     #[test]

@@ -174,8 +174,8 @@ if [[ -n "$stray" ]]; then
 fi
 
 echo "== one timeline (rceda timeline.rs) =="
-# The clock, the sequence counter and every deadline — pseudo events and the
-# sweep's prune deadlines — live in crates/core/src/timeline.rs: one
+# The clock, the sequence counter and every deadline — the pseudo events
+# that close NOT and TSEQ+ windows — live in crates/core/src/timeline.rs: one
 # min-queue, and no clock write anywhere else. No second heap beside it, no
 # `clock.max(` or clock-field assignment outside it, no pseudo-event module.
 stray=$({
@@ -187,6 +187,25 @@ heaps=$(grep -c 'BinaryHeap<' crates/core/src/timeline.rs 2>/dev/null || true)
 if [[ -n "$stray" || "${heaps:-0}" -gt 1 ]]; then
     echo "$stray"
     echo "check.sh: time and deadlines go through one queue in crates/core/src/timeline.rs" >&2
+    exit 1
+fi
+
+echo "== a store expires as it admits (rceda state.rs) =="
+# A store drops what died under its solved retention when it admits
+# (KeyedBuffer::push, NegationState::record, AperiodicState::record), so
+# expiry follows the stream alone and the timeline holds pseudo events only:
+# no prune deadline, no armed node, no touched bitmap, no batch-boundary
+# sweep. Under crates/core/src, code and comments before a file's
+# `#[cfg(test)]` module may not name them.
+stray=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /Due::Prune|arm_prune|begin_sweep|end_sweep|batch_sweep|node_deadline|oldest_logged|touched/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: a store expires as it admits; no prune deadlines or batch-boundary sweep" >&2
     exit 1
 fi
 
