@@ -40,10 +40,9 @@ use crate::graph::{EventGraph, Node, NodeId, NodeKind, Plan};
 use crate::key::{extract_all, Key, KeySpecId};
 use crate::obs::{FlightRecorder, Histogram, ObsState, ObserveLevel, TelemetrySnapshot};
 use crate::plan::{CompiledPlan, EdgeOp, InlineBuf, Member, LEAF_HITS_INLINE};
-use crate::program::{Program, RuleEvent};
+use crate::program::{Program, RuleEvent, Store};
 use crate::state::{
-    dead_before, AperiodicState, KeyedBuffer, NegationState, NodeState, TimedRunState, WaitEntry,
-    WaitState,
+    dead_before, AperiodicState, Found, KeyTable, NodeState, TimedRunState, WaitEntry, WaitState,
 };
 use crate::stats::EngineStats;
 use crate::timeline::{Deadline, Due, Timeline};
@@ -108,6 +107,8 @@ pub struct Engine {
 /// match on a node's plan by reference instead of cloning it.
 struct Runtime {
     states: Vec<NodeState>,
+    /// Keyed state, one table per interned key spec ([`KeySpecId`]).
+    tables: Vec<KeyTable>,
     timeline: Timeline,
     stats: EngineStats,
     /// Reused propagation queue: occurrences waiting to fire rules and
@@ -119,12 +120,9 @@ struct Runtime {
     /// here keeps every instrumentation site a plain field access — no
     /// extra parameters through the arrival handlers.
     obs: ObsState,
-    /// Per-node `[side0, side1]` retention spans — how long an entry of
-    /// that side's store stays matchable — chosen by
-    /// [`Engine::rebuild_spans`] on every re-solve and read by the probes'
-    /// dead scans and by every admission's expiry (DESIGN.md §16).
-    /// Non-join stores use slot 0; `Span::MAX` marks a side that never
-    /// expires by time.
+    /// Per-node `[side0, side1]` retention spans ([`Program::retention`]),
+    /// read by the probes' dead scans and by every admission's expiry
+    /// (DESIGN.md §16).
     spans: Vec<[Span; 2]>,
     /// The keys of the instance being propagated, one per interned spec.
     keys: KeyMemo,
@@ -155,13 +153,16 @@ struct Emission {
 
 /// The correlation keys of the current work-queue pop, memoised per
 /// interned key spec ([`KeySpecId`]): every parent edge that reads the same
-/// extraction list off the same arrival shares one extraction, one pack and
-/// one hash. A slot is current when it carries the pop's generation.
+/// extraction list off the same arrival shares one extraction, one pack, one
+/// hash and one probe of the spec's table ([`Found`]). A slot is current
+/// when it carries the pop's generation.
 #[derive(Debug, Default)]
 struct KeyMemo {
     /// Never wraps: one bump per pop.
     generation: u64,
-    slots: Vec<(u64, Option<Key>)>,
+    slots: Vec<(u64, Option<Key>, Found)>,
+    /// Lent beside the empty key: the empty spec's one slot needs no probe.
+    empty: Found,
 }
 
 /// What [`KeyMemo::key`] lends for the empty spec: the uncorrelated key,
@@ -171,7 +172,7 @@ static EMPTY_KEY: Key = Key::EMPTY;
 impl KeyMemo {
     /// Sizes the memo for a graph's interned specs (after a re-solve).
     fn resize(&mut self, specs: usize) {
-        self.slots.resize(specs, (0, None));
+        self.slots.resize(specs, (0, None, Found::Unprobed));
     }
 
     /// Invalidates every slot: a new instance is being propagated.
@@ -180,24 +181,31 @@ impl KeyMemo {
         self.generation += 1;
     }
 
-    /// The key `spec` extracts from `inst`, the current pop's instance —
-    /// `None` when a path does not resolve. The engine's one extraction
-    /// site: extracted on the first read per pop, borrowed after.
+    /// The key `spec` extracts from `inst`, the current pop's instance, and
+    /// where it sits in `spec`'s table — `None` when a path does not
+    /// resolve. The engine's one extraction site: extracted on the first
+    /// read per pop, borrowed after.
     #[inline]
-    fn key(&mut self, graph: &EventGraph, spec: KeySpecId, inst: &Instance) -> Option<&Key> {
+    fn key(
+        &mut self,
+        graph: &EventGraph,
+        spec: KeySpecId,
+        inst: &Instance,
+    ) -> Option<(&Key, &mut Found)> {
         if spec == KeySpecId::EMPTY {
-            return Some(&EMPTY_KEY);
+            return Some((&EMPTY_KEY, &mut self.empty));
         }
-        let slot = &mut self.slots[spec.idx()];
-        if slot.0 != self.generation {
-            *slot = (self.generation, extract_all(graph.key_spec(spec), inst));
+        let (generation, key, found) = &mut self.slots[spec.idx()];
+        if *generation != self.generation {
+            let fresh = extract_all(graph.key_spec(spec), inst);
+            (*generation, *key, *found) = (self.generation, fresh, Found::Unprobed);
         }
         debug_assert_eq!(
-            slot.1,
+            *key,
             extract_all(graph.key_spec(spec), inst),
             "the memoised key is the one a fresh extraction builds"
         );
-        slot.1.as_ref()
+        Some((key.as_ref()?, found))
     }
 }
 
@@ -211,6 +219,7 @@ impl Engine {
             catalog,
             rt: Runtime {
                 states: Vec::new(),
+                tables: Vec::new(),
                 timeline: Timeline::default(),
                 stats: EngineStats::default(),
                 work: Vec::new(),
@@ -257,13 +266,24 @@ impl Engine {
     /// Builds the state of every node past the seal, a rejected rule's
     /// included (its leaves dispatch too): none has seen the stream, so a
     /// rebuild loses nothing and sizes it for the parents registered since.
+    /// Their lanes are added to the key tables, an empty lane in every slot
+    /// already there.
     fn rebuild_states(&mut self) {
-        let (graph, sealed) = (self.program.graph(), self.program.graph().sealed());
-        self.rt.states.truncate(sealed);
-        let fresh = graph.nodes()[sealed..]
-            .iter()
-            .map(|node| initial_state(graph, node));
-        self.rt.states.extend(fresh);
+        let (program, rt) = (&self.program, &mut self.rt);
+        let (graph, sealed) = (program.graph(), program.graph().sealed());
+        rt.states.truncate(sealed);
+        if sealed == 0 {
+            rt.tables.clear();
+        }
+        for table in &mut rt.tables {
+            table.truncate(NodeId(sealed as u32));
+        }
+        let specs = rt.tables.len()..graph.key_spec_count();
+        rt.tables
+            .extend(specs.map(|s| KeyTable::new(KeySpecId(s as u32))));
+        for node in &graph.nodes()[sealed..] {
+            rt.states.push(initial_state(program, &mut rt.tables, node));
+        }
     }
 
     /// Brings the program up to date and seals its graph: a rule loaded
@@ -398,20 +418,17 @@ impl Engine {
         s.plan_nodes = self.program.plan().node_count() as u64;
         s.plan_arena_bytes = self.program.plan().arena_bytes() as u64;
         s.buffered_entries = self.buffered_instances() as u64;
+        for table in &self.rt.tables {
+            for lane in &table.joins {
+                s.capacity_drops += lane.dropped;
+                s.join_keys += lane.keys as u64;
+            }
+            s.retained_keys += table.hists.iter().map(|l| l.keys as u64).sum::<u64>();
+        }
         for state in &self.rt.states {
-            match state {
-                NodeState::Join { left, right } => {
-                    s.capacity_drops += left.dropped + right.dropped;
-                    s.join_keys += (left.key_count() + right.key_count()) as u64;
-                }
-                NodeState::Negation(neg) => {
-                    s.retained_keys += neg.key_count() as u64;
-                }
-                NodeState::TimedRun(run) => {
-                    s.run_spills += run.open.spills();
-                    s.max_run_depth = s.max_run_depth.max(run.open.high_water());
-                }
-                _ => {}
+            if let NodeState::TimedRun(run) = state {
+                s.run_spills += run.open.spills();
+                s.max_run_depth = s.max_run_depth.max(run.open.high_water());
             }
         }
         s
@@ -433,7 +450,9 @@ impl Engine {
             self.rebuild_states();
             self.rt.obs.arena.ensure_len(self.program.graph().len());
             self.rt.keys.resize(self.program.graph().key_spec_count());
-            self.rebuild_spans();
+            let program = &self.program;
+            let nodes = program.graph().nodes().iter();
+            self.rt.spans = nodes.map(|n| program.retention(n.id)).collect();
         }
         &self.program
     }
@@ -447,18 +466,17 @@ impl Engine {
     /// aperiodic stores, open runs, and waits — the engine's working-set
     /// gauge (memory diagnostics; expiry keeps it bounded).
     pub fn buffered_instances(&self) -> usize {
-        self.rt
-            .states
-            .iter()
-            .map(|s| match s {
-                NodeState::Stateless => 0,
-                NodeState::Join { left, right } => left.len() + right.len(),
-                NodeState::Negation(neg) => neg.recorded(),
-                NodeState::Aperiodic(ap) => ap.len(),
-                NodeState::TimedRun(run) => run.open.len(),
-                NodeState::Wait(w) => w.waiting.len(),
-            })
-            .sum()
+        let keyed = self.rt.tables.iter().map(|t| {
+            let joins = t.joins.iter().map(|l| l.len);
+            joins.chain(t.hists.iter().map(|l| l.len)).sum::<usize>()
+        });
+        let own = self.rt.states.iter().map(|s| match s {
+            NodeState::Stateless | NodeState::Keyed(_) => 0,
+            NodeState::Aperiodic(ap) => ap.len(),
+            NodeState::TimedRun(run) => run.open.len(),
+            NodeState::Wait(w) => w.waiting.len(),
+        });
+        keyed.chain(own).sum()
     }
 
     /// The deployment catalog.
@@ -502,6 +520,7 @@ impl Engine {
     /// cleared: no node has seen the stream.
     pub fn reset(&mut self) {
         self.program.unseal();
+        self.program();
         self.rebuild_states();
         self.rt.timeline = Timeline::default();
         self.rt.stats = EngineStats::default();
@@ -554,32 +573,6 @@ impl Engine {
         self.rt.timeline.clock()
     }
 
-    /// The one place a retention is chosen: the solved per-side bounds
-    /// ([`crate::bounds`]), which admissions expire and the join scans
-    /// prune at; a join side left at [`Span::MAX`] is capped at
-    /// [`EngineConfig::unbounded_cap`] instead. A holder keeps what its
-    /// longest-reaching member needs.
-    fn rebuild_spans(&mut self) {
-        let (graph, plan) = (self.program.graph(), self.program.plan());
-        self.rt.spans.resize(graph.len(), [Span::MAX; 2]);
-        for node in graph.nodes() {
-            let b = self.program.bounds().node(node.id);
-            let own = match node.plan {
-                Plan::TwoSided => b.retain,
-                Plan::NegationRecorder | Plan::AperiodicRecorder => [b.retention; 2],
-                _ => [Span::MAX; 2],
-            };
-            // Ids are topological and a holder is the lowest id of its
-            // group, so its own spans are in place before any member's.
-            let holder = plan.holder(node.id);
-            let spans = &mut self.rt.spans;
-            spans[node.id.idx()] = own;
-            if holder != node.id {
-                spans[holder.idx()] = [0, 1].map(|side| spans[holder.idx()][side].max(own[side]));
-            }
-        }
-    }
-
     fn fire_pseudo(&mut self, deadline: Deadline, sink: &mut Sink<'_>) {
         self.rt.stats.pseudo_fired += 1;
         match deadline.due {
@@ -625,19 +618,15 @@ impl Engine {
                     Plan::RightNegationWait => 1,
                     other => unreachable!("ResolveWait on plan {other:?}"),
                 };
-                let spec = n.hist_spec.expect("wait plan always has a history spec").0 as usize;
-                let not_child = n.children[not_side as usize];
                 let kind_name = n.kind.name();
                 if self.rt.obs.level.counters() {
                     // The deferred window-close check is this node's probe.
                     self.rt.obs.arena.probed(node.idx());
                 }
-                let occurred = match &self.rt.states[not_child.idx()] {
-                    NodeState::Negation(neg) => {
-                        neg.occurred(spec, &entry.key, entry.from, entry.to, false)
-                    }
-                    other => unreachable!("negation child has state {other:?}"),
-                };
+                let (table, lane) = self.rt.hist_lane(self.program.graph(), n, not_side);
+                let key = (&entry.key, &mut Found::Unprobed);
+                let window = (entry.from, entry.to);
+                let occurred = self.rt.tables[table].occurred(lane, key, window, false);
                 if !occurred {
                     let absence = Arc::new(Instance::absence(entry.from, entry.to));
                     let inst = if not_side == 0 {
@@ -840,7 +829,9 @@ impl Runtime {
         inst: &Arc<Instance>,
     ) {
         debug_assert_eq!(node.plan, Plan::TwoSided, "self-join is always two-sided");
-        let Some(key) = self.keys.key(graph, node.join.ids[1], inst) else {
+        let spec = node.join.ids[0];
+        debug_assert_eq!(spec, node.join.ids[1], "one child, one key spec");
+        let Some(key) = self.keys.key(graph, spec, inst) else {
             return;
         };
         let kind = &node.kind;
@@ -857,11 +848,13 @@ impl Runtime {
             // instance as a future initiator.
             self.obs.arena.probed_admitted(node.id.idx());
         }
-        let (lbuf, _) = self.states[node.id.idx()].join_mut();
-        // Take-and-admit in one bucket probe: the instance scans for an
+        let lane = self.states[node.id.idx()].lanes()[0];
+        let table = &mut self.tables[spec.idx()];
+        // Take-and-admit in one slot access: the instance scans for an
         // older initiator to terminate and is enqueued as an initiator
-        // itself in the same map access.
-        let (matched, dropped) = lbuf.take_match_and_push(
+        // itself.
+        let (matched, dropped) = table.take_match_and_push(
+            lane,
             key,
             dead,
             |e| !Arc::ptr_eq(e, inst) && pair_ok(kind, within, e, inst),
@@ -869,7 +862,7 @@ impl Runtime {
             cap,
         );
         if self.obs.level.full() {
-            let occ = lbuf.len() as u64;
+            let occ = table.joins[lane as usize].len as u64;
             self.obs.occupancy.record(occ);
         }
         count_expiry(&mut self.stats, &mut self.obs, node.id, span, dropped);
@@ -925,12 +918,11 @@ impl Runtime {
         let specs = graph.hist_specs(not_node.id);
         let span = self.spans[not_node.id.idx()][0];
         let (t, dead) = (inst.t_end(), dead_before(self.timeline.clock(), span));
-        let NodeState::Negation(neg) = &mut self.states[not_node.id.idx()] else {
-            unreachable!("negation state");
-        };
+        let lanes = self.states[not_node.id.idx()].lanes();
         let mut probed = None;
-        for (i, spec) in specs.iter().enumerate() {
+        for (i, (spec, &lane)) in specs.iter().zip(lanes).enumerate() {
             if let Some(key) = self.keys.key(graph, spec.key, inst) {
+                let table = &mut self.tables[spec.key.idx()];
                 if self.obs.level.counters() {
                     self.obs.arena.admitted(not_node.id.idx());
                 }
@@ -943,11 +935,11 @@ impl Runtime {
                     if self.obs.level.counters() {
                         self.obs.arena.probed(query_node.id.idx());
                     }
-                    let (last, dropped) = neg.fused_last(i, key, t, to, exclusive, dead);
+                    let (last, dropped) = table.fused_last(lane, key, t, (to, exclusive), dead);
                     count_expiry(&mut self.stats, &mut self.obs, not_node.id, span, dropped);
                     probed = Some(last);
                 } else {
-                    let dropped = neg.record(i, key, t, dead);
+                    let dropped = table.record(lane, key, t, dead);
                     count_expiry(&mut self.stats, &mut self.obs, not_node.id, span, dropped);
                 }
             }
@@ -1012,9 +1004,14 @@ impl Runtime {
         inst: &Arc<Instance>,
     ) {
         let parent = node.id;
-        let Some(key) = self.keys.key(graph, node.join.ids[side as usize], inst) else {
+        let (own_spec, other_spec) = (
+            node.join.ids[side as usize],
+            node.join.ids[1 - side as usize],
+        );
+        let Some((key, found)) = self.keys.key(graph, own_spec, inst) else {
             return;
         };
+        let (same, mut other_found) = (own_spec == other_spec, Found::Unprobed);
         let kind = &node.kind;
         let within = node.within;
         // The scan prunes the *other* side's buffer, so its solved
@@ -1028,13 +1025,12 @@ impl Runtime {
         if self.obs.level.counters() {
             self.obs.arena.probed(parent.idx());
         }
-        let (lbuf, rbuf) = self.states[parent.idx()].join_mut();
-        let (own, other) = if side == 0 {
-            (lbuf, rbuf)
-        } else {
-            (rbuf, lbuf)
-        };
-        let matched = other.take_oldest_match(key, dead_before(clock, other_span), |e| {
+        let lanes = self.states[parent.idx()].lanes();
+        let (own, other) = (lanes[side as usize], lanes[1 - side as usize]);
+        let (own_table, other_table) = (own_spec.idx(), other_spec.idx());
+        let other_key = (key, memo_if(same, &mut *found, &mut other_found));
+        let dead = dead_before(clock, other_span);
+        let matched = self.tables[other_table].take_oldest_match(other, other_key, dead, |e| {
             // One physical event can never be both constituents of an
             // occurrence (same-pattern children deliver the same Arc to
             // both sides).
@@ -1052,9 +1048,10 @@ impl Runtime {
                 // Retire every buffered copy of both constituents: with
                 // same-pattern children under different windows an
                 // instance can sit in both side buffers.
-                own.remove_ptr_eq(key, &e);
+                self.tables[own_table].remove_ptr_eq(own, (key, &mut *found), &e);
                 // `inst` is not in `own`: only `None` below admits it, once per side.
-                other.remove_ptr_eq(key, inst);
+                let other_key = (key, memo_if(same, &mut *found, &mut other_found));
+                self.tables[other_table].remove_ptr_eq(other, other_key, inst);
                 let out = if side == 0 {
                     Instance::pair(kind.name(), inst.clone(), e)
                 } else {
@@ -1063,8 +1060,10 @@ impl Runtime {
                 self.work.push(Work::At(parent, Arc::new(out)));
             }
             None => {
-                let dropped = own.push(key, inst.clone(), cap, dead_before(clock, own_span));
-                let occ = own.len() as u64;
+                let table = &mut self.tables[own_table];
+                let dead = dead_before(clock, own_span);
+                let dropped = table.push(own, (key, found), inst.clone(), cap, dead);
+                let occ = table.joins[own as usize].len as u64;
                 count_expiry(&mut self.stats, &mut self.obs, parent, own_span, dropped);
                 if self.obs.level.counters() {
                     self.obs.arena.admitted(parent.idx());
@@ -1086,18 +1085,16 @@ impl Runtime {
         inst: &Arc<Instance>,
     ) {
         let (to, exclusive) = negation_query_end(node, inst);
-        let Some(key) = self.keys.key(graph, node.join.ids[1], inst) else {
+        let (table, lane) = self.hist_lane(graph, node, 0);
+        let Some((key, found)) = self.keys.key(graph, node.join.ids[1], inst) else {
             return;
         };
-        let spec = node.hist_spec.expect("query plan has a spec").0 as usize;
-        let not_child = node.children[0];
         if self.obs.level.counters() {
             self.obs.arena.probed(node.id.idx());
         }
-        let last = match &self.states[not_child.idx()] {
-            NodeState::Negation(neg) => neg.last_occurrence(spec, key, to, exclusive),
-            other => unreachable!("negation child has state {other:?}"),
-        };
+        let mut cross = Found::Unprobed;
+        let found = memo_if(table == node.join.ids[1].idx(), found, &mut cross);
+        let last = self.tables[table].last_occurrence(lane, (key, found), to, exclusive);
         self.emit_absent(plan, node, inst, last, to);
     }
 
@@ -1160,12 +1157,10 @@ impl Runtime {
         let specs = graph.hist_specs(parent);
         let span = self.spans[parent.idx()][0];
         let dead = dead_before(self.timeline.clock(), span);
-        let NodeState::Negation(neg) = &mut self.states[parent.idx()] else {
-            unreachable!("negation state");
-        };
-        for (i, spec) in specs.iter().enumerate() {
+        let lanes = self.states[parent.idx()].lanes();
+        for (spec, &lane) in specs.iter().zip(lanes) {
             if let Some(key) = self.keys.key(graph, spec.key, inst) {
-                let dropped = neg.record(i, key, inst.t_end(), dead);
+                let dropped = self.tables[spec.key.idx()].record(lane, key, inst.t_end(), dead);
                 count_expiry(&mut self.stats, &mut self.obs, parent, span, dropped);
                 if self.obs.level.counters() {
                     self.obs.arena.admitted(parent.idx());
@@ -1270,12 +1265,11 @@ impl Runtime {
         from: Timestamp,
         to: Timestamp,
     ) {
-        let push_side = usize::from(1 - not_side);
-        let Some(key) = self.keys.key(graph, node.join.ids[push_side], inst) else {
+        let push_spec = node.join.ids[usize::from(1 - not_side)];
+        let (table, lane) = self.hist_lane(graph, node, not_side);
+        let Some((key, found)) = self.keys.key(graph, push_spec, inst) else {
             return;
         };
-        let spec = node.hist_spec.expect("wait plan has a spec").0 as usize;
-        let not_child = node.children[not_side as usize];
         let kind_name = node.kind.name();
 
         let clock = self.timeline.clock();
@@ -1284,10 +1278,9 @@ impl Runtime {
             if self.obs.level.counters() {
                 self.obs.arena.probed(node.id.idx());
             }
-            let occurred = match &self.states[not_child.idx()] {
-                NodeState::Negation(neg) => neg.occurred(spec, key, from, past_end, false),
-                other => unreachable!("negation child has state {other:?}"),
-            };
+            let mut cross = Found::Unprobed;
+            let found = memo_if(table == push_spec.idx(), found, &mut cross);
+            let occurred = self.tables[table].occurred(lane, (key, found), (from, past_end), false);
             if occurred {
                 return;
             }
@@ -1321,6 +1314,28 @@ impl Runtime {
         }
         let due = Due::ResolveWait { node: node.id };
         self.timeline.schedule(to, anchor, due);
+    }
+
+    /// The key table and lane of the history `node` queries on its
+    /// `not_side` child.
+    fn hist_lane(&self, graph: &EventGraph, node: &Node, not_side: u8) -> (usize, u32) {
+        let spec = node
+            .hist_spec
+            .expect("a negation query has a history spec")
+            .0 as usize;
+        let not_child = node.children[usize::from(not_side)];
+        let table = graph.hist_specs(not_child)[spec].key.idx();
+        (table, self.states[not_child.idx()].lanes()[spec])
+    }
+}
+
+/// The memoised slot of a key when the table probed is its own spec's;
+/// else `cross`, a probe of another spec's table with the same key value.
+fn memo_if<'a>(own: bool, memo: &'a mut Found, cross: &'a mut Found) -> &'a mut Found {
+    if own {
+        memo
+    } else {
+        cross
     }
 }
 
@@ -1416,21 +1431,22 @@ fn pair_ok(kind: &NodeKind, within: Span, l: &Instance, r: &Instance) -> bool {
     }
 }
 
-/// A node's state before it has seen the stream; a `NOT`'s histories are
-/// sized for the parents registered on it, which a sealed `NOT` never gains.
-fn initial_state(graph: &EventGraph, node: &Node) -> NodeState {
+/// A node's state before it has seen the stream, its keyed stores added as
+/// lanes to their specs' tables; a `NOT`'s histories are sized for the
+/// parents registered on it, which a sealed `NOT` never gains.
+fn initial_state(program: &Program, tables: &mut [KeyTable], node: &Node) -> NodeState {
     let state = match &node.plan {
         Plan::Leaf | Plan::Forward | Plan::LeftNegationQuery | Plan::LeftAperiodicQuery => {
             NodeState::Stateless
         }
-        Plan::TwoSided => NodeState::Join {
-            left: KeyedBuffer::default(),
-            right: KeyedBuffer::default(),
-        },
-        Plan::RightNegationWait | Plan::AndNegation { .. } => NodeState::Wait(WaitState::default()),
-        Plan::NegationRecorder => {
-            NodeState::Negation(NegationState::new(graph.hist_specs(node.id).len()))
+        Plan::TwoSided | Plan::NegationRecorder => {
+            let stores = program.stores(node.id).into_iter();
+            let lanes = stores.map(|(store, spec)| {
+                tables[spec.idx()].add_lane(node.id, matches!(store, Store::Hist(_)))
+            });
+            NodeState::Keyed(lanes.collect())
         }
+        Plan::RightNegationWait | Plan::AndNegation { .. } => NodeState::Wait(WaitState::default()),
         Plan::AperiodicRecorder => NodeState::Aperiodic(AperiodicState::default()),
         Plan::TimedAperiodic => NodeState::TimedRun(TimedRunState::default()),
     };

@@ -13,9 +13,10 @@ use std::fmt::Write as _;
 use rfid_events::{Instance, InstanceKind, Span};
 
 use crate::graph::{DetectionMode, EventGraph, NodeKind, Plan};
+use crate::key::KeySpecId;
 use crate::obs::FlightRecord;
 use crate::plan::EdgeOp;
-use crate::program::Program;
+use crate::program::{Program, Store};
 
 impl Program {
     /// A text table of every node's static analysis, in id order. The
@@ -66,7 +67,9 @@ impl Program {
     /// precomputed parent-activation edges — the flat view the executor
     /// runs, complementing [`Program::describe`]'s graph-level table. What
     /// shares state is listed after the summary: one line per window family
-    /// (holder, then each member node with its cut-off).
+    /// (holder, then each member node with its cut-off), and one per key
+    /// spec's keyed table with its lanes (node, join side or history
+    /// registration, solved retention).
     pub fn describe_plan(&self) -> String {
         let plan = self.plan();
         let mut out = String::new();
@@ -129,6 +132,28 @@ impl Program {
                 holder.0,
                 members.join(", ")
             );
+        }
+        let mut tables = vec![Vec::new(); self.graph().key_spec_count()];
+        for node in self.graph().nodes() {
+            let retain = self.retention(node.id);
+            for (store, spec) in self.stores(node.id) {
+                let (lane, span) = match store {
+                    Store::Side(side) => (
+                        ["left", "right"][usize::from(side)].to_owned(),
+                        retain[usize::from(side)],
+                    ),
+                    Store::Hist(i) => (format!("hist{i}"), retain[0]),
+                };
+                tables[spec.idx()].push(format!("{}.{lane} {}", node.id.0, fmt_span(span)));
+            }
+        }
+        for (spec, lanes) in tables
+            .iter()
+            .enumerate()
+            .filter(|(_, lanes)| !lanes.is_empty())
+        {
+            let parts = self.graph().key_spec(KeySpecId(spec as u32)).len();
+            let _ = writeln!(out, "keys {spec} ({parts} parts): {}", lanes.join(", "));
         }
         out
     }
@@ -332,9 +357,9 @@ mod tests {
         let p = program(Some(shelf_catalog()), vec![infield]);
         let text = p.describe_plan();
         assert_eq!(
-            text.lines().count(),
+            text.lines().filter(|l| !l.starts_with("keys ")).count(),
             p.plan().node_count() + 2,
-            "header + one line per node + summary"
+            "header + one line per node + summary, then the key tables"
         );
         assert!(text.contains("neg-record"), "plans rendered by name");
         assert!(
@@ -363,6 +388,38 @@ mod tests {
         let negated = |r: &NodeId| p.graph().node(*r).children[0] == NodeId(1);
         assert!(p.roots().iter().all(negated), "one NOT node: {text}");
         assert_eq!(text.matches("neg-record").count(), 1, "{text}");
+    }
+
+    /// One line per key spec's table: `dup`'s self-join admits on its left
+    /// side alone and shares `(r, o)` with `infield`'s history; the
+    /// uncorrelated `SEQ` has both sides in the empty spec's table.
+    #[test]
+    fn plan_describe_lists_key_tables() {
+        let shelf = || {
+            EventExpr::observation_in_group("shelves")
+                .bind_reader("r")
+                .bind_object("o")
+        };
+        let p = program(
+            Some(shelf_catalog()),
+            vec![
+                shelf().seq(shelf()).within(Span::from_secs(5)),
+                shelf().not().seq(shelf()).within(Span::from_secs(3)),
+                EventExpr::observation_at("s1")
+                    .seq(EventExpr::observation_in_group("shelves"))
+                    .within(Span::from_secs(2)),
+            ],
+        );
+        let text = p.describe_plan();
+        let tables: Vec<&str> = text.lines().filter(|l| l.starts_with("keys ")).collect();
+        assert_eq!(
+            tables,
+            [
+                "keys 0 (0 parts): 6.left 2sec, 6.right 0sec",
+                "keys 1 (2 parts): 1.left 5sec, 2.hist0 3sec"
+            ],
+            "{text}"
+        );
     }
 
     #[test]

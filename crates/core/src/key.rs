@@ -736,7 +736,7 @@ mod tests {
     /// out of the inline words.
     mod packing {
         use crate::key::{Key, KeyBuilder, KeyPart};
-        use crate::state::SlotTable;
+        use crate::state::{Found, SlotTable};
         use proptest::prelude::*;
         use rfid_epc::{Epc, ReaderId};
 
@@ -804,20 +804,21 @@ mod tests {
             /// by exactly the keys whose vectors were equal.
             #[test]
             fn slot_table_agrees_with_vector_map(seqs in prop::collection::vec(parts_strategy(), 0..12)) {
-                let mut packed: SlotTable<usize> = SlotTable::default();
+                let mut packed = SlotTable::new(crate::key::KeySpecId(1));
+                let mut values = std::collections::HashMap::new();
                 let mut by_vec: std::collections::HashMap<Vec<KeyPart>, usize> =
                     std::collections::HashMap::new();
                 for (i, parts) in seqs.iter().enumerate() {
                     let key = Key::from_parts(parts);
-                    let slot = packed.slot_of(key.precomputed_hash(), &key);
-                    *packed.value_mut(slot) = i;
+                    let slot = packed.slot_of(key.precomputed_hash(), &key, &mut Found::Unprobed);
+                    values.insert(slot, i);
                     by_vec.insert(parts.clone(), i);
                 }
-                prop_assert_eq!(packed.len(), by_vec.len());
+                prop_assert_eq!(values.len(), by_vec.len());
                 for (parts, i) in &by_vec {
                     let key = Key::from_parts(parts);
                     let slot = packed.find(key.precomputed_hash(), &key);
-                    prop_assert_eq!(slot.map(|s| packed.value(s)), Some(i));
+                    prop_assert_eq!(slot.map(|s| &values[&s]), Some(i));
                 }
             }
         }

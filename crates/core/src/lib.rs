@@ -82,7 +82,7 @@ pub use obs::{
     FlightRecord, FlightRecorder, Histogram, MetricsArena, ObserveLevel, TelemetrySnapshot,
 };
 pub use plan::{CompiledPlan, EdgeOp, InlineBuf, Member};
-pub use program::{Program, RuleEvent};
+pub use program::{Program, RuleEvent, Store};
 pub use shard::{ResidualReason, ShardConfig, Shardability, ShardedEngine};
 pub use stats::EngineStats;
 pub use subsume::{subsumes, Subsumption};

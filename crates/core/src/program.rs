@@ -18,12 +18,13 @@
 
 use std::collections::HashMap;
 
-use rfid_events::{Catalog, EventExpr};
+use rfid_events::{Catalog, EventExpr, Span};
 
 use crate::bounds::Bounds;
 use crate::engine::RuleId;
 use crate::error::InvalidRule;
-use crate::graph::{EventGraph, NodeId};
+use crate::graph::{EventGraph, NodeId, Plan};
+use crate::key::KeySpecId;
 use crate::plan::CompiledPlan;
 
 /// One rule handed to the compiler: its identity and event.
@@ -46,6 +47,17 @@ impl RuleEvent {
             event,
         }
     }
+}
+
+/// A keyed store of the runtime, a lane of its key spec's table
+/// (DESIGN.md §10): one side of a two-sided join, or one history
+/// registration on a `NOT` ([`EventGraph::hist_specs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Store {
+    /// The join side that admits into it.
+    Side(u8),
+    /// The history registration it records.
+    Hist(u32),
 }
 
 /// A rule set and what it compiles to; see the module docs.
@@ -159,5 +171,49 @@ impl Program {
     #[inline]
     pub fn plan(&self) -> &CompiledPlan {
         &self.plan
+    }
+
+    /// The keyed stores `node` owns, each with the key spec whose table
+    /// holds it: both sides of a two-sided join (the left alone of a
+    /// self-join, whose right never admits), one history per registration
+    /// on a `NOT`; none on a window-family member, which its holder's
+    /// stores serve.
+    pub fn stores(&self, id: NodeId) -> Vec<(Store, KeySpecId)> {
+        let node = self.graph.node(id);
+        match node.plan {
+            _ if self.plan.holder(id) != id => Vec::new(),
+            Plan::TwoSided => {
+                let sides = if node.children[0] == node.children[1] {
+                    1
+                } else {
+                    2
+                };
+                (0..sides)
+                    .map(|s| (Store::Side(s), node.join.ids[usize::from(s)]))
+                    .collect()
+            }
+            Plan::NegationRecorder => (self.graph.hist_specs(id).iter().enumerate())
+                .map(|(i, h)| (Store::Hist(i as u32), h.key))
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// The one place a retention is chosen: how long each side's store of
+    /// `node` keeps an entry matchable, from the solved bounds
+    /// ([`Bounds`]); non-join stores use side 0 and [`Span::MAX`]
+    /// marks a side that never expires by time. A window-family holder
+    /// keeps what its longest-reaching member needs.
+    pub fn retention(&self, id: NodeId) -> [Span; 2] {
+        let own = |id: NodeId| {
+            let b = self.bounds.node(id);
+            match self.graph.node(id).plan {
+                Plan::TwoSided => b.retain,
+                Plan::NegationRecorder | Plan::AperiodicRecorder => [b.retention; 2],
+                _ => [Span::MAX; 2],
+            }
+        };
+        let members = self.plan.family(id).iter().map(|m| own(m.node));
+        members.fold(own(id), |a, b| [a[0].max(b[0]), a[1].max(b[1])])
     }
 }

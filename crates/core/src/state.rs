@@ -1,8 +1,8 @@
-//! Per-node runtime state.
+//! Runtime state.
 //!
-//! Each graph node owns the mutable state its [`crate::graph::Plan`] needs:
-//! chronicle-context FIFO buffers partitioned by correlation key for
-//! two-sided joins, keyed occurrence histories for negations, element
+//! Keyed state — the chronicle-context FIFO buffers of two-sided joins and
+//! the occurrence histories of negations — lives in one [`KeyTable`] per
+//! interned key spec, a *lane* per store. The rest is per node: element
 //! histories for `SEQ+`, the open run of a `TSEQ+`, and anchored waits for
 //! pseudo-event-resolved negations. Everything here is passive — the engine
 //! drives it.
@@ -13,166 +13,678 @@ use std::sync::Arc;
 use rfid_epc::hash::TagTable;
 use rfid_events::{Instance, Span, Timestamp};
 
-use crate::key::{Key, SeqMap};
+use crate::graph::NodeId;
+use crate::key::{Key, KeySpecId, SeqMap};
 use crate::plan::InlineBuf;
 
-/// Keyed state of a node: correlation key → a slot holding a `T`, plus the
-/// expiry log that says when to look at a slot again. Join buffers
-/// ([`KeyedBuffer`]) and negation histories ([`NegationState`]) are both
-/// this table; they differ in what a slot holds.
+/// Where the key of the arrival being propagated sits in its spec's table,
+/// memoised beside the key (`KeyMemo` in `engine.rs`): an arrival probes
+/// the index at most once per spec, however many lanes read it.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum Found {
+    /// Not looked up yet.
+    #[default]
+    Unprobed,
+    /// Not in the table.
+    Absent,
+    /// In this slot — unless an expiry released it since, which leaves the
+    /// key absent: only the arrival itself inserts under its key.
+    At(u32),
+}
+
+/// Key → slot for one key spec. The [`Key`] is stored once, in its slot.
+/// The index in front is a [`TagTable`]: one eight-byte cell per live key —
+/// 32 bits of [`Key::precomputed_hash`] over `slot id + 1`. A probe reads
+/// cells on the key's home line until the tag matches, then compares the
+/// key in the slot the cell names; cells that share a tag, or a whole hash,
+/// are told apart there. Releasing a key shifts its probe run back, so a
+/// stream of ever-fresh keys leaves no tombstones: cells and slots track
+/// the peak live population, not the number of keys seen. The empty spec
+/// has no index: its one key holds slot 0 for good.
 ///
-/// The [`Key`] is stored once, in its slot. The index in front of the arena
-/// is a [`TagTable`]: one eight-byte cell per live key — 32 bits of
-/// [`Key::precomputed_hash`] over `slot id + 1`. A probe reads cells on the
-/// key's home line until the tag matches, then compares the key in the slot
-/// the cell names — the line the caller is about to read anyway; cells that
-/// share a tag, or a whole hash, are told apart there. Releasing a key
-/// shifts its probe run back, so a stream of ever-fresh keys leaves no
-/// tombstones: cells and slots track the peak live population, not the
-/// number of keys seen.
-///
-/// Callers pass the hash a key is filed under beside the key — the same
-/// one every time, which is what lets a test force collisions. A table whose
-/// log is used files under `key.precomputed_hash()`, as
-/// [`SlotTable::expire`] and [`SlotTable::rebuild_log`] release under it.
-#[derive(Debug, Clone, Default)]
-pub struct SlotTable<T> {
-    index: TagTable,
-    /// Slot arena, recycled through `free`.
-    slots: Vec<Slot<T>>,
+/// Callers pass the hash a key is filed under beside the key — the same one
+/// every time, which is what lets a test force collisions; the lanes file
+/// under `key.precomputed_hash()`.
+#[derive(Debug, Clone)]
+pub struct SlotTable {
+    /// `None` for the empty spec.
+    index: Option<TagTable>,
+    /// Slot → its key; `None` marks a free slot.
+    keys: Vec<Option<Key>>,
+    /// Slot × lane: `columns` cells per slot, one per lane. A slot no lane
+    /// holds is released.
+    at: Vec<Cell>,
+    columns: usize,
     /// Freed slot ids available for reuse, last freed first.
     free: Vec<u32>,
-    /// Expiry log: `(time, slot)` records in the order they were logged.
-    /// [`SlotTable::expire`] walks only the expired prefix, so an expiry
-    /// costs O(records that died) instead of a scan over every live key. A
-    /// record may outlive what it was logged for (the entry was consumed,
-    /// the slot freed and reused): it then only prompts a look at a slot
-    /// whose dead content, if any, is dead by time — harmless. Slot ids keep
-    /// a record at 16 bytes where a cloned [`Key`] was 40 and a hash.
-    log: VecDeque<(Timestamp, u32)>,
+    /// The spec, named when slot ids run out.
+    spec: KeySpecId,
 }
 
-/// One key's slot. `key` doubles as the occupancy flag: `None` marks a free
-/// slot (stale log records naming it are skipped, a second release is a
-/// no-op). A freed slot keeps its `value` for the next key, so the holder
-/// frees a slot only when the value is as a fresh key should find it.
-#[derive(Debug, Clone, Default)]
-struct Slot<T> {
-    key: Option<Key>,
-    value: T,
+/// A lane's part of a slot: where in the lane's values it is, or
+/// [`NOT_HELD`], and which of the lane's holds it is (wrapping). A log
+/// record carries the hold it was logged under and is stale once the lane
+/// lets go, whatever the other lanes do.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    at: u32,
+    hold: u32,
 }
 
-impl<T: Default> SlotTable<T> {
-    /// Live keys.
-    pub fn len(&self) -> usize {
-        self.index.len()
+const FREE: Cell = Cell {
+    at: NOT_HELD,
+    hold: 0,
+};
+
+/// Slots a keyed table, and each of its lanes, has room for before it
+/// first grows.
+const FIRST_SLOTS: usize = 64;
+
+/// Index work, counted in tests (`tests::index_ops`); nothing otherwise.
+#[inline]
+fn tally(op: usize) {
+    #[cfg(test)]
+    tests::OPS.with(|ops| ops[op].set(ops[op].get() + 1));
+    let _ = op;
+}
+
+const PROBE: usize = 0;
+const INSERT: usize = 1;
+const RELEASE: usize = 2;
+
+impl SlotTable {
+    /// An empty table for `spec`.
+    pub fn new(spec: KeySpecId) -> Self {
+        let fixed = spec == KeySpecId::EMPTY;
+        Self {
+            index: (!fixed).then(TagTable::default),
+            keys: if fixed {
+                vec![Some(Key::EMPTY)]
+            } else {
+                Vec::with_capacity(FIRST_SLOTS)
+            },
+            at: Vec::new(),
+            columns: 0,
+            free: Vec::new(),
+            spec,
+        }
     }
 
-    /// The slot of `key`, if it is live.
+    /// Gives every slot `columns` lane cells, keeping the first ones.
+    fn set_columns(&mut self, columns: usize) {
+        if columns == self.columns {
+            return;
+        }
+        let mut at = Vec::with_capacity(self.keys.capacity() * columns);
+        at.resize(self.keys.len() * columns, FREE);
+        let keep = columns.min(self.columns);
+        for (new, old) in at
+            .chunks_mut(columns.max(1))
+            .zip(self.at.chunks(self.columns.max(1)))
+        {
+            new[..keep].copy_from_slice(&old[..keep]);
+        }
+        (self.at, self.columns) = (at, columns);
+    }
+
+    /// Where `lane`'s part of `slot` is in its values, if it holds the slot.
+    fn at<T>(&self, lane: &Lane<T>, slot: Option<u32>) -> Option<usize> {
+        let Cell { at, .. } = self.at[slot? as usize * self.columns + lane.column as usize];
+        (at != NOT_HELD).then_some(at as usize)
+    }
+
+    /// What `lane` holds in `slot`, if it holds it.
+    fn get_mut<'l, T>(&self, lane: &'l mut Lane<T>, slot: Option<u32>) -> Option<&'l mut T> {
+        let at = self.at(lane, slot)?;
+        Some(&mut lane.values[at])
+    }
+
+    /// The slot of `key`, filed under `hash`, if it is live: one probe.
     #[inline]
     pub fn find(&self, hash: u64, key: &Key) -> Option<u32> {
-        let slots = &self.slots;
-        self.index
-            .find(hash as u32, |v| {
-                slots[v as usize - 1].key.as_ref() == Some(key)
-            })
+        let Some(index) = &self.index else {
+            return Some(0);
+        };
+        tally(PROBE);
+        let keys = &self.keys;
+        index
+            .find(hash as u32, |v| keys[v as usize - 1].as_ref() == Some(key))
             .map(|(_, v)| v - 1)
+    }
+
+    /// The slot of `key`, probed only if `found` has not been yet.
+    #[inline]
+    pub fn lookup(&self, hash: u64, key: &Key, found: &mut Found) -> Option<u32> {
+        let slot = match *found {
+            Found::Unprobed => self.find(hash, key),
+            Found::Absent => None,
+            Found::At(slot) => Some(slot).filter(|&s| self.keys[s as usize].is_some()),
+        };
+        *found = slot.map_or(Found::Absent, Found::At);
+        slot
     }
 
     /// The slot of `key`, taking a free one (or growing the arena) on first
     /// sight — the one place a probe's borrowed key is cloned, into the slot.
-    pub fn slot_of(&mut self, hash: u64, key: &Key) -> u32 {
-        if let Some(slot) = self.find(hash, key) {
+    pub fn slot_of(&mut self, hash: u64, key: &Key, found: &mut Found) -> u32 {
+        if let Some(slot) = self.lookup(hash, key, found) {
             return slot;
         }
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.slots.push(Slot::default());
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.slots[slot as usize].key = Some(key.clone());
-        self.index.insert(hash as u32, slot + 1);
+        tally(INSERT);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.keys.push(None);
+            self.at.resize(self.at.len() + self.columns, FREE);
+            self.slot_id(self.keys.len() - 1)
+        });
+        self.keys[slot as usize] = Some(key.clone());
+        let index = self.index.as_mut().expect("the empty key is never absent");
+        index.insert(hash as u32, slot + 1);
+        *found = Found::At(slot);
         slot
     }
 
-    /// What `slot` holds.
-    pub fn value(&self, slot: u32) -> &T {
-        &self.slots[slot as usize].value
-    }
-
-    /// What `slot` holds, mutably.
-    pub fn value_mut(&mut self, slot: u32) -> &mut T {
-        &mut self.slots[slot as usize].value
+    /// `slot` as an id, checked: the index files it as `slot + 1`.
+    fn slot_id(&self, slot: usize) -> u32 {
+        let spec = self.spec.0;
+        assert!(
+            u32::try_from(slot + 1).is_ok(),
+            "key spec {spec}'s slot table ran out of u32 slot ids"
+        );
+        slot as u32
     }
 
     /// Unlinks the key of `slot`, filed under `hash`, and puts the slot on
-    /// the free list.
+    /// the free list; a no-op on a free slot and on the empty spec.
     pub fn release(&mut self, hash: u64, slot: u32) {
-        if self.slots[slot as usize].key.take().is_some() {
-            let (at, _) = self
-                .index
+        let Some(index) = &mut self.index else {
+            return;
+        };
+        if self.keys[slot as usize].take().is_some() {
+            tally(RELEASE);
+            let (at, _) = index
                 .find(hash as u32, |v| v == slot + 1)
                 .expect("a live slot is indexed under its hash");
-            self.index.remove(at);
+            index.remove(at);
             self.free.push(slot);
         }
     }
 
-    /// Appends a record: look at `slot` once `t` has expired.
-    pub fn log(&mut self, t: Timestamp, slot: u32) {
-        self.log.push_back((t, slot));
+    /// `lane` takes hold of `slot`, if it does not hold it yet, logs an
+    /// entry at `t` there and returns what it holds there.
+    fn hold<'l, T: Default>(
+        &mut self,
+        lane: &'l mut Lane<T>,
+        slot: u32,
+        t: Timestamp,
+    ) -> &'l mut T {
+        let cell = slot as usize * self.columns + lane.column as usize;
+        if self.at[cell].at == NOT_HELD {
+            let at = lane.spare.pop().unwrap_or_else(|| {
+                lane.values.push(T::default());
+                (lane.values.len() - 1) as u32
+            });
+            lane.holds = lane.holds.wrapping_add(1);
+            self.at[cell] = Cell {
+                at,
+                hold: lane.holds,
+            };
+            lane.keys += 1;
+        }
+        let Cell { at, hold } = self.at[cell];
+        lane.log.push_back((t, slot, hold));
+        lane.len += 1;
+        &mut lane.values[at as usize]
     }
 
-    /// Records in the log, stale ones included.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
+    /// `lane` lets go of `slot`, which is released once no lane holds it.
+    fn let_go<T>(&mut self, lane: &mut Lane<T>, slot: u32) {
+        let cell = slot as usize * self.columns + lane.column as usize;
+        lane.spare
+            .push(std::mem::replace(&mut self.at[cell], FREE).at);
+        lane.keys -= 1;
+        let row = slot as usize * self.columns..(slot as usize + 1) * self.columns;
+        if self.index.is_some() && self.at[row].iter().all(|c| c.at == NOT_HELD) {
+            let hash = self.keys[slot as usize]
+                .as_ref()
+                .map_or(0, Key::precomputed_hash);
+            self.release(hash, slot);
+        }
     }
 
-    /// Pops every record at the head of the log with a time before
-    /// `dead_before` and hands the value of the live slot it names to
-    /// `drain`, which drops what has died and says whether the slot is to
-    /// be released. Out-of-order records behind a live head wait for a
-    /// later call — expiry is garbage collection, laziness is harmless.
-    pub fn expire(&mut self, dead_before: Timestamp, mut drain: impl FnMut(&mut T) -> bool) {
-        while let Some(&(t, slot)) = self.log.front() {
+    /// Pops every record at the head of `lane`'s log with a time before
+    /// `dead_before` and hands what the lane holds under the key it names,
+    /// if it still holds that key, to `drain`, which drops what has died
+    /// and says whether the lane lets go. Out-of-order records behind a
+    /// live head wait for a later call — expiry is garbage collection,
+    /// laziness is harmless.
+    fn expire<T>(
+        &mut self,
+        lane: &mut Lane<T>,
+        dead_before: Timestamp,
+        mut drain: impl FnMut(&mut T) -> bool,
+    ) {
+        while let Some(&(t, slot, hold)) = lane.log.front() {
             if t >= dead_before {
                 break;
             }
-            self.log.pop_front();
-            let s = &mut self.slots[slot as usize];
-            let Some(hash) = s.key.as_ref().map(Key::precomputed_hash) else {
-                continue;
-            };
-            if drain(&mut s.value) {
-                self.release(hash, slot);
+            lane.log.pop_front();
+            let cell = self.at[slot as usize * self.columns + lane.column as usize];
+            let live = cell.at != NOT_HELD && cell.hold == hold;
+            if live && drain(&mut lane.values[cell.at as usize]) {
+                self.let_go(lane, slot);
             }
         }
     }
+}
 
-    /// Replaces the log by what the live slots hold, in time order:
-    /// `times` reports the time of each thing in a value that should have
-    /// a record. A slot that reports nothing is released.
-    pub fn rebuild_log(
-        &mut self,
-        capacity: usize,
-        mut times: impl FnMut(&T, &mut dyn FnMut(Timestamp)),
-    ) {
-        let mut live: Vec<(Timestamp, u32)> = Vec::with_capacity(capacity);
-        for slot in 0..self.slots.len() as u32 {
-            let s = &self.slots[slot as usize];
-            let Some(hash) = s.key.as_ref().map(Key::precomputed_hash) else {
-                continue;
-            };
-            let before = live.len();
-            times(&s.value, &mut |t| live.push((t, slot)));
-            if live.len() == before {
-                self.release(hash, slot);
-            }
+/// One store's part of a [`KeyTable`]: what it holds under each key it
+/// holds, and its own expiry log of `(time, slot, hold)` records in
+/// the order logged, read against the store's own solved retention. An
+/// expiry walks only the log's expired prefix, O(records that died). A
+/// record names the lane's hold it was logged under, so what the other
+/// lanes hold never matters. A record may outlive what it was logged
+/// for (the entry was consumed): it then only prompts a look at a key whose
+/// dead content, if any, is dead by time — harmless.
+#[derive(Debug, Clone)]
+pub struct Lane<T> {
+    /// The node whose store this is.
+    owner: NodeId,
+    /// The lane's cell in each slot ([`SlotTable::at`]).
+    column: u32,
+    /// What the lane holds, one value per key it holds: as long as the
+    /// lane's own peak live keys, not the table's.
+    values: Vec<T>,
+    /// Values no key holds, each as a fresh key should find it, last freed
+    /// first.
+    spare: Vec<u32>,
+    /// Slots held: the store's live keys (reported in stats).
+    pub keys: usize,
+    /// Holds taken so far (wrapping), which numbers each.
+    holds: u32,
+    /// Entries retained across keys: queued instances, recorded times.
+    pub len: usize,
+    /// Instances the unbounded-buffer cap evicted (a join side), or keys
+    /// dropped whole (a history).
+    pub dropped: u64,
+    log: VecDeque<(Timestamp, u32, u32)>,
+}
+
+impl<T> Lane<T> {
+    fn new(owner: NodeId, column: usize, capacity: usize) -> Self {
+        Self {
+            owner,
+            column: column as u32,
+            values: Vec::with_capacity(capacity),
+            spare: Vec::new(),
+            keys: 0,
+            holds: 0,
+            len: 0,
+            dropped: 0,
+            log: VecDeque::new(),
         }
-        live.sort_by_key(|&(t, _)| t);
-        self.log = live.into();
+    }
+}
+
+/// One side of a two-sided join: FIFO queues per correlation key.
+///
+/// The paper's chronicle context pairs "the oldest initiator with the oldest
+/// terminator"; partitioning by key keeps that property *per correlated
+/// group* while making lookup O(1) in the number of keys. One log record
+/// per admitted entry, at its `t_end`; entries a chronicle take consumes
+/// leave their record stale.
+pub type KeyedBuffer = Lane<MicroDeque<Arc<Instance>>>;
+
+/// A [`Cell`] of a slot its lane does not hold.
+const NOT_HELD: u32 = u32::MAX;
+
+/// One `NOT` history registration's keyed occurrence histories: one log
+/// record per recorded occurrence, so pruning visits only keys
+/// that hold expired records.
+pub type HistTable = Lane<KeyHist>;
+
+/// The keyed state of one interned key spec: a [`SlotTable`] and one lane
+/// per store that reads the spec — a join side that admits, or a history
+/// registration on a `NOT` ([`crate::Program::stores`]). An arrival finds
+/// its key's slot once, whichever lanes read it; a slot is released only
+/// when its last lane lets go. Every admission expires its lane first, so
+/// an expiry never releases the slot that admission then takes hold of.
+#[derive(Debug, Clone)]
+pub struct KeyTable {
+    slots: SlotTable,
+    /// The join-side lanes.
+    pub joins: Vec<KeyedBuffer>,
+    /// The history lanes.
+    pub hists: Vec<HistTable>,
+}
+
+/// Drops the leading entries of `q` that ended before `dead_before` (they
+/// can never match again); returns how many.
+fn drop_dead_prefix(q: &mut MicroDeque<Arc<Instance>>, dead_before: Timestamp) -> usize {
+    let mut dropped = 0;
+    while q.front().is_some_and(|front| front.t_end() < dead_before) {
+        q.pop_front();
+        dropped += 1;
+    }
+    dropped
+}
+
+impl KeyTable {
+    /// An empty table for `spec`.
+    pub fn new(spec: KeySpecId) -> Self {
+        Self {
+            slots: SlotTable::new(spec),
+            joins: Vec::new(),
+            hists: Vec::new(),
+        }
+    }
+
+    /// Adds an empty join-side lane for `owner`, or a history lane with
+    /// `hist`, and returns its id; every slot gains an empty cell for it.
+    pub fn add_lane(&mut self, owner: NodeId, hist: bool) -> u32 {
+        let column = self.slots.columns;
+        self.slots.set_columns(column + 1);
+        let room = self.slots.keys.capacity();
+        let n = if hist {
+            self.hists.push(Lane::new(owner, column, room));
+            self.hists.len()
+        } else {
+            self.joins.push(Lane::new(owner, column, room));
+            self.joins.len()
+        };
+        (n - 1) as u32
+    }
+
+    /// Drops the lanes of nodes from `first` on. None has seen the stream,
+    /// so none holds a slot, and lanes are added in node order, so they are
+    /// the last cells of every slot and the rest keep their ids.
+    pub fn truncate(&mut self, first: NodeId) {
+        self.joins.retain(|l| l.owner < first);
+        self.hists.retain(|l| l.owner < first);
+        self.slots.set_columns(self.joins.len() + self.hists.len());
+    }
+
+    /// Drops what died before `dead_before` in join lane `lane`, then
+    /// appends `entry` under `key`, evicting the key's oldest entry past
+    /// `cap` (only finite for sides with unbounded retention). Returns how
+    /// many entries the expiry dropped.
+    pub fn push(
+        &mut self,
+        lane: u32,
+        (key, found): (&Key, &mut Found),
+        entry: Arc<Instance>,
+        cap: usize,
+        dead_before: Timestamp,
+    ) -> usize {
+        let dropped = self.prune(lane, dead_before);
+        let slot = self.slots.slot_of(key.precomputed_hash(), key, found);
+        self.admit(lane, slot, entry, cap);
+        dropped
+    }
+
+    /// Chronicle take-or-admit in one slot access: drops what died before
+    /// `dead_before` across keys, removes and returns the oldest entry of
+    /// `key`'s queue satisfying `pred`, then appends `entry` to the same
+    /// queue — the self-join arrival, whose instance always becomes an
+    /// initiator. Also returns how many entries the expiry dropped.
+    pub fn take_match_and_push(
+        &mut self,
+        lane: u32,
+        (key, found): (&Key, &mut Found),
+        dead_before: Timestamp,
+        pred: impl FnMut(&Arc<Instance>) -> bool,
+        entry: Arc<Instance>,
+        cap: usize,
+    ) -> (Option<Arc<Instance>>, usize) {
+        let dropped = self.prune(lane, dead_before);
+        let slot = self.slots.slot_of(key.precomputed_hash(), key, found);
+        let taken = self.take_from(lane, Some(slot), dead_before, pred);
+        self.admit(lane, slot, entry, cap);
+        (taken, dropped)
+    }
+
+    /// Logs `entry` and appends it to the queue of `slot`, evicting that
+    /// key's oldest entry when `cap` is exceeded.
+    fn admit(&mut self, lane: u32, slot: u32, entry: Arc<Instance>, cap: usize) {
+        let (buf, t) = (&mut self.joins[lane as usize], entry.t_end());
+        let q = self.slots.hold(buf, slot, t);
+        q.push_back(entry);
+        let evicted = q.len() > cap;
+        if evicted {
+            q.pop_front();
+        }
+        buf.len -= usize::from(evicted);
+        buf.dropped += u64::from(evicted);
+    }
+
+    /// Removes and returns the oldest entry under `key` satisfying `pred`,
+    /// first discarding leading entries older than `dead_before` (they can
+    /// never match again).
+    pub fn take_oldest_match(
+        &mut self,
+        lane: u32,
+        (key, found): (&Key, &mut Found),
+        dead_before: Timestamp,
+        pred: impl FnMut(&Arc<Instance>) -> bool,
+    ) -> Option<Arc<Instance>> {
+        let slot = self.slots.lookup(key.precomputed_hash(), key, found);
+        self.take_from(lane, slot, dead_before, pred)
+    }
+
+    fn take_from(
+        &mut self,
+        lane: u32,
+        slot: Option<u32>,
+        dead_before: Timestamp,
+        pred: impl FnMut(&Arc<Instance>) -> bool,
+    ) -> Option<Arc<Instance>> {
+        let buf = &mut self.joins[lane as usize];
+        let q = self.slots.get_mut(buf, slot)?;
+        let dead = drop_dead_prefix(q, dead_before);
+        let taken = q.iter().position(pred).and_then(|pos| q.remove(pos));
+        buf.len -= dead + usize::from(taken.is_some());
+        taken
+    }
+
+    /// Removes every entry under `key` holding exactly this instance
+    /// (pointer identity). Used when a pair is consumed: with same-pattern
+    /// children under different windows, one physical instance may sit in
+    /// both side buffers, and chronicle consumption must retire every copy.
+    pub fn remove_ptr_eq(
+        &mut self,
+        lane: u32,
+        (key, found): (&Key, &mut Found),
+        inst: &Arc<Instance>,
+    ) {
+        let slot = self.slots.lookup(key.precomputed_hash(), key, found);
+        let buf = &mut self.joins[lane as usize];
+        if let Some(q) = self.slots.get_mut(buf, slot) {
+            let before = q.len();
+            q.retain(|e| !Arc::ptr_eq(e, inst));
+            let removed = before - q.len();
+            buf.len -= removed;
+        }
+    }
+
+    /// Drops every entry of join lane `lane` whose log record has
+    /// `t_end < dead_before`, visiting only those keys, and lets go of the
+    /// keys whose queues drained; returns how many entries it dropped.
+    /// Per-key matching discards dead heads itself, so what the lazy log
+    /// leaves behind is never matched.
+    fn prune(&mut self, lane: u32, dead_before: Timestamp) -> usize {
+        let buf = &mut self.joins[lane as usize];
+        let mut dropped = 0;
+        self.slots.expire(buf, dead_before, |q| {
+            dropped += drop_dead_prefix(q, dead_before);
+            q.is_empty()
+        });
+        buf.len -= dropped;
+        // Consumed entries leave stale records behind; under an unbounded
+        // horizon (`dead_before` zero) nothing above pops them, so rebuild
+        // the log from what the lane holds once it outgrows the live
+        // population, letting go of the keys a chronicle take emptied. The
+        // threshold makes the rebuild amortized O(1) per admission.
+        if buf.log.len() > buf.len * 2 + 32 {
+            let mut live = Vec::with_capacity(buf.len);
+            for slot in 0..self.slots.keys.len() as u32 {
+                let Cell { at, hold } =
+                    self.slots.at[slot as usize * self.slots.columns + buf.column as usize];
+                if at == NOT_HELD {
+                    continue;
+                }
+                let before = live.len();
+                live.extend(
+                    buf.values[at as usize]
+                        .iter()
+                        .map(|e| (e.t_end(), slot, hold)),
+                );
+                if live.len() == before {
+                    self.slots.let_go(buf, slot);
+                }
+            }
+            live.sort_by_key(|&(t, ..)| t);
+            buf.log = live.into();
+        }
+        dropped
+    }
+
+    /// Drops what history lane `lane` holds from before `dead_before`, then
+    /// records an occurrence ending at `t` under `key`. Returns how many
+    /// records the expiry dropped.
+    pub fn record(
+        &mut self,
+        lane: u32,
+        key: (&Key, &mut Found),
+        t: Timestamp,
+        dead_before: Timestamp,
+    ) -> usize {
+        let (hist, dropped) = self.hist_at(lane, key, t, dead_before);
+        hist.insert(t);
+        dropped
+    }
+
+    /// [`KeyTable::record`] that first finds the latest occurrence at or
+    /// before `to` (strictly before when `exclusive_end`) in the same key's
+    /// history — the fused in-field delivery
+    /// ([`crate::plan::EdgeOp::QueryRecord`]). Equivalent to
+    /// [`KeyTable::last_occurrence`] and then `record` under the same key.
+    pub fn fused_last(
+        &mut self,
+        lane: u32,
+        key: (&Key, &mut Found),
+        t: Timestamp,
+        (to, exclusive_end): (Timestamp, bool),
+        dead_before: Timestamp,
+    ) -> (Option<Timestamp>, usize) {
+        let (hist, dropped) = self.hist_at(lane, key, t, dead_before);
+        let last = hist.times.last_before(to, exclusive_end);
+        hist.insert(t);
+        (last, dropped)
+    }
+
+    /// Expires history lane `lane`, then logs an occurrence at `t` under
+    /// `key` and returns the key's history for the caller to insert it.
+    fn hist_at(
+        &mut self,
+        lane: u32,
+        (key, found): (&Key, &mut Found),
+        t: Timestamp,
+        dead_before: Timestamp,
+    ) -> (&mut KeyHist, usize) {
+        let dropped = self.prune_hist(lane, dead_before);
+        let slot = self.slots.slot_of(key.precomputed_hash(), key, found);
+        (
+            self.slots.hold(&mut self.hists[lane as usize], slot, t),
+            dropped,
+        )
+    }
+
+    /// The latest retained occurrence under `key` at or before `to`
+    /// (strictly before when `exclusive_end`). One answer serves every
+    /// window that ends at `to`: a window reaching back to `from` holds an
+    /// occurrence exactly when this is `Some(t)` with `t >= from`. A key
+    /// the expiry dropped held nothing within the node's retention, which
+    /// covers every attached window, so `None` is exact for it too.
+    pub fn last_occurrence(
+        &self,
+        lane: u32,
+        key: (&Key, &mut Found),
+        to: Timestamp,
+        exclusive_end: bool,
+    ) -> Option<Timestamp> {
+        self.hist(lane, key)?.times.last_before(to, exclusive_end)
+    }
+
+    /// Whether any occurrence under `key` falls in `[from, to]` (or
+    /// `[from, to)` when `exclusive_end`).
+    pub fn occurred(
+        &self,
+        lane: u32,
+        key: (&Key, &mut Found),
+        (from, to): (Timestamp, Timestamp),
+        exclusive_end: bool,
+    ) -> bool {
+        let Some(hist) = self.hist(lane, key) else {
+            // A dropped key cannot be the subject of an epoch-anchored query:
+            // those only arise under unbounded windows (retention = MAX, so
+            // nothing is ever dropped) or before the clock passes the
+            // retention horizon (so nothing has been dropped yet).
+            debug_assert!(
+                from > Timestamp::ZERO || self.hists[lane as usize].dropped == 0,
+                "unbounded negation query after key drops — retention invariant violated"
+            );
+            return false;
+        };
+        hist.any_in(from, to, exclusive_end)
+    }
+
+    fn hist(&self, lane: u32, (key, found): (&Key, &mut Found)) -> Option<&KeyHist> {
+        let slot = self.slots.lookup(key.precomputed_hash(), key, found);
+        let hist = &self.hists[lane as usize];
+        Some(&hist.values[self.slots.at(hist, slot)?])
+    }
+
+    /// Drops history lane `lane`'s occurrences older than `dead_before`, and
+    /// lets go of a key once it holds nothing a future query can reach: an
+    /// empty history with `earliest < dead_before`. Without that a stream
+    /// over millions of distinct EPCs grows the table forever. Returns the
+    /// number of occurrence records removed.
+    ///
+    /// Dropping keys is exact for epoch-anchored ("never occurred") queries
+    /// because those only exist where nothing is ever dropped: an unbounded
+    /// parent window forces the node's retention to `Span::MAX`, which makes
+    /// `dead_before` zero here; and a window that merely *saturates* at the
+    /// epoch early in the stream implies the clock has not yet passed the
+    /// retention horizon, so no drop has happened yet (the clock is
+    /// monotone, so drops strictly follow all saturated queries). The lane's
+    /// `dropped` count makes the invariant checkable (`debug_assert` in
+    /// [`KeyTable::occurred`]).
+    fn prune_hist(&mut self, lane: u32, dead_before: Timestamp) -> usize {
+        if dead_before == Timestamp::ZERO {
+            return 0;
+        }
+        let hist = &mut self.hists[lane as usize];
+        let (mut removed, mut dropped_keys) = (0, 0);
+        // The log names exactly the keys holding records that just died. A
+        // lagged record behind a live head is collected later, which is
+        // sound: `occurred` range-checks its answers, so a stale record is
+        // never *wrongly counted*, only kept a little longer.
+        self.slots.expire(hist, dead_before, |h| {
+            while h.times.front().is_some_and(|t| t < dead_before) {
+                h.times.pop_front();
+                removed += 1;
+            }
+            match h.earliest {
+                Some(e) if h.times.is_empty() && e < dead_before => {
+                    dropped_keys += 1;
+                    *h = KeyHist::default();
+                    true
+                }
+                _ => false,
+            }
+        });
+        hist.len -= removed;
+        hist.dropped += dropped_keys;
+        removed
     }
 }
 
@@ -185,7 +697,7 @@ const INLINE_ENTRIES: usize = 2;
 /// directly in the key's slot (no second pointer chase per probe);
 /// longer queues are promoted to a heap deque and stay there.
 #[derive(Debug, Clone)]
-enum MicroDeque<T> {
+pub enum MicroDeque<T> {
     /// `buf[..len]` holds the queue, oldest first.
     Inline {
         len: u8,
@@ -312,170 +824,6 @@ impl<'a, T> Iterator for MicroIter<'a, T> {
             MicroIter::Inline(it) => it.next().map(|s| s.as_ref().expect("slot full")),
             MicroIter::Heap(it) => it.next(),
         }
-    }
-}
-
-/// One side of a two-sided join: FIFO queues per correlation key.
-///
-/// The paper's chronicle context pairs "the oldest initiator with the oldest
-/// terminator"; partitioning by key keeps that property *per correlated
-/// group* while making lookup O(1) in the number of keys.
-#[derive(Debug, Default, Clone)]
-pub struct KeyedBuffer {
-    /// Per-key queues; one expiry-log record `(t_end, slot)` per admitted
-    /// entry, in admission order. Entries consumed by a chronicle take
-    /// leave their record stale in the log.
-    table: SlotTable<MicroDeque<Arc<Instance>>>,
-    len: usize,
-    /// Instances evicted by the unbounded-buffer cap (reported in stats).
-    pub dropped: u64,
-}
-
-/// Drops the leading entries of `q` that ended before `dead_before` (they
-/// can never match again); returns how many.
-fn drop_dead_prefix(q: &mut MicroDeque<Arc<Instance>>, dead_before: Timestamp) -> usize {
-    let mut dropped = 0;
-    while q.front().is_some_and(|front| front.t_end() < dead_before) {
-        q.pop_front();
-        dropped += 1;
-    }
-    dropped
-}
-
-impl KeyedBuffer {
-    /// Total buffered instances across keys.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Distinct correlation keys currently indexed (reported in stats).
-    pub fn key_count(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Logs and appends `entry` to the queue of `slot`; evicts the oldest
-    /// entry of that key when `cap` is exceeded.
-    fn admit(&mut self, slot: u32, entry: Arc<Instance>, cap: usize) {
-        self.table.log(entry.t_end(), slot);
-        let q = self.table.value_mut(slot);
-        q.push_back(entry);
-        self.len += 1;
-        if q.len() > cap {
-            q.pop_front();
-            self.len -= 1;
-            self.dropped += 1;
-        }
-    }
-
-    /// Drops what died before `dead_before` ([`KeyedBuffer::prune`]), then
-    /// appends an entry under a key; evicts the oldest entry of that key
-    /// when `cap` is exceeded (only finite for sides with unbounded
-    /// retention). Returns how many entries the expiry dropped.
-    pub fn push(
-        &mut self,
-        key: &Key,
-        entry: Arc<Instance>,
-        cap: usize,
-        dead_before: Timestamp,
-    ) -> usize {
-        let dropped = self.prune(dead_before);
-        let slot = self.table.slot_of(key.precomputed_hash(), key);
-        self.admit(slot, entry, cap);
-        dropped
-    }
-
-    /// Chronicle take-or-admit in a single probe: drops what died before
-    /// `dead_before` across keys, removes and returns the oldest entry of
-    /// `key`'s queue satisfying `pred`, then appends `entry` to the same
-    /// queue. This is the self-join arrival in one slot access — the
-    /// arriving instance always becomes an initiator, matched or not, so
-    /// splitting the take and the push would probe for the same slot
-    /// twice. Also returns how many entries the expiry dropped.
-    pub fn take_match_and_push(
-        &mut self,
-        key: &Key,
-        dead_before: Timestamp,
-        pred: impl FnMut(&Arc<Instance>) -> bool,
-        entry: Arc<Instance>,
-        cap: usize,
-    ) -> (Option<Arc<Instance>>, usize) {
-        let dropped = self.prune(dead_before);
-        let slot = self.table.slot_of(key.precomputed_hash(), key);
-        let taken = self.take_from(slot, dead_before, pred);
-        self.admit(slot, entry, cap);
-        (taken, dropped)
-    }
-
-    /// Removes and returns the oldest entry of `slot` satisfying `pred`,
-    /// first discarding its dead prefix.
-    fn take_from(
-        &mut self,
-        slot: u32,
-        dead_before: Timestamp,
-        pred: impl FnMut(&Arc<Instance>) -> bool,
-    ) -> Option<Arc<Instance>> {
-        let q = self.table.value_mut(slot);
-        self.len -= drop_dead_prefix(q, dead_before);
-        let pos = q.iter().position(pred)?;
-        self.len -= 1;
-        q.remove(pos)
-    }
-
-    /// Removes and returns the oldest entry under `key` satisfying `pred`,
-    /// first discarding leading entries older than `dead_before` (they can
-    /// never match again).
-    pub fn take_oldest_match(
-        &mut self,
-        key: &Key,
-        dead_before: Timestamp,
-        pred: impl FnMut(&Arc<Instance>) -> bool,
-    ) -> Option<Arc<Instance>> {
-        let slot = self.table.find(key.precomputed_hash(), key)?;
-        self.take_from(slot, dead_before, pred)
-    }
-
-    /// Removes every entry under `key` holding exactly this instance
-    /// (pointer identity). Used when a pair is consumed: with same-pattern
-    /// children under different windows, one physical instance may sit in
-    /// both side buffers, and chronicle consumption must retire every copy.
-    pub fn remove_ptr_eq(&mut self, key: &Key, inst: &Arc<Instance>) {
-        if let Some(slot) = self.table.find(key.precomputed_hash(), key) {
-            let q = self.table.value_mut(slot);
-            let before = q.len();
-            q.retain(|e| !Arc::ptr_eq(e, inst));
-            self.len -= before - q.len();
-        }
-    }
-
-    /// Drops every entry (across keys) whose expiry-log record has
-    /// `t_end < dead_before`, visiting only those keys, and releases the
-    /// keys whose queues drained; returns how many entries it dropped.
-    /// Per-key matching already discards dead heads itself, so what the
-    /// lazy log leaves behind is never matched.
-    fn prune(&mut self, dead_before: Timestamp) -> usize {
-        let before = self.len;
-        let len = &mut self.len;
-        self.table.expire(dead_before, |q| {
-            *len -= drop_dead_prefix(q, dead_before);
-            q.is_empty()
-        });
-        // Consumed entries leave stale log records behind; under an
-        // unbounded horizon (`dead_before` zero) nothing above pops them,
-        // so compact once the log outgrows the live population (which also
-        // releases the keys a chronicle take emptied). The threshold makes
-        // the rebuild amortized O(1) per admission.
-        if self.table.log_len() > self.len * 2 + 32 {
-            self.table.rebuild_log(self.len, |q, record| {
-                q.iter().for_each(|e| record(e.t_end()));
-            });
-        }
-        before - self.len
-    }
-
-    /// Expiry-log length (the compaction-threshold regression test).
-    #[cfg(test)]
-    fn expiry_log_len(&self) -> usize {
-        self.table.log_len()
     }
 }
 
@@ -609,7 +957,7 @@ fn insert_sorted(q: &mut VecDeque<Timestamp>, t: Timestamp) {
 
 /// Occurrence history for one correlation key of a negation node.
 #[derive(Debug, Default, Clone)]
-struct KeyHist {
+pub struct KeyHist {
     /// First occurrence ever (survives pruning — answers unbounded
     /// "never occurred before t" queries).
     earliest: Option<Timestamp>,
@@ -649,194 +997,6 @@ impl KeyHist {
             Some(t) => t <= to,
             None => false,
         }
-    }
-}
-
-/// One spec's keyed histories: one expiry-log record `(t, slot)` per
-/// recorded occurrence, so pruning visits only keys that hold expired
-/// records instead of scanning every live key at each admission.
-#[derive(Debug, Default, Clone)]
-struct HistTable {
-    table: SlotTable<KeyHist>,
-    /// Occurrence records retained across keys (what walking every slot's
-    /// `times` would count).
-    recorded: usize,
-}
-
-impl HistTable {
-    /// Logs an occurrence at `t` under `key` and returns the key's history
-    /// for the caller to insert `t` into.
-    fn record(&mut self, key: &Key, t: Timestamp) -> &mut KeyHist {
-        let slot = self.table.slot_of(key.precomputed_hash(), key);
-        self.table.log(t, slot);
-        self.recorded += 1;
-        self.table.value_mut(slot)
-    }
-
-    fn hist(&self, key: &Key) -> Option<&KeyHist> {
-        let slot = self.table.find(key.precomputed_hash(), key)?;
-        Some(self.table.value(slot))
-    }
-}
-
-/// State of a `NOT` node: one keyed history per registered
-/// [`crate::graph::HistSpec`].
-#[derive(Debug, Clone)]
-pub struct NegationState {
-    tables: Vec<HistTable>,
-    /// Keys removed from the histories by [`NegationState::prune`].
-    dropped_keys: u64,
-}
-
-impl NegationState {
-    /// Empty histories for `specs` registered history specs.
-    pub fn new(specs: usize) -> Self {
-        Self {
-            tables: (0..specs).map(|_| HistTable::default()).collect(),
-            dropped_keys: 0,
-        }
-    }
-
-    /// Drops what history `spec` holds from before `dead_before`
-    /// ([`NegationState::prune`]), then records an inner occurrence ending
-    /// at `t` under `key` in it. Returns how many records the expiry
-    /// dropped.
-    pub fn record(
-        &mut self,
-        spec: usize,
-        key: &Key,
-        t: Timestamp,
-        dead_before: Timestamp,
-    ) -> usize {
-        let dropped = self.prune(spec, dead_before);
-        self.tables[spec].record(key, t).insert(t);
-        dropped
-    }
-
-    /// Drops what history `spec` holds from before `dead_before`, finds
-    /// the latest occurrence at or before `to` (strictly before when
-    /// `exclusive_end`), then records an occurrence ending at `t` against
-    /// the same history entry, in one bucket probe — the fused in-field
-    /// delivery ([`crate::plan::EdgeOp::QueryRecord`]). Equivalent to
-    /// [`NegationState::last_occurrence`] and then
-    /// [`NegationState::record`] under the same key; also returns how
-    /// many records the expiry dropped.
-    pub fn fused_last(
-        &mut self,
-        spec: usize,
-        key: &Key,
-        t: Timestamp,
-        to: Timestamp,
-        exclusive_end: bool,
-        dead_before: Timestamp,
-    ) -> (Option<Timestamp>, usize) {
-        let dropped = self.prune(spec, dead_before);
-        let hist = self.tables[spec].record(key, t);
-        let last = hist.times.last_before(to, exclusive_end);
-        hist.insert(t);
-        (last, dropped)
-    }
-
-    /// The latest retained occurrence under `key` at or before `to`
-    /// (strictly before when `exclusive_end`). One answer serves every
-    /// window that ends at `to`: a window reaching back to `from` holds an
-    /// occurrence exactly when this is `Some(t)` with `t >= from`. A key
-    /// the expiry dropped held nothing within the node's retention, which
-    /// covers every attached window, so `None` is exact for it too.
-    pub fn last_occurrence(
-        &self,
-        spec: usize,
-        key: &Key,
-        to: Timestamp,
-        exclusive_end: bool,
-    ) -> Option<Timestamp> {
-        self.tables
-            .get(spec)?
-            .hist(key)?
-            .times
-            .last_before(to, exclusive_end)
-    }
-
-    /// Whether any occurrence under `key` falls in `[from, to]`
-    /// (or `[from, to)` when `exclusive_end`).
-    pub fn occurred(
-        &self,
-        spec: usize,
-        key: &Key,
-        from: Timestamp,
-        to: Timestamp,
-        exclusive_end: bool,
-    ) -> bool {
-        let Some(hist) = self.tables.get(spec).and_then(|tb| tb.hist(key)) else {
-            // A dropped key cannot be the subject of an epoch-anchored query:
-            // those only arise under unbounded windows (retention = MAX, so
-            // nothing is ever dropped) or before the clock passes the
-            // retention horizon (so nothing has been dropped yet).
-            debug_assert!(
-                from > Timestamp::ZERO || self.dropped_keys == 0,
-                "unbounded negation query after key drops — retention invariant violated"
-            );
-            return false;
-        };
-        hist.any_in(from, to, exclusive_end)
-    }
-
-    /// Drops history `spec`'s occurrences older than `dead_before`, and
-    /// removes whole key entries once they hold nothing a future query can
-    /// reach: an empty deque with `earliest < dead_before`. Without the
-    /// removal a stream over millions of distinct EPCs grows the histories
-    /// map forever. Returns the number of occurrence records removed.
-    ///
-    /// Removing keys is exact for epoch-anchored ("never occurred") queries
-    /// because those only exist where nothing is ever dropped: an unbounded
-    /// parent window forces the node's retention to `Span::MAX`, which makes
-    /// `dead_before` zero here; and a window that merely *saturates* at the
-    /// epoch early in the stream implies the clock has not yet passed the
-    /// retention horizon, so no drop has happened yet (the clock is
-    /// monotone, so drops strictly follow all saturated queries). The count
-    /// `dropped_keys` records that keys were removed so the invariant is
-    /// checkable (`debug_assert` in [`NegationState::occurred`]).
-    fn prune(&mut self, spec: usize, dead_before: Timestamp) -> usize {
-        if dead_before == Timestamp::ZERO {
-            return 0;
-        }
-        let mut removed = 0;
-        let dropped_keys = &mut self.dropped_keys;
-        let tb = &mut self.tables[spec];
-        // The expiry log names exactly the keys holding records that just
-        // died, so this is O(expired records) — not a retain over every
-        // live key. Lagged records behind a live log head are collected
-        // later, which is sound: `occurred` range-checks its answers, so a
-        // stale record is never *wrongly counted*, only kept a little
-        // longer.
-        tb.table.expire(dead_before, |hist| {
-            while hist.times.front().is_some_and(|t| t < dead_before) {
-                hist.times.pop_front();
-                removed += 1;
-            }
-            match hist.earliest {
-                Some(e) if hist.times.is_empty() && e < dead_before => {
-                    *dropped_keys += 1;
-                    *hist = KeyHist::default();
-                    true
-                }
-                _ => false,
-            }
-        });
-        tb.recorded -= removed;
-        removed
-    }
-
-    /// Total retained occurrence records (diagnostics): a running count,
-    /// so the engine's `stats()` can read it after every batch.
-    pub fn recorded(&self) -> usize {
-        self.tables.iter().map(|tb| tb.recorded).sum()
-    }
-
-    /// Distinct correlation keys currently held across all history specs
-    /// (the quantity [`NegationState::prune`] bounds; reported in stats).
-    pub fn key_count(&self) -> usize {
-        self.tables.iter().map(|tb| tb.table.len()).sum()
     }
 }
 
@@ -942,15 +1102,10 @@ pub enum NodeState {
     /// Leaves, `OR` forwarding, and pure query plans hold no state.
     #[default]
     Stateless,
-    /// Two-sided chronicle join buffers.
-    Join {
-        /// Left-side buffer.
-        left: KeyedBuffer,
-        /// Right-side buffer.
-        right: KeyedBuffer,
-    },
-    /// Negation histories.
-    Negation(NegationState),
+    /// The node's lanes in its stores' key tables, in
+    /// [`crate::Program::stores`] order: a join's sides, a `NOT`'s
+    /// history registrations.
+    Keyed(Box<[u32]>),
     /// `SEQ+` element history.
     Aperiodic(AperiodicState),
     /// `TSEQ+` open run.
@@ -960,11 +1115,11 @@ pub enum NodeState {
 }
 
 impl NodeState {
-    /// The join buffers; panics if the node is not a join (engine bug).
-    pub fn join_mut(&mut self) -> (&mut KeyedBuffer, &mut KeyedBuffer) {
+    /// The node's lanes; panics on a node without keyed stores (engine bug).
+    pub fn lanes(&self) -> &[u32] {
         match self {
-            NodeState::Join { left, right } => (left, right),
-            other => panic!("expected join state, found {other:?}"),
+            NodeState::Keyed(lanes) => lanes,
+            other => panic!("expected keyed state, found {other:?}"),
         }
     }
 }
@@ -982,7 +1137,18 @@ pub fn dead_before(clock: Timestamp, retention: Span) -> Timestamp {
 mod tests {
     use super::*;
     use rfid_epc::{Gid96, ReaderId};
-    use rfid_events::Observation;
+    use rfid_events::{Catalog, EventExpr, Observation};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Index probes, inserts and releases on this thread.
+        pub(super) static OPS: [Cell<u64>; 3] = const { [Cell::new(0), Cell::new(0), Cell::new(0)] };
+    }
+
+    /// Index probes, inserts and releases on this thread so far.
+    pub(crate) fn index_ops() -> [u64; 3] {
+        OPS.with(|ops| ops.each_ref().map(Cell::get))
+    }
 
     fn inst(ms: u64) -> Arc<Instance> {
         Arc::new(Instance::observation(Observation::new(
@@ -996,9 +1162,91 @@ mod tests {
         Timestamp::from_millis(t)
     }
 
+    /// A keyed table with one join lane, driven like the per-node buffer
+    /// it replaced: every call probes afresh.
+    struct Buf(KeyTable);
+
+    impl Buf {
+        fn new() -> Self {
+            let mut table = KeyTable::new(KeySpecId(1));
+            table.add_lane(NodeId(0), false);
+            Buf(table)
+        }
+        fn push(&mut self, key: &Key, e: Arc<Instance>, cap: usize, dead: Timestamp) -> usize {
+            self.0.push(0, (key, &mut Found::Unprobed), e, cap, dead)
+        }
+        fn take_oldest_match(
+            &mut self,
+            key: &Key,
+            dead: Timestamp,
+            pred: impl FnMut(&Arc<Instance>) -> bool,
+        ) -> Option<Arc<Instance>> {
+            self.0
+                .take_oldest_match(0, (key, &mut Found::Unprobed), dead, pred)
+        }
+        fn prune(&mut self, dead: Timestamp) -> usize {
+            self.0.prune(0, dead)
+        }
+        fn len(&self) -> usize {
+            self.0.joins[0].len
+        }
+        fn key_count(&self) -> usize {
+            self.0.joins[0].keys
+        }
+        fn expiry_log_len(&self) -> usize {
+            self.0.joins[0].log.len()
+        }
+    }
+
+    /// A keyed table with `n` history lanes, driven like the per-node
+    /// negation state it replaced.
+    struct Neg(KeyTable);
+
+    impl Neg {
+        fn new(n: usize) -> Self {
+            let mut table = KeyTable::new(KeySpecId(1));
+            for _ in 0..n {
+                table.add_lane(NodeId(0), true);
+            }
+            Neg(table)
+        }
+        fn record(&mut self, lane: usize, key: &Key, t: Timestamp, dead: Timestamp) -> usize {
+            self.0
+                .record(lane as u32, (key, &mut Found::Unprobed), t, dead)
+        }
+        fn fused_last(&mut self, lane: usize, key: &Key, t: Timestamp, to: Timestamp, excl: bool) {
+            let key = (key, &mut Found::Unprobed);
+            self.0
+                .fused_last(lane as u32, key, t, (to, excl), Timestamp::ZERO);
+        }
+        fn occurred(
+            &self,
+            lane: usize,
+            key: &Key,
+            from: Timestamp,
+            to: Timestamp,
+            excl: bool,
+        ) -> bool {
+            self.0
+                .occurred(lane as u32, (key, &mut Found::Unprobed), (from, to), excl)
+        }
+        fn prune(&mut self, lane: usize, dead: Timestamp) -> usize {
+            self.0.prune_hist(lane as u32, dead)
+        }
+        fn recorded(&self) -> usize {
+            self.0.hists.iter().map(|l| l.len).sum()
+        }
+        fn key_count(&self) -> usize {
+            self.0.hists.iter().map(|l| l.keys).sum()
+        }
+        fn dropped_keys(&self) -> u64 {
+            self.0.hists.iter().map(|l| l.dropped).sum()
+        }
+    }
+
     #[test]
     fn keyed_buffer_fifo_and_match() {
-        let mut buf = KeyedBuffer::default();
+        let mut buf = Buf::new();
         let key = Key::EMPTY;
         buf.push(&key, inst(100), usize::MAX, Timestamp::ZERO);
         buf.push(&key, inst(200), usize::MAX, Timestamp::ZERO);
@@ -1020,13 +1268,13 @@ mod tests {
 
     #[test]
     fn keyed_buffer_cap_evicts_oldest() {
-        let mut buf = KeyedBuffer::default();
+        let mut buf = Buf::new();
         let key = Key::EMPTY;
         for i in 0..5 {
             buf.push(&key, inst(i * 100), 3, Timestamp::ZERO);
         }
         assert_eq!(buf.len(), 3);
-        assert_eq!(buf.dropped, 2);
+        assert_eq!(buf.0.joins[0].dropped, 2);
         let got = buf
             .take_oldest_match(&key, Timestamp::ZERO, |_| true)
             .unwrap();
@@ -1036,7 +1284,7 @@ mod tests {
     /// An admission expires what died under any key, not just its own.
     #[test]
     fn keyed_buffer_prune_across_keys() {
-        let mut buf = KeyedBuffer::default();
+        let mut buf = Buf::new();
         buf.push(&Key::EMPTY, inst(100), usize::MAX, Timestamp::ZERO);
         let other_key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(7))]);
         let dropped = buf.push(&other_key, inst(900), usize::MAX, ms(500));
@@ -1048,7 +1296,7 @@ mod tests {
     /// which a prune — even one that expires nothing — rebuilds the log.
     #[test]
     fn expiry_log_compaction_threshold_is_two_len_plus_32() {
-        let mut buf = KeyedBuffer::default();
+        let mut buf = Buf::new();
         // 33 entries under distinct keys, all consumed: the whole log goes
         // stale while `len` drops to zero.
         for i in 0..33u64 {
@@ -1065,7 +1313,7 @@ mod tests {
         );
 
         // At 32 stale records the threshold (0·2 + 32) is not exceeded.
-        let mut at_threshold = KeyedBuffer::default();
+        let mut at_threshold = Buf::new();
         for i in 0..32u64 {
             let key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i as u32))]);
             at_threshold.push(&key, inst(100 + i), usize::MAX, Timestamp::ZERO);
@@ -1108,7 +1356,7 @@ mod tests {
     /// slot reused by the next new key, with stale log records harmless.
     #[test]
     fn keyed_buffer_recycles_slots_after_prune() {
-        let mut buf = KeyedBuffer::default();
+        let mut buf = Buf::new();
         let k1 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(1))]);
         let k2 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(2))]);
         buf.push(&k1, inst(100), usize::MAX, Timestamp::ZERO);
@@ -1143,7 +1391,9 @@ mod tests {
             0 => keys[k].precomputed_hash(),
             _ => ((k % 2) as u64) << 40 | (0xFFFF_FFE8 + (k % 24) as u64),
         };
-        let mut table: SlotTable<u64> = SlotTable::default();
+        let mut table = SlotTable::new(KeySpecId(1));
+        // What the caller keeps per slot, beside the table.
+        let mut values = vec![0u64; 400];
         let mut model = std::collections::BTreeMap::<usize, u64>::new();
         let mut state = 11u64;
         let mut next = move || {
@@ -1157,19 +1407,20 @@ mod tests {
             let k = next() % keys.len();
             match next() % 4 {
                 0 | 1 => {
-                    let slot = table.slot_of(hash_of(k), &keys[k]);
+                    let slot = table.slot_of(hash_of(k), &keys[k], &mut Found::Unprobed);
                     // A fresh key finds the value its slot was freed with.
-                    assert_eq!(*table.value(slot), model.get(&k).copied().unwrap_or(0));
-                    *table.value_mut(slot) = step;
+                    let value = &mut values[slot as usize];
+                    assert_eq!(*value, model.get(&k).copied().unwrap_or(0));
+                    *value = step;
                     model.insert(k, step);
                 }
                 2 => {
                     let found = table.find(hash_of(k), &keys[k]);
-                    assert_eq!(found.map(|s| *table.value(s)), model.get(&k).copied());
+                    assert_eq!(found.map(|s| values[s as usize]), model.get(&k).copied());
                 }
                 _ => {
                     if let Some(slot) = table.find(hash_of(k), &keys[k]) {
-                        *table.value_mut(slot) = 0;
+                        values[slot as usize] = 0;
                         table.release(hash_of(k), slot);
                         table.release(hash_of(k), slot); // a no-op on a free slot
                     }
@@ -1178,33 +1429,39 @@ mod tests {
                 }
             }
             peak = peak.max(model.len());
-            assert_eq!(table.len(), model.len(), "step {step}");
+            let index = table.index.as_ref().unwrap();
+            assert_eq!(index.len(), model.len(), "step {step}");
         }
         assert!(peak > 200, "the table grew through several doublings");
-        assert!(table.slots.len() <= peak);
-        assert!(table.index.cells() <= 4 * peak);
+        assert!(table.keys.len() <= peak);
+        assert!(table.index.as_ref().unwrap().cells() <= 4 * peak);
         for (k, key) in keys.iter().enumerate() {
             let found = table.find(hash_of(k), key);
-            assert_eq!(found.map(|s| *table.value(s)), model.get(&k).copied());
+            assert_eq!(found.map(|s| values[s as usize]), model.get(&k).copied());
             if let Some(slot) = found {
                 table.release(hash_of(k), slot);
             }
         }
-        assert_eq!(table.len(), 0);
+        assert!(table.index.as_ref().unwrap().is_empty());
         assert!(keys
             .iter()
             .enumerate()
             .all(|(k, key)| table.find(hash_of(k), key).is_none()));
     }
 
-    /// A million distinct keys, a few thousand live at once: the slot arena
-    /// and the index stay the size of the peak live population — released
-    /// keys leave no tombstones behind and nothing grows with the number of
-    /// keys seen.
+    /// A million distinct keys, a few thousand live at once, each admitted
+    /// by a join lane and recorded by a history lane of one table: the slot
+    /// arena and the index stay the size of the peak live population —
+    /// released keys leave no tombstones behind and nothing grows with the
+    /// number of keys seen — and the arrival that brings a key probes and
+    /// inserts it once for both lanes.
     #[test]
     fn key_churn_grows_neither_the_arena_nor_the_index() {
-        let mut buf = KeyedBuffer::default();
-        let mut neg = NegationState::new(1);
+        let mut table = KeyTable::new(KeySpecId(1));
+        let (buf, hist) = (
+            table.add_lane(NodeId(0), false),
+            table.add_lane(NodeId(1), true),
+        );
         let mut peak = 0;
         for i in 0..1_000_000u64 {
             let key = Key::from_parts(&[crate::key::KeyPart::Object(
@@ -1213,36 +1470,42 @@ mod tests {
             // Each admission expires what its key's predecessors left
             // 4 s behind.
             let horizon = Timestamp::from_millis(i.saturating_sub(4000));
-            buf.push(&key, inst(i), usize::MAX, horizon);
-            neg.record(0, &key, Timestamp::from_millis(i), horizon);
+            let mut found = Found::Unprobed;
+            table.push(buf, (&key, &mut found), inst(i), usize::MAX, horizon);
+            table.record(hist, (&key, &mut found), Timestamp::from_millis(i), horizon);
             if i % 1000 == 999 {
-                assert_eq!(buf.key_count(), neg.key_count());
-                peak = peak.max(buf.key_count());
+                assert_eq!(table.joins[0].keys, table.hists[0].keys);
+                peak = peak.max(table.joins[0].keys);
             }
         }
         assert!((4000..=8000).contains(&peak), "peak live keys: {peak}");
-        for table in [&buf.table.index, &neg.tables[0].table.index] {
-            assert!(table.cells() <= 4 * peak, "{} cells", table.cells());
-        }
-        for slots in [buf.table.slots.len(), neg.tables[0].table.slots.len()] {
-            assert!(slots <= peak, "{slots} slots for {peak} live keys");
-        }
+        let cells = table.slots.index.as_ref().unwrap().cells();
+        assert!(cells <= 4 * peak, "{cells} cells");
+        // Plus one: an arrival's key is inserted before the history lane,
+        // expiring as it records, lets go of the key that died.
+        let slots = table.slots.keys.len();
+        assert!(slots <= peak + 1, "{slots} slots for {peak} live keys");
+        let [probes, inserts, releases] = index_ops();
+        assert_eq!((probes, inserts), (1_000_000, 1_000_000));
+        assert_eq!(releases, 1_000_000 - table.joins[0].keys as u64);
+        let neg = Neg(table);
         assert_eq!(neg.recorded(), recorded_by_walk(&neg));
     }
 
-    /// What [`NegationState::recorded`] counted before it kept a count.
-    fn recorded_by_walk(neg: &NegationState) -> usize {
-        neg.tables
-            .iter()
-            .flat_map(|tb| tb.table.slots.iter())
-            .filter(|s| s.key.is_some())
-            .map(|s| s.value.times.len())
-            .sum()
+    /// What the lanes' running record counts count, by walking what each
+    /// lane holds.
+    fn recorded_by_walk(neg: &Neg) -> usize {
+        let held = |l: &HistTable| -> usize {
+            let slots = 0..neg.0.slots.keys.len() as u32;
+            let held = slots.filter_map(|s| neg.0.slots.at(l, Some(s)));
+            held.map(|at| l.values[at].times.len()).sum()
+        };
+        neg.0.hists.iter().map(held).sum()
     }
 
     #[test]
     fn negation_record_count_equals_the_walk() {
-        let mut neg = NegationState::new(3);
+        let mut neg = Neg::new(3);
         let mut state = 5u64;
         let mut next = move || {
             state = state
@@ -1260,9 +1523,7 @@ mod tests {
                 0 => {
                     neg.record(spec, &key, t, Timestamp::ZERO);
                 }
-                _ => {
-                    neg.fused_last(spec, &key, t, t, next() % 2 == 0, Timestamp::ZERO);
-                }
+                _ => neg.fused_last(spec, &key, t, t, next() % 2 == 0),
             }
             if step % 97 == 0 {
                 // Removes records and, with them, whole keys.
@@ -1272,13 +1533,337 @@ mod tests {
             }
             assert_eq!(neg.recorded(), recorded_by_walk(&neg), "step {step}");
         }
-        assert!(neg.dropped_keys > 0, "some keys were dropped whole");
+        assert!(neg.dropped_keys() > 0, "some keys were dropped whole");
         assert!(neg.recorded() > 0);
+    }
+
+    /// What one store's own table held in the per-node layout, as plain
+    /// maps: the model [`KeyTable`]'s lanes are checked against. A log
+    /// record names the key and the hold it was logged under.
+    #[derive(Default)]
+    struct ModelLane {
+        /// Key → (hold, entry times): a join queue, or a history's times.
+        held: std::collections::BTreeMap<usize, (u64, VecDeque<u64>)>,
+        /// A history key's earliest time, which survives pruning.
+        earliest: std::collections::BTreeMap<usize, u64>,
+        holds: u64,
+        log: VecDeque<(u64, usize, u64)>,
+        len: usize,
+        dropped: u64,
+    }
+
+    impl ModelLane {
+        fn hold(&mut self, key: usize) -> &mut VecDeque<u64> {
+            if !self.held.contains_key(&key) {
+                self.holds += 1;
+                self.held.insert(key, (self.holds, VecDeque::new()));
+            }
+            &mut self.held.get_mut(&key).unwrap().1
+        }
+
+        fn expire(&mut self, dead: u64, hist: bool) -> usize {
+            let mut dropped = 0;
+            while self.log.front().is_some_and(|&(t, ..)| t < dead) {
+                let (_, key, hold) = self.log.pop_front().unwrap();
+                let Some((h, times)) = self.held.get_mut(&key) else {
+                    continue;
+                };
+                if *h != hold {
+                    continue;
+                }
+                while times.front().is_some_and(|&t| t < dead) {
+                    times.pop_front();
+                    dropped += 1;
+                }
+                let gone = times.is_empty() && (!hist || self.earliest[&key] < dead);
+                if gone {
+                    self.held.remove(&key);
+                    if hist {
+                        self.earliest.remove(&key);
+                        self.dropped += 1;
+                    }
+                }
+            }
+            self.len -= dropped;
+            dropped
+        }
+
+        fn push(&mut self, key: usize, t: u64, cap: usize, dead: u64) -> usize {
+            let dropped = self.expire(dead, false);
+            let q = self.hold(key);
+            q.push_back(t);
+            let evicted = q.len() > cap;
+            if evicted {
+                q.pop_front();
+            }
+            self.len += usize::from(!evicted);
+            self.dropped += u64::from(evicted);
+            let hold = self.held[&key].0;
+            self.log.push_back((t, key, hold));
+            if self.log.len() > self.len * 2 + 32 {
+                let mut live: Vec<_> = (self.held.iter())
+                    .flat_map(|(&k, (h, q))| q.iter().map(move |&t| (t, k, *h)))
+                    .collect();
+                live.sort_by_key(|&(t, ..)| t);
+                self.log = live.into();
+                self.held.retain(|_, (_, q)| !q.is_empty());
+            }
+            dropped
+        }
+
+        fn take(&mut self, key: usize, dead: u64, from: u64) -> Option<u64> {
+            let (_, q) = self.held.get_mut(&key)?;
+            while q.front().is_some_and(|&t| t < dead) {
+                q.pop_front();
+                self.len -= 1;
+            }
+            let pos = q.iter().position(|&t| t >= from)?;
+            self.len -= 1;
+            q.remove(pos)
+        }
+
+        fn record(&mut self, key: usize, t: u64, dead: u64) -> usize {
+            let dropped = if dead == 0 {
+                0
+            } else {
+                self.expire(dead, true)
+            };
+            self.hold(key).push_back(t);
+            let e = self.earliest.entry(key).or_insert(t);
+            *e = (*e).min(t);
+            self.len += 1;
+            let hold = self.held[&key].0;
+            self.log.push_back((t, key, hold));
+            dropped
+        }
+    }
+
+    /// One table with many lanes of one spec against one model table per
+    /// lane: random arrivals, each sharing one probe across the lanes it
+    /// reaches, admit, take and record under retentions 0, finite and
+    /// [`Span::MAX`]; a lane is added while slots are live (a late load),
+    /// and the table is reset. Every returned drop count, every lane's
+    /// contents, entry and live-key counts agree at every step.
+    mod one_table_is_many {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Lanes: (history?, retention in ms, `u64::MAX` for unbounded).
+        const LANES: [(bool, u64); 6] = [
+            (false, 0),
+            (false, 40),
+            (false, u64::MAX),
+            (true, 60),
+            (true, u64::MAX),
+            (false, 25),
+        ];
+        /// The last lane is loaded late.
+        const SEALED: usize = LANES.len() - 1;
+
+        fn key(k: usize) -> Key {
+            Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(k as u32))])
+        }
+
+        fn fresh(lanes: usize) -> (KeyTable, Vec<u32>, Vec<ModelLane>) {
+            let mut table = KeyTable::new(KeySpecId(1));
+            let ids = (0..lanes).map(|i| table.add_lane(NodeId(i as u32), LANES[i].0));
+            let ids = ids.collect();
+            (
+                table,
+                ids,
+                (0..lanes).map(|_| ModelLane::default()).collect(),
+            )
+        }
+
+        fn check(table: &KeyTable, ids: &[u32], model: &[ModelLane]) {
+            for (i, m) in model.iter().enumerate() {
+                let (hist, _) = LANES[i];
+                let id = ids[i] as usize;
+                let (len, keys) = if hist {
+                    (table.hists[id].len, table.hists[id].keys)
+                } else {
+                    (table.joins[id].len, table.joins[id].keys)
+                };
+                assert_eq!((len, keys), (m.len, m.held.len()), "lane {i}");
+                for k in 0..8 {
+                    let key = key(k);
+                    let slot = table.slots.find(key.precomputed_hash(), &key);
+                    let got: Option<Vec<u64>> = if hist {
+                        let lane = &table.hists[id];
+                        let at = table.slots.at(lane, slot);
+                        at.map(|at| match &lane.values[at].times {
+                            Times::Inline { len, buf } => buf[..usize::from(*len)].to_vec(),
+                            Times::Heap(q) => q.iter().copied().collect(),
+                        })
+                        .map(|times| times.iter().map(|t| t.as_millis()).collect())
+                    } else {
+                        let lane = &table.joins[id];
+                        let at = table.slots.at(lane, slot);
+                        at.map(|at| {
+                            lane.values[at]
+                                .iter()
+                                .map(|e| e.t_end().as_millis())
+                                .collect()
+                        })
+                    };
+                    let want = m.held.get(&k).map(|(_, q)| q.iter().copied().collect());
+                    assert_eq!(got, want, "lane {i} key {k}");
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn one_table_behaves_as_a_table_per_lane(
+                steps in prop::collection::vec((0..4usize, 0..15u64, any::<u8>(), any::<u8>(), 0..60u64), 1..250),
+                late in 0..250usize,
+                reset in 0..400usize,
+            ) {
+                let (mut table, mut ids, mut model) = fresh(SEALED);
+                let mut clock = 0u64;
+                for (step, (k, dt, reach, ops, back)) in steps.into_iter().enumerate() {
+                    if step == late {
+                        ids.push(table.add_lane(NodeId(SEALED as u32), LANES[SEALED].0));
+                        model.push(ModelLane::default());
+                    }
+                    if step == reset {
+                        (table, ids, model) = fresh(model.len());
+                    }
+                    clock += dt;
+                    let (key, mut found) = (key(k), Found::Unprobed);
+                    for i in (0..model.len()).filter(|i| reach >> i & 1 == 1) {
+                        let (hist, retain) = LANES[i];
+                        let dead = if retain == u64::MAX { 0 } else { clock.saturating_sub(retain) };
+                        let (lane, m) = (ids[i], &mut model[i]);
+                        let op = ops >> (i % 4) & 1;
+                        if hist {
+                            let dropped = table.record(lane, (&key, &mut found), ms(clock), ms(dead));
+                            prop_assert_eq!(dropped, m.record(k, clock, dead));
+                            let to = ms(clock.saturating_sub(back));
+                            let last = table.last_occurrence(lane, (&key, &mut found), to, op == 1);
+                            let want = m.held.get(&k).and_then(|(_, q)| {
+                                q.iter().rev().copied().find(|&t| if op == 1 { t < to.as_millis() } else { t <= to.as_millis() })
+                            });
+                            prop_assert_eq!(last.map(|t| t.as_millis()), want);
+                        } else if op == 0 {
+                            let cap = if retain == u64::MAX { 3 } else { usize::MAX };
+                            let dropped = table.push(lane, (&key, &mut found), inst(clock), cap, ms(dead));
+                            prop_assert_eq!(dropped, m.push(k, clock, cap, dead));
+                        } else {
+                            let from = clock.saturating_sub(back);
+                            let taken = table.take_oldest_match(lane, (&key, &mut found), ms(dead), |e| e.t_end() >= ms(from));
+                            prop_assert_eq!(taken.map(|e| e.t_end().as_millis()), m.take(k, dead, from));
+                        }
+                    }
+                    check(&table, &ids, &model);
+                }
+            }
+        }
+    }
+
+    /// Index work of a whole engine run, from a clean count.
+    fn index_work(catalog: Catalog, rules: Vec<EventExpr>, stream: Vec<Observation>) -> [u64; 3] {
+        let mut engine = crate::Engine::new(catalog, crate::EngineConfig::default());
+        for (i, rule) in rules.into_iter().enumerate() {
+            engine
+                .add_rule(&format!("r{i}"), rule)
+                .expect("a valid rule");
+        }
+        engine.compiled_plan();
+        let before = index_ops();
+        engine.process_all(stream, &mut |_, _| {});
+        let after = index_ops();
+        [0, 1, 2].map(|op| after[op] - before[op])
+    }
+
+    /// The four rules of the `freshkeys` ledger workload read one key spec,
+    /// `(o)`, from five stores: both sides of `reverse` and of `open`, and
+    /// `arrival`'s history. Over N fresh objects, each read in and then out,
+    /// an object's key is inserted once and released at most once, and
+    /// every read that reaches a store probes the index once.
+    #[test]
+    fn a_fresh_key_is_inserted_once_whichever_stores_read_it() {
+        let mut catalog = Catalog::new();
+        for (name, group) in [("in1", "in"), ("out1", "out"), ("probe1", "probe")] {
+            catalog.readers.register(name, group, group);
+        }
+        let read = |reader: &str| EventExpr::observation_at(reader).bind_object("o");
+        let rules = vec![
+            read("out1").seq(read("in1")).within(Span::from_secs(30)),
+            read("probe1").seq(read("out1")),
+            (read("probe1").tseq_plus(Span::ZERO, Span::from_secs(86_400)))
+                .within(Span::from_secs(172_800)),
+            read("out1")
+                .not()
+                .seq(read("in1"))
+                .within(Span::from_secs(60)),
+        ];
+        let (n, probed) = (20_000u64, 7u64);
+        let mut stream = Vec::new();
+        for i in 0..n {
+            let epc = Gid96::new(1, 1, i).unwrap().into();
+            let t = Timestamp::from_millis((i + 1) * 10);
+            stream.push(Observation::new(ReaderId(0), epc, t));
+            if i % 1000 == probed {
+                stream.push(Observation::new(ReaderId(2), epc, t + Span::from_millis(2)));
+            }
+            stream.push(Observation::new(ReaderId(1), epc, t + Span::from_millis(5)));
+        }
+        let reads = stream.len() as u64;
+        let [probes, inserts, releases] = index_work(catalog, rules, stream);
+        assert_eq!((probes, inserts), (reads, n));
+        assert!(releases <= n, "{releases} releases");
+    }
+
+    /// `dup` and `infield` of the canonical rule set read one key spec,
+    /// `(r, o)`: a shelf read probes the index once for both.
+    #[test]
+    fn a_shelf_read_probes_once_for_dup_and_infield() {
+        let mut catalog = Catalog::new();
+        for shelf in ["s1", "s2"] {
+            catalog.readers.register(shelf, "shelves", shelf);
+        }
+        let shelf = || {
+            EventExpr::observation_in_group("shelves")
+                .bind_reader("r")
+                .bind_object("o")
+        };
+        let rules = vec![
+            shelf().seq(shelf()).within(Span::from_secs(5)),
+            shelf().not().seq(shelf()).within(Span::from_secs(3)),
+        ];
+        let mut stream = Vec::new();
+        for second in 0..60u64 {
+            for (i, object) in (0..40u64).enumerate() {
+                let at = Timestamp::from_millis(second * 1000 + i as u64 * 7);
+                let reader = ReaderId((object % 2) as u32);
+                if (second + object) % 4 != 0 {
+                    stream.push(Observation::new(
+                        reader,
+                        Gid96::new(1, 1, object).unwrap().into(),
+                        at,
+                    ));
+                }
+            }
+        }
+        let reads = stream.len() as u64;
+        let [probes, inserts, _] = index_work(catalog, rules, stream);
+        assert_eq!(probes, reads);
+        assert!(inserts < reads / 4, "{inserts} inserts over {reads} reads");
+    }
+
+    /// Slot ids are checked: the index files a slot as `slot + 1`, and the
+    /// panic names the table whose ids ran out.
+    #[test]
+    #[should_panic(expected = "key spec 7's slot table ran out of u32 slot ids")]
+    fn slot_ids_are_checked() {
+        SlotTable::new(KeySpecId(7)).slot_id(u32::MAX as usize);
     }
 
     #[test]
     fn negation_history_windows() {
-        let mut neg = NegationState::new(1);
+        let mut neg = Neg::new(1);
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(2), Timestamp::ZERO);
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(8), Timestamp::ZERO);
 
@@ -1301,7 +1886,7 @@ mod tests {
 
     #[test]
     fn negation_earliest_survives_pruning() {
-        let mut neg = NegationState::new(1);
+        let mut neg = Neg::new(1);
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(1), Timestamp::ZERO);
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(100), Timestamp::ZERO);
         assert_eq!(
@@ -1330,7 +1915,7 @@ mod tests {
 
     #[test]
     fn negation_prune_drops_drained_keys() {
-        let mut neg = NegationState::new(1);
+        let mut neg = Neg::new(1);
         // A million-distinct-EPC stream in miniature: each key occurs once.
         let keys: Vec<Key> = (0..4)
             .map(|i| Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i))]))
@@ -1376,7 +1961,7 @@ mod tests {
 
     #[test]
     fn negation_keys_are_independent() {
-        let mut neg = NegationState::new(1);
+        let mut neg = Neg::new(1);
         let k1 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(1))]);
         let k2 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(2))]);
         neg.record(0, &k1, Timestamp::from_secs(5), Timestamp::ZERO);
@@ -1386,7 +1971,7 @@ mod tests {
 
     #[test]
     fn negation_out_of_order_record_stays_sorted() {
-        let mut neg = NegationState::new(1);
+        let mut neg = Neg::new(1);
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(10), Timestamp::ZERO);
         neg.record(0, &Key::EMPTY, Timestamp::from_secs(4), Timestamp::ZERO); // lagged delivery
         assert!(neg.occurred(

@@ -101,7 +101,7 @@ engine_stats! {
     /// `ShardConfig::queue_depth`). Zero single-threaded.
     max_queue_depth: Gauge,
     /// Correlation keys currently retained in negation histories — the
-    /// working set [`crate::state::NegationState::prune`] bounds. A gauge,
+    /// working set a history lane's expiry bounds (`KeyTable::record`). A gauge,
     /// snapshotted by `Engine::stats`; merging takes the per-shard maximum
     /// (broadcast workers retain overlapping key sets, so a sum would
     /// double-count the same keys).

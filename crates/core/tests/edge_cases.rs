@@ -709,6 +709,22 @@ fn fire_checked(catalog: &Catalog, rules: &[EventExpr], stream: &[Observation]) 
     fired
 }
 
+/// `SEQ(r1 o; r2 o) WITHIN 5 s` solves its terminator side's retention to
+/// 0 s — a terminator pairs only with an initiator already waiting — yet
+/// that side still admits: an initiator read at the same millisecond as,
+/// and after, its terminator finds it there, and `SEQ` allows a pair that
+/// touches at one instant.
+#[test]
+fn a_zero_retention_side_keeps_a_same_instant_terminator() {
+    let catalog = catalog(2);
+    let rule = at("r1")
+        .bind_object("o")
+        .seq(at("r2").bind_object("o"))
+        .within(Span::from_secs(5));
+    let fired = fire_checked(&catalog, &[rule], &[obs(2, 1, 1000), obs(1, 1, 1000)]);
+    assert_eq!(fired.len(), 1);
+}
+
 /// A negated initiator's window `[t_end − τu, min(t_end − τl, t_begin)]`
 /// is empty once a composite terminator spans more than `τu`: no initiator
 /// can stand at that distance, so the negation holds and the rule fires,

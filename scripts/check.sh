@@ -117,11 +117,13 @@ if [[ "$fields" != 5 ]]; then
     exit 1
 fi
 
-echo "== one keyed slot table (state::SlotTable) =="
-# Join buffers and negation histories are one table: a slot arena that holds
-# each key once behind a key-less index (rfid_epc::hash::TagTable). No hash
-# map keyed by `Key` beside it — its buckets would store every key a second
-# time — and one find-or-insert, not one per kind of state.
+echo "== one keyed table per key spec (state::KeyTable) =="
+# Keyed state — join buffers and negation histories — lives in one table per
+# interned key spec: a slot arena that holds each key once behind a key-less
+# index (rfid_epc::hash::TagTable), and a lane per store. No hash map keyed
+# by `Key` beside it — its buckets would store every key a second time — one
+# find-or-insert, and no per-node state type (KeyedBuffer, NegationState,
+# HistTable, or the Lane they are) owning a SlotTable of its own.
 if grep -rnE 'KeyMap|HashMap<Key' crates/core/src; then
     echo "check.sh: a hash map keyed by Key is back under crates/core/src" >&2
     exit 1
@@ -129,6 +131,18 @@ fi
 slot_ofs=$(grep -rE 'fn slot_of' crates/core/src | wc -l)
 if [[ "$slot_ofs" != 1 ]]; then
     echo "check.sh: $slot_ofs definitions of slot_of under crates/core/src, not 1" >&2
+    exit 1
+fi
+owners=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0; in_type = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests { next }
+    /^(pub(\([a-z]+\))? )?(struct|enum|type) (KeyedBuffer|NegationState|HistTable|Lane)[ <]/ { in_type = 1 }
+    in_type && /SlotTable/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
+    in_type && (/^}/ || /;$/) { in_type = 0 }')
+if [[ -n "$owners" ]]; then
+    echo "$owners" >&2
+    echo "check.sh: a per-node state type owns a SlotTable: keyed state is one table per key spec" >&2
     exit 1
 fi
 
