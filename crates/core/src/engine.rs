@@ -673,10 +673,6 @@ impl Engine {
                     EdgeOp::SelfJoin => rt.self_join_arrival(graph, config, plan, pnode, &inst),
                     EdgeOp::Left => rt.arrival(graph, config, plan, pnode, 0, &inst),
                     EdgeOp::Right => rt.arrival(graph, config, plan, pnode, 1, &inst),
-                    EdgeOp::QueryRecord { query } => {
-                        let query = graph.node(NodeId(query));
-                        rt.fused_negation(graph, plan, pnode, query, &inst);
-                    }
                 }
             }
         }
@@ -875,80 +871,6 @@ impl Runtime {
         }
     }
 
-    /// Answers a negated-initiator query for the whole family `query_node`
-    /// holds, from the one thing its history probe found: `last`, the
-    /// latest negated occurrence before the window's end `to`. A member's
-    /// window reaches back `cutoff` from the terminator's end, so its
-    /// negation held exactly when `last` lies before that start — with
-    /// members in ascending cut-off order, a prefix of the family. Each
-    /// gets its own witness ([`absent_witness`]): the window is the one
-    /// part of the occurrence that differs by member.
-    fn emit_absent(
-        &mut self,
-        plan: &CompiledPlan,
-        query_node: &Node,
-        inst: &Arc<Instance>,
-        last: Option<Timestamp>,
-        to: Timestamp,
-    ) {
-        let family = plan.family(query_node.id);
-        let from = |m: &Member| inst.t_end().saturating_sub(m.cutoff);
-        let absent = last.map_or(family.len(), |l| family.partition_point(|m| from(m) > l));
-        if absent > 0 {
-            self.emit_family(plan, query_node, 0..absent, inst.clone(), Some(to));
-        }
-    }
-
-    /// Fused in-field delivery ([`EdgeOp::QueryRecord`]): answer
-    /// `query_node`'s window probe, then record the instance into
-    /// `not_node`'s negation history, out of one bucket access — graph
-    /// order, the terminator before the initiator. Lowering only emits the
-    /// op when the record key spec equals the query key spec, so a single
-    /// probe provably serves both deliveries.
-    fn fused_negation(
-        &mut self,
-        graph: &EventGraph,
-        plan: &CompiledPlan,
-        not_node: &Node,
-        query_node: &Node,
-        inst: &Arc<Instance>,
-    ) {
-        let (to, exclusive) = negation_query_end(query_node, inst);
-        let spec_idx = query_node.hist_spec.expect("query plan has a spec").0 as usize;
-        let specs = graph.hist_specs(not_node.id);
-        let span = self.spans[not_node.id.idx()][0];
-        let (t, dead) = (inst.t_end(), dead_before(self.timeline.clock(), span));
-        let lanes = self.states[not_node.id.idx()].lanes();
-        let mut probed = None;
-        for (i, (spec, &lane)) in specs.iter().zip(lanes).enumerate() {
-            if let Some(key) = self.keys.key(graph, spec.key, inst) {
-                let table = &mut self.tables[spec.key.idx()];
-                if self.obs.level.counters() {
-                    self.obs.arena.admitted(not_node.id.idx());
-                }
-                // Lowering guarantees this spec is the query node's
-                // right-side join spec, so `key` doubles as the query key
-                // — and its absence as the unfused query's dropped
-                // delivery.
-                if i == spec_idx {
-                    debug_assert_eq!(spec.key, query_node.join.ids[1], "fused key specs agree");
-                    if self.obs.level.counters() {
-                        self.obs.arena.probed(query_node.id.idx());
-                    }
-                    let (last, dropped) = table.fused_last(lane, key, t, (to, exclusive), dead);
-                    count_expiry(&mut self.stats, &mut self.obs, not_node.id, span, dropped);
-                    probed = Some(last);
-                } else {
-                    let dropped = table.record(lane, key, t, dead);
-                    count_expiry(&mut self.stats, &mut self.obs, not_node.id, span, dropped);
-                }
-            }
-        }
-        if let Some(last) = probed {
-            self.emit_absent(plan, query_node, inst, last, to);
-        }
-    }
-
     /// Handles an instance arriving at `node` from its `side`-th child: one
     /// handler per [`Plan`] kind. Emissions are pushed onto the reusable
     /// work queue.
@@ -1032,8 +954,8 @@ impl Runtime {
         let dead = dead_before(clock, other_span);
         let matched = self.tables[other_table].take_oldest_match(other, other_key, dead, |e| {
             // One physical event can never be both constituents of an
-            // occurrence (same-pattern children deliver the same Arc to
-            // both sides).
+            // occurrence (overlapping sibling patterns deliver the same Arc
+            // to both sides).
             if Arc::ptr_eq(e, inst) {
                 return false;
             }
@@ -1045,9 +967,10 @@ impl Runtime {
         });
         match matched {
             Some(e) => {
-                // Retire every buffered copy of both constituents: with
-                // same-pattern children under different windows an
-                // instance can sit in both side buffers.
+                // Retire every buffered copy of both constituents: under
+                // overlapping sibling patterns (`any` beside
+                // `group(shelves)`, ROADMAP "The oracle's one open
+                // disagreement") an instance can sit in both side buffers.
                 self.tables[own_table].remove_ptr_eq(own, (key, &mut *found), &e);
                 // `inst` is not in `own`: only `None` below admits it, once per side.
                 let other_key = (key, memo_if(same, &mut *found, &mut other_found));
@@ -1077,6 +1000,14 @@ impl Runtime {
 
     /// [`Plan::LeftNegationQuery`]: one probe of the negated child's
     /// history answers the terminator for the whole family `node` holds.
+    /// The window ends at `to` (exclusive for `SEQ`) and reaches back a
+    /// member's [`Member::cutoff`] from the terminator's end: the `WITHIN`
+    /// for `SEQ`, the maximum distance for `TSEQ`. So a member's negation
+    /// held exactly when `last`, the latest negated occurrence before `to`,
+    /// lies before its window's start — with members in ascending cut-off
+    /// order, a prefix of the family. Each gets its own witness
+    /// ([`absent_witness`]): the window is the one part of the occurrence
+    /// that differs by member.
     fn left_negation_query(
         &mut self,
         graph: &EventGraph,
@@ -1084,7 +1015,14 @@ impl Runtime {
         node: &Node,
         inst: &Arc<Instance>,
     ) {
-        let (to, exclusive) = negation_query_end(node, inst);
+        let (to, exclusive) = match node.kind {
+            NodeKind::Seq => (inst.t_begin(), true),
+            NodeKind::TSeq { min_dist, .. } => (
+                inst.t_end().saturating_sub(min_dist).min(inst.t_begin()),
+                false,
+            ),
+            ref other => unreachable!("negated-initiator query on {other:?}"),
+        };
         let (table, lane) = self.hist_lane(graph, node, 0);
         let Some((key, found)) = self.keys.key(graph, node.join.ids[1], inst) else {
             return;
@@ -1095,7 +1033,12 @@ impl Runtime {
         let mut cross = Found::Unprobed;
         let found = memo_if(table == node.join.ids[1].idx(), found, &mut cross);
         let last = self.tables[table].last_occurrence(lane, (key, found), to, exclusive);
-        self.emit_absent(plan, node, inst, last, to);
+        let family = plan.family(node.id);
+        let from = |m: &Member| inst.t_end().saturating_sub(m.cutoff);
+        let absent = last.map_or(family.len(), |l| family.partition_point(|m| from(m) > l));
+        if absent > 0 {
+            self.emit_family(plan, node, 0..absent, inst.clone(), Some(to));
+        }
     }
 
     /// [`Plan::LeftAperiodicQuery`]: the terminator takes every recorded
@@ -1339,21 +1282,6 @@ fn memo_if<'a>(own: bool, memo: &'a mut Found, cross: &'a mut Found) -> &'a mut 
     }
 }
 
-/// Where the window of a negated-initiator `SEQ`/`TSEQ` query ends for
-/// terminator `inst`, and whether that end is exclusive. The window starts
-/// a [`Member::cutoff`] before the terminator's end: the `WITHIN` for
-/// `SEQ`, the maximum distance for `TSEQ`.
-fn negation_query_end(node: &Node, inst: &Instance) -> (Timestamp, bool) {
-    match node.kind {
-        NodeKind::Seq => (inst.t_begin(), true),
-        NodeKind::TSeq { min_dist, .. } => (
-            inst.t_end().saturating_sub(min_dist).min(inst.t_begin()),
-            false,
-        ),
-        ref other => unreachable!("negated-initiator query on {other:?}"),
-    }
-}
-
 /// The witness that a negated initiator stayed absent over the window of
 /// a member with `cutoff`: from `cutoff` before the terminator's end to
 /// `to`. A window that closes before it opens — a composite terminator that
@@ -1440,9 +1368,14 @@ fn initial_state(program: &Program, tables: &mut [KeyTable], node: &Node) -> Nod
             NodeState::Stateless
         }
         Plan::TwoSided | Plan::NegationRecorder => {
+            let retain = program.retention(node.id);
             let stores = program.stores(node.id).into_iter();
             let lanes = stores.map(|(store, spec)| {
-                tables[spec.idx()].add_lane(node.id, matches!(store, Store::Hist(_)))
+                let (hist, span) = match store {
+                    Store::Side(s) => (false, retain[usize::from(s)]),
+                    Store::Hist(_) => (true, retain[0]),
+                };
+                tables[spec.idx()].add_lane(node.id, hist, span)
             });
             NodeState::Keyed(lanes.collect())
         }

@@ -95,9 +95,6 @@ impl Program {
                         EdgeOp::SelfJoin => format!("self-join→{parent}"),
                         EdgeOp::Left => format!("left→{parent}"),
                         EdgeOp::Right => format!("right→{parent}"),
-                        EdgeOp::QueryRecord { query } => {
-                            format!("query{query}+record→{parent}")
-                        }
                     }
                 })
                 .collect();
@@ -351,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_describe_lists_every_node_and_the_fused_edge() {
+    fn plan_describe_lists_every_node_and_the_infield_edges() {
         let shelf = EventExpr::observation_in_group("shelves");
         let infield = shelf.clone().not().seq(shelf).within(Span::from_secs(30));
         let p = program(Some(shelf_catalog()), vec![infield]);
@@ -363,8 +360,8 @@ mod tests {
         );
         assert!(text.contains("neg-record"), "plans rendered by name");
         assert!(
-            text.contains("query2+record→1"),
-            "the fused in-field edge is visible: {text}"
+            text.contains("right→2 left→1"),
+            "the leaf answers the query, then records: {text}"
         );
         assert!(
             text.contains("dispatch width 1"),

@@ -50,18 +50,6 @@ pub enum EdgeOp {
     Left,
     /// Deliver as the right (terminator-side) constituent.
     Right,
-    /// Fused in-field delivery. `WITHIN(NOT(A); A, w)` has one leaf for
-    /// both copies of `A`, whose edge list is the adjacent pair
-    /// `[Right→query, Left→NOT]`; this edge collapses the pair into one
-    /// bucket access that answers the query parent's window probe and then
-    /// records into the `NOT` parent's history — the pair's own order. Only
-    /// emitted when the record key spec and the query key spec are
-    /// syntactically identical, so both probes provably hit the same
-    /// history entry.
-    QueryRecord {
-        /// The `LeftNegationQuery` parent whose window probe is folded in.
-        query: u32,
-    },
 }
 
 /// One parent-activation edge in the edge arena.
@@ -73,12 +61,12 @@ pub struct Edge {
 
 impl Edge {
     /// The parent node activated through this edge.
-    pub fn parent(&self) -> NodeId {
+    pub fn parent(self) -> NodeId {
         NodeId(self.parent)
     }
 
     /// The precomputed delivery side.
-    pub fn op(&self) -> EdgeOp {
+    pub fn op(self) -> EdgeOp {
         self.op
     }
 }
@@ -346,22 +334,8 @@ impl CompiledPlan {
             // its members all received this very instance, and the
             // holder's single probe answers for them.
             raw.retain(|e| plan.holders[e.parent as usize] == e.parent);
-            // An adjacent window query and `NOT` record of the same history
-            // collapse into one fused edge (the fused op runs where the pair
-            // sat, in the pair's order, so work order is unchanged).
             let edge_start = plan.edges.len() as u32;
-            let mut i = 0;
-            while i < raw.len() {
-                if i + 1 < raw.len() {
-                    if let Some(pair) = Self::fuse_query_record(graph, raw[i], raw[i + 1]) {
-                        plan.edges.push(pair);
-                        i += 2;
-                        continue;
-                    }
-                }
-                plan.edges.push(raw[i]);
-                i += 1;
-            }
+            plan.edges.extend_from_slice(&raw);
             plan.edge_ranges.push((edge_start, plan.edges.len() as u32));
         }
         plan.lower_dispatch(graph, catalog);
@@ -443,36 +417,6 @@ impl CompiledPlan {
             keys: node.join.ids,
             children,
             hist_spec: node.hist_spec,
-        })
-    }
-
-    /// Recognises an adjacent query/record pair on one history: the first
-    /// edge delivers the child to a [`Plan::LeftNegationQuery`] parent, the
-    /// second delivers the same instance into the `NOT` node's history that
-    /// parent queries, under the same interned key spec as the record spec.
-    /// The fused op then serves both from one bucket probe, in the pair's
-    /// order; any mismatch falls back to the two unfused deliveries.
-    fn fuse_query_record(graph: &EventGraph, qry: Edge, rec: Edge) -> Option<Edge> {
-        if (qry.op, rec.op) != (EdgeOp::Right, EdgeOp::Left) {
-            return None;
-        }
-        let not_node = graph.node(rec.parent());
-        let query_node = graph.node(qry.parent());
-        if !matches!(not_node.plan, Plan::NegationRecorder)
-            || !matches!(query_node.plan, Plan::LeftNegationQuery)
-            || query_node.children[0] != rec.parent()
-        {
-            return None;
-        }
-        let spec = graph
-            .hist_specs(not_node.id)
-            .get(query_node.hist_spec?.0 as usize)?;
-        if spec.key != query_node.join.ids[1] {
-            return None;
-        }
-        Some(Edge {
-            parent: rec.parent,
-            op: EdgeOp::QueryRecord { query: qry.parent },
         })
     }
 
@@ -698,11 +642,11 @@ mod tests {
 
     /// `WITHIN(NOT(A); A, w)` hash-conses both copies of `A` into one leaf
     /// whose parents, in reverse registration order, are the query root
-    /// and the `NOT`: the adjacent `Right→query, Left→NOT` edges collapse
-    /// into one `QueryRecord` edge, so the window probe and the record
-    /// share a bucket access, the terminator first.
+    /// and the `NOT`: two plain edges, `Right→query` then `Left→NOT`, so
+    /// the terminator is answered before the instance is recorded, and
+    /// the key memo gives both deliveries one probe of the history.
     #[test]
-    fn infield_shape_lowers_to_fused_query_record() {
+    fn infield_shape_lowers_to_query_then_record() {
         let catalog = shelf_catalog();
         let mut graph = EventGraph::new();
         let root = graph.add_event(&infield_rule()).expect("rule compiles");
@@ -711,13 +655,14 @@ mod tests {
         let &[leaf] = graph.primitives() else {
             panic!("merging folds both copies into one leaf");
         };
-        let edges = plan.edges_at(leaf);
-        assert_eq!(edges.len(), 1, "query + recorder fused into one edge");
-        let EdgeOp::QueryRecord { query } = edges[0].op() else {
-            panic!("expected a fused QueryRecord edge, got {:?}", edges[0].op());
-        };
-        assert_eq!(NodeId(query), root, "the fused probe answers the root");
-        assert_eq!(graph.node(edges[0].parent()).plan, Plan::NegationRecorder);
+        let not = graph.node(root).children[0];
+        assert_eq!(graph.node(not).plan, Plan::NegationRecorder);
+        let edges: Vec<_> = plan
+            .edges_at(leaf)
+            .iter()
+            .map(|e| (e.parent(), e.op()))
+            .collect();
+        assert_eq!(edges, [(root, EdgeOp::Right), (not, EdgeOp::Left)]);
         assert_eq!(plan.dispatch_width(), 1);
     }
 
@@ -759,7 +704,7 @@ mod tests {
     /// Two rules over the same reader group under different `WITHIN`
     /// windows share one leaf. It delivers to its parents in reverse
     /// registration order — the later rule first, each rule right to left
-    /// — so the in-field rule's fused edge comes before the duplicate
+    /// — so the in-field rule's query and record come before the duplicate
     /// filter's self-join, and one observation costs one dispatch
     /// candidate and one pop.
     #[test]
@@ -782,14 +727,20 @@ mod tests {
             panic!("one pattern, one leaf");
         };
         assert_eq!(plan.dispatch_width(), 1);
-        let edges = plan.edges_at(leaf);
-        assert_eq!(edges.len(), 2);
-        let EdgeOp::QueryRecord { query } = edges[0].op() else {
-            panic!("expected the in-field rule's fused edge first");
-        };
-        assert_eq!(NodeId(query), infield);
-        assert_eq!(edges[1].op(), EdgeOp::SelfJoin);
-        assert_eq!(edges[1].parent(), dup);
+        let not = graph.node(infield).children[0];
+        let edges: Vec<_> = plan
+            .edges_at(leaf)
+            .iter()
+            .map(|e| (e.parent(), e.op()))
+            .collect();
+        assert_eq!(
+            edges,
+            [
+                (infield, EdgeOp::Right),
+                (not, EdgeOp::Left),
+                (dup, EdgeOp::SelfJoin)
+            ]
+        );
     }
 
     #[test]

@@ -51,30 +51,16 @@ pub struct SlotTable {
     index: Option<TagTable>,
     /// Slot → its key; `None` marks a free slot.
     keys: Vec<Option<Key>>,
-    /// Slot × lane: `columns` cells per slot, one per lane. A slot no lane
-    /// holds is released.
-    at: Vec<Cell>,
+    /// Slot × lane: `columns` cells per slot, one per lane, each naming
+    /// where in the lane's values its part of the slot is, or [`NOT_HELD`].
+    /// A slot no lane holds is released.
+    at: Vec<u32>,
     columns: usize,
     /// Freed slot ids available for reuse, last freed first.
     free: Vec<u32>,
     /// The spec, named when slot ids run out.
     spec: KeySpecId,
 }
-
-/// A lane's part of a slot: where in the lane's values it is, or
-/// [`NOT_HELD`], and which of the lane's holds it is (wrapping). A log
-/// record carries the hold it was logged under and is stale once the lane
-/// lets go, whatever the other lanes do.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    at: u32,
-    hold: u32,
-}
-
-const FREE: Cell = Cell {
-    at: NOT_HELD,
-    hold: 0,
-};
 
 /// Slots a keyed table, and each of its lanes, has room for before it
 /// first grows.
@@ -116,7 +102,7 @@ impl SlotTable {
             return;
         }
         let mut at = Vec::with_capacity(self.keys.capacity() * columns);
-        at.resize(self.keys.len() * columns, FREE);
+        at.resize(self.keys.len() * columns, NOT_HELD);
         let keep = columns.min(self.columns);
         for (new, old) in at
             .chunks_mut(columns.max(1))
@@ -129,7 +115,7 @@ impl SlotTable {
 
     /// Where `lane`'s part of `slot` is in its values, if it holds the slot.
     fn at<T>(&self, lane: &Lane<T>, slot: Option<u32>) -> Option<usize> {
-        let Cell { at, .. } = self.at[slot? as usize * self.columns + lane.column as usize];
+        let at = self.at[slot? as usize * self.columns + lane.column as usize];
         (at != NOT_HELD).then_some(at as usize)
     }
 
@@ -173,7 +159,7 @@ impl SlotTable {
         tally(INSERT);
         let slot = self.free.pop().unwrap_or_else(|| {
             self.keys.push(None);
-            self.at.resize(self.at.len() + self.columns, FREE);
+            self.at.resize(self.at.len() + self.columns, NOT_HELD);
             self.slot_id(self.keys.len() - 1)
         });
         self.keys[slot as usize] = Some(key.clone());
@@ -210,40 +196,37 @@ impl SlotTable {
     }
 
     /// `lane` takes hold of `slot`, if it does not hold it yet, logs an
-    /// entry at `t` there and returns what it holds there.
+    /// entry at `t` there (unless the lane never expires) and returns what
+    /// it holds there.
     fn hold<'l, T: Default>(
         &mut self,
         lane: &'l mut Lane<T>,
         slot: u32,
         t: Timestamp,
     ) -> &'l mut T {
-        let cell = slot as usize * self.columns + lane.column as usize;
-        if self.at[cell].at == NOT_HELD {
-            let at = lane.spare.pop().unwrap_or_else(|| {
+        let at = &mut self.at[slot as usize * self.columns + lane.column as usize];
+        if *at == NOT_HELD {
+            *at = lane.spare.pop().unwrap_or_else(|| {
                 lane.values.push(T::default());
                 (lane.values.len() - 1) as u32
             });
-            lane.holds = lane.holds.wrapping_add(1);
-            self.at[cell] = Cell {
-                at,
-                hold: lane.holds,
-            };
             lane.keys += 1;
         }
-        let Cell { at, hold } = self.at[cell];
-        lane.log.push_back((t, slot, hold));
+        if lane.logs {
+            lane.log.push_back((t, slot));
+        }
         lane.len += 1;
-        &mut lane.values[at as usize]
+        &mut lane.values[*at as usize]
     }
 
     /// `lane` lets go of `slot`, which is released once no lane holds it.
     fn let_go<T>(&mut self, lane: &mut Lane<T>, slot: u32) {
         let cell = slot as usize * self.columns + lane.column as usize;
         lane.spare
-            .push(std::mem::replace(&mut self.at[cell], FREE).at);
+            .push(std::mem::replace(&mut self.at[cell], NOT_HELD));
         lane.keys -= 1;
         let row = slot as usize * self.columns..(slot as usize + 1) * self.columns;
-        if self.index.is_some() && self.at[row].iter().all(|c| c.at == NOT_HELD) {
+        if self.index.is_some() && self.at[row].iter().all(|&at| at == NOT_HELD) {
             let hash = self.keys[slot as usize]
                 .as_ref()
                 .map_or(0, Key::precomputed_hash);
@@ -252,25 +235,24 @@ impl SlotTable {
     }
 
     /// Pops every record at the head of `lane`'s log with a time before
-    /// `dead_before` and hands what the lane holds under the key it names,
-    /// if it still holds that key, to `drain`, which drops what has died
-    /// and says whether the lane lets go. Out-of-order records behind a
-    /// live head wait for a later call — expiry is garbage collection,
-    /// laziness is harmless.
+    /// `dead_before` and hands what the lane holds in the slot it names,
+    /// if it holds the slot, to `drain`, which drops what has died and
+    /// says whether the lane lets go. Out-of-order records behind a live
+    /// head wait for a later call — expiry is garbage collection, laziness
+    /// is harmless.
     fn expire<T>(
         &mut self,
         lane: &mut Lane<T>,
         dead_before: Timestamp,
         mut drain: impl FnMut(&mut T) -> bool,
     ) {
-        while let Some(&(t, slot, hold)) = lane.log.front() {
+        while let Some(&(t, slot)) = lane.log.front() {
             if t >= dead_before {
                 break;
             }
             lane.log.pop_front();
-            let cell = self.at[slot as usize * self.columns + lane.column as usize];
-            let live = cell.at != NOT_HELD && cell.hold == hold;
-            if live && drain(&mut lane.values[cell.at as usize]) {
+            let at = self.at[slot as usize * self.columns + lane.column as usize];
+            if at != NOT_HELD && drain(&mut lane.values[at as usize]) {
                 self.let_go(lane, slot);
             }
         }
@@ -278,19 +260,30 @@ impl SlotTable {
 }
 
 /// One store's part of a [`KeyTable`]: what it holds under each key it
-/// holds, and its own expiry log of `(time, slot, hold)` records in
-/// the order logged, read against the store's own solved retention. An
-/// expiry walks only the log's expired prefix, O(records that died). A
-/// record names the lane's hold it was logged under, so what the other
-/// lanes hold never matters. A record may outlive what it was logged
-/// for (the entry was consumed): it then only prompts a look at a key whose
-/// dead content, if any, is dead by time — harmless.
+/// holds, and its own expiry log of `(time, slot)` records in the order
+/// logged, read against the store's own solved retention. An expiry walks
+/// only the log's expired prefix, O(records that died). A store that never
+/// expires ([`Span::MAX`]) logs nothing: its entries leave only by use.
+///
+/// A lane is exact without telling its records apart. A record may outlive
+/// what it was logged for — the entry was consumed, or the lane let go of
+/// the slot and holds it again, perhaps for another key. It then only
+/// prompts a look at what the lane holds there now, and the drain drops
+/// only what is dead by time, which nothing can match. What the lane holds
+/// is never empty (a join queue is let go once a take empties it, a
+/// history once it drains), so where the log is in time order — every
+/// store fed in stream order, as a leaf's are — each entry such a record
+/// drops has its own record in the same expiry, and drop counts are the
+/// ones a record per hold would give. A composite delivered with lag may
+/// have its dead entry dropped one expiry early.
 #[derive(Debug, Clone)]
 pub struct Lane<T> {
     /// The node whose store this is.
     owner: NodeId,
     /// The lane's cell in each slot ([`SlotTable::at`]).
     column: u32,
+    /// Whether the store expires by time, and so keeps a log.
+    logs: bool,
     /// What the lane holds, one value per key it holds: as long as the
     /// lane's own peak live keys, not the table's.
     values: Vec<T>,
@@ -299,25 +292,23 @@ pub struct Lane<T> {
     spare: Vec<u32>,
     /// Slots held: the store's live keys (reported in stats).
     pub keys: usize,
-    /// Holds taken so far (wrapping), which numbers each.
-    holds: u32,
     /// Entries retained across keys: queued instances, recorded times.
     pub len: usize,
     /// Instances the unbounded-buffer cap evicted (a join side), or keys
     /// dropped whole (a history).
     pub dropped: u64,
-    log: VecDeque<(Timestamp, u32, u32)>,
+    log: VecDeque<(Timestamp, u32)>,
 }
 
 impl<T> Lane<T> {
-    fn new(owner: NodeId, column: usize, capacity: usize) -> Self {
+    fn new(owner: NodeId, column: usize, retain: Span, capacity: usize) -> Self {
         Self {
             owner,
             column: column as u32,
+            logs: retain != Span::MAX,
             values: Vec::with_capacity(capacity),
             spare: Vec::new(),
             keys: 0,
-            holds: 0,
             len: 0,
             dropped: 0,
             log: VecDeque::new(),
@@ -331,10 +322,11 @@ impl<T> Lane<T> {
 /// terminator"; partitioning by key keeps that property *per correlated
 /// group* while making lookup O(1) in the number of keys. One log record
 /// per admitted entry, at its `t_end`; entries a chronicle take consumes
-/// leave their record stale.
+/// leave their record stale, and a take that empties a key's queue lets
+/// go of the key.
 pub type KeyedBuffer = Lane<MicroDeque<Arc<Instance>>>;
 
-/// A [`Cell`] of a slot its lane does not hold.
+/// The cell of a slot its lane does not hold.
 const NOT_HELD: u32 = u32::MAX;
 
 /// One `NOT` history registration's keyed occurrence histories: one log
@@ -379,16 +371,17 @@ impl KeyTable {
     }
 
     /// Adds an empty join-side lane for `owner`, or a history lane with
-    /// `hist`, and returns its id; every slot gains an empty cell for it.
-    pub fn add_lane(&mut self, owner: NodeId, hist: bool) -> u32 {
+    /// `hist`, whose store is retained for `retain`, and returns its id;
+    /// every slot gains an empty cell for it.
+    pub fn add_lane(&mut self, owner: NodeId, hist: bool, retain: Span) -> u32 {
         let column = self.slots.columns;
         self.slots.set_columns(column + 1);
         let room = self.slots.keys.capacity();
         let n = if hist {
-            self.hists.push(Lane::new(owner, column, room));
+            self.hists.push(Lane::new(owner, column, retain, room));
             self.hists.len()
         } else {
-            self.joins.push(Lane::new(owner, column, room));
+            self.joins.push(Lane::new(owner, column, retain, room));
             self.joins.len()
         };
         (n - 1) as u32
@@ -437,7 +430,8 @@ impl KeyTable {
     ) -> (Option<Arc<Instance>>, usize) {
         let dropped = self.prune(lane, dead_before);
         let slot = self.slots.slot_of(key.precomputed_hash(), key, found);
-        let taken = self.take_from(lane, Some(slot), dead_before, pred);
+        // The admit refills the queue, so the take keeps the key.
+        let taken = self.take_from(lane, slot, dead_before, pred, true);
         self.admit(lane, slot, entry, cap);
         (taken, dropped)
     }
@@ -452,13 +446,17 @@ impl KeyTable {
         if evicted {
             q.pop_front();
         }
+        let emptied = q.is_empty(); // a zero cap keeps nothing
         buf.len -= usize::from(evicted);
         buf.dropped += u64::from(evicted);
+        if emptied {
+            self.slots.let_go(buf, slot);
+        }
     }
 
     /// Removes and returns the oldest entry under `key` satisfying `pred`,
     /// first discarding leading entries older than `dead_before` (they can
-    /// never match again).
+    /// never match again); lets go of the key if that empties its queue.
     pub fn take_oldest_match(
         &mut self,
         lane: u32,
@@ -466,42 +464,56 @@ impl KeyTable {
         dead_before: Timestamp,
         pred: impl FnMut(&Arc<Instance>) -> bool,
     ) -> Option<Arc<Instance>> {
-        let slot = self.slots.lookup(key.precomputed_hash(), key, found);
-        self.take_from(lane, slot, dead_before, pred)
+        let slot = self.slots.lookup(key.precomputed_hash(), key, found)?;
+        self.take_from(lane, slot, dead_before, pred, false)
     }
 
+    /// The take of both: lets go of `slot` if its queue empties, unless
+    /// `refill`. A held queue is never empty.
     fn take_from(
         &mut self,
         lane: u32,
-        slot: Option<u32>,
+        slot: u32,
         dead_before: Timestamp,
         pred: impl FnMut(&Arc<Instance>) -> bool,
+        refill: bool,
     ) -> Option<Arc<Instance>> {
         let buf = &mut self.joins[lane as usize];
-        let q = self.slots.get_mut(buf, slot)?;
+        let q = self.slots.get_mut(buf, Some(slot))?;
         let dead = drop_dead_prefix(q, dead_before);
         let taken = q.iter().position(pred).and_then(|pos| q.remove(pos));
+        let emptied = q.is_empty() && !refill;
         buf.len -= dead + usize::from(taken.is_some());
+        if emptied {
+            self.slots.let_go(buf, slot);
+        }
         taken
     }
 
     /// Removes every entry under `key` holding exactly this instance
-    /// (pointer identity). Used when a pair is consumed: with same-pattern
-    /// children under different windows, one physical instance may sit in
-    /// both side buffers, and chronicle consumption must retire every copy.
+    /// (pointer identity), and lets go of the key if that empties its
+    /// queue. Used when a pair is consumed: under overlapping sibling
+    /// patterns (`any` beside `group(shelves)`, ROADMAP "The oracle's one
+    /// open disagreement") one physical instance may sit in both side
+    /// buffers, and chronicle consumption must retire every copy.
     pub fn remove_ptr_eq(
         &mut self,
         lane: u32,
         (key, found): (&Key, &mut Found),
         inst: &Arc<Instance>,
     ) {
-        let slot = self.slots.lookup(key.precomputed_hash(), key, found);
+        let Some(slot) = self.slots.lookup(key.precomputed_hash(), key, found) else {
+            return;
+        };
         let buf = &mut self.joins[lane as usize];
-        if let Some(q) = self.slots.get_mut(buf, slot) {
+        if let Some(q) = self.slots.get_mut(buf, Some(slot)) {
             let before = q.len();
             q.retain(|e| !Arc::ptr_eq(e, inst));
-            let removed = before - q.len();
+            let (removed, emptied) = (before - q.len(), q.is_empty());
             buf.len -= removed;
+            if emptied {
+                self.slots.let_go(buf, slot);
+            }
         }
     }
 
@@ -518,32 +530,6 @@ impl KeyTable {
             q.is_empty()
         });
         buf.len -= dropped;
-        // Consumed entries leave stale records behind; under an unbounded
-        // horizon (`dead_before` zero) nothing above pops them, so rebuild
-        // the log from what the lane holds once it outgrows the live
-        // population, letting go of the keys a chronicle take emptied. The
-        // threshold makes the rebuild amortized O(1) per admission.
-        if buf.log.len() > buf.len * 2 + 32 {
-            let mut live = Vec::with_capacity(buf.len);
-            for slot in 0..self.slots.keys.len() as u32 {
-                let Cell { at, hold } =
-                    self.slots.at[slot as usize * self.slots.columns + buf.column as usize];
-                if at == NOT_HELD {
-                    continue;
-                }
-                let before = live.len();
-                live.extend(
-                    buf.values[at as usize]
-                        .iter()
-                        .map(|e| (e.t_end(), slot, hold)),
-                );
-                if live.len() == before {
-                    self.slots.let_go(buf, slot);
-                }
-            }
-            live.sort_by_key(|&(t, ..)| t);
-            buf.log = live.into();
-        }
         dropped
     }
 
@@ -553,49 +539,15 @@ impl KeyTable {
     pub fn record(
         &mut self,
         lane: u32,
-        key: (&Key, &mut Found),
-        t: Timestamp,
-        dead_before: Timestamp,
-    ) -> usize {
-        let (hist, dropped) = self.hist_at(lane, key, t, dead_before);
-        hist.insert(t);
-        dropped
-    }
-
-    /// [`KeyTable::record`] that first finds the latest occurrence at or
-    /// before `to` (strictly before when `exclusive_end`) in the same key's
-    /// history — the fused in-field delivery
-    /// ([`crate::plan::EdgeOp::QueryRecord`]). Equivalent to
-    /// [`KeyTable::last_occurrence`] and then `record` under the same key.
-    pub fn fused_last(
-        &mut self,
-        lane: u32,
-        key: (&Key, &mut Found),
-        t: Timestamp,
-        (to, exclusive_end): (Timestamp, bool),
-        dead_before: Timestamp,
-    ) -> (Option<Timestamp>, usize) {
-        let (hist, dropped) = self.hist_at(lane, key, t, dead_before);
-        let last = hist.times.last_before(to, exclusive_end);
-        hist.insert(t);
-        (last, dropped)
-    }
-
-    /// Expires history lane `lane`, then logs an occurrence at `t` under
-    /// `key` and returns the key's history for the caller to insert it.
-    fn hist_at(
-        &mut self,
-        lane: u32,
         (key, found): (&Key, &mut Found),
         t: Timestamp,
         dead_before: Timestamp,
-    ) -> (&mut KeyHist, usize) {
+    ) -> usize {
         let dropped = self.prune_hist(lane, dead_before);
         let slot = self.slots.slot_of(key.precomputed_hash(), key, found);
-        (
-            self.slots.hold(&mut self.hists[lane as usize], slot, t),
-            dropped,
-        )
+        let hist = &mut self.hists[lane as usize];
+        self.slots.hold(hist, slot, t).insert(t);
+        dropped
     }
 
     /// The latest retained occurrence under `key` at or before `to`
@@ -1162,14 +1114,14 @@ mod tests {
         Timestamp::from_millis(t)
     }
 
-    /// A keyed table with one join lane, driven like the per-node buffer
-    /// it replaced: every call probes afresh.
+    /// A keyed table with one join lane that expires by time, driven like
+    /// the per-node buffer it replaced: every call probes afresh.
     struct Buf(KeyTable);
 
     impl Buf {
         fn new() -> Self {
             let mut table = KeyTable::new(KeySpecId(1));
-            table.add_lane(NodeId(0), false);
+            table.add_lane(NodeId(0), false, Span::from_secs(1));
             Buf(table)
         }
         fn push(&mut self, key: &Key, e: Arc<Instance>, cap: usize, dead: Timestamp) -> usize {
@@ -1193,31 +1145,23 @@ mod tests {
         fn key_count(&self) -> usize {
             self.0.joins[0].keys
         }
-        fn expiry_log_len(&self) -> usize {
-            self.0.joins[0].log.len()
-        }
     }
 
-    /// A keyed table with `n` history lanes, driven like the per-node
-    /// negation state it replaced.
+    /// A keyed table with `n` history lanes that expire by time, driven
+    /// like the per-node negation state it replaced.
     struct Neg(KeyTable);
 
     impl Neg {
         fn new(n: usize) -> Self {
             let mut table = KeyTable::new(KeySpecId(1));
             for _ in 0..n {
-                table.add_lane(NodeId(0), true);
+                table.add_lane(NodeId(0), true, Span::from_secs(1));
             }
             Neg(table)
         }
         fn record(&mut self, lane: usize, key: &Key, t: Timestamp, dead: Timestamp) -> usize {
             self.0
                 .record(lane as u32, (key, &mut Found::Unprobed), t, dead)
-        }
-        fn fused_last(&mut self, lane: usize, key: &Key, t: Timestamp, to: Timestamp, excl: bool) {
-            let key = (key, &mut Found::Unprobed);
-            self.0
-                .fused_last(lane as u32, key, t, (to, excl), Timestamp::ZERO);
         }
         fn occurred(
             &self,
@@ -1291,65 +1235,43 @@ mod tests {
         assert_eq!((dropped, buf.len(), buf.key_count()), (1, 1, 1));
     }
 
-    /// Pins the `rebuild_expiry` compaction threshold: stale log records
-    /// (from consumed entries) are tolerated up to `2·len + 32`, after
-    /// which a prune — even one that expires nothing — rebuilds the log.
+    /// A store that never expires ([`Span::MAX`]) logs nothing: a join
+    /// lane lets go of a key once a take empties its queue, and a history
+    /// lane keeps its records without a log beside them.
     #[test]
-    fn expiry_log_compaction_threshold_is_two_len_plus_32() {
-        let mut buf = Buf::new();
-        // 33 entries under distinct keys, all consumed: the whole log goes
-        // stale while `len` drops to zero.
-        for i in 0..33u64 {
-            let key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i as u32))]);
-            buf.push(&key, inst(100 + i), usize::MAX, Timestamp::ZERO);
-            let taken = buf.take_oldest_match(&key, Timestamp::ZERO, |_| true);
+    fn a_store_that_never_expires_keeps_no_log() {
+        let mut table = KeyTable::new(KeySpecId(1));
+        let join = table.add_lane(NodeId(0), false, Span::MAX);
+        let hist = table.add_lane(NodeId(1), true, Span::MAX);
+        for i in 0..33u32 {
+            let key = reader_key(i);
+            let e = inst(100 + u64::from(i));
+            table.push(join, (&key, &mut Found::Unprobed), e, 3, Timestamp::ZERO);
+            let taken = table.take_oldest_match(
+                join,
+                (&key, &mut Found::Unprobed),
+                Timestamp::ZERO,
+                |_| true,
+            );
             assert!(taken.is_some());
         }
-        assert_eq!(buf.len(), 0);
-        assert_eq!(
-            buf.expiry_log_len(),
-            33,
-            "consumed entries go stale in place"
-        );
-
-        // At 32 stale records the threshold (0·2 + 32) is not exceeded.
-        let mut at_threshold = Buf::new();
-        for i in 0..32u64 {
-            let key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(i as u32))]);
-            at_threshold.push(&key, inst(100 + i), usize::MAX, Timestamp::ZERO);
-            at_threshold.take_oldest_match(&key, Timestamp::ZERO, |_| true);
-        }
-        at_threshold.prune(Timestamp::ZERO);
-        assert_eq!(at_threshold.expiry_log_len(), 32, "32 > 0*2+32 is false");
-
-        // One more tips it over: the same no-op prune compacts to empty.
-        buf.prune(Timestamp::ZERO);
-        assert_eq!(buf.expiry_log_len(), 0, "33 > 0*2+32 triggers the rebuild");
-        assert_eq!(
-            buf.key_count(),
+        // A zero cap evicts what it admits, and the key with it.
+        let e = inst(200);
+        table.push(
+            join,
+            (&reader_key(0), &mut Found::Unprobed),
+            e,
             0,
-            "drained keys are unlinked by the rebuild"
+            Timestamp::ZERO,
         );
-
-        // Live entries are preserved (and re-sorted) by compaction.
-        let key = Key::EMPTY;
-        for i in 0..40u64 {
-            buf.push(&key, inst(1000 + i), usize::MAX, Timestamp::ZERO);
+        let buf = &table.joins[join as usize];
+        assert_eq!((buf.len, buf.keys, buf.log.len()), (0, 0, 0));
+        for i in 0..100u64 {
+            let key = reader_key((i % 10) as u32);
+            table.record(hist, (&key, &mut Found::Unprobed), ms(i), Timestamp::ZERO);
         }
-        for _ in 0..30 {
-            buf.take_oldest_match(&key, Timestamp::ZERO, |_| true);
-        }
-        // len = 10 live, 40 log records: 40 > 10*2 + 32 is false — stale
-        // records ride along until the imbalance is 2x + 32.
-        buf.prune(Timestamp::ZERO);
-        assert_eq!(buf.expiry_log_len(), 40);
-        for _ in 0..7 {
-            buf.take_oldest_match(&key, Timestamp::ZERO, |_| true);
-        }
-        // len = 3 live, 40 log records: 40 > 3*2 + 32 compacts to the live 3.
-        buf.prune(Timestamp::ZERO);
-        assert_eq!(buf.expiry_log_len(), 3);
-        assert_eq!(buf.len(), 3);
+        let hist = &table.hists[hist as usize];
+        assert_eq!((hist.len, hist.keys, hist.log.len()), (100, 10, 0));
     }
 
     /// Slot recycling: a key whose queue drains by time is unlinked and its
@@ -1459,8 +1381,8 @@ mod tests {
     fn key_churn_grows_neither_the_arena_nor_the_index() {
         let mut table = KeyTable::new(KeySpecId(1));
         let (buf, hist) = (
-            table.add_lane(NodeId(0), false),
-            table.add_lane(NodeId(1), true),
+            table.add_lane(NodeId(0), false, Span::from_secs(4)),
+            table.add_lane(NodeId(1), true, Span::from_secs(4)),
         );
         let mut peak = 0;
         for i in 0..1_000_000u64 {
@@ -1519,12 +1441,7 @@ mod tests {
             // Mostly advancing, every few records lagged behind the clock:
             // the out-of-order insert path, inline and promoted histories.
             let t = Timestamp::from_millis((step * 10).saturating_sub(next() % 4 * 250));
-            match next() % 3 {
-                0 => {
-                    neg.record(spec, &key, t, Timestamp::ZERO);
-                }
-                _ => neg.fused_last(spec, &key, t, t, next() % 2 == 0),
-            }
+            neg.record(spec, &key, t, Timestamp::ZERO);
             if step % 97 == 0 {
                 // Removes records and, with them, whole keys.
                 let horizon = Timestamp::from_millis((step * 10).saturating_sub(900));
@@ -1539,7 +1456,9 @@ mod tests {
 
     /// What one store's own table held in the per-node layout, as plain
     /// maps: the model [`KeyTable`]'s lanes are checked against. A log
-    /// record names the key and the hold it was logged under.
+    /// record names the key and the hold it was logged under, so a stale
+    /// record never reaches what the model holds — a stricter rule than
+    /// the lanes keep, which tell no holds apart.
     #[derive(Default)]
     struct ModelLane {
         /// Key → (hold, entry times): a join queue, or a history's times.
@@ -1600,26 +1519,23 @@ mod tests {
             self.dropped += u64::from(evicted);
             let hold = self.held[&key].0;
             self.log.push_back((t, key, hold));
-            if self.log.len() > self.len * 2 + 32 {
-                let mut live: Vec<_> = (self.held.iter())
-                    .flat_map(|(&k, (h, q))| q.iter().map(move |&t| (t, k, *h)))
-                    .collect();
-                live.sort_by_key(|&(t, ..)| t);
-                self.log = live.into();
-                self.held.retain(|_, (_, q)| !q.is_empty());
-            }
             dropped
         }
 
+        /// A take that empties the key's queue drops the key.
         fn take(&mut self, key: usize, dead: u64, from: u64) -> Option<u64> {
             let (_, q) = self.held.get_mut(&key)?;
             while q.front().is_some_and(|&t| t < dead) {
                 q.pop_front();
                 self.len -= 1;
             }
-            let pos = q.iter().position(|&t| t >= from)?;
-            self.len -= 1;
-            q.remove(pos)
+            let pos = q.iter().position(|&t| t >= from);
+            let taken = pos.and_then(|pos| q.remove(pos));
+            self.len -= usize::from(taken.is_some());
+            if q.is_empty() {
+                self.held.remove(&key);
+            }
+            taken
         }
 
         fn record(&mut self, key: usize, t: u64, dead: u64) -> usize {
@@ -1664,9 +1580,19 @@ mod tests {
             Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(k as u32))])
         }
 
+        fn lane(table: &mut KeyTable, i: usize) -> u32 {
+            let (hist, retain) = LANES[i];
+            let span = if retain == u64::MAX {
+                Span::MAX
+            } else {
+                Span::from_millis(retain)
+            };
+            table.add_lane(NodeId(i as u32), hist, span)
+        }
+
         fn fresh(lanes: usize) -> (KeyTable, Vec<u32>, Vec<ModelLane>) {
             let mut table = KeyTable::new(KeySpecId(1));
-            let ids = (0..lanes).map(|i| table.add_lane(NodeId(i as u32), LANES[i].0));
+            let ids = (0..lanes).map(|i| lane(&mut table, i));
             let ids = ids.collect();
             (
                 table,
@@ -1724,7 +1650,7 @@ mod tests {
                 let mut clock = 0u64;
                 for (step, (k, dt, reach, ops, back)) in steps.into_iter().enumerate() {
                     if step == late {
-                        ids.push(table.add_lane(NodeId(SEALED as u32), LANES[SEALED].0));
+                        ids.push(lane(&mut table, SEALED));
                         model.push(ModelLane::default());
                     }
                     if step == reset {

@@ -111,8 +111,9 @@ engine_stats! {
     /// solved retention bounds ([`crate::bounds`]) keep flat. Snapshotted
     /// by `Engine::stats`.
     buffered_entries: Gauge,
-    /// Correlation keys currently indexed by join-side buffers (both sides
-    /// of every two-sided node). Like `retained_keys`, but for joins.
+    /// Correlation keys whose join-side queue is non-empty, summed over
+    /// every join side: a take that empties a queue lets go of its key.
+    /// Like `retained_keys`, but for joins.
     join_keys: Gauge,
     /// Pool threads serving the broadcast (rule-partitioned) partitions of
     /// the sharded pipeline — threads, not partitions. A gauge set by

@@ -6,8 +6,8 @@
 //! is the harness every layer of the engine answers to at once: the
 //! arrival handlers (oldest-compatible pairing, the half-open in-field
 //! window, the 1 ms out-field epsilon, `TSEQ+` closure), the lowering's
-//! order-preservation argument (DESIGN.md §13) including the fused
-//! in-field delivery, window families and shared `NOT` histories, and the bounds solver's soundness (DESIGN.md §14) — the
+//! order-preservation argument (DESIGN.md §13) including the in-field
+//! leaf's query-then-record order, window families and shared `NOT` histories, and the bounds solver's soundness (DESIGN.md §14) — the
 //! engine evicts at the solved per-node retention while the reference
 //! keeps everything, so equal firings mean the solved bounds only discard
 //! state no future arrival could pair with. The lag-inflator shape keeps
@@ -38,8 +38,8 @@ proptest! {
     /// Any program of up to five rules drawn from the shape pool fires
     /// what the reference says its rules fire, each on its own — under
     /// plan-level sharing (a window family: two draws of shape 0 or 1 with
-    /// different windows) and the fused in-field delivery (shape 1, or
-    /// shape 10 spelled with an inner `WITHIN`) — and the counters the
+    /// different windows) and the in-field leaf's query-then-record edges
+    /// (shape 1, or shape 10 spelled with an inner `WITHIN`) — and the counters the
     /// reference defines agree.
     #[test]
     fn engine_fires_what_the_semantics_say(

@@ -29,7 +29,8 @@ pub fn shape(idx: usize, window: Span) -> EventExpr {
             .bind_object("o")
             .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
             .within(window),
-        // In-field filtering: one leaf, the fused `QueryRecord` delivery.
+        // In-field filtering: one leaf, delivered to the query and then
+        // recorded into the `NOT` (two plain edges).
         1 => shelf().not().seq(shelf()).within(window),
         // AND with right-side negation (pseudo events on window close).
         2 => EventExpr::observation_in_group("pos")
@@ -82,7 +83,7 @@ pub fn shape(idx: usize, window: Span) -> EventExpr {
             .seq(EventExpr::observation().bind_reader("r").bind_object("o"))
             .within(window),
         // Shape 1 spelled with an inner `WITHIN` on the negated copy: the
-        // same one-leaf `QueryRecord` delivery.
+        // same one leaf and the same two edges.
         10 => shelf().within(INNER).not().seq(shelf()).within(window),
         // TSEQ whose terminator is itself a SEQ: the distance runs end to
         // end, so an initiator waits one `DIST` for the terminator's end

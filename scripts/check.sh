@@ -226,9 +226,9 @@ fi
 echo "== a leaf is its pattern (rceda graph.rs) =="
 # The graph hash-conses a leaf on its PrimitivePattern alone, so one
 # observation pattern is one leaf and the plan lowers leaves as they are:
-# no pattern groups, no pops counted for leaves folded away, and one fused
-# negation op. Under crates/core/src, code and comments before a file's
-# `#[cfg(test)]` module may not name the machinery that undid twin leaves.
+# no pattern groups and no pops counted for leaves folded away. Under
+# crates/core/src, code and comments before a file's `#[cfg(test)]` module
+# may not name the machinery that undid twin leaves.
 stray=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -238,6 +238,25 @@ stray=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
 if [[ -n "$stray" ]]; then
     echo "$stray"
     echo "check.sh: leaves are hash-consed on their pattern; no plan-level leaf coalescing" >&2
+    exit 1
+fi
+
+echo "== one delivery per edge (rceda plan.rs, state.rs) =="
+# An edge is `SelfJoin`, `Left` or `Right`: the in-field leaf reaches its
+# query and its NOT as two plain edges, which share one probe through the
+# key memo, not through a fused op. A lane's cell names its value alone: a
+# held value is never empty, so the expiry log needs no hold epochs. Under
+# crates/core/src, code and comments before a file's `#[cfg(test)]` module
+# may not name the fused delivery or the epoch cell.
+stray=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /QueryRecord|fuse_query_record|fused_negation|fused_last|struct Cell/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: one delivery per edge; no fused in-field op, no hold epochs" >&2
     exit 1
 fi
 
@@ -402,11 +421,13 @@ echo "== ledger (allocation budgets of the edge filter, the firing path and the 
 # 0.0004 and 1.92 on canonical, 0.00016 on rules500 (5.26 and 3.04 with
 # SipHash maps, per-firing HashMap rows and a Vec per offer; 2.0002 on
 # rules500 with a name and an argument Vec per call, not the call log's
-# blocks); on detect the engine allocates 319.4 bytes per event (360.4 with
-# a `Vec` per two-child composite and an `Arc` pair per family member; 475.9
-# with a `HashMap<Key, u32>` in front of each slot arena); on rules500 it
-# makes 0.57 allocations per event (29.2 with an absence and a pair `Arc`
-# per member of the 125-member in-field window family).
+# blocks); on detect the engine allocates 302.1 bytes per event (310.7
+# with an 8-byte epoch cell per slot and lane and an expiry log on stores
+# that never expire; 360.4 with a `Vec` per two-child composite and an
+# `Arc` pair per family member; 475.9 with a `HashMap<Key, u32>` in front
+# of each slot arena), on freshkeys 144.4 (147.2 with the epoch cells); on
+# rules500 it makes 0.57 allocations per event (29.2 with an absence and a
+# pair `Arc` per member of the 125-member in-field window family).
 ledger_budget() {
     local workload="$1" line metric value
     shift
@@ -426,6 +447,7 @@ ledger_budget() {
 }
 ledger_budget canonical edge.allocs_per_event:0.01 rules.allocs_per_firing:2.5
 ledger_budget rules500 edge.allocs_per_event:0.01 rules.allocs_per_firing:0.05 core.allocs_per_event:1
-ledger_budget detect core.alloc_bytes_per_event:320
+ledger_budget detect core.alloc_bytes_per_event:305
+ledger_budget freshkeys core.alloc_bytes_per_event:145.8
 
 echo "check.sh: all gates passed"
