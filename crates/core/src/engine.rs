@@ -42,7 +42,7 @@ use crate::obs::{FlightRecorder, Histogram, ObsState, ObserveLevel, TelemetrySna
 use crate::plan::{CompiledPlan, EdgeOp, InlineBuf, Member, LEAF_HITS_INLINE};
 use crate::program::{Program, RuleEvent, Store};
 use crate::state::{
-    dead_before, AperiodicState, Found, KeyTable, NodeState, TimedRunState, WaitEntry, WaitState,
+    AperiodicState, Found, KeyTable, NodeState, TimedRunState, WaitEntry, WaitState,
 };
 use crate::stats::EngineStats;
 use crate::timeline::{Deadline, Due, Timeline};
@@ -120,10 +120,6 @@ struct Runtime {
     /// here keeps every instrumentation site a plain field access — no
     /// extra parameters through the arrival handlers.
     obs: ObsState,
-    /// Per-node `[side0, side1]` retention spans ([`Program::retention`]),
-    /// read by the probes' dead scans and by every admission's expiry
-    /// (DESIGN.md §16).
-    spans: Vec<[Span; 2]>,
     /// The keys of the instance being propagated, one per interned spec.
     keys: KeyMemo,
 }
@@ -224,7 +220,6 @@ impl Engine {
                 stats: EngineStats::default(),
                 work: Vec::new(),
                 obs: ObsState::new(config.observe, config.flight_capacity),
-                spans: Vec::new(),
                 keys: KeyMemo::default(),
             },
             rule_enabled: Vec::new(),
@@ -269,7 +264,7 @@ impl Engine {
     /// Their lanes are added to the key tables, an empty lane in every slot
     /// already there.
     fn rebuild_states(&mut self) {
-        let (program, rt) = (&self.program, &mut self.rt);
+        let (program, rt, cap) = (&self.program, &mut self.rt, self.config.unbounded_cap);
         let (graph, sealed) = (program.graph(), program.graph().sealed());
         rt.states.truncate(sealed);
         if sealed == 0 {
@@ -282,7 +277,8 @@ impl Engine {
         rt.tables
             .extend(specs.map(|s| KeyTable::new(KeySpecId(s as u32))));
         for node in &graph.nodes()[sealed..] {
-            rt.states.push(initial_state(program, &mut rt.tables, node));
+            rt.states
+                .push(initial_state(program, &mut rt.tables, cap, node));
         }
     }
 
@@ -442,17 +438,15 @@ impl Engine {
     /// What the rule set compiles to, re-solved first if the rule set
     /// changed since the last call — once per change, never per event. The
     /// one place the engine's runtime state follows a recompile: the nodes
-    /// past the seal get fresh state, the metrics arena is sized for them
-    /// and the retention spans are rebuilt. State below the seal stays
-    /// where it is: no holder of a sealed node moves.
+    /// past the seal get fresh state, each store with its solved retention,
+    /// and the metrics arena is sized for them. State below the seal stays
+    /// where it is: no holder of a sealed node moves, and no sealed store's
+    /// retention changes.
     pub fn program(&mut self) -> &Program {
         if self.program.solve(Some(&self.catalog)) {
             self.rebuild_states();
             self.rt.obs.arena.ensure_len(self.program.graph().len());
             self.rt.keys.resize(self.program.graph().key_spec_count());
-            let program = &self.program;
-            let nodes = program.graph().nodes().iter();
-            self.rt.spans = nodes.map(|n| program.retention(n.id)).collect();
         }
         &self.program
     }
@@ -623,12 +617,12 @@ impl Engine {
                     // The deferred window-close check is this node's probe.
                     self.rt.obs.arena.probed(node.idx());
                 }
-                let (table, lane) = self.rt.hist_lane(self.program.graph(), n, not_side);
+                let (table, lane) = self.rt.hist_lane(n, not_side);
                 let key = (&entry.key, &mut Found::Unprobed);
-                let window = (entry.from, entry.to);
+                let window = (entry.from, deadline.at);
                 let occurred = self.rt.tables[table].occurred(lane, key, window, false);
                 if !occurred {
-                    let absence = Arc::new(Instance::absence(entry.from, entry.to));
+                    let absence = Arc::new(Instance::absence(entry.from, deadline.at));
                     let inst = if not_side == 0 {
                         Instance::pair(kind_name, absence, entry.inst)
                     } else {
@@ -653,7 +647,6 @@ impl Engine {
             rt,
             rule_enabled,
             rule_firings,
-            config,
             ..
         } = self;
         let (graph, plan) = (program.graph(), program.plan());
@@ -670,9 +663,9 @@ impl Engine {
             for edge in plan.edges_at(node_id) {
                 let pnode = graph.node(edge.parent());
                 match edge.op() {
-                    EdgeOp::SelfJoin => rt.self_join_arrival(graph, config, plan, pnode, &inst),
-                    EdgeOp::Left => rt.arrival(graph, config, plan, pnode, 0, &inst),
-                    EdgeOp::Right => rt.arrival(graph, config, plan, pnode, 1, &inst),
+                    EdgeOp::SelfJoin => rt.self_join_arrival(graph, plan, pnode, &inst),
+                    EdgeOp::Left => rt.arrival(graph, plan, pnode, 0, &inst),
+                    EdgeOp::Right => rt.arrival(graph, plan, pnode, 1, &inst),
                 }
             }
         }
@@ -819,7 +812,6 @@ impl Runtime {
     fn self_join_arrival(
         &mut self,
         graph: &EventGraph,
-        config: &EngineConfig,
         plan: &CompiledPlan,
         node: &Node,
         inst: &Arc<Instance>,
@@ -833,11 +825,6 @@ impl Runtime {
         let kind = &node.kind;
         let family = plan.family(node.id);
         let within = family.last().expect("a holder is in its family").cutoff;
-        let span = self.spans[node.id.idx()][0];
-        let (dead, cap) = (
-            dead_before(self.timeline.clock(), span),
-            side_cap(config, span),
-        );
 
         if self.obs.level.counters() {
             // One bucket access both probes for a partner and admits the
@@ -852,16 +839,15 @@ impl Runtime {
         let (matched, dropped) = table.take_match_and_push(
             lane,
             key,
-            dead,
+            self.timeline.clock(),
             |e| !Arc::ptr_eq(e, inst) && pair_ok(kind, within, e, inst),
             inst.clone(),
-            cap,
         );
         if self.obs.level.full() {
             let occ = table.joins[lane as usize].len as u64;
             self.obs.occupancy.record(occ);
         }
-        count_expiry(&mut self.stats, &mut self.obs, node.id, span, dropped);
+        count_expiry(&mut self.stats, &mut self.obs, node.id, dropped);
         if let Some(e) = matched {
             let out = Arc::new(Instance::pair(kind.name(), e, inst.clone()));
             // The probe ran at the widest cut-off, so the widest member is
@@ -877,7 +863,6 @@ impl Runtime {
     fn arrival(
         &mut self,
         graph: &EventGraph,
-        config: &EngineConfig,
         plan: &CompiledPlan,
         node: &Node,
         side: u8,
@@ -890,7 +875,7 @@ impl Runtime {
                 self.work.push(Work::At(node.id, wrapped));
             }
             Plan::Forward => {}
-            Plan::TwoSided => self.two_sided(graph, config, node, side, inst),
+            Plan::TwoSided => self.two_sided(graph, node, side, inst),
             Plan::LeftNegationQuery => {
                 debug_assert_eq!(side, 1, "negated initiator never delivers");
                 self.left_negation_query(graph, plan, node, inst);
@@ -917,14 +902,7 @@ impl Runtime {
 
     /// [`Plan::TwoSided`]: pair with the oldest compatible instance of the
     /// other side and consume both, or wait on this one.
-    fn two_sided(
-        &mut self,
-        graph: &EventGraph,
-        config: &EngineConfig,
-        node: &Node,
-        side: u8,
-        inst: &Arc<Instance>,
-    ) {
+    fn two_sided(&mut self, graph: &EventGraph, node: &Node, side: u8, inst: &Arc<Instance>) {
         let parent = node.id;
         let (own_spec, other_spec) = (
             node.join.ids[side as usize],
@@ -933,26 +911,18 @@ impl Runtime {
         let Some((key, found)) = self.keys.key(graph, own_spec, inst) else {
             return;
         };
-        let (same, mut other_found) = (own_spec == other_spec, Found::Unprobed);
-        let kind = &node.kind;
-        let within = node.within;
-        // The scan prunes the *other* side's buffer, so its solved
-        // retention governs (a side's entries outlive only what the
-        // opposite side can still pair with); an admission expires its
-        // own side's store at its own retention, and is capped exactly
-        // when that retention is unbounded.
-        let (clock, spans) = (self.timeline.clock(), self.spans[parent.idx()]);
-        let (own_span, other_span) = (spans[side as usize], spans[1 - side as usize]);
-        let cap = side_cap(config, own_span);
+        let mut other_found = Found::Unprobed;
+        let (kind, within, clock) = (&node.kind, node.within, self.timeline.clock());
         if self.obs.level.counters() {
             self.obs.arena.probed(parent.idx());
         }
         let lanes = self.states[parent.idx()].lanes();
         let (own, other) = (lanes[side as usize], lanes[1 - side as usize]);
         let (own_table, other_table) = (own_spec.idx(), other_spec.idx());
-        let other_key = (key, memo_if(same, &mut *found, &mut other_found));
-        let dead = dead_before(clock, other_span);
-        let matched = self.tables[other_table].take_oldest_match(other, other_key, dead, |e| {
+        let other_key = (key, memo_if(node, &mut *found, &mut other_found));
+        // Each lane expires at its own retention: the scan drops the other
+        // side's dead heads, an admission expires its own side.
+        let matched = self.tables[other_table].take_oldest_match(other, other_key, clock, |e| {
             // One physical event can never be both constituents of an
             // occurrence (overlapping sibling patterns deliver the same Arc
             // to both sides).
@@ -973,7 +943,7 @@ impl Runtime {
                 // disagreement") an instance can sit in both side buffers.
                 self.tables[own_table].remove_ptr_eq(own, (key, &mut *found), &e);
                 // `inst` is not in `own`: only `None` below admits it, once per side.
-                let other_key = (key, memo_if(same, &mut *found, &mut other_found));
+                let other_key = (key, memo_if(node, &mut *found, &mut other_found));
                 self.tables[other_table].remove_ptr_eq(other, other_key, inst);
                 let out = if side == 0 {
                     Instance::pair(kind.name(), inst.clone(), e)
@@ -984,10 +954,9 @@ impl Runtime {
             }
             None => {
                 let table = &mut self.tables[own_table];
-                let dead = dead_before(clock, own_span);
-                let dropped = table.push(own, (key, found), inst.clone(), cap, dead);
+                let dropped = table.push(own, (key, found), inst.clone(), clock);
                 let occ = table.joins[own as usize].len as u64;
-                count_expiry(&mut self.stats, &mut self.obs, parent, own_span, dropped);
+                count_expiry(&mut self.stats, &mut self.obs, parent, dropped);
                 if self.obs.level.counters() {
                     self.obs.arena.admitted(parent.idx());
                     if self.obs.level.full() {
@@ -1023,7 +992,7 @@ impl Runtime {
             ),
             ref other => unreachable!("negated-initiator query on {other:?}"),
         };
-        let (table, lane) = self.hist_lane(graph, node, 0);
+        let (table, lane) = self.hist_lane(node, 0);
         let Some((key, found)) = self.keys.key(graph, node.join.ids[1], inst) else {
             return;
         };
@@ -1031,7 +1000,7 @@ impl Runtime {
             self.obs.arena.probed(node.id.idx());
         }
         let mut cross = Found::Unprobed;
-        let found = memo_if(table == node.join.ids[1].idx(), found, &mut cross);
+        let found = memo_if(node, found, &mut cross);
         let last = self.tables[table].last_occurrence(lane, (key, found), to, exclusive);
         let family = plan.family(node.id);
         let from = |m: &Member| inst.t_end().saturating_sub(m.cutoff);
@@ -1096,15 +1065,12 @@ impl Runtime {
     /// every parent that reads the history; a `NOT` left by a rejected rule
     /// has none and records nothing.
     fn record_negation(&mut self, graph: &EventGraph, node: &Node, inst: &Arc<Instance>) {
-        let parent = node.id;
-        let specs = graph.hist_specs(parent);
-        let span = self.spans[parent.idx()][0];
-        let dead = dead_before(self.timeline.clock(), span);
+        let (parent, clock) = (node.id, self.timeline.clock());
         let lanes = self.states[parent.idx()].lanes();
-        for (spec, &lane) in specs.iter().zip(lanes) {
-            if let Some(key) = self.keys.key(graph, spec.key, inst) {
-                let dropped = self.tables[spec.key.idx()].record(lane, key, inst.t_end(), dead);
-                count_expiry(&mut self.stats, &mut self.obs, parent, span, dropped);
+        for (&spec, &lane) in graph.hist_specs(parent).iter().zip(lanes) {
+            if let Some(key) = self.keys.key(graph, spec, inst) {
+                let dropped = self.tables[spec.idx()].record(lane, key, inst.t_end(), clock);
+                count_expiry(&mut self.stats, &mut self.obs, parent, dropped);
                 if self.obs.level.counters() {
                     self.obs.arena.admitted(parent.idx());
                 }
@@ -1114,13 +1080,11 @@ impl Runtime {
 
     /// [`Plan::AperiodicRecorder`]: record the element for a terminator.
     fn record_aperiodic(&mut self, node: &Node, inst: &Arc<Instance>) {
-        let span = self.spans[node.id.idx()][0];
-        let dead = dead_before(self.timeline.clock(), span);
         let NodeState::Aperiodic(ap) = &mut self.states[node.id.idx()] else {
             unreachable!("aperiodic state");
         };
-        let dropped = ap.record(inst.clone(), dead);
-        count_expiry(&mut self.stats, &mut self.obs, node.id, span, dropped);
+        let dropped = ap.record(inst.clone(), self.timeline.clock());
+        count_expiry(&mut self.stats, &mut self.obs, node.id, dropped);
         if self.obs.level.counters() {
             self.obs.arena.admitted(node.id.idx());
         }
@@ -1209,7 +1173,7 @@ impl Runtime {
         to: Timestamp,
     ) {
         let push_spec = node.join.ids[usize::from(1 - not_side)];
-        let (table, lane) = self.hist_lane(graph, node, not_side);
+        let (table, lane) = self.hist_lane(node, not_side);
         let Some((key, found)) = self.keys.key(graph, push_spec, inst) else {
             return;
         };
@@ -1222,7 +1186,7 @@ impl Runtime {
                 self.obs.arena.probed(node.id.idx());
             }
             let mut cross = Found::Unprobed;
-            let found = memo_if(table == push_spec.idx(), found, &mut cross);
+            let found = memo_if(node, found, &mut cross);
             let occurred = self.tables[table].occurred(lane, (key, found), (from, past_end), false);
             if occurred {
                 return;
@@ -1249,7 +1213,6 @@ impl Runtime {
                 inst: inst.clone(),
                 key: key.clone(),
                 from,
-                to,
             },
         );
         if self.obs.level.counters() {
@@ -1260,22 +1223,23 @@ impl Runtime {
     }
 
     /// The key table and lane of the history `node` queries on its
-    /// `not_side` child.
-    fn hist_lane(&self, graph: &EventGraph, node: &Node, not_side: u8) -> (usize, u32) {
-        let spec = node
-            .hist_spec
-            .expect("a negation query has a history spec")
-            .0 as usize;
-        let not_child = node.children[usize::from(not_side)];
-        let table = graph.hist_specs(not_child)[spec].key.idx();
-        (table, self.states[not_child.idx()].lanes()[spec])
+    /// `not_side` child: the table of its join's key on that side.
+    fn hist_lane(&self, node: &Node, not_side: u8) -> (usize, u32) {
+        let spec = node.hist_spec.expect("a negation query has a history spec");
+        let not_child = node.children[usize::from(not_side)].idx();
+        let table = node.join.ids[usize::from(not_side)].idx();
+        (table, self.states[not_child].lanes()[spec.0 as usize])
     }
 }
 
-/// The memoised slot of a key when the table probed is its own spec's;
-/// else `cross`, a probe of another spec's table with the same key value.
-fn memo_if<'a>(own: bool, memo: &'a mut Found, cross: &'a mut Found) -> &'a mut Found {
-    if own {
+/// Where the arrival's key sits in the table `node` probes on the other
+/// side of its join: the memoised slot when both sides read one key spec,
+/// and so one table; else `cross`, a probe of the other side's table. So a
+/// cross probe happens exactly when `node.join.ids[0] != node.join.ids[1]`:
+/// one side reads the key through another extraction path, as a `SEQ`
+/// beside a read does. No ledger program has such a join.
+fn memo_if<'a>(node: &Node, memo: &'a mut Found, cross: &'a mut Found) -> &'a mut Found {
+    if node.join.ids[0] == node.join.ids[1] {
         memo
     } else {
         cross
@@ -1308,34 +1272,20 @@ fn rearm(spare: Option<Arc<Instance>>, witness: Instance) -> Arc<Instance> {
     }
 }
 
-/// Accounts one admission's expiry at `node`, whose store is retained for
-/// `span`: `dropped` entries died as it admitted (`sweeps` and the node's
-/// prunes), or none did in a store that expires by time (`sweeps_skipped`).
+/// Accounts one admission's expiry at `node`: `dropped` entries died as it
+/// admitted (`sweeps` and the node's prunes), none did in a store that
+/// expires by time (`sweeps_skipped`), or the store never expires (`None`).
 #[inline]
-fn count_expiry(
-    stats: &mut EngineStats,
-    obs: &mut ObsState,
-    node: NodeId,
-    span: Span,
-    dropped: usize,
-) {
-    if dropped > 0 {
-        stats.sweeps += 1;
-        if obs.level.counters() {
-            obs.arena.pruned(node.idx(), dropped as u64);
+fn count_expiry(stats: &mut EngineStats, obs: &mut ObsState, node: NodeId, dropped: Option<usize>) {
+    match dropped {
+        Some(0) => stats.sweeps_skipped += 1,
+        Some(n) => {
+            stats.sweeps += 1;
+            if obs.level.counters() {
+                obs.arena.pruned(node.idx(), n as u64);
+            }
         }
-    } else if span != Span::MAX {
-        stats.sweeps_skipped += 1;
-    }
-}
-
-/// The per-key FIFO cap of a join side retained for `span`: the capacity
-/// cap where the solver could not bound the side by time, none otherwise.
-fn side_cap(config: &EngineConfig, span: Span) -> usize {
-    if span == Span::MAX {
-        config.unbounded_cap
-    } else {
-        usize::MAX
+        None => {}
     }
 }
 
@@ -1359,28 +1309,35 @@ fn pair_ok(kind: &NodeKind, within: Span, l: &Instance, r: &Instance) -> bool {
     }
 }
 
-/// A node's state before it has seen the stream, its keyed stores added as
-/// lanes to their specs' tables; a `NOT`'s histories are sized for the
-/// parents registered on it, which a sealed `NOT` never gains.
-fn initial_state(program: &Program, tables: &mut [KeyTable], node: &Node) -> NodeState {
+/// A node's state before it has seen the stream, each store with its solved
+/// retention ([`Program::retention`]) and its keyed ones added as lanes to
+/// their specs' tables, capped at `unbounded_cap` where that retention is
+/// unbounded; a `NOT`'s histories are sized for the parents registered on
+/// it, which a sealed `NOT` never gains.
+fn initial_state(
+    program: &Program,
+    tables: &mut [KeyTable],
+    unbounded_cap: usize,
+    node: &Node,
+) -> NodeState {
+    let retain = program.retention(node.id);
     let state = match &node.plan {
         Plan::Leaf | Plan::Forward | Plan::LeftNegationQuery | Plan::LeftAperiodicQuery => {
             NodeState::Stateless
         }
         Plan::TwoSided | Plan::NegationRecorder => {
-            let retain = program.retention(node.id);
             let stores = program.stores(node.id).into_iter();
             let lanes = stores.map(|(store, spec)| {
                 let (hist, span) = match store {
                     Store::Side(s) => (false, retain[usize::from(s)]),
                     Store::Hist(_) => (true, retain[0]),
                 };
-                tables[spec.idx()].add_lane(node.id, hist, span)
+                tables[spec.idx()].add_lane(node.id, hist, span, unbounded_cap)
             });
             NodeState::Keyed(lanes.collect())
         }
         Plan::RightNegationWait | Plan::AndNegation { .. } => NodeState::Wait(WaitState::default()),
-        Plan::AperiodicRecorder => NodeState::Aperiodic(AperiodicState::default()),
+        Plan::AperiodicRecorder => NodeState::Aperiodic(AperiodicState::new(retain[0])),
         Plan::TimedAperiodic => NodeState::TimedRun(TimedRunState::default()),
     };
     debug_assert_eq!(

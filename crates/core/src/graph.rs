@@ -198,14 +198,6 @@ pub struct Node {
     pub load: u32,
 }
 
-/// A keyed-history registration on a `NOT` node: the interned extraction
-/// paths (relative to the *inner* instance) that one parent's join requires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistSpec {
-    /// The key the history is partitioned by ([`EventGraph::key_spec`]).
-    pub key: KeySpecId,
-}
-
 /// The shared event graph for every rule added to an engine.
 #[derive(Debug)]
 pub struct EventGraph {
@@ -213,8 +205,10 @@ pub struct EventGraph {
     /// Hash-consing table: a node's parts → the node.
     memo: HashMap<NodeKey, NodeId>,
     /// Keyed-history registrations, indexed by node id (empty for every
-    /// node no parent queries).
-    hist_specs: Vec<Vec<HistSpec>>,
+    /// node no parent queries): each the key spec a querying parent's join
+    /// reads on this child's side, whose extraction paths are relative to
+    /// the *inner* instance.
+    hist_specs: Vec<Vec<KeySpecId>>,
     /// Interned extraction lists, indexed by [`KeySpecId`]; the empty list
     /// is id 0.
     key_specs: Vec<Vec<Extract>>,
@@ -297,7 +291,7 @@ impl EventGraph {
     }
 
     /// Keyed-history registrations of a negation/aperiodic node.
-    pub fn hist_specs(&self, id: NodeId) -> &[HistSpec] {
+    pub fn hist_specs(&self, id: NodeId) -> &[KeySpecId] {
         self.hist_specs.get(id.idx()).map_or(&[], Vec::as_slice)
     }
 
@@ -615,9 +609,7 @@ impl EventGraph {
         };
         if let Some(side) = query_side {
             let child = node.children[side as usize];
-            let spec = HistSpec {
-                key: node.join.ids[side as usize],
-            };
+            let spec = node.join.ids[side as usize];
             if self.hist_specs.len() <= child.idx() {
                 self.hist_specs.resize_with(child.idx() + 1, Vec::new);
             }
@@ -899,7 +891,7 @@ mod tests {
         let not_id = node.children[0];
         assert_eq!(g.node(not_id).kind, NodeKind::Not);
         assert_eq!(g.hist_specs(not_id).len(), 1);
-        assert_eq!(g.key_spec(g.hist_specs(not_id)[0].key).len(), 2);
+        assert_eq!(g.key_spec(g.hist_specs(not_id)[0]).len(), 2);
         assert_eq!(node.hist_spec, Some(HistSpecId(0)));
     }
 

@@ -193,7 +193,7 @@ impl Program {
                     .collect()
             }
             Plan::NegationRecorder => (self.graph.hist_specs(id).iter().enumerate())
-                .map(|(i, h)| (Store::Hist(i as u32), h.key))
+                .map(|(i, &key)| (Store::Hist(i as u32), key))
                 .collect(),
             _ => Vec::new(),
         }

@@ -212,7 +212,7 @@ impl SlotTable {
             });
             lane.keys += 1;
         }
-        if lane.logs {
+        if lane.retain != Span::MAX {
             lane.log.push_back((t, slot));
         }
         lane.len += 1;
@@ -260,10 +260,12 @@ impl SlotTable {
 }
 
 /// One store's part of a [`KeyTable`]: what it holds under each key it
-/// holds, and its own expiry log of `(time, slot)` records in the order
-/// logged, read against the store's own solved retention. An expiry walks
-/// only the log's expired prefix, O(records that died). A store that never
-/// expires ([`Span::MAX`]) logs nothing: its entries leave only by use.
+/// holds, its solved retention and cap, and its own expiry log of
+/// `(time, slot)` records in the order logged. Each admission first drops
+/// what ended more than the retention before the clock, walking only the
+/// log's expired prefix, O(records that died). A store that never expires
+/// ([`Span::MAX`]) logs nothing: its entries leave only by use, or by the
+/// cap.
 ///
 /// A lane is exact without telling its records apart. A record may outlive
 /// what it was logged for — the entry was consumed, or the lane let go of
@@ -282,8 +284,11 @@ pub struct Lane<T> {
     owner: NodeId,
     /// The lane's cell in each slot ([`SlotTable::at`]).
     column: u32,
-    /// Whether the store expires by time, and so keeps a log.
-    logs: bool,
+    /// The store's solved retention ([`crate::Program::retention`]).
+    retain: Span,
+    /// Entries a join key holds at most: finite only where the side never
+    /// expires by time.
+    cap: usize,
     /// What the lane holds, one value per key it holds: as long as the
     /// lane's own peak live keys, not the table's.
     values: Vec<T>,
@@ -294,18 +299,29 @@ pub struct Lane<T> {
     pub keys: usize,
     /// Entries retained across keys: queued instances, recorded times.
     pub len: usize,
-    /// Instances the unbounded-buffer cap evicted (a join side), or keys
-    /// dropped whole (a history).
+    /// Instances the cap evicted (a join side), or records expired (a
+    /// history).
     pub dropped: u64,
     log: VecDeque<(Timestamp, u32)>,
 }
 
 impl<T> Lane<T> {
-    fn new(owner: NodeId, column: usize, retain: Span, capacity: usize) -> Self {
+    fn new(
+        owner: NodeId,
+        column: usize,
+        retain: Span,
+        unbounded_cap: usize,
+        capacity: usize,
+    ) -> Self {
         Self {
             owner,
             column: column as u32,
-            logs: retain != Span::MAX,
+            retain,
+            cap: if retain == Span::MAX {
+                unbounded_cap
+            } else {
+                usize::MAX
+            },
             values: Vec::with_capacity(capacity),
             spare: Vec::new(),
             keys: 0,
@@ -329,10 +345,10 @@ pub type KeyedBuffer = Lane<MicroDeque<Arc<Instance>>>;
 /// The cell of a slot its lane does not hold.
 const NOT_HELD: u32 = u32::MAX;
 
-/// One `NOT` history registration's keyed occurrence histories: one log
-/// record per recorded occurrence, so pruning visits only keys
-/// that hold expired records.
-pub type HistTable = Lane<KeyHist>;
+/// One `NOT` history registration's keyed occurrence histories, each the
+/// ascending end-times of its key: one log record per recorded occurrence,
+/// so pruning visits only keys that hold expired records.
+pub type HistTable = Lane<Times>;
 
 /// The keyed state of one interned key spec: a [`SlotTable`] and one lane
 /// per store that reads the spec — a join side that admits, or a history
@@ -371,17 +387,24 @@ impl KeyTable {
     }
 
     /// Adds an empty join-side lane for `owner`, or a history lane with
-    /// `hist`, whose store is retained for `retain`, and returns its id;
-    /// every slot gains an empty cell for it.
-    pub fn add_lane(&mut self, owner: NodeId, hist: bool, retain: Span) -> u32 {
+    /// `hist`, whose store is retained for `retain` and, if that is
+    /// [`Span::MAX`], holds at most `unbounded_cap` entries per key; returns
+    /// its id. Every slot gains an empty cell for it.
+    pub fn add_lane(
+        &mut self,
+        owner: NodeId,
+        hist: bool,
+        retain: Span,
+        unbounded_cap: usize,
+    ) -> u32 {
         let column = self.slots.columns;
         self.slots.set_columns(column + 1);
         let room = self.slots.keys.capacity();
         let n = if hist {
-            self.hists.push(Lane::new(owner, column, retain, room));
+            (self.hists).push(Lane::new(owner, column, retain, unbounded_cap, room));
             self.hists.len()
         } else {
-            self.joins.push(Lane::new(owner, column, retain, room));
+            (self.joins).push(Lane::new(owner, column, retain, unbounded_cap, room));
             self.joins.len()
         };
         (n - 1) as u32
@@ -396,50 +419,49 @@ impl KeyTable {
         self.slots.set_columns(self.joins.len() + self.hists.len());
     }
 
-    /// Drops what died before `dead_before` in join lane `lane`, then
-    /// appends `entry` under `key`, evicting the key's oldest entry past
-    /// `cap` (only finite for sides with unbounded retention). Returns how
-    /// many entries the expiry dropped.
+    /// Drops what join lane `lane` no longer needs at `clock`, then appends
+    /// `entry` under `key`, evicting the key's oldest entry past the lane's
+    /// cap. Returns how many entries the expiry dropped, `None` in a lane
+    /// that never expires.
     pub fn push(
         &mut self,
         lane: u32,
         (key, found): (&Key, &mut Found),
         entry: Arc<Instance>,
-        cap: usize,
-        dead_before: Timestamp,
-    ) -> usize {
-        let dropped = self.prune(lane, dead_before);
+        clock: Timestamp,
+    ) -> Option<usize> {
+        let dropped = self.prune(lane, clock);
         let slot = self.slots.slot_of(key.precomputed_hash(), key, found);
-        self.admit(lane, slot, entry, cap);
+        self.admit(lane, slot, entry);
         dropped
     }
 
-    /// Chronicle take-or-admit in one slot access: drops what died before
-    /// `dead_before` across keys, removes and returns the oldest entry of
-    /// `key`'s queue satisfying `pred`, then appends `entry` to the same
-    /// queue — the self-join arrival, whose instance always becomes an
-    /// initiator. Also returns how many entries the expiry dropped.
+    /// Chronicle take-or-admit in one slot access: expires the lane at
+    /// `clock` across keys, removes and returns the oldest entry of `key`'s
+    /// queue satisfying `pred`, then appends `entry` to the same queue —
+    /// the self-join arrival, whose instance always becomes an initiator.
+    /// Also returns what the expiry dropped, as [`KeyTable::push`] does.
     pub fn take_match_and_push(
         &mut self,
         lane: u32,
         (key, found): (&Key, &mut Found),
-        dead_before: Timestamp,
+        clock: Timestamp,
         pred: impl FnMut(&Arc<Instance>) -> bool,
         entry: Arc<Instance>,
-        cap: usize,
-    ) -> (Option<Arc<Instance>>, usize) {
-        let dropped = self.prune(lane, dead_before);
+    ) -> (Option<Arc<Instance>>, Option<usize>) {
+        let dropped = self.prune(lane, clock);
         let slot = self.slots.slot_of(key.precomputed_hash(), key, found);
         // The admit refills the queue, so the take keeps the key.
-        let taken = self.take_from(lane, slot, dead_before, pred, true);
-        self.admit(lane, slot, entry, cap);
+        let taken = self.take_from(lane, slot, clock, pred, true);
+        self.admit(lane, slot, entry);
         (taken, dropped)
     }
 
     /// Logs `entry` and appends it to the queue of `slot`, evicting that
-    /// key's oldest entry when `cap` is exceeded.
-    fn admit(&mut self, lane: u32, slot: u32, entry: Arc<Instance>, cap: usize) {
+    /// key's oldest entry past the lane's cap.
+    fn admit(&mut self, lane: u32, slot: u32, entry: Arc<Instance>) {
         let (buf, t) = (&mut self.joins[lane as usize], entry.t_end());
+        let cap = buf.cap;
         let q = self.slots.hold(buf, slot, t);
         q.push_back(entry);
         let evicted = q.len() > cap;
@@ -455,17 +477,17 @@ impl KeyTable {
     }
 
     /// Removes and returns the oldest entry under `key` satisfying `pred`,
-    /// first discarding leading entries older than `dead_before` (they can
-    /// never match again); lets go of the key if that empties its queue.
+    /// first discarding the leading entries that are dead at `clock` (they
+    /// can never match again); lets go of the key if that empties its queue.
     pub fn take_oldest_match(
         &mut self,
         lane: u32,
         (key, found): (&Key, &mut Found),
-        dead_before: Timestamp,
+        clock: Timestamp,
         pred: impl FnMut(&Arc<Instance>) -> bool,
     ) -> Option<Arc<Instance>> {
         let slot = self.slots.lookup(key.precomputed_hash(), key, found)?;
-        self.take_from(lane, slot, dead_before, pred, false)
+        self.take_from(lane, slot, clock, pred, false)
     }
 
     /// The take of both: lets go of `slot` if its queue empties, unless
@@ -474,11 +496,12 @@ impl KeyTable {
         &mut self,
         lane: u32,
         slot: u32,
-        dead_before: Timestamp,
+        clock: Timestamp,
         pred: impl FnMut(&Arc<Instance>) -> bool,
         refill: bool,
     ) -> Option<Arc<Instance>> {
         let buf = &mut self.joins[lane as usize];
+        let dead_before = dead_before(clock, buf.retain).unwrap_or(Timestamp::ZERO);
         let q = self.slots.get_mut(buf, Some(slot))?;
         let dead = drop_dead_prefix(q, dead_before);
         let taken = q.iter().position(pred).and_then(|pos| q.remove(pos));
@@ -517,33 +540,34 @@ impl KeyTable {
         }
     }
 
-    /// Drops every entry of join lane `lane` whose log record has
-    /// `t_end < dead_before`, visiting only those keys, and lets go of the
-    /// keys whose queues drained; returns how many entries it dropped.
-    /// Per-key matching discards dead heads itself, so what the lazy log
-    /// leaves behind is never matched.
-    fn prune(&mut self, lane: u32, dead_before: Timestamp) -> usize {
+    /// Drops the entries of join lane `lane` that are dead at `clock`,
+    /// visiting only the keys their log records name, and lets go of the
+    /// keys whose queues drained; returns how many entries it dropped,
+    /// `None` in a lane that never expires. Per-key matching discards dead
+    /// heads itself, so what the lazy log leaves behind is never matched.
+    fn prune(&mut self, lane: u32, clock: Timestamp) -> Option<usize> {
         let buf = &mut self.joins[lane as usize];
+        let dead = dead_before(clock, buf.retain)?;
         let mut dropped = 0;
-        self.slots.expire(buf, dead_before, |q| {
-            dropped += drop_dead_prefix(q, dead_before);
+        self.slots.expire(buf, dead, |q| {
+            dropped += drop_dead_prefix(q, dead);
             q.is_empty()
         });
         buf.len -= dropped;
-        dropped
+        Some(dropped)
     }
 
-    /// Drops what history lane `lane` holds from before `dead_before`, then
-    /// records an occurrence ending at `t` under `key`. Returns how many
-    /// records the expiry dropped.
+    /// Expires history lane `lane` at `clock`, then records an occurrence
+    /// ending at `t` under `key`. Returns what the expiry dropped, as
+    /// [`KeyTable::push`] does.
     pub fn record(
         &mut self,
         lane: u32,
         (key, found): (&Key, &mut Found),
         t: Timestamp,
-        dead_before: Timestamp,
-    ) -> usize {
-        let dropped = self.prune_hist(lane, dead_before);
+        clock: Timestamp,
+    ) -> Option<usize> {
+        let dropped = self.prune_hist(lane, clock);
         let slot = self.slots.slot_of(key.precomputed_hash(), key, found);
         let hist = &mut self.hists[lane as usize];
         self.slots.hold(hist, slot, t).insert(t);
@@ -563,7 +587,7 @@ impl KeyTable {
         to: Timestamp,
         exclusive_end: bool,
     ) -> Option<Timestamp> {
-        self.hist(lane, key)?.times.last_before(to, exclusive_end)
+        self.hist(lane, key)?.last_before(to, exclusive_end)
     }
 
     /// Whether any occurrence under `key` falls in `[from, to]` (or
@@ -575,68 +599,52 @@ impl KeyTable {
         (from, to): (Timestamp, Timestamp),
         exclusive_end: bool,
     ) -> bool {
-        let Some(hist) = self.hist(lane, key) else {
-            // A dropped key cannot be the subject of an epoch-anchored query:
-            // those only arise under unbounded windows (retention = MAX, so
-            // nothing is ever dropped) or before the clock passes the
-            // retention horizon (so nothing has been dropped yet).
-            debug_assert!(
-                from > Timestamp::ZERO || self.hists[lane as usize].dropped == 0,
-                "unbounded negation query after key drops — retention invariant violated"
-            );
-            return false;
-        };
-        hist.any_in(from, to, exclusive_end)
+        // A window that reaches back to the epoch asks of a history that
+        // has expired nothing, so what it holds is all that occurred: the
+        // look-back is unbounded, which retains the history for
+        // `Span::MAX`, or the clock — monotone — has not yet passed the
+        // retention horizon.
+        debug_assert!(
+            from > Timestamp::ZERO || self.hists[lane as usize].dropped == 0,
+            "an epoch-anchored negation query after its history expired records"
+        );
+        match self.hist(lane, key).and_then(|h| h.first_at_or_after(from)) {
+            Some(t) if exclusive_end => t < to,
+            Some(t) => t <= to,
+            None => false,
+        }
     }
 
-    fn hist(&self, lane: u32, (key, found): (&Key, &mut Found)) -> Option<&KeyHist> {
+    fn hist(&self, lane: u32, (key, found): (&Key, &mut Found)) -> Option<&Times> {
         let slot = self.slots.lookup(key.precomputed_hash(), key, found);
         let hist = &self.hists[lane as usize];
         Some(&hist.values[self.slots.at(hist, slot)?])
     }
 
-    /// Drops history lane `lane`'s occurrences older than `dead_before`, and
-    /// lets go of a key once it holds nothing a future query can reach: an
-    /// empty history with `earliest < dead_before`. Without that a stream
-    /// over millions of distinct EPCs grows the table forever. Returns the
-    /// number of occurrence records removed.
-    ///
-    /// Dropping keys is exact for epoch-anchored ("never occurred") queries
-    /// because those only exist where nothing is ever dropped: an unbounded
-    /// parent window forces the node's retention to `Span::MAX`, which makes
-    /// `dead_before` zero here; and a window that merely *saturates* at the
-    /// epoch early in the stream implies the clock has not yet passed the
-    /// retention horizon, so no drop has happened yet (the clock is
-    /// monotone, so drops strictly follow all saturated queries). The lane's
-    /// `dropped` count makes the invariant checkable (`debug_assert` in
-    /// [`KeyTable::occurred`]).
-    fn prune_hist(&mut self, lane: u32, dead_before: Timestamp) -> usize {
-        if dead_before == Timestamp::ZERO {
-            return 0;
-        }
+    /// Drops history lane `lane`'s occurrences that are dead at `clock`,
+    /// and lets go of a key once its times empty: no window a query can
+    /// still ask reaches back past the horizon ([`KeyTable::occurred`]).
+    /// Without that a stream over millions of distinct EPCs grows the table
+    /// forever. Returns the number of records removed, `None` in a lane
+    /// that never expires.
+    fn prune_hist(&mut self, lane: u32, clock: Timestamp) -> Option<usize> {
         let hist = &mut self.hists[lane as usize];
-        let (mut removed, mut dropped_keys) = (0, 0);
+        let dead = dead_before(clock, hist.retain)?;
+        let mut removed = 0;
         // The log names exactly the keys holding records that just died. A
         // lagged record behind a live head is collected later, which is
-        // sound: `occurred` range-checks its answers, so a stale record is
+        // sound: queries range-check their answers, so a stale record is
         // never *wrongly counted*, only kept a little longer.
-        self.slots.expire(hist, dead_before, |h| {
-            while h.times.front().is_some_and(|t| t < dead_before) {
-                h.times.pop_front();
+        self.slots.expire(hist, dead, |times| {
+            while times.front().is_some_and(|t| t < dead) {
+                times.pop_front();
                 removed += 1;
             }
-            match h.earliest {
-                Some(e) if h.times.is_empty() && e < dead_before => {
-                    dropped_keys += 1;
-                    *h = KeyHist::default();
-                    true
-                }
-                _ => false,
-            }
+            times.is_empty()
         });
         hist.len -= removed;
-        hist.dropped += dropped_keys;
-        removed
+        hist.dropped += removed as u64;
+        Some(removed)
     }
 }
 
@@ -789,7 +797,7 @@ const INLINE_TIMES: usize = 5;
 /// histories are promoted to a heap deque (and stay there — demotion would
 /// churn on the boundary).
 #[derive(Debug, Clone)]
-enum Times {
+pub enum Times {
     /// `buf[..len]` ascending.
     Inline {
         len: u8,
@@ -882,7 +890,7 @@ impl Times {
         }
     }
 
-    /// The earliest stored end-time `>= from`.
+    /// The first stored end-time `>= from`.
     fn first_at_or_after(&self, from: Timestamp) -> Option<Timestamp> {
         match self {
             Times::Inline { len, buf } => buf[..usize::from(*len)]
@@ -907,63 +915,29 @@ fn insert_sorted(q: &mut VecDeque<Timestamp>, t: Timestamp) {
     }
 }
 
-/// Occurrence history for one correlation key of a negation node.
-#[derive(Debug, Default, Clone)]
-pub struct KeyHist {
-    /// First occurrence ever (survives pruning — answers unbounded
-    /// "never occurred before t" queries).
-    earliest: Option<Timestamp>,
-    /// Recent occurrence end-times, ascending.
-    times: Times,
-}
-
-impl KeyHist {
-    /// Inserts an occurrence end-time, keeping the store sorted.
-    fn insert(&mut self, t: Timestamp) {
-        self.earliest = Some(match self.earliest {
-            Some(e) => e.min(t),
-            None => t,
-        });
-        self.times.insert(t);
-    }
-
-    /// Whether any stored occurrence falls in `[from, to]` (or `[from, to)`
-    /// when `exclusive_end`).
-    fn any_in(&self, from: Timestamp, to: Timestamp, exclusive_end: bool) -> bool {
-        if let Some(earliest) = self.earliest {
-            // Fast path for "never occurred before" queries anchored at the
-            // epoch; also correct when pruning removed old entries.
-            if from == Timestamp::ZERO {
-                return if exclusive_end {
-                    earliest < to
-                } else {
-                    earliest <= to
-                };
-            }
-            if earliest > to || (exclusive_end && earliest == to) {
-                return false;
-            }
-        }
-        match self.times.first_at_or_after(from) {
-            Some(t) if exclusive_end => t < to,
-            Some(t) => t <= to,
-            None => false,
-        }
-    }
-}
-
 /// State of a `SEQ+` node: the element history parents query.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct AperiodicState {
+    /// The node's solved retention.
+    retain: Span,
     /// (end-time, instance), ascending by end-time.
     hist: VecDeque<(Timestamp, Arc<Instance>)>,
 }
 
 impl AperiodicState {
-    /// Drops the occurrences older than `dead_before`, then records an
-    /// inner occurrence. Returns how many occurrences it dropped.
-    pub fn record(&mut self, inst: Arc<Instance>, dead_before: Timestamp) -> usize {
-        let dropped = self.prune(dead_before);
+    /// An empty history retained for `retain`.
+    pub fn new(retain: Span) -> Self {
+        Self {
+            retain,
+            hist: VecDeque::new(),
+        }
+    }
+
+    /// Drops the occurrences dead at `clock`, then records an inner
+    /// occurrence. Returns how many occurrences it dropped, `None` when the
+    /// history never expires.
+    pub fn record(&mut self, inst: Arc<Instance>, clock: Timestamp) -> Option<usize> {
+        let dropped = dead_before(clock, self.retain).map(|dead| self.prune(dead));
         let t = inst.t_end();
         match self.hist.back() {
             Some(&(back, _)) if back > t => {
@@ -1035,10 +1009,9 @@ pub struct WaitEntry {
     pub inst: Arc<Instance>,
     /// Correlation key the negation must be queried under.
     pub key: Key,
-    /// Start of the yet-unchecked part of the negation window.
+    /// Start of the yet-unchecked part of the negation window, which ends
+    /// when the wait's pseudo event is due.
     pub from: Timestamp,
-    /// End of the negation window (the pseudo event's execution time).
-    pub to: Timestamp,
 }
 
 /// State of a node whose plan waits on negation windows.
@@ -1076,13 +1049,10 @@ impl NodeState {
     }
 }
 
-/// Retention helper: the earliest timestamp a buffer still needs, given
-/// the current clock and its retention span.
-pub fn dead_before(clock: Timestamp, retention: Span) -> Timestamp {
-    if retention == Span::MAX {
-        return Timestamp::ZERO;
-    }
-    clock.saturating_sub(retention)
+/// What ended before this at `clock` can never match again in a store
+/// retained for `retain`; `None` when the store never expires.
+fn dead_before(clock: Timestamp, retain: Span) -> Option<Timestamp> {
+    (retain != Span::MAX).then(|| clock.saturating_sub(retain))
 }
 
 #[cfg(test)]
@@ -1114,30 +1084,34 @@ mod tests {
         Timestamp::from_millis(t)
     }
 
-    /// A keyed table with one join lane that expires by time, driven like
-    /// the per-node buffer it replaced: every call probes afresh.
+    /// A keyed table with one join lane, retained for a second unless
+    /// built `with` another retention, driven like the per-node buffer it
+    /// replaced: every call probes afresh.
     struct Buf(KeyTable);
 
     impl Buf {
         fn new() -> Self {
+            Self::with(Span::from_secs(1), usize::MAX)
+        }
+        fn with(retain: Span, unbounded_cap: usize) -> Self {
             let mut table = KeyTable::new(KeySpecId(1));
-            table.add_lane(NodeId(0), false, Span::from_secs(1));
+            table.add_lane(NodeId(0), false, retain, unbounded_cap);
             Buf(table)
         }
-        fn push(&mut self, key: &Key, e: Arc<Instance>, cap: usize, dead: Timestamp) -> usize {
-            self.0.push(0, (key, &mut Found::Unprobed), e, cap, dead)
+        fn push(&mut self, key: &Key, e: Arc<Instance>, clock: Timestamp) -> Option<usize> {
+            self.0.push(0, (key, &mut Found::Unprobed), e, clock)
         }
         fn take_oldest_match(
             &mut self,
             key: &Key,
-            dead: Timestamp,
+            clock: Timestamp,
             pred: impl FnMut(&Arc<Instance>) -> bool,
         ) -> Option<Arc<Instance>> {
             self.0
-                .take_oldest_match(0, (key, &mut Found::Unprobed), dead, pred)
+                .take_oldest_match(0, (key, &mut Found::Unprobed), clock, pred)
         }
-        fn prune(&mut self, dead: Timestamp) -> usize {
-            self.0.prune(0, dead)
+        fn prune(&mut self, clock: Timestamp) -> Option<usize> {
+            self.0.prune(0, clock)
         }
         fn len(&self) -> usize {
             self.0.joins[0].len
@@ -1147,7 +1121,7 @@ mod tests {
         }
     }
 
-    /// A keyed table with `n` history lanes that expire by time, driven
+    /// A keyed table with `n` history lanes retained for a second, driven
     /// like the per-node negation state it replaced.
     struct Neg(KeyTable);
 
@@ -1155,13 +1129,14 @@ mod tests {
         fn new(n: usize) -> Self {
             let mut table = KeyTable::new(KeySpecId(1));
             for _ in 0..n {
-                table.add_lane(NodeId(0), true, Span::from_secs(1));
+                table.add_lane(NodeId(0), true, Span::from_secs(1), 0);
             }
             Neg(table)
         }
-        fn record(&mut self, lane: usize, key: &Key, t: Timestamp, dead: Timestamp) -> usize {
+        fn record(&mut self, lane: usize, key: &Key, t: Timestamp, clock: Timestamp) -> usize {
             self.0
-                .record(lane as u32, (key, &mut Found::Unprobed), t, dead)
+                .record(lane as u32, (key, &mut Found::Unprobed), t, clock)
+                .expect("the lane expires")
         }
         fn occurred(
             &self,
@@ -1174,8 +1149,9 @@ mod tests {
             self.0
                 .occurred(lane as u32, (key, &mut Found::Unprobed), (from, to), excl)
         }
-        fn prune(&mut self, lane: usize, dead: Timestamp) -> usize {
-            self.0.prune_hist(lane as u32, dead)
+        fn prune(&mut self, lane: usize, clock: Timestamp) -> usize {
+            let removed = self.0.prune_hist(lane as u32, clock);
+            removed.expect("the lane expires")
         }
         fn recorded(&self) -> usize {
             self.0.hists.iter().map(|l| l.len).sum()
@@ -1183,45 +1159,40 @@ mod tests {
         fn key_count(&self) -> usize {
             self.0.hists.iter().map(|l| l.keys).sum()
         }
-        fn dropped_keys(&self) -> u64 {
-            self.0.hists.iter().map(|l| l.dropped).sum()
-        }
     }
 
     #[test]
     fn keyed_buffer_fifo_and_match() {
         let mut buf = Buf::new();
         let key = Key::EMPTY;
-        buf.push(&key, inst(100), usize::MAX, Timestamp::ZERO);
-        buf.push(&key, inst(200), usize::MAX, Timestamp::ZERO);
-        buf.push(&key, inst(300), usize::MAX, Timestamp::ZERO);
+        buf.push(&key, inst(100), ms(100));
+        buf.push(&key, inst(200), ms(200));
+        buf.push(&key, inst(300), ms(300));
         assert_eq!(buf.len(), 3);
 
         // Oldest matching wins (chronicle).
         let got = buf
-            .take_oldest_match(&key, Timestamp::ZERO, |e| e.t_end() >= ms(200))
+            .take_oldest_match(&key, ms(300), |e| e.t_end() >= ms(200))
             .unwrap();
         assert_eq!(got.t_end(), ms(200));
         assert_eq!(buf.len(), 2);
 
-        // Dead-before discards the stale head before matching.
-        let got = buf.take_oldest_match(&key, ms(250), |_| true).unwrap();
+        // What died a second before the clock goes before matching.
+        let got = buf.take_oldest_match(&key, ms(1250), |_| true).unwrap();
         assert_eq!(got.t_end(), ms(300));
         assert_eq!(buf.len(), 0, "stale head was discarded");
     }
 
     #[test]
     fn keyed_buffer_cap_evicts_oldest() {
-        let mut buf = Buf::new();
+        let mut buf = Buf::with(Span::MAX, 3);
         let key = Key::EMPTY;
         for i in 0..5 {
-            buf.push(&key, inst(i * 100), 3, Timestamp::ZERO);
+            assert_eq!(buf.push(&key, inst(i * 100), ms(i * 100)), None);
         }
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.0.joins[0].dropped, 2);
-        let got = buf
-            .take_oldest_match(&key, Timestamp::ZERO, |_| true)
-            .unwrap();
+        let got = buf.take_oldest_match(&key, ms(400), |_| true).unwrap();
         assert_eq!(got.t_end(), ms(200), "entries 0 and 1 were evicted");
     }
 
@@ -1229,46 +1200,41 @@ mod tests {
     #[test]
     fn keyed_buffer_prune_across_keys() {
         let mut buf = Buf::new();
-        buf.push(&Key::EMPTY, inst(100), usize::MAX, Timestamp::ZERO);
+        assert_eq!(buf.push(&Key::EMPTY, inst(100), ms(100)), Some(0));
         let other_key = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(7))]);
-        let dropped = buf.push(&other_key, inst(900), usize::MAX, ms(500));
-        assert_eq!((dropped, buf.len(), buf.key_count()), (1, 1, 1));
+        let dropped = buf.push(&other_key, inst(900), ms(1500));
+        assert_eq!((dropped, buf.len(), buf.key_count()), (Some(1), 1, 1));
     }
 
-    /// A store that never expires ([`Span::MAX`]) logs nothing: a join
-    /// lane lets go of a key once a take empties its queue, and a history
-    /// lane keeps its records without a log beside them.
+    /// A store that never expires ([`Span::MAX`]) logs nothing and says
+    /// so (`None`) where an admission reports its expiry: a join lane lets
+    /// go of a key once a take empties its queue, and a history lane keeps
+    /// its records without a log beside them.
     #[test]
     fn a_store_that_never_expires_keeps_no_log() {
         let mut table = KeyTable::new(KeySpecId(1));
-        let join = table.add_lane(NodeId(0), false, Span::MAX);
-        let hist = table.add_lane(NodeId(1), true, Span::MAX);
+        let join = table.add_lane(NodeId(0), false, Span::MAX, 3);
+        let hist = table.add_lane(NodeId(1), true, Span::MAX, 3);
+        let zero = table.add_lane(NodeId(2), false, Span::MAX, 0);
         for i in 0..33u32 {
-            let key = reader_key(i);
+            let (key, t) = (reader_key(i), ms(100 + u64::from(i)));
             let e = inst(100 + u64::from(i));
-            table.push(join, (&key, &mut Found::Unprobed), e, 3, Timestamp::ZERO);
-            let taken = table.take_oldest_match(
-                join,
-                (&key, &mut Found::Unprobed),
-                Timestamp::ZERO,
-                |_| true,
-            );
+            let dropped = table.push(join, (&key, &mut Found::Unprobed), e, t);
+            assert_eq!(dropped, None);
+            let taken = table.take_oldest_match(join, (&key, &mut Found::Unprobed), t, |_| true);
             assert!(taken.is_some());
         }
         // A zero cap evicts what it admits, and the key with it.
         let e = inst(200);
-        table.push(
-            join,
-            (&reader_key(0), &mut Found::Unprobed),
-            e,
-            0,
-            Timestamp::ZERO,
-        );
-        let buf = &table.joins[join as usize];
-        assert_eq!((buf.len, buf.keys, buf.log.len()), (0, 0, 0));
+        table.push(zero, (&reader_key(0), &mut Found::Unprobed), e, ms(200));
+        for lane in [join, zero] {
+            let buf = &table.joins[lane as usize];
+            assert_eq!((buf.len, buf.keys, buf.log.len()), (0, 0, 0));
+        }
         for i in 0..100u64 {
             let key = reader_key((i % 10) as u32);
-            table.record(hist, (&key, &mut Found::Unprobed), ms(i), Timestamp::ZERO);
+            let dropped = table.record(hist, (&key, &mut Found::Unprobed), ms(i), ms(i));
+            assert_eq!(dropped, None);
         }
         let hist = &table.hists[hist as usize];
         assert_eq!((hist.len, hist.keys, hist.log.len()), (100, 10, 0));
@@ -1281,18 +1247,14 @@ mod tests {
         let mut buf = Buf::new();
         let k1 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(1))]);
         let k2 = Key::from_parts(&[crate::key::KeyPart::Reader(ReaderId(2))]);
-        buf.push(&k1, inst(100), usize::MAX, Timestamp::ZERO);
-        buf.prune(Timestamp::from_millis(500));
+        buf.push(&k1, inst(100), ms(100));
+        buf.prune(ms(1500));
         assert_eq!((buf.len(), buf.key_count()), (0, 0));
         // k2 reuses k1's slot; matching under k1 must not see k2's entry.
-        buf.push(&k2, inst(900), usize::MAX, Timestamp::ZERO);
+        buf.push(&k2, inst(900), ms(1500));
         assert_eq!(buf.key_count(), 1);
-        assert!(buf
-            .take_oldest_match(&k1, Timestamp::ZERO, |_| true)
-            .is_none());
-        assert!(buf
-            .take_oldest_match(&k2, Timestamp::ZERO, |_| true)
-            .is_some());
+        assert!(buf.take_oldest_match(&k1, ms(1500), |_| true).is_none());
+        assert!(buf.take_oldest_match(&k2, ms(1500), |_| true).is_some());
     }
 
     fn reader_key(i: u32) -> Key {
@@ -1381,8 +1343,8 @@ mod tests {
     fn key_churn_grows_neither_the_arena_nor_the_index() {
         let mut table = KeyTable::new(KeySpecId(1));
         let (buf, hist) = (
-            table.add_lane(NodeId(0), false, Span::from_secs(4)),
-            table.add_lane(NodeId(1), true, Span::from_secs(4)),
+            table.add_lane(NodeId(0), false, Span::from_secs(4), 0),
+            table.add_lane(NodeId(1), true, Span::from_secs(4), 0),
         );
         let mut peak = 0;
         for i in 0..1_000_000u64 {
@@ -1391,10 +1353,9 @@ mod tests {
             )]);
             // Each admission expires what its key's predecessors left
             // 4 s behind.
-            let horizon = Timestamp::from_millis(i.saturating_sub(4000));
-            let mut found = Found::Unprobed;
-            table.push(buf, (&key, &mut found), inst(i), usize::MAX, horizon);
-            table.record(hist, (&key, &mut found), Timestamp::from_millis(i), horizon);
+            let (clock, mut found) = (ms(i), Found::Unprobed);
+            table.push(buf, (&key, &mut found), inst(i), clock);
+            table.record(hist, (&key, &mut found), clock, clock);
             if i % 1000 == 999 {
                 assert_eq!(table.joins[0].keys, table.hists[0].keys);
                 peak = peak.max(table.joins[0].keys);
@@ -1420,7 +1381,7 @@ mod tests {
         let held = |l: &HistTable| -> usize {
             let slots = 0..neg.0.slots.keys.len() as u32;
             let held = slots.filter_map(|s| neg.0.slots.at(l, Some(s)));
-            held.map(|at| l.values[at].times.len()).sum()
+            held.map(|at| l.values[at].len()).sum()
         };
         neg.0.hists.iter().map(held).sum()
     }
@@ -1435,6 +1396,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
+        let mut shed = 0;
         for step in 0..6_000u64 {
             let spec = (next() % 3) as usize;
             let key = reader_key((next() % 40) as u32);
@@ -1443,14 +1405,16 @@ mod tests {
             let t = Timestamp::from_millis((step * 10).saturating_sub(next() % 4 * 250));
             neg.record(spec, &key, t, Timestamp::ZERO);
             if step % 97 == 0 {
-                // Removes records and, with them, whole keys.
-                let horizon = Timestamp::from_millis((step * 10).saturating_sub(900));
-                let removed: usize = (0..3).map(|spec| neg.prune(spec, horizon)).sum();
+                // Removes records and, with them, whole keys: what ended
+                // 900 ms before the step.
+                let (clock, keys) = (Timestamp::from_millis(step * 10 + 100), neg.key_count());
+                let removed: usize = (0..3).map(|spec| neg.prune(spec, clock)).sum();
                 assert!(step == 0 || removed > 0);
+                shed += keys - neg.key_count();
             }
             assert_eq!(neg.recorded(), recorded_by_walk(&neg), "step {step}");
         }
-        assert!(neg.dropped_keys() > 0, "some keys were dropped whole");
+        assert!(shed > 0, "some keys were dropped whole");
         assert!(neg.recorded() > 0);
     }
 
@@ -1587,7 +1551,7 @@ mod tests {
             } else {
                 Span::from_millis(retain)
             };
-            table.add_lane(NodeId(i as u32), hist, span)
+            table.add_lane(NodeId(i as u32), hist, span, 3)
         }
 
         fn fresh(lanes: usize) -> (KeyTable, Vec<u32>, Vec<ModelLane>) {
@@ -1617,7 +1581,7 @@ mod tests {
                     let got: Option<Vec<u64>> = if hist {
                         let lane = &table.hists[id];
                         let at = table.slots.at(lane, slot);
-                        at.map(|at| match &lane.values[at].times {
+                        at.map(|at| match &lane.values[at] {
                             Times::Inline { len, buf } => buf[..usize::from(*len)].to_vec(),
                             Times::Heap(q) => q.iter().copied().collect(),
                         })
@@ -1664,8 +1628,8 @@ mod tests {
                         let (lane, m) = (ids[i], &mut model[i]);
                         let op = ops >> (i % 4) & 1;
                         if hist {
-                            let dropped = table.record(lane, (&key, &mut found), ms(clock), ms(dead));
-                            prop_assert_eq!(dropped, m.record(k, clock, dead));
+                            let dropped = table.record(lane, (&key, &mut found), ms(clock), ms(clock));
+                            prop_assert_eq!(dropped.unwrap_or(0), m.record(k, clock, dead));
                             let to = ms(clock.saturating_sub(back));
                             let last = table.last_occurrence(lane, (&key, &mut found), to, op == 1);
                             let want = m.held.get(&k).and_then(|(_, q)| {
@@ -1674,11 +1638,11 @@ mod tests {
                             prop_assert_eq!(last.map(|t| t.as_millis()), want);
                         } else if op == 0 {
                             let cap = if retain == u64::MAX { 3 } else { usize::MAX };
-                            let dropped = table.push(lane, (&key, &mut found), inst(clock), cap, ms(dead));
-                            prop_assert_eq!(dropped, m.push(k, clock, cap, dead));
+                            let dropped = table.push(lane, (&key, &mut found), inst(clock), ms(clock));
+                            prop_assert_eq!(dropped.unwrap_or(0), m.push(k, clock, cap, dead));
                         } else {
                             let from = clock.saturating_sub(back);
-                            let taken = table.take_oldest_match(lane, (&key, &mut found), ms(dead), |e| e.t_end() >= ms(from));
+                            let taken = table.take_oldest_match(lane, (&key, &mut found), ms(clock), |e| e.t_end() >= ms(from));
                             prop_assert_eq!(taken.map(|e| e.t_end().as_millis()), m.take(k, dead, from));
                         }
                     }
@@ -1810,33 +1774,60 @@ mod tests {
         assert!(!occ(9, 20, false));
     }
 
+    /// A history's times are all that occurred under its key while the
+    /// lane has expired nothing, so a window from the epoch needs no
+    /// earliest-occurrence marker beside them: a lane retained for
+    /// [`Span::MAX`] never expires, and a finite one expires nothing before
+    /// the clock passes its retention.
     #[test]
-    fn negation_earliest_survives_pruning() {
+    fn an_epoch_query_reads_the_front_of_an_unexpired_history() {
+        let mut table = KeyTable::new(KeySpecId(1));
+        let lanes = [Span::MAX, Span::from_secs(100)].map(|retain| {
+            let lane = table.add_lane(NodeId(0), true, retain, 0);
+            for t in [1, 50, 100] {
+                let at = Timestamp::from_secs(t);
+                table.record(lane, (&Key::EMPTY, &mut Found::Unprobed), at, at);
+            }
+            lane
+        });
+        for lane in lanes {
+            assert_eq!(table.hists[lane as usize].dropped, 0);
+            let occ = |to: u64| {
+                let window = (Timestamp::ZERO, Timestamp::from_secs(to));
+                table.occurred(lane, (&Key::EMPTY, &mut Found::Unprobed), window, true)
+            };
+            assert!(occ(10), "the first record answers");
+            assert!(!occ(1), "nothing before the first record");
+        }
+    }
+
+    /// The engine never asks from the epoch of a history that has expired
+    /// records; in a debug build, asking is a bug it reports.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "an epoch-anchored negation query after its history expired")]
+    fn an_epoch_query_after_expiry_is_refused() {
         let mut neg = Neg::new(1);
-        neg.record(0, &Key::EMPTY, Timestamp::from_secs(1), Timestamp::ZERO);
-        neg.record(0, &Key::EMPTY, Timestamp::from_secs(100), Timestamp::ZERO);
-        assert_eq!(
-            neg.prune(0, Timestamp::from_secs(50)),
-            1,
-            "one record removed"
+        neg.record(
+            0,
+            &Key::EMPTY,
+            Timestamp::from_secs(1),
+            Timestamp::from_secs(1),
         );
-        assert_eq!(neg.recorded(), 1);
-        assert_eq!(neg.key_count(), 1, "key still holds a live record");
-        // "Did it ever occur before t=10?" still answerable exactly.
-        assert!(neg.occurred(
+        neg.record(
+            0,
+            &Key::EMPTY,
+            Timestamp::from_secs(100),
+            Timestamp::from_secs(100),
+        );
+        assert_eq!(neg.recorded(), 1, "the record at 1 s expired");
+        neg.occurred(
             0,
             &Key::EMPTY,
             Timestamp::ZERO,
             Timestamp::from_secs(10),
-            true
-        ));
-        assert!(!neg.occurred(
-            0,
-            &Key::EMPTY,
-            Timestamp::ZERO,
-            Timestamp::from_secs(1),
-            true
-        ));
+            true,
+        );
     }
 
     #[test]
@@ -1851,10 +1842,10 @@ mod tests {
         }
         assert_eq!(neg.key_count(), 4);
 
-        // Keys 0 and 1 are fully behind the horizon: entry and `earliest`
-        // both stale, so the whole entry goes.
+        // Keys 0 and 1 are fully behind the horizon: their times empty,
+        // so the whole entry goes.
         assert_eq!(
-            neg.prune(0, Timestamp::from_secs(2)),
+            neg.prune(0, Timestamp::from_secs(3)),
             2,
             "two records removed"
         );
@@ -1879,9 +1870,9 @@ mod tests {
             false
         ));
 
-        // A zero horizon is a no-op, not a mass drop.
+        // A clock short of the retention is a no-op, not a mass drop.
         let before = neg.key_count();
-        assert_eq!(neg.prune(0, Timestamp::ZERO), 0);
+        assert_eq!(neg.prune(0, Timestamp::from_secs(1)), 0);
         assert_eq!(neg.key_count(), before);
     }
 
@@ -1911,9 +1902,9 @@ mod tests {
 
     #[test]
     fn aperiodic_take_window_consumes() {
-        let mut ap = AperiodicState::default();
+        let mut ap = AperiodicState::new(Span::MAX);
         for ms in [100u64, 200, 300, 400] {
-            ap.record(inst(ms), Timestamp::ZERO);
+            assert_eq!(ap.record(inst(ms), Timestamp::from_millis(ms)), None);
         }
         let got = ap.take_window(Timestamp::from_millis(150), Timestamp::from_millis(400));
         assert_eq!(got.len(), 3, "window is inclusive at both ends");
@@ -1926,15 +1917,12 @@ mod tests {
     fn dead_before_clamps() {
         assert_eq!(
             dead_before(Timestamp::from_secs(100), Span::from_secs(12)),
-            Timestamp::from_secs(88)
+            Some(Timestamp::from_secs(88))
         );
         assert_eq!(
             dead_before(Timestamp::from_secs(5), Span::from_secs(10)),
-            Timestamp::ZERO
+            Some(Timestamp::ZERO)
         );
-        assert_eq!(
-            dead_before(Timestamp::from_secs(100), Span::MAX),
-            Timestamp::ZERO
-        );
+        assert_eq!(dead_before(Timestamp::from_secs(100), Span::MAX), None);
     }
 }

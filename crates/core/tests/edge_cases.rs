@@ -75,8 +75,8 @@ fn terminator_before_run_closure_still_pairs() {
 }
 
 /// SEQ(¬A; B) with no WITHIN bound: "B never preceded by any A" — answered
-/// from the epoch via the per-key earliest-occurrence marker, which must
-/// survive pruning.
+/// from the epoch by the `NOT`'s history, which an unbounded look-back
+/// keeps for `Span::MAX`, so it expires nothing.
 #[test]
 fn unbounded_negation_initiator_uses_first_seen() {
     let mut engine = Engine::new(catalog(2), EngineConfig::default());
@@ -1028,4 +1028,130 @@ fn stats_are_coherent() {
     assert!(stats.matched_events <= stats.events);
     let line = stats.to_string();
     assert!(line.contains("events=2"), "{line}");
+}
+
+/// Reads of `objects` objects by readers `r1`–`r3`, one of `gaps` apart,
+/// from `start`.
+fn keyed_stream(len: usize, objects: u64, gaps: &[u64], start: u64) -> Vec<Observation> {
+    let mut state = 0x2545_F491_4F6C_DD1D_u64;
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % bound
+    };
+    let mut ms = start;
+    (0..len)
+        .map(|_| {
+            ms += gaps[next(gaps.len() as u64) as usize];
+            obs(1 + next(3) as u32, next(objects), ms)
+        })
+        .collect()
+}
+
+/// A window that reaches back to the epoch asks a `NOT` history from
+/// `Timestamp::ZERO`, and the history answers from its front: it has
+/// expired nothing yet, since the clock has not passed its retention
+/// (`KeyTable::occurred` asserts it in a debug build). A finite-window
+/// `SEQ(NOT A; B)`, an `AND`-`NOT` wait on a read and one on a `TSEQ+` run
+/// — a composite delivered a gap after its last element — each fire an
+/// occurrence whose window starts at the epoch, then go on well past every
+/// retention, and fire what the reference fires.
+#[test]
+fn an_epoch_anchored_negation_asks_an_unexpired_history() {
+    let read = |reader: &str| at(reader).bind_object("o");
+    let window = Span::from_secs(10);
+    let run = at("r3").tseq_plus(Span::ZERO, Span::from_secs(4));
+    let rules = vec![
+        read("r1").not().seq(read("r2")).within(window),
+        read("r2").and(read("r1").not()).within(window),
+        read("r1").not().and(run).within(window),
+    ];
+    // No `r1` for the first 12 s: an `r2` read at 0.5 s and an `r3` run
+    // over 1–2 s, delivered when it closes at 6 s, each wait out a window
+    // that starts at the epoch.
+    let head = [obs(2, 0, 500), obs(3, 1, 1_000), obs(3, 1, 2_000)];
+    let tail = keyed_stream(600, 3, &[0, 250, 500, 1_000, 2_500, 7_000], 12_000);
+    let (catalog, stream) = (catalog(3), [&head[..], &tail].concat());
+    assert!(stream.last().unwrap().at > Timestamp::from_secs(600));
+    let case = Case::new(&catalog, rules, &stream);
+    for feed in [Feed::Scalar, Feed::Chunks(64)] {
+        let (fired, _) = case.run(feed, ObserveLevel::Off);
+        case.check(&fired);
+        for rule in 0..3 {
+            let from_epoch = fired
+                .iter()
+                .any(|(r, inst)| *r == rule && inst.t_begin() == Timestamp::ZERO);
+            assert!(from_epoch, "rule {rule} fires a window from the epoch");
+        }
+    }
+}
+
+/// A store holds the retention it was built with, so a late load may not
+/// move a sealed node's: after rules that widen, narrow and nest the seed
+/// rules are loaded mid-stream, `Program::retention` reads the same for
+/// every node below the seal.
+#[test]
+fn a_late_load_leaves_every_sealed_retention_alone() {
+    let read = |reader: &str| at(reader).bind_object("o");
+    let minute = Span::from_secs(60);
+    let mut engine = Engine::new(catalog(2), EngineConfig::default());
+    let seed = (0..3).map(|i| family_shape(i, 3_000));
+    let seed = seed.chain([read("r1").seq(read("r2")).within(minute)]);
+    for (i, rule) in seed.enumerate() {
+        engine.add_rule(&format!("seed{i}"), rule).unwrap();
+    }
+    let stream = family_stream(400);
+    let (head, tail) = stream.split_at(200);
+    let mut sink = |_: RuleId, _: &Instance| {};
+    engine.process_batch(head, &mut sink);
+    let sealed = engine.graph().sealed();
+    let retention = |engine: &mut Engine| -> Vec<[Span; 2]> {
+        let program = engine.program();
+        let nodes = (0..sealed as u32).map(rceda::NodeId);
+        nodes.map(|n| program.retention(n)).collect()
+    };
+    let before = retention(&mut engine);
+    for (i, ms) in [1_000, 9_000, 600_000].into_iter().enumerate() {
+        for shape in 0..3 {
+            let late = family_shape(shape, ms);
+            engine.add_rule(&format!("late{i}.{shape}"), late).unwrap();
+        }
+    }
+    let nest = family_shape(0, 3_000).seq(read("r2")).within(minute);
+    engine.add_rule("nest", nest).unwrap();
+    engine
+        .add_rule("wider", read("r1").seq(read("r2")))
+        .unwrap();
+    engine.process_batch(tail, &mut sink);
+    assert!(engine.graph().len() > sealed);
+    assert_eq!(retention(&mut engine), before);
+}
+
+/// A read beside a `SEQ` of reads, both keyed on the object, reads one key
+/// value through two extraction paths, so a join over the pair has two key
+/// specs and two tables: a probe of the other side's table cannot reuse
+/// where the key sits in its own (`memo_if` in engine.rs). A two-sided
+/// `AND`, a `SEQ(NOT A; …)` query and an `AND`-`NOT` wait over such a pair
+/// fire what the reference fires, over a stream whose objects enter the
+/// tables in different orders.
+#[test]
+fn a_key_read_through_another_spec_is_found_in_its_own_table() {
+    let read = |reader: &str| at(reader).bind_object("o");
+    let (window, pair) = (Span::from_secs(8), Span::from_secs(2));
+    let bc = || read("r2").seq(read("r3")).within(pair);
+    let rules = vec![
+        read("r1").and(bc()).within(window),
+        read("r1").not().seq(bc()).within(window),
+        bc().and(read("r1").not()).within(window),
+    ];
+    let (catalog, stream) = (catalog(3), keyed_stream(3_000, 8, &[0, 100, 250, 500], 0));
+    let case = Case::new(&catalog, rules, &stream);
+    let (fired, engine) = case.run(Feed::Chunks(PROCESS_ALL_BATCH), ObserveLevel::Off);
+    case.check(&fired);
+    for rule in 0..3 {
+        assert!(fired.iter().any(|(r, _)| *r == rule), "rule {rule} fires");
+    }
+    let root = engine.graph().node(engine.rule_root(RuleId(0)));
+    assert_ne!(root.join.ids[0], root.join.ids[1], "two key specs");
 }

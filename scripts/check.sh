@@ -206,7 +206,7 @@ fi
 
 echo "== a store expires as it admits (rceda state.rs) =="
 # A store drops what died under its solved retention when it admits
-# (KeyedBuffer::push, NegationState::record, AperiodicState::record), so
+# (KeyTable::push, KeyTable::record, AperiodicState::record), so
 # expiry follows the stream alone and the timeline holds pseudo events only:
 # no prune deadline, no armed node, no touched bitmap, no batch-boundary
 # sweep. Under crates/core/src, code and comments before a file's
@@ -257,6 +257,27 @@ stray=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
 if [[ -n "$stray" ]]; then
     echo "$stray"
     echo "check.sh: one delivery per edge; no fused in-field op, no hold epochs" >&2
+    exit 1
+fi
+
+echo "== a store owns its expiry (rceda state.rs) =="
+# A lane holds its store's solved retention and cap, and a SEQ+ history its
+# retention: a store op takes the clock and expires itself, so the engine
+# caches no retentions and turns none into a dead-before time or a cap. A
+# NOT history is its end-times: a window from the epoch reads a history
+# that has expired nothing, so no earliest-occurrence marker rides beside
+# them. Before a column-0 `#[cfg(test)]`, engine.rs may not name
+# `dead_before(`, `side_cap` or `spans`, nor state.rs `KeyHist` or `earliest`.
+stray=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests { next }
+    FILENAME ~ /engine\.rs$/ && /dead_before\(|side_cap|spans/ { print FILENAME ":" FNR ": " $0 }
+    FILENAME ~ /state\.rs$/ && /KeyHist|earliest/ { print FILENAME ":" FNR ": " $0 }
+    ' crates/core/src/engine.rs crates/core/src/state.rs)
+if [[ -n "$stray" ]]; then
+    echo "$stray"
+    echo "check.sh: a store owns its expiry; the engine hands it the clock" >&2
     exit 1
 fi
 
@@ -421,11 +442,13 @@ echo "== ledger (allocation budgets of the edge filter, the firing path and the 
 # 0.0004 and 1.92 on canonical, 0.00016 on rules500 (5.26 and 3.04 with
 # SipHash maps, per-firing HashMap rows and a Vec per offer; 2.0002 on
 # rules500 with a name and an argument Vec per call, not the call log's
-# blocks); on detect the engine allocates 302.1 bytes per event (310.7
+# blocks); on detect the engine allocates 284.8 bytes per event (302.1
+# with an earliest-occurrence marker beside every held history; 310.7
 # with an 8-byte epoch cell per slot and lane and an expiry log on stores
 # that never expire; 360.4 with a `Vec` per two-child composite and an
 # `Arc` pair per family member; 475.9 with a `HashMap<Key, u32>` in front
-# of each slot arena), on freshkeys 144.4 (147.2 with the epoch cells); on
+# of each slot arena), on freshkeys 142.3 (144.4 with the marker, 147.2
+# with the epoch cells); on
 # rules500 it makes 0.57 allocations per event (29.2 with an absence and a
 # pair `Arc` per member of the 125-member in-field window family).
 ledger_budget() {
@@ -447,7 +470,7 @@ ledger_budget() {
 }
 ledger_budget canonical edge.allocs_per_event:0.01 rules.allocs_per_firing:2.5
 ledger_budget rules500 edge.allocs_per_event:0.01 rules.allocs_per_firing:0.05 core.allocs_per_event:1
-ledger_budget detect core.alloc_bytes_per_event:305
-ledger_budget freshkeys core.alloc_bytes_per_event:145.8
+ledger_budget detect core.alloc_bytes_per_event:287.5
+ledger_budget freshkeys core.alloc_bytes_per_event:143.6
 
 echo "check.sh: all gates passed"
